@@ -23,9 +23,10 @@
 //! of 16 and acked only at batch completion — cuts that land mid-batch
 //! must leave every unacked op in either its old or new state, with no
 //! acked write dropped or double-applied. A victim-policy tier repeats
-//! the sweep under cost-benefit and windowed-greedy GC victim selection
-//! with every cut placed inside a GC migration, since those policies
-//! relocate blocks the greedy sweep never touches mid-flight. A media-noise tier re-runs
+//! the sweep under windowed-greedy GC victim selection (the shipped
+//! default; the main tiers run greedy) with every cut placed inside a GC
+//! migration, since that policy relocates blocks the greedy sweep never
+//! touches mid-flight. A media-noise tier re-runs
 //! the workload under transient read/program/erase failures plus grown
 //! bad blocks and requires a byte-perfect final state. Finally a sabotage self-test deliberately breaks
 //! recovery (dropping the capacitor-backed write buffer) and requires
@@ -700,46 +701,42 @@ fn main() {
         }
     }
 
-    // The non-default victim policies relocate different blocks at
-    // different times, so a cut landing mid-migration exercises recovery
-    // over GC states the greedy sweep never produces. Every policy must
-    // get at least one genuine mid-GC cut, in quick mode too.
+    // Windowed-greedy relocates different blocks at different times than
+    // the greedy the tiers above run, so a cut landing mid-migration
+    // exercises recovery over GC states they never produce. It must get
+    // at least one genuine mid-GC cut, in quick mode too.
     section("victim-policy power-cut sweep (cuts inside GC migration)");
-    let policies = [VictimPolicy::CostBenefit, VictimPolicy::WINDOWED_DEFAULT];
+    let policy = VictimPolicy::WINDOWED_DEFAULT;
     let cuts_per_policy: usize = if quick { 2 } else { 4 };
-    let mut policy_gc_cuts = [0u64; 2];
-    for (pi, &policy) in policies.iter().enumerate() {
-        let strategy = Strategy::CheckIn;
-        let seed = MATRIX_SEED ^ 0x6C1A_B000 ^ ((pi as u64 + 1) << 24);
-        let trace = profile(strategy, policy, seed, 1);
-        let gc_ticks: Vec<u64> = trace
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.1 == FaultPhase::Gc)
-            .map(|(i, _)| i as u64 + 1)
-            .collect();
-        // First, middle, and evenly spaced mid-GC ticks up to the budget.
-        let mut cuts: Vec<u64> = (0..cuts_per_policy)
-            .filter_map(|i| gc_ticks.get(i * gc_ticks.len() / cuts_per_policy).copied())
-            .collect();
-        cuts.dedup();
-        for &tick in &cuts {
-            combos += 1;
-            policy_gc_cuts[pi] += 1;
-            phase_cuts[1] += 1;
-            let (v, _) = run_cut(strategy, policy, seed, tick, false, 1);
-            if !v.clean() {
-                eprintln!("  ^ combo: {policy} cut tick {tick} (mid-GC)");
-            }
-            total.absorb(v);
+    let strategy = Strategy::CheckIn;
+    let seed = MATRIX_SEED ^ 0x6C1A_B000 ^ (2 << 24);
+    let trace = profile(strategy, policy, seed, 1);
+    let gc_ticks: Vec<u64> = trace
+        .iter()
+        .enumerate()
+        .filter(|(_, op)| op.1 == FaultPhase::Gc)
+        .map(|(i, _)| i as u64 + 1)
+        .collect();
+    // First, middle, and evenly spaced mid-GC ticks up to the budget.
+    let mut policy_gc_cuts: Vec<u64> = (0..cuts_per_policy)
+        .filter_map(|i| gc_ticks.get(i * gc_ticks.len() / cuts_per_policy).copied())
+        .collect();
+    policy_gc_cuts.dedup();
+    for &tick in &policy_gc_cuts {
+        combos += 1;
+        phase_cuts[1] += 1;
+        let (v, _) = run_cut(strategy, policy, seed, tick, false, 1);
+        if !v.clean() {
+            eprintln!("  ^ combo: {policy} cut tick {tick} (mid-GC)");
         }
-        println!(
-            "  {:<18} {} GC ticks traced, cuts at {:?}",
-            policy.label(),
-            gc_ticks.len(),
-            cuts
-        );
+        total.absorb(v);
     }
+    println!(
+        "  {:<18} {} GC ticks traced, cuts at {:?}",
+        policy.label(),
+        gc_ticks.len(),
+        policy_gc_cuts
+    );
 
     section("media-noise tier (transients + grown bad blocks, no cut)");
     let mut media = MediaStats::default();
@@ -805,11 +802,8 @@ fn main() {
         eprintln!("FAIL: no cut landed mid-batch — the batched tier exercised nothing new");
         failed = true;
     }
-    if policy_gc_cuts.contains(&0) {
-        eprintln!(
-            "FAIL: a victim policy got no mid-GC cut (cost-benefit {}, windowed-greedy {})",
-            policy_gc_cuts[0], policy_gc_cuts[1]
-        );
+    if policy_gc_cuts.is_empty() {
+        eprintln!("FAIL: windowed-greedy got no mid-GC cut");
         failed = true;
     }
     if !detected {

@@ -1,30 +1,24 @@
-//! `gclab` — the GC victim-policy × data-placement laboratory.
+//! `gclab` — the GC victim-policy laboratory.
 //!
-//! Sweeps every [`VictimPolicy`] (greedy, cost-benefit, windowed-greedy)
-//! across three workload shapes — uniform, zipfian, and write-only — on
-//! the GC-pressured ~50 MiB device, under the shipped placement defaults
-//! (so the winner justifies the shipped default directly). For each cell
-//! it records the write-amplification factor, the Equation (1) lifetime
-//! score, and the p99.9 query latency; the matrix lands in the `metrics`
-//! section of `BENCH_perf.json` (override with `--out PATH`).
+//! Sweeps both [`VictimPolicy`] variants (greedy, windowed-greedy) across
+//! three workload shapes — uniform, zipfian, and write-only — on the
+//! GC-pressured ~50 MiB device. For each cell it records the
+//! write-amplification factor, the Equation (1) lifetime score, and the
+//! p99.9 query latency; the matrix lands in the `metrics` section of
+//! `BENCH_perf.json` (override with `--out PATH`).
 //!
-//! On top of the matrix the lab emits:
-//!
-//! * per-workload `separation_waf_gain_*` comparisons — greedy with
-//!   hot/cold stream separation on vs the matrix's separation-off cell,
-//!   pricing the placement change alone (>1 means separation reduces
-//!   WAF; <1 means its partially-filled same-stream pages cost more
-//!   than its GC benefit returns);
-//! * per-policy `gclab_waf_*_vs_greedy` comparisons — mean-WAF ratios
-//!   against the greedy baseline (>1 means the policy writes less);
-//! * a ranking by mean WAF (ties: higher lifetime, then lower p99.9).
+//! On top of the matrix the lab emits the `gclab_waf_*_vs_greedy`
+//! comparison — the mean-WAF ratio against the greedy baseline (>1 means
+//! the policy writes less) — and a ranking by mean WAF (ties: higher
+//! lifetime, then lower p99.9).
 //!
 //! All ranked quantities come from the deterministic simulation, so the
 //! matrix — and therefore the winner — is reproducible bit-for-bit on
 //! any host. In full mode the lab exits non-zero if the shipped
 //! `SystemConfig` default policy is not the measured winner, keeping the
 //! default honest against the data; `--quick` runs a shorter workload
-//! and only reports.
+//! and only reports. The retired third policy and the stream-separation
+//! A/B this lab once ran are recorded in EXPERIMENTS.md.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -43,28 +37,25 @@ const WORKLOADS: [(&str, OpMix, AccessPattern); 3] = [
 
 /// One measured matrix cell.
 struct Cell {
-    workload: &'static str,
     policy: VictimPolicy,
     waf: f64,
     lifetime: f64,
     p999_us: f64,
 }
 
-/// Lab configuration: the GC-pressured device with the given policy and
-/// placement, under one of the swept workload shapes.
+/// Lab configuration: the GC-pressured device with the given policy,
+/// under one of the swept workload shapes.
 fn lab_config(
     queries: u64,
     policy: VictimPolicy,
     mix: OpMix,
     pattern: AccessPattern,
-    separation: bool,
 ) -> SystemConfig {
     let mut c = gc_pressured_config(Strategy::CheckIn);
     c.total_queries = queries;
     c.workload.mix = mix;
     c.workload.pattern = pattern;
     c.gc_policy = policy;
-    c.stream_separation = separation;
     c
 }
 
@@ -143,12 +134,12 @@ fn main() {
     let mut metrics: Vec<Metric> = Vec::new();
     let mut cells: Vec<Cell> = Vec::new();
 
-    // The policy × workload matrix under the shipped placement defaults.
+    // The policy × workload matrix.
     for policy in VictimPolicy::ALL {
         println!("\n== policy {policy}");
         for (workload, mix, pattern) in WORKLOADS {
             let name = format!("gclab/{workload}/{}", policy.label());
-            let config = lab_config(queries, policy, mix, pattern, false);
+            let config = lab_config(queries, policy, mix, pattern);
             let (report, timing) = timed_run(&name, config);
             results.push(timing);
             metrics.push(metric(&format!("{name}/waf"), report.waf, "x"));
@@ -165,37 +156,12 @@ fn main() {
                 "blocks",
             ));
             cells.push(Cell {
-                workload,
                 policy,
                 waf: report.waf,
                 lifetime: report.lifetime_score,
                 p999_us,
             });
         }
-    }
-
-    // Pricing the placement change alone: greedy with hot/cold stream
-    // separation on, per workload, against the matrix's separation-off
-    // greedy cells.
-    println!("\n== stream separation on (greedy A/B)");
-    for (workload, mix, pattern) in WORKLOADS {
-        let name = format!("gclab/{workload}/greedy-separated");
-        let config = lab_config(queries, VictimPolicy::Greedy, mix, pattern, true);
-        let (report, timing) = timed_run(&name, config);
-        metrics.push(metric(&format!("{name}/waf"), report.waf, "x"));
-        let off_waf = cells
-            .iter()
-            .find(|c| c.workload == workload && c.policy == VictimPolicy::Greedy)
-            .map_or(f64::NAN, |c| c.waf);
-        let gain = off_waf / report.waf;
-        println!("  separation WAF gain ({workload}): {gain:.3}x");
-        comparisons.push(Comparison {
-            name: format!("separation_waf_gain_{workload}"),
-            baseline: format!("gclab/{workload}/greedy"),
-            candidate: name.clone(),
-            speedup: gain,
-        });
-        results.push(timing);
     }
 
     // Ranking: mean WAF across workloads, ties broken by higher lifetime

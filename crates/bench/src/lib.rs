@@ -27,7 +27,7 @@ pub fn run(config: SystemConfig) -> RunReport {
 }
 
 /// Paper-scale defaults shared by the overall-performance figures:
-/// the full 1.5 GiB device, zipfian workload A, scaled query counts.
+/// the full 3 GiB device, zipfian workload A, scaled query counts.
 pub fn paper_config(strategy: Strategy) -> SystemConfig {
     let mut c = SystemConfig::for_strategy(strategy);
     c.total_queries = 30_000;

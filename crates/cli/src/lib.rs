@@ -82,7 +82,7 @@ pub struct RunArgs {
     /// GC victim-selection policy override (`None` keeps the strategy
     /// default, which is the gclab sweep winner).
     pub gc_policy: Option<VictimPolicy>,
-    /// Use the small GC-pressured device instead of the default 1.5 GiB.
+    /// Use the small GC-pressured device instead of the default 3 GiB.
     pub gc_pressure: bool,
     /// Disable checksum verification on reads (integrity checks are on
     /// by default; this exists to measure their overhead).
@@ -371,7 +371,7 @@ FLAGS (all optional):
   --admission-batch N    queries per client event-queue hop (default 1;
                          larger values amortize event churn without
                          moving checkpoint boundaries)
-  --gc-policy greedy|cost-benefit|windowed-greedy[:N]
+  --gc-policy greedy|windowed-greedy[:N]
                          GC victim-selection policy (default: the
                          strategy default, see `checkin compare`)
   --jobs      N          worker threads for compare/sweep batches
@@ -486,11 +486,11 @@ mod tests {
 
     #[test]
     fn parses_gc_policy() {
-        let Command::Run(a) = parse(&["run", "--gc-policy", "cost-benefit"]).unwrap() else {
+        let Command::Run(a) = parse(&["run", "--gc-policy", "greedy"]).unwrap() else {
             panic!()
         };
-        assert_eq!(a.gc_policy, Some(VictimPolicy::CostBenefit));
-        assert_eq!(a.to_config().gc_policy, VictimPolicy::CostBenefit);
+        assert_eq!(a.gc_policy, Some(VictimPolicy::Greedy));
+        assert_eq!(a.to_config().gc_policy, VictimPolicy::Greedy);
         let Command::Run(a) = parse(&["run", "--gc-policy", "windowed-greedy:4"]).unwrap() else {
             panic!()
         };

@@ -144,12 +144,6 @@ pub struct SystemConfig {
     /// workload and the lowest p99.9. Perfsuite gates the switch against
     /// a greedy-forced run of the same full-run workload.
     pub gc_policy: VictimPolicy,
-    /// Route journal / data / metadata+GC write streams to distinct
-    /// write points (hot/cold separation on the ISCE's page classes).
-    pub stream_separation: bool,
-    /// Blocks withheld from usable headroom as software
-    /// over-provisioning (0 = thresholds only).
-    pub overprovision_blocks: u32,
     /// Max background-GC rounds after each checkpoint.
     pub background_gc_rounds: u32,
     /// Device write-buffer capacity in mapping units (power-protected
@@ -194,8 +188,6 @@ impl SystemConfig {
             gc_threshold_blocks: 8,
             gc_soft_threshold_blocks: 48,
             gc_policy: VictimPolicy::WINDOWED_DEFAULT,
-            stream_separation: false,
-            overprovision_blocks: 0,
             background_gc_rounds: 16,
             write_buffer_units: 128,
             ablate_partial_merging: false,
@@ -218,8 +210,6 @@ impl SystemConfig {
             gc_threshold_blocks: self.gc_threshold_blocks,
             gc_soft_threshold_blocks: self.gc_soft_threshold_blocks,
             victim_policy: self.gc_policy,
-            stream_separation: self.stream_separation,
-            overprovision_blocks: self.overprovision_blocks,
             write_points: self.geometry.total_dies() as u32,
             map_cache_entries: self.map_cache_entries,
             write_buffer_units: self.write_buffer_units,

@@ -76,7 +76,7 @@ pub struct FlashGeometry {
 impl FlashGeometry {
     /// Geometry mirroring the paper's SimpleSSD-style configuration scaled
     /// for simulation speed: 4 channels x 2 dies x 2 planes x 192 blocks x
-    /// 256 pages x 4 KiB = 1.5 GiB.
+    /// 256 pages x 4 KiB = 3 GiB.
     pub fn paper_default() -> Self {
         FlashGeometry {
             channels: 4,

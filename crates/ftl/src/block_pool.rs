@@ -1,0 +1,403 @@
+//! Block lifecycle and placement: which blocks are free, which one each
+//! write point is filling, which are closed (GC candidates) or retired,
+//! and how many still-referenced units each holds.
+//!
+//! The pool alone can state the rule the allocator once broke (an
+//! `Active` block no write point owned was never closed and never a GC
+//! victim): every `Active` block is exactly one write point's current
+//! block.
+
+use std::collections::VecDeque;
+
+use checkin_flash::{BlockId, FlashArray, FlashGeometry};
+
+use crate::error::RecoveryError;
+use crate::location::Location;
+use crate::mapping::MappingTable;
+use crate::policy::{VictimCandidate, VictimPolicy};
+
+/// Lifecycle of a physical block from the FTL's perspective.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BlockKind {
+    Free,
+    Active,
+    Closed,
+    /// Permanently out of service (grown defect or failed erase). Never
+    /// selected as a GC or wear-leveling victim and never recycled into
+    /// the free pool.
+    Retired,
+}
+
+#[derive(Debug)]
+pub(crate) struct BlockPool {
+    pages_per_block: u32,
+    free_blocks: VecDeque<BlockId>,
+    block_kind: Vec<BlockKind>,
+    valid_units: Vec<u32>,
+    /// Monotone close rank per block (lower closed earlier); feeds
+    /// windowed-greedy victim selection.
+    block_close_seq: Vec<u64>,
+    close_counter: u64,
+    /// Per-write-point current block and next page cursor.
+    actives: Vec<Option<(BlockId, u32)>>,
+    next_wp: usize,
+}
+
+impl BlockPool {
+    pub(crate) fn new(g: &FlashGeometry, write_points: u32) -> Self {
+        let total = g.total_blocks();
+        BlockPool {
+            pages_per_block: g.pages_per_block,
+            free_blocks: (0..total).map(BlockId).collect(),
+            block_kind: vec![BlockKind::Free; total as usize],
+            valid_units: vec![0; total as usize],
+            block_close_seq: vec![0; total as usize],
+            close_counter: 0,
+            actives: vec![None; write_points as usize],
+            next_wp: 0,
+        }
+    }
+
+    pub(crate) fn free_count(&self) -> usize {
+        self.free_blocks.len()
+    }
+
+    /// True for a fully programmed, in-service block.
+    pub(crate) fn is_closed(&self, block: BlockId) -> bool {
+        self.block_kind.get(block.0 as usize) == Some(&BlockKind::Closed)
+    }
+
+    pub(crate) fn valid_units(&self, block: BlockId) -> u32 {
+        self.valid_units[block.0 as usize]
+    }
+
+    /// One more unit of `block` is referenced by the mapping table.
+    pub(crate) fn add_valid(&mut self, block: BlockId) {
+        self.valid_units[block.0 as usize] += 1;
+    }
+
+    /// One unit of `block` lost its last reference (or was relocated).
+    pub(crate) fn sub_valid(&mut self, block: BlockId) {
+        let v = &mut self.valid_units[block.0 as usize];
+        debug_assert!(*v > 0, "valid count underflow on {block}");
+        *v = v.saturating_sub(1);
+    }
+
+    /// The write point the next page-out goes to (round-robin).
+    pub(crate) fn next_write_point(&mut self) -> usize {
+        let wp = self.next_wp;
+        self.next_wp = (wp + 1) % self.actives.len();
+        wp
+    }
+
+    /// Next page of the block `wp` is filling, closing the block when
+    /// that was its last page. `None` when `wp` has no block open.
+    pub(crate) fn take_page(&mut self, wp: usize) -> Option<(BlockId, u32)> {
+        let (block, page) = self.actives[wp]?;
+        self.actives[wp] = if page + 1 < self.pages_per_block {
+            Some((block, page + 1))
+        } else {
+            self.block_kind[block.0 as usize] = BlockKind::Closed;
+            self.close_counter += 1;
+            self.block_close_seq[block.0 as usize] = self.close_counter;
+            None
+        };
+        Some((block, page))
+    }
+
+    /// Opens a fresh block on `wp` — which must have none open — and
+    /// returns its first page. `None` when the free pool is empty.
+    pub(crate) fn open_block(&mut self, wp: usize) -> Option<(BlockId, u32)> {
+        debug_assert!(self.actives[wp].is_none(), "write point {wp} already open");
+        let block = self.free_blocks.pop_front()?;
+        self.block_kind[block.0 as usize] = BlockKind::Active;
+        self.actives[wp] = Some((block, 0));
+        self.take_page(wp)
+    }
+
+    fn closed_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.block_kind
+            .iter()
+            .enumerate()
+            .filter(|&(_, &k)| k == BlockKind::Closed)
+            .map(|(i, _)| BlockId(i as u64))
+    }
+
+    /// The GC victim under `policy`: every closed block that would yield
+    /// free space (fewer than `capacity` valid units) is a candidate.
+    pub(crate) fn select_victim(
+        &self,
+        policy: VictimPolicy,
+        capacity: u32,
+        flash: &FlashArray,
+    ) -> Option<BlockId> {
+        let candidates = self
+            .closed_blocks()
+            .filter(|b| self.valid_units[b.0 as usize] < capacity)
+            .map(|b| VictimCandidate {
+                block: b,
+                valid_units: self.valid_units[b.0 as usize],
+                erase_count: flash.erase_count(b),
+                closed_rank: self.block_close_seq[b.0 as usize],
+            });
+        policy.select(candidates)
+    }
+
+    /// The least-erased closed block (the static wear-leveling victim).
+    pub(crate) fn coldest_closed(&self, flash: &FlashArray) -> Option<BlockId> {
+        self.closed_blocks().min_by_key(|b| flash.erase_count(*b))
+    }
+
+    /// Spread between the most-erased **in-service** block and the coldest
+    /// block still holding data (free blocks recirculate on their own, so
+    /// only closed blocks can pin cold data to barely-worn cells). Retired
+    /// blocks are out of both sides of the comparison: a retired block
+    /// will never be erased again, so its (often high) erase count says
+    /// nothing about skew that wear leveling could still fix.
+    pub(crate) fn wear_delta(&self, flash: &FlashArray) -> u64 {
+        let mut max: Option<u64> = None;
+        let mut min_closed: Option<u64> = None;
+        for (b, &kind) in self.block_kind.iter().enumerate() {
+            if kind == BlockKind::Retired {
+                continue;
+            }
+            let erases = flash.erase_count(BlockId(b as u64));
+            max = Some(max.map_or(erases, |m| m.max(erases)));
+            if kind == BlockKind::Closed {
+                min_closed = Some(min_closed.map_or(erases, |m| m.min(erases)));
+            }
+        }
+        match (max, min_closed) {
+            (Some(max), Some(min)) => max.saturating_sub(min),
+            _ => 0,
+        }
+    }
+
+    /// Returns an erased block to the tail of the free pool.
+    pub(crate) fn recycle(&mut self, block: BlockId) {
+        self.block_kind[block.0 as usize] = BlockKind::Free;
+        self.free_blocks.push_back(block);
+    }
+
+    /// Takes an open or closed block out of service for good.
+    pub(crate) fn retire(&mut self, block: BlockId) {
+        self.block_kind[block.0 as usize] = BlockKind::Retired;
+        for a in &mut self.actives {
+            if a.is_some_and(|(b, _)| b == block) {
+                *a = None;
+            }
+        }
+    }
+
+    /// Post-power-loss reset from what the flash itself knows: bad-block
+    /// marks retire, any programmed block is closed (no write point
+    /// survives a cut), the rest are free; valid counts are recounted
+    /// from the recovered `table`. Close order is a runtime heuristic,
+    /// not durable state: surviving closed blocks are re-ranked in
+    /// block-id order — deterministic, and only victim *preference*,
+    /// never correctness, depends on it.
+    pub(crate) fn rebuild(
+        &mut self,
+        flash: &FlashArray,
+        table: &MappingTable,
+        upp: u32,
+    ) -> Result<(), RecoveryError> {
+        let g = flash.geometry();
+        self.valid_units = count_valid_units(table, g, upp).ok_or(RecoveryError::Inconsistent(
+            "recovered mapping references an out-of-range block",
+        ))?;
+        self.free_blocks.clear();
+        self.block_kind.clear();
+        self.block_close_seq.clear();
+        self.close_counter = 0;
+        for id in (0..g.total_blocks()).map(BlockId) {
+            let mut rank = 0;
+            let kind = if flash.is_bad_block(id) {
+                BlockKind::Retired
+            } else if flash.write_cursor(id) > 0 {
+                self.close_counter += 1;
+                rank = self.close_counter;
+                BlockKind::Closed
+            } else {
+                self.free_blocks.push_back(id);
+                BlockKind::Free
+            };
+            self.block_kind.push(kind);
+            self.block_close_seq.push(rank);
+        }
+        self.actives.fill(None);
+        self.next_wp = 0;
+        Ok(())
+    }
+
+    /// Free, active, closed and retired partition the blocks: a free
+    /// block is on the free list once, an active block is exactly one
+    /// write point's current block, nothing else is on either; valid
+    /// counts equal what `table` references, and free and retired blocks
+    /// hold none.
+    pub(crate) fn check_invariants(
+        &self,
+        table: &MappingTable,
+        g: &FlashGeometry,
+        upp: u32,
+    ) -> Result<(), String> {
+        let expect =
+            count_valid_units(table, g, upp).ok_or("mapping references an out-of-range block")?;
+        for (i, (&kind, &want)) in self.block_kind.iter().zip(&expect).enumerate() {
+            let b = BlockId(i as u64);
+            let listed = self.free_blocks.iter().filter(|&&f| f == b).count();
+            let owners = self.actives.iter().flatten().filter(|a| a.0 == b).count();
+            let valid = self.valid_units[i];
+            let placed = match kind {
+                BlockKind::Free => (listed, owners, valid) == (1, 0, 0),
+                BlockKind::Active => (listed, owners) == (0, 1),
+                BlockKind::Closed => (listed, owners) == (0, 0),
+                BlockKind::Retired => (listed, owners, valid) == (0, 0, 0),
+            };
+            if !placed || valid != want {
+                return Err(format!(
+                    "{b} is {kind:?}: on the free list {listed}x, filled by {owners} write \
+                     points, valid_units={valid}, table references {want}"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Per-block count of flash units the table references. A unit aliased
+/// by several lpns counts once (at its first referrer). `None` when a
+/// mapping points past the last block.
+fn count_valid_units(table: &MappingTable, g: &FlashGeometry, upp: u32) -> Option<Vec<u32>> {
+    let mut valid = vec![0u32; g.total_blocks() as usize];
+    for (lpn, loc) in table.iter() {
+        if let Location::Flash(pun) = loc {
+            if table.referrers(loc).first() == Some(&lpn) {
+                *valid.get_mut(g.block_of(pun.page(upp)).0 as usize)? += 1;
+            }
+        }
+    }
+    Some(valid)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::location::{Lpn, Pun};
+    use checkin_flash::{FlashTiming, Ppn};
+    use checkin_sim::SimTime;
+
+    fn geometry() -> FlashGeometry {
+        FlashGeometry {
+            channels: 1,
+            dies_per_channel: 1,
+            planes_per_die: 1,
+            blocks_per_plane: 8,
+            pages_per_block: 4,
+            page_bytes: 4096,
+        }
+    }
+
+    #[test]
+    fn write_points_fill_close_and_reopen() {
+        let g = geometry();
+        let table = MappingTable::new();
+        let mut pool = BlockPool::new(&g, 2);
+        assert_eq!(pool.take_page(0), None);
+        assert_eq!(pool.open_block(0), Some((BlockId(0), 0)));
+        assert_eq!(pool.next_write_point(), 0);
+        assert_eq!(pool.next_write_point(), 1);
+        assert_eq!(pool.next_write_point(), 0);
+        for page in 1..4 {
+            assert!(!pool.is_closed(BlockId(0)));
+            assert_eq!(pool.take_page(0), Some((BlockId(0), page)));
+        }
+        assert!(pool.is_closed(BlockId(0)));
+        assert_eq!(pool.take_page(0), None);
+        assert_eq!(pool.open_block(0), Some((BlockId(1), 0)));
+        assert_eq!(pool.free_count(), 6);
+        pool.check_invariants(&table, &g, 1).unwrap();
+    }
+
+    /// What the allocator did before the re-check in
+    /// `Ftl::alloc_page_slot`: foreground GC opened a block on the write
+    /// point, then the interrupted allocation popped a second one over it.
+    #[test]
+    fn invariant_reports_an_active_block_no_write_point_owns() {
+        let g = geometry();
+        let table = MappingTable::new();
+        let mut pool = BlockPool::new(&g, 1);
+        let (opened_by_gc, _) = pool.open_block(0).unwrap();
+        pool.actives[0] = None;
+        pool.open_block(0).unwrap();
+        let err = pool.check_invariants(&table, &g, 1).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{opened_by_gc} is Active: "))
+                && err.contains("filled by 0 write points"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn invariant_reports_valid_count_drift_and_data_in_free_blocks() {
+        let g = geometry();
+        let mut table = MappingTable::new();
+        let mut pool = BlockPool::new(&g, 1);
+        // Two lpns alias one unit of block 0: it counts once.
+        let pun = Pun::compose(Ppn(0), 0, 1);
+        let _ = table.map(Lpn(0), Location::Flash(pun));
+        let _ = table.map(Lpn(1), Location::Flash(pun));
+        let err = pool.check_invariants(&table, &g, 1).unwrap_err();
+        assert!(err.ends_with("valid_units=0, table references 1"), "{err}");
+        pool.add_valid(BlockId(0));
+        let err = pool.check_invariants(&table, &g, 1).unwrap_err();
+        assert!(err.starts_with("blk:0 is Free: "), "{err}");
+        pool.open_block(0).unwrap();
+        pool.check_invariants(&table, &g, 1).unwrap();
+    }
+
+    #[test]
+    fn retiring_an_open_block_releases_its_write_point() {
+        let g = geometry();
+        let table = MappingTable::new();
+        let mut pool = BlockPool::new(&g, 2);
+        let (block, _) = pool.open_block(1).unwrap();
+        pool.retire(block);
+        assert_eq!(pool.take_page(1), None);
+        pool.check_invariants(&table, &g, 1).unwrap();
+    }
+
+    #[test]
+    fn rebuild_reads_lifecycle_from_flash() {
+        let g = geometry();
+        let mut flash = FlashArray::new(g, FlashTiming::mlc());
+        let content = flash.spare_page(1);
+        flash
+            .program(g.ppn_in_block(BlockId(3), 0), content, SimTime::ZERO)
+            .unwrap();
+        let mut table = MappingTable::new();
+        let _ = table.map(
+            Lpn(0),
+            Location::Flash(Pun::compose(g.ppn_in_block(BlockId(3), 0), 0, 1)),
+        );
+        let mut pool = BlockPool::new(&g, 1);
+        pool.open_block(0).unwrap();
+        pool.rebuild(&flash, &table, 1).unwrap();
+        assert!(
+            pool.is_closed(BlockId(3)),
+            "programmed blocks come back closed"
+        );
+        assert_eq!(pool.valid_units(BlockId(3)), 1);
+        assert_eq!(pool.free_count(), 7);
+        assert_eq!(pool.take_page(0), None, "no write point survives a cut");
+        assert_eq!(
+            pool.select_victim(VictimPolicy::Greedy, 4, &flash),
+            Some(BlockId(3))
+        );
+        pool.check_invariants(&table, &g, 1).unwrap();
+
+        // The first unit past the last block.
+        let _ = table.map(Lpn(1), Location::Flash(Pun(g.total_pages())));
+        assert!(pool.rebuild(&flash, &table, 1).is_err());
+    }
+}

@@ -63,14 +63,6 @@ pub struct FtlConfig {
     pub gc_threshold_blocks: u32,
     /// GC victim-selection policy (see [`VictimPolicy`]).
     pub victim_policy: VictimPolicy,
-    /// Route journal, data, and metadata/GC traffic to distinct write
-    /// points (hot/cold stream separation) using the page classes the
-    /// write path already tags. Off: all streams share one round-robin.
-    pub stream_separation: bool,
-    /// Blocks withheld from usable headroom on top of the GC thresholds
-    /// (software over-provisioning). More OP triggers GC earlier, which
-    /// trades visible capacity for lower per-round migration cost.
-    pub overprovision_blocks: u32,
     /// Background GC may run (in idle windows) when the pool drops to this
     /// softer threshold.
     pub gc_soft_threshold_blocks: u32,
@@ -159,14 +151,10 @@ impl FtlConfig {
                 ));
             }
         }
-        if self.write_points as u64
-            + self.gc_threshold_blocks as u64
-            + self.overprovision_blocks as u64
-            >= total_blocks
-        {
+        if self.write_points as u64 + self.gc_threshold_blocks as u64 >= total_blocks {
             return Err(format!(
-                "write_points + gc_threshold + overprovision ({} + {} + {}) must be far below total blocks ({total_blocks})",
-                self.write_points, self.gc_threshold_blocks, self.overprovision_blocks
+                "write_points + gc_threshold ({} + {}) must be far below total blocks ({total_blocks})",
+                self.write_points, self.gc_threshold_blocks
             ));
         }
         Ok(())
@@ -181,8 +169,6 @@ impl Default for FtlConfig {
             unit_bytes: 4096,
             gc_threshold_blocks: 8,
             victim_policy: VictimPolicy::Greedy,
-            stream_separation: false,
-            overprovision_blocks: 0,
             gc_soft_threshold_blocks: 24,
             write_points: 8,
             map_cache_entries: None,
@@ -254,14 +240,7 @@ mod tests {
             ..good
         };
         assert!(bad.validate(4096, 1024).is_err());
-        let bad = FtlConfig {
-            overprovision_blocks: 2000,
-            ..good
-        };
-        assert!(bad.validate(4096, 1024).is_err());
         assert!(good.verify_checksums, "verification is on by default");
         assert_eq!(good.victim_policy, VictimPolicy::Greedy);
-        assert!(!good.stream_separation);
-        assert_eq!(good.overprovision_blocks, 0);
     }
 }

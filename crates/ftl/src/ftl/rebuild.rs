@@ -1,0 +1,171 @@
+//! Sudden-power-off recovery: persisting the mapping log while the
+//! device runs, and rebuilding every component from what survives a cut.
+
+use std::collections::BTreeMap;
+
+use checkin_flash::Ppn;
+
+use super::Ftl;
+use crate::error::RecoveryError;
+use crate::location::{BufSlot, Location, Lpn, Pun};
+use crate::mapping::MappingTable;
+
+/// Outcome counts of a post-power-loss FTL rebuild
+/// ([`Ftl::rebuild_after_power_loss`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RebuildStats {
+    /// Persisted-snapshot entries resolved into the fresh mapping table.
+    pub snapshot_entries_resolved: u64,
+    /// Persisted-snapshot entries dropped (target no longer readable).
+    pub snapshot_entries_dropped: u64,
+    /// Post-snapshot OOB records replayed (newest-wins per lpn).
+    pub oob_records_replayed: u64,
+    /// Capacitor-backed buffer slots re-linked into the table.
+    pub buffered_units_recovered: u64,
+    /// OOB records rejected by checksum verification during the scan
+    /// (torn tails, rotted metadata). Rejected records never replay and
+    /// never advance the recovered sequence floor.
+    pub oob_records_rejected: u64,
+}
+
+impl Ftl {
+    /// Persists the mapping log — the firmware action behind the periodic
+    /// ISCE metadata writes (§III-F) and the pre-erase flush. Gated on
+    /// fault injection being armed, so normal runs never pay for it.
+    pub fn persist_mapping_log(&mut self) {
+        if !self.flash.faults_armed() {
+            return;
+        }
+        self.persist.persist(&self.table, &self.buffer, self.seq);
+        self.counters.incr("ftl.mapping_log_persists");
+    }
+
+    /// Rebuilds the whole FTL state after a power cut from what survives:
+    /// flash contents and their OOB stream, per-block write cursors and
+    /// bad-block marks, the capacitor-backed write buffer, and the last
+    /// persisted mapping log.
+    ///
+    /// Algorithm (the paper's §III-G SPOR, extended with the mapping log):
+    ///
+    /// 1. resolve the persisted snapshot — flash entries directly, buffered
+    ///    entries by the OOB sequence they were written under, wherever
+    ///    that unit is now;
+    /// 2. replay OOB records *newer than the snapshot* in sequence order,
+    ///    newest winning per lpn;
+    /// 3. overlay live buffer slots newer than the snapshot — a live slot
+    ///    is always the newest copy of its lpn;
+    /// 4. reconstruct block lifecycle from write cursors and bad-block
+    ///    marks, and recompute per-block valid-unit counts from the fresh
+    ///    table. Live buffer slots re-queue for page-out in write order.
+    ///
+    /// # Errors
+    ///
+    /// [`RecoveryError::PoweredOff`] when the array has not been powered
+    /// back on ([`checkin_flash::FlashArray::power_on`]) first;
+    /// [`RecoveryError::Inconsistent`] when the surviving state
+    /// contradicts itself. Recovery code must never panic (rule A1), so
+    /// even caller mistakes report through the error path.
+    pub fn rebuild_after_power_loss(&mut self) -> Result<RebuildStats, RecoveryError> {
+        if self.flash.powered_off() {
+            return Err(RecoveryError::PoweredOff);
+        }
+        let g = *self.flash.geometry();
+        let upp = self.upp;
+        let verify = self.config.verify_checksums;
+        let mut stats = RebuildStats::default();
+        let snap_seq = self.persist.floor_seq();
+
+        // Live buffer slots indexed by their OOB sequence number.
+        let slot_by_seq: BTreeMap<u64, BufSlot> = self
+            .buffer
+            .live()
+            .map(|(slot, d)| (d.oob.sequence, slot))
+            .collect();
+
+        // One full OOB scan. Post-snapshot records become the replay list;
+        // older records go into an index used to resolve snapshot entries
+        // whose buffered unit drained before the cut — keyed by OOB
+        // sequence alone: a sequence number identifies one written unit,
+        // while the record's lpn is only the lpn the unit was *written*
+        // under.
+        let mut replay: Vec<(u64, Lpn, Pun)> = Vec::new();
+        let mut pre_snap: BTreeMap<u64, Pun> = BTreeMap::new();
+        let mut max_seq = snap_seq;
+        for ppn in (0..g.total_pages()).map(Ppn) {
+            let Some(content) = self.flash.read(ppn) else {
+                continue;
+            };
+            for (offset, oob) in content.oob.iter().enumerate() {
+                // A record only enters recovery when its OOB metadata AND
+                // the data unit it describes both verify: a torn tail or
+                // rotted record must neither replay (it would resurrect
+                // corrupt data) nor advance `max_seq` (a flipped sequence
+                // bit could falsely win newest-wins over good records).
+                if verify && !(content.oob_intact(offset) && content.unit_intact(offset)) {
+                    stats.oob_records_rejected += 1;
+                    continue;
+                }
+                let pun = Pun::compose(ppn, offset as u32, upp);
+                max_seq = max_seq.max(oob.sequence);
+                if oob.sequence > snap_seq {
+                    replay.push((oob.sequence, Lpn(oob.lpn), pun));
+                } else {
+                    pre_snap.insert(oob.sequence, pun);
+                }
+            }
+        }
+        replay.sort_unstable_by_key(|&(seq, _, _)| seq);
+
+        let mut table = MappingTable::with_capacity((g.total_pages() * upp as u64) as usize);
+        let still_verifies = |pun: Pun| {
+            self.flash
+                .read(pun.page(upp))
+                .is_some_and(|pc| !verify || pc.unit_intact(pun.offset(upp) as usize))
+        };
+        (
+            stats.snapshot_entries_resolved,
+            stats.snapshot_entries_dropped,
+        ) = self
+            .persist
+            .resolve_into(&mut table, still_verifies, &slot_by_seq, &pre_snap);
+        for &(_, lpn, pun) in &replay {
+            let _ = table.map(lpn, Location::Flash(pun));
+            stats.oob_records_replayed += 1;
+        }
+        for (slot, d) in self.buffer.live() {
+            max_seq = max_seq.max(d.oob.sequence);
+            if d.oob.sequence > snap_seq {
+                let _ = table.map(Lpn(d.oob.lpn), Location::Buffer(slot));
+                stats.buffered_units_recovered += 1;
+            }
+        }
+        self.table = table;
+
+        // Fresh runtime state: no active blocks, no GC in flight.
+        self.pool.rebuild(&self.flash, &self.table, upp)?;
+        self.buffer.requeue_all_in_write_order();
+        self.in_gc = false;
+        self.seq = self.seq.max(max_seq);
+        self.counters.incr("ftl.power_loss_rebuilds");
+        // Re-persist immediately: the recovered table is the new floor.
+        self.persist_mapping_log();
+        Ok(stats)
+    }
+
+    /// Test-only sabotage: throws away the capacitor-backed write buffer
+    /// (slots, pending queue, and their mappings), deliberately breaking
+    /// the acked-write durability contract. Harnesses call this to prove
+    /// their verifier actually detects a broken recovery; never call it
+    /// anywhere else.
+    pub fn sabotage_drop_write_buffer(&mut self) {
+        let buffered: Vec<Lpn> = self
+            .table
+            .iter()
+            .filter_map(|(lpn, loc)| matches!(loc, Location::Buffer(_)).then_some(lpn))
+            .collect();
+        for lpn in buffered {
+            let _ = self.table.unmap(lpn);
+        }
+        self.buffer.clear();
+    }
+}

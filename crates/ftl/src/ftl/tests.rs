@@ -1,0 +1,373 @@
+//! `#[cfg(test)] mod tests` of `ftl.rs`: the host path (write, read, remap,
+//! trim, page-out, GC under churn) and the fixtures the sibling modules share.
+
+use super::*;
+use checkin_flash::{FlashGeometry, FlashTiming};
+
+fn small_ftl(unit_bytes: u32) -> Ftl {
+    let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
+    Ftl::new(
+        flash,
+        FtlConfig {
+            unit_bytes,
+            write_points: 2,
+            gc_threshold_blocks: 4,
+            gc_soft_threshold_blocks: 8,
+            write_buffer_units: 16,
+            ..FtlConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// One die, 16 blocks of 8 one-unit (4 KiB) pages, one write point:
+/// small enough that GC, wear leveling and retirement all happen within
+/// a few hundred writes. The caller's `config` supplies the rest.
+pub(super) fn single_die_ftl(config: FtlConfig) -> Ftl {
+    let geometry = FlashGeometry {
+        channels: 1,
+        dies_per_channel: 1,
+        planes_per_die: 1,
+        blocks_per_plane: 16,
+        pages_per_block: 8,
+        page_bytes: 4096,
+    };
+    let config = FtlConfig {
+        unit_bytes: 4096,
+        write_points: 1,
+        gc_threshold_blocks: 2,
+        gc_soft_threshold_blocks: 4,
+        ..config
+    };
+    Ftl::new(FlashArray::new(geometry, FlashTiming::mlc()), config).unwrap()
+}
+
+/// Whole-unit 4 KiB write of `lpn` at `version`.
+pub(super) fn put(f: &mut Ftl, lpn: u64, version: u64) -> Result<SimTime, FtlError> {
+    f.write(w(lpn, lpn, version, 4096), OobKind::Data, SimTime::ZERO)
+}
+
+fn w(lpn: u64, key: u64, version: u64, bytes: u32) -> UnitWrite {
+    UnitWrite {
+        lpn: Lpn(lpn),
+        payload: UnitPayload::single(key, version, bytes),
+        whole_unit: true,
+    }
+}
+
+#[test]
+fn write_then_read_from_buffer() {
+    let mut f = small_ftl(512);
+    f.write(w(0, 1, 1, 512), OobKind::Data, SimTime::ZERO)
+        .unwrap();
+    let (p, t) = f.read(Lpn(0), SimTime::ZERO).unwrap();
+    assert_eq!(p.fragments[0].key, 1);
+    assert_eq!(t, SimTime::ZERO, "buffer hit has no flash latency");
+    f.check_invariants().unwrap();
+}
+
+#[test]
+fn page_out_after_buffer_watermark() {
+    let mut f = small_ftl(512);
+    let upp = f.units_per_page() as u64; // 8
+                                         // Watermark is 16 units: writing 4 pages' worth forces page-outs.
+    for i in 0..upp * 4 {
+        f.write(w(i, i, 1, 512), OobKind::Data, SimTime::ZERO)
+            .unwrap();
+    }
+    assert!(f.flash().counters().get("flash.program") >= 2);
+    let (p, t) = f.read(Lpn(0), SimTime::from_nanos(0)).unwrap();
+    assert_eq!(p.fragments[0].key, 0);
+    assert!(t > SimTime::ZERO, "flash read has latency");
+    f.check_invariants().unwrap();
+}
+
+#[test]
+fn overwrite_invalidates_old_copy() {
+    let mut f = small_ftl(512);
+    for i in 0..16 {
+        f.write(w(0, 7, i + 1, 512), OobKind::Data, SimTime::ZERO)
+            .unwrap();
+        // Flush so each version reaches flash and the next overwrite
+        // invalidates a flash-resident copy.
+        f.flush(SimTime::ZERO).unwrap();
+    }
+    let (p, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
+    assert_eq!(p.fragments[0].version, 16, "latest version wins");
+    assert!(f.counters().get("ftl.invalid_units") > 0);
+    f.check_invariants().unwrap();
+}
+
+#[test]
+fn read_unmapped_errors() {
+    let mut f = small_ftl(512);
+    assert!(matches!(
+        f.read(Lpn(5), SimTime::ZERO),
+        Err(FtlError::Unmapped(Lpn(5)))
+    ));
+}
+
+#[test]
+fn remap_shares_physical_copy() {
+    let mut f = small_ftl(512);
+    f.write(w(100, 1, 3, 512), OobKind::Journal, SimTime::ZERO)
+        .unwrap();
+    f.flush(SimTime::ZERO).unwrap();
+    f.remap(Lpn(0), Lpn(100)).unwrap();
+    let (a, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
+    let (b, _) = f.read(Lpn(100), SimTime::ZERO).unwrap();
+    assert_eq!(a, b);
+    assert_eq!(f.location_of(Lpn(0)), f.location_of(Lpn(100)));
+    // Remap costs zero flash programs.
+    let programs = f.flash().counters().get("flash.program");
+    assert_eq!(programs, 1);
+    f.check_invariants().unwrap();
+}
+
+#[test]
+fn remap_unmapped_source_fails() {
+    let mut f = small_ftl(512);
+    assert!(matches!(
+        f.remap(Lpn(0), Lpn(9)),
+        Err(FtlError::Unmapped(_))
+    ));
+}
+
+#[test]
+fn deallocate_journal_keeps_data_alias_alive() {
+    let mut f = small_ftl(512);
+    f.write(w(100, 1, 1, 512), OobKind::Journal, SimTime::ZERO)
+        .unwrap();
+    f.flush(SimTime::ZERO).unwrap();
+    f.remap(Lpn(0), Lpn(100)).unwrap();
+    assert!(f.deallocate(Lpn(100)));
+    // Data alias still readable; no invalid unit was generated.
+    let (p, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
+    assert_eq!(p.fragments[0].key, 1);
+    assert_eq!(f.counters().get("ftl.invalid_units"), 0);
+    assert!(!f.deallocate(Lpn(100)), "already gone");
+    f.check_invariants().unwrap();
+}
+
+#[test]
+fn partial_write_merges_with_flash_copy() {
+    let mut f = small_ftl(4096);
+    // Unit holds keys 1 and 2.
+    f.write(
+        UnitWrite {
+            lpn: Lpn(0),
+            payload: UnitPayload::merged(vec![
+                checkin_flash::Fragment {
+                    key: 1,
+                    version: 1,
+                    bytes: 1024,
+                },
+                checkin_flash::Fragment {
+                    key: 2,
+                    version: 1,
+                    bytes: 1024,
+                },
+            ]),
+            whole_unit: true,
+        },
+        OobKind::Data,
+        SimTime::ZERO,
+    )
+    .unwrap();
+    f.flush(SimTime::ZERO).unwrap();
+    // Partial update of key 2 only.
+    f.write(
+        UnitWrite {
+            lpn: Lpn(0),
+            payload: UnitPayload::single(2, 2, 1024),
+            whole_unit: false,
+        },
+        OobKind::Data,
+        SimTime::ZERO,
+    )
+    .unwrap();
+    let (p, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
+    let k1 = p.fragments.iter().find(|fr| fr.key == 1).unwrap();
+    let k2 = p.fragments.iter().find(|fr| fr.key == 2).unwrap();
+    assert_eq!(k1.version, 1);
+    assert_eq!(k2.version, 2);
+    assert_eq!(f.counters().get("ftl.rmw_reads"), 1);
+    f.check_invariants().unwrap();
+}
+
+#[test]
+fn gc_reclaims_space_under_churn() {
+    let mut f = small_ftl(512);
+    // Small geometry: 64 blocks x 32 pages x 8 units = 16384 units.
+    // Hammer 256 logical units with updates until GC must run.
+    for round in 0..100u64 {
+        for lpn in 0..256u64 {
+            f.write(w(lpn, lpn, round + 1, 512), OobKind::Data, SimTime::ZERO)
+                .unwrap();
+        }
+    }
+    assert!(
+        f.counters().get("ftl.gc_invocations") > 0,
+        "GC should trigger"
+    );
+    assert!(f.free_block_count() > 0);
+    // Every unit readable at its latest version.
+    for lpn in 0..256u64 {
+        let (p, _) = f.read(Lpn(lpn), SimTime::ZERO).unwrap();
+        assert_eq!(p.fragments[0].version, 100, "lpn {lpn}");
+    }
+    f.check_invariants().unwrap();
+}
+
+#[test]
+fn gc_preserves_shared_references() {
+    let mut f = small_ftl(512);
+    f.write(w(1000, 5, 9, 512), OobKind::Journal, SimTime::ZERO)
+        .unwrap();
+    f.flush(SimTime::ZERO).unwrap();
+    f.remap(Lpn(0), Lpn(1000)).unwrap();
+    // Force churn so GC eventually relocates the shared unit's block.
+    for round in 0..120u64 {
+        for lpn in 1..200u64 {
+            f.write(w(lpn, lpn, round + 1, 512), OobKind::Data, SimTime::ZERO)
+                .unwrap();
+        }
+    }
+    assert!(f.counters().get("ftl.gc_invocations") > 0);
+    let (a, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
+    let (b, _) = f.read(Lpn(1000), SimTime::ZERO).unwrap();
+    assert_eq!(a, b, "aliases stay identical across GC migration");
+    assert_eq!(a.fragments[0].version, 9);
+    f.check_invariants().unwrap();
+}
+
+#[test]
+fn waf_exceeds_one_under_small_writes() {
+    let mut f = small_ftl(4096);
+    for i in 0..64u64 {
+        // 512-byte host writes into 4 KiB units: heavy padding.
+        f.write(
+            UnitWrite {
+                lpn: Lpn(i),
+                payload: UnitPayload::single(i, 1, 512),
+                whole_unit: false,
+            },
+            OobKind::Data,
+            SimTime::ZERO,
+        )
+        .unwrap();
+    }
+    f.flush(SimTime::ZERO).unwrap();
+    assert!(f.waf() > 1.0, "waf = {}", f.waf());
+}
+
+#[test]
+fn flush_pads_partial_pages() {
+    let mut f = small_ftl(512);
+    f.write(w(0, 1, 1, 512), OobKind::Data, SimTime::ZERO)
+        .unwrap();
+    let done = f.flush(SimTime::ZERO).unwrap();
+    assert!(done > SimTime::ZERO);
+    assert_eq!(f.flash().counters().get("flash.program"), 1);
+    let (p, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
+    assert_eq!(p.fragments[0].key, 1);
+    f.check_invariants().unwrap();
+}
+
+#[test]
+fn out_of_space_when_all_valid() {
+    let flash = FlashArray::new(
+        FlashGeometry {
+            channels: 1,
+            dies_per_channel: 1,
+            planes_per_die: 1,
+            blocks_per_plane: 8,
+            pages_per_block: 4,
+            page_bytes: 4096,
+        },
+        FlashTiming::mlc(),
+    );
+    let mut f = Ftl::new(
+        flash,
+        FtlConfig {
+            unit_bytes: 4096,
+            write_points: 1,
+            gc_threshold_blocks: 2,
+            gc_soft_threshold_blocks: 2,
+            write_buffer_units: 1,
+            ..FtlConfig::default()
+        },
+    )
+    .unwrap();
+    // 8 blocks x 4 pages = 32 units; all distinct -> nothing reclaimable.
+    let mut failed = false;
+    for i in 0..40u64 {
+        match f.write(w(i, i, 1, 4096), OobKind::Data, SimTime::ZERO) {
+            Ok(_) => {}
+            Err(FtlError::OutOfSpace) => {
+                failed = true;
+                break;
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    assert!(failed, "completely full device must report OutOfSpace");
+}
+
+#[test]
+fn map_access_cost_reflects_live_entries() {
+    let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
+    let mut f = Ftl::new(
+        flash,
+        FtlConfig {
+            unit_bytes: 512,
+            write_points: 2,
+            gc_threshold_blocks: 4,
+            gc_soft_threshold_blocks: 8,
+            map_cache_entries: Some(4),
+            write_buffer_units: 16,
+            ..FtlConfig::default()
+        },
+    )
+    .unwrap();
+    let cheap = f.map_access_cost();
+    for i in 0..64 {
+        f.write(w(i, i, 1, 512), OobKind::Data, SimTime::ZERO)
+            .unwrap();
+    }
+    assert!(f.map_access_cost() > cheap);
+}
+
+#[test]
+fn background_gc_signal() {
+    let f = small_ftl(512);
+    assert!(!f.wants_background_gc(), "fresh device has headroom");
+}
+
+#[test]
+fn merge_payload_replaces_matching_keys() {
+    let old = UnitPayload::merged(vec![
+        checkin_flash::Fragment {
+            key: 1,
+            version: 1,
+            bytes: 100,
+        },
+        checkin_flash::Fragment {
+            key: 2,
+            version: 1,
+            bytes: 100,
+        },
+    ]);
+    let new = UnitPayload::single(2, 5, 100);
+    let merged = merge_payload(&old, &new);
+    assert_eq!(merged.fragments.len(), 2);
+    assert_eq!(
+        merged
+            .fragments
+            .iter()
+            .find(|f| f.key == 2)
+            .unwrap()
+            .version,
+        5
+    );
+}

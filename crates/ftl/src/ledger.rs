@@ -1,0 +1,187 @@
+//! The integrity ledger: which physical units failed checksum
+//! verification, which logical units were lost for good, where the
+//! background scrubber resumes — and the only code that bumps the
+//! `ftl.integrity_*` counters, so `detected == quarantined + corrected`
+//! is kept in one place.
+
+use std::collections::BTreeSet;
+
+use checkin_flash::{BlockId, FlashGeometry, Ppn};
+use checkin_sim::CounterSet;
+
+use crate::location::{Location, Lpn, Pun};
+use crate::mapping::MappingTable;
+
+#[derive(Debug, Default)]
+pub(crate) struct IntegrityLedger {
+    /// Physical units whose checksum verification failed. The mapping is
+    /// *kept* — unmapping would make reads silently zero-fill — so every
+    /// read keeps failing with a typed error until the block is erased
+    /// or retired (which clears its marks). Empty in healthy runs, so
+    /// the hot-path membership test is one branch.
+    quarantined: BTreeSet<Pun>,
+    /// Logical units whose only physical copy was corrupt when its block
+    /// was reclaimed: data is gone, and reads must say so (typed error)
+    /// rather than report "never written". Cleared by a fresh write,
+    /// remap, or deallocate.
+    poisoned: BTreeSet<Lpn>,
+    /// Next page the background scrubber will visit (wraps around).
+    scrub_cursor: u64,
+}
+
+impl IntegrityLedger {
+    pub(crate) fn is_quarantined(&self, pun: Pun) -> bool {
+        !self.quarantined.is_empty() && self.quarantined.contains(&pun)
+    }
+
+    pub(crate) fn is_poisoned(&self, lpn: Lpn) -> bool {
+        !self.poisoned.is_empty() && self.poisoned.contains(&lpn)
+    }
+
+    /// Marks a physical unit as corrupt (checksum mismatch). Returns
+    /// `None` when it was already marked, else `Some(referenced)`: whether
+    /// `table` still points at the unit. Every new mark counts in
+    /// `ftl.integrity_detected` and in exactly one of
+    /// `ftl.integrity_quarantined` (referenced: logical data is walled
+    /// off) or `ftl.integrity_corrected` (a stale copy — nothing to lose,
+    /// the mark just keeps GC from copying rot forward).
+    pub(crate) fn note_corrupt(
+        &mut self,
+        pun: Pun,
+        table: &MappingTable,
+        counters: &mut CounterSet,
+    ) -> Option<bool> {
+        if !self.quarantined.insert(pun) {
+            return None;
+        }
+        let referenced = !table.referrers(Location::Flash(pun)).is_empty();
+        counters.incr("ftl.integrity_detected");
+        if referenced {
+            counters.incr("ftl.integrity_quarantined");
+        } else {
+            counters.incr("ftl.integrity_corrected");
+        }
+        Some(referenced)
+    }
+
+    /// A referenced-but-corrupt unit is being destroyed with its block:
+    /// the mark goes, and the loss counts in
+    /// `ftl.integrity_unrecoverable`. Corruption first observed only now
+    /// (during the salvage scan itself) is still one detected +
+    /// quarantined event.
+    pub(crate) fn record_destroyed(&mut self, pun: Pun, counters: &mut CounterSet) {
+        if !self.quarantined.remove(&pun) {
+            counters.incr("ftl.integrity_detected");
+            counters.incr("ftl.integrity_quarantined");
+        }
+        counters.incr("ftl.integrity_unrecoverable");
+    }
+
+    pub(crate) fn poison(&mut self, lpn: Lpn) {
+        self.poisoned.insert(lpn);
+    }
+
+    /// Clears `lpn`'s loss record once a fresh write, remap, or
+    /// deallocate supersedes the lost data.
+    pub(crate) fn clear_poison(&mut self, lpn: Lpn) {
+        if !self.poisoned.is_empty() {
+            self.poisoned.remove(&lpn);
+        }
+    }
+
+    /// Quarantined units currently marked inside `block`.
+    pub(crate) fn marks_in_block(&self, block: BlockId, g: &FlashGeometry, upp: u32) -> usize {
+        self.quarantined
+            .iter()
+            .filter(|pun| g.block_of(pun.page(upp)) == block)
+            .count()
+    }
+
+    /// Drops every mark inside `block` — called when the block is erased
+    /// or retired, after which its physical units hold no data (and any
+    /// logical loss has been converted to poisoned lpns).
+    pub(crate) fn clear_block(&mut self, block: BlockId, g: &FlashGeometry, upp: u32) {
+        if !self.quarantined.is_empty() {
+            self.quarantined
+                .retain(|pun| g.block_of(pun.page(upp)) != block);
+        }
+    }
+
+    /// The page the scrubber visits next; the cursor advances and wraps
+    /// at `total_pages` (which must be non-zero).
+    pub(crate) fn next_scrub_page(&mut self, total_pages: u64) -> Ppn {
+        let ppn = Ppn(self.scrub_cursor % total_pages);
+        self.scrub_cursor = (ppn.0 + 1) % total_pages;
+        ppn
+    }
+
+    /// `detected == quarantined + corrected`.
+    pub(crate) fn check_invariants(&self, counters: &CounterSet) -> Result<(), String> {
+        let detected = counters.get("ftl.integrity_detected");
+        let quarantined = counters.get("ftl.integrity_quarantined");
+        let corrected = counters.get("ftl.integrity_corrected");
+        if detected == quarantined + corrected {
+            return Ok(());
+        }
+        Err(format!(
+            "integrity ledger: detected {detected} != quarantined {quarantined} + corrected {corrected}"
+        ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn marks_count_once_and_partition_by_reference() {
+        let mut table = MappingTable::new();
+        let _ = table.map(Lpn(0), Location::Flash(Pun(3)));
+        let mut ledger = IntegrityLedger::default();
+        let mut c = CounterSet::new();
+        assert_eq!(ledger.note_corrupt(Pun(3), &table, &mut c), Some(true));
+        assert_eq!(ledger.note_corrupt(Pun(3), &table, &mut c), None);
+        assert_eq!(ledger.note_corrupt(Pun(4), &table, &mut c), Some(false));
+        assert!(ledger.is_quarantined(Pun(3)) && !ledger.is_quarantined(Pun(5)));
+        assert_eq!(c.get("ftl.integrity_detected"), 2);
+        assert_eq!(c.get("ftl.integrity_quarantined"), 1);
+        assert_eq!(c.get("ftl.integrity_corrected"), 1);
+
+        // Destroying a marked unit does not detect it again; destroying
+        // one first seen by the salvage scan does.
+        ledger.record_destroyed(Pun(3), &mut c);
+        ledger.record_destroyed(Pun(9), &mut c);
+        assert_eq!(c.get("ftl.integrity_detected"), 3);
+        assert_eq!(c.get("ftl.integrity_unrecoverable"), 2);
+        assert!(!ledger.is_quarantined(Pun(3)));
+        ledger.check_invariants(&c).unwrap();
+    }
+
+    #[test]
+    fn block_marks_clear_together() {
+        let g = FlashGeometry::small();
+        let table = MappingTable::new();
+        let mut ledger = IntegrityLedger::default();
+        let mut c = CounterSet::new();
+        let upp = 8;
+        let in_block_1 = Pun::compose(g.ppn_in_block(BlockId(1), 2), 5, upp);
+        let in_block_2 = Pun::compose(g.ppn_in_block(BlockId(2), 0), 0, upp);
+        ledger.note_corrupt(in_block_1, &table, &mut c);
+        ledger.note_corrupt(in_block_2, &table, &mut c);
+        assert_eq!(ledger.marks_in_block(BlockId(1), &g, upp), 1);
+        ledger.clear_block(BlockId(1), &g, upp);
+        assert!(!ledger.is_quarantined(in_block_1));
+        assert!(ledger.is_quarantined(in_block_2));
+    }
+
+    #[test]
+    fn invariant_reports_a_detection_nobody_accounted_for() {
+        let mut c = CounterSet::new();
+        c.add("ftl.integrity_detected", 1);
+        let err = IntegrityLedger::default().check_invariants(&c).unwrap_err();
+        assert!(
+            err.contains("detected 1 != quarantined 0 + corrected 0"),
+            "{err}"
+        );
+    }
+}

@@ -48,13 +48,17 @@
 // enforces the recovery paths lexically; clippy enforces the whole crate).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod block_pool;
 mod config;
 mod error;
 mod ftl;
+mod ledger;
 mod location;
 mod map_cache;
 mod mapping;
+mod persist;
 mod policy;
+mod write_buffer;
 
 pub use config::{FtlConfig, MediaRetryPolicy};
 pub use error::{FtlError, IntegrityError, RecoveryError};

@@ -8,16 +8,15 @@
 //! * **Greedy** reclaims the most space per erase *right now* and is
 //!   optimal under uniform traffic, but under skew it repeatedly picks
 //!   blocks whose remaining valid units are about to die anyway.
-//! * **Cost-benefit** (Kawaguchi et al.'s `age * (1-u) / 2u` score)
-//!   weighs reclaimable space against migration cost and block age, so
-//!   cold blocks get collected once their utilization stops falling.
 //! * **Windowed greedy** restricts greedy to the oldest closed blocks,
 //!   a FIFO/greedy hybrid that bounds the victim scan and gives
 //!   still-dying young blocks time to shed their remaining valid units.
 //!
-//! All scoring is integer arithmetic on the FTL's deterministic write
-//! sequence (no wall-clock, no floats), so every policy stays
-//! bit-reproducible under the A2 determinism rule.
+//! Both order candidates by integer keys on the FTL's deterministic
+//! state (no wall-clock, no floats), so every policy stays
+//! bit-reproducible under the A2 determinism rule. The lab also ran an
+//! age-weighted scorer; it never won a cell and was retired (see
+//! EXPERIMENTS.md).
 
 use checkin_flash::BlockId;
 
@@ -28,50 +27,17 @@ pub struct VictimCandidate {
     pub block: BlockId,
     /// Units still referenced by the mapping table (migration cost).
     pub valid_units: u32,
-    /// Total units the block holds (`units_per_page * pages_per_block`).
-    pub capacity: u32,
     /// Lifetime erase count (wear tie-breaker).
     pub erase_count: u64,
-    /// Write-sequence distance since the block last received data —
-    /// the deterministic stand-in for wall-clock age.
-    pub age: u64,
     /// Monotone close order: lower rank closed earlier.
     pub closed_rank: u64,
 }
 
 impl VictimCandidate {
-    /// Invalid (reclaimable) units.
-    fn invalid(&self) -> u64 {
-        u64::from(self.capacity.saturating_sub(self.valid_units))
-    }
-
     /// Greedy ordering key: fewest valid units first, then least worn,
     /// then lowest block id (total order => deterministic).
     fn greedy_key(&self) -> (u32, u64, u64) {
         (self.valid_units, self.erase_count, self.block.0)
-    }
-
-    /// True when `self` scores strictly higher than `other` under the
-    /// cost-benefit formula `age * (1 - u) / 2u` (u = utilization).
-    /// With `u = valid/capacity` the score orders identically to
-    /// `age * invalid / valid`, compared here by u128 cross-
-    /// multiplication so no division or floats are involved. A block
-    /// with zero valid units is free to reclaim: it beats everything.
-    fn cost_benefit_beats(&self, other: &VictimCandidate) -> bool {
-        match (self.valid_units, other.valid_units) {
-            (0, 0) => self.greedy_key() < other.greedy_key(),
-            (0, _) => true,
-            (_, 0) => false,
-            (sv, ov) => {
-                let lhs = u128::from(self.age) * u128::from(self.invalid()) * u128::from(ov);
-                let rhs = u128::from(other.age) * u128::from(other.invalid()) * u128::from(sv);
-                match lhs.cmp(&rhs) {
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Equal => self.greedy_key() < other.greedy_key(),
-                }
-            }
-        }
     }
 }
 
@@ -81,9 +47,6 @@ pub enum VictimPolicy {
     /// Fewest valid units wins (ties: erase count, block id).
     #[default]
     Greedy,
-    /// Maximize `age * (1-u) / 2u` — reclaim efficiency weighted by how
-    /// long the block has stopped absorbing writes.
-    CostBenefit,
     /// Greedy restricted to the `window` oldest closed blocks (by close
     /// order). `window = 0` behaves like plain greedy.
     WindowedGreedy {
@@ -97,23 +60,18 @@ impl VictimPolicy {
     pub const WINDOWED_DEFAULT: VictimPolicy = VictimPolicy::WindowedGreedy { window: 8 };
 
     /// Every policy the lab sweeps, in display order.
-    pub const ALL: [VictimPolicy; 3] = [
-        VictimPolicy::Greedy,
-        VictimPolicy::CostBenefit,
-        VictimPolicy::WINDOWED_DEFAULT,
-    ];
+    pub const ALL: [VictimPolicy; 2] = [VictimPolicy::Greedy, VictimPolicy::WINDOWED_DEFAULT];
 
     /// Stable lowercase label (CLI values, bench matrix rows).
     pub fn label(self) -> &'static str {
         match self {
             VictimPolicy::Greedy => "greedy",
-            VictimPolicy::CostBenefit => "cost-benefit",
             VictimPolicy::WindowedGreedy { .. } => "windowed-greedy",
         }
     }
 
-    /// Parses a CLI value: `greedy`, `cost-benefit`, `windowed-greedy`,
-    /// or `windowed-greedy:<window>`.
+    /// Parses a CLI value: `greedy`, `windowed-greedy`, or
+    /// `windowed-greedy:<window>`.
     ///
     /// # Errors
     ///
@@ -121,7 +79,6 @@ impl VictimPolicy {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "greedy" => Ok(VictimPolicy::Greedy),
-            "cost-benefit" => Ok(VictimPolicy::CostBenefit),
             "windowed-greedy" => Ok(VictimPolicy::WINDOWED_DEFAULT),
             other => {
                 if let Some(w) = other.strip_prefix("windowed-greedy:") {
@@ -131,7 +88,7 @@ impl VictimPolicy {
                     return Ok(VictimPolicy::WindowedGreedy { window });
                 }
                 Err(format!(
-                    "unknown GC policy '{other}' (expected greedy, cost-benefit, \
+                    "unknown GC policy '{other}' (expected greedy, \
                      windowed-greedy, or windowed-greedy:<window>)"
                 ))
             }
@@ -146,17 +103,6 @@ impl VictimPolicy {
             VictimPolicy::Greedy => candidates
                 .min_by_key(VictimCandidate::greedy_key)
                 .map(|c| c.block),
-            VictimPolicy::CostBenefit => {
-                let mut best: Option<VictimCandidate> = None;
-                for c in candidates {
-                    best = match best {
-                        None => Some(c),
-                        Some(b) if c.cost_benefit_beats(&b) => Some(c),
-                        keep => keep,
-                    };
-                }
-                best.map(|c| c.block)
-            }
             VictimPolicy::WindowedGreedy { window } => {
                 if window == 0 {
                     return VictimPolicy::Greedy.select(candidates);
@@ -188,28 +134,26 @@ impl std::fmt::Display for VictimPolicy {
 mod tests {
     use super::*;
 
-    fn cand(block: u64, valid: u32, age: u64, closed_rank: u64) -> VictimCandidate {
+    fn cand(block: u64, valid: u32, closed_rank: u64) -> VictimCandidate {
         VictimCandidate {
             block: BlockId(block),
             valid_units: valid,
-            capacity: 64,
             erase_count: 0,
-            age,
             closed_rank,
         }
     }
 
     #[test]
     fn greedy_picks_fewest_valid() {
-        let got = VictimPolicy::Greedy.select([cand(0, 5, 1, 0), cand(1, 2, 1, 1)].into_iter());
+        let got = VictimPolicy::Greedy.select([cand(0, 5, 0), cand(1, 2, 1)].into_iter());
         assert_eq!(got, Some(BlockId(1)));
     }
 
     #[test]
     fn greedy_ties_break_on_wear_then_id() {
-        let mut a = cand(3, 4, 1, 0);
+        let mut a = cand(3, 4, 0);
         a.erase_count = 9;
-        let b = cand(5, 4, 1, 1);
+        let b = cand(5, 4, 1);
         assert_eq!(
             VictimPolicy::Greedy.select([a, b].into_iter()),
             Some(BlockId(5)),
@@ -218,37 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn cost_benefit_prefers_old_sparse_blocks() {
-        // Block 0: slightly fewer valid units but brand new. Block 1:
-        // a bit fuller but long cold — cost-benefit favors it while
-        // greedy would not.
-        let young = cand(0, 20, 1, 0);
-        let old = cand(1, 24, 1000, 1);
-        assert_eq!(
-            VictimPolicy::CostBenefit.select([young, old].into_iter()),
-            Some(BlockId(1))
-        );
-        assert_eq!(
-            VictimPolicy::Greedy.select([young, old].into_iter()),
-            Some(BlockId(0))
-        );
-    }
-
-    #[test]
-    fn cost_benefit_free_block_beats_everything() {
-        let free = cand(2, 0, 1, 0);
-        let old = cand(1, 1, u64::MAX, 1);
-        assert_eq!(
-            VictimPolicy::CostBenefit.select([old, free].into_iter()),
-            Some(BlockId(2))
-        );
-    }
-
-    #[test]
     fn windowed_greedy_only_sees_oldest_window() {
         // Block 9 is emptiest but closed last; a window of 2 only sees
         // blocks 4 and 7 (oldest close ranks) and picks the emptier.
-        let cands = [cand(9, 1, 1, 30), cand(4, 10, 1, 10), cand(7, 5, 1, 20)];
+        let cands = [cand(9, 1, 30), cand(4, 10, 10), cand(7, 5, 20)];
         assert_eq!(
             VictimPolicy::WindowedGreedy { window: 2 }.select(cands.into_iter()),
             Some(BlockId(7))

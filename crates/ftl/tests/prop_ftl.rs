@@ -41,7 +41,7 @@ fn op(rng: &mut TestRng) -> Op {
     }
 }
 
-fn build(victim_policy: VictimPolicy, stream_separation: bool) -> Ftl {
+fn build(victim_policy: VictimPolicy) -> Ftl {
     let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
     Ftl::new(
         flash,
@@ -53,7 +53,6 @@ fn build(victim_policy: VictimPolicy, stream_separation: bool) -> Ftl {
             write_buffer_units: 16,
             wear_leveling_threshold: Some(8),
             victim_policy,
-            stream_separation,
             ..FtlConfig::default()
         },
     )
@@ -62,18 +61,14 @@ fn build(victim_policy: VictimPolicy, stream_separation: bool) -> Ftl {
 
 /// Shadow: lpn -> (key, version) of the expected current copy.
 fn run_ops(ops: &[Op]) {
-    run_ops_with(ops, VictimPolicy::default(), false);
+    run_ops_with(ops, VictimPolicy::default());
 }
 
-/// Runs the soup under the given victim policy and placement, verifying
-/// against the shadow throughout, and returns the final logical contents
-/// read back from the device.
-fn run_ops_with(
-    ops: &[Op],
-    victim_policy: VictimPolicy,
-    stream_separation: bool,
-) -> BTreeMap<u64, (u64, u64)> {
-    let mut ftl = build(victim_policy, stream_separation);
+/// Runs the soup under the given victim policy, verifying against the
+/// shadow and the FTL's own invariants after every op, and returns the
+/// final logical contents read back from the device.
+fn run_ops_with(ops: &[Op], victim_policy: VictimPolicy) -> BTreeMap<u64, (u64, u64)> {
+    let mut ftl = build(victim_policy);
     let mut shadow: HashMap<u64, (u64, u64)> = HashMap::new();
     let mut next_version = 1u64;
     let t = SimTime::ZERO;
@@ -126,6 +121,9 @@ fn run_ops_with(
                 ftl.run_wear_leveling_round(t).unwrap();
             }
         }
+        if let Err(e) = ftl.check_invariants() {
+            panic!("after {op:?}: {e}");
+        }
     }
 
     // Final sweep: every shadow entry readable with the right content.
@@ -150,8 +148,6 @@ fn run_ops_with(
             "mapping presence mismatch at {lpn}"
         );
     }
-    assert!(ftl.check_invariants().is_ok());
-
     contents
 }
 
@@ -174,31 +170,65 @@ fn ftl_matches_shadow_under_long_churn() {
     });
 }
 
-/// Victim selection and data placement are performance knobs, never
-/// semantics: the same seeded soup must leave logically identical KV
-/// contents under every policy, with stream separation on or off. Each
-/// run is also independently verified against the shadow model.
+/// Victim selection is a performance knob, never semantics: the same
+/// seeded soup must leave logically identical KV contents under both
+/// policies. Each run is also independently verified against the shadow
+/// model.
 #[test]
 fn victim_policies_are_logically_invariant() {
-    const VARIANTS: [(VictimPolicy, bool); 5] = [
-        (VictimPolicy::Greedy, false),
-        (VictimPolicy::CostBenefit, false),
-        (VictimPolicy::WindowedGreedy { window: 4 }, false),
-        (VictimPolicy::Greedy, true),
-        (VictimPolicy::CostBenefit, true),
-    ];
     check("victim_policies_are_logically_invariant", 12, |rng| {
         let len = rng.range_usize(500, 1_499);
         let ops = soup(rng, len, op);
-        let baseline = run_ops_with(&ops, VARIANTS[0].0, VARIANTS[0].1);
-        for (policy, separation) in &VARIANTS[1..] {
-            let contents = run_ops_with(&ops, *policy, *separation);
-            assert_eq!(
-                baseline, contents,
-                "{policy} (separation {separation}) diverged from greedy"
-            );
-        }
+        let greedy = run_ops_with(&ops, VictimPolicy::Greedy);
+        let windowed = run_ops_with(&ops, VictimPolicy::WindowedGreedy { window: 4 });
+        assert_eq!(greedy, windowed, "windowed-greedy:4 diverged from greedy");
     });
+}
+
+/// Regression: when a write point needed a block and the allocator ran
+/// foreground GC first, GC's own page-outs could open a block on that
+/// same write point; the allocator then popped a second block over it
+/// and the first stayed Active forever — never closed, never a victim.
+/// On this 48 MiB device the leak ate 66-79 of 96 blocks and the device
+/// reported a spurious `OutOfSpace` between writes 136k and 166k.
+#[test]
+fn foreground_gc_never_orphans_an_active_block() {
+    const WRITES: u64 = 400_000;
+    for write_points in [1, 4] {
+        let geometry = FlashGeometry {
+            channels: 2,
+            dies_per_channel: 2,
+            planes_per_die: 1,
+            blocks_per_plane: 24,
+            pages_per_block: 128,
+            page_bytes: 4096,
+        };
+        let config = FtlConfig {
+            unit_bytes: 512,
+            write_points,
+            gc_threshold_blocks: 6,
+            gc_soft_threshold_blocks: 20,
+            ..FtlConfig::default()
+        };
+        let lpns = geometry.total_pages() * 8 * 6 / 10;
+        let mut ftl = Ftl::new(FlashArray::new(geometry, FlashTiming::mlc()), config).unwrap();
+        let mut rng = TestRng::seed_from(0x0EFA_17ED);
+        for i in 0..WRITES {
+            let lpn = rng.below(lpns);
+            let w = UnitWrite {
+                lpn: Lpn(lpn),
+                payload: UnitPayload::single(lpn, i, 512),
+                whole_unit: true,
+            };
+            if let Err(e) = ftl.write(w, OobKind::Data, SimTime::ZERO) {
+                panic!("{write_points} write points, write {i}: {e}");
+            }
+            if i % 50_000 == 0 {
+                ftl.check_invariants().unwrap();
+            }
+        }
+        ftl.check_invariants().unwrap();
+    }
 }
 
 #[test]

@@ -19,10 +19,9 @@ echo "== perfsuite --quick"
 cargo run --release -p checkin-bench --bin perfsuite -- --quick --out target/BENCH_perf.quick.json
 
 echo "== gclab --quick"
-# GC victim-policy × workload placement lab (DESIGN.md §14): WAF /
-# lifetime / tail-latency matrix over greedy, cost-benefit and
-# windowed-greedy, plus the stream-separation A/B. Quick mode reports
-# without enforcing the winner (the full matrix is the arbiter).
+# GC victim-policy × workload lab (DESIGN.md §14): WAF / lifetime /
+# tail-latency matrix over greedy and windowed-greedy. Quick mode
+# reports without enforcing the winner (the full matrix is the arbiter).
 cargo run --release -p checkin-bench --bin gclab -- --quick --out target/BENCH_gclab.quick.json
 
 echo "== crashmatrix --quick"
