@@ -27,7 +27,12 @@
 //!    (`default_gc_policy_vs_greedy`, floor 0.90). Ratios against the
 //!    pre-overhaul loop's recorded ns/op are reported, not gated: the
 //!    constants were measured once, on another host.
-//! 7. **Parallel sweep** — a 15-configuration strategy×seed batch, serial
+//! 7. **Construction and load** — `KvSystem::new` on the paper-default
+//!    system and the 20 000-record load that follows it, as the metrics
+//!    `system/kv_system_new_ms` and `system/load_ns_per_record`.
+//!    Reported, not gated (`crates/core/tests/construction_alloc.rs`
+//!    gates construction on allocation counts, which do not vary).
+//! 8. **Parallel sweep** — a 15-configuration strategy×seed batch, serial
 //!    vs `run_configs` work-stealing workers. Reported, not gated: two
 //!    shared cores measure 0.5–0.9x.
 //!
@@ -41,7 +46,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use checkin_bench::harness::{bench, compare, BenchOpts, BenchResult, Comparison};
+use checkin_bench::harness::{bench, compare, metric, BenchOpts, BenchResult, Comparison, Metric};
 use checkin_core::{default_jobs, run_configs, JournalManager, Layout, Strategy, SystemConfig};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind, UnitPayload};
 use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, MappingTable, Pun, UnitWrite};
@@ -507,6 +512,38 @@ fn bench_full_run(
     (checksum_overhead, policy_speedup)
 }
 
+/// Set-up cost before the first query on the paper-default system:
+/// building every layer, then loading the records. Best of `reps`.
+fn bench_construction(quick: bool) -> Vec<Metric> {
+    section("Construction and record load (paper-default system)");
+    let config = SystemConfig::for_strategy(Strategy::CheckIn);
+    let sizes = config.workload.generator();
+    let records: Vec<(u64, u32)> = (0..config.workload.record_count)
+        .map(|k| (k, sizes.load_size(k)))
+        .collect();
+    let reps = if quick { 3 } else { 10 };
+    let (mut new_ns, mut load_ns) = (u128::MAX, u128::MAX);
+    for _ in 0..reps {
+        let built = Instant::now();
+        let mut sys = checkin_core::KvSystem::new(config.clone()).expect("valid bench config");
+        new_ns = new_ns.min(built.elapsed().as_nanos());
+        let (engine, ssd) = sys.verify_parts();
+        let start = Instant::now();
+        engine
+            .load(ssd, &records, SimTime::ZERO)
+            .expect("bench load succeeds");
+        load_ns = load_ns.min(start.elapsed().as_nanos());
+    }
+    vec![
+        metric("system/kv_system_new_ms", new_ns as f64 / 1e6, "ms"),
+        metric(
+            "system/load_ns_per_record",
+            load_ns as f64 / records.len() as f64,
+            "ns",
+        ),
+    ]
+}
+
 fn bench_parallel_sweep(
     quick: bool,
     results: &mut Vec<BenchResult>,
@@ -625,9 +662,10 @@ fn main() {
     let remap_speedup = bench_checkpoint(opts, &mut results, &mut comparisons);
     bench_tracer(opts, &mut results, &mut comparisons);
     let (checksum_overhead, policy_speedup) = bench_full_run(quick, &mut results, &mut comparisons);
+    let metrics = bench_construction(quick);
     bench_parallel_sweep(quick, &mut results, &mut comparisons);
 
-    harnessed_write(&out, mode, &results, &comparisons);
+    harnessed_write(&out, mode, &results, &comparisons, &metrics);
 
     println!();
     let mut failures = Vec::new();
@@ -669,9 +707,16 @@ fn harnessed_write(
     mode: &str,
     results: &[BenchResult],
     comparisons: &[Comparison],
+    metrics: &[Metric],
 ) {
-    if let Err(e) = checkin_bench::harness::write_json(out, "perfsuite", mode, results, comparisons)
-    {
+    if let Err(e) = checkin_bench::harness::write_json_with(
+        out,
+        "perfsuite",
+        mode,
+        results,
+        comparisons,
+        metrics,
+    ) {
         eprintln!("error: could not write {}: {e}", out.display());
         std::process::exit(1);
     }

@@ -166,10 +166,12 @@ pub fn compare(name: &str, baseline: &BenchResult, candidate: &BenchResult) -> C
     }
 }
 
-/// A measured scalar that is not a wall-clock timing — one cell of a
-/// metric matrix (WAF, lifetime score, tail latency, ...). The values
-/// come from the deterministic simulation, so unlike `benches` entries
-/// they are reproducible bit-for-bit on any host.
+/// A measured scalar that does not have the ns-per-op shape of a
+/// `benches` entry — one cell of a metric matrix (WAF, lifetime score,
+/// tail latency, ...). Simulated values come from the deterministic
+/// simulation and are reproducible bit-for-bit on any host; the few
+/// whose unit is a host time (perfsuite's construction and load rows)
+/// are wall-clock readings like `benches` entries.
 #[derive(Debug, Clone)]
 pub struct Metric {
     /// Stable key in `BENCH_perf.json` (e.g. `gclab/zipfian/greedy/waf`).
@@ -291,17 +293,6 @@ pub fn render_json_with(
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Writes the suite report to `path` as JSON.
-pub fn write_json(
-    path: &Path,
-    suite: &str,
-    mode: &str,
-    results: &[BenchResult],
-    comparisons: &[Comparison],
-) -> io::Result<()> {
-    write_json_with(path, suite, mode, results, comparisons, &[])
 }
 
 /// Writes the suite report plus its metric matrix to `path` as JSON.

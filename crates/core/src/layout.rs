@@ -171,7 +171,9 @@ mod tests {
         assert_eq!(l.total_sectors(), l.journal_base(1) + l.zone_sectors());
     }
 
+    /// The bound is a `debug_assert!`: release builds must not panic here.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "zone 2 out of range")]
     fn zone_bound_checked() {
         Layout::new(1, 1, 512, 1).journal_base(2);

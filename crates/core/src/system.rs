@@ -151,13 +151,12 @@ impl KvSystem {
         }
         let engine = KvEngine::with_journal_options(config.strategy, layout, options);
 
+        // One prototype, reseeded per client: the zipfian constants are
+        // the same for every client and cost a pass over the key space.
         let mut seed_rng = SimRng::seed_from(config.workload.seed);
+        let prototype = config.workload.generator();
         let generators = (0..config.threads)
-            .map(|_| {
-                let mut spec = config.workload.clone();
-                spec.seed = seed_rng.next_u64();
-                spec.generator()
-            })
+            .map(|_| prototype.reseeded(seed_rng.next_u64()))
             .collect();
         Ok(KvSystem {
             config,

@@ -9,31 +9,16 @@ use crate::geometry::{BlockId, FlashGeometry, Ppn};
 use crate::phase::OpPhase;
 use crate::timing::FlashTiming;
 
-/// Lifecycle of a physical page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageState {
-    Erased,
-    Programmed,
-}
-
 /// Per-block bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct BlockState {
-    /// Next page index that may be programmed (NAND requires in-order
-    /// programming within a block).
-    write_cursor: u32,
     erase_count: u64,
-    pages: Vec<PageState>,
-}
-
-impl BlockState {
-    fn new(pages_per_block: u32) -> Self {
-        BlockState {
-            write_cursor: 0,
-            erase_count: 0,
-            pages: vec![PageState::Erased; pages_per_block as usize],
-        }
-    }
+    /// The block's programmed pages, in page order. NAND programs a
+    /// block strictly in order, so `pages.len()` *is* the write cursor
+    /// and page `p` is programmed exactly when `p < pages.len()`. A block
+    /// that was never programmed owns no memory: its first program
+    /// reserves `pages_per_block` slots once, and erase keeps them.
+    pages: Vec<PageContent>,
 }
 
 /// The simulated NAND array.
@@ -60,7 +45,6 @@ pub struct FlashArray {
     geometry: FlashGeometry,
     timing: FlashTiming,
     blocks: Vec<BlockState>,
-    store: Vec<Option<PageContent>>,
     dies: Vec<Resource>,
     channels: Vec<Resource>,
     counters: CounterSet,
@@ -102,14 +86,10 @@ impl FlashArray {
         geometry
             .validate()
             .unwrap_or_else(|e| panic!("invalid flash geometry: {e}"));
-        let blocks = (0..geometry.total_blocks())
-            .map(|_| BlockState::new(geometry.pages_per_block))
-            .collect();
         FlashArray {
             geometry,
             timing,
-            blocks,
-            store: vec![None; geometry.total_pages() as usize],
+            blocks: vec![BlockState::default(); geometry.total_blocks() as usize],
             dies: (0..geometry.total_dies())
                 .map(|_| Resource::new("die"))
                 .collect(),
@@ -232,8 +212,7 @@ impl FlashArray {
     pub fn write_cursor(&self, block: BlockId) -> u32 {
         self.blocks
             .get(block.0 as usize)
-            .map(|b| b.write_cursor)
-            .unwrap_or(0)
+            .map_or(0, |b| b.pages.len() as u32)
     }
 
     /// True when `block` has a grown permanent defect.
@@ -316,51 +295,37 @@ impl FlashArray {
     /// Flips one seeded bit in a stored data unit (`data == true`) or OOB
     /// record of some programmed page, *without* resealing its checksums:
     /// the damage stays latent until a verified read or scrub visits it.
-    /// The victim is found by probing forward from a drawn start page.
+    /// The victim is the first programmed page at or after a drawn start
+    /// page, wrapping.
     fn apply_bit_rot(&mut self, data: bool) {
-        let total = self.geometry.total_pages();
-        let start = self.fault_draw(total);
-        let mut victim = None;
-        for off in 0..total {
-            let idx = ((start + off) % total) as usize;
-            if matches!(self.store.get(idx), Some(Some(_))) {
-                victim = Some(idx);
-                break;
-            }
-        }
-        let Some(idx) = victim else {
+        let start = self.fault_draw(self.geometry.total_pages());
+        let Some(victim) = self.next_programmed_from(Ppn(start)) else {
             return; // nothing programmed yet; the draw still happened
         };
         let mask = 1u64 << self.fault_draw(48);
-        let page = |store: &[Option<PageContent>]| {
-            store
-                .get(idx)
-                .and_then(|p| p.as_ref())
-                .map(|c| (c.units.len(), c.oob.len()))
-        };
+        let (units_len, oob_len) = self
+            .read(victim)
+            .map_or((0, 0), |c| (c.units.len(), c.oob.len()));
         if data {
-            let units_len = page(&self.store).map_or(0, |(u, _)| u);
             if units_len == 0 {
                 return;
             }
             let start_u = self.fault_draw(units_len as u64) as usize;
-            if let Some(c) = self.store.get_mut(idx).and_then(|p| p.as_mut()) {
-                for off in 0..units_len {
-                    let i = (start_u + off) % units_len;
-                    if c.units.get(i).is_some_and(|u| u.is_some()) {
-                        c.flip_unit_bits(i, mask);
-                        self.counters.incr("flash.bit_rot_data");
-                        return;
-                    }
-                }
+            let flipped = self.page_mut(victim).is_some_and(|c| {
+                let occupied = (0..units_len)
+                    .map(|off| (start_u + off) % units_len)
+                    .find(|&i| c.units.get(i).is_some_and(Option::is_some));
+                occupied.map(|i| c.flip_unit_bits(i, mask)).is_some()
+            });
+            if flipped {
+                self.counters.incr("flash.bit_rot_data");
             }
         } else {
-            let oob_len = page(&self.store).map_or(0, |(_, o)| o);
             if oob_len == 0 {
                 return;
             }
             let i = self.fault_draw(oob_len as u64) as usize;
-            if let Some(c) = self.store.get_mut(idx).and_then(|p| p.as_mut()) {
+            if let Some(c) = self.page_mut(victim) {
                 c.flip_oob_bits(i, mask);
                 self.counters.incr("flash.bit_rot_oob");
             }
@@ -427,16 +392,52 @@ impl FlashArray {
         })
     }
 
-    /// Returns the content of a programmed page, or `None` when erased.
-    pub fn read(&self, ppn: Ppn) -> Option<&PageContent> {
-        self.store.get(ppn.0 as usize).and_then(|c| c.as_ref())
+    /// `(block, page-in-block)` indices of `ppn` into `blocks[..].pages`.
+    fn locate(&self, ppn: Ppn) -> (usize, usize) {
+        let block = self.geometry.block_of(ppn).0 as usize;
+        (block, self.geometry.page_in_block(ppn) as usize)
     }
 
-    /// Compatibility wrapper: content lookup ignoring time (reads are
-    /// non-destructive; pass the completion time from
-    /// [`FlashArray::schedule_read`] when timing matters).
-    pub fn read_at(&self, ppn: Ppn, _at: SimTime) -> Option<&PageContent> {
-        self.read(ppn)
+    /// Returns the content of a programmed page, or `None` when erased.
+    pub fn read(&self, ppn: Ppn) -> Option<&PageContent> {
+        let (block, page) = self.locate(ppn);
+        self.blocks.get(block)?.pages.get(page)
+    }
+
+    fn page_mut(&mut self, ppn: Ppn) -> Option<&mut PageContent> {
+        let (block, page) = self.locate(ppn);
+        self.blocks.get_mut(block)?.pages.get_mut(page)
+    }
+
+    /// Every programmed page with its content, in ascending PPN order —
+    /// the one whole-device walk (OOB scans, recovery). Costs what was
+    /// written, not what the device could hold.
+    pub fn programmed_pages(&self) -> impl Iterator<Item = (Ppn, &PageContent)> + '_ {
+        let pages_per_block = self.geometry.pages_per_block as u64;
+        self.blocks.iter().enumerate().flat_map(move |(b, state)| {
+            let first = b as u64 * pages_per_block;
+            state
+                .pages
+                .iter()
+                .enumerate()
+                .map(move |(p, content)| (Ppn(first + p as u64), content))
+        })
+    }
+
+    /// The first programmed page at or after `from` in wrapping PPN order
+    /// (so a page before `from` is found last), or `None` when nothing is
+    /// programmed or `from` is out of range. A block's erased tail is
+    /// stepped over in one move, and an erased block in one check.
+    pub fn next_programmed_from(&self, from: Ppn) -> Option<Ppn> {
+        let (first, page) = self.locate(from);
+        if page < self.blocks.get(first)?.pages.len() {
+            return Some(from);
+        }
+        let n = self.blocks.len();
+        (1..=n)
+            .map(|i| (first + i) % n)
+            .find(|&b| self.blocks.get(b).is_some_and(|s| !s.pages.is_empty()))
+            .map(|b| self.geometry.first_ppn(BlockId(b as u64)))
     }
 
     /// Programs one page: bus transfer then array program (tPROG).
@@ -459,18 +460,15 @@ impl FlashArray {
         if self.bad_blocks[block.0 as usize] {
             return Err(FlashError::GrownBadBlock(block));
         }
-        {
-            let state = &self.blocks[block.0 as usize];
-            match state.pages[page as usize] {
-                PageState::Programmed => return Err(FlashError::ProgramDirtyPage(ppn)),
-                PageState::Erased => {}
-            }
-            if page != state.write_cursor {
-                return Err(FlashError::ProgramOutOfOrder {
-                    requested: ppn,
-                    expected_page: state.write_cursor,
-                });
-            }
+        let cursor = self.blocks[block.0 as usize].pages.len() as u32;
+        if page < cursor {
+            return Err(FlashError::ProgramDirtyPage(ppn));
+        }
+        if page != cursor {
+            return Err(FlashError::ProgramOutOfOrder {
+                requested: ppn,
+                expected_page: cursor,
+            });
         }
         // Every failure path must run before any mutation so that a cut
         // or media error leaves the array exactly as it was — except a
@@ -485,7 +483,7 @@ impl FlashArray {
                     .as_ref()
                     .is_some_and(FaultPlan::torn_writes_enabled)
             {
-                self.torn_program(ppn, block, page, content, at);
+                self.torn_program(ppn, block, content, at);
             }
             return Err(e);
         }
@@ -506,9 +504,7 @@ impl FlashArray {
             }
             self.counters.incr("flash.misdirected_programs");
         }
-        let state = &mut self.blocks[block.0 as usize];
-        state.pages[page as usize] = PageState::Programmed;
-        state.write_cursor += 1;
+        self.land_page(block, content);
 
         let (die, channel) = self.die_and_channel(ppn);
         let xfer = self.channels[channel].schedule(
@@ -516,7 +512,6 @@ impl FlashArray {
             self.timing.transfer_time(self.geometry.page_bytes as u64),
         );
         let array = self.dies[die].schedule(xfer.finish, self.timing.t_program);
-        self.store[ppn.0 as usize] = Some(content);
         self.counters.incr("flash.program");
         self.counters.incr(self.op_phase.program_key());
         let phase = self.op_phase;
@@ -538,14 +533,7 @@ impl FlashArray {
     /// OOB records, which real NAND writes last). The page is marked
     /// programmed and the cursor advances, exactly what a post-crash OOB
     /// scan will find on the media.
-    fn torn_program(
-        &mut self,
-        ppn: Ppn,
-        block: BlockId,
-        page: u32,
-        mut content: PageContent,
-        at: SimTime,
-    ) {
+    fn torn_program(&mut self, ppn: Ppn, block: BlockId, mut content: PageContent, at: SimTime) {
         content.seal();
         let units = content.units.len() as u64;
         let intact = self.fault_draw(units + 1);
@@ -560,10 +548,7 @@ impl FlashArray {
                 content.flip_oob_bits(i, mask);
             }
         }
-        let state = &mut self.blocks[block.0 as usize];
-        state.pages[page as usize] = PageState::Programmed;
-        state.write_cursor += 1;
-        self.store[ppn.0 as usize] = Some(content);
+        self.land_page(block, content);
         self.counters.incr("flash.torn_writes");
         let phase = self.op_phase;
         self.tracer.emit(|| {
@@ -572,6 +557,19 @@ impl FlashArray {
                 .with("ppn", ppn.0)
                 .with("block", block.0)
         });
+    }
+
+    /// Appends `content` as the next page of `block` (the caller has
+    /// checked it is the cursor page). The first program of a block is
+    /// its only allocation.
+    fn land_page(&mut self, block: BlockId, content: PageContent) {
+        let state = &mut self.blocks[block.0 as usize];
+        if state.pages.is_empty() {
+            state
+                .pages
+                .reserve_exact(self.geometry.pages_per_block as usize);
+        }
+        state.pages.push(content);
     }
 
     /// Erases a block, resetting every page to the erased state.
@@ -597,23 +595,18 @@ impl FlashArray {
         self.fault_gate(FaultOp::Erase, None, Some(block))?;
         let state = &mut self.blocks[block.0 as usize];
         state.erase_count += 1;
-        state.write_cursor = 0;
-        for p in &mut state.pages {
-            *p = PageState::Erased;
-        }
         let erase_count = state.erase_count;
         // Programs outpace erases between checkpoints (journal blocks are
         // only recycled at zone retirement), so keep enough shells to cover
         // a full inter-checkpoint window of page programs.
         let pool_cap = (self.geometry.pages_per_block as usize * 16).min(4096);
-        let first = self.geometry.first_ppn(block);
-        for off in 0..self.geometry.pages_per_block as u64 {
-            if let Some(mut c) = self.store[(first.0 + off) as usize].take() {
-                if self.spare_pages.len() < pool_cap {
-                    c.units.clear();
-                    c.clear_for_reuse();
-                    self.spare_pages.push(c);
-                }
+        // `drain` empties the block but keeps its vector's capacity, so a
+        // recycled block reprograms without allocating.
+        for mut c in state.pages.drain(..) {
+            if self.spare_pages.len() < pool_cap {
+                c.units.clear();
+                c.clear_for_reuse();
+                self.spare_pages.push(c);
             }
         }
         let die = self.geometry.die_of_block(block) as usize;
@@ -639,8 +632,8 @@ impl FlashArray {
     /// corruption exactly where a scenario needs it; never call it
     /// anywhere else.
     pub fn sabotage_corrupt_unit(&mut self, ppn: Ppn, offset: u32, mask: u64) -> bool {
-        match self.store.get_mut(ppn.0 as usize) {
-            Some(Some(c)) if matches!(c.units.get(offset as usize), Some(Some(_))) => {
+        match self.page_mut(ppn) {
+            Some(c) if matches!(c.units.get(offset as usize), Some(Some(_))) => {
                 c.flip_unit_bits(offset as usize, mask);
                 true
             }
@@ -652,8 +645,8 @@ impl FlashArray {
     /// (`ppn`, `index`) without resealing (see
     /// [`FlashArray::sabotage_corrupt_unit`]).
     pub fn sabotage_corrupt_oob(&mut self, ppn: Ppn, index: u32, mask: u64) -> bool {
-        match self.store.get_mut(ppn.0 as usize) {
-            Some(Some(c)) if (index as usize) < c.oob.len() => {
+        match self.page_mut(ppn) {
+            Some(c) if (index as usize) < c.oob.len() => {
                 c.flip_oob_bits(index as usize, mask);
                 true
             }
@@ -663,10 +656,7 @@ impl FlashArray {
 
     /// True when `ppn` holds programmed data.
     pub fn is_programmed(&self, ppn: Ppn) -> bool {
-        self.store
-            .get(ppn.0 as usize)
-            .map(|c| c.is_some())
-            .unwrap_or(false)
+        self.read(ppn).is_some()
     }
 
     /// Erase count of one block.
@@ -1103,6 +1093,119 @@ mod tests {
         f.erase(BlockId(0), SimTime::ZERO).unwrap();
         f.program(Ppn(0), page_with(3, 2), SimTime::ZERO).unwrap();
         assert!(f.read(Ppn(0)).unwrap().intact());
+    }
+
+    /// The drawn start page, the victim, every later draw and the flipped
+    /// bits are those of a page-at-a-time probe over the whole device —
+    /// the skip-ahead lookup must not move a seeded fault.
+    #[test]
+    fn bit_rot_hits_the_naive_probes_victim_with_the_same_draws() {
+        use crate::content::{OobEntry, OobKind};
+        use crate::fault::{FaultConfig, FaultPlan};
+        let plan = |seed| {
+            FaultPlan::new(FaultConfig {
+                seed,
+                ..FaultConfig::default()
+            })
+        };
+        for seed in 0..300u64 {
+            // A random array state: most blocks erased, some partly or
+            // fully programmed, a few pages without OOB or payload.
+            let mut f = array();
+            let g = *f.geometry();
+            let total = g.total_pages();
+            let mut state = plan(seed);
+            for b in (0..g.total_blocks()).map(BlockId) {
+                if state.draw_below(1 + seed % 5) != 0 {
+                    continue;
+                }
+                for p in 0..state.draw_below(g.pages_per_block as u64 + 1) {
+                    let mut c = PageContent::empty(8);
+                    for u in 0..state.draw_below(4) {
+                        let slot = state.draw_below(8) as usize;
+                        c.units[slot] = Some(UnitPayload::single(b.0 * 100 + p, u + 1, 512));
+                        c.oob.push(OobEntry {
+                            lpn: b.0 * 100 + p,
+                            sequence: u,
+                            kind: OobKind::Data,
+                        });
+                    }
+                    f.program(g.ppn_in_block(b, p as u32), c, SimTime::ZERO)
+                        .unwrap();
+                }
+            }
+            f.arm_faults(plan(!seed));
+            let mut reference = plan(!seed);
+            let mut expected: Vec<Option<PageContent>> =
+                (0..total).map(|p| f.read(Ppn(p)).cloned()).collect();
+
+            let data = seed % 2 == 0;
+            f.apply_bit_rot(data);
+
+            let start = reference.draw_below(total);
+            let victim = (0..total)
+                .map(|off| ((start + off) % total) as usize)
+                .find(|&p| expected[p].is_some());
+            if let Some(c) = victim.and_then(|p| expected[p].as_mut()) {
+                let mask = 1u64 << reference.draw_below(48);
+                if data && !c.units.is_empty() {
+                    let n = c.units.len();
+                    let start_u = reference.draw_below(n as u64) as usize;
+                    let hit = (0..n)
+                        .map(|off| (start_u + off) % n)
+                        .find(|&i| c.units[i].is_some());
+                    if let Some(i) = hit {
+                        c.flip_unit_bits(i, mask);
+                    }
+                } else if !data && !c.oob.is_empty() {
+                    let i = reference.draw_below(c.oob.len() as u64) as usize;
+                    c.flip_oob_bits(i, mask);
+                }
+            }
+            for p in 0..total {
+                assert_eq!(
+                    f.read(Ppn(p)),
+                    expected[p as usize].as_ref(),
+                    "seed {seed} {p}"
+                );
+            }
+            assert_eq!(
+                f.fault_draw(u64::MAX),
+                reference.draw_below(u64::MAX),
+                "seed {seed}: RNG draws consumed differ"
+            );
+        }
+    }
+
+    /// A block owns no page memory until its first program, which
+    /// reserves the whole block once; erase empties it but keeps the
+    /// reservation, so a recycled block never allocates again.
+    #[test]
+    fn block_memory_is_first_touch_and_survives_erase() {
+        let mut f = array();
+        let ppb = f.geometry().pages_per_block;
+        assert!(f.blocks.iter().all(|b| b.pages.capacity() == 0));
+        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
+        let reserved = f.blocks[0].pages.capacity();
+        assert!(reserved >= ppb as usize);
+        for p in 1..ppb as u64 {
+            f.program(Ppn(p), page_with(p, 1), SimTime::ZERO).unwrap();
+        }
+        assert_eq!(
+            f.blocks[0].pages.capacity(),
+            reserved,
+            "block filled in place"
+        );
+        f.erase(BlockId(0), SimTime::ZERO).unwrap();
+        assert_eq!(f.write_cursor(BlockId(0)), 0);
+        assert_eq!(
+            f.blocks[0].pages.capacity(),
+            reserved,
+            "erase keeps capacity"
+        );
+        f.program(Ppn(0), page_with(1, 2), SimTime::ZERO).unwrap();
+        assert_eq!(f.blocks[0].pages.capacity(), reserved);
+        assert!(f.blocks[1..].iter().all(|b| b.pages.capacity() == 0));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! via `checkin-testkit` (deterministic seeds, offline-safe).
 
 use checkin_flash::{
-    BlockId, FlashArray, FlashError, FlashGeometry, FlashTiming, PageContent, UnitPayload,
+    BlockId, FaultConfig, FaultPlan, FlashArray, FlashError, FlashGeometry, FlashTiming,
+    PageContent, Ppn, UnitPayload,
 };
 use checkin_sim::SimTime;
 use checkin_testkit::{check, soup, TestRng};
@@ -106,6 +107,137 @@ fn nand_rules_hold_under_random_ops() {
         // Erase accounting matches the flash's own counters.
         let total: u64 = (0..blocks).map(|b| flash.erase_count(BlockId(b))).sum();
         assert_eq!(total, flash.total_erases());
+    });
+}
+
+#[derive(Debug, Clone, Copy)]
+enum StoreOp {
+    /// Program the cursor page of a block (the only program that lands).
+    ProgramNext {
+        block: u8,
+    },
+    /// Program an arbitrary page (mostly rejected: dirty or out of order).
+    ProgramAt {
+        block: u8,
+        page: u8,
+    },
+    Erase {
+        block: u8,
+    },
+    /// Re-arm the plan so power is cut `after` fault ticks from now; a
+    /// cut that lands on a program leaves a torn page behind.
+    ArmCut {
+        after: u8,
+    },
+}
+
+fn store_op(rng: &mut TestRng) -> StoreOp {
+    match rng.weighted(&[8, 2, 2, 1]) {
+        0 => StoreOp::ProgramNext {
+            block: rng.any_u8(),
+        },
+        1 => StoreOp::ProgramAt {
+            block: rng.any_u8(),
+            page: rng.any_u8(),
+        },
+        2 => StoreOp::Erase {
+            block: rng.any_u8(),
+        },
+        _ => StoreOp::ArmCut {
+            after: rng.any_u8() % 8 + 1,
+        },
+    }
+}
+
+/// The per-block page vectors are the array's only record of what is
+/// programmed. Under programs, erases, torn power cuts and grown bad
+/// blocks they must agree with a shadow cursor per block, and every
+/// derived view (`is_programmed`, `programmed_pages`,
+/// `next_programmed_from`) with a page-at-a-time walk of the device.
+#[test]
+fn block_vectors_match_the_page_state_model() {
+    check("block_vectors_match_the_page_state_model", 64, |rng| {
+        let len = rng.range_usize(1, 199);
+        let ops = soup(rng, len, store_op);
+        let fault_seed = rng.next_u64();
+        let faults = |cut: Option<u64>| {
+            FaultPlan::new(FaultConfig {
+                seed: fault_seed,
+                power_cut_after: cut,
+                grown_bad_block: 0.03,
+                torn_writes: true,
+                ..FaultConfig::default()
+            })
+        };
+        let mut flash = array();
+        flash.arm_faults(faults(None));
+        let g = *flash.geometry();
+        let (blocks, ppb, total) = (g.total_blocks(), g.pages_per_block, g.total_pages());
+        let mut cursor = vec![0u32; blocks as usize];
+        let mut tag = 0u64;
+
+        for op in ops {
+            match op {
+                StoreOp::ProgramNext { block } | StoreOp::ProgramAt { block, .. } => {
+                    let b = BlockId(block as u64 % blocks);
+                    let at = &mut cursor[b.0 as usize];
+                    let page = match op {
+                        StoreOp::ProgramAt { page, .. } => page as u32 % ppb,
+                        _ => *at,
+                    };
+                    if page >= ppb {
+                        continue; // block full
+                    }
+                    tag += 1;
+                    match flash.program(g.ppn_in_block(b, page), content(tag), SimTime::ZERO) {
+                        Ok(_) => {
+                            assert_eq!(page, *at, "only the cursor page may land");
+                            *at += 1;
+                        }
+                        // A cut on the cursor page of a healthy block
+                        // tears: the page is on the media, corrupt or not.
+                        Err(FlashError::PowerLoss) => {
+                            assert_eq!(page, *at, "rule checks run before the fault gate");
+                            *at += 1;
+                            flash.power_on();
+                        }
+                        Err(_) => {}
+                    }
+                }
+                StoreOp::Erase { block } => {
+                    let b = BlockId(block as u64 % blocks);
+                    match flash.erase(b, SimTime::ZERO) {
+                        // The cursor is back at 0: the block reprograms
+                        // from its first page.
+                        Ok(_) => cursor[b.0 as usize] = 0,
+                        Err(FlashError::PowerLoss) => flash.power_on(),
+                        Err(e) => assert!(
+                            matches!(e, FlashError::GrownBadBlock(_)),
+                            "unexpected erase failure: {e}"
+                        ),
+                    }
+                }
+                StoreOp::ArmCut { after } => flash.arm_faults(faults(Some(after as u64))),
+            }
+
+            for b in 0..blocks {
+                assert_eq!(flash.write_cursor(BlockId(b)), cursor[b as usize]);
+            }
+            let mut walked = Vec::new();
+            for ppn in (0..total).map(Ppn) {
+                let below_cursor = g.page_in_block(ppn) < flash.write_cursor(g.block_of(ppn));
+                assert_eq!(flash.is_programmed(ppn), below_cursor, "{ppn}");
+                walked.extend(flash.read(ppn).map(|c| (ppn, c)));
+            }
+            assert!(flash.programmed_pages().eq(walked.iter().copied()));
+            for from in (0..total).map(Ppn) {
+                let naive = (0..total)
+                    .map(|off| Ppn((from.0 + off) % total))
+                    .find(|&p| flash.is_programmed(p));
+                assert_eq!(flash.next_programmed_from(from), naive, "from {from}");
+            }
+            assert_eq!(flash.next_programmed_from(Ppn(total)), None);
+        }
     });
 }
 

@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use checkin_flash::Ppn;
-
 use super::Ftl;
 use crate::error::RecoveryError;
 use crate::location::{BufSlot, Location, Lpn, Pun};
@@ -91,10 +89,7 @@ impl Ftl {
         let mut replay: Vec<(u64, Lpn, Pun)> = Vec::new();
         let mut pre_snap: BTreeMap<u64, Pun> = BTreeMap::new();
         let mut max_seq = snap_seq;
-        for ppn in (0..g.total_pages()).map(Ppn) {
-            let Some(content) = self.flash.read(ppn) else {
-                continue;
-            };
+        for (ppn, content) in self.flash.programmed_pages() {
             for (offset, oob) in content.oob.iter().enumerate() {
                 // A record only enters recovery when its OOB metadata AND
                 // the data unit it describes both verify: a torn tail or

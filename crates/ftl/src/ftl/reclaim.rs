@@ -340,12 +340,8 @@ impl Ftl {
         if !self.config.verify_checksums || max_pages == 0 {
             return Ok(report);
         }
-        let total = self.flash.geometry().total_pages();
-        if total == 0 {
-            return Ok(report);
-        }
         let prev = self.flash.set_op_phase(OpPhase::Scrub);
-        let out = self.scrub_pages(at, max_pages, total, &mut report);
+        let out = self.scrub_pages(at, max_pages, &mut report);
         self.flash.set_op_phase(prev);
         self.counters.incr("ftl.scrub_rounds");
         self.tracer.emit(|| {
@@ -363,18 +359,15 @@ impl Ftl {
         &mut self,
         at: SimTime,
         max_pages: u32,
-        total: u64,
         report: &mut ScrubReport,
     ) -> Result<(), FtlError> {
         let mut t = at;
-        let mut visited = 0u64;
-        let budget = u64::from(max_pages).min(total);
-        while report.pages_scanned < budget && visited < total {
-            let ppn = self.ledger.next_scrub_page(total);
-            visited += 1;
-            if !self.flash.is_programmed(ppn) {
-                continue;
-            }
+        // One round visits each page position at most once.
+        let mut unvisited = self.flash.geometry().total_pages();
+        while report.pages_scanned < u64::from(max_pages) {
+            let Some(ppn) = self.ledger.next_scrub_page(&self.flash, &mut unvisited) else {
+                break;
+            };
             let win = self.read_with_retry(ppn, t)?;
             t = win.finish;
             report.pages_scanned += 1;

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 
-use checkin_flash::{BlockId, FlashGeometry, Ppn};
+use checkin_flash::{BlockId, FlashArray, FlashGeometry, Ppn};
 use checkin_sim::CounterSet;
 
 use crate::location::{Location, Lpn, Pun};
@@ -107,12 +107,25 @@ impl IntegrityLedger {
         }
     }
 
-    /// The page the scrubber visits next; the cursor advances and wraps
-    /// at `total_pages` (which must be non-zero).
-    pub(crate) fn next_scrub_page(&mut self, total_pages: u64) -> Ppn {
-        let ppn = Ppn(self.scrub_cursor % total_pages);
-        self.scrub_cursor = (ppn.0 + 1) % total_pages;
-        ppn
+    /// Walks the wrapping cursor over at most `*window` page positions
+    /// and stops just past the first programmed one, which it returns;
+    /// `*window` shrinks by the positions consumed. `None` means the
+    /// whole window was erased (the cursor still moved across it).
+    /// Erased pages cost nothing: the cursor jumps straight to the hit.
+    pub(crate) fn next_scrub_page(&mut self, flash: &FlashArray, window: &mut u64) -> Option<Ppn> {
+        let total = flash.geometry().total_pages();
+        if total == 0 {
+            return None;
+        }
+        let start = self.scrub_cursor % total;
+        let hit = flash
+            .next_programmed_from(Ppn(start))
+            .map(|ppn| (ppn, (ppn.0 + total - start) % total))
+            .filter(|&(_, skipped)| skipped < *window);
+        let consumed = hit.map_or(*window, |(_, skipped)| skipped + 1);
+        self.scrub_cursor = (start + consumed) % total;
+        *window -= consumed;
+        hit.map(|(ppn, _)| ppn)
     }
 
     /// `detected == quarantined + corrected`.
@@ -172,6 +185,65 @@ mod tests {
         ledger.clear_block(BlockId(1), &g, upp);
         assert!(!ledger.is_quarantined(in_block_1));
         assert!(ledger.is_quarantined(in_block_2));
+    }
+
+    /// A scrub round driven by the skip-ahead cursor scans the same
+    /// pages in the same order, and parks the cursor on the same page,
+    /// as the page-at-a-time walk it replaced — on random array states,
+    /// start positions and budgets.
+    #[test]
+    fn scrub_cursor_skip_ahead_matches_the_page_at_a_time_walk() {
+        use checkin_flash::{FlashTiming, PageContent};
+        use checkin_sim::SimTime;
+        checkin_testkit::check("scrub_cursor_skip_ahead", 200, |rng| {
+            let g = FlashGeometry::small();
+            let total = g.total_pages();
+            let mut flash = FlashArray::new(g, FlashTiming::mlc());
+            let density = rng.range_u64(1, 8);
+            for b in (0..g.total_blocks()).map(BlockId) {
+                if rng.below(density) != 0 {
+                    continue;
+                }
+                for p in 0..rng.range_u32(0, g.pages_per_block) {
+                    flash
+                        .program(g.ppn_in_block(b, p), PageContent::empty(8), SimTime::ZERO)
+                        .unwrap();
+                }
+            }
+            let start = rng.below(total);
+            let budget = match rng.below(3) {
+                0 => rng.range_u64(1, 8),
+                1 => rng.range_u64(1, total),
+                _ => total + rng.below(100),
+            };
+
+            let mut cursor = start;
+            let mut naive = Vec::new();
+            let mut visited = 0;
+            while (naive.len() as u64) < budget.min(total) && visited < total {
+                let ppn = Ppn(cursor % total);
+                cursor = (ppn.0 + 1) % total;
+                visited += 1;
+                if flash.is_programmed(ppn) {
+                    naive.push(ppn);
+                }
+            }
+
+            let mut ledger = IntegrityLedger {
+                scrub_cursor: start,
+                ..IntegrityLedger::default()
+            };
+            let mut scanned = Vec::new();
+            let mut unvisited = total;
+            while (scanned.len() as u64) < budget {
+                let Some(ppn) = ledger.next_scrub_page(&flash, &mut unvisited) else {
+                    break;
+                };
+                scanned.push(ppn);
+            }
+            assert_eq!(scanned, naive);
+            assert_eq!(ledger.scrub_cursor, cursor, "start {start} budget {budget}");
+        });
     }
 
     #[test]

@@ -85,12 +85,7 @@ impl crate::Ssd {
         let mut snapshot = OobSnapshot::default();
         let flash = self.ftl().flash();
         let verify = self.ftl().config().verify_checksums;
-        let total = flash.geometry().total_pages();
-        for raw in 0..total {
-            let ppn = Ppn(raw);
-            let Some(content) = flash.read(ppn) else {
-                continue;
-            };
+        for (ppn, content) in flash.programmed_pages() {
             snapshot.pages_scanned += 1;
             for (offset, oob) in content.oob.iter().enumerate() {
                 // Same acceptance rule as the FTL rebuild: a record only

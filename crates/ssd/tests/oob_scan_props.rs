@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use checkin_flash::{FaultConfig, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OobKind};
+use checkin_flash::{FaultConfig, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OobKind, Ppn};
 use checkin_ftl::{Ftl, FtlConfig};
 use checkin_sim::SimTime;
 use checkin_ssd::{ReadRequest, Ssd, SsdError, SsdTiming, WriteContent, WriteRequest};
@@ -101,6 +101,62 @@ fn full_scan_discovers_exactly_the_newest_mapping_per_lpn() {
                 "later final writes must carry newer sequences"
             );
             s.verify_spor_contract().expect("SPOR contract");
+        },
+    );
+}
+
+/// The scan walks programmed pages only, yet sees what a visit to every
+/// PPN of the device sees: the same page count, the same rejected
+/// records (some OOB is sabotaged so there are rejects), and the same
+/// newest-wins record per lpn.
+#[test]
+fn scan_equals_a_walk_over_every_ppn() {
+    check_seeded(
+        "oob-scan-vs-full-walk",
+        BASE_SEED ^ 0x0B5C_A11E,
+        24,
+        &mut |rng: &mut TestRng| {
+            let mut s = ssd();
+            let mut t = SimTime::ZERO;
+            for i in 0..rng.range_u64(10, 400) {
+                t = s
+                    .write(&record(rng.below(LBA_SPACE), i + 1), OobKind::Data, t)
+                    .expect("fault-free write");
+            }
+            s.flush(t).expect("flush");
+            let total = s.ftl().flash().geometry().total_pages();
+            for _ in 0..rng.below(6) {
+                let ppn = Ppn(rng.below(total));
+                let mask = 1 << rng.below(48);
+                s.ftl_mut().flash_mut().sabotage_corrupt_oob(ppn, 0, mask);
+            }
+
+            let flash = s.ftl().flash();
+            let mut pages = 0u64;
+            let mut rejected = 0u64;
+            let mut newest: HashMap<u64, (Ppn, u64)> = HashMap::new();
+            for ppn in (0..total).map(Ppn) {
+                let Some(content) = flash.read(ppn) else {
+                    continue;
+                };
+                pages += 1;
+                for (offset, oob) in content.oob.iter().enumerate() {
+                    if !(content.oob_intact(offset) && content.unit_intact(offset)) {
+                        rejected += 1;
+                    } else if newest.get(&oob.lpn).is_none_or(|r| oob.sequence > r.1) {
+                        newest.insert(oob.lpn, (ppn, oob.sequence));
+                    }
+                }
+            }
+
+            let snap = s.scan_oob();
+            assert_eq!(snap.pages_scanned(), pages);
+            assert_eq!(pages, flash.programmed_pages().count() as u64);
+            assert_eq!(snap.records_rejected(), rejected);
+            assert_eq!(snap.len(), newest.len());
+            for (lpn, r) in snap.iter() {
+                assert_eq!(newest.get(&lpn), Some(&(r.ppn, r.sequence)), "lpn {lpn}");
+            }
         },
     );
 }

@@ -199,6 +199,17 @@ impl OpGenerator {
         }
     }
 
+    /// A generator over the same mix, key space and sizes drawing its own
+    /// stream from `seed` — exactly what `generator()` builds for a spec
+    /// that differs only in `seed`, minus the zipfian `zeta(n)` sum
+    /// (linear in the key space), which the copy shares with `self`.
+    pub fn reseeded(&self, seed: u64) -> OpGenerator {
+        OpGenerator {
+            rng: SimRng::seed_from(seed),
+            ..self.clone()
+        }
+    }
+
     /// Record size for the initial load of `key` (deterministic per key so
     /// reloads agree).
     pub fn load_size(&self, key: u64) -> u32 {
@@ -282,6 +293,37 @@ mod tests {
         let mut g2 = spec(OpMix::A).generator();
         for _ in 0..100 {
             assert_eq!(g1.next_op(), g2.next_op());
+        }
+    }
+
+    /// One prototype reseeded per client emits what per-client
+    /// `generator()` calls with the same seeds emit.
+    #[test]
+    fn reseeded_prototype_matches_per_seed_construction() {
+        for pattern in [AccessPattern::Zipfian, AccessPattern::Uniform] {
+            let base = WorkloadSpec {
+                pattern,
+                sizes: RecordSizes::paper_default(),
+                ..spec(OpMix::A)
+            };
+            let prototype = base.generator();
+            let mut seeds = SimRng::seed_from(base.seed);
+            for _ in 0..32 {
+                let seed = seeds.next_u64();
+                let mut old = WorkloadSpec {
+                    seed,
+                    ..base.clone()
+                }
+                .generator();
+                let mut new = prototype.reseeded(seed);
+                for i in 0..1_000 {
+                    assert_eq!(
+                        old.next_op(),
+                        new.next_op(),
+                        "{pattern:?} seed {seed} op {i}"
+                    );
+                }
+            }
         }
     }
 

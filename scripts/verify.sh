@@ -15,6 +15,11 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== cargo test --release (checkin-core lib)"
+# Release builds compile `debug_assert!` out: a test that expects one to
+# fire must be gated on `debug_assertions`, or this profile goes red.
+cargo test --release -p checkin-core --lib -q
+
 echo "== perfsuite --quick"
 cargo run --release -p checkin-bench --bin perfsuite -- --quick --out target/BENCH_perf.quick.json
 
