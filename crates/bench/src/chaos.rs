@@ -1,0 +1,687 @@
+//! `chaos` — the one fault harness behind the acked-write durability
+//! contract (DESIGN.md §9) and the no-silent-corruption contract (§13).
+//!
+//! Every run is one [`Scenario`] row: a seeded `KvEngine` workload
+//! (updates, deletes, inserts, checkpoints, background GC and scrub) on a
+//! deliberately tight simulated device, under whatever [`FaultConfig`]
+//! the row arms — a power cut, a torn page, retention bit-rot,
+//! misdirected programs, transient media noise, grown bad blocks, or
+//! several of those at once. `drive` runs the workload and stops typed
+//! at the first power loss or integrity failure; [`run`] then recovers
+//! the device (`Ssd::recover_power_loss`) and the engine
+//! (`KvEngine::recover`) when the row scheduled a cut, and `verify`
+//! checks every key against the `Shadow` model of what the client was
+//! acknowledged:
+//!
+//! * every acked write is readable with its acked version, every acked
+//!   delete stays deleted, and only admitted-but-unacked operations may
+//!   land in either their old or new state;
+//! * where the tier tolerates damage, a read may instead fail with a
+//!   *typed* integrity error (`SsdError::is_integrity`) — never a wrong
+//!   value served without an error, never a panic.
+//!
+//! [`sweep`] is the whole test plan: every tier is a loop over scenario
+//! rows with an *impotence gate* proving its faults actually fired, and
+//! two sabotage self-tests prove the harness can fail. It takes no
+//! options: the full sweep runs in well under a second.
+
+mod sweep;
+
+pub use sweep::{sweep, Sweep};
+
+use checkin_core::{EngineError, KvEngine, Layout, Strategy};
+use checkin_flash::{
+    FaultConfig, FaultOp, FaultPhase, FaultPlan, FlashArray, FlashGeometry, FlashTiming, Ppn,
+};
+use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, VictimPolicy};
+use checkin_sim::SimTime;
+use checkin_ssd::{Ssd, SsdError, SsdTiming};
+use checkin_testkit::TestRng;
+
+/// Keys in the workload (dense, all loaded up front).
+const RECORDS: u64 = 48;
+/// Largest value the workload writes (drives the layout's slot size).
+const MAX_RECORD_BYTES: u32 = 2048;
+/// Journal zone size in sectors — small enough that checkpoints and GC
+/// both happen many times inside one run.
+const ZONE_SECTORS: u64 = 384;
+/// Operations per run after the initial load.
+const OPS: u64 = 700;
+/// Compression ratio for sector-aligned journaling (paper default).
+const COMPRESSION: f64 = 0.7;
+
+/// One row of the test plan: everything that determines a run. The
+/// `^ combo:` line of a failing row is this struct's `Debug` output —
+/// paste it into a unit test and replay it with [`run`].
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario {
+    /// Tier the row belongs to (report label only).
+    pub tier: &'static str,
+    /// Checkpointing strategy; also fixes the mapping unit.
+    pub strategy: Strategy,
+    /// Workload seed: key choice, value sizes, op mix.
+    pub seed: u64,
+    /// GC victim selection.
+    pub policy: VictimPolicy,
+    /// Admission batch: ops are admitted in groups of `batch` and acked
+    /// only when the whole group completes (1 = ack every op).
+    pub batch: u32,
+    /// `FtlConfig::verify_checksums` — off only in the sabotage control.
+    pub verify_checksums: bool,
+    /// Pages the background scrubber may patrol per idle window (0 = the
+    /// scrubber never runs).
+    pub scrub_pages: u32,
+    /// Faults armed after the initial load, so tick indices count
+    /// steady-state operations. `None` leaves the array unarmed, which
+    /// also spares the device its crash-consistency bookkeeping.
+    pub faults: Option<FaultConfig>,
+}
+
+impl Scenario {
+    /// A fault-free row: greedy GC, every op acked, verification on, no
+    /// scrubbing. Tiers override fields with struct-update syntax.
+    pub fn new(tier: &'static str, strategy: Strategy, seed: u64) -> Self {
+        Scenario {
+            tier,
+            strategy,
+            seed,
+            policy: VictimPolicy::Greedy,
+            batch: 1,
+            verify_checksums: true,
+            scrub_pages: 0,
+            faults: None,
+        }
+    }
+
+    /// The same row with `faults` armed.
+    pub fn with_faults(self, faults: FaultConfig) -> Self {
+        Scenario {
+            faults: Some(faults),
+            ..self
+        }
+    }
+
+    fn layout(&self) -> Layout {
+        Layout::new(
+            RECORDS,
+            MAX_RECORD_BYTES,
+            self.strategy.default_unit_bytes(),
+            ZONE_SECTORS,
+        )
+    }
+
+    /// A deliberately tight device: 16 blocks of 16 pages (1 MiB) against
+    /// a ~512 KiB logical space, so GC runs inside every workload.
+    fn build_ssd(&self) -> Ssd {
+        let geometry = FlashGeometry {
+            channels: 2,
+            dies_per_channel: 1,
+            planes_per_die: 1,
+            blocks_per_plane: 8,
+            pages_per_block: 16,
+            page_bytes: 4096,
+        };
+        let ftl = Ftl::new(
+            FlashArray::new(geometry, FlashTiming::mlc()),
+            FtlConfig {
+                unit_bytes: self.strategy.default_unit_bytes(),
+                write_points: 2,
+                gc_threshold_blocks: 3,
+                gc_soft_threshold_blocks: 6,
+                write_buffer_units: 16,
+                victim_policy: self.policy,
+                verify_checksums: self.verify_checksums,
+                ..FtlConfig::default()
+            },
+        )
+        .expect("valid FTL config");
+        Ssd::new(ftl, SsdTiming::paper_default())
+    }
+}
+
+/// The state an operation leaves its key in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShadowKey {
+    /// Version the operation wrote.
+    version: u64,
+    /// The operation was a delete.
+    deleted: bool,
+}
+
+/// The shadow key→version model, and the single owner of the ack rule:
+/// an op the engine completed stays *unacked* until its whole admission
+/// batch completes; a run that stops mid-batch acks none of the batch
+/// and leaves it — plus the op that observed the failure — in flight.
+#[derive(Debug)]
+struct Shadow {
+    /// Per key: what the client was last acknowledged.
+    acked: Vec<ShadowKey>,
+    /// `(key, state it leaves)` per op of the open batch, in issue
+    /// order; once the run has stopped, the in-flight ops — admitted,
+    /// never acked — that [`verify`] tolerates as landed or not.
+    unacked: Vec<(u64, ShadowKey)>,
+}
+
+impl Shadow {
+    fn loaded() -> Self {
+        let fresh = ShadowKey {
+            version: 1,
+            deleted: false,
+        };
+        Shadow {
+            acked: vec![fresh; RECORDS as usize],
+            unacked: Vec::new(),
+        }
+    }
+
+    /// State of `key` as the engine sees it: acked, then the open batch.
+    fn get(&self, key: u64) -> ShadowKey {
+        let staged = self.unacked.iter().rev().find(|(k, _)| *k == key);
+        staged.map_or(self.acked[key as usize], |&(_, state)| state)
+    }
+
+    /// Admitted-but-unacked ops (> 1 after a cut means it landed mid-batch).
+    fn unacked(&self) -> usize {
+        self.unacked.len()
+    }
+
+    /// The engine completed an op of the open batch — or, when the run
+    /// stops on it, observed its failure.
+    fn stage(&mut self, key: u64, next: ShadowKey) {
+        self.unacked.push((key, next));
+    }
+
+    fn ack_batch(&mut self) {
+        for (key, state) in self.unacked.drain(..) {
+            self.acked[key as usize] = state;
+        }
+    }
+}
+
+/// Why a driven workload ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// Every op ran and was acked.
+    Completed,
+    /// The scheduled power cut fired.
+    PowerCut,
+    /// A foreground op failed with a typed integrity error (never acked).
+    OpIntegrity,
+    /// A *checkpoint* died on a typed integrity error: journal entries
+    /// are already retired but remaps are incomplete, so data placement
+    /// is mid-transition and version-exact verification is unsound. The
+    /// run is still held to device invariants and a balanced ledger.
+    CheckpointIntegrity,
+}
+
+/// One driven workload: the device as the run left it, the engine, and
+/// the shadow model of everything the client was acknowledged.
+struct Driven {
+    /// The device (frozen when `stop` is [`Stop::PowerCut`]).
+    ssd: Ssd,
+    /// The engine that drove it (stale after a cut).
+    engine: KvEngine,
+    /// Acked state plus the in-flight tail.
+    shadow: Shadow,
+    /// Why the run ended.
+    stop: Stop,
+    /// Completion time of the last successful step.
+    t: SimTime,
+}
+
+fn is_integrity(e: &EngineError) -> bool {
+    matches!(e, EngineError::Ssd(s) if s.is_integrity())
+}
+
+/// Checkpoint, then let GC and the scrubber use the idle window — the
+/// idle-work order of the system loop (`KvSystem::run`).
+fn checkpoint_then_idle_work(
+    engine: &mut KvEngine,
+    ssd: &mut Ssd,
+    scrub_pages: u32,
+    t: SimTime,
+) -> Result<SimTime, EngineError> {
+    let out = engine.checkpoint(ssd, t)?;
+    let (_, gc_done) = ssd.background_gc(out.finish, 4)?;
+    let (_, scrub_done) = ssd
+        .background_scrub(gc_done, scrub_pages)
+        .map_err(EngineError::Ssd)?;
+    Ok(gc_done.max(scrub_done))
+}
+
+/// Runs the row's seeded workload and stops at the first power loss or
+/// typed integrity failure; any other failure panics — faults must
+/// surface typed, never as a crash.
+///
+/// Ops are admitted in groups of `sc.batch` and acked only when the whole
+/// group completes, with checkpoints confined to batch boundaries (the
+/// admission gate's no-straddling rule). The op stream is identical for
+/// every batch size; only ack timing differs.
+fn drive(sc: &Scenario) -> Driven {
+    let mut ssd = sc.build_ssd();
+    let layout = sc.layout();
+    let mut engine = KvEngine::new(sc.strategy, layout, COMPRESSION);
+    let mut rng = TestRng::seed_from(sc.seed);
+    let records: Vec<(u64, u32)> = (0..RECORDS)
+        .map(|k| (k, rng.range_u32(200, MAX_RECORD_BYTES - 48)))
+        .collect();
+    let mut t = engine
+        .load(&mut ssd, &records, SimTime::ZERO)
+        .expect("fault-free load");
+    let mut shadow = Shadow::loaded();
+    if let Some(config) = sc.faults {
+        ssd.ftl_mut().flash_mut().arm_faults(FaultPlan::new(config));
+    }
+    let cp_units = (layout.zone_sectors() / layout.unit_sectors()) / 4;
+    let stop_for = |e: EngineError, in_checkpoint: bool| {
+        if matches!(&e, EngineError::Ssd(SsdError::Ftl(f)) if f.is_power_loss()) {
+            Stop::PowerCut
+        } else if !is_integrity(&e) {
+            panic!("{sc:?}: untyped failure: {e}")
+        } else if in_checkpoint {
+            Stop::CheckpointIntegrity
+        } else {
+            Stop::OpIntegrity
+        }
+    };
+    let mut remaining = OPS;
+
+    let stop = 'ops: loop {
+        if remaining == 0 {
+            break Stop::Completed;
+        }
+        // Batch boundary: the only place a checkpoint is *planned*, and
+        // nothing is unacked here.
+        if engine.journal_used_units() >= cp_units {
+            match checkpoint_then_idle_work(&mut engine, &mut ssd, sc.scrub_pages, t) {
+                Ok(done) => t = done,
+                Err(e) => break stop_for(e, true),
+            }
+        }
+        let group = u64::from(sc.batch.max(1)).min(remaining);
+        remaining -= group;
+        for _ in 0..group {
+            let key = rng.below(RECORDS);
+            let entry = shadow.get(key);
+            let bytes = rng.range_u32(200, MAX_RECORD_BYTES - 48);
+            // A deleted key is re-inserted; a live one is deleted one time
+            // in ten and updated otherwise.
+            let next = ShadowKey {
+                version: entry.version + 1,
+                deleted: !entry.deleted && rng.below(100) < 10,
+            };
+            let issue =
+                |engine: &mut KvEngine, ssd: &mut Ssd, t| match (entry.deleted, next.deleted) {
+                    (true, _) => engine.insert(ssd, key, bytes, t),
+                    (false, true) => engine.delete(ssd, key, t),
+                    (false, false) => engine.update(ssd, key, bytes, t),
+                };
+            let mut result = issue(&mut engine, &mut ssd, t);
+            if matches!(result, Err(EngineError::JournalFull)) {
+                // The admission estimate ran short: force the checkpoint
+                // the real system would have taken at the boundary. A
+                // failure inside it leaves `next` un-issued (it never
+                // touched the journal), so only the already-issued part
+                // of the batch is in flight.
+                match checkpoint_then_idle_work(&mut engine, &mut ssd, sc.scrub_pages, t) {
+                    Ok(done) => t = done,
+                    Err(e) => break 'ops stop_for(e, true),
+                }
+                result = issue(&mut engine, &mut ssd, t);
+            }
+            match result {
+                Ok(done) => {
+                    t = done;
+                    shadow.stage(key, next);
+                }
+                Err(e) => {
+                    shadow.stage(key, next);
+                    break 'ops stop_for(e, false);
+                }
+            }
+        }
+        shadow.ack_batch();
+    };
+    Driven {
+        ssd,
+        engine,
+        shadow,
+        stop,
+        t,
+    }
+}
+
+/// Drives an unarmed row to completion and flushes it: the clean state
+/// the post-hoc tiers and the checksum self-test then damage by hand.
+fn drive_clean(sc: &Scenario) -> (Driven, SimTime) {
+    let mut d = drive(sc);
+    assert_eq!(d.stop, Stop::Completed, "{sc:?}: unarmed run");
+    let t = d.ssd.flush(d.t).expect("clean flush");
+    (d, t)
+}
+
+/// Verdict of one verified run (or, summed, of the whole sweep).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Verdict {
+    /// Keys read back and judged.
+    pub checked: u64,
+    /// Reads that served, without an error, a version that is neither
+    /// the acked one nor in flight — stale or too new alike.
+    pub silent_wrong: u64,
+    /// Acked live keys the client can no longer read: unknown to the
+    /// engine, or failing typed in a tier that tolerates no damage.
+    pub losses: u64,
+    /// Acked deletes that came back readable.
+    pub resurrections: u64,
+    /// Reads that failed with a typed integrity error where the tier
+    /// tolerates it: damage was detected, not served.
+    pub detected_reads: u64,
+}
+
+impl Verdict {
+    /// Adds `other`'s counts to `self`.
+    pub fn absorb(&mut self, other: Verdict) {
+        self.checked += other.checked;
+        self.silent_wrong += other.silent_wrong;
+        self.losses += other.losses;
+        self.resurrections += other.resurrections;
+        self.detected_reads += other.detected_reads;
+    }
+
+    /// No silently wrong read, no loss, no resurrection.
+    pub fn clean(&self) -> bool {
+        self.silent_wrong == 0 && self.losses == 0 && self.resurrections == 0
+    }
+}
+
+/// Reads every key and judges it against the shadow. A read must return
+/// the acked version, or a version an in-flight op would have written
+/// (the engine issues a batch sequentially, so any prefix of the
+/// in-flight ops may have reached the journal), or — with `typed_ok` —
+/// fail with a typed integrity error. An unknown key is acceptable only
+/// after an acked or in-flight delete.
+///
+/// # Panics
+///
+/// When a read fails with anything but `UnknownKey` or a typed integrity
+/// error: that is the crash the contract rules out.
+fn verify(
+    engine: &mut KvEngine,
+    ssd: &mut Ssd,
+    shadow: &Shadow,
+    typed_ok: bool,
+    t: SimTime,
+    announce: bool,
+) -> Verdict {
+    let mut v = Verdict::default();
+    for (key, exp) in shadow.acked.iter().enumerate() {
+        let key = key as u64;
+        // Did an in-flight op write `served`, or (None) delete the key?
+        let in_flight = |served: Option<u64>| {
+            let landed =
+                |op: &ShadowKey| served.map_or(op.deleted, |v| !op.deleted && op.version == v);
+            shadow.unacked.iter().any(|(k, op)| *k == key && landed(op))
+        };
+        v.checked += 1;
+        let complaint = match engine.get(ssd, key, t) {
+            Ok(r) if !exp.deleted && r.version == exp.version => None,
+            Ok(r) if in_flight(Some(r.version)) => None,
+            Ok(r) if exp.deleted => {
+                v.resurrections += 1;
+                Some(format!("RESURRECTED: readable v{}", r.version))
+            }
+            Ok(r) => {
+                v.silent_wrong += 1;
+                Some(format!("SILENT: served v{} with no error", r.version))
+            }
+            Err(EngineError::UnknownKey(_)) if exp.deleted || in_flight(None) => None,
+            Err(EngineError::UnknownKey(_)) => {
+                v.losses += 1;
+                Some("LOSS: unknown to the engine".to_string())
+            }
+            Err(e) if is_integrity(&e) && typed_ok => {
+                v.detected_reads += 1;
+                None
+            }
+            Err(e) if is_integrity(&e) => {
+                v.losses += 1;
+                Some(format!("LOSS: typed failure in a tier with no damage: {e}"))
+            }
+            Err(e) => panic!("verify read of key {key} failed untyped: {e}"),
+        };
+        if let (Some(what), true) = (complaint, announce) {
+            let acked = if exp.deleted { "delete" } else { "write" };
+            eprintln!("  key {key} (acked {acked} v{}) {what}", exp.version);
+        }
+    }
+    v
+}
+
+/// Profiling pass: the row as given but with its power cut removed and
+/// the per-tick `(op, phase)` trace recorded. Every other fault stays
+/// armed under the same fault seed, so tick `i + 1` of a cut run is
+/// `trace[i]` exactly.
+fn profile(sc: &Scenario) -> Vec<(FaultOp, FaultPhase)> {
+    let d = drive(&sc.with_faults(FaultConfig {
+        power_cut_after: None,
+        record_trace: true,
+        ..sc.faults.unwrap_or_default()
+    }));
+    let plan = d.ssd.ftl().flash().fault_plan();
+    plan.expect("plan stays armed").trace().to_vec()
+}
+
+/// One judged row: verdict plus what the tier gates need.
+pub struct Outcome {
+    /// Shadow-model verdict; all zero when a checkpoint died typed
+    /// ([`Stop::CheckpointIntegrity`]) and nothing could be verified.
+    pub verdict: Verdict,
+    /// Why the workload ended.
+    pub stop: Stop,
+    /// Ops in flight when it ended.
+    pub unacked: usize,
+    /// The device afterwards, for its counters.
+    pub ssd: Ssd,
+}
+
+impl Outcome {
+    /// A `flash.*` counter of the run.
+    pub fn flash(&self, key: &'static str) -> u64 {
+        self.ssd.ftl().flash().counters().get(key)
+    }
+
+    /// An `ftl.*` counter of the run.
+    pub fn ftl(&self, key: &'static str) -> u64 {
+        self.ssd.ftl().counters().get(key)
+    }
+}
+
+/// Asserts the FTL's integrity ledger balances: everything detected was
+/// either quarantined or corrected, nothing leaked.
+fn reconcile_ledger(ssd: &Ssd, sc: &Scenario) {
+    let c = ssd.ftl().counters();
+    let detected = c.get("ftl.integrity_detected");
+    let quarantined = c.get("ftl.integrity_quarantined");
+    let corrected = c.get("ftl.integrity_corrected");
+    assert_eq!(
+        detected,
+        quarantined + corrected,
+        "{sc:?}: integrity ledger out of balance \
+         (detected {detected} != quarantined {quarantined} + corrected {corrected})"
+    );
+}
+
+/// Judges one row: drive it; if it scheduled a power cut, cut (at the
+/// end when the schedule outlived the workload, so recovery always runs),
+/// SPOR the device and recover the engine; verify every key; check
+/// `Ftl::check_invariants` and the integrity ledger; print the row if it
+/// failed. `typed_ok` is the tier's tolerance for typed integrity
+/// failures of reads and of the post-recovery write. (`KvEngine::recover`
+/// gets none: a store that will not open serves nothing.)
+///
+/// With `sabotage`, the capacitor-backed write buffer is dropped before
+/// SPOR — the verdict must then be unclean, proving the harness detects
+/// broken recovery — and nothing is printed or asserted.
+///
+/// # Panics
+///
+/// On any untyped failure, a recovery that refuses to run, a violated
+/// device invariant or an unbalanced ledger.
+pub fn run(sc: &Scenario, typed_ok: bool, sabotage: bool) -> Outcome {
+    let mut d = drive(sc);
+    let cuts = sc.faults.is_some_and(|f| f.power_cut_after.is_some());
+    // Who serves reads from here on: the engine that drove the workload
+    // or, after a cut, a recovered one.
+    let (mut engine, t) = if cuts {
+        d.ssd.ftl_mut().flash_mut().cut_power();
+        if sabotage {
+            d.ssd.ftl_mut().sabotage_drop_write_buffer();
+        }
+        d.ssd
+            .recover_power_loss()
+            .unwrap_or_else(|e| panic!("{sc:?}: SPOR failed: {e}"));
+        let layout = sc.layout();
+        KvEngine::recover(sc.strategy, layout, COMPRESSION, &mut d.ssd, RECORDS, d.t)
+            .unwrap_or_else(|e| panic!("{sc:?}: engine recovery failed: {e}"))
+    } else {
+        (d.engine, d.t)
+    };
+    let mut verdict = Verdict::default();
+    if d.stop != Stop::CheckpointIntegrity {
+        verdict = verify(&mut engine, &mut d.ssd, &d.shadow, typed_ok, t, !sabotage);
+    }
+    if !sabotage {
+        if cuts {
+            // The recovered stack must take writes again.
+            match engine.insert(&mut d.ssd, 0, 512, t) {
+                Ok(_) => {}
+                Err(e) if typed_ok && is_integrity(&e) => {}
+                Err(e) => panic!("{sc:?}: post-recovery write failed: {e}"),
+            }
+        }
+        d.ssd
+            .ftl()
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{sc:?}: invariants violated: {e}"));
+        reconcile_ledger(&d.ssd, sc);
+        if !verdict.clean() {
+            eprintln!("  ^ combo: {sc:?}");
+        }
+    }
+    Outcome {
+        verdict,
+        stop: d.stop,
+        unacked: d.shadow.unacked(),
+        ssd: d.ssd,
+    }
+}
+
+/// 1-based fault-clock ticks of the trace entries `keep` accepts.
+fn ticks_where(
+    trace: &[(FaultOp, FaultPhase)],
+    keep: impl Fn(FaultOp, FaultPhase) -> bool,
+) -> Vec<u64> {
+    trace
+        .iter()
+        .enumerate()
+        .filter(|(_, &(op, phase))| keep(op, phase))
+        .map(|(i, _)| i as u64 + 1)
+        .collect()
+}
+
+/// The `(lba, sectors)` range currently serving `key`: its journal entry
+/// if live, its home slot otherwise.
+fn serving_range(engine: &KvEngine, key: u64) -> (u64, u32) {
+    let layout = engine.layout();
+    match engine.journal().jmt().lookup(key) {
+        Some(e) => (e.journal_lba, e.sectors),
+        None => (layout.home_lba(key), layout.slot_sectors() as u32),
+    }
+}
+
+/// The flash unit `(page, offset)` behind the first mapping unit of
+/// [`serving_range`], if it has been drained to flash.
+fn flash_home_of(engine: &KvEngine, ssd: &Ssd, key: u64) -> Option<(Ppn, u32)> {
+    let lba = serving_range(engine, key).0;
+    match ssd
+        .ftl()
+        .location_of(Lpn(lba / engine.layout().unit_sectors()))
+    {
+        Some(Location::Flash(pun)) => {
+            let upp = ssd.ftl().units_per_page();
+            Some((pun.page(upp), pun.offset(upp)))
+        }
+        _ => None,
+    }
+}
+
+/// Flips one seeded bit in `count` distinct stored items — data units
+/// with `FlashArray::sabotage_corrupt_unit`, OOB records with
+/// `sabotage_corrupt_oob` — probing forward from a random start page to
+/// the first page that has the item. Returns how many were hit.
+fn inject_rot(
+    ssd: &mut Ssd,
+    rng: &mut TestRng,
+    count: u64,
+    corrupt: fn(&mut FlashArray, Ppn, u32, u64) -> bool,
+) -> u64 {
+    let total = ssd.ftl().flash().geometry().total_pages();
+    let upp = u64::from(ssd.ftl().units_per_page());
+    let mut hit: Vec<(u64, u32)> = Vec::new();
+    for _ in 0..count {
+        let start = rng.below(total);
+        let index = rng.below(upp) as u32;
+        let mask = 1u64 << rng.below(48);
+        let flash = ssd.ftl_mut().flash_mut();
+        let site = (0..total)
+            .map(|probe| ((start + probe) % total, index))
+            .find(|site| !hit.contains(site) && corrupt(flash, Ppn(site.0), index, mask));
+        hit.extend(site);
+    }
+    hit.len() as u64
+}
+
+/// Patrols the whole device twice with the background scrubber. Returns
+/// the corruptions it found.
+fn scrub_fully(ssd: &mut Ssd, t: SimTime) -> u64 {
+    let total = ssd.ftl().flash().geometry().total_pages();
+    let mut t = t.max(ssd.idle_at());
+    let mut detected = 0u64;
+    for _ in 0..(total.div_ceil(64) * 2 + 2) {
+        let (report, done) = ssd
+            .background_scrub(t, 64)
+            .expect("scrub never fails without armed transients");
+        detected += report.detected;
+        t = done.max(ssd.idle_at());
+    }
+    detected
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Tier-1 coverage: the whole sweep, in-process. An acked-write loss
+    /// or a silently wrong read anywhere fails `cargo test`.
+    #[test]
+    fn the_whole_sweep_passes() {
+        let s = sweep();
+        assert!(s.passed(), "chaos sweep failed: {:#?}", s.failures);
+    }
+
+    #[test]
+    fn a_cut_mid_batch_un_acks_the_whole_batch() {
+        let mut shadow = Shadow::loaded();
+        let state = |version, deleted| ShadowKey { version, deleted };
+        shadow.stage(3, state(2, false));
+        shadow.ack_batch();
+        shadow.stage(3, state(3, true));
+        shadow.stage(3, state(4, false));
+        shadow.stage(5, state(2, false));
+        assert_eq!(shadow.get(3), state(4, false));
+        // The run stops here: nothing of the open batch was acked.
+        assert_eq!(shadow.acked[3], state(2, false));
+        assert_eq!(shadow.acked[5], state(1, false));
+        assert_eq!(shadow.unacked(), 3);
+    }
+}

@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chaos;
 pub mod harness;
 
 use checkin_core::{KvSystem, RunReport, Strategy, SystemConfig};

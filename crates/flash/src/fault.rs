@@ -46,11 +46,14 @@
 //!
 //! Everything is derived from one `u64` seed with a private xoshiro256**
 //! generator, so a `(workload seed, fault seed, cut tick)` triple fully
-//! determines a simulated crash — the property the `crashmatrix` harness
-//! builds on: a *profiling* run with [`FaultConfig::record_trace`] logs
-//! `(operation, phase)` per tick, and targeted cut points (mid-GC,
-//! mid-remap-walk, mid-deallocation) are then chosen from that trace and
-//! replayed exactly.
+//! determines a simulated crash — the property the `chaos` harness
+//! (`checkin_bench::chaos`, DESIGN.md §9.3) builds on: a *profiling* run
+//! with [`FaultConfig::record_trace`] logs `(operation, phase)` per tick,
+//! and targeted cut points (mid-GC, mid-remap-walk, mid-deallocation) are
+//! then chosen from that trace and replayed exactly. Because every hazard
+//! is a field of the one [`FaultConfig`], families compose: a plan can
+//! tear the page a power cut interrupts while rot and media noise are
+//! live, and the profiling run arms the same plan minus the cut.
 
 /// Operation classes that advance the fault clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,7 +373,7 @@ mod tests {
     fn zero_rate_injectors_leave_the_rng_stream_untouched() {
         // With every new hazard at its default-off setting, interleaving
         // decay/misdirect draws between ticks must not perturb the draw
-        // sequence of a historical plan: the crashmatrix tiers depend on
+        // sequence of a historical plan: the chaos power-cut tiers depend on
         // byte-identical replay.
         let legacy = FaultConfig {
             seed: 42,

@@ -70,7 +70,7 @@ fn corrupt_unit_read_fails_typed_and_stays_quarantined() {
 
 #[test]
 fn disabling_verification_serves_rot_silently() {
-    // The sabotage mode corruptmatrix relies on: with verification
+    // The sabotage mode the chaos harness relies on: with verification
     // off the device trusts whatever the cells hold.
     let mut f = integrity_ftl();
     f.config.verify_checksums = false;

@@ -29,18 +29,16 @@ echo "== gclab --quick"
 # reports without enforcing the winner (the full matrix is the arbiter).
 cargo run --release -p checkin-bench --bin gclab -- --quick --out target/BENCH_gclab.quick.json
 
-echo "== crashmatrix --quick"
-# Power-cut recovery sweep (DESIGN.md §9): cuts inside checkpoint
-# remapping and GC, shadow-model durability verification, sabotage
-# self-test. Exits non-zero on any acked-write loss or resurrection.
-cargo run --release -p checkin-bench --bin crashmatrix -- --quick
-
-echo "== corruptmatrix --quick"
-# Data-integrity sweep (DESIGN.md §13): torn writes, retention bit-rot
-# in data and OOB, misdirected programs; shadow-model verification that
-# no read is ever silently wrong, scrub/heal coverage, sabotage
-# self-test with verification disabled. Exits non-zero on any escape.
-cargo run --release -p checkin-bench --bin corruptmatrix -- --quick
+echo "== chaos"
+# The fault sweep (DESIGN.md §9.3): power cuts aimed at the remap walk,
+# GC and deallocation, batched admission, media noise, torn writes,
+# bit-rot in data and OOB, misdirected programs, composed faults, and
+# two sabotage self-tests — every key checked against one shadow model.
+# No options: the whole sweep takes under a second. `cargo test` above
+# already ran it in-process; this is the same sweep from the release
+# build. Exits non-zero on any acked-write loss, resurrection, silently
+# wrong read or failed impotence gate.
+cargo run --release -p checkin-bench --bin chaos
 
 echo "== checkin trace smoke run"
 # Cross-layer tracing (DESIGN.md §10): a tiny checkpointing run must
