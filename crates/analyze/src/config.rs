@@ -32,40 +32,6 @@ pub struct AllowEntry {
     pub reason: String,
 }
 
-/// One conservation equation from `[a7] families`: `lhs = rhs1 + rhs2`.
-/// Dotted members match string-keyed counter bumps (`incr("a.b")`);
-/// bare members match `ident += …` compound assignments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterFamily {
-    /// The family total.
-    pub lhs: String,
-    /// The members partitioning the total.
-    pub rhs: Vec<String>,
-}
-
-impl CounterFamily {
-    /// Parses `"lhs = a + b"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when either side is empty or the `=` is missing.
-    pub fn parse(s: &str) -> Result<CounterFamily, String> {
-        let (lhs, rhs) = s
-            .split_once('=')
-            .ok_or_else(|| format!("family `{s}` needs the form `lhs = rhs1 + rhs2`"))?;
-        let lhs = lhs.trim().to_string();
-        let rhs: Vec<String> = rhs
-            .split('+')
-            .map(|m| m.trim().to_string())
-            .filter(|m| !m.is_empty())
-            .collect();
-        if lhs.is_empty() || rhs.is_empty() {
-            return Err(format!("family `{s}` needs the form `lhs = rhs1 + rhs2`"));
-        }
-        Ok(CounterFamily { lhs, rhs })
-    }
-}
-
 /// Parsed configuration for one analysis run.
 #[derive(Debug, Clone)]
 pub struct AnalyzeConfig {
@@ -77,8 +43,6 @@ pub struct AnalyzeConfig {
     /// A2: crate names (the `crates/<name>` component) that must stay
     /// deterministic.
     pub a2_crates: Vec<String>,
-    /// A3: crates whose op-counter increments must be phase-tagged.
-    pub a3_crates: Vec<String>,
     /// A4: crates checked for truncating casts on address arithmetic.
     pub a4_crates: Vec<String>,
     /// A4: identifier words that mark an expression as address
@@ -87,16 +51,6 @@ pub struct AnalyzeConfig {
     /// A4: files where `self` itself is an address newtype (`Lpn`, `Pun`,
     /// `Ppn` impls), so `self.0` casts are also address arithmetic.
     pub a4_self_files: Vec<String>,
-    /// A5: files containing multi-threaded code with ordered locks.
-    pub a5_files: Vec<String>,
-    /// A5: declared lock acquisition order (receiver identifiers).
-    pub a5_lock_order: Vec<String>,
-    /// A7: crates whose counter families must stay conserved.
-    pub a7_crates: Vec<String>,
-    /// A7: conservation equations (`lhs = rhs1 + rhs2`).
-    pub a7_families: Vec<CounterFamily>,
-    /// A8: crates that must stay `Send`-clean for the shard fleet.
-    pub a8_fleet_bound: Vec<String>,
     /// Documented exceptions.
     pub allows: Vec<AllowEntry>,
 }
@@ -107,17 +61,11 @@ impl Default for AnalyzeConfig {
             a1_files: Vec::new(),
             a1_entry_functions: Vec::new(),
             a2_crates: Vec::new(),
-            a3_crates: Vec::new(),
             a4_crates: Vec::new(),
             a4_identifiers: ["lpn", "ppn", "pun", "lba", "sector", "sectors"]
                 .map(String::from)
                 .to_vec(),
             a4_self_files: Vec::new(),
-            a5_files: Vec::new(),
-            a5_lock_order: Vec::new(),
-            a7_crates: Vec::new(),
-            a7_families: Vec::new(),
-            a8_fleet_bound: Vec::new(),
             allows: Vec::new(),
         }
     }
@@ -138,7 +86,7 @@ impl AnalyzeConfig {
     /// # Errors
     ///
     /// Returns a `line: message` description of the first malformed line,
-    /// unknown section, or allow entry missing a required field.
+    /// unknown section or key, or allow entry missing a required field.
     pub fn parse(src: &str) -> Result<AnalyzeConfig, String> {
         let mut cfg = AnalyzeConfig::default();
         // Section path -> key -> value; allow tables are collected apart.
@@ -193,6 +141,11 @@ impl AnalyzeConfig {
                     raw_allows.push((lineno, done));
                 }
                 current_section = header.trim().to_string();
+                // A header alone is checked too: a stale `[a7]` must be an
+                // error, not a section that silently configures nothing.
+                if !matches!(current_section.as_str(), "a1" | "a2" | "a4") {
+                    return Err(format!("{lineno}: unknown section [{current_section}]"));
+                }
                 sections.entry(current_section.clone()).or_default();
                 continue;
             }
@@ -232,28 +185,13 @@ impl AnalyzeConfig {
     }
 
     fn apply(&mut self, section: &str, key: &str, value: &Value) -> Result<(), String> {
-        if (section, key) == ("a7", "families") {
-            let Value::StrArray(items) = value else {
-                return Err("expected an array of strings".to_string());
-            };
-            self.a7_families = items
-                .iter()
-                .map(|s| CounterFamily::parse(s))
-                .collect::<Result<_, _>>()?;
-            return Ok(());
-        }
         let slot: &mut Vec<String> = match (section, key) {
             ("a1", "files") => &mut self.a1_files,
             ("a1", "entry_functions") => &mut self.a1_entry_functions,
             ("a2", "crates") => &mut self.a2_crates,
-            ("a3", "crates") => &mut self.a3_crates,
             ("a4", "crates") => &mut self.a4_crates,
             ("a4", "identifiers") => &mut self.a4_identifiers,
             ("a4", "self_files") => &mut self.a4_self_files,
-            ("a5", "files") => &mut self.a5_files,
-            ("a5", "lock_order") => &mut self.a5_lock_order,
-            ("a7", "crates") => &mut self.a7_crates,
-            ("a8", "fleet_bound") => &mut self.a8_fleet_bound,
             _ => return Err("unknown section/key".to_string()),
         };
         match value {
@@ -416,12 +354,8 @@ entry_functions = ["rebuild_after_power_loss"]
 [a2]
 crates = ["sim", "ftl"]
 
-[a7]
-crates = ["ftl"]
-families = ["detected = quarantined + corrected"]
-
-[a8]
-fleet_bound = ["core", "ssd"]
+[a4]
+crates = ["ftl", "ssd"]
 
 [[allow]]
 rule = "a4"
@@ -440,11 +374,7 @@ reason = "resize two lines above bounds idx"
         .unwrap();
         assert_eq!(cfg.a1_files, vec!["crates/ssd/src/spor.rs"]);
         assert_eq!(cfg.a2_crates, vec!["sim", "ftl"]);
-        assert_eq!(cfg.a7_crates, vec!["ftl"]);
-        assert_eq!(cfg.a7_families.len(), 1);
-        assert_eq!(cfg.a7_families[0].lhs, "detected");
-        assert_eq!(cfg.a7_families[0].rhs, vec!["quarantined", "corrected"]);
-        assert_eq!(cfg.a8_fleet_bound, vec!["core", "ssd"]);
+        assert_eq!(cfg.a4_crates, vec!["ftl", "ssd"]);
         assert_eq!(cfg.allows.len(), 2);
         assert_eq!(cfg.allows[0].rule, "A4");
         assert_eq!(cfg.allows[0].line, Some(31));
@@ -477,11 +407,20 @@ reason = "resize two lines above bounds idx"
         assert!(err.contains("snippet"), "{err}");
     }
 
+    /// A3, A5, A7 and A8 are retired (DESIGN.md §15): a config that
+    /// still carries one of their sections is stale, with or without keys.
     #[test]
-    fn malformed_family_is_rejected() {
-        let err =
-            AnalyzeConfig::parse("[a7]\nfamilies = [\"detected quarantined\"]\n").unwrap_err();
-        assert!(err.contains("lhs = rhs1 + rhs2"), "{err}");
+    fn retired_rule_sections_are_rejected() {
+        for stale in [
+            "[a3]\ncrates = [\"flash\"]\n",
+            "[a5]\nlock_order = [\"ring\"]\n",
+            "[a7]\nfamilies = [\"detected = quarantined + corrected\"]\n",
+            "[a7]\n",
+            "[a8]\nfleet_bound = [\"core\"]\n",
+        ] {
+            let err = AnalyzeConfig::parse(stale).unwrap_err();
+            assert!(err.contains("unknown section"), "{stale:?}: {err}");
+        }
     }
 
     #[test]

@@ -1,28 +1,20 @@
 //! `checkin-analyze` — workspace-wide static invariant checker.
 //!
-//! The simulator's correctness claims (recoverability after power loss,
-//! bit-for-bit deterministic replay, phase-attributed flash accounting,
-//! a conserved integrity ledger) rest on invariants the type system
-//! cannot express. This crate checks them offline, with zero
-//! dependencies, over the raw source of every crate in the workspace:
+//! Two of the simulator's correctness claims — recoverability after
+//! power loss and bit-for-bit deterministic replay — rest on invariants
+//! that need a whole-program view the type system does not have. This
+//! crate checks them offline, with zero dependencies, over the raw
+//! source of every crate in the workspace:
 //!
 //! * **A1-no-panic-in-recovery** — recovery paths must propagate typed
 //!   errors, never panic; reachability is cross-crate over the
 //!   workspace call graph ([`rules::a1`], [`graph`]);
 //! * **A2-deterministic-sim** — no wall clock, ambient randomness, or
 //!   hash-ordered containers in result-affecting crates ([`rules::a2`]);
-//! * **A3-phase-tagged-counters** — flash op counters carry an `OpPhase`
-//!   tag at the increment site ([`rules::a3`]);
 //! * **A4-lpn-arithmetic** — no bare truncating casts on address
 //!   arithmetic ([`rules::a4`]);
-//! * **A5-lock-order** — locks acquired in the declared order
-//!   ([`rules::a5`]);
 //! * **A6-no-discarded-Result** — recovery scopes never drop a
-//!   `Result` ([`rules::a6`], [`dataflow`]);
-//! * **A7-counter-conservation** — declared counter families stay
-//!   balanced at every bump site ([`rules::a7`]);
-//! * **A8-concurrency-readiness** — fleet-bound crates stay
-//!   `Send`-clean and lock order holds across call edges ([`rules::a8`]).
+//!   `Result` ([`rules::a6`], [`dataflow`]).
 //!
 //! Scopes and documented exceptions live in `analyze.toml` at the
 //! workspace root ([`config`]). The checker is a gating tier in

@@ -9,11 +9,14 @@
 //!   decisions diverges between runs;
 //! * `std::time::Instant`/`SystemTime` — wall-clock values differ every
 //!   run (the simulator has its own virtual clock);
-//! * `rand`-style ambient randomness — unseeded entropy.
+//! * `rand`-style ambient randomness — unseeded entropy;
+//! * `thread_local!` — state that forks silently per worker, so a result
+//!   depends on which thread computed it (`static mut`, its sibling, is
+//!   already unusable under the workspace's `unsafe_code = "deny"`).
 //!
 //! The rule bans the identifiers outright in the configured crates;
 //! deterministic replacements (`BTreeMap`, `BTreeSet`, the sim clock,
-//! seeded xorshift) exist for every use.
+//! seeded xorshift, state passed by ownership) exist for every use.
 
 use crate::config::AnalyzeConfig;
 use crate::diag::Diagnostic;
@@ -51,6 +54,11 @@ const BANNED: &[(&str, &str, &str)] = &[
         "rand",
         "ambient randomness breaks replayability",
         "use the seeded deterministic PRNG carried by the simulation config",
+    ),
+    (
+        "thread_local",
+        "`thread_local!` state forks per worker thread",
+        "thread the state through explicit ownership so a result cannot depend on its thread",
     ),
 ];
 

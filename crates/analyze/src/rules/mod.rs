@@ -4,24 +4,18 @@
 //! |----|-----------|
 //! | A1 | no panic paths (`unwrap`/`expect`/`panic!`-family/indexing) in recovery code |
 //! | A2 | no wall-clock, randomness, or hash-ordered containers in deterministic crates |
-//! | A3 | flash op-counter increments carry an `OpPhase` tag at the same site |
 //! | A4 | no bare truncating casts on LPN/PPN/sector arithmetic |
-//! | A5 | locks are acquired in the declared order (lexical, per function) |
 //! | A6 | no discarded `Result` in recovery scopes |
-//! | A7 | counter families stay conserved at every bump site |
-//! | A8 | fleet-bound crates stay `Send`-clean; lock order holds across call edges |
 //!
-//! A1, A6, and A8 run over the workspace call graph ([`crate::graph`]);
-//! the rest are per-file token scans.
+//! A1 and A6 run over the workspace call graph ([`crate::graph`]); A2
+//! and A4 are per-file token scans. (A3, A5, A7 and A8 are retired:
+//! what they policed is carried by `checkin_sim::Counter`/`Total` and by
+//! `Send` assertions on the core types — DESIGN.md §15.)
 
 pub mod a1;
 pub mod a2;
-pub mod a3;
 pub mod a4;
-pub mod a5;
 pub mod a6;
-pub mod a7;
-pub mod a8;
 
 use std::time::Instant;
 
@@ -63,17 +57,9 @@ pub fn run_all(files: &[SourceFile], cfg: &AnalyzeConfig) -> (Vec<Diagnostic>, V
     let t = Instant::now();
     timed("A2", a2::run(files, cfg), t);
     let t = Instant::now();
-    timed("A3", a3::run(files, cfg), t);
-    let t = Instant::now();
     timed("A4", a4::run(files, cfg), t);
     let t = Instant::now();
-    timed("A5", a5::run(files, cfg), t);
-    let t = Instant::now();
     timed("A6", a6::run(&ws, cfg), t);
-    let t = Instant::now();
-    timed("A7", a7::run(files, cfg), t);
-    let t = Instant::now();
-    timed("A8", a8::run(&ws, cfg), t);
 
     (out, timings)
 }

@@ -16,3 +16,5 @@ pub fn ordered() -> std::collections::BTreeMap<u32, u32> {
 pub fn wall_clock() -> Instant {
     Instant::now() // line 17: Instant again
 }
+
+thread_local!(static SCRATCH: u32 = 0); // line 20: per-thread state (was rule A8's)

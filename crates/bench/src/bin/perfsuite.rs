@@ -43,6 +43,7 @@
 //! Results land in `BENCH_perf.json` (override with `--out PATH`) so later
 //! changes can regress against recorded numbers. Any failed gate exits 1.
 
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -50,7 +51,9 @@ use checkin_bench::harness::{bench, compare, metric, BenchOpts, BenchResult, Com
 use checkin_core::{default_jobs, run_configs, JournalManager, Layout, Strategy, SystemConfig};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind, UnitPayload};
 use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, MappingTable, Pun, UnitWrite};
-use checkin_sim::{EventQueue, SimDuration, SimRng, SimTime, TraceEvent, TraceLayer, Tracer};
+use checkin_sim::{
+    Counter, CounterSet, EventQueue, SimDuration, SimRng, SimTime, TraceEvent, TraceLayer, Tracer,
+};
 use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
 
 /// Mapped LPNs in the L2P benches — the paper-default device has ~400k
@@ -273,6 +276,29 @@ fn bench_tracer(
     });
     comparisons.push(compare("trace_disabled_speedup", &on, &off));
     results.extend([off, on]);
+}
+
+/// One counter bump, in the shape the flash and ftl sets have in a run:
+/// 30 keys touched, and bumps alternating between the key touched first
+/// and the one touched 20th. The loop is the one EXPERIMENTS.md's
+/// string-keyed figure was taken with, where those positions cost a
+/// 1-entry and a 20-entry scan; keep it comparable. The second key is a
+/// per-phase flash counter, so its bump credits a total too. Reported,
+/// not gated.
+fn bench_counter_bump(opts: BenchOpts, results: &mut Vec<BenchResult>) {
+    section("Counter bump (typed key; totals credited at the bump)");
+    let touched = &Counter::ALL[11..41];
+    let mut set = CounterSet::new();
+    for &key in touched {
+        set.incr(key);
+    }
+    let pair = [touched[0], touched[19]];
+    let mut i = 0usize;
+    results.push(bench("sim/counter_bump_ns", opts, || {
+        i ^= 1;
+        set.incr(black_box(pair[i]));
+    }));
+    black_box(&set);
 }
 
 /// Wraps a repeated one-shot measurement in a [`BenchResult`]: `units` is
@@ -661,6 +687,7 @@ fn main() {
     bench_ftl_write(opts, &mut results);
     let remap_speedup = bench_checkpoint(opts, &mut results, &mut comparisons);
     bench_tracer(opts, &mut results, &mut comparisons);
+    bench_counter_bump(opts, &mut results);
     let (checksum_overhead, policy_speedup) = bench_full_run(quick, &mut results, &mut comparisons);
     let metrics = bench_construction(quick);
     bench_parallel_sweep(quick, &mut results, &mut comparisons);

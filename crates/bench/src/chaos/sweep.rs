@@ -5,14 +5,14 @@
 use checkin_core::{EngineError, Strategy};
 use checkin_flash::{FaultConfig, FaultOp, FaultPhase, FlashArray};
 use checkin_ftl::VictimPolicy;
-use checkin_sim::SimTime;
+use checkin_sim::{Counter, SimTime};
 use checkin_ssd::ReadRequest;
 use checkin_testkit::TestRng;
 
 use super::{
-    checkpoint_then_idle_work, drive_clean, flash_home_of, inject_rot, is_integrity, profile,
-    reconcile_ledger, run, scrub_fully, serving_range, ticks_where, verify, Driven, Outcome,
-    Scenario, Stop, Verdict, OPS, RECORDS,
+    checkpoint_then_idle_work, drive_clean, flash_home_of, inject_rot, is_integrity, profile, run,
+    scrub_fully, serving_range, ticks_where, verify, Driven, Outcome, Scenario, Stop, Verdict, OPS,
+    RECORDS,
 };
 
 /// Base seeds of the power-cut tiers and of the integrity tiers. Two,
@@ -304,15 +304,15 @@ fn noise_tier(s: &mut Sweep) {
                 &Scenario::new("noise", strategy, seed).with_faults(faults),
                 false,
             );
-            transients += o.flash("flash.transient_faults");
+            transients += o.counter(Counter::FlashTransientFaults);
             stopped += u64::from(o.stop != Stop::Completed);
             println!(
                 "  {:<9} seed {n}: transients {} (retries {}), grown bad {}, retired {}",
                 strategy.label(),
-                o.flash("flash.transient_faults"),
-                o.ftl("ftl.media_retries"),
-                o.flash("flash.grown_bad_blocks"),
-                o.ftl("ftl.blocks_retired")
+                o.counter(Counter::FlashTransientFaults),
+                o.counter(Counter::FtlMediaRetries),
+                o.counter(Counter::FlashGrownBadBlocks),
+                o.counter(Counter::FtlBlocksRetired)
             );
         }
     }
@@ -343,9 +343,9 @@ fn torn_tier(s: &mut Sweep) {
                     ..FaultConfig::power_cut(seed ^ tick, tick)
                 };
                 let o = s.judge(&base.with_faults(faults), false);
-                torn_here += o.flash("flash.torn_writes");
+                torn_here += o.counter(Counter::FlashTornWrites);
                 if phase_at(&trace, tick) == FaultPhase::Gc {
-                    torn_in_gc += o.flash("flash.torn_writes");
+                    torn_in_gc += o.counter(Counter::FlashTornWrites);
                 }
             }
             torn += torn_here;
@@ -398,9 +398,9 @@ fn live_rot_tier(s: &mut Sweep) {
         }
     }
     let rot = sum(&outs, |o| {
-        o.flash("flash.bit_rot_data") + o.flash("flash.bit_rot_oob")
+        o.counter(Counter::FlashBitRotData) + o.counter(Counter::FlashBitRotOob)
     });
-    let scrubbed_pages = sum(&outs, |o| o.ftl("ftl.scrub_pages"));
+    let scrubbed_pages = sum(&outs, |o| o.counter(Counter::FtlScrubPages));
     let verified = sum(&outs, |o| o.verdict.checked);
     println!(
         "  rot events {rot}, scrub pages {scrubbed_pages}, keys verified {verified}, stopped by \
@@ -429,7 +429,7 @@ fn misdirect_tier(s: &mut Sweep) {
         let sc = scrubbed("misdirect", Strategy::CheckIn, seed).with_faults(faults);
         outs.push(s.judge(&sc, true));
     }
-    let misdirected = sum(&outs, |o| o.flash("flash.misdirected_programs"));
+    let misdirected = sum(&outs, |o| o.counter(Counter::FlashMisdirectedPrograms));
     let verified = sum(&outs, |o| o.verdict.checked);
     println!(
         "  misdirected programs {misdirected}, keys verified {verified}, aborted checkpoints {}",
@@ -471,7 +471,6 @@ fn posthoc_data_tier(s: &mut Sweep) {
             );
             typed_reads += s.judge_in_place(&sc, &mut d, true, t);
             scrub_detected += scrub_fully(&mut d.ssd, t);
-            reconcile_ledger(&d.ssd, &sc);
 
             for key in 0..RECORDS {
                 let exp = d.shadow.get(key);
@@ -500,7 +499,6 @@ fn posthoc_data_tier(s: &mut Sweep) {
             }
             let inv = d.ssd.ftl().check_invariants();
             inv.unwrap_or_else(|e| panic!("{sc:?}: post-heal invariants: {e}"));
-            reconcile_ledger(&d.ssd, &sc);
         }
     }
     println!(
@@ -561,21 +559,23 @@ fn composed_seed(tag: u64, n: u64, strategy: Strategy) -> u64 {
 /// Rows pinned as expected failures, by the name of the product defect
 /// they trip (EXPERIMENTS.md "Chaos sweep"; ROADMAP item 5).
 ///
-/// `spor-forgets-damaged-unit`: the SPOR scan rejects an OOB record whose
-/// unit fails its CRC and then forgets it, so an lpn that failed typed
-/// before the cut comes back *unmapped* after it — the read zero-fills,
-/// the engine reports the key unknown, and an acked write is gone with no
-/// integrity error. Found by misdirected programs + a power cut on ISC-C:
-/// one misdirect lands between ticks 1200 and 1345 on key 7's newest
-/// version, and every cut before the key is rewritten (tick 4167 is past
-/// that) loses it.
+/// `misdirect-scrambles-its-own-record`: a misdirected program scrambles
+/// a page's OOB records along with its data, so after a power cut nothing
+/// on the media says which lpns the page held. SPOR poisons the ones the
+/// persisted mapping log names; a unit drained *after* the last persist —
+/// here key 7's newest version, sitting in the journal — is named by
+/// nothing, comes back unmapped, and the engine reports the key unknown:
+/// an acked write gone with no integrity error. No scan can attribute
+/// the page; closing this takes redundancy the device does not have (a
+/// second copy of a page's OOB records, or the mapping delta since the
+/// last persist dumped on capacitor power).
 fn known_defect(sc: &Scenario) -> Option<&'static str> {
     let f = sc.faults?;
-    let pinned = sc.strategy == Strategy::IscC
+    let pinned = sc.tier == "composed-misdirect"
+        && sc.strategy == Strategy::IscC
         && sc.seed == composed_seed(MISDIRECTS, 0, Strategy::IscC)
-        && f.misdirected_program > 0.0
-        && matches!(f.power_cut_after, Some(1345 | 2844));
-    pinned.then_some("spor-forgets-damaged-unit")
+        && f.power_cut_after == Some(1345);
+    pinned.then_some("misdirect-scrambles-its-own-record")
 }
 
 /// Several fault families armed in one plan — what neither of the two
@@ -621,8 +621,11 @@ fn composed_tier(s: &mut Sweep) {
             println!("  {:<9} {}: cuts at {cuts:?}", strategy.label(), base.tier);
         }
     }
-    // The pinned defect reduced by hand: no torn page, no scrubber, no
-    // second family — one misdirected program and a clean cut suffice.
+    // The row that found SPOR forgetting a damaged unit, reduced by hand
+    // — no torn page, no scrubber, no second family. Without the
+    // scrubber's reads the misdirected page is drained before the last
+    // mapping-log persist, so the log names key 7's home slot and SPOR
+    // poisons it: the loss is typed, and the store refuses to open.
     let seed = composed_seed(MISDIRECTS, 0, Strategy::IscC);
     let minimal =
         Scenario::new("composed-minimal", Strategy::IscC, seed).with_faults(FaultConfig {
@@ -631,16 +634,21 @@ fn composed_tier(s: &mut Sweep) {
             misdirected_program: 0.004,
             ..FaultConfig::default()
         });
-    s.judge(&minimal, true);
+    let minimal = s.judge(&minimal, true);
+    let refused = sum(&outs, |o| u64::from(!o.opened)) + u64::from(!minimal.opened);
+    s.gate(
+        !minimal.opened,
+        "composed-minimal no longer ends on a poisoned home slot: the row tests nothing",
+    );
 
-    let rot = sum(&outs, |o| o.flash("flash.bit_rot_data"));
-    let transients = sum(&outs, |o| o.flash("flash.transient_faults"));
-    let misdirected = sum(&outs, |o| o.flash("flash.misdirected_programs"));
-    let torn = sum(&outs, |o| o.flash("flash.torn_writes"));
+    let rot = sum(&outs, |o| o.counter(Counter::FlashBitRotData));
+    let transients = sum(&outs, |o| o.counter(Counter::FlashTransientFaults));
+    let misdirected = sum(&outs, |o| o.counter(Counter::FlashMisdirectedPrograms));
+    let torn = sum(&outs, |o| o.counter(Counter::FlashTornWrites));
     let verified = sum(&outs, |o| o.verdict.checked);
     println!(
         "  rot events {rot}, transients {transients}, misdirected programs {misdirected}, torn \
-         pages {torn}, keys verified {verified}"
+         pages {torn}, keys verified {verified}, stores that refused to open {refused}"
     );
     s.gate(
         rot > 0 && transients > 0 && misdirected > 0 && torn > 0 && verified > 0,

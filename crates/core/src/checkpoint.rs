@@ -19,7 +19,7 @@
 //!   buffered copies), large values compress.
 
 use checkin_flash::{OobKind, OpPhase};
-use checkin_sim::{CounterSet, SimDuration, SimTime};
+use checkin_sim::{Counter, CounterSet, SimDuration, SimTime, Total};
 use checkin_ssd::{CowEntry, ReadRequest, Ssd, SsdError, WriteContent, WriteRequest, SECTOR_BYTES};
 
 use crate::config::Strategy;
@@ -70,10 +70,11 @@ pub struct CheckpointOutcome {
 
 /// Flash-op delta for one attribution phase between two counter snapshots.
 fn phase_delta(now: &CounterSet, before: &CounterSet, phase: OpPhase) -> PhaseOps {
+    let delta = |key: Counter| now.get(key) - before.get(key);
     PhaseOps {
-        reads: now.get(phase.read_key()) - before.get(phase.read_key()),
-        programs: now.get(phase.program_key()) - before.get(phase.program_key()),
-        erases: now.get(phase.erase_key()) - before.get(phase.erase_key()),
+        reads: delta(phase.read_counter()),
+        programs: delta(phase.program_counter()),
+        erases: delta(phase.erase_counter()),
     }
 }
 
@@ -95,15 +96,15 @@ pub fn run_checkpoint(
     // Reset the device's accumulated remap/copy stopwatches so this
     // checkpoint's take below reflects only its own work.
     let _ = ssd.take_cp_phase_times();
-    let unit_writes_before = ssd.ftl().counters().get("ftl.host_unit_writes");
-    let bytes_before = ssd.ftl().counters().get("ftl.host_bytes");
-    let remap_before = ssd.counters().get("ssd.remap_entries");
-    let copy_before = ssd.counters().get("ssd.copy_entries");
-    let skipped_before = ssd.counters().get("ssd.cow_skipped_entries");
-    let programs_before = flash_before.get("flash.program");
-    let reads_before = flash_before.get("flash.read");
-    let host_before =
-        ssd.counters().get("ssd.host_read_bytes") + ssd.counters().get("ssd.host_write_bytes");
+    let unit_writes_before = ssd.ftl().counters().get(Counter::FtlHostUnitWrites);
+    let bytes_before = ssd.ftl().counters().get(Counter::FtlHostBytes);
+    let remap_before = ssd.counters().get(Counter::SsdRemapEntries);
+    let copy_before = ssd.counters().get(Counter::SsdCopyEntries);
+    let skipped_before = ssd.counters().get(Counter::SsdCowSkippedEntries);
+    let programs_before = flash_before.total(Total::FlashProgram);
+    let reads_before = flash_before.total(Total::FlashRead);
+    let host_before = ssd.counters().get(Counter::SsdHostReadBytes)
+        + ssd.counters().get(Counter::SsdHostWriteBytes);
 
     // Deletion tombstones: the checkpoint applies them by trimming the
     // key's home extent — identical for every strategy (a trim is a
@@ -158,8 +159,8 @@ pub fn run_checkpoint(
 
     // Data movement is complete; everything after this line (metadata,
     // trim) is bookkeeping, not redundant data writes.
-    let redundant_units = ssd.ftl().counters().get("ftl.host_unit_writes") - unit_writes_before;
-    let redundant_bytes = ssd.ftl().counters().get("ftl.host_bytes") - bytes_before;
+    let redundant_units = ssd.ftl().counters().get(Counter::FtlHostUnitWrites) - unit_writes_before;
+    let redundant_bytes = ssd.ftl().counters().get(Counter::FtlHostBytes) - bytes_before;
 
     // Engine metadata: the superblock records the checkpoint sequence
     // (parity identifies the newly active journal zone on recovery).
@@ -197,11 +198,13 @@ pub fn run_checkpoint(
         gc: phase_delta(flash_now, &flash_before, OpPhase::Gc),
         other: phase_delta(flash_now, &flash_before, OpPhase::Run),
     };
-    let flash_programs = flash_now.get("flash.program") - programs_before;
-    let flash_reads = flash_now.get("flash.read") - reads_before;
-    // Reconciliation invariants: the per-phase attribution was counted
-    // at the flash array independently of the aggregate counters, so any
-    // divergence is an accounting bug, not workload variance.
+    let flash_programs = flash_now.total(Total::FlashProgram) - programs_before;
+    let flash_reads = flash_now.total(Total::FlashRead) - reads_before;
+    // That every phase's counter sums to the total holds by construction
+    // (the totals are derived at the bump). What these assert is that
+    // the breakdown above has a field for every phase that was active:
+    // a scrub read or a run-phase op inside the window would be flash
+    // traffic the checkpoint report silently leaves out.
     debug_assert_eq!(
         phases.flash_programs(),
         flash_programs,
@@ -218,9 +221,9 @@ pub fn run_checkpoint(
         "no run-phase flash ops may occur inside a checkpoint window"
     );
 
-    let remapped = ssd.counters().get("ssd.remap_entries") - remap_before;
-    let copied = ssd.counters().get("ssd.copy_entries") - copy_before + host_copied;
-    let skipped = ssd.counters().get("ssd.cow_skipped_entries") - skipped_before + host_skipped;
+    let remapped = ssd.counters().get(Counter::SsdRemapEntries) - remap_before;
+    let copied = ssd.counters().get(Counter::SsdCopyEntries) - copy_before + host_copied;
+    let skipped = ssd.counters().get(Counter::SsdCowSkippedEntries) - skipped_before + host_skipped;
     debug_assert_eq!(
         remapped + copied + skipped + tombstoned,
         zone.entries.len() as u64,
@@ -237,8 +240,8 @@ pub fn run_checkpoint(
         flash_reads,
         redundant_units,
         redundant_bytes,
-        host_bytes: ssd.counters().get("ssd.host_read_bytes")
-            + ssd.counters().get("ssd.host_write_bytes")
+        host_bytes: ssd.counters().get(Counter::SsdHostReadBytes)
+            + ssd.counters().get(Counter::SsdHostWriteBytes)
             - host_before,
         skipped,
         phases,
@@ -507,8 +510,8 @@ mod tests {
         let t = journal_some(&mut ssd, &mut jm, 12);
         let zone = jm.begin_checkpoint();
         run_checkpoint(&mut ssd, Strategy::IscA, &layout, &zone, 1, t).unwrap();
-        assert_eq!(ssd.counters().get("ssd.cmd_cow"), 12);
-        assert_eq!(ssd.counters().get("ssd.cmd_checkpoint"), 0);
+        assert_eq!(ssd.counters().get(Counter::SsdCmdCow), 12);
+        assert_eq!(ssd.counters().get(Counter::SsdCmdCheckpoint), 0);
     }
 
     #[test]
@@ -517,8 +520,8 @@ mod tests {
         let t = journal_some(&mut ssd, &mut jm, 12);
         let zone = jm.begin_checkpoint();
         run_checkpoint(&mut ssd, Strategy::IscB, &layout, &zone, 1, t).unwrap();
-        assert_eq!(ssd.counters().get("ssd.cmd_cow"), 0);
-        assert_eq!(ssd.counters().get("ssd.cmd_checkpoint"), 1);
+        assert_eq!(ssd.counters().get(Counter::SsdCmdCow), 0);
+        assert_eq!(ssd.counters().get(Counter::SsdCmdCheckpoint), 1);
     }
 
     #[test]

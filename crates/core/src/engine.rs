@@ -3,7 +3,7 @@
 //! engine also behaves as the conventional baseline).
 
 use checkin_flash::{Fragment, OobKind};
-use checkin_sim::{CounterSet, SimTime, TraceEvent, TraceLayer, Tracer};
+use checkin_sim::{Counter, CounterSet, SimTime, TraceEvent, TraceLayer, Tracer};
 use checkin_ssd::{ReadRequest, Ssd, SsdError, WriteContent, WriteRequest, SECTOR_BYTES};
 
 use crate::checkpoint::{run_checkpoint, CheckpointOutcome};
@@ -251,7 +251,7 @@ impl KvEngine {
             };
             t = ssd.write(&req, OobKind::Data, t)?;
             self.commit(key, 1, bytes, false);
-            self.counters.incr("engine.loads");
+            self.counters.incr(Counter::EngineLoads);
         }
         Ok(ssd.flush(t)?)
     }
@@ -263,7 +263,7 @@ impl KvEngine {
     ///
     /// [`EngineError::UnknownKey`] when the key was never loaded.
     pub fn get(&mut self, ssd: &mut Ssd, key: u64, at: SimTime) -> Result<ReadResult, EngineError> {
-        self.counters.incr("engine.reads");
+        self.counters.incr(Counter::EngineReads);
         let expected = match self.state(key) {
             Some(s) if !s.deleted => s.version,
             _ => return Err(EngineError::UnknownKey(key)),
@@ -337,8 +337,9 @@ impl KvEngine {
         let sectors = req.sectors;
         let t = ssd.write(&req, OobKind::Journal, at)?;
         self.commit(key, version, value_bytes, false);
-        self.counters.incr("engine.updates");
-        self.counters.add("engine.update_bytes", value_bytes as u64);
+        self.counters.incr(Counter::EngineUpdates);
+        self.counters
+            .add(Counter::EngineUpdateBytes, value_bytes as u64);
         // The journal manager has no clock, so the engine emits the
         // journal-layer event on its behalf at the commit instant.
         self.tracer.emit(|| {
@@ -373,7 +374,7 @@ impl KvEngine {
         let req = self.journal.append_delete(key, version)?;
         let t = ssd.write(&req, OobKind::Journal, at)?;
         self.commit(key, version, 0, true);
-        self.counters.incr("engine.deletes");
+        self.counters.incr(Counter::EngineDeletes);
         Ok(t)
     }
 
@@ -403,7 +404,7 @@ impl KvEngine {
         let req = self.journal.append(key, version, value_bytes)?;
         let t = ssd.write(&req, OobKind::Journal, at)?;
         self.commit(key, version, value_bytes, false);
-        self.counters.incr("engine.inserts");
+        self.counters.incr(Counter::EngineInserts);
         Ok(t)
     }
 
@@ -420,11 +421,12 @@ impl KvEngine {
     ) -> Result<CheckpointOutcome, EngineError> {
         self.checkpoint_seq += 1;
         let zone: RetiringZone = self.journal.begin_checkpoint();
-        self.counters.add("engine.superseded_logs", zone.superseded);
         self.counters
-            .add("engine.journal_raw_bytes", zone.raw_bytes);
+            .add(Counter::EngineSupersededLogs, zone.superseded);
         self.counters
-            .add("engine.journal_stored_bytes", zone.stored_bytes);
+            .add(Counter::EngineJournalRawBytes, zone.raw_bytes);
+        self.counters
+            .add(Counter::EngineJournalStoredBytes, zone.stored_bytes);
         self.tracer.emit(|| {
             TraceEvent::new(at, TraceLayer::Journal, "retire_zone")
                 .with("entries", zone.entries.len() as u64)
@@ -440,7 +442,7 @@ impl KvEngine {
             at,
         )?;
         self.journal.recycle_zone(zone);
-        self.counters.incr("engine.checkpoints");
+        self.counters.incr(Counter::EngineCheckpoints);
         self.tracer.emit(|| {
             TraceEvent::new(outcome.finish, TraceLayer::Engine, "checkpoint")
                 .with("seq", self.checkpoint_seq)
@@ -487,7 +489,7 @@ impl KvEngine {
         record_count: u64,
         at: SimTime,
     ) -> Result<(Self, RecoveryReport), EngineError> {
-        let reads_before = ssd.counters().get("ssd.cmd_read");
+        let reads_before = ssd.counters().get(Counter::SsdCmdRead);
         let mut engine = KvEngine::new(strategy, layout, compression_ratio);
         let mut t = at;
 
@@ -583,13 +585,13 @@ impl KvEngine {
         for zone in 0..JOURNAL_ZONES {
             t = ssd.deallocate(layout.journal_base(zone), layout.zone_sectors() as u32, t);
         }
-        engine.counters.incr("engine.recoveries");
+        engine.counters.incr(Counter::EngineRecoveries);
         let report = RecoveryReport {
             finish: t,
             duration: t.duration_since(at),
             keys_recovered: engine.loaded as u64,
             journal_entries_replayed: replayed,
-            device_reads: ssd.counters().get("ssd.cmd_read") - reads_before,
+            device_reads: ssd.counters().get(Counter::SsdCmdRead) - reads_before,
         };
         Ok((engine, report))
     }

@@ -6,8 +6,8 @@
 //! per-phase checkpoint attribution, and timeline contiguity.
 
 use checkin_core::{KvSystem, RunReport, Strategy, SystemConfig};
-use checkin_flash::FlashGeometry;
-use checkin_sim::{SimDuration, TraceLayer, Tracer};
+use checkin_flash::{FaultConfig, FaultPlan, FlashGeometry, OpPhase};
+use checkin_sim::{Counter, SimDuration, Total, TraceLayer, Tracer};
 use checkin_workload::OpMix;
 
 fn quick_config(strategy: Strategy) -> SystemConfig {
@@ -112,6 +112,74 @@ fn phase_attribution_reconciles_for_every_strategy() {
             assert!(report.remapped_entries > 0, "{strategy}");
         }
     }
+}
+
+/// Every layer counts under its own prefix only, and both conservation
+/// laws hold on the final sets, after a run with media faults armed, the
+/// scrubber on and checkpoints taken, and a scrub pass over planted rot. (Analyzer rule A3 held the first
+/// line "at zero" for the ftl crate and A7 policed the last; the counter
+/// schema carries both now, and this is the end-to-end witness.)
+#[test]
+fn each_layer_counts_under_its_own_prefix_and_totals_balance() {
+    let mut config = quick_config(Strategy::CheckIn);
+    config.scrub_pages_per_idle = 64;
+    let mut system = KvSystem::new(config).unwrap();
+    let (_, ssd) = system.verify_parts();
+    let faults = FaultConfig {
+        seed: 7,
+        transient_read: 0.01,
+        transient_program: 0.01,
+        ..FaultConfig::default()
+    };
+    ssd.ftl_mut().flash_mut().arm_faults(FaultPlan::new(faults));
+    let report = system.run().unwrap();
+    assert!(report.checkpoints > 0 && report.flash.media_retries > 0);
+    // Rot three stored units and let the scrubber find them.
+    let (_, ssd) = system.verify_parts();
+    let flash = ssd.ftl_mut().flash_mut();
+    let pages: Vec<_> = flash.programmed_pages().map(|(ppn, _)| ppn).collect();
+    for &ppn in pages.iter().step_by(pages.len() / 3).take(3) {
+        assert!(flash.sabotage_corrupt_unit(ppn, 0, 1 << 9));
+    }
+    let idle = ssd.idle_at();
+    ssd.background_scrub(idle, pages.len() as u32).unwrap();
+
+    let ftl = system.ssd().ftl();
+    for (prefix, set) in [
+        ("engine.", system.engine().counters()),
+        ("ssd.", system.ssd().counters()),
+        ("ftl.", ftl.counters()),
+        ("flash.", ftl.flash().counters()),
+    ] {
+        assert!(!set.is_empty(), "{prefix}* never bumped");
+        for (name, _) in set.iter() {
+            assert!(
+                name.starts_with(prefix),
+                "{name} counted in the {prefix}* set"
+            );
+        }
+    }
+
+    let flash = ftl.flash().counters();
+    for (total, counter_of) in [
+        (
+            Total::FlashProgram,
+            OpPhase::program_counter as fn(OpPhase) -> Counter,
+        ),
+        (Total::FlashRead, OpPhase::read_counter),
+        (Total::FlashErase, OpPhase::erase_counter),
+    ] {
+        let by_phase: u64 = OpPhase::ALL.iter().map(|&p| flash.get(counter_of(p))).sum();
+        assert_eq!(by_phase, flash.total(total), "{total:?}");
+    }
+    assert!(flash.get(Counter::FlashReadScrub) > 0, "the scrubber ran");
+    let detected = ftl.counters().total(Total::FtlIntegrityDetected);
+    assert_eq!(detected, 3, "the rot was found");
+    assert_eq!(
+        detected,
+        ftl.counters().get(Counter::FtlIntegrityQuarantined)
+            + ftl.counters().get(Counter::FtlIntegrityCorrected)
+    );
 }
 
 #[test]

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use checkin_core::{EngineError, KvEngine, Layout, Strategy, SystemConfig};
 use checkin_flash::FlashArray;
 use checkin_ftl::Ftl;
-use checkin_sim::SimTime;
+use checkin_sim::{Counter, SimTime};
 use checkin_ssd::{Ssd, SsdTiming};
 
 /// Counts every allocation and reallocation; frees are not counted
@@ -149,6 +149,6 @@ fn steady_state_query_loop_is_allocation_free() {
         "steady-state loop allocated {delta} times over {WINDOW_KEYS} update+get pairs"
     );
     // The window must have exercised the real write path, not a no-op.
-    assert!(engine.counters().get("engine.updates") >= 2 * WINDOW_KEYS);
-    assert!(engine.counters().get("engine.reads") >= 2 * WINDOW_KEYS);
+    assert!(engine.counters().get(Counter::EngineUpdates) >= 2 * WINDOW_KEYS);
+    assert!(engine.counters().get(Counter::EngineReads) >= 2 * WINDOW_KEYS);
 }

@@ -2,11 +2,14 @@
 //!
 //! Layers above the array label what the firmware is currently doing
 //! with an [`OpPhase`]; the array then counts every program/read/erase
-//! under both the plain total (`flash.program`, …) and a per-phase key
-//! (`flash.program.cp_copy`, …) **at the same increment site**. Because
-//! the two increments are inseparable, the per-phase keys always sum to
-//! the totals over any counter-snapshot window — this is the invariant
-//! the checkpoint phase breakdown and its reconciliation tests rely on.
+//! under the phase's own counter (`flash.program.cp_copy`, …). The plain
+//! totals (`flash.program`, …) are [`checkin_sim::Total`]s: the bump
+//! credits them from the per-phase counter and nothing else can, so the
+//! per-phase keys sum to the totals over any counter-snapshot window by
+//! construction — the invariant the checkpoint phase breakdown and its
+//! reconciliation tests rely on.
+
+use checkin_sim::Counter;
 
 /// What the firmware is doing while it issues flash operations.
 ///
@@ -45,7 +48,7 @@ impl OpPhase {
         OpPhase::Scrub,
     ];
 
-    /// Stable lowercase label (used in trace output and counter keys).
+    /// Stable lowercase label (used in trace output and counter names).
     pub fn label(self) -> &'static str {
         match self {
             OpPhase::Run => "run",
@@ -58,42 +61,42 @@ impl OpPhase {
         }
     }
 
-    /// Counter key for reads attributed to this phase.
-    pub fn read_key(self) -> &'static str {
+    /// Counter of reads attributed to this phase.
+    pub fn read_counter(self) -> Counter {
         match self {
-            OpPhase::Run => "flash.read.run",
-            OpPhase::CheckpointRemap => "flash.read.cp_remap",
-            OpPhase::CheckpointCopy => "flash.read.cp_copy",
-            OpPhase::Meta => "flash.read.meta",
-            OpPhase::Dealloc => "flash.read.dealloc",
-            OpPhase::Gc => "flash.read.gc",
-            OpPhase::Scrub => "flash.read.scrub",
+            OpPhase::Run => Counter::FlashReadRun,
+            OpPhase::CheckpointRemap => Counter::FlashReadCpRemap,
+            OpPhase::CheckpointCopy => Counter::FlashReadCpCopy,
+            OpPhase::Meta => Counter::FlashReadMeta,
+            OpPhase::Dealloc => Counter::FlashReadDealloc,
+            OpPhase::Gc => Counter::FlashReadGc,
+            OpPhase::Scrub => Counter::FlashReadScrub,
         }
     }
 
-    /// Counter key for programs attributed to this phase.
-    pub fn program_key(self) -> &'static str {
+    /// Counter of programs attributed to this phase.
+    pub fn program_counter(self) -> Counter {
         match self {
-            OpPhase::Run => "flash.program.run",
-            OpPhase::CheckpointRemap => "flash.program.cp_remap",
-            OpPhase::CheckpointCopy => "flash.program.cp_copy",
-            OpPhase::Meta => "flash.program.meta",
-            OpPhase::Dealloc => "flash.program.dealloc",
-            OpPhase::Gc => "flash.program.gc",
-            OpPhase::Scrub => "flash.program.scrub",
+            OpPhase::Run => Counter::FlashProgramRun,
+            OpPhase::CheckpointRemap => Counter::FlashProgramCpRemap,
+            OpPhase::CheckpointCopy => Counter::FlashProgramCpCopy,
+            OpPhase::Meta => Counter::FlashProgramMeta,
+            OpPhase::Dealloc => Counter::FlashProgramDealloc,
+            OpPhase::Gc => Counter::FlashProgramGc,
+            OpPhase::Scrub => Counter::FlashProgramScrub,
         }
     }
 
-    /// Counter key for erases attributed to this phase.
-    pub fn erase_key(self) -> &'static str {
+    /// Counter of erases attributed to this phase.
+    pub fn erase_counter(self) -> Counter {
         match self {
-            OpPhase::Run => "flash.erase.run",
-            OpPhase::CheckpointRemap => "flash.erase.cp_remap",
-            OpPhase::CheckpointCopy => "flash.erase.cp_copy",
-            OpPhase::Meta => "flash.erase.meta",
-            OpPhase::Dealloc => "flash.erase.dealloc",
-            OpPhase::Gc => "flash.erase.gc",
-            OpPhase::Scrub => "flash.erase.scrub",
+            OpPhase::Run => Counter::FlashEraseRun,
+            OpPhase::CheckpointRemap => Counter::FlashEraseCpRemap,
+            OpPhase::CheckpointCopy => Counter::FlashEraseCpCopy,
+            OpPhase::Meta => Counter::FlashEraseMeta,
+            OpPhase::Dealloc => Counter::FlashEraseDealloc,
+            OpPhase::Gc => Counter::FlashEraseGc,
+            OpPhase::Scrub => Counter::FlashEraseScrub,
         }
     }
 }

@@ -6,7 +6,7 @@ use checkin_flash::{
     BlockId, FaultConfig, FaultPlan, FlashArray, FlashError, FlashGeometry, FlashTiming,
     PageContent, Ppn, UnitPayload,
 };
-use checkin_sim::SimTime;
+use checkin_sim::{SimTime, Total};
 use checkin_testkit::{check, soup, TestRng};
 
 fn array() -> FlashArray {
@@ -289,5 +289,8 @@ fn full_device_program_cycle() {
             assert_eq!(flash.erase_count(BlockId(b)), cycle);
         }
     }
-    assert_eq!(flash.counters().get("flash.program"), 3 * g.total_pages());
+    assert_eq!(
+        flash.counters().total(Total::FlashProgram),
+        3 * g.total_pages()
+    );
 }

@@ -43,8 +43,9 @@ pub enum IntegrityError {
     /// zero-filling) until the block is erased or retired.
     CorruptUnit(Lpn),
     /// The only physical copy of this logical unit was corrupt when its
-    /// block was reclaimed (GC or retirement); the data is lost, and the
-    /// loss is permanent but *detected*. Cleared by a fresh write, remap,
+    /// block was reclaimed (GC or retirement) or when SPOR rebuilt the
+    /// mapping from it; the data is lost, and the loss is permanent but
+    /// *detected*. Cleared by a fresh write, remap,
     /// or deallocate of the logical unit.
     Poisoned(Lpn),
 }
@@ -56,7 +57,10 @@ impl fmt::Display for IntegrityError {
                 write!(f, "checksum mismatch reading {lpn} (unit quarantined)")
             }
             IntegrityError::Poisoned(lpn) => {
-                write!(f, "{lpn} lost: its only copy was corrupt when reclaimed")
+                write!(
+                    f,
+                    "{lpn} lost: its only copy was corrupt when reclaimed or recovered"
+                )
             }
         }
     }

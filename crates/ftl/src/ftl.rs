@@ -28,7 +28,9 @@ use checkin_flash::{
     BlockId, ErrorClass, FlashArray, FlashError, Fragment, OobEntry, OobKind, PageContent, Ppn,
     UnitPayload,
 };
-use checkin_sim::{CounterSet, SimDuration, SimTime, TraceEvent, TraceLayer, Tracer, Window};
+use checkin_sim::{
+    Counter, CounterSet, SimDuration, SimTime, Total, TraceEvent, TraceLayer, Tracer, Window,
+};
 
 use crate::block_pool::BlockPool;
 use crate::config::{FtlConfig, MediaRetryPolicy};
@@ -99,6 +101,13 @@ pub struct Ftl {
     /// Only maintained under fault injection.
     persist: MapPersistence,
 }
+
+// The shard fleet will move this across threads: a field that is not
+// `Send` (an `Rc`, say) is a build error here, not an analyzer finding.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Ftl>();
+};
 
 impl Ftl {
     /// Wraps a flash array with translation state.
@@ -193,12 +202,12 @@ impl Ftl {
     /// Write-amplification factor: flash bytes programmed over host bytes
     /// written (including RMW and GC traffic). Zero before any host write.
     pub fn waf(&self) -> f64 {
-        let host = self.counters.get("ftl.host_bytes");
+        let host = self.counters.get(Counter::FtlHostBytes);
         if host == 0 {
             return 0.0;
         }
-        let programmed =
-            self.flash.counters().get("flash.program") * self.flash.geometry().page_bytes as u64;
+        let programmed = self.flash.counters().total(Total::FlashProgram)
+            * self.flash.geometry().page_bytes as u64;
         programmed as f64 / host as f64
     }
 
@@ -225,7 +234,7 @@ impl Ftl {
         match u {
             Unlink::Orphaned(Location::Flash(pun)) => {
                 self.pool.sub_valid(self.block_of(pun));
-                self.counters.incr("ftl.invalid_units");
+                self.counters.incr(Counter::FtlInvalidUnits);
             }
             // The old copy never reached flash.
             Unlink::Orphaned(Location::Buffer(slot)) => self.buffer.discard(slot),
@@ -258,9 +267,9 @@ impl Ftl {
     /// allocate a block.
     pub fn write(&mut self, w: UnitWrite, kind: OobKind, at: SimTime) -> Result<SimTime, FtlError> {
         self.flash.logical_tick()?;
-        self.counters.incr("ftl.host_unit_writes");
+        self.counters.incr(Counter::FtlHostUnitWrites);
         self.counters
-            .add("ftl.host_bytes", w.payload.bytes() as u64);
+            .add(Counter::FtlHostBytes, w.payload.bytes() as u64);
         let mut done = at;
 
         let payload = if w.whole_unit {
@@ -283,7 +292,7 @@ impl Ftl {
                     if self.ledger.is_quarantined(pun) {
                         return Err(FtlError::Integrity(IntegrityError::CorruptUnit(w.lpn)));
                     }
-                    self.counters.incr("ftl.rmw_reads");
+                    self.counters.incr(Counter::FtlRmwReads);
                     let (merged, finish) =
                         self.read_flash_unit(w.lpn, pun, at, |old| merge_payload(old, &w.payload))?;
                     done = done.max(finish);
@@ -350,7 +359,7 @@ impl Ftl {
         at: SimTime,
         take: impl FnOnce(&UnitPayload) -> R,
     ) -> Result<(R, SimTime), FtlError> {
-        self.counters.incr("ftl.host_unit_reads");
+        self.counters.incr(Counter::FtlHostUnitReads);
         match self.table.lookup(lpn) {
             None if self.ledger.is_poisoned(lpn) => {
                 Err(FtlError::Integrity(IntegrityError::Poisoned(lpn)))
@@ -412,7 +421,7 @@ impl Ftl {
         let prev = self.table.alias(dst, src).map_err(FtlError::Unmapped)?;
         self.note_unlink(prev);
         self.ledger.clear_poison(dst);
-        self.counters.incr("ftl.remap_ops");
+        self.counters.incr(Counter::FtlRemapOps);
         Ok(())
     }
 
@@ -442,7 +451,7 @@ impl Ftl {
         // longer wants the data, so the loss record clears too.
         self.ledger.clear_poison(lpn);
         if existed {
-            self.counters.incr("ftl.deallocations");
+            self.counters.incr(Counter::FtlDeallocations);
         }
         existed
     }
@@ -535,7 +544,7 @@ impl Ftl {
                 return Err(e.into());
             }
         };
-        self.counters.incr("ftl.pages_programmed");
+        self.counters.incr(Counter::FtlPagesProgrammed);
         let units = placements.len() as u64;
         self.tracer.emit(|| {
             TraceEvent::new(at, TraceLayer::Ftl, "page_out")
@@ -593,9 +602,13 @@ impl Ftl {
     fn read_with_retry(&mut self, ppn: Ppn, at: SimTime) -> Result<Window, FlashError> {
         let step = self.flash.timing().t_read;
         let policy = self.config.retry_read;
-        self.retry_transient(policy, step, "ftl.retry_exhausted_read", at, |flash, t| {
-            flash.schedule_read(ppn, t)
-        })
+        self.retry_transient(
+            policy,
+            step,
+            Counter::FtlRetryExhaustedRead,
+            at,
+            |flash, t| flash.schedule_read(ppn, t),
+        )
     }
 
     /// Erases a block with the erase-class bounded-backoff policy
@@ -603,19 +616,23 @@ impl Ftl {
     fn erase_with_retry(&mut self, block: BlockId, at: SimTime) -> Result<Window, FlashError> {
         let step = self.flash.timing().t_erase;
         let policy = self.config.retry_erase;
-        self.retry_transient(policy, step, "ftl.retry_exhausted_erase", at, |flash, t| {
-            flash.erase(block, t)
-        })
+        self.retry_transient(
+            policy,
+            step,
+            Counter::FtlRetryExhaustedErase,
+            at,
+            |flash, t| flash.erase(block, t),
+        )
     }
 
     /// Runs `op` until it stops failing transiently or `policy`'s attempt
-    /// budget runs out (counted under `exhausted_key`), waiting
+    /// budget runs out (counted under `exhausted`), waiting
     /// `step << attempt` (capped) before each retry.
     fn retry_transient(
         &mut self,
         policy: MediaRetryPolicy,
         step: SimDuration,
-        exhausted_key: &'static str,
+        exhausted: Counter,
         at: SimTime,
         mut op: impl FnMut(&mut FlashArray, SimTime) -> Result<Window, FlashError>,
     ) -> Result<Window, FlashError> {
@@ -625,11 +642,11 @@ impl Ftl {
             match op(&mut self.flash, t) {
                 Err(e) if e.classification() == ErrorClass::Transient => {
                     if attempt + 1 >= policy.limit {
-                        self.counters.incr(exhausted_key);
+                        self.counters.incr(exhausted);
                         return Err(e);
                     }
                     attempt += 1;
-                    self.counters.incr("ftl.media_retries");
+                    self.counters.incr(Counter::FtlMediaRetries);
                     t += step * (1u64 << attempt.min(policy.backoff_shift_cap));
                 }
                 other => return other,
@@ -658,7 +675,7 @@ impl Ftl {
         for attempt in 1..attempts {
             match self.flash.program(ppn, content.clone(), t) {
                 Err(e) if e.classification() == ErrorClass::Transient => {
-                    self.counters.incr("ftl.media_retries");
+                    self.counters.incr(Counter::FtlMediaRetries);
                     t += self.flash.timing().t_program
                         * (1u64 << attempt.min(policy.backoff_shift_cap));
                 }
@@ -667,7 +684,7 @@ impl Ftl {
         }
         match self.flash.program(ppn, content, t) {
             Err(e) if e.classification() == ErrorClass::Transient => {
-                self.counters.incr("ftl.retry_exhausted_program");
+                self.counters.incr(Counter::FtlRetryExhaustedProgram);
                 Err(e)
             }
             other => other,

@@ -31,7 +31,7 @@ fn buffered_overwrite_discards_old_slot() {
         )
         .unwrap();
     }
-    assert_eq!(f.flash().counters().get("flash.program"), 0);
+    assert_eq!(f.flash().counters().total(Total::FlashProgram), 0);
     let (p, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
     assert_eq!(p.fragments[0].version, 8);
     f.check_invariants().unwrap();

@@ -35,7 +35,7 @@ fn transient_media_failures_are_absorbed_by_retries() {
         shadow.insert(lpn, i);
     }
     assert!(
-        f.counters().get("ftl.media_retries") > 0,
+        f.counters().get(Counter::FtlMediaRetries) > 0,
         "retries must have happened at a 20% fault rate"
     );
     for (&lpn, &version) in &shadow {
@@ -60,7 +60,7 @@ fn grown_bad_blocks_are_retired_without_data_loss() {
         shadow.insert(lpn, i);
     }
     assert!(
-        f.counters().get("ftl.blocks_retired") > 0,
+        f.counters().get(Counter::FtlBlocksRetired) > 0,
         "expected at least one retirement at this seed and rate"
     );
     for (&lpn, &version) in &shadow {

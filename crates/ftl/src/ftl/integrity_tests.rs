@@ -41,8 +41,8 @@ fn corrupt_unit_read_fails_typed_and_stays_quarantined() {
         "corrupt data must fail typed, never be served"
     );
     assert!(err.is_integrity());
-    assert_eq!(f.counters().get("ftl.integrity_detected"), 1);
-    assert_eq!(f.counters().get("ftl.integrity_quarantined"), 1);
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 1);
+    assert_eq!(f.counters().get(Counter::FtlIntegrityQuarantined), 1);
 
     // Repeated reads keep failing fast without re-detecting.
     let again = f.read(Lpn(2), SimTime::ZERO).unwrap_err();
@@ -50,7 +50,7 @@ fn corrupt_unit_read_fails_typed_and_stays_quarantined() {
         again,
         FtlError::Integrity(IntegrityError::CorruptUnit(Lpn(2)))
     );
-    assert_eq!(f.counters().get("ftl.integrity_detected"), 1);
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 1);
 
     // The allocation-free path agrees.
     let mut out = Vec::new();
@@ -83,7 +83,7 @@ fn disabling_verification_serves_rot_silently() {
         payload.fragments[0].version, 1,
         "with verification off the flipped version is served as-is"
     );
-    assert_eq!(f.counters().get("ftl.integrity_detected"), 0);
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 0);
 }
 
 #[test]
@@ -106,14 +106,14 @@ fn scrub_finds_referenced_and_stale_rot() {
 
     let report = f.scrub_round(SimTime::ZERO, 1_000).unwrap();
     assert!(report.pages_scanned > 0);
-    assert_eq!(report.detected, 2);
+    assert_eq!(report.detected(), 2);
     assert_eq!(report.quarantined, 1, "live copy of lpn 3");
     assert_eq!(report.corrected, 1, "stale copy of lpn 1");
-    assert_eq!(f.counters().get("ftl.integrity_detected"), 2);
-    assert_eq!(f.counters().get("ftl.scrub_rounds"), 1);
-    assert!(f.counters().get("ftl.scrub_pages") > 0);
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 2);
+    assert_eq!(f.counters().get(Counter::FtlScrubRounds), 1);
+    assert!(f.counters().get(Counter::FtlScrubPages) > 0);
     // Scrub reads are phase-tagged, not charged to the run phase.
-    assert!(f.flash().counters().get("flash.read.scrub") > 0);
+    assert!(f.flash().counters().get(Counter::FlashReadScrub) > 0);
 
     // The scrubbed-out unit now fails fast on the foreground path...
     assert!(f.read(Lpn(3), SimTime::ZERO).unwrap_err().is_integrity());
@@ -125,8 +125,8 @@ fn scrub_finds_referenced_and_stale_rot() {
 
     // A second sweep re-reads but detects nothing new.
     let report = f.scrub_round(SimTime::ZERO, 1_000).unwrap();
-    assert_eq!(report.detected, 0);
-    assert_eq!(f.counters().get("ftl.integrity_detected"), 2);
+    assert_eq!(report.detected(), 0);
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 2);
     f.check_invariants().unwrap();
 }
 
@@ -137,10 +137,10 @@ fn scrub_respects_budget_and_toggle() {
         put(&mut f, lpn, 1).unwrap();
     }
     f.flush(SimTime::ZERO).unwrap();
-    let reads_before = f.flash().counters().get("flash.read");
+    let reads_before = f.flash().counters().total(Total::FlashRead);
     let report = f.scrub_round(SimTime::ZERO, 0).unwrap();
     assert_eq!(report, ScrubReport::default());
-    assert_eq!(f.flash().counters().get("flash.read"), reads_before);
+    assert_eq!(f.flash().counters().total(Total::FlashRead), reads_before);
 
     let report = f.scrub_round(SimTime::ZERO, 1).unwrap();
     assert_eq!(report.pages_scanned, 1, "budget of one page is honoured");
@@ -148,10 +148,10 @@ fn scrub_respects_budget_and_toggle() {
     // Verification off: the scrubber is a guaranteed no-op.
     let mut off = f;
     off.config.verify_checksums = false;
-    let reads_before = off.flash().counters().get("flash.read");
+    let reads_before = off.flash().counters().total(Total::FlashRead);
     let report = off.scrub_round(SimTime::ZERO, 1_000).unwrap();
     assert_eq!(report, ScrubReport::default());
-    assert_eq!(off.flash().counters().get("flash.read"), reads_before);
+    assert_eq!(off.flash().counters().total(Total::FlashRead), reads_before);
 }
 
 #[test]
@@ -175,8 +175,8 @@ fn gc_poisons_destroyed_corrupt_units_and_write_heals() {
         .run_gc_round(SimTime::ZERO, GcTrigger::Background)
         .unwrap();
     assert!(done.is_some(), "a victim block must have been collected");
-    assert_eq!(f.counters().get("ftl.integrity_unrecoverable"), 1);
-    assert_eq!(f.counters().get("ftl.integrity_detected"), 1);
+    assert_eq!(f.counters().get(Counter::FtlIntegrityUnrecoverable), 1);
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 1);
     f.check_invariants().unwrap();
 
     // The loss is reported as such — not as "never written".
@@ -205,9 +205,9 @@ fn retry_exhaustion_is_counted_per_class() {
     }));
     let err = f.read(Lpn(0), SimTime::ZERO).unwrap_err();
     assert!(!err.is_integrity(), "media failure, not corruption: {err}");
-    assert_eq!(f.counters().get("ftl.retry_exhausted_read"), 1);
-    assert_eq!(f.counters().get("ftl.media_retries"), 2);
-    assert_eq!(f.counters().get("ftl.retry_exhausted_program"), 0);
+    assert_eq!(f.counters().get(Counter::FtlRetryExhaustedRead), 1);
+    assert_eq!(f.counters().get(Counter::FtlMediaRetries), 2);
+    assert_eq!(f.counters().get(Counter::FtlRetryExhaustedProgram), 0);
 
     let mut f = integrity_ftl();
     f.config.retry_program = MediaRetryPolicy::with_limit(2);
@@ -221,8 +221,8 @@ fn retry_exhaustion_is_counted_per_class() {
     }
     let err = f.flush(SimTime::ZERO).unwrap_err();
     assert!(!err.is_integrity());
-    assert!(f.counters().get("ftl.retry_exhausted_program") >= 1);
-    assert_eq!(f.counters().get("ftl.retry_exhausted_erase"), 0);
+    assert!(f.counters().get(Counter::FtlRetryExhaustedProgram) >= 1);
+    assert_eq!(f.counters().get(Counter::FtlRetryExhaustedErase), 0);
 }
 
 #[test]
@@ -255,6 +255,96 @@ fn spor_scan_rejects_corrupt_oob_records() {
     f.check_invariants().unwrap();
 }
 
+/// `spor-forgets-damaged-unit`, the chaos sweep's `composed-minimal` row
+/// at FTL level: a unit that fails typed before a power cut must still
+/// fail typed after it, not come back as "never written".
+#[test]
+fn spor_poisons_the_lpn_a_damaged_unit_names() {
+    let mut f = integrity_ftl();
+    f.flash_mut()
+        .arm_faults(FaultPlan::new(FaultConfig::power_cut(3, 1_000_000)));
+    for lpn in 0..4 {
+        put(&mut f, lpn, 1).unwrap();
+    }
+    f.flush(SimTime::ZERO).unwrap();
+    let pun = flash_pun(&f, 2);
+    assert!(f.flash_mut().sabotage_corrupt_unit(pun.page(1), 0, 1 << 13));
+    let before = f.read(Lpn(2), SimTime::ZERO).unwrap_err();
+    assert_eq!(
+        before,
+        FtlError::Integrity(IntegrityError::CorruptUnit(Lpn(2)))
+    );
+
+    f.flash_mut().cut_power();
+    f.flash_mut().power_on();
+    let stats = f.rebuild_after_power_loss().unwrap();
+    assert_eq!(stats.lpns_poisoned, 1);
+    assert_eq!(stats.oob_records_rejected, 0, "the record itself is sound");
+    assert_eq!(stats.oob_records_replayed, 3);
+
+    let after = f.read(Lpn(2), SimTime::ZERO).unwrap_err();
+    assert_eq!(after, FtlError::Integrity(IntegrityError::Poisoned(Lpn(2))));
+    // One physical fault, seen twice: detected once, lost once.
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 1);
+    assert_eq!(f.counters().get(Counter::FtlIntegrityQuarantined), 1);
+    assert_eq!(f.counters().get(Counter::FtlIntegrityUnrecoverable), 1);
+    // The scrubber finds the same unit and does not count it again.
+    f.scrub_round(SimTime::ZERO, 1_000).unwrap();
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 1);
+    f.check_invariants().unwrap();
+
+    // A fresh write supersedes the loss.
+    put(&mut f, 2, 9).unwrap();
+    assert_eq!(
+        f.read(Lpn(2), SimTime::ZERO).unwrap().0.fragments[0].version,
+        9
+    );
+    f.check_invariants().unwrap();
+}
+
+/// A loss marker takes part in newest-wins like any record: it hides an
+/// older intact copy (serving that would be a silent stale read), and a
+/// newer intact copy hides it.
+#[test]
+fn spor_loss_marker_obeys_newest_wins() {
+    let mut f = integrity_ftl();
+    f.flash_mut()
+        .arm_faults(FaultPlan::new(FaultConfig::power_cut(3, 1_000_000)));
+    for lpn in 0..4 {
+        put(&mut f, lpn, 1).unwrap();
+    }
+    f.flush(SimTime::ZERO).unwrap();
+    f.persist_mapping_log();
+    // Newer than the snapshot: version 2 of lpns 0 and 1, then version
+    // 3 of lpn 1. Both version-2 units rot.
+    put(&mut f, 0, 2).unwrap();
+    put(&mut f, 1, 2).unwrap();
+    f.flush(SimTime::ZERO).unwrap();
+    let rotten = [flash_pun(&f, 0), flash_pun(&f, 1)];
+    put(&mut f, 1, 3).unwrap();
+    f.flush(SimTime::ZERO).unwrap();
+    for pun in rotten {
+        assert!(f.flash_mut().sabotage_corrupt_unit(pun.page(1), 0, 1 << 13));
+    }
+
+    f.flash_mut().cut_power();
+    f.flash_mut().power_on();
+    let stats = f.rebuild_after_power_loss().unwrap();
+    assert_eq!(stats.lpns_poisoned, 1, "lpn 0 only");
+    assert_eq!(
+        f.read(Lpn(0), SimTime::ZERO).unwrap_err(),
+        FtlError::Integrity(IntegrityError::Poisoned(Lpn(0))),
+        "the snapshot's intact version 1 must not be served for an acked version 2"
+    );
+    for (lpn, version) in [(1, 3), (2, 1), (3, 1)] {
+        assert_eq!(
+            f.read(Lpn(lpn), SimTime::ZERO).unwrap().0.fragments[0].version,
+            version
+        );
+    }
+    f.check_invariants().unwrap();
+}
+
 #[test]
 fn rebuild_drops_snapshot_entries_onto_corrupt_data() {
     let mut f = integrity_ftl();
@@ -274,7 +364,13 @@ fn rebuild_drops_snapshot_entries_onto_corrupt_data() {
     f.flash_mut().power_on();
     let stats = f.rebuild_after_power_loss().unwrap();
     assert!(stats.snapshot_entries_dropped >= 1);
-    assert!(f.read(Lpn(2), SimTime::ZERO).is_err());
+    // Dropped, and remembered: the log says lpn 2 was written, so the
+    // read fails typed rather than reporting "never written".
+    assert_eq!(stats.lpns_poisoned, 1);
+    assert_eq!(
+        f.read(Lpn(2), SimTime::ZERO).unwrap_err(),
+        FtlError::Integrity(IntegrityError::Poisoned(Lpn(2)))
+    );
     assert_eq!(
         f.read(Lpn(1), SimTime::ZERO).unwrap().0.fragments[0].version,
         1
@@ -319,8 +415,7 @@ fn read_entry_points_react_identically_to_corruption() {
         read(&mut f, 10).expect("healthy neighbours are salvaged");
 
         f.check_invariants().unwrap();
-        let counters: Vec<(&str, u64)> = f.counters().iter().collect();
-        (quarantined, decayed, poisoned, counters)
+        (quarantined, decayed, poisoned, f.counters().clone())
     };
 
     let outcome = run(via_read);
@@ -338,8 +433,7 @@ fn read_entry_points_react_identically_to_corruption() {
         poisoned,
         FtlError::Integrity(IntegrityError::Poisoned(Lpn(9)))
     );
-    let count = |key| counters.iter().find(|c| c.0 == key).map_or(0, |c| c.1);
-    assert_eq!(count("ftl.blocks_retired"), 1);
-    assert_eq!(count("ftl.integrity_detected"), 2);
-    assert_eq!(count("ftl.integrity_unrecoverable"), 1);
+    assert_eq!(counters.get(Counter::FtlBlocksRetired), 1);
+    assert_eq!(counters.total(Total::FtlIntegrityDetected), 2);
+    assert_eq!(counters.get(Counter::FtlIntegrityUnrecoverable), 1);
 }

@@ -1,7 +1,9 @@
 //! Sudden-power-off recovery: persisting the mapping log while the
 //! device runs, and rebuilding every component from what survives a cut.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+use checkin_sim::Counter;
 
 use super::Ftl;
 use crate::error::RecoveryError;
@@ -24,6 +26,11 @@ pub struct RebuildStats {
     /// (torn tails, rotted metadata). Rejected records never replay and
     /// never advance the recovered sequence floor.
     pub oob_records_rejected: u64,
+    /// Lpns lost to damage the scan found: the newest thing that names
+    /// the lpn — a snapshot entry, or a post-snapshot OOB record that
+    /// itself verifies — points at a data unit that does not. The lpn
+    /// comes back unmapped and poisoned, so reads of it fail typed.
+    pub lpns_poisoned: u64,
 }
 
 impl Ftl {
@@ -35,7 +42,7 @@ impl Ftl {
             return;
         }
         self.persist.persist(&self.table, &self.buffer, self.seq);
-        self.counters.incr("ftl.mapping_log_persists");
+        self.counters.incr(Counter::FtlMappingLogPersists);
     }
 
     /// Rebuilds the whole FTL state after a power cut from what survives:
@@ -47,9 +54,14 @@ impl Ftl {
     ///
     /// 1. resolve the persisted snapshot — flash entries directly, buffered
     ///    entries by the OOB sequence they were written under, wherever
-    ///    that unit is now;
+    ///    that unit is now; an entry onto a unit that fails its checksum
+    ///    marks its lpn lost instead;
     /// 2. replay OOB records *newer than the snapshot* in sequence order,
-    ///    newest winning per lpn;
+    ///    newest winning per lpn — a record whose data unit fails its
+    ///    checksum replays as a *loss marker* that unmaps the lpn, so an
+    ///    older intact copy is not resurrected over a newer damaged one
+    ///    (an lpn still lost after step 3 is poisoned: reads fail typed
+    ///    instead of reporting "never written");
     /// 3. overlay live buffer slots newer than the snapshot — a live slot
     ///    is always the newest copy of its lpn;
     /// 4. reconstruct block lifecycle from write cursors and bad-block
@@ -85,54 +97,83 @@ impl Ftl {
         // whose buffered unit drained before the cut — keyed by OOB
         // sequence alone: a sequence number identifies one written unit,
         // while the record's lpn is only the lpn the unit was *written*
-        // under.
-        let mut replay: Vec<(u64, Lpn, Pun)> = Vec::new();
+        // under. A replay entry is `(sequence, lpn, unit, unit verifies)`.
+        let mut replay: Vec<(u64, Lpn, Pun, bool)> = Vec::new();
         let mut pre_snap: BTreeMap<u64, Pun> = BTreeMap::new();
         let mut max_seq = snap_seq;
         for (ppn, content) in self.flash.programmed_pages() {
             for (offset, oob) in content.oob.iter().enumerate() {
-                // A record only enters recovery when its OOB metadata AND
-                // the data unit it describes both verify: a torn tail or
-                // rotted record must neither replay (it would resurrect
-                // corrupt data) nor advance `max_seq` (a flipped sequence
-                // bit could falsely win newest-wins over good records).
-                if verify && !(content.oob_intact(offset) && content.unit_intact(offset)) {
+                // A record whose own checksum fails (torn tail, rotted
+                // metadata) names nothing that can be trusted: it must
+                // neither replay nor advance `max_seq` — a flipped
+                // sequence bit could falsely win newest-wins over good
+                // records.
+                if verify && !content.oob_intact(offset) {
                     stats.oob_records_rejected += 1;
                     continue;
                 }
+                // A sound record over a damaged unit still names the lpn
+                // and sequence of a write the host was told had landed.
+                // Forgetting it would bring the lpn back unmapped, or on
+                // an older copy. Newer than the snapshot, it replays as
+                // a loss marker; older, the snapshot speaks for the lpn
+                // (and checks the unit it resolves to).
                 let pun = Pun::compose(ppn, offset as u32, upp);
                 max_seq = max_seq.max(oob.sequence);
                 if oob.sequence > snap_seq {
-                    replay.push((oob.sequence, Lpn(oob.lpn), pun));
+                    let unit_intact = !verify || content.unit_intact(offset);
+                    replay.push((oob.sequence, Lpn(oob.lpn), pun, unit_intact));
                 } else {
                     pre_snap.insert(oob.sequence, pun);
                 }
             }
         }
-        replay.sort_unstable_by_key(|&(seq, _, _)| seq);
+        replay.sort_unstable_by_key(|&(seq, ..)| seq);
 
         let mut table = MappingTable::with_capacity((g.total_pages() * upp as u64) as usize);
-        let still_verifies = |pun: Pun| {
-            self.flash
-                .read(pun.page(upp))
-                .is_some_and(|pc| !verify || pc.unit_intact(pun.offset(upp) as usize))
+        // `None`: nothing is programmed there.
+        let unit_verifies = |pun: Pun| {
+            let page = self.flash.read(pun.page(upp))?;
+            Some(!verify || page.unit_intact(pun.offset(upp) as usize))
         };
+        // Lpns whose newest copy so far is a damaged unit.
+        let mut lost: BTreeMap<Lpn, Pun> = BTreeMap::new();
         (
             stats.snapshot_entries_resolved,
             stats.snapshot_entries_dropped,
-        ) = self
-            .persist
-            .resolve_into(&mut table, still_verifies, &slot_by_seq, &pre_snap);
-        for &(_, lpn, pun) in &replay {
-            let _ = table.map(lpn, Location::Flash(pun));
-            stats.oob_records_replayed += 1;
+        ) = self.persist.resolve_into(
+            &mut table,
+            unit_verifies,
+            &slot_by_seq,
+            &pre_snap,
+            &mut lost,
+        );
+        for &(_, lpn, pun, unit_intact) in &replay {
+            if unit_intact {
+                let _ = table.map(lpn, Location::Flash(pun));
+                lost.remove(&lpn);
+                stats.oob_records_replayed += 1;
+            } else {
+                let _ = table.unmap(lpn);
+                lost.insert(lpn, pun);
+            }
         }
         for (slot, d) in self.buffer.live() {
             max_seq = max_seq.max(d.oob.sequence);
             if d.oob.sequence > snap_seq {
                 let _ = table.map(Lpn(d.oob.lpn), Location::Buffer(slot));
+                lost.remove(&Lpn(d.oob.lpn));
                 stats.buffered_units_recovered += 1;
             }
+        }
+        // One damaged unit may be lost to several lpns (remap aliases).
+        stats.lpns_poisoned = lost.len() as u64;
+        let damaged: BTreeSet<Pun> = lost.values().copied().collect();
+        for lpn in lost.into_keys() {
+            self.ledger.poison(lpn);
+        }
+        for pun in damaged {
+            self.ledger.record_lost_at_rebuild(pun, &mut self.counters);
         }
         self.table = table;
 
@@ -141,7 +182,7 @@ impl Ftl {
         self.buffer.requeue_all_in_write_order();
         self.in_gc = false;
         self.seq = self.seq.max(max_seq);
-        self.counters.incr("ftl.power_loss_rebuilds");
+        self.counters.incr(Counter::FtlPowerLossRebuilds);
         // Re-persist immediately: the recovered table is the new floor.
         self.persist_mapping_log();
         Ok(stats)

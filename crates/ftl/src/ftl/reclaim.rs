@@ -4,14 +4,14 @@
 //! foreground read does.
 
 use checkin_flash::{BlockId, FaultPhase, FlashError, OobKind, OpPhase, Ppn, UnitPayload};
-use checkin_sim::{SimTime, TraceEvent, TraceLayer};
+use checkin_sim::{Counter, SimTime, TraceEvent, TraceLayer};
 
 use super::Ftl;
 use crate::error::{FtlError, IntegrityError};
 use crate::location::{Location, Lpn, Pun};
 
 /// Why a garbage-collection round was started. Each invocation is
-/// counted under a per-trigger key and recorded in the trace, which is
+/// counted under a per-trigger counter and recorded in the trace, which is
 /// what makes GC cost attributable (foreground GC stalls host writes;
 /// background and wear-leveling rounds run in idle windows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,12 +35,12 @@ impl GcTrigger {
         }
     }
 
-    /// Counter key for rounds started by this trigger.
-    pub fn counter_key(self) -> &'static str {
+    /// Counter of rounds started by this trigger.
+    pub fn counter(self) -> Counter {
         match self {
-            GcTrigger::Foreground => "ftl.gc_foreground",
-            GcTrigger::Background => "ftl.gc_background",
-            GcTrigger::WearLevel => "ftl.gc_wear_level",
+            GcTrigger::Foreground => Counter::FtlGcForeground,
+            GcTrigger::Background => Counter::FtlGcBackground,
+            GcTrigger::WearLevel => Counter::FtlGcWearLevel,
         }
     }
 }
@@ -50,14 +50,20 @@ impl GcTrigger {
 pub struct ScrubReport {
     /// Programmed pages whose data units were verified this round.
     pub pages_scanned: u64,
-    /// Units whose checksum mismatched and were newly marked corrupt.
-    pub detected: u64,
     /// Detected units still referenced by the mapping table: the data is
     /// quarantined and reads of it fail with a typed error.
     pub quarantined: u64,
     /// Detected units no longer referenced (stale copies): no logical
     /// data was at risk, the mark only keeps GC from copying rot.
     pub corrected: u64,
+}
+
+impl ScrubReport {
+    /// Units whose checksum mismatched and were newly marked corrupt:
+    /// each is quarantined or corrected, never neither.
+    pub fn detected(&self) -> u64 {
+        self.quarantined + self.corrected
+    }
 }
 
 impl Ftl {
@@ -87,7 +93,7 @@ impl Ftl {
         let Some(victim) = self.pool.coldest_closed(&self.flash) else {
             return Ok(None);
         };
-        self.counters.incr("ftl.wear_level_rounds");
+        self.counters.incr(Counter::FtlWearLevelRounds);
         self.migrate_and_erase(victim, at, GcTrigger::WearLevel)
             .map(Some)
     }
@@ -119,9 +125,9 @@ impl Ftl {
         at: SimTime,
         trigger: GcTrigger,
     ) -> Result<SimTime, FtlError> {
-        self.counters.incr("ftl.gc_invocations");
-        self.counters.incr(trigger.counter_key());
-        let moved_before = self.counters.get("ftl.gc_units_moved");
+        self.counters.incr(Counter::FtlGcInvocations);
+        self.counters.incr(trigger.counter());
+        let moved_before = self.counters.get(Counter::FtlGcUnitsMoved);
         // All flash traffic below (migration reads, page-out programs,
         // the victim erase) is attributed to the GC phase, and page-outs
         // it causes must not start a nested round; the previous state is
@@ -133,7 +139,7 @@ impl Ftl {
         self.flash.set_op_phase(prev_op_phase);
         self.flash.set_fault_phase(prev_fault_phase);
         self.in_gc = false;
-        let moved = self.counters.get("ftl.gc_units_moved") - moved_before;
+        let moved = self.counters.get(Counter::FtlGcUnitsMoved) - moved_before;
         self.tracer.emit(|| {
             TraceEvent::new(at, TraceLayer::Ftl, "gc")
                 .tag(trigger.label())
@@ -199,7 +205,7 @@ impl Ftl {
                 payload,
                 primary,
             );
-            self.counters.incr("ftl.gc_units_moved");
+            self.counters.incr(Counter::FtlGcUnitsMoved);
             done = done.max(self.drain_to_watermark(at)?);
         }
         Ok(done)
@@ -225,7 +231,7 @@ impl Ftl {
 
     fn take_out_of_service(&mut self, block: BlockId) {
         self.pool.retire(block);
-        self.counters.incr("ftl.blocks_retired");
+        self.counters.incr(Counter::FtlBlocksRetired);
         self.ledger
             .clear_block(block, self.flash.geometry(), self.upp);
     }
@@ -343,11 +349,11 @@ impl Ftl {
         let prev = self.flash.set_op_phase(OpPhase::Scrub);
         let out = self.scrub_pages(at, max_pages, &mut report);
         self.flash.set_op_phase(prev);
-        self.counters.incr("ftl.scrub_rounds");
+        self.counters.incr(Counter::FtlScrubRounds);
         self.tracer.emit(|| {
             TraceEvent::new(at, TraceLayer::Ftl, "scrub_round")
                 .with("pages", report.pages_scanned)
-                .with("detected", report.detected)
+                .with("detected", report.detected())
         });
         out.map(|()| report)
     }
@@ -371,7 +377,7 @@ impl Ftl {
             let win = self.read_with_retry(ppn, t)?;
             t = win.finish;
             report.pages_scanned += 1;
-            self.counters.incr("ftl.scrub_pages");
+            self.counters.incr(Counter::FtlScrubPages);
             // Verify the whole page under one borrow; marking (which needs
             // `&mut self`) happens after it ends. A healthy page collects
             // nothing, so the steady state stays allocation-free.
@@ -387,14 +393,8 @@ impl Ftl {
                     .ledger
                     .note_corrupt(pun, &self.table, &mut self.counters);
                 match mark {
-                    Some(true) => {
-                        report.detected += 1;
-                        report.quarantined += 1;
-                    }
-                    Some(false) => {
-                        report.detected += 1;
-                        report.corrected += 1;
-                    }
+                    Some(true) => report.quarantined += 1,
+                    Some(false) => report.corrected += 1,
                     None => {}
                 }
             }

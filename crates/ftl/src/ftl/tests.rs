@@ -75,7 +75,7 @@ fn page_out_after_buffer_watermark() {
         f.write(w(i, i, 1, 512), OobKind::Data, SimTime::ZERO)
             .unwrap();
     }
-    assert!(f.flash().counters().get("flash.program") >= 2);
+    assert!(f.flash().counters().total(Total::FlashProgram) >= 2);
     let (p, t) = f.read(Lpn(0), SimTime::from_nanos(0)).unwrap();
     assert_eq!(p.fragments[0].key, 0);
     assert!(t > SimTime::ZERO, "flash read has latency");
@@ -94,7 +94,7 @@ fn overwrite_invalidates_old_copy() {
     }
     let (p, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
     assert_eq!(p.fragments[0].version, 16, "latest version wins");
-    assert!(f.counters().get("ftl.invalid_units") > 0);
+    assert!(f.counters().get(Counter::FtlInvalidUnits) > 0);
     f.check_invariants().unwrap();
 }
 
@@ -119,7 +119,7 @@ fn remap_shares_physical_copy() {
     assert_eq!(a, b);
     assert_eq!(f.location_of(Lpn(0)), f.location_of(Lpn(100)));
     // Remap costs zero flash programs.
-    let programs = f.flash().counters().get("flash.program");
+    let programs = f.flash().counters().total(Total::FlashProgram);
     assert_eq!(programs, 1);
     f.check_invariants().unwrap();
 }
@@ -144,7 +144,7 @@ fn deallocate_journal_keeps_data_alias_alive() {
     // Data alias still readable; no invalid unit was generated.
     let (p, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
     assert_eq!(p.fragments[0].key, 1);
-    assert_eq!(f.counters().get("ftl.invalid_units"), 0);
+    assert_eq!(f.counters().get(Counter::FtlInvalidUnits), 0);
     assert!(!f.deallocate(Lpn(100)), "already gone");
     f.check_invariants().unwrap();
 }
@@ -191,7 +191,7 @@ fn partial_write_merges_with_flash_copy() {
     let k2 = p.fragments.iter().find(|fr| fr.key == 2).unwrap();
     assert_eq!(k1.version, 1);
     assert_eq!(k2.version, 2);
-    assert_eq!(f.counters().get("ftl.rmw_reads"), 1);
+    assert_eq!(f.counters().get(Counter::FtlRmwReads), 1);
     f.check_invariants().unwrap();
 }
 
@@ -207,7 +207,7 @@ fn gc_reclaims_space_under_churn() {
         }
     }
     assert!(
-        f.counters().get("ftl.gc_invocations") > 0,
+        f.counters().get(Counter::FtlGcInvocations) > 0,
         "GC should trigger"
     );
     assert!(f.free_block_count() > 0);
@@ -233,7 +233,7 @@ fn gc_preserves_shared_references() {
                 .unwrap();
         }
     }
-    assert!(f.counters().get("ftl.gc_invocations") > 0);
+    assert!(f.counters().get(Counter::FtlGcInvocations) > 0);
     let (a, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
     let (b, _) = f.read(Lpn(1000), SimTime::ZERO).unwrap();
     assert_eq!(a, b, "aliases stay identical across GC migration");
@@ -268,7 +268,7 @@ fn flush_pads_partial_pages() {
         .unwrap();
     let done = f.flush(SimTime::ZERO).unwrap();
     assert!(done > SimTime::ZERO);
-    assert_eq!(f.flash().counters().get("flash.program"), 1);
+    assert_eq!(f.flash().counters().total(Total::FlashProgram), 1);
     let (p, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
     assert_eq!(p.fragments[0].key, 1);
     f.check_invariants().unwrap();

@@ -38,7 +38,7 @@ fn levels_cold_block_and_preserves_data() {
         assert!(rounds < 64, "wear leveling must converge");
     }
     assert!(rounds > 0, "levelling should have run");
-    assert_eq!(f.counters().get("ftl.wear_level_rounds"), rounds);
+    assert_eq!(f.counters().get(Counter::FtlWearLevelRounds), rounds);
     // Cold data intact at version 1.
     for lpn in 0..8u64 {
         let (p, _) = f.read(Lpn(lpn), SimTime::ZERO).unwrap();
@@ -81,7 +81,7 @@ fn retired_hot_block_does_not_pin_wear_delta() {
         None,
         "no wear-leveling round should run on a level device"
     );
-    assert_eq!(f.counters().get("ftl.wear_level_rounds"), 0);
+    assert_eq!(f.counters().get(Counter::FtlWearLevelRounds), 0);
     f.check_invariants().unwrap();
 }
 
@@ -94,7 +94,7 @@ fn disabled_threshold_never_levels() {
         }
     }
     assert_eq!(f.run_wear_leveling_round(SimTime::ZERO).unwrap(), None);
-    assert_eq!(f.counters().get("ftl.wear_level_rounds"), 0);
+    assert_eq!(f.counters().get(Counter::FtlWearLevelRounds), 0);
 }
 
 #[test]

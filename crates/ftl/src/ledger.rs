@@ -1,13 +1,13 @@
 //! The integrity ledger: which physical units failed checksum
 //! verification, which logical units were lost for good, where the
 //! background scrubber resumes — and the only code that bumps the
-//! `ftl.integrity_*` counters, so `detected == quarantined + corrected`
-//! is kept in one place.
+//! `ftl.integrity_*` counters. `detected == quarantined + corrected`
+//! needs no keeping: detected is a [`Total`] of exactly those two.
 
 use std::collections::BTreeSet;
 
 use checkin_flash::{BlockId, FlashArray, FlashGeometry, Ppn};
-use checkin_sim::CounterSet;
+use checkin_sim::{Counter, CounterSet, Total};
 
 use crate::location::{Location, Lpn, Pun};
 use crate::mapping::MappingTable;
@@ -41,10 +41,10 @@ impl IntegrityLedger {
     /// Marks a physical unit as corrupt (checksum mismatch). Returns
     /// `None` when it was already marked, else `Some(referenced)`: whether
     /// `table` still points at the unit. Every new mark counts in
-    /// `ftl.integrity_detected` and in exactly one of
-    /// `ftl.integrity_quarantined` (referenced: logical data is walled
-    /// off) or `ftl.integrity_corrected` (a stale copy — nothing to lose,
-    /// the mark just keeps GC from copying rot forward).
+    /// exactly one of `ftl.integrity_quarantined` (referenced: logical
+    /// data is walled off) or `ftl.integrity_corrected` (a stale copy —
+    /// nothing to lose, the mark just keeps GC from copying rot forward),
+    /// and through it in `ftl.integrity_detected`.
     pub(crate) fn note_corrupt(
         &mut self,
         pun: Pun,
@@ -55,12 +55,11 @@ impl IntegrityLedger {
             return None;
         }
         let referenced = !table.referrers(Location::Flash(pun)).is_empty();
-        counters.incr("ftl.integrity_detected");
-        if referenced {
-            counters.incr("ftl.integrity_quarantined");
+        counters.incr(if referenced {
+            Counter::FtlIntegrityQuarantined
         } else {
-            counters.incr("ftl.integrity_corrected");
-        }
+            Counter::FtlIntegrityCorrected
+        });
         Some(referenced)
     }
 
@@ -71,10 +70,21 @@ impl IntegrityLedger {
     /// quarantined event.
     pub(crate) fn record_destroyed(&mut self, pun: Pun, counters: &mut CounterSet) {
         if !self.quarantined.remove(&pun) {
-            counters.incr("ftl.integrity_detected");
-            counters.incr("ftl.integrity_quarantined");
+            counters.incr(Counter::FtlIntegrityQuarantined);
         }
-        counters.incr("ftl.integrity_unrecoverable");
+        counters.incr(Counter::FtlIntegrityUnrecoverable);
+    }
+
+    /// SPOR found that the newest record naming some lpn — a mapping-log
+    /// entry or a sound OOB record — points at `pun`, whose data does not
+    /// verify: the logical data is lost (`ftl.integrity_unrecoverable`). The unit is still on flash,
+    /// so the mark is made — or kept, when a read had already failed on
+    /// it before the cut — and a later scrub does not count it again.
+    pub(crate) fn record_lost_at_rebuild(&mut self, pun: Pun, counters: &mut CounterSet) {
+        if self.quarantined.insert(pun) {
+            counters.incr(Counter::FtlIntegrityQuarantined);
+        }
+        counters.incr(Counter::FtlIntegrityUnrecoverable);
     }
 
     pub(crate) fn poison(&mut self, lpn: Lpn) {
@@ -128,16 +138,17 @@ impl IntegrityLedger {
         hit.map(|(ppn, _)| ppn)
     }
 
-    /// `detected == quarantined + corrected`.
+    /// Every mark was counted when it was made. (`detected ==
+    /// quarantined + corrected` is not checked: the counter schema
+    /// cannot represent anything else.)
     pub(crate) fn check_invariants(&self, counters: &CounterSet) -> Result<(), String> {
-        let detected = counters.get("ftl.integrity_detected");
-        let quarantined = counters.get("ftl.integrity_quarantined");
-        let corrected = counters.get("ftl.integrity_corrected");
-        if detected == quarantined + corrected {
+        let marks = self.quarantined.len() as u64;
+        let detected = counters.total(Total::FtlIntegrityDetected);
+        if marks <= detected {
             return Ok(());
         }
         Err(format!(
-            "integrity ledger: detected {detected} != quarantined {quarantined} + corrected {corrected}"
+            "integrity ledger: {marks} units marked corrupt but only {detected} detections counted"
         ))
     }
 }
@@ -156,17 +167,26 @@ mod tests {
         assert_eq!(ledger.note_corrupt(Pun(3), &table, &mut c), None);
         assert_eq!(ledger.note_corrupt(Pun(4), &table, &mut c), Some(false));
         assert!(ledger.is_quarantined(Pun(3)) && !ledger.is_quarantined(Pun(5)));
-        assert_eq!(c.get("ftl.integrity_detected"), 2);
-        assert_eq!(c.get("ftl.integrity_quarantined"), 1);
-        assert_eq!(c.get("ftl.integrity_corrected"), 1);
+        assert_eq!(c.total(Total::FtlIntegrityDetected), 2);
+        assert_eq!(c.get(Counter::FtlIntegrityQuarantined), 1);
+        assert_eq!(c.get(Counter::FtlIntegrityCorrected), 1);
 
         // Destroying a marked unit does not detect it again; destroying
         // one first seen by the salvage scan does.
         ledger.record_destroyed(Pun(3), &mut c);
         ledger.record_destroyed(Pun(9), &mut c);
-        assert_eq!(c.get("ftl.integrity_detected"), 3);
-        assert_eq!(c.get("ftl.integrity_unrecoverable"), 2);
+        assert_eq!(c.total(Total::FtlIntegrityDetected), 3);
+        assert_eq!(c.get(Counter::FtlIntegrityUnrecoverable), 2);
         assert!(!ledger.is_quarantined(Pun(3)));
+
+        // A loss SPOR finds keeps the mark a read made before the cut,
+        // and makes (and counts) it when nobody had seen the damage.
+        ledger.record_lost_at_rebuild(Pun(4), &mut c);
+        ledger.record_lost_at_rebuild(Pun(7), &mut c);
+        assert!(ledger.is_quarantined(Pun(4)) && ledger.is_quarantined(Pun(7)));
+        assert_eq!(c.total(Total::FtlIntegrityDetected), 4);
+        assert_eq!(c.get(Counter::FtlIntegrityQuarantined), 3);
+        assert_eq!(c.get(Counter::FtlIntegrityUnrecoverable), 4);
         ledger.check_invariants(&c).unwrap();
     }
 
@@ -248,11 +268,15 @@ mod tests {
 
     #[test]
     fn invariant_reports_a_detection_nobody_accounted_for() {
-        let mut c = CounterSet::new();
-        c.add("ftl.integrity_detected", 1);
-        let err = IntegrityLedger::default().check_invariants(&c).unwrap_err();
+        // A mark made behind the counters' back — the one way left to
+        // have a detection without its quarantined-or-corrected count.
+        let ledger = IntegrityLedger {
+            quarantined: BTreeSet::from([Pun(1)]),
+            ..IntegrityLedger::default()
+        };
+        let err = ledger.check_invariants(&CounterSet::new()).unwrap_err();
         assert!(
-            err.contains("detected 1 != quarantined 0 + corrected 0"),
+            err.contains("1 units marked corrupt but only 0 detections counted"),
             "{err}"
         );
     }

@@ -63,30 +63,43 @@ impl MapPersistence {
     }
 
     /// Consumes the snapshot into `table`, returning `(resolved,
-    /// dropped)` entry counts. Flash entries resolve when
-    /// `flash_readable` says the unit still verifies. Buffered entries
-    /// resolve via the live slot carrying the recorded OOB sequence
-    /// (`live_slots`) or, if the unit drained before the cut, via the
-    /// flash record carrying it (`drained`) — matched by sequence alone,
-    /// since remap aliases reference a unit under an lpn other than the
-    /// one it was written under. Anything else is dropped, never
-    /// re-linked onto missing or corrupt data.
+    /// dropped)` entry counts. Buffered entries resolve via the live slot
+    /// carrying the recorded OOB sequence (`live_slots`) or, if the unit
+    /// drained before the cut, via the flash record carrying it
+    /// (`drained`) — matched by sequence alone, since remap aliases
+    /// reference a unit under an lpn other than the one it was written
+    /// under. A flash unit, named directly or found that way, resolves
+    /// when `unit_verifies` says `Some(true)`. Anything else is dropped,
+    /// never re-linked onto missing or corrupt data — and an entry whose
+    /// unit is there but does not verify (`Some(false)`) goes into
+    /// `damaged`: the log is sound, so it names an lpn whose data is lost.
     pub(crate) fn resolve_into(
         &mut self,
         table: &mut MappingTable,
-        flash_readable: impl Fn(Pun) -> bool,
+        unit_verifies: impl Fn(Pun) -> Option<bool>,
         live_slots: &BTreeMap<u64, BufSlot>,
         drained: &BTreeMap<u64, Pun>,
+        damaged: &mut BTreeMap<Lpn, Pun>,
     ) -> (u64, u64) {
         let (mut resolved, mut dropped) = (0, 0);
         for (lpn, loc) in self.persisted.take().map(|s| s.entries).unwrap_or_default() {
             let target = match loc {
-                SnapLoc::Flash(pun) => flash_readable(pun).then_some(Location::Flash(pun)),
+                SnapLoc::Flash(pun) => Some(Location::Flash(pun)),
                 SnapLoc::Buffered { oob_seq } => live_slots
                     .get(&oob_seq)
                     .map(|&s| Location::Buffer(s))
                     .or_else(|| drained.get(&oob_seq).map(|&p| Location::Flash(p))),
             };
+            let target = target.filter(|&l| match l {
+                Location::Buffer(_) => true,
+                Location::Flash(pun) => {
+                    let verdict = unit_verifies(pun);
+                    if verdict == Some(false) {
+                        damaged.insert(lpn, pun);
+                    }
+                    verdict == Some(true)
+                }
+            });
             match target {
                 Some(l) => {
                     let _ = table.map(lpn, l);
@@ -157,8 +170,11 @@ mod tests {
         let live = BTreeMap::from([(5, BufSlot(9))]);
         let drained = BTreeMap::from([(6, Pun(20))]);
         let mut recovered = MappingTable::new();
-        let counts = log.resolve_into(&mut recovered, |pun| pun != Pun(11), &live, &drained);
+        let mut damaged = BTreeMap::new();
+        let verifies = |pun| Some(pun != Pun(11));
+        let counts = log.resolve_into(&mut recovered, verifies, &live, &drained, &mut damaged);
         assert_eq!(counts, (3, 2));
+        assert_eq!(damaged, BTreeMap::from([(Lpn(1), Pun(11))]));
         assert_eq!(recovered.lookup(Lpn(0)), Some(Location::Flash(Pun(10))));
         assert_eq!(recovered.lookup(Lpn(1)), None);
         assert_eq!(recovered.lookup(Lpn(2)), Some(Location::Buffer(BufSlot(9))));

@@ -52,6 +52,6 @@ mod trace;
 pub use event::EventQueue;
 pub use resource::{Resource, ResourcePool, Window};
 pub use rng::SimRng;
-pub use stats::{CounterSet, LatencyRecorder, ThroughputMeter};
+pub use stats::{Counter, CounterSet, LatencyRecorder, ThroughputMeter, Total};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLayer, TraceRing, Tracer, MAX_TRACE_FIELDS};

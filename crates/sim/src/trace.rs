@@ -242,6 +242,14 @@ pub struct Tracer {
     inner: Option<Arc<Mutex<TraceRing>>>,
 }
 
+// Handles are cloned into every layer and, under the sweep runner, across
+// threads: a field that is not `Send + Sync` (an `Rc`, a `RefCell`) is a
+// build error here, not an analyzer finding.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Tracer>();
+};
+
 impl Tracer {
     /// A disabled tracer: every `emit` is a no-op.
     pub fn disabled() -> Self {

@@ -88,10 +88,12 @@ impl crate::Ssd {
         for (ppn, content) in flash.programmed_pages() {
             snapshot.pages_scanned += 1;
             for (offset, oob) in content.oob.iter().enumerate() {
-                // Same acceptance rule as the FTL rebuild: a record only
-                // counts when both its OOB metadata and the data unit it
-                // describes still verify — a corrupt record must never
-                // win newest-wins over an intact older one.
+                // A record only makes its unit *discoverable* when both
+                // its OOB metadata and the data unit it describes still
+                // verify — a corrupt record must never win newest-wins
+                // over an intact older one. (The FTL rebuild goes one
+                // step further with a sound record over a damaged unit:
+                // it replays it as a loss marker that poisons the lpn.)
                 if verify && !(content.oob_intact(offset) && content.unit_intact(offset)) {
                     snapshot.records_rejected += 1;
                     continue;
@@ -157,7 +159,7 @@ mod tests {
     use crate::{Ssd, SsdTiming, WriteContent, WriteRequest};
     use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind};
     use checkin_ftl::{Ftl, FtlConfig};
-    use checkin_sim::SimTime;
+    use checkin_sim::{Counter, SimTime};
 
     fn ssd() -> Ssd {
         let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
@@ -301,7 +303,7 @@ mod tests {
             t = s.flush(t).unwrap();
         }
         assert!(
-            s.ftl().counters().get("ftl.gc_invocations") > 0,
+            s.ftl().counters().get(Counter::FtlGcInvocations) > 0,
             "churn must trigger GC"
         );
         s.verify_spor_contract().unwrap();
