@@ -27,11 +27,13 @@
 //!    (`default_gc_policy_vs_greedy`, floor 0.90). Ratios against the
 //!    pre-overhaul loop's recorded ns/op are reported, not gated: the
 //!    constants were measured once, on another host.
-//! 7. **Construction and load** — `KvSystem::new` on the paper-default
-//!    system and the 20 000-record load that follows it, as the metrics
-//!    `system/kv_system_new_ms` and `system/load_ns_per_record`.
-//!    Reported, not gated (`crates/core/tests/construction_alloc.rs`
-//!    gates construction on allocation counts, which do not vary).
+//! 7. **Flash page store** — what 4 096 programmed pages of the
+//!    paper's shape (eight 512 B units, one in eight merged) cost the
+//!    host, as the counts `flash/store_bytes_per_unit` and
+//!    `flash/program_allocs_per_page`. Exact on any host; reported, not
+//!    gated (`crates/flash/tests/page_store_alloc.rs` holds the budgets).
+//!    Construction and record-load times are kvbench's `setup_s` and
+//!    `engine.load_ns_per_record`.
 //! 8. **Parallel sweep** — a 15-configuration strategy×seed batch, serial
 //!    vs `run_configs` work-stealing workers. Reported, not gated: two
 //!    shared cores measure 0.5–0.9x.
@@ -43,18 +45,61 @@
 //! Results land in `BENCH_perf.json` (override with `--out PATH`) so later
 //! changes can regress against recorded numbers. Any failed gate exits 1.
 
+// A counting `GlobalAlloc` shim cannot be written without `unsafe`
+// (same shim as `crates/flash/tests/page_store_alloc.rs`).
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use checkin_bench::harness::{bench, compare, metric, BenchOpts, BenchResult, Comparison, Metric};
 use checkin_core::{default_jobs, run_configs, JournalManager, Layout, Strategy, SystemConfig};
-use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind, UnitPayload};
+use checkin_flash::{
+    FlashArray, FlashGeometry, FlashTiming, Fragment, OobEntry, OobKind, PageContent, Ppn,
+    UnitPayload,
+};
 use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, MappingTable, Pun, UnitWrite};
 use checkin_sim::{
     Counter, CounterSet, EventQueue, SimDuration, SimRng, SimTime, TraceEvent, TraceLayer, Tracer,
 };
 use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
+
+/// Counts allocation calls for `flash/program_allocs_per_page`; one
+/// relaxed increment per call, which the timed loops (allocation-free
+/// in steady state) do not see.
+struct CountingAlloc;
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller already upholds; the counter
+// touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: AllocLayout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Mapped LPNs in the L2P benches — the paper-default device has ~400k
 /// 4-sector mapping units, so this is a realistically full table.
@@ -538,34 +583,49 @@ fn bench_full_run(
     (checksum_overhead, policy_speedup)
 }
 
-/// Set-up cost before the first query on the paper-default system:
-/// building every layer, then loading the records. Best of `reps`.
-fn bench_construction(quick: bool) -> Vec<Metric> {
-    section("Construction and record load (paper-default system)");
-    let config = SystemConfig::for_strategy(Strategy::CheckIn);
-    let sizes = config.workload.generator();
-    let records: Vec<(u64, u32)> = (0..config.workload.record_count)
-        .map(|k| (k, sizes.load_size(k)))
-        .collect();
-    let reps = if quick { 3 } else { 10 };
-    let (mut new_ns, mut load_ns) = (u128::MAX, u128::MAX);
-    for _ in 0..reps {
-        let built = Instant::now();
-        let mut sys = checkin_core::KvSystem::new(config.clone()).expect("valid bench config");
-        new_ns = new_ns.min(built.elapsed().as_nanos());
-        let (engine, ssd) = sys.verify_parts();
-        let start = Instant::now();
-        engine
-            .load(ssd, &records, SimTime::ZERO)
-            .expect("bench load succeeds");
-        load_ns = load_ns.min(start.elapsed().as_nanos());
+/// Host cost of the flash page store for 4 096 programmed pages of the
+/// paper's shape: eight 512 B units and OOB records a page, one unit
+/// in eight a merged sector of three records.
+fn page_store_metrics() -> Vec<Metric> {
+    section("Flash page store (paper-default array, 4 096 pages)");
+    const PAGES: u64 = 4096;
+    let mut flash = FlashArray::new(FlashGeometry::paper_default(), FlashTiming::mlc());
+    let mut page = PageContent::empty(8);
+    for (i, unit) in page.units.iter_mut().enumerate() {
+        let lpn = i as u64;
+        let third = |key| Fragment {
+            key,
+            version: 1,
+            bytes: 170,
+        };
+        *unit = Some(if i == 3 {
+            UnitPayload::merged(vec![third(3), third(8), third(9)])
+        } else {
+            UnitPayload::single(lpn, 1, 512)
+        });
+        page.oob.push(OobEntry {
+            lpn,
+            sequence: lpn,
+            kind: OobKind::Journal,
+        });
     }
+    let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
+    for p in 0..PAGES {
+        flash
+            .program(Ppn(p), &page, SimTime::ZERO)
+            .expect("bench program succeeds");
+    }
+    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls_before;
     vec![
-        metric("system/kv_system_new_ms", new_ns as f64 / 1e6, "ms"),
         metric(
-            "system/load_ns_per_record",
-            load_ns as f64 / records.len() as f64,
-            "ns",
+            "flash/store_bytes_per_unit",
+            flash.store_bytes() as f64 / (PAGES * 8) as f64,
+            "B",
+        ),
+        metric(
+            "flash/program_allocs_per_page",
+            calls as f64 / PAGES as f64,
+            "calls",
         ),
     ]
 }
@@ -689,7 +749,7 @@ fn main() {
     bench_tracer(opts, &mut results, &mut comparisons);
     bench_counter_bump(opts, &mut results);
     let (checksum_overhead, policy_speedup) = bench_full_run(quick, &mut results, &mut comparisons);
-    let metrics = bench_construction(quick);
+    let metrics = page_store_metrics();
     bench_parallel_sweep(quick, &mut results, &mut comparisons);
 
     harnessed_write(&out, mode, &results, &comparisons, &metrics);

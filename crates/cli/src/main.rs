@@ -84,6 +84,10 @@ fn run_one(args: &RunArgs) {
         report.copied_entries
     );
     println!(
+        "  host memory   flash page store {} KiB",
+        report.flash_store_bytes / 1024
+    );
+    println!(
         "  resilience    transient faults {} (retries {}), grown bad {}, blocks retired {}",
         report.flash.transient_faults,
         report.flash.media_retries,

@@ -289,6 +289,10 @@ pub struct RunReport {
     pub redundant_write_bytes: u64,
     /// Flash accounting over the measured phase.
     pub flash: FlashStats,
+    /// Host bytes the flash page store holds at the end of the run
+    /// ([`checkin_flash::FlashArray::store_bytes`]): memory as a
+    /// deterministic count, not a host measurement.
+    pub flash_store_bytes: u64,
     /// Raw bytes carried by write queries.
     pub write_query_bytes: u64,
     /// Total host-interface bytes moved (journals + checkpoints + meta).

@@ -478,6 +478,7 @@ impl KvSystem {
             redundant_write_bytes: cp.redundant_bytes,
             checkpoint_phases: cp.phases,
             flash,
+            flash_store_bytes: self.ssd.ftl().flash().store_bytes(),
             write_query_bytes,
             host_io_bytes,
             io_amplification: ratio_or_nan(host_io_bytes as f64, write_query_bytes as f64),

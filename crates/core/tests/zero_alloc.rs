@@ -1,13 +1,14 @@
-//! Locks in the hot-loop allocation work: once the engine, FTL buffers,
-//! and flash spare-page pool are warm, the steady-state query loop
-//! (whole-sector journal updates + point reads) performs **zero** heap
-//! allocations per operation.
+//! Locks in the hot-loop allocation work: once the engine and FTL
+//! buffers are warm and every flash block in play has been programmed
+//! once, the steady-state query loop (whole-sector journal updates +
+//! point reads) performs **zero** heap allocations per operation.
 //!
 //! The measured window deliberately models steady state *within* a
 //! checkpoint cycle: the working set has already been journaled once
 //! since the last checkpoint (so JMT nodes exist), the FTL write buffer
-//! and read scratch have reached their high-water capacity, and the
-//! flash array's spare-page pool has been fed by zone-recycling erases.
+//! and read scratch have reached their high-water capacity, and every
+//! block owns its page-store arenas (a block allocates on its first
+//! program only; erase keeps the capacity).
 //! Everything the window exercises — journal append, block write, page
 //! drain, JMT update, flash program, point read — must then run
 //! allocation-free.
@@ -23,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use checkin_core::{EngineError, KvEngine, Layout, Strategy, SystemConfig};
-use checkin_flash::FlashArray;
+use checkin_flash::{BlockId, FlashArray};
 use checkin_ftl::Ftl;
 use checkin_sim::{Counter, SimTime};
 use checkin_ssd::{Ssd, SsdTiming};
@@ -61,16 +62,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const RECORDS: u64 = 500;
 const VALUE_BYTES: u32 = 700; // > 512 B mapping unit => Full-class log
 const WINDOW_KEYS: u64 = 256;
-/// Spare page-content shells required before the window starts: enough
-/// to cover both passes' page drains with margin.
-const SPARE_TARGET: usize = 160;
 
 #[test]
 fn steady_state_query_loop_is_allocation_free() {
     let mut config = SystemConfig::for_strategy(Strategy::CheckIn);
-    // A small array so warm-up actually cycles blocks through GC: the
-    // spare-page pool is fed by erases, and "steady state" only exists
-    // once programs and erases have balanced.
+    // A small array so warm-up cycles every block through GC: "steady
+    // state" only exists once programs and erases have balanced.
     config.geometry = checkin_flash::FlashGeometry {
         channels: 2,
         dies_per_channel: 2,
@@ -96,9 +93,9 @@ fn steady_state_query_loop_is_allocation_free() {
     let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
 
     // Warm-up: run full checkpoint cycles until every reusable buffer
-    // has reached its high-water mark and GC erases have filled the
-    // flash spare-page pool. Each cycle ends on JournalFull so the
-    // window starts right after a checkpoint with a fresh zone.
+    // has reached its high-water mark and no block is left that was
+    // never programmed. Each cycle ends on JournalFull so the window
+    // starts right after a checkpoint with a fresh zone.
     let mut key = 0u64;
     let mut checkpoints = 0u32;
     loop {
@@ -108,16 +105,18 @@ fn steady_state_query_loop_is_allocation_free() {
             Err(EngineError::JournalFull) => {
                 t = engine.checkpoint(&mut ssd, t).unwrap().finish;
                 checkpoints += 1;
-                let spares = ssd.ftl().flash().spare_page_count();
-                // Both passes write ~2 blocks of journal; require enough
-                // free-block headroom that GC stays quiescent throughout.
-                if checkpoints >= 3 && spares >= SPARE_TARGET {
+                let flash = ssd.ftl().flash();
+                let untouched = (0..flash.geometry().total_blocks())
+                    .map(BlockId)
+                    .filter(|&b| flash.write_cursor(b) == 0 && flash.erase_count(b) == 0)
+                    .count();
+                if checkpoints >= 3 && untouched == 0 {
                     break;
                 }
                 assert!(
                     checkpoints < 200,
-                    "warm-up never reached steady state ({spares} spare pages pooled, \
-                     {} free blocks)",
+                    "warm-up never reached steady state ({untouched} blocks never \
+                     programmed, {} free blocks)",
                     ssd.ftl().free_block_count()
                 );
             }
@@ -133,10 +132,12 @@ fn steady_state_query_loop_is_allocation_free() {
         t = engine.get(&mut ssd, k, t).unwrap().finish;
     }
 
-    // Measured window: the same keys again — pure steady state. GC
-    // runs several rounds inside this window (the small array keeps
-    // free blocks pinned at the threshold), so the migrate/drain path
-    // is covered too.
+    // Measured window: the same keys again — pure steady state. Every
+    // page it drains lands in a block that GC erased during warm-up (or
+    // one already open), so the page store's reprogram-after-erase path
+    // is what runs here. No GC round starts inside the window, here or
+    // before the page store changed: victim selection collects its
+    // candidates into a fresh vector.
     let before = ALLOCS.load(Ordering::SeqCst);
     for k in 0..WINDOW_KEYS {
         t = engine.update(&mut ssd, k, VALUE_BYTES, t).unwrap();

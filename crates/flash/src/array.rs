@@ -1,5 +1,7 @@
 //! The NAND flash array: state, rule enforcement, and operation timing.
 
+use std::borrow::Borrow;
+
 use checkin_sim::{Counter, CounterSet, Resource, SimTime, TraceEvent, TraceLayer, Tracer, Window};
 
 use crate::content::PageContent;
@@ -7,18 +9,16 @@ use crate::error::FlashError;
 use crate::fault::{FaultOp, FaultPhase, FaultPlan, TickOutcome};
 use crate::geometry::{BlockId, FlashGeometry, Ppn};
 use crate::phase::OpPhase;
+use crate::store::{BlockStore, PageView, StoredField};
 use crate::timing::FlashTiming;
 
 /// Per-block bookkeeping.
 #[derive(Debug, Clone, Default)]
 struct BlockState {
     erase_count: u64,
-    /// The block's programmed pages, in page order. NAND programs a
-    /// block strictly in order, so `pages.len()` *is* the write cursor
-    /// and page `p` is programmed exactly when `p < pages.len()`. A block
-    /// that was never programmed owns no memory: its first program
-    /// reserves `pages_per_block` slots once, and erase keeps them.
-    pages: Vec<PageContent>,
+    /// The block's programmed pages (and its write cursor). A block that
+    /// was never programmed owns no memory.
+    store: BlockStore,
 }
 
 /// The simulated NAND array.
@@ -69,10 +69,6 @@ pub struct FlashArray {
     powered_off: bool,
     /// Blocks with grown permanent defects.
     bad_blocks: Vec<bool>,
-    /// Cleared [`PageContent`] shells harvested by [`FlashArray::erase`],
-    /// handed back out by [`FlashArray::spare_page`] so the firmware's
-    /// steady-state program path reuses buffers instead of allocating.
-    spare_pages: Vec<PageContent>,
 }
 
 // The shard fleet will move this across threads: a field that is not
@@ -112,28 +108,17 @@ impl FlashArray {
             tracer: Tracer::disabled(),
             powered_off: false,
             bad_blocks: vec![false; geometry.total_blocks() as usize],
-            spare_pages: Vec::new(),
         }
     }
 
-    /// Number of recycled page-content shells currently pooled (tests
-    /// use this to confirm steady state has been reached).
-    pub fn spare_page_count(&self) -> usize {
-        self.spare_pages.len()
-    }
-
-    /// Hands out a cleared page-content shell with `units` empty slots,
-    /// reusing a buffer harvested from an earlier erase when one is
-    /// available. In steady state (programs balanced by GC erases) this
-    /// makes page programming allocation-free.
-    pub fn spare_page(&mut self, units: usize) -> PageContent {
-        match self.spare_pages.pop() {
-            Some(mut c) => {
-                c.units.resize(units, None);
-                c
-            }
-            None => PageContent::empty(units),
-        }
+    /// Heap bytes held by the page store: every block's arena capacity
+    /// times its record size. Deterministic — it follows what was
+    /// programmed, never the host.
+    pub fn store_bytes(&self) -> u64 {
+        self.blocks
+            .iter()
+            .map(|b| b.store.capacity_bytes() as u64)
+            .sum()
     }
 
     /// Arms a fault-injection schedule. Subsequent operations consume
@@ -218,7 +203,7 @@ impl FlashArray {
     pub fn write_cursor(&self, block: BlockId) -> u32 {
         self.blocks
             .get(block.0 as usize)
-            .map_or(0, |b| b.pages.len() as u32)
+            .map_or(0, |b| b.store.cursor() as u32)
     }
 
     /// True when `block` has a grown permanent defect.
@@ -309,20 +294,22 @@ impl FlashArray {
             return; // nothing programmed yet; the draw still happened
         };
         let mask = 1u64 << self.fault_draw(48);
-        let (units_len, oob_len) = self
-            .read(victim)
-            .map_or((0, 0), |c| (c.units.len(), c.oob.len()));
+        let Some(view) = self.read(victim) else {
+            return;
+        };
+        let (units_len, oob_len) = (view.unit_slots(), view.oob_len());
+        let (block, page) = self.locate(victim);
         if data {
             if units_len == 0 {
                 return;
             }
             let start_u = self.fault_draw(units_len as u64) as usize;
-            let flipped = self.page_mut(victim).is_some_and(|c| {
-                let occupied = (0..units_len)
-                    .map(|off| (start_u + off) % units_len)
-                    .find(|&i| c.units.get(i).is_some_and(Option::is_some));
-                occupied.map(|i| c.flip_unit_bits(i, mask)).is_some()
-            });
+            let Some(store) = self.blocks.get_mut(block).map(|b| &mut b.store) else {
+                return;
+            };
+            let flipped = (0..units_len)
+                .map(|off| (start_u + off) % units_len)
+                .any(|i| store.flip_unit_bits(page, i, mask));
             if flipped {
                 self.counters.incr(Counter::FlashBitRotData);
             }
@@ -331,8 +318,11 @@ impl FlashArray {
                 return;
             }
             let i = self.fault_draw(oob_len as u64) as usize;
-            if let Some(c) = self.page_mut(victim) {
-                c.flip_oob_bits(i, mask);
+            if self
+                .blocks
+                .get_mut(block)
+                .is_some_and(|b| b.store.flip_oob_bits(page, i, mask))
+            {
                 self.counters.incr(Counter::FlashBitRotOob);
             }
         }
@@ -397,35 +387,31 @@ impl FlashArray {
         })
     }
 
-    /// `(block, page-in-block)` indices of `ppn` into `blocks[..].pages`.
+    /// `(block, page-in-block)` indices of `ppn` into `blocks[..].store`.
     fn locate(&self, ppn: Ppn) -> (usize, usize) {
         let block = self.geometry.block_of(ppn).0 as usize;
         (block, self.geometry.page_in_block(ppn) as usize)
     }
 
     /// Returns the content of a programmed page, or `None` when erased.
-    pub fn read(&self, ppn: Ppn) -> Option<&PageContent> {
+    #[inline]
+    pub fn read(&self, ppn: Ppn) -> Option<PageView<'_>> {
         let (block, page) = self.locate(ppn);
-        self.blocks.get(block)?.pages.get(page)
-    }
-
-    fn page_mut(&mut self, ppn: Ppn) -> Option<&mut PageContent> {
-        let (block, page) = self.locate(ppn);
-        self.blocks.get_mut(block)?.pages.get_mut(page)
+        self.blocks.get(block)?.store.page(page)
     }
 
     /// Every programmed page with its content, in ascending PPN order —
     /// the one whole-device walk (OOB scans, recovery). Costs what was
     /// written, not what the device could hold.
-    pub fn programmed_pages(&self) -> impl Iterator<Item = (Ppn, &PageContent)> + '_ {
+    pub fn programmed_pages(&self) -> impl Iterator<Item = (Ppn, PageView<'_>)> + '_ {
         let pages_per_block = self.geometry.pages_per_block as u64;
         self.blocks.iter().enumerate().flat_map(move |(b, state)| {
             let first = b as u64 * pages_per_block;
             state
-                .pages
-                .iter()
+                .store
+                .pages()
                 .enumerate()
-                .map(move |(p, content)| (Ppn(first + p as u64), content))
+                .map(move |(p, view)| (Ppn(first + p as u64), view))
         })
     }
 
@@ -435,17 +421,19 @@ impl FlashArray {
     /// stepped over in one move, and an erased block in one check.
     pub fn next_programmed_from(&self, from: Ppn) -> Option<Ppn> {
         let (first, page) = self.locate(from);
-        if page < self.blocks.get(first)?.pages.len() {
+        if page < self.blocks.get(first)?.store.cursor() {
             return Some(from);
         }
         let n = self.blocks.len();
         (1..=n)
             .map(|i| (first + i) % n)
-            .find(|&b| self.blocks.get(b).is_some_and(|s| !s.pages.is_empty()))
+            .find(|&b| self.blocks.get(b).is_some_and(|s| s.store.cursor() > 0))
             .map(|b| self.geometry.first_ppn(BlockId(b as u64)))
     }
 
-    /// Programs one page: bus transfer then array program (tPROG).
+    /// Programs one page: bus transfer then array program (tPROG). The
+    /// staged `content` is copied into the block's arenas and sealed on
+    /// the way; pass it by reference to keep it for the next page.
     ///
     /// # Errors
     ///
@@ -456,16 +444,17 @@ impl FlashArray {
     pub fn program(
         &mut self,
         ppn: Ppn,
-        mut content: PageContent,
+        content: impl Borrow<PageContent>,
         at: SimTime,
     ) -> Result<Window, FlashError> {
+        let content = content.borrow();
         self.check_range(ppn)?;
         let block = self.geometry.block_of(ppn);
         let page = self.geometry.page_in_block(ppn);
         if self.bad_blocks[block.0 as usize] {
             return Err(FlashError::GrownBadBlock(block));
         }
-        let cursor = self.blocks[block.0 as usize].pages.len() as u32;
+        let cursor = self.blocks[block.0 as usize].store.cursor() as u32;
         if page < cursor {
             return Err(FlashError::ProgramDirtyPage(ppn));
         }
@@ -492,24 +481,16 @@ impl FlashArray {
             }
             return Err(e);
         }
-        // Seal per-unit and per-OOB checksums at program time; injectors
-        // mutate tags after this point without resealing.
-        content.seal();
+        // Landing seals per-unit and per-OOB checksums; injectors mutate
+        // the stored bits after this point without resealing.
+        self.land_page(block, content);
         if self.faults.as_mut().is_some_and(FaultPlan::misdirect_draw) {
             // Misdirected write: the program "succeeds", but what landed
             // no longer matches the checksums sealed for it.
             let mask = 1u64 << self.fault_draw(48);
-            for i in 0..content.units.len() {
-                if content.units[i].is_some() {
-                    content.flip_unit_bits(i, mask);
-                }
-            }
-            for i in 0..content.oob.len() {
-                content.flip_oob_bits(i, mask);
-            }
+            self.damage_landed_page(block, 0, mask);
             self.counters.incr(Counter::FlashMisdirectedPrograms);
         }
-        self.land_page(block, content);
 
         let (die, channel) = self.die_and_channel(ppn);
         let xfer = self.channels[channel].schedule(
@@ -537,22 +518,14 @@ impl FlashArray {
     /// OOB records, which real NAND writes last). The page is marked
     /// programmed and the cursor advances, exactly what a post-crash OOB
     /// scan will find on the media.
-    fn torn_program(&mut self, ppn: Ppn, block: BlockId, mut content: PageContent, at: SimTime) {
-        content.seal();
+    fn torn_program(&mut self, ppn: Ppn, block: BlockId, content: &PageContent, at: SimTime) {
+        self.land_page(block, content);
         let units = content.units.len() as u64;
         let intact = self.fault_draw(units + 1);
         if intact < units {
             let mask = 1u64 << self.fault_draw(48);
-            for i in (intact as usize)..content.units.len() {
-                if content.units[i].is_some() {
-                    content.flip_unit_bits(i, mask);
-                }
-            }
-            for i in 0..content.oob.len() {
-                content.flip_oob_bits(i, mask);
-            }
+            self.damage_landed_page(block, intact as usize, mask);
         }
-        self.land_page(block, content);
         self.counters.incr(Counter::FlashTornWrites);
         let phase = self.op_phase;
         self.tracer.emit(|| {
@@ -563,17 +536,32 @@ impl FlashArray {
         });
     }
 
-    /// Appends `content` as the next page of `block` (the caller has
-    /// checked it is the cursor page). The first program of a block is
-    /// its only allocation.
-    fn land_page(&mut self, block: BlockId, content: PageContent) {
-        let state = &mut self.blocks[block.0 as usize];
-        if state.pages.is_empty() {
-            state
-                .pages
-                .reserve_exact(self.geometry.pages_per_block as usize);
+    /// Copies `content` in as the next page of `block` (the caller has
+    /// checked it is the cursor page).
+    fn land_page(&mut self, block: BlockId, content: &PageContent) {
+        let pages_per_block = self.geometry.pages_per_block as usize;
+        self.blocks[block.0 as usize]
+            .store
+            .land(content, pages_per_block);
+    }
+
+    /// Flips `mask` into every occupied unit from `first_unit` on and
+    /// every OOB record of the page `block` programmed last, without
+    /// resealing: what a misdirected or torn program leaves behind.
+    fn damage_landed_page(&mut self, block: BlockId, first_unit: usize, mask: u64) {
+        let store = &mut self.blocks[block.0 as usize].store;
+        let Some(page) = store.cursor().checked_sub(1) else {
+            return;
+        };
+        let (units, oobs) = store
+            .page(page)
+            .map_or((0, 0), |v| (v.unit_slots(), v.oob_len()));
+        for i in first_unit..units {
+            store.flip_unit_bits(page, i, mask);
         }
-        state.pages.push(content);
+        for i in 0..oobs {
+            store.flip_oob_bits(page, i, mask);
+        }
     }
 
     /// Erases a block, resetting every page to the erased state.
@@ -600,19 +588,7 @@ impl FlashArray {
         let state = &mut self.blocks[block.0 as usize];
         state.erase_count += 1;
         let erase_count = state.erase_count;
-        // Programs outpace erases between checkpoints (journal blocks are
-        // only recycled at zone retirement), so keep enough shells to cover
-        // a full inter-checkpoint window of page programs.
-        let pool_cap = (self.geometry.pages_per_block as usize * 16).min(4096);
-        // `drain` empties the block but keeps its vector's capacity, so a
-        // recycled block reprograms without allocating.
-        for mut c in state.pages.drain(..) {
-            if self.spare_pages.len() < pool_cap {
-                c.units.clear();
-                c.clear_for_reuse();
-                self.spare_pages.push(c);
-            }
-        }
+        state.store.clear();
         let die = self.geometry.die_of_block(block) as usize;
         let window = self.dies[die].schedule(at, self.timing.t_erase);
         self.counters.incr(self.op_phase.erase_counter());
@@ -635,26 +611,37 @@ impl FlashArray {
     /// corruption exactly where a scenario needs it; never call it
     /// anywhere else.
     pub fn sabotage_corrupt_unit(&mut self, ppn: Ppn, offset: u32, mask: u64) -> bool {
-        match self.page_mut(ppn) {
-            Some(c) if matches!(c.units.get(offset as usize), Some(Some(_))) => {
-                c.flip_unit_bits(offset as usize, mask);
-                true
-            }
-            _ => false,
-        }
+        let (block, page) = self.locate(ppn);
+        self.blocks
+            .get_mut(block)
+            .is_some_and(|b| b.store.flip_unit_bits(page, offset as usize, mask))
     }
 
     /// Test-only sabotage: flips bits of the stored OOB record at
     /// (`ppn`, `index`) without resealing (see
     /// [`FlashArray::sabotage_corrupt_unit`]).
     pub fn sabotage_corrupt_oob(&mut self, ppn: Ppn, index: u32, mask: u64) -> bool {
-        match self.page_mut(ppn) {
-            Some(c) if (index as usize) < c.oob.len() => {
-                c.flip_oob_bits(index as usize, mask);
-                true
-            }
-            _ => false,
-        }
+        let (block, page) = self.locate(ppn);
+        self.blocks
+            .get_mut(block)
+            .is_some_and(|b| b.store.flip_oob_bits(page, index as usize, mask))
+    }
+
+    /// Test-only sabotage: flips one bit (`bit` modulo the field's
+    /// width) of one stored field of slot `slot` of page `ppn` without
+    /// resealing — any bit the page store keeps can be reached this way.
+    /// Returns false when the slot stores no such field.
+    pub fn sabotage_flip_stored_bit(
+        &mut self,
+        ppn: Ppn,
+        slot: u32,
+        field: StoredField,
+        bit: u32,
+    ) -> bool {
+        let (block, page) = self.locate(ppn);
+        self.blocks
+            .get_mut(block)
+            .is_some_and(|b| b.store.flip_stored_bit(page, slot as usize, field, bit))
     }
 
     /// True when `ppn` holds programmed data.
@@ -746,7 +733,7 @@ mod tests {
         let mut f = array();
         f.program(Ppn(0), page_with(7, 1), SimTime::ZERO).unwrap();
         let c = f.read(Ppn(0)).unwrap();
-        assert_eq!(c.units[0].as_ref().unwrap().fragments[0].key, 7);
+        assert_eq!(c.unit(0).unwrap().iter().next().unwrap().key, 7);
         assert!(f.is_programmed(Ppn(0)));
         assert!(!f.is_programmed(Ppn(1)));
     }
@@ -995,7 +982,10 @@ mod tests {
         let mut f = array();
         f.program(Ppn(0), page_with(7, 3), SimTime::ZERO).unwrap();
         let c = f.read(Ppn(0)).unwrap();
-        assert!(c.is_sealed());
+        assert_eq!(
+            c.unit_crc(0),
+            Some(crate::unit_checksum(&UnitPayload::single(7, 3, 512)))
+        );
         assert!(c.intact());
     }
 
@@ -1022,9 +1012,7 @@ mod tests {
             assert_eq!(f2.write_cursor(BlockId(0)), 1);
             assert_eq!(f2.counters().get(Counter::FlashTornWrites), 1);
             assert_eq!(f2.counters().total(Total::FlashProgram), 0);
-            let c = f2.read(Ppn(0)).unwrap();
-            assert!(c.is_sealed());
-            if !c.intact() {
+            if !f2.read(Ppn(0)).unwrap().intact() {
                 saw_corrupt = true;
                 f = f2;
                 break;
@@ -1063,9 +1051,7 @@ mod tests {
         assert_eq!(f.counters().get(Counter::FlashMisdirectedPrograms), 1);
         assert_eq!(f.counters().total(Total::FlashProgram), 1);
         // ...but the landed page fails verification.
-        let c = f.read(Ppn(0)).unwrap();
-        assert!(c.is_sealed());
-        assert!(!c.intact());
+        assert!(!f.read(Ppn(0)).unwrap().intact());
     }
 
     #[test]
@@ -1140,8 +1126,9 @@ mod tests {
             }
             f.arm_faults(plan(!seed));
             let mut reference = plan(!seed);
-            let mut expected: Vec<Option<PageContent>> =
-                (0..total).map(|p| f.read(Ppn(p)).cloned()).collect();
+            let mut expected: Vec<Option<PageContent>> = (0..total)
+                .map(|p| f.read(Ppn(p)).map(|v| v.to_content()))
+                .collect();
 
             let data = seed % 2 == 0;
             f.apply_bit_rot(data);
@@ -1158,18 +1145,22 @@ mod tests {
                     let hit = (0..n)
                         .map(|off| (start_u + off) % n)
                         .find(|&i| c.units[i].is_some());
-                    if let Some(i) = hit {
-                        c.flip_unit_bits(i, mask);
+                    if let Some(unit) = hit.and_then(|i| c.units[i].as_mut()) {
+                        for f in unit.fragments.as_mut_slice() {
+                            f.version ^= mask;
+                            f.key ^= mask;
+                        }
                     }
                 } else if !data && !c.oob.is_empty() {
                     let i = reference.draw_below(c.oob.len() as u64) as usize;
-                    c.flip_oob_bits(i, mask);
+                    c.oob[i].lpn ^= mask;
+                    c.oob[i].sequence ^= mask.rotate_left(17);
                 }
             }
             for p in 0..total {
                 assert_eq!(
-                    f.read(Ppn(p)),
-                    expected[p as usize].as_ref(),
+                    f.read(Ppn(p)).map(|v| v.to_content()),
+                    expected[p as usize],
                     "seed {seed} {p}"
                 );
             }
@@ -1188,40 +1179,20 @@ mod tests {
     fn block_memory_is_first_touch_and_survives_erase() {
         let mut f = array();
         let ppb = f.geometry().pages_per_block;
-        assert!(f.blocks.iter().all(|b| b.pages.capacity() == 0));
+        assert_eq!(f.store_bytes(), 0);
         f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
-        let reserved = f.blocks[0].pages.capacity();
-        assert!(reserved >= ppb as usize);
+        let reserved = f.store_bytes();
+        assert!(reserved >= ppb as u64 * 8 * 56);
         for p in 1..ppb as u64 {
             f.program(Ppn(p), page_with(p, 1), SimTime::ZERO).unwrap();
         }
-        assert_eq!(
-            f.blocks[0].pages.capacity(),
-            reserved,
-            "block filled in place"
-        );
+        assert_eq!(f.store_bytes(), reserved, "block filled in place");
         f.erase(BlockId(0), SimTime::ZERO).unwrap();
         assert_eq!(f.write_cursor(BlockId(0)), 0);
-        assert_eq!(
-            f.blocks[0].pages.capacity(),
-            reserved,
-            "erase keeps capacity"
-        );
+        assert_eq!(f.store_bytes(), reserved, "erase keeps capacity");
         f.program(Ppn(0), page_with(1, 2), SimTime::ZERO).unwrap();
-        assert_eq!(f.blocks[0].pages.capacity(), reserved);
-        assert!(f.blocks[1..].iter().all(|b| b.pages.capacity() == 0));
-    }
-
-    #[test]
-    fn spare_shells_forget_previous_seals() {
-        let mut f = array();
-        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
-        f.erase(BlockId(0), SimTime::ZERO).unwrap();
-        assert!(f.spare_page_count() > 0);
-        let shell = f.spare_page(8);
-        assert!(shell.oob.is_empty());
-        assert!(shell.units.iter().all(Option::is_none));
-        assert!(shell.intact(), "recycled shell starts unsealed and clean");
+        assert_eq!(f.store_bytes(), reserved);
+        assert!(f.blocks[1..].iter().all(|b| b.store.capacity_bytes() == 0));
     }
 
     #[test]

@@ -270,18 +270,62 @@ pub struct OobEntry {
     pub kind: OobKind,
 }
 
-/// Everything programmed into one physical page.
+/// The fragments of one unit, borrowed — from a staged [`UnitPayload`]
+/// or from the page store, which keeps a unit's first fragment in its
+/// unit record and any further ones in the block's fragment arena (so the
+/// two halves are not one slice).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UnitRef<'a> {
+    first: Option<Fragment>,
+    rest: &'a [Fragment],
+}
+
+impl<'a> UnitRef<'a> {
+    #[inline]
+    pub(crate) fn new(first: Fragment, rest: &'a [Fragment]) -> Self {
+        UnitRef {
+            first: Some(first),
+            rest,
+        }
+    }
+
+    /// The fragments, in placement order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = Fragment> + 'a {
+        self.first.into_iter().chain(self.rest.iter().copied())
+    }
+
+    /// An owned copy (allocates only past [`FragVec::INLINE`] fragments).
+    #[inline]
+    pub fn to_payload(&self) -> UnitPayload {
+        UnitPayload {
+            fragments: self.iter().collect(),
+        }
+    }
+}
+
+impl<'a> From<&'a UnitPayload> for UnitRef<'a> {
+    #[inline]
+    fn from(unit: &'a UnitPayload) -> Self {
+        match unit.fragments.as_slice().split_first() {
+            Some((&first, rest)) => UnitRef::new(first, rest),
+            None => UnitRef::default(),
+        }
+    }
+}
+
+/// A page as the firmware *stages* it for [`FlashArray::program`]: the
+/// array copies it into the block's arenas, sealing checksums on the way
+/// (see `store`), and hands stored pages back as [`PageView`]s.
+///
+/// [`FlashArray::program`]: crate::FlashArray::program
+/// [`PageView`]: crate::PageView
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PageContent {
     /// Per-mapping-unit payloads; `None` marks a padded (unused) unit.
     pub units: Vec<Option<UnitPayload>>,
     /// OOB records, parallel to `units` where applicable.
     pub oob: Vec<OobEntry>,
-    /// Per-unit checksums sealed at program time, parallel to `units`
-    /// (zero for padded slots). Empty until [`PageContent::seal`] runs.
-    unit_crcs: Vec<u32>,
-    /// Per-record OOB checksums, parallel to `oob`. Empty until sealed.
-    oob_crcs: Vec<u32>,
 }
 
 impl PageContent {
@@ -290,9 +334,15 @@ impl PageContent {
         PageContent {
             units: vec![None; units],
             oob: Vec::new(),
-            unit_crcs: Vec::new(),
-            oob_crcs: Vec::new(),
         }
+    }
+
+    /// Back to `units` empty slots and no OOB records, keeping both
+    /// vectors' capacity: how a staging page is refilled.
+    pub fn reset(&mut self, units: usize) {
+        self.units.clear();
+        self.units.resize(units, None);
+        self.oob.clear();
     }
 
     /// Number of occupied units.
@@ -304,88 +354,12 @@ impl PageContent {
     pub fn payload_bytes(&self) -> u64 {
         self.units.iter().flatten().map(|u| u.bytes() as u64).sum()
     }
-
-    /// Computes and stores the per-unit and per-OOB-record checksums —
-    /// the controller's ECC engine sealing the page on its way to the
-    /// die. The flash array calls this at program time; anything that
-    /// mutates the tags afterwards (bit-rot, torn tails, misdirected
-    /// stamps) leaves the sealed checksums stale and therefore
-    /// detectable.
-    pub fn seal(&mut self) {
-        self.unit_crcs.clear();
-        for unit in &self.units {
-            self.unit_crcs
-                .push(unit.as_ref().map_or(0, crate::integrity::unit_checksum));
-        }
-        self.oob_crcs.clear();
-        for entry in &self.oob {
-            self.oob_crcs.push(crate::integrity::oob_checksum(entry));
-        }
-    }
-
-    /// True once [`PageContent::seal`] has stamped checksums onto the
-    /// current tags.
-    pub fn is_sealed(&self) -> bool {
-        self.unit_crcs.len() == self.units.len() && self.oob_crcs.len() == self.oob.len()
-    }
-
-    /// Verifies the sealed checksum of unit `i`. Padded slots and
-    /// unsealed pages verify trivially (there is nothing to protect).
-    pub fn unit_intact(&self, i: usize) -> bool {
-        match (self.units.get(i), self.unit_crcs.get(i)) {
-            (Some(Some(unit)), Some(&crc)) => crate::integrity::unit_checksum(unit) == crc,
-            _ => true,
-        }
-    }
-
-    /// Verifies the sealed checksum of OOB record `i` (trivially true
-    /// when absent or unsealed).
-    pub fn oob_intact(&self, i: usize) -> bool {
-        match (self.oob.get(i), self.oob_crcs.get(i)) {
-            (Some(entry), Some(&crc)) => crate::integrity::oob_checksum(entry) == crc,
-            _ => true,
-        }
-    }
-
-    /// True when every occupied unit and OOB record verifies.
-    pub fn intact(&self) -> bool {
-        (0..self.units.len()).all(|i| self.unit_intact(i))
-            && (0..self.oob.len()).all(|i| self.oob_intact(i))
-    }
-
-    /// Clears sealed checksums along with content (spare-shell reuse).
-    pub(crate) fn clear_for_reuse(&mut self) {
-        self.oob.clear();
-        self.unit_crcs.clear();
-        self.oob_crcs.clear();
-    }
-
-    /// Flips tag bits of unit `i` *without* resealing — the corruption
-    /// injectors' primitive. XORs every fragment's version (and key)
-    /// with the nonzero `mask`, so the canonical encoding changes and
-    /// the stale checksum no longer matches.
-    pub(crate) fn flip_unit_bits(&mut self, i: usize, mask: u64) {
-        if let Some(Some(unit)) = self.units.get_mut(i) {
-            for f in unit.fragments.as_mut_slice() {
-                f.version ^= mask;
-                f.key ^= mask;
-            }
-        }
-    }
-
-    /// Flips tag bits of OOB record `i` without resealing (corrupts the
-    /// recovery-critical `lpn`/`sequence` stamps).
-    pub(crate) fn flip_oob_bits(&mut self, i: usize, mask: u64) {
-        if let Some(entry) = self.oob.get_mut(i) {
-            entry.lpn ^= mask;
-            entry.sequence ^= mask.rotate_left(17);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::BlockStore;
 
     #[test]
     fn single_unit_payload() {
@@ -428,7 +402,8 @@ mod tests {
         assert_eq!(UnitPayload::default().bytes(), 0);
     }
 
-    fn sealed_page() -> PageContent {
+    /// A block with one programmed (hence sealed) page.
+    fn sealed_page() -> BlockStore {
         let mut p = PageContent::empty(4);
         p.units[0] = Some(UnitPayload::single(1, 7, 512));
         p.units[2] = Some(UnitPayload::single(2, 3, 128));
@@ -442,14 +417,15 @@ mod tests {
             sequence: 6,
             kind: OobKind::Journal,
         });
-        p.seal();
-        p
+        let mut block = BlockStore::default();
+        block.land(&p, 1);
+        block
     }
 
     #[test]
     fn sealed_page_verifies() {
-        let p = sealed_page();
-        assert!(p.is_sealed());
+        let block = sealed_page();
+        let p = block.page(0).unwrap();
         assert!(p.intact());
         for i in 0..4 {
             assert!(p.unit_intact(i), "unit {i}");
@@ -458,17 +434,11 @@ mod tests {
     }
 
     #[test]
-    fn unsealed_page_verifies_trivially() {
-        let mut p = PageContent::empty(4);
-        p.units[0] = Some(UnitPayload::single(1, 1, 512));
-        assert!(!p.is_sealed());
-        assert!(p.intact());
-    }
-
-    #[test]
     fn flipped_unit_bits_break_verification() {
-        let mut p = sealed_page();
-        p.flip_unit_bits(0, 1 << 13);
+        let mut block = sealed_page();
+        assert!(block.flip_unit_bits(0, 0, 1 << 13));
+        assert!(!block.flip_unit_bits(0, 1, 1 << 13), "padded slot");
+        let p = block.page(0).unwrap();
         assert!(!p.unit_intact(0));
         assert!(p.unit_intact(2), "other unit untouched");
         assert!(p.oob_intact(0), "oob untouched");
@@ -477,19 +447,12 @@ mod tests {
 
     #[test]
     fn flipped_oob_bits_break_verification() {
-        let mut p = sealed_page();
-        p.flip_oob_bits(1, 1);
+        let mut block = sealed_page();
+        assert!(block.flip_oob_bits(0, 1, 1));
+        assert!(!block.flip_oob_bits(0, 2, 1), "no third record");
+        let p = block.page(0).unwrap();
         assert!(p.unit_intact(0));
         assert!(p.oob_intact(0));
         assert!(!p.oob_intact(1));
-    }
-
-    #[test]
-    fn resealing_after_mutation_restores_integrity() {
-        let mut p = sealed_page();
-        p.flip_unit_bits(0, 0xFF00);
-        assert!(!p.intact());
-        p.seal();
-        assert!(p.intact());
     }
 }

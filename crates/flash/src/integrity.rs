@@ -18,7 +18,7 @@
 //! always detected — CRCs catch every 1-bit error by construction — and
 //! the property suite in `tests/prop_flash.rs` pins that end to end.
 
-use crate::content::{OobEntry, OobKind, UnitPayload};
+use crate::content::{Fragment, OobEntry, OobKind, UnitPayload};
 
 /// Reflected CRC-32 polynomial (IEEE 802.3). Outside of tests the
 /// polynomial lives on only through [`CRC_TABLE`]; the
@@ -138,13 +138,26 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
-/// Stable one-byte code for an [`OobKind`] in the canonical encoding.
-fn oob_kind_code(kind: OobKind) -> u8 {
+/// Stable one-byte code for an [`OobKind`] in the canonical encoding —
+/// also the byte the page store keeps for it.
+pub(crate) fn oob_kind_code(kind: OobKind) -> u8 {
     match kind {
         OobKind::Journal => 0,
         OobKind::Data => 1,
         OobKind::Meta => 2,
         OobKind::GcCopy => 3,
+    }
+}
+
+/// The kind a stored code byte reads back as. Only the low two bits
+/// decode, so a rotted byte still names *some* kind — and fails its
+/// checksum, which covers the whole byte ([`oob_record_checksum`]).
+pub(crate) fn oob_kind_from_code(code: u8) -> OobKind {
+    match code & 3 {
+        0 => OobKind::Journal,
+        1 => OobKind::Data,
+        2 => OobKind::Meta,
+        _ => OobKind::GcCopy,
     }
 }
 
@@ -170,9 +183,16 @@ pub fn encode_oob_into(entry: &OobEntry, out: &mut Vec<u8>) {
 /// Checksum of a unit payload — streams the canonical encoding through
 /// the CRC without allocating (the program/read hot path).
 pub fn unit_checksum(unit: &UnitPayload) -> u32 {
+    fragments_checksum(unit.fragments.len() as u32, unit.fragments.iter().copied())
+}
+
+/// [`unit_checksum`] over a fragment count and the fragments themselves:
+/// the page store verifies a stored unit against the count it *stores*,
+/// so a rotted count fails like any other field.
+pub(crate) fn fragments_checksum(count: u32, fragments: impl Iterator<Item = Fragment>) -> u32 {
     let mut c = Crc32::new();
-    c.update_u32(unit.fragments.len() as u32);
-    for f in unit.fragments.iter() {
+    c.update_u32(count);
+    for f in fragments {
         c.update_u64(f.key);
         c.update_u64(f.version);
         c.update_u32(f.bytes);
@@ -182,10 +202,15 @@ pub fn unit_checksum(unit: &UnitPayload) -> u32 {
 
 /// Checksum of an OOB record (allocation-free).
 pub fn oob_checksum(entry: &OobEntry) -> u32 {
+    oob_record_checksum(entry.lpn, entry.sequence, oob_kind_code(entry.kind))
+}
+
+/// [`oob_checksum`] over the stored fields, kind as its code byte.
+pub(crate) fn oob_record_checksum(lpn: u64, sequence: u64, kind_code: u8) -> u32 {
     let mut c = Crc32::new();
-    c.update_u64(entry.lpn);
-    c.update_u64(entry.sequence);
-    c.update(&[oob_kind_code(entry.kind)]);
+    c.update_u64(lpn);
+    c.update_u64(sequence);
+    c.update(&[kind_code]);
     c.finish()
 }
 

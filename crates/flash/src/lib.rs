@@ -10,9 +10,10 @@
 //! * models operation timing (tR / tPROG / tBER and channel bus transfers)
 //!   through per-die and per-channel FIFO resources, so that channel
 //!   parallelism and die contention emerge naturally;
-//! * stores page *content tags* ([`PageContent`]) plus OOB recovery
-//!   metadata ([`OobEntry`]) instead of raw bytes, which lets the test
-//!   suite verify end-to-end data consistency cheaply.
+//! * stores page *content tags* plus OOB recovery metadata
+//!   ([`OobEntry`]) instead of raw bytes — staged as a [`PageContent`],
+//!   kept in block-owned arenas, read back as a [`PageView`] — which lets
+//!   the test suite verify end-to-end data consistency cheaply.
 //!
 //! # Examples
 //!
@@ -39,13 +40,15 @@ mod fault;
 mod geometry;
 mod integrity;
 mod phase;
+mod store;
 mod timing;
 
 pub use array::FlashArray;
-pub use content::{FragVec, Fragment, OobEntry, OobKind, PageContent, UnitPayload};
+pub use content::{FragVec, Fragment, OobEntry, OobKind, PageContent, UnitPayload, UnitRef};
 pub use error::{ErrorClass, FlashError};
 pub use fault::{FaultConfig, FaultOp, FaultPhase, FaultPlan};
 pub use geometry::{BlockId, FlashGeometry, Ppa, Ppn};
 pub use integrity::{crc32, encode_oob_into, encode_unit_into, oob_checksum, unit_checksum, Crc32};
 pub use phase::OpPhase;
+pub use store::{PageView, StoredField};
 pub use timing::FlashTiming;

@@ -3,8 +3,8 @@
 //! via `checkin-testkit` (deterministic seeds, offline-safe).
 
 use checkin_flash::{
-    BlockId, FaultConfig, FaultPlan, FlashArray, FlashError, FlashGeometry, FlashTiming,
-    PageContent, Ppn, UnitPayload,
+    oob_checksum, unit_checksum, BlockId, FaultConfig, FaultPlan, FlashArray, FlashError,
+    FlashGeometry, FlashTiming, Fragment, OobEntry, OobKind, PageContent, Ppn, UnitPayload,
 };
 use checkin_sim::{SimTime, Total};
 use checkin_testkit::{check, soup, TestRng};
@@ -149,7 +149,7 @@ fn store_op(rng: &mut TestRng) -> StoreOp {
     }
 }
 
-/// The per-block page vectors are the array's only record of what is
+/// The per-block page stores are the array's only record of what is
 /// programmed. Under programs, erases, torn power cuts and grown bad
 /// blocks they must agree with a shadow cursor per block, and every
 /// derived view (`is_programmed`, `programmed_pages`,
@@ -227,9 +227,12 @@ fn block_vectors_match_the_page_state_model() {
             for ppn in (0..total).map(Ppn) {
                 let below_cursor = g.page_in_block(ppn) < flash.write_cursor(g.block_of(ppn));
                 assert_eq!(flash.is_programmed(ppn), below_cursor, "{ppn}");
-                walked.extend(flash.read(ppn).map(|c| (ppn, c)));
+                walked.extend(flash.read(ppn).map(|c| (ppn, c.to_content())));
             }
-            assert!(flash.programmed_pages().eq(walked.iter().copied()));
+            assert!(flash
+                .programmed_pages()
+                .map(|(ppn, c)| (ppn, c.to_content()))
+                .eq(walked));
             for from in (0..total).map(Ppn) {
                 let naive = (0..total)
                     .map(|off| Ppn((from.0 + off) % total))
@@ -237,6 +240,101 @@ fn block_vectors_match_the_page_state_model() {
                 assert_eq!(flash.next_programmed_from(from), naive, "from {from}");
             }
             assert_eq!(flash.next_programmed_from(Ppn(total)), None);
+        }
+    });
+}
+
+/// A staged page of any shape: 1, 2 or 8 unit slots, padded slots
+/// anywhere, 0–8 fragments per unit, never more OOB records than slots.
+fn any_page(rng: &mut TestRng) -> PageContent {
+    let slots = [1, 2, 8][rng.below(3) as usize];
+    let mut page = PageContent::empty(slots);
+    for unit in &mut page.units {
+        if rng.chance(0.7) {
+            let fragments: Vec<Fragment> = (0..rng.below(9))
+                .map(|_| Fragment {
+                    key: rng.next_u64(),
+                    version: rng.next_u64(),
+                    bytes: rng.range_u32(0, 4096),
+                })
+                .collect();
+            *unit = Some(UnitPayload::merged(fragments));
+        }
+    }
+    let kinds = [
+        OobKind::Journal,
+        OobKind::Data,
+        OobKind::Meta,
+        OobKind::GcCopy,
+    ];
+    for _ in 0..rng.range_usize(0, slots) {
+        page.oob.push(OobEntry {
+            lpn: rng.next_u64(),
+            sequence: rng.next_u64(),
+            kind: kinds[rng.below(4) as usize],
+        });
+    }
+    page
+}
+
+/// What `program` stores is what was staged, field for field, under the
+/// checksums of the pinned canonical encoding — whatever the page's
+/// shape, and whatever its neighbours in the block's arenas look like.
+#[test]
+fn the_stored_form_is_the_staged_form() {
+    check("the_stored_form_is_the_staged_form", 64, |rng| {
+        let mut flash = array();
+        let g = *flash.geometry();
+        let total = g.total_pages();
+        let mut staged: Vec<Option<PageContent>> = vec![None; total as usize];
+        for _ in 0..rng.range_usize(1, 80) {
+            let b = BlockId(rng.below(g.total_blocks()));
+            let page = flash.write_cursor(b);
+            if page == g.pages_per_block || rng.chance(0.05) {
+                flash.erase(b, SimTime::ZERO).unwrap();
+                for p in 0..g.pages_per_block {
+                    staged[g.ppn_in_block(b, p).0 as usize] = None;
+                }
+                continue;
+            }
+            let ppn = g.ppn_in_block(b, page);
+            let content = any_page(rng);
+            flash.program(ppn, &content, SimTime::ZERO).unwrap();
+            staged[ppn.0 as usize] = Some(content);
+        }
+
+        for ppn in (0..total).map(Ppn) {
+            let view = flash.read(ppn);
+            let expected = &staged[ppn.0 as usize];
+            assert_eq!(view.map(|v| v.to_content()).as_ref(), expected.as_ref());
+            let (Some(view), Some(page)) = (view, expected) else {
+                continue;
+            };
+            assert_eq!(
+                (view.unit_slots(), view.oob_len()),
+                (page.units.len(), page.oob.len())
+            );
+            assert_eq!(view.occupied_units(), page.occupied_units());
+            assert!(view.intact());
+            for (i, unit) in page.units.iter().enumerate() {
+                assert_eq!(view.unit_crc(i), unit.as_ref().map(unit_checksum));
+            }
+            for (i, oob) in page.oob.iter().enumerate() {
+                assert_eq!(view.oob(i), Some(*oob));
+                assert_eq!(view.oob_crc(i), Some(oob_checksum(oob)));
+            }
+            assert_eq!(view.oob(page.oob.len()), None);
+        }
+        let walked: Vec<Ppn> = (0..total)
+            .map(Ppn)
+            .filter(|p| staged[p.0 as usize].is_some())
+            .collect();
+        assert!(flash.programmed_pages().map(|(ppn, _)| ppn).eq(walked));
+        for from in (0..total).map(Ppn) {
+            let naive = (0..total)
+                .map(|off| Ppn((from.0 + off) % total))
+                .find(|p| staged[p.0 as usize].is_some());
+            assert_eq!(flash.next_programmed_from(from), naive, "from {from}");
         }
     });
 }

@@ -284,7 +284,7 @@ fn count_valid_units(table: &MappingTable, g: &FlashGeometry, upp: u32) -> Optio
 mod tests {
     use super::*;
     use crate::location::{Lpn, Pun};
-    use checkin_flash::{FlashTiming, Ppn};
+    use checkin_flash::{FlashTiming, PageContent, Ppn};
     use checkin_sim::SimTime;
 
     fn geometry() -> FlashGeometry {
@@ -371,9 +371,12 @@ mod tests {
     fn rebuild_reads_lifecycle_from_flash() {
         let g = geometry();
         let mut flash = FlashArray::new(g, FlashTiming::mlc());
-        let content = flash.spare_page(1);
         flash
-            .program(g.ppn_in_block(BlockId(3), 0), content, SimTime::ZERO)
+            .program(
+                g.ppn_in_block(BlockId(3), 0),
+                PageContent::empty(1),
+                SimTime::ZERO,
+            )
             .unwrap();
         let mut table = MappingTable::new();
         let _ = table.map(

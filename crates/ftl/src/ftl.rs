@@ -26,7 +26,7 @@ mod reclaim;
 
 use checkin_flash::{
     BlockId, ErrorClass, FlashArray, FlashError, Fragment, OobEntry, OobKind, PageContent, Ppn,
-    UnitPayload,
+    UnitPayload, UnitRef,
 };
 use checkin_sim::{
     Counter, CounterSet, SimDuration, SimTime, Total, TraceEvent, TraceLayer, Tracer, Window,
@@ -88,13 +88,16 @@ pub struct Ftl {
     /// Structured trace sink (no-op unless enabled).
     tracer: Tracer,
     /// Reusable buffers for the page-out and GC loops (no per-page
-    /// allocation in steady state). Stacks rather than single buffers:
+    /// allocation in steady state). A stack rather than a single buffer:
     /// GC triggered inside `drain_one_page` re-enters `drain_one_page`
     /// for the migrated units, so up to two invocations are live at
     /// once and each needs its own scratch vector.
     scratch_batches: Vec<Vec<BufSlot>>,
-    scratch_placements: Vec<Vec<(BufSlot, u32)>>,
     scratch_valid: Vec<(u32, UnitPayload, Lpn)>,
+    /// The one page being staged for a program. `drain_one_page` fills
+    /// it only after block allocation — where GC re-enters — is over,
+    /// and hands it back on every path, so a single page suffices.
+    staging: PageContent,
     buffer: WriteBuffer,
     pool: BlockPool,
     ledger: IntegrityLedger,
@@ -131,8 +134,8 @@ impl Ftl {
             in_gc: false,
             tracer: Tracer::disabled(),
             scratch_batches: Vec::new(),
-            scratch_placements: Vec::new(),
             scratch_valid: Vec::new(),
+            staging: PageContent::default(),
             buffer: WriteBuffer::default(),
             pool: BlockPool::new(&g, config.write_points),
             ledger: IntegrityLedger::default(),
@@ -283,7 +286,7 @@ impl Ftl {
                         .buffer
                         .data(slot)
                         .ok_or(FtlError::Inconsistent("mapped buffer slot is empty"))?;
-                    merge_payload(&old.payload, &w.payload)
+                    merge_payload((&old.payload).into(), &w.payload)
                 }
                 Some(Location::Flash(pun)) => {
                     // A partial write merging with a corrupt old copy
@@ -320,7 +323,7 @@ impl Ftl {
     /// verification (quarantined) or was destroyed while corrupt
     /// (poisoned).
     pub fn read(&mut self, lpn: Lpn, at: SimTime) -> Result<(UnitPayload, SimTime), FtlError> {
-        self.read_unit(lpn, at, UnitPayload::clone)
+        self.read_unit(lpn, at, |unit| unit.to_payload())
     }
 
     /// Reads one logical unit, appending its fragments — filtered by
@@ -339,13 +342,8 @@ impl Ftl {
         key: Option<u64>,
         out: &mut Vec<Fragment>,
     ) -> Result<SimTime, FtlError> {
-        let take = |payload: &UnitPayload| {
-            out.extend(
-                payload
-                    .fragments
-                    .iter()
-                    .filter(|f| key.is_none_or(|k| k == f.key)),
-            );
+        let take = |unit: UnitRef<'_>| {
+            out.extend(unit.iter().filter(|f| key.is_none_or(|k| k == f.key)));
         };
         self.read_unit(lpn, at, take).map(|((), done)| done)
     }
@@ -357,7 +355,7 @@ impl Ftl {
         &mut self,
         lpn: Lpn,
         at: SimTime,
-        take: impl FnOnce(&UnitPayload) -> R,
+        take: impl FnOnce(UnitRef<'_>) -> R,
     ) -> Result<(R, SimTime), FtlError> {
         self.counters.incr(Counter::FtlHostUnitReads);
         match self.table.lookup(lpn) {
@@ -370,7 +368,7 @@ impl Ftl {
                     .buffer
                     .data(slot)
                     .ok_or(FtlError::Inconsistent("mapped buffer slot is empty"))?;
-                Ok((take(&data.payload), at))
+                Ok((take((&data.payload).into()), at))
             }
             Some(Location::Flash(pun)) if self.ledger.is_quarantined(pun) => {
                 Err(FtlError::Integrity(IntegrityError::CorruptUnit(lpn)))
@@ -388,7 +386,7 @@ impl Ftl {
         lpn: Lpn,
         pun: Pun,
         at: SimTime,
-        take: impl FnOnce(&UnitPayload) -> R,
+        take: impl FnOnce(UnitRef<'_>) -> R,
     ) -> Result<(R, SimTime), FtlError> {
         let ppn = pun.page(self.upp);
         let win = self.read_with_retry(ppn, at)?;
@@ -397,16 +395,12 @@ impl Ftl {
         if self.config.verify_checksums && page.is_some_and(|pc| !pc.unit_intact(offset)) {
             return Err(self.quarantine_and_report(lpn, pun));
         }
-        let stored = page.and_then(|pc| pc.units.get(offset)?.as_ref());
+        let stored = page.and_then(|pc| pc.unit(offset));
         debug_assert!(
             stored.is_some(),
             "mapped unit {lpn} -> {pun} has no flash content (erased while referenced?)"
         );
-        let out = match stored {
-            Some(payload) => take(payload),
-            None => take(&UnitPayload::default()),
-        };
-        Ok((out, win.finish))
+        Ok((take(stored.unwrap_or_default()), win.finish))
     }
 
     /// The remap primitive: make `dst` reference the same physical copy as
@@ -502,38 +496,33 @@ impl Ftl {
         };
         let ppn = self.flash.geometry().ppn_in_block(block, page);
 
-        let mut content = self.flash.spare_page(self.upp as usize);
-        let mut placements = self.scratch_placements.pop().unwrap_or_default();
-        placements.clear();
-        // Under fault injection the slots keep their data until the program
-        // succeeds, so a power cut or media failure loses nothing that was
-        // acknowledged. The fault-free hot path keeps its move-only,
-        // allocation-free behavior.
-        let faulting = self.flash.faults_armed();
-        for (offset, &slot) in taken.iter().enumerate() {
-            let data = if faulting {
-                self.buffer.data(slot).cloned()
-            } else {
-                self.buffer.release(slot)
-            }
-            .ok_or(FtlError::Inconsistent(
+        // Stage the page: payloads move out of their slots, which keep
+        // their ids and OOB records until the program has succeeded.
+        let mut staging = std::mem::take(&mut self.staging);
+        staging.reset(self.upp as usize);
+        for (&slot, staged) in taken.iter().zip(&mut staging.units) {
+            let data = self.buffer.data_mut(slot).ok_or(FtlError::Inconsistent(
                 "page-out batch references empty slot",
             ))?;
-            content.units[offset] = Some(data.payload);
-            content.oob.push(data.oob);
-            placements.push((slot, offset as u32));
+            *staged = Some(std::mem::take(&mut data.payload));
+            staging.oob.push(data.oob);
         }
 
-        let win = match self.program_with_retry(ppn, content, at) {
+        let win = match self.program_with_retry(ppn, &staging, at) {
             Ok(w) => w,
             Err(e) => {
-                if faulting {
-                    // The slots still hold every unit: re-queue the batch at
-                    // the head so nothing acknowledged is lost.
-                    self.buffer.requeue_front(&taken);
+                // Hand every payload back and re-queue the batch at the
+                // head: a power cut or media failure loses nothing that
+                // was acknowledged.
+                for (&slot, staged) in taken.iter().zip(&mut staging.units) {
+                    if let (Some(data), Some(payload)) = (self.buffer.data_mut(slot), staged.take())
+                    {
+                        data.payload = payload;
+                    }
                 }
+                self.buffer.requeue_front(&taken);
                 self.scratch_batches.push(taken);
-                self.scratch_placements.push(placements);
+                self.staging = staging;
                 if let FlashError::GrownBadBlock(bad) = e {
                     // Graceful degradation: retire the block and report
                     // success; the still-queued batch drains to a healthy
@@ -544,8 +533,9 @@ impl Ftl {
                 return Err(e.into());
             }
         };
+        self.staging = staging;
         self.counters.incr(Counter::FtlPagesProgrammed);
-        let units = placements.len() as u64;
+        let units = taken.len() as u64;
         self.tracer.emit(|| {
             TraceEvent::new(at, TraceLayer::Ftl, "page_out")
                 .with("block", block.0)
@@ -553,11 +543,9 @@ impl Ftl {
                 .with("units", units)
         });
 
-        for &(slot, offset) in &placements {
-            if faulting {
-                let _ = self.buffer.release(slot);
-            }
-            let pun = Pun::compose(ppn, offset, self.upp);
+        for (offset, &slot) in taken.iter().enumerate() {
+            let _ = self.buffer.release(slot);
+            let pun = Pun::compose(ppn, offset as u32, self.upp);
             let moved = self
                 .table
                 .relocate(Location::Buffer(slot), Location::Flash(pun));
@@ -568,7 +556,6 @@ impl Ftl {
             // padding on flash and simply never becomes valid.
         }
         self.scratch_batches.push(taken);
-        self.scratch_placements.push(placements);
         Ok(win.finish)
     }
 
@@ -655,40 +642,23 @@ impl Ftl {
     }
 
     /// Programs a page with the program-class bounded-backoff policy
-    /// ([`FtlConfig::retry_program`]). The content is cloned only while
-    /// a retry is still possible — never with fault injection off — and
-    /// moves into the final attempt, so the hot path stays
-    /// allocation-free.
+    /// ([`FtlConfig::retry_program`]). The array copies from the staged
+    /// page, so every attempt borrows the same one.
     fn program_with_retry(
         &mut self,
         ppn: Ppn,
-        content: PageContent,
+        content: &PageContent,
         at: SimTime,
     ) -> Result<Window, FlashError> {
+        let step = self.flash.timing().t_program;
         let policy = self.config.retry_program;
-        let attempts = if self.flash.faults_armed() {
-            policy.limit
-        } else {
-            1
-        };
-        let mut t = at;
-        for attempt in 1..attempts {
-            match self.flash.program(ppn, content.clone(), t) {
-                Err(e) if e.classification() == ErrorClass::Transient => {
-                    self.counters.incr(Counter::FtlMediaRetries);
-                    t += self.flash.timing().t_program
-                        * (1u64 << attempt.min(policy.backoff_shift_cap));
-                }
-                other => return other,
-            }
-        }
-        match self.flash.program(ppn, content, t) {
-            Err(e) if e.classification() == ErrorClass::Transient => {
-                self.counters.incr(Counter::FtlRetryExhaustedProgram);
-                Err(e)
-            }
-            other => other,
-        }
+        self.retry_transient(
+            policy,
+            step,
+            Counter::FtlRetryExhaustedProgram,
+            at,
+            |flash, t| flash.program(ppn, content, t),
+        )
     }
 
     /// Exhaustive internal-consistency check for tests: mapping symmetry
@@ -709,12 +679,10 @@ impl Ftl {
 
 /// Merges a partial write into existing unit content: fragments of keys
 /// present in `new` are replaced; other old fragments survive.
-fn merge_payload(old: &UnitPayload, new: &UnitPayload) -> UnitPayload {
+fn merge_payload(old: UnitRef<'_>, new: &UnitPayload) -> UnitPayload {
     let mut fragments: checkin_flash::FragVec = old
-        .fragments
         .iter()
         .filter(|f| !new.fragments.iter().any(|n| n.key == f.key))
-        .copied()
         .collect();
     fragments.extend(new.fragments.iter().copied());
     UnitPayload { fragments }

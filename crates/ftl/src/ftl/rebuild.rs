@@ -102,7 +102,7 @@ impl Ftl {
         let mut pre_snap: BTreeMap<u64, Pun> = BTreeMap::new();
         let mut max_seq = snap_seq;
         for (ppn, content) in self.flash.programmed_pages() {
-            for (offset, oob) in content.oob.iter().enumerate() {
+            for (offset, oob) in content.oobs().enumerate() {
                 // A record whose own checksum fails (torn tail, rotted
                 // metadata) names nothing that can be trusted: it must
                 // neither replay nor advance `max_seq` — a flipped

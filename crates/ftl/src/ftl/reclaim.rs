@@ -260,8 +260,9 @@ impl Ftl {
                 continue;
             }
             let payload = page
-                .and_then(|pc| pc.units.get(offset as usize)?.clone())
-                .unwrap_or_default();
+                .and_then(|pc| pc.unit(offset as usize))
+                .unwrap_or_default()
+                .to_payload();
             valid.push((offset, payload, primary));
         }
         for pun in corrupt {

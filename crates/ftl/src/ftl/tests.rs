@@ -359,7 +359,7 @@ fn merge_payload_replaces_matching_keys() {
         },
     ]);
     let new = UnitPayload::single(2, 5, 100);
-    let merged = merge_payload(&old, &new);
+    let merged = merge_payload((&old).into(), &new);
     assert_eq!(merged.fragments.len(), 2);
     assert_eq!(
         merged

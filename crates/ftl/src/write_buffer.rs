@@ -35,6 +35,12 @@ impl WriteBuffer {
         self.slots.get(slot.0 as usize)?.as_ref()
     }
 
+    /// Mutable access to a slot's data: page-out moves the payload into
+    /// the staging page and, if the program fails, back.
+    pub(crate) fn data_mut(&mut self, slot: BufSlot) -> Option<&mut SlotData> {
+        self.slots.get_mut(slot.0 as usize)?.as_mut()
+    }
+
     /// Stores a unit in a recycled (or new) slot and queues it for
     /// page-out at the tail.
     pub(crate) fn enqueue(&mut self, data: SlotData) -> BufSlot {

@@ -87,7 +87,7 @@ impl crate::Ssd {
         let verify = self.ftl().config().verify_checksums;
         for (ppn, content) in flash.programmed_pages() {
             snapshot.pages_scanned += 1;
-            for (offset, oob) in content.oob.iter().enumerate() {
+            for (offset, oob) in content.oobs().enumerate() {
                 // A record only makes its unit *discoverable* when both
                 // its OOB metadata and the data unit it describes still
                 // verify — a corrupt record must never win newest-wins

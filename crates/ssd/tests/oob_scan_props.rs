@@ -140,7 +140,7 @@ fn scan_equals_a_walk_over_every_ppn() {
                     continue;
                 };
                 pages += 1;
-                for (offset, oob) in content.oob.iter().enumerate() {
+                for (offset, oob) in content.oobs().enumerate() {
                     if !(content.oob_intact(offset) && content.unit_intact(offset)) {
                         rejected += 1;
                     } else if newest.get(&oob.lpn).is_none_or(|r| oob.sequence > r.1) {

@@ -20,6 +20,13 @@ echo "== cargo test --release (checkin-core lib)"
 # fire must be gated on `debug_assertions`, or this profile goes red.
 cargo test --release -p checkin-core --lib -q
 
+echo "== kvbench builds against the workspace"
+# `benchmark/kvbench` is a package of its own (path deps on the
+# workspace crates) that `cargo test` above never compiles: a change to
+# a type its probes construct would only show in `benchmark/run.sh`.
+# Build only, into kvbench's own target directory (`.gitignore`d).
+cargo build --release --offline --manifest-path benchmark/kvbench/Cargo.toml
+
 echo "== perfsuite --quick"
 cargo run --release -p checkin-bench --bin perfsuite -- --quick --out target/BENCH_perf.quick.json
 
