@@ -31,7 +31,7 @@ pub use sweep::{sweep, Sweep};
 
 use checkin_core::{EngineError, KvEngine, Layout, Strategy};
 use checkin_flash::{
-    FaultConfig, FaultOp, FaultPhase, FaultPlan, FlashArray, FlashGeometry, FlashTiming, Ppn,
+    FaultConfig, FaultOp, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OpPhase, Ppn,
 };
 use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, VictimPolicy};
 use checkin_sim::{Counter, SimTime};
@@ -461,7 +461,7 @@ fn verify(
 /// the per-tick `(op, phase)` trace recorded. Every other fault stays
 /// armed under the same fault seed, so tick `i + 1` of a cut run is
 /// `trace[i]` exactly.
-fn profile(sc: &Scenario) -> Vec<(FaultOp, FaultPhase)> {
+fn profile(sc: &Scenario) -> Vec<(FaultOp, OpPhase)> {
     let d = drive(&sc.with_faults(FaultConfig {
         power_cut_after: None,
         record_trace: true,
@@ -574,10 +574,7 @@ pub fn run(sc: &Scenario, typed_ok: bool, sabotage: bool) -> Outcome {
 }
 
 /// 1-based fault-clock ticks of the trace entries `keep` accepts.
-fn ticks_where(
-    trace: &[(FaultOp, FaultPhase)],
-    keep: impl Fn(FaultOp, FaultPhase) -> bool,
-) -> Vec<u64> {
+fn ticks_where(trace: &[(FaultOp, OpPhase)], keep: impl Fn(FaultOp, OpPhase) -> bool) -> Vec<u64> {
     trace
         .iter()
         .enumerate()

@@ -3,7 +3,7 @@
 //! the sweep if the tier's faults never fired.
 
 use checkin_core::{EngineError, Strategy};
-use checkin_flash::{FaultConfig, FaultOp, FaultPhase, FlashArray};
+use checkin_flash::{FaultConfig, FaultOp, FlashArray, OpPhase};
 use checkin_ftl::VictimPolicy;
 use checkin_sim::{Counter, SimTime};
 use checkin_ssd::ReadRequest;
@@ -14,6 +14,7 @@ use super::{
     scrub_fully, serving_range, ticks_where, verify, Driven, Outcome, Scenario, Stop, Verdict, OPS,
     RECORDS,
 };
+use crate::section;
 
 /// Base seeds of the power-cut tiers and of the integrity tiers. Two,
 /// because they are the seeds of the two harnesses this sweep replaced:
@@ -41,7 +42,7 @@ pub struct Sweep {
     /// Rows that failed as their [`known_defect`] pin records.
     pub expected_failures: u64,
     /// Phase each aimed power cut landed in.
-    cut_phases: Vec<FaultPhase>,
+    cut_phases: Vec<OpPhase>,
 }
 
 impl Sweep {
@@ -95,7 +96,7 @@ impl Sweep {
     fn cut_at_each(
         &mut self,
         base: &Scenario,
-        trace: &[(FaultOp, FaultPhase)],
+        trace: &[(FaultOp, OpPhase)],
         ticks: &[u64],
     ) -> Vec<Outcome> {
         let cut = |tick| base.with_faults(FaultConfig::power_cut(base.seed ^ tick, tick));
@@ -108,18 +109,23 @@ impl Sweep {
             .collect()
     }
 
-    fn cuts_in(&self, phase: FaultPhase) -> usize {
+    fn cuts_in(&self, phase: OpPhase) -> usize {
         self.cut_phases.iter().filter(|&&p| p == phase).count()
     }
 }
 
-fn section(title: &str) {
-    println!("\n== {title}");
+/// Phase of 1-based `tick`, which must come from `trace`.
+fn phase_at(trace: &[(FaultOp, OpPhase)], tick: u64) -> OpPhase {
+    trace[(tick - 1) as usize].1
 }
 
-/// Phase of 1-based `tick`, which must come from `trace`.
-fn phase_at(trace: &[(FaultOp, FaultPhase)], tick: u64) -> FaultPhase {
-    trace[(tick - 1) as usize].1
+/// Steady state: every phase no tier aims at — anything but GC, the
+/// checkpoint remap walk and host deallocation.
+fn is_steady(phase: OpPhase) -> bool {
+    !matches!(
+        phase,
+        OpPhase::Gc | OpPhase::CheckpointRemap | OpPhase::Dealloc
+    )
 }
 
 fn unit(strategy: Strategy) -> u64 {
@@ -150,13 +156,9 @@ fn sorted(mut ticks: Vec<u64>) -> Vec<u64> {
 /// Phase-targeted cuts: the first and middle tick of the checkpoint
 /// remap walk, of GC migration and of host deallocation, topped up with
 /// uniformly random steady-state ticks.
-fn phase_cuts(trace: &[(FaultOp, FaultPhase)], rng: &mut TestRng, total: usize) -> Vec<u64> {
+fn phase_cuts(trace: &[(FaultOp, OpPhase)], rng: &mut TestRng, total: usize) -> Vec<u64> {
     let mut ticks: Vec<u64> = Vec::new();
-    for phase in [
-        FaultPhase::CheckpointRemap,
-        FaultPhase::Gc,
-        FaultPhase::HostDeallocate,
-    ] {
+    for phase in [OpPhase::CheckpointRemap, OpPhase::Gc, OpPhase::Dealloc] {
         ticks.extend(first_and_middle(&ticks_where(trace, |_, p| p == phase)));
     }
     while ticks.len() < total {
@@ -170,10 +172,10 @@ fn phase_cuts(trace: &[(FaultOp, FaultPhase)], rng: &mut TestRng, total: usize) 
 /// of the checkpoint walk when the trace has them (luck alone rarely
 /// tears a page there), the first, middle and last program overall, and
 /// random programs up to `total`.
-fn torn_cuts(trace: &[(FaultOp, FaultPhase)], rng: &mut TestRng, total: usize) -> Vec<u64> {
+fn torn_cuts(trace: &[(FaultOp, OpPhase)], rng: &mut TestRng, total: usize) -> Vec<u64> {
     let programs = ticks_where(trace, |op, _| op == FaultOp::Program);
     let mut ticks: Vec<u64> = Vec::new();
-    for phase in [FaultPhase::Gc, FaultPhase::CheckpointRemap] {
+    for phase in [OpPhase::Gc, OpPhase::CheckpointRemap] {
         let in_phase = ticks_where(trace, |op, p| op == FaultOp::Program && p == phase);
         ticks.extend(first_and_middle(&in_phase));
     }
@@ -202,10 +204,7 @@ fn power_cut_tier(s: &mut Sweep) {
             );
         }
     }
-    let (remap, gc) = (
-        s.cuts_in(FaultPhase::CheckpointRemap),
-        s.cuts_in(FaultPhase::Gc),
-    );
+    let (remap, gc) = (s.cuts_in(OpPhase::CheckpointRemap), s.cuts_in(OpPhase::Gc));
     s.gate(
         remap > 0 && gc > 0,
         &format!("power-cut tier missed a required cut phase (remap {remap}, gc {gc})"),
@@ -232,7 +231,7 @@ fn batched_tier(s: &mut Sweep) {
             // Checkpoints sit at batch boundaries where nothing is
             // unacked, so aiming at phases would never land inside a
             // batch: take evenly spaced steady-state ticks instead.
-            let steady = ticks_where(&trace, |_, p| p == FaultPhase::Normal);
+            let steady = ticks_where(&trace, |_, p| is_steady(p));
             let cuts = spread(&steady, 7);
             let unacked: Vec<usize> = s
                 .cut_at_each(&base, &trace, &cuts)
@@ -266,7 +265,7 @@ fn victim_policy_tier(s: &mut Sweep) {
         ..Scenario::new("victim-policy", Strategy::CheckIn, seed)
     };
     let trace = profile(&base);
-    let gc_ticks = ticks_where(&trace, |_, p| p == FaultPhase::Gc);
+    let gc_ticks = ticks_where(&trace, |_, p| p == OpPhase::Gc);
     let cuts = spread(&gc_ticks, 4);
     s.cut_at_each(&base, &trace, &cuts);
     println!(
@@ -344,7 +343,7 @@ fn torn_tier(s: &mut Sweep) {
                 };
                 let o = s.judge(&base.with_faults(faults), false);
                 torn_here += o.counter(Counter::FlashTornWrites);
-                if phase_at(&trace, tick) == FaultPhase::Gc {
+                if phase_at(&trace, tick) == OpPhase::Gc {
                     torn_in_gc += o.counter(Counter::FlashTornWrites);
                 }
             }
@@ -760,10 +759,10 @@ pub fn sweep() -> Sweep {
     println!("  combos            {}", s.combos);
     println!(
         "  aimed cut phases  remap {}, gc {}, dealloc {}, steady {}",
-        s.cuts_in(FaultPhase::CheckpointRemap),
-        s.cuts_in(FaultPhase::Gc),
-        s.cuts_in(FaultPhase::HostDeallocate),
-        s.cuts_in(FaultPhase::Normal)
+        s.cuts_in(OpPhase::CheckpointRemap),
+        s.cuts_in(OpPhase::Gc),
+        s.cuts_in(OpPhase::Dealloc),
+        s.cut_phases.iter().filter(|&&p| is_steady(p)).count()
     );
     println!("  keys checked      {}", t.checked);
     println!("  silently wrong    {}", t.silent_wrong);

@@ -1,0 +1,453 @@
+//! `lab` — the one measurement run behind `BENCH_perf.json`.
+//!
+//! [`run`] fills three sections of [`Row`]s and takes no options (one
+//! fixed budget, about four seconds):
+//!
+//! * **`gc`** — the victim-policy matrix: both [`VictimPolicy`] variants
+//!   × uniform / zipfian / write-only on the 48 MiB GC-pressured device,
+//!   each cell's WAF, Equation (1) lifetime score, p99.9 latency and
+//!   erase count, then each policy's means and rank (mean WAF; ties:
+//!   higher lifetime, then lower p99.9) and the `gclab_waf_*_vs_greedy`
+//!   ratio. Simulated, so reproducible digit for digit on any host.
+//! * **`counts`** — what one 64-entry checkpoint command costs the
+//!   device in remap mode and in copy mode: simulated nanoseconds, flash
+//!   reads, unit writes. The paper's central claim (Algorithm 1 moves
+//!   mapping entries and does no flash I/O), exact on any host.
+//! * **`host`** — wall-clock rows for what the frozen benchmark
+//!   (`benchmark/kvbench`, measuring from outside) cannot see: a few
+//!   micro timings and interleaved same-process A/B ratios. Reported,
+//!   never gated: this host's same-binary readings differ by 10 %.
+//!
+//! Two conditions fail a run, and neither reads a clock: the shipped
+//! default GC policy must be the matrix winner, and a remap checkpoint
+//! must do no flash I/O where a copy checkpoint reads and rewrites every
+//! log. `cargo test` checks both as well (this module's tests).
+
+use std::hint::black_box;
+use std::time::Instant;
+
+use checkin_core::{
+    default_jobs, run_configs, JournalManager, KvSystem, Layout, Strategy, SystemConfig,
+};
+use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind};
+use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, MappingTable, Pun, VictimPolicy};
+use checkin_sim::{
+    Counter, CounterSet, EventQueue, SimDuration, SimRng, SimTime, Total, TraceEvent, TraceLayer,
+    Tracer,
+};
+use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
+use checkin_workload::{AccessPattern, OpMix};
+
+use crate::harness::{bench, render, row, speedup, BenchOpts, Row};
+use crate::{gc_pressured_config, paper_config, section};
+
+/// Everything one [`run`] measured, and which gates it failed.
+#[derive(Debug)]
+pub struct Lab {
+    /// The victim-policy matrix, means, ranks and WAF ratio.
+    pub gc: Vec<Row>,
+    /// Exact simulated cost of a remap and of a copy checkpoint.
+    pub counts: Vec<Row>,
+    /// Wall-clock micro timings and A/B ratios.
+    pub host: Vec<Row>,
+    /// One line per failed gate; empty on PASS.
+    pub failures: Vec<String>,
+}
+
+impl Lab {
+    /// True when no gate failed.
+    pub fn passed(&self) -> bool {
+        self.failures.is_empty()
+    }
+
+    /// The `BENCH_perf.json` text.
+    pub fn render(&self) -> String {
+        render(&[
+            ("gc", &self.gc),
+            ("counts", &self.counts),
+            ("host", &self.host),
+        ])
+    }
+}
+
+/// Measures all three sections and judges the two gates.
+pub fn run() -> Lab {
+    let (gc, winner) = gc_section();
+    let (counts, remap, copy) = counts_section();
+    let host = host_section();
+
+    println!();
+    let mut failures = Vec::new();
+    let mut gate = |ok: bool, what: String| {
+        if ok {
+            println!("PASS: {what}");
+        } else {
+            eprintln!("FAIL: {what}");
+            failures.push(what);
+        }
+    };
+    let shipped = SystemConfig::for_strategy(Strategy::CheckIn).gc_policy;
+    gate(
+        shipped == winner,
+        format!("shipped default GC policy `{shipped}`, matrix winner `{winner}`"),
+    );
+    gate(
+        remap_does_no_flash_io(&remap, &copy),
+        format!("a remap checkpoint does no flash I/O: remap {remap:?}, copy {copy:?}"),
+    );
+    Lab {
+        gc,
+        counts,
+        host,
+        failures,
+    }
+}
+
+/// Appends the row `group/leaf`.
+fn push(rows: &mut Vec<Row>, group: &str, leaf: &str, value: f64, unit: &'static str) {
+    rows.push(row(&format!("{group}/{leaf}"), value, unit));
+}
+
+// ---- gc ---------------------------------------------------------------
+
+/// Workload shapes the matrix sweeps (name, mix, skew).
+const WORKLOADS: [(&str, OpMix, AccessPattern); 3] = [
+    ("uniform", OpMix::A, AccessPattern::Uniform),
+    ("zipfian", OpMix::A, AccessPattern::Zipfian),
+    ("write-only", OpMix::WRITE_ONLY, AccessPattern::Uniform),
+];
+
+/// Mean of quantity `q` over a policy's `[waf, lifetime, p99.9 us]`
+/// cells. Non-finite lifetime scores (a run that wore the flash not at
+/// all) saturate to `f64::MAX` so they rank as "best possible" without
+/// poisoning the mean.
+fn mean(cells: &[[f64; 3]], q: usize) -> f64 {
+    let finite = |v: f64| if v.is_finite() { v } else { f64::MAX };
+    cells.iter().map(|c| finite(c[q])).sum::<f64>() / cells.len().max(1) as f64
+}
+
+/// The policy × workload matrix and its ranking; returns the winner.
+fn gc_section() -> (Vec<Row>, VictimPolicy) {
+    let mut rows = Vec::new();
+    let mut ranked: Vec<(VictimPolicy, [f64; 3])> = Vec::new();
+    for policy in VictimPolicy::ALL {
+        section(&format!("gc: policy {policy}"));
+        let mut cells = Vec::new();
+        for (workload, mix, pattern) in WORKLOADS {
+            let mut config = gc_pressured_config(Strategy::CheckIn);
+            config.workload.mix = mix;
+            config.workload.pattern = pattern;
+            config.gc_policy = policy;
+            let report = crate::run(config);
+            let name = format!("gclab/{workload}/{}", policy.label());
+            let p999_us = report.latency.p999.as_micros_f64();
+            let erases = report.flash.erases as f64;
+            push(&mut rows, &name, "waf", report.waf, "x");
+            push(&mut rows, &name, "lifetime", report.lifetime_score, "score");
+            push(&mut rows, &name, "p999", p999_us, "us");
+            push(&mut rows, &name, "erases", erases, "blocks");
+            cells.push([report.waf, report.lifetime_score, p999_us]);
+        }
+        ranked.push((policy, [0, 1, 2].map(|q| mean(&cells, q))));
+    }
+
+    section("gc: ranking (mean over the workloads)");
+    let greedy_waf = ranked
+        .iter()
+        .find(|(p, _)| *p == VictimPolicy::Greedy)
+        .map_or(f64::NAN, |(_, means)| means[0]);
+    ranked.sort_by(|(_, a), (_, b)| {
+        a[0].total_cmp(&b[0])
+            .then(b[1].total_cmp(&a[1]))
+            .then(a[2].total_cmp(&b[2]))
+    });
+    for (rank, (policy, [waf, lifetime, p999])) in ranked.iter().enumerate() {
+        let name = format!("gclab/mean/{}", policy.label());
+        push(&mut rows, &name, "waf", *waf, "x");
+        push(&mut rows, &name, "lifetime", *lifetime, "score");
+        push(&mut rows, &name, "p999", *p999, "us");
+        push(&mut rows, &name, "rank", (rank + 1) as f64, "rank");
+        if *policy != VictimPolicy::Greedy {
+            let name = format!("gclab_waf_{}_vs_greedy", policy.label());
+            rows.push(speedup(&name, greedy_waf, *waf));
+        }
+    }
+    (rows, ranked[0].0)
+}
+
+// ---- counts -----------------------------------------------------------
+
+/// What one checkpoint command cost the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CheckpointCost {
+    sim_ns: u64,
+    flash_reads: u64,
+    unit_writes: u64,
+    remapped: u64,
+    copied: u64,
+}
+
+/// Journal entries in the checkpoint fixture.
+const ENTRIES: u64 = 64;
+
+/// Executes one `mode` checkpoint of [`ENTRIES`] one-sector journal logs
+/// on the paper-default array with the paper's 512 B mapping unit, where
+/// every log is unit-aligned and so eligible for remapping. The journal
+/// is flushed to flash first: a copy then has to read every log back.
+fn checkpoint_cost(mode: CheckpointMode) -> CheckpointCost {
+    let flash = FlashArray::new(FlashGeometry::paper_default(), FlashTiming::mlc());
+    let config = FtlConfig {
+        unit_bytes: 512,
+        ..FtlConfig::default()
+    };
+    let ftl = Ftl::new(flash, config).expect("default FTL config is valid");
+    let mut ssd = Ssd::new(ftl, SsdTiming::paper_default());
+    let layout = Layout::new(1_024, 4096, 512, 1 << 14);
+    let mut journal = JournalManager::new(layout, true, 0.7);
+    let mut t = SimTime::ZERO;
+    for key in 0..ENTRIES {
+        let req = journal.append(key, 1, 512).expect("journal has room");
+        t = ssd
+            .write(&req, OobKind::Journal, t)
+            .expect("write succeeds");
+    }
+    t = ssd.flush(t).expect("flush succeeds");
+    let entries: Vec<CowEntry> = journal
+        .begin_checkpoint()
+        .entries
+        .iter()
+        .map(|(key, e)| CowEntry {
+            src_lba: e.journal_lba,
+            dst_lba: layout.home_lba(*key),
+            sectors: e.sectors,
+            dst_sectors: e.sectors,
+            key: *key,
+            merged: e.merged,
+        })
+        .collect();
+
+    let flash_reads = |ssd: &Ssd| ssd.ftl().flash().counters().total(Total::FlashRead);
+    let unit_writes = |ssd: &Ssd| ssd.ftl().counters().get(Counter::FtlHostUnitWrites);
+    let (reads0, writes0) = (flash_reads(&ssd), unit_writes(&ssd));
+    let done = ssd.checkpoint(&entries, mode, t).expect("checkpoint runs");
+    CheckpointCost {
+        sim_ns: done.duration_since(t).as_nanos(),
+        flash_reads: flash_reads(&ssd) - reads0,
+        unit_writes: unit_writes(&ssd) - writes0,
+        remapped: ssd.counters().get(Counter::SsdRemapEntries),
+        copied: ssd.counters().get(Counter::SsdCopyEntries),
+    }
+}
+
+/// Algorithm 1's claim on the fixture, exact: the remap walk touches no
+/// flash and writes one unit (the recovery metadata unit that closes
+/// every checkpoint command), the copy fallback reads and rewrites every
+/// log, and the device finishes the remap at least 8x sooner.
+fn remap_does_no_flash_io(remap: &CheckpointCost, copy: &CheckpointCost) -> bool {
+    let counts = |c: &CheckpointCost| (c.flash_reads, c.unit_writes, c.remapped, c.copied);
+    counts(remap) == (0, 1, ENTRIES, 0)
+        && counts(copy) == (ENTRIES, ENTRIES + 1, 0, ENTRIES)
+        && copy.sim_ns >= 8 * remap.sim_ns
+}
+
+fn counts_section() -> (Vec<Row>, CheckpointCost, CheckpointCost) {
+    section("counts: 64-entry checkpoint command, remap walk vs copy fallback");
+    let remap = checkpoint_cost(CheckpointMode::Remap);
+    let copy = checkpoint_cost(CheckpointMode::Copy);
+    let mut rows = Vec::new();
+    for (mode, c) in [("remap", &remap), ("copy", &copy)] {
+        let name = format!("checkpoint/{mode}_64_entries");
+        push(&mut rows, &name, "sim_ns", c.sim_ns as f64, "ns");
+        push(
+            &mut rows,
+            &name,
+            "flash_reads",
+            c.flash_reads as f64,
+            "pages",
+        );
+        push(
+            &mut rows,
+            &name,
+            "unit_writes",
+            c.unit_writes as f64,
+            "units",
+        );
+    }
+    rows.push(speedup(
+        "checkpoint/remap_vs_copy_sim_time",
+        copy.sim_ns as f64,
+        remap.sim_ns as f64,
+    ));
+    (rows, remap, copy)
+}
+
+// ---- host -------------------------------------------------------------
+
+/// Mapped LPNs in the L2P rows — the paper-default device has ~400k
+/// 4-sector mapping units, so this is a realistically full table.
+const L2P_ENTRIES: u64 = 400_000;
+/// Interleaved repetitions behind each A/B ratio (best run wins).
+const AB_REPS: u32 = 7;
+
+fn host_section() -> Vec<Row> {
+    let opts = BenchOpts::LAB;
+    let mut rows = Vec::new();
+
+    section("host: L2P mapping table (dense Vec)");
+    let mut table = MappingTable::with_capacity(L2P_ENTRIES as usize);
+    for i in 0..L2P_ENTRIES {
+        table.map(Lpn(i), Location::Flash(Pun(i)));
+    }
+    let mut rng = SimRng::seed_from(11);
+    rows.push(bench("l2p/lookup_dense", opts, || {
+        table.lookup(Lpn(rng.gen_range(L2P_ENTRIES)))
+    }));
+    // Remap churn: every iteration moves a random LPN to a fresh PUN,
+    // exercising forward update plus reverse unlink/link — the write path
+    // the FTL takes on every host program and GC relocation. PUNs recycle
+    // within a bounded window so the reverse array stays device-sized, as
+    // it does in the real FTL.
+    let mut rng = SimRng::seed_from(12);
+    let mut next_pun = L2P_ENTRIES;
+    rows.push(bench("l2p/remap_dense", opts, || {
+        let lpn = Lpn(rng.gen_range(L2P_ENTRIES));
+        table.map(lpn, Location::Flash(Pun(next_pun % (2 * L2P_ENTRIES))));
+        next_pun += 1;
+    }));
+
+    section("host: event queue, closed-loop pop+schedule at a command-storm population");
+    let (n, gap) = (65_536u64, 7_800u64);
+    let mut queue: EventQueue<u32> = EventQueue::with_capacity(n as usize);
+    let mut rng = SimRng::seed_from(9);
+    for i in 0..n {
+        queue.schedule(SimTime::from_nanos(1 + i * gap), i as u32);
+    }
+    rows.push(bench("queue/pop_schedule_calendar_64k", opts, || {
+        let (t, e) = queue.pop().expect("the loop keeps the queue full");
+        let delay = SimDuration::from_nanos(n * gap + rng.gen_range(5_000));
+        queue.schedule(t + delay, e);
+        e
+    }));
+
+    // One bump in the shape the flash and ftl sets have in a run: 30 keys
+    // touched, bumps alternating between the key touched first and the
+    // one touched 20th — the loop EXPERIMENTS.md's string-keyed figure
+    // was taken with. The second key is a per-phase flash counter, so its
+    // bump credits a total too.
+    section("host: counter bump and disabled-tracer emit");
+    let touched = &Counter::ALL[11..41];
+    let mut set = CounterSet::new();
+    for &key in touched {
+        set.incr(key);
+    }
+    let pair = [touched[0], touched[19]];
+    let mut i = 0usize;
+    rows.push(bench("sim/counter_bump_ns", opts, || {
+        i ^= 1;
+        set.incr(black_box(pair[i]));
+    }));
+    black_box(&set);
+    let disabled = Tracer::disabled();
+    let mut x = 0u64;
+    rows.push(bench("trace/emit_disabled", opts, || {
+        x += 1;
+        disabled.emit(|| {
+            TraceEvent::new(SimTime::from_nanos(x), TraceLayer::Flash, "program").with("ppn", x)
+        });
+        x
+    }));
+
+    // The variants of each pair run interleaved, rep by rep, so a drift
+    // in host load between measurement windows cannot pass for (or hide)
+    // a difference; each ratio is best run over best run.
+    section("host: A/B ratios, 30k-query Check-In run (>1: the first variant is faster)");
+    let plain = paper_config(Strategy::CheckIn);
+    let mut no_checksums = plain.clone();
+    no_checksums.verify_checksums = false;
+    let mut batched = plain.clone();
+    batched.admission_batch = 16;
+    let [on, off, b16] = best_ns([&plain, &no_checksums, &batched].map(|config| {
+        move || {
+            let mut sys = KvSystem::new(config.clone()).expect("valid lab config");
+            let start = Instant::now();
+            black_box(sys.run().expect("lab run succeeds"));
+            start.elapsed().as_nanos()
+        }
+    }));
+    rows.push(speedup("ab/checksums_on_vs_off", off, on));
+    rows.push(speedup("ab/admission_batch_16_vs_1", on, b16));
+
+    // More configurations than workers, so long runs (Baseline's
+    // host-driven checkpoints) cannot convoy the batch, and at least two
+    // workers even where `default_jobs()` is 1. Two shared cores measure
+    // 0.5–1.0x.
+    let jobs = default_jobs().max(2);
+    let configs: Vec<SystemConfig> = Strategy::all()
+        .into_iter()
+        .flat_map(|s| {
+            [0x5EEDu64, 0xA11CE, 0xB0B5].map(|seed| {
+                let mut c = paper_config(s);
+                c.total_queries = 8_000;
+                c.workload.seed = seed;
+                c
+            })
+        })
+        .collect();
+    let [serial, parallel] = best_ns([1, jobs].map(|jobs| {
+        let configs = &configs;
+        move || {
+            let start = Instant::now();
+            for r in run_configs(configs, jobs) {
+                black_box(r.expect("sweep config runs"));
+            }
+            start.elapsed().as_nanos()
+        }
+    }));
+    println!("  ({} configs, {jobs} workers)", configs.len());
+    rows.push(speedup("ab/sweep_jobs_n_vs_1", serial, parallel));
+    rows
+}
+
+/// Runs the variants [`AB_REPS`] times round-robin; each variant returns
+/// the nanoseconds it timed, and the best per variant is kept.
+fn best_ns<const N: usize>(mut variants: [impl FnMut() -> u128; N]) -> [f64; N] {
+    let mut best = [u128::MAX; N];
+    for _ in 0..AB_REPS {
+        for (b, run) in best.iter_mut().zip(&mut variants) {
+            *b = (*b).min(run());
+        }
+    }
+    best.map(|ns| ns.max(1) as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_remap_checkpoint_does_no_flash_io() {
+        let remap = checkpoint_cost(CheckpointMode::Remap);
+        let copy = checkpoint_cost(CheckpointMode::Copy);
+        assert!(
+            remap_does_no_flash_io(&remap, &copy),
+            "remap {remap:?}, copy {copy:?}"
+        );
+    }
+
+    #[test]
+    fn the_shipped_gc_policy_wins_the_matrix() {
+        let (_, winner) = gc_section();
+        let shipped = SystemConfig::for_strategy(Strategy::CheckIn).gc_policy;
+        assert_eq!(shipped, winner);
+    }
+
+    #[test]
+    fn deterministic_sections_render_identically_twice() {
+        let text = || {
+            let (gc, _) = gc_section();
+            let (counts, ..) = counts_section();
+            render(&[("gc", &gc), ("counts", &counts)])
+        };
+        assert_eq!(text(), text());
+    }
+}

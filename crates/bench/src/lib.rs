@@ -4,15 +4,19 @@
 //! `harness = false`) that sweeps the parameters of one paper figure and
 //! prints the same rows/series the paper reports, next to the paper's
 //! claims. Run them all with `cargo bench`.
+//!
+//! Two programs live beside them: [`lab`], the one measurement run
+//! behind `BENCH_perf.json` (timed with [`harness`]), and [`chaos`], the
+//! fault sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod harness;
+pub mod lab;
 
 use checkin_core::{KvSystem, RunReport, Strategy, SystemConfig};
-use checkin_flash::FlashGeometry;
 
 /// Builds and runs a system, panicking on configuration errors (benches
 /// are developer-facing).
@@ -37,26 +41,13 @@ pub fn paper_config(strategy: Strategy) -> SystemConfig {
     c
 }
 
-/// A deliberately small device (~50 MiB) that keeps the FTL under
-/// garbage-collection pressure — the regime behind Fig. 8's redundant
+/// Workload A on [`SystemConfig::gc_pressured`]'s 48 MiB device: 150 k
+/// queries over 3 000 records — the regime behind Fig. 8's redundant
 /// write and GC comparisons.
 pub fn gc_pressured_config(strategy: Strategy) -> SystemConfig {
-    let mut c = SystemConfig::for_strategy(strategy);
+    let mut c = SystemConfig::gc_pressured(strategy);
     c.total_queries = 150_000;
-    c.threads = 32;
     c.workload.record_count = 3_000;
-    c.workload.mix = checkin_workload::OpMix::A;
-    c.geometry = FlashGeometry {
-        channels: 2,
-        dies_per_channel: 2,
-        planes_per_die: 1,
-        blocks_per_plane: 24,
-        pages_per_block: 128,
-        page_bytes: 4096,
-    };
-    c.journal_trigger_sectors = 8_192;
-    c.gc_threshold_blocks = 6;
-    c.gc_soft_threshold_blocks = 20;
     c
 }
 
@@ -66,6 +57,12 @@ pub fn banner(figure: &str, claim: &str) {
     println!("{figure}");
     println!("paper: {claim}");
     println!("==============================================================");
+}
+
+/// Prints the `== title` line that opens a part of `lab`'s or `chaos`'s
+/// report.
+pub(crate) fn section(title: &str) {
+    println!("\n== {title}");
 }
 
 /// Formats a ratio as `x.xx` with a guard for non-finite values.

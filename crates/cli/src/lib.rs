@@ -80,7 +80,7 @@ pub struct RunArgs {
     /// one-op-per-event loop).
     pub admission_batch: u32,
     /// GC victim-selection policy override (`None` keeps the strategy
-    /// default, which is the gclab sweep winner).
+    /// default, which is the `lab` policy-matrix winner).
     pub gc_policy: Option<VictimPolicy>,
     /// Use the small GC-pressured device instead of the default 3 GiB.
     pub gc_pressure: bool,
@@ -119,7 +119,11 @@ impl Default for RunArgs {
 impl RunArgs {
     /// Materialises a [`SystemConfig`] from the parsed arguments.
     pub fn to_config(&self) -> SystemConfig {
-        let mut c = SystemConfig::for_strategy(self.strategy);
+        let mut c = if self.gc_pressure {
+            SystemConfig::gc_pressured(self.strategy)
+        } else {
+            SystemConfig::for_strategy(self.strategy)
+        };
         c.total_queries = self.queries;
         c.threads = self.threads;
         c.workload.record_count = self.record_count;
@@ -134,19 +138,6 @@ impl RunArgs {
             c.gc_policy = policy;
         }
         c.verify_checksums = !self.no_checksums;
-        if self.gc_pressure {
-            c.geometry = checkin_flash::FlashGeometry {
-                channels: 2,
-                dies_per_channel: 2,
-                planes_per_die: 1,
-                blocks_per_plane: 24,
-                pages_per_block: 128,
-                page_bytes: 4096,
-            };
-            c.journal_trigger_sectors = 8_192;
-            c.gc_threshold_blocks = 6;
-            c.gc_soft_threshold_blocks = 20;
-        }
         c
     }
 }

@@ -127,13 +127,9 @@ pub fn run_checkpoint(
         None => {
             // The baseline's read-back-and-rewrite loop is its copy
             // fallback; attribute its flash ops accordingly.
-            let prev = ssd
-                .ftl_mut()
-                .flash_mut()
-                .set_op_phase(OpPhase::CheckpointCopy);
-            let moved = host_checkpoint(ssd, layout, zone, at);
-            ssd.ftl_mut().flash_mut().set_op_phase(prev);
-            let (finish, copied, skipped) = moved?;
+            let (finish, copied, skipped) = ssd.in_phase(OpPhase::CheckpointCopy, |ssd| {
+                host_checkpoint(ssd, layout, zone, at)
+            })?;
             host_copied = copied;
             host_skipped = skipped;
             host_copy_time = finish.saturating_duration_since(at);

@@ -270,21 +270,8 @@ impl KvSystem {
             match event {
                 Event::CheckpointTick => {
                     if now >= cp_active_until && !self.engine.journal().jmt().is_empty() {
-                        let out = self.engine.checkpoint(&mut self.ssd, now)?;
-                        cp_active_until = out.finish;
-                        cp.absorb(&out, now);
-                        let (_, gc_done) = self
-                            .ssd
-                            .background_gc(out.finish, self.config.background_gc_rounds)
-                            .map_err(EngineError::Ssd)?;
-                        last_finish = last_finish.max(gc_done);
-                        // GC has priority for the idle window; the scrubber
-                        // patrols whatever slack remains after it.
-                        let (_, scrub_done) = self
-                            .ssd
-                            .background_scrub(gc_done, self.config.scrub_pages_per_idle)
-                            .map_err(EngineError::Ssd)?;
-                        last_finish = last_finish.max(scrub_done);
+                        cp_active_until =
+                            self.checkpoint_then_idle(now, &mut cp, &mut last_finish)?;
                     }
                     next_tick = now + self.config.checkpoint_interval;
                     events.schedule(next_tick, Event::CheckpointTick);
@@ -363,19 +350,8 @@ impl KvSystem {
                             && self.engine.journal().zone_used_sectors()
                                 >= self.config.journal_trigger_sectors
                         {
-                            let out = self.engine.checkpoint(&mut self.ssd, finish)?;
-                            cp_active_until = out.finish;
-                            cp.absorb(&out, finish);
-                            let (_, gc_done) = self
-                                .ssd
-                                .background_gc(out.finish, self.config.background_gc_rounds)
-                                .map_err(EngineError::Ssd)?;
-                            last_finish = last_finish.max(gc_done);
-                            let (_, scrub_done) = self
-                                .ssd
-                                .background_scrub(gc_done, self.config.scrub_pages_per_idle)
-                                .map_err(EngineError::Ssd)?;
-                            last_finish = last_finish.max(scrub_done);
+                            cp_active_until =
+                                self.checkpoint_then_idle(finish, &mut cp, &mut last_finish)?;
                             break;
                         }
                         if quota[thread as usize] == 0 {
@@ -511,6 +487,30 @@ impl KvSystem {
                 })
                 .collect(),
         })
+    }
+
+    /// A triggered checkpoint at `at` and the idle work behind it:
+    /// background GC has priority for the idle window, the scrubber
+    /// patrols whatever slack remains after it. Pushes `last_finish` past
+    /// the idle work and returns the instant the checkpoint itself ends.
+    fn checkpoint_then_idle(
+        &mut self,
+        at: SimTime,
+        cp: &mut CpAccum,
+        last_finish: &mut SimTime,
+    ) -> Result<SimTime, EngineError> {
+        let out = self.engine.checkpoint(&mut self.ssd, at)?;
+        cp.absorb(&out, at);
+        let (_, gc_done) = self
+            .ssd
+            .background_gc(out.finish, self.config.background_gc_rounds)
+            .map_err(EngineError::Ssd)?;
+        let (_, scrub_done) = self
+            .ssd
+            .background_scrub(gc_done, self.config.scrub_pages_per_idle)
+            .map_err(EngineError::Ssd)?;
+        *last_finish = (*last_finish).max(gc_done).max(scrub_done);
+        Ok(out.finish)
     }
 
     fn execute_op(

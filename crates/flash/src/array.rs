@@ -6,7 +6,7 @@ use checkin_sim::{Counter, CounterSet, Resource, SimTime, TraceEvent, TraceLayer
 
 use crate::content::PageContent;
 use crate::error::FlashError;
-use crate::fault::{FaultOp, FaultPhase, FaultPlan, TickOutcome};
+use crate::fault::{FaultOp, FaultPlan, TickOutcome};
 use crate::geometry::{BlockId, FlashGeometry, Ppn};
 use crate::phase::OpPhase;
 use crate::store::{BlockStore, PageView, StoredField};
@@ -55,11 +55,9 @@ pub struct FlashArray {
     pe_cycle_limit: Option<u64>,
     /// Armed fault-injection schedule, if any.
     faults: Option<FaultPlan>,
-    /// Firmware activity label for fault-trace targeting.
-    fault_phase: FaultPhase,
-    /// Firmware activity label for per-phase op attribution: every
-    /// program/read/erase is counted under the current phase's counter,
-    /// which credits the plain total.
+    /// Firmware activity label: every program/read/erase is counted
+    /// under the current phase's counter, which credits the plain total,
+    /// and a recording fault plan logs it with each fault-clock tick.
     op_phase: OpPhase,
     /// Structured trace sink (no-op unless enabled).
     tracer: Tracer,
@@ -103,7 +101,6 @@ impl FlashArray {
             total_erases: 0,
             pe_cycle_limit: None,
             faults: None,
-            fault_phase: FaultPhase::Normal,
             op_phase: OpPhase::Run,
             tracer: Tracer::disabled(),
             powered_off: false,
@@ -137,12 +134,6 @@ impl FlashArray {
     /// The armed fault plan, if any (fault clock, recorded trace).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
-    }
-
-    /// Sets the firmware activity label recorded with each fault-clock
-    /// tick and returns the previous one (so callers can nest/restore).
-    pub fn set_fault_phase(&mut self, phase: FaultPhase) -> FaultPhase {
-        std::mem::replace(&mut self.fault_phase, phase)
     }
 
     /// Sets the firmware activity label under which subsequent flash
@@ -226,7 +217,7 @@ impl FlashArray {
         if self.powered_off {
             return Err(FlashError::PowerLoss);
         }
-        let phase = self.fault_phase;
+        let phase = self.op_phase;
         let Some(plan) = self.faults.as_mut() else {
             return Ok(());
         };

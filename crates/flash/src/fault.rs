@@ -48,12 +48,14 @@
 //! generator, so a `(workload seed, fault seed, cut tick)` triple fully
 //! determines a simulated crash — the property the `chaos` harness
 //! (`checkin_bench::chaos`, DESIGN.md §9.3) builds on: a *profiling* run
-//! with [`FaultConfig::record_trace`] logs `(operation, phase)` per tick,
-//! and targeted cut points (mid-GC, mid-remap-walk, mid-deallocation) are
+//! with [`FaultConfig::record_trace`] logs each tick's operation and
+//! [`OpPhase`], and targeted cut points (mid-GC, mid-remap-walk, mid-deallocation) are
 //! then chosen from that trace and replayed exactly. Because every hazard
 //! is a field of the one [`FaultConfig`], families compose: a plan can
 //! tear the page a power cut interrupts while rot and media noise are
 //! live, and the profiling run arms the same plan minus the cut.
+
+use crate::phase::OpPhase;
 
 /// Operation classes that advance the fault clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,22 +70,6 @@ pub enum FaultOp {
     /// write admission, mapping remap, deallocation). Logical steps can be
     /// interrupted by a power cut but never suffer media errors.
     Logical,
-}
-
-/// Firmware activity label, set by upper layers around interesting code
-/// regions so that recorded fault-clock traces can target cut points
-/// (e.g. "somewhere inside garbage collection").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultPhase {
-    /// Ordinary foreground work.
-    #[default]
-    Normal,
-    /// Inside garbage collection or wear leveling.
-    Gc,
-    /// Inside the Algorithm-1 remap walk of a checkpoint.
-    CheckpointRemap,
-    /// Inside a host deallocate (trim) loop.
-    HostDeallocate,
 }
 
 /// Seeded fault schedule parameters.
@@ -174,7 +160,7 @@ pub struct FaultPlan {
     config: FaultConfig,
     state: [u64; 4],
     ticks: u64,
-    trace: Vec<(FaultOp, FaultPhase)>,
+    trace: Vec<(FaultOp, OpPhase)>,
 }
 
 impl FaultPlan {
@@ -210,7 +196,7 @@ impl FaultPlan {
 
     /// The recorded `(op, phase)` trace; entry `i` describes tick `i + 1`.
     /// Empty unless [`FaultConfig::record_trace`] was set.
-    pub fn trace(&self) -> &[(FaultOp, FaultPhase)] {
+    pub fn trace(&self) -> &[(FaultOp, OpPhase)] {
         &self.trace
     }
 
@@ -238,7 +224,7 @@ impl FaultPlan {
     /// Advances the fault clock for one operation attempt and decides its
     /// fate. Exactly one tick per attempt; a retried operation draws
     /// independently on each attempt.
-    pub(crate) fn on_tick(&mut self, op: FaultOp, phase: FaultPhase) -> TickOutcome {
+    pub(crate) fn on_tick(&mut self, op: FaultOp, phase: OpPhase) -> TickOutcome {
         self.ticks += 1;
         if self.config.record_trace {
             self.trace.push((op, phase));
@@ -307,8 +293,8 @@ mod tests {
         let mut b = FaultPlan::new(cfg);
         for _ in 0..1000 {
             assert_eq!(
-                a.on_tick(FaultOp::Program, FaultPhase::Normal),
-                b.on_tick(FaultOp::Program, FaultPhase::Normal)
+                a.on_tick(FaultOp::Program, OpPhase::Run),
+                b.on_tick(FaultOp::Program, OpPhase::Run)
             );
         }
     }
@@ -316,23 +302,14 @@ mod tests {
     #[test]
     fn cut_fires_exactly_once_at_the_scheduled_tick() {
         let mut p = FaultPlan::new(FaultConfig::power_cut(1, 3));
+        assert_eq!(p.on_tick(FaultOp::Read, OpPhase::Run), TickOutcome::Pass);
+        assert_eq!(p.on_tick(FaultOp::Logical, OpPhase::Run), TickOutcome::Pass);
         assert_eq!(
-            p.on_tick(FaultOp::Read, FaultPhase::Normal),
-            TickOutcome::Pass
-        );
-        assert_eq!(
-            p.on_tick(FaultOp::Logical, FaultPhase::Normal),
-            TickOutcome::Pass
-        );
-        assert_eq!(
-            p.on_tick(FaultOp::Program, FaultPhase::Normal),
+            p.on_tick(FaultOp::Program, OpPhase::Run),
             TickOutcome::PowerCut
         );
         // One-shot: the clock moves on.
-        assert_eq!(
-            p.on_tick(FaultOp::Program, FaultPhase::Normal),
-            TickOutcome::Pass
-        );
+        assert_eq!(p.on_tick(FaultOp::Program, OpPhase::Run), TickOutcome::Pass);
         assert_eq!(p.ticks(), 4);
     }
 
@@ -345,7 +322,7 @@ mod tests {
         });
         let n = 10_000;
         let fails = (0..n)
-            .filter(|_| p.on_tick(FaultOp::Read, FaultPhase::Normal) == TickOutcome::Transient)
+            .filter(|_| p.on_tick(FaultOp::Read, OpPhase::Run) == TickOutcome::Transient)
             .count();
         let rate = fails as f64 / n as f64;
         assert!((0.2..0.3).contains(&rate), "rate {rate}");
@@ -362,10 +339,7 @@ mod tests {
             ..FaultConfig::default()
         });
         for _ in 0..100 {
-            assert_eq!(
-                p.on_tick(FaultOp::Logical, FaultPhase::Normal),
-                TickOutcome::Pass
-            );
+            assert_eq!(p.on_tick(FaultOp::Logical, OpPhase::Run), TickOutcome::Pass);
         }
     }
 
@@ -388,8 +362,8 @@ mod tests {
             assert!(!data && !oob);
             assert!(!b.misdirect_draw());
             assert_eq!(
-                a.on_tick(FaultOp::Program, FaultPhase::Normal),
-                b.on_tick(FaultOp::Program, FaultPhase::Normal)
+                a.on_tick(FaultOp::Program, OpPhase::Run),
+                b.on_tick(FaultOp::Program, OpPhase::Run)
             );
         }
     }
@@ -424,14 +398,11 @@ mod tests {
             record_trace: true,
             ..FaultConfig::default()
         });
-        p.on_tick(FaultOp::Read, FaultPhase::Normal);
-        p.on_tick(FaultOp::Erase, FaultPhase::Gc);
+        p.on_tick(FaultOp::Read, OpPhase::Run);
+        p.on_tick(FaultOp::Erase, OpPhase::Gc);
         assert_eq!(
             p.trace(),
-            &[
-                (FaultOp::Read, FaultPhase::Normal),
-                (FaultOp::Erase, FaultPhase::Gc)
-            ]
+            &[(FaultOp::Read, OpPhase::Run), (FaultOp::Erase, OpPhase::Gc)]
         );
     }
 }

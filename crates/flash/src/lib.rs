@@ -46,7 +46,7 @@ mod timing;
 pub use array::FlashArray;
 pub use content::{FragVec, Fragment, OobEntry, OobKind, PageContent, UnitPayload, UnitRef};
 pub use error::{ErrorClass, FlashError};
-pub use fault::{FaultConfig, FaultOp, FaultPhase, FaultPlan};
+pub use fault::{FaultConfig, FaultOp, FaultPlan};
 pub use geometry::{BlockId, FlashGeometry, Ppa, Ppn};
 pub use integrity::{crc32, encode_oob_into, encode_unit_into, oob_checksum, unit_checksum, Crc32};
 pub use phase::OpPhase;

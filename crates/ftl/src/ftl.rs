@@ -25,8 +25,8 @@ mod rebuild;
 mod reclaim;
 
 use checkin_flash::{
-    BlockId, ErrorClass, FlashArray, FlashError, Fragment, OobEntry, OobKind, PageContent, Ppn,
-    UnitPayload, UnitRef,
+    BlockId, ErrorClass, FlashArray, FlashError, Fragment, OobEntry, OobKind, OpPhase, PageContent,
+    Ppn, UnitPayload, UnitRef,
 };
 use checkin_sim::{
     Counter, CounterSet, SimDuration, SimTime, Total, TraceEvent, TraceLayer, Tracer, Window,
@@ -169,6 +169,17 @@ impl Ftl {
     /// Mutable access to the flash array (power-fail injection in tests).
     pub fn flash_mut(&mut self) -> &mut FlashArray {
         &mut self.flash
+    }
+
+    /// Runs `f` with the array's [`OpPhase`] set to `phase` (flash
+    /// traffic is counted, and fault-clock ticks are labelled, under it)
+    /// and restores the previous phase however `f` returns, so brackets
+    /// nest: GC inside a checkpoint copy comes back to the copy.
+    pub(crate) fn in_phase<R>(&mut self, phase: OpPhase, f: impl FnOnce(&mut Self) -> R) -> R {
+        let prev = self.flash.set_op_phase(phase);
+        let out = f(self);
+        self.flash.set_op_phase(prev);
+        out
     }
 
     /// FTL configuration in effect.

@@ -3,7 +3,7 @@
 //! same way), and the background scrubber that finds rot before a
 //! foreground read does.
 
-use checkin_flash::{BlockId, FaultPhase, FlashError, OobKind, OpPhase, Ppn, UnitPayload};
+use checkin_flash::{BlockId, FlashError, OobKind, OpPhase, Ppn, UnitPayload};
 use checkin_sim::{Counter, SimTime, TraceEvent, TraceLayer};
 
 use super::Ftl;
@@ -133,11 +133,7 @@ impl Ftl {
         // it causes must not start a nested round; the previous state is
         // restored on every exit path.
         self.in_gc = true;
-        let prev_fault_phase = self.flash.set_fault_phase(FaultPhase::Gc);
-        let prev_op_phase = self.flash.set_op_phase(OpPhase::Gc);
-        let result = self.migrate_and_erase_inner(victim, at);
-        self.flash.set_op_phase(prev_op_phase);
-        self.flash.set_fault_phase(prev_fault_phase);
+        let result = self.in_phase(OpPhase::Gc, |ftl| ftl.migrate_and_erase_inner(victim, at));
         self.in_gc = false;
         let moved = self.counters.get(Counter::FtlGcUnitsMoved) - moved_before;
         self.tracer.emit(|| {
@@ -347,9 +343,9 @@ impl Ftl {
         if !self.config.verify_checksums || max_pages == 0 {
             return Ok(report);
         }
-        let prev = self.flash.set_op_phase(OpPhase::Scrub);
-        let out = self.scrub_pages(at, max_pages, &mut report);
-        self.flash.set_op_phase(prev);
+        let out = self.in_phase(OpPhase::Scrub, |ftl| {
+            ftl.scrub_pages(at, max_pages, &mut report)
+        });
         self.counters.incr(Counter::FtlScrubRounds);
         self.tracer.emit(|| {
             TraceEvent::new(at, TraceLayer::Ftl, "scrub_round")

@@ -8,7 +8,7 @@
 //! * [`EventQueue`] — a future-event list with FIFO tie-breaking;
 //! * [`Resource`] / [`ResourcePool`] — busy-until FIFO servers used to model
 //!   contention on flash dies, channels, the PCIe link and firmware CPUs;
-//! * [`LatencyRecorder`], [`ThroughputMeter`], [`CounterSet`] — measurement;
+//! * [`LatencyRecorder`], [`CounterSet`] — measurement;
 //! * [`SimRng`] — a self-contained, seedable xoshiro256** generator;
 //! * [`Tracer`] / [`TraceRing`] — ring-buffered structured trace events
 //!   on the logical clock, zero-overhead when disabled.
@@ -52,6 +52,6 @@ mod trace;
 pub use event::EventQueue;
 pub use resource::{Resource, ResourcePool, Window};
 pub use rng::SimRng;
-pub use stats::{Counter, CounterSet, LatencyRecorder, ThroughputMeter, Total};
+pub use stats::{Counter, CounterSet, LatencyRecorder, Total};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLayer, TraceRing, Tracer, MAX_TRACE_FIELDS};

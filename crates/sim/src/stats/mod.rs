@@ -1,12 +1,10 @@
-//! Measurement utilities: counters, latency histograms, throughput.
+//! Measurement utilities: counters and latency histograms.
 
 mod counter;
 mod latency;
-mod throughput;
 
 pub use counter::{Counter, Total};
 pub use latency::LatencyRecorder;
-pub use throughput::ThroughputMeter;
 
 use std::fmt;
 

@@ -1,6 +1,6 @@
 //! The SSD device: host interface, firmware timing, ISCE execution.
 
-use checkin_flash::{FaultPhase, Fragment, OobKind, OpPhase, UnitPayload};
+use checkin_flash::{Fragment, OobKind, OpPhase, UnitPayload};
 use checkin_ftl::{Ftl, FtlError, GcTrigger, Lpn, RebuildStats, ScrubReport, UnitWrite};
 use checkin_sim::{
     Counter, CounterSet, Resource, SimDuration, SimTime, TraceEvent, TraceLayer, Tracer,
@@ -163,6 +163,17 @@ impl Ssd {
         &mut self.ftl
     }
 
+    /// Runs `f` with the flash array's [`OpPhase`] set to `phase` and
+    /// restores the previous phase however `f` returns: the device-level
+    /// twin of the FTL's bracket, also used by the host-driven checkpoint
+    /// to attribute its read-back-and-rewrite loop.
+    pub fn in_phase<R>(&mut self, phase: OpPhase, f: impl FnOnce(&mut Self) -> R) -> R {
+        let prev = self.ftl.flash_mut().set_op_phase(phase);
+        let out = f(self);
+        self.ftl.flash_mut().set_op_phase(prev);
+        out
+    }
+
     /// Device-level counters (`ssd.*`).
     pub fn counters(&self) -> &CounterSet {
         &self.counters
@@ -316,61 +327,57 @@ impl Ssd {
         );
         let segments = self.unit_segments(req.lba, req.sectors);
 
-        let mut done = cpu.finish;
         let mut remaining = match &req.content {
             WriteContent::Record { bytes, .. } => *bytes,
             WriteContent::Merged(_) | WriteContent::Tombstone { .. } => 0,
         };
         // Host metadata writes (the engine superblock) are attributed to
         // the meta phase so checkpoint-window flash ops never land in the
-        // run bucket.
-        let prev_phase =
-            (kind == OobKind::Meta).then(|| self.ftl.flash_mut().set_op_phase(OpPhase::Meta));
-        let mut loop_result = Ok(());
-        for (lpn, seg, whole) in segments {
-            let payload = match &req.content {
-                WriteContent::Record { key, version, .. } => {
-                    let take = remaining.min(seg * SECTOR_BYTES);
-                    remaining -= take;
-                    if take == 0 {
-                        // Trailing sectors beyond the payload carry no
-                        // record bytes; nothing to store.
-                        continue;
+        // run bucket; anything else stays in the caller's phase.
+        let phase = if kind == OobKind::Meta {
+            OpPhase::Meta
+        } else {
+            self.ftl.flash().op_phase()
+        };
+        let mut done = self.in_phase(phase, |ssd| -> Result<SimTime, FtlError> {
+            let mut done = cpu.finish;
+            for (lpn, seg, whole) in segments {
+                let payload = match &req.content {
+                    WriteContent::Record { key, version, .. } => {
+                        let take = remaining.min(seg * SECTOR_BYTES);
+                        remaining -= take;
+                        if take == 0 {
+                            // Trailing sectors beyond the payload carry no
+                            // record bytes; nothing to store.
+                            continue;
+                        }
+                        UnitPayload::single(*key, *version, take)
                     }
-                    UnitPayload::single(*key, *version, take)
-                }
-                WriteContent::Merged(frags) => {
-                    UnitPayload::merged(frags.iter().copied().collect::<checkin_flash::FragVec>())
-                }
-                // A tombstone stores a zero-byte fragment: readers filter
-                // it out, recovery scans see the deletion's version.
-                WriteContent::Tombstone { key, version } => UnitPayload::single(*key, *version, 0),
-            };
-            // Every host request owns the sectors it names (journal
-            // commits are sector padded, home slots are unit aligned), so
-            // whole-unit sector coverage implies the write may replace the
-            // unit outright. Partial coverage merges (read-modify-write),
-            // charged only when the old copy is flash resident.
-            match self.ftl.write(
-                UnitWrite {
+                    WriteContent::Merged(frags) => UnitPayload::merged(
+                        frags.iter().copied().collect::<checkin_flash::FragVec>(),
+                    ),
+                    // A tombstone stores a zero-byte fragment: readers
+                    // filter it out, recovery scans see the deletion's
+                    // version.
+                    WriteContent::Tombstone { key, version } => {
+                        UnitPayload::single(*key, *version, 0)
+                    }
+                };
+                // Every host request owns the sectors it names (journal
+                // commits are sector padded, home slots are unit aligned),
+                // so whole-unit sector coverage implies the write may
+                // replace the unit outright. Partial coverage merges
+                // (read-modify-write), charged only when the old copy is
+                // flash resident.
+                let write = UnitWrite {
                     lpn,
                     payload,
                     whole_unit: whole,
-                },
-                kind,
-                cpu.finish,
-            ) {
-                Ok(finish) => done = done.max(finish),
-                Err(e) => {
-                    loop_result = Err(e);
-                    break;
-                }
+                };
+                done = done.max(ssd.ftl.write(write, kind, cpu.finish)?);
             }
-        }
-        if let Some(prev) = prev_phase {
-            self.ftl.flash_mut().set_op_phase(prev);
-        }
-        loop_result?;
+            Ok(done)
+        })?;
 
         if kind == OobKind::Journal {
             done = done.max(self.log_manager_tick(cpu.finish)?);
@@ -401,18 +408,12 @@ impl Ssd {
         self.meta_seq += 1;
         self.counters.incr(Counter::SsdMetaWrites);
         let lpn = Lpn(META_LPN_BASE + (self.meta_seq % 1024));
-        let prev_phase = self.ftl.flash_mut().set_op_phase(OpPhase::Meta);
-        let result = self.ftl.write(
-            UnitWrite {
-                lpn,
-                payload: UnitPayload::single(u64::MAX, self.meta_seq, self.ftl.unit_bytes()),
-                whole_unit: true,
-            },
-            OobKind::Meta,
-            at,
-        );
-        self.ftl.flash_mut().set_op_phase(prev_phase);
-        let finish = result?;
+        let write = UnitWrite {
+            lpn,
+            payload: UnitPayload::single(u64::MAX, self.meta_seq, self.ftl.unit_bytes()),
+            whole_unit: true,
+        };
+        let finish = self.in_phase(OpPhase::Meta, |ssd| ssd.ftl.write(write, OobKind::Meta, at))?;
         // The recovery-log write doubles as the mapping-log persistence
         // point (§III-F): trims and remap aliases become durable here.
         self.ftl.persist_mapping_log();
@@ -442,20 +443,15 @@ impl Ssd {
             cmd.finish,
             self.timing.cpu_cmd_cost + self.ftl.map_access_cost() * self.unit_span(lba, sectors),
         );
-        let prev_phase = self
-            .ftl
-            .flash_mut()
-            .set_fault_phase(FaultPhase::HostDeallocate);
-        let prev_op_phase = self.ftl.flash_mut().set_op_phase(OpPhase::Dealloc);
-        for (lpn, _seg, whole) in self.unit_segments(lba, sectors) {
-            // Partial-unit trims are ignored (conservative, like real
-            // devices which round trims inward).
-            if whole {
-                self.ftl.deallocate(lpn);
+        self.in_phase(OpPhase::Dealloc, |ssd| {
+            for (lpn, _seg, whole) in ssd.unit_segments(lba, sectors) {
+                // Partial-unit trims are ignored (conservative, like real
+                // devices which round trims inward).
+                if whole {
+                    ssd.ftl.deallocate(lpn);
+                }
             }
-        }
-        self.ftl.flash_mut().set_op_phase(prev_op_phase);
-        self.ftl.flash_mut().set_fault_phase(prev_phase);
+        });
         self.queue.complete(cpu.finish);
         cpu.finish
     }
@@ -564,37 +560,26 @@ impl Ssd {
             let cpu = self
                 .cpu
                 .schedule(at, self.ftl.map_access_cost() * unit_count * 2);
-            let prev_phase = self
-                .ftl
-                .flash_mut()
-                .set_fault_phase(FaultPhase::CheckpointRemap);
-            let prev_op_phase = self.ftl.flash_mut().set_op_phase(OpPhase::CheckpointRemap);
-            let mut remap_err = None;
-            'remap: for e in remaps {
-                let units = (e.sectors / us).max(1) as u64;
-                for k in 0..units {
-                    let src = Lpn(e.src_lba / us as u64 + k);
-                    let dst = Lpn(e.dst_lba / us as u64 + k);
-                    match self.ftl.remap(dst, src) {
-                        Ok(()) => {}
-                        // A padded log's tail unit may hold no payload and
-                        // so was never written; skip it.
-                        Err(FtlError::Unmapped(_)) => {
-                            self.counters.incr(Counter::SsdCowMissingSrc);
-                        }
-                        Err(err) => {
-                            remap_err = Some(err);
-                            break 'remap;
+            self.in_phase(OpPhase::CheckpointRemap, |ssd| {
+                for e in remaps {
+                    let units = (e.sectors / us).max(1) as u64;
+                    for k in 0..units {
+                        let src = Lpn(e.src_lba / us as u64 + k);
+                        let dst = Lpn(e.dst_lba / us as u64 + k);
+                        match ssd.ftl.remap(dst, src) {
+                            Ok(()) => {}
+                            // A padded log's tail unit may hold no payload
+                            // and so was never written; skip it.
+                            Err(FtlError::Unmapped(_)) => {
+                                ssd.counters.incr(Counter::SsdCowMissingSrc);
+                            }
+                            Err(err) => return Err(err),
                         }
                     }
+                    ssd.counters.incr(Counter::SsdRemapEntries);
                 }
-                self.counters.incr(Counter::SsdRemapEntries);
-            }
-            self.ftl.flash_mut().set_op_phase(prev_op_phase);
-            self.ftl.flash_mut().set_fault_phase(prev_phase);
-            if let Some(err) = remap_err {
-                return Err(err.into());
-            }
+                Ok(())
+            })?;
             self.cp_phase_times.remap += cpu.finish.saturating_duration_since(at);
             let entries = remaps.len() as u64;
             self.tracer.emit(|| {
@@ -607,10 +592,9 @@ impl Ssd {
 
         if !copies.is_empty() {
             let copied_before = self.counters.get(Counter::SsdCopyEntries);
-            let prev_op_phase = self.ftl.flash_mut().set_op_phase(OpPhase::CheckpointCopy);
-            let result = self.execute_copies(copies, at);
-            self.ftl.flash_mut().set_op_phase(prev_op_phase);
-            let (writes_done, skipped) = result?;
+            let (writes_done, skipped) = self.in_phase(OpPhase::CheckpointCopy, |ssd| {
+                ssd.execute_copies(copies, at)
+            })?;
             self.cp_phase_times.copy += writes_done.saturating_duration_since(at);
             let entries = copies.len() as u64;
             let copied = self.counters.get(Counter::SsdCopyEntries) - copied_before;

@@ -6,10 +6,11 @@
 //! checkpoint entries, remap or copy each), and the *deallocator* frees
 //! checkpointed journal logs and decides when background GC may run.
 //!
-//! This module holds the device-independent planning: classifying entries
-//! as remap-eligible vs copy, ordering copies into consecutive reads then
-//! consecutive writes, and the deallocator's GC policy. Execution (timing,
-//! flash traffic) lives in [`crate::Ssd`].
+//! This module holds the device-independent planning: classifying an
+//! entry as remap-eligible vs copy, and the deallocator's GC policy.
+//! Batching (remaps first, then the copy class as consecutive reads and
+//! consecutive writes) and execution (timing, flash traffic) live in
+//! [`crate::Ssd`].
 
 use crate::command::{CheckpointMode, CowEntry};
 
@@ -54,25 +55,6 @@ pub fn plan_entry(entry: &CowEntry, mode: CheckpointMode, unit_sectors: u32) -> 
             }
         }
     }
-}
-
-/// Splits a batch into `(remaps, copies)` preserving order within each
-/// class — the paper's "separate into consecutive read operations and
-/// consecutive write operations" optimization applies to the copy class.
-pub fn classify_batch(
-    entries: &[CowEntry],
-    mode: CheckpointMode,
-    unit_sectors: u32,
-) -> (Vec<CowEntry>, Vec<CowEntry>) {
-    let mut remaps = Vec::new();
-    let mut copies = Vec::new();
-    for e in entries {
-        match plan_entry(e, mode, unit_sectors) {
-            EntryPlan::Remap => remaps.push(*e),
-            EntryPlan::Copy => copies.push(*e),
-        }
-    }
-    (remaps, copies)
 }
 
 /// Deallocator policy: should the device run a background GC round now?
@@ -157,20 +139,6 @@ mod tests {
             plan_entry(&entry(0, 8, 0, false), CheckpointMode::Remap, 1),
             EntryPlan::Copy
         );
-    }
-
-    #[test]
-    fn classify_preserves_order() {
-        let batch = vec![
-            entry(0, 8, 8, false),  // remap
-            entry(4, 16, 8, false), // copy (misaligned)
-            entry(8, 24, 8, false), // remap
-        ];
-        let (remaps, copies) = classify_batch(&batch, CheckpointMode::Remap, 8);
-        assert_eq!(remaps.len(), 2);
-        assert_eq!(copies.len(), 1);
-        assert_eq!(remaps[0].src_lba, 0);
-        assert_eq!(remaps[1].src_lba, 8);
     }
 
     #[test]

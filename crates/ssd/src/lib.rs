@@ -64,7 +64,7 @@ pub use command::{
 };
 pub use device::{CpPhaseTimes, Ssd};
 pub use error::SsdError;
-pub use isce::{classify_batch, plan_entry, should_background_gc, EntryPlan};
+pub use isce::{plan_entry, should_background_gc, EntryPlan};
 pub use queue::CommandQueue;
 pub use spor::{OobRecord, OobSnapshot};
 pub use timing::SsdTiming;

@@ -34,12 +34,10 @@
 
 mod dist;
 mod record;
-mod trace;
 mod ycsb;
 mod zipfian;
 
 pub use dist::{AccessPattern, KeyChooser};
 pub use record::RecordSizes;
-pub use trace::{OpTrace, TraceCursor};
 pub use ycsb::{OpGenerator, OpMix, Operation, WorkloadSpec};
 pub use zipfian::{ZipfianGenerator, YCSB_THETA};
