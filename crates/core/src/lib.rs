@@ -60,6 +60,9 @@ pub use journal::{
     JournalOptions, LogClass, RetiringZone, CLASS_STEP, LOG_HEADER_BYTES,
 };
 pub use layout::{Layout, JOURNAL_ZONES};
-pub use metrics::{CheckpointPhases, FlashStats, LatencyStats, PhaseOps, RunReport, TimelinePoint};
+pub use metrics::{
+    CheckpointPhases, DeviceUtilization, FlashStats, LatencyStats, PhaseOps, RunReport,
+    TimelinePoint, UtilizationSpread,
+};
 pub use parallel::{default_jobs, run_configs};
 pub use system::KvSystem;

@@ -235,6 +235,51 @@ impl CheckpointPhases {
     }
 }
 
+/// Busy fractions of a group of like resources (the dies, the channels).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UtilizationSpread {
+    /// The idlest member.
+    pub min: f64,
+    /// Mean over the group.
+    pub mean: f64,
+    /// The busiest member.
+    pub max: f64,
+}
+
+impl UtilizationSpread {
+    /// Summarises the busy fractions of a group's members (a validated
+    /// geometry has at least one die and one channel).
+    pub fn of(fractions: &[f64]) -> Self {
+        UtilizationSpread {
+            min: fractions.iter().copied().fold(f64::INFINITY, f64::min),
+            mean: fractions.iter().sum::<f64>() / fractions.len() as f64,
+            max: fractions.iter().copied().fold(0.0, f64::max),
+        }
+    }
+}
+
+impl std::fmt::Display for UtilizationSpread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.3} / {:.3} / {:.3}", self.min, self.mean, self.max)
+    }
+}
+
+/// How busy the device's resource timelines were over the measured
+/// phase: time reserved during it divided by its length. A reservation
+/// made near the end of the run may extend past it, so a saturated
+/// resource can read marginally above one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceUtilization {
+    /// Host link (command capsules and data transfers).
+    pub link: f64,
+    /// Firmware CPU.
+    pub cpu: f64,
+    /// Flash dies (tR, tPROG, tBERS).
+    pub dies: UtilizationSpread,
+    /// Flash channels (page transfers).
+    pub channels: UtilizationSpread,
+}
+
 /// Everything measured over one simulated run.
 ///
 /// `PartialEq` compares every field (including the full timeline), so two
@@ -289,6 +334,9 @@ pub struct RunReport {
     pub redundant_write_bytes: u64,
     /// Flash accounting over the measured phase.
     pub flash: FlashStats,
+    /// Link, firmware-CPU, die and channel utilisation over the measured
+    /// phase.
+    pub utilization: DeviceUtilization,
     /// Host bytes the flash page store holds at the end of the run
     /// ([`checkin_flash::FlashArray::store_bytes`]): memory as a
     /// deterministic count, not a host measurement.
@@ -455,6 +503,12 @@ impl std::fmt::Display for RunReport {
             self.checkpoint_flash_programs,
             self.flash.gc_invocations,
             display_metric(self.waf, 2)
+        )?;
+        let u = &self.utilization;
+        writeln!(
+            f,
+            "  utilisation   link {:.3}, fw-cpu {:.3}, dies {}, channels {} (min / mean / max)",
+            u.link, u.cpu, u.dies, u.channels
         )?;
         if self.checkpoints > 0 {
             let p = &self.checkpoint_phases;

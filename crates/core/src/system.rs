@@ -9,7 +9,8 @@
 //! in Figures 3(c) and 9.
 
 use checkin_sim::{
-    Counter, EventQueue, LatencyRecorder, ResourcePool, SimDuration, SimRng, SimTime, Total, Tracer,
+    Counter, EventQueue, LatencyRecorder, Resource, ResourcePool, SimDuration, SimRng, SimTime,
+    Total, Tracer,
 };
 use checkin_ssd::Ssd;
 use checkin_workload::{OpGenerator, Operation};
@@ -18,7 +19,10 @@ use crate::checkpoint::CheckpointOutcome;
 use crate::config::SystemConfig;
 use crate::engine::{EngineError, KvEngine};
 use crate::layout::Layout;
-use crate::metrics::{CheckpointPhases, FlashStats, LatencyStats, RunReport, TimelinePoint};
+use crate::metrics::{
+    CheckpointPhases, DeviceUtilization, FlashStats, LatencyStats, RunReport, TimelinePoint,
+    UtilizationSpread,
+};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -81,6 +85,46 @@ fn ratio_or_nan(num: f64, den: f64) -> f64 {
         num / den
     } else {
         f64::NAN
+    }
+}
+
+/// Every resource timeline of the device in a fixed order: link, firmware
+/// CPU, the dies, the channels.
+fn device_timelines(ssd: &Ssd) -> impl Iterator<Item = &Resource> {
+    let flash = ssd.ftl().flash();
+    [ssd.link(), ssd.cpu()]
+        .into_iter()
+        .chain(flash.dies())
+        .chain(flash.channels())
+}
+
+/// Busy time of each of [`device_timelines`], to difference over a phase.
+fn device_busy_times(ssd: &Ssd) -> Vec<SimDuration> {
+    device_timelines(ssd).map(Resource::busy_time).collect()
+}
+
+/// Utilisation of every device timeline over a phase of length `elapsed`
+/// that began with the busy times `before`.
+fn device_utilization(
+    ssd: &Ssd,
+    before: &[SimDuration],
+    elapsed: SimDuration,
+) -> DeviceUtilization {
+    let busy: Vec<f64> = device_timelines(ssd)
+        .zip(before)
+        .map(|(timeline, &before)| {
+            if elapsed.is_zero() {
+                return 0.0;
+            }
+            (timeline.busy_time() - before).as_secs_f64() / elapsed.as_secs_f64()
+        })
+        .collect();
+    let (dies, channels) = busy[2..].split_at(ssd.ftl().flash().dies().len());
+    DeviceUtilization {
+        link: busy[0],
+        cpu: busy[1],
+        dies: UtilizationSpread::of(dies),
+        channels: UtilizationSpread::of(channels),
     }
 }
 
@@ -222,6 +266,7 @@ impl KvSystem {
         let ftl0 = self.ssd.ftl().counters().clone();
         let ssd0 = self.ssd.counters().clone();
         let engine0 = self.engine.counters().clone();
+        let busy0 = device_busy_times(&self.ssd);
 
         // ---- Run phase ------------------------------------------------
         // Closed loop: at most one in-flight event per client plus the
@@ -430,6 +475,16 @@ impl KvSystem {
         } else {
             0.0
         };
+        let utilization = device_utilization(&self.ssd, &busy0, elapsed);
+        // Reservations on one timeline never overlap, so none can have
+        // been busy for longer than the span its reservations cover: a
+        // double booking shows as a utilisation above one.
+        for timeline in device_timelines(&self.ssd) {
+            debug_assert!(
+                timeline.busy_time() <= timeline.span(),
+                "double-booked timeline: {timeline:?}"
+            );
+        }
 
         Ok(RunReport {
             strategy: self.config.strategy,
@@ -454,6 +509,7 @@ impl KvSystem {
             redundant_write_bytes: cp.redundant_bytes,
             checkpoint_phases: cp.phases,
             flash,
+            utilization,
             flash_store_bytes: self.ssd.ftl().flash().store_bytes(),
             write_query_bytes,
             host_io_bytes,
@@ -622,6 +678,28 @@ mod tests {
         );
         assert!(ci.remapped_entries > 0);
         assert_eq!(base.remapped_entries, 0);
+    }
+
+    #[test]
+    fn utilisation_of_every_timeline_is_reported() {
+        let report = KvSystem::new(quick_config(Strategy::CheckIn))
+            .unwrap()
+            .run()
+            .unwrap();
+        let u = report.utilization;
+        for (name, spread) in [("dies", u.dies), ("channels", u.channels)] {
+            assert!(
+                0.0 < spread.min && spread.min <= spread.mean && spread.mean <= spread.max,
+                "{name}: {spread}"
+            );
+        }
+        // A booking made near the end may reach past it; nothing else
+        // can lift a timeline above one.
+        for busy in [u.link, u.cpu, u.dies.max, u.channels.max] {
+            assert!(0.0 < busy && busy < 1.05, "{u:?}");
+        }
+        // tPROG dwarfs a page's channel transfer.
+        assert!(u.dies.mean > u.channels.mean, "{u:?}");
     }
 
     #[test]

@@ -81,10 +81,12 @@ fn disabled_tracer_emits_nothing_and_changes_nothing() {
 #[test]
 fn phase_attribution_reconciles_for_every_strategy() {
     for strategy in Strategy::all() {
-        let report = KvSystem::new(quick_config(strategy))
-            .unwrap()
-            .run()
-            .unwrap();
+        // Long enough that every strategy's checkpoints fill and program
+        // a page inside their own window: with overlapping commands the
+        // default 3 000 queries end before ISC-C's first one does.
+        let mut config = quick_config(strategy);
+        config.total_queries = 12_000;
+        let report = KvSystem::new(config).unwrap().run().unwrap();
         assert!(report.checkpoints > 0, "{strategy}");
         let p = &report.checkpoint_phases;
         assert_eq!(

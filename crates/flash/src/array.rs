@@ -25,7 +25,9 @@ struct BlockState {
 ///
 /// Owns physical page state (erased/programmed + content tags), enforces
 /// out-of-place and in-order programming rules, accounts P/E cycles, and
-/// models operation timing through per-die and per-channel FIFO resources.
+/// models operation timing through per-die and per-channel reservation
+/// timelines: a read is sensed in the first idle stretch of its die, also
+/// one ahead of a program that is still waiting for its channel transfer.
 ///
 /// # Examples
 ///
@@ -682,16 +684,19 @@ impl FlashArray {
         &self.counters
     }
 
-    /// Earliest instant at which the die owning `block` is free — used by
-    /// the deallocator to find idle windows for background GC.
-    pub fn die_available_at(&self, block: BlockId) -> SimTime {
-        let die = self.geometry.die_of_block(block) as usize;
-        self.dies[die].available_at()
-    }
-
     /// Total busy time across all dies (for utilization reports).
     pub fn die_busy_time(&self) -> checkin_sim::SimDuration {
         self.dies.iter().map(Resource::busy_time).sum()
+    }
+
+    /// The per-die timelines, indexed by die (utilization reports).
+    pub fn dies(&self) -> &[Resource] {
+        &self.dies
+    }
+
+    /// The per-channel timelines, indexed by channel.
+    pub fn channels(&self) -> &[Resource] {
+        &self.channels
     }
 
     fn check_range(&self, ppn: Ppn) -> Result<(), FlashError> {
@@ -800,6 +805,33 @@ mod tests {
         // Fully parallel: both start at zero.
         assert_eq!(w0.start, w1.start);
         assert_eq!(w0.finish, w1.finish);
+    }
+
+    #[test]
+    fn a_read_is_sensed_while_the_dies_next_program_waits_for_its_channel() {
+        let mut f = FlashArray::new(FlashGeometry::paper_default(), FlashTiming::mlc());
+        let g = *f.geometry();
+        // Blocks 0 and 4 sit on the two dies of channel 0.
+        let (a, b) = (BlockId(0), BlockId(4));
+        assert_eq!(g.block_position(a).channel, g.block_position(b).channel);
+        assert_ne!(g.die_of_block(a), g.die_of_block(b));
+        let t_read = f.timing().t_read;
+        // Ten page transfers to die A keep the channel busy past tR, so
+        // the program to die B that follows cannot start before then.
+        for page in 0..10 {
+            f.program(g.ppn_in_block(a, page), page_with(1, 1), SimTime::ZERO)
+                .unwrap();
+        }
+        let program = f
+            .program(g.first_ppn(b), page_with(2, 1), SimTime::ZERO)
+            .unwrap();
+        let array_starts = program.finish - f.timing().t_program;
+        assert!(array_starts >= SimTime::ZERO + t_read);
+        // Die B is idle until then: a read of it is sensed at once, not
+        // after the program it was booked behind.
+        let read = f.schedule_read(g.first_ppn(b), SimTime::ZERO).unwrap();
+        assert_eq!(read.start, SimTime::ZERO);
+        assert!(read.finish < program.finish);
     }
 
     #[test]

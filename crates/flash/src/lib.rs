@@ -8,8 +8,9 @@
 //! * accounts P/E cycles per block, which feeds the paper's lifetime
 //!   analysis (Equation 1);
 //! * models operation timing (tR / tPROG / tBER and channel bus transfers)
-//!   through per-die and per-channel FIFO resources, so that channel
-//!   parallelism and die contention emerge naturally;
+//!   through per-die and per-channel reservation timelines
+//!   ([`checkin_sim::Resource`]), so that channel parallelism and die
+//!   contention emerge naturally;
 //! * stores page *content tags* plus OOB recovery metadata
 //!   ([`OobEntry`]) instead of raw bytes — staged as a [`PageContent`],
 //!   kept in block-owned arenas, read back as a [`PageView`] — which lets

@@ -104,7 +104,7 @@ fn scrub_finds_referenced_and_stale_rot() {
         .sabotage_corrupt_unit(stale.page(1), 0, 1 << 9));
     assert!(f.flash_mut().sabotage_corrupt_unit(live.page(1), 0, 1 << 9));
 
-    let report = f.scrub_round(SimTime::ZERO, 1_000).unwrap();
+    let (report, _) = f.scrub_round(SimTime::ZERO, 1_000).unwrap();
     assert!(report.pages_scanned > 0);
     assert_eq!(report.detected(), 2);
     assert_eq!(report.quarantined, 1, "live copy of lpn 3");
@@ -124,7 +124,7 @@ fn scrub_finds_referenced_and_stale_rot() {
     );
 
     // A second sweep re-reads but detects nothing new.
-    let report = f.scrub_round(SimTime::ZERO, 1_000).unwrap();
+    let (report, _) = f.scrub_round(SimTime::ZERO, 1_000).unwrap();
     assert_eq!(report.detected(), 0);
     assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 2);
     f.check_invariants().unwrap();
@@ -138,18 +138,18 @@ fn scrub_respects_budget_and_toggle() {
     }
     f.flush(SimTime::ZERO).unwrap();
     let reads_before = f.flash().counters().total(Total::FlashRead);
-    let report = f.scrub_round(SimTime::ZERO, 0).unwrap();
+    let (report, _) = f.scrub_round(SimTime::ZERO, 0).unwrap();
     assert_eq!(report, ScrubReport::default());
     assert_eq!(f.flash().counters().total(Total::FlashRead), reads_before);
 
-    let report = f.scrub_round(SimTime::ZERO, 1).unwrap();
+    let (report, _) = f.scrub_round(SimTime::ZERO, 1).unwrap();
     assert_eq!(report.pages_scanned, 1, "budget of one page is honoured");
 
     // Verification off: the scrubber is a guaranteed no-op.
     let mut off = f;
     off.config.verify_checksums = false;
     let reads_before = off.flash().counters().total(Total::FlashRead);
-    let report = off.scrub_round(SimTime::ZERO, 1_000).unwrap();
+    let (report, _) = off.scrub_round(SimTime::ZERO, 1_000).unwrap();
     assert_eq!(report, ScrubReport::default());
     assert_eq!(off.flash().counters().total(Total::FlashRead), reads_before);
 }

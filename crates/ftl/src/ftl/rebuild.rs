@@ -130,6 +130,9 @@ impl Ftl {
         }
         replay.sort_unstable_by_key(|&(seq, ..)| seq);
 
+        // The DRAM table did not survive the cut: release it before its
+        // replacement is built, so recovery never holds two.
+        self.table = MappingTable::new();
         let mut table = MappingTable::with_capacity((g.total_pages() * upp as u64) as usize);
         // `None`: nothing is programmed there.
         let unit_verifies = |pun: Pun| {

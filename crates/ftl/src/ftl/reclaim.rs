@@ -323,6 +323,8 @@ impl Ftl {
     /// next read fails fast with a typed error instead of serving rot),
     /// stale copies are merely fenced off from GC — but scrubbing never
     /// retires blocks itself; that decision stays on the foreground path.
+    /// Returns the round's counts and the instant its last read finished
+    /// (`at` when nothing was read).
     ///
     /// Runs entirely under [`OpPhase::Scrub`], so its flash reads are
     /// phase-tagged (`flash.read.scrub`) and never pollute the run/GC
@@ -338,10 +340,14 @@ impl Ftl {
     /// Propagates media failures of the scrub reads themselves (retry
     /// budget exhausted, power loss). Scrubbing is recovery-adjacent
     /// code: it must never panic (rule A1).
-    pub fn scrub_round(&mut self, at: SimTime, max_pages: u32) -> Result<ScrubReport, FtlError> {
+    pub fn scrub_round(
+        &mut self,
+        at: SimTime,
+        max_pages: u32,
+    ) -> Result<(ScrubReport, SimTime), FtlError> {
         let mut report = ScrubReport::default();
         if !self.config.verify_checksums || max_pages == 0 {
-            return Ok(report);
+            return Ok((report, at));
         }
         let out = self.in_phase(OpPhase::Scrub, |ftl| {
             ftl.scrub_pages(at, max_pages, &mut report)
@@ -352,18 +358,19 @@ impl Ftl {
                 .with("pages", report.pages_scanned)
                 .with("detected", report.detected())
         });
-        out.map(|()| report)
+        out.map(|finish| (report, finish))
     }
 
     /// The scan loop of [`Ftl::scrub_round`]: walks the wrapping cursor,
-    /// pays a timed (phase-tagged) read per programmed page, and verifies
-    /// every occupied data unit.
+    /// pays a timed (phase-tagged) read per programmed page, each issued
+    /// when the previous one is done, and verifies every occupied data
+    /// unit. Returns when the last read finished.
     fn scrub_pages(
         &mut self,
         at: SimTime,
         max_pages: u32,
         report: &mut ScrubReport,
-    ) -> Result<(), FtlError> {
+    ) -> Result<SimTime, FtlError> {
         let mut t = at;
         // One round visits each page position at most once.
         let mut unvisited = self.flash.geometry().total_pages();
@@ -396,6 +403,6 @@ impl Ftl {
                 }
             }
         }
-        Ok(())
+        Ok(t)
     }
 }

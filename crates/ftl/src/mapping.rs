@@ -152,11 +152,17 @@ impl MappingTable {
         Self::default()
     }
 
-    /// Creates an empty table with the forward array pre-reserved for
-    /// `lpn_hint` logical units (avoids regrowth during load).
-    pub fn with_capacity(lpn_hint: usize) -> Self {
+    /// Creates an empty table with the forward array and the flash
+    /// reverse array pre-reserved for `unit_hint` units. The FTL passes
+    /// the device's physical unit count: the host LPN space tracks it,
+    /// and it bounds the PUN-indexed reverse array exactly. Reserved
+    /// address space costs nothing until it is written, and neither
+    /// array is ever regrown — a regrowth copies the whole array and
+    /// leaves the old one behind as heap the size of the table.
+    pub fn with_capacity(unit_hint: usize) -> Self {
         let mut t = Self::default();
-        t.forward.reserve(lpn_hint);
+        t.forward.reserve(unit_hint);
+        t.flash_refs.reserve(unit_hint);
         t
     }
 

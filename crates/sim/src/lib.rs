@@ -6,8 +6,11 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time;
 //! * [`EventQueue`] — a future-event list with FIFO tie-breaking;
-//! * [`Resource`] / [`ResourcePool`] — busy-until FIFO servers used to model
-//!   contention on flash dies, channels, the PCIe link and firmware CPUs;
+//! * [`Resource`] / [`ResourcePool`] — reservation timelines used to model
+//!   contention on flash dies, channels, the PCIe link and firmware CPUs:
+//!   a request gets the earliest window that overlaps no earlier
+//!   reservation, including the idle gaps before reservations made for
+//!   the future;
 //! * [`LatencyRecorder`], [`CounterSet`] — measurement;
 //! * [`SimRng`] — a self-contained, seedable xoshiro256** generator;
 //! * [`Tracer`] / [`TraceRing`] — ring-buffered structured trace events
@@ -37,6 +40,14 @@
 //! }
 //! assert_eq!(lat.count(), 10);
 //! assert!(lat.max() > lat.min()); // later jobs queued behind earlier ones
+//!
+//! // Requests need not arrive in time order: the server is booked from
+//! // 0 to 30 us, a job booked for 100 us leaves 30..100 us idle, and a
+//! // later request for the present is served in that gap.
+//! let us = |n: u64| SimTime::from_nanos(n * 1_000);
+//! server.schedule(us(100), SimDuration::from_micros(3));
+//! let window = server.schedule(us(0), SimDuration::from_micros(3));
+//! assert_eq!((window.start, window.finish), (us(30), us(33)));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,31 +1,86 @@
-//! Busy-until resource timelines.
+//! Idle-gap-aware resource timelines.
 //!
 //! Device-internal contention (a flash die, a PCIe link, a firmware CPU) is
-//! modelled by [`Resource`]: a FIFO server that is busy until some instant.
-//! Scheduling an operation returns the `(start, finish)` window it occupies,
-//! which is exact for FIFO service because the surrounding simulation
-//! processes events in non-decreasing time order.
+//! modelled by [`Resource`]: a single server with a timeline of
+//! reservations. Scheduling an operation returns the earliest `(start,
+//! finish)` window of the requested length, at or after the requested
+//! instant, that overlaps no earlier reservation.
+//!
+//! Requests do *not* arrive in time order: one simulation event books
+//! windows in its own future (a read reserves the link for its data-out at
+//! the instant the flash read will finish; a program reserves the die for
+//! when its channel transfer ends), and the next event's request may be
+//! for an instant before those bookings. The timeline therefore keeps,
+//! next to the end of its last reservation, the idle gaps that
+//! reservations into the future left behind, and a request for the past
+//! takes the first gap it fits.
+//!
+//! The gap list is a fixed inline array ([`Resource::GAP_CAPACITY`]
+//! entries, no heap). When a new gap would overflow it the *oldest* gap is
+//! forgotten: that stretch can no longer be booked, so overflow costs
+//! capacity (a later start than strictly necessary), never a double
+//! booking.
 
 use crate::time::{SimDuration, SimTime};
 
-/// A single FIFO server with utilization accounting.
+/// An idle stretch `[start, end)` between two reservations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Gap {
+    start: SimTime,
+    end: SimTime,
+}
+
+const NO_GAP: Gap = Gap {
+    start: SimTime::ZERO,
+    end: SimTime::ZERO,
+};
+
+/// A single server with a reservation timeline and utilization accounting.
 ///
 /// # Examples
 ///
 /// ```
 /// use checkin_sim::{Resource, SimTime, SimDuration};
 ///
+/// let us = SimDuration::from_micros;
+/// let at = |n| SimTime::ZERO + us(n);
 /// let mut link = Resource::new("pcie");
-/// let w1 = link.schedule(SimTime::ZERO, SimDuration::from_micros(5));
-/// let w2 = link.schedule(SimTime::ZERO, SimDuration::from_micros(5));
-/// assert_eq!(w1.finish, w2.start); // second transfer queues behind the first
+/// // A command capsule now, and its data-out booked for when the flash
+/// // read will be done, 50 us from now.
+/// let capsule = link.schedule(at(0), us(5));
+/// let data_out = link.schedule(at(50), us(2));
+/// // The next command's capsule queues behind the first capsule, not
+/// // behind the data-out: the link is idle in between.
+/// let next = link.schedule(at(0), us(5));
+/// assert_eq!(next.start, capsule.finish);
+/// assert!(next.finish <= data_out.start);
+/// // What does not fit the idle stretch goes behind everything.
+/// let bulk = link.schedule(at(0), us(100));
+/// assert_eq!(bulk.start, data_out.finish);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Resource {
     name: &'static str,
+    /// End of the latest reservation; everything from here on is free.
     busy_until: SimTime,
     busy_time: SimDuration,
-    ops: u64,
+    /// Start of the earliest reservation (`SimTime::MAX` while unused).
+    first_start: SimTime,
+    /// The bookable idle stretches before `busy_until`, oldest first:
+    /// `gaps[..gap_count]` is sorted by time and pairwise disjoint.
+    gaps: [Gap; Resource::GAP_CAPACITY],
+    gap_count: usize,
+}
+
+impl std::fmt::Debug for Resource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Resource")
+            .field("name", &self.name)
+            .field("busy_until", &self.busy_until)
+            .field("busy_time", &self.busy_time)
+            .field("gaps", &&self.gaps[..self.gap_count])
+            .finish()
+    }
 }
 
 /// The time window an operation occupies on a [`Resource`].
@@ -45,35 +100,112 @@ impl Window {
 }
 
 impl Resource {
+    /// Idle gaps a timeline remembers. A resource whose reservations leave
+    /// more live gaps than this forgets the oldest one (see the module
+    /// documentation for what that costs).
+    pub const GAP_CAPACITY: usize = 32;
+
     /// Creates an idle resource. `name` appears in debug output only.
     pub fn new(name: &'static str) -> Self {
         Resource {
             name,
             busy_until: SimTime::ZERO,
             busy_time: SimDuration::ZERO,
-            ops: 0,
+            first_start: SimTime::MAX,
+            gaps: [NO_GAP; Resource::GAP_CAPACITY],
+            gap_count: 0,
         }
     }
 
-    /// Reserves the resource for `duration` starting no earlier than `at`,
-    /// queuing FIFO behind outstanding work. Returns the occupied window.
+    /// Reserves the earliest window of length `duration` that starts no
+    /// earlier than `at` and overlaps no earlier reservation, and returns
+    /// it. A zero-length request waits for an idle instant and reserves
+    /// nothing.
     pub fn schedule(&mut self, at: SimTime, duration: SimDuration) -> Window {
-        let start = at.max(self.busy_until);
-        let finish = start + duration;
-        self.busy_until = finish;
+        let start = match self.take_gap(at, duration) {
+            Some(start) => start,
+            None => self.append(at, duration),
+        };
         self.busy_time += duration;
-        self.ops += 1;
-        Window { start, finish }
+        self.first_start = self.first_start.min(start);
+        Window {
+            start,
+            finish: start + duration,
+        }
     }
 
-    /// Earliest instant at which new work could begin.
+    /// Books `duration` behind every reservation made so far, recording
+    /// the idle stretch it leaves in front of itself as a new gap.
+    fn append(&mut self, at: SimTime, duration: SimDuration) -> SimTime {
+        let start = at.max(self.busy_until);
+        if !duration.is_zero() {
+            if start > self.busy_until {
+                let skipped = Gap {
+                    start: self.busy_until,
+                    end: start,
+                };
+                self.insert_gap(self.gap_count, skipped);
+            }
+            self.busy_until = start + duration;
+        }
+        start
+    }
+
+    /// Books `duration` in the first idle gap that holds it at or after
+    /// `at`, splitting the gap around the booking.
+    fn take_gap(&mut self, at: SimTime, duration: SimDuration) -> Option<SimTime> {
+        if at >= self.busy_until {
+            return None;
+        }
+        // The list is sorted: skip the gaps that are over by `at` (what is
+        // left has `at < gap.end`, so `start` below lies inside its gap).
+        let live = &self.gaps[..self.gap_count];
+        let first = live.partition_point(|gap| gap.end <= at);
+        let (idx, gap, start) = (first..).zip(&live[first..]).find_map(|(idx, &gap)| {
+            let start = gap.start.max(at);
+            (start + duration <= gap.end).then_some((idx, gap, start))
+        })?;
+        if duration.is_zero() {
+            return Some(start);
+        }
+        let finish = start + duration;
+        match (gap.start < start, finish < gap.end) {
+            (true, true) => {
+                self.gaps[idx].end = start;
+                let rest = Gap {
+                    start: finish,
+                    end: gap.end,
+                };
+                self.insert_gap(idx + 1, rest);
+            }
+            (true, false) => self.gaps[idx].end = start,
+            (false, true) => self.gaps[idx].start = finish,
+            (false, false) => {
+                self.gaps.copy_within(idx + 1..self.gap_count, idx);
+                self.gap_count -= 1;
+            }
+        }
+        Some(start)
+    }
+
+    /// Inserts `gap` at position `idx` of the sorted list, forgetting the
+    /// oldest gap when the list is full (callers never insert in front of
+    /// the oldest: a split keeps its left part there, an append goes last).
+    fn insert_gap(&mut self, mut idx: usize, gap: Gap) {
+        if self.gap_count == Resource::GAP_CAPACITY {
+            self.gaps.copy_within(1.., 0);
+            self.gap_count -= 1;
+            idx -= 1;
+        }
+        self.gaps.copy_within(idx..self.gap_count, idx + 1);
+        self.gaps[idx] = gap;
+        self.gap_count += 1;
+    }
+
+    /// End of the latest reservation: from here on the resource is free
+    /// whatever the request's length.
     pub fn available_at(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// True when the resource has no queued work at instant `at`.
-    pub fn is_idle_at(&self, at: SimTime) -> bool {
-        self.busy_until <= at
     }
 
     /// Total time spent serving operations.
@@ -81,9 +213,11 @@ impl Resource {
         self.busy_time
     }
 
-    /// Number of operations served.
-    pub fn ops(&self) -> u64 {
-        self.ops
+    /// Time from the start of the earliest reservation to the end of the
+    /// latest. Reservations never overlap, so `busy_time() <= span()`; a
+    /// double booking shows as a utilization above one.
+    pub fn span(&self) -> SimDuration {
+        self.busy_until.saturating_duration_since(self.first_start)
     }
 
     /// Fraction of `[0, horizon]` spent busy.
@@ -93,25 +227,19 @@ impl Resource {
         }
         self.busy_time.as_secs_f64() / horizon.as_secs_f64()
     }
-
-    /// Debug label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
-/// A pool of identical FIFO servers; work goes to the earliest-free one.
+/// A pool of identical servers; work goes to the one whose last
+/// reservation ends first.
 ///
-/// Models k-wide parallelism such as independent flash channels when
-/// channel identity does not matter, or an NVMe queue-pair pool.
+/// Models k-wide parallelism where server identity does not matter, such
+/// as the host's cores.
 #[derive(Debug, Clone)]
 pub struct ResourcePool {
     servers: Vec<Resource>,
     /// Min-heap of `(available_at, index)` with exactly one entry per
     /// server. Selection is the lexicographic minimum — identical to a
     /// first-minimum linear scan, without the O(n) walk per schedule.
-    /// Entries go stale only through [`ResourcePool::schedule_on`] and
-    /// are refreshed lazily when they surface at the top.
     ready: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
 }
 
@@ -134,61 +262,33 @@ impl ResourcePool {
     /// Schedules on the earliest-available server; returns (server index,
     /// window). Ties pick the lowest server index.
     pub fn schedule(&mut self, at: SimTime, duration: SimDuration) -> (usize, Window) {
-        let idx = loop {
-            let std::cmp::Reverse((avail, idx)) = *self.ready.peek().expect("pool is non-empty");
-            if self.servers[idx].available_at() == avail {
-                break idx;
-            }
-            // Stale (rescheduled via schedule_on since pushed): refresh.
-            self.ready.pop();
-            self.ready
-                .push(std::cmp::Reverse((self.servers[idx].available_at(), idx)));
-        };
-        self.ready.pop();
+        let mut top = self.ready.peek_mut().expect("pool is non-empty");
+        let idx = top.0 .1;
         let win = self.servers[idx].schedule(at, duration);
-        self.ready
-            .push(std::cmp::Reverse((self.servers[idx].available_at(), idx)));
+        // Re-keyed in place; the heap re-sifts when `top` drops.
+        top.0 .0 = self.servers[idx].available_at();
         (idx, win)
-    }
-
-    /// Schedules on a specific server (e.g. a request pinned to one die).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn schedule_on(&mut self, idx: usize, at: SimTime, duration: SimDuration) -> Window {
-        self.servers[idx].schedule(at, duration)
-    }
-
-    /// Number of servers.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Always false: pools are non-empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Accesses a server for inspection.
-    pub fn server(&self, idx: usize) -> &Resource {
-        &self.servers[idx]
-    }
-
-    /// Total busy time across servers.
-    pub fn busy_time(&self) -> SimDuration {
-        self.servers.iter().map(Resource::busy_time).sum()
-    }
-
-    /// Total operations served across servers.
-    pub fn ops(&self) -> u64 {
-        self.servers.iter().map(Resource::ops).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ns(n: u64) -> SimTime {
+        SimTime::from_nanos(n)
+    }
+
+    fn dur(n: u64) -> SimDuration {
+        SimDuration::from_nanos(n)
+    }
+
+    fn window(start: u64, finish: u64) -> Window {
+        Window {
+            start: ns(start),
+            finish: ns(finish),
+        }
+    }
 
     #[test]
     fn fifo_serialization() {
@@ -208,7 +308,62 @@ mod tests {
         let w = r.schedule(SimTime::from_nanos(100), SimDuration::from_nanos(10));
         assert_eq!(w.start, SimTime::from_nanos(100));
         assert_eq!(r.busy_time(), SimDuration::from_nanos(20));
-        assert_eq!(r.ops(), 2);
+        assert_eq!(r.span(), SimDuration::from_nanos(110));
+    }
+
+    #[test]
+    fn a_future_reservation_does_not_block_the_present() {
+        let mut r = Resource::new("link");
+        assert_eq!(r.schedule(ns(1_000), dur(100)), window(1_000, 1_100));
+        // Fits before the booking: starts when asked.
+        assert_eq!(r.schedule(ns(200), dur(300)), window(200, 500));
+        // Both remainders of the split gap stay bookable, and a window
+        // may end exactly where the next reservation starts.
+        assert_eq!(r.schedule(ns(0), dur(200)), window(0, 200));
+        assert_eq!(r.schedule(ns(0), dur(500)), window(500, 1_000));
+        // Nothing idle is left: the next request goes behind everything.
+        assert_eq!(r.schedule(ns(0), dur(1)), window(1_100, 1_101));
+        assert_eq!(r.available_at(), ns(1_101));
+        assert_eq!(r.busy_time(), r.span());
+    }
+
+    #[test]
+    fn a_request_skips_gaps_it_does_not_fit() {
+        let mut r = Resource::new("die");
+        r.schedule(ns(100), dur(100)); // idle [0, 100)
+        r.schedule(ns(500), dur(100)); // idle [200, 500)
+        assert_eq!(r.schedule(ns(0), dur(250)), window(200, 450));
+        // Too long for any gap, and `at` inside a reservation.
+        assert_eq!(r.schedule(ns(150), dur(101)), window(600, 701));
+        assert_eq!(r.schedule(ns(150), dur(50)), window(450, 500));
+        assert_eq!(r.schedule(ns(50), dur(50)), window(50, 100));
+    }
+
+    #[test]
+    fn zero_length_requests_reserve_nothing() {
+        let mut r = Resource::new("cpu");
+        r.schedule(ns(100), dur(100));
+        // Inside the idle stretch: served on the spot, gap left whole.
+        assert_eq!(r.schedule(ns(40), dur(0)), window(40, 40));
+        assert_eq!(r.schedule(ns(0), dur(100)), window(0, 100));
+        // Inside a reservation: waits for it to end.
+        assert_eq!(r.schedule(ns(150), dur(0)), window(200, 200));
+        assert_eq!(r.schedule(ns(900), dur(0)), window(900, 900));
+        assert_eq!(r.available_at(), ns(200));
+    }
+
+    #[test]
+    fn overflow_forgets_the_oldest_gap_and_never_double_books() {
+        let mut r = Resource::new("die");
+        // One more gap than the list holds: [0,10), [20,30), ...
+        let n = Resource::GAP_CAPACITY as u64 + 1;
+        for i in 0..n {
+            r.schedule(ns(20 * i + 10), dur(10));
+        }
+        // The oldest gap is forgotten; the second oldest is still there.
+        assert_eq!(r.schedule(ns(0), dur(10)), window(20, 30));
+        assert_eq!(r.schedule(ns(0), dur(10)), window(40, 50));
+        assert!(r.busy_time() <= r.span());
     }
 
     #[test]
@@ -242,26 +397,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_pinned_scheduling() {
-        let mut p = ResourcePool::new("die", 3);
-        let w = p.schedule_on(2, SimTime::ZERO, SimDuration::from_nanos(5));
-        assert_eq!(w.finish, SimTime::from_nanos(5));
-        assert_eq!(p.server(2).ops(), 1);
-        assert_eq!(p.ops(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one server")]
     fn empty_pool_panics() {
         let _ = ResourcePool::new("x", 0);
-    }
-
-    #[test]
-    fn idle_check() {
-        let mut r = Resource::new("x");
-        assert!(r.is_idle_at(SimTime::ZERO));
-        r.schedule(SimTime::ZERO, SimDuration::from_nanos(10));
-        assert!(!r.is_idle_at(SimTime::from_nanos(5)));
-        assert!(r.is_idle_at(SimTime::from_nanos(10)));
     }
 }

@@ -194,6 +194,16 @@ impl Ssd {
         self.cpu.busy_time()
     }
 
+    /// The host link's timeline.
+    pub fn link(&self) -> &Resource {
+        &self.link
+    }
+
+    /// The firmware CPU's timeline.
+    pub fn cpu(&self) -> &Resource {
+        &self.cpu
+    }
+
     /// Earliest instant at which both link and firmware CPU are idle.
     pub fn idle_at(&self) -> SimTime {
         self.link.available_at().max(self.cpu.available_at())
@@ -746,8 +756,7 @@ impl Ssd {
         if max_pages == 0 || self.idle_at() > at {
             return Ok((ScrubReport::default(), at));
         }
-        let report = self.ftl.scrub_round(at, max_pages)?;
-        let done = at + self.ftl.flash().timing().t_read * report.pages_scanned;
+        let (report, done) = self.ftl.scrub_round(at, max_pages)?;
         if report.pages_scanned > 0 {
             self.counters.incr(Counter::SsdBackgroundScrubRounds);
         }
@@ -780,7 +789,7 @@ impl Ssd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
+    use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, Ppn};
     use checkin_ftl::FtlConfig;
     use checkin_sim::Total;
 
@@ -1096,6 +1105,87 @@ mod tests {
         assert!(t2 > t1);
     }
 
+    /// A paper-default device (4 channels x 2 dies) holding 1 024
+    /// one-sector records on flash, and one LBA on each of its eight dies.
+    fn eight_die_ssd() -> (Ssd, Vec<u64>, SimTime) {
+        let flash = FlashArray::new(FlashGeometry::paper_default(), FlashTiming::mlc());
+        let ftl = Ftl::new(
+            flash,
+            FtlConfig {
+                unit_bytes: 512,
+                ..FtlConfig::default()
+            },
+        )
+        .unwrap();
+        let mut s = Ssd::new(ftl, SsdTiming::paper_default());
+        let mut t = SimTime::ZERO;
+        for i in 0..1_024u64 {
+            t = s.write(&record(i, 1, i, 1), OobKind::Data, t).unwrap();
+        }
+        t = s.flush(t).unwrap();
+        let ftl = s.ftl();
+        let geometry = ftl.flash().geometry();
+        let die_of = |lba: u64| match ftl.location_of(Lpn(lba)) {
+            Some(checkin_ftl::Location::Flash(pun)) => {
+                geometry.die_of_block(geometry.block_of(pun.page(ftl.units_per_page())))
+            }
+            other => panic!("lba {lba} not on flash: {other:?}"),
+        };
+        let lbas: Vec<u64> = (0..geometry.total_dies())
+            .map(|die| {
+                (0..1_024)
+                    .find(|&lba| die_of(lba) == die)
+                    .expect("the load stripes over every die")
+            })
+            .collect();
+        (s, lbas, t + SimDuration::from_millis(50))
+    }
+
+    fn read_unit(s: &mut Ssd, lba: u64, at: SimTime) -> SimTime {
+        let req = ReadRequest {
+            lba,
+            sectors: 1,
+            key: None,
+        };
+        s.read_into(&req, at, &mut Vec::new()).unwrap()
+    }
+
+    #[test]
+    fn reads_to_eight_dies_overlap() {
+        let (mut s, lbas, idle) = eight_die_ssd();
+        let one = read_unit(&mut s, lbas[0], idle).duration_since(idle);
+        // Eight reads, one per die, submitted at one instant: the eight
+        // 5 us capsules share the link and two dies share each channel,
+        // but the eight senses run side by side.
+        let at = idle + SimDuration::from_millis(50);
+        let last = lbas
+            .iter()
+            .map(|&lba| read_unit(&mut s, lba, at))
+            .max()
+            .unwrap();
+        assert!(
+            last.duration_since(at) < one * 3,
+            "eight reads took {} against {one} for one",
+            last.duration_since(at)
+        );
+    }
+
+    #[test]
+    fn a_capsule_crosses_the_link_while_data_out_is_pending() {
+        let (mut s, lbas, idle) = eight_die_ssd();
+        let first = read_unit(&mut s, lbas[0], idle);
+        // The first read booked the link for its data-out at the instant
+        // its flash read ends; the second command's capsule uses the link
+        // before that, so the second read ends a capsule (and a command's
+        // firmware time) after the first, not a whole read after it.
+        let second = read_unit(&mut s, lbas[2], idle);
+        let lag = second.duration_since(first);
+        assert!(
+            lag <= s.timing().cmd_overhead * 2,
+            "second read finished {lag} after the first"
+        );
+    }
+
     #[test]
     fn background_gc_runs_only_under_pressure() {
         let mut s = ssd(512);
@@ -1152,6 +1242,34 @@ mod tests {
         let (report, t2) = s.background_scrub(done, 0).unwrap();
         assert_eq!(report, checkin_ftl::ScrubReport::default());
         assert_eq!(t2, done);
+    }
+
+    #[test]
+    fn background_scrub_finishes_when_its_last_read_does() {
+        // Two dies (`FlashGeometry::small`), and a scrub cursor that
+        // starts at page 0: with two pages programmed in block 0 both
+        // scrub reads land on die 0, one behind the other.
+        let mut s = ssd(512);
+        let mut t = SimTime::ZERO;
+        for i in 0..64u64 {
+            t = s.write(&record(i, 1, i, 1), OobKind::Data, t).unwrap();
+        }
+        t = s.flush(t).unwrap();
+        let flash = s.ftl().flash();
+        assert!(flash.write_cursor(checkin_flash::BlockId(0)) >= 2);
+        let timing = *flash.timing();
+        let page_read =
+            timing.t_read + timing.transfer_time(u64::from(flash.geometry().page_bytes));
+
+        let idle = t + SimDuration::from_millis(50);
+        let (report, done) = s.background_scrub(idle, 2).unwrap();
+        assert_eq!(report.pages_scanned, 2);
+        // Sense and channel transfer of each page, not two bare tR.
+        assert_eq!(done, idle + page_read * 2);
+        // The device really is free again at `done`: a read of block 0
+        // issued then pays no die wait.
+        let free = s.ftl_mut().flash_mut().schedule_read(Ppn(0), done).unwrap();
+        assert_eq!(free.start, done);
     }
 
     #[test]

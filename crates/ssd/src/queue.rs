@@ -4,9 +4,22 @@
 //! floods the device with one CoW command per journal entry, commands
 //! serialize behind the queue. [`CommandQueue`] models this: a command may
 //! start only when a slot is free; otherwise it waits for the earliest
-//! completion.
+//! completion that frees one.
+//!
+//! Admission instants are *not* monotone. A checkpoint chains its
+//! sub-commands into the future inside one simulation event, and the next
+//! client command is submitted at an earlier instant — it must still find
+//! in flight every command that completes after it arrives. The queue
+//! therefore never retires a completion because a later admission passed
+//! it; it keeps the `depth` latest completion instants, which decide every
+//! admission: a command arriving at `at` finds the queue full exactly when
+//! the oldest of them is still later than `at`, and that instant is when
+//! its slot frees.
 
-use checkin_sim::{EventQueue, SimTime, TraceEvent, TraceLayer, Tracer};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use checkin_sim::{SimTime, TraceEvent, TraceLayer, Tracer};
 
 /// A fixed-depth in-flight command window.
 ///
@@ -26,11 +39,9 @@ use checkin_sim::{EventQueue, SimTime, TraceEvent, TraceLayer, Tracer};
 #[derive(Debug, Clone)]
 pub struct CommandQueue {
     depth: usize,
-    /// Completion times, ordered by the same timing wheel the simulator's
-    /// event loop uses. Valid because completions are never registered
-    /// earlier than the latest one already retired: `done >= start >= at`,
-    /// and admission retires only completions `<= at`.
-    inflight: EventQueue<()>,
+    /// Min-heap of the (at most) `depth` latest completion instants.
+    /// Sized once: admission and completion never allocate.
+    latest: BinaryHeap<Reverse<SimTime>>,
     tracer: Tracer,
 }
 
@@ -44,7 +55,7 @@ impl CommandQueue {
         assert!(depth > 0, "queue depth must be positive");
         CommandQueue {
             depth,
-            inflight: EventQueue::with_capacity(depth),
+            latest: BinaryHeap::with_capacity(depth + 1),
             tracer: Tracer::disabled(),
         }
     }
@@ -58,38 +69,25 @@ impl CommandQueue {
     /// Earliest instant a command arriving at `at` may start. Call
     /// [`CommandQueue::complete`] with its completion time afterwards.
     pub fn admit(&mut self, at: SimTime) -> SimTime {
-        while let Some(t) = self.inflight.peek_time() {
-            if t <= at {
-                self.inflight.pop();
-            } else {
-                break;
-            }
-        }
-        let start = if self.inflight.len() < self.depth {
-            at
-        } else if let Some((t, ())) = self.inflight.pop() {
-            t.max(at)
-        } else {
-            // depth == 0 with nothing in flight: admit immediately.
-            at
+        let start = match self.latest.peek() {
+            Some(&Reverse(frees)) if self.latest.len() == self.depth => at.max(frees),
+            _ => at,
         };
-        let depth_now = self.inflight.len() as u64;
         self.tracer.emit(|| {
+            let inflight = self.latest.iter().filter(|c| c.0 > start).count();
             TraceEvent::new(start, TraceLayer::Queue, "admit")
                 .with("wait_ns", start.duration_since(at).as_nanos())
-                .with("inflight", depth_now)
+                .with("inflight", inflight as u64)
         });
         start
     }
 
     /// Registers the completion time of an admitted command.
     pub fn complete(&mut self, done: SimTime) {
-        self.inflight.schedule(done, ());
-    }
-
-    /// Commands currently tracked as in flight.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.latest.push(Reverse(done));
+        if self.latest.len() > self.depth {
+            self.latest.pop();
+        }
     }
 
     /// Configured depth.
@@ -118,9 +116,33 @@ mod tests {
         let mut q = CommandQueue::new(1);
         q.admit(SimTime::ZERO);
         q.complete(SimTime::from_nanos(10));
-        // Arriving after completion: starts immediately.
+        // Arriving after completion: starts immediately, and so does the
+        // next command once this one is over — the expired completion
+        // holds no slot.
         assert_eq!(q.admit(SimTime::from_nanos(20)), SimTime::from_nanos(20));
-        assert_eq!(q.in_flight(), 0);
+        q.complete(SimTime::from_nanos(30));
+        assert_eq!(q.admit(SimTime::from_nanos(30)), SimTime::from_nanos(30));
+    }
+
+    #[test]
+    fn an_earlier_admission_still_sees_what_is_in_flight_at_its_instant() {
+        let ns = SimTime::from_nanos;
+        let mut q = CommandQueue::new(2);
+        assert_eq!(q.admit(ns(0)), ns(0));
+        q.complete(ns(500));
+        // A sub-command chained far into the future by the same event...
+        assert_eq!(q.admit(ns(10_000)), ns(10_000));
+        q.complete(ns(11_000));
+        // ...must not retire the first completion: a command arriving at
+        // 100 finds both slots taken and waits for the one freed at 500.
+        assert_eq!(q.admit(ns(100)), ns(500));
+        // Its completion lies before the far-future admission; recording
+        // it is legal, and it is what the next early arrival waits for.
+        q.complete(ns(900));
+        assert_eq!(q.admit(ns(600)), ns(900));
+        q.complete(ns(950));
+        // At 20 000 everything has completed.
+        assert_eq!(q.admit(ns(20_000)), ns(20_000));
     }
 
     #[test]

@@ -35,6 +35,15 @@ echo "== lab"
 # matrix winner; a remap checkpoint does no flash I/O) — `cargo test`
 # above already checked both; no wall-clock number is gated.
 cargo run --release -p checkin-bench --bin lab -- --out target/BENCH_perf.json
+# The `gc` and `counts` sections are simulation-deterministic (one row
+# per line, everything before the `"host"` line): a change that moves
+# them must commit the artifact it produces, not leave a stale one.
+deterministic() { sed '/^  "host"/,$d' "$1"; }
+deterministic target/BENCH_perf.json > target/BENCH_perf.deterministic
+deterministic BENCH_perf.json | diff - target/BENCH_perf.deterministic || {
+    echo "verify: FAIL — the gc/counts rows differ from the committed artifact: regenerate BENCH_perf.json (cargo run --release -p checkin-bench --bin lab)" >&2
+    exit 1
+}
 
 echo "== chaos"
 # The fault sweep (DESIGN.md §9.3): power cuts aimed at the remap walk,
