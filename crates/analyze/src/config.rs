@@ -40,9 +40,6 @@ pub struct AnalyzeConfig {
     /// A1: recovery entry functions; everything lexically reachable from
     /// them inside the same crate is checked too.
     pub a1_entry_functions: Vec<String>,
-    /// A2: crate names (the `crates/<name>` component) that must stay
-    /// deterministic.
-    pub a2_crates: Vec<String>,
     /// A4: crates checked for truncating casts on address arithmetic.
     pub a4_crates: Vec<String>,
     /// A4: identifier words that mark an expression as address
@@ -60,7 +57,6 @@ impl Default for AnalyzeConfig {
         AnalyzeConfig {
             a1_files: Vec::new(),
             a1_entry_functions: Vec::new(),
-            a2_crates: Vec::new(),
             a4_crates: Vec::new(),
             a4_identifiers: ["lpn", "ppn", "pun", "lba", "sector", "sectors"]
                 .map(String::from)
@@ -143,7 +139,7 @@ impl AnalyzeConfig {
                 current_section = header.trim().to_string();
                 // A header alone is checked too: a stale `[a7]` must be an
                 // error, not a section that silently configures nothing.
-                if !matches!(current_section.as_str(), "a1" | "a2" | "a4") {
+                if !matches!(current_section.as_str(), "a1" | "a4") {
                     return Err(format!("{lineno}: unknown section [{current_section}]"));
                 }
                 sections.entry(current_section.clone()).or_default();
@@ -188,7 +184,6 @@ impl AnalyzeConfig {
         let slot: &mut Vec<String> = match (section, key) {
             ("a1", "files") => &mut self.a1_files,
             ("a1", "entry_functions") => &mut self.a1_entry_functions,
-            ("a2", "crates") => &mut self.a2_crates,
             ("a4", "crates") => &mut self.a4_crates,
             ("a4", "identifiers") => &mut self.a4_identifiers,
             ("a4", "self_files") => &mut self.a4_self_files,
@@ -351,9 +346,6 @@ mod tests {
 files = ["crates/ssd/src/spor.rs"]
 entry_functions = ["rebuild_after_power_loss"]
 
-[a2]
-crates = ["sim", "ftl"]
-
 [a4]
 crates = ["ftl", "ssd"]
 
@@ -373,7 +365,6 @@ reason = "resize two lines above bounds idx"
         )
         .unwrap();
         assert_eq!(cfg.a1_files, vec!["crates/ssd/src/spor.rs"]);
-        assert_eq!(cfg.a2_crates, vec!["sim", "ftl"]);
         assert_eq!(cfg.a4_crates, vec!["ftl", "ssd"]);
         assert_eq!(cfg.allows.len(), 2);
         assert_eq!(cfg.allows[0].rule, "A4");
@@ -407,11 +398,12 @@ reason = "resize two lines above bounds idx"
         assert!(err.contains("snippet"), "{err}");
     }
 
-    /// A3, A5, A7 and A8 are retired (DESIGN.md §15): a config that
+    /// A2, A3, A5, A7 and A8 are retired (DESIGN.md §15): a config that
     /// still carries one of their sections is stale, with or without keys.
     #[test]
     fn retired_rule_sections_are_rejected() {
         for stale in [
+            "[a2]\ncrates = [\"sim\"]\n",
             "[a3]\ncrates = [\"flash\"]\n",
             "[a5]\nlock_order = [\"ring\"]\n",
             "[a7]\nfamilies = [\"detected = quarantined + corrected\"]\n",

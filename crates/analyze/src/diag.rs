@@ -5,7 +5,7 @@ use std::fmt;
 /// One finding: a rule violation at a precise source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id (`"A1"`, `"A2"`, `"A4"`, `"A6"`).
+    /// Rule id (`"A1"`, `"A4"`, `"A6"`).
     pub rule: &'static str,
     /// Workspace-relative path (forward slashes).
     pub file: String,

@@ -1,20 +1,22 @@
 //! `checkin-analyze` — workspace-wide static invariant checker.
 //!
-//! Two of the simulator's correctness claims — recoverability after
-//! power loss and bit-for-bit deterministic replay — rest on invariants
-//! that need a whole-program view the type system does not have. This
-//! crate checks them offline, with zero dependencies, over the raw
-//! source of every crate in the workspace:
+//! The simulator's claim of recoverability after power loss rests on
+//! invariants that need a whole-program view the type system does not
+//! have. This crate checks them offline, with zero dependencies, over
+//! the raw source of every crate in the workspace:
 //!
 //! * **A1-no-panic-in-recovery** — recovery paths must propagate typed
 //!   errors, never panic; reachability is cross-crate over the
 //!   workspace call graph ([`rules::a1`], [`graph`]);
-//! * **A2-deterministic-sim** — no wall clock, ambient randomness, or
-//!   hash-ordered containers in result-affecting crates ([`rules::a2`]);
 //! * **A4-lpn-arithmetic** — no bare truncating casts on address
 //!   arithmetic ([`rules::a4`]);
 //! * **A6-no-discarded-Result** — recovery scopes never drop a
 //!   `Result` ([`rules::a6`], [`dataflow`]).
+//!
+//! (Deterministic replay — no wall clock, hash-ordered container or
+//! `thread_local!` in the six result-affecting crates — was rule A2 and
+//! is clippy's job now: `disallowed_types` / `disallowed_macros` under
+//! the root `clippy.toml`, type-resolved where A2 matched tokens.)
 //!
 //! Scopes and documented exceptions live in `analyze.toml` at the
 //! workspace root ([`config`]). The checker is a gating tier in

@@ -35,7 +35,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "checkin-analyze: static invariant checker (rules A1, A2, A4, A6)\n\
+                    "checkin-analyze: static invariant checker (rules A1, A4, A6)\n\
                      usage: checkin-analyze [--root <workspace-root>] [--format text|json]\n\
                      config: <root>/analyze.toml"
                 );

@@ -3,17 +3,17 @@
 //! | id | invariant |
 //! |----|-----------|
 //! | A1 | no panic paths (`unwrap`/`expect`/`panic!`-family/indexing) in recovery code |
-//! | A2 | no wall-clock, randomness, or hash-ordered containers in deterministic crates |
 //! | A4 | no bare truncating casts on LPN/PPN/sector arithmetic |
 //! | A6 | no discarded `Result` in recovery scopes |
 //!
-//! A1 and A6 run over the workspace call graph ([`crate::graph`]); A2
-//! and A4 are per-file token scans. (A3, A5, A7 and A8 are retired:
-//! what they policed is carried by `checkin_sim::Counter`/`Total` and by
-//! `Send` assertions on the core types — DESIGN.md §15.)
+//! A1 and A6 run over the workspace call graph ([`crate::graph`]); A4
+//! is a per-file token scan. (A2, A3, A5, A7 and A8 are retired: what
+//! they policed is carried by clippy's `disallowed_types` /
+//! `disallowed_macros` under the root `clippy.toml`, by
+//! `checkin_sim::Counter`/`Total` and by `Send` assertions on the core
+//! types — DESIGN.md §15.)
 
 pub mod a1;
-pub mod a2;
 pub mod a4;
 pub mod a6;
 
@@ -54,8 +54,6 @@ pub fn run_all(files: &[SourceFile], cfg: &AnalyzeConfig) -> (Vec<Diagnostic>, V
     };
     let t = Instant::now();
     timed("A1", a1::run(&ws, cfg), t);
-    let t = Instant::now();
-    timed("A2", a2::run(files, cfg), t);
     let t = Instant::now();
     timed("A4", a4::run(files, cfg), t);
     let t = Instant::now();

@@ -72,48 +72,6 @@ fn a1_entry_function_reachability_follows_calls() {
 }
 
 #[test]
-fn a2_flags_each_nondeterminism_source() {
-    let files = [fixture(
-        "crates/sim/src/a2_nondeterminism.rs",
-        include_str!("fixtures/a2_nondeterminism.rs"),
-    )];
-    let cfg = AnalyzeConfig {
-        a2_crates: vec!["sim".into()],
-        ..AnalyzeConfig::default()
-    };
-    let report = analyze_sources(&files, &cfg);
-    assert_eq!(
-        locations(&report),
-        vec![
-            ("A2", 4),
-            ("A2", 5),
-            ("A2", 6),
-            ("A2", 16),
-            ("A2", 17),
-            ("A2", 20)
-        ],
-        "each banned identifier token fires; the string literal \"HashMap\" \
-         and the comment mention must not"
-    );
-    assert!(report.diagnostics[0].message.contains("HashMap"));
-    assert!(report.diagnostics[2].message.contains("Instant"));
-    assert!(report.diagnostics[5].message.contains("thread_local!"));
-}
-
-#[test]
-fn a2_out_of_scope_crate_is_ignored() {
-    let files = [fixture(
-        "crates/cli/src/a2_nondeterminism.rs",
-        include_str!("fixtures/a2_nondeterminism.rs"),
-    )];
-    let cfg = AnalyzeConfig {
-        a2_crates: vec!["sim".into()],
-        ..AnalyzeConfig::default()
-    };
-    assert!(analyze_sources(&files, &cfg).diagnostics.is_empty());
-}
-
-#[test]
 fn a4_flags_truncating_casts_with_address_witnesses() {
     let files = [fixture(
         "crates/ftl/src/a4_casts.rs",
@@ -222,29 +180,30 @@ fn a1_cone_crosses_crates_through_typed_field_chains() {
 #[test]
 fn allowlist_matches_on_snippet_and_reports_stale_entries() {
     let files = [fixture(
-        "crates/sim/src/a2_nondeterminism.rs",
-        include_str!("fixtures/a2_nondeterminism.rs"),
+        "crates/ftl/src/a4_casts.rs",
+        include_str!("fixtures/a4_casts.rs"),
     )];
     let cfg = AnalyzeConfig {
-        a2_crates: vec!["sim".into()],
+        a4_crates: vec!["ftl".into()],
+        a4_self_files: vec!["crates/ftl/src/a4_casts.rs".into()],
         allows: vec![
             AllowEntry {
-                rule: "A2".into(),
-                file: "crates/sim/src/a2_nondeterminism.rs".into(),
-                snippet: "use std::collections::HashMap".into(),
-                line: Some(4),
-                reason: "fixture: suppress the HashMap import".into(),
+                rule: "A4".into(),
+                file: "crates/ftl/src/a4_casts.rs".into(),
+                snippet: "let a = lpn as u32".into(),
+                line: Some(5),
+                reason: "fixture: suppress the lpn truncation".into(),
             },
             AllowEntry {
-                rule: "A2".into(),
-                file: "crates/sim/src/a2_nondeterminism.rs".into(),
+                rule: "A4".into(),
+                file: "crates/ftl/src/a4_casts.rs".into(),
                 snippet: "no such code anywhere".into(),
                 line: None,
                 reason: "fixture: snippet matches nothing in a file with findings".into(),
             },
             AllowEntry {
-                rule: "A2".into(),
-                file: "crates/sim/src/other.rs".into(),
+                rule: "A4".into(),
+                file: "crates/ftl/src/other.rs".into(),
                 snippet: "whatever".into(),
                 line: None,
                 reason: "fixture: entry for a file with no findings at all".into(),
@@ -255,8 +214,8 @@ fn allowlist_matches_on_snippet_and_reports_stale_entries() {
     let report = analyze_sources(&files, &cfg);
     assert_eq!(
         locations(&report),
-        vec![("A2", 5), ("A2", 6), ("A2", 16), ("A2", 17), ("A2", 20)],
-        "the HashMap import is allowlisted away by its snippet"
+        vec![("A4", 6), ("A4", 14)],
+        "the lpn cast is allowlisted away by its snippet"
     );
     assert_eq!(report.unused_allows.len(), 2);
     assert!(
@@ -272,25 +231,26 @@ fn allowlist_matches_on_snippet_and_reports_stale_entries() {
 #[test]
 fn one_snippet_covers_every_line_that_contains_it() {
     let files = [fixture(
-        "crates/sim/src/a2_nondeterminism.rs",
-        include_str!("fixtures/a2_nondeterminism.rs"),
+        "crates/ftl/src/a4_casts.rs",
+        include_str!("fixtures/a4_casts.rs"),
     )];
     let cfg = AnalyzeConfig {
-        a2_crates: vec!["sim".into()],
+        a4_crates: vec!["ftl".into()],
+        a4_self_files: vec!["crates/ftl/src/a4_casts.rs".into()],
         allows: vec![AllowEntry {
-            rule: "A2".into(),
-            file: "crates/sim/src/a2_nondeterminism.rs".into(),
-            snippet: "Instant".into(),
+            rule: "A4".into(),
+            file: "crates/ftl/src/a4_casts.rs".into(),
+            snippet: "% units_per_page as u64".into(),
             line: None,
-            reason: "fixture: one snippet, three Instant sites".into(),
+            reason: "fixture: one snippet, two modulo-reduced casts".into(),
         }],
         ..AnalyzeConfig::default()
     };
     let report = analyze_sources(&files, &cfg);
     assert_eq!(
         locations(&report),
-        vec![("A2", 4), ("A2", 5), ("A2", 20)],
-        "all three Instant findings share the snippet; the rest stay"
+        vec![("A4", 5)],
+        "both modulo casts share the snippet; the lpn cast stays"
     );
     assert!(report.unused_allows.is_empty());
 }

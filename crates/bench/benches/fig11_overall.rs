@@ -1,7 +1,7 @@
 //! Figure 11 — overall query throughput and latency for workloads A, F
 //! and write-only, as the thread count grows.
 
-use checkin_bench::{banner, paper_config, reduction_pct, run};
+use checkin_bench::{banner, paper_config, reduction_pct, run_to_checkpoints, MIN_CHECKPOINTS};
 use checkin_core::Strategy;
 use checkin_workload::OpMix;
 
@@ -10,7 +10,7 @@ fn main() {
     for mix in [OpMix::A, OpMix::F, OpMix::WRITE_ONLY] {
         banner(
             &format!(
-                "Fig. 11: workload {} — throughput (queries/s) and mean latency",
+                "Fig. 11: workload {} — throughput (queries/s) / mean latency / queries run",
                 mix.label()
             ),
             "throughput rises then saturates with threads; Check-In gains ~8.1% \
@@ -18,7 +18,7 @@ fn main() {
         );
         print!("{:<10}", "config");
         for t in threads {
-            print!(" {:>16}", format!("{t} thr"));
+            print!(" {:>22}", format!("{t} thr"));
         }
         println!();
         let mut at_128: Vec<(Strategy, f64, f64)> = Vec::new();
@@ -29,8 +29,12 @@ fn main() {
                 c.workload.mix = mix;
                 c.threads = t;
                 c.total_queries = 20_000;
-                let r = run(c);
-                print!(" {:>16}", format!("{:.0}/{}", r.throughput, r.latency.mean));
+                let r = run_to_checkpoints(c);
+                assert!(r.checkpoints >= MIN_CHECKPOINTS);
+                print!(
+                    " {:>22}",
+                    format!("{:.0}/{}/{}k", r.throughput, r.latency.mean, r.ops / 1000)
+                );
                 if t == 128 {
                     at_128.push((strategy, r.throughput, r.latency.mean.as_micros_f64()));
                 }

@@ -31,10 +31,7 @@ use checkin_core::{
 };
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind};
 use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, MappingTable, Pun, VictimPolicy};
-use checkin_sim::{
-    Counter, CounterSet, EventQueue, SimDuration, SimRng, SimTime, Total, TraceEvent, TraceLayer,
-    Tracer,
-};
+use checkin_sim::{Counter, CounterSet, SimRng, SimTime, Total, TraceEvent, TraceLayer, Tracer};
 use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
 use checkin_workload::{AccessPattern, OpMix};
 
@@ -321,20 +318,6 @@ fn host_section() -> Vec<Row> {
         let lpn = Lpn(rng.gen_range(L2P_ENTRIES));
         table.map(lpn, Location::Flash(Pun(next_pun % (2 * L2P_ENTRIES))));
         next_pun += 1;
-    }));
-
-    section("host: event queue, closed-loop pop+schedule at a command-storm population");
-    let (n, gap) = (65_536u64, 7_800u64);
-    let mut queue: EventQueue<u32> = EventQueue::with_capacity(n as usize);
-    let mut rng = SimRng::seed_from(9);
-    for i in 0..n {
-        queue.schedule(SimTime::from_nanos(1 + i * gap), i as u32);
-    }
-    rows.push(bench("queue/pop_schedule_calendar_64k", opts, || {
-        let (t, e) = queue.pop().expect("the loop keeps the queue full");
-        let delay = SimDuration::from_nanos(n * gap + rng.gen_range(5_000));
-        queue.schedule(t + delay, e);
-        e
     }));
 
     // One bump in the shape the flash and ftl sets have in a run: 30 keys

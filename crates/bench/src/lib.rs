@@ -31,6 +31,33 @@ pub fn run(config: SystemConfig) -> RunReport {
         .unwrap_or_else(|e| panic!("bench run failed: {e}"))
 }
 
+/// Checkpoints a figure cell must hold before it says anything about
+/// checkpointing.
+pub const MIN_CHECKPOINTS: u64 = 8;
+
+/// [`run`] sized in checkpoints rather than queries: `total_queries`
+/// doubles until the report holds at least [`MIN_CHECKPOINTS`] of them
+/// ([`RunReport::ops`] is the count it ended with). Faster clients and
+/// longer intervals both need more queries to get there.
+///
+/// # Panics
+///
+/// As [`run`], and when 2²³ queries do not get there.
+pub fn run_to_checkpoints(mut config: SystemConfig) -> RunReport {
+    loop {
+        let report = run(config.clone());
+        if report.checkpoints >= MIN_CHECKPOINTS {
+            return report;
+        }
+        config.total_queries *= 2;
+        assert!(
+            config.total_queries < 1 << 24,
+            "still {} checkpoints: a workload that never writes?",
+            report.checkpoints
+        );
+    }
+}
+
 /// Paper-scale defaults shared by the overall-performance figures:
 /// the full 3 GiB device, zipfian workload A, scaled query counts.
 pub fn paper_config(strategy: Strategy) -> SystemConfig {

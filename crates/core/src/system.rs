@@ -271,8 +271,8 @@ impl KvSystem {
         // ---- Run phase ------------------------------------------------
         // Closed loop: at most one in-flight event per client plus the
         // checkpoint tick, so the queue never regrows.
-        let mut events: EventQueue<Event> =
-            EventQueue::with_capacity(self.config.threads as usize + 1);
+        let population = self.config.threads as usize + 1;
+        let mut events: EventQueue<Event> = EventQueue::with_capacity(population);
         let mut host = ResourcePool::new("host-core", self.config.host_cores as usize);
         let start = load_done + SimDuration::from_micros(10);
         // Fixed per-thread quotas: each thread executes the same operation
@@ -309,6 +309,11 @@ impl KvSystem {
         let mut timeline: Vec<TimelinePoint> = Vec::new();
 
         while completed < self.config.total_queries {
+            // Each pop schedules at most one successor — the next tick,
+            // the client's next batch, or in lock mode the client it just
+            // popped — so whatever the last iteration scheduled, the
+            // population the queue was sized for still holds.
+            debug_assert!(events.len() <= population);
             let Some((now, event)) = events.pop() else {
                 break;
             };

@@ -444,10 +444,10 @@ impl FlashArray {
         self.check_range(ppn)?;
         let block = self.geometry.block_of(ppn);
         let page = self.geometry.page_in_block(ppn);
-        if self.bad_blocks[block.0 as usize] {
+        if self.is_bad_block(block) {
             return Err(FlashError::GrownBadBlock(block));
         }
-        let cursor = self.blocks[block.0 as usize].store.cursor() as u32;
+        let cursor = self.write_cursor(block);
         if page < cursor {
             return Err(FlashError::ProgramDirtyPage(ppn));
         }
@@ -476,7 +476,7 @@ impl FlashArray {
         }
         // Landing seals per-unit and per-OOB checksums; injectors mutate
         // the stored bits after this point without resealing.
-        self.land_page(block, content);
+        self.land_page(block, content)?;
         if self.faults.as_mut().is_some_and(FaultPlan::misdirect_draw) {
             // Misdirected write: the program "succeeds", but what landed
             // no longer matches the checksums sealed for it.
@@ -485,12 +485,20 @@ impl FlashArray {
             self.counters.incr(Counter::FlashMisdirectedPrograms);
         }
 
+        // As in `schedule_read`: a geometry that disagrees with the queue
+        // vectors is a typed error, not a panic.
         let (die, channel) = self.die_and_channel(ppn);
-        let xfer = self.channels[channel].schedule(
-            at,
-            self.timing.transfer_time(self.geometry.page_bytes as u64),
-        );
-        let array = self.dies[die].schedule(xfer.finish, self.timing.t_program);
+        let xfer_time = self.timing.transfer_time(self.geometry.page_bytes as u64);
+        let xfer = self
+            .channels
+            .get_mut(channel)
+            .ok_or(FlashError::OutOfRange(ppn))?
+            .schedule(at, xfer_time);
+        let array = self
+            .dies
+            .get_mut(die)
+            .ok_or(FlashError::OutOfRange(ppn))?
+            .schedule(xfer.finish, self.timing.t_program);
         self.counters.incr(self.op_phase.program_counter());
         let phase = self.op_phase;
         self.tracer.emit(|| {
@@ -512,7 +520,9 @@ impl FlashArray {
     /// programmed and the cursor advances, exactly what a post-crash OOB
     /// scan will find on the media.
     fn torn_program(&mut self, ppn: Ppn, block: BlockId, content: &PageContent, at: SimTime) {
-        self.land_page(block, content);
+        if self.land_page(block, content).is_err() {
+            return;
+        }
         let units = content.units.len() as u64;
         let intact = self.fault_draw(units + 1);
         if intact < units {
@@ -531,18 +541,25 @@ impl FlashArray {
 
     /// Copies `content` in as the next page of `block` (the caller has
     /// checked it is the cursor page).
-    fn land_page(&mut self, block: BlockId, content: &PageContent) {
+    fn land_page(&mut self, block: BlockId, content: &PageContent) -> Result<(), FlashError> {
         let pages_per_block = self.geometry.pages_per_block as usize;
-        self.blocks[block.0 as usize]
+        let state = self
+            .blocks
+            .get_mut(block.0 as usize)
+            .ok_or(FlashError::BlockOutOfRange(block))?;
+        state
             .store
-            .land(content, pages_per_block);
+            .land(content, pages_per_block)
+            .ok_or(FlashError::BlockStoreFull(block))
     }
 
     /// Flips `mask` into every occupied unit from `first_unit` on and
     /// every OOB record of the page `block` programmed last, without
     /// resealing: what a misdirected or torn program leaves behind.
     fn damage_landed_page(&mut self, block: BlockId, first_unit: usize, mask: u64) {
-        let store = &mut self.blocks[block.0 as usize].store;
+        let Some(store) = self.blocks.get_mut(block.0 as usize).map(|b| &mut b.store) else {
+            return;
+        };
         let Some(page) = store.cursor().checked_sub(1) else {
             return;
         };
@@ -567,23 +584,28 @@ impl FlashArray {
         if block.0 >= self.geometry.total_blocks() {
             return Err(FlashError::BlockOutOfRange(block));
         }
-        if self.bad_blocks[block.0 as usize] {
+        if self.is_bad_block(block) {
             return Err(FlashError::GrownBadBlock(block));
         }
         if let Some(limit) = self.pe_cycle_limit {
-            if self.blocks[block.0 as usize].erase_count >= limit {
+            if self.erase_count(block) >= limit {
                 return Err(FlashError::WornOut(block));
             }
         }
         // As in `program`, fail before mutating: a cut or injected erase
         // failure must leave the block's pages and counters untouched.
         self.fault_gate(FaultOp::Erase, None, Some(block))?;
-        let state = &mut self.blocks[block.0 as usize];
+        let die = self.geometry.die_of_block(block) as usize;
+        let (Some(state), Some(die_queue)) = (
+            self.blocks.get_mut(block.0 as usize),
+            self.dies.get_mut(die),
+        ) else {
+            return Err(FlashError::BlockOutOfRange(block));
+        };
         state.erase_count += 1;
         let erase_count = state.erase_count;
         state.store.clear();
-        let die = self.geometry.die_of_block(block) as usize;
-        let window = self.dies[die].schedule(at, self.timing.t_erase);
+        let window = die_queue.schedule(at, self.timing.t_erase);
         self.counters.incr(self.op_phase.erase_counter());
         let phase = self.op_phase;
         self.tracer.emit(|| {

@@ -62,6 +62,9 @@ pub enum FlashError {
     BlockOutOfRange(BlockId),
     /// Erase of a block whose P/E budget is exhausted.
     WornOut(BlockId),
+    /// The block's page store cannot index another page: more records
+    /// than any geometry puts in one block.
+    BlockStoreFull(BlockId),
     /// Injected transient read failure (retryable).
     TransientRead(Ppn),
     /// Injected transient program failure (retryable; the page stays
@@ -92,6 +95,7 @@ impl FlashError {
             | FlashError::OutOfRange(_)
             | FlashError::BlockOutOfRange(_)
             | FlashError::WornOut(_)
+            | FlashError::BlockStoreFull(_)
             | FlashError::GrownBadBlock(_)
             | FlashError::PowerLoss => ErrorClass::Fatal,
         }
@@ -121,6 +125,7 @@ impl fmt::Display for FlashError {
             FlashError::OutOfRange(ppn) => write!(f, "physical page {ppn} out of range"),
             FlashError::BlockOutOfRange(b) => write!(f, "block {b} out of range"),
             FlashError::WornOut(b) => write!(f, "block {b} exceeded its P/E cycle budget"),
+            FlashError::BlockStoreFull(b) => write!(f, "block {b}'s page store is full"),
             FlashError::TransientRead(ppn) => write!(f, "transient read failure at {ppn}"),
             FlashError::TransientProgram(ppn) => {
                 write!(f, "transient program failure at {ppn}")
@@ -181,6 +186,7 @@ mod tests {
             FlashError::OutOfRange(Ppn(0)),
             FlashError::BlockOutOfRange(BlockId(0)),
             FlashError::WornOut(BlockId(0)),
+            FlashError::BlockStoreFull(BlockId(0)),
             FlashError::GrownBadBlock(BlockId(0)),
             FlashError::PowerLoss,
         ] {

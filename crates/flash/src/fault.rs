@@ -44,8 +44,8 @@
 //!   and every later program/erase of that block fails too. The FTL
 //!   responds by retiring the block (salvaging still-valid units).
 //!
-//! Everything is derived from one `u64` seed with a private xoshiro256**
-//! generator, so a `(workload seed, fault seed, cut tick)` triple fully
+//! Everything is derived from one `u64` seed through the plan's own
+//! [`SimRng`], so a `(workload seed, fault seed, cut tick)` triple fully
 //! determines a simulated crash — the property the `chaos` harness
 //! (`checkin_bench::chaos`, DESIGN.md §9.3) builds on: a *profiling* run
 //! with [`FaultConfig::record_trace`] logs each tick's operation and
@@ -54,6 +54,8 @@
 //! is a field of the one [`FaultConfig`], families compose: a plan can
 //! tear the page a power cut interrupts while rot and media noise are
 //! live, and the profiling run arms the same plan minus the cut.
+
+use checkin_sim::SimRng;
 
 use crate::phase::OpPhase;
 
@@ -158,7 +160,7 @@ pub(crate) enum TickOutcome {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     config: FaultConfig,
-    state: [u64; 4],
+    rng: SimRng,
     ticks: u64,
     trace: Vec<(FaultOp, OpPhase)>,
 }
@@ -166,19 +168,9 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Instantiates the schedule described by `config`.
     pub fn new(config: FaultConfig) -> Self {
-        // splitmix64 expansion of the seed into xoshiro256** state.
-        let mut s = config.seed;
-        let mut state = [0u64; 4];
-        for slot in &mut state {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            *slot = z ^ (z >> 31);
-        }
         FaultPlan {
             config,
-            state,
+            rng: SimRng::seed_from(config.seed),
             ticks: 0,
             trace: Vec::new(),
         }
@@ -200,25 +192,11 @@ impl FaultPlan {
         &self.trace
     }
 
-    fn next_u64(&mut self) -> u64 {
-        let [s0, s1, s2, s3] = &mut self.state;
-        let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = *s1 << 17;
-        *s2 ^= *s0;
-        *s3 ^= *s1;
-        *s1 ^= *s2;
-        *s0 ^= *s3;
-        *s2 ^= t;
-        *s3 = s3.rotate_left(45);
-        result
-    }
-
     fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
         }
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        unit < p
+        self.rng.gen_f64() < p
     }
 
     /// Advances the fault clock for one operation attempt and decides its
@@ -274,7 +252,7 @@ impl FaultPlan {
         if n == 0 {
             return 0;
         }
-        self.next_u64() % n
+        self.rng.next_u64() % n
     }
 }
 

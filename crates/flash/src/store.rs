@@ -85,8 +85,8 @@ struct PageHeader {
 
 /// A block arena index. The records are 56 bytes because these are
 /// `u32`; a block holds `pages_per_block` pages of a few units each.
-fn index32(n: usize) -> u32 {
-    u32::try_from(n).expect("a block's arenas hold far fewer than 2^32 records")
+fn index32(n: usize) -> Option<u32> {
+    u32::try_from(n).ok()
 }
 
 /// A stored field of one unit slot, for
@@ -155,28 +155,32 @@ impl BlockStore {
     /// arenas for `pages_per_block` pages of this shape first — its only
     /// allocations unless later pages are wider or carry merged units,
     /// and none at all once the block has been filled and erased.
-    pub(crate) fn land(&mut self, content: &PageContent, pages_per_block: usize) {
+    ///
+    /// `None` when an arena has outgrown its `u32` indices — far more
+    /// records than a block holds. The header goes in last, so the page
+    /// then stays erased.
+    pub(crate) fn land(&mut self, content: &PageContent, pages_per_block: usize) -> Option<()> {
         let slots = content.units.len().max(content.oob.len());
         if self.pages.is_empty() {
             self.pages.reserve_exact(pages_per_block);
             self.records.reserve_exact(pages_per_block * slots);
         }
-        self.pages.push(PageHeader {
-            first: index32(self.records.len()),
-            units: index32(content.units.len()),
-            oobs: index32(content.oob.len()),
-        });
+        let header = PageHeader {
+            first: index32(self.records.len())?,
+            units: index32(content.units.len())?,
+            oobs: index32(content.oob.len())?,
+        };
         for i in 0..slots {
             let mut record = UnitRecord::default();
             if let Some(Some(unit)) = content.units.get(i) {
                 record.occupied = true;
-                record.fragments = index32(unit.fragments.len());
+                record.fragments = index32(unit.fragments.len())?;
                 record.unit_crc = integrity::unit_checksum(unit);
                 if let Some((first, rest)) = unit.fragments.split_first() {
                     record.key = first.key;
                     record.version = first.version;
                     record.bytes = first.bytes;
-                    record.extra_start = index32(self.extra.len());
+                    record.extra_start = index32(self.extra.len())?;
                     self.extra.extend_from_slice(rest);
                 }
             }
@@ -188,6 +192,8 @@ impl BlockStore {
             }
             self.records.push(record);
         }
+        self.pages.push(header);
+        Some(())
     }
 
     /// Erases the block: no pages, every arena's capacity kept.

@@ -14,9 +14,9 @@
 //!
 //! Both order candidates by integer keys on the FTL's deterministic
 //! state (no wall-clock, no floats), so every policy stays
-//! bit-reproducible under the A2 determinism rule. The lab also ran an
-//! age-weighted scorer; it never won a cell and was retired (see
-//! EXPERIMENTS.md).
+//! bit-reproducible under the determinism bans (`clippy.toml`). The lab
+//! also ran an age-weighted scorer; it never won a cell and was retired
+//! (see EXPERIMENTS.md).
 
 use checkin_flash::BlockId;
 

@@ -1,77 +1,50 @@
 //! A deterministic future-event list.
 //!
-//! [`EventQueue`] is a hierarchical timing wheel (a calendar queue) keyed
-//! on the integer-nanosecond sim clock: 11 levels of 64 slots cover the
-//! full `u64` horizon (6 bits per level). An event lands at the level of
-//! its highest bit that differs from the wheel cursor; popping drains the
-//! lowest occupied slot. When that slot is coarse (level > 0), all finer
-//! levels are empty, so every pending event earlier than the slot's
-//! window end is inside it — the cursor jumps straight to the bucket
-//! minimum and one cascade refiles the rest, instead of stepping down a
-//! level at a time.
+//! [`EventQueue`] is a binary min-heap keyed on `(time, sequence)`: the
+//! integer-nanosecond instant an event fires at, then the order it was
+//! scheduled in. Events therefore pop by time and same-instant events in
+//! insertion order, so a simulation replays identically whatever the
+//! heap does internally. The sequence number is the whole tie-break; the
+//! payload is never compared and needs no trait.
 //!
-//! Ordering is identical to the min-heap this replaces: events pop by
-//! `(time, sequence)`, so same-tick events pop in insertion order and
-//! simulations stay reproducible regardless of queue internals. Leaf
-//! buckets hold exactly one timestamp each, and buckets are FIFO lists
-//! that cascades drain in order, so the sequence tie-break falls out of
-//! list order — no per-entry comparisons at all.
-//!
-//! Events live in one contiguous arena threaded through intrusive
-//! singly-linked buckets (8-byte head/tail slots). Scheduling links a
-//! node, popping unlinks one, and cascades relink in place, so the
-//! steady-state loop is O(1) amortized per event with zero heap traffic
-//! and a cache footprint proportional to the live event count — unlike a
-//! binary heap's O(log n) sift, or per-bucket growable buffers.
+//! The only product caller is the closed loop in `KvSystem::run`, which
+//! holds one pending event per client thread plus the checkpoint tick —
+//! 5 to 129 events in every configuration the paper has — and asserts
+//! that bound. At that population a sift is a handful of comparisons
+//! inside one or two cache lines (measurements: EXPERIMENTS.md, PR 19).
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Bits per wheel level: 64 slots each.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Levels needed so `LEVEL_BITS * LEVELS >= 64` covers any `u64` time.
-const LEVELS: usize = 11;
-/// Null link / empty slot marker.
-const NIL: u32 = u32::MAX;
-
-/// An arena node: a pending (or freed) event in a bucket's FIFO chain.
+/// A pending event. Ordered on `(time, seq)` alone and *reversed*, so
+/// that `BinaryHeap`, a max-heap, surfaces the earliest entry.
 #[derive(Debug, Clone)]
-struct Node<E> {
+struct Entry<E> {
     time: SimTime,
-    next: u32,
-    /// `None` only while the node sits on the free list.
-    payload: Option<E>,
+    seq: u64,
+    payload: E,
 }
 
-/// One bucket's chain ends; `NIL` head means empty.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    head: u32,
-    tail: u32,
-}
-
-const EMPTY_SLOT: Slot = Slot {
-    head: NIL,
-    tail: NIL,
-};
-
-/// Wheel level for time `t` given the cursor: the level containing the
-/// highest differing bit (0 when `t == cursor`).
-#[inline]
-fn level_of(t: u64, cursor: u64) -> usize {
-    let diff = t ^ cursor;
-    if diff == 0 {
-        0
-    } else {
-        ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-/// Slot index of time `t` within `level`: its 6-bit digit at that level.
-#[inline]
-fn slot_of(t: u64, level: usize) -> usize {
-    ((t >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
 }
 
 /// Future-event list ordered by time, with FIFO tie-breaking.
@@ -89,45 +62,26 @@ fn slot_of(t: u64, level: usize) -> usize {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// `LEVELS * SLOTS` bucket chains, row-major by level. Every pending
-    /// event in a leaf (level-0) bucket shares one timestamp; coarser
-    /// buckets span `64^level` nanoseconds.
-    slots: Vec<Slot>,
-    /// Per-level bitmap of non-empty slots.
-    occupied: [u64; LEVELS],
-    /// Bit per level with any occupied slot, for O(1) minimum lookup.
-    level_mask: u16,
-    /// Node storage; freed nodes chain onto `free` for reuse.
-    arena: Vec<Node<E>>,
-    free: u32,
-    /// Wheel origin: no pending event is earlier than this. Equals
-    /// `last_popped` between calls; advances transiently during cascades.
-    cursor: u64,
-    len: usize,
+    heap: BinaryHeap<Entry<E>>,
+    /// Sequence number of the next scheduled event.
+    next_seq: u64,
     last_popped: SimTime,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            slots: vec![EMPTY_SLOT; LEVELS * SLOTS],
-            occupied: [0; LEVELS],
-            level_mask: 0,
-            arena: Vec::new(),
-            free: NIL,
-            cursor: 0,
-            len: 0,
-            last_popped: SimTime::ZERO,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue pre-sized for `n` concurrent events (closed
     /// loops know their population upfront).
     pub fn with_capacity(n: usize) -> Self {
-        let mut q = Self::new();
-        q.arena.reserve(n);
-        q
+        EventQueue {
+            heap: BinaryHeap::with_capacity(n),
+            next_seq: 0,
+            last_popped: SimTime::ZERO,
+        }
     }
 
     /// Schedules `payload` to fire at absolute instant `time`.
@@ -142,168 +96,26 @@ impl<E> EventQueue<E> {
             self.last_popped
         );
         let time = time.max(self.last_popped);
-        let idx = if self.free != NIL {
-            let idx = self.free;
-            let node = &mut self.arena[idx as usize];
-            self.free = node.next;
-            node.time = time;
-            node.next = NIL;
-            node.payload = Some(payload);
-            idx
-        } else {
-            self.arena.push(Node {
-                time,
-                next: NIL,
-                payload: Some(payload),
-            });
-            (self.arena.len() - 1) as u32
-        };
-        self.link(idx, time.as_nanos());
-        self.len += 1;
-    }
-
-    /// Appends node `idx` (with `next == NIL`) to the bucket its time
-    /// selects under the current cursor.
-    #[inline]
-    fn link(&mut self, idx: u32, t: u64) {
-        let level = level_of(t, self.cursor);
-        let slot = slot_of(t, level);
-        let s = &mut self.slots[level * SLOTS + slot];
-        if s.head == NIL {
-            s.head = idx;
-            s.tail = idx;
-            self.occupied[level] |= 1 << slot;
-            self.level_mask |= 1 << level;
-        } else {
-            let tail = s.tail;
-            s.tail = idx;
-            self.arena[tail as usize].next = idx;
-        }
-    }
-
-    /// Lowest occupied `(level, slot)`, i.e. the bucket containing the
-    /// earliest pending event. No cursor masking is needed: filing and
-    /// cascading maintain the invariant that occupied slots never sit
-    /// below the cursor's digit at their level (an entry there would be
-    /// in the past).
-    #[inline]
-    fn next_bucket(&self) -> Option<(usize, usize)> {
-        if self.level_mask == 0 {
-            return None;
-        }
-        let level = self.level_mask.trailing_zeros() as usize;
-        let slot = self.occupied[level].trailing_zeros() as usize;
-        Some((level, slot))
-    }
-
-    /// Clears the occupancy bit for an emptied bucket.
-    #[inline]
-    fn clear_bit(&mut self, level: usize, slot: usize) {
-        self.occupied[level] &= !(1u64 << slot);
-        if self.occupied[level] == 0 {
-            self.level_mask &= !(1u16 << level);
-        }
-    }
-
-    /// Unlinks arena node `idx` (already detached from its bucket),
-    /// pushes it on the free list, and returns its contents.
-    #[inline]
-    fn retire(&mut self, idx: u32) -> (SimTime, E) {
-        let free = self.free;
-        self.free = idx;
-        let node = &mut self.arena[idx as usize];
-        node.next = free;
-        let time = node.time;
-        let payload = node.payload.take().expect("retired a free node");
-        self.cursor = time.as_nanos();
-        self.last_popped = time;
-        self.len -= 1;
-        (time, payload)
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, payload });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let (level, slot) = self.next_bucket()?;
-            let si = level * SLOTS + slot;
-            let head = self.slots[si].head;
-            let rest = self.arena[head as usize].next;
-            if level == 0 {
-                // Leaf bucket: single timestamp, FIFO chain = seq order.
-                self.slots[si].head = rest;
-                if rest == NIL {
-                    self.slots[si].tail = NIL;
-                    self.clear_bit(0, slot);
-                }
-                return Some(self.retire(head));
-            }
-            if rest == NIL {
-                // Sole event in the earliest coarse bucket — and all
-                // finer levels are empty, so it is the global minimum:
-                // pop it directly, no refile.
-                self.slots[si] = EMPTY_SLOT;
-                self.clear_bit(level, slot);
-                return Some(self.retire(head));
-            }
-            // Multi-event coarse bucket: every pending event earlier
-            // than this bucket's window end lives here, so its minimum
-            // is the global minimum. Jump the cursor straight to it and
-            // relink the chain; the minimum lands in a leaf bucket with
-            // ties behind it in chain (= insertion) order.
-            let mut min = u64::MAX;
-            let mut i = head;
-            while i != NIL {
-                let node = &self.arena[i as usize];
-                min = min.min(node.time.as_nanos());
-                i = node.next;
-            }
-            self.cursor = min;
-            self.slots[si] = EMPTY_SLOT;
-            self.clear_bit(level, slot);
-            let mut i = head;
-            while i != NIL {
-                let node = &mut self.arena[i as usize];
-                let next = node.next;
-                node.next = NIL;
-                let t = node.time.as_nanos();
-                self.link(i, t);
-                i = next;
-            }
-        }
-    }
-
-    /// Returns the timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let (level, slot) = self.next_bucket()?;
-        let head = self.slots[level * SLOTS + slot].head;
-        if level == 0 {
-            // Leaf buckets hold a single timestamp.
-            return Some(self.arena[head as usize].time);
-        }
-        let mut min = SimTime::MAX;
-        let mut i = head;
-        while i != NIL {
-            let node = &self.arena[i as usize];
-            min = min.min(node.time);
-            i = node.next;
-        }
-        Some(min)
+        let Entry { time, payload, .. } = self.heap.pop()?;
+        self.last_popped = time;
+        Some((time, payload))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Timestamp of the most recently popped event (the current sim time
-    /// from the queue's perspective).
-    pub fn now(&self) -> SimTime {
-        self.last_popped
+        self.heap.is_empty()
     }
 }
 
@@ -339,46 +151,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(7), "x");
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn peek_sees_coarse_bucket_minimum() {
-        // Two events far from the cursor land in one coarse bucket; peek
-        // must report the earlier one without disturbing the wheel.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos((1 << 30) + 500), "late");
-        q.schedule(SimTime::from_nanos((1 << 30) + 2), "early");
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos((1 << 30) + 2)));
-        let (t, e) = q.pop().unwrap();
-        assert_eq!((t.as_nanos(), e), ((1 << 30) + 2, "early"));
-    }
-
-    #[test]
-    fn now_tracks_last_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(9), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_nanos(9));
-    }
-
-    #[test]
     fn empty_queue_pops_none() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
         assert!(q.is_empty());
     }
 
     #[test]
     fn far_horizon_times_order_correctly() {
-        // Times spanning every wheel level, including the top bits.
+        // Times across the whole `u64` range, including the top bits.
         let mut q = EventQueue::new();
         let times = [
             u64::MAX,
@@ -400,7 +181,10 @@ mod tests {
 
     #[test]
     fn freed_nodes_are_reused() {
-        let mut q = EventQueue::new();
+        // A closed loop of 8 events: popped entries give their storage
+        // back, so the queue never grows past what it reserved up front.
+        let mut q = EventQueue::with_capacity(8);
+        let reserved = q.heap.capacity();
         for round in 0..100u64 {
             for i in 0..8u64 {
                 q.schedule(SimTime::from_nanos(round * 1000 + i), i);
@@ -409,8 +193,7 @@ mod tests {
                 q.pop().unwrap();
             }
         }
-        // 8 live at a time: the arena must not have grown past the peak.
-        assert!(q.arena.len() <= 8, "arena grew to {}", q.arena.len());
+        assert_eq!(q.heap.capacity(), reserved, "the queue's storage grew");
     }
 
     #[test]

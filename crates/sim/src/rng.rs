@@ -1,10 +1,10 @@
 //! Deterministic pseudo-random number generation.
 //!
 //! The simulator must be bit-for-bit reproducible from a seed, so this
-//! module provides a small, self-contained xoshiro256** generator rather
-//! than threading an external RNG crate through every substrate. (The
-//! workload crate, which needs distributions, uses `rand` on top of its own
-//! generator; substrates only need cheap uniform draws.)
+//! module provides a small, self-contained xoshiro256** generator — the
+//! workspace has no external dependencies. Substrates need only cheap
+//! uniform draws; the workload crate builds its key distributions on top
+//! of the same generator.
 
 /// SplitMix64, used to expand a single `u64` seed into generator state.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -49,14 +49,15 @@ impl SimRng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        let [s0, s1, s2, s3] = &mut self.s;
+        let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = *s1 << 17;
+        *s2 ^= *s0;
+        *s3 ^= *s1;
+        *s1 ^= *s2;
+        *s0 ^= *s3;
+        *s2 ^= t;
+        *s3 = s3.rotate_left(45);
         result
     }
 

@@ -633,8 +633,8 @@ impl Ssd {
         // entries, so each physical unit is read once per batch and
         // served from the device read buffer afterwards.
         // BTreeMap, not HashMap: the cache never iterates today, but the
-        // deterministic-sim rule (A2) bans hash-ordered containers in
-        // result-affecting paths outright so a future iteration cannot
+        // determinism bans (`clippy.toml`) rule hash-ordered containers
+        // out of result-affecting crates so a future iteration cannot
         // silently introduce run-to-run divergence.
         let mut read_cache: std::collections::BTreeMap<Lpn, Option<UnitPayload>> =
             std::collections::BTreeMap::new();

@@ -50,6 +50,9 @@
 // Recovery crate: panics are forbidden outside tests (checkin-analyze A1
 // enforces the recovery paths lexically; clippy enforces the whole crate).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Deterministic crate: no hash-ordered containers, wall clocks or
+// `thread_local!` outside tests (the bans are listed in `clippy.toml`).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_macros))]
 
 mod command;
 mod device;

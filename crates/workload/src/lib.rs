@@ -31,6 +31,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Deterministic crate: no hash-ordered containers, wall clocks or
+// `thread_local!` outside tests (the bans are listed in `clippy.toml`).
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_macros))]
 
 mod dist;
 mod record;

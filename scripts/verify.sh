@@ -70,12 +70,12 @@ for layer in engine journal queue isce ftl flash; do
 done
 
 echo "== checkin-analyze (--format json)"
-# Static invariant checker (DESIGN.md §11, §15), rules A1, A2, A4, A6:
+# Static invariant checker (DESIGN.md §11, §15), rules A1, A4, A6:
 # no panic paths (A1) or dropped Results (A6) in the cross-crate
-# recovery cone, no nondeterminism or thread_local! in sim crates (A2),
-# no truncating address casts (A4). Counter conservation and Send-ness
-# (the retired A3/A5/A7/A8) are the compiler's and the doctests' job
-# now. Scopes and snippet-anchored exceptions live in analyze.toml. The JSON report is the machine contract: the gate
+# recovery cone and the timed flash operations, no truncating address
+# casts (A4). Counter conservation and Send-ness (the retired
+# A3/A5/A7/A8) are the compiler's and the doctests' job now, and
+# determinism (the retired A2) is clippy's, below. Scopes and snippet-anchored exceptions live in analyze.toml. The JSON report is the machine contract: the gate
 # fails on any finding or stale allowlist entry, and the per-rule
 # timings land on stderr either way.
 cargo run --release -q -p checkin-analyze -- --format json > target/analyze.json
@@ -88,6 +88,9 @@ echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "== cargo clippy"
+# Besides the default lints: the recovery crates' unwrap/expect bans and
+# the deterministic crates' determinism bans (`clippy.toml`: no HashMap,
+# HashSet, Instant, SystemTime or thread_local! outside tests).
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "verify: OK"
