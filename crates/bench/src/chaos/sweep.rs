@@ -39,7 +39,7 @@ pub struct Sweep {
     pub total: Verdict,
     /// One line per failed gate; empty on PASS.
     pub failures: Vec<String>,
-    /// Rows that failed as their [`known_defect`] pin records.
+    /// Rows that failed as their `known_defect` pin records.
     pub expected_failures: u64,
     /// Phase each aimed power cut landed in.
     cut_phases: Vec<OpPhase>,

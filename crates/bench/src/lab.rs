@@ -299,7 +299,7 @@ fn host_section() -> Vec<Row> {
     let mut rows = Vec::new();
 
     section("host: L2P mapping table (dense Vec)");
-    let mut table = MappingTable::with_capacity(L2P_ENTRIES as usize);
+    let mut table = MappingTable::with_capacity(L2P_ENTRIES);
     for i in 0..L2P_ENTRIES {
         table.map(Lpn(i), Location::Flash(Pun(i)));
     }

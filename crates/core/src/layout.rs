@@ -95,7 +95,7 @@ impl Layout {
     /// # Panics
     ///
     /// Panics in debug builds when `zone >= JOURNAL_ZONES`. Like
-    /// [`StoreLayout::home_lba`], the bound is an internal invariant
+    /// [`Layout::home_lba`], the bound is an internal invariant
     /// (zones rotate modulo `JOURNAL_ZONES`), so release builds — and in
     /// particular the recovery path — must not panic over it.
     pub fn journal_base(&self, zone: u32) -> u64 {

@@ -152,7 +152,7 @@ pub struct KvSystem {
 }
 
 // The shard fleet will move this across threads: a field that is not
-// `Send` (an `Rc`, say) is a build error here, not an analyzer finding.
+// `Send` (an `Rc`, say) is a build error here.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<KvSystem>();

@@ -70,12 +70,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     )
 }
 
-/// An erased paper-default array requests 101 856 B: 3 072 block headers
-/// (96 KiB), the die and channel queues, the bad-block flags. The
-/// device-sized page store this replaced asked for ~73 MiB.
+/// An erased paper-default array requests 255 552 B: 3 072 block headers
+/// of 80 B (an erase count and three empty arenas; 240 KiB), the die and
+/// channel queues, the bad-block flags. The device-sized page store this
+/// replaced asked for ~73 MiB.
 const FLASH_NEW_BYTES_BOUND: u64 = 256 * 1024;
 
-/// Twice the 48 calls `KvSystem::new` makes on the default config (a
+/// Twice the 46 calls `KvSystem::new` makes on the default config (a
 /// per-page state vector per block alone used to put it above 3 072).
 /// The L2P forward-array reservation is one of them, whatever its size.
 const SYSTEM_NEW_CALLS_BOUND: u64 = 96;

@@ -7,7 +7,7 @@ use checkin_sim::{Counter, CounterSet, Resource, SimTime, TraceEvent, TraceLayer
 use crate::content::PageContent;
 use crate::error::FlashError;
 use crate::fault::{FaultOp, FaultPlan, TickOutcome};
-use crate::geometry::{BlockId, FlashGeometry, Ppn};
+use crate::geometry::{table_index, BlockId, FlashGeometry, Ppn};
 use crate::phase::OpPhase;
 use crate::store::{BlockStore, PageView, StoredField};
 use crate::timing::FlashTiming;
@@ -72,7 +72,7 @@ pub struct FlashArray {
 }
 
 // The shard fleet will move this across threads: a field that is not
-// `Send` (an `Rc`, say) is a build error here, not an analyzer finding.
+// `Send` (an `Rc`, say) is a build error here.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<FlashArray>();
@@ -85,13 +85,18 @@ impl FlashArray {
     ///
     /// Panics if `geometry` fails validation.
     pub fn new(geometry: FlashGeometry, timing: FlashTiming) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "the documented `# Panics` contract of an infallible constructor: a geometry with a zero dimension is a caller bug, met before any device state exists"
+        )]
         geometry
             .validate()
             .unwrap_or_else(|e| panic!("invalid flash geometry: {e}"));
+        let total_blocks = table_index(geometry.total_blocks());
         FlashArray {
             geometry,
             timing,
-            blocks: vec![BlockState::default(); geometry.total_blocks() as usize],
+            blocks: vec![BlockState::default(); total_blocks],
             dies: (0..geometry.total_dies())
                 .map(|_| Resource::new("die"))
                 .collect(),
@@ -106,7 +111,7 @@ impl FlashArray {
             op_phase: OpPhase::Run,
             tracer: Tracer::disabled(),
             powered_off: false,
-            bad_blocks: vec![false; geometry.total_blocks() as usize],
+            bad_blocks: vec![false; total_blocks],
         }
     }
 
@@ -195,16 +200,13 @@ impl FlashArray {
     /// uses the write cursors to reconstruct block occupancy after a cut.
     pub fn write_cursor(&self, block: BlockId) -> u32 {
         self.blocks
-            .get(block.0 as usize)
-            .map_or(0, |b| b.store.cursor() as u32)
+            .get(block.index())
+            .map_or(0, |b| u32::try_from(b.store.cursor()).unwrap_or(u32::MAX))
     }
 
     /// True when `block` has a grown permanent defect.
     pub fn is_bad_block(&self, block: BlockId) -> bool {
-        self.bad_blocks
-            .get(block.0 as usize)
-            .copied()
-            .unwrap_or(false)
+        self.bad_blocks.get(block.index()).copied().unwrap_or(false)
     }
 
     /// Runs the shared failure checks for one operation attempt: power
@@ -262,7 +264,7 @@ impl FlashArray {
                 let Some(b) = block else {
                     return Ok(());
                 };
-                if let Some(slot) = self.bad_blocks.get_mut(b.0 as usize) {
+                if let Some(slot) = self.bad_blocks.get_mut(b.index()) {
                     *slot = true;
                 }
                 self.counters.incr(Counter::FlashGrownBadBlocks);
@@ -296,7 +298,7 @@ impl FlashArray {
             if units_len == 0 {
                 return;
             }
-            let start_u = self.fault_draw(units_len as u64) as usize;
+            let start_u = table_index(self.fault_draw(units_len as u64));
             let Some(store) = self.blocks.get_mut(block).map(|b| &mut b.store) else {
                 return;
             };
@@ -310,7 +312,7 @@ impl FlashArray {
             if oob_len == 0 {
                 return;
             }
-            let i = self.fault_draw(oob_len as u64) as usize;
+            let i = table_index(self.fault_draw(oob_len as u64));
             if self
                 .blocks
                 .get_mut(block)
@@ -339,7 +341,7 @@ impl FlashArray {
 
     fn die_and_channel(&mut self, ppn: Ppn) -> (usize, usize) {
         let block = self.geometry.block_of(ppn);
-        let die = self.geometry.die_of_block(block) as usize;
+        let die = table_index(self.geometry.die_of_block(block));
         let channel = self.geometry.block_position(block).channel as usize;
         (die, channel)
     }
@@ -382,7 +384,7 @@ impl FlashArray {
 
     /// `(block, page-in-block)` indices of `ppn` into `blocks[..].store`.
     fn locate(&self, ppn: Ppn) -> (usize, usize) {
-        let block = self.geometry.block_of(ppn).0 as usize;
+        let block = self.geometry.block_of(ppn).index();
         (block, self.geometry.page_in_block(ppn) as usize)
     }
 
@@ -527,7 +529,7 @@ impl FlashArray {
         let intact = self.fault_draw(units + 1);
         if intact < units {
             let mask = 1u64 << self.fault_draw(48);
-            self.damage_landed_page(block, intact as usize, mask);
+            self.damage_landed_page(block, table_index(intact), mask);
         }
         self.counters.incr(Counter::FlashTornWrites);
         let phase = self.op_phase;
@@ -545,7 +547,7 @@ impl FlashArray {
         let pages_per_block = self.geometry.pages_per_block as usize;
         let state = self
             .blocks
-            .get_mut(block.0 as usize)
+            .get_mut(block.index())
             .ok_or(FlashError::BlockOutOfRange(block))?;
         state
             .store
@@ -557,7 +559,7 @@ impl FlashArray {
     /// every OOB record of the page `block` programmed last, without
     /// resealing: what a misdirected or torn program leaves behind.
     fn damage_landed_page(&mut self, block: BlockId, first_unit: usize, mask: u64) {
-        let Some(store) = self.blocks.get_mut(block.0 as usize).map(|b| &mut b.store) else {
+        let Some(store) = self.blocks.get_mut(block.index()).map(|b| &mut b.store) else {
             return;
         };
         let Some(page) = store.cursor().checked_sub(1) else {
@@ -595,11 +597,10 @@ impl FlashArray {
         // As in `program`, fail before mutating: a cut or injected erase
         // failure must leave the block's pages and counters untouched.
         self.fault_gate(FaultOp::Erase, None, Some(block))?;
-        let die = self.geometry.die_of_block(block) as usize;
-        let (Some(state), Some(die_queue)) = (
-            self.blocks.get_mut(block.0 as usize),
-            self.dies.get_mut(die),
-        ) else {
+        let die = table_index(self.geometry.die_of_block(block));
+        let (Some(state), Some(die_queue)) =
+            (self.blocks.get_mut(block.index()), self.dies.get_mut(die))
+        else {
             return Err(FlashError::BlockOutOfRange(block));
         };
         state.erase_count += 1;
@@ -667,7 +668,7 @@ impl FlashArray {
     /// Erase count of one block.
     pub fn erase_count(&self, block: BlockId) -> u64 {
         self.blocks
-            .get(block.0 as usize)
+            .get(block.index())
             .map(|b| b.erase_count)
             .unwrap_or(0)
     }
@@ -689,8 +690,8 @@ impl FlashArray {
     pub fn mean_erase_count(&self) -> f64 {
         let mut erases = 0u64;
         let mut in_service = 0u64;
-        for (i, b) in self.blocks.iter().enumerate() {
-            if !self.bad_blocks[i] {
+        for (b, &bad) in self.blocks.iter().zip(&self.bad_blocks) {
+            if !bad {
                 erases += b.erase_count;
                 in_service += 1;
             }

@@ -79,7 +79,8 @@ impl FragVec {
     /// The fragments as a slice.
     pub fn as_slice(&self) -> &[Fragment] {
         match &self.repr {
-            FragRepr::Inline { len, frags } => &frags[..*len as usize],
+            // As in `as_mut_slice`: a corrupt length reads as empty.
+            FragRepr::Inline { len, frags } => frags.get(..*len as usize).unwrap_or(&[]),
             FragRepr::Spilled(v) => v,
         }
     }
@@ -172,9 +173,9 @@ impl Iterator for FragVecIter {
         match &mut self.inner {
             FragVecIterRepr::Inline { idx, len, frags } => {
                 if idx < len {
-                    let f = frags[*idx as usize];
+                    let f = frags.get(usize::from(*idx)).copied();
                     *idx += 1;
-                    Some(f)
+                    f
                 } else {
                     None
                 }

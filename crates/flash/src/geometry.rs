@@ -9,6 +9,14 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ppn(pub u64);
 
+impl Ppn {
+    /// The page number as a table index for `slice::get`: an id the host's
+    /// `usize` cannot hold is `usize::MAX`, which no table contains.
+    pub fn index(self) -> usize {
+        table_index(self.0)
+    }
+}
+
 impl fmt::Display for Ppn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ppn:{}", self.0)
@@ -19,10 +27,34 @@ impl fmt::Display for Ppn {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockId(pub u64);
 
+impl BlockId {
+    /// The block id as a table index for `slice::get`: an id the host's
+    /// `usize` cannot hold is `usize::MAX`, which no table contains.
+    pub fn index(self) -> usize {
+        table_index(self.0)
+    }
+}
+
 impl fmt::Display for BlockId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "blk:{}", self.0)
     }
+}
+
+/// A 64-bit address or count as an index for `slice::get`: a value the
+/// host's `usize` cannot hold becomes `usize::MAX`, which no table
+/// contains, so it reads as "absent" — never as slot `value mod 2^32`.
+pub(crate) fn table_index(value: u64) -> usize {
+    usize::try_from(value).unwrap_or(usize::MAX)
+}
+
+/// `value mod modulus`, which fits the modulus' type.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a remainder is smaller than its modulus, and the modulus is a u32"
+)]
+fn rem_u32(value: u64, modulus: u32) -> u32 {
+    (value % u64::from(modulus)) as u32
 }
 
 /// Structural (channel/die/plane/block/page) form of a physical address.
@@ -159,15 +191,19 @@ impl FlashGeometry {
     /// Maps a block id to its structural position. Blocks are striped:
     /// consecutive ids land on consecutive channels, then dies, then
     /// planes, then advance within the plane.
+    ///
+    /// An id at or past [`FlashGeometry::total_blocks`] has no position:
+    /// debug builds panic, release builds saturate its `block` field at
+    /// `u32::MAX` rather than wrap it onto a block that exists.
     pub fn block_position(&self, block: BlockId) -> Ppa {
         let b = block.0;
         debug_assert!(b < self.total_blocks(), "block id out of range: {block}");
-        let channel = (b % self.channels as u64) as u32;
+        let channel = rem_u32(b, self.channels);
         let rest = b / self.channels as u64;
-        let die = (rest % self.dies_per_channel as u64) as u32;
+        let die = rem_u32(rest, self.dies_per_channel);
         let rest = rest / self.dies_per_channel as u64;
-        let plane = (rest % self.planes_per_die as u64) as u32;
-        let block_in_plane = (rest / self.planes_per_die as u64) as u32;
+        let plane = rem_u32(rest, self.planes_per_die);
+        let block_in_plane = u32::try_from(rest / self.planes_per_die as u64).unwrap_or(u32::MAX);
         Ppa {
             channel,
             die,
@@ -206,7 +242,7 @@ impl FlashGeometry {
 
     /// Page offset of `ppn` within its block.
     pub fn page_in_block(&self, ppn: Ppn) -> u32 {
-        (ppn.0 % self.pages_per_block as u64) as u32
+        rem_u32(ppn.0, self.pages_per_block)
     }
 
     /// Structural address of a PPN.

@@ -12,9 +12,10 @@
 //! bytewise through a literal 256-entry table: checksum sealing rides
 //! every flash program and verification rides every read, so the table
 //! form matters (~8x over the bit-at-a-time loop on the query hot loop).
-//! This file is recovery-critical (analyzer rule A1), so lookups go
-//! through `get` + `unwrap_or` — no indexing, no `unwrap`, and no panic
-//! path at all. A single-bit flip anywhere in an encoded record is
+//! Every recovery and scrub path leans on this file, and the crate
+//! denies `clippy::indexing_slicing`, so lookups go through `get` +
+//! `unwrap_or` — no indexing, no `unwrap`, and no panic path at all. A
+//! single-bit flip anywhere in an encoded record is
 //! always detected — CRCs catch every 1-bit error by construction — and
 //! the property suite in `tests/prop_flash.rs` pins that end to end.
 
@@ -69,7 +70,7 @@ const CRC_TABLE: [u32; 256] = [
 
 /// One table step. The mask keeps the index in `0..256`, so the `get`
 /// always hits; `unwrap_or` (rather than indexing or `unwrap`) keeps the
-/// A1 no-panic guarantee visible in the code itself.
+/// no-panic guarantee visible in the code itself.
 #[inline(always)]
 fn crc_step(crc: u32, byte: u8) -> u32 {
     let idx = ((crc ^ u32::from(byte)) & 0xFF) as usize;
@@ -164,7 +165,7 @@ pub(crate) fn oob_kind_from_code(code: u8) -> OobKind {
 /// Appends the canonical encoding of a unit payload to `out`: fragment
 /// count, then `(key, version, bytes)` per fragment, all little-endian.
 pub fn encode_unit_into(unit: &UnitPayload, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(unit.fragments.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fragment_count(unit).to_le_bytes());
     for f in unit.fragments.iter() {
         out.extend_from_slice(&f.key.to_le_bytes());
         out.extend_from_slice(&f.version.to_le_bytes());
@@ -183,7 +184,15 @@ pub fn encode_oob_into(entry: &OobEntry, out: &mut Vec<u8>) {
 /// Checksum of a unit payload — streams the canonical encoding through
 /// the CRC without allocating (the program/read hot path).
 pub fn unit_checksum(unit: &UnitPayload) -> u32 {
-    fragments_checksum(unit.fragments.len() as u32, unit.fragments.iter().copied())
+    fragments_checksum(fragment_count(unit), unit.fragments.iter().copied())
+}
+
+/// The fragment count as encoded and stored (a `u32`). A merged unit
+/// holds a handful of fragments; the page store refuses a count past
+/// `u32::MAX` before anything is sealed, so the saturation never decides
+/// a checksum.
+fn fragment_count(unit: &UnitPayload) -> u32 {
+    u32::try_from(unit.fragments.len()).unwrap_or(u32::MAX)
 }
 
 /// [`unit_checksum`] over a fragment count and the fragments themselves:

@@ -36,6 +36,32 @@
 // Deterministic crate: no hash-ordered containers, wall clocks or
 // `thread_local!` outside tests (the bans are listed in `clippy.toml`).
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_macros))]
+// The panic / discard / cast wall (DESIGN.md §11): nothing in this crate
+// may panic, drop a `Result` or truncate an integer outside tests. The
+// block is the same in flash, ftl and ssd; a site whose bound is
+// established in the same function carries
+// `#[expect(clippy::<lint>, reason = "<the bound>")]`, which clippy
+// reports once it stops being needed.
+#![cfg_attr(
+    not(test),
+    deny(
+        // No panic path.
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::panic_in_result_fn,
+        // No discarded `Result` (the `fallible();` statement form is
+        // rustc's `unused_must_use`, already an error under -D warnings).
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        // No silently truncating cast.
+        clippy::cast_possible_truncation,
+    )
+)]
 
 mod array;
 mod content;

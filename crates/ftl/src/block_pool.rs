@@ -28,15 +28,23 @@ enum BlockKind {
     Retired,
 }
 
+/// What the pool knows about one block.
+#[derive(Debug, Clone, Copy)]
+struct BlockSlot {
+    kind: BlockKind,
+    /// Units of the block the mapping table still references.
+    valid_units: u32,
+    /// Monotone close rank (lower closed earlier); feeds windowed-greedy
+    /// victim selection.
+    close_seq: u64,
+}
+
 #[derive(Debug)]
 pub(crate) struct BlockPool {
     pages_per_block: u32,
     free_blocks: VecDeque<BlockId>,
-    block_kind: Vec<BlockKind>,
-    valid_units: Vec<u32>,
-    /// Monotone close rank per block (lower closed earlier); feeds
-    /// windowed-greedy victim selection.
-    block_close_seq: Vec<u64>,
+    /// Indexed by block id, through [`BlockPool::slot`] only.
+    blocks: Vec<BlockSlot>,
     close_counter: u64,
     /// Per-write-point current block and next page cursor.
     actives: Vec<Option<(BlockId, u32)>>,
@@ -45,16 +53,38 @@ pub(crate) struct BlockPool {
 
 impl BlockPool {
     pub(crate) fn new(g: &FlashGeometry, write_points: u32) -> Self {
-        let total = g.total_blocks();
+        let ids = (0..g.total_blocks()).map(BlockId);
+        let erased = BlockSlot {
+            kind: BlockKind::Free,
+            valid_units: 0,
+            close_seq: 0,
+        };
         BlockPool {
             pages_per_block: g.pages_per_block,
-            free_blocks: (0..total).map(BlockId).collect(),
-            block_kind: vec![BlockKind::Free; total as usize],
-            valid_units: vec![0; total as usize],
-            block_close_seq: vec![0; total as usize],
+            free_blocks: ids.clone().collect(),
+            blocks: ids.map(|_| erased).collect(),
             close_counter: 0,
             actives: vec![None; write_points as usize],
             next_wp: 0,
+        }
+    }
+
+    fn slot(&self, block: BlockId) -> Option<&BlockSlot> {
+        self.blocks.get(block.index())
+    }
+
+    /// The slot an update goes to. A block id the device does not have is
+    /// a caller bug: loud in debug builds, and nothing to update in
+    /// release ones.
+    fn slot_mut(&mut self, block: BlockId) -> Option<&mut BlockSlot> {
+        let slot = self.blocks.get_mut(block.index());
+        debug_assert!(slot.is_some(), "{block} is not a block of this device");
+        slot
+    }
+
+    fn set_kind(&mut self, block: BlockId, kind: BlockKind) {
+        if let Some(slot) = self.slot_mut(block) {
+            slot.kind = kind;
         }
     }
 
@@ -64,23 +94,27 @@ impl BlockPool {
 
     /// True for a fully programmed, in-service block.
     pub(crate) fn is_closed(&self, block: BlockId) -> bool {
-        self.block_kind.get(block.0 as usize) == Some(&BlockKind::Closed)
+        self.slot(block)
+            .is_some_and(|s| s.kind == BlockKind::Closed)
     }
 
     pub(crate) fn valid_units(&self, block: BlockId) -> u32 {
-        self.valid_units[block.0 as usize]
+        self.slot(block).map_or(0, |s| s.valid_units)
     }
 
     /// One more unit of `block` is referenced by the mapping table.
     pub(crate) fn add_valid(&mut self, block: BlockId) {
-        self.valid_units[block.0 as usize] += 1;
+        if let Some(slot) = self.slot_mut(block) {
+            slot.valid_units += 1;
+        }
     }
 
     /// One unit of `block` lost its last reference (or was relocated).
     pub(crate) fn sub_valid(&mut self, block: BlockId) {
-        let v = &mut self.valid_units[block.0 as usize];
-        debug_assert!(*v > 0, "valid count underflow on {block}");
-        *v = v.saturating_sub(1);
+        if let Some(slot) = self.slot_mut(block) {
+            debug_assert!(slot.valid_units > 0, "valid count underflow on {block}");
+            slot.valid_units = slot.valid_units.saturating_sub(1);
+        }
     }
 
     /// The write point the next page-out goes to (round-robin).
@@ -93,34 +127,42 @@ impl BlockPool {
     /// Next page of the block `wp` is filling, closing the block when
     /// that was its last page. `None` when `wp` has no block open.
     pub(crate) fn take_page(&mut self, wp: usize) -> Option<(BlockId, u32)> {
-        let (block, page) = self.actives[wp]?;
-        self.actives[wp] = if page + 1 < self.pages_per_block {
-            Some((block, page + 1))
+        let active = self.actives.get_mut(wp)?;
+        let (block, page) = (*active)?;
+        if page + 1 < self.pages_per_block {
+            *active = Some((block, page + 1));
         } else {
-            self.block_kind[block.0 as usize] = BlockKind::Closed;
+            *active = None;
             self.close_counter += 1;
-            self.block_close_seq[block.0 as usize] = self.close_counter;
-            None
-        };
+            let close_seq = self.close_counter;
+            if let Some(slot) = self.slot_mut(block) {
+                slot.kind = BlockKind::Closed;
+                slot.close_seq = close_seq;
+            }
+        }
         Some((block, page))
     }
 
     /// Opens a fresh block on `wp` — which must have none open — and
     /// returns its first page. `None` when the free pool is empty.
     pub(crate) fn open_block(&mut self, wp: usize) -> Option<(BlockId, u32)> {
-        debug_assert!(self.actives[wp].is_none(), "write point {wp} already open");
-        let block = self.free_blocks.pop_front()?;
-        self.block_kind[block.0 as usize] = BlockKind::Active;
-        self.actives[wp] = Some((block, 0));
+        debug_assert!(
+            matches!(self.actives.get(wp), Some(None)),
+            "write point {wp} already open"
+        );
+        let block = *self.free_blocks.front()?;
+        *self.actives.get_mut(wp)? = Some((block, 0));
+        self.free_blocks.pop_front();
+        self.set_kind(block, BlockKind::Active);
         self.take_page(wp)
     }
 
-    fn closed_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.block_kind
-            .iter()
-            .enumerate()
-            .filter(|&(_, &k)| k == BlockKind::Closed)
-            .map(|(i, _)| BlockId(i as u64))
+    fn blocks(&self) -> impl Iterator<Item = (BlockId, &BlockSlot)> + '_ {
+        (0..).map(BlockId).zip(&self.blocks)
+    }
+
+    fn closed_blocks(&self) -> impl Iterator<Item = (BlockId, &BlockSlot)> + '_ {
+        self.blocks().filter(|(_, s)| s.kind == BlockKind::Closed)
     }
 
     /// The GC victim under `policy`: every closed block that would yield
@@ -133,19 +175,21 @@ impl BlockPool {
     ) -> Option<BlockId> {
         let candidates = self
             .closed_blocks()
-            .filter(|b| self.valid_units[b.0 as usize] < capacity)
-            .map(|b| VictimCandidate {
-                block: b,
-                valid_units: self.valid_units[b.0 as usize],
-                erase_count: flash.erase_count(b),
-                closed_rank: self.block_close_seq[b.0 as usize],
+            .filter(|(_, s)| s.valid_units < capacity)
+            .map(|(block, s)| VictimCandidate {
+                block,
+                valid_units: s.valid_units,
+                erase_count: flash.erase_count(block),
+                closed_rank: s.close_seq,
             });
         policy.select(candidates)
     }
 
     /// The least-erased closed block (the static wear-leveling victim).
     pub(crate) fn coldest_closed(&self, flash: &FlashArray) -> Option<BlockId> {
-        self.closed_blocks().min_by_key(|b| flash.erase_count(*b))
+        self.closed_blocks()
+            .map(|(block, _)| block)
+            .min_by_key(|b| flash.erase_count(*b))
     }
 
     /// Spread between the most-erased **in-service** block and the coldest
@@ -157,13 +201,13 @@ impl BlockPool {
     pub(crate) fn wear_delta(&self, flash: &FlashArray) -> u64 {
         let mut max: Option<u64> = None;
         let mut min_closed: Option<u64> = None;
-        for (b, &kind) in self.block_kind.iter().enumerate() {
-            if kind == BlockKind::Retired {
+        for (block, slot) in self.blocks() {
+            if slot.kind == BlockKind::Retired {
                 continue;
             }
-            let erases = flash.erase_count(BlockId(b as u64));
+            let erases = flash.erase_count(block);
             max = Some(max.map_or(erases, |m| m.max(erases)));
-            if kind == BlockKind::Closed {
+            if slot.kind == BlockKind::Closed {
                 min_closed = Some(min_closed.map_or(erases, |m| m.min(erases)));
             }
         }
@@ -175,13 +219,13 @@ impl BlockPool {
 
     /// Returns an erased block to the tail of the free pool.
     pub(crate) fn recycle(&mut self, block: BlockId) {
-        self.block_kind[block.0 as usize] = BlockKind::Free;
+        self.set_kind(block, BlockKind::Free);
         self.free_blocks.push_back(block);
     }
 
     /// Takes an open or closed block out of service for good.
     pub(crate) fn retire(&mut self, block: BlockId) {
-        self.block_kind[block.0 as usize] = BlockKind::Retired;
+        self.set_kind(block, BlockKind::Retired);
         for a in &mut self.actives {
             if a.is_some_and(|(b, _)| b == block) {
                 *a = None;
@@ -202,28 +246,28 @@ impl BlockPool {
         table: &MappingTable,
         upp: u32,
     ) -> Result<(), RecoveryError> {
-        let g = flash.geometry();
-        self.valid_units = count_valid_units(table, g, upp).ok_or(RecoveryError::Inconsistent(
-            "recovered mapping references an out-of-range block",
-        ))?;
+        let valid = self.count_valid_units(table, flash.geometry(), upp).ok_or(
+            RecoveryError::Inconsistent("recovered mapping references an out-of-range block"),
+        )?;
         self.free_blocks.clear();
-        self.block_kind.clear();
-        self.block_close_seq.clear();
         self.close_counter = 0;
-        for id in (0..g.total_blocks()).map(BlockId) {
-            let mut rank = 0;
+        for ((id, slot), valid_units) in (0..).map(BlockId).zip(&mut self.blocks).zip(valid) {
+            let mut close_seq = 0;
             let kind = if flash.is_bad_block(id) {
                 BlockKind::Retired
             } else if flash.write_cursor(id) > 0 {
                 self.close_counter += 1;
-                rank = self.close_counter;
+                close_seq = self.close_counter;
                 BlockKind::Closed
             } else {
                 self.free_blocks.push_back(id);
                 BlockKind::Free
             };
-            self.block_kind.push(kind);
-            self.block_close_seq.push(rank);
+            *slot = BlockSlot {
+                kind,
+                valid_units,
+                close_seq,
+            };
         }
         self.actives.fill(None);
         self.next_wp = 0;
@@ -241,43 +285,50 @@ impl BlockPool {
         g: &FlashGeometry,
         upp: u32,
     ) -> Result<(), String> {
-        let expect =
-            count_valid_units(table, g, upp).ok_or("mapping references an out-of-range block")?;
-        for (i, (&kind, &want)) in self.block_kind.iter().zip(&expect).enumerate() {
-            let b = BlockId(i as u64);
+        let expect = self
+            .count_valid_units(table, g, upp)
+            .ok_or("mapping references an out-of-range block")?;
+        for ((b, slot), &want) in self.blocks().zip(&expect) {
+            let BlockSlot {
+                kind, valid_units, ..
+            } = *slot;
             let listed = self.free_blocks.iter().filter(|&&f| f == b).count();
             let owners = self.actives.iter().flatten().filter(|a| a.0 == b).count();
-            let valid = self.valid_units[i];
             let placed = match kind {
-                BlockKind::Free => (listed, owners, valid) == (1, 0, 0),
+                BlockKind::Free => (listed, owners, valid_units) == (1, 0, 0),
                 BlockKind::Active => (listed, owners) == (0, 1),
                 BlockKind::Closed => (listed, owners) == (0, 0),
-                BlockKind::Retired => (listed, owners, valid) == (0, 0, 0),
+                BlockKind::Retired => (listed, owners, valid_units) == (0, 0, 0),
             };
-            if !placed || valid != want {
+            if !placed || valid_units != want {
                 return Err(format!(
                     "{b} is {kind:?}: on the free list {listed}x, filled by {owners} write \
-                     points, valid_units={valid}, table references {want}"
+                     points, valid_units={valid_units}, table references {want}"
                 ));
             }
         }
         Ok(())
     }
-}
 
-/// Per-block count of flash units the table references. A unit aliased
-/// by several lpns counts once (at its first referrer). `None` when a
-/// mapping points past the last block.
-fn count_valid_units(table: &MappingTable, g: &FlashGeometry, upp: u32) -> Option<Vec<u32>> {
-    let mut valid = vec![0u32; g.total_blocks() as usize];
-    for (lpn, loc) in table.iter() {
-        if let Location::Flash(pun) = loc {
-            if table.referrers(loc).first() == Some(&lpn) {
-                *valid.get_mut(g.block_of(pun.page(upp)).0 as usize)? += 1;
+    /// Per-block count of flash units the table references. A unit
+    /// aliased by several lpns counts once (at its first referrer). `None`
+    /// when a mapping points past the last block.
+    fn count_valid_units(
+        &self,
+        table: &MappingTable,
+        g: &FlashGeometry,
+        upp: u32,
+    ) -> Option<Vec<u32>> {
+        let mut valid = vec![0u32; self.blocks.len()];
+        for (lpn, loc) in table.iter() {
+            if let Location::Flash(pun) = loc {
+                if table.referrers(loc).first() == Some(&lpn) {
+                    *valid.get_mut(g.block_of(pun.page(upp)).index())? += 1;
+                }
             }
         }
+        Some(valid)
     }
-    Some(valid)
 }
 
 #[cfg(test)]

@@ -120,7 +120,7 @@ impl fmt::Display for FtlError {
 ///
 /// Recovery runs when the system is least able to tolerate a panic, so
 /// every impossible-state branch on that path reports through this type
-/// instead of `unwrap`/`assert` (checked by `checkin-analyze` rule A1).
+/// instead of `unwrap`/`panic!` (the crate denies clippy's panic lints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryError {
     /// Rebuild was requested while the flash array is still powered off;

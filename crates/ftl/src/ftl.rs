@@ -106,7 +106,7 @@ pub struct Ftl {
 }
 
 // The shard fleet will move this across threads: a field that is not
-// `Send` (an `Rc`, say) is a build error here, not an analyzer finding.
+// `Send` (an `Rc`, say) is a build error here.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Ftl>();
@@ -128,7 +128,7 @@ impl Ftl {
             map_cache: MapCacheModel::with_capacity(config.map_cache_entries),
             // Pre-reserve the forward array for the physical unit count:
             // the host LPN space in steady state tracks the device size.
-            table: MappingTable::with_capacity((g.total_pages() * upp as u64) as usize),
+            table: MappingTable::with_capacity(g.total_pages() * upp as u64),
             counters: CounterSet::new(),
             seq: 0,
             in_gc: false,
@@ -554,9 +554,9 @@ impl Ftl {
                 .with("units", units)
         });
 
-        for (offset, &slot) in taken.iter().enumerate() {
+        for (offset, &slot) in (0u32..).zip(&taken) {
             let _ = self.buffer.release(slot);
-            let pun = Pun::compose(ppn, offset as u32, self.upp);
+            let pun = Pun::compose(ppn, offset, self.upp);
             let moved = self
                 .table
                 .relocate(Location::Buffer(slot), Location::Flash(pun));

@@ -73,8 +73,9 @@ impl Ftl {
     /// [`RecoveryError::PoweredOff`] when the array has not been powered
     /// back on ([`checkin_flash::FlashArray::power_on`]) first;
     /// [`RecoveryError::Inconsistent`] when the surviving state
-    /// contradicts itself. Recovery code must never panic (rule A1), so
-    /// even caller mistakes report through the error path.
+    /// contradicts itself. Recovery code must never panic (the crate
+    /// denies clippy's panic lints), so even caller mistakes report
+    /// through the error path.
     pub fn rebuild_after_power_loss(&mut self) -> Result<RebuildStats, RecoveryError> {
         if self.flash.powered_off() {
             return Err(RecoveryError::PoweredOff);
@@ -102,13 +103,13 @@ impl Ftl {
         let mut pre_snap: BTreeMap<u64, Pun> = BTreeMap::new();
         let mut max_seq = snap_seq;
         for (ppn, content) in self.flash.programmed_pages() {
-            for (offset, oob) in content.oobs().enumerate() {
+            for (offset, oob) in (0u32..).zip(content.oobs()) {
                 // A record whose own checksum fails (torn tail, rotted
                 // metadata) names nothing that can be trusted: it must
                 // neither replay nor advance `max_seq` — a flipped
                 // sequence bit could falsely win newest-wins over good
                 // records.
-                if verify && !content.oob_intact(offset) {
+                if verify && !content.oob_intact(offset as usize) {
                     stats.oob_records_rejected += 1;
                     continue;
                 }
@@ -118,10 +119,10 @@ impl Ftl {
                 // an older copy. Newer than the snapshot, it replays as
                 // a loss marker; older, the snapshot speaks for the lpn
                 // (and checks the unit it resolves to).
-                let pun = Pun::compose(ppn, offset as u32, upp);
+                let pun = Pun::compose(ppn, offset, upp);
                 max_seq = max_seq.max(oob.sequence);
                 if oob.sequence > snap_seq {
-                    let unit_intact = !verify || content.unit_intact(offset);
+                    let unit_intact = !verify || content.unit_intact(offset as usize);
                     replay.push((oob.sequence, Lpn(oob.lpn), pun, unit_intact));
                 } else {
                     pre_snap.insert(oob.sequence, pun);
@@ -133,7 +134,7 @@ impl Ftl {
         // The DRAM table did not survive the cut: release it before its
         // replacement is built, so recovery never holds two.
         self.table = MappingTable::new();
-        let mut table = MappingTable::with_capacity((g.total_pages() * upp as u64) as usize);
+        let mut table = MappingTable::with_capacity(g.total_pages() * upp as u64);
         // `None`: nothing is programmed there.
         let unit_verifies = |pun: Pun| {
             let page = self.flash.read(pun.page(upp))?;

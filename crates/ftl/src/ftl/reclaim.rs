@@ -339,7 +339,7 @@ impl Ftl {
     ///
     /// Propagates media failures of the scrub reads themselves (retry
     /// budget exhausted, power loss). Scrubbing is recovery-adjacent
-    /// code: it must never panic (rule A1).
+    /// code: it must never panic (the crate denies clippy's panic lints).
     pub fn scrub_round(
         &mut self,
         at: SimTime,

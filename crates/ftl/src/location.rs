@@ -10,6 +10,14 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lpn(pub u64);
 
+impl Lpn {
+    /// The unit number as a table index for `slice::get`: one the host's
+    /// `usize` cannot hold is `usize::MAX`, which no table contains.
+    pub fn index(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+}
+
 impl fmt::Display for Lpn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "lpn:{}", self.0)
@@ -21,12 +29,22 @@ impl fmt::Display for Lpn {
 pub struct Pun(pub u64);
 
 impl Pun {
+    /// The unit number as a table index for `slice::get`: one the host's
+    /// `usize` cannot hold is `usize::MAX`, which no table contains.
+    pub fn index(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+
     /// The physical page containing this unit.
     pub fn page(self, units_per_page: u32) -> checkin_flash::Ppn {
         checkin_flash::Ppn(self.0 / units_per_page as u64)
     }
 
     /// Index of this unit within its page.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a remainder is smaller than its modulus, and units_per_page is a u32"
+    )]
     pub fn offset(self, units_per_page: u32) -> u32 {
         (self.0 % units_per_page as u64) as u32
     }
@@ -48,6 +66,14 @@ impl fmt::Display for Pun {
 /// DRAM) that has not yet been programmed to flash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BufSlot(pub u64);
+
+impl BufSlot {
+    /// The slot id as a table index for `slice::get`: one the host's
+    /// `usize` cannot hold is `usize::MAX`, which no table contains.
+    pub fn index(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+}
 
 impl fmt::Display for BufSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -60,7 +60,12 @@ impl MapCacheModel {
         let h = self.hit_rate(live_entries);
         let nanos =
             h * self.hit_cost.as_nanos() as f64 + (1.0 - h) * self.miss_cost.as_nanos() as f64;
-        SimDuration::from_nanos(nanos.round() as u64)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "h is in [0, 1], so nanos lies between the two u64 costs it interpolates"
+        )]
+        let nanos = nanos.round() as u64;
+        SimDuration::from_nanos(nanos)
     }
 }
 

@@ -159,7 +159,8 @@ impl MappingTable {
     /// address space costs nothing until it is written, and neither
     /// array is ever regrown — a regrowth copies the whole array and
     /// leaves the old one behind as heap the size of the table.
-    pub fn with_capacity(unit_hint: usize) -> Self {
+    pub fn with_capacity(unit_hint: u64) -> Self {
+        let unit_hint = Pun(unit_hint).index();
         let mut t = Self::default();
         t.forward.reserve(unit_hint);
         t.flash_refs.reserve(unit_hint);
@@ -168,10 +169,7 @@ impl MappingTable {
 
     fn forward_word(&self, lpn: Lpn) -> u64 {
         if lpn.0 < DENSE_LPN_LIMIT {
-            self.forward
-                .get(lpn.0 as usize)
-                .copied()
-                .unwrap_or(UNMAPPED)
+            self.forward.get(lpn.index()).copied().unwrap_or(UNMAPPED)
         } else {
             self.forward_overflow
                 .binary_search_by_key(&lpn.0, |&(l, _)| l)
@@ -184,7 +182,7 @@ impl MappingTable {
     fn forward_set(&mut self, lpn: Lpn, word: u64) {
         debug_assert_ne!(word, UNMAPPED);
         if lpn.0 < DENSE_LPN_LIMIT {
-            let idx = lpn.0 as usize;
+            let idx = lpn.index();
             if idx >= self.forward.len() {
                 self.forward.resize(idx + 1, UNMAPPED);
             }
@@ -208,7 +206,7 @@ impl MappingTable {
 
     fn forward_clear(&mut self, lpn: Lpn) {
         if lpn.0 < DENSE_LPN_LIMIT {
-            if let Some(word) = self.forward.get_mut(lpn.0 as usize) {
+            if let Some(word) = self.forward.get_mut(lpn.index()) {
                 *word = UNMAPPED;
             }
         } else if let Ok(pos) = self
@@ -221,19 +219,23 @@ impl MappingTable {
 
     fn ref_slot(&self, loc: Location) -> Option<&RefSlot> {
         match loc {
-            Location::Flash(pun) => self.flash_refs.get(pun.0 as usize),
-            Location::Buffer(slot) => self.buf_refs.get(slot.0 as usize),
+            Location::Flash(pun) => self.flash_refs.get(pun.index()),
+            Location::Buffer(slot) => self.buf_refs.get(slot.index()),
         }
     }
 
     fn ref_slot_mut(&mut self, loc: Location) -> &mut RefSlot {
         let (vec, idx) = match loc {
-            Location::Flash(pun) => (&mut self.flash_refs, pun.0 as usize),
-            Location::Buffer(slot) => (&mut self.buf_refs, slot.0 as usize),
+            Location::Flash(pun) => (&mut self.flash_refs, pun.index()),
+            Location::Buffer(slot) => (&mut self.buf_refs, slot.index()),
         };
         if idx >= vec.len() {
             vec.resize(idx + 1, RefSlot::Empty);
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the resize above makes idx < vec.len(); an Option here would put an unreachable error arm into every mapping-table caller on the write hot path"
+        )]
         &mut vec[idx]
     }
 

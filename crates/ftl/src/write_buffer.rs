@@ -32,33 +32,41 @@ impl WriteBuffer {
     /// Data held by a slot, or `None` when the slot is empty (a mapping
     /// onto an empty slot is an inconsistency the caller reports).
     pub(crate) fn data(&self, slot: BufSlot) -> Option<&SlotData> {
-        self.slots.get(slot.0 as usize)?.as_ref()
+        self.slots.get(slot.index())?.as_ref()
     }
 
     /// Mutable access to a slot's data: page-out moves the payload into
     /// the staging page and, if the program fails, back.
     pub(crate) fn data_mut(&mut self, slot: BufSlot) -> Option<&mut SlotData> {
-        self.slots.get_mut(slot.0 as usize)?.as_mut()
+        self.slots.get_mut(slot.index())?.as_mut()
     }
 
     /// Stores a unit in a recycled (or new) slot and queues it for
     /// page-out at the tail.
     pub(crate) fn enqueue(&mut self, data: SlotData) -> BufSlot {
-        let id = self.free_slot_ids.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.slots.len() as u64 - 1
-        });
-        debug_assert!(self.slots[id as usize].is_none(), "slot id double use");
-        self.slots[id as usize] = Some(data);
-        self.pending.push_back(BufSlot(id));
-        BufSlot(id)
+        let slot = match self.free_slot_ids.pop() {
+            Some(id) => {
+                let cell = self.slots.get_mut(BufSlot(id).index());
+                debug_assert!(matches!(cell, Some(None)), "slot id double use");
+                if let Some(cell) = cell {
+                    *cell = Some(data);
+                }
+                BufSlot(id)
+            }
+            None => {
+                self.slots.push(Some(data));
+                BufSlot(self.slots.len() as u64 - 1)
+            }
+        };
+        self.pending.push_back(slot);
+        slot
     }
 
     /// Empties a slot that already left the queue and recycles its id.
     /// The caller must ensure no mapping references the slot anymore.
     /// Returns `None` when the slot was already empty.
     pub(crate) fn release(&mut self, slot: BufSlot) -> Option<SlotData> {
-        let data = self.slots.get_mut(slot.0 as usize)?.take()?;
+        let data = self.slots.get_mut(slot.index())?.take()?;
         self.free_slot_ids.push(slot.0);
         Some(data)
     }

@@ -58,7 +58,39 @@
 
 mod event;
 mod resource;
+// Recovery in flash, ftl and ssd runs through these two modules, so they
+// carry the panic and discard parts of those crates' wall (DESIGN.md §11).
+#[cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::panic_in_result_fn,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+    )
+)]
 mod rng;
+#[cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::panic_in_result_fn,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+    )
+)]
 mod stats;
 mod time;
 mod trace;

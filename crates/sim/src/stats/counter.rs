@@ -157,13 +157,13 @@ pub(super) const SLOTS: usize = NAMES.len();
 impl Counter {
     /// The key's name as reports print it.
     pub fn name(self) -> &'static str {
-        NAMES[self as usize]
+        NAMES.get(self as usize).copied().unwrap_or_default()
     }
 }
 
 impl Total {
     /// The key's name as reports print it.
     pub fn name(self) -> &'static str {
-        NAMES[self as usize]
+        NAMES.get(self as usize).copied().unwrap_or_default()
     }
 }

@@ -76,7 +76,12 @@ impl LatencyRecorder {
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, 0);
         }
-        self.buckets[idx] += 1;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the resize above makes idx < buckets.len(), and a sample must never be skipped"
+        )]
+        let bucket = &mut self.buckets[idx];
+        *bucket += 1;
         self.count += 1;
         self.sum_nanos += latency.as_nanos() as u128;
         self.max = self.max.max(latency);

@@ -80,8 +80,8 @@ impl CounterSet {
         }
     }
 
-    /// The one writer of a cell. Scrubbing bumps counters from inside the
-    /// recovery cone (rule A1), hence no panicking index.
+    /// The one writer of a cell. Recovery and scrubbing bump counters, and
+    /// this module denies `clippy::indexing_slicing`: no panicking index.
     #[inline]
     fn credit(&mut self, slot: usize, n: u64) {
         if let (Some(cell), Some(touched)) = (self.cells.get_mut(slot), self.touched.get_mut(slot))
@@ -100,13 +100,13 @@ impl CounterSet {
     /// Current value of `key` (zero if never touched).
     #[inline]
     pub fn get(&self, key: Counter) -> u64 {
-        self.cells[key as usize]
+        self.cells.get(key as usize).copied().unwrap_or(0)
     }
 
     /// Current value of a derived key: the sum of its parts.
     #[inline]
     pub fn total(&self, key: Total) -> u64 {
-        self.cells[key as usize]
+        self.cells.get(key as usize).copied().unwrap_or(0)
     }
 
     /// Iterates `(name, value)` over the touched keys, in name order.
@@ -124,15 +124,13 @@ impl CounterSet {
     /// a bookkeeping bug (counters are monotone).
     pub fn delta_since(&self, earlier: &CounterSet) -> CounterSet {
         let mut out = CounterSet::new();
-        for (slot, (&now, &before)) in self.cells.iter().zip(&earlier.cells).enumerate() {
-            debug_assert!(
-                now >= before,
-                "counter {} decreased: {before} -> {now}",
-                NAMES[slot]
-            );
+        let grown = out.cells.iter_mut().zip(&mut out.touched);
+        let values = self.cells.iter().zip(&earlier.cells);
+        for (((cell, touched), (&now, &before)), name) in grown.zip(values).zip(NAMES) {
+            debug_assert!(now >= before, "counter {name} decreased: {before} -> {now}");
             if now > before {
-                out.cells[slot] = now - before;
-                out.touched[slot] = true;
+                *cell = now - before;
+                *touched = true;
             }
         }
         out

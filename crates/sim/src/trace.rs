@@ -244,7 +244,7 @@ pub struct Tracer {
 
 // Handles are cloned into every layer and, under the sweep runner, across
 // threads: a field that is not `Send + Sync` (an `Rc`, a `RefCell`) is a
-// build error here, not an analyzer finding.
+// build error here.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Tracer>();

@@ -73,7 +73,7 @@ pub struct Ssd {
 }
 
 // The shard fleet will move this across threads: a field that is not
-// `Send` (an `Rc`, say) is a build error here, not an analyzer finding.
+// `Send` (an `Rc`, say) is a build error here.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Ssd>();
@@ -94,7 +94,7 @@ pub struct CpPhaseTimes {
 /// Iterator over `(unit LPN, sectors in unit, covers whole unit)` segments
 /// of a block-interface request; see [`Ssd::unit_segments`].
 struct SegmentIter {
-    unit_sectors: u64,
+    unit_sectors: u32,
     cursor: u64,
     end: u64,
 }
@@ -106,12 +106,17 @@ impl Iterator for SegmentIter {
         if self.cursor >= self.end {
             return None;
         }
-        let unit = self.cursor / self.unit_sectors;
-        let unit_end = (unit + 1) * self.unit_sectors;
+        let unit_sectors = u64::from(self.unit_sectors);
+        let unit = self.cursor / unit_sectors;
+        let unit_end = (unit + 1) * unit_sectors;
         let seg_end = unit_end.min(self.end);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "cursor lies in `unit` and seg_end <= unit_end, so the segment is at most unit_sectors, a u32"
+        )]
         let seg = (seg_end - self.cursor) as u32;
         self.cursor = seg_end;
-        Some((Lpn(unit), seg, seg as u64 == self.unit_sectors))
+        Some((Lpn(unit), seg, seg == self.unit_sectors))
     }
 }
 
@@ -213,7 +218,7 @@ impl Ssd {
     /// `[lba, lba + sectors)` without allocating.
     fn unit_segments(&self, lba: u64, sectors: u32) -> SegmentIter {
         SegmentIter {
-            unit_sectors: self.unit_sectors() as u64,
+            unit_sectors: self.unit_sectors(),
             cursor: lba,
             end: lba + sectors as u64,
         }
