@@ -1,93 +1,46 @@
-//! The lab's wall-clock timing loop and its artifact writer.
+//! `lab`'s rows and its artifact writer.
 //!
-//! Criterion cannot be used here (the build must succeed with no network
-//! and an empty registry cache), so this module provides the small slice
-//! [`crate::lab`] needs: warmup, batched timing with `Instant`,
-//! best-batch reporting to damp scheduler noise, and a hand-rolled JSON
-//! emitter for `BENCH_perf.json`. Every number, timed or simulated, is
-//! one [`Row`]; the artifact is named sections of rows.
+//! Every number `lab` reports — a cell of the GC matrix, an exact
+//! simulated count, a figure cell, a ratio of two of those — is one
+//! [`Row`], and `BENCH_perf.json` is named sections of rows written by a
+//! hand-rolled JSON emitter (the build must succeed with no network and
+//! an empty registry cache). Nothing here reads a clock.
 
 use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::{Duration, Instant};
 
-/// Timing budget of one [`bench()`] measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchOpts {
-    /// Time spent running the closure before measurement starts.
-    pub warmup: Duration,
-    /// Total measured time budget, split across batches.
-    pub measure: Duration,
-    /// Number of batches the budget is split into (best batch wins).
-    pub batches: u32,
-}
-
-impl BenchOpts {
-    /// The one budget the lab runs: 0.3 s per timed row.
-    pub const LAB: BenchOpts = BenchOpts {
-        warmup: Duration::from_millis(50),
-        measure: Duration::from_millis(250),
-        batches: 5,
-    };
-}
-
-/// One reported number: a cell of the GC matrix, an exact simulated
-/// count, a host timing or a ratio of two of those.
+/// One reported number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Stable key in `BENCH_perf.json` (e.g. `gclab/zipfian/greedy/waf`).
     pub name: String,
     /// The value; non-finite values are written as `null`.
     pub value: f64,
-    /// Unit label (`"x"`, `"us"`, `"ns/op"`, ...).
+    /// Unit label (`"x"`, `"us"`, `"%"`, ...).
     pub unit: &'static str,
+    /// What the paper states for this very cell, where it states a
+    /// number; written as a fourth JSON key, `"paper"`.
+    pub paper: Option<f64>,
 }
 
 /// Builds a [`Row`] and prints it as one line.
-pub fn row(name: &str, value: f64, unit: &'static str) -> Row {
-    println!("  {name:<52} {value:>14.3} {unit}");
+pub fn row(name: &str, value: f64, unit: &'static str, paper: Option<f64>) -> Row {
+    print!("  {name:<60} {value:>14.3} {unit}");
+    match paper {
+        Some(p) => println!("   (paper {p})"),
+        None => println!(),
+    }
     Row {
         name: name.to_string(),
         value,
         unit,
+        paper,
     }
 }
 
 /// The ratio row `name` = `baseline / candidate`: above 1 the candidate
-/// is the smaller (for timings, the faster) of the two.
+/// is the smaller of the two.
 pub fn speedup(name: &str, baseline: f64, candidate: f64) -> Row {
-    row(name, baseline / candidate, "x")
-}
-
-/// Times `f` under `opts` and reports the best batch's nanoseconds per
-/// call.
-///
-/// The closure's return value is passed through [`black_box`] so the
-/// optimizer cannot delete the measured work.
-pub fn bench<R>(name: &str, opts: BenchOpts, mut f: impl FnMut() -> R) -> Row {
-    // Warmup, and calibrate how many iterations fit in one batch.
-    let warmup_start = Instant::now();
-    let mut warm_iters: u64 = 0;
-    while warmup_start.elapsed() < opts.warmup || warm_iters == 0 {
-        black_box(f());
-        warm_iters += 1;
-    }
-    let warm_ns = warmup_start.elapsed().as_nanos().max(1);
-    let batch_budget_ns = (opts.measure.as_nanos() / opts.batches.max(1) as u128).max(1);
-    let mut per_batch = ((warm_iters as u128 * batch_budget_ns) / warm_ns).max(1) as u64;
-
-    let mut best_per_op = f64::INFINITY;
-    for _ in 0..opts.batches.max(1) {
-        let start = Instant::now();
-        for _ in 0..per_batch {
-            black_box(f());
-        }
-        let elapsed = start.elapsed().as_nanos().max(1);
-        best_per_op = best_per_op.min(elapsed as f64 / per_batch as f64);
-        // Re-calibrate toward the budget using the freshest timing.
-        per_batch = ((per_batch as u128 * batch_budget_ns) / elapsed).max(1) as u64;
-    }
-    row(name, best_per_op, "ns/op")
+    row(name, baseline / candidate, "x", None)
 }
 
 fn push_json_str(out: &mut String, s: &str) {
@@ -108,7 +61,8 @@ fn push_json_str(out: &mut String, s: &str) {
 
 /// Serializes named sections of rows to the `BENCH_perf.json` format
 /// documented in README.md: one object, one array of
-/// `{"name", "value", "unit"}` per section, values to three decimals.
+/// `{"name", "value", "unit"}` per section (plus `"paper"` where the
+/// row has one), one row per line, values to three decimals.
 pub fn render(sections: &[(&str, &[Row])]) -> String {
     let mut out = String::with_capacity(4096);
     out.push('{');
@@ -127,6 +81,9 @@ pub fn render(sections: &[(&str, &[Row])]) -> String {
             }
             out.push_str(", \"unit\": ");
             push_json_str(&mut out, r.unit);
+            if let Some(paper) = r.paper {
+                let _ = write!(out, ", \"paper\": {paper:.3}");
+            }
             out.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
         }
         out.push_str("  ]");
@@ -140,34 +97,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_measures_something() {
-        let opts = BenchOpts {
-            warmup: Duration::from_millis(1),
-            measure: Duration::from_millis(5),
-            batches: 2,
-        };
-        let mut acc = 0u64;
-        let r = bench("noop_add", opts, || {
-            acc = acc.wrapping_add(1);
-            acc
-        });
-        assert!(r.value.is_finite() && r.value > 0.0);
-        assert_eq!(r.unit, "ns/op");
-    }
-
-    #[test]
     fn json_render_is_wellformed_enough() {
-        let cell = row("gclab/zipfian/greedy/waf", 1.875, "x");
-        let quoted = row("a\"b", f64::INFINITY, "score");
-        let timed = row("l2p/lookup_dense", 14.1, "ns/op");
-        let s = render(&[("gc", &[cell, quoted]), ("host", &[timed])]);
+        let cell = row("gclab/zipfian/greedy/waf", 1.875, "x", None);
+        let quoted = row("a\"b", f64::INFINITY, "score", None);
+        let figure = row("fig03a/uniform/io_amplification", 2.15, "x", Some(2.98));
+        let plain = row(
+            "fig10/check-in/4thr/checkpoint_mean_us",
+            10370.0,
+            "us",
+            None,
+        );
+        let s = render(&[("gc", &[cell, quoted]), ("paper", &[figure, plain])]);
         assert!(s.starts_with("{\n  \"gc\": [\n"));
         assert!(s.contains(
             "\"name\": \"gclab/zipfian/greedy/waf\", \"value\": 1.875, \"unit\": \"x\"},"
         ));
         assert!(s.contains("a\\\"b\", \"value\": null"));
-        assert!(s.contains("  ],\n  \"host\": [\n"));
-        assert!(s.contains("\"value\": 14.100, \"unit\": \"ns/op\"}\n"));
+        assert!(s.contains("  ],\n  \"paper\": [\n"));
+        assert!(s.contains("\"value\": 2.150, \"unit\": \"x\", \"paper\": 2.980},\n"));
+        assert!(s.contains("\"value\": 10370.000, \"unit\": \"us\"}\n"));
+        assert_eq!(s.matches("\"paper\": ").count(), 2, "section + one row");
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         assert_eq!(s.matches('[').count(), s.matches(']').count());
     }

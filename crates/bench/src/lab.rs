@@ -1,42 +1,37 @@
 //! `lab` — the one measurement run behind `BENCH_perf.json`.
 //!
-//! [`run`] fills three sections of [`Row`]s and takes no options (one
-//! fixed budget, about four seconds):
+//! [`run`] fills three sections of [`Row`]s and takes no options. Every
+//! row is a simulated quantity, so two runs on any two hosts write the
+//! same file and `scripts/verify.sh` diffs it whole:
 //!
 //! * **`gc`** — the victim-policy matrix: both [`VictimPolicy`] variants
 //!   × uniform / zipfian / write-only on the 48 MiB GC-pressured device,
 //!   each cell's WAF, Equation (1) lifetime score, p99.9 latency and
 //!   erase count, then each policy's means and rank (mean WAF; ties:
 //!   higher lifetime, then lower p99.9) and the `gclab_waf_*_vs_greedy`
-//!   ratio. Simulated, so reproducible digit for digit on any host.
+//!   ratio.
 //! * **`counts`** — what one 64-entry checkpoint command costs the
 //!   device in remap mode and in copy mode: simulated nanoseconds, flash
 //!   reads, unit writes. The paper's central claim (Algorithm 1 moves
-//!   mapping entries and does no flash I/O), exact on any host.
-//! * **`host`** — wall-clock rows for what the frozen benchmark
-//!   (`benchmark/kvbench`, measuring from outside) cannot see: a few
-//!   micro timings and interleaved same-process A/B ratios. Reported,
-//!   never gated: this host's same-binary readings differ by 10 %.
+//!   mapping entries and does no flash I/O).
+//! * **`paper`** — every figure and table of the paper's evaluation
+//!   ([`crate::figures`]), the paper's own number beside the measured
+//!   one where it states one.
 //!
-//! Two conditions fail a run, and neither reads a clock: the shipped
-//! default GC policy must be the matrix winner, and a remap checkpoint
-//! must do no flash I/O where a copy checkpoint reads and rewrites every
-//! log. `cargo test` checks both as well (this module's tests).
+//! Two conditions fail a run: the shipped default GC policy must be the
+//! matrix winner, and a remap checkpoint must do no flash I/O where a
+//! copy checkpoint reads and rewrites every log. `cargo test` checks
+//! both as well (this module's tests).
 
-use std::hint::black_box;
-use std::time::Instant;
-
-use checkin_core::{
-    default_jobs, run_configs, JournalManager, KvSystem, Layout, Strategy, SystemConfig,
-};
+use checkin_core::{JournalManager, Layout, Strategy, SystemConfig};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind};
-use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, MappingTable, Pun, VictimPolicy};
-use checkin_sim::{Counter, CounterSet, SimRng, SimTime, Total, TraceEvent, TraceLayer, Tracer};
+use checkin_ftl::{Ftl, FtlConfig, VictimPolicy};
+use checkin_sim::{Counter, SimTime, Total};
 use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
 use checkin_workload::{AccessPattern, OpMix};
 
-use crate::harness::{bench, render, row, speedup, BenchOpts, Row};
-use crate::{gc_pressured_config, paper_config, section};
+use crate::harness::{render, row, speedup, Row};
+use crate::{figures, gc_pressured_config, section};
 
 /// Everything one [`run`] measured, and which gates it failed.
 #[derive(Debug)]
@@ -45,8 +40,8 @@ pub struct Lab {
     pub gc: Vec<Row>,
     /// Exact simulated cost of a remap and of a copy checkpoint.
     pub counts: Vec<Row>,
-    /// Wall-clock micro timings and A/B ratios.
-    pub host: Vec<Row>,
+    /// The paper's figures and tables, cell by cell.
+    pub paper: Vec<Row>,
     /// One line per failed gate; empty on PASS.
     pub failures: Vec<String>,
 }
@@ -62,7 +57,7 @@ impl Lab {
         render(&[
             ("gc", &self.gc),
             ("counts", &self.counts),
-            ("host", &self.host),
+            ("paper", &self.paper),
         ])
     }
 }
@@ -71,7 +66,7 @@ impl Lab {
 pub fn run() -> Lab {
     let (gc, winner) = gc_section();
     let (counts, remap, copy) = counts_section();
-    let host = host_section();
+    let paper = figures::paper_section();
 
     println!();
     let mut failures = Vec::new();
@@ -95,14 +90,14 @@ pub fn run() -> Lab {
     Lab {
         gc,
         counts,
-        host,
+        paper,
         failures,
     }
 }
 
 /// Appends the row `group/leaf`.
 fn push(rows: &mut Vec<Row>, group: &str, leaf: &str, value: f64, unit: &'static str) {
-    rows.push(row(&format!("{group}/{leaf}"), value, unit));
+    rows.push(row(&format!("{group}/{leaf}"), value, unit, None));
 }
 
 // ---- gc ---------------------------------------------------------------
@@ -284,131 +279,6 @@ fn counts_section() -> (Vec<Row>, CheckpointCost, CheckpointCost) {
         remap.sim_ns as f64,
     ));
     (rows, remap, copy)
-}
-
-// ---- host -------------------------------------------------------------
-
-/// Mapped LPNs in the L2P rows — the paper-default device has ~400k
-/// 4-sector mapping units, so this is a realistically full table.
-const L2P_ENTRIES: u64 = 400_000;
-/// Interleaved repetitions behind each A/B ratio (best run wins).
-const AB_REPS: u32 = 7;
-
-fn host_section() -> Vec<Row> {
-    let opts = BenchOpts::LAB;
-    let mut rows = Vec::new();
-
-    section("host: L2P mapping table (dense Vec)");
-    let mut table = MappingTable::with_capacity(L2P_ENTRIES);
-    for i in 0..L2P_ENTRIES {
-        table.map(Lpn(i), Location::Flash(Pun(i)));
-    }
-    let mut rng = SimRng::seed_from(11);
-    rows.push(bench("l2p/lookup_dense", opts, || {
-        table.lookup(Lpn(rng.gen_range(L2P_ENTRIES)))
-    }));
-    // Remap churn: every iteration moves a random LPN to a fresh PUN,
-    // exercising forward update plus reverse unlink/link — the write path
-    // the FTL takes on every host program and GC relocation. PUNs recycle
-    // within a bounded window so the reverse array stays device-sized, as
-    // it does in the real FTL.
-    let mut rng = SimRng::seed_from(12);
-    let mut next_pun = L2P_ENTRIES;
-    rows.push(bench("l2p/remap_dense", opts, || {
-        let lpn = Lpn(rng.gen_range(L2P_ENTRIES));
-        table.map(lpn, Location::Flash(Pun(next_pun % (2 * L2P_ENTRIES))));
-        next_pun += 1;
-    }));
-
-    // One bump in the shape the flash and ftl sets have in a run: 30 keys
-    // touched, bumps alternating between the key touched first and the
-    // one touched 20th — the loop EXPERIMENTS.md's string-keyed figure
-    // was taken with. The second key is a per-phase flash counter, so its
-    // bump credits a total too.
-    section("host: counter bump and disabled-tracer emit");
-    let touched = &Counter::ALL[11..41];
-    let mut set = CounterSet::new();
-    for &key in touched {
-        set.incr(key);
-    }
-    let pair = [touched[0], touched[19]];
-    let mut i = 0usize;
-    rows.push(bench("sim/counter_bump_ns", opts, || {
-        i ^= 1;
-        set.incr(black_box(pair[i]));
-    }));
-    black_box(&set);
-    let disabled = Tracer::disabled();
-    let mut x = 0u64;
-    rows.push(bench("trace/emit_disabled", opts, || {
-        x += 1;
-        disabled.emit(|| {
-            TraceEvent::new(SimTime::from_nanos(x), TraceLayer::Flash, "program").with("ppn", x)
-        });
-        x
-    }));
-
-    // The variants of each pair run interleaved, rep by rep, so a drift
-    // in host load between measurement windows cannot pass for (or hide)
-    // a difference; each ratio is best run over best run.
-    section("host: A/B ratios, 30k-query Check-In run (>1: the first variant is faster)");
-    let plain = paper_config(Strategy::CheckIn);
-    let mut no_checksums = plain.clone();
-    no_checksums.verify_checksums = false;
-    let mut batched = plain.clone();
-    batched.admission_batch = 16;
-    let [on, off, b16] = best_ns([&plain, &no_checksums, &batched].map(|config| {
-        move || {
-            let mut sys = KvSystem::new(config.clone()).expect("valid lab config");
-            let start = Instant::now();
-            black_box(sys.run().expect("lab run succeeds"));
-            start.elapsed().as_nanos()
-        }
-    }));
-    rows.push(speedup("ab/checksums_on_vs_off", off, on));
-    rows.push(speedup("ab/admission_batch_16_vs_1", on, b16));
-
-    // More configurations than workers, so long runs (Baseline's
-    // host-driven checkpoints) cannot convoy the batch, and at least two
-    // workers even where `default_jobs()` is 1. Two shared cores measure
-    // 0.5–1.0x.
-    let jobs = default_jobs().max(2);
-    let configs: Vec<SystemConfig> = Strategy::all()
-        .into_iter()
-        .flat_map(|s| {
-            [0x5EEDu64, 0xA11CE, 0xB0B5].map(|seed| {
-                let mut c = paper_config(s);
-                c.total_queries = 8_000;
-                c.workload.seed = seed;
-                c
-            })
-        })
-        .collect();
-    let [serial, parallel] = best_ns([1, jobs].map(|jobs| {
-        let configs = &configs;
-        move || {
-            let start = Instant::now();
-            for r in run_configs(configs, jobs) {
-                black_box(r.expect("sweep config runs"));
-            }
-            start.elapsed().as_nanos()
-        }
-    }));
-    println!("  ({} configs, {jobs} workers)", configs.len());
-    rows.push(speedup("ab/sweep_jobs_n_vs_1", serial, parallel));
-    rows
-}
-
-/// Runs the variants [`AB_REPS`] times round-robin; each variant returns
-/// the nanoseconds it timed, and the best per variant is kept.
-fn best_ns<const N: usize>(mut variants: [impl FnMut() -> u128; N]) -> [f64; N] {
-    let mut best = [u128::MAX; N];
-    for _ in 0..AB_REPS {
-        for (b, run) in best.iter_mut().zip(&mut variants) {
-            *b = (*b).min(run());
-        }
-    }
-    best.map(|ns| ns.max(1) as f64)
 }
 
 #[cfg(test)]

@@ -1,25 +1,26 @@
-//! Shared harness utilities for the figure/table reproduction benches.
+//! The repo's two measuring programs.
 //!
-//! Each `benches/figXX_*.rs` target is a standalone binary (Criterion-free,
-//! `harness = false`) that sweeps the parameters of one paper figure and
-//! prints the same rows/series the paper reports, next to the paper's
-//! claims. Run them all with `cargo bench`.
-//!
-//! Two programs live beside them: [`lab`], the one measurement run
-//! behind `BENCH_perf.json` (timed with [`harness`]), and [`chaos`], the
-//! fault sweep.
+//! [`lab`] is the one measurement run behind `BENCH_perf.json`: the GC
+//! victim-policy matrix, the exact cost of a checkpoint command, and
+//! every figure and table of the paper's evaluation ([`figures`]) as
+//! rows ([`harness`]) beside the paper's own numbers. [`chaos`] is the
+//! fault sweep. Both are simulations: neither reads a clock, and the
+//! determinism bans of `clippy.toml` hold here as in the simulator
+//! crates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_macros))]
 
 pub mod chaos;
+pub mod figures;
 pub mod harness;
 pub mod lab;
 
 use checkin_core::{KvSystem, RunReport, Strategy, SystemConfig};
 
-/// Builds and runs a system, panicking on configuration errors (benches
-/// are developer-facing).
+/// Builds and runs a system, panicking on configuration errors (`lab`
+/// is developer-facing).
 ///
 /// # Panics
 ///
@@ -29,33 +30,6 @@ pub fn run(config: SystemConfig) -> RunReport {
         .unwrap_or_else(|e| panic!("bench config invalid: {e}"))
         .run()
         .unwrap_or_else(|e| panic!("bench run failed: {e}"))
-}
-
-/// Checkpoints a figure cell must hold before it says anything about
-/// checkpointing.
-pub const MIN_CHECKPOINTS: u64 = 8;
-
-/// [`run`] sized in checkpoints rather than queries: `total_queries`
-/// doubles until the report holds at least [`MIN_CHECKPOINTS`] of them
-/// ([`RunReport::ops`] is the count it ended with). Faster clients and
-/// longer intervals both need more queries to get there.
-///
-/// # Panics
-///
-/// As [`run`], and when 2²³ queries do not get there.
-pub fn run_to_checkpoints(mut config: SystemConfig) -> RunReport {
-    loop {
-        let report = run(config.clone());
-        if report.checkpoints >= MIN_CHECKPOINTS {
-            return report;
-        }
-        config.total_queries *= 2;
-        assert!(
-            config.total_queries < 1 << 24,
-            "still {} checkpoints: a workload that never writes?",
-            report.checkpoints
-        );
-    }
 }
 
 /// Paper-scale defaults shared by the overall-performance figures:
@@ -78,27 +52,10 @@ pub fn gc_pressured_config(strategy: Strategy) -> SystemConfig {
     c
 }
 
-/// Prints a figure banner with the paper's claim for quick comparison.
-pub fn banner(figure: &str, claim: &str) {
-    println!("\n==============================================================");
-    println!("{figure}");
-    println!("paper: {claim}");
-    println!("==============================================================");
-}
-
 /// Prints the `== title` line that opens a part of `lab`'s or `chaos`'s
 /// report.
 pub(crate) fn section(title: &str) {
     println!("\n== {title}");
-}
-
-/// Formats a ratio as `x.xx` with a guard for non-finite values.
-pub fn ratio(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.2}x")
-    } else {
-        "inf".to_string()
-    }
 }
 
 /// Percent reduction of `new` relative to `old` (positive = improvement).
@@ -118,12 +75,6 @@ mod tests {
     fn reduction_math() {
         assert!((reduction_pct(100.0, 8.0) - 92.0).abs() < 1e-9);
         assert_eq!(reduction_pct(0.0, 5.0), 0.0);
-    }
-
-    #[test]
-    fn ratio_formats() {
-        assert_eq!(ratio(1.5), "1.50x");
-        assert_eq!(ratio(f64::INFINITY), "inf");
     }
 
     #[test]
