@@ -21,7 +21,7 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {}", out.display());
-    if !lab.passed() {
+    if !lab.passed {
         std::process::exit(1);
     }
 }

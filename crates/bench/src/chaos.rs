@@ -33,7 +33,7 @@ use checkin_core::{EngineError, KvEngine, Layout, Strategy};
 use checkin_flash::{
     FaultConfig, FaultOp, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OpPhase, Ppn,
 };
-use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, VictimPolicy};
+use checkin_ftl::{Ftl, FtlConfig, Location, Lpn};
 use checkin_sim::{Counter, SimTime};
 use checkin_ssd::{Ssd, SsdError, SsdTiming};
 use checkin_testkit::TestRng;
@@ -61,8 +61,6 @@ pub struct Scenario {
     pub strategy: Strategy,
     /// Workload seed: key choice, value sizes, op mix.
     pub seed: u64,
-    /// GC victim selection.
-    pub policy: VictimPolicy,
     /// Admission batch: ops are admitted in groups of `batch` and acked
     /// only when the whole group completes (1 = ack every op).
     pub batch: u32,
@@ -78,14 +76,13 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A fault-free row: greedy GC, every op acked, verification on, no
+    /// A fault-free row: every op acked, verification on, no
     /// scrubbing. Tiers override fields with struct-update syntax.
     pub fn new(tier: &'static str, strategy: Strategy, seed: u64) -> Self {
         Scenario {
             tier,
             strategy,
             seed,
-            policy: VictimPolicy::Greedy,
             batch: 1,
             verify_checksums: true,
             scrub_pages: 0,
@@ -129,7 +126,6 @@ impl Scenario {
                 gc_threshold_blocks: 3,
                 gc_soft_threshold_blocks: 6,
                 write_buffer_units: 16,
-                victim_policy: self.policy,
                 verify_checksums: self.verify_checksums,
                 ..FtlConfig::default()
             },

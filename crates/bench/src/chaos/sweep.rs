@@ -4,7 +4,6 @@
 
 use checkin_core::{EngineError, Strategy};
 use checkin_flash::{FaultConfig, FaultOp, FlashArray, OpPhase};
-use checkin_ftl::VictimPolicy;
 use checkin_sim::{Counter, SimTime};
 use checkin_ssd::ReadRequest;
 use checkin_testkit::TestRng;
@@ -252,27 +251,19 @@ fn batched_tier(s: &mut Sweep) {
     );
 }
 
-/// Windowed-greedy (the shipped default; every other tier runs greedy)
-/// relocates different blocks at different times, so a cut landing
-/// mid-migration exercises recovery over GC states the greedy tiers never
-/// produce. Every cut here sits inside a GC migration.
-fn victim_policy_tier(s: &mut Sweep) {
-    section("victim-policy power-cut sweep (cuts inside GC migration)");
-    let policy = VictimPolicy::WINDOWED_DEFAULT;
+/// Four cuts evenly spaced over one run's GC ticks (the power-cut tier
+/// aims at the first and the middle one only): every cut here sits
+/// inside a GC migration.
+fn gc_migration_tier(s: &mut Sweep) {
+    section("gc-migration power-cut sweep (cuts inside GC migration)");
     let seed = CUT_SEED ^ 0x6C1A_B000 ^ (2 << 24);
-    let base = Scenario {
-        policy,
-        ..Scenario::new("victim-policy", Strategy::CheckIn, seed)
-    };
+    let base = Scenario::new("gc-migration", Strategy::CheckIn, seed);
     let trace = profile(&base);
     let gc_ticks = ticks_where(&trace, |_, p| p == OpPhase::Gc);
     let cuts = spread(&gc_ticks, 4);
     s.cut_at_each(&base, &trace, &cuts);
-    println!(
-        "  {policy}: {} GC ticks traced, cuts at {cuts:?}",
-        gc_ticks.len()
-    );
-    s.gate(!cuts.is_empty(), "windowed-greedy got no mid-GC cut");
+    println!("  {} GC ticks traced, cuts at {cuts:?}", gc_ticks.len());
+    s.gate(!cuts.is_empty(), "no cut landed inside a GC migration");
 }
 
 /// Transient read/program/erase failures at the rates every noisy row uses.
@@ -743,7 +734,7 @@ pub fn sweep() -> Sweep {
     let mut s = Sweep::default();
     power_cut_tier(&mut s);
     batched_tier(&mut s);
-    victim_policy_tier(&mut s);
+    gc_migration_tier(&mut s);
     noise_tier(&mut s);
     torn_tier(&mut s);
     live_rot_tier(&mut s);

@@ -4,12 +4,9 @@
 //! row is a simulated quantity, so two runs on any two hosts write the
 //! same file and `scripts/verify.sh` diffs it whole:
 //!
-//! * **`gc`** — the victim-policy matrix: both [`VictimPolicy`] variants
-//!   × uniform / zipfian / write-only on the 48 MiB GC-pressured device,
-//!   each cell's WAF, Equation (1) lifetime score, p99.9 latency and
-//!   erase count, then each policy's means and rank (mean WAF; ties:
-//!   higher lifetime, then lower p99.9) and the `gclab_waf_*_vs_greedy`
-//!   ratio.
+//! * **`gc`** — garbage collection under pressure: uniform / zipfian /
+//!   write-only on the 48 MiB GC-pressured device, each cell's WAF,
+//!   Equation (1) lifetime score, p99.9 latency and erase count.
 //! * **`counts`** — what one 64-entry checkpoint command costs the
 //!   device in remap mode and in copy mode: simulated nanoseconds, flash
 //!   reads, unit writes. The paper's central claim (Algorithm 1 moves
@@ -18,14 +15,13 @@
 //!   ([`crate::figures`]), the paper's own number beside the measured
 //!   one where it states one.
 //!
-//! Two conditions fail a run: the shipped default GC policy must be the
-//! matrix winner, and a remap checkpoint must do no flash I/O where a
-//! copy checkpoint reads and rewrites every log. `cargo test` checks
-//! both as well (this module's tests).
+//! One condition fails a run: a remap checkpoint must do no flash I/O
+//! where a copy checkpoint reads and rewrites every log. `cargo test`
+//! checks it as well (this module's tests).
 
-use checkin_core::{JournalManager, Layout, Strategy, SystemConfig};
+use checkin_core::{JournalManager, Layout, Strategy};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind};
-use checkin_ftl::{Ftl, FtlConfig, VictimPolicy};
+use checkin_ftl::{Ftl, FtlConfig};
 use checkin_sim::{Counter, SimTime, Total};
 use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
 use checkin_workload::{AccessPattern, OpMix};
@@ -33,25 +29,20 @@ use checkin_workload::{AccessPattern, OpMix};
 use crate::harness::{render, row, speedup, Row};
 use crate::{figures, gc_pressured_config, section};
 
-/// Everything one [`run`] measured, and which gates it failed.
+/// Everything one [`run`] measured, and whether its gate held.
 #[derive(Debug)]
 pub struct Lab {
-    /// The victim-policy matrix, means, ranks and WAF ratio.
+    /// WAF, lifetime, p99.9 and erases of three GC-pressured workloads.
     pub gc: Vec<Row>,
     /// Exact simulated cost of a remap and of a copy checkpoint.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// One line per failed gate; empty on PASS.
-    pub failures: Vec<String>,
+    /// The gate held: a remap checkpoint did no flash I/O.
+    pub passed: bool,
 }
 
 impl Lab {
-    /// True when no gate failed.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
     /// The `BENCH_perf.json` text.
     pub fn render(&self) -> String {
         render(&[
@@ -62,36 +53,25 @@ impl Lab {
     }
 }
 
-/// Measures all three sections and judges the two gates.
+/// Measures all three sections and judges the gate.
 pub fn run() -> Lab {
-    let (gc, winner) = gc_section();
+    let gc = gc_section();
     let (counts, remap, copy) = counts_section();
     let paper = figures::paper_section();
 
     println!();
-    let mut failures = Vec::new();
-    let mut gate = |ok: bool, what: String| {
-        if ok {
-            println!("PASS: {what}");
-        } else {
-            eprintln!("FAIL: {what}");
-            failures.push(what);
-        }
-    };
-    let shipped = SystemConfig::for_strategy(Strategy::CheckIn).gc_policy;
-    gate(
-        shipped == winner,
-        format!("shipped default GC policy `{shipped}`, matrix winner `{winner}`"),
-    );
-    gate(
-        remap_does_no_flash_io(&remap, &copy),
-        format!("a remap checkpoint does no flash I/O: remap {remap:?}, copy {copy:?}"),
-    );
+    let passed = remap_does_no_flash_io(&remap, &copy);
+    let what = format!("a remap checkpoint does no flash I/O: remap {remap:?}, copy {copy:?}");
+    if passed {
+        println!("PASS: {what}");
+    } else {
+        eprintln!("FAIL: {what}");
+    }
     Lab {
         gc,
         counts,
         paper,
-        failures,
+        passed,
     }
 }
 
@@ -102,69 +82,34 @@ fn push(rows: &mut Vec<Row>, group: &str, leaf: &str, value: f64, unit: &'static
 
 // ---- gc ---------------------------------------------------------------
 
-/// Workload shapes the matrix sweeps (name, mix, skew).
+/// Workload shapes the section runs (name, mix, skew).
 const WORKLOADS: [(&str, OpMix, AccessPattern); 3] = [
     ("uniform", OpMix::A, AccessPattern::Uniform),
     ("zipfian", OpMix::A, AccessPattern::Zipfian),
     ("write-only", OpMix::WRITE_ONLY, AccessPattern::Uniform),
 ];
 
-/// Mean of quantity `q` over a policy's `[waf, lifetime, p99.9 us]`
-/// cells. Non-finite lifetime scores (a run that wore the flash not at
-/// all) saturate to `f64::MAX` so they rank as "best possible" without
-/// poisoning the mean.
-fn mean(cells: &[[f64; 3]], q: usize) -> f64 {
-    let finite = |v: f64| if v.is_finite() { v } else { f64::MAX };
-    cells.iter().map(|c| finite(c[q])).sum::<f64>() / cells.len().max(1) as f64
-}
-
-/// The policy × workload matrix and its ranking; returns the winner.
-fn gc_section() -> (Vec<Row>, VictimPolicy) {
+/// One Check-In run per workload on the GC-pressured device. The
+/// `windowed-greedy` in the row names is the FTL's victim selector; the
+/// names are as first committed, so `git log -p BENCH_perf.json` reads
+/// as one history.
+fn gc_section() -> Vec<Row> {
+    section("gc: three workloads on the GC-pressured device");
     let mut rows = Vec::new();
-    let mut ranked: Vec<(VictimPolicy, [f64; 3])> = Vec::new();
-    for policy in VictimPolicy::ALL {
-        section(&format!("gc: policy {policy}"));
-        let mut cells = Vec::new();
-        for (workload, mix, pattern) in WORKLOADS {
-            let mut config = gc_pressured_config(Strategy::CheckIn);
-            config.workload.mix = mix;
-            config.workload.pattern = pattern;
-            config.gc_policy = policy;
-            let report = crate::run(config);
-            let name = format!("gclab/{workload}/{}", policy.label());
-            let p999_us = report.latency.p999.as_micros_f64();
-            let erases = report.flash.erases as f64;
-            push(&mut rows, &name, "waf", report.waf, "x");
-            push(&mut rows, &name, "lifetime", report.lifetime_score, "score");
-            push(&mut rows, &name, "p999", p999_us, "us");
-            push(&mut rows, &name, "erases", erases, "blocks");
-            cells.push([report.waf, report.lifetime_score, p999_us]);
-        }
-        ranked.push((policy, [0, 1, 2].map(|q| mean(&cells, q))));
+    for (workload, mix, pattern) in WORKLOADS {
+        let mut config = gc_pressured_config(Strategy::CheckIn);
+        config.workload.mix = mix;
+        config.workload.pattern = pattern;
+        let report = crate::run(config);
+        let name = format!("gclab/{workload}/windowed-greedy");
+        let p999_us = report.latency.p999.as_micros_f64();
+        let erases = report.flash.erases as f64;
+        push(&mut rows, &name, "waf", report.waf, "x");
+        push(&mut rows, &name, "lifetime", report.lifetime_score, "score");
+        push(&mut rows, &name, "p999", p999_us, "us");
+        push(&mut rows, &name, "erases", erases, "blocks");
     }
-
-    section("gc: ranking (mean over the workloads)");
-    let greedy_waf = ranked
-        .iter()
-        .find(|(p, _)| *p == VictimPolicy::Greedy)
-        .map_or(f64::NAN, |(_, means)| means[0]);
-    ranked.sort_by(|(_, a), (_, b)| {
-        a[0].total_cmp(&b[0])
-            .then(b[1].total_cmp(&a[1]))
-            .then(a[2].total_cmp(&b[2]))
-    });
-    for (rank, (policy, [waf, lifetime, p999])) in ranked.iter().enumerate() {
-        let name = format!("gclab/mean/{}", policy.label());
-        push(&mut rows, &name, "waf", *waf, "x");
-        push(&mut rows, &name, "lifetime", *lifetime, "score");
-        push(&mut rows, &name, "p999", *p999, "us");
-        push(&mut rows, &name, "rank", (rank + 1) as f64, "rank");
-        if *policy != VictimPolicy::Greedy {
-            let name = format!("gclab_waf_{}_vs_greedy", policy.label());
-            rows.push(speedup(&name, greedy_waf, *waf));
-        }
-    }
-    (rows, ranked[0].0)
+    rows
 }
 
 // ---- counts -----------------------------------------------------------
@@ -296,16 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn the_shipped_gc_policy_wins_the_matrix() {
-        let (_, winner) = gc_section();
-        let shipped = SystemConfig::for_strategy(Strategy::CheckIn).gc_policy;
-        assert_eq!(shipped, winner);
-    }
-
-    #[test]
     fn deterministic_sections_render_identically_twice() {
         let text = || {
-            let (gc, _) = gc_section();
+            let gc = gc_section();
             let (counts, ..) = counts_section();
             render(&[("gc", &gc), ("counts", &counts)])
         };

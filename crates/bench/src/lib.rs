@@ -1,7 +1,7 @@
 //! The repo's two measuring programs.
 //!
-//! [`lab`] is the one measurement run behind `BENCH_perf.json`: the GC
-//! victim-policy matrix, the exact cost of a checkpoint command, and
+//! [`lab`] is the one measurement run behind `BENCH_perf.json`: three
+//! GC-pressured workloads, the exact cost of a checkpoint command, and
 //! every figure and table of the paper's evaluation ([`figures`]) as
 //! rows ([`harness`]) beside the paper's own numbers. [`chaos`] is the
 //! fault sweep. Both are simulations: neither reads a clock, and the

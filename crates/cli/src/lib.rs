@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use checkin_core::{Strategy, SystemConfig, VictimPolicy};
+use checkin_core::{Strategy, SystemConfig};
 use checkin_sim::SimDuration;
 use checkin_workload::{AccessPattern, OpMix, RecordSizes};
 
@@ -79,9 +79,6 @@ pub struct RunArgs {
     /// Queries admitted per client event-queue hop (1 = historical
     /// one-op-per-event loop).
     pub admission_batch: u32,
-    /// GC victim-selection policy override (`None` keeps the strategy
-    /// default, which is the `lab` policy-matrix winner).
-    pub gc_policy: Option<VictimPolicy>,
     /// Use the small GC-pressured device instead of the default 3 GiB.
     pub gc_pressure: bool,
     /// Disable checksum verification on reads (integrity checks are on
@@ -107,7 +104,6 @@ impl Default for RunArgs {
             unit_bytes: None,
             seed: 0x5EED,
             admission_batch: 1,
-            gc_policy: None,
             gc_pressure: false,
             no_checksums: false,
             csv: false,
@@ -134,9 +130,6 @@ impl RunArgs {
         c.checkpoint_interval = SimDuration::from_millis(self.interval_ms);
         c.unit_bytes = self.unit_bytes;
         c.admission_batch = self.admission_batch;
-        if let Some(policy) = self.gc_policy {
-            c.gc_policy = policy;
-        }
         c.verify_checksums = !self.no_checksums;
         c
     }
@@ -212,7 +205,6 @@ fn fill_args(args: &mut RunArgs, flag: &str, value: &str) -> Result<(), ParseErr
                 return Err(ParseError("--admission-batch must be at least 1".into()));
             }
         }
-        "--gc-policy" => args.gc_policy = Some(VictimPolicy::parse(value).map_err(ParseError)?),
         "--jobs" => args.jobs = Some(parse_num(flag, value)?),
         other => return Err(ParseError(format!("unknown flag '{other}'"))),
     }
@@ -362,9 +354,6 @@ FLAGS (all optional):
   --admission-batch N    queries per client event-queue hop (default 1;
                          larger values amortize event churn without
                          moving checkpoint boundaries)
-  --gc-policy greedy|windowed-greedy[:N]
-                         GC victim-selection policy (default: the
-                         strategy default, see `checkin compare`)
   --jobs      N          worker threads for compare/sweep batches
                          (default: one per core; results are identical
                          for any value, including --jobs 1)
@@ -473,30 +462,6 @@ mod tests {
         assert_eq!(RunArgs::default().admission_batch, 1);
         assert!(parse(&["run", "--admission-batch", "0"]).is_err());
         assert!(parse(&["run", "--admission-batch", "x"]).is_err());
-    }
-
-    #[test]
-    fn parses_gc_policy() {
-        let Command::Run(a) = parse(&["run", "--gc-policy", "greedy"]).unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.gc_policy, Some(VictimPolicy::Greedy));
-        assert_eq!(a.to_config().gc_policy, VictimPolicy::Greedy);
-        let Command::Run(a) = parse(&["run", "--gc-policy", "windowed-greedy:4"]).unwrap() else {
-            panic!()
-        };
-        assert_eq!(
-            a.gc_policy,
-            Some(VictimPolicy::WindowedGreedy { window: 4 })
-        );
-        // No flag: the strategy default flows through untouched.
-        assert_eq!(RunArgs::default().gc_policy, None);
-        assert_eq!(
-            RunArgs::default().to_config().gc_policy,
-            SystemConfig::for_strategy(Strategy::CheckIn).gc_policy
-        );
-        assert!(parse(&["run", "--gc-policy", "newest-first"]).is_err());
-        assert!(parse(&["run", "--gc-policy", "windowed-greedy:x"]).is_err());
     }
 
     #[test]

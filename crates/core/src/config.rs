@@ -2,7 +2,7 @@
 //! machine model.
 
 use checkin_flash::{FlashGeometry, FlashTiming};
-use checkin_ftl::{FtlConfig, MediaRetryPolicy, VictimPolicy};
+use checkin_ftl::{FtlConfig, MediaRetryPolicy};
 use checkin_sim::SimDuration;
 use checkin_ssd::{CheckpointMode, SsdTiming};
 use checkin_workload::WorkloadSpec;
@@ -138,12 +138,6 @@ pub struct SystemConfig {
     pub gc_threshold_blocks: u32,
     /// Soft (background) GC threshold.
     pub gc_soft_threshold_blocks: u32,
-    /// GC victim-selection policy. The default (windowed-greedy over the
-    /// 8 oldest closed blocks) is the winner of the `lab` policy matrix
-    /// (see EXPERIMENTS.md): lowest mean WAF, best or tied-best lifetime
-    /// in every swept workload and the lowest mean p99.9. `lab` and
-    /// `cargo test` both fail if the default stops being the winner.
-    pub gc_policy: VictimPolicy,
     /// Max background-GC rounds after each checkpoint.
     pub background_gc_rounds: u32,
     /// Device write-buffer capacity in mapping units (power-protected
@@ -187,7 +181,6 @@ impl SystemConfig {
             ssd_timing: SsdTiming::paper_default(),
             gc_threshold_blocks: 8,
             gc_soft_threshold_blocks: 48,
-            gc_policy: VictimPolicy::WINDOWED_DEFAULT,
             background_gc_rounds: 16,
             write_buffer_units: 128,
             ablate_partial_merging: false,
@@ -201,7 +194,7 @@ impl SystemConfig {
     /// (2 channels × 2 dies × 24 blocks × 128 pages × 4 KiB = 48 MiB) with
     /// a journal trigger and GC thresholds scaled to it, which keeps the
     /// FTL under garbage-collection pressure — the regime behind Fig. 8
-    /// and the victim-policy matrix. Pair it with a few thousand records.
+    /// and `lab`'s `gc` rows. Pair it with a few thousand records.
     pub fn gc_pressured(strategy: Strategy) -> Self {
         SystemConfig {
             geometry: FlashGeometry {
@@ -231,7 +224,6 @@ impl SystemConfig {
             unit_bytes: self.effective_unit_bytes(),
             gc_threshold_blocks: self.gc_threshold_blocks,
             gc_soft_threshold_blocks: self.gc_soft_threshold_blocks,
-            victim_policy: self.gc_policy,
             write_points: self.geometry.total_dies() as u32,
             map_cache_entries: self.map_cache_entries,
             write_buffer_units: self.write_buffer_units,
@@ -266,8 +258,8 @@ impl SystemConfig {
             return Err("compression_ratio must be in (0, 1]".into());
         }
         self.ftl_config()
-            .validate(self.geometry.page_bytes, self.geometry.total_blocks())?;
-        Ok(())
+            .validate(self.geometry.page_bytes, self.geometry.total_blocks())
+            .map_err(|e| e.to_string())
     }
 }
 

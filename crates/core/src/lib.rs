@@ -86,7 +86,6 @@ mod metrics;
 mod parallel;
 mod system;
 
-pub use checkin_ftl::VictimPolicy;
 pub use checkpoint::{run_checkpoint, CheckpointOutcome, SUPERBLOCK_KEY};
 pub use config::{Strategy, SystemConfig};
 pub use engine::{EngineError, KvEngine, ReadResult, RecoveryReport};

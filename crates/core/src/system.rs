@@ -187,7 +187,7 @@ impl KvSystem {
             ));
         }
         let flash = checkin_flash::FlashArray::new(config.geometry, config.flash_timing);
-        let ftl = checkin_ftl::Ftl::new(flash, config.ftl_config())?;
+        let ftl = checkin_ftl::Ftl::new(flash, config.ftl_config()).map_err(|e| e.to_string())?;
         let ssd = Ssd::new(ftl, config.ssd_timing);
         let mut options = if config.strategy.sector_aligned_journaling() {
             crate::journal::JournalOptions::check_in(config.compression_ratio)

@@ -14,7 +14,6 @@ use checkin_flash::{BlockId, FlashArray, FlashGeometry};
 use crate::error::RecoveryError;
 use crate::location::Location;
 use crate::mapping::MappingTable;
-use crate::policy::{VictimCandidate, VictimPolicy};
 
 /// Lifecycle of a physical block from the FTL's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +33,8 @@ struct BlockSlot {
     kind: BlockKind,
     /// Units of the block the mapping table still references.
     valid_units: u32,
-    /// Monotone close rank (lower closed earlier); feeds windowed-greedy
-    /// victim selection.
+    /// Monotone close rank (lower closed earlier); victim selection
+    /// looks at the oldest closed blocks only.
     close_seq: u64,
 }
 
@@ -117,11 +116,12 @@ impl BlockPool {
         }
     }
 
-    /// The write point the next page-out goes to (round-robin).
-    pub(crate) fn next_write_point(&mut self) -> usize {
+    /// The write point the next page-out goes to (round-robin). `None`
+    /// for a pool built with no write points.
+    pub(crate) fn next_write_point(&mut self) -> Option<usize> {
         let wp = self.next_wp;
-        self.next_wp = (wp + 1) % self.actives.len();
-        wp
+        self.next_wp = wp.checked_add(1)?.checked_rem(self.actives.len())?;
+        Some(wp)
     }
 
     /// Next page of the block `wp` is filling, closing the block when
@@ -165,24 +165,31 @@ impl BlockPool {
         self.blocks().filter(|(_, s)| s.kind == BlockKind::Closed)
     }
 
-    /// The GC victim under `policy`: every closed block that would yield
-    /// free space (fewer than `capacity` valid units) is a candidate.
-    pub(crate) fn select_victim(
-        &self,
-        policy: VictimPolicy,
-        capacity: u32,
-        flash: &FlashArray,
-    ) -> Option<BlockId> {
-        let candidates = self
+    /// How many of the oldest closed blocks the victim scan sees. Greedy
+    /// over every closed block keeps picking young blocks whose last
+    /// valid units are about to die anyway; holding the scan to the
+    /// oldest few gives them time to. A const, not a knob: 8 is the one
+    /// width measured against unwindowed greedy (it won or tied every
+    /// cell; EXPERIMENTS.md, "Rows retired") and no caller wants another.
+    pub(crate) const GC_VICTIM_WINDOW: usize = 8;
+
+    /// The GC victim: among the [`Self::GC_VICTIM_WINDOW`] oldest closed
+    /// blocks (by close order, then block id) that would yield free space
+    /// (fewer than `capacity` valid units), the one with the fewest valid
+    /// units, then the least worn, then the lowest block id — a total
+    /// order over integers, so the choice is deterministic.
+    pub(crate) fn select_victim(&self, capacity: u32, flash: &FlashArray) -> Option<BlockId> {
+        // Few candidates (the closed blocks of one device): a sort is fine.
+        let mut oldest: Vec<(BlockId, &BlockSlot)> = self
             .closed_blocks()
             .filter(|(_, s)| s.valid_units < capacity)
-            .map(|(block, s)| VictimCandidate {
-                block,
-                valid_units: s.valid_units,
-                erase_count: flash.erase_count(block),
-                closed_rank: s.close_seq,
-            });
-        policy.select(candidates)
+            .collect();
+        oldest.sort_unstable_by_key(|(block, s)| (s.close_seq, block.0));
+        oldest.truncate(Self::GC_VICTIM_WINDOW);
+        oldest
+            .into_iter()
+            .min_by_key(|(block, s)| (s.valid_units, flash.erase_count(*block), block.0))
+            .map(|(block, _)| block)
     }
 
     /// The least-erased closed block (the static wear-leveling victim).
@@ -349,6 +356,90 @@ mod tests {
         }
     }
 
+    /// Enough blocks to close one more than the victim window holds.
+    fn wide_geometry() -> FlashGeometry {
+        FlashGeometry {
+            blocks_per_plane: 16,
+            ..geometry()
+        }
+    }
+
+    const WINDOW: usize = BlockPool::GC_VICTIM_WINDOW;
+
+    /// A pool whose blocks `0..valid.len()` were filled and closed in
+    /// that order, block `b` still holding `valid[b]` referenced units.
+    fn closed_pool(g: &FlashGeometry, valid: &[u32]) -> BlockPool {
+        let mut pool = BlockPool::new(g, 1);
+        for (block, &units) in (0..).map(BlockId).zip(valid) {
+            assert_eq!(pool.open_block(0), Some((block, 0)));
+            while pool.take_page(0).is_some() {}
+            assert!(pool.is_closed(block));
+            for _ in 0..units {
+                pool.add_valid(block);
+            }
+        }
+        pool
+    }
+
+    #[test]
+    fn victim_is_the_block_with_fewest_valid_units() {
+        let g = geometry();
+        let flash = FlashArray::new(g, FlashTiming::mlc());
+        let pool = closed_pool(&g, &[5, 2, 7]);
+        assert_eq!(pool.select_victim(16, &flash), Some(BlockId(1)));
+    }
+
+    #[test]
+    fn victim_ties_break_on_wear_then_block_id() {
+        let g = geometry();
+        let mut flash = FlashArray::new(g, FlashTiming::mlc());
+        let pool = closed_pool(&g, &[4, 4, 4]);
+        assert_eq!(pool.select_victim(16, &flash), Some(BlockId(0)));
+        flash.erase(BlockId(0), SimTime::ZERO).unwrap();
+        assert_eq!(
+            pool.select_victim(16, &flash),
+            Some(BlockId(1)),
+            "equal valid counts: a less-worn block wins, the lower id first"
+        );
+        flash.erase(BlockId(1), SimTime::ZERO).unwrap();
+        assert_eq!(pool.select_victim(16, &flash), Some(BlockId(2)));
+    }
+
+    #[test]
+    fn victim_scan_sees_only_the_oldest_closed_blocks() {
+        let g = wide_geometry();
+        let flash = FlashArray::new(g, FlashTiming::mlc());
+        // The last block to close is the emptiest, but one too young.
+        let mut valid = [3; WINDOW + 1];
+        valid[5] = 2;
+        valid[WINDOW] = 0;
+        let mut pool = closed_pool(&g, &valid);
+        assert_eq!(pool.select_victim(16, &flash), Some(BlockId(5)));
+        // Reclaiming an older block moves the window up by one.
+        pool.sub_valid(BlockId(5));
+        pool.sub_valid(BlockId(5));
+        pool.recycle(BlockId(5));
+        assert_eq!(pool.select_victim(16, &flash), Some(BlockId(8)));
+    }
+
+    #[test]
+    fn a_block_at_full_capacity_is_never_a_victim() {
+        let g = wide_geometry();
+        let flash = FlashArray::new(g, FlashTiming::mlc());
+        assert_eq!(closed_pool(&g, &[4, 4]).select_victim(4, &flash), None);
+        // Nor does it take a window seat from a block that would yield space.
+        let mut valid = [4; WINDOW + 1];
+        valid[WINDOW] = 3;
+        let pool = closed_pool(&g, &valid);
+        assert_eq!(pool.select_victim(4, &flash), Some(BlockId(8)));
+    }
+
+    #[test]
+    fn a_pool_without_write_points_has_no_next_write_point() {
+        let mut pool = BlockPool::new(&geometry(), 0);
+        assert_eq!(pool.next_write_point(), None);
+    }
+
     #[test]
     fn write_points_fill_close_and_reopen() {
         let g = geometry();
@@ -356,9 +447,9 @@ mod tests {
         let mut pool = BlockPool::new(&g, 2);
         assert_eq!(pool.take_page(0), None);
         assert_eq!(pool.open_block(0), Some((BlockId(0), 0)));
-        assert_eq!(pool.next_write_point(), 0);
-        assert_eq!(pool.next_write_point(), 1);
-        assert_eq!(pool.next_write_point(), 0);
+        assert_eq!(pool.next_write_point(), Some(0));
+        assert_eq!(pool.next_write_point(), Some(1));
+        assert_eq!(pool.next_write_point(), Some(0));
         for page in 1..4 {
             assert!(!pool.is_closed(BlockId(0)));
             assert_eq!(pool.take_page(0), Some((BlockId(0), page)));
@@ -444,14 +535,34 @@ mod tests {
         assert_eq!(pool.valid_units(BlockId(3)), 1);
         assert_eq!(pool.free_count(), 7);
         assert_eq!(pool.take_page(0), None, "no write point survives a cut");
-        assert_eq!(
-            pool.select_victim(VictimPolicy::Greedy, 4, &flash),
-            Some(BlockId(3))
-        );
+        assert_eq!(pool.select_victim(4, &flash), Some(BlockId(3)));
         pool.check_invariants(&table, &g, 1).unwrap();
 
         // The first unit past the last block.
         let _ = table.map(Lpn(1), Location::Flash(Pun(g.total_pages())));
         assert!(pool.rebuild(&flash, &table, 1).is_err());
+    }
+
+    /// Close order does not survive a cut: whatever order the blocks
+    /// were programmed in, the rebuilt pool ranks them by block id.
+    #[test]
+    fn a_rebuilt_pool_ranks_closed_blocks_by_block_id() {
+        let g = wide_geometry();
+        let mut flash = FlashArray::new(g, FlashTiming::mlc());
+        let mut table = MappingTable::new();
+        // Only the last block by id holds nothing, and it is the ninth.
+        for block in (0..=WINDOW as u64).rev().map(BlockId) {
+            let ppn = g.ppn_in_block(block, 0);
+            flash
+                .program(ppn, PageContent::empty(1), SimTime::ZERO)
+                .unwrap();
+            if block.index() < WINDOW {
+                let _ = table.map(Lpn(block.0), Location::Flash(Pun::compose(ppn, 0, 1)));
+            }
+        }
+        let mut pool = BlockPool::new(&g, 1);
+        pool.rebuild(&flash, &table, 1).unwrap();
+        assert_eq!(pool.select_victim(4, &flash), Some(BlockId(0)));
+        pool.check_invariants(&table, &g, 1).unwrap();
     }
 }

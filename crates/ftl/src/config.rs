@@ -1,6 +1,6 @@
 //! FTL configuration.
 
-use crate::policy::VictimPolicy;
+use crate::error::FtlConfigError;
 
 /// Retry policy for one class of flash operation (read, program, or
 /// erase). Transient media failures are retried with exponential backoff
@@ -61,8 +61,6 @@ pub struct FtlConfig {
     pub unit_bytes: u32,
     /// Run garbage collection when the free-block pool drops to this size.
     pub gc_threshold_blocks: u32,
-    /// GC victim-selection policy (see [`VictimPolicy`]).
-    pub victim_policy: VictimPolicy,
     /// Background GC may run (in idle windows) when the pool drops to this
     /// softer threshold.
     pub gc_soft_threshold_blocks: u32,
@@ -116,29 +114,23 @@ impl FtlConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the offending field.
-    pub fn validate(&self, page_bytes: u32, total_blocks: u64) -> Result<(), String> {
+    /// Names the offending field.
+    pub fn validate(&self, page_bytes: u32, total_blocks: u64) -> Result<(), FtlConfigError> {
         if self.unit_bytes == 0 || !page_bytes.is_multiple_of(self.unit_bytes) {
-            return Err(format!(
-                "unit_bytes {} must be a divisor of page size {}",
-                self.unit_bytes, page_bytes
-            ));
+            return Err(FtlConfigError::UnitBytes(self.unit_bytes, page_bytes));
         }
         if self.gc_threshold_blocks < 2 {
-            return Err("gc_threshold_blocks must be at least 2".into());
+            return Err(FtlConfigError::GcThreshold);
         }
         if self.gc_soft_threshold_blocks < self.gc_threshold_blocks {
-            return Err("gc_soft_threshold_blocks must be >= gc_threshold_blocks".into());
+            return Err(FtlConfigError::GcSoftThreshold);
         }
         if self.write_points == 0 {
-            return Err("write_points must be non-zero".into());
+            return Err(FtlConfigError::NoWritePoints);
         }
-        if self.write_buffer_units < self.units_per_page(page_bytes) {
-            return Err(format!(
-                "write_buffer_units {} must hold at least one page ({} units)",
-                self.write_buffer_units,
-                self.units_per_page(page_bytes)
-            ));
+        let upp = self.units_per_page(page_bytes);
+        if self.write_buffer_units < upp {
+            return Err(FtlConfigError::WriteBuffer(self.write_buffer_units, upp));
         }
         for (class, policy) in [
             ("read", self.retry_read),
@@ -146,15 +138,14 @@ impl FtlConfig {
             ("erase", self.retry_erase),
         ] {
             if policy.limit == 0 {
-                return Err(format!(
-                    "retry_{class} limit must be at least 1 (the first attempt)"
-                ));
+                return Err(FtlConfigError::RetryLimit(class));
             }
         }
         if self.write_points as u64 + self.gc_threshold_blocks as u64 >= total_blocks {
-            return Err(format!(
-                "write_points + gc_threshold ({} + {}) must be far below total blocks ({total_blocks})",
-                self.write_points, self.gc_threshold_blocks
+            return Err(FtlConfigError::TooFewBlocks(
+                self.write_points,
+                self.gc_threshold_blocks,
+                total_blocks,
             ));
         }
         Ok(())
@@ -168,7 +159,6 @@ impl Default for FtlConfig {
         FtlConfig {
             unit_bytes: 4096,
             gc_threshold_blocks: 8,
-            victim_policy: VictimPolicy::Greedy,
             gc_soft_threshold_blocks: 24,
             write_points: 8,
             map_cache_entries: None,
@@ -208,39 +198,24 @@ mod tests {
     #[test]
     fn validate_flags_bad_fields() {
         let good = FtlConfig::default();
-        assert!(good.validate(4096, 1024).is_ok());
-        let bad = FtlConfig {
-            gc_threshold_blocks: 1,
-            ..good
+        assert_eq!(good.validate(4096, 1024), Ok(()));
+        use FtlConfigError as E;
+        let refuses = |edit: fn(&mut FtlConfig), why: E| {
+            let mut bad = good;
+            edit(&mut bad);
+            assert_eq!(bad.validate(4096, 1024), Err(why));
         };
-        assert!(bad.validate(4096, 1024).is_err());
-        let bad = FtlConfig {
-            write_points: 0,
-            ..good
-        };
-        assert!(bad.validate(4096, 1024).is_err());
-        let bad = FtlConfig {
-            gc_soft_threshold_blocks: 2,
-            gc_threshold_blocks: 8,
-            ..good
-        };
-        assert!(bad.validate(4096, 1024).is_err());
-        let bad = FtlConfig {
-            write_points: 2000,
-            ..good
-        };
-        assert!(bad.validate(4096, 1024).is_err());
-        let bad = FtlConfig {
-            retry_read: MediaRetryPolicy::with_limit(0),
-            ..good
-        };
-        assert!(bad.validate(4096, 1024).is_err());
-        let bad = FtlConfig {
-            retry_erase: MediaRetryPolicy::with_limit(0),
-            ..good
-        };
-        assert!(bad.validate(4096, 1024).is_err());
+        refuses(|c| c.gc_threshold_blocks = 1, E::GcThreshold);
+        refuses(|c| c.write_points = 0, E::NoWritePoints);
+        refuses(|c| c.gc_soft_threshold_blocks = 2, E::GcSoftThreshold);
+        let too_few = E::TooFewBlocks(2000, 8, 1024);
+        refuses(|c| c.write_points = 2000, too_few);
+        refuses(|c| c.retry_read.limit = 0, E::RetryLimit("read"));
+        refuses(|c| c.retry_erase.limit = 0, E::RetryLimit("erase"));
+        assert_eq!(
+            too_few.to_string(),
+            "write_points + gc_threshold (2000 + 8) must be far below total blocks (1024)"
+        );
         assert!(good.verify_checksums, "verification is on by default");
-        assert_eq!(good.victim_policy, VictimPolicy::Greedy);
     }
 }

@@ -115,6 +115,57 @@ impl fmt::Display for FtlError {
     }
 }
 
+/// What [`crate::FtlConfig::validate`] (and so [`crate::Ftl::new`])
+/// refuses, one variant per offending field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FtlConfigError {
+    /// `unit_bytes` (first) is zero or does not divide the page size.
+    UnitBytes(u32, u32),
+    /// `gc_threshold_blocks` is below 2.
+    GcThreshold,
+    /// `gc_soft_threshold_blocks` is below `gc_threshold_blocks`.
+    GcSoftThreshold,
+    /// `write_points` is zero.
+    NoWritePoints,
+    /// `write_buffer_units` (first) is less than the units of one page.
+    WriteBuffer(u32, u32),
+    /// The retry policy of this class (`read`, `program`, `erase`)
+    /// allows no attempt at all.
+    RetryLimit(&'static str),
+    /// `write_points` plus `gc_threshold_blocks` leave none of the
+    /// array's blocks (last) for data.
+    TooFewBlocks(u32, u32, u64),
+}
+
+impl fmt::Display for FtlConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Self::UnitBytes(unit, page) => {
+                write!(f, "unit_bytes {unit} must be a divisor of page size {page}")
+            }
+            Self::GcThreshold => write!(f, "gc_threshold_blocks must be at least 2"),
+            Self::GcSoftThreshold => {
+                write!(f, "gc_soft_threshold_blocks must be >= gc_threshold_blocks")
+            }
+            Self::NoWritePoints => write!(f, "write_points must be non-zero"),
+            Self::WriteBuffer(units, upp) => write!(
+                f,
+                "write_buffer_units {units} must hold at least one page ({upp} units)"
+            ),
+            Self::RetryLimit(class) => write!(
+                f,
+                "retry_{class} limit must be at least 1 (the first attempt)"
+            ),
+            Self::TooFewBlocks(wp, gc, total) => write!(
+                f,
+                "write_points + gc_threshold ({wp} + {gc}) must be far below total blocks ({total})"
+            ),
+        }
+    }
+}
+
+impl Error for FtlConfigError {}
+
 /// Failures during sudden-power-off recovery
 /// ([`crate::Ftl::rebuild_after_power_loss`]).
 ///

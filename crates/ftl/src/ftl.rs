@@ -34,7 +34,7 @@ use checkin_sim::{
 
 use crate::block_pool::BlockPool;
 use crate::config::{FtlConfig, MediaRetryPolicy};
-use crate::error::{FtlError, IntegrityError};
+use crate::error::{FtlConfigError, FtlError, IntegrityError};
 use crate::ledger::IntegrityLedger;
 use crate::location::{BufSlot, Location, Lpn, Pun};
 use crate::map_cache::MapCacheModel;
@@ -117,9 +117,9 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// Returns a description when `config` is inconsistent with the
-    /// array's geometry.
-    pub fn new(flash: FlashArray, config: FtlConfig) -> Result<Self, String> {
+    /// Names the field of `config` that is inconsistent with the array's
+    /// geometry.
+    pub fn new(flash: FlashArray, config: FtlConfig) -> Result<Self, FtlConfigError> {
         let g = *flash.geometry();
         config.validate(g.page_bytes, g.total_blocks())?;
         let upp = config.units_per_page(g.page_bytes);
@@ -495,8 +495,7 @@ impl Ftl {
         let mut taken = self.scratch_batches.pop().unwrap_or_default();
         taken.clear();
         self.buffer.take_batch(self.upp as usize, &mut taken);
-        let wp = self.pool.next_write_point();
-        let (block, page) = match self.alloc_page_slot(wp, at) {
+        let (block, page) = match self.alloc_page_slot(at) {
             Ok(v) => v,
             Err(e) => {
                 // Put the batch back so no buffered data is lost.
@@ -570,11 +569,12 @@ impl Ftl {
         Ok(win.finish)
     }
 
-    /// The next page write point `wp` programs. When `wp` has no block
-    /// open and the free pool is down to its hard threshold, foreground
-    /// GC first collects until there is headroom or nothing reclaimable
-    /// is left (not fatal yet: free blocks may remain).
-    fn alloc_page_slot(&mut self, wp: usize, at: SimTime) -> Result<(BlockId, u32), FtlError> {
+    /// The next page of the write point `wp` whose turn it is. When `wp`
+    /// has no block open and the free pool is down to its hard threshold,
+    /// foreground GC first collects until there is headroom or nothing
+    /// reclaimable is left (not fatal yet: free blocks may remain).
+    fn alloc_page_slot(&mut self, at: SimTime) -> Result<(BlockId, u32), FtlError> {
+        let wp = self.pool.next_write_point().ok_or(FtlError::OutOfSpace)?;
         if let Some(slot) = self.pool.take_page(wp) {
             return Ok(slot);
         }

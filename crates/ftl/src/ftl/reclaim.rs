@@ -112,8 +112,7 @@ impl Ftl {
         trigger: GcTrigger,
     ) -> Result<Option<SimTime>, FtlError> {
         let capacity = self.upp * self.flash.geometry().pages_per_block;
-        let policy = self.config.victim_policy;
-        let Some(victim) = self.pool.select_victim(policy, capacity, &self.flash) else {
+        let Some(victim) = self.pool.select_victim(capacity, &self.flash) else {
             return Ok(None);
         };
         self.migrate_and_erase(victim, at, trigger).map(Some)

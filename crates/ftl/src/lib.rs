@@ -83,13 +83,11 @@ mod location;
 mod map_cache;
 mod mapping;
 mod persist;
-mod policy;
 mod write_buffer;
 
 pub use config::{FtlConfig, MediaRetryPolicy};
-pub use error::{FtlError, IntegrityError, RecoveryError};
+pub use error::{FtlConfigError, FtlError, IntegrityError, RecoveryError};
 pub use ftl::{Ftl, GcTrigger, RebuildStats, ScrubReport, UnitWrite};
 pub use location::{BufSlot, Location, Lpn, Pun};
 pub use map_cache::MapCacheModel;
 pub use mapping::{MappingTable, Unlink};
-pub use policy::{VictimCandidate, VictimPolicy};

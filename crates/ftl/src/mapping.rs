@@ -183,8 +183,8 @@ impl MappingTable {
         debug_assert_ne!(word, UNMAPPED);
         if lpn.0 < DENSE_LPN_LIMIT {
             let idx = lpn.index();
-            if idx >= self.forward.len() {
-                self.forward.resize(idx + 1, UNMAPPED);
+            if let Some(len) = idx.checked_add(1).filter(|&len| len > self.forward.len()) {
+                self.forward.resize(len, UNMAPPED);
             }
             if let Some(slot) = self.forward.get_mut(idx) {
                 *slot = word;
@@ -224,19 +224,18 @@ impl MappingTable {
         }
     }
 
-    fn ref_slot_mut(&mut self, loc: Location) -> &mut RefSlot {
+    /// The referrer set of `loc`, growing the reverse array to hold it.
+    /// `None` for an address `usize` cannot index (`index()` reports it
+    /// as `usize::MAX`): no array is that long, so the table refuses it.
+    fn ref_slot_mut(&mut self, loc: Location) -> Option<&mut RefSlot> {
         let (vec, idx) = match loc {
             Location::Flash(pun) => (&mut self.flash_refs, pun.index()),
             Location::Buffer(slot) => (&mut self.buf_refs, slot.index()),
         };
         if idx >= vec.len() {
-            vec.resize(idx + 1, RefSlot::Empty);
+            vec.resize(idx.checked_add(1)?, RefSlot::Empty);
         }
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "the resize above makes idx < vec.len(); an Option here would put an unreachable error arm into every mapping-table caller on the write hot path"
-        )]
-        &mut vec[idx]
+        vec.get_mut(idx)
     }
 
     /// Current location of a logical unit.
@@ -266,17 +265,20 @@ impl MappingTable {
 
     /// Points `lpn` at `loc`, unlinking any previous mapping. Returns the
     /// outcome for the *previous* location so the caller can update block
-    /// validity counters.
+    /// validity counters. A `loc` the table cannot index is refused and
+    /// leaves `lpn` unmapped.
     pub fn map(&mut self, lpn: Lpn, loc: Location) -> Unlink {
         let prev = self.unmap(lpn);
-        self.forward_set(lpn, pack(loc));
-        self.live += 1;
-        let slot = self.ref_slot_mut(loc);
+        let Some(slot) = self.ref_slot_mut(loc) else {
+            return prev;
+        };
         let was_empty = slot.is_empty();
         slot.push(lpn);
         if was_empty {
             self.occupied += 1;
         }
+        self.forward_set(lpn, pack(loc));
+        self.live += 1;
         prev
     }
 
@@ -290,7 +292,9 @@ impl MappingTable {
         self.forward_clear(lpn);
         self.live -= 1;
         let loc = unpack(word);
-        let slot = self.ref_slot_mut(loc);
+        let Some(slot) = self.ref_slot_mut(loc) else {
+            return Unlink::Orphaned(loc);
+        };
         slot.remove(lpn);
         if slot.is_empty() {
             self.occupied -= 1;
@@ -318,20 +322,26 @@ impl MappingTable {
 
     /// Re-homes every referrer of `from` onto `to` (used when the write
     /// buffer drains to flash, and when GC migrates a unit). Returns how
-    /// many referrers moved.
+    /// many referrers moved: none when either end is an address the table
+    /// cannot index.
     pub fn relocate(&mut self, from: Location, to: Location) -> usize {
-        let from_slot = self.ref_slot_mut(from);
-        if from_slot.is_empty() {
+        // `to` is grown before `from` is emptied, so a refusal moves nothing.
+        if self.referrers(from).is_empty() || self.ref_slot_mut(to).is_none() {
             return 0;
         }
-        let moved = std::mem::take(from_slot);
+        let moved = self
+            .ref_slot_mut(from)
+            .map(std::mem::take)
+            .unwrap_or_default();
         self.occupied -= 1;
         let packed_to = pack(to);
         for &lpn in moved.as_slice() {
             self.forward_set(lpn, packed_to);
         }
         let n = moved.as_slice().len();
-        let to_slot = self.ref_slot_mut(to);
+        let Some(to_slot) = self.ref_slot_mut(to) else {
+            return n;
+        };
         let was_empty = to_slot.is_empty();
         match (to_slot, moved) {
             (slot @ RefSlot::Empty, moved) => *slot = moved,
@@ -542,6 +552,21 @@ mod tests {
         let lpns: Vec<u64> = t.iter().map(|(l, _)| l.0).collect();
         assert_eq!(lpns, vec![1, meta.0]);
         assert_eq!(t.unmap(meta), Unlink::Orphaned(Location::Flash(Pun(6))));
+        t.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn an_address_past_the_index_space_is_refused() {
+        let past = Location::Flash(Pun(u64::MAX));
+        let held = Location::Flash(Pun(5));
+        let mut t = MappingTable::new();
+        t.map(Lpn(1), held);
+        assert_eq!(t.relocate(held, past), 0);
+        assert_eq!(t.relocate(past, held), 0);
+        assert_eq!(t.lookup(Lpn(1)), Some(held));
+        assert_eq!(t.map(Lpn(1), past), Unlink::Orphaned(held));
+        assert_eq!(t.lookup(Lpn(1)), None);
+        assert_eq!(t.live_entries(), 0);
         t.check_consistency().unwrap();
     }
 

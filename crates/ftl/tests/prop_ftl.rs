@@ -2,10 +2,10 @@
 //! mirrored against a shadow model. Randomized via `checkin-testkit`
 //! (deterministic seeds, offline-safe — no external crates).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind, UnitPayload};
-use checkin_ftl::{Ftl, FtlConfig, FtlError, GcTrigger, Lpn, UnitWrite, VictimPolicy};
+use checkin_ftl::{Ftl, FtlConfig, FtlError, GcTrigger, Lpn, UnitWrite};
 use checkin_sim::SimTime;
 use checkin_testkit::{check, soup, TestRng};
 
@@ -41,7 +41,7 @@ fn op(rng: &mut TestRng) -> Op {
     }
 }
 
-fn build(victim_policy: VictimPolicy) -> Ftl {
+fn build() -> Ftl {
     let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
     Ftl::new(
         flash,
@@ -52,23 +52,17 @@ fn build(victim_policy: VictimPolicy) -> Ftl {
             gc_soft_threshold_blocks: 8,
             write_buffer_units: 16,
             wear_leveling_threshold: Some(8),
-            victim_policy,
             ..FtlConfig::default()
         },
     )
     .unwrap()
 }
 
-/// Shadow: lpn -> (key, version) of the expected current copy.
+/// Runs the soup, verifying against the shadow (lpn -> (key, version)
+/// of the expected current copy) and the FTL's own invariants after
+/// every op.
 fn run_ops(ops: &[Op]) {
-    run_ops_with(ops, VictimPolicy::default());
-}
-
-/// Runs the soup under the given victim policy, verifying against the
-/// shadow and the FTL's own invariants after every op, and returns the
-/// final logical contents read back from the device.
-fn run_ops_with(ops: &[Op], victim_policy: VictimPolicy) -> BTreeMap<u64, (u64, u64)> {
-    let mut ftl = build(victim_policy);
+    let mut ftl = build();
     let mut shadow: HashMap<u64, (u64, u64)> = HashMap::new();
     let mut next_version = 1u64;
     let t = SimTime::ZERO;
@@ -127,9 +121,6 @@ fn run_ops_with(ops: &[Op], victim_policy: VictimPolicy) -> BTreeMap<u64, (u64, 
     }
 
     // Final sweep: every shadow entry readable with the right content.
-    // The read-back map (not the shadow) is returned, so cross-policy
-    // comparisons check what the device actually serves.
-    let mut contents = BTreeMap::new();
     for (&lpn, &(key, version)) in &shadow {
         let (payload, _) = ftl.read(Lpn(lpn), t).unwrap();
         let f = payload
@@ -138,7 +129,6 @@ fn run_ops_with(ops: &[Op], victim_policy: VictimPolicy) -> BTreeMap<u64, (u64, 
             .find(|f| f.key == key)
             .unwrap_or_else(|| panic!("lpn {lpn}: key {key} missing"));
         assert_eq!(f.version, version, "lpn {lpn}");
-        contents.insert(lpn, (f.key, f.version));
     }
     // And nothing else is mapped.
     for lpn in 0..LPNS {
@@ -148,7 +138,6 @@ fn run_ops_with(ops: &[Op], victim_policy: VictimPolicy) -> BTreeMap<u64, (u64, 
             "mapping presence mismatch at {lpn}"
         );
     }
-    contents
 }
 
 #[test]
@@ -167,21 +156,6 @@ fn ftl_matches_shadow_under_long_churn() {
         let len = rng.range_usize(2_000, 2_999);
         let ops = soup(rng, len, op);
         run_ops(&ops);
-    });
-}
-
-/// Victim selection is a performance knob, never semantics: the same
-/// seeded soup must leave logically identical KV contents under both
-/// policies. Each run is also independently verified against the shadow
-/// model.
-#[test]
-fn victim_policies_are_logically_invariant() {
-    check("victim_policies_are_logically_invariant", 12, |rng| {
-        let len = rng.range_usize(500, 1_499);
-        let ops = soup(rng, len, op);
-        let greedy = run_ops_with(&ops, VictimPolicy::Greedy);
-        let windowed = run_ops_with(&ops, VictimPolicy::WindowedGreedy { window: 4 });
-        assert_eq!(greedy, windowed, "windowed-greedy:4 diverged from greedy");
     });
 }
 

@@ -97,7 +97,7 @@ mod trace;
 
 pub use event::EventQueue;
 pub use resource::{Resource, ResourcePool, Window};
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use stats::{Counter, CounterSet, LatencyRecorder, Total};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLayer, TraceRing, Tracer, MAX_TRACE_FIELDS};

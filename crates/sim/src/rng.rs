@@ -6,8 +6,10 @@
 //! uniform draws; the workload crate builds its key distributions on top
 //! of the same generator.
 
-/// SplitMix64, used to expand a single `u64` seed into generator state.
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 step: advances `state` and returns the next output. Expands
+/// a single `u64` seed into generator state, and derives per-case seeds
+/// in `checkin-testkit`.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -21,46 +21,22 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// SplitMix64 step, used for seeding and per-case seed derivation.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use checkin_sim::{splitmix64, SimRng};
 
-/// Deterministic xoshiro256** generator for test-case inputs.
+/// Generator for test-case inputs: the simulator's [`SimRng`] plus the
+/// ranged and weighted draws property tests want.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TestRng {
-    s: [u64; 4],
-}
+pub struct TestRng(SimRng);
 
 impl TestRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut s = [0u64; 4];
-        for slot in &mut s {
-            *slot = splitmix64(&mut sm);
-        }
-        if s == [0, 0, 0, 0] {
-            s[0] = 1;
-        }
-        TestRng { s }
+        TestRng(SimRng::seed_from(seed))
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
+        self.0.next_u64()
     }
 
     /// Uniform value in `[0, bound)`.
@@ -69,20 +45,7 @@ impl TestRng {
     ///
     /// Panics when `bound` is zero.
     pub fn below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "below() bound must be positive");
-        // Lemire multiply-shift rejection.
-        let mut x = self.next_u64();
-        let mut m = (x as u128) * (bound as u128);
-        let mut lo = m as u64;
-        if lo < bound {
-            let threshold = bound.wrapping_neg() % bound;
-            while lo < threshold {
-                x = self.next_u64();
-                m = (x as u128) * (bound as u128);
-                lo = m as u64;
-            }
-        }
-        (m >> 64) as u64
+        self.0.gen_range(bound)
     }
 
     /// Uniform value in the inclusive range `[lo, hi]`.
@@ -112,7 +75,7 @@ impl TestRng {
 
     /// Uniform float in `[0, 1)`.
     pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.0.gen_f64()
     }
 
     /// Uniform float in `[lo, hi)`.
