@@ -10,20 +10,25 @@
 //! * **`counts`** — what one 64-entry checkpoint command costs the
 //!   device in remap mode and in copy mode: simulated nanoseconds, flash
 //!   reads, unit writes. The paper's central claim (Algorithm 1 moves
-//!   mapping entries and does no flash I/O).
+//!   mapping entries and does no flash I/O). And what one home `get`
+//!   costs: a read asks for the sectors the value spans and senses each
+//!   flash page once.
 //! * **`paper`** — every figure and table of the paper's evaluation
 //!   ([`crate::figures`]), the paper's own number beside the measured
 //!   one where it states one.
 //!
-//! One condition fails a run: a remap checkpoint must do no flash I/O
-//! where a copy checkpoint reads and rewrites every log. `cargo test`
-//! checks it as well (this module's tests).
+//! Two conditions fail a run, both exact: a remap checkpoint must do no
+//! flash I/O where a copy checkpoint reads and rewrites every log, and a
+//! home read must cost what the record occupies. `cargo test` checks
+//! them as well (this module's tests).
 
-use checkin_core::{JournalManager, Layout, Strategy};
+use std::collections::BTreeSet;
+
+use checkin_core::{JournalManager, KvEngine, Layout, Strategy};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind};
-use checkin_ftl::{Ftl, FtlConfig};
+use checkin_ftl::{Ftl, FtlConfig, Lpn};
 use checkin_sim::{Counter, SimTime, Total};
-use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
+use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming, SECTOR_BYTES};
 use checkin_workload::{AccessPattern, OpMix};
 
 use crate::harness::{render, row, speedup, Row};
@@ -34,11 +39,13 @@ use crate::{figures, gc_pressured_config, section};
 pub struct Lab {
     /// WAF, lifetime, p99.9 and erases of three GC-pressured workloads.
     pub gc: Vec<Row>,
-    /// Exact simulated cost of a remap and of a copy checkpoint.
+    /// Exact simulated cost of a remap and of a copy checkpoint, and of
+    /// a home read of a small and of a slot-sized record.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// The gate held: a remap checkpoint did no flash I/O.
+    /// Both gates held: a remap checkpoint did no flash I/O, and a read
+    /// cost what the record occupies.
     pub passed: bool,
 }
 
@@ -53,25 +60,35 @@ impl Lab {
     }
 }
 
-/// Measures all three sections and judges the gate.
+/// Measures all three sections and judges the two gates.
 pub fn run() -> Lab {
     let gc = gc_section();
-    let (counts, remap, copy) = counts_section();
+    let (counts, checkpoints, reads) = counts_section();
     let paper = figures::paper_section();
 
     println!();
-    let passed = remap_does_no_flash_io(&remap, &copy);
-    let what = format!("a remap checkpoint does no flash I/O: remap {remap:?}, copy {copy:?}");
-    if passed {
-        println!("PASS: {what}");
-    } else {
-        eprintln!("FAIL: {what}");
+    let gates = [
+        (
+            remap_does_no_flash_io(&checkpoints),
+            format!("a remap checkpoint does no flash I/O: {checkpoints:?}"),
+        ),
+        (
+            a_read_costs_what_the_record_occupies(&reads),
+            format!("a read costs what the record occupies: {reads:?}"),
+        ),
+    ];
+    for (held, what) in &gates {
+        if *held {
+            println!("PASS: {what}");
+        } else {
+            eprintln!("FAIL: {what}");
+        }
     }
     Lab {
         gc,
         counts,
         paper,
-        passed,
+        passed: gates.iter().all(|(held, _)| *held),
     }
 }
 
@@ -127,23 +144,35 @@ struct CheckpointCost {
 /// Journal entries in the checkpoint fixture.
 const ENTRIES: u64 = 64;
 
-/// Executes one `mode` checkpoint of [`ENTRIES`] one-sector journal logs
-/// on the paper-default array with the paper's 512 B mapping unit, where
-/// every log is unit-aligned and so eligible for remapping. The journal
-/// is flushed to flash first: a copy then has to read every log back.
-fn checkpoint_cost(mode: CheckpointMode) -> CheckpointCost {
-    let flash = FlashArray::new(FlashGeometry::paper_default(), FlashTiming::mlc());
+/// The paper-default array under `timing`, with the paper's 512 B
+/// mapping unit.
+fn device(timing: FlashTiming) -> Ssd {
+    let flash = FlashArray::new(FlashGeometry::paper_default(), timing);
     let config = FtlConfig {
-        unit_bytes: 512,
+        unit_bytes: SECTOR_BYTES,
         ..FtlConfig::default()
     };
     let ftl = Ftl::new(flash, config).expect("default FTL config is valid");
-    let mut ssd = Ssd::new(ftl, SsdTiming::paper_default());
-    let layout = Layout::new(1_024, 4096, 512, 1 << 14);
+    Ssd::new(ftl, SsdTiming::paper_default())
+}
+
+fn flash_reads(ssd: &Ssd) -> u64 {
+    ssd.ftl().flash().counters().total(Total::FlashRead)
+}
+
+/// Executes one `mode` checkpoint of [`ENTRIES`] one-sector journal logs
+/// on the paper-default array under `timing`, where every log is
+/// unit-aligned and so eligible for remapping. The journal is flushed to
+/// flash first: a copy then has to read every log back.
+fn checkpoint_cost(mode: CheckpointMode, timing: FlashTiming) -> CheckpointCost {
+    let mut ssd = device(timing);
+    let layout = Layout::new(1_024, 4096, SECTOR_BYTES, 1 << 14);
     let mut journal = JournalManager::new(layout, true, 0.7);
     let mut t = SimTime::ZERO;
     for key in 0..ENTRIES {
-        let req = journal.append(key, 1, 512).expect("journal has room");
+        let req = journal
+            .append(key, 1, SECTOR_BYTES)
+            .expect("journal has room");
         t = ssd
             .write(&req, OobKind::Journal, t)
             .expect("write succeeds");
@@ -163,7 +192,6 @@ fn checkpoint_cost(mode: CheckpointMode) -> CheckpointCost {
         })
         .collect();
 
-    let flash_reads = |ssd: &Ssd| ssd.ftl().flash().counters().total(Total::FlashRead);
     let unit_writes = |ssd: &Ssd| ssd.ftl().counters().get(Counter::FtlHostUnitWrites);
     let (reads0, writes0) = (flash_reads(&ssd), unit_writes(&ssd));
     let done = ssd.checkpoint(&entries, mode, t).expect("checkpoint runs");
@@ -176,31 +204,115 @@ fn checkpoint_cost(mode: CheckpointMode) -> CheckpointCost {
     }
 }
 
-/// Algorithm 1's claim on the fixture, exact: the remap walk touches no
-/// flash and writes one unit (the recovery metadata unit that closes
-/// every checkpoint command), the copy fallback reads and rewrites every
-/// log — and time tells the two apart without a tuned ratio. The copy
-/// senses one page per log ([`ENTRIES`] unit reads, no coalescing), the
-/// flushed journal stripes over every die of the array, and a die senses
-/// one page at a time: the copy cannot finish before `ENTRIES / dies`
-/// back-to-back tR on one die (64 / 8 = 8 x 45 us = 360 us here), and
-/// the remap, which waits for no die, must finish inside that floor.
-fn remap_does_no_flash_io(remap: &CheckpointCost, copy: &CheckpointCost) -> bool {
-    let counts = |c: &CheckpointCost| (c.flash_reads, c.unit_writes, c.remapped, c.copied);
-    let serial_reads = ENTRIES / FlashGeometry::paper_default().total_dies();
-    let sense_floor = (FlashTiming::mlc().t_read * serial_reads).as_nanos();
-    counts(remap) == (0, 1, ENTRIES, 0)
-        && counts(copy) == (ENTRIES, ENTRIES + 1, 0, ENTRIES)
-        && remap.sim_ns < sense_floor
-        && sense_floor <= copy.sim_ns
+/// The checkpoint fixture in both modes on MLC — the `counts` rows — and
+/// again on TLC, which the gate reads.
+#[derive(Debug)]
+struct CheckpointCosts {
+    remap: CheckpointCost,
+    copy: CheckpointCost,
+    remap_tlc: CheckpointCost,
+    copy_tlc: CheckpointCost,
 }
 
-fn counts_section() -> (Vec<Row>, CheckpointCost, CheckpointCost) {
-    section("counts: 64-entry checkpoint command, remap walk vs copy fallback");
-    let remap = checkpoint_cost(CheckpointMode::Remap);
-    let copy = checkpoint_cost(CheckpointMode::Copy);
+impl CheckpointCosts {
+    fn measure() -> Self {
+        let (mlc, tlc) = (FlashTiming::mlc(), FlashTiming::tlc());
+        CheckpointCosts {
+            remap: checkpoint_cost(CheckpointMode::Remap, mlc),
+            copy: checkpoint_cost(CheckpointMode::Copy, mlc),
+            remap_tlc: checkpoint_cost(CheckpointMode::Remap, tlc),
+            copy_tlc: checkpoint_cost(CheckpointMode::Copy, tlc),
+        }
+    }
+}
+
+/// Algorithm 1's claim on the fixture, exact: the remap walk touches no
+/// flash and writes one unit (the recovery metadata unit that closes
+/// every checkpoint command); the copy fallback rewrites every log and
+/// reads it back first, sensing each flash page once — the journal was
+/// paged out `units_per_page` logs to the page — and time tells the two
+/// apart without a tuned ratio: the remap waits for no die, so it takes
+/// the same nanoseconds whatever the NAND generation, while the copy
+/// waits for at least one sense and is slower on TLC by at least the
+/// difference of the two tR.
+fn remap_does_no_flash_io(c: &CheckpointCosts) -> bool {
+    let counts = |c: &CheckpointCost| (c.flash_reads, c.unit_writes, c.remapped, c.copied);
+    let units_per_page = u64::from(FlashGeometry::paper_default().page_bytes / SECTOR_BYTES);
+    let sense_gap = (FlashTiming::tlc().t_read - FlashTiming::mlc().t_read).as_nanos();
+    counts(&c.remap) == (0, 1, ENTRIES, 0)
+        && counts(&c.copy) == (ENTRIES / units_per_page, ENTRIES + 1, 0, ENTRIES)
+        && c.remap_tlc == c.remap
+        && counts(&c.copy_tlc) == counts(&c.copy)
+        && c.copy_tlc.sim_ns >= c.copy.sim_ns + sense_gap
+}
+
+/// What one home `get` cost the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReadCost {
+    value_bytes: u32,
+    sim_ns: u64,
+    /// Mapping units the FTL looked up.
+    unit_lookups: u64,
+    flash_reads: u64,
+    /// Flash pages holding the record's units.
+    pages: u64,
+}
+
+/// Record sizes of the read fixture: one sector class, one whole slot.
+const READ_SIZES: [u32; 2] = [128, 4096];
+
+/// Loads one record of each of [`READ_SIZES`] — a load ends in a flush,
+/// so both are on flash — and reads each back from its home slot on the
+/// idle device.
+fn read_costs() -> Vec<ReadCost> {
+    let mut ssd = device(FlashTiming::mlc());
+    let layout = Layout::new(1_024, 4096, SECTOR_BYTES, 1 << 14);
+    let mut engine = KvEngine::new(Strategy::CheckIn, layout, 0.7);
+    let records: Vec<(u64, u32)> = (0..).zip(READ_SIZES).collect();
+    let mut t = engine
+        .load(&mut ssd, &records, SimTime::ZERO)
+        .expect("load succeeds");
+    let unit_lookups = |ssd: &Ssd| ssd.ftl().counters().get(Counter::FtlHostUnitReads);
+    let mut costs = Vec::new();
+    for (key, value_bytes) in records {
+        let home = layout.home_lba(key);
+        let sectors = u64::from(value_bytes.div_ceil(SECTOR_BYTES));
+        let pages: BTreeSet<_> = (home..home + sectors)
+            .filter_map(|lba| ssd.ftl().flash_page_of(Lpn(lba)))
+            .collect();
+        let (lookups0, reads0) = (unit_lookups(&ssd), flash_reads(&ssd));
+        let read = engine.get(&mut ssd, key, t).expect("get succeeds");
+        costs.push(ReadCost {
+            value_bytes,
+            sim_ns: read.finish.duration_since(t).as_nanos(),
+            unit_lookups: unit_lookups(&ssd) - lookups0,
+            flash_reads: flash_reads(&ssd) - reads0,
+            pages: pages.len() as u64,
+        });
+        t = read.finish;
+    }
+    costs
+}
+
+/// The read path's two rules on the fixture, exact: `get` asks for the
+/// sectors the value spans — one mapping lookup for a 128 B record, not
+/// the slot's eight — and the device senses a flash page once per
+/// command, so the slot-sized record costs as many flash reads as pages
+/// hold it, not one per unit.
+fn a_read_costs_what_the_record_occupies(reads: &[ReadCost]) -> bool {
+    reads.len() == READ_SIZES.len()
+        && reads.iter().all(|r| {
+            let units = u64::from(r.value_bytes.div_ceil(SECTOR_BYTES));
+            r.unit_lookups == units && r.flash_reads == r.pages && r.pages <= units
+        })
+        && reads.iter().any(|r| r.pages < r.unit_lookups)
+}
+
+fn counts_section() -> (Vec<Row>, CheckpointCosts, Vec<ReadCost>) {
+    section("counts: 64-entry checkpoint command, remap walk vs copy fallback; one home read");
+    let checkpoints = CheckpointCosts::measure();
     let mut rows = Vec::new();
-    for (mode, c) in [("remap", &remap), ("copy", &copy)] {
+    for (mode, c) in [("remap", &checkpoints.remap), ("copy", &checkpoints.copy)] {
         let name = format!("checkpoint/{mode}_64_entries");
         push(&mut rows, &name, "sim_ns", c.sim_ns as f64, "ns");
         push(
@@ -220,10 +332,29 @@ fn counts_section() -> (Vec<Row>, CheckpointCost, CheckpointCost) {
     }
     rows.push(speedup(
         "checkpoint/remap_vs_copy_sim_time",
-        copy.sim_ns as f64,
-        remap.sim_ns as f64,
+        checkpoints.copy.sim_ns as f64,
+        checkpoints.remap.sim_ns as f64,
     ));
-    (rows, remap, copy)
+    let reads = read_costs();
+    for r in &reads {
+        let name = format!("read/{}B", r.value_bytes);
+        push(
+            &mut rows,
+            &name,
+            "unit_lookups",
+            r.unit_lookups as f64,
+            "units",
+        );
+        push(
+            &mut rows,
+            &name,
+            "flash_reads",
+            r.flash_reads as f64,
+            "pages",
+        );
+        push(&mut rows, &name, "sim_ns", r.sim_ns as f64, "ns");
+    }
+    (rows, checkpoints, reads)
 }
 
 #[cfg(test)]
@@ -232,12 +363,21 @@ mod tests {
 
     #[test]
     fn a_remap_checkpoint_does_no_flash_io() {
-        let remap = checkpoint_cost(CheckpointMode::Remap);
-        let copy = checkpoint_cost(CheckpointMode::Copy);
+        let costs = CheckpointCosts::measure();
+        assert!(remap_does_no_flash_io(&costs), "{costs:?}");
+    }
+
+    #[test]
+    fn a_read_costs_what_the_record_occupies() {
+        let reads = read_costs();
         assert!(
-            remap_does_no_flash_io(&remap, &copy),
-            "remap {remap:?}, copy {copy:?}"
+            super::a_read_costs_what_the_record_occupies(&reads),
+            "{reads:?}"
         );
+        // (1 lookup, 1 read) and (8 lookups, one read per distinct page).
+        let shape = |r: &ReadCost| (r.unit_lookups, r.flash_reads);
+        assert_eq!(shape(&reads[0]), (1, 1));
+        assert_eq!(shape(&reads[1]), (8, reads[1].pages));
     }
 
     #[test]

@@ -61,6 +61,10 @@ impl From<JournalFull> for EngineError {
 pub struct ReadResult {
     /// Version observed (engine-verified against its key map).
     pub version: u64,
+    /// Stored bytes read at that version (the sum of its fragments):
+    /// what the record occupies on the device, which for a sector-aligned
+    /// log is the compressed, class-rounded size, not the value's.
+    pub bytes: u32,
     /// Whether the read was served from the journal area (JMT hit).
     pub from_journal: bool,
     /// Completion instant.
@@ -113,7 +117,15 @@ pub struct KvEngine {
 struct KeyState {
     /// Latest committed version; 0 = the key was never loaded.
     version: u64,
-    /// Current value size in bytes (0 after a deletion).
+    /// Current value size in bytes (0 after a deletion). While the key
+    /// has no JMT entry, `bytes` bounds the home extent of its committed
+    /// version from above, in sectors: the fragments lie from the slot's
+    /// first sector on, and no write path stores a version in more
+    /// sectors than its raw value spans (a sector-aligned log is
+    /// compressed, then rounded up to a size class or to whole units, so
+    /// it may hold more *bytes* than the value — 100 B -> 128 B — but
+    /// never reach into another unit). [`KvEngine::get`] sizes its home
+    /// read by it; recovery, which learns the sizes, reads whole slots.
     bytes: u32,
     /// True when the latest committed operation is a deletion.
     deleted: bool,
@@ -264,18 +276,25 @@ impl KvEngine {
     /// [`EngineError::UnknownKey`] when the key was never loaded.
     pub fn get(&mut self, ssd: &mut Ssd, key: u64, at: SimTime) -> Result<ReadResult, EngineError> {
         self.counters.incr(Counter::EngineReads);
-        let expected = match self.state(key) {
-            Some(s) if !s.deleted => s.version,
+        let state = match self.state(key) {
+            Some(s) if !s.deleted => s,
             _ => return Err(EngineError::UnknownKey(key)),
         };
-        let (lba, sectors, from_journal) = match self.journal.jmt().lookup(key) {
-            Some(e) => (e.journal_lba, e.sectors, true),
+        // A journal read asks for the log, a home read for the sectors
+        // the value spans (see `KeyState::bytes`) — never the whole slot,
+        // whose tail is unmapped or holds an older, longer version.
+        let jmt_entry = self.journal.jmt().lookup(key).copied();
+        let (lba, sectors) = match jmt_entry {
+            Some(e) => (e.journal_lba, e.sectors),
             None => (
                 self.layout.home_lba(key),
-                self.layout.slot_sectors() as u32,
-                false,
+                state
+                    .bytes
+                    .div_ceil(SECTOR_BYTES)
+                    .clamp(1, self.layout.slot_sectors() as u32),
             ),
         };
+        let from_journal = jmt_entry.is_some();
         self.read_scratch.clear();
         let finish = ssd.read_into(
             &ReadRequest {
@@ -286,16 +305,29 @@ impl KvEngine {
             at,
             &mut self.read_scratch,
         )?;
-        let version = self
-            .read_scratch
-            .iter()
-            .map(|f| f.version)
-            .max()
-            .unwrap_or(0);
+        let (version, bytes) = newest(&self.read_scratch).unwrap_or((0, 0));
         debug_assert_eq!(
-            version, expected,
+            version, state.version,
             "read of key {key} returned stale version (strategy={:?}, from_journal={from_journal}, lba={lba}, sectors={sectors}, frags={:?})",
             self.strategy, self.read_scratch
+        );
+        // Byte coverage: the right version from too few sectors must not
+        // pass. A journal log's stored size is exact. So is a home copy's
+        // under conventional journaling (loads and logs both store the
+        // raw value). Under sector-aligned journaling the home holds the
+        // raw value until the key's first checkpoint and the aligned log
+        // after it, and a recovered engine knows only the stored size
+        // (which is then `state.bytes` itself): telling these apart needs
+        // per-key state the engine does not keep, so either is accepted
+        // here and `tests/prop_end_to_end.rs` checks the equality against
+        // a whole-slot read.
+        debug_assert!(
+            match jmt_entry {
+                Some(e) => bytes == self.journal.log_bytes(e.raw_bytes),
+                None => bytes == state.bytes || bytes == self.journal.log_bytes(state.bytes),
+            },
+            "read of key {key} v{version} returned {bytes} B for a {} B value (strategy={:?}, from_journal={from_journal}, lba={lba}, sectors={sectors}, frags={:?})",
+            state.bytes, self.strategy, self.read_scratch
         );
         self.tracer.emit(|| {
             TraceEvent::new(finish, TraceLayer::Engine, "get")
@@ -305,6 +337,7 @@ impl KvEngine {
         });
         Ok(ReadResult {
             version,
+            bytes,
             from_journal,
             finish,
         })
@@ -504,9 +537,11 @@ impl KvEngine {
                 t,
             )?;
             t = finish;
-            if let Some(v) = frags.iter().map(|f| f.version).max() {
-                let bytes: u32 = frags.iter().map(|f| f.bytes).sum();
-                engine.commit(key, v, bytes, false);
+            // The slot may still hold the tail of an older, longer version
+            // (a remap moves only the units the new log owns): the size
+            // is that of the newest version's fragments alone.
+            if let Some((version, bytes)) = newest(&frags) {
+                engine.commit(key, version, bytes, false);
             }
         }
 
@@ -597,6 +632,18 @@ impl KvEngine {
     }
 }
 
+/// The newest version among `frags` and the bytes stored at it, or `None`
+/// when the read found nothing.
+fn newest(frags: &[Fragment]) -> Option<(u64, u32)> {
+    let version = frags.iter().map(|f| f.version).max()?;
+    let bytes = frags
+        .iter()
+        .filter(|f| f.version == version)
+        .map(|f| f.bytes)
+        .sum();
+    Some((version, bytes))
+}
+
 /// Accounting of one crash recovery (§III-G).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -615,7 +662,7 @@ pub struct RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
+    use checkin_flash::{FaultConfig, FaultPlan, FlashArray, FlashGeometry, FlashTiming};
     use checkin_ftl::{Ftl, FtlConfig};
     use checkin_ssd::SsdTiming;
 
@@ -749,6 +796,40 @@ mod tests {
         let mut engine = recovered;
         let r = engine.get(&mut ssd, 3, t).unwrap();
         assert_eq!(r.version, 3);
+    }
+
+    /// A record that shrank leaves the tail of its older version mapped
+    /// in the home slot. Recovery reads whole slots: the size it learns
+    /// must be the newest version's alone, or every later `get` asks for
+    /// sectors the record does not occupy.
+    #[test]
+    fn recovery_sizes_a_shrunk_record_by_its_newest_version() {
+        for strategy in [Strategy::IscC, Strategy::CheckIn] {
+            let (mut ssd, mut engine) = setup(strategy);
+            // Armed (the cut itself is manual), so the mapping log a
+            // power-loss rebuild starts from is maintained.
+            ssd.ftl_mut()
+                .flash_mut()
+                .arm_faults(FaultPlan::new(FaultConfig::power_cut(1, u64::MAX)));
+            let t = engine.load(&mut ssd, &[(0, 4096)], SimTime::ZERO).unwrap();
+            let t = engine.update(&mut ssd, 0, 128, t).unwrap();
+            let t = engine.checkpoint(&mut ssd, t).unwrap().finish;
+            let layout = *engine.layout();
+            drop(engine);
+            ssd.ftl_mut().flash_mut().cut_power();
+            ssd.recover_power_loss().unwrap();
+
+            let (mut engine, t) = KvEngine::recover(strategy, layout, 0.7, &mut ssd, 1, t).unwrap();
+            assert_eq!(engine.size_of(0), Some(128), "{strategy}");
+            let link_before = ssd.counters().get(Counter::SsdHostReadBytes);
+            let read = engine.get(&mut ssd, 0, t).unwrap();
+            assert_eq!((read.version, read.bytes), (2, 128), "{strategy}");
+            assert_eq!(
+                ssd.counters().get(Counter::SsdHostReadBytes) - link_before,
+                u64::from(SECTOR_BYTES),
+                "{strategy}: a 128 B record is a one-sector read"
+            );
+        }
     }
 
     #[test]

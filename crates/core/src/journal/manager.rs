@@ -5,7 +5,7 @@
 use checkin_flash::Fragment;
 use checkin_ssd::{WriteContent, WriteRequest, SECTOR_BYTES};
 
-use crate::journal::aligner::{align_log_to, raw_log_bytes, LogClass};
+use crate::journal::aligner::{align_log_to, raw_log_bytes, AlignedLog, LogClass};
 use crate::journal::jmt::{Jmt, JmtEntry};
 use crate::layout::{Layout, JOURNAL_ZONES};
 
@@ -234,12 +234,8 @@ impl JournalManager {
         self.layout.unit_sectors() as u32 * SECTOR_BYTES
     }
 
-    fn append_aligned(
-        &mut self,
-        key: u64,
-        version: u64,
-        value_bytes: u32,
-    ) -> Result<WriteRequest, JournalFull> {
+    /// Algorithm 2 under the options in effect.
+    fn aligned(&self, value_bytes: u32) -> AlignedLog {
         let mut log = align_log_to(
             value_bytes,
             self.options.compression_ratio,
@@ -251,6 +247,28 @@ impl JournalManager {
             log.stored_bytes = self.mapping_bytes();
             log.class = LogClass::Full;
         }
+        log
+    }
+
+    /// Bytes the log of a `value_bytes` value stores on the device (the
+    /// sum of its fragments, wherever a checkpoint moves them): the raw
+    /// value under conventional journaling, its compressed and
+    /// class-rounded form under Algorithm 2.
+    pub fn log_bytes(&self, value_bytes: u32) -> u32 {
+        if self.options.sector_aligned {
+            self.aligned(value_bytes).stored_bytes
+        } else {
+            value_bytes
+        }
+    }
+
+    fn append_aligned(
+        &mut self,
+        key: u64,
+        version: u64,
+        value_bytes: u32,
+    ) -> Result<WriteRequest, JournalFull> {
+        let log = self.aligned(value_bytes);
         match log.class {
             LogClass::Full => {
                 let start = self.head_sectors;

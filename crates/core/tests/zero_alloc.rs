@@ -11,7 +11,8 @@
 //! program only; erase keeps the capacity).
 //! Everything the window exercises — journal append, block write, page
 //! drain, JMT update, flash program, point read — must then run
-//! allocation-free.
+//! allocation-free. A second window, after the first, holds a warm
+//! copy-class checkpoint command to the same standard.
 //!
 //! This file holds exactly one test so the process-global allocation
 //! counter cannot pick up a concurrently running test's traffic.
@@ -27,7 +28,7 @@ use checkin_core::{EngineError, KvEngine, Layout, Strategy, SystemConfig};
 use checkin_flash::{BlockId, FlashArray};
 use checkin_ftl::Ftl;
 use checkin_sim::{Counter, SimTime};
-use checkin_ssd::{Ssd, SsdTiming};
+use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
 
 /// Counts every allocation and reallocation; frees are not counted
 /// (returning memory is always fine in the steady state).
@@ -62,6 +63,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const RECORDS: u64 = 500;
 const VALUE_BYTES: u32 = 700; // > 512 B mapping unit => Full-class log
 const WINDOW_KEYS: u64 = 256;
+/// Entries of the copy checkpoint command the second window measures.
+const COPY_KEYS: u64 = 32;
 
 #[test]
 fn steady_state_query_loop_is_allocation_free() {
@@ -152,4 +155,36 @@ fn steady_state_query_loop_is_allocation_free() {
     // The window must have exercised the real write path, not a no-op.
     assert!(engine.counters().get(Counter::EngineUpdates) >= 2 * WINDOW_KEYS);
     assert!(engine.counters().get(Counter::EngineReads) >= 2 * WINDOW_KEYS);
+
+    // Second window: a copy-class checkpoint command — classification,
+    // gather reads (one sense per journal page), scatter writes — over
+    // journal logs of the working set. The device keeps the sensed-page
+    // set, the gathered fragments and the staged sizes in scratch it
+    // recycles, so the second such command allocates nothing either.
+    let entries: Vec<CowEntry> = (0..COPY_KEYS)
+        .map(|k| {
+            let e = engine.journal().jmt().lookup(k).expect("journaled above");
+            CowEntry {
+                src_lba: e.journal_lba,
+                dst_lba: layout.home_lba(k),
+                sectors: e.sectors,
+                dst_sectors: e.sectors,
+                key: k,
+                merged: e.merged,
+            }
+        })
+        .collect();
+    t = ssd.checkpoint(&entries, CheckpointMode::Copy, t).unwrap();
+    let copied = ssd.counters().get(Counter::SsdCopyEntries);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    ssd.checkpoint(&entries, CheckpointMode::Copy, t).unwrap();
+    let delta = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        delta, 0,
+        "a warm copy checkpoint of {COPY_KEYS} entries allocated {delta} times"
+    );
+    assert_eq!(
+        ssd.counters().get(Counter::SsdCopyEntries) - copied,
+        COPY_KEYS
+    );
 }

@@ -57,6 +57,47 @@ pub struct UnitWrite {
     pub whole_unit: bool,
 }
 
+/// The flash pages one command has sensed so far, each with the instant
+/// its one sense and channel transfer finished.
+///
+/// The caller of [`Ftl::read_span_into`] owns it and decides how far "one
+/// command" reaches: a host read clears it per request, a checkpoint's
+/// gather phase keeps it across the whole batch. Every read sharing one
+/// set is issued at the same instant and nothing is programmed or erased
+/// in between, so a page found here is still what the controller holds.
+#[derive(Debug, Default)]
+pub struct SensedPages {
+    /// `(page, finish of its sense)`, sorted by page.
+    pages: Vec<(Ppn, SimTime)>,
+}
+
+impl SensedPages {
+    /// Forgets every page, keeping the allocation: the next command
+    /// starts with nothing sensed.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+    }
+
+    /// When `ppn`'s data is in the controller: the recorded finish if
+    /// this command sensed the page already, else that of `sense`, run
+    /// now and remembered. A failed sense records nothing.
+    fn finish_of(
+        &mut self,
+        ppn: Ppn,
+        sense: impl FnOnce() -> Result<Window, FlashError>,
+    ) -> Result<SimTime, FlashError> {
+        let at = self.pages.partition_point(|&(page, _)| page < ppn);
+        match self.pages.get(at) {
+            Some(&(page, finish)) if page == ppn => Ok(finish),
+            _ => {
+                let finish = sense()?.finish;
+                self.pages.insert(at, (ppn, finish));
+                Ok(finish)
+            }
+        }
+    }
+}
+
 /// The flash translation layer over a [`FlashArray`].
 ///
 /// # Examples
@@ -235,6 +276,15 @@ impl Ftl {
         self.table.lookup(lpn)
     }
 
+    /// The flash page holding `lpn`'s current copy; `None` while the unit
+    /// is unmapped or still buffered (diagnostics).
+    pub fn flash_page_of(&self, lpn: Lpn) -> Option<Ppn> {
+        match self.table.lookup(lpn)? {
+            Location::Flash(pun) => Some(pun.page(self.upp)),
+            Location::Buffer(_) => None,
+        }
+    }
+
     /// Iterates `(lpn, location)` over the whole table (recovery scans).
     pub fn mapping_iter(&self) -> impl Iterator<Item = (Lpn, Location)> + '_ {
         self.table.iter()
@@ -307,8 +357,9 @@ impl Ftl {
                         return Err(FtlError::Integrity(IntegrityError::CorruptUnit(w.lpn)));
                     }
                     self.counters.incr(Counter::FtlRmwReads);
-                    let (merged, finish) =
-                        self.read_flash_unit(w.lpn, pun, at, |old| merge_payload(old, &w.payload))?;
+                    let (merged, finish) = self.read_flash_unit(w.lpn, pun, at, None, |old| {
+                        merge_payload(old, &w.payload)
+                    })?;
                     done = done.max(finish);
                     merged
                 }
@@ -325,7 +376,8 @@ impl Ftl {
     }
 
     /// Reads one logical unit. Returns its content and the completion
-    /// instant (equal to `at` for buffer hits).
+    /// instant (equal to `at` for buffer hits). One unit, one sense: the
+    /// page-sharing read is [`Ftl::read_span_into`].
     ///
     /// # Errors
     ///
@@ -334,29 +386,47 @@ impl Ftl {
     /// verification (quarantined) or was destroyed while corrupt
     /// (poisoned).
     pub fn read(&mut self, lpn: Lpn, at: SimTime) -> Result<(UnitPayload, SimTime), FtlError> {
-        self.read_unit(lpn, at, |unit| unit.to_payload())
+        self.read_unit(lpn, at, None, |unit| unit.to_payload())
     }
 
-    /// Reads one logical unit, appending its fragments — filtered by
-    /// `key` when given — to `out` without cloning the payload. Timing,
-    /// counters, and errors match [`Ftl::read`]; this is the hot-path
-    /// variant that keeps the steady-state read loop allocation-free.
+    /// Reads the `units` logical units from `first` on as one command
+    /// issued at `at`, appending their fragments — filtered by `key` when
+    /// given — to `out` without cloning a payload, and returns when the
+    /// last of them is in the controller (`at` when none needed flash).
+    ///
+    /// Each unit is looked up, fails fast when poisoned or quarantined
+    /// and is checksum-verified on its own, exactly as [`Ftl::read`] does
+    /// it; never-written units are skipped (a zero-fill read). What the
+    /// span shares is the media operation: a flash page is sensed once
+    /// per `sensed` set — one tR, one page transfer, one fault-clock
+    /// tick, one `flash.read.*` count — and every unit it holds completes
+    /// at that one window's finish.
     ///
     /// # Errors
     ///
-    /// [`FtlError::Unmapped`] when the unit has never been written;
-    /// [`FtlError::Integrity`] for quarantined or poisoned units.
-    pub fn read_fragments_into(
+    /// The first [`FtlError::Integrity`] or media failure met, in unit
+    /// order; `out` keeps the fragments of the units before it.
+    pub fn read_span_into(
         &mut self,
-        lpn: Lpn,
+        first: Lpn,
+        units: u64,
         at: SimTime,
         key: Option<u64>,
+        sensed: &mut SensedPages,
         out: &mut Vec<Fragment>,
     ) -> Result<SimTime, FtlError> {
-        let take = |unit: UnitRef<'_>| {
-            out.extend(unit.iter().filter(|f| key.is_none_or(|k| k == f.key)));
-        };
-        self.read_unit(lpn, at, take).map(|((), done)| done)
+        let mut done = at;
+        for lpn in (first.0..first.0.saturating_add(units)).map(Lpn) {
+            let take = |unit: UnitRef<'_>| {
+                out.extend(unit.iter().filter(|f| key.is_none_or(|k| k == f.key)));
+            };
+            match self.read_unit(lpn, at, Some(sensed), take) {
+                Ok(((), finish)) => done = done.max(finish),
+                Err(FtlError::Unmapped(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(done)
     }
 
     /// The host read path: look the unit up, fail fast on a poisoned lpn
@@ -366,6 +436,7 @@ impl Ftl {
         &mut self,
         lpn: Lpn,
         at: SimTime,
+        sensed: Option<&mut SensedPages>,
         take: impl FnOnce(UnitRef<'_>) -> R,
     ) -> Result<(R, SimTime), FtlError> {
         self.counters.incr(Counter::FtlHostUnitReads);
@@ -384,23 +455,29 @@ impl Ftl {
             Some(Location::Flash(pun)) if self.ledger.is_quarantined(pun) => {
                 Err(FtlError::Integrity(IntegrityError::CorruptUnit(lpn)))
             }
-            Some(Location::Flash(pun)) => self.read_flash_unit(lpn, pun, at, take),
+            Some(Location::Flash(pun)) => self.read_flash_unit(lpn, pun, at, sensed, take),
         }
     }
 
-    /// Timed read of `lpn`'s flash copy at `pun`. One borrow of the page
-    /// serves both the checksum check and `take`; a unit that fails
-    /// verification is quarantined (retiring its block if that is
-    /// decaying wholesale) and reported as a typed error.
+    /// Timed read of `lpn`'s flash copy at `pun`: its page is sensed now,
+    /// or was by an earlier unit of the same command when `sensed` says
+    /// so. One borrow of the page serves both the checksum check and
+    /// `take`; a unit that fails verification is quarantined (retiring
+    /// its block if that is decaying wholesale) and reported as a typed
+    /// error.
     fn read_flash_unit<R>(
         &mut self,
         lpn: Lpn,
         pun: Pun,
         at: SimTime,
+        sensed: Option<&mut SensedPages>,
         take: impl FnOnce(UnitRef<'_>) -> R,
     ) -> Result<(R, SimTime), FtlError> {
         let ppn = pun.page(self.upp);
-        let win = self.read_with_retry(ppn, at)?;
+        let finish = match sensed {
+            Some(sensed) => sensed.finish_of(ppn, || self.read_with_retry(ppn, at))?,
+            None => self.read_with_retry(ppn, at)?.finish,
+        };
         let offset = pun.offset(self.upp) as usize;
         let page = self.flash.read(ppn);
         if self.config.verify_checksums && page.is_some_and(|pc| !pc.unit_intact(offset)) {
@@ -411,7 +488,7 @@ impl Ftl {
             stored.is_some(),
             "mapped unit {lpn} -> {pun} has no flash content (erased while referenced?)"
         );
-        Ok((take(stored.unwrap_or_default()), win.finish))
+        Ok((take(stored.unwrap_or_default()), finish))
     }
 
     /// The remap primitive: make `dst` reference the same physical copy as

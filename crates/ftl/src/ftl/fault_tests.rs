@@ -1,7 +1,7 @@
 //! `#[cfg(test)] mod fault_tests` of `ftl.rs`: media faults, power cuts and
 //! the SPOR rebuild.
 
-use super::tests::{put, single_die_ftl};
+use super::tests::{one_shared_page, put, read_span, single_die_ftl, w};
 use super::*;
 use crate::config::MediaRetryPolicy;
 use checkin_flash::{FaultConfig, FaultPlan};
@@ -43,6 +43,79 @@ fn transient_media_failures_are_absorbed_by_retries() {
         assert_eq!(p.fragments[0].version, version, "lpn {lpn}");
     }
     f.check_invariants().unwrap();
+}
+
+/// A transient fault fails a *sense*, and a span senses a shared page
+/// once: whatever the draw, eight units on one page cost one successful
+/// read and as many fault-clock ticks as that read took attempts — not
+/// eight reads with eight chances each to fail.
+#[test]
+fn a_transient_fault_on_a_shared_page_is_retried_once_for_the_span() {
+    // Read on an idle die, so that a retry's backoff shows in the finish.
+    let idle = SimTime::ZERO + SimDuration::from_millis(10);
+    let span_at_idle = |f: &mut Ftl, out: &mut Vec<Fragment>| {
+        f.read_span_into(Lpn(0), 8, idle, None, &mut SensedPages::default(), out)
+    };
+    let unfaulted = span_at_idle(&mut one_shared_page().0, &mut Vec::new()).unwrap();
+    let mut retried = 0;
+    for seed in 0..32 {
+        let (mut f, _page) = one_shared_page();
+        f.flash_mut().arm_faults(FaultPlan::new(FaultConfig {
+            seed,
+            transient_read: 0.5,
+            ..FaultConfig::default()
+        }));
+        let reads_before = f.flash().counters().total(Total::FlashRead);
+        let mut out = Vec::new();
+        let outcome = span_at_idle(&mut f, &mut out);
+        let retries = f.counters().get(Counter::FtlMediaRetries);
+        let ticks = f.flash().fault_plan().unwrap().ticks();
+        assert_eq!(ticks, retries + 1, "seed {seed}: one attempt per tick");
+        let reads = f.flash().counters().total(Total::FlashRead) - reads_before;
+        match outcome {
+            Ok(done) => {
+                assert_eq!((out.len(), reads), (8, 1), "seed {seed}");
+                // Every unit waited for the one sense, retried or not.
+                assert_eq!(done > unfaulted, retries > 0, "seed {seed}");
+            }
+            // The page's one retry budget ran out: no unit was served.
+            Err(e) => {
+                assert_eq!(f.counters().get(Counter::FtlRetryExhaustedRead), 1, "{e}");
+                assert_eq!((out.len(), reads), (0, 0), "seed {seed}");
+            }
+        }
+        retried += u64::from(retries > 0);
+    }
+    assert!(retried > 4, "only {retried} of 32 seeds drew a fault");
+}
+
+/// A power cut on a sense fails the span there and then: the fragments
+/// of the pages already sensed stay in `out` behind whatever the caller
+/// had in it, nothing of the page that was being sensed arrives.
+#[test]
+fn a_power_cut_on_a_sense_leaves_the_fragments_read_so_far() {
+    let (mut f, first_page) = one_shared_page();
+    for lpn in 8..16 {
+        f.write(w(lpn, lpn, 1, 512), OobKind::Data, SimTime::ZERO)
+            .unwrap();
+    }
+    f.flush(SimTime::ZERO).unwrap();
+    assert_ne!(f.flash_page_of(Lpn(8)), Some(first_page));
+    // Tick 1 is the first page's sense, tick 2 the second's.
+    f.flash_mut()
+        .arm_faults(FaultPlan::new(FaultConfig::power_cut(3, 2)));
+    let sentinel = Fragment {
+        key: 99,
+        version: 9,
+        bytes: 9,
+    };
+    let mut out = vec![sentinel];
+    let err = read_span(&mut f, 0, 16, &mut out).unwrap_err();
+    assert!(err.is_power_loss(), "{err}");
+    assert!(f.flash().powered_off());
+    let keys: Vec<u64> = out.iter().map(|f| f.key).collect();
+    assert_eq!(keys, [99, 0, 1, 2, 3, 4, 5, 6, 7]);
+    assert_eq!(out[0], sentinel);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! `#[cfg(test)] mod integrity_tests` of `ftl.rs`: checksum verification,
 //! quarantine, scrub, and what GC and SPOR do with rot.
 
-use super::tests::{put, single_die_ftl};
+use super::tests::{one_shared_page, put, read_span, single_die_ftl};
 use super::*;
 use crate::config::MediaRetryPolicy;
 use checkin_flash::{FaultConfig, FaultPlan};
@@ -54,9 +54,7 @@ fn corrupt_unit_read_fails_typed_and_stays_quarantined() {
 
     // The allocation-free path agrees.
     let mut out = Vec::new();
-    let err = f
-        .read_fragments_into(Lpn(2), SimTime::ZERO, None, &mut out)
-        .unwrap_err();
+    let err = read_span(&mut f, 2, 1, &mut out).unwrap_err();
     assert!(err.is_integrity());
     assert!(out.is_empty());
 
@@ -65,6 +63,46 @@ fn corrupt_unit_read_fails_typed_and_stays_quarantined() {
         f.read(Lpn(1), SimTime::ZERO).unwrap().0.fragments[0].version,
         1
     );
+    f.check_invariants().unwrap();
+}
+
+/// Sharing a sense is not sharing a verdict: every unit of a span is
+/// verified on its own, so rot in one unit of a page the whole span sits
+/// on quarantines that unit and no other.
+#[test]
+fn a_corrupt_unit_in_a_shared_page_is_quarantined_alone() {
+    let (mut f, page) = one_shared_page();
+    let rotten = flash_pun(&f, 3);
+    assert_eq!(rotten.page(f.units_per_page()), page);
+    let offset = rotten.offset(f.units_per_page());
+    assert!(f.flash_mut().sabotage_corrupt_unit(page, offset, 1 << 7));
+
+    let reads = |f: &Ftl| f.flash().counters().total(Total::FlashRead);
+    let reads_before = reads(&f);
+    let mut out = Vec::new();
+    let err = read_span(&mut f, 0, 8, &mut out).unwrap_err();
+    assert_eq!(
+        err,
+        FtlError::Integrity(IntegrityError::CorruptUnit(Lpn(3)))
+    );
+    assert_eq!(reads(&f) - reads_before, 1, "the page was sensed once");
+    let keys: Vec<u64> = out.iter().map(|f| f.key).collect();
+    assert_eq!(keys, [0, 1, 2], "the units before it were served");
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 1);
+    assert_eq!(f.counters().get(Counter::FtlIntegrityQuarantined), 1);
+    f.check_invariants().unwrap();
+
+    // Its seven neighbours on the page read clean, one at a time or as
+    // the rest of the span; the unit itself now fails fast, unsensed.
+    out.clear();
+    read_span(&mut f, 4, 4, &mut out).unwrap();
+    assert_eq!(out.len(), 4);
+    let reads_before = reads(&f);
+    assert!(read_span(&mut f, 3, 1, &mut out)
+        .unwrap_err()
+        .is_integrity());
+    assert_eq!(reads(&f), reads_before);
+    assert_eq!(f.counters().total(Total::FtlIntegrityDetected), 1);
     f.check_invariants().unwrap();
 }
 
@@ -378,7 +416,7 @@ fn rebuild_drops_snapshot_entries_onto_corrupt_data() {
     f.check_invariants().unwrap();
 }
 
-/// `read` and `read_fragments_into` are two callers of one path: for a
+/// `read` and `read_span_into` are two callers of one path: for a
 /// quarantined unit, a closed block with a page's worth of rot, and a
 /// poisoned lpn they must return the same typed error and leave the
 /// same counters — including the block retirement the wholesale-decay
@@ -387,10 +425,7 @@ fn rebuild_drops_snapshot_entries_onto_corrupt_data() {
 fn read_entry_points_react_identically_to_corruption() {
     type Reader = fn(&mut Ftl, u64) -> Result<(), FtlError>;
     let via_read: Reader = |f, lpn| f.read(Lpn(lpn), SimTime::ZERO).map(drop);
-    let via_fragments: Reader = |f, lpn| {
-        f.read_fragments_into(Lpn(lpn), SimTime::ZERO, None, &mut Vec::new())
-            .map(drop)
-    };
+    let via_span: Reader = |f, lpn| read_span(f, lpn, 1, &mut Vec::new()).map(drop);
     let run = |read: Reader| {
         let mut f = integrity_ftl();
         // Two full (closed) blocks of eight one-unit pages each.
@@ -419,7 +454,7 @@ fn read_entry_points_react_identically_to_corruption() {
     };
 
     let outcome = run(via_read);
-    assert_eq!(outcome, run(via_fragments));
+    assert_eq!(outcome, run(via_span));
     let (quarantined, decayed, poisoned, counters) = outcome;
     assert_eq!(
         quarantined,

@@ -4,7 +4,9 @@
 use super::*;
 use checkin_flash::{FlashGeometry, FlashTiming};
 
-fn small_ftl(unit_bytes: u32) -> Ftl {
+/// Two dies, 512 B–4 KiB units (eight 512 B units to the page), two
+/// write points.
+pub(super) fn small_ftl(unit_bytes: u32) -> Ftl {
     let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
     Ftl::new(
         flash,
@@ -47,7 +49,32 @@ pub(super) fn put(f: &mut Ftl, lpn: u64, version: u64) -> Result<SimTime, FtlErr
     f.write(w(lpn, lpn, version, 4096), OobKind::Data, SimTime::ZERO)
 }
 
-fn w(lpn: u64, key: u64, version: u64, bytes: u32) -> UnitWrite {
+/// A page's worth of 512 B units, lpns 0..8, paged out together: one
+/// flash page holds them all.
+pub(super) fn one_shared_page() -> (Ftl, Ppn) {
+    let mut f = small_ftl(512);
+    for lpn in 0..8 {
+        f.write(w(lpn, lpn, 1, 512), OobKind::Data, SimTime::ZERO)
+            .unwrap();
+    }
+    f.flush(SimTime::ZERO).unwrap();
+    let page = f.flash_page_of(Lpn(0)).expect("flushed");
+    assert!((0..8).all(|lpn| f.flash_page_of(Lpn(lpn)) == Some(page)));
+    (f, page)
+}
+
+/// [`Ftl::read_span_into`] as its own command, every key wanted.
+pub(super) fn read_span(
+    f: &mut Ftl,
+    first: u64,
+    units: u64,
+    out: &mut Vec<Fragment>,
+) -> Result<SimTime, FtlError> {
+    let sensed = &mut SensedPages::default();
+    f.read_span_into(Lpn(first), units, SimTime::ZERO, None, sensed, out)
+}
+
+pub(super) fn w(lpn: u64, key: u64, version: u64, bytes: u32) -> UnitWrite {
     UnitWrite {
         lpn: Lpn(lpn),
         payload: UnitPayload::single(key, version, bytes),

@@ -2,11 +2,11 @@
 //! mirrored against a shadow model. Randomized via `checkin-testkit`
 //! (deterministic seeds, offline-safe — no external crates).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind, UnitPayload};
-use checkin_ftl::{Ftl, FtlConfig, FtlError, GcTrigger, Lpn, UnitWrite};
-use checkin_sim::SimTime;
+use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, Fragment, OobKind, UnitPayload};
+use checkin_ftl::{Ftl, FtlConfig, FtlError, GcTrigger, Lpn, SensedPages, UnitWrite};
+use checkin_sim::{SimDuration, SimTime, Total};
 use checkin_testkit::{check, soup, TestRng};
 
 const LPNS: u64 = 192;
@@ -42,11 +42,15 @@ fn op(rng: &mut TestRng) -> Op {
 }
 
 fn build() -> Ftl {
+    build_with_unit(512)
+}
+
+fn build_with_unit(unit_bytes: u32) -> Ftl {
     let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
     Ftl::new(
         flash,
         FtlConfig {
-            unit_bytes: 512,
+            unit_bytes,
             write_points: 2,
             gc_threshold_blocks: 4,
             gc_soft_threshold_blocks: 8,
@@ -62,7 +66,11 @@ fn build() -> Ftl {
 /// of the expected current copy) and the FTL's own invariants after
 /// every op.
 fn run_ops(ops: &[Op]) {
-    let mut ftl = build();
+    run_ops_on(build(), ops);
+}
+
+/// [`run_ops`] on a given device, which it hands back.
+fn run_ops_on(mut ftl: Ftl, ops: &[Op]) -> Ftl {
     let mut shadow: HashMap<u64, (u64, u64)> = HashMap::new();
     let mut next_version = 1u64;
     let t = SimTime::ZERO;
@@ -76,7 +84,7 @@ fn run_ops(ops: &[Op]) {
                 ftl.write(
                     UnitWrite {
                         lpn: Lpn(lpn),
-                        payload: UnitPayload::single(lpn, version, 512),
+                        payload: UnitPayload::single(lpn, version, ftl.unit_bytes()),
                         whole_unit: true,
                     },
                     OobKind::Data,
@@ -138,6 +146,159 @@ fn run_ops(ops: &[Op]) {
             "mapping presence mismatch at {lpn}"
         );
     }
+    ftl
+}
+
+/// The loop `Ssd::read_into` ran before the span read existed: one
+/// `Ftl::read` — one lookup, one sense — per unit, never-written units
+/// skipped, done when the slowest unit is.
+fn read_unit_by_unit(
+    ftl: &mut Ftl,
+    first: u64,
+    units: u64,
+    at: SimTime,
+    out: &mut Vec<Fragment>,
+) -> SimTime {
+    let mut done = at;
+    for lpn in first..first + units {
+        match ftl.read(Lpn(lpn), at) {
+            Ok((payload, finish)) => {
+                out.extend(payload.fragments.iter().copied());
+                done = done.max(finish);
+            }
+            Err(FtlError::Unmapped(_)) => {}
+            Err(e) => panic!("lpn {lpn}: {e}"),
+        }
+    }
+    done
+}
+
+/// One span read on an idle device: the flash pages it may sense, each
+/// exactly once; what it must return; how early it may finish. Returns
+/// how many senses the span saved over one per flash-resident unit.
+fn check_span(ftl: &mut Ftl, first: u64, units: u64, at: SimTime) -> u64 {
+    let geometry = *ftl.flash().geometry();
+    let timing = *ftl.flash().timing();
+    // Distinct pages under the span's flash-resident units, per die.
+    let mut pages_on_die: BTreeMap<u64, std::collections::BTreeSet<_>> = BTreeMap::new();
+    let mut on_flash = 0u64;
+    for lpn in first..first + units {
+        if let Some(page) = ftl.flash_page_of(Lpn(lpn)) {
+            on_flash += 1;
+            let die = geometry.die_of_block(geometry.block_of(page));
+            pages_on_die.entry(die).or_default().insert(page);
+        }
+    }
+    let pages: u64 = pages_on_die.values().map(|p| p.len() as u64).sum();
+    let deepest = pages_on_die.values().map(|p| p.len() as u64).max();
+
+    let flash_reads = |ftl: &Ftl| ftl.flash().counters().total(Total::FlashRead);
+    let reads_before = flash_reads(ftl);
+    let mut got = Vec::new();
+    let finish = ftl
+        .read_span_into(
+            Lpn(first),
+            units,
+            at,
+            None,
+            &mut SensedPages::default(),
+            &mut got,
+        )
+        .unwrap();
+    assert_eq!(
+        flash_reads(ftl) - reads_before,
+        pages,
+        "span {first}+{units}: one sense per distinct page"
+    );
+
+    // No unit completes before its page's window: the senses of one die
+    // follow one another, and the last page still crosses the channel.
+    let page_out = timing.transfer_time(u64::from(geometry.page_bytes));
+    match deepest {
+        None => assert_eq!(finish, at, "nothing on flash, nothing to wait for"),
+        Some(n) => {
+            assert!(finish >= at + timing.t_read * n + page_out);
+            assert!(finish <= at + (timing.t_read + page_out) * pages);
+        }
+    }
+
+    let mut want = Vec::new();
+    read_unit_by_unit(ftl, first, units, finish, &mut want);
+    assert_eq!(got, want, "span {first}+{units}");
+    on_flash - pages
+}
+
+/// After a soup of writes, remaps, trims, flushes and GC, random spans —
+/// aliased units, units still buffered, holes — cost one flash read per
+/// distinct page and return what a unit-by-unit walk returns.
+#[test]
+fn a_span_senses_each_page_once_and_reads_what_a_unit_walk_reads() {
+    let mut saved = 0u64;
+    check("a_span_senses_each_page_once", 48, |rng| {
+        let len = rng.range_usize(50, 1_499);
+        let mut ftl = run_ops_on(build(), &soup(rng, len, op));
+        // Long after the soup's last booking: the dies are idle, so the
+        // bounds on the finish instant are the span's own.
+        let mut at = SimTime::ZERO + SimDuration::from_millis(60_000);
+        for _ in 0..24 {
+            let first = rng.below(LPNS);
+            let units = rng.range_u64(1, 24).min(LPNS - first);
+            saved += check_span(&mut ftl, first, units, at);
+            at += SimDuration::from_millis(1_000);
+        }
+        ftl.check_invariants().unwrap();
+    });
+    assert!(saved > 1_000, "the spans shared only {saved} senses");
+}
+
+/// With one unit per page there is nothing to share: the span read
+/// finishes at the very instant the per-unit loop it replaced does, and
+/// books the dies and channels the same. (Nothing but an alias, that is
+/// — two lpns remapped onto one unit share its page at any unit size,
+/// and the span is then rightly one sense ahead — so this soup leaves
+/// the remaps out.)
+#[test]
+fn at_one_unit_per_page_a_span_is_the_per_unit_loop() {
+    check(
+        "at_one_unit_per_page_a_span_is_the_per_unit_loop",
+        24,
+        |rng| {
+            let len = rng.range_usize(50, 799);
+            let mut ops = soup(rng, len, op);
+            ops.retain(|op| !matches!(op, Op::Remap { .. }));
+            let mut spanned = run_ops_on(build_with_unit(4096), &ops);
+            let mut looped = run_ops_on(build_with_unit(4096), &ops);
+            // Not idle on purpose: both devices carry the soup's backlog.
+            let mut at = SimTime::ZERO;
+            for _ in 0..24 {
+                let first = rng.below(LPNS);
+                let units = rng.range_u64(1, 24).min(LPNS - first);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let finish = spanned
+                    .read_span_into(
+                        Lpn(first),
+                        units,
+                        at,
+                        None,
+                        &mut SensedPages::default(),
+                        &mut got,
+                    )
+                    .unwrap();
+                assert_eq!(
+                    finish,
+                    read_unit_by_unit(&mut looped, first, units, at, &mut want)
+                );
+                assert_eq!(got, want);
+                at += SimDuration::from_micros(rng.range_u64(0, 400));
+            }
+            let busy = |ftl: &Ftl| ftl.flash().die_busy_time();
+            assert_eq!(busy(&spanned), busy(&looped));
+            assert_eq!(
+                spanned.flash().counters().total(Total::FlashRead),
+                looped.flash().counters().total(Total::FlashRead)
+            );
+        },
+    );
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! The SSD device: host interface, firmware timing, ISCE execution.
 
 use checkin_flash::{Fragment, OobKind, OpPhase, UnitPayload};
-use checkin_ftl::{Ftl, FtlError, GcTrigger, Lpn, RebuildStats, ScrubReport, UnitWrite};
+use checkin_ftl::{
+    Ftl, FtlError, GcTrigger, Lpn, RebuildStats, ScrubReport, SensedPages, UnitWrite,
+};
 use checkin_sim::{
     Counter, CounterSet, Resource, SimDuration, SimTime, TraceEvent, TraceLayer, Tracer,
 };
@@ -70,6 +72,14 @@ pub struct Ssd {
     /// once warm, classifying a batch performs no heap allocation.
     scratch_remaps: Vec<CowEntry>,
     scratch_copies: Vec<CowEntry>,
+    /// The flash pages the command in execution has sensed: cleared per
+    /// host read, kept across a whole copy batch's gather phase.
+    scratch_sensed: SensedPages,
+    /// Copy-batch scratch, recycled like the classification buffers: one
+    /// entry's gathered fragments, and every entry's `(bytes, version)`
+    /// between the gather and the scatter phase.
+    scratch_frags: Vec<Fragment>,
+    scratch_gathered: Vec<(u32, u64)>,
 }
 
 // The shard fleet will move this across threads: a field that is not
@@ -136,6 +146,9 @@ impl Ssd {
             cp_phase_times: CpPhaseTimes::default(),
             scratch_remaps: Vec::new(),
             scratch_copies: Vec::new(),
+            scratch_sensed: SensedPages::default(),
+            scratch_frags: Vec::new(),
+            scratch_gathered: Vec::new(),
         }
     }
 
@@ -272,28 +285,23 @@ impl Ssd {
         self.counters.incr(Counter::SsdCmdRead);
         let t0 = self.queue.admit(at);
         let cmd = self.link.schedule(t0, self.timing.cmd_overhead);
-        let us = self.unit_sectors() as u64;
-        let first_unit = req.lba / us;
-        let last_unit = (req.lba + req.sectors as u64 - 1) / us;
-        let seg_count = last_unit - first_unit + 1;
-        debug_assert_eq!(seg_count, self.unit_span(req.lba, req.sectors));
+        let first_unit = Lpn(req.lba / u64::from(self.unit_sectors()));
+        let seg_count = self.unit_span(req.lba, req.sectors);
         let map_cost = self.ftl.map_access_cost() * seg_count;
         let cpu = self.cpu.schedule(
             cmd.finish,
             self.timing.cpu_cmd_cost + map_cost + self.timing.dram_unit_cost * seg_count,
         );
 
-        let mut flash_done = cpu.finish;
-        for unit in first_unit..=last_unit {
-            match self
-                .ftl
-                .read_fragments_into(Lpn(unit), cpu.finish, req.key, fragments)
-            {
-                Ok(done) => flash_done = flash_done.max(done),
-                Err(FtlError::Unmapped(_)) => {} // zero-fill read
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.scratch_sensed.clear();
+        let flash_done = self.ftl.read_span_into(
+            first_unit,
+            seg_count,
+            cpu.finish,
+            req.key,
+            &mut self.scratch_sensed,
+            fragments,
+        )?;
         let bytes = req.sectors as u64 * SECTOR_BYTES as u64;
         let out = self
             .link
@@ -634,49 +642,42 @@ impl Ssd {
         at: SimTime,
     ) -> Result<(SimTime, u64), SsdError> {
         // Phase 1: consecutive reads gather each record's fragments
-        // from its journal units. Merged sectors are shared by many
-        // entries, so each physical unit is read once per batch and
-        // served from the device read buffer afterwards.
-        // BTreeMap, not HashMap: the cache never iterates today, but the
-        // determinism bans (`clippy.toml`) rule hash-ordered containers
-        // out of result-affecting crates so a future iteration cannot
-        // silently introduce run-to-run divergence.
-        let mut read_cache: std::collections::BTreeMap<Lpn, Option<UnitPayload>> =
-            std::collections::BTreeMap::new();
-        let mut staged: Vec<(CowEntry, u32, u64)> = Vec::new();
+        // from its journal units. The batch is one command: a flash page
+        // is sensed once for all of it, so the merged units many entries
+        // share — and the logs that were paged out side by side — are
+        // served from the device read buffer after the first sense.
+        let us = u64::from(self.unit_sectors());
+        self.scratch_sensed.clear();
+        self.scratch_gathered.clear();
         let mut reads_done = at;
         for e in copies {
-            let mut total_bytes = 0u32;
-            let mut version = 0u64;
-            for (lpn, _seg, _whole) in self.unit_segments(e.src_lba, e.sectors.max(1)) {
-                let cached = match read_cache.entry(lpn) {
-                    std::collections::btree_map::Entry::Occupied(o) => o.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(v) => match self.ftl.read(lpn, at) {
-                        Ok((payload, t)) => {
-                            reads_done = reads_done.max(t);
-                            v.insert(Some(payload))
-                        }
-                        Err(FtlError::Unmapped(_)) => {
-                            self.counters.incr(Counter::SsdCowMissingSrc);
-                            v.insert(None)
-                        }
-                        Err(err) => return Err(err.into()),
-                    },
-                };
-                if let Some(payload) = cached {
-                    for f in payload.fragments.iter().filter(|f| f.key == e.key) {
-                        total_bytes += f.bytes;
-                        version = version.max(f.version);
-                    }
-                }
-            }
-            staged.push((*e, total_bytes, version));
+            let first = e.src_lba / us;
+            let units = self.unit_span(e.src_lba, e.sectors.max(1));
+            let missing = (first..first + units)
+                .filter(|&unit| !self.ftl.is_mapped(Lpn(unit)))
+                .count();
+            self.counters.add(Counter::SsdCowMissingSrc, missing as u64);
+            self.scratch_frags.clear();
+            let done = self.ftl.read_span_into(
+                Lpn(first),
+                units,
+                at,
+                Some(e.key),
+                &mut self.scratch_sensed,
+                &mut self.scratch_frags,
+            )?;
+            reads_done = reads_done.max(done);
+            let frags = &self.scratch_frags;
+            self.scratch_gathered.push((
+                frags.iter().map(|f| f.bytes).sum(),
+                frags.iter().map(|f| f.version).max().unwrap_or(0),
+            ));
         }
         // Phase 2: consecutive writes scatter the gathered record over
         // its destination extent.
         let mut writes_done = reads_done;
         let mut skipped = 0u64;
-        for (e, total_bytes, version) in staged {
+        for (e, &(total_bytes, version)) in copies.iter().zip(&self.scratch_gathered) {
             if total_bytes == 0 {
                 self.counters.incr(Counter::SsdCowSkippedEntries);
                 skipped += 1;
@@ -968,6 +969,48 @@ mod tests {
         assert_eq!(frags[0].version, 9);
     }
 
+    /// A copy batch is one command: its gather phase senses a journal
+    /// page once for every entry whose log lies on it.
+    #[test]
+    fn a_copy_batch_senses_each_journal_page_once() {
+        let mut s = ssd(512);
+        let mut t = SimTime::ZERO;
+        for i in 0..16u64 {
+            t = s
+                .write(&record(1000 + i, 1, i, 2), OobKind::Journal, t)
+                .unwrap();
+        }
+        t = s.flush(t).unwrap();
+        let pages: std::collections::BTreeSet<Ppn> = (0..16)
+            .map(|i| s.ftl().flash_page_of(Lpn(1000 + i)).expect("flushed"))
+            .collect();
+        assert!(pages.len() < 16, "sixteen logs share {} pages", pages.len());
+        let entries: Vec<CowEntry> = (0..16u64)
+            .map(|i| CowEntry {
+                src_lba: 1000 + i,
+                dst_lba: 8 * i,
+                sectors: 1,
+                dst_sectors: 1,
+                key: i,
+                merged: false,
+            })
+            .collect();
+        let reads = |s: &Ssd| s.ftl().flash().counters().total(Total::FlashRead);
+        let reads_before = reads(&s);
+        let t = s.checkpoint(&entries, CheckpointMode::Copy, t).unwrap();
+        assert_eq!(reads(&s) - reads_before, pages.len() as u64);
+        assert_eq!(s.counters().get(Counter::SsdCopyEntries), 16);
+        for i in 0..16u64 {
+            let req = ReadRequest {
+                lba: 8 * i,
+                sectors: 1,
+                key: Some(i),
+            };
+            let (frags, _) = s.read(&req, t).unwrap();
+            assert_eq!(frags.len(), 1, "key {i} copied home");
+        }
+    }
+
     #[test]
     fn misaligned_entry_falls_back_to_copy_under_remap_mode() {
         let mut s = ssd(4096); // unit = 8 sectors
@@ -1130,11 +1173,9 @@ mod tests {
         t = s.flush(t).unwrap();
         let ftl = s.ftl();
         let geometry = ftl.flash().geometry();
-        let die_of = |lba: u64| match ftl.location_of(Lpn(lba)) {
-            Some(checkin_ftl::Location::Flash(pun)) => {
-                geometry.die_of_block(geometry.block_of(pun.page(ftl.units_per_page())))
-            }
-            other => panic!("lba {lba} not on flash: {other:?}"),
+        let die_of = |lba: u64| {
+            let page = ftl.flash_page_of(Lpn(lba)).expect("flushed");
+            geometry.die_of_block(geometry.block_of(page))
         };
         let lbas: Vec<u64> = (0..geometry.total_dies())
             .map(|die| {
@@ -1188,6 +1229,52 @@ mod tests {
         assert!(
             lag <= s.timing().cmd_overhead * 2,
             "second read finished {lag} after the first"
+        );
+    }
+
+    /// A record's units that share a flash page are one sense to the
+    /// command that reads them: eight sectors cost one sector's read plus
+    /// seven more lookups, DRAM moves and sectors on the link — no tR.
+    #[test]
+    fn a_read_senses_a_shared_page_once() {
+        let mut s = ssd(512);
+        let t = s
+            .write(&record(0, 8, 1, 1), OobKind::Data, SimTime::ZERO)
+            .unwrap();
+        let idle = s.flush(t).unwrap() + SimDuration::from_millis(50);
+        let page = s.ftl().flash_page_of(Lpn(0)).expect("flushed");
+        assert!(
+            (0..8).all(|lba| s.ftl().flash_page_of(Lpn(lba)) == Some(page)),
+            "the record was paged out as one page"
+        );
+
+        let cost = |s: &mut Ssd, sectors: u32, at: SimTime| {
+            let reads = |s: &Ssd| s.ftl().flash().counters().total(Total::FlashRead);
+            let lookups = |s: &Ssd| s.ftl().counters().get(Counter::FtlHostUnitReads);
+            let (reads0, lookups0) = (reads(s), lookups(s));
+            let req = ReadRequest {
+                lba: 0,
+                sectors,
+                key: Some(1),
+            };
+            let mut frags = Vec::new();
+            let took = s
+                .read_into(&req, at, &mut frags)
+                .unwrap()
+                .duration_since(at);
+            assert_eq!(frags.len(), sectors as usize);
+            (took, reads(s) - reads0, lookups(s) - lookups0)
+        };
+        let (one, reads, lookups) = cost(&mut s, 1, idle);
+        assert_eq!((reads, lookups), (1, 1));
+        let (eight, reads, lookups) = cost(&mut s, 8, idle + SimDuration::from_millis(50));
+        assert_eq!((reads, lookups), (1, 8));
+        let timing = *s.timing();
+        let per_unit = s.ftl().map_access_cost() + timing.dram_unit_cost;
+        let sector = u64::from(SECTOR_BYTES);
+        assert_eq!(
+            eight,
+            one + per_unit * 7 + timing.link_transfer(8 * sector) - timing.link_transfer(sector)
         );
     }
 

@@ -7,7 +7,7 @@ use checkin_core::{align_log, EngineError, KvEngine, Layout, LogClass, Strategy}
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
 use checkin_ftl::{Ftl, FtlConfig, Location, Lpn, MappingTable, Pun};
 use checkin_sim::SimTime;
-use checkin_ssd::{Ssd, SsdTiming, SECTOR_BYTES};
+use checkin_ssd::{ReadRequest, Ssd, SsdTiming, SECTOR_BYTES};
 use checkin_testkit::{check, soup, TestRng};
 
 // ---------------------------------------------------------------------
@@ -229,5 +229,153 @@ fn checkin_stack_preserves_shadow() {
     check("checkin_stack_preserves_shadow", 16, |rng| {
         let ops = stack_soup(rng);
         run_stack_ops(Strategy::CheckIn, &ops);
+    });
+}
+
+// ---------------------------------------------------------------------
+// A sized home read sees what a whole-slot read sees: records that grow,
+// shrink, die and come back, under every strategy, across checkpoints
+// and one recovery.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum SizeOp {
+    /// Update a live key or insert a dead one, to any size up to the slot.
+    Put {
+        key: u8,
+        bytes: u16,
+    },
+    Delete {
+        key: u8,
+    },
+    Checkpoint,
+}
+
+fn size_op(rng: &mut TestRng) -> SizeOp {
+    match rng.weighted(&[8, 2, 1]) {
+        0 => SizeOp::Put {
+            key: rng.any_u8(),
+            // Half the values are sub-sector, so records shrink from
+            // eight sectors to one as often as they grow back.
+            bytes: if rng.weighted(&[1, 1]) == 0 {
+                rng.range_u32(1, 512)
+            } else {
+                rng.range_u32(513, 4096)
+            } as u16,
+        },
+        1 => SizeOp::Delete { key: rng.any_u8() },
+        _ => SizeOp::Checkpoint,
+    }
+}
+
+/// The newest version in `frags` and the bytes stored at it.
+fn newest(frags: &[checkin_flash::Fragment]) -> (u64, u32) {
+    let version = frags.iter().map(|f| f.version).max().unwrap_or(0);
+    let at_version = frags.iter().filter(|f| f.version == version);
+    (version, at_version.map(|f| f.bytes).sum())
+}
+
+/// For every live key the JMT does not hold — so `get` goes to the home
+/// slot — the sized read and a read of the whole slot agree on the
+/// newest version and on every byte stored at it.
+fn sized_reads_see_the_whole_record(
+    engine: &mut KvEngine,
+    ssd: &mut Ssd,
+    mut t: SimTime,
+    strategy: Strategy,
+) -> SimTime {
+    let layout = *engine.layout();
+    for key in 0..RECORDS {
+        if engine.size_of(key).is_none() || engine.journal().jmt().lookup(key).is_some() {
+            continue;
+        }
+        let sized = engine.get(ssd, key, t).unwrap();
+        assert!(!sized.from_journal);
+        let whole_slot = ReadRequest {
+            lba: layout.home_lba(key),
+            sectors: layout.slot_sectors() as u32,
+            key: Some(key),
+        };
+        let (frags, done) = ssd.read(&whole_slot, sized.finish).unwrap();
+        t = done;
+        assert_eq!(
+            (sized.version, sized.bytes),
+            newest(&frags),
+            "{strategy} key {key}: a {:?}-byte value read short of {frags:?}",
+            engine.size_of(key)
+        );
+        assert_eq!(Some(sized.version), engine.version_of(key));
+    }
+    t
+}
+
+/// Applies one operation; `JournalFull` asks the caller for a checkpoint
+/// (an explicit [`SizeOp::Checkpoint`] asks by the same route).
+fn apply_size_op(
+    engine: &mut KvEngine,
+    ssd: &mut Ssd,
+    op: &SizeOp,
+    t: SimTime,
+) -> Result<SimTime, EngineError> {
+    match *op {
+        SizeOp::Put { key, bytes } => {
+            let (key, bytes) = (key as u64 % RECORDS, bytes as u32);
+            if engine.size_of(key).is_some() {
+                engine.update(ssd, key, bytes, t)
+            } else {
+                engine.insert(ssd, key, bytes, t)
+            }
+        }
+        SizeOp::Delete { key } => match engine.delete(ssd, key as u64 % RECORDS, t) {
+            Err(EngineError::UnknownKey(_)) => Ok(t), // already dead
+            other => other,
+        },
+        SizeOp::Checkpoint => Err(EngineError::JournalFull),
+    }
+}
+
+fn run_size_ops(strategy: Strategy, ops: &[SizeOp]) {
+    let (mut ssd, mut engine) = build(strategy);
+    let records: Vec<(u64, u32)> = (0..RECORDS)
+        .map(|k| (k, 1 + (k as u32 * 397) % 4096))
+        .collect();
+    let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
+    t = sized_reads_see_the_whole_record(&mut engine, &mut ssd, t, strategy);
+
+    // One host crash in the middle: the second half runs on an engine
+    // that learnt every size from the device.
+    let (before, after) = ops.split_at(ops.len() / 2);
+    for half in [before, after] {
+        for op in half {
+            t = match apply_size_op(&mut engine, &mut ssd, op, t) {
+                Ok(done) => done,
+                Err(EngineError::JournalFull) => {
+                    t = engine.checkpoint(&mut ssd, t).unwrap().finish;
+                    t = sized_reads_see_the_whole_record(&mut engine, &mut ssd, t, strategy);
+                    match op {
+                        SizeOp::Checkpoint => t,
+                        _ => apply_size_op(&mut engine, &mut ssd, op, t).unwrap(),
+                    }
+                }
+                Err(e) => panic!("{strategy} {op:?}: {e}"),
+            };
+        }
+        t = engine.checkpoint(&mut ssd, t).unwrap().finish;
+        t = sized_reads_see_the_whole_record(&mut engine, &mut ssd, t, strategy);
+        let layout = *engine.layout();
+        (engine, t) = KvEngine::recover(strategy, layout, 0.7, &mut ssd, RECORDS, t).unwrap();
+        t = sized_reads_see_the_whole_record(&mut engine, &mut ssd, t, strategy);
+    }
+    assert!(ssd.ftl().check_invariants().is_ok());
+}
+
+#[test]
+fn a_sized_read_sees_what_a_whole_slot_read_sees() {
+    check("a_sized_read_sees_what_a_whole_slot_read_sees", 12, |rng| {
+        let len = rng.range_usize(40, 239);
+        let ops = soup(rng, len, size_op);
+        for strategy in Strategy::all() {
+            run_size_ops(strategy, &ops);
+        }
     });
 }
