@@ -10,25 +10,30 @@
 //! * **`counts`** — what one 64-entry checkpoint command costs the
 //!   device in remap mode and in copy mode: simulated nanoseconds, flash
 //!   reads, unit writes. The paper's central claim (Algorithm 1 moves
-//!   mapping entries and does no flash I/O). And what one home `get`
+//!   mapping entries and does no flash I/O). What one home `get`
 //!   costs: a read asks for the sectors the value spans and senses each
-//!   flash page once.
+//!   flash page once. And when a page-filling write is acknowledged: at
+//!   admission to the power-protected buffer, and after a program only
+//!   once every write point has one in flight.
 //! * **`paper`** — every figure and table of the paper's evaluation
 //!   ([`crate::figures`]), the paper's own number beside the measured
 //!   one where it states one.
 //!
-//! Two conditions fail a run, both exact: a remap checkpoint must do no
-//! flash I/O where a copy checkpoint reads and rewrites every log, and a
-//! home read must cost what the record occupies. `cargo test` checks
-//! them as well (this module's tests).
+//! Three conditions fail a run, all exact: a remap checkpoint must do no
+//! flash I/O where a copy checkpoint reads and rewrites every log, a
+//! home read must cost what the record occupies, and a write must wait
+//! for a programming slot, not for a program. `cargo test` checks them
+//! as well (this module's tests).
 
 use std::collections::BTreeSet;
 
 use checkin_core::{JournalManager, KvEngine, Layout, Strategy};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind};
 use checkin_ftl::{Ftl, FtlConfig, Lpn};
-use checkin_sim::{Counter, SimTime, Total};
-use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming, SECTOR_BYTES};
+use checkin_sim::{Counter, SimDuration, SimTime, Total, Tracer};
+use checkin_ssd::{
+    CheckpointMode, CowEntry, Ssd, SsdTiming, WriteContent, WriteRequest, SECTOR_BYTES,
+};
 use checkin_workload::{AccessPattern, OpMix};
 
 use crate::harness::{render, row, speedup, Row};
@@ -39,13 +44,15 @@ use crate::{figures, gc_pressured_config, section};
 pub struct Lab {
     /// WAF, lifetime, p99.9 and erases of three GC-pressured workloads.
     pub gc: Vec<Row>,
-    /// Exact simulated cost of a remap and of a copy checkpoint, and of
-    /// a home read of a small and of a slot-sized record.
+    /// Exact simulated cost of a remap and of a copy checkpoint, of a
+    /// home read of a small and of a slot-sized record, and when
+    /// page-filling writes are acknowledged.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// Both gates held: a remap checkpoint did no flash I/O, and a read
-    /// cost what the record occupies.
+    /// All three gates held: a remap checkpoint did no flash I/O, a read
+    /// cost what the record occupies, and a write waited for a
+    /// programming slot, not for a program.
     pub passed: bool,
 }
 
@@ -60,10 +67,10 @@ impl Lab {
     }
 }
 
-/// Measures all three sections and judges the two gates.
+/// Measures all three sections and judges the three gates.
 pub fn run() -> Lab {
     let gc = gc_section();
-    let (counts, checkpoints, reads) = counts_section();
+    let (counts, checkpoints, reads, writes) = counts_section();
     let paper = figures::paper_section();
 
     println!();
@@ -75,6 +82,10 @@ pub fn run() -> Lab {
         (
             a_read_costs_what_the_record_occupies(&reads),
             format!("a read costs what the record occupies: {reads:?}"),
+        ),
+        (
+            a_write_waits_for_a_slot_not_a_program(&writes),
+            format!("a write waits for a slot, not a program: {writes:?}"),
         ),
     ];
     for (held, what) in &gates {
@@ -308,8 +319,82 @@ fn a_read_costs_what_the_record_occupies(reads: &[ReadCost]) -> bool {
         && reads.iter().any(|r| r.pages < r.unit_lookups)
 }
 
-fn counts_section() -> (Vec<Row>, CheckpointCosts, Vec<ReadCost>) {
-    section("counts: 64-entry checkpoint command, remap walk vs copy fallback; one home read");
+/// When page-filling writes were acknowledged, from their common issue
+/// instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WriteAcks {
+    /// The first write, whose first unit pages the oldest page out.
+    page_out_ack_ns: u64,
+    /// That page's program finish.
+    program_finish_ns: u64,
+    /// The write after one per write point: every write point has a page
+    /// programming when its page-out is admitted.
+    backpressured_ack_ns: u64,
+}
+
+/// On the paper-default array, idle and filled to one unit below the
+/// write buffer's watermark, issues `write_points + 1` page-sized writes
+/// at one instant: the first unit of each pages the oldest page out.
+fn write_acks() -> WriteAcks {
+    let mut ssd = device(FlashTiming::mlc());
+    let tracer = Tracer::ring_buffered(4_096);
+    ssd.set_tracer(tracer.clone());
+    let config = *ssd.ftl().config();
+    let page_sectors = FlashGeometry::paper_default().page_bytes / SECTOR_BYTES;
+    let record = |lba: u64, sectors: u32| WriteRequest {
+        lba,
+        sectors,
+        content: WriteContent::Record {
+            key: lba,
+            version: 1,
+            bytes: sectors * SECTOR_BYTES,
+        },
+    };
+    let mut t = SimTime::ZERO;
+    for lba in 0..u64::from(config.write_buffer_units - 1) {
+        t = ssd
+            .write(&record(lba, 1), OobKind::Data, t)
+            .expect("write succeeds");
+    }
+    let at = t + SimDuration::from_millis(1);
+    let first_lba = 1 << 20;
+    let acks: Vec<u64> = (0..u64::from(config.write_points) + 1)
+        .map(|i| {
+            let req = record(first_lba + i * u64::from(page_sectors), page_sectors);
+            let ack = ssd.write(&req, OobKind::Data, at).expect("write succeeds");
+            ack.duration_since(at).as_nanos()
+        })
+        .collect();
+    let first_program = tracer
+        .drain()
+        .iter()
+        .filter(|e| e.op == "page_out")
+        .find_map(|e| e.fields().iter().find(|f| f.0 == "finish_ns"))
+        .map(|f| f.1)
+        .expect("the first write paged out");
+    WriteAcks {
+        page_out_ack_ns: acks.first().copied().unwrap_or_default(),
+        program_finish_ns: first_program - at.as_nanos(),
+        backpressured_ack_ns: acks.last().copied().unwrap_or_default(),
+    }
+}
+
+/// The write buffer's rule on the fixture, from the flash timing alone:
+/// the write that pages out is acknowledged in less than one tPROG, while
+/// its page takes at least one to program; and the write that finds a
+/// page programming on every write point waits for the first of them.
+fn a_write_waits_for_a_slot_not_a_program(w: &WriteAcks) -> bool {
+    let t_prog = FlashTiming::mlc().t_program.as_nanos();
+    w.page_out_ack_ns < t_prog
+        && t_prog <= w.program_finish_ns
+        && w.backpressured_ack_ns >= w.program_finish_ns
+}
+
+fn counts_section() -> (Vec<Row>, CheckpointCosts, Vec<ReadCost>, WriteAcks) {
+    section(
+        "counts: 64-entry checkpoint command, remap walk vs copy fallback; one home read; \
+         page-filling writes",
+    );
     let checkpoints = CheckpointCosts::measure();
     let mut rows = Vec::new();
     for (mode, c) in [("remap", &checkpoints.remap), ("copy", &checkpoints.copy)] {
@@ -354,7 +439,15 @@ fn counts_section() -> (Vec<Row>, CheckpointCosts, Vec<ReadCost>) {
         );
         push(&mut rows, &name, "sim_ns", r.sim_ns as f64, "ns");
     }
-    (rows, checkpoints, reads)
+    let writes = write_acks();
+    for (leaf, ns) in [
+        ("page_out_ack_ns", writes.page_out_ack_ns),
+        ("program_finish_ns", writes.program_finish_ns),
+        ("backpressured_ack_ns", writes.backpressured_ack_ns),
+    ] {
+        push(&mut rows, "write", leaf, ns as f64, "ns");
+    }
+    (rows, checkpoints, reads, writes)
 }
 
 #[cfg(test)]
@@ -378,6 +471,17 @@ mod tests {
         let shape = |r: &ReadCost| (r.unit_lookups, r.flash_reads);
         assert_eq!(shape(&reads[0]), (1, 1));
         assert_eq!(shape(&reads[1]), (8, reads[1].pages));
+    }
+
+    #[test]
+    fn a_write_waits_for_a_slot_not_a_program() {
+        let writes = write_acks();
+        assert!(
+            super::a_write_waits_for_a_slot_not_a_program(&writes),
+            "{writes:?}"
+        );
+        // The slot frees exactly when the first program finishes.
+        assert_eq!(writes.backpressured_ack_ns, writes.program_finish_ns);
     }
 
     #[test]

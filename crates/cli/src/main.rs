@@ -5,7 +5,7 @@ use std::io::Write;
 
 use checkin_cli::{parse, Command, RunArgs, SweepAxis, USAGE};
 use checkin_core::{KvSystem, RunReport, Strategy, SystemConfig};
-use checkin_sim::Tracer;
+use checkin_sim::{SimDuration, Tracer};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -86,6 +86,12 @@ fn run_one(args: &RunArgs) {
     println!(
         "  host memory   flash page store {} KiB",
         report.flash_store_bytes / 1024
+    );
+    let waits = report.flash.buffer_slot_waits;
+    let waited = SimDuration::from_nanos(report.flash.buffer_slot_wait_ns);
+    println!(
+        "  write buffer  {waits} unit writes waited for a programming slot, {} on average ({waited} in all)",
+        waited / waits.max(1)
     );
     println!(
         "  resilience    transient faults {} (retries {}), grown bad {}, blocks retired {}",

@@ -140,8 +140,10 @@ pub struct SystemConfig {
     pub gc_soft_threshold_blocks: u32,
     /// Max background-GC rounds after each checkpoint.
     pub background_gc_rounds: u32,
-    /// Device write-buffer capacity in mapping units (power-protected
-    /// DRAM; units page out oldest-first past this watermark).
+    /// Device write-buffer page-out watermark in mapping units
+    /// (power-protected DRAM; units page out oldest-first from this
+    /// many on). The capacity is larger by the pages in flight: one per
+    /// die (`FtlConfig::write_buffer_units` has the rule).
     pub write_buffer_units: u32,
     /// Ablation: disable Algorithm 2's partial-log merging (partials pad
     /// to full units instead). Only meaningful for Check-In.

@@ -91,6 +91,11 @@ pub struct FlashStats {
     pub integrity_unrecoverable: u64,
     /// Pages patrol-read by the background scrubber.
     pub scrub_pages: u64,
+    /// Unit writes that waited for a programming slot of the write
+    /// buffer: every write point had a page programming.
+    pub buffer_slot_waits: u64,
+    /// Their total wait for a slot, in nanoseconds.
+    pub buffer_slot_wait_ns: u64,
 }
 
 impl FlashStats {

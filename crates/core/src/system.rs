@@ -466,6 +466,8 @@ impl KvSystem {
             integrity_quarantined: tdelta.get(Counter::FtlIntegrityQuarantined),
             integrity_unrecoverable: tdelta.get(Counter::FtlIntegrityUnrecoverable),
             scrub_pages: tdelta.get(Counter::FtlScrubPages),
+            buffer_slot_waits: tdelta.get(Counter::FtlBufferSlotWaits),
+            buffer_slot_wait_ns: tdelta.get(Counter::FtlBufferSlotWaitNs),
         };
         let raw = edelta.get(Counter::EngineJournalRawBytes);
         let stored = edelta.get(Counter::EngineJournalStoredBytes);

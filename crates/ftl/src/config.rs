@@ -70,9 +70,14 @@ pub struct FtlConfig {
     /// Mapping-table cache capacity in entries; `None` models an
     /// all-in-DRAM table.
     pub map_cache_entries: Option<u64>,
-    /// Capacity of the power-protected write buffer in mapping units.
-    /// Buffered units page out oldest-first once this watermark is
-    /// reached, so actively appended units coalesce before hitting flash.
+    /// Page-out watermark of the power-protected write buffer, in mapping
+    /// units: buffered units page out oldest-first once this many are
+    /// held, so actively appended units coalesce before hitting flash.
+    /// It is not the buffer's capacity: a page being programmed keeps its
+    /// units in the buffer until the program finishes, and up to
+    /// `write_points` pages program at once, so the buffer holds up to
+    /// `write_buffer_units + write_points × units_per_page` units before a
+    /// writer has to wait.
     pub write_buffer_units: u32,
     /// Static wear-leveling threshold: when the spread between the most-
     /// and least-erased blocks exceeds this, an idle round migrates the

@@ -29,7 +29,8 @@ use checkin_flash::{
     Ppn, UnitPayload, UnitRef,
 };
 use checkin_sim::{
-    Counter, CounterSet, SimDuration, SimTime, Total, TraceEvent, TraceLayer, Tracer, Window,
+    Counter, CounterSet, InFlight, SimDuration, SimTime, Total, TraceEvent, TraceLayer, Tracer,
+    Window,
 };
 
 use crate::block_pool::BlockPool;
@@ -140,6 +141,11 @@ pub struct Ftl {
     /// and hands it back on every path, so a single page suffices.
     staging: PageContent,
     buffer: WriteBuffer,
+    /// The write buffer's programming slots, one per write point: a
+    /// page-out holds one until its program finishes, and a writer whose
+    /// unit needs a page-out while all are held waits for the first to
+    /// free (DESIGN.md §4, "Writes").
+    programs: InFlight,
     pool: BlockPool,
     ledger: IntegrityLedger,
     /// Only maintained under fault injection.
@@ -178,6 +184,7 @@ impl Ftl {
             scratch_valid: Vec::new(),
             staging: PageContent::default(),
             buffer: WriteBuffer::default(),
+            programs: InFlight::new(config.write_points as usize),
             pool: BlockPool::new(&g, config.write_points),
             ledger: IntegrityLedger::default(),
             persist: MapPersistence::default(),
@@ -322,8 +329,12 @@ impl Ftl {
     /// (read-modify-write); the RMW read is charged to flash timing when
     /// the old copy is on flash.
     ///
-    /// Returns the completion instant: `at` for buffered writes, or the
-    /// page-program finish when this write filled a page.
+    /// Returns the acknowledgement instant: the unit is durable once it
+    /// is in the power-protected buffer. That is `at` (or the RMW read's
+    /// finish), unless the unit pushes the buffer to its watermark while
+    /// every write point already has a page programming — then the write
+    /// waits until the first of those programs finishes and frees a slot
+    /// for the page-out, never for its own page's program.
     ///
     /// # Errors
     ///
@@ -371,7 +382,15 @@ impl Ftl {
         self.note_unlink(prev);
         self.ledger.clear_poison(w.lpn);
 
-        done = done.max(self.drain_to_watermark(at)?);
+        let slot = self.drain_to_watermark(at)?;
+        if slot > done {
+            self.counters.incr(Counter::FtlBufferSlotWaits);
+            self.counters.add(
+                Counter::FtlBufferSlotWaitNs,
+                slot.duration_since(done).as_nanos(),
+            );
+            done = slot;
+        }
         Ok(done)
     }
 
@@ -538,30 +557,41 @@ impl Ftl {
         existed
     }
 
-    /// Pads and programs every partially filled write-point buffer.
-    /// Returns the last program's finish time (or `at` when nothing was
-    /// pending).
+    /// Pads and programs every buffered unit, and returns when everything
+    /// acknowledged so far is on flash: the latest program finish on
+    /// record — its own page-outs' or one an earlier write was
+    /// acknowledged ahead of — or `at` when none lies later.
     ///
     /// # Errors
     ///
     /// Propagates allocation failures.
     pub fn flush(&mut self, at: SimTime) -> Result<SimTime, FtlError> {
-        self.drain_while_queued(1, at)
-    }
-
-    /// Pages out buffered units while the buffer exceeds its watermark.
-    fn drain_to_watermark(&mut self, at: SimTime) -> Result<SimTime, FtlError> {
-        self.drain_while_queued(self.config.write_buffer_units as usize, at)
-    }
-
-    fn drain_while_queued(&mut self, at_least: usize, at: SimTime) -> Result<SimTime, FtlError> {
-        let mut done = at;
-        while self.buffer.queued() >= at_least {
-            done = done.max(self.drain_one_page(at)?);
+        while self.buffer.queued() > 0 {
+            self.drain_one_page(at)?;
         }
-        Ok(done)
+        Ok(self
+            .programs
+            .last_completion()
+            .map_or(at, |last| last.max(at)))
     }
 
+    /// Pages out buffered units while the buffer holds at least its
+    /// watermark, oldest first, and returns when the writer may go on:
+    /// when the last page-out got its programming slot.
+    fn drain_to_watermark(&mut self, at: SimTime) -> Result<SimTime, FtlError> {
+        let mut slot = at;
+        while self.buffer.queued() >= self.config.write_buffer_units as usize {
+            slot = slot.max(self.drain_one_page(at)?);
+        }
+        Ok(slot)
+    }
+
+    /// Programs the oldest page's worth of buffered units at `at` and
+    /// returns when the page-out's programming slot was free: `at` while
+    /// fewer than `write_points` programs are in flight then, else the
+    /// first of their finishes. The page then holds the slot until its own
+    /// program finishes. A page-out that programmed nothing (empty buffer,
+    /// grown bad block) holds no slot.
     fn drain_one_page(&mut self, at: SimTime) -> Result<SimTime, FtlError> {
         // Take the batch BEFORE allocating: block allocation may trigger
         // GC, which enqueues freshly migrated units. Those stay buffered
@@ -622,12 +652,15 @@ impl Ftl {
         };
         self.staging = staging;
         self.counters.incr(Counter::FtlPagesProgrammed);
+        let slot = self.programs.admit(at);
+        self.programs.complete(win.finish);
         let units = taken.len() as u64;
         self.tracer.emit(|| {
             TraceEvent::new(at, TraceLayer::Ftl, "page_out")
                 .with("block", block.0)
                 .with("page", u64::from(page))
                 .with("units", units)
+                .with("finish_ns", win.finish.as_nanos())
         });
 
         for (offset, &slot) in (0u32..).zip(&taken) {
@@ -643,7 +676,7 @@ impl Ftl {
             // padding on flash and simply never becomes valid.
         }
         self.scratch_batches.push(taken);
-        Ok(win.finish)
+        Ok(slot)
     }
 
     /// The next page of the write point `wp` whose turn it is. When `wp`
@@ -782,6 +815,8 @@ mod buffer_overwrite_tests;
 mod fault_tests;
 #[cfg(test)]
 mod integrity_tests;
+#[cfg(test)]
+mod slot_tests;
 #[cfg(test)]
 mod tests;
 #[cfg(test)]

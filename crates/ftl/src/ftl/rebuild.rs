@@ -66,7 +66,8 @@ impl Ftl {
     ///    is always the newest copy of its lpn;
     /// 4. reconstruct block lifecycle from write cursors and bad-block
     ///    marks, and recompute per-block valid-unit counts from the fresh
-    ///    table. Live buffer slots re-queue for page-out in write order.
+    ///    table. Live buffer slots re-queue for page-out in write order,
+    ///    and every programming slot is free.
     ///
     /// # Errors
     ///
@@ -181,9 +182,11 @@ impl Ftl {
         }
         self.table = table;
 
-        // Fresh runtime state: no active blocks, no GC in flight.
+        // Fresh runtime state: no active blocks, no GC and no program in
+        // flight — the cut ended every program it did not tear.
         self.pool.rebuild(&self.flash, &self.table, upp)?;
         self.buffer.requeue_all_in_write_order();
+        self.programs.clear();
         self.in_gc = false;
         self.seq = self.seq.max(max_seq);
         self.counters.incr(Counter::FtlPowerLossRebuilds);

@@ -160,8 +160,11 @@ impl Ftl {
             done = done.max(migrated?);
         }
         debug_assert_eq!(self.pool.valid_units(victim), 0);
-        // Persist the mapping log before the erase so a later power cut
-        // never finds the persisted snapshot pointing into an erased block.
+        // The erase may start once every valid unit is read and in the
+        // capacitor-protected buffer (`done`), not when the pages they
+        // were drained to finish programming. Persist the mapping log
+        // before it so a later power cut never finds the persisted
+        // snapshot pointing into an erased block.
         self.persist_mapping_log();
         match self.erase_with_retry(victim, done) {
             Ok(win) => {
@@ -181,7 +184,8 @@ impl Ftl {
     }
 
     /// Pays the timed read of page `ppn` and moves its salvaged `units`
-    /// into the write buffer, paging out whenever that fills.
+    /// into the write buffer, paging out whenever that fills. Returns when
+    /// the last unit is read and buffered, a writer like any other.
     fn migrate_units(
         &mut self,
         victim: BlockId,

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, Fragment, OobKind, UnitPayload};
 use checkin_ftl::{Ftl, FtlConfig, FtlError, GcTrigger, Lpn, SensedPages, UnitWrite};
-use checkin_sim::{SimDuration, SimTime, Total};
+use checkin_sim::{Counter, SimDuration, SimTime, Total, Tracer};
 use checkin_testkit::{check, soup, TestRng};
 
 const LPNS: u64 = 192;
@@ -363,6 +363,187 @@ fn foreground_gc_never_orphans_an_active_block() {
             }
         }
         ftl.check_invariants().unwrap();
+    }
+}
+
+/// Who issues a write in [`a_write_waits_for_a_programming_slot_not_for_a_program`]:
+/// a client, or a checkpoint-like chain that books its writes back to
+/// back and so runs ahead of the clients.
+#[derive(Debug, Clone, Copy)]
+enum Issuer {
+    /// The next client write: `jitter` after the last client ack.
+    Client,
+    /// A client that issues `jitter` *before* the last client ack (the
+    /// closed loop's earliest waiting thread).
+    LateClient,
+    /// The next chained write: `jitter` after the chain's last ack, and
+    /// never before the clients.
+    Chain,
+}
+
+/// A whole-unit write of `lpn` by `issuer`, `jitter` ns from its clock.
+#[derive(Debug, Clone, Copy)]
+struct TimedWrite {
+    lpn: u64,
+    issuer: Issuer,
+    jitter: u64,
+}
+
+/// How a run acknowledges writes to its issuers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum AckRule {
+    /// What the FTL returns: the programming-slot rule.
+    Slot,
+    /// The rule the slot rule replaced: a write that pages out is
+    /// acknowledged when that page's program finishes.
+    ProgramFinish,
+}
+
+/// 4 dies, 64 blocks of 16 pages: GC starts within a device's worth of
+/// writes over 60 % of the units.
+fn pressured_ftl(unit_bytes: u32) -> (Ftl, u64) {
+    let geometry = FlashGeometry {
+        channels: 2,
+        dies_per_channel: 2,
+        planes_per_die: 1,
+        blocks_per_plane: 16,
+        pages_per_block: 16,
+        page_bytes: 4096,
+    };
+    let upp = geometry.page_bytes / unit_bytes;
+    let config = FtlConfig {
+        unit_bytes,
+        write_points: 4,
+        gc_threshold_blocks: 4,
+        gc_soft_threshold_blocks: 8,
+        write_buffer_units: 2 * upp,
+        wear_leveling_threshold: None,
+        ..FtlConfig::default()
+    };
+    let lpns = geometry.total_pages() * u64::from(upp) * 6 / 10;
+    let flash = FlashArray::new(geometry, FlashTiming::mlc());
+    (Ftl::new(flash, config).unwrap(), lpns)
+}
+
+/// The brute-force slot model: with every program finish ever recorded
+/// in `finishes`, a page-out admitted at `at` gets its slot at `at`
+/// unless at least `depth` of them lie after `at`, and otherwise at the
+/// oldest of the `depth` latest.
+fn slot_free(finishes: &[SimTime], depth: usize, at: SimTime) -> SimTime {
+    let mut later: Vec<SimTime> = finishes.iter().copied().filter(|&f| f > at).collect();
+    if later.len() < depth {
+        return at;
+    }
+    later.sort_unstable_by(|a, b| b.cmp(a));
+    later[depth - 1]
+}
+
+/// What one run leaves behind that must not depend on when writes were
+/// acknowledged.
+#[derive(Debug, PartialEq)]
+struct Placement {
+    /// `(block, page, units)` of every page-out, in program order.
+    page_outs: Vec<(u64, u64, u64)>,
+    mapping: Vec<(Lpn, checkin_ftl::Location)>,
+    programs: u64,
+    erases: u64,
+}
+
+/// Drives `writes` through a fresh [`pressured_ftl`], each issuer's clock
+/// advancing by the acks `rule` gives it, and checks every ack the FTL
+/// returns against [`slot_free`].
+fn drive_timed(unit_bytes: u32, writes: &[TimedWrite], rule: AckRule) -> Placement {
+    let (mut ftl, _) = pressured_ftl(unit_bytes);
+    let tracer = Tracer::ring_buffered(4_096);
+    ftl.set_tracer(tracer.clone());
+    let depth = ftl.config().write_points as usize;
+    let mut finishes: Vec<SimTime> = Vec::new();
+    let mut page_outs = Vec::new();
+    let (mut client, mut chain) = (SimTime::ZERO, SimTime::ZERO);
+    for (i, w) in writes.iter().enumerate() {
+        let jitter = SimDuration::from_nanos(w.jitter);
+        let at = match w.issuer {
+            Issuer::Client => client + jitter,
+            Issuer::LateClient => SimTime::from_nanos(client.as_nanos().saturating_sub(w.jitter)),
+            Issuer::Chain => chain.max(client) + jitter,
+        };
+        let ack = ftl
+            .write(
+                UnitWrite {
+                    lpn: Lpn(w.lpn),
+                    payload: UnitPayload::single(w.lpn, i as u64, unit_bytes),
+                    whole_unit: true,
+                },
+                OobKind::Data,
+                at,
+            )
+            .unwrap();
+        // Every page-out of this write — GC's migration page-outs first,
+        // the write's own last — was admitted at `at`.
+        let mut model = at;
+        let mut last_program = None;
+        for e in tracer.drain().iter().filter(|e| e.op == "page_out") {
+            let field = |name| e.fields().iter().find(|f| f.0 == name).unwrap().1;
+            let finish = SimTime::from_nanos(field("finish_ns"));
+            model = model.max(slot_free(&finishes, depth, at));
+            finishes.push(finish);
+            page_outs.push((field("block"), field("page"), field("units")));
+            last_program = Some(finish);
+        }
+        assert_eq!(ack, model, "write {i} at {at}: {w:?}");
+        let acked = match rule {
+            AckRule::Slot => ack,
+            AckRule::ProgramFinish => last_program.map_or(at, |f| f.max(at)),
+        };
+        match w.issuer {
+            Issuer::Client | Issuer::LateClient => client = client.max(acked),
+            Issuer::Chain => chain = acked,
+        }
+    }
+    ftl.check_invariants().unwrap();
+    assert!(
+        ftl.counters().get(Counter::FtlGcInvocations) > 0,
+        "the stream never pressured GC"
+    );
+    assert!(ftl.counters().get(Counter::FtlBufferSlotWaits) > 0);
+    let flash = ftl.flash().counters();
+    Placement {
+        page_outs,
+        mapping: ftl.mapping_iter().collect(),
+        programs: flash.total(Total::FlashProgram),
+        erases: flash.total(Total::FlashErase),
+    }
+}
+
+/// The write buffer's ack rule against a model that keeps every program
+/// finish: random unit writes from clients and from a chain booked ahead
+/// of them (so admissions are not monotone), at 512 B and 4 KiB units, on
+/// a device under GC pressure. The rule decides only *when* a writer
+/// goes on: replayed with the issuers' clocks advanced by the old
+/// program-finish acks instead, every page-out, the mapping table and the
+/// flash counts are the same.
+#[test]
+fn a_write_waits_for_a_programming_slot_not_for_a_program() {
+    for (unit_bytes, writes) in [(512u32, 12_000usize), (4096, 2_000)] {
+        let lpns = pressured_ftl(unit_bytes).1;
+        check(
+            "a_write_waits_for_a_programming_slot_not_for_a_program",
+            3,
+            |rng| {
+                let stream = soup(rng, writes, |rng| TimedWrite {
+                    lpn: rng.below(lpns),
+                    issuer: match rng.weighted(&[6, 2, 2]) {
+                        0 => Issuer::Client,
+                        1 => Issuer::LateClient,
+                        _ => Issuer::Chain,
+                    },
+                    jitter: rng.range_u64(0, 400_000),
+                });
+                let slot = drive_timed(unit_bytes, &stream, AckRule::Slot);
+                let old = drive_timed(unit_bytes, &stream, AckRule::ProgramFinish);
+                assert_eq!(slot, old, "{unit_bytes} B units");
+            },
+        );
     }
 }
 

@@ -11,6 +11,9 @@
 //!   a request gets the earliest window that overlaps no earlier
 //!   reservation, including the idle gaps before reservations made for
 //!   the future;
+//! * [`InFlight`] — a fixed-depth window of in-flight operations, the
+//!   admission rule of the NVMe queue and the write buffer's programming
+//!   slots;
 //! * [`LatencyRecorder`], [`CounterSet`] — measurement;
 //! * [`SimRng`] — a self-contained, seedable xoshiro256** generator;
 //! * [`Tracer`] / [`TraceRing`] — ring-buffered structured trace events
@@ -57,9 +60,26 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_macros))]
 
 mod event;
+// Recovery in flash, ftl and ssd runs through these three modules, so
+// they carry the panic and discard parts of those crates' wall
+// (DESIGN.md §11).
+#[cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::panic_in_result_fn,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+    )
+)]
+mod queue;
 mod resource;
-// Recovery in flash, ftl and ssd runs through these two modules, so they
-// carry the panic and discard parts of those crates' wall (DESIGN.md §11).
 #[cfg_attr(
     not(test),
     deny(
@@ -96,6 +116,7 @@ mod time;
 mod trace;
 
 pub use event::EventQueue;
+pub use queue::InFlight;
 pub use resource::{Resource, ResourcePool, Window};
 pub use rng::{splitmix64, SimRng};
 pub use stats::{Counter, CounterSet, LatencyRecorder, Total};

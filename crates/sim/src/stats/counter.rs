@@ -106,6 +106,8 @@ schema! {
     FlashTornWrites = "flash.torn_writes",
     FlashTransientFaults = "flash.transient_faults",
     FtlBlocksRetired = "ftl.blocks_retired",
+    FtlBufferSlotWaitNs = "ftl.buffer_slot_wait_ns",
+    FtlBufferSlotWaits = "ftl.buffer_slot_waits",
     FtlDeallocations = "ftl.deallocations",
     FtlGcBackground = "ftl.gc_background",
     FtlGcForeground = "ftl.gc_foreground",

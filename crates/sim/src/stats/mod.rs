@@ -249,7 +249,7 @@ mod tests {
     /// schema must map onto it one-to-one, in order.
     #[test]
     fn names_are_pinned() {
-        const PINNED: [&str; 86] = [
+        const PINNED: [&str; 88] = [
             "engine.checkpoints",
             "engine.deletes",
             "engine.inserts",
@@ -293,6 +293,8 @@ mod tests {
             "flash.torn_writes",
             "flash.transient_faults",
             "ftl.blocks_retired",
+            "ftl.buffer_slot_wait_ns",
+            "ftl.buffer_slot_waits",
             "ftl.deallocations",
             "ftl.gc_background",
             "ftl.gc_foreground",

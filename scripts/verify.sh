@@ -20,12 +20,14 @@ echo "== cargo test --release (checkin-core lib)"
 # fire must be gated on `debug_assertions`, or this profile goes red.
 cargo test --release -p checkin-core --lib -q
 
-echo "== kvbench builds against the workspace"
+echo "== kvbench builds against the workspace, and its unit tests pass"
 # `benchmark/kvbench` is a package of its own (path deps on the
 # workspace crates) that `cargo test` above never compiles: a change to
-# a type its probes construct would only show in `benchmark/run.sh`.
-# Build only, into kvbench's own target directory (`.gitignore`d).
+# a type its probes construct, a stale `BENCHMARK.json` or a broken
+# probe would only show in `benchmark/run.sh`. Built and tested in
+# kvbench's own target directory (`.gitignore`d); the tests take ~2 s.
 cargo build --release --offline --manifest-path benchmark/kvbench/Cargo.toml
+cargo test --release --offline -q --manifest-path benchmark/kvbench/Cargo.toml
 
 echo "== lab"
 # The one measurement run (DESIGN.md §8): three GC-pressured workloads,
