@@ -34,7 +34,7 @@ use checkin_flash::{
     FaultConfig, FaultOp, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OpPhase, Ppn,
 };
 use checkin_ftl::{Ftl, FtlConfig, Location, Lpn};
-use checkin_sim::{Counter, SimTime};
+use checkin_sim::{Counter, SimTime, TraceEvent, Tracer};
 use checkin_ssd::{Ssd, SsdError, SsdTiming};
 use checkin_testkit::TestRng;
 
@@ -49,6 +49,10 @@ const ZONE_SECTORS: u64 = 384;
 const OPS: u64 = 700;
 /// Compression ratio for sector-aligned journaling (paper default).
 const COMPRESSION: f64 = 0.7;
+/// The tier whose rows run on two planes per die, where a page can ride
+/// another plane's tPROG. A row's tier is in its `^ combo:` line, so the
+/// line still replays the row.
+const TWO_PLANE_TIER: &str = "two-plane";
 
 /// One row of the test plan: everything that determines a run. The
 /// `^ combo:` line of a failing row is this struct's `Debug` output —
@@ -108,13 +112,22 @@ impl Scenario {
     }
 
     /// A deliberately tight device: 16 blocks of 16 pages (1 MiB) against
-    /// a ~512 KiB logical space, so GC runs inside every workload.
+    /// a ~512 KiB logical space, so GC runs inside every workload. Its
+    /// two dies have one plane each, except in the [`TWO_PLANE_TIER`],
+    /// whose dies have two planes of 6 blocks: with one write point per
+    /// plane, twice as many blocks are open, and 16 blocks leave SPOR no
+    /// room to reclaim.
     fn build_ssd(&self) -> Ssd {
+        let (planes, blocks) = if self.tier == TWO_PLANE_TIER {
+            (2, 6)
+        } else {
+            (1, 8)
+        };
         let geometry = FlashGeometry {
             channels: 2,
             dies_per_channel: 1,
-            planes_per_die: 1,
-            blocks_per_plane: 8,
+            planes_per_die: planes,
+            blocks_per_plane: blocks,
             pages_per_block: 16,
             page_bytes: 4096,
         };
@@ -122,7 +135,7 @@ impl Scenario {
             FlashArray::new(geometry, FlashTiming::mlc()),
             FtlConfig {
                 unit_bytes: self.strategy.default_unit_bytes(),
-                write_points: 2,
+                write_points: geometry.total_planes() as u32,
                 gc_threshold_blocks: 3,
                 gc_soft_threshold_blocks: 6,
                 write_buffer_units: 16,
@@ -247,13 +260,14 @@ fn checkpoint_then_idle_work(
 
 /// Runs the row's seeded workload and stops at the first power loss or
 /// typed integrity failure; any other failure panics — faults must
-/// surface typed, never as a crash.
+/// surface typed, never as a crash. The flash array emits to
+/// `flash_tracer` from when the faults are armed.
 ///
 /// Ops are admitted in groups of `sc.batch` and acked only when the whole
 /// group completes, with checkpoints confined to batch boundaries (the
 /// admission gate's no-straddling rule). The op stream is identical for
 /// every batch size; only ack timing differs.
-fn drive(sc: &Scenario) -> Driven {
+fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
     let mut ssd = sc.build_ssd();
     let layout = sc.layout();
     let mut engine = KvEngine::new(sc.strategy, layout, COMPRESSION);
@@ -268,6 +282,7 @@ fn drive(sc: &Scenario) -> Driven {
     if let Some(config) = sc.faults {
         ssd.ftl_mut().flash_mut().arm_faults(FaultPlan::new(config));
     }
+    ssd.ftl_mut().flash_mut().set_tracer(flash_tracer);
     let cp_units = (layout.zone_sectors() / layout.unit_sectors()) / 4;
     let stop_for = |e: EngineError, in_checkpoint: bool| {
         if matches!(&e, EngineError::Ssd(SsdError::Ftl(f)) if f.is_power_loss()) {
@@ -350,7 +365,7 @@ fn drive(sc: &Scenario) -> Driven {
 /// Drives an unarmed row to completion and flushes it: the clean state
 /// the post-hoc tiers and the checksum self-test then damage by hand.
 fn drive_clean(sc: &Scenario) -> (Driven, SimTime) {
-    let mut d = drive(sc);
+    let mut d = drive(sc, Tracer::disabled());
     assert_eq!(d.stop, Stop::Completed, "{sc:?}: unarmed run");
     let t = d.ssd.flush(d.t).expect("clean flush");
     (d, t)
@@ -458,13 +473,49 @@ fn verify(
 /// armed under the same fault seed, so tick `i + 1` of a cut run is
 /// `trace[i]` exactly.
 fn profile(sc: &Scenario) -> Vec<(FaultOp, OpPhase)> {
-    let d = drive(&sc.with_faults(FaultConfig {
-        power_cut_after: None,
-        record_trace: true,
-        ..sc.faults.unwrap_or_default()
-    }));
+    profile_traced(sc, Tracer::disabled())
+}
+
+/// [`profile`], with the flash array emitting to `flash_tracer`.
+fn profile_traced(sc: &Scenario, flash_tracer: Tracer) -> Vec<(FaultOp, OpPhase)> {
+    let d = drive(
+        &sc.with_faults(FaultConfig {
+            power_cut_after: None,
+            record_trace: true,
+            ..sc.faults.unwrap_or_default()
+        }),
+        flash_tracer,
+    );
     let plan = d.ssd.ftl().flash().fault_plan();
     plan.expect("plan stays armed").trace().to_vec()
+}
+
+/// The 1-based ticks of the row's programs that rode another plane's
+/// tPROG, from a profiling pass with the flash array traced. The n-th
+/// program event is the n-th program tick: the row must arm no fault but
+/// its cut, so no program fails.
+fn joined_program_ticks(sc: &Scenario) -> Vec<u64> {
+    let tracer = Tracer::ring_buffered(1 << 14);
+    let programs = ticks_where(&profile_traced(sc, tracer.clone()), |op, _| {
+        op == FaultOp::Program
+    });
+    let events: Vec<TraceEvent> = tracer
+        .drain()
+        .into_iter()
+        .filter(|e| e.op == "program")
+        .collect();
+    assert!(
+        tracer.dropped() == 0 && events.len() == programs.len(),
+        "{sc:?}: {} program events for {} program ticks",
+        events.len(),
+        programs.len()
+    );
+    programs
+        .into_iter()
+        .zip(events)
+        .filter(|(_, e)| e.fields().contains(&("multiplane", 1)))
+        .map(|(tick, _)| tick)
+        .collect()
 }
 
 /// One judged row: verdict plus what the tier gates need.
@@ -509,7 +560,7 @@ impl Outcome {
 /// On any untyped failure, a recovery that refuses to run or a violated
 /// device invariant.
 pub fn run(sc: &Scenario, typed_ok: bool, sabotage: bool) -> Outcome {
-    let mut d = drive(sc);
+    let mut d = drive(sc, Tracer::disabled());
     let cuts = sc.faults.is_some_and(|f| f.power_cut_after.is_some());
     // Who serves reads from here on: the engine that drove the workload
     // or, after a cut, a recovered one — or nobody, when recovery met a

@@ -9,9 +9,9 @@ use checkin_ssd::ReadRequest;
 use checkin_testkit::TestRng;
 
 use super::{
-    checkpoint_then_idle_work, drive_clean, flash_home_of, inject_rot, is_integrity, profile, run,
-    scrub_fully, serving_range, ticks_where, verify, Driven, Outcome, Scenario, Stop, Verdict, OPS,
-    RECORDS,
+    checkpoint_then_idle_work, drive_clean, flash_home_of, inject_rot, is_integrity,
+    joined_program_ticks, profile, run, scrub_fully, serving_range, ticks_where, verify, Driven,
+    Outcome, Scenario, Stop, Verdict, OPS, RECORDS, TWO_PLANE_TIER,
 };
 use crate::section;
 
@@ -351,6 +351,52 @@ fn torn_tier(s: &mut Sweep) {
         "no torn page was ever committed — the torn tier exercised nothing",
     );
     s.gate(torn_in_gc > 0, "no torn page was committed inside GC");
+}
+
+/// Every other tier runs on one plane per die, where no page ever rides
+/// another plane's tPROG. Here the dies have two planes and a write point
+/// each, and cuts land on exactly such pages — the first, middle and last
+/// of each row — once fail-stop and once torn. Each torn cut must tear
+/// the joined page it was aimed at, and the durability contract must hold
+/// with no typed failure tolerated, as in the torn tier.
+fn two_plane_tier(s: &mut Sweep) {
+    section("two-plane power-cut sweep (cuts on pages that joined another plane's tPROG)");
+    let (mut torn_cuts, mut torn, mut rows_without_joins) = (0u64, 0u64, 0u64);
+    for (n, strategy) in (0u64..).zip(Strategy::all()) {
+        let seed = CUT_SEED ^ 0x2_B1A4E ^ (n << 36);
+        let base = Scenario::new(TWO_PLANE_TIER, strategy, seed);
+        let joined = joined_program_ticks(&base);
+        let cuts = sorted(
+            first_and_middle(&joined)
+                .chain(joined.last().copied())
+                .collect(),
+        );
+        rows_without_joins += u64::from(cuts.is_empty());
+        for &tick in &cuts {
+            for torn_writes in [false, true] {
+                let faults = FaultConfig {
+                    torn_writes,
+                    ..FaultConfig::power_cut(seed ^ tick, tick)
+                };
+                let o = s.judge(&base.with_faults(faults), false);
+                torn_cuts += u64::from(torn_writes);
+                torn += o.counter(Counter::FlashTornWrites);
+            }
+        }
+        println!(
+            "  {:<9} {} joined programs, cuts at {cuts:?}",
+            strategy.label(),
+            joined.len()
+        );
+    }
+    println!("  torn cuts {torn_cuts}, torn pages {torn}");
+    s.gate(
+        torn_cuts > 0 && torn == torn_cuts && rows_without_joins == 0,
+        &format!(
+            "two-plane tier: {torn} torn pages from {torn_cuts} torn cuts, {rows_without_joins} \
+             rows with no joined program"
+        ),
+    );
 }
 
 /// Sums `f` over a tier's outcomes.
@@ -737,6 +783,7 @@ pub fn sweep() -> Sweep {
     gc_migration_tier(&mut s);
     noise_tier(&mut s);
     torn_tier(&mut s);
+    two_plane_tier(&mut s);
     live_rot_tier(&mut s);
     misdirect_tier(&mut s);
     posthoc_data_tier(&mut s);

@@ -12,23 +12,26 @@
 //!   reads, unit writes. The paper's central claim (Algorithm 1 moves
 //!   mapping entries and does no flash I/O). What one home `get`
 //!   costs: a read asks for the sectors the value spans and senses each
-//!   flash page once. And when a page-filling write is acknowledged: at
+//!   flash page once. When a page-filling write is acknowledged: at
 //!   admission to the power-protected buffer, and after a program only
-//!   once every write point has one in flight.
+//!   once every write point has one in flight. And when a second page
+//!   programmed on a busy two-plane die finishes: with the first when it
+//!   is on the other plane, a tPROG later otherwise.
 //! * **`paper`** — every figure and table of the paper's evaluation
 //!   ([`crate::figures`]), the paper's own number beside the measured
 //!   one where it states one.
 //!
-//! Three conditions fail a run, all exact: a remap checkpoint must do no
+//! Four conditions fail a run, all exact: a remap checkpoint must do no
 //! flash I/O where a copy checkpoint reads and rewrites every log, a
-//! home read must cost what the record occupies, and a write must wait
-//! for a programming slot, not for a program. `cargo test` checks them
-//! as well (this module's tests).
+//! home read must cost what the record occupies, a write must wait for a
+//! programming slot, not for a program, and a die must program a page on
+//! each of its planes in one tPROG. `cargo test` checks them as well
+//! (this module's tests).
 
 use std::collections::BTreeSet;
 
 use checkin_core::{JournalManager, KvEngine, Layout, Strategy};
-use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, OobKind};
+use checkin_flash::{BlockId, FlashArray, FlashGeometry, FlashTiming, OobKind, PageContent};
 use checkin_ftl::{Ftl, FtlConfig, Lpn};
 use checkin_sim::{Counter, SimDuration, SimTime, Total, Tracer};
 use checkin_ssd::{
@@ -45,14 +48,16 @@ pub struct Lab {
     /// WAF, lifetime, p99.9 and erases of three GC-pressured workloads.
     pub gc: Vec<Row>,
     /// Exact simulated cost of a remap and of a copy checkpoint, of a
-    /// home read of a small and of a slot-sized record, and when
-    /// page-filling writes are acknowledged.
+    /// home read of a small and of a slot-sized record, when
+    /// page-filling writes are acknowledged, and when pages programmed
+    /// on a busy two-plane die finish.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// All three gates held: a remap checkpoint did no flash I/O, a read
-    /// cost what the record occupies, and a write waited for a
-    /// programming slot, not for a program.
+    /// All four gates held: a remap checkpoint did no flash I/O, a read
+    /// cost what the record occupies, a write waited for a programming
+    /// slot, not for a program, and a die programmed its two planes in
+    /// one tPROG.
     pub passed: bool,
 }
 
@@ -67,10 +72,10 @@ impl Lab {
     }
 }
 
-/// Measures all three sections and judges the three gates.
+/// Measures all three sections and judges the four gates.
 pub fn run() -> Lab {
     let gc = gc_section();
-    let (counts, checkpoints, reads, writes) = counts_section();
+    let (counts, (checkpoints, reads, writes, programs)) = counts_section();
     let paper = figures::paper_section();
 
     println!();
@@ -86,6 +91,10 @@ pub fn run() -> Lab {
         (
             a_write_waits_for_a_slot_not_a_program(&writes),
             format!("a write waits for a slot, not a program: {writes:?}"),
+        ),
+        (
+            a_die_programs_its_planes_at_once(&programs),
+            format!("a die programs its planes at once: {programs:?}"),
         ),
     ];
     for (held, what) in &gates {
@@ -390,10 +399,75 @@ fn a_write_waits_for_a_slot_not_a_program(w: &WriteAcks) -> bool {
         && w.backpressured_ack_ns >= w.program_finish_ns
 }
 
-fn counts_section() -> (Vec<Row>, CheckpointCosts, Vec<ReadCost>, WriteAcks) {
+/// When pages programmed on a busy two-plane die finish, from the
+/// fixture's start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ProgramFinishes {
+    /// Page index 0 on plane 0 of die 0, behind an erase of that die.
+    first_finish_ns: u64,
+    /// Then page index 0 on the die's other plane.
+    other_plane_finish_ns: u64,
+    /// Or page index 0 of another block on the first page's plane.
+    same_plane_finish_ns: u64,
+    /// Or page index 0 on the other plane, issued when the first page's
+    /// tPROG starts, so its transfer ends after that.
+    late_transfer_finish_ns: u64,
+}
+
+/// On the paper-default array, erases a block of die 0 and meanwhile
+/// programs one page there and then a second one, three ways.
+fn program_finishes() -> ProgramFinishes {
+    let g = FlashGeometry::paper_default();
+    let t_prog = FlashTiming::mlc().t_program;
+    // Blocks stripe channel, die, plane: die 0 of channel 0 holds blocks
+    // 0, 16 and 32 on plane 0, and 8 on plane 1.
+    let (plane0, plane1, plane0_again, erased) = (BlockId(0), BlockId(8), BlockId(16), BlockId(32));
+    let pair = |second: BlockId, late: bool| {
+        let mut flash = FlashArray::new(g, FlashTiming::mlc());
+        flash
+            .erase(erased, SimTime::ZERO)
+            .expect("a fresh block erases");
+        let page = PageContent::empty(1);
+        let mut program = |block, at| {
+            flash
+                .program(g.first_ppn(block), &page, at)
+                .expect("the page is erased and in range")
+                .finish
+        };
+        let first = program(plane0, SimTime::ZERO);
+        let at = if late { first - t_prog } else { SimTime::ZERO };
+        (first.as_nanos(), program(second, at).as_nanos())
+    };
+    let (first_finish_ns, other_plane_finish_ns) = pair(plane1, false);
+    ProgramFinishes {
+        first_finish_ns,
+        other_plane_finish_ns,
+        same_plane_finish_ns: pair(plane0_again, false).1,
+        late_transfer_finish_ns: pair(plane1, true).1,
+    }
+}
+
+/// The multi-plane rule on the fixture, from the flash timing alone: the
+/// first page programs when the erase is done; a page on the other plane
+/// at its page index rides that tPROG, while one on the same plane, or
+/// one whose data arrives after the tPROG started, waits a whole tPROG
+/// more.
+fn a_die_programs_its_planes_at_once(p: &ProgramFinishes) -> bool {
+    let t = FlashTiming::mlc();
+    let first = (t.t_erase + t.t_program).as_nanos();
+    let next = first + t.t_program.as_nanos();
+    p.first_finish_ns == first
+        && p.other_plane_finish_ns == first
+        && p.same_plane_finish_ns == next
+        && p.late_transfer_finish_ns == next
+}
+
+type Measured = (CheckpointCosts, Vec<ReadCost>, WriteAcks, ProgramFinishes);
+
+fn counts_section() -> (Vec<Row>, Measured) {
     section(
         "counts: 64-entry checkpoint command, remap walk vs copy fallback; one home read; \
-         page-filling writes",
+         page-filling writes; programs on a two-plane die",
     );
     let checkpoints = CheckpointCosts::measure();
     let mut rows = Vec::new();
@@ -447,7 +521,15 @@ fn counts_section() -> (Vec<Row>, CheckpointCosts, Vec<ReadCost>, WriteAcks) {
     ] {
         push(&mut rows, "write", leaf, ns as f64, "ns");
     }
-    (rows, checkpoints, reads, writes)
+    let programs = program_finishes();
+    for (leaf, ns) in [
+        ("other_plane_finish_ns", programs.other_plane_finish_ns),
+        ("same_plane_finish_ns", programs.same_plane_finish_ns),
+        ("late_transfer_finish_ns", programs.late_transfer_finish_ns),
+    ] {
+        push(&mut rows, "program", leaf, ns as f64, "ns");
+    }
+    (rows, (checkpoints, reads, writes, programs))
 }
 
 #[cfg(test)]
@@ -482,6 +564,15 @@ mod tests {
         );
         // The slot frees exactly when the first program finishes.
         assert_eq!(writes.backpressured_ack_ns, writes.program_finish_ns);
+    }
+
+    #[test]
+    fn a_die_programs_its_planes_at_once() {
+        let programs = program_finishes();
+        assert!(
+            super::a_die_programs_its_planes_at_once(&programs),
+            "{programs:?}"
+        );
     }
 
     #[test]

@@ -220,13 +220,16 @@ impl SystemConfig {
             .unwrap_or(self.strategy.default_unit_bytes())
     }
 
-    /// FTL configuration derived from this system configuration.
+    /// FTL configuration derived from this system configuration: one
+    /// write point per plane. A write point fills one block, which lies
+    /// on one plane, so a die whose planes each have a write point can
+    /// program them all in one tPROG.
     pub fn ftl_config(&self) -> FtlConfig {
         FtlConfig {
             unit_bytes: self.effective_unit_bytes(),
             gc_threshold_blocks: self.gc_threshold_blocks,
             gc_soft_threshold_blocks: self.gc_soft_threshold_blocks,
-            write_points: self.geometry.total_dies() as u32,
+            write_points: self.geometry.total_planes() as u32,
             map_cache_entries: self.map_cache_entries,
             write_buffer_units: self.write_buffer_units,
             wear_leveling_threshold: Some(64),

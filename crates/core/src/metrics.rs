@@ -55,6 +55,8 @@ pub struct FlashStats {
     pub reads: u64,
     /// Page programs.
     pub programs: u64,
+    /// Of those, pages that rode another plane's tPROG on their die.
+    pub multiplane_programs: u64,
     /// Block erases.
     pub erases: u64,
     /// GC invocations.
@@ -501,11 +503,12 @@ impl std::fmt::Display for RunReport {
         )?;
         writeln!(
             f,
-            "  flash         r {} / p {} / e {} (cp programs {}), gc {}, waf {}",
+            "  flash         r {} / p {} / e {} (cp programs {}, multi-plane {}), gc {}, waf {}",
             self.flash.reads,
             self.flash.programs,
             self.flash.erases,
             self.checkpoint_flash_programs,
+            self.flash.multiplane_programs,
             self.flash.gc_invocations,
             display_metric(self.waf, 2)
         )?;

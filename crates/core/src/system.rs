@@ -450,6 +450,7 @@ impl KvSystem {
         let flash = FlashStats {
             reads: fdelta.total(Total::FlashRead),
             programs: fdelta.total(Total::FlashProgram),
+            multiplane_programs: fdelta.get(Counter::FlashMultiplanePrograms),
             erases: fdelta.total(Total::FlashErase),
             gc_invocations: tdelta.get(Counter::FtlGcInvocations),
             gc_units_moved: tdelta.get(Counter::FtlGcUnitsMoved),

@@ -12,6 +12,24 @@ use crate::phase::OpPhase;
 use crate::store::{BlockStore, PageView, StoredField};
 use crate::timing::FlashTiming;
 
+/// The tPROG on one die that a page on another plane can still join: the
+/// latest-starting program booked there, the planes it already programs
+/// (one bit each) and the page index they program.
+#[derive(Debug, Clone, Copy)]
+struct PendingProgram {
+    array: Window,
+    planes: u64,
+    page: u32,
+}
+
+/// One die: its reservation timeline, and the program a page on another
+/// plane can still join (never set on a one-plane die).
+#[derive(Debug, Clone)]
+struct Die {
+    timeline: Resource,
+    pending: Option<PendingProgram>,
+}
+
 /// Per-block bookkeeping.
 #[derive(Debug, Clone, Default)]
 struct BlockState {
@@ -28,6 +46,10 @@ struct BlockState {
 /// models operation timing through per-die and per-channel reservation
 /// timelines: a read is sensed in the first idle stretch of its die, also
 /// one ahead of a program that is still waiting for its channel transfer.
+/// A die programs up to `planes_per_die` pages in one tPROG: a page joins
+/// the die's pending program when it is for another plane, at the same
+/// page index, and its data is in the page register before that program
+/// starts.
 ///
 /// # Examples
 ///
@@ -47,7 +69,7 @@ pub struct FlashArray {
     geometry: FlashGeometry,
     timing: FlashTiming,
     blocks: Vec<BlockState>,
-    dies: Vec<Resource>,
+    dies: Vec<Die>,
     channels: Vec<Resource>,
     counters: CounterSet,
     /// Maximum erase count across all blocks so far.
@@ -98,7 +120,10 @@ impl FlashArray {
             timing,
             blocks: vec![BlockState::default(); total_blocks],
             dies: (0..geometry.total_dies())
-                .map(|_| Resource::new("die"))
+                .map(|_| Die {
+                    timeline: Resource::new("die"),
+                    pending: None,
+                })
                 .collect(),
             channels: (0..geometry.channels as usize)
                 .map(|_| Resource::new("channel"))
@@ -339,11 +364,12 @@ impl FlashArray {
         &self.timing
     }
 
-    fn die_and_channel(&mut self, ppn: Ppn) -> (usize, usize) {
-        let block = self.geometry.block_of(ppn);
-        let die = table_index(self.geometry.die_of_block(block));
-        let channel = self.geometry.block_position(block).channel as usize;
-        (die, channel)
+    /// The die (dense index), channel and plane of `ppn`, from one
+    /// decomposition of its block id.
+    fn die_channel_plane(&self, ppn: Ppn) -> (usize, usize, u32) {
+        let pos = self.geometry.block_position(self.geometry.block_of(ppn));
+        let die = table_index(self.geometry.die_at(pos));
+        (die, pos.channel as usize, pos.plane)
     }
 
     /// Reads one page: die array read (tR) then bus transfer. Returns the
@@ -356,14 +382,14 @@ impl FlashArray {
     pub fn schedule_read(&mut self, ppn: Ppn, at: SimTime) -> Result<Window, FlashError> {
         self.check_range(ppn)?;
         self.fault_gate(FaultOp::Read, Some(ppn), None)?;
-        let (die, channel) = self.die_and_channel(ppn);
+        let (die, channel, _) = self.die_channel_plane(ppn);
         // check_range guarantees both indices; a geometry that disagrees
         // with the queue vectors surfaces as a typed error, not a panic.
         let t_read = self.timing.t_read;
         let Some(die_queue) = self.dies.get_mut(die) else {
             return Err(FlashError::OutOfRange(ppn));
         };
-        let array = die_queue.schedule(at, t_read);
+        let array = die_queue.timeline.schedule(at, t_read);
         let xfer_time = self.timing.transfer_time(self.geometry.page_bytes as u64);
         let Some(channel_queue) = self.channels.get_mut(channel) else {
             return Err(FlashError::OutOfRange(ppn));
@@ -489,30 +515,74 @@ impl FlashArray {
 
         // As in `schedule_read`: a geometry that disagrees with the queue
         // vectors is a typed error, not a panic.
-        let (die, channel) = self.die_and_channel(ppn);
+        let (die, channel, plane) = self.die_channel_plane(ppn);
         let xfer_time = self.timing.transfer_time(self.geometry.page_bytes as u64);
         let xfer = self
             .channels
             .get_mut(channel)
             .ok_or(FlashError::OutOfRange(ppn))?
             .schedule(at, xfer_time);
-        let array = self
-            .dies
-            .get_mut(die)
-            .ok_or(FlashError::OutOfRange(ppn))?
-            .schedule(xfer.finish, self.timing.t_program);
+        let (finish, joined) = self
+            .book_program(die, plane, page, xfer.finish)
+            .ok_or(FlashError::OutOfRange(ppn))?;
         self.counters.incr(self.op_phase.program_counter());
+        if joined {
+            self.counters.incr(Counter::FlashMultiplanePrograms);
+        }
         let phase = self.op_phase;
         self.tracer.emit(|| {
-            TraceEvent::new(at, TraceLayer::Flash, "program")
+            let event = TraceEvent::new(at, TraceLayer::Flash, "program")
                 .tag(phase.label())
                 .with("ppn", ppn.0)
-                .with("block", block.0)
+                .with("block", block.0);
+            if joined {
+                event.with("multiplane", 1)
+            } else {
+                event
+            }
         });
         Ok(Window {
             start: xfer.start,
-            finish: array.finish,
+            finish,
         })
+    }
+
+    /// Books the tPROG of page index `page` on `plane` of `die`, whose
+    /// data is in the page register from `loaded`, and returns when it
+    /// finishes and whether the page joined another plane's tPROG. On a
+    /// multi-plane die the page joins the die's pending program when that
+    /// one covers nothing on the page's plane yet, programs the same page
+    /// index, and has not started by `loaded`: it then books no die time
+    /// and finishes with it — a window already handed out never moves.
+    /// Otherwise it books its own tPROG, which becomes the pending program
+    /// if it starts later than that one (a one-plane die keeps none).
+    /// `None` when `die` does not exist.
+    fn book_program(
+        &mut self,
+        die: usize,
+        plane: u32,
+        page: u32,
+        loaded: SimTime,
+    ) -> Option<(SimTime, bool)> {
+        let multi_plane = self.geometry.planes_per_die >= 2;
+        let Die { timeline, pending } = self.dies.get_mut(die)?;
+        // A plane past the mask's 64 bits has no bit and never joins.
+        let plane = 1u64.checked_shl(plane).unwrap_or(0);
+        if let Some(p) = pending.as_mut().filter(|p| {
+            plane != 0 && p.planes & plane == 0 && p.page == page && loaded <= p.array.start
+        }) {
+            p.planes |= plane;
+            return Some((p.array.finish, true));
+        }
+        let array = timeline.schedule(loaded, self.timing.t_program);
+        if multi_plane && pending.is_none_or(|p| array.start > p.array.start) {
+            *pending = Some(PendingProgram {
+                array,
+                planes: plane,
+                page,
+            });
+        }
+        Some((array.finish, false))
     }
 
     /// A power cut landed mid-program with torn writes enabled: commit a
@@ -606,7 +676,7 @@ impl FlashArray {
         state.erase_count += 1;
         let erase_count = state.erase_count;
         state.store.clear();
-        let window = die_queue.schedule(at, self.timing.t_erase);
+        let window = die_queue.timeline.schedule(at, self.timing.t_erase);
         self.counters.incr(self.op_phase.erase_counter());
         let phase = self.op_phase;
         self.tracer.emit(|| {
@@ -709,12 +779,12 @@ impl FlashArray {
 
     /// Total busy time across all dies (for utilization reports).
     pub fn die_busy_time(&self) -> checkin_sim::SimDuration {
-        self.dies.iter().map(Resource::busy_time).sum()
+        self.dies().map(Resource::busy_time).sum()
     }
 
-    /// The per-die timelines, indexed by die (utilization reports).
-    pub fn dies(&self) -> &[Resource] {
-        &self.dies
+    /// The per-die timelines, in die order (utilization reports).
+    pub fn dies(&self) -> impl ExactSizeIterator<Item = &Resource> + '_ {
+        self.dies.iter().map(|d| &d.timeline)
     }
 
     /// The per-channel timelines, indexed by channel.
@@ -735,7 +805,7 @@ impl FlashArray {
 mod tests {
     use super::*;
     use crate::content::UnitPayload;
-    use checkin_sim::Total;
+    use checkin_sim::{SimDuration, Total};
 
     fn array() -> FlashArray {
         FlashArray::new(FlashGeometry::small(), FlashTiming::mlc())
@@ -855,6 +925,146 @@ mod tests {
         let read = f.schedule_read(g.first_ppn(b), SimTime::ZERO).unwrap();
         assert_eq!(read.start, SimTime::ZERO);
         assert!(read.finish < program.finish);
+    }
+
+    /// The paper's two-plane array. Blocks stripe channel, die, plane: on
+    /// channel 0, die 0 holds blocks 0, 16, 32 … on plane 0 and 8, 24 …
+    /// on plane 1; die 1 holds 4, 20 … and 12, 28 ….
+    fn two_planes() -> FlashArray {
+        FlashArray::new(FlashGeometry::paper_default(), FlashTiming::mlc())
+    }
+
+    /// Keeps die 0 erasing block 32 from `at` for tBER, so a page
+    /// programmed there meanwhile waits with its data in the register.
+    fn erase_die0(f: &mut FlashArray, at: SimTime) {
+        f.erase(BlockId(32), at).unwrap();
+    }
+
+    fn program(f: &mut FlashArray, block: u64, page: u32, at: SimTime) -> Window {
+        let ppn = f.geometry().ppn_in_block(BlockId(block), page);
+        f.program(ppn, page_with(block, u64::from(page)), at)
+            .unwrap()
+    }
+
+    fn joins(f: &FlashArray) -> u64 {
+        f.counters().get(Counter::FlashMultiplanePrograms)
+    }
+
+    #[test]
+    fn a_page_on_the_other_plane_rides_the_dies_pending_tprog() {
+        let mut f = two_planes();
+        let (t_prog, t_erase) = (f.timing().t_program, f.timing().t_erase);
+        let tracer = Tracer::ring_buffered(8);
+        f.set_tracer(tracer.clone());
+        erase_die0(&mut f, SimTime::ZERO);
+        let a = program(&mut f, 0, 0, SimTime::ZERO);
+        let b = program(&mut f, 8, 0, SimTime::ZERO);
+        assert_eq!(a.finish, SimTime::ZERO + t_erase + t_prog);
+        assert_eq!(b.finish, a.finish, "one tPROG programs both planes");
+        assert!(b.start > a.start, "each page still crosses the channel");
+        assert_eq!(f.die_busy_time(), t_erase + t_prog);
+        assert_eq!(joins(&f), 1);
+        assert_eq!(f.counters().total(Total::FlashProgram), 2);
+        assert!(f.is_programmed(Ppn(8 * 256)));
+        let multiplane: Vec<bool> = tracer
+            .drain()
+            .iter()
+            .filter(|e| e.op == "program")
+            .map(|e| e.fields().contains(&("multiplane", 1)))
+            .collect();
+        assert_eq!(multiplane, [false, true]);
+    }
+
+    #[test]
+    fn join_needs_the_other_plane() {
+        let mut f = two_planes();
+        let t_prog = f.timing().t_program;
+        erase_die0(&mut f, SimTime::ZERO);
+        let a = program(&mut f, 0, 0, SimTime::ZERO);
+        // Block 16 is on plane 0 too, at the same page index.
+        let b = program(&mut f, 16, 0, SimTime::ZERO);
+        assert_eq!(b.finish, a.finish + t_prog);
+        assert_eq!(joins(&f), 0);
+    }
+
+    #[test]
+    fn join_needs_the_same_die() {
+        let mut f = two_planes();
+        let t_prog = f.timing().t_program;
+        erase_die0(&mut f, SimTime::ZERO);
+        let a = program(&mut f, 0, 0, SimTime::ZERO);
+        // Block 12: channel 0, the other die, plane 1 — idle, so its page
+        // programs as soon as it has crossed the channel.
+        let b = program(&mut f, 12, 0, SimTime::ZERO);
+        let xfer = f.timing().transfer_time(4096);
+        assert_eq!(b.finish, b.start + xfer + t_prog);
+        assert!(b.finish < a.finish);
+        assert_eq!(f.dies().nth(1).unwrap().busy_time(), t_prog);
+        assert_eq!(joins(&f), 0);
+    }
+
+    #[test]
+    fn join_needs_the_same_page_index() {
+        let mut f = two_planes();
+        let t_prog = f.timing().t_program;
+        program(&mut f, 8, 0, SimTime::ZERO);
+        erase_die0(&mut f, SimTime::ZERO);
+        // Page 0 of plane 0 programs after the erase and is the die's
+        // pending program; page 1 of plane 1 cannot join it.
+        let a = program(&mut f, 0, 0, SimTime::ZERO);
+        let b = program(&mut f, 8, 1, SimTime::ZERO);
+        assert_eq!(b.finish, a.finish + t_prog);
+        assert_eq!(joins(&f), 0);
+    }
+
+    #[test]
+    fn join_needs_the_data_before_the_program_starts() {
+        let t_prog = FlashTiming::mlc().t_program;
+        let xfer = FlashTiming::mlc().transfer_time(4096);
+        // The plane-1 page is issued `lead` before the pending tPROG starts.
+        let pair = |lead: SimDuration| {
+            let mut f = two_planes();
+            erase_die0(&mut f, SimTime::ZERO);
+            let a = program(&mut f, 0, 0, SimTime::ZERO);
+            let b = program(&mut f, 8, 0, a.finish - t_prog - lead);
+            (a.finish, b.finish, joins(&f))
+        };
+        // Across the channel exactly when the tPROG starts: in time.
+        let (a, b, n) = pair(xfer);
+        assert_eq!((b, n), (a, 1));
+        // One nanosecond later: too late, it books its own.
+        let (a, b, n) = pair(xfer - SimDuration::from_nanos(1));
+        assert_eq!((b, n), (a + t_prog, 0));
+    }
+
+    #[test]
+    fn one_page_per_plane_per_tprog() {
+        let mut f = two_planes();
+        let t_prog = f.timing().t_program;
+        erase_die0(&mut f, SimTime::ZERO);
+        let a = program(&mut f, 0, 0, SimTime::ZERO);
+        let b = program(&mut f, 8, 0, SimTime::ZERO);
+        // Block 24 is plane 1 again: that plane is taken in this tPROG.
+        let c = program(&mut f, 24, 0, SimTime::ZERO);
+        assert_eq!(b.finish, a.finish);
+        assert_eq!(c.finish, a.finish + t_prog);
+        assert_eq!(joins(&f), 1);
+    }
+
+    #[test]
+    fn the_latest_starting_program_stays_joinable() {
+        let mut f = two_planes();
+        let ms = SimDuration::from_millis;
+        erase_die0(&mut f, SimTime::ZERO + ms(1));
+        // Programs after the erase: the die's pending program.
+        let a = program(&mut f, 0, 0, SimTime::ZERO + ms(2));
+        // Fits the idle millisecond before the erase: earlier, so it does
+        // not displace the pending one.
+        let early = program(&mut f, 16, 0, SimTime::ZERO);
+        assert!(early.finish < SimTime::ZERO + ms(1));
+        let b = program(&mut f, 8, 0, SimTime::ZERO);
+        assert_eq!(b.finish, a.finish);
+        assert_eq!(joins(&f), 1);
     }
 
     #[test]

@@ -94,8 +94,9 @@ pub struct FlashGeometry {
     pub channels: u32,
     /// Dies per channel; a die serves one array operation at a time.
     pub dies_per_channel: u32,
-    /// Planes per die (multi-plane operations are not modelled; planes
-    /// multiply capacity).
+    /// Planes per die. A die programs up to this many pages in one
+    /// tPROG, one per plane at one page index; reads and erases take the
+    /// die one plane at a time.
     pub planes_per_die: u32,
     /// Blocks per plane.
     pub blocks_per_plane: u32,
@@ -216,7 +217,11 @@ impl FlashGeometry {
     /// The dense die index `(channel, die)` of a block — the contention
     /// domain for array operations.
     pub fn die_of_block(&self, block: BlockId) -> u64 {
-        let pos = self.block_position(block);
+        self.die_at(self.block_position(block))
+    }
+
+    /// The dense die index of a structural position.
+    pub(crate) fn die_at(&self, pos: Ppa) -> u64 {
         pos.channel as u64 * self.dies_per_channel as u64 + pos.die as u64
     }
 

@@ -6,7 +6,7 @@ use checkin_flash::{
     oob_checksum, unit_checksum, BlockId, FaultConfig, FaultPlan, FlashArray, FlashError,
     FlashGeometry, FlashTiming, Fragment, OobEntry, OobKind, PageContent, Ppn, UnitPayload,
 };
-use checkin_sim::{SimTime, Total};
+use checkin_sim::{Counter, SimTime, Total};
 use checkin_testkit::{check, soup, TestRng};
 
 fn array() -> FlashArray {
@@ -366,6 +366,153 @@ fn timing_is_monotone_per_die() {
             assert!(w.finish > w.start);
         }
     });
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TimedOp {
+    /// Program the cursor page of a block, issued `back_us` before the
+    /// clock (callers book into the past as well as the future).
+    Program {
+        block: u64,
+        back_us: u64,
+    },
+    Read {
+        block: u64,
+        page: u32,
+        back_us: u64,
+    },
+    Erase {
+        block: u64,
+        back_us: u64,
+    },
+    Advance {
+        us: u64,
+    },
+}
+
+/// Mostly the first block of each plane, so that planes of one die
+/// often sit at one page index.
+fn timed_op(rng: &mut TestRng) -> TimedOp {
+    let block = if rng.chance(0.7) {
+        rng.below(8)
+    } else {
+        rng.below(32)
+    };
+    let back_us = rng.below(300);
+    match rng.weighted(&[10, 3, 1, 3]) {
+        0 => TimedOp::Program { block, back_us },
+        1 => TimedOp::Read {
+            block,
+            page: rng.range_u32(0, 7),
+            back_us,
+        },
+        2 => TimedOp::Erase { block, back_us },
+        _ => TimedOp::Advance {
+            us: rng.below(1_500),
+        },
+    }
+}
+
+/// On a two-plane array, whatever the mix and order of programs, reads
+/// and erases: each die is busy for exactly its senses, its tPROGs — one
+/// per program that did not ride another plane's — and its erases, never
+/// longer than the span its bookings cover; every program finishes a
+/// transfer and a tPROG after it started; a page that joined finishes
+/// with a page of another plane of its die at its page index; and what
+/// is stored is what a cursor-per-block model programmed.
+#[test]
+fn a_die_programs_its_planes_at_once_and_books_only_what_it_does() {
+    let mut joined = 0u64;
+    check("a_die_programs_its_planes_at_once", 64, |rng| {
+        let len = rng.range_usize(1, 299);
+        let ops = soup(rng, len, timed_op);
+        let g = FlashGeometry {
+            channels: 2,
+            dies_per_channel: 2,
+            planes_per_die: 2,
+            blocks_per_plane: 4,
+            pages_per_block: 8,
+            page_bytes: 4096,
+        };
+        let timing = FlashTiming::mlc();
+        let xfer = timing.transfer_time(g.page_bytes as u64);
+        let mut flash = FlashArray::new(g, timing);
+        let dies = g.total_dies() as usize;
+        // Per die: senses, tPROGs booked, erases.
+        let mut booked = vec![(0u64, 0u64, 0u64); dies];
+        // Every program: (die, plane, page index, finish).
+        let mut programs = Vec::new();
+        let mut stored: Vec<Vec<PageContent>> = vec![Vec::new(); g.total_blocks() as usize];
+        let (mut now, mut tag) = (0u64, 0u64);
+        let at = |now: u64, back_us: u64| SimTime::from_nanos(now.saturating_sub(back_us * 1_000));
+
+        for op in ops {
+            match op {
+                TimedOp::Program { block, back_us } => {
+                    let b = BlockId(block);
+                    let page = stored[block as usize].len() as u32;
+                    if page == g.pages_per_block {
+                        continue;
+                    }
+                    tag += 1;
+                    let before = flash.counters().get(Counter::FlashMultiplanePrograms);
+                    let w = flash
+                        .program(g.ppn_in_block(b, page), content(tag), at(now, back_us))
+                        .unwrap();
+                    stored[block as usize].push(content(tag));
+                    assert!(w.finish >= w.start + xfer + timing.t_program, "{w:?}");
+                    let die = g.die_of_block(b) as usize;
+                    let plane = g.block_position(b).plane;
+                    if flash.counters().get(Counter::FlashMultiplanePrograms) > before {
+                        joined += 1;
+                        assert!(
+                            programs.contains(&(die, 1 - plane, page, w.finish)),
+                            "a joined page finishes with its partner: {w:?}"
+                        );
+                        assert!(
+                            !programs.contains(&(die, plane, page, w.finish)),
+                            "one page per plane per tPROG: {w:?}"
+                        );
+                    } else {
+                        booked[die].1 += 1;
+                    }
+                    programs.push((die, plane, page, w.finish));
+                }
+                TimedOp::Read {
+                    block,
+                    page,
+                    back_us,
+                } => {
+                    let ppn = g.ppn_in_block(BlockId(block), page);
+                    flash.schedule_read(ppn, at(now, back_us)).unwrap();
+                    booked[g.die_of_block(BlockId(block)) as usize].0 += 1;
+                }
+                TimedOp::Erase { block, back_us } => {
+                    flash.erase(BlockId(block), at(now, back_us)).unwrap();
+                    stored[block as usize].clear();
+                    booked[g.die_of_block(BlockId(block)) as usize].2 += 1;
+                }
+                TimedOp::Advance { us } => now += us * 1_000,
+            }
+        }
+
+        for (die, &(reads, progs, erases)) in flash.dies().zip(&booked) {
+            let expected =
+                timing.t_read * reads + timing.t_program * progs + timing.t_erase * erases;
+            assert_eq!(die.busy_time(), expected);
+            assert!(die.busy_time() <= die.span(), "double-booked: {die:?}");
+        }
+        let model = stored.iter().enumerate().flat_map(|(b, pages)| {
+            (0u32..)
+                .zip(pages)
+                .map(move |(p, c)| (g.ppn_in_block(BlockId(b as u64), p), c.clone()))
+        });
+        assert!(flash
+            .programmed_pages()
+            .map(|(ppn, view)| (ppn, view.to_content()))
+            .eq(model));
+    });
+    assert!(joined > 100, "the soup must exercise the join: {joined}");
 }
 
 #[test]

@@ -64,8 +64,11 @@ pub struct FtlConfig {
     /// Background GC may run (in idle windows) when the pool drops to this
     /// softer threshold.
     pub gc_soft_threshold_blocks: u32,
-    /// Number of parallel write points (active blocks being filled). More
-    /// write points exploit more channel/die parallelism for programs.
+    /// Number of parallel write points (active blocks being filled),
+    /// taken round-robin by page-outs. A write point fills one block, so
+    /// it stays on one plane: with one per plane, consecutive page-outs
+    /// reach every plane of a die and the die can program them in one
+    /// tPROG; with one per die, they land on one plane and never pair.
     pub write_points: u32,
     /// Mapping-table cache capacity in entries; `None` models an
     /// all-in-DRAM table.
@@ -159,7 +162,8 @@ impl FtlConfig {
 
 impl Default for FtlConfig {
     /// Defaults mirror a conventional 4 KiB-mapped SSD with ~6% GC
-    /// headroom and one write point per die of the paper's geometry.
+    /// headroom and one write point per die of the paper's geometry
+    /// (a `SystemConfig` gives one per plane).
     fn default() -> Self {
         FtlConfig {
             unit_bytes: 4096,

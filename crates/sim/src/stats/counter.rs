@@ -86,6 +86,7 @@ schema! {
     FlashEraseScrub: FlashErase = "flash.erase.scrub",
     FlashGrownBadBlocks = "flash.grown_bad_blocks",
     FlashMisdirectedPrograms = "flash.misdirected_programs",
+    FlashMultiplanePrograms = "flash.multiplane_programs",
     FlashPowerCuts = "flash.power_cuts",
     #[total] FlashProgram = "flash.program",
     FlashProgramCpCopy: FlashProgram = "flash.program.cp_copy",

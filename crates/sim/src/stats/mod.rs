@@ -249,7 +249,7 @@ mod tests {
     /// schema must map onto it one-to-one, in order.
     #[test]
     fn names_are_pinned() {
-        const PINNED: [&str; 88] = [
+        const PINNED: [&str; 89] = [
             "engine.checkpoints",
             "engine.deletes",
             "engine.inserts",
@@ -273,6 +273,7 @@ mod tests {
             "flash.erase.scrub",
             "flash.grown_bad_blocks",
             "flash.misdirected_programs",
+            "flash.multiplane_programs",
             "flash.power_cuts",
             "flash.program",
             "flash.program.cp_copy",

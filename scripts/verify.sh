@@ -34,9 +34,10 @@ echo "== lab"
 # exact simulated cost of a remap vs a copy checkpoint, and every figure
 # and table of the paper as rows beside the paper's numbers. No options
 # but the output path; about half a minute on two cores, of which the
-# figures are 27 s. Exits non-zero only on its two gates (a remap
-# checkpoint does no flash I/O; a read costs what the record occupies)
-# — `cargo test` above already checked them.
+# figures are 27 s. Exits non-zero only on its four gates (a remap
+# checkpoint does no flash I/O; a read costs what the record occupies;
+# a write waits for a programming slot, not a program; a die programs
+# its two planes in one tPROG) — `cargo test` above already checked them.
 cargo run --release -p checkin-bench --bin lab -- --out target/BENCH_perf.json
 # Every row is a simulated quantity: a change that moves one must commit
 # the artifact it produces, not leave a stale one — and the diff of the
@@ -49,6 +50,7 @@ diff BENCH_perf.json target/BENCH_perf.json || {
 echo "== chaos"
 # The fault sweep (DESIGN.md §9.3): power cuts aimed at the remap walk,
 # GC and deallocation, batched admission, media noise, torn writes,
+# cuts on pages that joined another plane's tPROG on a two-plane device,
 # bit-rot in data and OOB, misdirected programs, composed faults, and
 # two sabotage self-tests — every key checked against one shadow model.
 # No options: the whole sweep takes under a second. `cargo test` above
