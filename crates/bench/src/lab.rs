@@ -14,28 +14,30 @@
 //!   costs: a read asks for the sectors the value spans and senses each
 //!   flash page once. When a page-filling write is acknowledged: at
 //!   admission to the power-protected buffer, and after a program only
-//!   once every write point has one in flight. And when a second page
+//!   once every write point has one in flight. When a second page
 //!   programmed on a busy two-plane die finishes: with the first when it
-//!   is on the other plane, a tPROG later otherwise.
+//!   is on the other plane, a tPROG later otherwise. And what a mapping
+//!   walk costs the firmware on a cache smaller than the table: one miss
+//!   per segment a command touches, a hit for every other entry.
 //! * **`paper`** — every figure and table of the paper's evaluation
 //!   ([`crate::figures`]), the paper's own number beside the measured
 //!   one where it states one.
 //!
-//! Four conditions fail a run, all exact: a remap checkpoint must do no
+//! Five conditions fail a run, all exact: a remap checkpoint must do no
 //! flash I/O where a copy checkpoint reads and rewrites every log, a
 //! home read must cost what the record occupies, a write must wait for a
-//! programming slot, not for a program, and a die must program a page on
-//! each of its planes in one tPROG. `cargo test` checks them as well
-//! (this module's tests).
+//! programming slot, not for a program, a die must program a page on
+//! each of its planes in one tPROG, and a mapping walk must miss once
+//! per segment. `cargo test` checks them as well (this module's tests).
 
 use std::collections::BTreeSet;
 
 use checkin_core::{JournalManager, KvEngine, Layout, Strategy};
 use checkin_flash::{BlockId, FlashArray, FlashGeometry, FlashTiming, OobKind, PageContent};
-use checkin_ftl::{Ftl, FtlConfig, Lpn};
+use checkin_ftl::{Ftl, FtlConfig, Lpn, MapCacheModel};
 use checkin_sim::{Counter, SimDuration, SimTime, Total, Tracer};
 use checkin_ssd::{
-    CheckpointMode, CowEntry, Ssd, SsdTiming, WriteContent, WriteRequest, SECTOR_BYTES,
+    CheckpointMode, CowEntry, ReadRequest, Ssd, SsdTiming, WriteContent, WriteRequest, SECTOR_BYTES,
 };
 use checkin_workload::{AccessPattern, OpMix};
 
@@ -49,15 +51,16 @@ pub struct Lab {
     pub gc: Vec<Row>,
     /// Exact simulated cost of a remap and of a copy checkpoint, of a
     /// home read of a small and of a slot-sized record, when
-    /// page-filling writes are acknowledged, and when pages programmed
-    /// on a busy two-plane die finish.
+    /// page-filling writes are acknowledged, when pages programmed on a
+    /// busy two-plane die finish, and what three mapping walks cost the
+    /// firmware.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// All four gates held: a remap checkpoint did no flash I/O, a read
+    /// All five gates held: a remap checkpoint did no flash I/O, a read
     /// cost what the record occupies, a write waited for a programming
-    /// slot, not for a program, and a die programmed its two planes in
-    /// one tPROG.
+    /// slot, not for a program, a die programmed its two planes in one
+    /// tPROG, and a mapping walk missed once per segment.
     pub passed: bool,
 }
 
@@ -72,10 +75,10 @@ impl Lab {
     }
 }
 
-/// Measures all three sections and judges the four gates.
+/// Measures all three sections and judges the five gates.
 pub fn run() -> Lab {
     let gc = gc_section();
-    let (counts, (checkpoints, reads, writes, programs)) = counts_section();
+    let (counts, (checkpoints, reads, writes, programs, walks)) = counts_section();
     let paper = figures::paper_section();
 
     println!();
@@ -95,6 +98,10 @@ pub fn run() -> Lab {
         (
             a_die_programs_its_planes_at_once(&programs),
             format!("a die programs its planes at once: {programs:?}"),
+        ),
+        (
+            a_mapping_walk_misses_once_per_segment(&walks),
+            format!("a mapping walk misses once per segment: {walks:?}"),
         ),
     ];
     for (held, what) in &gates {
@@ -167,9 +174,15 @@ const ENTRIES: u64 = 64;
 /// The paper-default array under `timing`, with the paper's 512 B
 /// mapping unit.
 fn device(timing: FlashTiming) -> Ssd {
+    device_caching(timing, None)
+}
+
+/// [`device`] whose mapping cache holds `map_cache_entries`.
+fn device_caching(timing: FlashTiming, map_cache_entries: Option<u64>) -> Ssd {
     let flash = FlashArray::new(FlashGeometry::paper_default(), timing);
     let config = FtlConfig {
         unit_bytes: SECTOR_BYTES,
+        map_cache_entries,
         ..FtlConfig::default()
     };
     let ftl = Ftl::new(flash, config).expect("default FTL config is valid");
@@ -178,6 +191,19 @@ fn device(timing: FlashTiming) -> Ssd {
 
 fn flash_reads(ssd: &Ssd) -> u64 {
     ssd.ftl().flash().counters().total(Total::FlashRead)
+}
+
+/// A record write of `sectors` whole sectors at `lba`, keyed by `lba`.
+fn record(lba: u64, sectors: u32) -> WriteRequest {
+    WriteRequest {
+        lba,
+        sectors,
+        content: WriteContent::Record {
+            key: lba,
+            version: 1,
+            bytes: sectors * SECTOR_BYTES,
+        },
+    }
 }
 
 /// Executes one `mode` checkpoint of [`ENTRIES`] one-sector journal logs
@@ -350,15 +376,6 @@ fn write_acks() -> WriteAcks {
     ssd.set_tracer(tracer.clone());
     let config = *ssd.ftl().config();
     let page_sectors = FlashGeometry::paper_default().page_bytes / SECTOR_BYTES;
-    let record = |lba: u64, sectors: u32| WriteRequest {
-        lba,
-        sectors,
-        content: WriteContent::Record {
-            key: lba,
-            version: 1,
-            bytes: sectors * SECTOR_BYTES,
-        },
-    };
     let mut t = SimTime::ZERO;
     for lba in 0..u64::from(config.write_buffer_units - 1) {
         t = ssd
@@ -462,12 +479,140 @@ fn a_die_programs_its_planes_at_once(p: &ProgramFinishes) -> bool {
         && p.late_transfer_finish_ns == next
 }
 
-type Measured = (CheckpointCosts, Vec<ReadCost>, WriteAcks, ProgramFinishes);
+/// One command's mapping walk: the firmware time it booked beyond the
+/// command's fixed costs, and what one access cost at the table size the
+/// command saw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WalkCost {
+    sim_ns: u64,
+    access_ns: u64,
+}
+
+/// Three mapping walks on a cache smaller than the table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MapWalks {
+    /// The cache's hit cost.
+    hit_ns: u64,
+    /// A one-sector read.
+    one_unit: WalkCost,
+    /// A trim of [`TRIM_UNITS`] contiguous units.
+    trim: WalkCost,
+    /// A remap checkpoint of [`ENTRIES`] logs, one per segment, onto
+    /// homes that share one segment.
+    remap: WalkCost,
+}
+
+/// Entries per mapping segment.
+const SEGMENT: u64 = MapCacheModel::SEGMENT_ENTRIES;
+
+/// Units the trim walks: eight whole segments.
+const TRIM_UNITS: u64 = 8 * SEGMENT;
+
+/// On the paper-default array whose mapping cache holds a quarter of
+/// what the fixture maps, writes [`TRIM_UNITS`] units and one log at the
+/// head of each of [`ENTRIES`] segments past them, then on the idle
+/// device reads one unit, remaps the logs onto one segment of homes and
+/// trims the units, measuring each command's firmware time.
+fn map_walks() -> MapWalks {
+    let mut ssd = device_caching(FlashTiming::mlc(), Some(TRIM_UNITS / 4));
+    let log = |i: u64| TRIM_UNITS + i * SEGMENT;
+    let mut t = SimTime::ZERO;
+    for lba in (0..TRIM_UNITS).step_by(64) {
+        t = ssd
+            .write(&record(lba, 64), OobKind::Data, t)
+            .expect("write succeeds");
+    }
+    for i in 0..ENTRIES {
+        t = ssd
+            .write(&record(log(i), 1), OobKind::Data, t)
+            .expect("write succeeds");
+    }
+    t = ssd.flush(t).expect("flush succeeds") + SimDuration::from_millis(50);
+
+    let timing = *ssd.timing();
+    let one_unit = walk_cost(
+        &mut ssd,
+        timing.cpu_cmd_cost + timing.dram_unit_cost,
+        |ssd| {
+            let req = ReadRequest {
+                lba: 0,
+                sectors: 1,
+                key: None,
+            };
+            ssd.read_into(&req, t, &mut Vec::new())
+                .expect("read succeeds");
+        },
+    );
+    let entries: Vec<CowEntry> = (0..ENTRIES)
+        .map(|i| CowEntry {
+            src_lba: log(i),
+            dst_lba: 1 << 20 | i,
+            sectors: 1,
+            dst_sectors: 1,
+            key: log(i),
+            merged: false,
+        })
+        .collect();
+    let cow_entries = timing.cpu_cow_entry_cost * ENTRIES;
+    let remap = walk_cost(&mut ssd, timing.cpu_cmd_cost + cow_entries, |ssd| {
+        let at = t + SimDuration::from_millis(50);
+        ssd.checkpoint(&entries, CheckpointMode::Remap, at)
+            .expect("checkpoint runs");
+    });
+    let trim = walk_cost(&mut ssd, timing.cpu_cmd_cost, |ssd| {
+        ssd.deallocate(0, TRIM_UNITS as u32, t + SimDuration::from_millis(100));
+    });
+    MapWalks {
+        hit_ns: ssd.ftl().map_cache().hit_cost.as_nanos(),
+        one_unit,
+        trim,
+        remap,
+    }
+}
+
+/// Runs one command on `ssd` and returns its mapping walk: the firmware
+/// time it booked less the command's `fixed` share.
+fn walk_cost(ssd: &mut Ssd, fixed: SimDuration, command: impl FnOnce(&mut Ssd)) -> WalkCost {
+    let access_ns = ssd
+        .ftl()
+        .map_cache()
+        .access_cost(ssd.ftl().live_entries())
+        .as_nanos();
+    let busy = ssd.cpu_busy_time();
+    command(ssd);
+    WalkCost {
+        sim_ns: (ssd.cpu_busy_time() - busy - fixed).as_nanos(),
+        access_ns,
+    }
+}
+
+/// The mapping cache's segment rule on the fixture, exact, with every
+/// walk on a cache that misses: a one-unit lookup costs one access; the
+/// trim misses once in each of its eight segments and hits for the rest;
+/// the remap batch misses once per log segment and once for all the
+/// homes, and hits for the other 63 home updates.
+fn a_mapping_walk_misses_once_per_segment(w: &MapWalks) -> bool {
+    let misses_and_hits = |c: &WalkCost, misses: u64, hits: u64| {
+        c.access_ns > w.hit_ns && c.sim_ns == misses * c.access_ns + hits * w.hit_ns
+    };
+    let trim_misses = TRIM_UNITS / SEGMENT;
+    misses_and_hits(&w.one_unit, 1, 0)
+        && misses_and_hits(&w.trim, trim_misses, TRIM_UNITS - trim_misses)
+        && misses_and_hits(&w.remap, ENTRIES + 1, ENTRIES - 1)
+}
+
+type Measured = (
+    CheckpointCosts,
+    Vec<ReadCost>,
+    WriteAcks,
+    ProgramFinishes,
+    MapWalks,
+);
 
 fn counts_section() -> (Vec<Row>, Measured) {
     section(
         "counts: 64-entry checkpoint command, remap walk vs copy fallback; one home read; \
-         page-filling writes; programs on a two-plane die",
+         page-filling writes; programs on a two-plane die; mapping walks",
     );
     let checkpoints = CheckpointCosts::measure();
     let mut rows = Vec::new();
@@ -529,7 +674,15 @@ fn counts_section() -> (Vec<Row>, Measured) {
     ] {
         push(&mut rows, "program", leaf, ns as f64, "ns");
     }
-    (rows, (checkpoints, reads, writes, programs))
+    let walks = map_walks();
+    for (leaf, walk) in [
+        ("one_unit_ns", walks.one_unit),
+        ("trim_4096_units_ns", walks.trim),
+        ("remap_64_entries_ns", walks.remap),
+    ] {
+        push(&mut rows, "map", leaf, walk.sim_ns as f64, "ns");
+    }
+    (rows, (checkpoints, reads, writes, programs, walks))
 }
 
 #[cfg(test)]
@@ -573,6 +726,17 @@ mod tests {
             super::a_die_programs_its_planes_at_once(&programs),
             "{programs:?}"
         );
+    }
+
+    #[test]
+    fn a_mapping_walk_misses_once_per_segment() {
+        let walks = map_walks();
+        assert!(
+            super::a_mapping_walk_misses_once_per_segment(&walks),
+            "{walks:?}"
+        );
+        // The row name counts the units the trim walks.
+        assert_eq!(TRIM_UNITS, 4_096);
     }
 
     #[test]

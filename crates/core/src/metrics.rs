@@ -98,6 +98,11 @@ pub struct FlashStats {
     pub buffer_slot_waits: u64,
     /// Their total wait for a slot, in nanoseconds.
     pub buffer_slot_wait_ns: u64,
+    /// Mapping entries the device's commands walked.
+    pub map_units: u64,
+    /// Distinct mapping segments those walks were charged a cache miss
+    /// for, summed over commands.
+    pub map_segments: u64,
 }
 
 impl FlashStats {
@@ -515,8 +520,9 @@ impl std::fmt::Display for RunReport {
         let u = &self.utilization;
         writeln!(
             f,
-            "  utilisation   link {:.3}, fw-cpu {:.3}, dies {}, channels {} (min / mean / max)",
-            u.link, u.cpu, u.dies, u.channels
+            "  utilisation   link {:.3}, fw-cpu {:.3} (map walks {} units in {} segments), \
+             dies {}, channels {} (min / mean / max)",
+            u.link, u.cpu, self.flash.map_units, self.flash.map_segments, u.dies, u.channels
         )?;
         if self.checkpoints > 0 {
             let p = &self.checkpoint_phases;

@@ -469,6 +469,8 @@ impl KvSystem {
             scrub_pages: tdelta.get(Counter::FtlScrubPages),
             buffer_slot_waits: tdelta.get(Counter::FtlBufferSlotWaits),
             buffer_slot_wait_ns: tdelta.get(Counter::FtlBufferSlotWaitNs),
+            map_units: sdelta.get(Counter::SsdMapUnits),
+            map_segments: sdelta.get(Counter::SsdMapSegments),
         };
         let raw = edelta.get(Counter::EngineJournalRawBytes);
         let stored = edelta.get(Counter::EngineJournalStoredBytes);

@@ -245,9 +245,17 @@ impl Ftl {
         self.table.live_entries() as u64
     }
 
-    /// Expected firmware cost of one mapping-table access right now.
-    pub fn map_access_cost(&self) -> SimDuration {
-        self.map_cache.access_cost(self.live_entries())
+    /// The mapping-table cache model in effect.
+    pub fn map_cache(&self) -> &MapCacheModel {
+        &self.map_cache
+    }
+
+    /// Expected firmware cost, right now, of one command's walk over
+    /// `units` mapping entries that lie in `segments` distinct segments
+    /// ([`MapCacheModel::walk_cost`]).
+    pub fn map_walk_cost(&self, units: u64, segments: u64) -> SimDuration {
+        self.map_cache
+            .walk_cost(self.live_entries(), units, segments)
     }
 
     /// Blocks currently in the free pool.

@@ -357,12 +357,17 @@ fn map_access_cost_reflects_live_entries() {
         },
     )
     .unwrap();
-    let cheap = f.map_access_cost();
+    let cheap = f.map_walk_cost(1, 1);
+    assert_eq!(cheap, f.map_cache().hit_cost);
     for i in 0..64 {
         f.write(w(i, i, 1, 512), OobKind::Data, SimTime::ZERO)
             .unwrap();
     }
-    assert!(f.map_access_cost() > cheap);
+    let access = f.map_cache().access_cost(f.live_entries());
+    assert!(access > cheap);
+    assert_eq!(f.map_walk_cost(1, 1), access);
+    // The 64 entries just written share one segment: one miss, 63 hits.
+    assert_eq!(f.map_walk_cost(64, 1), access + cheap * 63);
 }
 
 #[test]

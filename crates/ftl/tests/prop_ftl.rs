@@ -5,7 +5,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, Fragment, OobKind, UnitPayload};
-use checkin_ftl::{Ftl, FtlConfig, FtlError, GcTrigger, Lpn, SensedPages, UnitWrite};
+use checkin_ftl::{
+    Ftl, FtlConfig, FtlError, GcTrigger, Lpn, MapCacheModel, SensedPages, UnitWrite,
+};
 use checkin_sim::{Counter, SimDuration, SimTime, Total, Tracer};
 use checkin_testkit::{check, soup, TestRng};
 
@@ -46,11 +48,16 @@ fn build() -> Ftl {
 }
 
 fn build_with_unit(unit_bytes: u32) -> Ftl {
+    build_caching(unit_bytes, None)
+}
+
+fn build_caching(unit_bytes: u32, map_cache_entries: Option<u64>) -> Ftl {
     let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
     Ftl::new(
         flash,
         FtlConfig {
             unit_bytes,
+            map_cache_entries,
             write_points: 2,
             gc_threshold_blocks: 4,
             gc_soft_threshold_blocks: 8,
@@ -299,6 +306,49 @@ fn at_one_unit_per_page_a_span_is_the_per_unit_loop() {
             );
         },
     );
+}
+
+/// A command's mapping walk costs between a hit and a miss per entry, and
+/// the miss is per segment: cut at a segment boundary, the two halves
+/// cost what the whole walk does.
+#[test]
+fn a_mapping_walk_misses_once_per_segment() {
+    const SEG: u64 = MapCacheModel::SEGMENT_ENTRIES;
+    let walk = |ftl: &Ftl, first: u64, units: u64| {
+        let segments = MapCacheModel::segments(Lpn(first), units);
+        ftl.map_walk_cost(units, segments.end - segments.start)
+    };
+    let mut cut = 0u64;
+    check("a_mapping_walk_misses_once_per_segment", 48, |rng| {
+        let len = rng.range_usize(0, 600);
+        let cache = rng.range_u64(1, 2 * LPNS);
+        let ftl = run_ops_on(build_caching(512, Some(cache)), &soup(rng, len, op));
+        let map = *ftl.map_cache();
+        let (miss, hit) = (map.access_cost(ftl.live_entries()), map.hit_cost);
+        for _ in 0..32 {
+            let first = rng.below(64 * SEG);
+            let units = rng.range_u64(1, 8 * SEG);
+            let cost = walk(&ftl, first, units);
+            assert!(
+                hit * units <= cost && cost <= miss * units,
+                "{first}+{units}"
+            );
+            // Every segment boundary strictly inside the walk.
+            let end = first + units;
+            for at in (first / SEG + 1..)
+                .map(|s| s * SEG)
+                .take_while(|&at| at < end)
+            {
+                assert_eq!(
+                    cost,
+                    walk(&ftl, first, at - first) + walk(&ftl, at, end - at),
+                    "{first}+{units} cut at {at}"
+                );
+                cut += 1;
+            }
+        }
+    });
+    assert!(cut > 1_000, "only {cut} cuts");
 }
 
 #[test]

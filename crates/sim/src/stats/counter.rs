@@ -148,6 +148,8 @@ schema! {
     SsdCowSkippedEntries = "ssd.cow_skipped_entries",
     SsdHostReadBytes = "ssd.host_read_bytes",
     SsdHostWriteBytes = "ssd.host_write_bytes",
+    SsdMapSegments = "ssd.map_segments",
+    SsdMapUnits = "ssd.map_units",
     SsdMetaWrites = "ssd.meta_writes",
     SsdRemapEntries = "ssd.remap_entries",
     SsdSporRecoveries = "ssd.spor_recoveries",

@@ -249,7 +249,7 @@ mod tests {
     /// schema must map onto it one-to-one, in order.
     #[test]
     fn names_are_pinned() {
-        const PINNED: [&str; 89] = [
+        const PINNED: [&str; 91] = [
             "engine.checkpoints",
             "engine.deletes",
             "engine.inserts",
@@ -335,6 +335,8 @@ mod tests {
             "ssd.cow_skipped_entries",
             "ssd.host_read_bytes",
             "ssd.host_write_bytes",
+            "ssd.map_segments",
+            "ssd.map_units",
             "ssd.meta_writes",
             "ssd.remap_entries",
             "ssd.spor_recoveries",

@@ -2,7 +2,7 @@
 
 use checkin_flash::{Fragment, OobKind, OpPhase, UnitPayload};
 use checkin_ftl::{
-    Ftl, FtlError, GcTrigger, Lpn, RebuildStats, ScrubReport, SensedPages, UnitWrite,
+    Ftl, FtlError, GcTrigger, Lpn, MapCacheModel, RebuildStats, ScrubReport, SensedPages, UnitWrite,
 };
 use checkin_sim::{
     Counter, CounterSet, Resource, SimDuration, SimTime, TraceEvent, TraceLayer, Tracer,
@@ -72,6 +72,8 @@ pub struct Ssd {
     /// once warm, classifying a batch performs no heap allocation.
     scratch_remaps: Vec<CowEntry>,
     scratch_copies: Vec<CowEntry>,
+    /// The mapping segments a remap batch walks, recycled the same way.
+    scratch_segments: Vec<u64>,
     /// The flash pages the command in execution has sensed: cleared per
     /// host read, kept across a whole copy batch's gather phase.
     scratch_sensed: SensedPages,
@@ -146,6 +148,7 @@ impl Ssd {
             cp_phase_times: CpPhaseTimes::default(),
             scratch_remaps: Vec::new(),
             scratch_copies: Vec::new(),
+            scratch_segments: Vec::new(),
             scratch_sensed: SensedPages::default(),
             scratch_frags: Vec::new(),
             scratch_gathered: Vec::new(),
@@ -246,6 +249,21 @@ impl Ssd {
         (lba + sectors as u64 - 1) / us - lba / us + 1
     }
 
+    /// Firmware cost of one command's walk over `units` mapping entries
+    /// that lie in `segments` distinct segments, counted under
+    /// `ssd.map_units` / `ssd.map_segments`.
+    fn map_walk(&mut self, units: u64, segments: u64) -> SimDuration {
+        self.counters.add(Counter::SsdMapUnits, units);
+        self.counters.add(Counter::SsdMapSegments, segments);
+        self.ftl.map_walk_cost(units, segments)
+    }
+
+    /// [`Ssd::map_walk`] over the `units` consecutive entries from `first`.
+    fn map_span(&mut self, first: Lpn, units: u64) -> SimDuration {
+        let segments = MapCacheModel::segments(first, units);
+        self.map_walk(units, segments.end - segments.start)
+    }
+
     /// Handles a block-interface read. Returns the fragments found in the
     /// range (filtered by `req.key` when set) and the completion instant.
     ///
@@ -286,17 +304,17 @@ impl Ssd {
         let t0 = self.queue.admit(at);
         let cmd = self.link.schedule(t0, self.timing.cmd_overhead);
         let first_unit = Lpn(req.lba / u64::from(self.unit_sectors()));
-        let seg_count = self.unit_span(req.lba, req.sectors);
-        let map_cost = self.ftl.map_access_cost() * seg_count;
+        let units = self.unit_span(req.lba, req.sectors);
+        let map_cost = self.map_span(first_unit, units);
         let cpu = self.cpu.schedule(
             cmd.finish,
-            self.timing.cpu_cmd_cost + map_cost + self.timing.dram_unit_cost * seg_count,
+            self.timing.cpu_cmd_cost + map_cost + self.timing.dram_unit_cost * units,
         );
 
         self.scratch_sensed.clear();
         let flash_done = self.ftl.read_span_into(
             first_unit,
-            seg_count,
+            units,
             cpu.finish,
             req.key,
             &mut self.scratch_sensed,
@@ -342,11 +360,11 @@ impl Ssd {
             t0,
             self.timing.cmd_overhead + self.timing.link_transfer(wire),
         );
-        let seg_count = self.unit_span(req.lba, req.sectors);
-        let map_cost = self.ftl.map_access_cost() * seg_count;
+        let units = self.unit_span(req.lba, req.sectors);
+        let map_cost = self.map_span(Lpn(req.lba / u64::from(self.unit_sectors())), units);
         let cpu = self.cpu.schedule(
             xfer.finish,
-            self.timing.cpu_cmd_cost + map_cost + self.timing.dram_unit_cost * seg_count,
+            self.timing.cpu_cmd_cost + map_cost + self.timing.dram_unit_cost * units,
         );
         let segments = self.unit_segments(req.lba, req.sectors);
 
@@ -462,10 +480,11 @@ impl Ssd {
         self.counters.incr(Counter::SsdCmdDealloc);
         let t0 = self.queue.admit(at);
         let cmd = self.link.schedule(t0, self.timing.cmd_overhead);
-        let cpu = self.cpu.schedule(
-            cmd.finish,
-            self.timing.cpu_cmd_cost + self.ftl.map_access_cost() * self.unit_span(lba, sectors),
-        );
+        let units = self.unit_span(lba, sectors);
+        let map_cost = self.map_span(Lpn(lba / u64::from(self.unit_sectors())), units);
+        let cpu = self
+            .cpu
+            .schedule(cmd.finish, self.timing.cpu_cmd_cost + map_cost);
         self.in_phase(OpPhase::Dealloc, |ssd| {
             for (lpn, _seg, whole) in ssd.unit_segments(lba, sectors) {
                 // Partial-unit trims are ignored (conservative, like real
@@ -578,11 +597,24 @@ impl Ssd {
         let mut done = at;
 
         if !remaps.is_empty() {
-            let unit_count: u64 = remaps.iter().map(|e| (e.sectors / us).max(1) as u64).sum();
-            // Two table accesses per unit: source lookup + target update.
-            let cpu = self
-                .cpu
-                .schedule(at, self.ftl.map_access_cost() * unit_count * 2);
+            // Two table accesses per unit, source lookup and target
+            // update, in as many segments as the source and destination
+            // ranges of the whole batch touch.
+            let mut segments = std::mem::take(&mut self.scratch_segments);
+            segments.clear();
+            let mut unit_count = 0;
+            for e in remaps {
+                let units = u64::from((e.sectors / us).max(1));
+                unit_count += units;
+                for lba in [e.src_lba, e.dst_lba] {
+                    segments.extend(MapCacheModel::segments(Lpn(lba / u64::from(us)), units));
+                }
+            }
+            segments.sort_unstable();
+            segments.dedup();
+            let map_cost = self.map_walk(unit_count * 2, segments.len() as u64);
+            self.scratch_segments = segments;
+            let cpu = self.cpu.schedule(at, map_cost);
             self.in_phase(OpPhase::CheckpointRemap, |ssd| {
                 for e in remaps {
                     let units = (e.sectors / us).max(1) as u64;
@@ -800,6 +832,11 @@ mod tests {
     use checkin_sim::Total;
 
     fn ssd(unit_bytes: u32) -> Ssd {
+        ssd_caching(unit_bytes, None)
+    }
+
+    /// [`ssd`] whose mapping cache holds `map_cache_entries`.
+    fn ssd_caching(unit_bytes: u32, map_cache_entries: Option<u64>) -> Ssd {
         let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
         let ftl = Ftl::new(
             flash,
@@ -808,6 +845,7 @@ mod tests {
                 write_points: 2,
                 gc_threshold_blocks: 4,
                 gc_soft_threshold_blocks: 8,
+                map_cache_entries,
                 ..FtlConfig::default()
             },
         )
@@ -1233,11 +1271,13 @@ mod tests {
     }
 
     /// A record's units that share a flash page are one sense to the
-    /// command that reads them: eight sectors cost one sector's read plus
-    /// seven more lookups, DRAM moves and sectors on the link — no tR.
+    /// command that reads them, and share one mapping segment: eight
+    /// sectors cost one sector's read plus seven more cache hits, DRAM
+    /// moves and sectors on the link — no tR, and no second miss on a
+    /// cache that holds half the table.
     #[test]
     fn a_read_senses_a_shared_page_once() {
-        let mut s = ssd(512);
+        let mut s = ssd_caching(512, Some(4));
         let t = s
             .write(&record(0, 8, 1, 1), OobKind::Data, SimTime::ZERO)
             .unwrap();
@@ -1270,12 +1310,53 @@ mod tests {
         let (eight, reads, lookups) = cost(&mut s, 8, idle + SimDuration::from_millis(50));
         assert_eq!((reads, lookups), (1, 8));
         let timing = *s.timing();
-        let per_unit = s.ftl().map_access_cost() + timing.dram_unit_cost;
+        let map = *s.ftl().map_cache();
+        assert!(map.access_cost(s.ftl().live_entries()) > map.hit_cost);
+        let per_unit = map.hit_cost + timing.dram_unit_cost;
         let sector = u64::from(SECTOR_BYTES);
         assert_eq!(
             eight,
             one + per_unit * 7 + timing.link_transfer(8 * sector) - timing.link_transfer(sector)
         );
+    }
+
+    /// A remap batch pays one miss per mapping segment its source and
+    /// destination ranges touch, not one per access: 64 sources in 64
+    /// segments and 64 destinations in one are 65 misses and 63 hits.
+    #[test]
+    fn a_remap_batch_misses_once_per_segment_it_touches() {
+        const SEG: u64 = MapCacheModel::SEGMENT_ENTRIES;
+        let mut s = ssd_caching(512, Some(16));
+        let mut t = SimTime::ZERO;
+        let src = |i: u64| 64 * SEG + i * SEG;
+        for i in 0..64 {
+            t = s.write(&record(src(i), 1, i, 1), OobKind::Data, t).unwrap();
+        }
+        t = s.flush(t).unwrap() + SimDuration::from_millis(50);
+        let entries: Vec<CowEntry> = (0..64)
+            .map(|i| CowEntry {
+                src_lba: src(i),
+                dst_lba: 8 * SEG + i,
+                sectors: 1,
+                dst_sectors: 1,
+                key: i,
+                merged: false,
+            })
+            .collect();
+        let map = *s.ftl().map_cache();
+        let miss = map.access_cost(s.ftl().live_entries());
+        assert!(miss > map.hit_cost);
+        let counted = |s: &Ssd| {
+            let c = s.counters();
+            (c.get(Counter::SsdMapUnits), c.get(Counter::SsdMapSegments))
+        };
+        let (units0, segments0) = counted(&s);
+        s.take_cp_phase_times();
+        s.checkpoint(&entries, CheckpointMode::Remap, t).unwrap();
+        assert_eq!(s.counters().get(Counter::SsdRemapEntries), 64);
+        assert_eq!(s.take_cp_phase_times().remap, miss * 65 + map.hit_cost * 63);
+        let (units, segments) = counted(&s);
+        assert_eq!((units - units0, segments - segments0), (128, 65));
     }
 
     #[test]
