@@ -16,25 +16,33 @@
 //!   admission to the power-protected buffer, and after a program only
 //!   once every write point has one in flight. When a second page
 //!   programmed on a busy two-plane die finishes: with the first when it
-//!   is on the other plane, a tPROG later otherwise. And what a mapping
+//!   is on the other plane, a tPROG later otherwise. What a mapping
 //!   walk costs the firmware on a cache smaller than the table: one miss
-//!   per segment a command touches, a hit for every other entry.
+//!   per segment a command touches, a hit for every other entry. And how
+//!   long a foreground read on a one-die device waits for a NAND program
+//!   nothing has seen finish: it suspends a running one, goes ahead of a
+//!   queued one, takes a page still programming from the write buffer,
+//!   and waits as any read does once the finish was handed out.
 //! * **`paper`** — every figure and table of the paper's evaluation
 //!   ([`crate::figures`]), the paper's own number beside the measured
 //!   one where it states one.
 //!
-//! Five conditions fail a run, all exact: a remap checkpoint must do no
+//! Six conditions fail a run, all exact: a remap checkpoint must do no
 //! flash I/O where a copy checkpoint reads and rewrites every log, a
 //! home read must cost what the record occupies, a write must wait for a
 //! programming slot, not for a program, a die must program a page on
-//! each of its planes in one tPROG, and a mapping walk must miss once
-//! per segment. `cargo test` checks them as well (this module's tests).
+//! each of its planes in one tPROG, a mapping walk must miss once per
+//! segment, and a foreground read must not wait for a program whose
+//! finish nobody has seen. `cargo test` checks them as well (this
+//! module's tests).
 
 use std::collections::BTreeSet;
 
 use checkin_core::{JournalManager, KvEngine, Layout, Strategy};
-use checkin_flash::{BlockId, FlashArray, FlashGeometry, FlashTiming, OobKind, PageContent};
-use checkin_ftl::{Ftl, FtlConfig, Lpn, MapCacheModel};
+use checkin_flash::{
+    BlockId, FlashArray, FlashGeometry, FlashTiming, OobKind, PageContent, UnitPayload,
+};
+use checkin_ftl::{Ftl, FtlConfig, Lpn, MapCacheModel, UnitWrite};
 use checkin_sim::{Counter, SimDuration, SimTime, Total, Tracer};
 use checkin_ssd::{
     CheckpointMode, CowEntry, ReadRequest, Ssd, SsdTiming, WriteContent, WriteRequest, SECTOR_BYTES,
@@ -52,15 +60,17 @@ pub struct Lab {
     /// Exact simulated cost of a remap and of a copy checkpoint, of a
     /// home read of a small and of a slot-sized record, when
     /// page-filling writes are acknowledged, when pages programmed on a
-    /// busy two-plane die finish, and what three mapping walks cost the
-    /// firmware.
+    /// busy two-plane die finish, what three mapping walks cost the
+    /// firmware, and what four foreground reads wait for on a
+    /// programming die.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// All five gates held: a remap checkpoint did no flash I/O, a read
+    /// All six gates held: a remap checkpoint did no flash I/O, a read
     /// cost what the record occupies, a write waited for a programming
     /// slot, not for a program, a die programmed its two planes in one
-    /// tPROG, and a mapping walk missed once per segment.
+    /// tPROG, a mapping walk missed once per segment, and a foreground
+    /// read did not wait for a program whose finish nobody had seen.
     pub passed: bool,
 }
 
@@ -75,10 +85,10 @@ impl Lab {
     }
 }
 
-/// Measures all three sections and judges the five gates.
+/// Measures all three sections and judges the six gates.
 pub fn run() -> Lab {
     let gc = gc_section();
-    let (counts, (checkpoints, reads, writes, programs, walks)) = counts_section();
+    let (counts, (checkpoints, reads, writes, programs, walks, ahead)) = counts_section();
     let paper = figures::paper_section();
 
     println!();
@@ -102,6 +112,10 @@ pub fn run() -> Lab {
         (
             a_mapping_walk_misses_once_per_segment(&walks),
             format!("a mapping walk misses once per segment: {walks:?}"),
+        ),
+        (
+            a_read_does_not_wait_for_an_unseen_program(&ahead),
+            format!("a read does not wait for an unseen program: {ahead:?}"),
         ),
     ];
     for (held, what) in &gates {
@@ -601,18 +615,156 @@ fn a_mapping_walk_misses_once_per_segment(w: &MapWalks) -> bool {
         && misses_and_hits(&w.remap, ENTRIES + 1, ENTRIES - 1)
 }
 
+/// What a foreground read on a one-die device waited for, from its
+/// issue instant, and how much later the program it went ahead of
+/// finished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReadsAhead {
+    /// Sensed 100 us into a lone program.
+    suspended_ns: u64,
+    suspended_delay_ns: u64,
+    /// Issued behind a running program, before a queued one.
+    overtook_ns: u64,
+    overtaken_delay_ns: u64,
+    /// A unit of the page being programmed, and the senses it cost.
+    programming_page_ns: u64,
+    programming_page_senses: u64,
+    /// After a flush was acknowledged at the program's finish.
+    guarded_ns: u64,
+    /// With a background read booked behind the program.
+    booked_behind_ns: u64,
+    /// From the read's issue to the end of the program as first booked.
+    program_left_ns: u64,
+}
+
+/// The one die's write buffer programs lpn 1 (and, queued behind it, lpn
+/// 2) from this instant on; lpn 0 has long been on flash.
+const PROGRAMS_AT: SimDuration = SimDuration::from_millis(10);
+
+/// How far into lpn 1's program each read is issued.
+const READ_INTO: SimDuration = SimDuration::from_micros(100);
+
+/// One channel, one die, one plane; one 4 KiB unit to the page, a
+/// one-unit watermark and two write points, so that every write pages
+/// its unit out at once and two programs can be in flight. Lpn 0 is
+/// written at zero, then lpns `1..=queued + 1` at [`PROGRAMS_AT`]; `setup`
+/// runs before the read of `lpn` issued [`READ_INTO`] later. Returns the
+/// read's wait and when the last program then finishes, both from the
+/// read's issue, and the flash reads it cost.
+fn read_ahead(queued: u64, lpn: u64, setup: impl FnOnce(&mut Ftl, SimTime)) -> (u64, u64, u64) {
+    let geometry = FlashGeometry {
+        channels: 1,
+        dies_per_channel: 1,
+        planes_per_die: 1,
+        blocks_per_plane: 16,
+        pages_per_block: 32,
+        page_bytes: 4096,
+    };
+    let config = FtlConfig {
+        unit_bytes: 4096,
+        write_points: 2,
+        write_buffer_units: 1,
+        gc_threshold_blocks: 2,
+        gc_soft_threshold_blocks: 4,
+        ..FtlConfig::default()
+    };
+    let flash = FlashArray::new(geometry, FlashTiming::mlc());
+    let mut ftl = Ftl::new(flash, config).expect("the fixture's FTL config is valid");
+    let write = |ftl: &mut Ftl, lpn: u64, at: SimTime| {
+        let unit = UnitWrite {
+            lpn: Lpn(lpn),
+            payload: UnitPayload::single(lpn, 1, 4096),
+            whole_unit: true,
+        };
+        ftl.write(unit, OobKind::Data, at).expect("write succeeds");
+    };
+    write(&mut ftl, 0, SimTime::ZERO);
+    let programs_at = SimTime::ZERO + PROGRAMS_AT;
+    for lpn in 1..=queued + 1 {
+        write(&mut ftl, lpn, programs_at);
+    }
+    setup(&mut ftl, programs_at);
+    let at = programs_at + READ_INTO;
+    let reads = flash_reads_of(&ftl);
+    let (_, done) = ftl.read(Lpn(lpn), at).expect("read succeeds");
+    let last = ftl.flush(at).expect("flush succeeds");
+    (
+        done.duration_since(at).as_nanos(),
+        last.duration_since(at).as_nanos(),
+        flash_reads_of(&ftl) - reads,
+    )
+}
+
+fn flash_reads_of(ftl: &Ftl) -> u64 {
+    ftl.flash().counters().total(Total::FlashRead)
+}
+
+/// The four reads of the `counts` rows and one more the gate reads.
+fn reads_ahead() -> ReadsAhead {
+    let (suspended_ns, suspended_last, _) = read_ahead(0, 0, |_, _| {});
+    let (overtook_ns, overtaken_last, _) = read_ahead(1, 0, |_, _| {});
+    let (programming_page_ns, _, programming_page_senses) = read_ahead(0, 1, |_, _| {});
+    let (guarded_ns, ..) = read_ahead(0, 0, |ftl, at| {
+        ftl.flush(at).expect("flush succeeds");
+    });
+    let (booked_behind_ns, ..) = read_ahead(0, 0, |ftl, at| {
+        let ppn = ftl.flash_page_of(Lpn(0)).expect("lpn 0 is on flash");
+        ftl.flash_mut()
+            .schedule_read(ppn, at)
+            .expect("the page is in range");
+    });
+    let t = FlashTiming::mlc();
+    let program_left = t.transfer_time(4096) + t.t_program - READ_INTO;
+    let program_left_ns = program_left.as_nanos();
+    ReadsAhead {
+        suspended_ns,
+        suspended_delay_ns: suspended_last - program_left_ns,
+        overtook_ns,
+        overtaken_delay_ns: overtaken_last - program_left_ns - t.t_program.as_nanos(),
+        programming_page_ns,
+        programming_page_senses,
+        guarded_ns,
+        booked_behind_ns,
+        program_left_ns,
+    }
+}
+
+/// The foreground read rules on the fixture, exact, from the flash
+/// timing alone: a read 100 us into a lone program senses after
+/// `t_suspend` and delays the program by `t_suspend + tR`; one issued
+/// while a second program waits behind the first senses when the first
+/// ends, ahead of the second, which shifts by tR; a unit of the page
+/// being programmed is served at once, unsensed; and once a flush was
+/// acknowledged at the program's finish, or with a read booked behind
+/// it, the read waits for it as any read does.
+fn a_read_does_not_wait_for_an_unseen_program(r: &ReadsAhead) -> bool {
+    let t = FlashTiming::mlc();
+    let (sense, xfer) = (t.t_read.as_nanos(), t.transfer_time(4096).as_nanos());
+    let suspend = t.t_suspend.as_nanos();
+    let after_program = r.program_left_ns + sense + xfer;
+    r.suspended_ns == suspend + sense + xfer
+        && r.suspended_delay_ns == suspend + sense
+        && r.overtook_ns == after_program
+        && r.overtaken_delay_ns == sense
+        && (r.programming_page_ns, r.programming_page_senses) == (0, 0)
+        && r.guarded_ns == after_program
+        && r.booked_behind_ns == after_program + sense
+}
+
 type Measured = (
     CheckpointCosts,
     Vec<ReadCost>,
     WriteAcks,
     ProgramFinishes,
     MapWalks,
+    ReadsAhead,
 );
 
 fn counts_section() -> (Vec<Row>, Measured) {
     section(
         "counts: 64-entry checkpoint command, remap walk vs copy fallback; one home read; \
-         page-filling writes; programs on a two-plane die; mapping walks",
+         page-filling writes; programs on a two-plane die; mapping walks; reads on a \
+         programming die",
     );
     let checkpoints = CheckpointCosts::measure();
     let mut rows = Vec::new();
@@ -682,7 +834,16 @@ fn counts_section() -> (Vec<Row>, Measured) {
     ] {
         push(&mut rows, "map", leaf, walk.sim_ns as f64, "ns");
     }
-    (rows, (checkpoints, reads, writes, programs, walks))
+    let ahead = reads_ahead();
+    for (leaf, ns) in [
+        ("suspended_ns", ahead.suspended_ns),
+        ("overtook_ns", ahead.overtook_ns),
+        ("programming_page_ns", ahead.programming_page_ns),
+        ("guarded_ns", ahead.guarded_ns),
+    ] {
+        push(&mut rows, "read", leaf, ns as f64, "ns");
+    }
+    (rows, (checkpoints, reads, writes, programs, walks, ahead))
 }
 
 #[cfg(test)]
@@ -737,6 +898,15 @@ mod tests {
         );
         // The row name counts the units the trim walks.
         assert_eq!(TRIM_UNITS, 4_096);
+    }
+
+    #[test]
+    fn a_read_does_not_wait_for_an_unseen_program() {
+        let ahead = reads_ahead();
+        assert!(
+            super::a_read_does_not_wait_for_an_unseen_program(&ahead),
+            "{ahead:?}"
+        );
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub use journal::{
 pub use layout::{Layout, JOURNAL_ZONES};
 pub use metrics::{
     CheckpointPhases, DeviceUtilization, FlashStats, LatencyStats, PhaseOps, RunReport,
-    TimelinePoint, UtilizationSpread,
+    UtilizationSpread,
 };
 pub use parallel::{default_jobs, run_configs};
 pub use system::KvSystem;

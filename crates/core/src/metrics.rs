@@ -57,6 +57,19 @@ pub struct FlashStats {
     pub programs: u64,
     /// Of those, pages that rode another plane's tPROG on their die.
     pub multiplane_programs: u64,
+    /// Foreground page reads (`flash.read.run`): the senses a host waits
+    /// on.
+    pub run_reads: u64,
+    /// Their total wait for the die, from issue to the start of the
+    /// sense, in nanoseconds.
+    pub read_die_wait_ns: u64,
+    /// Programs a foreground read suspended.
+    pub program_suspends: u64,
+    /// Foreground reads sensed ahead of a program not yet started.
+    pub read_overtakes: u64,
+    /// Foreground unit reads of a page still programming, served from
+    /// the write buffer with no sense.
+    pub programming_page_reads: u64,
     /// Block erases.
     pub erases: u64,
     /// GC invocations.
@@ -110,23 +123,15 @@ impl FlashStats {
     pub fn total_ops(&self) -> u64 {
         self.reads + self.programs + self.erases
     }
-}
 
-/// One bucket of the latency-over-time series (the paper's Fig. 9 view).
-///
-/// The series is **contiguous**: buckets cover the measured phase from
-/// its start through the bucket containing the last completion, with no
-/// gaps. A bucket in which no query completed has `count == 0` and
-/// `worst == 0` — that is what a checkpoint- or GC-induced stall looks
-/// like (a flat-line, not a missing sample).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelinePoint {
-    /// Bucket start, relative to the measured phase.
-    pub at: SimDuration,
-    /// Worst query latency completed in the bucket (zero when none).
-    pub worst: SimDuration,
-    /// Queries completed in the bucket.
-    pub count: u64,
+    /// Mean wait of a foreground sense for its die (zero without one).
+    pub fn mean_read_die_wait(&self) -> SimDuration {
+        SimDuration::from_nanos(
+            self.read_die_wait_ns
+                .checked_div(self.run_reads)
+                .unwrap_or(0),
+        )
+    }
 }
 
 /// Flash operations attributed to one checkpoint phase.
@@ -294,9 +299,9 @@ pub struct DeviceUtilization {
 
 /// Everything measured over one simulated run.
 ///
-/// `PartialEq` compares every field (including the full timeline), so two
-/// reports are equal only when the runs were bit-identical — the property
-/// the parallel sweep path is tested against.
+/// `PartialEq` compares every field, so two reports are equal only when
+/// the runs were bit-identical — the property the parallel sweep path is
+/// tested against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Strategy under test.
@@ -380,11 +385,6 @@ pub struct RunReport {
     /// Aggregated per-phase breakdown over every checkpoint in the run
     /// (sums of each checkpoint's [`CheckpointPhases`]).
     pub checkpoint_phases: CheckpointPhases,
-    /// Worst-latency-over-time series (fixed-width, contiguous buckets;
-    /// see [`TimelinePoint`]) — the view behind the paper's Fig. 9
-    /// plots, where checkpoint windows appear as spikes and stalls as
-    /// zero-count flat-lines.
-    pub timeline: Vec<TimelinePoint>,
 }
 
 impl RunReport {
@@ -508,14 +508,19 @@ impl std::fmt::Display for RunReport {
         )?;
         writeln!(
             f,
-            "  flash         r {} / p {} / e {} (cp programs {}, multi-plane {}), gc {}, waf {}",
+            "  flash         r {} / p {} / e {} (cp programs {}, multi-plane {}), gc {}, waf {}; \
+             foreground die wait {} mean (suspends {}, overtakes {}, own-page reads {})",
             self.flash.reads,
             self.flash.programs,
             self.flash.erases,
             self.checkpoint_flash_programs,
             self.flash.multiplane_programs,
             self.flash.gc_invocations,
-            display_metric(self.waf, 2)
+            display_metric(self.waf, 2),
+            self.flash.mean_read_die_wait(),
+            self.flash.program_suspends,
+            self.flash.read_overtakes,
+            self.flash.programming_page_reads
         )?;
         let u = &self.utilization;
         writeln!(

@@ -20,8 +20,7 @@ use crate::config::SystemConfig;
 use crate::engine::{EngineError, KvEngine};
 use crate::layout::Layout;
 use crate::metrics::{
-    CheckpointPhases, DeviceUtilization, FlashStats, LatencyStats, RunReport, TimelinePoint,
-    UtilizationSpread,
+    CheckpointPhases, DeviceUtilization, FlashStats, LatencyStats, RunReport, UtilizationSpread,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,9 +303,6 @@ impl KvSystem {
         let mut lat_write_cp = LatencyRecorder::new();
         let mut cp_active_until = SimTime::ZERO;
         let mut cp = CpAccum::new();
-        // Worst-latency-over-time buckets (20 ms wide).
-        let bucket_width = SimDuration::from_millis(20);
-        let mut timeline: Vec<TimelinePoint> = Vec::new();
 
         while completed < self.config.total_queries {
             // Each pop schedules at most one successor — the next tick,
@@ -372,23 +368,6 @@ impl KvSystem {
                         completed += 1;
                         quota[thread as usize] -= 1;
                         last_finish = last_finish.max(finish);
-
-                        let bucket = (finish.duration_since(start).as_nanos()
-                            / bucket_width.as_nanos().max(1))
-                            as usize;
-                        if timeline.len() <= bucket {
-                            timeline.resize(
-                                bucket + 1,
-                                TimelinePoint {
-                                    at: SimDuration::ZERO,
-                                    worst: SimDuration::ZERO,
-                                    count: 0,
-                                },
-                            );
-                        }
-                        let point = &mut timeline[bucket];
-                        point.worst = point.worst.max(latency);
-                        point.count += 1;
                         batch_end = batch_end.max(finish);
 
                         // Size-based checkpoint trigger. A fired trigger
@@ -417,23 +396,6 @@ impl KvSystem {
 
         // ---- Report ---------------------------------------------------
         let elapsed = last_finish.duration_since(start);
-        // Extend the timeline through the bucket containing the last
-        // completion (including post-checkpoint GC): a stall at the end
-        // of the run must appear as trailing zero-count buckets, not as
-        // a series that simply stops early.
-        if completed > 0 {
-            let final_bucket = (elapsed.as_nanos() / bucket_width.as_nanos().max(1)) as usize;
-            if timeline.len() <= final_bucket {
-                timeline.resize(
-                    final_bucket + 1,
-                    TimelinePoint {
-                        at: SimDuration::ZERO,
-                        worst: SimDuration::ZERO,
-                        count: 0,
-                    },
-                );
-            }
-        }
         let flash1 = self.ssd.ftl().flash().counters().clone();
         let ftl1 = self.ssd.ftl().counters().clone();
         let ssd1 = self.ssd.counters().clone();
@@ -451,6 +413,11 @@ impl KvSystem {
             reads: fdelta.total(Total::FlashRead),
             programs: fdelta.total(Total::FlashProgram),
             multiplane_programs: fdelta.get(Counter::FlashMultiplanePrograms),
+            run_reads: fdelta.get(Counter::FlashReadRun),
+            read_die_wait_ns: fdelta.get(Counter::FlashReadDieWaitNs),
+            program_suspends: fdelta.get(Counter::FlashProgramSuspends),
+            read_overtakes: fdelta.get(Counter::FlashReadOvertakes),
+            programming_page_reads: tdelta.get(Counter::FtlProgrammingPageReads),
             erases: fdelta.total(Total::FlashErase),
             gc_invocations: tdelta.get(Counter::FtlGcInvocations),
             gc_units_moved: tdelta.get(Counter::FtlGcUnitsMoved),
@@ -544,14 +511,6 @@ impl KvSystem {
             } else {
                 completed as f64 / flash.erases as f64
             },
-            timeline: timeline
-                .into_iter()
-                .enumerate()
-                .map(|(i, mut p)| {
-                    p.at = bucket_width * i as u64;
-                    p
-                })
-                .collect(),
         })
     }
 

@@ -2,7 +2,9 @@
 
 use std::borrow::Borrow;
 
-use checkin_sim::{Counter, CounterSet, Resource, SimTime, TraceEvent, TraceLayer, Tracer, Window};
+use checkin_sim::{
+    Counter, CounterSet, Resource, SimDuration, SimTime, TraceEvent, TraceLayer, Tracer, Window,
+};
 
 use crate::content::PageContent;
 use crate::error::FlashError;
@@ -12,22 +14,133 @@ use crate::phase::OpPhase;
 use crate::store::{BlockStore, PageView, StoredField};
 use crate::timing::FlashTiming;
 
-/// The tPROG on one die that a page on another plane can still join: the
-/// latest-starting program booked there, the planes it already programs
-/// (one bit each) and the page index they program.
+/// How many times one program may be suspended for foreground reads
+/// before it runs to its end. A `const`, not a knob.
+pub const MAX_SUSPENDS_PER_PROGRAM: u32 = 2;
+
+/// Pages one tPROG programs at most: its own and those that joined it on
+/// the die's other planes — the capacity of its record.
+const PROGRAM_PAGES: usize = 8;
+
+/// A die's latest program: the latest-starting tPROG booked there. A page
+/// on another plane can still join it, and a foreground read can still go
+/// ahead of it (see [`FlashArray::read_ahead_of_programs`]).
 #[derive(Debug, Clone, Copy)]
-struct PendingProgram {
+struct LatestProgram {
+    /// Its die reservation: where the tPROG starts, and where it now
+    /// ends — later than `start + tPROG` by every read that went ahead.
     array: Window,
+    /// The planes it programs (one bit each) and their page index.
     planes: u64,
     page: u32,
+    /// The pages it programs, `pages[..count]`, its own first.
+    pages: [Ppn; PROGRAM_PAGES],
+    count: usize,
+    /// How often it was suspended, and when the reads sensed in its
+    /// latest suspension are done (a read arriving before then queues
+    /// behind them instead of suspending it again).
+    suspends: u32,
+    resume: SimTime,
 }
 
-/// One die: its reservation timeline, and the program a page on another
-/// plane can still join (never set on a one-plane die).
+/// How a foreground read gets ahead of a die's latest program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ahead {
+    /// The program runs: suspend it and sense.
+    Suspend,
+    /// The program is suspended for earlier reads: sense behind them.
+    Queue,
+    /// The program has not started: sense first.
+    Overtake,
+}
+
+impl LatestProgram {
+    fn new(array: Window, planes: u64, page: u32, ppn: Ppn) -> Self {
+        LatestProgram {
+            array,
+            planes,
+            page,
+            pages: [ppn; PROGRAM_PAGES],
+            count: 1,
+            suspends: 0,
+            resume: SimTime::ZERO,
+        }
+    }
+
+    /// True when `ppn` is one of the pages this tPROG programs.
+    fn programs(&self, ppn: Ppn) -> bool {
+        self.pages.iter().take(self.count).any(|&p| p == ppn)
+    }
+
+    /// Where a foreground read issued at `at` would sense ahead of this
+    /// program on `timeline`, how, and by how much that delays the
+    /// program — `None` when the read waits as any read does. Only the
+    /// die's last reservation gives way, only before it finishes, and only
+    /// to a read that fits no earlier idle gap.
+    fn ahead(
+        &self,
+        at: SimTime,
+        timeline: &Resource,
+        timing: &FlashTiming,
+    ) -> Option<(SimTime, Ahead, SimDuration)> {
+        let (finish, t_read) = (self.array.finish, timing.t_read);
+        if timeline.available_at() != finish
+            || at >= finish
+            || timeline.first_fit(at, t_read) < finish
+        {
+            return None;
+        }
+        // A read issued before the start, but booked after one that
+        // already found the program running, senses behind that one.
+        if at < self.array.start && self.suspends == 0 {
+            return Some((self.array.start, Ahead::Overtake, t_read));
+        }
+        if at < self.resume {
+            return Some((self.resume, Ahead::Queue, t_read));
+        }
+        let cost = timing.t_suspend + t_read;
+        (self.suspends < MAX_SUSPENDS_PER_PROGRAM && finish.duration_since(at) > cost).then_some((
+            at + timing.t_suspend,
+            Ahead::Suspend,
+            cost,
+        ))
+    }
+}
+
+/// How a foreground read got its page
+/// ([`FlashArray::read_ahead_of_programs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ForegroundRead {
+    /// Sensed on the die: `window` runs from the sense's start to the
+    /// end of the page's channel transfer. `moved` is the program it went
+    /// ahead of, if any.
+    Sensed {
+        /// Sense start to transfer finish.
+        window: Window,
+        /// The die's latest program, delayed by this read.
+        moved: Option<MovedProgram>,
+    },
+    /// The page is one the die is still programming: the write buffer
+    /// still holds it, and serves it at the read's issue.
+    Programming,
+}
+
+/// A program whose finish a foreground read moved later.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MovedProgram {
+    /// Its finish before the read.
+    pub from: SimTime,
+    /// Its finish now.
+    pub to: SimTime,
+    /// Pages that finish with it (its own and those that joined it).
+    pub pages: usize,
+}
+
+/// One die: its reservation timeline, and its latest program.
 #[derive(Debug, Clone)]
 struct Die {
     timeline: Resource,
-    pending: Option<PendingProgram>,
+    latest: Option<LatestProgram>,
 }
 
 /// Per-block bookkeeping.
@@ -46,10 +159,12 @@ struct BlockState {
 /// models operation timing through per-die and per-channel reservation
 /// timelines: a read is sensed in the first idle stretch of its die, also
 /// one ahead of a program that is still waiting for its channel transfer.
-/// A die programs up to `planes_per_die` pages in one tPROG: a page joins
-/// the die's pending program when it is for another plane, at the same
-/// page index, and its data is in the page register before that program
-/// starts.
+/// A die programs up to `planes_per_die` pages (at most eight) in one
+/// tPROG: a page joins the die's latest program when it is for another
+/// plane, at the same page index, and its data is in the page register
+/// before that program starts. A foreground read may go ahead of that
+/// program ([`FlashArray::read_ahead_of_programs`]); every other read
+/// waits for it.
 ///
 /// # Examples
 ///
@@ -122,7 +237,7 @@ impl FlashArray {
             dies: (0..geometry.total_dies())
                 .map(|_| Die {
                     timeline: Resource::new("die"),
-                    pending: None,
+                    latest: None,
                 })
                 .collect(),
             channels: (0..geometry.channels as usize)
@@ -390,11 +505,122 @@ impl FlashArray {
             return Err(FlashError::OutOfRange(ppn));
         };
         let array = die_queue.timeline.schedule(at, t_read);
+        self.transfer_sensed(ppn, channel, at, array.start)
+    }
+
+    /// A foreground read: [`FlashArray::schedule_read`] for the reads a
+    /// host waits on, which go ahead of a NAND program whose finish is
+    /// still private. Let P be the die's latest program:
+    ///
+    /// * `ppn` is one of P's pages and P has not finished at `at`: the
+    ///   write buffer still holds the page and serves it at `at` —
+    ///   [`ForegroundRead::Programming`], no sense, no fault-clock tick,
+    ///   no `flash.read.*` count;
+    /// * P is running at `at`: the read suspends it and senses in
+    ///   `[at + t_suspend, + tR)`, at most [`MAX_SUSPENDS_PER_PROGRAM`]
+    ///   times per program and only while more than `t_suspend + tR` of
+    ///   it remain; a read arriving while earlier ones hold P suspended
+    ///   senses behind them;
+    /// * P has not started at `at`: the read senses at P's start.
+    ///
+    /// Only when P is the die's last reservation, the read fits no idle
+    /// gap before P's finish, and `may_move(finish, pages)` — P's finish
+    /// and how many pages finish with it — agrees. P then finishes later
+    /// by what it gave way (`t_suspend + tR`, or tR), booked at the die's
+    /// end as an ordinary reservation: no window handed out before moves
+    /// unless `may_move` vouched for it. Otherwise the read is exactly a
+    /// [`FlashArray::schedule_read`].
+    ///
+    /// # Errors
+    ///
+    /// As [`FlashArray::schedule_read`].
+    pub fn read_ahead_of_programs(
+        &mut self,
+        ppn: Ppn,
+        at: SimTime,
+        may_move: impl FnOnce(SimTime, usize) -> bool,
+    ) -> Result<ForegroundRead, FlashError> {
+        self.check_range(ppn)?;
+        if self.powered_off {
+            return Err(FlashError::PowerLoss);
+        }
+        let (die, channel, _) = self.die_channel_plane(ppn);
+        let latest = self.dies.get(die).and_then(|d| d.latest);
+        if latest.is_some_and(|p| at < p.array.finish && p.programs(ppn)) {
+            return Ok(ForegroundRead::Programming);
+        }
+        self.fault_gate(FaultOp::Read, Some(ppn), None)?;
+        let t_read = self.timing.t_read;
+        let Some(Die { timeline, latest }) = self.dies.get_mut(die) else {
+            return Err(FlashError::OutOfRange(ppn));
+        };
+        let ahead = latest.as_mut().and_then(|p| {
+            let (sense, how, delay) = p.ahead(at, timeline, &self.timing)?;
+            may_move(p.array.finish, p.count).then_some((p, sense, how, delay))
+        });
+        let (sense, moved) = match ahead {
+            None => (timeline.schedule(at, t_read).start, None),
+            Some((p, sense, how, delay)) => {
+                let from = p.array.finish;
+                let extension = timeline.schedule(from, delay);
+                debug_assert_eq!(extension.start, from, "P was the die's last reservation");
+                p.array.finish = extension.finish;
+                let note = match how {
+                    Ahead::Suspend => {
+                        p.suspends += 1;
+                        p.resume = sense + t_read;
+                        self.counters.incr(Counter::FlashProgramSuspends);
+                        "suspend"
+                    }
+                    Ahead::Queue => {
+                        p.resume = sense + t_read;
+                        "queue"
+                    }
+                    Ahead::Overtake => {
+                        p.array.start = sense + t_read;
+                        self.counters.incr(Counter::FlashReadOvertakes);
+                        "overtake"
+                    }
+                };
+                let moved = MovedProgram {
+                    from,
+                    to: extension.finish,
+                    pages: p.count,
+                };
+                self.tracer.emit(|| {
+                    TraceEvent::new(at, TraceLayer::Flash, "suspend")
+                        .tag(note)
+                        .with("ppn", ppn.0)
+                        .with("from_ns", moved.from.as_nanos())
+                        .with("to_ns", moved.to.as_nanos())
+                        .with("pages", moved.pages as u64)
+                });
+                (sense, Some(moved))
+            }
+        };
+        self.counters.add(
+            Counter::FlashReadDieWaitNs,
+            sense.duration_since(at).as_nanos(),
+        );
+        let window = self.transfer_sensed(ppn, channel, at, sense)?;
+        Ok(ForegroundRead::Sensed { window, moved })
+    }
+
+    /// The tail every sense shares: the page crosses `channel` once tR
+    /// from `sense` is over, and the read is counted and traced. Returns
+    /// the sense's start to the transfer's finish.
+    fn transfer_sensed(
+        &mut self,
+        ppn: Ppn,
+        channel: usize,
+        at: SimTime,
+        sense: SimTime,
+    ) -> Result<Window, FlashError> {
         let xfer_time = self.timing.transfer_time(self.geometry.page_bytes as u64);
         let Some(channel_queue) = self.channels.get_mut(channel) else {
             return Err(FlashError::OutOfRange(ppn));
         };
-        let xfer = channel_queue.schedule(array.finish, xfer_time);
+        let xfer = channel_queue.schedule(sense + self.timing.t_read, xfer_time);
         self.counters.incr(self.op_phase.read_counter());
         let phase = self.op_phase;
         self.tracer.emit(|| {
@@ -403,7 +629,7 @@ impl FlashArray {
                 .with("ppn", ppn.0)
         });
         Ok(Window {
-            start: array.start,
+            start: sense,
             finish: xfer.finish,
         })
     }
@@ -523,7 +749,7 @@ impl FlashArray {
             .ok_or(FlashError::OutOfRange(ppn))?
             .schedule(at, xfer_time);
         let (finish, joined) = self
-            .book_program(die, plane, page, xfer.finish)
+            .book_program(die, plane, ppn, page, xfer.finish)
             .ok_or(FlashError::OutOfRange(ppn))?;
         self.counters.incr(self.op_phase.program_counter());
         if joined {
@@ -547,40 +773,39 @@ impl FlashArray {
         })
     }
 
-    /// Books the tPROG of page index `page` on `plane` of `die`, whose
-    /// data is in the page register from `loaded`, and returns when it
-    /// finishes and whether the page joined another plane's tPROG. On a
-    /// multi-plane die the page joins the die's pending program when that
-    /// one covers nothing on the page's plane yet, programs the same page
-    /// index, and has not started by `loaded`: it then books no die time
-    /// and finishes with it — a window already handed out never moves.
-    /// Otherwise it books its own tPROG, which becomes the pending program
-    /// if it starts later than that one (a one-plane die keeps none).
-    /// `None` when `die` does not exist.
+    /// Books the tPROG of `ppn`, page index `page` on `plane` of `die`,
+    /// whose data is in the page register from `loaded`, and returns when
+    /// it finishes and whether the page joined another plane's tPROG. The
+    /// page joins the die's latest program when that one covers nothing
+    /// on the page's plane yet, programs the same page index, and has not
+    /// started by `loaded`: it then books no die time and finishes with it
+    /// — a window already handed out never moves. Otherwise it books its
+    /// own tPROG, which becomes the latest program if it starts later than
+    /// that one. `None` when `die` does not exist.
     fn book_program(
         &mut self,
         die: usize,
         plane: u32,
+        ppn: Ppn,
         page: u32,
         loaded: SimTime,
     ) -> Option<(SimTime, bool)> {
-        let multi_plane = self.geometry.planes_per_die >= 2;
-        let Die { timeline, pending } = self.dies.get_mut(die)?;
+        let Die { timeline, latest } = self.dies.get_mut(die)?;
         // A plane past the mask's 64 bits has no bit and never joins.
         let plane = 1u64.checked_shl(plane).unwrap_or(0);
-        if let Some(p) = pending.as_mut().filter(|p| {
+        if let Some(p) = latest.as_mut().filter(|p| {
             plane != 0 && p.planes & plane == 0 && p.page == page && loaded <= p.array.start
         }) {
-            p.planes |= plane;
-            return Some((p.array.finish, true));
+            if let Some(slot) = p.pages.get_mut(p.count) {
+                *slot = ppn;
+                p.count += 1;
+                p.planes |= plane;
+                return Some((p.array.finish, true));
+            }
         }
         let array = timeline.schedule(loaded, self.timing.t_program);
-        if multi_plane && pending.is_none_or(|p| array.start > p.array.start) {
-            *pending = Some(PendingProgram {
-                array,
-                planes: plane,
-                page,
-            });
+        if latest.is_none_or(|p| array.start > p.array.start) {
+            *latest = Some(LatestProgram::new(array, plane, page, ppn));
         }
         Some((array.finish, false))
     }
@@ -1065,6 +1290,257 @@ mod tests {
         let b = program(&mut f, 8, 0, SimTime::ZERO);
         assert_eq!(b.finish, a.finish);
         assert_eq!(joins(&f), 1);
+    }
+
+    // ---- reads before programs (`read_ahead_of_programs`) -------------
+    //
+    // `array()` is one plane per die; blocks 0 and 2 share die 0. Its
+    // lone program of page 0 of block 0, issued at zero, crosses the
+    // channel in 5.12 us and programs from then until 665.12 us.
+
+    fn us(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros(n)
+    }
+
+    /// Page `page` of block 2: die 0, never programmed by these tests.
+    fn other_page(page: u64) -> Ppn {
+        Ppn(2 * 32 + page)
+    }
+
+    /// A foreground read that may move whatever it goes ahead of.
+    fn read_ahead(f: &mut FlashArray, ppn: Ppn, at: SimTime) -> (Window, Option<MovedProgram>) {
+        match f.read_ahead_of_programs(ppn, at, |_, _| true).unwrap() {
+            ForegroundRead::Sensed { window, moved } => (window, moved),
+            ForegroundRead::Programming => panic!("{ppn} is not programming"),
+        }
+    }
+
+    fn lone_program(f: &mut FlashArray) -> Window {
+        f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap()
+    }
+
+    #[test]
+    fn a_read_suspends_a_running_program() {
+        let mut f = array();
+        let t = *f.timing();
+        let xfer = t.transfer_time(4096);
+        let p = lone_program(&mut f);
+        let (read, moved) = read_ahead(&mut f, other_page(0), us(100));
+        assert_eq!(read.start, us(100) + t.t_suspend);
+        assert_eq!(read.finish, us(100) + t.t_suspend + t.t_read + xfer);
+        let to = p.finish + t.t_suspend + t.t_read;
+        assert_eq!(
+            moved,
+            Some(MovedProgram {
+                from: p.finish,
+                to,
+                pages: 1
+            })
+        );
+        // The die did the program, the suspend and the sense, nothing
+        // twice; the extension is a booking at its end.
+        let die = f.dies().next().unwrap();
+        assert_eq!(die.busy_time(), t.t_program + t.t_suspend + t.t_read);
+        assert_eq!(die.available_at(), to);
+        assert!(die.busy_time() <= die.span());
+        let c = f.counters();
+        assert_eq!(c.get(Counter::FlashProgramSuspends), 1);
+        assert_eq!(c.get(Counter::FlashReadDieWaitNs), t.t_suspend.as_nanos());
+        assert_eq!(c.get(Counter::FlashReadRun), 1);
+    }
+
+    #[test]
+    fn a_read_during_a_suspension_queues_behind_it() {
+        let mut f = array();
+        let t = *f.timing();
+        let p = lone_program(&mut f);
+        let (first, _) = read_ahead(&mut f, other_page(0), us(100));
+        let sensed = first.start + t.t_read;
+        // Arrives while the first read holds the program suspended.
+        let (second, moved) = read_ahead(&mut f, other_page(1), us(120));
+        assert_eq!(second.start, sensed);
+        let moved = moved.unwrap();
+        assert_eq!(moved.to, p.finish + t.t_suspend + t.t_read * 2);
+        assert_eq!(moved.to - moved.from, t.t_read, "no second suspend");
+        assert_eq!(f.counters().get(Counter::FlashProgramSuspends), 1);
+    }
+
+    #[test]
+    fn a_program_is_suspended_at_most_twice() {
+        let mut f = array();
+        let t = *f.timing();
+        lone_program(&mut f);
+        for at in [100, 300] {
+            let (read, moved) = read_ahead(&mut f, other_page(0), us(at));
+            assert_eq!(read.start, us(at) + t.t_suspend);
+            assert!(moved.is_some());
+        }
+        // The third waits the program out.
+        let finish = f.dies().next().unwrap().available_at();
+        let (read, moved) = read_ahead(&mut f, other_page(0), us(500));
+        assert_eq!((read.start, moved), (finish, None));
+        assert_eq!(
+            f.counters().get(Counter::FlashProgramSuspends),
+            u64::from(MAX_SUSPENDS_PER_PROGRAM)
+        );
+    }
+
+    #[test]
+    fn a_program_about_to_finish_is_not_suspended() {
+        let t = FlashTiming::mlc();
+        let cost = t.t_suspend + t.t_read;
+        // Issued when `left` of the program remains.
+        let read_with = |left: SimDuration| {
+            let mut f = array();
+            let p = lone_program(&mut f);
+            read_ahead(&mut f, other_page(0), p.finish - left)
+        };
+        let (read, moved) = read_with(cost);
+        assert!(moved.is_none());
+        assert_eq!(
+            read.start,
+            SimTime::ZERO + t.transfer_time(4096) + t.t_program
+        );
+        let (_, moved) = read_with(cost + SimDuration::from_nanos(1));
+        assert!(moved.is_some());
+    }
+
+    #[test]
+    fn a_read_overtakes_a_program_not_yet_started() {
+        let mut f = array();
+        let t = *f.timing();
+        // The die erases until 3.5 ms; the program waits for it.
+        f.erase(BlockId(2), SimTime::ZERO).unwrap();
+        let p = lone_program(&mut f);
+        let start = SimTime::ZERO + t.t_erase;
+        assert_eq!(p.finish, start + t.t_program);
+        let (read, moved) = read_ahead(&mut f, other_page(0), us(1_000));
+        assert_eq!(read.start, start, "sensed first");
+        assert_eq!(moved.unwrap().to, p.finish + t.t_read, "shifted by tR");
+        assert_eq!(f.counters().get(Counter::FlashReadOvertakes), 1);
+        assert_eq!(f.counters().get(Counter::FlashProgramSuspends), 0);
+        // The next read overtakes it again, behind the first.
+        let (read, _) = read_ahead(&mut f, other_page(1), us(1_000));
+        assert_eq!(read.start, start + t.t_read);
+    }
+
+    /// Bookings are not made in time order: a read issued before the
+    /// program started, booked after one that suspended it, must not
+    /// sense at the start — the program was already running there.
+    #[test]
+    fn a_read_from_before_the_start_queues_behind_a_suspension() {
+        let mut f = array();
+        let t = *f.timing();
+        let p = lone_program(&mut f);
+        let (first, _) = read_ahead(&mut f, other_page(0), us(100));
+        let (early, moved) = read_ahead(&mut f, other_page(1), SimTime::ZERO);
+        assert_eq!(early.start, first.start + t.t_read);
+        assert_eq!(moved.unwrap().to, p.finish + t.t_suspend + t.t_read * 2);
+        assert_eq!(f.counters().get(Counter::FlashReadOvertakes), 0);
+    }
+
+    #[test]
+    fn a_read_that_fits_an_earlier_gap_keeps_it() {
+        let mut f = array();
+        // Idle until the erase at 1 ms, then the program.
+        f.erase(BlockId(2), us(1_000)).unwrap();
+        let p = f.program(Ppn(0), page_with(1, 1), us(1_000)).unwrap();
+        let (read, moved) = read_ahead(&mut f, other_page(0), SimTime::ZERO);
+        assert_eq!((read.start, moved), (SimTime::ZERO, None));
+        assert_eq!(f.dies().next().unwrap().available_at(), p.finish);
+    }
+
+    #[test]
+    fn a_read_of_a_page_still_programming_is_served_at_once() {
+        use crate::fault::{FaultConfig, FaultPlan};
+        let mut f = array();
+        f.arm_faults(FaultPlan::new(FaultConfig::default()));
+        let p = lone_program(&mut f);
+        let ticks = f.fault_plan().unwrap().ticks();
+        assert_eq!(
+            f.read_ahead_of_programs(Ppn(0), us(100), |_, _| true),
+            Ok(ForegroundRead::Programming)
+        );
+        assert_eq!(f.fault_plan().unwrap().ticks(), ticks, "no media tick");
+        assert_eq!(f.counters().total(Total::FlashRead), 0);
+        assert_eq!(f.dies().next().unwrap().available_at(), p.finish);
+        // Once programmed, it is sensed like any page.
+        let (read, _) = read_ahead(&mut f, Ppn(0), p.finish);
+        assert_eq!(read.start, p.finish);
+    }
+
+    #[test]
+    fn only_the_dies_last_reservation_gives_way() {
+        let mut f = array();
+        let t = *f.timing();
+        let p = lone_program(&mut f);
+        // An erase booked behind the program: the program's finish is no
+        // longer the die's end.
+        let erase = f.erase(BlockId(2), SimTime::ZERO).unwrap();
+        assert_eq!(erase.start, p.finish);
+        let (read, moved) = read_ahead(&mut f, other_page(0), us(100));
+        assert_eq!((read.start, moved), (erase.finish, None));
+        assert_eq!(
+            f.dies().next().unwrap().busy_time(),
+            t.t_program + t.t_erase + t.t_read
+        );
+    }
+
+    #[test]
+    fn a_program_whose_finish_was_handed_out_is_waited_for() {
+        let mut f = array();
+        let p = lone_program(&mut f);
+        let mut asked = None;
+        let read = f
+            .read_ahead_of_programs(other_page(0), us(100), |finish, pages| {
+                asked = Some((finish, pages));
+                false
+            })
+            .unwrap();
+        assert_eq!(asked, Some((p.finish, 1)));
+        let ForegroundRead::Sensed { window, moved } = read else {
+            panic!("sensed")
+        };
+        assert_eq!((window.start, moved), (p.finish, None));
+        assert_eq!(f.counters().get(Counter::FlashProgramSuspends), 0);
+    }
+
+    #[test]
+    fn a_background_read_never_goes_ahead() {
+        let mut f = array();
+        let p = lone_program(&mut f);
+        let read = f.schedule_read(other_page(0), us(100)).unwrap();
+        assert_eq!(read.start, p.finish);
+        assert_eq!(
+            f.dies().next().unwrap().available_at(),
+            read.start + f.timing().t_read
+        );
+    }
+
+    #[test]
+    fn a_page_that_joined_moves_and_reads_with_the_program() {
+        let mut f = two_planes();
+        let t = *f.timing();
+        erase_die0(&mut f, SimTime::ZERO);
+        let a = program(&mut f, 0, 0, SimTime::ZERO);
+        // Overtaken before it starts: it now starts tR later, and a page
+        // on the other plane whose data arrives by then still joins it.
+        let g = *f.geometry();
+        let ppn = |block| g.first_ppn(BlockId(block));
+        let other = ppn(16);
+        let (_, moved) = read_ahead(&mut f, other, us(1_000));
+        assert_eq!(moved.unwrap().to, a.finish + t.t_read);
+        let b = program(&mut f, 8, 0, a.finish - t.t_program);
+        assert_eq!(b.finish, a.finish + t.t_read);
+        assert_eq!(joins(&f), 1);
+        // Both pages are the program's own; the next move carries both.
+        let joined = ppn(8);
+        assert!(matches!(
+            f.read_ahead_of_programs(joined, us(1_000), |_, _| true),
+            Ok(ForegroundRead::Programming)
+        ));
+        let (_, moved) = read_ahead(&mut f, other, us(1_000));
+        assert_eq!(moved.unwrap().pages, 2);
     }
 
     #[test]

@@ -22,6 +22,9 @@ pub struct FlashTiming {
     pub t_program: SimDuration,
     /// Block erase time (tBER).
     pub t_erase: SimDuration,
+    /// Program suspend latency: from a suspend command until the die can
+    /// sense for a read; the resumed program repeats it as overhead.
+    pub t_suspend: SimDuration,
     /// Channel bus bandwidth in bytes per second (ONFI transfer rate).
     pub bus_bytes_per_sec: u64,
 }
@@ -33,6 +36,7 @@ impl FlashTiming {
             t_read: SimDuration::from_micros(25),
             t_program: SimDuration::from_micros(200),
             t_erase: SimDuration::from_millis(2),
+            t_suspend: SimDuration::from_micros(25),
             bus_bytes_per_sec: 800_000_000,
         }
     }
@@ -43,6 +47,7 @@ impl FlashTiming {
             t_read: SimDuration::from_micros(45),
             t_program: SimDuration::from_micros(660),
             t_erase: SimDuration::from_micros(3500),
+            t_suspend: SimDuration::from_micros(50),
             bus_bytes_per_sec: 800_000_000,
         }
     }
@@ -53,6 +58,7 @@ impl FlashTiming {
             t_read: SimDuration::from_micros(78),
             t_program: SimDuration::from_micros(2200),
             t_erase: SimDuration::from_millis(5),
+            t_suspend: SimDuration::from_micros(100),
             bus_bytes_per_sec: 800_000_000,
         }
     }
@@ -80,6 +86,11 @@ mod tests {
         let (slc, mlc, tlc) = (FlashTiming::slc(), FlashTiming::mlc(), FlashTiming::tlc());
         assert!(slc.t_read < mlc.t_read && mlc.t_read < tlc.t_read);
         assert!(slc.t_program < mlc.t_program && mlc.t_program < tlc.t_program);
+        assert!(slc.t_suspend < mlc.t_suspend && mlc.t_suspend < tlc.t_suspend);
+        // A suspend plus a sense must beat waiting out a program.
+        for t in [slc, mlc, tlc] {
+            assert!(t.t_suspend + t.t_read < t.t_program);
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ mod rebuild;
 mod reclaim;
 
 use checkin_flash::{
-    BlockId, ErrorClass, FlashArray, FlashError, Fragment, OobEntry, OobKind, OpPhase, PageContent,
-    Ppn, UnitPayload, UnitRef,
+    BlockId, ErrorClass, FlashArray, FlashError, ForegroundRead, Fragment, OobEntry, OobKind,
+    OpPhase, PageContent, Ppn, UnitPayload, UnitRef,
 };
 use checkin_sim::{
     Counter, CounterSet, InFlight, SimDuration, SimTime, Total, TraceEvent, TraceLayer, Tracer,
@@ -85,13 +85,13 @@ impl SensedPages {
     fn finish_of(
         &mut self,
         ppn: Ppn,
-        sense: impl FnOnce() -> Result<Window, FlashError>,
+        sense: impl FnOnce() -> Result<SimTime, FlashError>,
     ) -> Result<SimTime, FlashError> {
         let at = self.pages.partition_point(|&(page, _)| page < ppn);
         match self.pages.get(at) {
             Some(&(page, finish)) if page == ppn => Ok(finish),
             _ => {
-                let finish = sense()?.finish;
+                let finish = sense()?;
                 self.pages.insert(at, (ppn, finish));
                 Ok(finish)
             }
@@ -486,6 +486,48 @@ impl Ftl {
         }
     }
 
+    /// When `ppn` is in the controller for a read issued at `at`. A
+    /// foreground read — one a host waits on, issued in [`OpPhase::Run`]:
+    /// a `get` or a read-modify-write merge — goes ahead of the die's
+    /// latest program while that program's finish is private
+    /// ([`FlashArray::read_ahead_of_programs`]): it is in the programming
+    /// slot window once per page that finishes with it, and no admission
+    /// or `flush` has consumed it. The window then follows the program to
+    /// its new finish. Every other read is
+    /// [`FlashArray::schedule_read`].
+    fn sense(&mut self, ppn: Ppn, at: SimTime) -> Result<SimTime, FlashError> {
+        if self.flash.op_phase() != OpPhase::Run {
+            return Ok(self.read_with_retry(ppn, at)?.finish);
+        }
+        let retry = (self.config.retry_read, self.flash.timing().t_read);
+        let programs = &self.programs;
+        let read = Self::retry_transient(
+            &mut self.flash,
+            &mut self.counters,
+            retry,
+            Counter::FtlRetryExhaustedRead,
+            at,
+            |flash, t| {
+                flash
+                    .read_ahead_of_programs(ppn, t, |finish, pages| programs.movable(finish, pages))
+            },
+        )?;
+        match read {
+            // Only a first attempt can find the page still programming:
+            // a retry comes later, when it still does not.
+            ForegroundRead::Programming => {
+                self.counters.incr(Counter::FtlProgrammingPageReads);
+                Ok(at)
+            }
+            ForegroundRead::Sensed { window, moved } => {
+                if let Some(m) = moved {
+                    self.programs.move_completions(m.from, m.to, m.pages);
+                }
+                Ok(window.finish)
+            }
+        }
+    }
+
     /// Timed read of `lpn`'s flash copy at `pun`: its page is sensed now,
     /// or was by an earlier unit of the same command when `sensed` says
     /// so. One borrow of the page serves both the checksum check and
@@ -502,8 +544,8 @@ impl Ftl {
     ) -> Result<(R, SimTime), FtlError> {
         let ppn = pun.page(self.upp);
         let finish = match sensed {
-            Some(sensed) => sensed.finish_of(ppn, || self.read_with_retry(ppn, at))?,
-            None => self.read_with_retry(ppn, at)?.finish,
+            Some(sensed) => sensed.finish_of(ppn, || self.sense(ppn, at))?,
+            None => self.sense(ppn, at)?,
         };
         let offset = pun.offset(self.upp) as usize;
         let page = self.flash.read(ppn);
@@ -568,7 +610,8 @@ impl Ftl {
     /// Pads and programs every buffered unit, and returns when everything
     /// acknowledged so far is on flash: the latest program finish on
     /// record — its own page-outs' or one an earlier write was
-    /// acknowledged ahead of — or `at` when none lies later.
+    /// acknowledged ahead of — or `at` when none lies later. The answer
+    /// depends on every program in flight, so no read moves one after.
     ///
     /// # Errors
     ///
@@ -577,10 +620,7 @@ impl Ftl {
         while self.buffer.queued() > 0 {
             self.drain_one_page(at)?;
         }
-        Ok(self
-            .programs
-            .last_completion()
-            .map_or(at, |last| last.max(at)))
+        Ok(self.programs.wait_all().map_or(at, |last| last.max(at)))
     }
 
     /// Pages out buffered units while the buffer holds at least its
@@ -663,6 +703,9 @@ impl Ftl {
         let slot = self.programs.admit(at);
         self.programs.complete(win.finish);
         let units = taken.len() as u64;
+        // `finish_ns` is the program's finish as first booked: a
+        // foreground read that goes ahead of it later moves it, and the
+        // flash's `suspend` event carries each move (`from_ns` → `to_ns`).
         self.tracer.emit(|| {
             TraceEvent::new(at, TraceLayer::Ftl, "page_out")
                 .with("block", block.0)
@@ -716,11 +759,11 @@ impl Ftl {
     /// exponential backoff up to the read-class attempt budget
     /// ([`FtlConfig::retry_read`]).
     fn read_with_retry(&mut self, ppn: Ppn, at: SimTime) -> Result<Window, FlashError> {
-        let step = self.flash.timing().t_read;
-        let policy = self.config.retry_read;
-        self.retry_transient(
-            policy,
-            step,
+        let retry = (self.config.retry_read, self.flash.timing().t_read);
+        Self::retry_transient(
+            &mut self.flash,
+            &mut self.counters,
+            retry,
             Counter::FtlRetryExhaustedRead,
             at,
             |flash, t| flash.schedule_read(ppn, t),
@@ -730,39 +773,40 @@ impl Ftl {
     /// Erases a block with the erase-class bounded-backoff policy
     /// ([`FtlConfig::retry_erase`]).
     fn erase_with_retry(&mut self, block: BlockId, at: SimTime) -> Result<Window, FlashError> {
-        let step = self.flash.timing().t_erase;
-        let policy = self.config.retry_erase;
-        self.retry_transient(
-            policy,
-            step,
+        let retry = (self.config.retry_erase, self.flash.timing().t_erase);
+        Self::retry_transient(
+            &mut self.flash,
+            &mut self.counters,
+            retry,
             Counter::FtlRetryExhaustedErase,
             at,
             |flash, t| flash.erase(block, t),
         )
     }
 
-    /// Runs `op` until it stops failing transiently or `policy`'s attempt
-    /// budget runs out (counted under `exhausted`), waiting
-    /// `step << attempt` (capped) before each retry.
-    fn retry_transient(
-        &mut self,
-        policy: MediaRetryPolicy,
-        step: SimDuration,
+    /// Runs `op` on `flash` until it stops failing transiently or
+    /// `policy`'s attempt budget runs out (counted under `exhausted`),
+    /// waiting `step << attempt` (capped) before each retry. An associated
+    /// function, so that `op` may borrow the rest of the FTL.
+    fn retry_transient<T>(
+        flash: &mut FlashArray,
+        counters: &mut CounterSet,
+        (policy, step): (MediaRetryPolicy, SimDuration),
         exhausted: Counter,
         at: SimTime,
-        mut op: impl FnMut(&mut FlashArray, SimTime) -> Result<Window, FlashError>,
-    ) -> Result<Window, FlashError> {
+        mut op: impl FnMut(&mut FlashArray, SimTime) -> Result<T, FlashError>,
+    ) -> Result<T, FlashError> {
         let mut t = at;
         let mut attempt = 0u32;
         loop {
-            match op(&mut self.flash, t) {
+            match op(flash, t) {
                 Err(e) if e.classification() == ErrorClass::Transient => {
                     if attempt + 1 >= policy.limit {
-                        self.counters.incr(exhausted);
+                        counters.incr(exhausted);
                         return Err(e);
                     }
                     attempt += 1;
-                    self.counters.incr(Counter::FtlMediaRetries);
+                    counters.incr(Counter::FtlMediaRetries);
                     t += step * (1u64 << attempt.min(policy.backoff_shift_cap));
                 }
                 other => return other,
@@ -779,11 +823,11 @@ impl Ftl {
         content: &PageContent,
         at: SimTime,
     ) -> Result<Window, FlashError> {
-        let step = self.flash.timing().t_program;
-        let policy = self.config.retry_program;
-        self.retry_transient(
-            policy,
-            step,
+        let retry = (self.config.retry_program, self.flash.timing().t_program);
+        Self::retry_transient(
+            &mut self.flash,
+            &mut self.counters,
+            retry,
             Counter::FtlRetryExhaustedProgram,
             at,
             |flash, t| flash.program(ppn, content, t),

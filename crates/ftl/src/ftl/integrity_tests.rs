@@ -235,13 +235,14 @@ fn retry_exhaustion_is_counted_per_class() {
     let mut f = integrity_ftl();
     f.config.retry_read = MediaRetryPolicy::with_limit(3);
     put(&mut f, 0, 1).unwrap();
-    f.flush(SimTime::ZERO).unwrap();
+    // Read once programmed: a page still programming is not sensed.
+    let programmed = f.flush(SimTime::ZERO).unwrap();
     f.flash_mut().arm_faults(FaultPlan::new(FaultConfig {
         seed: 11,
         transient_read: 1.0,
         ..FaultConfig::default()
     }));
-    let err = f.read(Lpn(0), SimTime::ZERO).unwrap_err();
+    let err = f.read(Lpn(0), programmed).unwrap_err();
     assert!(!err.is_integrity(), "media failure, not corruption: {err}");
     assert_eq!(f.counters().get(Counter::FtlRetryExhaustedRead), 1);
     assert_eq!(f.counters().get(Counter::FtlMediaRetries), 2);

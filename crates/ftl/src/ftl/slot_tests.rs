@@ -4,9 +4,9 @@
 
 use std::ops::Range;
 
-use super::tests::{small_ftl, w};
+use super::tests::{single_die_ftl, small_ftl, w};
 use super::*;
-use checkin_flash::{FaultConfig, FaultPlan};
+use checkin_flash::{FaultConfig, FaultPlan, FlashTiming};
 
 /// `small_ftl(512)`: two write points, eight units to the page, and a
 /// 16-unit watermark, so the unit that makes sixteen buffered pages eight
@@ -178,4 +178,90 @@ fn a_page_out_onto_a_grown_bad_block_holds_no_slot() {
     let acks = write_all(&mut f, WATERMARK + UPP..WATERMARK + 2 * UPP, SimTime::ZERO);
     assert!(acks.last().unwrap() > &SimTime::ZERO);
     f.check_invariants().unwrap();
+}
+
+// ---- foreground reads and the slot window ----------------------------
+//
+// One die, one write point, one 4 KiB unit to the page and a one-unit
+// watermark: every write pages its unit out at once. Lpn 0 is on flash
+// long before `far()`; lpn 1 pages out at `far()` and programs from
+// `far() + xfer` for tPROG, holding the one programming slot.
+
+fn paging_ftl() -> Ftl {
+    let mut f = single_die_ftl(FtlConfig {
+        write_buffer_units: 1,
+        ..FtlConfig::default()
+    });
+    write_all(&mut f, 0..1, SimTime::ZERO);
+    write_all(&mut f, 1..2, far());
+    f
+}
+
+/// 100 us into lpn 1's program.
+fn during_the_program() -> SimTime {
+    far() + SimDuration::from_micros(100)
+}
+
+/// When lpn 1's program finishes as first booked.
+fn first_finish() -> SimTime {
+    let t = FlashTiming::mlc();
+    far() + t.transfer_time(4096) + t.t_program
+}
+
+#[test]
+fn a_moved_finish_delays_the_next_full_window_admission() {
+    let t = FlashTiming::mlc();
+    let next_ack = |read_first: bool| {
+        let mut f = paging_ftl();
+        if read_first {
+            let (_, done) = f.read(Lpn(0), during_the_program()).unwrap();
+            assert_eq!(
+                done,
+                during_the_program() + t.t_suspend + t.t_read + t.transfer_time(4096)
+            );
+        }
+        let ack = write_all(&mut f, 2..3, far())[0];
+        f.check_invariants().unwrap();
+        ack
+    };
+    assert_eq!(next_ack(false), first_finish());
+    assert_eq!(next_ack(true), first_finish() + t.t_suspend + t.t_read);
+}
+
+#[test]
+fn a_read_waits_for_a_program_whose_finish_was_handed_out() {
+    let t = FlashTiming::mlc();
+    let mut f = paging_ftl();
+    // `flush` acknowledges everything at the program's finish.
+    assert_eq!(f.flush(far()).unwrap(), first_finish());
+    let (_, done) = f.read(Lpn(0), during_the_program()).unwrap();
+    assert_eq!(done, first_finish() + t.t_read + t.transfer_time(4096));
+    assert_eq!(f.flash().counters().get(Counter::FlashProgramSuspends), 0);
+}
+
+#[test]
+fn a_background_read_waits_for_the_program() {
+    let t = FlashTiming::mlc();
+    let mut f = paging_ftl();
+    let (_, done) = f
+        .in_phase(OpPhase::Gc, |f| f.read(Lpn(0), during_the_program()))
+        .unwrap();
+    assert_eq!(done, first_finish() + t.t_read + t.transfer_time(4096));
+    assert_eq!(f.flash().counters().get(Counter::FlashProgramSuspends), 0);
+}
+
+#[test]
+fn a_unit_still_programming_is_read_from_the_buffer_and_still_verified() {
+    let mut f = paging_ftl();
+    let (p, done) = f.read(Lpn(1), during_the_program()).unwrap();
+    assert_eq!((p.fragments[0].key, done), (1, during_the_program()));
+    assert_eq!(f.counters().get(Counter::FtlProgrammingPageReads), 1);
+    assert_eq!(f.flash().counters().total(Total::FlashRead), 0);
+    // What landed is checked as on any read: rot is caught and the copy
+    // quarantined.
+    let ppn = f.flash_page_of(Lpn(1)).unwrap();
+    assert!(f.flash_mut().sabotage_corrupt_unit(ppn, 0, 1 << 7));
+    let err = f.read(Lpn(1), during_the_program()).unwrap_err();
+    assert!(err.is_integrity(), "{err}");
+    assert_eq!(f.counters().get(Counter::FtlIntegrityQuarantined), 1);
 }

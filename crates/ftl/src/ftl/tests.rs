@@ -63,7 +63,9 @@ pub(super) fn one_shared_page() -> (Ftl, Ppn) {
     (f, page)
 }
 
-/// [`Ftl::read_span_into`] as its own command, every key wanted.
+/// [`Ftl::read_span_into`] as its own command, every key wanted, issued
+/// once the fixtures' programs are done: a page still programming would
+/// be served from the write buffer, unsensed.
 pub(super) fn read_span(
     f: &mut Ftl,
     first: u64,
@@ -71,7 +73,8 @@ pub(super) fn read_span(
     out: &mut Vec<Fragment>,
 ) -> Result<SimTime, FtlError> {
     let sensed = &mut SensedPages::default();
-    f.read_span_into(Lpn(first), units, SimTime::ZERO, None, sensed, out)
+    let idle = SimTime::ZERO + SimDuration::from_millis(10);
+    f.read_span_into(Lpn(first), units, idle, None, sensed, out)
 }
 
 pub(super) fn w(lpn: u64, key: u64, version: u64, bytes: u32) -> UnitWrite {

@@ -4,11 +4,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, Fragment, OobKind, UnitPayload};
+use checkin_flash::{
+    BlockId, FlashArray, FlashGeometry, FlashTiming, Fragment, OobKind, Ppn, UnitPayload,
+};
 use checkin_ftl::{
     Ftl, FtlConfig, FtlError, GcTrigger, Lpn, MapCacheModel, SensedPages, UnitWrite,
 };
-use checkin_sim::{Counter, SimDuration, SimTime, Total, Tracer};
+use checkin_sim::{Counter, SimDuration, SimTime, Total, TraceLayer, Tracer};
 use checkin_testkit::{check, soup, TestRng};
 
 const LPNS: u64 = 192;
@@ -618,4 +620,182 @@ fn gc_pressure_soup_deterministic_regression() {
         })
         .collect();
     run_ops(&ops);
+}
+
+/// A foreground read, a write or a flush by `issuer`, `jitter` ns from
+/// its clock.
+#[derive(Debug, Clone, Copy)]
+struct ClientOp {
+    lpn: u64,
+    kind: ClientKind,
+    issuer: Issuer,
+    jitter: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ClientKind {
+    Read,
+    Write,
+    Flush,
+}
+
+/// Foreground reads against page-outs on a two-plane device under GC
+/// pressure, from clients and from a chain booked ahead of them (so
+/// admissions are not monotone). Every read that goes ahead
+/// of a program moves only what no one has seen: each die was busy for
+/// exactly its senses, its own tPROGs (a page that joined another
+/// plane's costs none), its erases and a `t_suspend` per suspension,
+/// never longer than its span; and every instant a write waited for (a
+/// programming slot) or a flush returned (the last program) is, at the
+/// end, still the finish of some program.
+#[test]
+fn reads_go_ahead_only_of_programs_nobody_has_seen_finish() {
+    let geometry = FlashGeometry {
+        channels: 2,
+        dies_per_channel: 2,
+        planes_per_die: 2,
+        blocks_per_plane: 8,
+        pages_per_block: 16,
+        page_bytes: 4096,
+    };
+    let t = FlashTiming::mlc();
+    let lpns = geometry.total_pages() * 8 * 4 / 10;
+    let mut ahead = [0u64; 3];
+    check(
+        "reads_go_ahead_only_of_programs_nobody_has_seen_finish",
+        4,
+        |rng| {
+            let config = FtlConfig {
+                unit_bytes: 512,
+                write_points: geometry.total_planes() as u32,
+                gc_threshold_blocks: 4,
+                gc_soft_threshold_blocks: 8,
+                write_buffer_units: 16,
+                wear_leveling_threshold: None,
+                ..FtlConfig::default()
+            };
+            let mut ftl = Ftl::new(FlashArray::new(geometry, t), config).unwrap();
+            let tracer = Tracer::ring_buffered(8_192);
+            ftl.set_tracer(tracer.clone());
+            let stream = soup(rng, 16_000, |rng| ClientOp {
+                lpn: rng.below(lpns),
+                kind: match rng.weighted(&[25, 74, 1]) {
+                    0 => ClientKind::Read,
+                    1 => ClientKind::Write,
+                    _ => ClientKind::Flush,
+                },
+                issuer: match rng.weighted(&[6, 2, 2]) {
+                    0 => Issuer::Client,
+                    1 => Issuer::LateClient,
+                    _ => Issuer::Chain,
+                },
+                jitter: rng.range_u64(0, 10_000),
+            });
+            let dies = geometry.total_dies() as usize;
+            // Per die: senses, tPROGs booked, erases, suspensions.
+            let mut work = vec![[0u64; 4]; dies];
+            let die_of_ppn = |ppn: u64| geometry.die_of_block(geometry.block_of(Ppn(ppn))) as usize;
+            let mut finishes: Vec<SimTime> = Vec::new();
+            // Instants writes and flushes were acknowledged at, later than
+            // issued: each is some program's finish.
+            let mut acks: Vec<SimTime> = Vec::new();
+            let (mut client, mut chain) = (SimTime::ZERO, SimTime::ZERO);
+            for (i, op) in stream.iter().enumerate() {
+                let jitter = SimDuration::from_nanos(op.jitter);
+                let at = match op.issuer {
+                    Issuer::Client => client + jitter,
+                    Issuer::LateClient => {
+                        SimTime::from_nanos(client.as_nanos().saturating_sub(op.jitter))
+                    }
+                    Issuer::Chain => chain.max(client) + jitter,
+                };
+                let done = match op.kind {
+                    ClientKind::Read => match ftl.read(Lpn(op.lpn), at) {
+                        Ok((_, done)) => done,
+                        Err(FtlError::Unmapped(_)) => at,
+                        Err(e) => panic!("read {i}: {e}"),
+                    },
+                    ClientKind::Write => {
+                        let unit = UnitWrite {
+                            lpn: Lpn(op.lpn),
+                            payload: UnitPayload::single(op.lpn, i as u64, 512),
+                            whole_unit: true,
+                        };
+                        ftl.write(unit, OobKind::Data, at).unwrap()
+                    }
+                    ClientKind::Flush => ftl.flush(at).unwrap(),
+                };
+                if done > at && op.kind != ClientKind::Read {
+                    acks.push(done);
+                }
+                match op.issuer {
+                    Issuer::Client | Issuer::LateClient => client = client.max(done),
+                    Issuer::Chain => chain = done,
+                }
+                for e in tracer.drain() {
+                    let field = |name| e.fields().iter().find(|f| f.0 == name).unwrap().1;
+                    match (e.layer, e.op) {
+                        (TraceLayer::Ftl, "page_out") => {
+                            finishes.push(SimTime::from_nanos(field("finish_ns")));
+                        }
+                        (TraceLayer::Flash, "suspend") => {
+                            let (from, to) = (field("from_ns"), field("to_ns"));
+                            let moved = finishes
+                                .iter_mut()
+                                .filter(|f| f.as_nanos() == from)
+                                .take(field("pages") as usize)
+                                .map(|f| *f = SimTime::from_nanos(to))
+                                .count();
+                            assert_eq!(moved as u64, field("pages"), "op {i}: {e:?}");
+                            if e.note == "suspend" {
+                                work[die_of_ppn(field("ppn"))][3] += 1;
+                            }
+                        }
+                        (TraceLayer::Flash, "read") => work[die_of_ppn(field("ppn"))][0] += 1,
+                        (TraceLayer::Flash, "program")
+                            if !e.fields().contains(&("multiplane", 1)) =>
+                        {
+                            work[die_of_ppn(field("ppn"))][1] += 1;
+                        }
+                        (TraceLayer::Flash, "erase") => {
+                            work[geometry.die_of_block(BlockId(field("block"))) as usize][2] += 1;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            assert_eq!(tracer.dropped(), 0);
+            ftl.check_invariants().unwrap();
+            for (d, (die, &[senses, programs, erases, suspends])) in
+                ftl.flash().dies().zip(&work).enumerate()
+            {
+                let expected = t.t_read * senses
+                    + t.t_program * programs
+                    + t.t_erase * erases
+                    + t.t_suspend * suspends;
+                assert_eq!(die.busy_time(), expected, "die {d}: {:?}", work[d]);
+                assert!(die.busy_time() <= die.span(), "die {d}: {die:?}");
+            }
+            finishes.sort_unstable();
+            for ack in &acks {
+                assert!(
+                    finishes.binary_search(ack).is_ok(),
+                    "a write was acknowledged at {ack}, which no program finishes at any more"
+                );
+            }
+            assert!(ftl.counters().get(Counter::FtlGcInvocations) > 0);
+            let flash = ftl.flash().counters();
+            for (n, counter) in ahead.iter_mut().zip([
+                flash.get(Counter::FlashProgramSuspends),
+                flash.get(Counter::FlashReadOvertakes),
+                ftl.counters().get(Counter::FtlProgrammingPageReads),
+            ]) {
+                *n += counter;
+            }
+        },
+    );
+    assert!(
+        ahead.iter().all(|&n| n > 0),
+        "suspends, overtakes, own-page reads: {ahead:?}"
+    );
 }

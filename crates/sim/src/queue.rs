@@ -16,11 +16,20 @@
 //! when the oldest of them is still later than `at`, and that instant is
 //! when its slot frees. (A completion later than `at` counts as in flight
 //! at `at` even if its operation had not started yet.)
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! A completion some admission depended on is *consumed*: moving it would
+//! change an instant already handed out. Every other one may still move
+//! later ([`InFlight::move_completions`]) — the write buffer's drain
+//! programs do when a foreground read goes ahead of them.
 
 use crate::time::SimTime;
+
+/// One recorded completion, and whether an admission depended on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Completion {
+    at: SimTime,
+    consumed: bool,
+}
 
 /// A fixed-depth window of in-flight operations, known by their
 /// completion instants.
@@ -36,13 +45,15 @@ use crate::time::SimTime;
 /// // Depth 1: the next operation cannot start before the first completes.
 /// let t1 = slots.admit(SimTime::ZERO);
 /// assert_eq!((t0.as_nanos(), t1.as_nanos()), (0, 100));
+/// // That admission depended on the completion at 100: it can never move.
+/// assert!(!slots.movable(SimTime::from_nanos(100), 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct InFlight {
     depth: usize,
-    /// Min-heap of the (at most) `depth` latest completion instants.
-    /// Sized once: admission and completion never allocate.
-    latest: BinaryHeap<Reverse<SimTime>>,
+    /// The (at most) `depth` latest completions, ascending by instant.
+    /// Sized once: no method allocates.
+    latest: Vec<Completion>,
 }
 
 impl InFlight {
@@ -55,37 +66,85 @@ impl InFlight {
         assert!(depth > 0, "queue depth must be positive");
         InFlight {
             depth,
-            latest: BinaryHeap::with_capacity(depth + 1),
+            latest: Vec::with_capacity(depth + 1),
         }
     }
 
     /// Earliest instant an operation arriving at `at` may start. Call
     /// [`InFlight::complete`] with its completion instant afterwards.
-    pub fn admit(&self, at: SimTime) -> SimTime {
-        match self.latest.peek() {
-            Some(&Reverse(frees)) if self.latest.len() == self.depth => at.max(frees),
+    ///
+    /// A full window admits at `max(at, oldest completion)`: the answer
+    /// depends on that completion, which is consumed from then on.
+    pub fn admit(&mut self, at: SimTime) -> SimTime {
+        let full = self.latest.len() == self.depth;
+        match self.latest.first_mut() {
+            Some(oldest) if full => {
+                oldest.consumed = true;
+                at.max(oldest.at)
+            }
             _ => at,
         }
     }
 
     /// Registers the completion instant of an admitted operation.
     pub fn complete(&mut self, done: SimTime) {
-        self.latest.push(Reverse(done));
+        let idx = self.latest.partition_point(|c| c.at <= done);
+        self.latest.insert(
+            idx,
+            Completion {
+                at: done,
+                consumed: false,
+            },
+        );
         if self.latest.len() > self.depth {
-            self.latest.pop();
+            self.latest.remove(0);
         }
     }
 
     /// How many recorded completions lie after `at`: the operations in
     /// flight at that instant, at most `depth`.
     pub fn in_flight_at(&self, at: SimTime) -> usize {
-        self.latest.iter().filter(|c| c.0 > at).count()
+        self.latest.iter().filter(|c| c.at > at).count()
     }
 
-    /// The latest completion ever recorded, `None` before the first
-    /// (or since [`InFlight::clear`]).
-    pub fn last_completion(&self) -> Option<SimTime> {
-        self.latest.iter().map(|c| c.0).max()
+    /// The latest completion on record, `None` before the first (or since
+    /// [`InFlight::clear`]). A caller that waits for it waits for all of
+    /// them, so every completion is consumed.
+    pub fn wait_all(&mut self) -> Option<SimTime> {
+        for c in &mut self.latest {
+            c.consumed = true;
+        }
+        self.latest.last().map(|c| c.at)
+    }
+
+    /// True when `count` (at least one) recorded completions at `at` are
+    /// not consumed, so [`InFlight::move_completions`] may move them.
+    pub fn movable(&self, at: SimTime, count: usize) -> bool {
+        let free = self
+            .latest
+            .iter()
+            .filter(|c| c.at == at && !c.consumed)
+            .count();
+        count > 0 && free >= count
+    }
+
+    /// Moves `count` unconsumed completions at `from` to the later
+    /// instant `to`, keeping the depth: the operations they stand for now
+    /// finish then. Only [`InFlight::movable`] completions move.
+    pub fn move_completions(&mut self, from: SimTime, to: SimTime, count: usize) {
+        debug_assert!(to >= from, "a completion moves later, never earlier");
+        debug_assert!(
+            self.movable(from, count),
+            "moving a consumed or unrecorded completion at {from}: {self:?}"
+        );
+        let mut left = count;
+        for c in &mut self.latest {
+            if left > 0 && c.at == from && !c.consumed {
+                c.at = to;
+                left -= 1;
+            }
+        }
+        self.latest.sort_unstable_by_key(|c| c.at);
     }
 
     /// Forgets every completion, keeping the allocation: nothing is in
@@ -117,7 +176,7 @@ mod tests {
         // Fifth operation waits for a completion slot.
         assert_eq!(w.admit(SimTime::ZERO), done);
         assert_eq!(w.in_flight_at(SimTime::ZERO), 4);
-        assert_eq!(w.last_completion(), Some(done));
+        assert_eq!(w.wait_all(), Some(done));
     }
 
     #[test]
@@ -133,7 +192,7 @@ mod tests {
         // An emptied window holds nothing at all.
         run(&mut w, ns(30), ns(5_000));
         w.clear();
-        assert_eq!((w.admit(ns(40)), w.last_completion()), (ns(40), None));
+        assert_eq!((w.admit(ns(40)), w.wait_all()), (ns(40), None));
     }
 
     #[test]
@@ -166,6 +225,64 @@ mod tests {
         assert_eq!(starts[1], 0);
         assert!(starts[2] > 0, "third operation queued: {starts:?}");
         assert!(starts.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn a_consumed_completion_never_moves() {
+        let ns = SimTime::from_nanos;
+        let mut w = InFlight::new(2);
+        run(&mut w, ns(0), ns(500));
+        run(&mut w, ns(0), ns(800));
+        assert!(w.movable(ns(500), 1) && w.movable(ns(800), 1));
+        // A full window hands out its oldest completion, or depends on it
+        // having passed: either way it is consumed.
+        assert_eq!(w.admit(ns(0)), ns(500));
+        assert!(!w.movable(ns(500), 1));
+        assert!(w.movable(ns(800), 1));
+        assert_eq!(w.admit(ns(600)), ns(600));
+        assert!(!w.movable(ns(500), 1), "still consumed");
+        // A caller that waits for all of them consumes every one.
+        assert_eq!(w.wait_all(), Some(ns(800)));
+        assert!(!w.movable(ns(800), 1));
+        // Nothing recorded there, or nothing asked for: nothing to move.
+        assert!(!w.movable(ns(700), 1));
+        assert!(!w.movable(ns(800), 0));
+    }
+
+    #[test]
+    fn a_move_keeps_the_depth_and_only_moves_what_is_free() {
+        let ns = SimTime::from_nanos;
+        let mut w = InFlight::new(3);
+        // Two pages of one program and one of another finish together.
+        for _ in 0..3 {
+            run(&mut w, ns(0), ns(500));
+        }
+        // An admission consumes one of the three; two stay movable.
+        assert_eq!(w.admit(ns(0)), ns(500));
+        assert!(w.movable(ns(500), 2) && !w.movable(ns(500), 3));
+        w.move_completions(ns(500), ns(700), 2);
+        assert_eq!(w.in_flight_at(ns(0)), 3, "the depth is kept");
+        assert_eq!(w.in_flight_at(ns(500)), 2);
+        assert_eq!(w.in_flight_at(ns(700)), 0);
+        // The oldest is the consumed one, still at 500.
+        assert_eq!(w.admit(ns(0)), ns(500));
+        assert!(w.movable(ns(700), 2));
+    }
+
+    #[test]
+    fn neither_consuming_nor_moving_allocates() {
+        let ns = SimTime::from_nanos;
+        let mut w = InFlight::new(4);
+        let buffer = (w.latest.as_ptr(), w.latest.capacity());
+        for i in 0..40u64 {
+            run(&mut w, ns(i * 10), ns(i * 10 + 300));
+            let last = ns(i * 10 + 300);
+            if w.movable(last, 1) {
+                w.move_completions(last, last + SimDuration::from_nanos(50), 1);
+            }
+        }
+        w.wait_all();
+        assert_eq!((w.latest.as_ptr(), w.latest.capacity()), buffer);
     }
 
     #[test]

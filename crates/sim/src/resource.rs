@@ -151,9 +151,16 @@ impl Resource {
         start
     }
 
-    /// Books `duration` in the first idle gap that holds it at or after
-    /// `at`, splitting the gap around the booking.
-    fn take_gap(&mut self, at: SimTime, duration: SimDuration) -> Option<SimTime> {
+    /// Where [`Resource::schedule`] would start a window of `duration` at
+    /// or after `at`, without booking it.
+    pub fn first_fit(&self, at: SimTime, duration: SimDuration) -> SimTime {
+        self.find_gap(at, duration)
+            .map_or(at.max(self.busy_until), |(_, _, start)| start)
+    }
+
+    /// The first idle gap that holds `duration` at or after `at`: its
+    /// index, the gap, and where the booking would start in it.
+    fn find_gap(&self, at: SimTime, duration: SimDuration) -> Option<(usize, Gap, SimTime)> {
         if at >= self.busy_until {
             return None;
         }
@@ -161,10 +168,16 @@ impl Resource {
         // left has `at < gap.end`, so `start` below lies inside its gap).
         let live = &self.gaps[..self.gap_count];
         let first = live.partition_point(|gap| gap.end <= at);
-        let (idx, gap, start) = (first..).zip(&live[first..]).find_map(|(idx, &gap)| {
+        (first..).zip(&live[first..]).find_map(|(idx, &gap)| {
             let start = gap.start.max(at);
             (start + duration <= gap.end).then_some((idx, gap, start))
-        })?;
+        })
+    }
+
+    /// Books `duration` in the first idle gap that holds it at or after
+    /// `at`, splitting the gap around the booking.
+    fn take_gap(&mut self, at: SimTime, duration: SimDuration) -> Option<SimTime> {
+        let (idx, gap, start) = self.find_gap(at, duration)?;
         if duration.is_zero() {
             return Some(start);
         }

@@ -96,6 +96,7 @@ schema! {
     FlashProgramMeta: FlashProgram = "flash.program.meta",
     FlashProgramRun: FlashProgram = "flash.program.run",
     FlashProgramScrub: FlashProgram = "flash.program.scrub",
+    FlashProgramSuspends = "flash.program_suspends",
     #[total] FlashRead = "flash.read",
     FlashReadCpCopy: FlashRead = "flash.read.cp_copy",
     FlashReadCpRemap: FlashRead = "flash.read.cp_remap",
@@ -104,6 +105,8 @@ schema! {
     FlashReadMeta: FlashRead = "flash.read.meta",
     FlashReadRun: FlashRead = "flash.read.run",
     FlashReadScrub: FlashRead = "flash.read.scrub",
+    FlashReadDieWaitNs = "flash.read_die_wait_ns",
+    FlashReadOvertakes = "flash.read_overtakes",
     FlashTornWrites = "flash.torn_writes",
     FlashTransientFaults = "flash.transient_faults",
     FtlBlocksRetired = "ftl.blocks_retired",
@@ -127,6 +130,7 @@ schema! {
     FtlMediaRetries = "ftl.media_retries",
     FtlPagesProgrammed = "ftl.pages_programmed",
     FtlPowerLossRebuilds = "ftl.power_loss_rebuilds",
+    FtlProgrammingPageReads = "ftl.programming_page_reads",
     FtlRemapOps = "ftl.remap_ops",
     FtlRetryExhaustedErase = "ftl.retry_exhausted_erase",
     FtlRetryExhaustedProgram = "ftl.retry_exhausted_program",

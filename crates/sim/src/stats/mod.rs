@@ -249,7 +249,7 @@ mod tests {
     /// schema must map onto it one-to-one, in order.
     #[test]
     fn names_are_pinned() {
-        const PINNED: [&str; 91] = [
+        const PINNED: [&str; 95] = [
             "engine.checkpoints",
             "engine.deletes",
             "engine.inserts",
@@ -283,6 +283,7 @@ mod tests {
             "flash.program.meta",
             "flash.program.run",
             "flash.program.scrub",
+            "flash.program_suspends",
             "flash.read",
             "flash.read.cp_copy",
             "flash.read.cp_remap",
@@ -291,6 +292,8 @@ mod tests {
             "flash.read.meta",
             "flash.read.run",
             "flash.read.scrub",
+            "flash.read_die_wait_ns",
+            "flash.read_overtakes",
             "flash.torn_writes",
             "flash.transient_faults",
             "ftl.blocks_retired",
@@ -314,6 +317,7 @@ mod tests {
             "ftl.media_retries",
             "ftl.pages_programmed",
             "ftl.power_loss_rebuilds",
+            "ftl.programming_page_reads",
             "ftl.remap_ops",
             "ftl.retry_exhausted_erase",
             "ftl.retry_exhausted_program",

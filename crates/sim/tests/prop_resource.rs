@@ -90,7 +90,10 @@ fn windows_match_a_brute_force_interval_list() {
             };
             let d = draw_duration(rng);
             let feasible = reference.earliest(at, d);
-            let got = resource.schedule(SimTime::from_nanos(at), SimDuration::from_nanos(d));
+            let (at_t, d_t) = (SimTime::from_nanos(at), SimDuration::from_nanos(d));
+            let peeked = resource.first_fit(at_t, d_t);
+            let got = resource.schedule(at_t, d_t);
+            assert_eq!(peeked, got.start, "first_fit books nothing and agrees");
             let start = got.start.as_nanos();
             assert_eq!(got.finish.as_nanos(), start + d);
             assert!(start >= at, "window starts at {start}, asked for {at}");
