@@ -166,6 +166,8 @@ fn gc_section() -> Vec<Row> {
         push(&mut rows, &name, "lifetime", report.lifetime_score, "score");
         push(&mut rows, &name, "p999", p999_us, "us");
         push(&mut rows, &name, "erases", erases, "blocks");
+        let die_util = report.utilization.dies.mean;
+        push(&mut rows, &name, "die_util", die_util, "fraction");
     }
     rows
 }

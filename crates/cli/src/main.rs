@@ -90,8 +90,9 @@ fn run_one(args: &RunArgs) {
     let waits = report.flash.buffer_slot_waits;
     let waited = SimDuration::from_nanos(report.flash.buffer_slot_wait_ns);
     println!(
-        "  write buffer  {waits} unit writes waited for a programming slot, {} on average ({waited} in all)",
-        waited / waits.max(1)
+        "  write buffer  {waits} unit writes waited for a programming slot, {} on average ({waited} in all), off-plane block opens {}",
+        waited / waits.max(1),
+        report.flash.off_plane_opens
     );
     println!(
         "  resilience    transient faults {} (retries {}), grown bad {}, blocks retired {}",

@@ -111,6 +111,9 @@ pub struct FlashStats {
     pub buffer_slot_waits: u64,
     /// Their total wait for a slot, in nanoseconds.
     pub buffer_slot_wait_ns: u64,
+    /// Blocks a write point opened on another write point's plane, its
+    /// own having no free block.
+    pub off_plane_opens: u64,
     /// Mapping entries the device's commands walked.
     pub map_units: u64,
     /// Distinct mapping segments those walks were charged a cache miss

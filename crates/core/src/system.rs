@@ -436,6 +436,7 @@ impl KvSystem {
             scrub_pages: tdelta.get(Counter::FtlScrubPages),
             buffer_slot_waits: tdelta.get(Counter::FtlBufferSlotWaits),
             buffer_slot_wait_ns: tdelta.get(Counter::FtlBufferSlotWaitNs),
+            off_plane_opens: tdelta.get(Counter::FtlOffPlaneOpens),
             map_units: sdelta.get(Counter::SsdMapUnits),
             map_segments: sdelta.get(Counter::SsdMapSegments),
         };

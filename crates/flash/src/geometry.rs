@@ -220,6 +220,13 @@ impl FlashGeometry {
         self.die_at(self.block_position(block))
     }
 
+    /// The dense plane index of a block. Block ids stripe channel, die,
+    /// then plane, so the first [`FlashGeometry::total_planes`] ids name
+    /// every plane once and each later id repeats one of them.
+    pub fn plane_of_block(&self, block: BlockId) -> u64 {
+        block.0 % self.total_planes()
+    }
+
     /// The dense die index of a structural position.
     pub(crate) fn die_at(&self, pos: Ppa) -> u64 {
         pos.channel as u64 * self.dies_per_channel as u64 + pos.die as u64
@@ -332,6 +339,26 @@ mod tests {
             assert!(die < g.total_dies());
             let pos = g.block_position(BlockId(b));
             assert_eq!(die, pos.channel as u64 * 2 + pos.die as u64);
+        }
+    }
+
+    #[test]
+    fn plane_of_block_names_the_structural_plane() {
+        let g = FlashGeometry::paper_default();
+        let planes: Vec<u64> = (0..g.total_planes())
+            .map(|b| g.plane_of_block(BlockId(b)))
+            .collect();
+        assert_eq!(planes, (0..16).collect::<Vec<_>>(), "one id per plane");
+        for b in 0..g.total_blocks() {
+            let (block, pos) = (BlockId(b), g.block_position(BlockId(b)));
+            let first = BlockId(g.plane_of_block(block));
+            let first_pos = g.block_position(first);
+            assert_eq!(
+                (first_pos.channel, first_pos.die, first_pos.plane),
+                (pos.channel, pos.die, pos.plane),
+                "{block}"
+            );
+            assert_eq!(g.die_of_block(first), g.die_of_block(block));
         }
     }
 }

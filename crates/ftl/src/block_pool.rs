@@ -6,10 +6,15 @@
 //! `Active` block no write point owned was never closed and never a GC
 //! victim): every `Active` block is exactly one write point's current
 //! block.
+//!
+//! Write point `wp` fills blocks of plane `wp % total_planes`, so that
+//! write points on distinct planes keep programming side by side however
+//! GC recycles blocks (DESIGN.md §4, "Multi-plane programs").
 
 use std::collections::VecDeque;
 
 use checkin_flash::{BlockId, FlashArray, FlashGeometry};
+use checkin_sim::{Counter, CounterSet};
 
 use crate::error::RecoveryError;
 use crate::location::Location;
@@ -40,7 +45,8 @@ struct BlockSlot {
 
 #[derive(Debug)]
 pub(crate) struct BlockPool {
-    pages_per_block: u32,
+    geometry: FlashGeometry,
+    /// Oldest first, in the order blocks were freed.
     free_blocks: VecDeque<BlockId>,
     /// Indexed by block id, through [`BlockPool::slot`] only.
     blocks: Vec<BlockSlot>,
@@ -59,7 +65,7 @@ impl BlockPool {
             close_seq: 0,
         };
         BlockPool {
-            pages_per_block: g.pages_per_block,
+            geometry: *g,
             free_blocks: ids.clone().collect(),
             blocks: ids.map(|_| erased).collect(),
             close_counter: 0,
@@ -129,7 +135,7 @@ impl BlockPool {
     pub(crate) fn take_page(&mut self, wp: usize) -> Option<(BlockId, u32)> {
         let active = self.actives.get_mut(wp)?;
         let (block, page) = (*active)?;
-        if page + 1 < self.pages_per_block {
+        if page + 1 < self.geometry.pages_per_block {
             *active = Some((block, page + 1));
         } else {
             *active = None;
@@ -144,17 +150,40 @@ impl BlockPool {
     }
 
     /// Opens a fresh block on `wp` — which must have none open — and
-    /// returns its first page. `None` when the free pool is empty.
-    pub(crate) fn open_block(&mut self, wp: usize) -> Option<(BlockId, u32)> {
+    /// returns its first page. The block is the oldest free one on `wp`'s
+    /// own plane; only when that plane has none is it the oldest free
+    /// block of any plane, counted under `ftl.off_plane_opens`. `None`
+    /// when the free pool is empty.
+    pub(crate) fn open_block(
+        &mut self,
+        wp: usize,
+        counters: &mut CounterSet,
+    ) -> Option<(BlockId, u32)> {
         debug_assert!(
             matches!(self.actives.get(wp), Some(None)),
             "write point {wp} already open"
         );
-        let block = *self.free_blocks.front()?;
+        let g = &self.geometry;
+        let plane = wp as u64 % g.total_planes();
+        let own = self
+            .free_blocks
+            .iter()
+            .position(|&b| g.plane_of_block(b) == plane);
+        let at = own.unwrap_or(0);
+        let block = *self.free_blocks.get(at)?;
         *self.actives.get_mut(wp)? = Some((block, 0));
-        self.free_blocks.pop_front();
+        self.free_blocks.remove(at);
+        if own.is_none() {
+            counters.incr(Counter::FtlOffPlaneOpens);
+        }
         self.set_kind(block, BlockKind::Active);
         self.take_page(wp)
+    }
+
+    /// Each write point's open block, by write point.
+    #[cfg(test)]
+    pub(crate) fn open_blocks(&self) -> impl Iterator<Item = (usize, BlockId)> + '_ {
+        (self.actives.iter().enumerate()).filter_map(|(wp, a)| Some((wp, a.as_ref()?.0)))
     }
 
     fn blocks(&self) -> impl Iterator<Item = (BlockId, &BlockSlot)> + '_ {
@@ -253,9 +282,11 @@ impl BlockPool {
         table: &MappingTable,
         upp: u32,
     ) -> Result<(), RecoveryError> {
-        let valid = self.count_valid_units(table, flash.geometry(), upp).ok_or(
-            RecoveryError::Inconsistent("recovered mapping references an out-of-range block"),
-        )?;
+        let valid = self
+            .count_valid_units(table, upp)
+            .ok_or(RecoveryError::Inconsistent(
+                "recovered mapping references an out-of-range block",
+            ))?;
         self.free_blocks.clear();
         self.close_counter = 0;
         for ((id, slot), valid_units) in (0..).map(BlockId).zip(&mut self.blocks).zip(valid) {
@@ -286,14 +317,9 @@ impl BlockPool {
     /// write point's current block, nothing else is on either; valid
     /// counts equal what `table` references, and free and retired blocks
     /// hold none.
-    pub(crate) fn check_invariants(
-        &self,
-        table: &MappingTable,
-        g: &FlashGeometry,
-        upp: u32,
-    ) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self, table: &MappingTable, upp: u32) -> Result<(), String> {
         let expect = self
-            .count_valid_units(table, g, upp)
+            .count_valid_units(table, upp)
             .ok_or("mapping references an out-of-range block")?;
         for ((b, slot), &want) in self.blocks().zip(&expect) {
             let BlockSlot {
@@ -320,17 +346,12 @@ impl BlockPool {
     /// Per-block count of flash units the table references. A unit
     /// aliased by several lpns counts once (at its first referrer). `None`
     /// when a mapping points past the last block.
-    fn count_valid_units(
-        &self,
-        table: &MappingTable,
-        g: &FlashGeometry,
-        upp: u32,
-    ) -> Option<Vec<u32>> {
+    fn count_valid_units(&self, table: &MappingTable, upp: u32) -> Option<Vec<u32>> {
         let mut valid = vec![0u32; self.blocks.len()];
         for (lpn, loc) in table.iter() {
             if let Location::Flash(pun) = loc {
                 if table.referrers(loc).first() == Some(&lpn) {
-                    *valid.get_mut(g.block_of(pun.page(upp)).index())? += 1;
+                    *valid.get_mut(self.geometry.block_of(pun.page(upp)).index())? += 1;
                 }
             }
         }
@@ -364,14 +385,122 @@ mod tests {
         }
     }
 
+    /// One die of two planes, four blocks each: even block ids are plane
+    /// 0, odd ones plane 1.
+    fn two_planes() -> FlashGeometry {
+        FlashGeometry {
+            planes_per_die: 2,
+            blocks_per_plane: 4,
+            ..geometry()
+        }
+    }
+
     const WINDOW: usize = BlockPool::GC_VICTIM_WINDOW;
+
+    impl BlockPool {
+        /// [`BlockPool::open_block`] for a test that does not look at
+        /// the counters.
+        fn open(&mut self, wp: usize) -> Option<(BlockId, u32)> {
+            self.open_block(wp, &mut CounterSet::new())
+        }
+
+        /// Opens a block on `wp` and fills it to closing; the block.
+        fn fill(&mut self, wp: usize, counters: &mut CounterSet) -> BlockId {
+            let (block, _) = self.open_block(wp, counters).expect("a free block");
+            while self.take_page(wp).is_some() {}
+            assert!(self.is_closed(block));
+            block
+        }
+    }
+
+    /// A [`two_planes`] pool whose two write points filled and closed
+    /// every block, then got `recycled` back in that order.
+    fn recycled_pool(recycled: &[u64]) -> BlockPool {
+        let g = two_planes();
+        let mut pool = BlockPool::new(&g, 2);
+        let counters = &mut CounterSet::new();
+        for wp in (0..2).cycle().take(g.total_blocks() as usize) {
+            pool.fill(wp, counters);
+        }
+        assert_eq!(
+            (pool.free_count(), counters.get(Counter::FtlOffPlaneOpens)),
+            (0, 0)
+        );
+        for &b in recycled {
+            pool.recycle(BlockId(b));
+        }
+        pool
+    }
+
+    /// The plane each open of `wp` landed on, `opens` times.
+    fn planes_opened(pool: &mut BlockPool, wp: usize, opens: usize) -> Vec<u64> {
+        let (g, counters) = (pool.geometry, &mut CounterSet::new());
+        let planes = (0..opens)
+            .map(|_| g.plane_of_block(pool.fill(wp, counters)))
+            .collect();
+        assert_eq!(counters.get(Counter::FtlOffPlaneOpens), 0);
+        planes
+    }
+
+    #[test]
+    fn a_write_point_reopens_on_its_own_plane_whatever_the_recycle_order() {
+        let mut pool = recycled_pool(&[1, 3, 0, 5, 2, 7]);
+        assert_eq!(planes_opened(&mut pool, 0, 2), [0, 0]);
+        assert_eq!(planes_opened(&mut pool, 1, 4), [1, 1, 1, 1]);
+        pool.check_invariants(&MappingTable::new(), 1).unwrap();
+    }
+
+    #[test]
+    fn the_oldest_recycled_block_of_a_plane_opens_first() {
+        let mut pool = recycled_pool(&[5, 6, 1, 2, 4, 3]);
+        let counters = &mut CounterSet::new();
+        let opened: Vec<u64> = (0..3).map(|_| pool.fill(0, counters).0).collect();
+        assert_eq!(opened, [6, 2, 4], "plane 0 in recycle order, not id order");
+        let opened: Vec<u64> = (0..3).map(|_| pool.fill(1, counters).0).collect();
+        assert_eq!(opened, [5, 1, 3]);
+        assert_eq!(counters.get(Counter::FtlOffPlaneOpens), 0);
+    }
+
+    #[test]
+    fn a_plane_without_free_blocks_falls_back_to_the_oldest_free_block() {
+        let mut pool = recycled_pool(&[3, 1]);
+        let table = MappingTable::new();
+        let counters = &mut CounterSet::new();
+        assert_eq!(pool.open_block(0, counters), Some((BlockId(3), 0)));
+        assert_eq!(counters.get(Counter::FtlOffPlaneOpens), 1);
+        pool.check_invariants(&table, 1).unwrap();
+        assert_eq!(pool.open_block(1, counters), Some((BlockId(1), 0)));
+        assert_eq!(counters.get(Counter::FtlOffPlaneOpens), 1, "plane 1's own");
+        pool.check_invariants(&table, 1).unwrap();
+        assert_eq!(pool.free_count(), 0);
+    }
+
+    #[test]
+    fn a_rebuilt_pool_opens_each_write_point_on_its_own_plane() {
+        let g = two_planes();
+        let mut flash = FlashArray::new(g, FlashTiming::mlc());
+        // Block 0 (plane 0) holds a page, so the first free id is plane 1.
+        flash
+            .program(
+                g.ppn_in_block(BlockId(0), 0),
+                PageContent::empty(1),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        let table = MappingTable::new();
+        let mut pool = BlockPool::new(&g, 2);
+        pool.rebuild(&flash, &table, 1).unwrap();
+        assert_eq!(planes_opened(&mut pool, 0, 3), [0, 0, 0]);
+        assert_eq!(planes_opened(&mut pool, 1, 4), [1, 1, 1, 1]);
+        pool.check_invariants(&table, 1).unwrap();
+    }
 
     /// A pool whose blocks `0..valid.len()` were filled and closed in
     /// that order, block `b` still holding `valid[b]` referenced units.
     fn closed_pool(g: &FlashGeometry, valid: &[u32]) -> BlockPool {
         let mut pool = BlockPool::new(g, 1);
         for (block, &units) in (0..).map(BlockId).zip(valid) {
-            assert_eq!(pool.open_block(0), Some((block, 0)));
+            assert_eq!(pool.open(0), Some((block, 0)));
             while pool.take_page(0).is_some() {}
             assert!(pool.is_closed(block));
             for _ in 0..units {
@@ -446,7 +575,7 @@ mod tests {
         let table = MappingTable::new();
         let mut pool = BlockPool::new(&g, 2);
         assert_eq!(pool.take_page(0), None);
-        assert_eq!(pool.open_block(0), Some((BlockId(0), 0)));
+        assert_eq!(pool.open(0), Some((BlockId(0), 0)));
         assert_eq!(pool.next_write_point(), Some(0));
         assert_eq!(pool.next_write_point(), Some(1));
         assert_eq!(pool.next_write_point(), Some(0));
@@ -456,9 +585,9 @@ mod tests {
         }
         assert!(pool.is_closed(BlockId(0)));
         assert_eq!(pool.take_page(0), None);
-        assert_eq!(pool.open_block(0), Some((BlockId(1), 0)));
+        assert_eq!(pool.open(0), Some((BlockId(1), 0)));
         assert_eq!(pool.free_count(), 6);
-        pool.check_invariants(&table, &g, 1).unwrap();
+        pool.check_invariants(&table, 1).unwrap();
     }
 
     /// What the allocator did before the re-check in
@@ -469,10 +598,10 @@ mod tests {
         let g = geometry();
         let table = MappingTable::new();
         let mut pool = BlockPool::new(&g, 1);
-        let (opened_by_gc, _) = pool.open_block(0).unwrap();
+        let (opened_by_gc, _) = pool.open(0).unwrap();
         pool.actives[0] = None;
-        pool.open_block(0).unwrap();
-        let err = pool.check_invariants(&table, &g, 1).unwrap_err();
+        pool.open(0).unwrap();
+        let err = pool.check_invariants(&table, 1).unwrap_err();
         assert!(
             err.starts_with(&format!("{opened_by_gc} is Active: "))
                 && err.contains("filled by 0 write points"),
@@ -489,13 +618,13 @@ mod tests {
         let pun = Pun::compose(Ppn(0), 0, 1);
         let _ = table.map(Lpn(0), Location::Flash(pun));
         let _ = table.map(Lpn(1), Location::Flash(pun));
-        let err = pool.check_invariants(&table, &g, 1).unwrap_err();
+        let err = pool.check_invariants(&table, 1).unwrap_err();
         assert!(err.ends_with("valid_units=0, table references 1"), "{err}");
         pool.add_valid(BlockId(0));
-        let err = pool.check_invariants(&table, &g, 1).unwrap_err();
+        let err = pool.check_invariants(&table, 1).unwrap_err();
         assert!(err.starts_with("blk:0 is Free: "), "{err}");
-        pool.open_block(0).unwrap();
-        pool.check_invariants(&table, &g, 1).unwrap();
+        pool.open(0).unwrap();
+        pool.check_invariants(&table, 1).unwrap();
     }
 
     #[test]
@@ -503,10 +632,10 @@ mod tests {
         let g = geometry();
         let table = MappingTable::new();
         let mut pool = BlockPool::new(&g, 2);
-        let (block, _) = pool.open_block(1).unwrap();
+        let (block, _) = pool.open(1).unwrap();
         pool.retire(block);
         assert_eq!(pool.take_page(1), None);
-        pool.check_invariants(&table, &g, 1).unwrap();
+        pool.check_invariants(&table, 1).unwrap();
     }
 
     #[test]
@@ -526,7 +655,7 @@ mod tests {
             Location::Flash(Pun::compose(g.ppn_in_block(BlockId(3), 0), 0, 1)),
         );
         let mut pool = BlockPool::new(&g, 1);
-        pool.open_block(0).unwrap();
+        pool.open(0).unwrap();
         pool.rebuild(&flash, &table, 1).unwrap();
         assert!(
             pool.is_closed(BlockId(3)),
@@ -536,7 +665,7 @@ mod tests {
         assert_eq!(pool.free_count(), 7);
         assert_eq!(pool.take_page(0), None, "no write point survives a cut");
         assert_eq!(pool.select_victim(4, &flash), Some(BlockId(3)));
-        pool.check_invariants(&table, &g, 1).unwrap();
+        pool.check_invariants(&table, 1).unwrap();
 
         // The first unit past the last block.
         let _ = table.map(Lpn(1), Location::Flash(Pun(g.total_pages())));
@@ -563,6 +692,6 @@ mod tests {
         let mut pool = BlockPool::new(&g, 1);
         pool.rebuild(&flash, &table, 1).unwrap();
         assert_eq!(pool.select_victim(4, &flash), Some(BlockId(0)));
-        pool.check_invariants(&table, &g, 1).unwrap();
+        pool.check_invariants(&table, 1).unwrap();
     }
 }

@@ -752,7 +752,9 @@ impl Ftl {
                 return Ok(slot);
             }
         }
-        self.pool.open_block(wp).ok_or(FtlError::OutOfSpace)
+        self.pool
+            .open_block(wp, &mut self.counters)
+            .ok_or(FtlError::OutOfSpace)
     }
 
     /// Schedules a read, retrying transient media failures with
@@ -843,8 +845,7 @@ impl Ftl {
     pub fn check_invariants(&self) -> Result<(), String> {
         self.table.check_consistency()?;
         self.buffer.check_invariants(&self.table)?;
-        self.pool
-            .check_invariants(&self.table, self.flash.geometry(), self.upp)?;
+        self.pool.check_invariants(&self.table, self.upp)?;
         self.ledger.check_invariants(&self.counters)?;
         self.persist.check_invariants(self.seq)
     }
@@ -867,6 +868,8 @@ mod buffer_overwrite_tests;
 mod fault_tests;
 #[cfg(test)]
 mod integrity_tests;
+#[cfg(test)]
+mod placement_tests;
 #[cfg(test)]
 mod slot_tests;
 #[cfg(test)]

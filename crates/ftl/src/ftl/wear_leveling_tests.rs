@@ -63,7 +63,10 @@ fn retired_hot_block_does_not_pin_wear_delta() {
     f.flush(SimTime::ZERO).unwrap();
     // Take one free block, wear it hot (erasing an erased block only
     // bumps its counters), and retire it.
-    let (hot, _) = f.pool.open_block(0).expect("free pool non-empty");
+    let (hot, _) = f
+        .pool
+        .open_block(0, &mut f.counters)
+        .expect("free pool non-empty");
     for _ in 0..50 {
         f.flash_mut().erase(hot, SimTime::ZERO).unwrap();
     }

@@ -128,6 +128,7 @@ schema! {
     FtlInvalidUnits = "ftl.invalid_units",
     FtlMappingLogPersists = "ftl.mapping_log_persists",
     FtlMediaRetries = "ftl.media_retries",
+    FtlOffPlaneOpens = "ftl.off_plane_opens",
     FtlPagesProgrammed = "ftl.pages_programmed",
     FtlPowerLossRebuilds = "ftl.power_loss_rebuilds",
     FtlProgrammingPageReads = "ftl.programming_page_reads",

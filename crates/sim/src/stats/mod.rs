@@ -249,7 +249,7 @@ mod tests {
     /// schema must map onto it one-to-one, in order.
     #[test]
     fn names_are_pinned() {
-        const PINNED: [&str; 95] = [
+        const PINNED: [&str; 96] = [
             "engine.checkpoints",
             "engine.deletes",
             "engine.inserts",
@@ -315,6 +315,7 @@ mod tests {
             "ftl.invalid_units",
             "ftl.mapping_log_persists",
             "ftl.media_retries",
+            "ftl.off_plane_opens",
             "ftl.pages_programmed",
             "ftl.power_loss_rebuilds",
             "ftl.programming_page_reads",
