@@ -17,10 +17,10 @@
 
 use checkin_core::{RunReport, Strategy, SystemConfig};
 use checkin_flash::FlashTiming;
-use checkin_sim::SimDuration;
+use checkin_sim::{Counter, Row, SimDuration, Total};
 use checkin_workload::{AccessPattern, OpMix, RecordSizes};
 
-use crate::harness::{row, Row};
+use crate::harness::row;
 use crate::{gc_pressured_config, paper_config, reduction_pct, section};
 
 /// Checkpoints a cell must hold before it says anything about
@@ -213,7 +213,22 @@ fn fig03(p: &mut Paper<'_>) {
 /// copies plus GC migration (Fig. 8(a)'s "redundant writes").
 fn redundant_sectors(strategy: Strategy, r: &RunReport) -> u64 {
     let unit = u64::from(strategy.default_unit_bytes());
-    r.redundant_write_bytes / 512 + r.flash.gc_units_moved * unit / 512
+    r.redundant_write_bytes / 512 + gc_units_moved(r) * unit / 512
+}
+
+/// GC rounds of a run.
+fn gc_invocations(r: &RunReport) -> u64 {
+    r.counters.get(Counter::FtlGcInvocations)
+}
+
+/// Units GC relocated in a run.
+fn gc_units_moved(r: &RunReport) -> u64 {
+    r.counters.get(Counter::FtlGcUnitsMoved)
+}
+
+/// Blocks a run erased.
+fn erases(r: &RunReport) -> u64 {
+    r.counters.total(Total::FlashErase)
 }
 
 /// Fig. 8 and Equation (1) on the GC-pressured device: (a) redundant
@@ -232,7 +247,7 @@ fn fig08(p: &mut Paper<'_>) {
             let copied = r.redundant_write_bytes / 512;
             let redundant = redundant_sectors(strategy, &r);
             p.count(&cell, "checkpoint_sectors", copied, "sectors");
-            p.count(&cell, "gc_units_moved", r.flash.gc_units_moved, "units");
+            p.count(&cell, "gc_units_moved", gc_units_moved(&r), "units");
             p.count(&cell, "redundant_sectors", redundant, "sectors");
             if interval_ms == 250 {
                 at_250.push((strategy, r));
@@ -270,15 +285,16 @@ fn fig08(p: &mut Paper<'_>) {
             } else {
                 p.queries(c)
             };
-            p.count(&cell, "gc_invocations", r.flash.gc_invocations, "count");
-            p.count(&cell, "invalid_units", r.flash.invalid_units, "units");
-            p.count(&cell, "erases", r.flash.erases, "blocks");
+            p.count(&cell, "gc_invocations", gc_invocations(&r), "count");
+            let invalid = r.counters.get(Counter::FtlInvalidUnits);
+            p.count(&cell, "invalid_units", invalid, "units");
+            p.count(&cell, "erases", erases(&r), "blocks");
             if queries == MOST_QUERIES {
                 at_most.push((strategy, r));
             }
         }
     }
-    let gc = |s| of(&at_most, s).flash.gc_invocations as f64;
+    let gc = |s| gc_invocations(of(&at_most, s)) as f64;
     let cell = format!("fig08b/check-in/{MOST_QUERIES}q");
     for (leaf, against, paper) in [
         ("gc_reduction_vs_baseline_pct", Strategy::Baseline, 74.1),
@@ -291,7 +307,7 @@ fn fig08(p: &mut Paper<'_>) {
     // Equation (1): lifetime = PEC_max * T_op / BEC, as ratios at equal work.
     for (strategy, r) in &at_250 {
         let cell = format!("eq1/{}", tag(*strategy));
-        p.count(&cell, "erases", r.flash.erases, "blocks");
+        p.count(&cell, "erases", erases(r), "blocks");
         for (leaf, against, paper) in [
             ("lifetime_vs_baseline", Strategy::Baseline, 3.86),
             ("lifetime_vs_iscc", Strategy::IscC, 1.81),
@@ -507,8 +523,8 @@ fn beyond(p: &mut Paper<'_>) {
         p.put(&cell, "throughput", r.throughput, "queries/s");
         p.put(&cell, "p999_us", us(r.latency.p999), "us");
         p.count(&cell, "checkpoint_sectors", copied, "sectors");
-        p.count(&cell, "gc_invocations", r.flash.gc_invocations, "count");
-        p.count(&cell, "erases", r.flash.erases, "blocks");
+        p.count(&cell, "gc_invocations", gc_invocations(&r), "count");
+        p.count(&cell, "erases", erases(&r), "blocks");
         p.put(&cell, "journal_space", r.journal_space_overhead, "x");
     }
     for (cells, timing) in [

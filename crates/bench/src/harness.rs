@@ -8,33 +8,16 @@
 
 use std::fmt::Write as _;
 
-/// One reported number.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Row {
-    /// Stable key in `BENCH_perf.json` (e.g. `gclab/zipfian/greedy/waf`).
-    pub name: String,
-    /// The value; non-finite values are written as `null`.
-    pub value: f64,
-    /// Unit label (`"x"`, `"us"`, `"%"`, ...).
-    pub unit: &'static str,
-    /// What the paper states for this very cell, where it states a
-    /// number; written as a fourth JSON key, `"paper"`.
-    pub paper: Option<f64>,
-}
+use checkin_sim::Row;
 
-/// Builds a [`Row`] and prints it as one line.
+/// Builds a [`Row`] and prints it as its one line.
 pub fn row(name: &str, value: f64, unit: &'static str, paper: Option<f64>) -> Row {
-    print!("  {name:<60} {value:>14.3} {unit}");
-    match paper {
-        Some(p) => println!("   (paper {p})"),
-        None => println!(),
-    }
-    Row {
-        name: name.to_string(),
-        value,
-        unit,
+    let row = Row {
         paper,
-    }
+        ..Row::new(name, value, unit)
+    };
+    println!("{row}");
+    row
 }
 
 /// The ratio row `name` = `baseline / candidate`: above 1 the candidate
@@ -62,7 +45,8 @@ fn push_json_str(out: &mut String, s: &str) {
 /// Serializes named sections of rows to the `BENCH_perf.json` format
 /// documented in README.md: one object, one array of
 /// `{"name", "value", "unit"}` per section (plus `"paper"` where the
-/// row has one), one row per line, values to three decimals.
+/// row has one), one row per line, values to three decimals and
+/// non-finite values as `null`.
 pub fn render(sections: &[(&str, &[Row])]) -> String {
     let mut out = String::with_capacity(4096);
     out.push('{');

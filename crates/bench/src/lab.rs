@@ -43,13 +43,13 @@ use checkin_flash::{
     BlockId, FlashArray, FlashGeometry, FlashTiming, OobKind, PageContent, UnitPayload,
 };
 use checkin_ftl::{Ftl, FtlConfig, Lpn, MapCacheModel, UnitWrite};
-use checkin_sim::{Counter, SimDuration, SimTime, Total, Tracer};
+use checkin_sim::{Counter, Row, SimDuration, SimTime, Total, Tracer};
 use checkin_ssd::{
     CheckpointMode, CowEntry, ReadRequest, Ssd, SsdTiming, WriteContent, WriteRequest, SECTOR_BYTES,
 };
 use checkin_workload::{AccessPattern, OpMix};
 
-use crate::harness::{render, row, speedup, Row};
+use crate::harness::{render, row, speedup};
 use crate::{figures, gc_pressured_config, section};
 
 /// Everything one [`run`] measured, and whether its gate held.
@@ -161,7 +161,7 @@ fn gc_section() -> Vec<Row> {
         let report = crate::run(config);
         let name = format!("gclab/{workload}/windowed-greedy");
         let p999_us = report.latency.p999.as_micros_f64();
-        let erases = report.flash.erases as f64;
+        let erases = report.counters.total(Total::FlashErase) as f64;
         push(&mut rows, &name, "waf", report.waf, "x");
         push(&mut rows, &name, "lifetime", report.lifetime_score, "score");
         push(&mut rows, &name, "p999", p999_us, "us");

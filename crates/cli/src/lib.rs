@@ -84,7 +84,8 @@ pub struct RunArgs {
     /// Disable checksum verification on reads (integrity checks are on
     /// by default; this exists to measure their overhead).
     pub no_checksums: bool,
-    /// Emit machine-readable CSV instead of tables.
+    /// Emit machine-readable CSV instead of the report or tables
+    /// (`run`, `compare`, `sweep`).
     pub csv: bool,
     /// Worker threads for `compare`/`sweep` batches (`None` = one per
     /// core). Results are deterministic regardless of the value.
@@ -360,7 +361,7 @@ FLAGS (all optional):
   --gc-pressure          use a small device so GC runs constantly
   --no-checksums         skip checksum verification on reads (on by
                          default; flag exists to measure the overhead)
-  --csv                  machine-readable CSV output (compare/sweep)
+  --csv                  machine-readable CSV output (run/compare/sweep)
 ";
 
 #[cfg(test)]

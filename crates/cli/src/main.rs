@@ -5,7 +5,7 @@ use std::io::Write;
 
 use checkin_cli::{parse, Command, RunArgs, SweepAxis, USAGE};
 use checkin_core::{KvSystem, RunReport, Strategy, SystemConfig};
-use checkin_sim::{SimDuration, Tracer};
+use checkin_sim::{Counter, Tracer};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -61,12 +61,10 @@ fn trace(args: &RunArgs, events: usize) {
 }
 
 fn execute(args: &RunArgs) -> RunReport {
-    let config = args.to_config();
-    let system = KvSystem::new(config).unwrap_or_else(|e| {
+    let mut system = KvSystem::new(args.to_config()).unwrap_or_else(|e| {
         eprintln!("error: invalid configuration: {e}");
         std::process::exit(2);
     });
-    let mut system = system;
     system.run().unwrap_or_else(|e| {
         eprintln!("error: run failed: {e}");
         std::process::exit(1);
@@ -75,45 +73,47 @@ fn execute(args: &RunArgs) -> RunReport {
 
 fn run_one(args: &RunArgs) {
     let report = execute(args);
-    println!("{report}");
-    println!(
-        "  redundancy    cp units {} ({} KiB), remap {}, copy {}",
-        report.redundant_write_units,
-        report.redundant_write_bytes / 1024,
-        report.remapped_entries,
-        report.copied_entries
-    );
-    println!(
-        "  host memory   flash page store {} KiB",
-        report.flash_store_bytes / 1024
-    );
-    let waits = report.flash.buffer_slot_waits;
-    let waited = SimDuration::from_nanos(report.flash.buffer_slot_wait_ns);
-    println!(
-        "  write buffer  {waits} unit writes waited for a programming slot, {} on average ({waited} in all), off-plane block opens {}",
-        waited / waits.max(1),
-        report.flash.off_plane_opens
-    );
-    println!(
-        "  resilience    transient faults {} (retries {}), grown bad {}, blocks retired {}",
-        report.flash.transient_faults,
-        report.flash.media_retries,
-        report.flash.grown_bad_blocks,
-        report.flash.blocks_retired
-    );
+    if args.csv {
+        print_csv("", [(String::new(), report)]);
+    } else {
+        println!("{report}");
+    }
 }
 
-fn table_row(r: &RunReport) -> String {
-    format!(
-        "{:<10} {:>11.0} {:>11} {:>11} {:>9} {:>9} {:>8}",
-        r.strategy.label(),
-        r.throughput,
-        format!("{}", r.latency.mean),
-        format!("{}", r.latency.p999),
-        r.redundant_write_bytes / 1024,
-        r.flash.gc_invocations,
-        r.checkpoints,
-    )
+/// The CSV writer of `run`, `compare` and `sweep`: the header the reports
+/// derive, then one line per report, each behind its cell of the `lead`
+/// column when the command has one (`sweep`'s swept value).
+fn print_csv(lead: &str, reports: impl IntoIterator<Item = (String, RunReport)>) {
+    for (i, (cell, report)) in reports.into_iter().enumerate() {
+        if i == 0 {
+            println!("{lead}{}", report.csv_header());
+        }
+        println!("{cell}{}", report.to_csv_row());
+    }
+}
+
+/// The table of `compare` and `sweep`: a first column `width` wide
+/// headed `first` (the strategy, the swept value), then each report's
+/// throughput, latency, checkpoint bytes, GC rounds and checkpoints.
+fn print_table<'a>(
+    first: &str,
+    width: usize,
+    rows: impl IntoIterator<Item = (String, &'a RunReport)>,
+) {
+    println!(
+        "{first:<width$} {:>11} {:>11} {:>11} {:>9} {:>9} {:>8}",
+        "queries/s", "mean", "p99.9", "cp KiB", "gc", "cps"
+    );
+    for (cell, r) in rows {
+        let (mean, p999) = (r.latency.mean.to_string(), r.latency.p999.to_string());
+        println!(
+            "{cell:<width$} {:>11.0} {mean:>11} {p999:>11} {:>9} {:>9} {:>8}",
+            r.throughput,
+            r.redundant_write_bytes / 1024,
+            r.counters.get(Counter::FtlGcInvocations),
+            r.checkpoints,
+        );
+    }
 }
 
 /// Runs a batch of configurations across worker threads (`--jobs`,
@@ -133,14 +133,6 @@ fn execute_batch(configs: Vec<SystemConfig>, jobs: Option<usize>) -> Vec<RunRepo
 }
 
 fn compare(args: &RunArgs) {
-    if args.csv {
-        println!("{}", RunReport::csv_header());
-    } else {
-        println!(
-            "{:<10} {:>11} {:>11} {:>11} {:>9} {:>9} {:>8}",
-            "config", "queries/s", "mean", "p99.9", "cp KiB", "gc", "cps"
-        );
-    }
     let configs = Strategy::all()
         .into_iter()
         .map(|strategy| {
@@ -149,24 +141,16 @@ fn compare(args: &RunArgs) {
             a.to_config()
         })
         .collect();
-    for r in execute_batch(configs, args.jobs) {
-        if args.csv {
-            println!("{}", r.to_csv_row());
-        } else {
-            println!("{}", table_row(&r));
-        }
+    let reports = execute_batch(configs, args.jobs);
+    if args.csv {
+        print_csv("", reports.into_iter().map(|r| (String::new(), r)));
+    } else {
+        let labels = reports.iter().map(|r| r.strategy.label().to_string());
+        print_table("config", 10, labels.zip(&reports));
     }
 }
 
 fn sweep(axis: SweepAxis, values: &[u64], base: &RunArgs) {
-    if base.csv {
-        println!("value,{}", RunReport::csv_header());
-    } else {
-        println!(
-            "{:<12} {:>11} {:>11} {:>11} {:>9} {:>9} {:>8}",
-            "value", "queries/s", "mean", "p99.9", "cp KiB", "gc", "cps"
-        );
-    }
     let configs = values
         .iter()
         .map(|&v| {
@@ -179,18 +163,11 @@ fn sweep(axis: SweepAxis, values: &[u64], base: &RunArgs) {
             a.to_config()
         })
         .collect();
-    for (&v, r) in values.iter().zip(execute_batch(configs, base.jobs)) {
-        if base.csv {
-            println!("{v},{}", r.to_csv_row());
-        } else {
-            println!(
-                "{:<12} {}",
-                v,
-                table_row(&r)
-                    .split_once(' ')
-                    .map(|(_, rest)| rest)
-                    .unwrap_or("")
-            );
-        }
+    let reports = execute_batch(configs, base.jobs);
+    if base.csv {
+        let cells = values.iter().map(|v| format!("{v},"));
+        print_csv("value,", cells.zip(reports));
+    } else {
+        print_table("value", 12, values.iter().map(u64::to_string).zip(&reports));
     }
 }

@@ -95,8 +95,7 @@ pub use journal::{
 };
 pub use layout::{Layout, JOURNAL_ZONES};
 pub use metrics::{
-    CheckpointPhases, DeviceUtilization, FlashStats, LatencyStats, PhaseOps, RunReport,
-    UtilizationSpread,
+    CheckpointPhases, DeviceUtilization, LatencyStats, PhaseOps, RunReport, UtilizationSpread,
 };
 pub use parallel::{default_jobs, run_configs};
 pub use system::KvSystem;

@@ -1,6 +1,6 @@
 //! Run reports: every quantity the paper's tables and figures need.
 
-use checkin_sim::{LatencyRecorder, SimDuration};
+use checkin_sim::{CounterSet, LatencyRecorder, Row, SimDuration};
 
 use crate::config::Strategy;
 
@@ -35,105 +35,6 @@ impl LatencyStats {
             p9999: r.quantile(0.9999),
             max: r.max(),
         }
-    }
-}
-
-impl std::fmt::Display for LatencyStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={} p50={} p99={} p99.9={} p99.99={} max={}",
-            self.count, self.mean, self.p50, self.p99, self.p999, self.p9999, self.max
-        )
-    }
-}
-
-/// Flash-level accounting for the measured phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlashStats {
-    /// Page reads.
-    pub reads: u64,
-    /// Page programs.
-    pub programs: u64,
-    /// Of those, pages that rode another plane's tPROG on their die.
-    pub multiplane_programs: u64,
-    /// Foreground page reads (`flash.read.run`): the senses a host waits
-    /// on.
-    pub run_reads: u64,
-    /// Their total wait for the die, from issue to the start of the
-    /// sense, in nanoseconds.
-    pub read_die_wait_ns: u64,
-    /// Programs a foreground read suspended.
-    pub program_suspends: u64,
-    /// Foreground reads sensed ahead of a program not yet started.
-    pub read_overtakes: u64,
-    /// Foreground unit reads of a page still programming, served from
-    /// the write buffer with no sense.
-    pub programming_page_reads: u64,
-    /// Block erases.
-    pub erases: u64,
-    /// GC invocations.
-    pub gc_invocations: u64,
-    /// Units relocated by GC.
-    pub gc_units_moved: u64,
-    /// Invalid (stale) units generated.
-    pub invalid_units: u64,
-    /// Transient media failures injected by the fault plan.
-    pub transient_faults: u64,
-    /// Firmware retries spent absorbing transient failures.
-    pub media_retries: u64,
-    /// Blocks that developed a permanent (grown) defect.
-    pub grown_bad_blocks: u64,
-    /// Blocks retired (taken out of service) by the FTL.
-    pub blocks_retired: u64,
-    /// Reads that exhausted their per-class media retry budget.
-    pub retry_exhausted_read: u64,
-    /// Programs that exhausted their per-class media retry budget.
-    pub retry_exhausted_program: u64,
-    /// Erases that exhausted their per-class media retry budget.
-    pub retry_exhausted_erase: u64,
-    /// Corrupt data units detected by checksum verification (foreground
-    /// reads, GC relocation, scrubbing, recovery scans).
-    pub integrity_detected: u64,
-    /// Detected-corrupt units whose data was healed by a fresh host
-    /// write before the damage could spread.
-    pub integrity_corrected: u64,
-    /// Detected-corrupt units quarantined (reads fail typed, never
-    /// serve rotted bytes).
-    pub integrity_quarantined: u64,
-    /// Referenced corrupt units destroyed (GC / block retirement) with
-    /// no surviving copy — the affected lpns are poisoned.
-    pub integrity_unrecoverable: u64,
-    /// Pages patrol-read by the background scrubber.
-    pub scrub_pages: u64,
-    /// Unit writes that waited for a programming slot of the write
-    /// buffer: every write point had a page programming.
-    pub buffer_slot_waits: u64,
-    /// Their total wait for a slot, in nanoseconds.
-    pub buffer_slot_wait_ns: u64,
-    /// Blocks a write point opened on another write point's plane, its
-    /// own having no free block.
-    pub off_plane_opens: u64,
-    /// Mapping entries the device's commands walked.
-    pub map_units: u64,
-    /// Distinct mapping segments those walks were charged a cache miss
-    /// for, summed over commands.
-    pub map_segments: u64,
-}
-
-impl FlashStats {
-    /// Total flash operations.
-    pub fn total_ops(&self) -> u64 {
-        self.reads + self.programs + self.erases
-    }
-
-    /// Mean wait of a foreground sense for its die (zero without one).
-    pub fn mean_read_die_wait(&self) -> SimDuration {
-        SimDuration::from_nanos(
-            self.read_die_wait_ns
-                .checked_div(self.run_reads)
-                .unwrap_or(0),
-        )
     }
 }
 
@@ -278,12 +179,6 @@ impl UtilizationSpread {
     }
 }
 
-impl std::fmt::Display for UtilizationSpread {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.3} / {:.3} / {:.3}", self.min, self.mean, self.max)
-    }
-}
-
 /// How busy the device's resource timelines were over the measured
 /// phase: time reserved during it divided by its length. A reservation
 /// made near the end of the run may extend past it, so a saturated
@@ -352,8 +247,10 @@ pub struct RunReport {
     /// Payload bytes (re)written because of checkpoints (unit-size
     /// independent form of `redundant_write_units`).
     pub redundant_write_bytes: u64,
-    /// Flash accounting over the measured phase.
-    pub flash: FlashStats,
+    /// Every layer's counters over the measured phase: the run-phase
+    /// deltas of the flash, FTL, device and engine sets, merged (their
+    /// key prefixes do not overlap).
+    pub counters: CounterSet,
     /// Link, firmware-CPU, die and channel utilisation over the measured
     /// phase.
     pub utilization: DeviceUtilization,
@@ -361,13 +258,13 @@ pub struct RunReport {
     /// ([`checkin_flash::FlashArray::store_bytes`]): memory as a
     /// deterministic count, not a host measurement.
     pub flash_store_bytes: u64,
-    /// Raw bytes carried by write queries.
+    /// Raw bytes carried by write queries (`engine.update_bytes`).
     pub write_query_bytes: u64,
-    /// Total host-interface bytes moved (journals + checkpoints + meta).
-    pub host_io_bytes: u64,
-    /// Host I/O amplification: `host_io_bytes / write_query_bytes`
-    /// (Fig. 3a's I/O row). `NaN` for write-free runs — a read-only
-    /// workload has no write bytes to amplify, so no ratio exists.
+    /// Host I/O amplification: host-interface bytes moved
+    /// (`ssd.host_read_bytes + ssd.host_write_bytes`: journals,
+    /// checkpoints, metadata) per write-query byte (Fig. 3a's I/O row).
+    /// `NaN` for write-free runs — a read-only workload has no write
+    /// bytes to amplify, so no ratio exists.
     pub io_amplification: f64,
     /// Flash-operation amplification: flash ops per write-query page
     /// (Fig. 3a's flash row). `NaN` for write-free runs, like
@@ -401,195 +298,191 @@ impl RunReport {
         self.lifetime_score / baseline.lifetime_score
     }
 
-    /// Column names for [`RunReport::to_csv_row`].
-    pub fn csv_header() -> &'static str {
-        "strategy,threads,ops,elapsed_us,throughput,mean_us,p50_us,p99_us,p999_us,p9999_us,\
-         checkpoints,cp_mean_us,cp_entries,remapped,copied,redundant_bytes,\
-         flash_reads,flash_programs,flash_erases,gc,invalid_units,\
-         media_retries,blocks_retired,\
-         retry_exhausted_read,retry_exhausted_program,retry_exhausted_erase,\
-         integrity_detected,integrity_corrected,integrity_quarantined,\
-         integrity_unrecoverable,scrub_pages,\
-         io_amp,flash_amp,waf,space_overhead,lifetime,\
-         cp_drain_us,cp_remap_us,cp_copy_us,cp_meta_us,cp_trim_us,\
-         cp_copy_programs,cp_gc_programs"
+    /// Every number of the report, each once, under a name that is the
+    /// same for every run: the run, the five latency classes, the
+    /// checkpoints and their phases, utilisation, amplification, and one
+    /// `counter/<name>` row for every key of the counter schema.
+    /// `write_query_bytes` is the `counter/engine.update_bytes` row.
+    pub fn rows(&self) -> Vec<Row> {
+        let (us, n) = (SimDuration::as_micros_f64, |count: u64| count as f64);
+        let run = [
+            ("threads", f64::from(self.threads), "count"),
+            ("ops", n(self.ops), "queries"),
+            ("elapsed_us", us(self.elapsed), "us"),
+            ("throughput", self.throughput, "queries/s"),
+        ];
+        let mut rows: Vec<Row> = group("run", run).collect();
+        for (class, l) in [
+            ("all", &self.latency),
+            ("read", &self.latency_read),
+            ("write", &self.latency_write),
+            ("read_cp", &self.latency_read_during_cp),
+            ("write_cp", &self.latency_write_during_cp),
+        ] {
+            let stats = [
+                ("count", n(l.count), "queries"),
+                ("mean_us", us(l.mean), "us"),
+                ("p50_us", us(l.p50), "us"),
+                ("p99_us", us(l.p99), "us"),
+                ("p999_us", us(l.p999), "us"),
+                ("p9999_us", us(l.p9999), "us"),
+                ("max_us", us(l.max), "us"),
+            ];
+            rows.extend(group(&format!("latency/{class}"), stats));
+        }
+        let checkpoints = [
+            ("count", n(self.checkpoints), "count"),
+            ("entries", n(self.checkpoint_entries), "entries"),
+            ("mean_us", us(self.checkpoint_mean), "us"),
+            ("max_us", us(self.checkpoint_max), "us"),
+            ("remapped", n(self.remapped_entries), "entries"),
+            ("copied", n(self.copied_entries), "entries"),
+            ("flash_programs", n(self.checkpoint_flash_programs), "pages"),
+            ("flash_reads", n(self.checkpoint_flash_reads), "pages"),
+            ("redundant_units", n(self.redundant_write_units), "units"),
+            ("redundant_bytes", n(self.redundant_write_bytes), "B"),
+        ];
+        rows.extend(group("checkpoint", checkpoints));
+        let p = &self.checkpoint_phases;
+        let phase_times = [
+            ("drain_us", us(p.drain_time), "us"),
+            ("remap_us", us(p.remap_time), "us"),
+            ("copy_us", us(p.copy_time), "us"),
+            ("meta_us", us(p.meta_time), "us"),
+            ("trim_us", us(p.trim_time), "us"),
+        ];
+        rows.extend(group("cp/phase", phase_times));
+        for (phase, ops) in [
+            ("remap", p.remap),
+            ("copy", p.copy),
+            ("meta", p.meta),
+            ("trim", p.trim),
+            ("gc", p.gc),
+            ("other", p.other),
+        ] {
+            let counts = [
+                ("reads", n(ops.reads), "pages"),
+                ("programs", n(ops.programs), "pages"),
+                ("erases", n(ops.erases), "blocks"),
+            ];
+            rows.extend(group(&format!("cp/phase/{phase}"), counts));
+        }
+        let u = &self.utilization;
+        let busy = [
+            ("link", u.link, "fraction"),
+            ("cpu", u.cpu, "fraction"),
+            ("die_min", u.dies.min, "fraction"),
+            ("die_mean", u.dies.mean, "fraction"),
+            ("die_max", u.dies.max, "fraction"),
+            ("channel_min", u.channels.min, "fraction"),
+            ("channel_mean", u.channels.mean, "fraction"),
+            ("channel_max", u.channels.max, "fraction"),
+        ];
+        rows.extend(group("util", busy));
+        let store = ("flash_store_bytes", n(self.flash_store_bytes), "B");
+        rows.extend(group("host", [store]));
+        let amplification = [
+            ("io", self.io_amplification, "x"),
+            ("flash", self.flash_amplification, "x"),
+            ("waf", self.waf, "x"),
+        ];
+        rows.extend(group("amp", amplification));
+        let journal = [
+            ("space_overhead", self.journal_space_overhead, "x"),
+            ("superseded_logs", n(self.superseded_logs), "logs"),
+        ];
+        rows.extend(group("journal", journal));
+        let lifetime = ("lifetime_score", self.lifetime_score, "score");
+        rows.extend(group("wear", [lifetime]));
+        let counters = self.counters.iter_all().map(|(name, count)| {
+            let unit = match name {
+                _ if name.ends_with("_ns") => "ns",
+                _ if name.ends_with("bytes") => "B",
+                _ => "count",
+            };
+            (name, n(count), unit)
+        });
+        rows.extend(group("counter", counters));
+        rows
     }
 
-    /// Serialises the report as one CSV row matching
-    /// [`RunReport::csv_header`] (machine-readable sweeps). Non-finite
-    /// ratio metrics (e.g. amplification of a write-free run, lifetime
-    /// of an erase-free run) serialise as an **empty field** so
-    /// downstream parsers never see `inf`/`NaN` tokens.
+    /// Column names for [`RunReport::to_csv_row`]: `strategy`, then the
+    /// name of every row of [`RunReport::rows`].
+    pub fn csv_header(&self) -> String {
+        csv_line("strategy", self.rows().into_iter().map(|row| row.name))
+    }
+
+    /// The report as one CSV line under [`RunReport::csv_header`]. A
+    /// non-finite value (the amplification of a write-free run, the
+    /// lifetime of an erase-free one) is an **empty field**, so parsers
+    /// never meet `inf`/`NaN` tokens.
     pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{:.0},{:.1},{:.1},{:.1},{:.1},{:.1},{:.1},{},{:.1},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.1},{:.1},{:.1},{:.1},{:.1},{},{}",
+        csv_line(
             self.strategy.label(),
-            self.threads,
-            self.ops,
-            self.elapsed.as_micros_f64(),
-            self.throughput,
-            self.latency.mean.as_micros_f64(),
-            self.latency.p50.as_micros_f64(),
-            self.latency.p99.as_micros_f64(),
-            self.latency.p999.as_micros_f64(),
-            self.latency.p9999.as_micros_f64(),
-            self.checkpoints,
-            self.checkpoint_mean.as_micros_f64(),
-            self.checkpoint_entries,
-            self.remapped_entries,
-            self.copied_entries,
-            self.redundant_write_bytes,
-            self.flash.reads,
-            self.flash.programs,
-            self.flash.erases,
-            self.flash.gc_invocations,
-            self.flash.invalid_units,
-            self.flash.media_retries,
-            self.flash.blocks_retired,
-            self.flash.retry_exhausted_read,
-            self.flash.retry_exhausted_program,
-            self.flash.retry_exhausted_erase,
-            self.flash.integrity_detected,
-            self.flash.integrity_corrected,
-            self.flash.integrity_quarantined,
-            self.flash.integrity_unrecoverable,
-            self.flash.scrub_pages,
-            csv_metric(self.io_amplification),
-            csv_metric(self.flash_amplification),
-            csv_metric(self.waf),
-            csv_metric(self.journal_space_overhead),
-            csv_metric(self.lifetime_score),
-            self.checkpoint_phases.drain_time.as_micros_f64(),
-            self.checkpoint_phases.remap_time.as_micros_f64(),
-            self.checkpoint_phases.copy_time.as_micros_f64(),
-            self.checkpoint_phases.meta_time.as_micros_f64(),
-            self.checkpoint_phases.trim_time.as_micros_f64(),
-            self.checkpoint_phases.copy.programs,
-            self.checkpoint_phases.gc.programs,
+            self.rows().iter().map(Row::csv_field),
         )
     }
 }
 
-/// Formats a ratio metric for CSV: fixed precision when finite, an
-/// empty field otherwise (never `inf`/`NaN` tokens).
-fn csv_metric(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        String::new()
-    }
+/// `cells` (leaf name, value, unit) as rows named `prefix/leaf`.
+fn group<'a>(
+    prefix: &'a str,
+    cells: impl IntoIterator<Item = (&'static str, f64, &'static str)> + 'a,
+) -> impl Iterator<Item = Row> + 'a {
+    let named = move |(leaf, value, unit)| Row::new(format!("{prefix}/{leaf}"), value, unit);
+    cells.into_iter().map(named)
 }
 
-/// Formats a ratio metric for human-readable output: `n/a` when no
-/// finite value exists (write-free or erase-free runs).
-fn display_metric(v: f64, precision: usize) -> String {
-    if v.is_finite() {
-        format!("{v:.precision$}")
-    } else {
-        "n/a".to_string()
-    }
+/// `first`, then `fields`, comma-separated.
+fn csv_line(first: &str, fields: impl Iterator<Item = String>) -> String {
+    let line: Vec<String> = std::iter::once(first.to_string()).chain(fields).collect();
+    line.join(",")
 }
 
+/// The strategy, then one line per row in [`Row`]'s format (the line
+/// `lab` prints), leaving out the counters that stayed zero.
 impl std::fmt::Display for RunReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "{} [{} threads] {:.0} ops/s over {}",
-            self.strategy, self.threads, self.throughput, self.elapsed
-        )?;
-        writeln!(f, "  latency       {}", self.latency)?;
-        writeln!(f, "  reads         {}", self.latency_read)?;
-        writeln!(f, "  writes        {}", self.latency_write)?;
-        writeln!(
-            f,
-            "  checkpoints   {} (mean {}, max {}), remap {}, copy {}",
-            self.checkpoints,
-            self.checkpoint_mean,
-            self.checkpoint_max,
-            self.remapped_entries,
-            self.copied_entries
-        )?;
-        writeln!(
-            f,
-            "  flash         r {} / p {} / e {} (cp programs {}, multi-plane {}), gc {}, waf {}; \
-             foreground die wait {} mean (suspends {}, overtakes {}, own-page reads {})",
-            self.flash.reads,
-            self.flash.programs,
-            self.flash.erases,
-            self.checkpoint_flash_programs,
-            self.flash.multiplane_programs,
-            self.flash.gc_invocations,
-            display_metric(self.waf, 2),
-            self.flash.mean_read_die_wait(),
-            self.flash.program_suspends,
-            self.flash.read_overtakes,
-            self.flash.programming_page_reads
-        )?;
-        let u = &self.utilization;
-        writeln!(
-            f,
-            "  utilisation   link {:.3}, fw-cpu {:.3} (map walks {} units in {} segments), \
-             dies {}, channels {} (min / mean / max)",
-            u.link, u.cpu, self.flash.map_units, self.flash.map_segments, u.dies, u.channels
-        )?;
-        if self.checkpoints > 0 {
-            let p = &self.checkpoint_phases;
-            writeln!(
-                f,
-                "  cp phases     drain {} remap {} copy {} meta {} trim {}; programs copy {} / meta {} / gc {}",
-                p.drain_time, p.remap_time, p.copy_time, p.meta_time, p.trim_time,
-                p.copy.programs, p.meta.programs, p.gc.programs
-            )?;
+        write!(f, "{}", self.strategy)?;
+        for row in self.rows() {
+            if row.value != 0.0 || !row.name.starts_with("counter/") {
+                write!(f, "\n{row}")?;
+            }
         }
-        if self.flash.transient_faults + self.flash.grown_bad_blocks + self.flash.blocks_retired > 0
-        {
-            writeln!(
-                f,
-                "  resilience    transient {} (retries {}), grown bad {}, retired {}",
-                self.flash.transient_faults,
-                self.flash.media_retries,
-                self.flash.grown_bad_blocks,
-                self.flash.blocks_retired
-            )?;
-        }
-        if self.flash.integrity_detected + self.flash.scrub_pages > 0 {
-            writeln!(
-                f,
-                "  integrity     detected {} (quarantined {}, corrected {}, unrecoverable {}), scrubbed {} pages",
-                self.flash.integrity_detected,
-                self.flash.integrity_quarantined,
-                self.flash.integrity_corrected,
-                self.flash.integrity_unrecoverable,
-                self.flash.scrub_pages
-            )?;
-        }
-        if self.flash.retry_exhausted_read
-            + self.flash.retry_exhausted_program
-            + self.flash.retry_exhausted_erase
-            > 0
-        {
-            writeln!(
-                f,
-                "  retry budget  exhausted r {} / p {} / e {}",
-                self.flash.retry_exhausted_read,
-                self.flash.retry_exhausted_program,
-                self.flash.retry_exhausted_erase
-            )?;
-        }
-        write!(
-            f,
-            "  amplification io {}x flash {}x, space {}x, lifetime score {}",
-            display_metric(self.io_amplification, 2),
-            display_metric(self.flash_amplification, 2),
-            display_metric(self.journal_space_overhead, 2),
-            display_metric(self.lifetime_score, 3)
-        )
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use checkin_sim::{Counter, Total};
+    use checkin_workload::OpMix;
+
     use super::*;
+
+    /// A 200-query run of `strategy` on `mix`.
+    fn tiny_run(strategy: Strategy, mix: OpMix) -> RunReport {
+        let mut config = crate::SystemConfig::for_strategy(strategy);
+        config.total_queries = 200;
+        config.threads = 4;
+        config.workload.record_count = 100;
+        config.workload.mix = mix;
+        crate::KvSystem::new(config).unwrap().run().unwrap()
+    }
+
+    /// The CSV field of `report` under the column `name`.
+    fn csv_field(report: &RunReport, name: &str) -> String {
+        let header = report.csv_header();
+        let column = header.split(',').position(|h| h == name).unwrap();
+        report
+            .to_csv_row()
+            .split(',')
+            .nth(column)
+            .unwrap()
+            .to_string()
+    }
 
     #[test]
     fn latency_stats_from_recorder() {
@@ -603,38 +496,48 @@ mod tests {
         assert!(s.mean > SimDuration::ZERO);
     }
 
+    /// Every strategy and a read-only run list the same row names in the
+    /// same order, none twice, with the latencies inside a checkpoint and
+    /// one `counter/` row per key of the schema among them; a value that
+    /// does not exist is an empty CSV field and `n/a` on screen.
     #[test]
-    fn flash_stats_total() {
-        let fstat = FlashStats {
-            reads: 1,
-            programs: 2,
-            erases: 3,
-            ..FlashStats::default()
-        };
-        assert_eq!(fstat.total_ops(), 6);
-    }
+    fn rows_name_every_number_once() {
+        let mut reports: Vec<RunReport> = (Strategy::all().into_iter())
+            .map(|strategy| tiny_run(strategy, OpMix::A))
+            .collect();
+        reports.push(tiny_run(Strategy::CheckIn, OpMix::C));
+        let names =
+            |r: &RunReport| -> Vec<String> { r.rows().into_iter().map(|row| row.name).collect() };
+        let first = names(&reports[0]);
+        let unique: BTreeSet<&str> = first.iter().map(String::as_str).collect();
+        assert_eq!(unique.len(), first.len(), "a row name repeats");
+        for r in &reports {
+            assert_eq!(names(r), first, "{}", r.strategy);
+            let header = r.csv_header();
+            assert_eq!(header.split(',').count(), r.to_csv_row().split(',').count());
+        }
+        for class in ["read_cp", "write_cp"] {
+            for stat in ["count", "mean_us", "p999_us", "max_us"] {
+                let name = format!("latency/{class}/{stat}");
+                assert!(unique.contains(name.as_str()), "no row {name}");
+            }
+        }
+        let counters = unique.iter().filter(|n| n.starts_with("counter/")).count();
+        assert_eq!(counters, Counter::ALL.len() + Total::ALL.len());
 
-    #[test]
-    fn csv_header_and_row_have_matching_arity() {
-        let header_cols = RunReport::csv_header().split(',').count();
-        // Build a report through a tiny real run to avoid a fake literal.
-        let mut config = crate::SystemConfig::for_strategy(crate::Strategy::CheckIn);
-        config.total_queries = 200;
-        config.threads = 4;
-        config.workload.record_count = 100;
-        let report = crate::KvSystem::new(config).unwrap().run().unwrap();
-        let row_cols = report.to_csv_row().split(',').count();
-        assert_eq!(header_cols, row_cols);
-        assert!(report.to_csv_row().starts_with("Check-In,4,200,"));
+        let read_only = &reports[reports.len() - 1];
+        assert!(read_only.io_amplification.is_nan());
+        assert_eq!(csv_field(read_only, "amp/io"), "");
+        let row = read_only.to_csv_row();
+        assert!(!row.contains("NaN") && !row.contains("inf"), "{row}");
+        let text = read_only.to_string();
+        let amp_io = text.lines().find(|line| line.contains("amp/io"));
+        assert!(amp_io.is_some_and(|line| line.contains("n/a")), "{text}");
     }
 
     #[test]
     fn non_finite_metrics_serialize_safely() {
-        let mut config = crate::SystemConfig::for_strategy(crate::Strategy::CheckIn);
-        config.total_queries = 200;
-        config.threads = 4;
-        config.workload.record_count = 100;
-        let mut report = crate::KvSystem::new(config).unwrap().run().unwrap();
+        let mut report = tiny_run(Strategy::CheckIn, OpMix::A);
         report.io_amplification = f64::NAN;
         report.flash_amplification = f64::INFINITY;
         report.waf = f64::NEG_INFINITY;
@@ -643,16 +546,12 @@ mod tests {
         let row = report.to_csv_row();
         assert!(!row.contains("inf"), "row leaks inf: {row}");
         assert!(!row.contains("NaN"), "row leaks NaN: {row}");
-        // Non-finite fields are empty, and the arity still matches.
-        assert_eq!(
-            row.split(',').count(),
-            RunReport::csv_header().split(',').count()
-        );
-        let cols: Vec<&str> = row.split(',').collect();
-        let header: Vec<&str> = RunReport::csv_header().split(',').collect();
-        for name in ["io_amp", "flash_amp", "waf", "lifetime"] {
-            let idx = header.iter().position(|h| h.trim() == name).unwrap();
-            assert_eq!(cols[idx], "", "{name} should serialize empty");
+        for name in ["amp/io", "amp/flash", "amp/waf", "wear/lifetime_score"] {
+            assert_eq!(
+                csv_field(&report, name),
+                "",
+                "{name} should serialize empty"
+            );
         }
 
         let text = report.to_string();
@@ -662,11 +561,7 @@ mod tests {
 
     #[test]
     fn lifetime_vs_never_returns_inf() {
-        let mut config = crate::SystemConfig::for_strategy(crate::Strategy::CheckIn);
-        config.total_queries = 200;
-        config.threads = 4;
-        config.workload.record_count = 100;
-        let mut a = crate::KvSystem::new(config).unwrap().run().unwrap();
+        let mut a = tiny_run(Strategy::CheckIn, OpMix::A);
         let mut b = a.clone();
         // An erase-free run has an infinite score; a ratio against a
         // worn run must not leak that infinity.
@@ -679,14 +574,5 @@ mod tests {
         let mut c = b.clone();
         c.lifetime_score = 2.0;
         assert!((b.lifetime_vs(&c) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_contains_key_fields() {
-        let mut r = LatencyRecorder::new();
-        r.record(SimDuration::from_micros(5));
-        let s = LatencyStats::from_recorder(&r);
-        let text = s.to_string();
-        assert!(text.contains("p99.9"));
     }
 }

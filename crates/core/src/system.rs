@@ -9,8 +9,8 @@
 //! in Figures 3(c) and 9.
 
 use checkin_sim::{
-    Counter, EventQueue, LatencyRecorder, Resource, ResourcePool, SimDuration, SimRng, SimTime,
-    Total, Tracer,
+    Counter, CounterSet, EventQueue, LatencyRecorder, Resource, ResourcePool, SimDuration, SimRng,
+    SimTime, Total, Tracer,
 };
 use checkin_ssd::Ssd;
 use checkin_workload::{OpGenerator, Operation};
@@ -20,7 +20,7 @@ use crate::config::SystemConfig;
 use crate::engine::{EngineError, KvEngine};
 use crate::layout::Layout;
 use crate::metrics::{
-    CheckpointPhases, DeviceUtilization, FlashStats, LatencyStats, RunReport, UtilizationSpread,
+    CheckpointPhases, DeviceUtilization, LatencyStats, RunReport, UtilizationSpread,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,10 +261,7 @@ impl KvSystem {
         let load_done = self.engine.load(&mut self.ssd, &records, SimTime::ZERO)?;
 
         // Snapshots for run-phase attribution.
-        let flash0 = self.ssd.ftl().flash().counters().clone();
-        let ftl0 = self.ssd.ftl().counters().clone();
-        let ssd0 = self.ssd.counters().clone();
-        let engine0 = self.engine.counters().clone();
+        let counters0 = self.counters();
         let busy0 = device_busy_times(&self.ssd);
 
         // ---- Run phase ------------------------------------------------
@@ -396,52 +393,17 @@ impl KvSystem {
 
         // ---- Report ---------------------------------------------------
         let elapsed = last_finish.duration_since(start);
-        let flash1 = self.ssd.ftl().flash().counters().clone();
-        let ftl1 = self.ssd.ftl().counters().clone();
-        let ssd1 = self.ssd.counters().clone();
-        let engine1 = self.engine.counters().clone();
-        let fdelta = flash1.delta_since(&flash0);
-        let tdelta = ftl1.delta_since(&ftl0);
-        let sdelta = ssd1.delta_since(&ssd0);
-        let edelta = engine1.delta_since(&engine0);
+        let counters = self.counters().delta_since(&counters0);
 
         let page_bytes = self.config.geometry.page_bytes as u64;
-        let write_query_bytes = edelta.get(Counter::EngineUpdateBytes);
-        let host_io_bytes =
-            sdelta.get(Counter::SsdHostReadBytes) + sdelta.get(Counter::SsdHostWriteBytes);
-        let flash = FlashStats {
-            reads: fdelta.total(Total::FlashRead),
-            programs: fdelta.total(Total::FlashProgram),
-            multiplane_programs: fdelta.get(Counter::FlashMultiplanePrograms),
-            run_reads: fdelta.get(Counter::FlashReadRun),
-            read_die_wait_ns: fdelta.get(Counter::FlashReadDieWaitNs),
-            program_suspends: fdelta.get(Counter::FlashProgramSuspends),
-            read_overtakes: fdelta.get(Counter::FlashReadOvertakes),
-            programming_page_reads: tdelta.get(Counter::FtlProgrammingPageReads),
-            erases: fdelta.total(Total::FlashErase),
-            gc_invocations: tdelta.get(Counter::FtlGcInvocations),
-            gc_units_moved: tdelta.get(Counter::FtlGcUnitsMoved),
-            invalid_units: tdelta.get(Counter::FtlInvalidUnits),
-            transient_faults: fdelta.get(Counter::FlashTransientFaults),
-            media_retries: tdelta.get(Counter::FtlMediaRetries),
-            grown_bad_blocks: fdelta.get(Counter::FlashGrownBadBlocks),
-            blocks_retired: tdelta.get(Counter::FtlBlocksRetired),
-            retry_exhausted_read: tdelta.get(Counter::FtlRetryExhaustedRead),
-            retry_exhausted_program: tdelta.get(Counter::FtlRetryExhaustedProgram),
-            retry_exhausted_erase: tdelta.get(Counter::FtlRetryExhaustedErase),
-            integrity_detected: tdelta.total(Total::FtlIntegrityDetected),
-            integrity_corrected: tdelta.get(Counter::FtlIntegrityCorrected),
-            integrity_quarantined: tdelta.get(Counter::FtlIntegrityQuarantined),
-            integrity_unrecoverable: tdelta.get(Counter::FtlIntegrityUnrecoverable),
-            scrub_pages: tdelta.get(Counter::FtlScrubPages),
-            buffer_slot_waits: tdelta.get(Counter::FtlBufferSlotWaits),
-            buffer_slot_wait_ns: tdelta.get(Counter::FtlBufferSlotWaitNs),
-            off_plane_opens: tdelta.get(Counter::FtlOffPlaneOpens),
-            map_units: sdelta.get(Counter::SsdMapUnits),
-            map_segments: sdelta.get(Counter::SsdMapSegments),
-        };
-        let raw = edelta.get(Counter::EngineJournalRawBytes);
-        let stored = edelta.get(Counter::EngineJournalStoredBytes);
+        let write_query_bytes = counters.get(Counter::EngineUpdateBytes);
+        let host_bytes =
+            counters.get(Counter::SsdHostReadBytes) + counters.get(Counter::SsdHostWriteBytes);
+        let programs = counters.total(Total::FlashProgram);
+        let erases = counters.total(Total::FlashErase);
+        let flash_ops = counters.total(Total::FlashRead) + programs + erases;
+        let raw = counters.get(Counter::EngineJournalRawBytes);
+        let stored = counters.get(Counter::EngineJournalStoredBytes);
         // Include the still-open zone so short runs without a checkpoint
         // still report overhead.
         let (raw, stored) = (
@@ -486,33 +448,43 @@ impl KvSystem {
             redundant_write_units: cp.redundant_units,
             redundant_write_bytes: cp.redundant_bytes,
             checkpoint_phases: cp.phases,
-            flash,
             utilization,
             flash_store_bytes: self.ssd.ftl().flash().store_bytes(),
             write_query_bytes,
-            host_io_bytes,
-            io_amplification: ratio_or_nan(host_io_bytes as f64, write_query_bytes as f64),
+            io_amplification: ratio_or_nan(host_bytes as f64, write_query_bytes as f64),
             flash_amplification: ratio_or_nan(
-                (flash.total_ops() * page_bytes) as f64,
+                (flash_ops * page_bytes) as f64,
                 write_query_bytes as f64,
             ),
             waf: ratio_or_nan(
-                (flash.programs * page_bytes) as f64,
-                sdelta.get(Counter::SsdHostWriteBytes) as f64,
+                (programs * page_bytes) as f64,
+                counters.get(Counter::SsdHostWriteBytes) as f64,
             ),
             journal_space_overhead: if raw == 0 {
                 1.0
             } else {
                 stored as f64 / raw as f64
             },
-            superseded_logs: edelta.get(Counter::EngineSupersededLogs)
+            superseded_logs: counters.get(Counter::EngineSupersededLogs)
                 + self.engine.journal().jmt().superseded(),
-            lifetime_score: if flash.erases == 0 {
+            lifetime_score: if erases == 0 {
                 f64::INFINITY
             } else {
-                completed as f64 / flash.erases as f64
+                completed as f64 / erases as f64
             },
+            counters,
         })
+    }
+
+    /// Every layer's counters in one set: the flash, FTL, device and
+    /// engine sets count under disjoint key prefixes, so merging them
+    /// loses nothing.
+    fn counters(&self) -> CounterSet {
+        let mut all = self.ssd.ftl().flash().counters().clone();
+        all.merge(self.ssd.ftl().counters());
+        all.merge(self.ssd.counters());
+        all.merge(self.engine.counters());
+        all
     }
 
     /// A triggered checkpoint at `at` and the idle work behind it:
@@ -627,7 +599,7 @@ mod tests {
         assert_eq!(r1.elapsed, r2.elapsed);
         assert_eq!(r1.latency.p999, r2.latency.p999);
         assert_eq!(r1.checkpoints, r2.checkpoints);
-        assert_eq!(r1.flash.programs, r2.flash.programs);
+        assert_eq!(r1.counters, r2.counters);
     }
 
     #[test]
@@ -660,7 +632,7 @@ mod tests {
         for (name, spread) in [("dies", u.dies), ("channels", u.channels)] {
             assert!(
                 0.0 < spread.min && spread.min <= spread.mean && spread.mean <= spread.max,
-                "{name}: {spread}"
+                "{name}: {spread:?}"
             );
         }
         // A booking made near the end may reach past it; nothing else
@@ -692,7 +664,7 @@ mod tests {
         assert_eq!(r1.elapsed, r2.elapsed);
         assert_eq!(r1.latency.p999, r2.latency.p999);
         assert_eq!(r1.checkpoints, r2.checkpoints);
-        assert_eq!(r1.flash.programs, r2.flash.programs);
+        assert_eq!(r1.counters, r2.counters);
     }
 
     /// Quotas are fixed per thread and generators are seeded per thread,

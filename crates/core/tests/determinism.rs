@@ -35,7 +35,7 @@ fn serialized_run(strategy: Strategy) -> (RunReport, String) {
     let mut system = KvSystem::new(quick_config(strategy)).unwrap();
     let report = system.run().unwrap();
     let mut out = String::new();
-    out.push_str(RunReport::csv_header());
+    out.push_str(&report.csv_header());
     out.push('\n');
     out.push_str(&report.to_csv_row());
     out.push('\n');

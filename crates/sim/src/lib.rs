@@ -14,7 +14,8 @@
 //! * [`InFlight`] — a fixed-depth window of in-flight operations, the
 //!   admission rule of the NVMe queue and the write buffer's programming
 //!   slots;
-//! * [`LatencyRecorder`], [`CounterSet`] — measurement;
+//! * [`LatencyRecorder`], [`CounterSet`] — measurement, and [`Row`], one
+//!   reported number under a stable name;
 //! * [`SimRng`] — a self-contained, seedable xoshiro256** generator;
 //! * [`Tracer`] / [`TraceRing`] — ring-buffered structured trace events
 //!   on the logical clock, zero-overhead when disabled.
@@ -119,6 +120,6 @@ pub use event::EventQueue;
 pub use queue::InFlight;
 pub use resource::{Resource, ResourcePool, Window};
 pub use rng::{splitmix64, SimRng};
-pub use stats::{Counter, CounterSet, LatencyRecorder, Total};
+pub use stats::{Counter, CounterSet, LatencyRecorder, Row, Total};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLayer, TraceRing, Tracer, MAX_TRACE_FIELDS};

@@ -1,10 +1,13 @@
-//! Measurement utilities: counters and latency histograms.
+//! Measurement utilities: counters, latency histograms and the rows
+//! reports are made of.
 
 mod counter;
 mod latency;
+mod row;
 
 pub use counter::{Counter, Total};
 pub use latency::LatencyRecorder;
+pub use row::Row;
 
 use std::fmt;
 
@@ -114,6 +117,12 @@ impl CounterSet {
         (NAMES.iter().zip(&self.cells).zip(&self.touched))
             .filter(|(_, &touched)| touched)
             .map(|((&name, &value), _)| (name, value))
+    }
+
+    /// Iterates `(name, value)` over every key of the schema, touched or
+    /// not, in name order: the same names for every set.
+    pub fn iter_all(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        NAMES.iter().copied().zip(self.cells.iter().copied())
     }
 
     /// Computes `self - earlier` per key, keeping the keys that grew.

@@ -74,6 +74,20 @@ for layer in engine journal queue isce ftl flash; do
     }
 done
 
+echo "== checkin compare --csv: --jobs 1 and --jobs 4 agree"
+# A batch runs its configurations on worker threads, and each report must
+# be bit-identical to a serial run's. The CSV carries every row of
+# `RunReport::rows` per strategy, the counter schema's 96 keys included.
+for jobs in 1 4; do
+    cargo run --release -p checkin-cli --bin checkin -- \
+        compare --csv --jobs "$jobs" --queries 4000 --record-count 800 \
+        > "target/compare_jobs$jobs.csv"
+done
+diff target/compare_jobs1.csv target/compare_jobs4.csv || {
+    echo "verify: FAIL — compare --csv differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+}
+
 echo "== cargo doc (-D warnings)"
 # The API docs are the reference for the crate boundaries: an unresolved
 # or private intra-doc link is an error, not a warning nobody reads.

@@ -2,9 +2,9 @@
 //! shared (remapped) units keep their aliases, and the paper's GC-count
 //! ordering holds.
 
-use checkin_core::{KvSystem, Strategy, SystemConfig};
+use checkin_core::{KvSystem, RunReport, Strategy, SystemConfig};
 use checkin_flash::FlashGeometry;
-use checkin_sim::SimTime;
+use checkin_sim::{Counter, SimTime};
 
 /// A deliberately small device so GC runs constantly.
 fn pressured(strategy: Strategy) -> SystemConfig {
@@ -33,9 +33,9 @@ fn data_survives_sustained_gc_churn() {
         let mut system = KvSystem::new(pressured(strategy)).unwrap();
         let report = system.run().unwrap();
         assert!(
-            report.flash.gc_invocations > 0,
-            "{strategy}: config must force GC (got {:?})",
-            report.flash
+            report.counters.get(Counter::FtlGcInvocations) > 0,
+            "{strategy}: config must force GC (got {})",
+            report.counters
         );
         // Every record still readable at its committed version.
         let mut t = SimTime::from_nanos(u64::MAX / 2);
@@ -58,11 +58,12 @@ fn checkin_invokes_less_gc_than_baseline() {
         .unwrap()
         .run()
         .unwrap();
+    let gc = |r: &RunReport| r.counters.get(Counter::FtlGcInvocations);
     assert!(
-        checkin.flash.gc_invocations < base.flash.gc_invocations,
+        gc(&checkin) < gc(&base),
         "Check-In GC {} !< baseline GC {}",
-        checkin.flash.gc_invocations,
-        base.flash.gc_invocations
+        gc(&checkin),
+        gc(&base)
     );
     // Fewer erases -> longer lifetime (Equation 1).
     assert!(checkin.lifetime_vs(&base) > 1.0);
@@ -80,7 +81,7 @@ fn gc_preserves_remapped_aliases_end_to_end() {
     let report = system.run().unwrap();
     assert!(report.remapped_entries > 0);
     assert!(
-        report.flash.gc_units_moved > 0,
+        report.counters.get(Counter::FtlGcUnitsMoved) > 0,
         "GC must have relocated units"
     );
     system.ssd().ftl().check_invariants().unwrap();

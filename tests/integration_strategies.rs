@@ -118,7 +118,8 @@ fn reports_are_deterministic_per_seed_and_differ_across_seeds() {
         .run()
         .unwrap();
     assert_eq!(r1.elapsed, r2.elapsed);
-    assert_eq!(r1.flash.programs, r2.flash.programs);
+    assert_eq!(r1.counters, r2.counters);
+    assert_eq!(r1.rows(), r2.rows());
 
     let mut alt = config(Strategy::CheckIn, 3_000);
     alt.workload.seed = 999;
