@@ -549,11 +549,11 @@ fn posthoc_data_tier(s: &mut Sweep) {
 
 /// Rot recovery stamps only. Live reads use the in-RAM mapping, so every
 /// read must still be exactly right — no typed failure tolerated — and
-/// the SPOR OOB scan must reject the rotted records. It cannot reject
-/// more than were rotted; it may reject fewer, because the newest-wins
-/// rule needs no stamp from a record that was already superseded.
+/// the FTL's OOB scan, the one SPOR rebuilds from, must reject exactly
+/// the rotted records: each sits on a programmed page and fails its own
+/// checksum, and a sound record over a damaged unit is not a rejection.
 fn posthoc_oob_tier(s: &mut Sweep) {
-    section("post-hoc OOB-rot tier (SPOR scan rejection)");
+    section("post-hoc OOB-rot tier (FTL OOB scan rejection)");
     let (mut injected, mut rejected) = (0u64, 0u64);
     for strategy in Strategy::all() {
         for n in 0..6u64 {
@@ -567,16 +567,16 @@ fn posthoc_oob_tier(s: &mut Sweep) {
                 FlashArray::sabotage_corrupt_oob,
             );
             s.judge_in_place(&sc, &mut d, false, t);
-            let scan_rejected = d.ssd.scan_oob().records_rejected();
-            assert!(
-                scan_rejected <= rotted,
-                "{sc:?}: scan rejected {scan_rejected} records but only {rotted} were rotted"
+            let scan_rejected = d.ssd.ftl().scan_oob().rejected();
+            assert_eq!(
+                scan_rejected, rotted,
+                "{sc:?}: the scan rejected {scan_rejected} records, {rotted} were rotted"
             );
             injected += rotted;
             rejected += scan_rejected;
         }
     }
-    println!("  rotted OOB records {injected}, rejected by the scan {rejected}");
+    println!("  rotted OOB records {injected}, rejected by the FTL scan {rejected}");
     s.gate(
         injected > 0 && rejected > 0,
         &format!("OOB tier impotent (injected {injected}, rejected {rejected})"),

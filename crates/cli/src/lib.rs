@@ -81,9 +81,6 @@ pub struct RunArgs {
     pub admission_batch: u32,
     /// Use the small GC-pressured device instead of the default 3 GiB.
     pub gc_pressure: bool,
-    /// Disable checksum verification on reads (integrity checks are on
-    /// by default; this exists to measure their overhead).
-    pub no_checksums: bool,
     /// Emit machine-readable CSV instead of the report or tables
     /// (`run`, `compare`, `sweep`).
     pub csv: bool,
@@ -106,7 +103,6 @@ impl Default for RunArgs {
             seed: 0x5EED,
             admission_batch: 1,
             gc_pressure: false,
-            no_checksums: false,
             csv: false,
             jobs: None,
         }
@@ -131,7 +127,6 @@ impl RunArgs {
         c.checkpoint_interval = SimDuration::from_millis(self.interval_ms);
         c.unit_bytes = self.unit_bytes;
         c.admission_batch = self.admission_batch;
-        c.verify_checksums = !self.no_checksums;
         c
     }
 }
@@ -222,10 +217,6 @@ fn parse_run_args<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<RunArgs, 
         }
         if flag == "--csv" {
             args.csv = true;
-            continue;
-        }
-        if flag == "--no-checksums" {
-            args.no_checksums = true;
             continue;
         }
         let value = tokens
@@ -359,8 +350,6 @@ FLAGS (all optional):
                          (default: one per core; results are identical
                          for any value, including --jobs 1)
   --gc-pressure          use a small device so GC runs constantly
-  --no-checksums         skip checksum verification on reads (on by
-                         default; flag exists to measure the overhead)
   --csv                  machine-readable CSV output (run/compare/sweep)
 ";
 
@@ -429,18 +418,6 @@ mod tests {
         assert!(parse(&["run", "--queries", "abc"]).is_err());
         assert!(parse(&["sweep", "sideways", "--values", "1"]).is_err());
         assert!(parse(&["sweep", "threads"]).is_err());
-    }
-
-    #[test]
-    fn parses_no_checksums() {
-        let Command::Run(a) = parse(&["run", "--no-checksums"]).unwrap() else {
-            panic!()
-        };
-        assert!(a.no_checksums);
-        assert!(!a.to_config().verify_checksums);
-        // Verification is on by default.
-        assert!(!RunArgs::default().no_checksums);
-        assert!(RunArgs::default().to_config().verify_checksums);
     }
 
     #[test]

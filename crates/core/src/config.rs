@@ -151,10 +151,6 @@ pub struct SystemConfig {
     /// Ablation: disable Algorithm 2's compression of values larger than
     /// the mapping unit. Only meaningful for Check-In.
     pub ablate_compression: bool,
-    /// Verify per-unit checksums on every device read path and quarantine
-    /// failures (on by default). Harnesses turn this off to prove their
-    /// verifiers detect the resulting silent corruption.
-    pub verify_checksums: bool,
     /// Pages the background scrubber verifies in each post-checkpoint
     /// idle window (0 disables scrubbing).
     pub scrub_pages_per_idle: u32,
@@ -187,7 +183,6 @@ impl SystemConfig {
             write_buffer_units: 128,
             ablate_partial_merging: false,
             ablate_compression: false,
-            verify_checksums: true,
             scrub_pages_per_idle: 16,
         }
     }
@@ -236,7 +231,7 @@ impl SystemConfig {
             retry_read: MediaRetryPolicy::default(),
             retry_program: MediaRetryPolicy::default(),
             retry_erase: MediaRetryPolicy::default(),
-            verify_checksums: self.verify_checksums,
+            verify_checksums: true,
         }
     }
 

@@ -190,8 +190,6 @@ pub struct FlashArray {
     /// Maximum erase count across all blocks so far.
     max_erase: u64,
     total_erases: u64,
-    /// Optional P/E cycle budget; erases beyond it fail.
-    pe_cycle_limit: Option<u64>,
     /// Armed fault-injection schedule, if any.
     faults: Option<FaultPlan>,
     /// Firmware activity label: every program/read/erase is counted
@@ -246,7 +244,6 @@ impl FlashArray {
             counters: CounterSet::new(),
             max_erase: 0,
             total_erases: 0,
-            pe_cycle_limit: None,
             faults: None,
             op_phase: OpPhase::Run,
             tracer: Tracer::disabled(),
@@ -461,12 +458,6 @@ impl FlashArray {
                 self.counters.incr(Counter::FlashBitRotOob);
             }
         }
-    }
-
-    /// Sets an explicit P/E budget per block; further erases return
-    /// [`FlashError::WornOut`].
-    pub fn set_pe_cycle_limit(&mut self, limit: u64) {
-        self.pe_cycle_limit = Some(limit);
     }
 
     /// The array's geometry.
@@ -875,19 +866,13 @@ impl FlashArray {
     ///
     /// # Errors
     ///
-    /// * [`FlashError::BlockOutOfRange`] for bad block ids;
-    /// * [`FlashError::WornOut`] when a P/E budget is set and exhausted.
+    /// [`FlashError::BlockOutOfRange`] for bad block ids.
     pub fn erase(&mut self, block: BlockId, at: SimTime) -> Result<Window, FlashError> {
         if block.0 >= self.geometry.total_blocks() {
             return Err(FlashError::BlockOutOfRange(block));
         }
         if self.is_bad_block(block) {
             return Err(FlashError::GrownBadBlock(block));
-        }
-        if let Some(limit) = self.pe_cycle_limit {
-            if self.erase_count(block) >= limit {
-                return Err(FlashError::WornOut(block));
-            }
         }
         // As in `program`, fail before mutating: a cut or injected erase
         // failure must leave the block's pages and counters untouched.
@@ -1555,19 +1540,6 @@ mod tests {
             f.erase(BlockId(f.geometry().total_blocks()), SimTime::ZERO),
             Err(FlashError::BlockOutOfRange(_))
         ));
-    }
-
-    #[test]
-    fn pe_limit_enforced() {
-        let mut f = array();
-        f.set_pe_cycle_limit(2);
-        f.erase(BlockId(0), SimTime::ZERO).unwrap();
-        f.erase(BlockId(0), SimTime::ZERO).unwrap();
-        assert_eq!(
-            f.erase(BlockId(0), SimTime::ZERO).unwrap_err(),
-            FlashError::WornOut(BlockId(0))
-        );
-        assert_eq!(f.max_erase_count(), 2);
     }
 
     /// A retired (grown-bad) block stops wearing; the mean must describe

@@ -9,11 +9,10 @@
 //!   (dirty-page program, out-of-order program, out-of-range addresses).
 //!   These indicate FTL bugs, not environmental failures, and retrying
 //!   them would repeat the bug; upper layers must treat them as fatal.
-//!   Also fatal are *permanent media conditions*: a grown bad block, an
-//!   exhausted P/E budget, and a power loss — none of which can succeed
-//!   on retry. The FTL answers a fatal program/erase media failure with
-//!   block retirement (see `checkin-ftl`), and a power loss with
-//!   sudden-power-off recovery.
+//!   Also fatal are a grown bad block (a *permanent media condition*)
+//!   and a power loss — neither can succeed on retry. The FTL answers a
+//!   fatal program/erase media failure with block retirement (see
+//!   `checkin-ftl`), and a power loss with sudden-power-off recovery.
 //! * **Transient** ([`ErrorClass::Transient`]) — injected one-shot media
 //!   failures (read/program/erase). The *device firmware* (the FTL layer)
 //!   retries these with exponential backoff, bounded by the per-op-class
@@ -60,8 +59,6 @@ pub enum FlashError {
     OutOfRange(Ppn),
     /// Block id beyond the configured geometry.
     BlockOutOfRange(BlockId),
-    /// Erase of a block whose P/E budget is exhausted.
-    WornOut(BlockId),
     /// The block's page store cannot index another page: more records
     /// than any geometry puts in one block.
     BlockStoreFull(BlockId),
@@ -94,7 +91,6 @@ impl FlashError {
             | FlashError::ProgramOutOfOrder { .. }
             | FlashError::OutOfRange(_)
             | FlashError::BlockOutOfRange(_)
-            | FlashError::WornOut(_)
             | FlashError::BlockStoreFull(_)
             | FlashError::GrownBadBlock(_)
             | FlashError::PowerLoss => ErrorClass::Fatal,
@@ -124,7 +120,6 @@ impl fmt::Display for FlashError {
             ),
             FlashError::OutOfRange(ppn) => write!(f, "physical page {ppn} out of range"),
             FlashError::BlockOutOfRange(b) => write!(f, "block {b} out of range"),
-            FlashError::WornOut(b) => write!(f, "block {b} exceeded its P/E cycle budget"),
             FlashError::BlockStoreFull(b) => write!(f, "block {b}'s page store is full"),
             FlashError::TransientRead(ppn) => write!(f, "transient read failure at {ppn}"),
             FlashError::TransientProgram(ppn) => {
@@ -154,7 +149,6 @@ mod tests {
         }
         .to_string()
         .contains("expects page 2"));
-        assert!(FlashError::WornOut(BlockId(1)).to_string().contains("P/E"));
         assert!(FlashError::PowerLoss.to_string().contains("power"));
         assert!(FlashError::GrownBadBlock(BlockId(3))
             .to_string()
@@ -185,7 +179,6 @@ mod tests {
             FlashError::ProgramDirtyPage(Ppn(0)),
             FlashError::OutOfRange(Ppn(0)),
             FlashError::BlockOutOfRange(BlockId(0)),
-            FlashError::WornOut(BlockId(0)),
             FlashError::BlockStoreFull(BlockId(0)),
             FlashError::GrownBadBlock(BlockId(0)),
             FlashError::PowerLoss,

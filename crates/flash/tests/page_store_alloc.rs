@@ -8,14 +8,16 @@
 //! held to the allocator's own count, so the figure `checkin run` prints
 //! cannot drift from it.
 //!
-//! This file holds exactly one test so the process-global counters
-//! cannot pick up a concurrently running test's traffic.
+//! Only the measuring thread's allocations count: libtest's own threads
+//! allocate while the test runs, and process-global counters would pick
+//! that traffic up.
 
 // Same sanctioned `unsafe` as `checkin-core`'s `construction_alloc.rs`:
 // a counting `GlobalAlloc` shim cannot be written without it.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use checkin_flash::{
@@ -24,17 +26,26 @@ use checkin_flash::{
 };
 use checkin_sim::SimTime;
 
-/// Counts allocation calls and tracks live heap bytes.
+/// Counts allocation calls and tracks live heap bytes of the thread
+/// inside [`counted`].
 struct CountingAlloc;
 
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 static FREED: AtomicU64 = AtomicU64::new(0);
 
-fn note(allocated: usize, freed: usize) {
-    CALLS.fetch_add(1, Ordering::Relaxed);
-    ALLOCATED.fetch_add(allocated as u64, Ordering::Relaxed);
-    FREED.fetch_add(freed as u64, Ordering::Relaxed);
+thread_local! {
+    // `const`-initialised and without a destructor, so reading it never
+    // allocates (which would recurse into the allocator).
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note(calls: u64, allocated: usize, freed: usize) {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        CALLS.fetch_add(calls, Ordering::Relaxed);
+        ALLOCATED.fetch_add(allocated as u64, Ordering::Relaxed);
+        FREED.fetch_add(freed as u64, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -42,22 +53,22 @@ fn note(allocated: usize, freed: usize) {
 // touch no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size(), 0);
+        note(1, layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size(), 0);
+        note(1, layout.size(), 0);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size, layout.size());
+        note(1, new_size, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        note(0, 0, layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -65,11 +76,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `(allocation calls, live-byte growth)` while `f` runs.
+/// `(allocation calls, live-byte growth)` of this thread while `f` runs.
 fn counted(f: impl FnOnce()) -> (u64, i64) {
     let live = || ALLOCATED.load(Ordering::SeqCst) as i64 - FREED.load(Ordering::SeqCst) as i64;
     let (calls, before) = (CALLS.load(Ordering::SeqCst), live());
+    COUNTING.set(true);
     f();
+    COUNTING.set(false);
     (CALLS.load(Ordering::SeqCst) - calls, live() - before)
 }
 

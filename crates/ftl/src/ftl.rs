@@ -43,7 +43,7 @@ use crate::mapping::{MappingTable, Unlink};
 use crate::persist::MapPersistence;
 use crate::write_buffer::{SlotData, WriteBuffer};
 
-pub use rebuild::RebuildStats;
+pub use rebuild::{OobScan, RebuildStats};
 pub use reclaim::{GcTrigger, ScrubReport};
 
 /// One logical-unit write request.
@@ -570,6 +570,13 @@ impl Ftl {
     pub fn remap(&mut self, dst: Lpn, src: Lpn) -> Result<(), FtlError> {
         self.flash.logical_tick()?;
         let prev = self.table.alias(dst, src).map_err(FtlError::Unmapped)?;
+        if matches!(prev, Unlink::Orphaned(Location::Buffer(_))) {
+            // Metadata before data discard, as in `deallocate`: the slot
+            // is the only copy of `dst`'s acknowledged data, and a cut
+            // before the remap is persisted must not bring `dst` back on
+            // the older copy the last mapping log names.
+            self.persist_mapping_log();
+        }
         self.note_unlink(prev);
         self.ledger.clear_poison(dst);
         self.counters.incr(Counter::FtlRemapOps);

@@ -275,6 +275,7 @@ fn spor_scan_rejects_corrupt_oob_records() {
     f.flush(SimTime::ZERO).unwrap();
     let pun = flash_pun(&f, 2);
     assert!(f.flash_mut().sabotage_corrupt_oob(pun.page(1), 0, 1 << 21));
+    assert_eq!(f.scan_oob().rejected(), 1);
 
     f.flash_mut().cut_power();
     f.flash_mut().power_on();

@@ -33,6 +33,32 @@ pub struct RebuildStats {
     pub lpns_poisoned: u64,
 }
 
+/// What one full scan of the OOB stream found ([`Ftl::scan_oob`]): the
+/// input of [`Ftl::rebuild_after_power_loss`].
+#[derive(Debug, Default)]
+pub struct OobScan {
+    /// Records newer than the persisted mapping log, in sequence order,
+    /// as `(sequence, lpn, unit, unit verifies)`; a record whose unit
+    /// does not verify replays as a loss marker.
+    replay: Vec<(u64, Lpn, Pun, bool)>,
+    /// The unit of every other accepted record, by sequence: a snapshot
+    /// entry whose buffered unit drained before the cut resolves here.
+    pre_snap: BTreeMap<u64, Pun>,
+    /// Newest sequence an accepted record carries (0 when none).
+    max_seq: u64,
+    /// Records whose own checksum failed.
+    rejected: u64,
+}
+
+impl OobScan {
+    /// OOB records rejected because their own checksum failed (torn
+    /// tails, rotted metadata). A sound record over a damaged unit is
+    /// not rejected: it is a loss marker.
+    pub fn rejected(&self) -> u64 {
+        self.rejected
+    }
+}
+
 impl Ftl {
     /// Persists the mapping log — the firmware action behind the periodic
     /// ISCE metadata writes (§III-F) and the pre-erase flush. Gated on
@@ -45,6 +71,48 @@ impl Ftl {
         self.counters.incr(Counter::FtlMappingLogPersists);
     }
 
+    /// Scans every programmed page's OOB records — step 1 of
+    /// [`Ftl::rebuild_after_power_loss`], the one place that decides which
+    /// record SPOR believes. It changes nothing and charges no simulated
+    /// time.
+    ///
+    /// A record whose own checksum fails (torn tail, rotted metadata)
+    /// names nothing that can be trusted: it is rejected, and neither
+    /// replays nor advances the sequence floor — a flipped sequence bit
+    /// could falsely win newest-wins over good records. A sound record
+    /// over a damaged unit still names the lpn and sequence of a write
+    /// the host was told had landed; forgetting it would bring the lpn
+    /// back unmapped, or on an older copy. Newer than the persisted
+    /// mapping log, it replays as a loss marker; older, the log speaks
+    /// for the lpn (and checks the unit it resolves to). A post-log
+    /// record is keyed by its lpn; an older one by its sequence alone,
+    /// which identifies one written unit, while the lpn is only the one
+    /// the unit was *written* under (remap aliases name it by others).
+    pub fn scan_oob(&self) -> OobScan {
+        let verify = self.config.verify_checksums;
+        let snap_seq = self.persist.floor_seq();
+        let mut scan = OobScan::default();
+        for (ppn, content) in self.flash.programmed_pages() {
+            for (offset, oob) in (0u32..).zip(content.oobs()) {
+                if verify && !content.oob_intact(offset as usize) {
+                    scan.rejected += 1;
+                    continue;
+                }
+                let pun = Pun::compose(ppn, offset, self.upp);
+                scan.max_seq = scan.max_seq.max(oob.sequence);
+                if oob.sequence > snap_seq {
+                    let unit_intact = !verify || content.unit_intact(offset as usize);
+                    scan.replay
+                        .push((oob.sequence, Lpn(oob.lpn), pun, unit_intact));
+                } else {
+                    scan.pre_snap.insert(oob.sequence, pun);
+                }
+            }
+        }
+        scan.replay.sort_unstable_by_key(|&(seq, ..)| seq);
+        scan
+    }
+
     /// Rebuilds the whole FTL state after a power cut from what survives:
     /// flash contents and their OOB stream, per-block write cursors and
     /// bad-block marks, the capacitor-backed write buffer, and the last
@@ -52,7 +120,8 @@ impl Ftl {
     ///
     /// Algorithm (the paper's §III-G SPOR, extended with the mapping log):
     ///
-    /// 1. resolve the persisted snapshot — flash entries directly, buffered
+    /// 1. scan the OOB stream ([`Ftl::scan_oob`]), then resolve the
+    ///    persisted snapshot — flash entries directly, buffered
     ///    entries by the OOB sequence they were written under, wherever
     ///    that unit is now; an entry onto a unit that fails its checksum
     ///    marks its lpn lost instead;
@@ -84,7 +153,6 @@ impl Ftl {
         let g = *self.flash.geometry();
         let upp = self.upp;
         let verify = self.config.verify_checksums;
-        let mut stats = RebuildStats::default();
         let snap_seq = self.persist.floor_seq();
 
         // Live buffer slots indexed by their OOB sequence number.
@@ -93,44 +161,17 @@ impl Ftl {
             .live()
             .map(|(slot, d)| (d.oob.sequence, slot))
             .collect();
-
-        // One full OOB scan. Post-snapshot records become the replay list;
-        // older records go into an index used to resolve snapshot entries
-        // whose buffered unit drained before the cut — keyed by OOB
-        // sequence alone: a sequence number identifies one written unit,
-        // while the record's lpn is only the lpn the unit was *written*
-        // under. A replay entry is `(sequence, lpn, unit, unit verifies)`.
-        let mut replay: Vec<(u64, Lpn, Pun, bool)> = Vec::new();
-        let mut pre_snap: BTreeMap<u64, Pun> = BTreeMap::new();
-        let mut max_seq = snap_seq;
-        for (ppn, content) in self.flash.programmed_pages() {
-            for (offset, oob) in (0u32..).zip(content.oobs()) {
-                // A record whose own checksum fails (torn tail, rotted
-                // metadata) names nothing that can be trusted: it must
-                // neither replay nor advance `max_seq` — a flipped
-                // sequence bit could falsely win newest-wins over good
-                // records.
-                if verify && !content.oob_intact(offset as usize) {
-                    stats.oob_records_rejected += 1;
-                    continue;
-                }
-                // A sound record over a damaged unit still names the lpn
-                // and sequence of a write the host was told had landed.
-                // Forgetting it would bring the lpn back unmapped, or on
-                // an older copy. Newer than the snapshot, it replays as
-                // a loss marker; older, the snapshot speaks for the lpn
-                // (and checks the unit it resolves to).
-                let pun = Pun::compose(ppn, offset, upp);
-                max_seq = max_seq.max(oob.sequence);
-                if oob.sequence > snap_seq {
-                    let unit_intact = !verify || content.unit_intact(offset as usize);
-                    replay.push((oob.sequence, Lpn(oob.lpn), pun, unit_intact));
-                } else {
-                    pre_snap.insert(oob.sequence, pun);
-                }
-            }
-        }
-        replay.sort_unstable_by_key(|&(seq, ..)| seq);
+        let OobScan {
+            replay,
+            pre_snap,
+            max_seq,
+            rejected,
+        } = self.scan_oob();
+        let mut max_seq = max_seq.max(snap_seq);
+        let mut stats = RebuildStats {
+            oob_records_rejected: rejected,
+            ..RebuildStats::default()
+        };
 
         // The DRAM table did not survive the cut: release it before its
         // replacement is built, so recovery never holds two.

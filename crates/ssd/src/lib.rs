@@ -82,7 +82,6 @@ mod device;
 mod error;
 mod isce;
 mod queue;
-mod spor;
 mod timing;
 
 pub use command::{
@@ -92,5 +91,4 @@ pub use device::{CpPhaseTimes, Ssd};
 pub use error::SsdError;
 pub use isce::{plan_entry, should_background_gc, EntryPlan};
 pub use queue::CommandQueue;
-pub use spor::{OobRecord, OobSnapshot};
 pub use timing::SsdTiming;

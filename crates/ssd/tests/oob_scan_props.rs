@@ -1,17 +1,24 @@
-//! Property tests for the §III-G SPOR contract: a full OOB scan after a
-//! random write history discovers exactly the newest flash mapping per
-//! logical unit, in deterministic order, and a power cut at a random
-//! point never loses an acknowledged write.
+//! Property test for the §III-G SPOR contract, asserted about the rebuild
+//! itself: a power cut at a random point of a write, remap-checkpoint and
+//! trim history — long enough for GC to migrate units — never loses an
+//! acknowledged write or a remap a completed checkpoint command made.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use checkin_flash::{FaultConfig, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OobKind, Ppn};
+use checkin_flash::{FaultConfig, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OobKind};
 use checkin_ftl::{Ftl, FtlConfig};
-use checkin_sim::SimTime;
-use checkin_ssd::{ReadRequest, Ssd, SsdError, SsdTiming, WriteContent, WriteRequest};
+use checkin_sim::{Counter, SimTime};
+use checkin_ssd::{
+    CheckpointMode, CowEntry, ReadRequest, Ssd, SsdError, SsdTiming, WriteContent, WriteRequest,
+};
 use checkin_testkit::{check_seeded, TestRng, BASE_SEED};
 
+/// Home LBAs `0..LBA_SPACE`; key `k`'s journal copy lives at
+/// `JOURNAL_BASE + k`.
 const LBA_SPACE: u64 = 48;
+const JOURNAL_BASE: u64 = 1024;
+/// Enough single-unit writes to fill the 2 048-unit device twice over.
+const OPS: u64 = 6_000;
 
 fn ssd() -> Ssd {
     let flash = FlashArray::new(
@@ -40,138 +47,39 @@ fn ssd() -> Ssd {
     Ssd::new(ftl, SsdTiming::paper_default())
 }
 
-fn record(lba: u64, version: u64) -> WriteRequest {
+fn record(lba: u64, key: u64, version: u64) -> WriteRequest {
     WriteRequest {
         lba,
         sectors: 1,
         content: WriteContent::Record {
-            key: lba,
+            key,
             version,
             bytes: 512,
         },
     }
 }
 
-/// After N random single-unit writes and a flush, the OOB scan finds
-/// every written lpn; per-lpn sequences respect write order; iteration
-/// is sorted by lpn; and the full SPOR contract holds.
-#[test]
-fn full_scan_discovers_exactly_the_newest_mapping_per_lpn() {
-    check_seeded(
-        "oob-scan-newest-mapping",
-        BASE_SEED,
-        24,
-        &mut |rng: &mut TestRng| {
-            let mut s = ssd();
-            let mut t = SimTime::ZERO;
-            // last_write[lpn] = index of that lpn's final write.
-            let mut last_write: HashMap<u64, u64> = HashMap::new();
-            let writes = rng.range_u64(10, 200);
-            for i in 0..writes {
-                let lba = rng.below(LBA_SPACE);
-                t = s
-                    .write(&record(lba, i + 1), OobKind::Data, t)
-                    .expect("fault-free write");
-                last_write.insert(lba, i);
-            }
-            s.flush(t).expect("flush");
-
-            let snap = s.scan_oob();
-            // Discovery: every written lpn has a record.
-            for &lpn in last_write.keys() {
-                assert!(snap.lookup(lpn).is_some(), "lpn {lpn} undiscovered");
-            }
-            // Determinism (sorted-lpn iteration) and newest-wins: lpns
-            // ordered by their final write index must have strictly
-            // increasing OOB sequences.
-            let mut prev_lpn = None;
-            for (lpn, _) in snap.iter() {
-                assert!(prev_lpn < Some(lpn), "iteration must ascend by lpn");
-                prev_lpn = Some(lpn);
-            }
-            let mut by_order: Vec<(u64, u64)> =
-                last_write.iter().map(|(&lpn, &idx)| (idx, lpn)).collect();
-            by_order.sort_unstable();
-            let seqs: Vec<u64> = by_order
-                .iter()
-                .map(|&(_, lpn)| snap.lookup(lpn).unwrap().sequence)
-                .collect();
-            assert!(
-                seqs.windows(2).all(|w| w[0] < w[1]),
-                "later final writes must carry newer sequences"
-            );
-            s.verify_spor_contract().expect("SPOR contract");
-        },
-    );
+fn power_lost(e: &SsdError) -> bool {
+    matches!(e, SsdError::Ftl(e) if e.is_power_loss())
 }
 
-/// The scan walks programmed pages only, yet sees what a visit to every
-/// PPN of the device sees: the same page count, the same rejected
-/// records (some OOB is sabotaged so there are rejects), and the same
-/// newest-wins record per lpn.
-#[test]
-fn scan_equals_a_walk_over_every_ppn() {
-    check_seeded(
-        "oob-scan-vs-full-walk",
-        BASE_SEED ^ 0x0B5C_A11E,
-        24,
-        &mut |rng: &mut TestRng| {
-            let mut s = ssd();
-            let mut t = SimTime::ZERO;
-            for i in 0..rng.range_u64(10, 400) {
-                t = s
-                    .write(&record(rng.below(LBA_SPACE), i + 1), OobKind::Data, t)
-                    .expect("fault-free write");
-            }
-            s.flush(t).expect("flush");
-            let total = s.ftl().flash().geometry().total_pages();
-            for _ in 0..rng.below(6) {
-                let ppn = Ppn(rng.below(total));
-                let mask = 1 << rng.below(48);
-                s.ftl_mut().flash_mut().sabotage_corrupt_oob(ppn, 0, mask);
-            }
-
-            let flash = s.ftl().flash();
-            let mut pages = 0u64;
-            let mut rejected = 0u64;
-            let mut newest: HashMap<u64, (Ppn, u64)> = HashMap::new();
-            for ppn in (0..total).map(Ppn) {
-                let Some(content) = flash.read(ppn) else {
-                    continue;
-                };
-                pages += 1;
-                for (offset, oob) in content.oobs().enumerate() {
-                    if !(content.oob_intact(offset) && content.unit_intact(offset)) {
-                        rejected += 1;
-                    } else if newest.get(&oob.lpn).is_none_or(|r| oob.sequence > r.1) {
-                        newest.insert(oob.lpn, (ppn, oob.sequence));
-                    }
-                }
-            }
-
-            let snap = s.scan_oob();
-            assert_eq!(snap.pages_scanned(), pages);
-            assert_eq!(pages, flash.programmed_pages().count() as u64);
-            assert_eq!(snap.records_rejected(), rejected);
-            assert_eq!(snap.len(), newest.len());
-            for (lpn, r) in snap.iter() {
-                assert_eq!(newest.get(&lpn), Some(&(r.ppn, r.sequence)), "lpn {lpn}");
-            }
-        },
-    );
-}
-
-/// A power cut at a random tick, followed by recovery, preserves every
-/// acknowledged write (the single in-flight write may be old or new).
+/// Writes go to a home or to the key's journal LBA; now and then one
+/// checkpoint command remaps every journaled key home and the journal is
+/// trimmed. The device persists its mapping log at the end of each
+/// checkpoint command (faults are armed). After the cut and
+/// `recover_power_loss`, every home reads back at the version of the
+/// last command that completed on it; the one command the cut
+/// interrupted may have landed or not, entry by entry.
 #[test]
 fn random_cut_point_recovery_matches_acked_writes() {
+    let (mut cut_after_gc, mut remaps) = (0u64, 0u64);
     check_seeded(
         "oob-cut-recovery",
         BASE_SEED ^ 0x5105_F00D,
         24,
         &mut |rng: &mut TestRng| {
             let mut s = ssd();
-            let cut_tick = rng.range_u64(3, 500);
+            let cut_tick = rng.range_u64(3, 10_000);
             s.ftl_mut()
                 .flash_mut()
                 .arm_faults(FaultPlan::new(FaultConfig::power_cut(
@@ -179,20 +87,64 @@ fn random_cut_point_recovery_matches_acked_writes() {
                     cut_tick,
                 )));
             let mut t = SimTime::ZERO;
-            let mut shadow: HashMap<u64, u64> = HashMap::new();
-            let mut inflight = None;
-            for i in 0..300u64 {
-                let lba = rng.below(LBA_SPACE);
-                match s.write(&record(lba, i + 1), OobKind::Data, t) {
-                    Ok(done) => {
-                        t = done;
-                        shadow.insert(lba, i + 1);
+            // Home LBA → version, and the journaled keys not yet remapped.
+            let mut shadow: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut journaled: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut inflight: Vec<(u64, u64)> = Vec::new();
+            for version in 1..=OPS {
+                let key = rng.below(LBA_SPACE);
+                match rng.weighted(&[6, 3, 1]) {
+                    0 => match s.write(&record(key, key, version), OobKind::Data, t) {
+                        Ok(done) => {
+                            t = done;
+                            shadow.insert(key, version);
+                        }
+                        Err(e) if power_lost(&e) => {
+                            inflight.push((key, version));
+                            break;
+                        }
+                        Err(e) => panic!("unexpected error: {e}"),
+                    },
+                    1 => {
+                        let req = record(JOURNAL_BASE + key, key, version);
+                        match s.write(&req, OobKind::Journal, t) {
+                            Ok(done) => {
+                                t = done;
+                                journaled.insert(key, version);
+                            }
+                            Err(e) if power_lost(&e) => break,
+                            Err(e) => panic!("unexpected error: {e}"),
+                        }
                     }
-                    Err(SsdError::Ftl(e)) if e.is_power_loss() => {
-                        inflight = Some((lba, i + 1));
-                        break;
+                    _ => {
+                        let entries: Vec<CowEntry> = journaled
+                            .keys()
+                            .map(|&key| CowEntry {
+                                src_lba: JOURNAL_BASE + key,
+                                dst_lba: key,
+                                sectors: 1,
+                                dst_sectors: 1,
+                                key,
+                                merged: false,
+                            })
+                            .collect();
+                        match s.checkpoint(&entries, CheckpointMode::Remap, t) {
+                            Ok(done) => t = done,
+                            Err(e) if power_lost(&e) => {
+                                inflight.extend(journaled);
+                                break;
+                            }
+                            Err(e) => panic!("unexpected error: {e}"),
+                        }
+                        remaps += entries.len() as u64;
+                        shadow.extend(std::mem::take(&mut journaled));
+                        for e in &entries {
+                            t = s.deallocate(e.src_lba, 1, t);
+                        }
+                        if s.powered_off() {
+                            break;
+                        }
                     }
-                    Err(e) => panic!("unexpected error: {e}"),
                 }
             }
             if !s.powered_off() {
@@ -200,6 +152,7 @@ fn random_cut_point_recovery_matches_acked_writes() {
                 // recovery path is always exercised.
                 s.ftl_mut().flash_mut().cut_power();
             }
+            cut_after_gc += u64::from(s.ftl().counters().get(Counter::FtlGcInvocations) > 0);
             s.recover_power_loss().unwrap();
             for (&lba, &version) in &shadow {
                 let (frags, _) = s
@@ -217,16 +170,19 @@ fn random_cut_point_recovery_matches_acked_writes() {
                     .map(|f| f.version)
                     .max()
                     .unwrap_or_else(|| panic!("lba {lba} lost after recovery"));
-                let acceptable =
-                    got == version || matches!(inflight, Some((l, v)) if l == lba && got == v);
+                let acceptable = got == version || inflight.contains(&(lba, got));
                 assert!(acceptable, "lba {lba}: got v{got}, acked v{version}");
             }
             s.ftl()
                 .check_invariants()
                 .expect("post-recovery invariants");
             // The device still accepts writes after recovery.
-            s.write(&record(0, 9_999), OobKind::Data, SimTime::ZERO)
+            s.write(&record(0, 0, OPS + 1), OobKind::Data, SimTime::ZERO)
                 .expect("post-recovery write");
         },
+    );
+    assert!(
+        cut_after_gc >= 8 && remaps > 0,
+        "impotent: {cut_after_gc} cuts after GC, {remaps} remap entries completed"
     );
 }

@@ -59,7 +59,15 @@ echo "== chaos"
 # already ran it in-process; this is the same sweep from the release
 # build. Exits non-zero on any acked-write loss, resurrection, silently
 # wrong read or failed impotence gate.
-cargo run --release -p checkin-bench --bin chaos
+cargo run --release -p checkin-bench --bin chaos > target/CHAOS_report.txt
+tail -n 1 target/CHAOS_report.txt
+# Every line of the report is deterministic: a change that moves one
+# must commit the report it produces, and the diff of the committed file
+# is then the list of chaos numbers the change moved.
+diff CHAOS_report.txt target/CHAOS_report.txt || {
+    echo "verify: FAIL — chaos's report differs from the committed one: regenerate CHAOS_report.txt (cargo run --release -p checkin-bench --bin chaos > CHAOS_report.txt)" >&2
+    exit 1
+}
 
 echo "== checkin trace smoke run"
 # Cross-layer tracing (DESIGN.md §10): a tiny checkpointing run must
