@@ -11,6 +11,11 @@ use crate::config::Strategy;
 use crate::journal::{JournalFull, JournalManager, RetiringZone};
 use crate::layout::{Layout, JOURNAL_ZONES};
 
+/// Records [`KvEngine::load`] writes between two calls of
+/// `Ssd::retire_before`: without them the load would leave one dead idle
+/// gap per record on most device timelines.
+const RETIRE_EVERY_RECORDS: usize = 256;
+
 /// Engine-level failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
@@ -250,7 +255,12 @@ impl KvEngine {
         at: SimTime,
     ) -> Result<SimTime, EngineError> {
         let mut t = at;
-        for &(key, bytes) in records {
+        for (n, &(key, bytes)) in records.iter().enumerate() {
+            // Each write is issued when the previous one is acked, so the
+            // device can forget the idle gaps that are over by then.
+            if n.is_multiple_of(RETIRE_EVERY_RECORDS) {
+                ssd.retire_before(t);
+            }
             let sectors = bytes.div_ceil(SECTOR_BYTES).max(1);
             let req = WriteRequest {
                 lba: self.layout.home_lba(key),

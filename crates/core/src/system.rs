@@ -87,6 +87,11 @@ fn ratio_or_nan(num: f64, den: f64) -> f64 {
     }
 }
 
+/// Event pops between two calls of `retire_before` in [`KvSystem::run`]:
+/// rare enough to cost nothing per query, often enough that the dead gaps
+/// waiting for it stay few.
+const RETIRE_EVERY_POPS: u64 = 64;
+
 /// Every resource timeline of the device in a fixed order: link, firmware
 /// CPU, the dies, the channels.
 fn device_timelines(ssd: &Ssd) -> impl Iterator<Item = &Resource> {
@@ -300,6 +305,7 @@ impl KvSystem {
         let mut lat_write_cp = LatencyRecorder::new();
         let mut cp_active_until = SimTime::ZERO;
         let mut cp = CpAccum::new();
+        let mut pops = 0u64;
 
         while completed < self.config.total_queries {
             // Each pop schedules at most one successor — the next tick,
@@ -310,6 +316,15 @@ impl KvSystem {
             let Some((now, event)) = events.pop() else {
                 break;
             };
+            // Events pop in time order and book nothing before their own
+            // instant, so the timelines may forget what is over by `now`.
+            // Retiring is garbage collection: how often it runs changes
+            // no window, only how many dead gaps wait for it.
+            pops += 1;
+            if pops.is_multiple_of(RETIRE_EVERY_POPS) {
+                self.ssd.retire_before(now);
+                host.retire_before(now);
+            }
             match event {
                 Event::CheckpointTick => {
                     if now >= cp_active_until && !self.engine.journal().jmt().is_empty() {
@@ -419,10 +434,18 @@ impl KvSystem {
         // Reservations on one timeline never overlap, so none can have
         // been busy for longer than the span its reservations cover: a
         // double booking shows as a utilisation above one.
+        // And with the event clock retiring what is over, no timeline
+        // filled its gap list to `Resource::GAP_GUARD`: every window was
+        // the earliest feasible one.
         for timeline in device_timelines(&self.ssd) {
             debug_assert!(
                 timeline.busy_time() <= timeline.span(),
                 "double-booked timeline: {timeline:?}"
+            );
+            debug_assert_eq!(
+                timeline.forgotten_gaps(),
+                0,
+                "a timeline forgot a gap a request could book: {timeline:?}"
             );
         }
 
@@ -642,6 +665,30 @@ mod tests {
         }
         // tPROG dwarfs a page's channel transfer.
         assert!(u.dies.mean > u.channels.mean, "{u:?}");
+    }
+
+    #[test]
+    fn sustained_gc_forgets_no_gap_a_request_could_book() {
+        // `wo_gc_uniform`'s shape: write-only and uniform over 3 000
+        // records on the 48 MiB device, where GC migration competes with
+        // foreground writes for die time.
+        let mut c = SystemConfig::gc_pressured(Strategy::CheckIn);
+        c.workload.mix = checkin_workload::OpMix::WRITE_ONLY;
+        c.workload.pattern = checkin_workload::AccessPattern::Uniform;
+        c.workload.record_count = 3_000;
+        c.total_queries = 60_000;
+        let mut system = KvSystem::new(c).unwrap();
+        let report = system.run().unwrap();
+        assert!(report.counters.get(Counter::FtlGcInvocations) > 0);
+        // Some timeline held more gaps at once than the fixed list of 32
+        // this replaced: without that, the check below proves nothing.
+        let most = device_timelines(&system.ssd)
+            .map(Resource::gap_high_water)
+            .max();
+        assert!(most > Some(32), "most gaps held at once: {most:?}");
+        for timeline in device_timelines(&system.ssd) {
+            assert_eq!(timeline.forgotten_gaps(), 0, "{timeline:?}");
+        }
     }
 
     #[test]

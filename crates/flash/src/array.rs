@@ -1002,6 +1002,15 @@ impl FlashArray {
         &self.channels
     }
 
+    /// [`Resource::retire_before`] on every die and channel: no later
+    /// operation is issued at an instant before `t`.
+    pub fn retire_before(&mut self, t: SimTime) {
+        let dies = self.dies.iter_mut().map(|d| &mut d.timeline);
+        for timeline in dies.chain(&mut self.channels) {
+            timeline.retire_before(t);
+        }
+    }
+
     fn check_range(&self, ppn: Ppn) -> Result<(), FlashError> {
         if ppn.0 >= self.geometry.total_pages() {
             Err(FlashError::OutOfRange(ppn))

@@ -219,6 +219,13 @@ impl Ftl {
         &mut self.flash
     }
 
+    /// Promises that no later operation is issued at an instant before
+    /// `t`, so the flash timelines can forget what is over by then
+    /// ([`FlashArray::retire_before`]).
+    pub fn retire_before(&mut self, t: SimTime) {
+        self.flash.retire_before(t);
+    }
+
     /// Runs `f` with the array's [`OpPhase`] set to `phase` (flash
     /// traffic is counted, and fault-clock ticks are labelled, under it)
     /// and restores the previous phase however `f` returns, so brackets

@@ -9,8 +9,9 @@
 //! * [`Resource`] / [`ResourcePool`] — reservation timelines used to model
 //!   contention on flash dies, channels, the PCIe link and firmware CPUs:
 //!   a request gets the earliest window that overlaps no earlier
-//!   reservation, including the idle gaps before reservations made for
-//!   the future;
+//!   reservation, including every idle gap before reservations made for
+//!   the future, and a driver retires the gaps that are over behind its
+//!   event clock ([`Resource::retire_before`]);
 //! * [`InFlight`] — a fixed-depth window of in-flight operations, the
 //!   admission rule of the NVMe queue and the write buffer's programming
 //!   slots;

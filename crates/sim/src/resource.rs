@@ -15,11 +15,26 @@
 //! reservations into the future left behind, and a request for the past
 //! takes the first gap it fits.
 //!
-//! The gap list is a fixed inline array ([`Resource::GAP_CAPACITY`]
-//! entries, no heap). When a new gap would overflow it the *oldest* gap is
-//! forgotten: that stretch can no longer be booked, so overflow costs
+//! Every gap that a request can still reach is kept, so the window is
+//! exactly the earliest feasible one. What keeps the list short is the
+//! event clock: a driver that hands out events in time order calls
+//! [`Resource::retire_before`] with the time of the event it is at. That
+//! drops the gaps that are over by then (no later request can reach
+//! them) and records the time as the timeline's *watermark*; a request
+//! for an instant before the watermark is a driver bug and fails a
+//! `debug_assert!`. Retiring is garbage collection, so a driver may do it
+//! as rarely as its memory allows: the windows do not change.
+//!
+//! A booking never records a stretch that ends at or before the
+//! watermark, so after every call the list holds exactly the idle
+//! stretches a request could still book. It is a heap deque reserved at
+//! 32 gaps and grown on demand. A driver that never retires accumulates
+//! dead gaps, and [`Resource::GAP_GUARD`] bounds what they cost: a
+//! timeline that holds that many forgets its oldest gap. That costs
 //! capacity (a later start than strictly necessary), never a double
-//! booking.
+//! booking, and is counted ([`Resource::forgotten_gaps`]).
+
+use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -29,11 +44,6 @@ struct Gap {
     start: SimTime,
     end: SimTime,
 }
-
-const NO_GAP: Gap = Gap {
-    start: SimTime::ZERO,
-    end: SimTime::ZERO,
-};
 
 /// A single server with a reservation timeline and utilization accounting.
 ///
@@ -57,6 +67,10 @@ const NO_GAP: Gap = Gap {
 /// // What does not fit the idle stretch goes behind everything.
 /// let bulk = link.schedule(at(0), us(100));
 /// assert_eq!(bulk.start, data_out.finish);
+/// // The event clock moved on: no request will be for an instant before
+/// // 60 us, so the idle stretch before the data-out can go.
+/// link.retire_before(at(60));
+/// assert_eq!(link.schedule(at(60), us(1)).start, bulk.finish);
 /// ```
 #[derive(Clone)]
 pub struct Resource {
@@ -66,10 +80,16 @@ pub struct Resource {
     busy_time: SimDuration,
     /// Start of the earliest reservation (`SimTime::MAX` while unused).
     first_start: SimTime,
+    /// No request is for an instant before this, and no gap ends at or
+    /// before it.
+    watermark: SimTime,
     /// The bookable idle stretches before `busy_until`, oldest first:
-    /// `gaps[..gap_count]` is sorted by time and pairwise disjoint.
-    gaps: [Gap; Resource::GAP_CAPACITY],
-    gap_count: usize,
+    /// sorted by time and pairwise disjoint.
+    gaps: VecDeque<Gap>,
+    /// Most gaps held at once.
+    gap_high_water: usize,
+    /// Gaps forgotten at [`Resource::GAP_GUARD`].
+    forgotten: u64,
 }
 
 impl std::fmt::Debug for Resource {
@@ -78,7 +98,8 @@ impl std::fmt::Debug for Resource {
             .field("name", &self.name)
             .field("busy_until", &self.busy_until)
             .field("busy_time", &self.busy_time)
-            .field("gaps", &&self.gaps[..self.gap_count])
+            .field("watermark", &self.watermark)
+            .field("gaps", &self.gaps)
             .finish()
     }
 }
@@ -100,10 +121,15 @@ impl Window {
 }
 
 impl Resource {
-    /// Idle gaps a timeline remembers. A resource whose reservations leave
-    /// more live gaps than this forgets the oldest one (see the module
-    /// documentation for what that costs).
-    pub const GAP_CAPACITY: usize = 32;
+    /// Most gaps a timeline holds. Only a driver that never calls
+    /// [`Resource::retire_before`] reaches it: under the event clock the
+    /// busiest timeline of the benchmark workloads and the paper's
+    /// figures (a Baseline checkpoint burst) holds under 12 000.
+    pub const GAP_GUARD: usize = 16_384;
+
+    /// Gaps reserved up front: one heap allocation per timeline, and none
+    /// on a timeline whose live gaps stay this few.
+    const GAP_RESERVE: usize = 32;
 
     /// Creates an idle resource. `name` appears in debug output only.
     pub fn new(name: &'static str) -> Self {
@@ -112,8 +138,10 @@ impl Resource {
             busy_until: SimTime::ZERO,
             busy_time: SimDuration::ZERO,
             first_start: SimTime::MAX,
-            gaps: [NO_GAP; Resource::GAP_CAPACITY],
-            gap_count: 0,
+            watermark: SimTime::ZERO,
+            gaps: VecDeque::with_capacity(Resource::GAP_RESERVE),
+            gap_high_water: 0,
+            forgotten: 0,
         }
     }
 
@@ -122,6 +150,7 @@ impl Resource {
     /// it. A zero-length request waits for an idle instant and reserves
     /// nothing.
     pub fn schedule(&mut self, at: SimTime, duration: SimDuration) -> Window {
+        self.check_not_retired(at);
         let start = match self.take_gap(at, duration) {
             Some(start) => start,
             None => self.append(at, duration),
@@ -134,17 +163,38 @@ impl Resource {
         }
     }
 
+    /// Promises that no later request is for an instant before `t`, and
+    /// forgets every idle gap that ends at or before the watermark (the
+    /// latest such `t`). The windows later requests get are the same
+    /// whether or not this is called, as long as the list stays under
+    /// [`Resource::GAP_GUARD`].
+    pub fn retire_before(&mut self, t: SimTime) {
+        self.watermark = self.watermark.max(t);
+        let over = self.gaps.partition_point(|gap| gap.end <= self.watermark);
+        self.gaps.drain(..over);
+    }
+
+    fn check_not_retired(&self, at: SimTime) {
+        debug_assert!(
+            at >= self.watermark,
+            "{}: request at {at:?} before the watermark {:?}",
+            self.name,
+            self.watermark
+        );
+    }
+
     /// Books `duration` behind every reservation made so far, recording
-    /// the idle stretch it leaves in front of itself as a new gap.
+    /// the idle stretch it leaves in front of itself as a new gap unless
+    /// that is over by the watermark.
     fn append(&mut self, at: SimTime, duration: SimDuration) -> SimTime {
         let start = at.max(self.busy_until);
         if !duration.is_zero() {
-            if start > self.busy_until {
+            if start > self.busy_until && start > self.watermark {
                 let skipped = Gap {
                     start: self.busy_until,
                     end: start,
                 };
-                self.insert_gap(self.gap_count, skipped);
+                self.insert_gap(self.gaps.len(), skipped);
             }
             self.busy_until = start + duration;
         }
@@ -154,6 +204,7 @@ impl Resource {
     /// Where [`Resource::schedule`] would start a window of `duration` at
     /// or after `at`, without booking it.
     pub fn first_fit(&self, at: SimTime, duration: SimDuration) -> SimTime {
+        self.check_not_retired(at);
         self.find_gap(at, duration)
             .map_or(at.max(self.busy_until), |(_, _, start)| start)
     }
@@ -166,53 +217,56 @@ impl Resource {
         }
         // The list is sorted: skip the gaps that are over by `at` (what is
         // left has `at < gap.end`, so `start` below lies inside its gap).
-        let live = &self.gaps[..self.gap_count];
-        let first = live.partition_point(|gap| gap.end <= at);
-        (first..).zip(&live[first..]).find_map(|(idx, &gap)| {
-            let start = gap.start.max(at);
-            (start + duration <= gap.end).then_some((idx, gap, start))
-        })
+        let first = self.gaps.partition_point(|gap| gap.end <= at);
+        (first..)
+            .zip(self.gaps.range(first..))
+            .find_map(|(idx, &gap)| {
+                let start = gap.start.max(at);
+                (start + duration <= gap.end).then_some((idx, gap, start))
+            })
     }
 
     /// Books `duration` in the first idle gap that holds it at or after
-    /// `at`, splitting the gap around the booking.
+    /// `at`, splitting the gap around the booking. The part in front of
+    /// the booking is dropped when it is over by the watermark.
     fn take_gap(&mut self, at: SimTime, duration: SimDuration) -> Option<SimTime> {
         let (idx, gap, start) = self.find_gap(at, duration)?;
         if duration.is_zero() {
             return Some(start);
         }
         let finish = start + duration;
-        match (gap.start < start, finish < gap.end) {
+        let left = gap.start < start && start > self.watermark;
+        let slot = self.gaps.get_mut(idx)?;
+        match (left, finish < gap.end) {
             (true, true) => {
-                self.gaps[idx].end = start;
+                slot.end = start;
                 let rest = Gap {
                     start: finish,
                     end: gap.end,
                 };
                 self.insert_gap(idx + 1, rest);
             }
-            (true, false) => self.gaps[idx].end = start,
-            (false, true) => self.gaps[idx].start = finish,
+            (true, false) => slot.end = start,
+            (false, true) => slot.start = finish,
             (false, false) => {
-                self.gaps.copy_within(idx + 1..self.gap_count, idx);
-                self.gap_count -= 1;
+                self.gaps.remove(idx);
             }
         }
         Some(start)
     }
 
-    /// Inserts `gap` at position `idx` of the sorted list, forgetting the
-    /// oldest gap when the list is full (callers never insert in front of
-    /// the oldest: a split keeps its left part there, an append goes last).
+    /// Inserts `gap` at position `idx` of the sorted list. At
+    /// [`Resource::GAP_GUARD`] gaps the oldest is forgotten first (callers
+    /// never insert in front of the oldest: a split keeps its left part
+    /// there, an append goes last).
     fn insert_gap(&mut self, mut idx: usize, gap: Gap) {
-        if self.gap_count == Resource::GAP_CAPACITY {
-            self.gaps.copy_within(1.., 0);
-            self.gap_count -= 1;
+        if self.gaps.len() == Resource::GAP_GUARD {
+            self.gaps.pop_front();
+            self.forgotten += 1;
             idx -= 1;
         }
-        self.gaps.copy_within(idx..self.gap_count, idx + 1);
-        self.gaps[idx] = gap;
-        self.gap_count += 1;
+        self.gaps.insert(idx, gap);
+        self.gap_high_water = self.gap_high_water.max(self.gaps.len());
     }
 
     /// End of the latest reservation: from here on the resource is free
@@ -239,6 +293,25 @@ impl Resource {
             return 0.0;
         }
         self.busy_time.as_secs_f64() / horizon.as_secs_f64()
+    }
+
+    /// The idle stretches `[start, end)` a request could still book,
+    /// oldest first.
+    pub fn idle_gaps(&self) -> impl ExactSizeIterator<Item = (SimTime, SimTime)> + '_ {
+        self.gaps.iter().map(|gap| (gap.start, gap.end))
+    }
+
+    /// Most idle gaps the timeline has held at once, dead ones awaiting
+    /// [`Resource::retire_before`] included.
+    pub fn gap_high_water(&self) -> usize {
+        self.gap_high_water
+    }
+
+    /// Gaps forgotten at [`Resource::GAP_GUARD`]. Each ended after the
+    /// watermark, so a request could have booked it; zero means every
+    /// window was the earliest feasible one.
+    pub fn forgotten_gaps(&self) -> u64 {
+        self.forgotten
     }
 }
 
@@ -281,6 +354,13 @@ impl ResourcePool {
         // Re-keyed in place; the heap re-sifts when `top` drops.
         top.0 .0 = self.servers[idx].available_at();
         (idx, win)
+    }
+
+    /// [`Resource::retire_before`] on every server.
+    pub fn retire_before(&mut self, t: SimTime) {
+        for server in &mut self.servers {
+            server.retire_before(t);
+        }
     }
 }
 
@@ -365,18 +445,80 @@ mod tests {
         assert_eq!(r.available_at(), ns(200));
     }
 
+    /// The idle stretches the timeline remembers, as `(start, end)`.
+    fn gaps(r: &Resource) -> Vec<(u64, u64)> {
+        r.idle_gaps()
+            .map(|(start, end)| (start.as_nanos(), end.as_nanos()))
+            .collect()
+    }
+
     #[test]
-    fn overflow_forgets_the_oldest_gap_and_never_double_books() {
+    fn every_live_gap_stays_bookable_the_oldest_included() {
         let mut r = Resource::new("die");
-        // One more gap than the list holds: [0,10), [20,30), ...
-        let n = Resource::GAP_CAPACITY as u64 + 1;
+        // More gaps than the list reserves: [0,10), [20,30), ...
+        for i in 0..40 {
+            r.schedule(ns(20 * i + 10), dur(10));
+        }
+        assert_eq!(r.gap_high_water(), 40);
+        for i in 0..40 {
+            assert_eq!(r.schedule(ns(0), dur(10)), window(20 * i, 20 * i + 10));
+        }
+        assert_eq!(r.busy_time(), r.span());
+        assert_eq!(r.forgotten_gaps(), 0);
+    }
+
+    #[test]
+    fn retire_before_drops_exactly_the_gaps_over_by_then() {
+        let mut r = Resource::new("die");
+        for i in 0..5 {
+            r.schedule(ns(20 * i + 10), dur(10));
+        }
+        assert_eq!(gaps(&r), [(0, 10), (20, 30), (40, 50), (60, 70), (80, 90)]);
+        // A gap ending exactly at the watermark goes with the older one.
+        r.retire_before(ns(30));
+        assert_eq!(gaps(&r), [(40, 50), (60, 70), (80, 90)]);
+        assert_eq!(r.schedule(ns(30), dur(10)), window(40, 50));
+        // One the watermark falls inside stays. A booking at the
+        // watermark keeps no stretch in front of itself, and none that
+        // an append skips is kept either.
+        r.retire_before(ns(65));
+        assert_eq!(gaps(&r), [(60, 70), (80, 90)]);
+        assert_eq!(r.schedule(ns(65), dur(2)), window(65, 67));
+        assert_eq!(gaps(&r), [(67, 70), (80, 90)]);
+        // The watermark never moves back.
+        r.retire_before(ns(0));
+        assert_eq!(r.watermark, ns(65));
+        r.retire_before(ns(200));
+        assert_eq!(r.schedule(ns(200), dur(10)), window(200, 210));
+        assert!(gaps(&r).is_empty());
+    }
+
+    #[test]
+    fn the_guard_forgets_the_oldest_gaps_of_a_driver_that_never_retires() {
+        let mut r = Resource::new("die");
+        let n = Resource::GAP_GUARD as u64 + 2;
         for i in 0..n {
             r.schedule(ns(20 * i + 10), dur(10));
         }
-        // The oldest gap is forgotten; the second oldest is still there.
-        assert_eq!(r.schedule(ns(0), dur(10)), window(20, 30));
+        assert_eq!(r.gap_high_water(), Resource::GAP_GUARD);
+        assert_eq!(r.forgotten_gaps(), 2);
+        // The two oldest are lost capacity; the third oldest is booked.
         assert_eq!(r.schedule(ns(0), dur(10)), window(40, 50));
+        // Retiring makes room: the next gap forgets nothing.
+        r.retire_before(ns(100));
+        r.schedule(ns(20 * n + 10), dur(10));
+        assert_eq!(r.forgotten_gaps(), 2);
         assert!(r.busy_time() <= r.span());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the watermark")]
+    fn a_booking_before_the_watermark_is_a_driver_bug() {
+        let mut r = Resource::new("die");
+        r.schedule(ns(100), dur(10));
+        r.retire_before(ns(50));
+        r.schedule(ns(40), dur(5));
     }
 
     #[test]

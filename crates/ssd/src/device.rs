@@ -225,6 +225,17 @@ impl Ssd {
         &self.cpu
     }
 
+    /// Promises that no later command is issued at an instant before `t`,
+    /// so the link, the firmware CPU and the flash timelines can forget
+    /// the idle gaps that are over by then. A driver whose clock only
+    /// moves forward calls it now and then with the present; the windows
+    /// later commands get are the same whether or not it does.
+    pub fn retire_before(&mut self, t: SimTime) {
+        self.link.retire_before(t);
+        self.cpu.retire_before(t);
+        self.ftl.retire_before(t);
+    }
+
     /// Earliest instant at which both link and firmware CPU are idle.
     pub fn idle_at(&self) -> SimTime {
         self.link.available_at().max(self.cpu.available_at())

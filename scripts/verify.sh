@@ -15,10 +15,10 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== cargo test --release (checkin-core lib)"
+echo "== cargo test --release (checkin-core and checkin-sim libs)"
 # Release builds compile `debug_assert!` out: a test that expects one to
 # fire must be gated on `debug_assertions`, or this profile goes red.
-cargo test --release -p checkin-core --lib -q
+cargo test --release -p checkin-core -p checkin-sim --lib -q
 
 echo "== kvbench builds against the workspace, and its unit tests pass"
 # `benchmark/kvbench` is a package of its own (path deps on the
