@@ -490,10 +490,12 @@ fn profile_traced(sc: &Scenario, flash_tracer: Tracer) -> Vec<(FaultOp, OpPhase)
     plan.expect("plan stays armed").trace().to_vec()
 }
 
-/// The 1-based ticks of the row's programs that rode another plane's
-/// tPROG, from a profiling pass with the flash array traced. The n-th
+/// The 1-based ticks of the second pages of the row's plane-pair
+/// programs, from a profiling pass with the flash array traced. The n-th
 /// program event is the n-th program tick: the row must arm no fault but
-/// its cut, so no program fails.
+/// its cut, so no program fails. A pair's two pages tick back to back,
+/// so the tick before each is its first page's, and a cut there lands
+/// between the two.
 fn joined_program_ticks(sc: &Scenario) -> Vec<u64> {
     let tracer = Tracer::ring_buffered(1 << 14);
     let programs = ticks_where(&profile_traced(sc, tracer.clone()), |op, _| {
@@ -510,11 +512,23 @@ fn joined_program_ticks(sc: &Scenario) -> Vec<u64> {
         events.len(),
         programs.len()
     );
-    programs
+    let rides = |e: &TraceEvent| e.fields().contains(&("multiplane", 1));
+    let ticks: Vec<(u64, bool)> = programs
         .into_iter()
-        .zip(events)
-        .filter(|(_, e)| e.fields().contains(&("multiplane", 1)))
-        .map(|(tick, _)| tick)
+        .zip(&events)
+        .map(|(tick, e)| (tick, rides(e)))
+        .collect();
+    ticks
+        .windows(2)
+        .filter(|pair| pair[1].1)
+        .map(|pair| {
+            assert!(
+                !pair[0].1 && pair[0].0 + 1 == pair[1].0,
+                "{sc:?}: the second page of a pair at tick {} does not follow its first",
+                pair[1].0
+            );
+            pair[1].0
+        })
         .collect()
 }
 

@@ -353,14 +353,17 @@ fn torn_tier(s: &mut Sweep) {
     s.gate(torn_in_gc > 0, "no torn page was committed inside GC");
 }
 
-/// Every other tier runs on one plane per die, where no page ever rides
-/// another plane's tPROG. Here the dies have two planes and a write point
-/// each, and cuts land on exactly such pages — the first, middle and last
-/// of each row — once fail-stop and once torn. Each torn cut must tear
-/// the joined page it was aimed at, and the durability contract must hold
-/// with no typed failure tolerated, as in the torn tier.
+/// Every other tier runs on one plane per die, where every program is a
+/// page of its own. Here the dies have two planes and a write point
+/// each, every page-out programs a plane pair, and cuts land on the
+/// second page of a pair, between its two fault ticks — the first,
+/// middle and last such page of each row — once fail-stop (neither page
+/// lands) and once torn (the first lands whole, the second torn). Each
+/// torn cut must tear exactly the one page it was aimed at, and the
+/// durability contract must hold with no typed failure tolerated, as in
+/// the torn tier.
 fn two_plane_tier(s: &mut Sweep) {
-    section("two-plane power-cut sweep (cuts on pages that joined another plane's tPROG)");
+    section("two-plane power-cut sweep (cuts on the second page of a plane-pair program)");
     let (mut torn_cuts, mut torn, mut rows_without_joins) = (0u64, 0u64, 0u64);
     for (n, strategy) in (0u64..).zip(Strategy::all()) {
         let seed = CUT_SEED ^ 0x2_B1A4E ^ (n << 36);
@@ -384,7 +387,7 @@ fn two_plane_tier(s: &mut Sweep) {
             }
         }
         println!(
-            "  {:<9} {} joined programs, cuts at {cuts:?}",
+            "  {:<9} {} plane pairs, cuts at {cuts:?}",
             strategy.label(),
             joined.len()
         );
@@ -394,7 +397,7 @@ fn two_plane_tier(s: &mut Sweep) {
         torn_cuts > 0 && torn == torn_cuts && rows_without_joins == 0,
         &format!(
             "two-plane tier: {torn} torn pages from {torn_cuts} torn cuts, {rows_without_joins} \
-             rows with no joined program"
+             rows with no plane pair"
         ),
     );
 }

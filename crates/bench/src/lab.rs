@@ -14,9 +14,11 @@
 //!   costs: a read asks for the sectors the value spans and senses each
 //!   flash page once. When a page-filling write is acknowledged: at
 //!   admission to the power-protected buffer, and after a program only
-//!   once every write point has one in flight. When a second page
-//!   programmed on a busy two-plane die finishes: with the first when it
-//!   is on the other plane, a tPROG later otherwise. What a mapping
+//!   once every write point has one in flight. When pages programmed on
+//!   a busy two-plane die finish: a plane pair in one call with one
+//!   tPROG, a second call a tPROG later whichever plane it is on; and how
+//!   many tPROGs an FTL books for page-filling writes on an idle
+//!   two-plane die: one per two pages. What a mapping
 //!   walk costs the firmware on a cache smaller than the table: one miss
 //!   per segment a command touches, a hit for every other entry. And how
 //!   long a foreground read on a one-die device waits for a NAND program
@@ -31,7 +33,8 @@
 //! flash I/O where a copy checkpoint reads and rewrites every log, a
 //! home read must cost what the record occupies, a write must wait for a
 //! programming slot, not for a program, a die must program a page on
-//! each of its planes in one tPROG, a mapping walk must miss once per
+//! each of its planes in one tPROG — the pages of one call, and an
+//! FTL's page-outs one such call each — a mapping walk must miss once per
 //! segment, and a foreground read must not wait for a program whose
 //! finish nobody has seen. `cargo test` checks them as well (this
 //! module's tests).
@@ -60,7 +63,8 @@ pub struct Lab {
     /// Exact simulated cost of a remap and of a copy checkpoint, of a
     /// home read of a small and of a slot-sized record, when
     /// page-filling writes are acknowledged, when pages programmed on a
-    /// busy two-plane die finish, what three mapping walks cost the
+    /// busy two-plane die finish and how many tPROGs page-filling writes
+    /// book on an idle one, what three mapping walks cost the
     /// firmware, and what four foreground reads wait for on a
     /// programming die.
     pub counts: Vec<Row>,
@@ -68,9 +72,10 @@ pub struct Lab {
     pub paper: Vec<Row>,
     /// All six gates held: a remap checkpoint did no flash I/O, a read
     /// cost what the record occupies, a write waited for a programming
-    /// slot, not for a program, a die programmed its two planes in one
-    /// tPROG, a mapping walk missed once per segment, and a foreground
-    /// read did not wait for a program whose finish nobody had seen.
+    /// slot, not for a program, a die programmed a plane pair — and only
+    /// the pages of one call — in one tPROG, a mapping walk missed once
+    /// per segment, and a foreground read did not wait for a program
+    /// whose finish nobody had seen.
     pub passed: bool,
 }
 
@@ -433,66 +438,119 @@ fn a_write_waits_for_a_slot_not_a_program(w: &WriteAcks) -> bool {
 }
 
 /// When pages programmed on a busy two-plane die finish, from the
-/// fixture's start.
+/// fixture's start, and how many tPROGs an FTL books for page-filling
+/// writes on an idle one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ProgramFinishes {
-    /// Page index 0 on plane 0 of die 0, behind an erase of that die.
-    first_finish_ns: u64,
-    /// Then page index 0 on the die's other plane.
-    other_plane_finish_ns: u64,
-    /// Or page index 0 of another block on the first page's plane.
+    /// Page index 0 on both planes of die 0 in one call, behind an
+    /// erase of that die.
+    plane_pair_finish_ns: u64,
+    /// Page index 0 on plane 0, then in a second call page index 0 of
+    /// another block on that plane: when the second finishes.
     same_plane_finish_ns: u64,
-    /// Or page index 0 on the other plane, issued when the first page's
-    /// tPROG starts, so its transfer ends after that.
-    late_transfer_finish_ns: u64,
+    /// Page index 0 on plane 0, then in a second call, issued at the
+    /// same instant, page index 0 on the other plane: when the second
+    /// finishes.
+    other_plane_call_finish_ns: u64,
+    /// tPROGs an idle one-die, two-plane FTL books for
+    /// [`PAGE_FILLING_WRITES`] page-filling writes.
+    idle_die_tprogs: u64,
 }
 
+/// Page-filling writes of the FTL half of [`program_finishes`]: 2N, so
+/// that N multi-plane pages hold them.
+const PAGE_FILLING_WRITES: u64 = 16;
+
 /// On the paper-default array, erases a block of die 0 and meanwhile
-/// programs one page there and then a second one, three ways.
+/// programs page index 0 of two blocks there, three ways; then writes
+/// [`PAGE_FILLING_WRITES`] 4 KiB units at one instant to an idle FTL of
+/// one die with two planes, one write point each, and a two-unit
+/// watermark.
 fn program_finishes() -> ProgramFinishes {
     let g = FlashGeometry::paper_default();
-    let t_prog = FlashTiming::mlc().t_program;
     // Blocks stripe channel, die, plane: die 0 of channel 0 holds blocks
     // 0, 16 and 32 on plane 0, and 8 on plane 1.
     let (plane0, plane1, plane0_again, erased) = (BlockId(0), BlockId(8), BlockId(16), BlockId(32));
-    let pair = |second: BlockId, late: bool| {
+    let page = PageContent::empty(1);
+    let busy_die = || {
         let mut flash = FlashArray::new(g, FlashTiming::mlc());
         flash
             .erase(erased, SimTime::ZERO)
             .expect("a fresh block erases");
-        let page = PageContent::empty(1);
-        let mut program = |block, at| {
+        flash
+    };
+    let mut flash = busy_die();
+    let pair = [(g.first_ppn(plane0), &page), (g.first_ppn(plane1), &page)];
+    let plane_pair = flash
+        .program_planes(&pair, SimTime::ZERO)
+        .expect("one die's planes at one page index");
+    let two_calls = |second: BlockId| {
+        let mut flash = busy_die();
+        let mut program = |block| {
             flash
-                .program(g.first_ppn(block), &page, at)
+                .program(g.first_ppn(block), &page, SimTime::ZERO)
                 .expect("the page is erased and in range")
                 .finish
         };
-        let first = program(plane0, SimTime::ZERO);
-        let at = if late { first - t_prog } else { SimTime::ZERO };
-        (first.as_nanos(), program(second, at).as_nanos())
+        program(plane0);
+        program(second).as_nanos()
     };
-    let (first_finish_ns, other_plane_finish_ns) = pair(plane1, false);
     ProgramFinishes {
-        first_finish_ns,
-        other_plane_finish_ns,
-        same_plane_finish_ns: pair(plane0_again, false).1,
-        late_transfer_finish_ns: pair(plane1, true).1,
+        plane_pair_finish_ns: plane_pair.finish.as_nanos(),
+        same_plane_finish_ns: two_calls(plane0_again),
+        other_plane_call_finish_ns: two_calls(plane1),
+        idle_die_tprogs: idle_die_tprogs(),
     }
 }
 
-/// The multi-plane rule on the fixture, from the flash timing alone: the
-/// first page programs when the erase is done; a page on the other plane
-/// at its page index rides that tPROG, while one on the same plane, or
-/// one whose data arrives after the tPROG started, waits a whole tPROG
-/// more.
+/// The tPROGs [`PAGE_FILLING_WRITES`] page-filling writes book on an
+/// idle FTL of one die with two planes: its die time over one tPROG.
+fn idle_die_tprogs() -> u64 {
+    let geometry = FlashGeometry {
+        channels: 1,
+        dies_per_channel: 1,
+        planes_per_die: 2,
+        blocks_per_plane: 8,
+        pages_per_block: 32,
+        page_bytes: 4096,
+    };
+    let config = FtlConfig {
+        unit_bytes: 4096,
+        write_points: 2,
+        write_buffer_units: 2,
+        gc_threshold_blocks: 2,
+        gc_soft_threshold_blocks: 4,
+        ..FtlConfig::default()
+    };
+    let flash = FlashArray::new(geometry, FlashTiming::mlc());
+    let mut ftl = Ftl::new(flash, config).expect("the fixture's FTL config is valid");
+    for lpn in 0..PAGE_FILLING_WRITES {
+        let unit = UnitWrite {
+            lpn: Lpn(lpn),
+            payload: UnitPayload::single(lpn, 1, 4096),
+            whole_unit: true,
+        };
+        ftl.write(unit, OobKind::Data, SimTime::ZERO)
+            .expect("write succeeds");
+    }
+    let busy = ftl.flash().die_busy_time().as_nanos();
+    busy / FlashTiming::mlc().t_program.as_nanos().max(1)
+}
+
+/// The multi-plane rule on the fixture, from the flash timing alone: a
+/// plane pair programmed in one call finishes one tPROG after the erase
+/// is done; a second call waits a whole tPROG more, on the first page's
+/// plane or on the other one; and the FTL's page-filling writes book one
+/// tPROG per two pages with the die idle throughout, die time and
+/// nothing else.
 fn a_die_programs_its_planes_at_once(p: &ProgramFinishes) -> bool {
     let t = FlashTiming::mlc();
     let first = (t.t_erase + t.t_program).as_nanos();
     let next = first + t.t_program.as_nanos();
-    p.first_finish_ns == first
-        && p.other_plane_finish_ns == first
+    p.plane_pair_finish_ns == first
         && p.same_plane_finish_ns == next
-        && p.late_transfer_finish_ns == next
+        && p.other_plane_call_finish_ns == next
+        && p.idle_die_tprogs == PAGE_FILLING_WRITES / 2
 }
 
 /// One command's mapping walk: the firmware time it booked beyond the
@@ -822,12 +880,22 @@ fn counts_section() -> (Vec<Row>, Measured) {
     }
     let programs = program_finishes();
     for (leaf, ns) in [
-        ("other_plane_finish_ns", programs.other_plane_finish_ns),
+        ("plane_pair_finish_ns", programs.plane_pair_finish_ns),
         ("same_plane_finish_ns", programs.same_plane_finish_ns),
-        ("late_transfer_finish_ns", programs.late_transfer_finish_ns),
+        (
+            "other_plane_call_finish_ns",
+            programs.other_plane_call_finish_ns,
+        ),
     ] {
         push(&mut rows, "program", leaf, ns as f64, "ns");
     }
+    push(
+        &mut rows,
+        "program",
+        "idle_die_16_page_writes_tprogs",
+        programs.idle_die_tprogs as f64,
+        "count",
+    );
     let walks = map_walks();
     for (leaf, walk) in [
         ("one_unit_ns", walks.one_unit),
@@ -889,6 +957,8 @@ mod tests {
             super::a_die_programs_its_planes_at_once(&programs),
             "{programs:?}"
         );
+        // The row name counts the writes.
+        assert_eq!(PAGE_FILLING_WRITES, 16);
     }
 
     #[test]

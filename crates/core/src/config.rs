@@ -143,7 +143,8 @@ pub struct SystemConfig {
     /// Device write-buffer page-out watermark in mapping units
     /// (power-protected DRAM; units page out oldest-first from this
     /// many on). The capacity is larger by the pages in flight: one per
-    /// die (`FtlConfig::write_buffer_units` has the rule).
+    /// write point, which is one per plane
+    /// (`FtlConfig::write_buffer_units` has the rule).
     pub write_buffer_units: u32,
     /// Ablation: disable Algorithm 2's partial-log merging (partials pad
     /// to full units instead). Only meaningful for Check-In.
@@ -217,8 +218,8 @@ impl SystemConfig {
 
     /// FTL configuration derived from this system configuration: one
     /// write point per plane. A write point fills one block, which lies
-    /// on one plane, so a die whose planes each have a write point can
-    /// program them all in one tPROG.
+    /// on one plane, so each page-out is a page on every plane of its
+    /// die, programmed in one tPROG.
     pub fn ftl_config(&self) -> FtlConfig {
         FtlConfig {
             unit_bytes: self.effective_unit_bytes(),

@@ -18,23 +18,21 @@ use crate::timing::FlashTiming;
 /// before it runs to its end. A `const`, not a knob.
 pub const MAX_SUSPENDS_PER_PROGRAM: u32 = 2;
 
-/// Pages one tPROG programs at most: its own and those that joined it on
-/// the die's other planes — the capacity of its record.
-const PROGRAM_PAGES: usize = 8;
+/// Pages one tPROG programs at most: the largest plane group
+/// [`FlashArray::program_planes`] takes, and the capacity of a program's
+/// record.
+pub const MAX_PLANE_GROUP: usize = 8;
 
-/// A die's latest program: the latest-starting tPROG booked there. A page
-/// on another plane can still join it, and a foreground read can still go
-/// ahead of it (see [`FlashArray::read_ahead_of_programs`]).
+/// A die's latest program: the latest-starting tPROG booked there. A
+/// foreground read can still go ahead of it (see
+/// [`FlashArray::read_ahead_of_programs`]).
 #[derive(Debug, Clone, Copy)]
 struct LatestProgram {
     /// Its die reservation: where the tPROG starts, and where it now
     /// ends — later than `start + tPROG` by every read that went ahead.
     array: Window,
-    /// The planes it programs (one bit each) and their page index.
-    planes: u64,
-    page: u32,
-    /// The pages it programs, `pages[..count]`, its own first.
-    pages: [Ppn; PROGRAM_PAGES],
+    /// The pages it programs, `pages[..count]`: one plane group.
+    pages: [Ppn; MAX_PLANE_GROUP],
     count: usize,
     /// How often it was suspended, and when the reads sensed in its
     /// latest suspension are done (a read arriving before then queues
@@ -55,13 +53,18 @@ enum Ahead {
 }
 
 impl LatestProgram {
-    fn new(array: Window, planes: u64, page: u32, ppn: Ppn) -> Self {
+    /// The record of `group`, which holds one to [`MAX_PLANE_GROUP`] pages.
+    fn new(array: Window, group: impl Iterator<Item = Ppn>) -> Self {
+        let mut pages = [Ppn(0); MAX_PLANE_GROUP];
+        let count = pages
+            .iter_mut()
+            .zip(group)
+            .map(|(slot, p)| *slot = p)
+            .count();
         LatestProgram {
             array,
-            planes,
-            page,
-            pages: [ppn; PROGRAM_PAGES],
-            count: 1,
+            pages,
+            count,
             suspends: 0,
             resume: SimTime::ZERO,
         }
@@ -132,7 +135,7 @@ pub struct MovedProgram {
     pub from: SimTime,
     /// Its finish now.
     pub to: SimTime,
-    /// Pages that finish with it (its own and those that joined it).
+    /// Pages that finish with it: its plane group.
     pub pages: usize,
 }
 
@@ -159,12 +162,14 @@ struct BlockState {
 /// models operation timing through per-die and per-channel reservation
 /// timelines: a read is sensed in the first idle stretch of its die, also
 /// one ahead of a program that is still waiting for its channel transfer.
-/// A die programs up to `planes_per_die` pages (at most eight) in one
-/// tPROG: a page joins the die's latest program when it is for another
-/// plane, at the same page index, and its data is in the page register
-/// before that program starts. A foreground read may go ahead of that
-/// program ([`FlashArray::read_ahead_of_programs`]); every other read
-/// waits for it.
+/// A die works a plane group at a time: one program call hands it one
+/// page on each of up to `planes_per_die` planes (at most eight), all at
+/// one page index, and it programs them in one tPROG
+/// ([`FlashArray::program_planes`]); a read of a page on a plane another
+/// read of the same command just sensed at its page index rides that
+/// tR ([`FlashArray::read_beside`]). A foreground read may go ahead of
+/// the die's latest program ([`FlashArray::read_ahead_of_programs`]);
+/// every other read waits for it.
 ///
 /// # Examples
 ///
@@ -496,7 +501,7 @@ impl FlashArray {
             return Err(FlashError::OutOfRange(ppn));
         };
         let array = die_queue.timeline.schedule(at, t_read);
-        self.transfer_sensed(ppn, channel, at, array.start)
+        self.transfer_sensed(ppn, channel, at, array.start, false)
     }
 
     /// A foreground read: [`FlashArray::schedule_read`] for the reads a
@@ -593,19 +598,71 @@ impl FlashArray {
             Counter::FlashReadDieWaitNs,
             sense.duration_since(at).as_nanos(),
         );
-        let window = self.transfer_sensed(ppn, channel, at, sense)?;
+        let window = self.transfer_sensed(ppn, channel, at, sense, false)?;
         Ok(ForegroundRead::Sensed { window, moved })
     }
 
+    /// Reads `ppn` in the tR that sensed `partner` from `sensed` on: a
+    /// page on another plane of the same die at the same page index is
+    /// sensed by the same array operation, so it books only its channel
+    /// transfer, from when that tR ends. Returns the window from
+    /// `sensed` to the transfer's finish — one fault-clock tick, one
+    /// `flash.read.*` count and one `read` trace event (with
+    /// `multiplane: 1`) as any read, counted under
+    /// `flash.multiplane_reads`; in [`OpPhase::Run`] its wait from `at`
+    /// to `sensed` counts under `flash.read_die_wait_ns` as a foreground
+    /// sense's does. `None` — nothing booked, nothing ticked — when
+    /// `ppn` is one of the die's latest program's pages and that program
+    /// had not finished at `sensed`: the page was not there to sense.
+    ///
+    /// The caller vouches that `partner` was sensed from `sensed` and
+    /// that no other page of `ppn`'s plane rode that tR.
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::NotAPlaneGroup`] when `partner` and `ppn` are not
+    /// one die's pages on two planes at one page index; otherwise as
+    /// [`FlashArray::schedule_read`].
+    pub fn read_beside(
+        &mut self,
+        ppn: Ppn,
+        partner: Ppn,
+        sensed: SimTime,
+        at: SimTime,
+    ) -> Result<Option<Window>, FlashError> {
+        let Some((die, channel)) = self.plane_group([partner, ppn].into_iter())? else {
+            return Err(FlashError::NotAPlaneGroup(ppn));
+        };
+        if self.powered_off {
+            return Err(FlashError::PowerLoss);
+        }
+        let latest = self.dies.get(die).and_then(|d| d.latest);
+        if latest.is_some_and(|p| sensed < p.array.finish && p.programs(ppn)) {
+            return Ok(None);
+        }
+        self.fault_gate(FaultOp::Read, Some(ppn), None)?;
+        self.counters.incr(Counter::FlashMultiplaneReads);
+        if self.op_phase == OpPhase::Run {
+            self.counters.add(
+                Counter::FlashReadDieWaitNs,
+                sensed.saturating_duration_since(at).as_nanos(),
+            );
+        }
+        self.transfer_sensed(ppn, channel, at, sensed, true)
+            .map(Some)
+    }
+
     /// The tail every sense shares: the page crosses `channel` once tR
-    /// from `sense` is over, and the read is counted and traced. Returns
-    /// the sense's start to the transfer's finish.
+    /// from `sense` is over, and the read is counted and traced (with
+    /// `multiplane: 1` when it `rides` another page's tR). Returns the
+    /// sense's start to the transfer's finish.
     fn transfer_sensed(
         &mut self,
         ppn: Ppn,
         channel: usize,
         at: SimTime,
         sense: SimTime,
+        rides: bool,
     ) -> Result<Window, FlashError> {
         let xfer_time = self.timing.transfer_time(self.geometry.page_bytes as u64);
         let Some(channel_queue) = self.channels.get_mut(channel) else {
@@ -615,9 +672,14 @@ impl FlashArray {
         self.counters.incr(self.op_phase.read_counter());
         let phase = self.op_phase;
         self.tracer.emit(|| {
-            TraceEvent::new(at, TraceLayer::Flash, "read")
+            let event = TraceEvent::new(at, TraceLayer::Flash, "read")
                 .tag(phase.label())
-                .with("ppn", ppn.0)
+                .with("ppn", ppn.0);
+            if rides {
+                event.with("multiplane", 1)
+            } else {
+                event
+            }
         });
         Ok(Window {
             start: sense,
@@ -669,9 +731,10 @@ impl FlashArray {
             .map(|b| self.geometry.first_ppn(BlockId(b as u64)))
     }
 
-    /// Programs one page: bus transfer then array program (tPROG). The
-    /// staged `content` is copied into the block's arenas and sealed on
-    /// the way; pass it by reference to keep it for the next page.
+    /// Programs one page: bus transfer then array program (tPROG) — the
+    /// one-page [`FlashArray::program_planes`]. The staged `content` is
+    /// copied into the block's arenas and sealed on the way; pass it by
+    /// reference to keep it for the next page.
     ///
     /// # Errors
     ///
@@ -685,7 +748,120 @@ impl FlashArray {
         content: impl Borrow<PageContent>,
         at: SimTime,
     ) -> Result<Window, FlashError> {
-        let content = content.borrow();
+        self.program_planes(&[(ppn, content.borrow())], at)
+    }
+
+    /// Programs one die's plane group in one array operation: the pages
+    /// cross the die's channel back to back from `at`, and one tPROG
+    /// booked from the last transfer's finish programs them all. The
+    /// returned window runs from the first transfer's start to that
+    /// tPROG's finish; every page finishes with it. Each page is still
+    /// its own program to everything else: its own rule checks, fault-
+    /// clock tick, `flash.program.*` count and `program` trace event
+    /// (those after the first carry `multiplane: 1`, and each counts
+    /// under `flash.multiplane_programs`). An empty group programs
+    /// nothing and returns the empty window at `at`.
+    ///
+    /// All or nothing: every check and every page's tick runs before
+    /// anything lands, so a failure leaves the array as it was — except
+    /// a power cut with torn writes enabled, which lands the pages
+    /// before the one it hit intact and tears that one.
+    ///
+    /// # Errors
+    ///
+    /// * [`FlashError::NotAPlaneGroup`] for a page on another die, on a
+    ///   plane the group already holds, at another page index than the
+    ///   first, or past [`MAX_PLANE_GROUP`] pages;
+    /// * as [`FlashArray::program`] for each page, the first failure in
+    ///   group order.
+    pub fn program_planes<C: Borrow<PageContent>>(
+        &mut self,
+        group: &[(Ppn, C)],
+        at: SimTime,
+    ) -> Result<Window, FlashError> {
+        let Some((die, channel)) = self.plane_group(group.iter().map(|(ppn, _)| *ppn))? else {
+            return Ok(Window {
+                start: at,
+                finish: at,
+            });
+        };
+        for &(ppn, _) in group {
+            self.check_programmable(ppn)?;
+        }
+        // Every failure path must run before any mutation so that a cut
+        // or media error leaves the array exactly as it was — except a
+        // power cut with torn writes enabled, which deliberately leaves
+        // the partially-programmed wreckage on the media.
+        for (i, (ppn, content)) in group.iter().enumerate() {
+            let block = self.geometry.block_of(*ppn);
+            let was_on = !self.powered_off;
+            if let Err(e) = self.fault_gate(FaultOp::Program, Some(*ppn), Some(block)) {
+                if was_on
+                    && matches!(e, FlashError::PowerLoss)
+                    && self
+                        .faults
+                        .as_ref()
+                        .is_some_and(FaultPlan::torn_writes_enabled)
+                {
+                    for (n, (ppn, content)) in group.iter().take(i).enumerate() {
+                        self.land_program(*ppn, content.borrow(), n > 0, at)?;
+                    }
+                    self.torn_program(*ppn, block, content.borrow(), at);
+                }
+                return Err(e);
+            }
+        }
+        for (n, (ppn, content)) in group.iter().enumerate() {
+            self.land_program(*ppn, content.borrow(), n > 0, at)?;
+        }
+        let first = group.first().map_or(Ppn(0), |(ppn, _)| *ppn);
+        let xfer_time = self.timing.transfer_time(self.geometry.page_bytes as u64);
+        // As in `schedule_read`: a geometry that disagrees with the queue
+        // vectors is a typed error, not a panic.
+        let channel = self
+            .channels
+            .get_mut(channel)
+            .ok_or(FlashError::OutOfRange(first))?;
+        let mut start = None;
+        let mut loaded = at;
+        for _ in group {
+            let xfer = channel.schedule(loaded, xfer_time);
+            start.get_or_insert(xfer.start);
+            loaded = xfer.finish;
+        }
+        let finish = self
+            .book_program(die, group.iter().map(|(ppn, _)| *ppn), loaded)
+            .ok_or(FlashError::OutOfRange(first))?;
+        Ok(Window {
+            start: start.unwrap_or(at),
+            finish,
+        })
+    }
+
+    /// The die and channel a plane group's pages share, checking that
+    /// they are one: at most [`MAX_PLANE_GROUP`] pages in range, each a
+    /// plane partner of every other ([`FlashGeometry::plane_partners`]).
+    /// `None` for an empty group.
+    fn plane_group(
+        &self,
+        group: impl Iterator<Item = Ppn> + Clone,
+    ) -> Result<Option<(usize, usize)>, FlashError> {
+        for (i, ppn) in group.clone().enumerate() {
+            self.check_range(ppn)?;
+            let mut earlier = group.clone().take(i);
+            if i >= MAX_PLANE_GROUP || !earlier.all(|p| self.geometry.plane_partners(p, ppn)) {
+                return Err(FlashError::NotAPlaneGroup(ppn));
+            }
+        }
+        Ok(group.clone().next().map(|first| {
+            let (die, channel, _) = self.die_channel_plane(first);
+            (die, channel)
+        }))
+    }
+
+    /// The rule checks of one page's program, before its fault tick: in
+    /// range, on a block in service, and the block's next erased page.
+    fn check_programmable(&self, ppn: Ppn) -> Result<(), FlashError> {
         self.check_range(ppn)?;
         let block = self.geometry.block_of(ppn);
         let page = self.geometry.page_in_block(ppn);
@@ -702,23 +878,20 @@ impl FlashArray {
                 expected_page: cursor,
             });
         }
-        // Every failure path must run before any mutation so that a cut
-        // or media error leaves the array exactly as it was — except a
-        // power cut with torn writes enabled, which deliberately leaves
-        // the partially-programmed wreckage on the media.
-        let was_on = !self.powered_off;
-        if let Err(e) = self.fault_gate(FaultOp::Program, Some(ppn), Some(block)) {
-            if was_on
-                && matches!(e, FlashError::PowerLoss)
-                && self
-                    .faults
-                    .as_ref()
-                    .is_some_and(FaultPlan::torn_writes_enabled)
-            {
-                self.torn_program(ppn, block, content, at);
-            }
-            return Err(e);
-        }
+        Ok(())
+    }
+
+    /// Lands one page of a program whose ticks all passed — sealed, then
+    /// maybe misdirected — and counts and traces it; `rides` for a page
+    /// after its group's first.
+    fn land_program(
+        &mut self,
+        ppn: Ppn,
+        content: &PageContent,
+        rides: bool,
+        at: SimTime,
+    ) -> Result<(), FlashError> {
+        let block = self.geometry.block_of(ppn);
         // Landing seals per-unit and per-OOB checksums; injectors mutate
         // the stored bits after this point without resealing.
         self.land_page(block, content)?;
@@ -729,21 +902,8 @@ impl FlashArray {
             self.damage_landed_page(block, 0, mask);
             self.counters.incr(Counter::FlashMisdirectedPrograms);
         }
-
-        // As in `schedule_read`: a geometry that disagrees with the queue
-        // vectors is a typed error, not a panic.
-        let (die, channel, plane) = self.die_channel_plane(ppn);
-        let xfer_time = self.timing.transfer_time(self.geometry.page_bytes as u64);
-        let xfer = self
-            .channels
-            .get_mut(channel)
-            .ok_or(FlashError::OutOfRange(ppn))?
-            .schedule(at, xfer_time);
-        let (finish, joined) = self
-            .book_program(die, plane, ppn, page, xfer.finish)
-            .ok_or(FlashError::OutOfRange(ppn))?;
         self.counters.incr(self.op_phase.program_counter());
-        if joined {
+        if rides {
             self.counters.incr(Counter::FlashMultiplanePrograms);
         }
         let phase = self.op_phase;
@@ -752,53 +912,31 @@ impl FlashArray {
                 .tag(phase.label())
                 .with("ppn", ppn.0)
                 .with("block", block.0);
-            if joined {
+            if rides {
                 event.with("multiplane", 1)
             } else {
                 event
             }
         });
-        Ok(Window {
-            start: xfer.start,
-            finish,
-        })
+        Ok(())
     }
 
-    /// Books the tPROG of `ppn`, page index `page` on `plane` of `die`,
-    /// whose data is in the page register from `loaded`, and returns when
-    /// it finishes and whether the page joined another plane's tPROG. The
-    /// page joins the die's latest program when that one covers nothing
-    /// on the page's plane yet, programs the same page index, and has not
-    /// started by `loaded`: it then books no die time and finishes with it
-    /// — a window already handed out never moves. Otherwise it books its
-    /// own tPROG, which becomes the latest program if it starts later than
-    /// that one. `None` when `die` does not exist.
+    /// Books the one tPROG of the plane group `pages` on `die`, whose
+    /// data is in the page registers from `loaded`, and returns when it
+    /// finishes. It becomes the die's latest program if it starts later
+    /// than that one. `None` when `die` does not exist.
     fn book_program(
         &mut self,
         die: usize,
-        plane: u32,
-        ppn: Ppn,
-        page: u32,
+        pages: impl Iterator<Item = Ppn>,
         loaded: SimTime,
-    ) -> Option<(SimTime, bool)> {
+    ) -> Option<SimTime> {
         let Die { timeline, latest } = self.dies.get_mut(die)?;
-        // A plane past the mask's 64 bits has no bit and never joins.
-        let plane = 1u64.checked_shl(plane).unwrap_or(0);
-        if let Some(p) = latest.as_mut().filter(|p| {
-            plane != 0 && p.planes & plane == 0 && p.page == page && loaded <= p.array.start
-        }) {
-            if let Some(slot) = p.pages.get_mut(p.count) {
-                *slot = ppn;
-                p.count += 1;
-                p.planes |= plane;
-                return Some((p.array.finish, true));
-            }
-        }
         let array = timeline.schedule(loaded, self.timing.t_program);
         if latest.is_none_or(|p| array.start > p.array.start) {
-            *latest = Some(LatestProgram::new(array, plane, page, ppn));
+            *latest = Some(LatestProgram::new(array, pages));
         }
-        Some((array.finish, false))
+        Some(array.finish)
     }
 
     /// A power cut landed mid-program with torn writes enabled: commit a
@@ -1169,121 +1307,214 @@ mod tests {
         f.counters().get(Counter::FlashMultiplanePrograms)
     }
 
+    /// Programs page `page` of each of `blocks` as one plane group.
+    fn program_group(
+        f: &mut FlashArray,
+        blocks: &[u64],
+        page: u32,
+        at: SimTime,
+    ) -> Result<Window, FlashError> {
+        let g = *f.geometry();
+        let group: Vec<(Ppn, PageContent)> = blocks
+            .iter()
+            .map(|&b| (g.ppn_in_block(BlockId(b), page), page_with(b, 1)))
+            .collect();
+        f.program_planes(&group, at)
+    }
+
     #[test]
     fn a_page_on_the_other_plane_rides_the_dies_pending_tprog() {
         let mut f = two_planes();
-        let (t_prog, t_erase) = (f.timing().t_program, f.timing().t_erase);
+        let t = *f.timing();
+        let xfer = t.transfer_time(4096);
         let tracer = Tracer::ring_buffered(8);
         f.set_tracer(tracer.clone());
-        erase_die0(&mut f, SimTime::ZERO);
-        let a = program(&mut f, 0, 0, SimTime::ZERO);
-        let b = program(&mut f, 8, 0, SimTime::ZERO);
-        assert_eq!(a.finish, SimTime::ZERO + t_erase + t_prog);
-        assert_eq!(b.finish, a.finish, "one tPROG programs both planes");
-        assert!(b.start > a.start, "each page still crosses the channel");
-        assert_eq!(f.die_busy_time(), t_erase + t_prog);
+        // An idle die: the pair still shares one tPROG.
+        let w = program_group(&mut f, &[0, 8], 0, SimTime::ZERO).unwrap();
+        assert_eq!(w.start, SimTime::ZERO);
+        assert_eq!(w.finish, SimTime::ZERO + xfer * 2 + t.t_program);
+        assert_eq!(f.die_busy_time(), t.t_program, "one tPROG for both");
+        assert_eq!(f.channels()[0].busy_time(), xfer * 2, "two transfers");
         assert_eq!(joins(&f), 1);
         assert_eq!(f.counters().total(Total::FlashProgram), 2);
-        assert!(f.is_programmed(Ppn(8 * 256)));
+        assert!(f.is_programmed(Ppn(0)) && f.is_programmed(Ppn(8 * 256)));
         let multiplane: Vec<bool> = tracer
             .drain()
             .iter()
             .filter(|e| e.op == "program")
             .map(|e| e.fields().contains(&("multiplane", 1)))
             .collect();
-        assert_eq!(multiplane, [false, true]);
+        assert_eq!(multiplane, [false, true], "one event per page");
+        // Both pages are the program's own until it finishes.
+        for block in [0, 8] {
+            assert_eq!(
+                f.read_ahead_of_programs(Ppn(block * 256), us(100), |_, _| true),
+                Ok(ForegroundRead::Programming)
+            );
+        }
     }
 
     #[test]
     fn join_needs_the_other_plane() {
         let mut f = two_planes();
-        let t_prog = f.timing().t_program;
-        erase_die0(&mut f, SimTime::ZERO);
-        let a = program(&mut f, 0, 0, SimTime::ZERO);
         // Block 16 is on plane 0 too, at the same page index.
-        let b = program(&mut f, 16, 0, SimTime::ZERO);
-        assert_eq!(b.finish, a.finish + t_prog);
-        assert_eq!(joins(&f), 0);
+        assert_eq!(
+            program_group(&mut f, &[0, 16], 0, SimTime::ZERO),
+            Err(FlashError::NotAPlaneGroup(Ppn(16 * 256)))
+        );
+        assert!(!f.is_programmed(Ppn(0)), "a refused group lands nothing");
+        assert_eq!(f.die_busy_time(), SimDuration::ZERO);
     }
 
     #[test]
     fn join_needs_the_same_die() {
         let mut f = two_planes();
-        let t_prog = f.timing().t_program;
-        erase_die0(&mut f, SimTime::ZERO);
-        let a = program(&mut f, 0, 0, SimTime::ZERO);
-        // Block 12: channel 0, the other die, plane 1 — idle, so its page
-        // programs as soon as it has crossed the channel.
-        let b = program(&mut f, 12, 0, SimTime::ZERO);
-        let xfer = f.timing().transfer_time(4096);
-        assert_eq!(b.finish, b.start + xfer + t_prog);
-        assert!(b.finish < a.finish);
-        assert_eq!(f.dies().nth(1).unwrap().busy_time(), t_prog);
-        assert_eq!(joins(&f), 0);
+        // Block 12: channel 0, the other die, plane 1.
+        assert_eq!(
+            program_group(&mut f, &[0, 12], 0, SimTime::ZERO),
+            Err(FlashError::NotAPlaneGroup(Ppn(12 * 256)))
+        );
+        assert_eq!(f.counters().total(Total::FlashProgram), 0);
     }
 
     #[test]
     fn join_needs_the_same_page_index() {
         let mut f = two_planes();
-        let t_prog = f.timing().t_program;
         program(&mut f, 8, 0, SimTime::ZERO);
-        erase_die0(&mut f, SimTime::ZERO);
-        // Page 0 of plane 0 programs after the erase and is the die's
-        // pending program; page 1 of plane 1 cannot join it.
-        let a = program(&mut f, 0, 0, SimTime::ZERO);
-        let b = program(&mut f, 8, 1, SimTime::ZERO);
-        assert_eq!(b.finish, a.finish + t_prog);
-        assert_eq!(joins(&f), 0);
+        let g = *f.geometry();
+        let group = [
+            (g.ppn_in_block(BlockId(0), 0), page_with(0, 1)),
+            (g.ppn_in_block(BlockId(8), 1), page_with(8, 1)),
+        ];
+        let ticks = |f: &FlashArray| f.fault_plan().map(|p| p.ticks());
+        f.arm_faults(FaultPlan::new(crate::fault::FaultConfig::default()));
+        let before = ticks(&f);
+        assert_eq!(
+            f.program_planes(&group, SimTime::ZERO),
+            Err(FlashError::NotAPlaneGroup(group[1].0))
+        );
+        assert_eq!(ticks(&f), before, "refused before any tick");
+        assert_eq!(f.write_cursor(BlockId(0)), 0);
+        assert_eq!(f.write_cursor(BlockId(8)), 1);
     }
 
+    /// Two program calls never share a tPROG, however early the second
+    /// page's data is in its register.
     #[test]
-    fn join_needs_the_data_before_the_program_starts() {
-        let t_prog = FlashTiming::mlc().t_program;
-        let xfer = FlashTiming::mlc().transfer_time(4096);
-        // The plane-1 page is issued `lead` before the pending tPROG starts.
-        let pair = |lead: SimDuration| {
-            let mut f = two_planes();
-            erase_die0(&mut f, SimTime::ZERO);
-            let a = program(&mut f, 0, 0, SimTime::ZERO);
-            let b = program(&mut f, 8, 0, a.finish - t_prog - lead);
-            (a.finish, b.finish, joins(&f))
-        };
-        // Across the channel exactly when the tPROG starts: in time.
-        let (a, b, n) = pair(xfer);
-        assert_eq!((b, n), (a, 1));
-        // One nanosecond later: too late, it books its own.
-        let (a, b, n) = pair(xfer - SimDuration::from_nanos(1));
-        assert_eq!((b, n), (a + t_prog, 0));
+    fn two_calls_never_share_a_tprog() {
+        let mut f = two_planes();
+        let t_prog = f.timing().t_program;
+        erase_die0(&mut f, SimTime::ZERO);
+        let a = program(&mut f, 0, 0, SimTime::ZERO);
+        let b = program(&mut f, 8, 0, SimTime::ZERO);
+        assert_eq!(a.finish, SimTime::ZERO + f.timing().t_erase + t_prog);
+        assert_eq!(b.finish, a.finish + t_prog);
+        assert_eq!(joins(&f), 0);
+        // One call with both pages, behind the same erase: one tPROG.
+        let mut f = two_planes();
+        erase_die0(&mut f, SimTime::ZERO);
+        let pair = program_group(&mut f, &[0, 8], 0, SimTime::ZERO).unwrap();
+        assert_eq!(pair.finish, a.finish);
     }
 
     #[test]
     fn one_page_per_plane_per_tprog() {
         let mut f = two_planes();
-        let t_prog = f.timing().t_program;
-        erase_die0(&mut f, SimTime::ZERO);
-        let a = program(&mut f, 0, 0, SimTime::ZERO);
-        let b = program(&mut f, 8, 0, SimTime::ZERO);
-        // Block 24 is plane 1 again: that plane is taken in this tPROG.
-        let c = program(&mut f, 24, 0, SimTime::ZERO);
-        assert_eq!(b.finish, a.finish);
-        assert_eq!(c.finish, a.finish + t_prog);
-        assert_eq!(joins(&f), 1);
+        // Block 24 is plane 1 again: a plane the group already holds.
+        assert_eq!(
+            program_group(&mut f, &[0, 8, 24], 0, SimTime::ZERO),
+            Err(FlashError::NotAPlaneGroup(Ppn(24 * 256)))
+        );
+        // More pages than one tPROG's record holds, on a die with room.
+        let mut wide = FlashArray::new(
+            FlashGeometry {
+                channels: 1,
+                dies_per_channel: 1,
+                planes_per_die: 16,
+                blocks_per_plane: 1,
+                pages_per_block: 4,
+                page_bytes: 4096,
+            },
+            FlashTiming::mlc(),
+        );
+        let blocks: Vec<u64> = (0..=MAX_PLANE_GROUP as u64).collect();
+        assert_eq!(
+            program_group(&mut wide, &blocks, 0, SimTime::ZERO),
+            Err(FlashError::NotAPlaneGroup(Ppn(MAX_PLANE_GROUP as u64 * 4)))
+        );
+        let w = program_group(&mut wide, &blocks[..MAX_PLANE_GROUP], 0, SimTime::ZERO).unwrap();
+        assert_eq!(wide.die_busy_time(), wide.timing().t_program);
+        assert_eq!(joins(&wide), MAX_PLANE_GROUP as u64 - 1);
+        assert!(w.finish > w.start);
     }
 
     #[test]
-    fn the_latest_starting_program_stays_joinable() {
+    fn the_latest_starting_program_stays_the_record() {
         let mut f = two_planes();
         let ms = SimDuration::from_millis;
         erase_die0(&mut f, SimTime::ZERO + ms(1));
-        // Programs after the erase: the die's pending program.
-        let a = program(&mut f, 0, 0, SimTime::ZERO + ms(2));
+        // A pair after the erase: the die's latest program.
+        let pair = program_group(&mut f, &[0, 8], 0, SimTime::ZERO + ms(2)).unwrap();
         // Fits the idle millisecond before the erase: earlier, so it does
-        // not displace the pending one.
+        // not displace the pair as the record reads go ahead of.
         let early = program(&mut f, 16, 0, SimTime::ZERO);
         assert!(early.finish < SimTime::ZERO + ms(1));
-        let b = program(&mut f, 8, 0, SimTime::ZERO);
-        assert_eq!(b.finish, a.finish);
-        assert_eq!(joins(&f), 1);
+        let (_, moved) = read_ahead(&mut f, Ppn(24 * 256), SimTime::ZERO + ms(3));
+        let moved = moved.unwrap();
+        assert_eq!((moved.from, moved.pages), (pair.finish, 2));
+    }
+
+    #[test]
+    fn a_pair_keeps_a_fault_tick_a_count_and_an_event_per_page() {
+        use crate::fault::FaultConfig;
+        let mut f = two_planes();
+        f.arm_faults(FaultPlan::new(FaultConfig::default()));
+        let tracer = Tracer::ring_buffered(8);
+        f.set_tracer(tracer.clone());
+        program_group(&mut f, &[0, 8], 0, SimTime::ZERO).unwrap();
+        assert_eq!(f.fault_plan().unwrap().ticks(), 2);
+        assert_eq!(f.counters().get(Counter::FlashProgramRun), 2);
+        let events: Vec<u64> = tracer
+            .drain()
+            .iter()
+            .filter(|e| e.op == "program")
+            .map(|e| e.fields().iter().find(|f| f.0 == "ppn").unwrap().1)
+            .collect();
+        assert_eq!(events, [0, 8 * 256]);
+    }
+
+    /// A cut on the pair's second tick: fail-stop lands neither page;
+    /// torn lands the first intact and tears only the second.
+    #[test]
+    fn a_cut_on_the_second_page_of_a_pair() {
+        use crate::fault::FaultConfig;
+        let mut f = two_planes();
+        f.arm_faults(FaultPlan::new(FaultConfig::power_cut(7, 2)));
+        let err = program_group(&mut f, &[0, 8], 0, SimTime::ZERO).unwrap_err();
+        assert_eq!(err, FlashError::PowerLoss);
+        assert_eq!(f.fault_plan().unwrap().ticks(), 2, "cut on the second tick");
+        assert!(!f.is_programmed(Ppn(0)) && !f.is_programmed(Ppn(8 * 256)));
+        assert_eq!(f.counters().total(Total::FlashProgram), 0);
+        assert_eq!(f.die_busy_time(), SimDuration::ZERO);
+
+        let mut torn = 0;
+        for seed in 0..32 {
+            let mut f = two_planes();
+            f.arm_faults(FaultPlan::new(FaultConfig {
+                torn_writes: true,
+                ..FaultConfig::power_cut(seed, 2)
+            }));
+            program_group(&mut f, &[0, 8], 0, SimTime::ZERO).unwrap_err();
+            assert!(
+                f.read(Ppn(0)).unwrap().intact(),
+                "seed {seed}: the first is whole"
+            );
+            assert!(f.is_programmed(Ppn(8 * 256)));
+            assert_eq!(f.counters().get(Counter::FlashTornWrites), 1);
+            assert_eq!(f.counters().total(Total::FlashProgram), 1);
+            torn += u32::from(!f.read(Ppn(8 * 256)).unwrap().intact());
+        }
+        assert!(torn > 0, "some seed tears inside the second page");
     }
 
     // ---- reads before programs (`read_ahead_of_programs`) -------------
@@ -1516,25 +1747,89 @@ mod tests {
         let mut f = two_planes();
         let t = *f.timing();
         erase_die0(&mut f, SimTime::ZERO);
-        let a = program(&mut f, 0, 0, SimTime::ZERO);
-        // Overtaken before it starts: it now starts tR later, and a page
-        // on the other plane whose data arrives by then still joins it.
-        let g = *f.geometry();
-        let ppn = |block| g.first_ppn(BlockId(block));
-        let other = ppn(16);
+        let pair = program_group(&mut f, &[0, 8], 0, SimTime::ZERO).unwrap();
+        // Overtaken before it starts: the pair starts tR later, and moves
+        // as one program of two pages.
+        let other = Ppn(16 * 256);
         let (_, moved) = read_ahead(&mut f, other, us(1_000));
-        assert_eq!(moved.unwrap().to, a.finish + t.t_read);
-        let b = program(&mut f, 8, 0, a.finish - t.t_program);
-        assert_eq!(b.finish, a.finish + t.t_read);
-        assert_eq!(joins(&f), 1);
-        // Both pages are the program's own; the next move carries both.
-        let joined = ppn(8);
+        let moved = moved.unwrap();
+        assert_eq!((moved.to, moved.pages), (pair.finish + t.t_read, 2));
         assert!(matches!(
-            f.read_ahead_of_programs(joined, us(1_000), |_, _| true),
+            f.read_ahead_of_programs(Ppn(8 * 256), us(1_000), |_, _| true),
             Ok(ForegroundRead::Programming)
         ));
-        let (_, moved) = read_ahead(&mut f, other, us(1_000));
-        assert_eq!(moved.unwrap().pages, 2);
+    }
+
+    // ---- plane-pair reads (`read_beside`) ------------------------------
+
+    #[test]
+    fn a_read_rides_its_plane_partners_tr() {
+        let mut f = two_planes();
+        let t = *f.timing();
+        let xfer = t.transfer_time(4096);
+        program_group(&mut f, &[0, 8], 0, SimTime::ZERO).unwrap();
+        let idle = us(10_000);
+        let tracer = Tracer::ring_buffered(8);
+        f.set_tracer(tracer.clone());
+        let first = f.schedule_read(Ppn(0), idle).unwrap();
+        let second = f
+            .read_beside(Ppn(8 * 256), Ppn(0), first.start, idle)
+            .unwrap()
+            .unwrap();
+        assert_eq!(second.start, first.start, "sensed in the same tR");
+        assert_eq!(second.finish, first.finish + xfer, "its own transfer");
+        assert_eq!(f.die_busy_time(), t.t_program + t.t_read, "one tR");
+        assert_eq!(f.counters().total(Total::FlashRead), 2);
+        assert_eq!(f.counters().get(Counter::FlashMultiplaneReads), 1);
+        let multiplane: Vec<bool> = tracer
+            .drain()
+            .iter()
+            .map(|e| e.fields().contains(&("multiplane", 1)))
+            .collect();
+        assert_eq!(multiplane, [false, true]);
+    }
+
+    #[test]
+    fn a_read_rides_only_a_partner_on_its_die_and_page_index() {
+        let mut f = two_planes();
+        for block in [0, 8, 12, 16] {
+            program(&mut f, block, 0, SimTime::ZERO);
+        }
+        program(&mut f, 8, 1, SimTime::ZERO);
+        let idle = us(10_000);
+        let sensed = f.schedule_read(Ppn(0), idle).unwrap().start;
+        let ppn = |block: u64, page: u64| Ppn(block * 256 + page);
+        for (page, why) in [
+            (ppn(16, 0), "same plane"),
+            (ppn(12, 0), "other die"),
+            (ppn(8, 1), "other page index"),
+        ] {
+            assert_eq!(
+                f.read_beside(page, Ppn(0), sensed, idle),
+                Err(FlashError::NotAPlaneGroup(page)),
+                "{why}"
+            );
+        }
+        assert_eq!(f.counters().get(Counter::FlashMultiplaneReads), 0);
+    }
+
+    #[test]
+    fn a_page_still_programming_does_not_ride() {
+        let mut f = two_planes();
+        program(&mut f, 0, 0, SimTime::ZERO);
+        let late = program(&mut f, 8, 0, SimTime::ZERO);
+        // A sense of page 0 before page 8's program is over: page 8 is
+        // not on the array yet.
+        let sensed = late.finish - SimDuration::from_nanos(1);
+        assert_eq!(
+            f.read_beside(Ppn(8 * 256), Ppn(0), sensed, sensed),
+            Ok(None)
+        );
+        assert_eq!(f.counters().total(Total::FlashRead), 0);
+        assert!(f
+            .read_beside(Ppn(8 * 256), Ppn(0), late.finish, late.finish)
+            .unwrap()
+            .is_some());
     }
 
     #[test]

@@ -77,6 +77,11 @@ pub enum FlashError {
     /// Power was cut before the operation touched any state. The device
     /// stays frozen until `FlashArray::power_on`.
     PowerLoss,
+    /// A multi-plane operation named a page one array operation cannot
+    /// serve with the others: on another die, on a plane the group
+    /// already holds, at another page index, or past the most pages a
+    /// die programs at once. Names the first such page.
+    NotAPlaneGroup(Ppn),
 }
 
 impl FlashError {
@@ -93,7 +98,8 @@ impl FlashError {
             | FlashError::BlockOutOfRange(_)
             | FlashError::BlockStoreFull(_)
             | FlashError::GrownBadBlock(_)
-            | FlashError::PowerLoss => ErrorClass::Fatal,
+            | FlashError::PowerLoss
+            | FlashError::NotAPlaneGroup(_) => ErrorClass::Fatal,
         }
     }
 
@@ -128,6 +134,9 @@ impl fmt::Display for FlashError {
             FlashError::TransientErase(b) => write!(f, "transient erase failure on block {b}"),
             FlashError::GrownBadBlock(b) => write!(f, "block {b} grew a permanent defect"),
             FlashError::PowerLoss => write!(f, "power lost before the operation completed"),
+            FlashError::NotAPlaneGroup(ppn) => {
+                write!(f, "page {ppn} does not fit the die's plane group")
+            }
         }
     }
 }
@@ -182,6 +191,7 @@ mod tests {
             FlashError::BlockStoreFull(BlockId(0)),
             FlashError::GrownBadBlock(BlockId(0)),
             FlashError::PowerLoss,
+            FlashError::NotAPlaneGroup(Ppn(0)),
         ] {
             assert_eq!(fatal.classification(), ErrorClass::Fatal, "{fatal}");
         }

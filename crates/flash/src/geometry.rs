@@ -95,8 +95,8 @@ pub struct FlashGeometry {
     /// Dies per channel; a die serves one array operation at a time.
     pub dies_per_channel: u32,
     /// Planes per die. A die programs up to this many pages in one
-    /// tPROG, one per plane at one page index; reads and erases take the
-    /// die one plane at a time.
+    /// tPROG, one per plane at one page index, and senses as many in one
+    /// tR for one command; erases take the die one plane at a time.
     pub planes_per_die: u32,
     /// Blocks per plane.
     pub blocks_per_plane: u32,
@@ -227,6 +227,14 @@ impl FlashGeometry {
         block.0 % self.total_planes()
     }
 
+    /// True when one array operation of a die takes `a` and `b`
+    /// together — a multi-plane program or read: pages of one die, on
+    /// two of its planes, at one page index.
+    pub fn plane_partners(&self, a: Ppn, b: Ppn) -> bool {
+        let (a, b) = (self.decompose(a), self.decompose(b));
+        (a.channel, a.die, a.page) == (b.channel, b.die, b.page) && a.plane != b.plane
+    }
+
     /// The dense die index of a structural position.
     pub(crate) fn die_at(&self, pos: Ppa) -> u64 {
         pos.channel as u64 * self.dies_per_channel as u64 + pos.die as u64
@@ -340,6 +348,20 @@ mod tests {
             let pos = g.block_position(BlockId(b));
             assert_eq!(die, pos.channel as u64 * 2 + pos.die as u64);
         }
+    }
+
+    #[test]
+    fn plane_partners_share_a_die_and_a_page_index_on_two_planes() {
+        let g = FlashGeometry::paper_default();
+        // Die 0 of channel 0: blocks 0 and 16 on plane 0, 8 on plane 1;
+        // block 4 is the channel's other die.
+        let ppn = |block, page| g.ppn_in_block(BlockId(block), page);
+        assert!(g.plane_partners(ppn(0, 3), ppn(8, 3)));
+        assert!(g.plane_partners(ppn(8, 3), ppn(16, 3)));
+        assert!(!g.plane_partners(ppn(0, 3), ppn(16, 3)), "one plane");
+        assert!(!g.plane_partners(ppn(0, 3), ppn(8, 4)), "two page indices");
+        assert!(!g.plane_partners(ppn(0, 3), ppn(12, 3)), "two dies");
+        assert!(!g.plane_partners(ppn(0, 3), ppn(0, 3)), "one page");
     }
 
     #[test]

@@ -73,7 +73,9 @@ mod phase;
 mod store;
 mod timing;
 
-pub use array::{FlashArray, ForegroundRead, MovedProgram, MAX_SUSPENDS_PER_PROGRAM};
+pub use array::{
+    FlashArray, ForegroundRead, MovedProgram, MAX_PLANE_GROUP, MAX_SUSPENDS_PER_PROGRAM,
+};
 pub use content::{FragVec, Fragment, OobEntry, OobKind, PageContent, UnitPayload, UnitRef};
 pub use error::{ErrorClass, FlashError};
 pub use fault::{FaultConfig, FaultOp, FaultPlan};

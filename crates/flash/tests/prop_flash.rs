@@ -371,9 +371,12 @@ fn timing_is_monotone_per_die() {
 #[derive(Debug, Clone, Copy)]
 enum TimedOp {
     /// Program the cursor page of a block, issued `back_us` before the
-    /// clock (callers book into the past as well as the future).
+    /// clock (callers book into the past as well as the future) — with
+    /// the cursor page of its partner on the die's other plane as one
+    /// group when `pair`.
     Program {
         block: u64,
+        pair: bool,
         back_us: u64,
     },
     Read {
@@ -400,7 +403,11 @@ fn timed_op(rng: &mut TestRng) -> TimedOp {
     };
     let back_us = rng.below(300);
     match rng.weighted(&[10, 3, 1, 3]) {
-        0 => TimedOp::Program { block, back_us },
+        0 => TimedOp::Program {
+            block,
+            pair: rng.chance(0.5),
+            back_us,
+        },
         1 => TimedOp::Read {
             block,
             page: rng.range_u32(0, 7),
@@ -413,16 +420,17 @@ fn timed_op(rng: &mut TestRng) -> TimedOp {
     }
 }
 
-/// On a two-plane array, whatever the mix and order of programs, reads
-/// and erases: each die is busy for exactly its senses, its tPROGs — one
-/// per program that did not ride another plane's — and its erases, never
-/// longer than the span its bookings cover; every program finishes a
-/// transfer and a tPROG after it started; a page that joined finishes
-/// with a page of another plane of its die at its page index; and what
-/// is stored is what a cursor-per-block model programmed.
+/// On a two-plane array, whatever the mix and order of programs — one
+/// page, or a plane pair in one call — reads and erases: each die is
+/// busy for exactly its senses, one tPROG per program call and its
+/// erases, never longer than the span its bookings cover; every call
+/// finishes its transfers and a tPROG after it started, every page of
+/// a pair with it; a pair whose pages sit at two page indices is
+/// refused and changes nothing; and what is stored is what a
+/// cursor-per-block model programmed.
 #[test]
 fn a_die_programs_its_planes_at_once_and_books_only_what_it_does() {
-    let mut joined = 0u64;
+    let (mut joined, mut refused) = (0u64, 0u64);
     check("a_die_programs_its_planes_at_once", 64, |rng| {
         let len = rng.range_usize(1, 299);
         let ops = soup(rng, len, timed_op);
@@ -434,49 +442,62 @@ fn a_die_programs_its_planes_at_once_and_books_only_what_it_does() {
             pages_per_block: 8,
             page_bytes: 4096,
         };
+        // Block ids stripe channel, die, plane: the plane is bit 2.
+        let partner = |block: u64| block ^ 4;
         let timing = FlashTiming::mlc();
         let xfer = timing.transfer_time(g.page_bytes as u64);
         let mut flash = FlashArray::new(g, timing);
         let dies = g.total_dies() as usize;
         // Per die: senses, tPROGs booked, erases.
         let mut booked = vec![(0u64, 0u64, 0u64); dies];
-        // Every program: (die, plane, page index, finish).
-        let mut programs = Vec::new();
         let mut stored: Vec<Vec<PageContent>> = vec![Vec::new(); g.total_blocks() as usize];
         let (mut now, mut tag) = (0u64, 0u64);
         let at = |now: u64, back_us: u64| SimTime::from_nanos(now.saturating_sub(back_us * 1_000));
 
         for op in ops {
             match op {
-                TimedOp::Program { block, back_us } => {
-                    let b = BlockId(block);
-                    let page = stored[block as usize].len() as u32;
-                    if page == g.pages_per_block {
+                TimedOp::Program {
+                    block,
+                    pair,
+                    back_us,
+                } => {
+                    let page = |b: u64| stored[b as usize].len() as u32;
+                    let mut blocks = vec![block];
+                    if pair && page(partner(block)) < g.pages_per_block {
+                        blocks.push(partner(block));
+                    }
+                    if blocks.iter().any(|&b| page(b) == g.pages_per_block) {
                         continue;
                     }
-                    tag += 1;
-                    let before = flash.counters().get(Counter::FlashMultiplanePrograms);
-                    let w = flash
-                        .program(g.ppn_in_block(b, page), content(tag), at(now, back_us))
-                        .unwrap();
-                    stored[block as usize].push(content(tag));
-                    assert!(w.finish >= w.start + xfer + timing.t_program, "{w:?}");
-                    let die = g.die_of_block(b) as usize;
-                    let plane = g.block_position(b).plane;
-                    if flash.counters().get(Counter::FlashMultiplanePrograms) > before {
-                        joined += 1;
-                        assert!(
-                            programs.contains(&(die, 1 - plane, page, w.finish)),
-                            "a joined page finishes with its partner: {w:?}"
-                        );
-                        assert!(
-                            !programs.contains(&(die, plane, page, w.finish)),
-                            "one page per plane per tPROG: {w:?}"
-                        );
-                    } else {
-                        booked[die].1 += 1;
+                    let group: Vec<(Ppn, PageContent)> = blocks
+                        .iter()
+                        .map(|&b| {
+                            tag += 1;
+                            (g.ppn_in_block(BlockId(b), page(b)), content(tag))
+                        })
+                        .collect();
+                    let joins = flash.counters().get(Counter::FlashMultiplanePrograms);
+                    let result = flash.program_planes(&group, at(now, back_us));
+                    if blocks.len() == 2 && page(block) != page(partner(block)) {
+                        assert_eq!(result, Err(FlashError::NotAPlaneGroup(group[1].0)));
+                        refused += 1;
+                        continue;
                     }
-                    programs.push((die, plane, page, w.finish));
+                    let w = result.unwrap();
+                    let pages = group.len() as u64;
+                    assert!(
+                        w.finish >= w.start + xfer * pages + timing.t_program,
+                        "{w:?}"
+                    );
+                    assert_eq!(
+                        flash.counters().get(Counter::FlashMultiplanePrograms) - joins,
+                        pages - 1
+                    );
+                    joined += pages - 1;
+                    booked[g.die_of_block(BlockId(block)) as usize].1 += 1;
+                    for (&b, (_, c)) in blocks.iter().zip(group) {
+                        stored[b as usize].push(c);
+                    }
                 }
                 TimedOp::Read {
                     block,
@@ -512,7 +533,8 @@ fn a_die_programs_its_planes_at_once_and_books_only_what_it_does() {
             .map(|(ppn, view)| (ppn, view.to_content()))
             .eq(model));
     });
-    assert!(joined > 100, "the soup must exercise the join: {joined}");
+    assert!(joined > 100, "the soup must program pairs: {joined}");
+    assert!(refused > 10, "the soup must offer split pairs: {refused}");
 }
 
 #[test]

@@ -9,7 +9,10 @@
 //!
 //! Write point `wp` fills blocks of plane `wp % total_planes`, so that
 //! write points on distinct planes keep programming side by side however
-//! GC recycles blocks (DESIGN.md §4, "Multi-plane programs").
+//! GC recycles blocks (DESIGN.md §4, "Multi-plane programs"). Page-outs
+//! visit dies, not write points: one takes a page on every write point
+//! of its die's group at once, so a die's write points advance in
+//! lockstep and each page-out is one multi-plane program.
 
 use std::collections::VecDeque;
 
@@ -53,7 +56,11 @@ pub(crate) struct BlockPool {
     close_counter: u64,
     /// Per-write-point current block and next page cursor.
     actives: Vec<Option<(BlockId, u32)>>,
-    next_wp: usize,
+    /// The write points grouped by die, one per plane at most
+    /// ([`BlockPool::group`]), groups in order of their lowest write
+    /// point.
+    groups: Vec<Vec<usize>>,
+    next_group: usize,
 }
 
 impl BlockPool {
@@ -64,13 +71,33 @@ impl BlockPool {
             valid_units: 0,
             close_seq: 0,
         };
+        // A write point's group: its die, and which lap of the planes it
+        // is on (a device with more write points than planes has two
+        // write points per plane, and one group cannot hold both).
+        // Groups form in write-point order, so the rotation visits dies
+        // in the order write points 0, 1, … first reach them.
+        let planes = g.total_planes();
+        let die_lap = |wp: usize| {
+            let wp = wp as u64;
+            (wp / planes, g.die_of_block(BlockId(wp % planes)))
+        };
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for wp in 0..write_points as usize {
+            let same =
+                |group: &&mut Vec<usize>| group.first().map(|&w| die_lap(w)) == Some(die_lap(wp));
+            match groups.iter_mut().find(same) {
+                Some(group) => group.push(wp),
+                None => groups.push(vec![wp]),
+            }
+        }
         BlockPool {
             geometry: *g,
             free_blocks: ids.clone().collect(),
             blocks: ids.map(|_| erased).collect(),
             close_counter: 0,
             actives: vec![None; write_points as usize],
-            next_wp: 0,
+            groups,
+            next_group: 0,
         }
     }
 
@@ -122,12 +149,23 @@ impl BlockPool {
         }
     }
 
-    /// The write point the next page-out goes to (round-robin). `None`
-    /// for a pool built with no write points.
-    pub(crate) fn next_write_point(&mut self) -> Option<usize> {
-        let wp = self.next_wp;
-        self.next_wp = wp.checked_add(1)?.checked_rem(self.actives.len())?;
-        Some(wp)
+    /// The group of write points the next page-out goes to (round-robin
+    /// over the dies). `None` for a pool built with no write points.
+    pub(crate) fn next_group(&mut self) -> Option<usize> {
+        let group = self.next_group;
+        self.next_group = group.checked_add(1)?.checked_rem(self.groups.len())?;
+        Some(group)
+    }
+
+    /// The write points of `group`, in order: one die's, at most one per
+    /// plane. Empty for a group the pool does not have.
+    pub(crate) fn group(&self, group: usize) -> &[usize] {
+        self.groups.get(group).map_or(&[], Vec::as_slice)
+    }
+
+    /// True when `wp` has no block open: its next page needs a free one.
+    pub(crate) fn needs_block(&self, wp: usize) -> bool {
+        matches!(self.actives.get(wp), Some(None))
     }
 
     /// Next page of the block `wp` is filling, closing the block when
@@ -147,6 +185,21 @@ impl BlockPool {
             }
         }
         Some((block, page))
+    }
+
+    /// Gives back the page [`BlockPool::take_page`] or
+    /// [`BlockPool::open_block`] just handed `wp` — `(block, page)` —
+    /// because nothing was programmed there: `wp` fills that page next,
+    /// and a block its last page closed is open again.
+    pub(crate) fn untake(&mut self, wp: usize, (block, page): (BlockId, u32)) {
+        if let Some(active) = self.actives.get_mut(wp) {
+            debug_assert!(
+                active.is_none_or(|a| a == (block, page + 1)),
+                "write point {wp} moved past {block} page {page}"
+            );
+            *active = Some((block, page));
+            self.set_kind(block, BlockKind::Active);
+        }
     }
 
     /// Opens a fresh block on `wp` — which must have none open — and
@@ -178,6 +231,22 @@ impl BlockPool {
         }
         self.set_kind(block, BlockKind::Active);
         self.take_page(wp)
+    }
+
+    /// How many groups the page-out rotation visits.
+    #[cfg(test)]
+    pub(crate) fn groups(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The page `wp` fills next, `None` while it has no block open.
+    #[cfg(test)]
+    pub(crate) fn cursor(&self, wp: usize) -> Option<u32> {
+        self.actives
+            .get(wp)
+            .copied()
+            .flatten()
+            .map(|(_, page)| page)
     }
 
     /// Each write point's open block, by write point.
@@ -308,7 +377,7 @@ impl BlockPool {
             };
         }
         self.actives.fill(None);
-        self.next_wp = 0;
+        self.next_group = 0;
         Ok(())
     }
 
@@ -566,7 +635,8 @@ mod tests {
     #[test]
     fn a_pool_without_write_points_has_no_next_write_point() {
         let mut pool = BlockPool::new(&geometry(), 0);
-        assert_eq!(pool.next_write_point(), None);
+        assert_eq!(pool.next_group(), None);
+        assert!(pool.group(0).is_empty());
     }
 
     #[test]
@@ -576,9 +646,11 @@ mod tests {
         let mut pool = BlockPool::new(&g, 2);
         assert_eq!(pool.take_page(0), None);
         assert_eq!(pool.open(0), Some((BlockId(0), 0)));
-        assert_eq!(pool.next_write_point(), Some(0));
-        assert_eq!(pool.next_write_point(), Some(1));
-        assert_eq!(pool.next_write_point(), Some(0));
+        // One plane: each write point is a group of its own.
+        assert_eq!(pool.next_group(), Some(0));
+        assert_eq!(pool.next_group(), Some(1));
+        assert_eq!(pool.next_group(), Some(0));
+        assert_eq!((pool.group(0), pool.group(1)), (&[0][..], &[1][..]));
         for page in 1..4 {
             assert!(!pool.is_closed(BlockId(0)));
             assert_eq!(pool.take_page(0), Some((BlockId(0), page)));

@@ -64,11 +64,13 @@ pub struct FtlConfig {
     /// Background GC may run (in idle windows) when the pool drops to this
     /// softer threshold.
     pub gc_soft_threshold_blocks: u32,
-    /// Number of parallel write points (active blocks being filled),
-    /// taken round-robin by page-outs. A write point fills one block, so
-    /// it stays on one plane: with one per plane, consecutive page-outs
-    /// reach every plane of a die and the die can program them in one
-    /// tPROG; with one per die, they land on one plane and never pair.
+    /// Number of parallel write points (active blocks being filled).
+    /// Write point `wp` fills blocks of plane `wp % total_planes`, and
+    /// page-outs visit dies round-robin: one page-out takes a page on
+    /// every write point of the next die, all at one page index, and the
+    /// die programs them in one tPROG. With one write point per plane a
+    /// page-out is a page on each plane of its die; with one per die, a
+    /// single page.
     pub write_points: u32,
     /// Mapping-table cache capacity in entries; `None` models an
     /// all-in-DRAM table.
@@ -80,7 +82,9 @@ pub struct FtlConfig {
     /// units in the buffer until the program finishes, and up to
     /// `write_points` pages program at once, so the buffer holds up to
     /// `write_buffer_units + write_points × units_per_page` units before a
-    /// writer has to wait.
+    /// writer has to wait. A page-out takes `units_per_page` units for
+    /// each write point of its die, and pads the pages a smaller
+    /// watermark leaves it short of.
     pub write_buffer_units: u32,
     /// Static wear-leveling threshold: when the spread between the most-
     /// and least-erased blocks exceeds this, an idle round migrates the

@@ -25,8 +25,8 @@ mod rebuild;
 mod reclaim;
 
 use checkin_flash::{
-    BlockId, ErrorClass, FlashArray, FlashError, ForegroundRead, Fragment, OobEntry, OobKind,
-    OpPhase, PageContent, Ppn, UnitPayload, UnitRef,
+    BlockId, ErrorClass, FlashArray, FlashError, FlashGeometry, ForegroundRead, Fragment, OobEntry,
+    OobKind, OpPhase, PageContent, Ppn, UnitPayload, UnitRef, MAX_PLANE_GROUP,
 };
 use checkin_sim::{
     Counter, CounterSet, InFlight, SimDuration, SimTime, Total, TraceEvent, TraceLayer, Tracer,
@@ -65,11 +65,14 @@ pub struct UnitWrite {
 /// command" reaches: a host read clears it per request, a checkpoint's
 /// gather phase keeps it across the whole batch. Every read sharing one
 /// set is issued at the same instant and nothing is programmed or erased
-/// in between, so a page found here is still what the controller holds.
+/// in between, so a page found here is still what the controller holds —
+/// and a page on another plane of a die this command sensed, at the same
+/// page index, can ride that sense's tR ([`FlashArray::read_beside`]).
 #[derive(Debug, Default)]
 pub struct SensedPages {
-    /// `(page, finish of its sense)`, sorted by page.
-    pages: Vec<(Ppn, SimTime)>,
+    /// `(page, start of the tR that sensed it, finish of its transfer)`,
+    /// sorted by page. No tR for a page the write buffer served.
+    pages: Vec<(Ppn, Option<SimTime>, SimTime)>,
 }
 
 impl SensedPages {
@@ -81,21 +84,42 @@ impl SensedPages {
 
     /// When `ppn`'s data is in the controller: the recorded finish if
     /// this command sensed the page already, else that of `sense`, run
-    /// now and remembered. A failed sense records nothing.
+    /// now — handed a page whose tR `ppn` may ride, if any — and
+    /// remembered with the tR it came from. A failed sense records
+    /// nothing.
     fn finish_of(
         &mut self,
         ppn: Ppn,
-        sense: impl FnOnce() -> Result<SimTime, FlashError>,
+        g: &FlashGeometry,
+        sense: impl FnOnce(Option<(Ppn, SimTime)>) -> Result<(Option<SimTime>, SimTime), FlashError>,
     ) -> Result<SimTime, FlashError> {
-        let at = self.pages.partition_point(|&(page, _)| page < ppn);
+        let at = self.pages.partition_point(|&(page, ..)| page < ppn);
         match self.pages.get(at) {
-            Some(&(page, finish)) if page == ppn => Ok(finish),
+            Some(&(page, _, finish)) if page == ppn => Ok(finish),
             _ => {
-                let finish = sense()?;
-                self.pages.insert(at, (ppn, finish));
+                let (tr, finish) = sense(self.partner_of(ppn, g))?;
+                self.pages.insert(at, (ppn, tr, finish));
                 Ok(finish)
             }
         }
+    }
+
+    /// A page this command sensed whose tR `ppn` can ride, with that
+    /// tR's start: a plane partner of `ppn`
+    /// ([`FlashGeometry::plane_partners`]), as is every page already
+    /// riding that tR.
+    fn partner_of(&self, ppn: Ppn, g: &FlashGeometry) -> Option<(Ppn, SimTime)> {
+        let riders = |page: Ppn, tr: SimTime| {
+            self.pages.iter().filter(move |&&(other, t, _)| {
+                t == Some(tr) && (other == page || g.plane_partners(other, page))
+            })
+        };
+        self.pages.iter().find_map(|&(page, tr, _)| {
+            let tr = tr.filter(|_| g.plane_partners(page, ppn))?;
+            riders(page, tr)
+                .all(|&(other, ..)| g.plane_partners(other, ppn))
+                .then_some((page, tr))
+        })
     }
 }
 
@@ -136,10 +160,12 @@ pub struct Ftl {
     /// once and each needs its own scratch vector.
     scratch_batches: Vec<Vec<BufSlot>>,
     scratch_valid: Vec<(u32, UnitPayload, Lpn)>,
-    /// The one page being staged for a program. `drain_one_page` fills
-    /// it only after block allocation — where GC re-enters — is over,
-    /// and hands it back on every path, so a single page suffices.
-    staging: PageContent,
+    /// The pages of the one page-out being staged: `(write point, block,
+    /// page)`, and each page's address and content. `drain_one_page`
+    /// fills both only after block allocation — where GC re-enters — is
+    /// over, and hands them back on every path, so one of each suffices.
+    scratch_pages: Vec<(usize, BlockId, u32)>,
+    staging: Vec<(Ppn, PageContent)>,
     buffer: WriteBuffer,
     /// The write buffer's programming slots, one per write point: a
     /// page-out holds one until its program finishes, and a writer whose
@@ -182,7 +208,8 @@ impl Ftl {
             tracer: Tracer::disabled(),
             scratch_batches: Vec::new(),
             scratch_valid: Vec::new(),
-            staging: PageContent::default(),
+            scratch_pages: Vec::new(),
+            staging: Vec::new(),
             buffer: WriteBuffer::default(),
             programs: InFlight::new(config.write_points as usize),
             pool: BlockPool::new(&g, config.write_points),
@@ -493,19 +520,26 @@ impl Ftl {
         }
     }
 
-    /// When `ppn` is in the controller for a read issued at `at`. A
-    /// foreground read — one a host waits on, issued in [`OpPhase::Run`]:
-    /// a `get` or a read-modify-write merge — goes ahead of the die's
-    /// latest program while that program's finish is private
+    /// When `ppn` is in the controller for a read issued at `at`, and
+    /// the start of the tR that sensed it (`None` when the write buffer
+    /// served it). With a `partner` — a page this command sensed in a tR
+    /// from the given instant, on another plane of `ppn`'s die at its
+    /// page index — the first attempt rides that tR
+    /// ([`FlashArray::read_beside`]). A foreground read — one a host
+    /// waits on, issued in [`OpPhase::Run`]: a `get` or a
+    /// read-modify-write merge — goes ahead of the die's latest program
+    /// while that program's finish is private
     /// ([`FlashArray::read_ahead_of_programs`]): it is in the programming
     /// slot window once per page that finishes with it, and no admission
     /// or `flush` has consumed it. The window then follows the program to
-    /// its new finish. Every other read is
-    /// [`FlashArray::schedule_read`].
-    fn sense(&mut self, ppn: Ppn, at: SimTime) -> Result<SimTime, FlashError> {
-        if self.flash.op_phase() != OpPhase::Run {
-            return Ok(self.read_with_retry(ppn, at)?.finish);
-        }
+    /// its new finish. Every other read is [`FlashArray::schedule_read`].
+    fn sense(
+        &mut self,
+        ppn: Ppn,
+        at: SimTime,
+        mut partner: Option<(Ppn, SimTime)>,
+    ) -> Result<(Option<SimTime>, SimTime), FlashError> {
+        let foreground = self.flash.op_phase() == OpPhase::Run;
         let retry = (self.config.retry_read, self.flash.timing().t_read);
         let programs = &self.programs;
         let read = Self::retry_transient(
@@ -515,6 +549,22 @@ impl Ftl {
             Counter::FtlRetryExhaustedRead,
             at,
             |flash, t| {
+                // Only a first attempt rides: a retry comes later.
+                if let Some((partner, tr)) = partner.take() {
+                    if let Some(window) = flash.read_beside(ppn, partner, tr, t)? {
+                        return Ok(ForegroundRead::Sensed {
+                            window,
+                            moved: None,
+                        });
+                    }
+                }
+                if !foreground {
+                    let window = flash.schedule_read(ppn, t)?;
+                    return Ok(ForegroundRead::Sensed {
+                        window,
+                        moved: None,
+                    });
+                }
                 flash
                     .read_ahead_of_programs(ppn, t, |finish, pages| programs.movable(finish, pages))
             },
@@ -524,13 +574,13 @@ impl Ftl {
             // a retry comes later, when it still does not.
             ForegroundRead::Programming => {
                 self.counters.incr(Counter::FtlProgrammingPageReads);
-                Ok(at)
+                Ok((None, at))
             }
             ForegroundRead::Sensed { window, moved } => {
                 if let Some(m) = moved {
                     self.programs.move_completions(m.from, m.to, m.pages);
                 }
-                Ok(window.finish)
+                Ok((Some(window.start), window.finish))
             }
         }
     }
@@ -550,9 +600,10 @@ impl Ftl {
         take: impl FnOnce(UnitRef<'_>) -> R,
     ) -> Result<(R, SimTime), FtlError> {
         let ppn = pun.page(self.upp);
+        let g = *self.flash.geometry();
         let finish = match sensed {
-            Some(sensed) => sensed.finish_of(ppn, || self.sense(ppn, at))?,
-            None => self.sense(ppn, at)?,
+            Some(sensed) => sensed.finish_of(ppn, &g, |partner| self.sense(ppn, at, partner))?,
+            None => self.sense(ppn, at, None)?.1,
         };
         let offset = pun.offset(self.upp) as usize;
         let page = self.flash.read(ppn);
@@ -648,87 +699,177 @@ impl Ftl {
         Ok(slot)
     }
 
-    /// Programs the oldest page's worth of buffered units at `at` and
-    /// returns when the page-out's programming slot was free: `at` while
-    /// fewer than `write_points` programs are in flight then, else the
-    /// first of their finishes. The page then holds the slot until its own
-    /// program finishes. A page-out that programmed nothing (empty buffer,
-    /// grown bad block) holds no slot.
+    /// Pages out the oldest buffered units as one multi-plane page at
+    /// `at`: a page on every write point of the next die's group
+    /// ([`BlockPool::group`]), all at one page index, programmed in one
+    /// [`FlashArray::program_planes`] call. Units fill the pages in
+    /// write-point order; a page-out that finds fewer than the group
+    /// holds pads the rest, so the die's write points stay in lockstep.
+    /// Pages that cannot share one tPROG — a write point moved off its
+    /// plane or out of step by an off-plane open or a retirement — are
+    /// programmed in as many calls as they need.
+    ///
+    /// Returns when the page-out's programming slots were free: `at`
+    /// while enough are then, else the finishes that free them. Each page
+    /// holds one slot until its program finishes. A page that programmed
+    /// nothing (empty buffer, grown bad block) holds none.
     fn drain_one_page(&mut self, at: SimTime) -> Result<SimTime, FtlError> {
-        // Take the batch BEFORE allocating: block allocation may trigger
-        // GC, which enqueues freshly migrated units. Those stay buffered
-        // for later pages.
         if self.buffer.queued() == 0 {
             return Ok(at);
         }
+        let group = self.pool.next_group().ok_or(FtlError::OutOfSpace)?;
+        let upp = self.upp as usize;
+        // Take the batch BEFORE allocating: block allocation may trigger
+        // GC, which enqueues freshly migrated units. Those stay buffered
+        // for later pages.
         let mut taken = self.scratch_batches.pop().unwrap_or_default();
         taken.clear();
-        self.buffer.take_batch(self.upp as usize, &mut taken);
-        let (block, page) = match self.alloc_page_slot(at) {
-            Ok(v) => v,
-            Err(e) => {
-                // Put the batch back so no buffered data is lost.
-                self.buffer.requeue_front(&taken);
-                self.scratch_batches.push(taken);
-                return Err(e);
-            }
-        };
-        let ppn = self.flash.geometry().ppn_in_block(block, page);
-
-        // Stage the page: payloads move out of their slots, which keep
-        // their ids and OOB records until the program has succeeded.
-        let mut staging = std::mem::take(&mut self.staging);
-        staging.reset(self.upp as usize);
-        for (&slot, staged) in taken.iter().zip(&mut staging.units) {
-            let data = self.buffer.data_mut(slot).ok_or(FtlError::Inconsistent(
-                "page-out batch references empty slot",
-            ))?;
-            *staged = Some(std::mem::take(&mut data.payload));
-            staging.oob.push(data.oob);
+        self.buffer
+            .take_batch(upp * self.pool.group(group).len(), &mut taken);
+        if let Err(e) = self.make_room(group, at) {
+            self.buffer.requeue_front(&taken);
+            self.scratch_batches.push(taken);
+            return Err(e);
+        }
+        // Only now, with GC over, take the pages — and the scratch GC's
+        // own page-outs would have used.
+        let mut pages = std::mem::take(&mut self.scratch_pages);
+        pages.clear();
+        while let Some(&wp) = self.pool.group(group).get(pages.len()) {
+            let Some((block, page)) = self
+                .pool
+                .take_page(wp)
+                .or_else(|| self.pool.open_block(wp, &mut self.counters))
+            else {
+                break;
+            };
+            pages.push((wp, block, page));
+        }
+        // Units past the pages the group got go back to the head.
+        let fits = pages.len() * upp;
+        if taken.len() > fits {
+            self.buffer
+                .requeue_front(taken.get(fits..).unwrap_or_default());
+            taken.truncate(fits);
+        }
+        if pages.is_empty() {
+            self.scratch_batches.push(taken);
+            self.scratch_pages = pages;
+            return Err(FtlError::OutOfSpace);
         }
 
-        let win = match self.program_with_retry(ppn, &staging, at) {
-            Ok(w) => w,
-            Err(e) => {
-                // Hand every payload back and re-queue the batch at the
-                // head: a power cut or media failure loses nothing that
-                // was acknowledged.
-                for (&slot, staged) in taken.iter().zip(&mut staging.units) {
-                    if let (Some(data), Some(payload)) = (self.buffer.data_mut(slot), staged.take())
-                    {
-                        data.payload = payload;
-                    }
-                }
-                self.buffer.requeue_front(&taken);
-                self.scratch_batches.push(taken);
-                self.staging = staging;
-                if let FlashError::GrownBadBlock(bad) = e {
-                    // Graceful degradation: retire the block and report
-                    // success; the still-queued batch drains to a healthy
-                    // block on the caller's next loop iteration.
-                    self.retire_block(bad);
-                    return Ok(at);
-                }
-                return Err(e.into());
+        // Stage the pages: payloads move out of their slots, which keep
+        // their ids and OOB records until the program has succeeded.
+        let g = *self.flash.geometry();
+        let mut staging = std::mem::take(&mut self.staging);
+        staging.resize_with(staging.len().max(pages.len()), Default::default);
+        let mut units = taken.chunks(upp);
+        for (&(_, block, page), (ppn, content)) in pages.iter().zip(&mut staging) {
+            *ppn = g.ppn_in_block(block, page);
+            content.reset(upp);
+            for (&slot, staged) in units
+                .next()
+                .unwrap_or_default()
+                .iter()
+                .zip(&mut content.units)
+            {
+                let data = self.buffer.data_mut(slot).ok_or(FtlError::Inconsistent(
+                    "page-out batch references empty slot",
+                ))?;
+                *staged = Some(std::mem::take(&mut data.payload));
+                content.oob.push(data.oob);
             }
-        };
+        }
+
+        let mut slot = at;
+        let mut programmed = 0;
+        while programmed < pages.len() {
+            let group = staging.get(programmed..pages.len()).unwrap_or_default();
+            let calls = group.get(..plane_group_len(&g, group)).unwrap_or_default();
+            let win = match self.program_with_retry(calls, at) {
+                Ok(w) => w,
+                Err(e) => {
+                    let unprogrammed = programmed..pages.len();
+                    self.give_back(&pages, &mut staging, &taken, unprogrammed, &e);
+                    self.scratch_batches.push(taken);
+                    self.scratch_pages = pages;
+                    self.staging = staging;
+                    if let FlashError::GrownBadBlock(bad) = e {
+                        // Graceful degradation: retire the block and report
+                        // success; the still-queued batch drains to a healthy
+                        // block on the caller's next loop iteration.
+                        self.retire_block(bad);
+                        return Ok(slot);
+                    }
+                    return Err(e.into());
+                }
+            };
+            for i in programmed..programmed + calls.len() {
+                let block = pages.get(i).map_or(BlockId(0), |p| p.1);
+                let ppn = staging.get(i).map_or(Ppn(0), |p| p.0);
+                let batch = taken.chunks(upp).nth(i).unwrap_or_default();
+                slot = slot.max(self.commit_page(block, ppn, batch, win.finish, at));
+            }
+            programmed += calls.len();
+        }
+        self.scratch_batches.push(taken);
+        self.scratch_pages = pages;
         self.staging = staging;
+        Ok(slot)
+    }
+
+    /// Makes sure the write points of `group` can take their pages: when
+    /// one of them has no block open and the free pool is down to its
+    /// hard threshold, foreground GC collects until there is headroom or
+    /// nothing reclaimable is left (not fatal yet: free blocks may
+    /// remain). It runs before the group takes any page: GC pages its
+    /// migrated units out through the same rotation and may fill or open
+    /// blocks on these very write points, so a page taken before it
+    /// could be overtaken by GC's and programmed out of order.
+    fn make_room(&mut self, group: usize, at: SimTime) -> Result<(), FtlError> {
+        if self.in_gc
+            || !self
+                .pool
+                .group(group)
+                .iter()
+                .any(|&wp| self.pool.needs_block(wp))
+        {
+            return Ok(());
+        }
+        let threshold = self.config.gc_threshold_blocks as usize;
+        while self.pool.free_count() <= threshold
+            && self.run_gc_round(at, GcTrigger::Foreground)?.is_some()
+        {}
+        Ok(())
+    }
+
+    /// A page of a page-out programmed at `ppn` of `block`, finishing at
+    /// `finish`: its `batch` of slots leave the buffer for flash, and it
+    /// holds a programming slot until then. Returns when that slot was
+    /// free for a page-out at `at`.
+    fn commit_page(
+        &mut self,
+        block: BlockId,
+        ppn: Ppn,
+        batch: &[BufSlot],
+        finish: SimTime,
+        at: SimTime,
+    ) -> SimTime {
         self.counters.incr(Counter::FtlPagesProgrammed);
         let slot = self.programs.admit(at);
-        self.programs.complete(win.finish);
-        let units = taken.len() as u64;
+        self.programs.complete(finish);
+        let units = batch.len() as u64;
         // `finish_ns` is the program's finish as first booked: a
         // foreground read that goes ahead of it later moves it, and the
         // flash's `suspend` event carries each move (`from_ns` → `to_ns`).
         self.tracer.emit(|| {
             TraceEvent::new(at, TraceLayer::Ftl, "page_out")
                 .with("block", block.0)
-                .with("page", u64::from(page))
+                .with("page", u64::from(self.flash.geometry().page_in_block(ppn)))
                 .with("units", units)
-                .with("finish_ns", win.finish.as_nanos())
+                .with("finish_ns", finish.as_nanos())
         });
-
-        for (offset, &slot) in (0u32..).zip(&taken) {
+        for (offset, &slot) in (0u32..).zip(batch) {
             let _ = self.buffer.release(slot);
             let pun = Pun::compose(ppn, offset, self.upp);
             let moved = self
@@ -740,35 +881,47 @@ impl Ftl {
             // moved == 0: the buffered unit died before page-out; it is now
             // padding on flash and simply never becomes valid.
         }
-        self.scratch_batches.push(taken);
-        Ok(slot)
+        slot
     }
 
-    /// The next page of the write point `wp` whose turn it is. When `wp`
-    /// has no block open and the free pool is down to its hard threshold,
-    /// foreground GC first collects until there is headroom or nothing
-    /// reclaimable is left (not fatal yet: free blocks may remain).
-    fn alloc_page_slot(&mut self, at: SimTime) -> Result<(BlockId, u32), FtlError> {
-        let wp = self.pool.next_write_point().ok_or(FtlError::OutOfSpace)?;
-        if let Some(slot) = self.pool.take_page(wp) {
-            return Ok(slot);
-        }
-        if !self.in_gc {
-            let threshold = self.config.gc_threshold_blocks as usize;
-            while self.pool.free_count() <= threshold
-                && self.run_gc_round(at, GcTrigger::Foreground)?.is_some()
-            {}
-            // GC pages its migrated units out through this same allocator
-            // and may have opened a block on `wp` meanwhile: continue on
-            // it. Opening a second one would orphan the first — Active,
-            // half-programmed, never closed, never a GC victim.
-            if let Some(slot) = self.pool.take_page(wp) {
-                return Ok(slot);
+    /// A program of `pages[unprogrammed]` failed with `error`: hand every
+    /// payload back, re-queue their units at the head — a power cut or
+    /// media failure loses nothing that was acknowledged — and give each
+    /// write point back the page it did not program (a grown-bad block's
+    /// is its retirement's to release).
+    fn give_back(
+        &mut self,
+        pages: &[(usize, BlockId, u32)],
+        staging: &mut [(Ppn, PageContent)],
+        taken: &[BufSlot],
+        unprogrammed: std::ops::Range<usize>,
+        error: &FlashError,
+    ) {
+        let upp = self.upp as usize;
+        let first_unit = unprogrammed.start * upp;
+        let content = staging
+            .iter_mut()
+            .skip(unprogrammed.start)
+            .take(unprogrammed.len());
+        let slots = taken.get(first_unit..).unwrap_or_default().chunks(upp);
+        for ((_, content), batch) in content.zip(slots) {
+            for (&slot, staged) in batch.iter().zip(&mut content.units) {
+                if let (Some(data), Some(payload)) = (self.buffer.data_mut(slot), staged.take()) {
+                    data.payload = payload;
+                }
             }
         }
-        self.pool
-            .open_block(wp, &mut self.counters)
-            .ok_or(FtlError::OutOfSpace)
+        self.buffer
+            .requeue_front(taken.get(first_unit..).unwrap_or_default());
+        let bad = match error {
+            FlashError::GrownBadBlock(bad) => Some(*bad),
+            _ => None,
+        };
+        for &(wp, block, page) in pages.get(unprogrammed).unwrap_or_default() {
+            if Some(block) != bad {
+                self.pool.untake(wp, (block, page));
+            }
+        }
     }
 
     /// Schedules a read, retrying transient media failures with
@@ -830,13 +983,12 @@ impl Ftl {
         }
     }
 
-    /// Programs a page with the program-class bounded-backoff policy
-    /// ([`FtlConfig::retry_program`]). The array copies from the staged
-    /// page, so every attempt borrows the same one.
+    /// Programs a plane group with the program-class bounded-backoff
+    /// policy ([`FtlConfig::retry_program`]). The array copies from the
+    /// staged pages, so every attempt borrows the same ones.
     fn program_with_retry(
         &mut self,
-        ppn: Ppn,
-        content: &PageContent,
+        group: &[(Ppn, PageContent)],
         at: SimTime,
     ) -> Result<Window, FlashError> {
         let retry = (self.config.retry_program, self.flash.timing().t_program);
@@ -846,7 +998,7 @@ impl Ftl {
             retry,
             Counter::FtlRetryExhaustedProgram,
             at,
-            |flash, t| flash.program(ppn, content, t),
+            |flash, t| flash.program_planes(group, t),
         )
     }
 
@@ -874,6 +1026,25 @@ fn merge_payload(old: UnitRef<'_>, new: &UnitPayload) -> UnitPayload {
         .collect();
     fragments.extend(new.fragments.iter().copied());
     UnitPayload { fragments }
+}
+
+/// How many of `pages`, from the first, one die programs in one tPROG:
+/// the leading pages that are each a plane partner of every page before
+/// it ([`FlashGeometry::plane_partners`]), at most [`MAX_PLANE_GROUP`].
+/// One for a single page.
+fn plane_group_len(g: &FlashGeometry, pages: &[(Ppn, PageContent)]) -> usize {
+    let partners = |(i, &(ppn, _)): (usize, &(Ppn, PageContent))| {
+        pages
+            .iter()
+            .take(i)
+            .all(|&(earlier, _)| g.plane_partners(earlier, ppn))
+    };
+    let len = pages
+        .iter()
+        .enumerate()
+        .take_while(|&page| partners(page))
+        .count();
+    len.min(MAX_PLANE_GROUP)
 }
 
 #[cfg(test)]

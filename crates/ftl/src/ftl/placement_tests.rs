@@ -1,9 +1,12 @@
 //! `#[cfg(test)] mod placement_tests` of `ftl.rs`: write points keep
-//! their planes while GC recycles blocks in whatever order it frees them.
+//! their planes while GC recycles blocks in whatever order it frees them,
+//! and a die's write points advance in lockstep, a multi-plane page per
+//! page-out.
 
 use super::tests::w;
 use super::*;
-use checkin_flash::{FlashGeometry, FlashTiming};
+use checkin_flash::{FaultConfig, FaultPlan, FlashGeometry, FlashTiming};
+use checkin_sim::SimDuration;
 use checkin_testkit::{check, soup};
 
 #[derive(Debug, Clone, Copy)]
@@ -99,4 +102,233 @@ fn write_points_keep_their_planes_under_gc() {
             );
         });
     }
+}
+
+/// Groups whose write points are not all at one page index (nor all
+/// without a block).
+fn groups_out_of_step(f: &Ftl) -> usize {
+    let cursors = |g| f.pool.group(g).iter().map(|&wp| f.pool.cursor(wp));
+    (0..f.pool.groups())
+        .filter(|&g| cursors(g).zip(cursors(g).skip(1)).any(|(a, b)| a != b))
+        .count()
+}
+
+/// The soup of [`write_points_keep_their_planes_under_gc`] on two-plane
+/// dies. A die's write points stay at one page index unless an
+/// off-plane open or a retirement moved one: when neither counter moved
+/// in an operation, no more groups are out of step after it than
+/// before. Until the first such move — the first time the free pool
+/// runs short, a device's worth of programs in — every page-out was one
+/// multi-plane program: exactly half the pages rode a partner's tPROG.
+#[test]
+fn a_dies_write_points_stay_at_one_page_index() {
+    let mut in_step_programs = 0;
+    check("a_dies_write_points_stay_at_one_page_index", 3, |rng| {
+        let mut f = pressured(2);
+        assert_eq!(f.pool.groups(), 4, "one group per die");
+        let lpns = f.flash.geometry().total_pages() * u64::from(f.upp) * 5 / 10;
+        let ops = soup(rng, 12_000, |rng| match rng.weighted(&[90, 8, 2]) {
+            0 => Op::Write(rng.below(lpns)),
+            1 => Op::Trim(rng.below(lpns)),
+            _ => Op::Flush,
+        });
+        let moves = |f: &Ftl| {
+            f.counters.get(Counter::FtlOffPlaneOpens) + f.counters.get(Counter::FtlBlocksRetired)
+        };
+        let pairs = |f: &Ftl| {
+            let flash = f.flash.counters();
+            (
+                flash.total(Total::FlashProgram),
+                flash.get(Counter::FlashMultiplanePrograms),
+            )
+        };
+        let (mut now, mut out, mut moved) = (SimTime::ZERO, 0, 0);
+        let mut before_any_move = (0, 0);
+        for (i, op) in (0u64..).zip(ops) {
+            match op {
+                Op::Write(lpn) => {
+                    now = f.write(w(lpn, lpn, i, 512), OobKind::Data, now).unwrap();
+                }
+                Op::Trim(lpn) => {
+                    f.deallocate(Lpn(lpn));
+                }
+                Op::Flush => now = f.flush(now).unwrap(),
+            }
+            let (out_now, moved_now) = (groups_out_of_step(&f), moves(&f));
+            assert!(
+                moved_now > moved || out_now <= out,
+                "op {i} ({op:?}): {out_now} groups out of step, {out} before, nothing moved"
+            );
+            if moved_now == 0 {
+                assert_eq!(out_now, 0, "op {i} ({op:?})");
+                before_any_move = pairs(&f);
+            }
+            (out, moved) = (out_now, moved_now);
+        }
+        assert!(f.counters.get(Counter::FtlGcInvocations) > 0);
+        let (programs, multiplane) = before_any_move;
+        assert_eq!(2 * multiplane, programs, "every page-out one pair");
+        in_step_programs += programs;
+    });
+    assert!(
+        in_step_programs > 1_000,
+        "{in_step_programs} programs in step"
+    );
+}
+
+/// One die with two planes, one write point each, one 4 KiB unit to the
+/// page and a watermark of `watermark` units.
+fn two_plane_die(watermark: u32) -> Ftl {
+    let geometry = FlashGeometry {
+        channels: 1,
+        dies_per_channel: 1,
+        planes_per_die: 2,
+        blocks_per_plane: 8,
+        pages_per_block: 8,
+        page_bytes: 4096,
+    };
+    let config = FtlConfig {
+        unit_bytes: 4096,
+        write_points: 2,
+        write_buffer_units: watermark,
+        gc_threshold_blocks: 2,
+        gc_soft_threshold_blocks: 4,
+        ..FtlConfig::default()
+    };
+    Ftl::new(FlashArray::new(geometry, FlashTiming::mlc()), config).unwrap()
+}
+
+/// Writes `lpns` as whole 4 KiB units at `at`.
+fn write_pages(f: &mut Ftl, lpns: std::ops::Range<u64>, at: SimTime) {
+    for lpn in lpns {
+        f.write(w(lpn, lpn, 1, 4096), OobKind::Data, at).unwrap();
+    }
+}
+
+/// 2N page-filling writes book N tPROGs, one per page-out, even on a die
+/// idle throughout: the pair shares its tPROG because one call carries
+/// both pages, not because the second arrived before the first started.
+#[test]
+fn page_filling_writes_book_one_tprog_per_plane_pair() {
+    let t = FlashTiming::mlc();
+    for n in [1u64, 5, 12] {
+        let mut f = two_plane_die(2);
+        let tracer = Tracer::ring_buffered(256);
+        f.set_tracer(tracer.clone());
+        // Each pair lands long after the previous one is done.
+        for i in 0..n {
+            let at = SimTime::ZERO + SimDuration::from_millis(10 * i);
+            write_pages(&mut f, 2 * i..2 * i + 2, at);
+        }
+        assert_eq!(f.flash().die_busy_time(), t.t_program * n, "{n} pairs");
+        let c = f.flash().counters();
+        assert_eq!(
+            (
+                c.total(Total::FlashProgram),
+                c.get(Counter::FlashMultiplanePrograms)
+            ),
+            (2 * n, n)
+        );
+        // Each page is its own page-out event, and both of a pair finish
+        // together.
+        let finishes: Vec<u64> = tracer
+            .drain()
+            .iter()
+            .filter(|e| e.op == "page_out")
+            .map(|e| e.fields().iter().find(|f| f.0 == "finish_ns").unwrap().1)
+            .collect();
+        assert_eq!(finishes.len() as u64, 2 * n);
+        assert!(finishes.chunks(2).all(|p| p[0] == p[1]), "{finishes:?}");
+        f.check_invariants().unwrap();
+    }
+}
+
+/// A page-out with less than a pair buffered — a flush — pads the second
+/// page, so the die's write points stay at one page index.
+#[test]
+fn a_short_page_out_pads_its_pair() {
+    let mut f = two_plane_die(2);
+    write_pages(&mut f, 0..1, SimTime::ZERO);
+    f.flush(SimTime::ZERO).unwrap();
+    let c = f.flash().counters();
+    assert_eq!(
+        (
+            c.total(Total::FlashProgram),
+            c.get(Counter::FlashMultiplanePrograms)
+        ),
+        (2, 1)
+    );
+    assert_eq!((f.pool.cursor(0), f.pool.cursor(1)), (Some(1), Some(1)));
+    assert_eq!(f.read(Lpn(0), SimTime::ZERO).unwrap().0.fragments[0].key, 0);
+    f.check_invariants().unwrap();
+}
+
+/// A grown defect on the second page of a pair: the pair programs
+/// nothing, the first write point gets its page back, the defective block
+/// retires, and the batch drains to healthy blocks with nothing lost.
+#[test]
+fn a_grown_bad_block_in_a_pair_gives_its_partner_its_page_back() {
+    // The first seed whose draws grow a defect on exactly the second
+    // page of the second pair.
+    let (mut f, first, bad) = (0..200)
+        .find_map(|seed| {
+            let mut f = two_plane_die(2);
+            write_pages(&mut f, 0..2, SimTime::ZERO);
+            let first = f.flash_page_of(Lpn(0)).unwrap();
+            let open: Vec<(usize, BlockId)> = f.pool.open_blocks().collect();
+            f.flash_mut().arm_faults(FaultPlan::new(FaultConfig {
+                seed,
+                grown_bad_block: 0.3,
+                ..FaultConfig::default()
+            }));
+            write_pages(&mut f, 2..4, SimTime::ZERO);
+            f.flash_mut()
+                .arm_faults(FaultPlan::new(FaultConfig::default()));
+            let bad = open.get(1)?.1;
+            let first_block = f.flash().geometry().block_of(first);
+            (f.counters().get(Counter::FtlBlocksRetired) == 1
+                && f.flash().is_bad_block(bad)
+                && f.flash().write_cursor(first_block) == 2)
+                .then_some((f, first, bad))
+        })
+        .expect("some seed grows a defect on the second page only");
+    let g = *f.flash().geometry();
+    // Nothing of the failed pair landed on the defective block, and the
+    // first write point reused the page it was given back.
+    assert_eq!(f.flash().write_cursor(bad), 1);
+    assert_eq!(
+        f.flash_page_of(Lpn(2)),
+        Some(g.ppn_in_block(g.block_of(first), 1))
+    );
+    f.flush(SimTime::ZERO).unwrap();
+    for lpn in 0..4 {
+        assert_eq!(
+            f.read(Lpn(lpn), SimTime::ZERO).unwrap().0.fragments[0].key,
+            lpn
+        );
+        assert_ne!(f.flash_page_of(Lpn(lpn)).map(|p| g.block_of(p)), Some(bad));
+    }
+    f.check_invariants().unwrap();
+}
+
+/// One tR senses at most one page per plane of its die, at one page
+/// index: a page rides a tR only when every page already in it is on
+/// another plane of its die at its index.
+#[test]
+fn a_tr_carries_one_page_per_plane() {
+    let g = FlashGeometry::paper_default();
+    // Die 0 of channel 0: blocks 0 and 16 on plane 0, 8 and 24 on plane 1.
+    let ppn = |block, page| g.ppn_in_block(BlockId(block), page);
+    let t = |us| SimTime::ZERO + SimDuration::from_micros(us);
+    let mut sensed = SensedPages {
+        pages: vec![(ppn(0, 3), Some(t(10)), t(60))],
+    };
+    assert_eq!(sensed.partner_of(ppn(8, 3), &g), Some((ppn(0, 3), t(10))));
+    assert_eq!(sensed.partner_of(ppn(16, 3), &g), None, "plane 0 is taken");
+    assert_eq!(sensed.partner_of(ppn(8, 4), &g), None, "another page index");
+    sensed.pages.push((ppn(8, 3), Some(t(10)), t(65)));
+    assert_eq!(sensed.partner_of(ppn(24, 3), &g), None, "both planes taken");
+    // A page the write buffer served was never sensed: no tR to ride.
+    sensed.pages = vec![(ppn(0, 3), None, t(0))];
+    assert_eq!(sensed.partner_of(ppn(8, 3), &g), None);
 }

@@ -87,6 +87,7 @@ schema! {
     FlashGrownBadBlocks = "flash.grown_bad_blocks",
     FlashMisdirectedPrograms = "flash.misdirected_programs",
     FlashMultiplanePrograms = "flash.multiplane_programs",
+    FlashMultiplaneReads = "flash.multiplane_reads",
     FlashPowerCuts = "flash.power_cuts",
     #[total] FlashProgram = "flash.program",
     FlashProgramCpCopy: FlashProgram = "flash.program.cp_copy",

@@ -258,7 +258,7 @@ mod tests {
     /// schema must map onto it one-to-one, in order.
     #[test]
     fn names_are_pinned() {
-        const PINNED: [&str; 96] = [
+        const PINNED: [&str; 97] = [
             "engine.checkpoints",
             "engine.deletes",
             "engine.inserts",
@@ -283,6 +283,7 @@ mod tests {
             "flash.grown_bad_blocks",
             "flash.misdirected_programs",
             "flash.multiplane_programs",
+            "flash.multiplane_reads",
             "flash.power_cuts",
             "flash.program",
             "flash.program.cp_copy",

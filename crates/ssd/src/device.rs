@@ -1331,6 +1331,93 @@ mod tests {
         );
     }
 
+    /// A record whose two 4 KiB units were paged out as one plane pair —
+    /// one page on each plane of a die, at one page index — is sensed in
+    /// one tR: the second page books only its channel transfer, which
+    /// queues behind the first's.
+    #[test]
+    fn a_read_senses_a_plane_pair_in_one_tr() {
+        let geometry = FlashGeometry::paper_default();
+        let ftl = Ftl::new(
+            FlashArray::new(geometry, FlashTiming::mlc()),
+            FtlConfig {
+                unit_bytes: 4096,
+                write_points: geometry.total_planes() as u32,
+                ..FtlConfig::default()
+            },
+        )
+        .unwrap();
+        let mut s = Ssd::new(ftl, SsdTiming::paper_default());
+        let unit_sectors = 4096 / SECTOR_BYTES;
+        // A one-unit record, then a two-unit one: each a page-out of its
+        // own, on two dies.
+        let mut t = s
+            .write(&record(0, unit_sectors, 1, 1), OobKind::Data, SimTime::ZERO)
+            .unwrap();
+        t = s.flush(t).unwrap();
+        let lba = u64::from(unit_sectors) * 8;
+        t = s
+            .write(&record(lba, 2 * unit_sectors, 2, 1), OobKind::Data, t)
+            .unwrap();
+        let idle = s.flush(t).unwrap() + SimDuration::from_millis(50);
+        let (a, b) = (
+            s.ftl().flash_page_of(Lpn(8)).unwrap(),
+            s.ftl().flash_page_of(Lpn(9)).unwrap(),
+        );
+        let (pa, pb) = (geometry.decompose(a), geometry.decompose(b));
+        assert_eq!((pa.channel, pa.die, pa.page), (pb.channel, pb.die, pb.page));
+        assert_ne!(pa.plane, pb.plane, "the record's pages are a plane pair");
+
+        let cost = |s: &mut Ssd, lba: u64, sectors: u32, at: SimTime| {
+            let flash = |s: &Ssd| {
+                let f = s.ftl().flash();
+                let c = f.counters();
+                (
+                    f.die_busy_time(),
+                    c.total(Total::FlashRead),
+                    c.get(Counter::FlashMultiplaneReads),
+                )
+            };
+            let before = flash(s);
+            let req = ReadRequest {
+                lba,
+                sectors,
+                key: None,
+            };
+            let took = s
+                .read_into(&req, at, &mut Vec::new())
+                .unwrap()
+                .duration_since(at);
+            let after = flash(s);
+            (
+                took,
+                after.0 - before.0,
+                after.1 - before.1,
+                after.2 - before.2,
+            )
+        };
+        let timing = FlashTiming::mlc();
+        let (one, busy, reads, rides) = cost(&mut s, 0, unit_sectors, idle);
+        assert_eq!((busy, reads, rides), (timing.t_read, 1, 0));
+        let at = idle + SimDuration::from_millis(50);
+        let (two, busy, reads, rides) = cost(&mut s, lba, 2 * unit_sectors, at);
+        assert_eq!(
+            (busy, reads, rides),
+            (timing.t_read, 2, 1),
+            "one tR, two pages"
+        );
+        let front = *s.timing();
+        let map = *s.ftl().map_cache();
+        let per_unit = map.hit_cost + front.dram_unit_cost;
+        let sector = u64::from(SECTOR_BYTES);
+        let unit = u64::from(unit_sectors) * sector;
+        assert_eq!(
+            two,
+            one + per_unit + timing.transfer_time(4096) + front.link_transfer(2 * unit)
+                - front.link_transfer(unit)
+        );
+    }
+
     /// A remap batch pays one miss per mapping segment its source and
     /// destination ranges touch, not one per access: 64 sources in 64
     /// segments and 64 destinations in one are 65 misses and 63 hits.
