@@ -29,7 +29,7 @@ mod sweep;
 
 pub use sweep::{sweep, Sweep};
 
-use checkin_core::{EngineError, KvEngine, Layout, Strategy};
+use checkin_core::{CheckpointStep, EngineError, KvEngine, Layout, Strategy};
 use checkin_flash::{
     FaultConfig, FaultOp, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OpPhase, Ppn,
 };
@@ -234,6 +234,8 @@ struct Driven {
     shadow: Shadow,
     /// Why the run ended.
     stop: Stop,
+    /// Whether a checkpoint was still being pumped when it ended.
+    paced: bool,
     /// Completion time of the last successful step.
     t: SimTime,
 }
@@ -242,8 +244,43 @@ fn is_integrity(e: &EngineError) -> bool {
     matches!(e, EngineError::Ssd(s) if s.is_integrity())
 }
 
-/// Checkpoint, then let GC and the scrubber use the idle window — the
-/// idle-work order of the system loop (`KvSystem::run`).
+/// Begins a checkpoint at `t` — ending a running one at once first — the
+/// trigger order of the system loop (`KvSystem::run`). Returns when the
+/// workload goes on: after the idle work of a checkpoint that ended in
+/// its begin, else at once, its copy left to [`pump_due`].
+fn begin_checkpoint(
+    engine: &mut KvEngine,
+    ssd: &mut Ssd,
+    scrub_pages: u32,
+    t: SimTime,
+) -> Result<SimTime, EngineError> {
+    let mut t = t;
+    if let Some(out) = engine.drain_checkpoint(ssd)? {
+        t = t.max(idle_work(ssd, scrub_pages, out.finish)?);
+    }
+    match engine.begin_checkpoint(ssd, t)? {
+        CheckpointStep::Done(out) => idle_work(ssd, scrub_pages, out.finish),
+        CheckpointStep::PumpAt(_) => Ok(t),
+    }
+}
+
+/// Runs the running checkpoint's pump steps that are due by `t`, and the
+/// idle work behind it if one of them ends it.
+fn pump_due(
+    engine: &mut KvEngine,
+    ssd: &mut Ssd,
+    scrub_pages: u32,
+    t: SimTime,
+) -> Result<(), EngineError> {
+    while let Some(due) = engine.checkpoint_pump_due().filter(|&due| due <= t) {
+        if let CheckpointStep::Done(out) = engine.pump_checkpoint(ssd, due)? {
+            idle_work(ssd, scrub_pages, out.finish)?;
+        }
+    }
+    Ok(())
+}
+
+/// A whole checkpoint at `t`, then the idle work behind it.
 fn checkpoint_then_idle_work(
     engine: &mut KvEngine,
     ssd: &mut Ssd,
@@ -251,7 +288,13 @@ fn checkpoint_then_idle_work(
     t: SimTime,
 ) -> Result<SimTime, EngineError> {
     let out = engine.checkpoint(ssd, t)?;
-    let (_, gc_done) = ssd.background_gc(out.finish, 4)?;
+    idle_work(ssd, scrub_pages, out.finish)
+}
+
+/// Lets GC and then the scrubber use the idle window after a checkpoint
+/// that ended at `end`, and returns when they are done.
+fn idle_work(ssd: &mut Ssd, scrub_pages: u32, end: SimTime) -> Result<SimTime, EngineError> {
+    let (_, gc_done) = ssd.background_gc(end, 4)?;
     let (_, scrub_done) = ssd
         .background_scrub(gc_done, scrub_pages)
         .map_err(EngineError::Ssd)?;
@@ -264,9 +307,11 @@ fn checkpoint_then_idle_work(
 /// `flash_tracer` from when the faults are armed.
 ///
 /// Ops are admitted in groups of `sc.batch` and acked only when the whole
-/// group completes, with checkpoints confined to batch boundaries (the
-/// admission gate's no-straddling rule). The op stream is identical for
-/// every batch size; only ack timing differs.
+/// group completes, with checkpoints begun only at batch boundaries (the
+/// admission gate's no-straddling rule). A begun checkpoint's copy is
+/// pumped between the ops, so a cut can land inside it; the run ends with
+/// the running checkpoint. The op stream is identical for every batch
+/// size; only ack timing differs.
 fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
     let mut ssd = sc.build_ssd();
     let layout = sc.layout();
@@ -299,12 +344,15 @@ fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
 
     let stop = 'ops: loop {
         if remaining == 0 {
-            break Stop::Completed;
+            match engine.drain_checkpoint(&mut ssd) {
+                Ok(_) => break Stop::Completed,
+                Err(e) => break stop_for(e, true),
+            }
         }
         // Batch boundary: the only place a checkpoint is *planned*, and
         // nothing is unacked here.
         if engine.journal_used_units() >= cp_units {
-            match checkpoint_then_idle_work(&mut engine, &mut ssd, sc.scrub_pages, t) {
+            match begin_checkpoint(&mut engine, &mut ssd, sc.scrub_pages, t) {
                 Ok(done) => t = done,
                 Err(e) => break stop_for(e, true),
             }
@@ -312,6 +360,9 @@ fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
         let group = u64::from(sc.batch.max(1)).min(remaining);
         remaining -= group;
         for _ in 0..group {
+            if let Err(e) = pump_due(&mut engine, &mut ssd, sc.scrub_pages, t) {
+                break 'ops stop_for(e, true);
+            }
             let key = rng.below(RECORDS);
             let entry = shadow.get(key);
             let bytes = rng.range_u32(200, MAX_RECORD_BYTES - 48);
@@ -334,7 +385,7 @@ fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
                 // failure inside it leaves `next` un-issued (it never
                 // touched the journal), so only the already-issued part
                 // of the batch is in flight.
-                match checkpoint_then_idle_work(&mut engine, &mut ssd, sc.scrub_pages, t) {
+                match begin_checkpoint(&mut engine, &mut ssd, sc.scrub_pages, t) {
                     Ok(done) => t = done,
                     Err(e) => break 'ops stop_for(e, true),
                 }
@@ -354,6 +405,7 @@ fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
         shadow.ack_batch();
     };
     Driven {
+        paced: engine.checkpoint_pump_due().is_some(),
         ssd,
         engine,
         shadow,
@@ -541,6 +593,9 @@ pub struct Outcome {
     pub stop: Stop,
     /// Ops in flight when it ended.
     pub unacked: usize,
+    /// Whether it ended while a checkpoint's copy was still being
+    /// pumped: a cut inside a paced copy.
+    pub paced: bool,
     /// False when engine recovery refused, typed, to open the store.
     pub opened: bool,
     /// The device afterwards, for its counters.
@@ -629,6 +684,7 @@ pub fn run(sc: &Scenario, typed_ok: bool, sabotage: bool) -> Outcome {
         verdict,
         stop: d.stop,
         unacked: d.shadow.unacked(),
+        paced: d.paced,
         opened,
         ssd: d.ssd,
     }

@@ -42,6 +42,9 @@ pub struct Sweep {
     pub expected_failures: u64,
     /// Phase each aimed power cut landed in.
     cut_phases: Vec<OpPhase>,
+    /// Aimed power cuts that found a checkpoint's copy still being
+    /// pumped.
+    paced_cuts: usize,
 }
 
 impl Sweep {
@@ -103,7 +106,9 @@ impl Sweep {
             .iter()
             .map(|&tick| {
                 self.cut_phases.push(phase_at(trace, tick));
-                self.judge(&cut(tick), false)
+                let o = self.judge(&cut(tick), false);
+                self.paced_cuts += usize::from(o.paced);
+                o
             })
             .collect()
     }
@@ -804,6 +809,11 @@ pub fn sweep() -> Sweep {
         s.cuts_in(OpPhase::Gc),
         s.cuts_in(OpPhase::Dealloc),
         s.cut_phases.iter().filter(|&&p| is_steady(p)).count()
+    );
+    println!("  cuts while a checkpoint copy was pumped {}", s.paced_cuts);
+    s.gate(
+        s.paced_cuts > 0,
+        "no aimed cut landed while a checkpoint's copy was being pumped",
     );
     println!("  keys checked      {}", t.checked);
     println!("  silently wrong    {}", t.silent_wrong);

@@ -20,7 +20,9 @@
 
 use checkin_flash::{OobKind, OpPhase};
 use checkin_sim::{Counter, CounterSet, SimDuration, SimTime, Total};
-use checkin_ssd::{CowEntry, ReadRequest, Ssd, SsdError, WriteContent, WriteRequest, SECTOR_BYTES};
+use checkin_ssd::{
+    CowEntry, CpProgress, ReadRequest, Ssd, SsdError, WriteContent, WriteRequest, SECTOR_BYTES,
+};
 
 use crate::config::Strategy;
 use crate::journal::RetiringZone;
@@ -33,6 +35,8 @@ pub const SUPERBLOCK_KEY: u64 = u64::MAX - 1;
 /// Result of one checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointOutcome {
+    /// When the checkpoint began (the trigger's instant).
+    pub start: SimTime,
     /// When the checkpoint (including metadata and journal trim) finished.
     pub finish: SimTime,
     /// Live entries checkpointed.
@@ -43,42 +47,296 @@ pub struct CheckpointOutcome {
     pub copied: u64,
     /// Deletion tombstones applied (home extents trimmed).
     pub deleted: u64,
-    /// Flash page programs attributed to this checkpoint (the paper's
-    /// "redundant writes").
+    /// Flash page programs of this checkpoint's own device calls (the
+    /// paper's "redundant writes"): the sum of its phases' programs.
     pub flash_programs: u64,
-    /// Flash page reads attributed to this checkpoint.
+    /// Flash page reads of this checkpoint's own device calls: the sum of
+    /// its phases' reads.
     pub flash_reads: u64,
-    /// Logical units (re)written because of this checkpoint — the paper's
-    /// "redundant writes" in mapping units. Unlike `flash_programs`, this
-    /// counts copies even when the device write buffer defers their page
-    /// programs beyond the checkpoint window. Remapped entries cost zero.
+    /// Logical units (re)written by this checkpoint's data movement — the
+    /// paper's "redundant writes" in mapping units: the copies and the
+    /// recovery metadata unit that closes a checkpoint command. Unlike
+    /// `flash_programs`, this counts copies even when the device write
+    /// buffer defers their page programs beyond the checkpoint window.
+    /// Remapped entries cost zero.
     pub redundant_units: u64,
-    /// Payload bytes (re)written because of this checkpoint — the
+    /// Payload bytes (re)written by the data movement — the
     /// unit-size-independent form of `redundant_units`.
     pub redundant_bytes: u64,
-    /// Host-interface bytes moved for this checkpoint (baseline only).
+    /// Host-interface bytes moved for this checkpoint: the baseline's
+    /// read-back and rewrite, and the superblock write.
     pub host_bytes: u64,
     /// Entries whose live payload vanished before the checkpoint (e.g.
     /// fully superseded merged fragments): neither remapped nor copied.
     pub skipped: u64,
     /// Per-phase breakdown of this checkpoint (Algorithm 1 stages), with
     /// flash-op attribution per phase. Invariant (checked in debug
-    /// builds): the per-phase flash ops sum to `flash_programs` /
-    /// `flash_reads`, and the run-phase bucket stays empty.
+    /// builds): the checkpoint's own device calls did no run-phase or
+    /// scrub flash op, so the phases account for all of their traffic.
     pub phases: CheckpointPhases,
 }
 
-/// Flash-op delta for one attribution phase between two counter snapshots.
-fn phase_delta(now: &CounterSet, before: &CounterSet, phase: OpPhase) -> PhaseOps {
-    let delta = |key: Counter| now.get(key) - before.get(key);
+/// The flash ops `counters` holds for one attribution phase.
+fn phase_ops(counters: &CounterSet, phase: OpPhase) -> PhaseOps {
     PhaseOps {
-        reads: delta(phase.read_counter()),
-        programs: delta(phase.program_counter()),
-        erases: delta(phase.erase_counter()),
+        reads: counters.get(phase.read_counter()),
+        programs: counters.get(phase.program_counter()),
+        erases: counters.get(phase.erase_counter()),
     }
 }
 
-/// Executes one checkpoint of `zone` with `strategy`, starting at `at`.
+/// The device's flash, FTL and SSD counters in one set (disjoint key
+/// prefixes).
+fn device_counters(ssd: &Ssd) -> CounterSet {
+    let mut all = ssd.ftl().flash().counters().clone();
+    all.merge(ssd.ftl().counters());
+    all.merge(ssd.counters());
+    all
+}
+
+/// A checkpoint between its begin and its end. Queries keep running
+/// while its copy class is scattered, so the device counters move for
+/// them too: everything the checkpoint reports is counted over its own
+/// device calls alone (the begin, every pump step, the metadata write
+/// and the trim), which [`RunningCheckpoint::own`] brackets.
+#[derive(Debug)]
+pub(crate) struct RunningCheckpoint {
+    seq: u64,
+    start: SimTime,
+    /// When the deletion tombstones were trimmed.
+    drain_done: SimTime,
+    tombstoned: u64,
+    /// The baseline's host-driven copy: entries rewritten home, entries
+    /// that read back empty, and the time it took.
+    host_copied: u64,
+    host_skipped: u64,
+    host_copy_time: SimDuration,
+    /// When the device's copy job asks to be pumped next; `None` once the
+    /// data movement is over, at `movement_done`.
+    next_pump: Option<SimTime>,
+    movement_done: SimTime,
+    /// Counter deltas summed over the checkpoint's own device calls.
+    own: CounterSet,
+}
+
+impl RunningCheckpoint {
+    /// Begins checkpoint `seq` of `zone` with `strategy` at `at`: applies
+    /// the deletion tombstones, then moves every live entry home — the
+    /// baseline's host copy and ISC-A's per-entry commands in full, a
+    /// batched command up to its scatter, which the device's pump does
+    /// (see [`RunningCheckpoint::pump`]).
+    pub(crate) fn begin(
+        ssd: &mut Ssd,
+        strategy: Strategy,
+        layout: &Layout,
+        zone: &RetiringZone,
+        seq: u64,
+        at: SimTime,
+    ) -> Result<Self, SsdError> {
+        // Reset the device's accumulated remap/copy stopwatches so this
+        // checkpoint's take at the end reflects only its own work.
+        let _ = ssd.take_cp_phase_times();
+        let mut cp = RunningCheckpoint {
+            seq,
+            start: at,
+            drain_done: at,
+            tombstoned: 0,
+            host_copied: 0,
+            host_skipped: 0,
+            host_copy_time: SimDuration::ZERO,
+            next_pump: None,
+            movement_done: at,
+            own: CounterSet::new(),
+        };
+        // Deletion tombstones: the checkpoint applies them by trimming
+        // the key's home extent — identical for every strategy (a trim is
+        // a mapping operation, nothing to copy or remap).
+        let mut done = at;
+        for (key, e) in &zone.entries {
+            if e.tombstone {
+                let (lba, sectors) = (layout.home_lba(*key), layout.slot_sectors() as u32);
+                done = done.max(cp.own(ssd, |ssd| Ok(ssd.deallocate(lba, sectors, at)))?);
+                cp.tombstoned += 1;
+            }
+        }
+        cp.drain_done = done;
+        cp.movement_done = done;
+
+        match strategy.checkpoint_mode() {
+            None => {
+                // The baseline's read-back-and-rewrite loop is its copy
+                // fallback; attribute its flash ops accordingly.
+                let (finish, copied, skipped) = cp.own(ssd, |ssd| {
+                    ssd.in_phase(OpPhase::CheckpointCopy, |ssd| {
+                        host_checkpoint(ssd, layout, zone, at)
+                    })
+                })?;
+                cp.host_copied = copied;
+                cp.host_skipped = skipped;
+                cp.host_copy_time = finish.saturating_duration_since(at);
+                cp.movement_done = cp.movement_done.max(finish);
+            }
+            Some(mode) if strategy.per_entry_commands() => {
+                for e in &build_entries(layout, zone) {
+                    let t = cp.own(ssd, |ssd| ssd.cow_single(e, mode, at))?;
+                    cp.movement_done = cp.movement_done.max(t);
+                }
+            }
+            Some(mode) => {
+                let entries = build_entries(layout, zone);
+                if !entries.is_empty() {
+                    let progress = cp.own(ssd, |ssd| ssd.begin_checkpoint(&entries, mode, at))?;
+                    cp.advance(progress);
+                }
+            }
+        }
+        Ok(cp)
+    }
+
+    /// When the device's copy job asks to be pumped next, or `None` when
+    /// the checkpoint is ready to [`finish`](RunningCheckpoint::finish).
+    pub(crate) fn next_pump(&self) -> Option<SimTime> {
+        self.next_pump
+    }
+
+    /// One pump step of the device's copy job at `now`.
+    pub(crate) fn pump(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<(), SsdError> {
+        let progress = self.own(ssd, |ssd| ssd.pump_checkpoint(now))?;
+        self.advance(progress);
+        Ok(())
+    }
+
+    fn advance(&mut self, progress: CpProgress) {
+        match progress {
+            CpProgress::PumpAt(t) => self.next_pump = Some(t),
+            CpProgress::Done(t) => {
+                self.next_pump = None;
+                self.movement_done = self.movement_done.max(t);
+            }
+        }
+    }
+
+    /// Runs `call` on the device as one of this checkpoint's own calls,
+    /// adding the counters it moved to the checkpoint's.
+    fn own<R>(
+        &mut self,
+        ssd: &mut Ssd,
+        call: impl FnOnce(&mut Ssd) -> Result<R, SsdError>,
+    ) -> Result<R, SsdError> {
+        let before = device_counters(ssd);
+        let out = call(ssd);
+        self.own.merge(&device_counters(ssd).delta_since(&before));
+        out
+    }
+
+    /// Ends the checkpoint once its data movement is over: persists the
+    /// engine superblock and trims the retired zone.
+    pub(crate) fn finish(
+        mut self,
+        ssd: &mut Ssd,
+        layout: &Layout,
+        zone: &RetiringZone,
+    ) -> Result<CheckpointOutcome, SsdError> {
+        debug_assert!(self.next_pump.is_none(), "finish before the copy job");
+        let movement_done = self.movement_done;
+        let cp_times = ssd.take_cp_phase_times();
+        // Data movement is complete; everything after this line (metadata,
+        // trim) is bookkeeping, not redundant data writes.
+        let redundant_units = self.own.get(Counter::FtlHostUnitWrites);
+        let redundant_bytes = self.own.get(Counter::FtlHostBytes);
+
+        // Engine metadata: the superblock records the checkpoint sequence
+        // (parity identifies the newly active journal zone on recovery).
+        let meta = WriteRequest {
+            lba: layout.meta_base(),
+            sectors: layout.unit_sectors() as u32,
+            content: WriteContent::Record {
+                key: SUPERBLOCK_KEY,
+                version: self.seq,
+                bytes: layout.unit_sectors() as u32 * SECTOR_BYTES,
+            },
+        };
+        let meta_done =
+            movement_done.max(self.own(ssd, |ssd| ssd.write(&meta, OobKind::Meta, movement_done))?);
+
+        // Deallocate the retired journal logs ("used journal data are
+        // flushed because they are no longer needed").
+        let mut done = meta_done;
+        if zone.used_sectors > 0 {
+            let us = layout.unit_sectors();
+            let trim_sectors = zone.used_sectors.div_ceil(us) * us;
+            let trim = self.own(ssd, |ssd| {
+                Ok(ssd.deallocate(zone.base_lba, trim_sectors as u32, meta_done))
+            })?;
+            done = done.max(trim);
+        }
+
+        let own = &self.own;
+        let phases = CheckpointPhases {
+            drain_time: self.drain_done.saturating_duration_since(self.start),
+            remap: phase_ops(own, OpPhase::CheckpointRemap),
+            remap_time: cp_times.remap,
+            copy: phase_ops(own, OpPhase::CheckpointCopy),
+            copy_time: cp_times.copy + self.host_copy_time,
+            meta: phase_ops(own, OpPhase::Meta),
+            meta_time: meta_done.saturating_duration_since(movement_done),
+            trim: phase_ops(own, OpPhase::Dealloc),
+            trim_time: done.saturating_duration_since(meta_done),
+            gc: phase_ops(own, OpPhase::Gc),
+            other: phase_ops(own, OpPhase::Run),
+        };
+        // What these assert is that the breakdown above has a field for
+        // every phase the checkpoint's own calls were active in: a scrub
+        // read, or a flash op one of its calls left in the run phase,
+        // would be checkpoint traffic the report silently leaves out.
+        // Queries between two pump steps are not its calls, so their
+        // run-phase traffic does not count.
+        debug_assert_eq!(
+            phases.flash_programs(),
+            own.total(Total::FlashProgram),
+            "per-phase program attribution must cover the checkpoint's calls"
+        );
+        debug_assert_eq!(
+            phases.flash_reads(),
+            own.total(Total::FlashRead),
+            "per-phase read attribution must cover the checkpoint's calls"
+        );
+        debug_assert_eq!(
+            phases.other.total(),
+            0,
+            "a checkpoint's own device calls do no run-phase flash op"
+        );
+
+        let remapped = own.get(Counter::SsdRemapEntries);
+        let copied = own.get(Counter::SsdCopyEntries) + self.host_copied;
+        let skipped = own.get(Counter::SsdCowSkippedEntries) + self.host_skipped;
+        debug_assert_eq!(
+            remapped + copied + skipped + self.tombstoned,
+            zone.entries.len() as u64,
+            "every zone entry must be remapped, copied, skipped, or tombstoned"
+        );
+
+        Ok(CheckpointOutcome {
+            start: self.start,
+            finish: done,
+            entries: zone.entries.len() as u64,
+            remapped,
+            copied,
+            deleted: self.tombstoned,
+            flash_programs: phases.flash_programs(),
+            flash_reads: phases.flash_reads(),
+            redundant_units,
+            redundant_bytes,
+            host_bytes: own.get(Counter::SsdHostReadBytes) + own.get(Counter::SsdHostWriteBytes),
+            skipped,
+            phases,
+        })
+    }
+}
+
+/// Executes one checkpoint of `zone` with `strategy`, starting at `at`,
+/// to its end: its begin, every pump step of the device's copy job at
+/// the instant the one before asked for, and its finish.
 ///
 /// # Errors
 ///
@@ -92,156 +350,11 @@ pub fn run_checkpoint(
     checkpoint_seq: u64,
     at: SimTime,
 ) -> Result<CheckpointOutcome, SsdError> {
-    let flash_before = ssd.ftl().flash().counters().clone();
-    // Reset the device's accumulated remap/copy stopwatches so this
-    // checkpoint's take below reflects only its own work.
-    let _ = ssd.take_cp_phase_times();
-    let unit_writes_before = ssd.ftl().counters().get(Counter::FtlHostUnitWrites);
-    let bytes_before = ssd.ftl().counters().get(Counter::FtlHostBytes);
-    let remap_before = ssd.counters().get(Counter::SsdRemapEntries);
-    let copy_before = ssd.counters().get(Counter::SsdCopyEntries);
-    let skipped_before = ssd.counters().get(Counter::SsdCowSkippedEntries);
-    let programs_before = flash_before.total(Total::FlashProgram);
-    let reads_before = flash_before.total(Total::FlashRead);
-    let host_before = ssd.counters().get(Counter::SsdHostReadBytes)
-        + ssd.counters().get(Counter::SsdHostWriteBytes);
-
-    // Deletion tombstones: the checkpoint applies them by trimming the
-    // key's home extent — identical for every strategy (a trim is a
-    // mapping operation, nothing to copy or remap).
-    let mut done = at;
-    let mut tombstoned = 0u64;
-    for (key, e) in &zone.entries {
-        if e.tombstone {
-            done =
-                done.max(ssd.deallocate(layout.home_lba(*key), layout.slot_sectors() as u32, at));
-            tombstoned += 1;
-        }
+    let mut cp = RunningCheckpoint::begin(ssd, strategy, layout, zone, checkpoint_seq, at)?;
+    while let Some(t) = cp.next_pump() {
+        cp.pump(ssd, t)?;
     }
-    let drain_done = done;
-
-    let mut host_copied = 0u64;
-    let mut host_skipped = 0u64;
-    let mut host_copy_time = SimDuration::ZERO;
-    done = done.max(match strategy.checkpoint_mode() {
-        None => {
-            // The baseline's read-back-and-rewrite loop is its copy
-            // fallback; attribute its flash ops accordingly.
-            let (finish, copied, skipped) = ssd.in_phase(OpPhase::CheckpointCopy, |ssd| {
-                host_checkpoint(ssd, layout, zone, at)
-            })?;
-            host_copied = copied;
-            host_skipped = skipped;
-            host_copy_time = finish.saturating_duration_since(at);
-            finish
-        }
-        Some(mode) => {
-            let entries = build_entries(layout, zone);
-            if entries.is_empty() {
-                at
-            } else if strategy.per_entry_commands() {
-                let mut done = at;
-                for e in &entries {
-                    done = done.max(ssd.cow_single(e, mode, at)?);
-                }
-                done
-            } else {
-                ssd.checkpoint(&entries, mode, at)?
-            }
-        }
-    });
-    let movement_done = done;
-    let cp_times = ssd.take_cp_phase_times();
-
-    // Data movement is complete; everything after this line (metadata,
-    // trim) is bookkeeping, not redundant data writes.
-    let redundant_units = ssd.ftl().counters().get(Counter::FtlHostUnitWrites) - unit_writes_before;
-    let redundant_bytes = ssd.ftl().counters().get(Counter::FtlHostBytes) - bytes_before;
-
-    // Engine metadata: the superblock records the checkpoint sequence
-    // (parity identifies the newly active journal zone on recovery).
-    let meta = WriteRequest {
-        lba: layout.meta_base(),
-        sectors: layout.unit_sectors() as u32,
-        content: WriteContent::Record {
-            key: SUPERBLOCK_KEY,
-            version: checkpoint_seq,
-            bytes: layout.unit_sectors() as u32 * SECTOR_BYTES,
-        },
-    };
-    done = done.max(ssd.write(&meta, OobKind::Meta, done)?);
-    let meta_done = done;
-
-    // Deallocate the retired journal logs ("used journal data are flushed
-    // because they are no longer needed").
-    if zone.used_sectors > 0 {
-        let us = layout.unit_sectors();
-        let trim_sectors = zone.used_sectors.div_ceil(us) * us;
-        done = done.max(ssd.deallocate(zone.base_lba, trim_sectors as u32, done));
-    }
-
-    let flash_now = ssd.ftl().flash().counters();
-    let phases = CheckpointPhases {
-        drain_time: drain_done.saturating_duration_since(at),
-        remap: phase_delta(flash_now, &flash_before, OpPhase::CheckpointRemap),
-        remap_time: cp_times.remap,
-        copy: phase_delta(flash_now, &flash_before, OpPhase::CheckpointCopy),
-        copy_time: cp_times.copy + host_copy_time,
-        meta: phase_delta(flash_now, &flash_before, OpPhase::Meta),
-        meta_time: meta_done.saturating_duration_since(movement_done),
-        trim: phase_delta(flash_now, &flash_before, OpPhase::Dealloc),
-        trim_time: done.saturating_duration_since(meta_done),
-        gc: phase_delta(flash_now, &flash_before, OpPhase::Gc),
-        other: phase_delta(flash_now, &flash_before, OpPhase::Run),
-    };
-    let flash_programs = flash_now.total(Total::FlashProgram) - programs_before;
-    let flash_reads = flash_now.total(Total::FlashRead) - reads_before;
-    // That every phase's counter sums to the total holds by construction
-    // (the totals are derived at the bump). What these assert is that
-    // the breakdown above has a field for every phase that was active:
-    // a scrub read or a run-phase op inside the window would be flash
-    // traffic the checkpoint report silently leaves out.
-    debug_assert_eq!(
-        phases.flash_programs(),
-        flash_programs,
-        "per-phase program attribution must sum to the checkpoint total"
-    );
-    debug_assert_eq!(
-        phases.flash_reads(),
-        flash_reads,
-        "per-phase read attribution must sum to the checkpoint total"
-    );
-    debug_assert_eq!(
-        phases.other.total(),
-        0,
-        "no run-phase flash ops may occur inside a checkpoint window"
-    );
-
-    let remapped = ssd.counters().get(Counter::SsdRemapEntries) - remap_before;
-    let copied = ssd.counters().get(Counter::SsdCopyEntries) - copy_before + host_copied;
-    let skipped = ssd.counters().get(Counter::SsdCowSkippedEntries) - skipped_before + host_skipped;
-    debug_assert_eq!(
-        remapped + copied + skipped + tombstoned,
-        zone.entries.len() as u64,
-        "every zone entry must be remapped, copied, skipped, or tombstoned"
-    );
-
-    Ok(CheckpointOutcome {
-        finish: done,
-        entries: zone.entries.len() as u64,
-        remapped,
-        copied,
-        deleted: tombstoned,
-        flash_programs,
-        flash_reads,
-        redundant_units,
-        redundant_bytes,
-        host_bytes: ssd.counters().get(Counter::SsdHostReadBytes)
-            + ssd.counters().get(Counter::SsdHostWriteBytes)
-            - host_before,
-        skipped,
-        phases,
-    })
+    cp.finish(ssd, layout, zone)
 }
 
 /// Builds device CoW entries from the retiring zone's JMT snapshot.

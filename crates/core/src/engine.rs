@@ -6,9 +6,9 @@ use checkin_flash::{Fragment, OobKind};
 use checkin_sim::{Counter, CounterSet, SimTime, TraceEvent, TraceLayer, Tracer};
 use checkin_ssd::{ReadRequest, Ssd, SsdError, WriteContent, WriteRequest, SECTOR_BYTES};
 
-use crate::checkpoint::{run_checkpoint, CheckpointOutcome};
+use crate::checkpoint::{CheckpointOutcome, RunningCheckpoint};
 use crate::config::Strategy;
-use crate::journal::{JournalFull, JournalManager, RetiringZone};
+use crate::journal::{JmtEntry, JournalFull, JournalManager, RetiringZone};
 use crate::layout::{Layout, JOURNAL_ZONES};
 
 /// Records [`KvEngine::load`] writes between two calls of
@@ -25,6 +25,11 @@ pub enum EngineError {
     UnknownKey(u64),
     /// Update with an empty or oversized value.
     InvalidValue(u32),
+    /// A checkpoint was begun while one is still running: drain it first
+    /// ([`KvEngine::drain_checkpoint`]).
+    CheckpointRunning,
+    /// A checkpoint was pumped while none is running.
+    NoCheckpointRunning,
     /// Device failure.
     Ssd(SsdError),
 }
@@ -35,6 +40,8 @@ impl std::fmt::Display for EngineError {
             EngineError::JournalFull => write!(f, "journal full; checkpoint required"),
             EngineError::UnknownKey(k) => write!(f, "unknown key {k}"),
             EngineError::InvalidValue(n) => write!(f, "invalid value size {n} bytes"),
+            EngineError::CheckpointRunning => write!(f, "a checkpoint is still running"),
+            EngineError::NoCheckpointRunning => write!(f, "no checkpoint is running"),
             EngineError::Ssd(e) => write!(f, "device error: {e}"),
         }
     }
@@ -76,6 +83,20 @@ pub struct ReadResult {
     pub finish: SimTime,
 }
 
+/// Where a begun checkpoint stands: see [`KvEngine::begin_checkpoint`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one value per pump step, matched at once; boxing the outcome would allocate per checkpoint"
+)]
+pub enum CheckpointStep {
+    /// The device's copy job asks for [`KvEngine::pump_checkpoint`] at
+    /// this instant.
+    PumpAt(SimTime),
+    /// The checkpoint ended.
+    Done(CheckpointOutcome),
+}
+
 /// The key-value storage engine.
 ///
 /// # Examples
@@ -111,6 +132,11 @@ pub struct KvEngine {
     /// Keys with a non-zero version (what `loaded_keys` reports).
     loaded: usize,
     checkpoint_seq: u64,
+    /// The checkpoint between its begin and its end, with the zone it
+    /// retired: until the copy lands, a key of that zone is read from its
+    /// log there (the zone is trimmed only at the end, so the log is
+    /// still mapped).
+    running: Option<(RetiringZone, RunningCheckpoint)>,
     counters: CounterSet,
     tracer: Tracer,
     /// Reused fragment buffer so steady-state reads never allocate.
@@ -161,6 +187,7 @@ impl KvEngine {
             keys: Vec::with_capacity(layout.record_count() as usize),
             loaded: 0,
             checkpoint_seq: 0,
+            running: None,
             counters: CounterSet::new(),
             tracer: Tracer::disabled(),
             read_scratch: Vec::new(),
@@ -218,6 +245,16 @@ impl KvEngine {
     /// The journal manager (JMT inspection).
     pub fn journal(&self) -> &JournalManager {
         &self.journal
+    }
+
+    /// The journal log that holds `key`'s newest version, if one does:
+    /// its entry in the active zone, else in the zone a running
+    /// checkpoint retired.
+    pub fn journal_entry(&self, key: u64) -> Option<&JmtEntry> {
+        self.journal.jmt().lookup(key).or_else(|| {
+            let (zone, _) = self.running.as_ref()?;
+            zone.lookup(key).filter(|e| !e.tombstone)
+        })
     }
 
     /// Committed version of `key`, if loaded.
@@ -278,8 +315,8 @@ impl KvEngine {
         Ok(ssd.flush(t)?)
     }
 
-    /// Point read: the JMT first (latest journal copy), then the data
-    /// area.
+    /// Point read: the JMT first (latest journal copy), then the zone a
+    /// running checkpoint retired, then the data area.
     ///
     /// # Errors
     ///
@@ -293,7 +330,7 @@ impl KvEngine {
         // A journal read asks for the log, a home read for the sectors
         // the value spans (see `KeyState::bytes`) — never the whole slot,
         // whose tail is unmapped or holds an older, longer version.
-        let jmt_entry = self.journal.jmt().lookup(key).copied();
+        let jmt_entry = self.journal_entry(key).copied();
         let (lba, sectors) = match jmt_entry {
             Some(e) => (e.journal_lba, e.sectors),
             None => (
@@ -451,17 +488,40 @@ impl KvEngine {
         Ok(t)
     }
 
-    /// Runs one checkpoint: retires the active journal zone and moves its
-    /// live entries home using the configured strategy.
+    /// Runs one checkpoint to its end: [`KvEngine::begin_checkpoint`],
+    /// then every pump step at the instant the one before asked for.
     ///
     /// # Errors
     ///
-    /// Propagates device failures.
+    /// As [`KvEngine::begin_checkpoint`] and
+    /// [`KvEngine::pump_checkpoint`].
     pub fn checkpoint(
         &mut self,
         ssd: &mut Ssd,
         at: SimTime,
     ) -> Result<CheckpointOutcome, EngineError> {
+        let begun = self.begin_checkpoint(ssd, at)?;
+        self.run_to_end(ssd, begun)
+    }
+
+    /// Begins a checkpoint at `at`: retires the active journal zone —
+    /// updates go to the other one from here on — and starts moving its
+    /// live entries home with the configured strategy. A batched
+    /// strategy's copy class is left to the device's pump
+    /// ([`KvEngine::pump_checkpoint`]); every other checkpoint ends here.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::CheckpointRunning`] while the previous checkpoint
+    /// has not ended; propagates device failures.
+    pub fn begin_checkpoint(
+        &mut self,
+        ssd: &mut Ssd,
+        at: SimTime,
+    ) -> Result<CheckpointStep, EngineError> {
+        if self.running.is_some() {
+            return Err(EngineError::CheckpointRunning);
+        }
         self.checkpoint_seq += 1;
         let zone: RetiringZone = self.journal.begin_checkpoint();
         self.counters
@@ -476,7 +536,7 @@ impl KvEngine {
                 .with("used_sectors", zone.used_sectors)
                 .with("superseded", zone.superseded)
         });
-        let outcome = run_checkpoint(
+        let checkpoint = RunningCheckpoint::begin(
             ssd,
             self.strategy,
             &self.layout,
@@ -484,6 +544,84 @@ impl KvEngine {
             self.checkpoint_seq,
             at,
         )?;
+        self.running = Some((zone, checkpoint));
+        self.step(ssd)
+    }
+
+    /// One pump step of the running checkpoint's copy job at `now`, the
+    /// instant the previous step asked for; the step that finds the copy
+    /// class written ends the checkpoint (superblock, then the retired
+    /// zone's trim).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::NoCheckpointRunning`] when none is running;
+    /// propagates device failures.
+    pub fn pump_checkpoint(
+        &mut self,
+        ssd: &mut Ssd,
+        now: SimTime,
+    ) -> Result<CheckpointStep, EngineError> {
+        let Some((_, checkpoint)) = self.running.as_mut() else {
+            return Err(EngineError::NoCheckpointRunning);
+        };
+        checkpoint.pump(ssd, now)?;
+        self.step(ssd)
+    }
+
+    /// When the running checkpoint asks to be pumped next, or `None` when
+    /// no checkpoint is running.
+    pub fn checkpoint_pump_due(&self) -> Option<SimTime> {
+        let (_, checkpoint) = self.running.as_ref()?;
+        checkpoint.next_pump()
+    }
+
+    /// Ends the running checkpoint at once — every remaining pump step,
+    /// each at the instant the one before asked for — for a trigger that
+    /// needs the journal zone it holds. Counted in
+    /// `engine.checkpoints_drained`. Returns its outcome, or `None` when
+    /// no checkpoint was running.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device failures.
+    pub fn drain_checkpoint(
+        &mut self,
+        ssd: &mut Ssd,
+    ) -> Result<Option<CheckpointOutcome>, EngineError> {
+        let Some(due) = self.checkpoint_pump_due() else {
+            return Ok(None);
+        };
+        self.counters.incr(Counter::EngineCheckpointsDrained);
+        self.run_to_end(ssd, CheckpointStep::PumpAt(due)).map(Some)
+    }
+
+    /// Pumps the running checkpoint at the instants it asks for, from
+    /// `step` on, until it ends.
+    fn run_to_end(
+        &mut self,
+        ssd: &mut Ssd,
+        mut step: CheckpointStep,
+    ) -> Result<CheckpointOutcome, EngineError> {
+        loop {
+            match step {
+                CheckpointStep::Done(outcome) => return Ok(outcome),
+                CheckpointStep::PumpAt(due) => step = self.pump_checkpoint(ssd, due)?,
+            }
+        }
+    }
+
+    /// The running checkpoint's next step, ending it when its data
+    /// movement is over.
+    fn step(&mut self, ssd: &mut Ssd) -> Result<CheckpointStep, EngineError> {
+        let Some((zone, checkpoint)) = self.running.take() else {
+            return Err(EngineError::NoCheckpointRunning);
+        };
+        if let Some(t) = checkpoint.next_pump() {
+            self.running = Some((zone, checkpoint));
+            return Ok(CheckpointStep::PumpAt(t));
+        }
+        let outcome = checkpoint.finish(ssd, &self.layout, &zone)?;
         self.journal.recycle_zone(zone);
         self.counters.incr(Counter::EngineCheckpoints);
         self.tracer.emit(|| {
@@ -491,9 +629,12 @@ impl KvEngine {
                 .with("seq", self.checkpoint_seq)
                 .with("remapped", outcome.remapped)
                 .with("copied", outcome.copied)
-                .with("duration_ns", outcome.finish.duration_since(at).as_nanos())
+                .with(
+                    "duration_ns",
+                    outcome.finish.duration_since(outcome.start).as_nanos(),
+                )
         });
-        Ok(outcome)
+        Ok(CheckpointStep::Done(outcome))
     }
 
     /// Crash recovery: rebuilds engine state from the device alone —
@@ -532,6 +673,9 @@ impl KvEngine {
         record_count: u64,
         at: SimTime,
     ) -> Result<(Self, RecoveryReport), EngineError> {
+        // A checkpoint command the crashed host left running was accepted
+        // by the device, which finishes it without the host.
+        let at = ssd.drain_checkpoint()?.map_or(at, |done| at.max(done));
         let reads_before = ssd.counters().get(Counter::SsdCmdRead);
         let mut engine = KvEngine::new(strategy, layout, compression_ratio);
         let mut t = at;
@@ -718,6 +862,47 @@ mod tests {
         let r = engine.get(&mut ssd, 0, out.finish).unwrap();
         assert_eq!(r.version, 2);
         assert!(!r.from_journal, "after checkpoint, home is current");
+    }
+
+    /// ISC-B copies every entry, so its checkpoint is paced: until the
+    /// copy lands, a key of the retired zone is read from its log, and a
+    /// key updated meanwhile from the active zone; only one checkpoint
+    /// runs at a time, and draining it ends it where pumping would have.
+    #[test]
+    fn a_retiring_key_reads_from_its_log_until_the_copy_lands() {
+        let (mut ssd, mut engine) = setup(Strategy::IscB);
+        let records: Vec<(u64, u32)> = (0..32).map(|k| (k, 2048)).collect();
+        let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
+        for k in 0..32 {
+            t = engine.update(&mut ssd, k, 2048, t).unwrap();
+        }
+        let CheckpointStep::PumpAt(due) = engine.begin_checkpoint(&mut ssd, t).unwrap() else {
+            panic!("a copy class is pumped");
+        };
+        assert_eq!(engine.checkpoint_pump_due(), Some(due));
+        assert_eq!(
+            engine.begin_checkpoint(&mut ssd, t),
+            Err(EngineError::CheckpointRunning)
+        );
+        let t = engine.update(&mut ssd, 0, 100, t).unwrap();
+        for (key, version) in [(0, 3), (1, 2)] {
+            let r = engine.get(&mut ssd, key, t).unwrap();
+            assert_eq!((r.version, r.from_journal), (version, true), "key {key}");
+        }
+        let step = engine.pump_checkpoint(&mut ssd, due).unwrap();
+        assert!(matches!(step, CheckpointStep::PumpAt(next) if next > due));
+        let out = engine.drain_checkpoint(&mut ssd).unwrap().unwrap();
+        assert_eq!((out.entries, out.copied), (32, 32));
+        assert_eq!(engine.counters().get(Counter::EngineCheckpointsDrained), 1);
+        assert_eq!(engine.drain_checkpoint(&mut ssd).unwrap(), None);
+        assert_eq!(
+            engine.pump_checkpoint(&mut ssd, out.finish),
+            Err(EngineError::NoCheckpointRunning)
+        );
+        let r = engine.get(&mut ssd, 1, out.finish).unwrap();
+        assert_eq!((r.version, r.from_journal), (2, false));
+        let r = engine.get(&mut ssd, 0, r.finish).unwrap();
+        assert_eq!((r.version, r.from_journal), (3, true));
     }
 
     #[test]

@@ -41,6 +41,14 @@ pub struct RetiringZone {
     pub stored_bytes: u64,
 }
 
+impl RetiringZone {
+    /// The entry `key` has in the zone, if any.
+    pub fn lookup(&self, key: u64) -> Option<&JmtEntry> {
+        let pos = self.entries.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        self.entries.get(pos).map(|(_, e)| e)
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct MergeBuffer {
     sector_offset: u64,

@@ -14,7 +14,9 @@
 //!   Algorithm 2, [`align_log`]) and the double-buffered journal area;
 //! * [`Strategy`] — the five evaluated configurations (Baseline, ISC-A,
 //!   ISC-B, ISC-C, Check-In) and [`run_checkpoint`], which executes a
-//!   checkpoint with any of them;
+//!   checkpoint with any of them; a batched one is begun, pumped and
+//!   ended ([`KvEngine::begin_checkpoint`], [`CheckpointStep`]), so that
+//!   queries run between the steps of its copy;
 //! * [`KvSystem`] — a deterministic closed-loop simulation of N client
 //!   threads over the engine and a fully modelled SSD
 //!   ([`checkin_ssd::Ssd`] over [`checkin_ftl::Ftl`] over
@@ -88,7 +90,7 @@ mod system;
 
 pub use checkpoint::{run_checkpoint, CheckpointOutcome, SUPERBLOCK_KEY};
 pub use config::{Strategy, SystemConfig};
-pub use engine::{EngineError, KvEngine, ReadResult, RecoveryReport};
+pub use engine::{CheckpointStep, EngineError, KvEngine, ReadResult, RecoveryReport};
 pub use journal::{
     align_log, align_log_to, raw_log_bytes, AlignedLog, Jmt, JmtEntry, JournalFull, JournalManager,
     JournalOptions, LogClass, RetiringZone, CLASS_STEP, LOG_HEADER_BYTES,

@@ -3,10 +3,15 @@
 //!
 //! The event loop processes client completions in simulated-time order;
 //! device contention (dies, channels, link, firmware CPU) is carried by
-//! the resource timelines inside [`checkin_ssd::Ssd`]. A checkpoint issues
-//! its device operations as a burst at trigger time, so queries submitted
-//! while it drains queue behind it — the interference the paper measures
-//! in Figures 3(c) and 9.
+//! the resource timelines inside [`checkin_ssd::Ssd`]. A checkpoint books
+//! its tombstone trims, its command's decode, remap walk and gather as a
+//! burst at trigger time; a batched command's copy class is then written
+//! home by a pump event that books only what it can admit at its own
+//! instant, so queries submitted in between go ahead of the rest of it.
+//! Its end — superblock, journal trim, then the idle-window GC and scrub
+//! — is the pump event that finds the copy class written. What a
+//! checkpoint still books in one go delays the queries behind it: the
+//! interference the paper measures in Figures 3(c) and 9.
 
 use checkin_sim::{
     Counter, CounterSet, EventQueue, LatencyRecorder, Resource, ResourcePool, SimDuration, SimRng,
@@ -17,7 +22,7 @@ use checkin_workload::{OpGenerator, Operation};
 
 use crate::checkpoint::CheckpointOutcome;
 use crate::config::SystemConfig;
-use crate::engine::{EngineError, KvEngine};
+use crate::engine::{CheckpointStep, EngineError, KvEngine};
 use crate::layout::Layout;
 use crate::metrics::{
     CheckpointPhases, DeviceUtilization, LatencyStats, RunReport, UtilizationSpread,
@@ -27,6 +32,8 @@ use crate::metrics::{
 enum Event {
     Client(u32),
     CheckpointTick,
+    /// A pump step of the running checkpoint's copy job is due.
+    CheckpointPump,
 }
 
 /// Accumulates checkpoint outcomes across every trigger path (periodic
@@ -62,7 +69,7 @@ impl CpAccum {
         }
     }
 
-    fn absorb(&mut self, out: &CheckpointOutcome, started: SimTime) {
+    fn absorb(&mut self, out: &CheckpointOutcome) {
         self.count += 1;
         self.entries += out.entries;
         self.remapped += out.remapped;
@@ -71,8 +78,52 @@ impl CpAccum {
         self.reads += out.flash_reads;
         self.redundant_units += out.redundant_units;
         self.redundant_bytes += out.redundant_bytes;
-        self.durations.record(out.finish.duration_since(started));
+        self.durations.record(out.finish.duration_since(out.start));
         self.phases.accumulate(&out.phases);
+    }
+}
+
+/// The run loop's event queue and the checkpoint state every trigger
+/// shares.
+#[derive(Debug)]
+struct RunLoop {
+    events: EventQueue<Event>,
+    /// The pump event in the queue, if any: there is at most one.
+    pump_queued: Option<SimTime>,
+    /// Lock mode: clients parked until the running checkpoint ends.
+    parked: Vec<u32>,
+    cp: CpAccum,
+    /// When the last checkpoint ended — later than the present while one
+    /// that ended in its begin is still booked.
+    cp_active_until: SimTime,
+    /// When the idle work behind the last checkpoint ended.
+    idle_done: SimTime,
+}
+
+impl RunLoop {
+    /// An empty loop for `threads` clients: the queue holds one event per
+    /// client, the tick and one pump.
+    fn new(threads: u32) -> Self {
+        RunLoop {
+            events: EventQueue::with_capacity(threads as usize + 2),
+            pump_queued: None,
+            parked: Vec::with_capacity(threads as usize),
+            cp: CpAccum::new(),
+            cp_active_until: SimTime::ZERO,
+            idle_done: SimTime::ZERO,
+        }
+    }
+
+    /// Makes sure a pump event is queued no later than `due`. A queued
+    /// one that pops before its checkpoint is due re-queues itself then.
+    fn queue_pump(&mut self, due: SimTime) {
+        match self.pump_queued {
+            Some(queued) => debug_assert!(queued <= due, "pump queued after it is due"),
+            None => {
+                self.events.schedule(due, Event::CheckpointPump);
+                self.pump_queued = Some(due);
+            }
+        }
     }
 }
 
@@ -270,10 +321,10 @@ impl KvSystem {
         let busy0 = device_busy_times(&self.ssd);
 
         // ---- Run phase ------------------------------------------------
-        // Closed loop: at most one in-flight event per client plus the
-        // checkpoint tick, so the queue never regrows.
-        let population = self.config.threads as usize + 1;
-        let mut events: EventQueue<Event> = EventQueue::with_capacity(population);
+        // Closed loop: at most one in-flight event per client, the
+        // checkpoint tick and one pump, so the queue never regrows.
+        let population = self.config.threads as usize + 2;
+        let mut run = RunLoop::new(self.config.threads);
         let mut host = ResourcePool::new("host-core", self.config.host_cores as usize);
         let start = load_done + SimDuration::from_micros(10);
         // Fixed per-thread quotas: each thread executes the same operation
@@ -287,14 +338,14 @@ impl KvSystem {
             .collect();
         for i in 0..self.config.threads {
             if quota[i as usize] > 0 {
-                events.schedule(start, Event::Client(i));
+                run.events.schedule(start, Event::Client(i));
             }
         }
         // Time of the pending periodic tick: admission batches must not
         // execute operations past it, or the tick would fire later than
         // it would under one-op-per-event admission.
         let mut next_tick = start + self.config.checkpoint_interval;
-        events.schedule(next_tick, Event::CheckpointTick);
+        run.events.schedule(next_tick, Event::CheckpointTick);
 
         let mut completed = 0u64;
         let mut last_finish = start;
@@ -303,17 +354,19 @@ impl KvSystem {
         let mut lat_write = LatencyRecorder::new();
         let mut lat_read_cp = LatencyRecorder::new();
         let mut lat_write_cp = LatencyRecorder::new();
-        let mut cp_active_until = SimTime::ZERO;
-        let mut cp = CpAccum::new();
         let mut pops = 0u64;
 
-        while completed < self.config.total_queries {
-            // Each pop schedules at most one successor — the next tick,
-            // the client's next batch, or in lock mode the client it just
-            // popped — so whatever the last iteration scheduled, the
-            // population the queue was sized for still holds.
-            debug_assert!(events.len() <= population);
-            let Some((now, event)) = events.pop() else {
+        // The last query's completion does not end the run while a
+        // checkpoint is still being pumped: it ends with that checkpoint.
+        while completed < self.config.total_queries || self.engine.checkpoint_pump_due().is_some() {
+            // Each pop schedules at most one successor of its own kind —
+            // the next tick, the client's next batch or, in lock mode,
+            // the client it just popped, the next pump — and a checkpoint
+            // end re-queues at most the parked clients, whose events it
+            // had taken out: the population the queue was sized for
+            // still holds.
+            debug_assert!(run.events.len() <= population);
+            let Some((now, event)) = run.events.pop() else {
                 break;
             };
             // Events pop in time order and book nothing before their own
@@ -325,22 +378,55 @@ impl KvSystem {
                 self.ssd.retire_before(now);
                 host.retire_before(now);
             }
+            let running = self.engine.checkpoint_pump_due().is_some();
             match event {
+                Event::CheckpointTick if completed == self.config.total_queries => {
+                    // The queries are done: the running checkpoint ends
+                    // at once instead of at the pace of its pump.
+                    if let Some(out) = self.engine.drain_checkpoint(&mut self.ssd)? {
+                        self.end_checkpoint(&out, &mut run)?;
+                    }
+                }
                 Event::CheckpointTick => {
-                    if now >= cp_active_until && !self.engine.journal().jmt().is_empty() {
-                        cp_active_until =
-                            self.checkpoint_then_idle(now, &mut cp, &mut last_finish)?;
+                    if (running || now >= run.cp_active_until)
+                        && !self.engine.journal().jmt().is_empty()
+                    {
+                        self.checkpoint_then_idle(now, &mut run)?;
                     }
                     next_tick = now + self.config.checkpoint_interval;
-                    events.schedule(next_tick, Event::CheckpointTick);
+                    run.events.schedule(next_tick, Event::CheckpointTick);
+                }
+                Event::CheckpointPump => {
+                    run.pump_queued = None;
+                    match self.engine.checkpoint_pump_due() {
+                        Some(due) if due == now => {
+                            match self.engine.pump_checkpoint(&mut self.ssd, now)? {
+                                CheckpointStep::PumpAt(t) => run.queue_pump(t),
+                                CheckpointStep::Done(out) => {
+                                    self.end_checkpoint(&out, &mut run)?;
+                                }
+                            }
+                        }
+                        // Queued for a checkpoint a trigger drained; the
+                        // one it began is due later.
+                        Some(due) => run.queue_pump(due),
+                        None => {}
+                    }
                 }
                 Event::Client(thread) => {
                     if quota[thread as usize] == 0 {
                         continue;
                     }
-                    if self.config.lock_queries_during_checkpoint && now < cp_active_until {
-                        events.schedule(cp_active_until, Event::Client(thread));
-                        continue;
+                    if self.config.lock_queries_during_checkpoint {
+                        if running {
+                            run.parked.push(thread);
+                            continue;
+                        }
+                        if now < run.cp_active_until {
+                            run.events
+                                .schedule(run.cp_active_until, Event::Client(thread));
+                            continue;
+                        }
                     }
                     // Admit up to `admission_batch` operations from this
                     // client under a single queue event. The whole burst is
@@ -357,10 +443,11 @@ impl KvSystem {
                     debug_assert!(now < next_tick || self.config.admission_batch == 1);
                     let mut batch_end = now;
                     for _ in 0..self.config.admission_batch {
-                        let during_cp = now < cp_active_until;
+                        let during_cp = now < run.cp_active_until
+                            || self.engine.checkpoint_pump_due().is_some();
                         let op = self.generators[thread as usize].next_op();
                         let cpu = host.schedule(now, self.config.host_cpu_per_op).1;
-                        let finish = self.execute_op(op, cpu.finish, &mut cp)?;
+                        let finish = self.execute_op(op, cpu.finish, &mut run)?;
                         let latency = finish.duration_since(now);
                         lat_all.record(latency);
                         match op {
@@ -386,13 +473,16 @@ impl KvSystem {
                         // closes the batch so no operation in this batch
                         // straddles the checkpoint (and, in lock mode, so
                         // no further op is admitted inside the window).
+                        // It waits for a checkpoint in progress, booked or
+                        // pumped: the zone holds twice the trigger, and a
+                        // full one ends a pumped checkpoint at once.
                         if op.is_write()
-                            && finish >= cp_active_until
                             && self.engine.journal().zone_used_sectors()
                                 >= self.config.journal_trigger_sectors
+                            && self.engine.checkpoint_pump_due().is_none()
+                            && finish >= run.cp_active_until
                         {
-                            cp_active_until =
-                                self.checkpoint_then_idle(finish, &mut cp, &mut last_finish)?;
+                            self.checkpoint_then_idle(finish, &mut run)?;
                             break;
                         }
                         if quota[thread as usize] == 0 {
@@ -400,11 +490,13 @@ impl KvSystem {
                         }
                     }
                     if quota[thread as usize] > 0 {
-                        events.schedule(batch_end, Event::Client(thread));
+                        run.events.schedule(batch_end, Event::Client(thread));
                     }
                 }
             }
         }
+        let cp = run.cp;
+        let last_finish = last_finish.max(run.idle_done);
 
         // ---- Report ---------------------------------------------------
         let elapsed = last_finish.duration_since(start);
@@ -510,18 +602,41 @@ impl KvSystem {
         all
     }
 
-    /// A triggered checkpoint at `at` and the idle work behind it:
-    /// background GC has priority for the idle window, the scrubber
-    /// patrols whatever slack remains after it. Pushes `last_finish` past
-    /// the idle work and returns the instant the checkpoint itself ends.
+    /// A triggered checkpoint at `at`: the one entry point of the
+    /// periodic tick, the size trigger and a full journal. A checkpoint
+    /// still being pumped is never skipped over: it ends at once first
+    /// (idle work included) and the new one begins when it has. Returns
+    /// when the trigger's caller may go on: the checkpoint's end when it
+    /// ended in its begin, else its begin — the zone it retired is no
+    /// longer the one updates go to.
     fn checkpoint_then_idle(
         &mut self,
         at: SimTime,
-        cp: &mut CpAccum,
-        last_finish: &mut SimTime,
+        run: &mut RunLoop,
     ) -> Result<SimTime, EngineError> {
-        let out = self.engine.checkpoint(&mut self.ssd, at)?;
-        cp.absorb(&out, at);
+        let mut at = at;
+        if let Some(out) = self.engine.drain_checkpoint(&mut self.ssd)? {
+            at = at.max(self.end_checkpoint(&out, run)?);
+        }
+        match self.engine.begin_checkpoint(&mut self.ssd, at)? {
+            CheckpointStep::Done(out) => self.end_checkpoint(&out, run),
+            CheckpointStep::PumpAt(due) => {
+                run.queue_pump(due);
+                Ok(at)
+            }
+        }
+    }
+
+    /// A checkpoint's end and the idle work behind it: background GC has
+    /// priority for the idle window, the scrubber patrols whatever slack
+    /// remains after it. Releases the clients lock mode parked, and
+    /// returns the instant the checkpoint ended.
+    fn end_checkpoint(
+        &mut self,
+        out: &CheckpointOutcome,
+        run: &mut RunLoop,
+    ) -> Result<SimTime, EngineError> {
+        run.cp.absorb(out);
         let (_, gc_done) = self
             .ssd
             .background_gc(out.finish, self.config.background_gc_rounds)
@@ -530,7 +645,11 @@ impl KvSystem {
             .ssd
             .background_scrub(gc_done, self.config.scrub_pages_per_idle)
             .map_err(EngineError::Ssd)?;
-        *last_finish = (*last_finish).max(gc_done).max(scrub_done);
+        run.idle_done = run.idle_done.max(gc_done).max(scrub_done);
+        run.cp_active_until = out.finish;
+        for thread in run.parked.drain(..) {
+            run.events.schedule(out.finish, Event::Client(thread));
+        }
         Ok(out.finish)
     }
 
@@ -538,34 +657,33 @@ impl KvSystem {
         &mut self,
         op: Operation,
         at: SimTime,
-        cp: &mut CpAccum,
+        run: &mut RunLoop,
     ) -> Result<SimTime, EngineError> {
         match op {
             Operation::Read { key } => Ok(self.engine.get(&mut self.ssd, key, at)?.finish),
-            Operation::Update { key, bytes } => self.update_with_retry(key, bytes, at, cp),
+            Operation::Update { key, bytes } => self.update_with_retry(key, bytes, at, run),
             Operation::ReadModifyWrite { key, bytes } => {
                 let read = self.engine.get(&mut self.ssd, key, at)?;
-                self.update_with_retry(key, bytes, read.finish, cp)
+                self.update_with_retry(key, bytes, read.finish, run)
             }
         }
     }
 
-    /// Update, forcing a checkpoint when the journal zone fills. The
-    /// forced checkpoint's outcome is absorbed into `cp` like any other
-    /// trigger path — previously its work vanished from the report.
+    /// Update, forcing a checkpoint when the journal zone fills — through
+    /// [`KvSystem::checkpoint_then_idle`], like every other trigger — and
+    /// retrying when it lets the update go on.
     fn update_with_retry(
         &mut self,
         key: u64,
         bytes: u32,
         at: SimTime,
-        cp: &mut CpAccum,
+        run: &mut RunLoop,
     ) -> Result<SimTime, EngineError> {
         match self.engine.update(&mut self.ssd, key, bytes, at) {
             Ok(t) => Ok(t),
             Err(EngineError::JournalFull) => {
-                let out = self.engine.checkpoint(&mut self.ssd, at)?;
-                cp.absorb(&out, at);
-                self.engine.update(&mut self.ssd, key, bytes, out.finish)
+                let resume = self.checkpoint_then_idle(at, run)?;
+                self.engine.update(&mut self.ssd, key, bytes, resume)
             }
             Err(e) => Err(e),
         }
@@ -688,6 +806,69 @@ mod tests {
         assert!(most > Some(32), "most gaps held at once: {most:?}");
         for timeline in device_timelines(&system.ssd) {
             assert_eq!(timeline.forgotten_gaps(), 0, "{timeline:?}");
+        }
+    }
+
+    /// ISC-B copies every entry, so each of its checkpoints is paced; a
+    /// tick every 2 ms finds many of them still pumping and ends them at
+    /// once before it begins its own. Every checkpoint still ends before
+    /// the run does.
+    #[test]
+    fn a_trigger_ends_a_running_checkpoint_before_its_own() {
+        let mut c = quick_config(Strategy::IscB);
+        c.checkpoint_interval = SimDuration::from_millis(2);
+        let mut system = KvSystem::new(c).unwrap();
+        let report = system.run().unwrap();
+        let counters = &report.counters;
+        let checkpoints = counters.get(Counter::EngineCheckpoints);
+        let drained = counters.get(Counter::EngineCheckpointsDrained);
+        assert!(
+            0 < drained && drained < checkpoints,
+            "{drained} of {checkpoints}"
+        );
+        assert_eq!(report.checkpoints, checkpoints);
+        assert!(counters.get(Counter::SsdCpPumpSteps) > checkpoints);
+        assert_eq!(system.engine().checkpoint_pump_due(), None);
+        assert_eq!(system.ssd().checkpoint_pump_due(), None);
+        system.ssd().ftl().check_invariants().unwrap();
+    }
+
+    /// An update that finds the journal full checkpoints through the one
+    /// entry point the tick and the size trigger use: a checkpoint that
+    /// ends in its begin (ISC-C remaps every log) gets its idle window
+    /// and its end instant, one that is paced (ISC-B copies) its pump,
+    /// and the update goes on.
+    #[test]
+    fn a_full_journal_checkpoints_through_the_one_entry_point() {
+        for (strategy, paced) in [(Strategy::IscC, false), (Strategy::IscB, true)] {
+            let mut system = KvSystem::new(quick_config(strategy)).unwrap();
+            let (engine, ssd) = system.verify_parts();
+            let records: Vec<(u64, u32)> = (0..8).map(|k| (k, 4096)).collect();
+            let mut t = engine.load(ssd, &records, SimTime::ZERO).unwrap();
+            loop {
+                match engine.update(ssd, t.as_nanos() % 8, 4096, t) {
+                    Ok(done) => t = done,
+                    Err(EngineError::JournalFull) => break,
+                    Err(e) => panic!("{strategy}: {e}"),
+                }
+            }
+            let mut run = RunLoop::new(1);
+            let done = system.update_with_retry(0, 4096, t, &mut run).unwrap();
+            let due = system.engine().checkpoint_pump_due();
+            assert_eq!(due.is_some(), paced, "{strategy}");
+            assert_eq!(run.pump_queued, due, "{strategy}");
+            assert_eq!(run.cp.count, u64::from(!paced), "{strategy}");
+            if !paced {
+                assert!(run.cp_active_until > t, "{strategy}");
+                assert!(run.idle_done >= run.cp_active_until, "{strategy}");
+                let scrubs = system
+                    .ssd()
+                    .counters()
+                    .get(Counter::SsdBackgroundScrubRounds);
+                assert_eq!(scrubs, 1, "{strategy}");
+            }
+            assert!(done > t, "{strategy}");
+            assert_eq!(system.engine().version_of(0).map(|v| v > 1), Some(true));
         }
     }
 

@@ -383,6 +383,25 @@ impl Ftl {
     /// Propagates [`FtlError::OutOfSpace`] when a required program cannot
     /// allocate a block.
     pub fn write(&mut self, w: UnitWrite, kind: OobKind, at: SimTime) -> Result<SimTime, FtlError> {
+        self.write_slotted(w, kind, at).map(|(ack, _)| ack)
+    }
+
+    /// [`Ftl::write`], returning with the acknowledgement the instant the
+    /// write's page-outs got their programming slots: `at` when it paged
+    /// nothing out or found the slots free, else the program finish it
+    /// waited for. A writer that paces itself by the programming slots
+    /// waits for that, not for the acknowledgement, which may also wait
+    /// for a read-modify-write merge's read.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ftl::write`].
+    pub fn write_slotted(
+        &mut self,
+        w: UnitWrite,
+        kind: OobKind,
+        at: SimTime,
+    ) -> Result<(SimTime, SimTime), FtlError> {
         self.flash.logical_tick()?;
         self.counters.incr(Counter::FtlHostUnitWrites);
         self.counters
@@ -433,7 +452,7 @@ impl Ftl {
             );
             done = slot;
         }
-        Ok(done)
+        Ok((done, slot))
     }
 
     /// Reads one logical unit. Returns its content and the completion

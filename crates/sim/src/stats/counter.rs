@@ -64,6 +64,7 @@ macro_rules! schema {
 
 schema! {
     EngineCheckpoints = "engine.checkpoints",
+    EngineCheckpointsDrained = "engine.checkpoints_drained",
     EngineDeletes = "engine.deletes",
     EngineInserts = "engine.inserts",
     EngineJournalRawBytes = "engine.journal_raw_bytes",
@@ -152,6 +153,7 @@ schema! {
     SsdCopyEntries = "ssd.copy_entries",
     SsdCowMissingSrc = "ssd.cow_missing_src",
     SsdCowSkippedEntries = "ssd.cow_skipped_entries",
+    SsdCpPumpSteps = "ssd.cp_pump_steps",
     SsdHostReadBytes = "ssd.host_read_bytes",
     SsdHostWriteBytes = "ssd.host_write_bytes",
     SsdMapSegments = "ssd.map_segments",

@@ -258,8 +258,9 @@ mod tests {
     /// schema must map onto it one-to-one, in order.
     #[test]
     fn names_are_pinned() {
-        const PINNED: [&str; 97] = [
+        const PINNED: [&str; 99] = [
             "engine.checkpoints",
+            "engine.checkpoints_drained",
             "engine.deletes",
             "engine.inserts",
             "engine.journal_raw_bytes",
@@ -348,6 +349,7 @@ mod tests {
             "ssd.copy_entries",
             "ssd.cow_missing_src",
             "ssd.cow_skipped_entries",
+            "ssd.cp_pump_steps",
             "ssd.host_read_bytes",
             "ssd.host_write_bytes",
             "ssd.map_segments",

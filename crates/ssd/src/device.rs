@@ -68,20 +68,65 @@ pub struct Ssd {
     /// ISCE phase time accumulated since the last
     /// [`Ssd::take_cp_phase_times`] (remap walk vs copy fallback).
     cp_phase_times: CpPhaseTimes,
-    /// Reusable remap/copy classification buffers for checkpoint batches:
-    /// once warm, classifying a batch performs no heap allocation.
+    /// Reusable remap classification buffer for checkpoint batches (the
+    /// copy class goes to `copy_job`): once warm, classifying a batch
+    /// performs no heap allocation.
     scratch_remaps: Vec<CowEntry>,
-    scratch_copies: Vec<CowEntry>,
     /// The mapping segments a remap batch walks, recycled the same way.
     scratch_segments: Vec<u64>,
     /// The flash pages the command in execution has sensed: cleared per
     /// host read, kept across a whole copy batch's gather phase.
     scratch_sensed: SensedPages,
-    /// Copy-batch scratch, recycled like the classification buffers: one
-    /// entry's gathered fragments, and every entry's `(bytes, version)`
-    /// between the gather and the scatter phase.
+    /// One copy entry's gathered fragments, recycled the same way.
     scratch_frags: Vec<Fragment>,
-    scratch_gathered: Vec<(u32, u64)>,
+    /// The checkpoint command in execution, if any: its copy class waits
+    /// here between the gather burst and the pump steps that scatter it.
+    copy_job: CopyJob,
+}
+
+/// What a checkpoint command needs next: see [`Ssd::begin_checkpoint`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CpProgress {
+    /// The copy class is still being scattered: call
+    /// [`Ssd::pump_checkpoint`] at this instant.
+    PumpAt(SimTime),
+    /// The command completed at this instant.
+    Done(SimTime),
+}
+
+/// The copy class of the checkpoint command in execution. The command's
+/// decode, remap walk and gather are booked in one burst when it begins;
+/// the scatter is written home by [`Ssd::pump_checkpoint`] steps, so
+/// foreground commands booked between two steps go first. Its buffers
+/// are recycled from command to command.
+#[derive(Debug, Default)]
+struct CopyJob {
+    /// Whether a command is in execution.
+    running: bool,
+    /// Whether the command closes with a recovery metadata unit: a
+    /// batched checkpoint does, a single CoW does not.
+    closes_with_meta: bool,
+    /// The copy class, and per entry the `(bytes, version)` its gather
+    /// found.
+    entries: Vec<CowEntry>,
+    gathered: Vec<(u32, u64)>,
+    /// The entry being scattered, and of it the next destination sector
+    /// and the gathered bytes not yet written (`None` before its first
+    /// unit).
+    next: usize,
+    cursor: Option<(u64, u32)>,
+    /// Entries whose gather found no payload.
+    skipped: u64,
+    /// Entries written home, counted as `ssd.copy_entries` as they
+    /// complete.
+    copied: u64,
+    /// When the command was decoded, when everything but the scatter was
+    /// done, and the latest scatter acknowledgement so far.
+    decoded: SimTime,
+    booked: SimTime,
+    written: SimTime,
+    /// The instant the next pump step is due.
+    next_at: SimTime,
 }
 
 // The shard fleet will move this across threads: a field that is not
@@ -147,11 +192,10 @@ impl Ssd {
             tracer: Tracer::disabled(),
             cp_phase_times: CpPhaseTimes::default(),
             scratch_remaps: Vec::new(),
-            scratch_copies: Vec::new(),
             scratch_segments: Vec::new(),
             scratch_sensed: SensedPages::default(),
             scratch_frags: Vec::new(),
-            scratch_gathered: Vec::new(),
+            copy_job: CopyJob::default(),
         }
     }
 
@@ -509,17 +553,20 @@ impl Ssd {
         cpu.finish
     }
 
-    /// Vendor command: one copy-on-write entry (ISC-A's unit of work).
+    /// Vendor command: one copy-on-write entry (ISC-A's unit of work),
+    /// executed to completion in this call.
     ///
     /// # Errors
     ///
-    /// Propagates FTL failures from the copy path.
+    /// [`SsdError::InvalidRequest`] while a checkpoint command is still
+    /// running; propagates FTL failures from the copy path.
     pub fn cow_single(
         &mut self,
         entry: &CowEntry,
         mode: CheckpointMode,
         at: SimTime,
     ) -> Result<SimTime, SsdError> {
+        self.refuse_while_running()?;
         self.counters.incr(Counter::SsdCmdCow);
         let t0 = self.queue.admit(at);
         // Descriptor-only transfer: no payload on the link.
@@ -530,25 +577,47 @@ impl Ssd {
             cmd.finish,
             self.timing.cpu_cmd_cost + self.timing.cpu_cow_entry_cost,
         );
-        let done = self.execute_entries(&[*entry], mode, cpu.finish)?;
-        self.queue.complete(done);
-        Ok(done)
+        let started = self.start_command(std::slice::from_ref(entry), mode, cpu.finish, false)?;
+        self.run_to_completion(started)
     }
 
     /// Vendor command: a batched checkpoint request carrying many CoW
-    /// entries (ISC-B and up). The device decodes the batch once, performs
-    /// remaps as mapping updates, and executes the copy class as
-    /// consecutive reads followed by consecutive writes.
+    /// entries (ISC-B and up), executed to completion in this call:
+    /// [`Ssd::begin_checkpoint`], then every pump step at the instant the
+    /// one before asked for. Returns when the command completed.
     ///
     /// # Errors
     ///
-    /// Propagates FTL failures.
+    /// As [`Ssd::begin_checkpoint`] and [`Ssd::pump_checkpoint`].
     pub fn checkpoint(
         &mut self,
         entries: &[CowEntry],
         mode: CheckpointMode,
         at: SimTime,
     ) -> Result<SimTime, SsdError> {
+        let begun = self.begin_checkpoint(entries, mode, at)?;
+        self.run_to_completion(begun)
+    }
+
+    /// Begins a batched checkpoint command at `at`. The device decodes
+    /// the batch once, performs the remap class as mapping updates on the
+    /// firmware CPU and gathers the copy class in one burst of reads, a
+    /// flash page sensed once for the whole batch — all booked here. The
+    /// copy class is then written home by [`Ssd::pump_checkpoint`] steps;
+    /// a batch with nothing to write completes here, with the recovery
+    /// metadata unit every checkpoint command closes with.
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::InvalidRequest`] while another checkpoint command is
+    /// still running; propagates FTL failures.
+    pub fn begin_checkpoint(
+        &mut self,
+        entries: &[CowEntry],
+        mode: CheckpointMode,
+        at: SimTime,
+    ) -> Result<CpProgress, SsdError> {
+        self.refuse_while_running()?;
         self.counters.incr(Counter::SsdCmdCheckpoint);
         let t0 = self.queue.admit(at);
         let descriptor_bytes = 16 * entries.len() as u64;
@@ -560,140 +629,203 @@ impl Ssd {
             cmd.finish,
             self.timing.cpu_cmd_cost + self.timing.cpu_cow_entry_cost * entries.len() as u64,
         );
-        let mut done = self.execute_entries(entries, mode, cpu.finish)?;
-        // Checkpoint completion persists a metadata unit (recovery point).
-        done = done.max(self.write_meta_unit(done)?);
-        self.queue.complete(done);
-        Ok(done)
+        self.start_command(entries, mode, cpu.finish, true)
     }
 
-    /// Executes a classified entry batch: remaps first (mapping updates on
-    /// the firmware CPU), then the copy class as read phase + write phase.
-    fn execute_entries(
+    /// One pump step of the running checkpoint command at `now`: admits
+    /// copy writes at `now` until one waits for a programming slot, and
+    /// asks to be pumped again when that slot frees. Foreground commands
+    /// booked before then go ahead of the rest of the scatter, and the
+    /// finishes of the programs already started stay private (a
+    /// foreground read may still suspend them) until a later step's
+    /// admission waits for one. The step that finds every copy
+    /// acknowledged completes the command. Counted in
+    /// `ssd.cp_pump_steps`.
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::InvalidRequest`] when no checkpoint command is
+    /// running; propagates FTL failures of the copy writes, after which
+    /// the command is abandoned.
+    pub fn pump_checkpoint(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
+        if !self.copy_job.running {
+            return Err(SsdError::InvalidRequest(
+                "no checkpoint command is running".into(),
+            ));
+        }
+        debug_assert!(now >= self.copy_job.next_at, "a pump step before it is due");
+        self.counters.incr(Counter::SsdCpPumpSteps);
+        match self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.scatter(now)) {
+            Ok(Some(ack)) => {
+                self.copy_job.next_at = ack;
+                Ok(CpProgress::PumpAt(ack))
+            }
+            Ok(None) => self.complete_command().map(CpProgress::Done),
+            Err(e) => {
+                self.copy_job.running = false;
+                Err(e)
+            }
+        }
+    }
+
+    /// When the running checkpoint command's next pump step is due, or
+    /// `None` when no command is running.
+    pub fn checkpoint_pump_due(&self) -> Option<SimTime> {
+        self.copy_job.running.then_some(self.copy_job.next_at)
+    }
+
+    /// Finishes the running checkpoint command at once: every remaining
+    /// pump step, each at the instant the one before asked for. Returns
+    /// when the command completed, or `None` when none was running.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ssd::pump_checkpoint`].
+    pub fn drain_checkpoint(&mut self) -> Result<Option<SimTime>, SsdError> {
+        if !self.copy_job.running {
+            return Ok(None);
+        }
+        self.run_to_completion(CpProgress::PumpAt(self.copy_job.next_at))
+            .map(Some)
+    }
+
+    /// Pumps the command at the instants it asks for, from `progress`
+    /// on, until it completes.
+    fn run_to_completion(&mut self, mut progress: CpProgress) -> Result<SimTime, SsdError> {
+        loop {
+            match progress {
+                CpProgress::Done(done) => return Ok(done),
+                CpProgress::PumpAt(due) => progress = self.pump_checkpoint(due)?,
+            }
+        }
+    }
+
+    fn refuse_while_running(&self) -> Result<(), SsdError> {
+        if self.copy_job.running {
+            return Err(SsdError::InvalidRequest(
+                "a checkpoint command is still running".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Executes a decoded entry batch up to its scatter: the remap class
+    /// as one walk on the firmware CPU, the copy class's gather as one
+    /// burst of reads from `at`. The copy class is left in `copy_job`
+    /// for the pump; a batch without one completes here.
+    fn start_command(
         &mut self,
         entries: &[CowEntry],
         mode: CheckpointMode,
         at: SimTime,
-    ) -> Result<SimTime, SsdError> {
+        closes_with_meta: bool,
+    ) -> Result<CpProgress, SsdError> {
         let us = self.unit_sectors();
-        // Classify into the reusable scratch buffers (taken out of `self`
-        // so the executor below can still borrow `self` mutably); warm
-        // checkpoints allocate nothing here.
+        // Classify into the reusable buffers; the remap class is taken out
+        // of `self` so the walk below can still borrow `self` mutably.
+        // Warm checkpoints allocate nothing here.
         let mut remaps = std::mem::take(&mut self.scratch_remaps);
-        let mut copies = std::mem::take(&mut self.scratch_copies);
         remaps.clear();
-        copies.clear();
+        self.copy_job.entries.clear();
         for e in entries {
             match plan_entry(e, mode, us) {
                 EntryPlan::Remap => remaps.push(*e),
-                EntryPlan::Copy => copies.push(*e),
+                EntryPlan::Copy => self.copy_job.entries.push(*e),
             }
         }
-        let result = self.execute_classified(&remaps, &copies, us, at);
+        let remapped = self.remap_batch(&remaps, us, at);
         self.scratch_remaps = remaps;
-        self.scratch_copies = copies;
-        result
+        let remapped = remapped?;
+        let gathered = self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.gather(at))?;
+        let job = &mut self.copy_job;
+        job.running = true;
+        job.closes_with_meta = closes_with_meta;
+        job.next = 0;
+        job.cursor = None;
+        job.skipped = 0;
+        job.copied = 0;
+        job.decoded = at;
+        job.booked = remapped;
+        job.written = gathered;
+        job.next_at = gathered;
+        if job.entries.is_empty() {
+            return self.complete_command().map(CpProgress::Done);
+        }
+        Ok(CpProgress::PumpAt(gathered))
     }
 
-    /// Executes an already classified batch; split from
-    /// [`Ssd::execute_entries`] so the scratch buffers can be returned to
-    /// their fields on every exit path.
-    fn execute_classified(
+    /// The remap class of a batch: two table accesses per unit, source
+    /// lookup and target update, in as many segments as the source and
+    /// destination ranges of the whole batch touch, booked as one walk on
+    /// the firmware CPU from `at`. Returns when the walk ends (`at` for an
+    /// empty class).
+    fn remap_batch(
         &mut self,
         remaps: &[CowEntry],
-        copies: &[CowEntry],
         us: u32,
         at: SimTime,
     ) -> Result<SimTime, SsdError> {
-        let mut done = at;
-
-        if !remaps.is_empty() {
-            // Two table accesses per unit, source lookup and target
-            // update, in as many segments as the source and destination
-            // ranges of the whole batch touch.
-            let mut segments = std::mem::take(&mut self.scratch_segments);
-            segments.clear();
-            let mut unit_count = 0;
-            for e in remaps {
-                let units = u64::from((e.sectors / us).max(1));
-                unit_count += units;
-                for lba in [e.src_lba, e.dst_lba] {
-                    segments.extend(MapCacheModel::segments(Lpn(lba / u64::from(us)), units));
-                }
+        if remaps.is_empty() {
+            return Ok(at);
+        }
+        let mut segments = std::mem::take(&mut self.scratch_segments);
+        segments.clear();
+        let mut unit_count = 0;
+        for e in remaps {
+            let units = u64::from((e.sectors / us).max(1));
+            unit_count += units;
+            for lba in [e.src_lba, e.dst_lba] {
+                segments.extend(MapCacheModel::segments(Lpn(lba / u64::from(us)), units));
             }
-            segments.sort_unstable();
-            segments.dedup();
-            let map_cost = self.map_walk(unit_count * 2, segments.len() as u64);
-            self.scratch_segments = segments;
-            let cpu = self.cpu.schedule(at, map_cost);
-            self.in_phase(OpPhase::CheckpointRemap, |ssd| {
-                for e in remaps {
-                    let units = (e.sectors / us).max(1) as u64;
-                    for k in 0..units {
-                        let src = Lpn(e.src_lba / us as u64 + k);
-                        let dst = Lpn(e.dst_lba / us as u64 + k);
-                        match ssd.ftl.remap(dst, src) {
-                            Ok(()) => {}
-                            // A padded log's tail unit may hold no payload
-                            // and so was never written; skip it.
-                            Err(FtlError::Unmapped(_)) => {
-                                ssd.counters.incr(Counter::SsdCowMissingSrc);
-                            }
-                            Err(err) => return Err(err),
+        }
+        segments.sort_unstable();
+        segments.dedup();
+        let map_cost = self.map_walk(unit_count * 2, segments.len() as u64);
+        self.scratch_segments = segments;
+        let cpu = self.cpu.schedule(at, map_cost);
+        self.in_phase(OpPhase::CheckpointRemap, |ssd| {
+            for e in remaps {
+                let units = (e.sectors / us).max(1) as u64;
+                for k in 0..units {
+                    let src = Lpn(e.src_lba / us as u64 + k);
+                    let dst = Lpn(e.dst_lba / us as u64 + k);
+                    match ssd.ftl.remap(dst, src) {
+                        Ok(()) => {}
+                        // A padded log's tail unit may hold no payload
+                        // and so was never written; skip it.
+                        Err(FtlError::Unmapped(_)) => {
+                            ssd.counters.incr(Counter::SsdCowMissingSrc);
                         }
+                        Err(err) => return Err(err),
                     }
-                    ssd.counters.incr(Counter::SsdRemapEntries);
                 }
-                Ok(())
-            })?;
-            self.cp_phase_times.remap += cpu.finish.saturating_duration_since(at);
-            let entries = remaps.len() as u64;
-            self.tracer.emit(|| {
-                TraceEvent::new(at, TraceLayer::Isce, "remap_batch")
-                    .with("entries", entries)
-                    .with("units", unit_count)
-            });
-            done = done.max(cpu.finish);
-        }
-
-        if !copies.is_empty() {
-            let copied_before = self.counters.get(Counter::SsdCopyEntries);
-            let (writes_done, skipped) = self.in_phase(OpPhase::CheckpointCopy, |ssd| {
-                ssd.execute_copies(copies, at)
-            })?;
-            self.cp_phase_times.copy += writes_done.saturating_duration_since(at);
-            let entries = copies.len() as u64;
-            let copied = self.counters.get(Counter::SsdCopyEntries) - copied_before;
-            self.tracer.emit(|| {
-                TraceEvent::new(at, TraceLayer::Isce, "copy_batch")
-                    .with("entries", entries)
-                    .with("copied", copied)
-                    .with("skipped", skipped)
-            });
-            done = done.max(writes_done);
-        }
-        Ok(done)
+                ssd.counters.incr(Counter::SsdRemapEntries);
+            }
+            Ok(())
+        })?;
+        self.cp_phase_times.remap += cpu.finish.saturating_duration_since(at);
+        let entries = remaps.len() as u64;
+        self.tracer.emit(|| {
+            TraceEvent::new(at, TraceLayer::Isce, "remap_batch")
+                .with("entries", entries)
+                .with("units", unit_count)
+        });
+        Ok(cpu.finish)
     }
 
-    /// The copy fallback of [`Ssd::execute_entries`]: gather reads, then
-    /// scatter writes. Returns the completion instant and how many
-    /// entries were skipped because no source payload survived (already
-    /// superseded or never written).
-    fn execute_copies(
-        &mut self,
-        copies: &[CowEntry],
-        at: SimTime,
-    ) -> Result<(SimTime, u64), SsdError> {
-        // Phase 1: consecutive reads gather each record's fragments
-        // from its journal units. The batch is one command: a flash page
-        // is sensed once for all of it, so the merged units many entries
-        // share — and the logs that were paged out side by side — are
-        // served from the device read buffer after the first sense.
+    /// The copy class's gather: consecutive reads collect each record's
+    /// fragments from its journal units. The batch is one command: a
+    /// flash page is sensed once for all of it, so the merged units many
+    /// entries share — and the logs that were paged out side by side —
+    /// are served from the device read buffer after the first sense.
+    /// Records every entry's `(bytes, version)` in `copy_job` and returns
+    /// when the last read is done (`at` for an empty class).
+    fn gather(&mut self, at: SimTime) -> Result<SimTime, SsdError> {
         let us = u64::from(self.unit_sectors());
         self.scratch_sensed.clear();
-        self.scratch_gathered.clear();
+        self.copy_job.gathered.clear();
         let mut reads_done = at;
-        for e in copies {
+        for e in &self.copy_job.entries {
             let first = e.src_lba / us;
             let units = self.unit_span(e.src_lba, e.sectors.max(1));
             let missing = (first..first + units)
@@ -711,43 +843,105 @@ impl Ssd {
             )?;
             reads_done = reads_done.max(done);
             let frags = &self.scratch_frags;
-            self.scratch_gathered.push((
+            self.copy_job.gathered.push((
                 frags.iter().map(|f| f.bytes).sum(),
                 frags.iter().map(|f| f.version).max().unwrap_or(0),
             ));
         }
-        // Phase 2: consecutive writes scatter the gathered record over
-        // its destination extent.
-        let mut writes_done = reads_done;
-        let mut skipped = 0u64;
-        for (e, &(total_bytes, version)) in copies.iter().zip(&self.scratch_gathered) {
-            if total_bytes == 0 {
+        Ok(reads_done)
+    }
+
+    /// Writes the copy class home from its cursor on, every write issued
+    /// at `now`, and stops after the first that waited for a programming
+    /// slot, returning when the slot freed. Once every write is issued,
+    /// returns the last acknowledgement if it lies after `now` (a
+    /// read-modify-write merge's read may delay one), `None` if not.
+    fn scatter(&mut self, now: SimTime) -> Result<Option<SimTime>, SsdError> {
+        while let Some(write) = self.next_copy_write() {
+            // Same ownership rule as host writes (see write()).
+            let (ack, slot) = self.ftl.write_slotted(write, OobKind::Data, now)?;
+            self.copy_job.written = self.copy_job.written.max(ack);
+            if slot > now {
+                return Ok(Some(slot));
+            }
+        }
+        Ok((self.copy_job.written > now).then_some(self.copy_job.written))
+    }
+
+    /// The copy class's next unit write, advancing the cursor: the
+    /// gathered record laid over its destination extent unit by unit.
+    /// Entries whose gather found nothing are skipped and counted.
+    fn next_copy_write(&mut self) -> Option<UnitWrite> {
+        let us = self.unit_sectors();
+        let job = &mut self.copy_job;
+        loop {
+            let e = *job.entries.get(job.next)?;
+            let &(bytes, version) = job.gathered.get(job.next)?;
+            if bytes == 0 {
                 self.counters.incr(Counter::SsdCowSkippedEntries);
-                skipped += 1;
+                job.skipped += 1;
+                job.next += 1;
                 continue;
             }
-            let mut remaining = total_bytes;
-            for (dst_lpn, seg, whole) in self.unit_segments(e.dst_lba, e.dst_sectors.max(1)) {
-                let take = remaining.min(seg * SECTOR_BYTES);
-                if take == 0 {
-                    break;
+            let end = e.dst_lba + u64::from(e.dst_sectors.max(1));
+            let (sector, remaining) = job.cursor.unwrap_or((e.dst_lba, bytes));
+            let mut segments = SegmentIter {
+                unit_sectors: us,
+                cursor: sector,
+                end,
+            };
+            let take = match segments.next() {
+                Some((lpn, seg, whole)) if remaining > 0 => {
+                    Some((lpn, remaining.min(seg * SECTOR_BYTES), whole))
                 }
-                remaining -= take;
-                // Same ownership rule as host writes (see write()).
-                let t = self.ftl.write(
-                    UnitWrite {
-                        lpn: dst_lpn,
-                        payload: UnitPayload::single(e.key, version, take),
-                        whole_unit: whole,
-                    },
-                    OobKind::Data,
-                    reads_done,
-                )?;
-                writes_done = writes_done.max(t);
-            }
-            self.counters.incr(Counter::SsdCopyEntries);
+                _ => None,
+            };
+            let Some((lpn, take, whole)) = take else {
+                // The record is home.
+                self.counters.incr(Counter::SsdCopyEntries);
+                job.copied += 1;
+                job.next += 1;
+                job.cursor = None;
+                continue;
+            };
+            job.cursor = Some((segments.cursor, remaining - take));
+            return Some(UnitWrite {
+                lpn,
+                payload: UnitPayload::single(e.key, version, take),
+                whole_unit: whole,
+            });
         }
-        Ok((writes_done, skipped))
+    }
+
+    /// Completes the command in execution once its scatter is written:
+    /// closes a batched checkpoint with its recovery metadata unit and
+    /// frees its queue slot. Returns the completion instant.
+    fn complete_command(&mut self) -> Result<SimTime, SsdError> {
+        let job = &mut self.copy_job;
+        job.running = false;
+        let mut done = job.booked.max(job.written);
+        if !job.entries.is_empty() {
+            self.cp_phase_times.copy += job.written.saturating_duration_since(job.decoded);
+            let (at, entries, copied, skipped) = (
+                job.decoded,
+                job.entries.len() as u64,
+                job.copied,
+                job.skipped,
+            );
+            self.tracer.emit(|| {
+                TraceEvent::new(at, TraceLayer::Isce, "copy_batch")
+                    .with("entries", entries)
+                    .with("copied", copied)
+                    .with("skipped", skipped)
+            });
+        }
+        if self.copy_job.closes_with_meta {
+            // Checkpoint completion persists a metadata unit (recovery
+            // point).
+            done = done.max(self.write_meta_unit(done)?);
+        }
+        self.queue.complete(done);
+        Ok(done)
     }
 
     /// Deallocator: run background GC rounds at `at` if the FTL is under
@@ -830,6 +1024,9 @@ impl Ssd {
         self.ftl.flash_mut().power_on();
         let stats = self.ftl.rebuild_after_power_loss()?;
         self.journal_units_since_meta = 0;
+        // A checkpoint command in execution died with the power: what it
+        // acknowledged is in the rebuilt FTL, the rest never happened.
+        self.copy_job.running = false;
         self.counters.incr(Counter::SsdSporRecoveries);
         Ok(stats)
     }
@@ -1057,6 +1254,137 @@ mod tests {
             };
             let (frags, _) = s.read(&req, t).unwrap();
             assert_eq!(frags.len(), 1, "key {i} copied home");
+        }
+    }
+
+    /// A copy checkpoint of 256 one-sector logs on an idle one-die
+    /// device: the scatter outruns the two programming slots, so most of
+    /// its steps end on a write that waited for a program.
+    fn paced_copy_fixture() -> (Ssd, Vec<CowEntry>, SimTime) {
+        let geometry = FlashGeometry {
+            channels: 1,
+            dies_per_channel: 1,
+            blocks_per_plane: 64,
+            ..FlashGeometry::small()
+        };
+        let ftl = Ftl::new(
+            FlashArray::new(geometry, FlashTiming::mlc()),
+            FtlConfig {
+                unit_bytes: 512,
+                write_points: 2,
+                gc_threshold_blocks: 4,
+                gc_soft_threshold_blocks: 8,
+                ..FtlConfig::default()
+            },
+        )
+        .unwrap();
+        let mut s = Ssd::new(ftl, SsdTiming::paper_default());
+        let mut t = SimTime::ZERO;
+        for i in 0..256u64 {
+            t = s
+                .write(&record(1000 + i, 1, i, 2), OobKind::Journal, t)
+                .unwrap();
+        }
+        let idle = s.flush(t).unwrap() + SimDuration::from_millis(50);
+        let entries = (0..256u64)
+            .map(|i| CowEntry {
+                src_lba: 1000 + i,
+                dst_lba: 8 * i,
+                sectors: 1,
+                dst_sectors: 1,
+                key: i,
+                merged: false,
+            })
+            .collect();
+        (s, entries, idle)
+    }
+
+    /// With no foreground traffic, draining the pump books what the
+    /// scatter booked when it was one burst of writes at the gather's
+    /// finish: the instants, die time and media operations below were
+    /// read off that burst, and the command ends on the acknowledgement
+    /// that waited longest. Every step but the last ends on a write that
+    /// waited for a programming slot; the step after it starts on the
+    /// slot that freed, so half as many writes wait as in the burst (30).
+    #[test]
+    fn a_drained_paced_checkpoint_books_the_burst_instants() {
+        let (mut s, entries, idle) = paced_copy_fixture();
+        let tracer = Tracer::ring_buffered(1 << 12);
+        s.set_tracer(tracer.clone());
+        let flash = |s: &Ssd| {
+            let f = s.ftl().flash();
+            let c = f.counters();
+            let busy: Vec<SimDuration> = f.dies().map(Resource::busy_time).collect();
+            (
+                c.total(Total::FlashProgram),
+                c.total(Total::FlashRead),
+                busy,
+            )
+        };
+        let (programs0, reads0, busy0) = flash(&s);
+        let waits0 = s.ftl().counters().get(Counter::FtlBufferSlotWaits);
+        let done = s.checkpoint(&entries, CheckpointMode::Copy, idle).unwrap();
+        assert_eq!(done.duration_since(idle).as_nanos(), 11_479_820);
+        let (programs, reads, busy) = flash(&s);
+        assert_eq!((programs - programs0, reads - reads0), (17, 33));
+        let busy: Vec<u64> = busy
+            .iter()
+            .zip(&busy0)
+            .map(|(&b, &b0)| (b - b0).as_nanos())
+            .collect();
+        assert_eq!(busy, [12_705_000]);
+        let mut finishes: Vec<u64> = tracer
+            .drain()
+            .iter()
+            .filter(|e| e.op == "page_out")
+            .filter_map(|e| e.fields().iter().find(|f| f.0 == "finish_ns"))
+            .map(|f| f.1 - idle.as_nanos())
+            .collect();
+        finishes.sort_unstable();
+        let tprog = 660_000;
+        let want: Vec<u64> = (0..17).map(|i| 2_239_820 + i * tprog).collect();
+        assert_eq!(finishes, want);
+        let waits = s.ftl().counters().get(Counter::FtlBufferSlotWaits) - waits0;
+        assert_eq!(waits, 15);
+        assert_eq!(s.counters().get(Counter::SsdCpPumpSteps), waits + 1);
+        assert_eq!(s.counters().get(Counter::SsdCopyEntries), 256);
+        assert_eq!(s.checkpoint_pump_due(), None);
+    }
+
+    /// A begun copy checkpoint asks for its first step at the gather's
+    /// finish and writes nothing home before it; a host read booked
+    /// between two steps finds the dies the scatter has not taken yet.
+    #[test]
+    fn a_paced_checkpoint_writes_home_only_when_pumped() {
+        let (mut s, entries, idle) = paced_copy_fixture();
+        let CpProgress::PumpAt(first) = s
+            .begin_checkpoint(&entries, CheckpointMode::Copy, idle)
+            .unwrap()
+        else {
+            panic!("a copy class is scattered by the pump");
+        };
+        assert_eq!(s.checkpoint_pump_due(), Some(first));
+        assert!(!s.ftl().is_mapped(Lpn(0)), "nothing written before a step");
+        let again = s
+            .begin_checkpoint(&entries, CheckpointMode::Copy, first)
+            .unwrap_err();
+        assert!(matches!(again, SsdError::InvalidRequest(_)), "{again}");
+        let CpProgress::PumpAt(second) = s.pump_checkpoint(first).unwrap() else {
+            panic!("one step cannot write 256 units through two slots");
+        };
+        assert!(second > first);
+        assert!(s.ftl().is_mapped(Lpn(0)), "the first step wrote home");
+        let done = s.drain_checkpoint().unwrap().unwrap();
+        assert!(done >= second);
+        assert_eq!(s.drain_checkpoint().unwrap(), None);
+        assert!(s.pump_checkpoint(done).is_err(), "nothing left to pump");
+        for i in 0..256u64 {
+            let req = ReadRequest {
+                lba: 8 * i,
+                sectors: 1,
+                key: Some(i),
+            };
+            assert_eq!(s.read(&req, done).unwrap().0.len(), 1, "key {i} home");
         }
     }
 

@@ -11,7 +11,9 @@
 //!   batched multi-CoW command, ISC-B and up), and journal deallocation;
 //! * the ISCE itself ([`isce` planning + execution inside `Ssd`]):
 //!   checkpoint entries are classified remap-vs-copy per Algorithm 1, the
-//!   copy class executes as consecutive reads then consecutive writes, and
+//!   copy class is gathered as consecutive reads when the command begins
+//!   ([`Ssd::begin_checkpoint`]) and written home by pump steps
+//!   ([`Ssd::pump_checkpoint`]) that host commands can go ahead of, and
 //!   the deallocator schedules background GC in idle windows.
 //!
 //! [`isce` planning + execution inside `Ssd`]: plan_entry
@@ -87,7 +89,7 @@ mod timing;
 pub use command::{
     CheckpointMode, CowEntry, ReadRequest, WriteContent, WriteRequest, SECTOR_BYTES,
 };
-pub use device::{CpPhaseTimes, Ssd};
+pub use device::{CpPhaseTimes, CpProgress, Ssd};
 pub use error::SsdError;
 pub use isce::{plan_entry, should_background_gc, EntryPlan};
 pub use queue::CommandQueue;

@@ -34,12 +34,13 @@ echo "== lab"
 # exact simulated cost of a remap vs a copy checkpoint, and every figure
 # and table of the paper as rows beside the paper's numbers. No options
 # but the output path; about half a minute on two cores, of which the
-# figures are 27 s. Exits non-zero only on its six gates (a remap
+# figures are 27 s. Exits non-zero only on its seven gates (a remap
 # checkpoint does no flash I/O; a read costs what the record occupies;
 # a write waits for a programming slot, not a program; a die programs
 # its two planes in one tPROG; a mapping walk misses once per segment;
 # a foreground read does not wait for a program whose finish nobody has
-# seen) — `cargo test` above already checked them.
+# seen, nor for more than one program of a paced checkpoint scatter) —
+# `cargo test` above already checked them.
 cargo run --release -p checkin-bench --bin lab -- --out target/BENCH_perf.json
 # Every row is a simulated quantity: a change that moves one must commit
 # the artifact it produces, not leave a stale one — and the diff of the
@@ -85,7 +86,7 @@ done
 echo "== checkin compare --csv: --jobs 1 and --jobs 4 agree"
 # A batch runs its configurations on worker threads, and each report must
 # be bit-identical to a serial run's. The CSV carries every row of
-# `RunReport::rows` per strategy, the counter schema's 96 keys included.
+# `RunReport::rows` per strategy, the counter schema's 99 keys included.
 for jobs in 1 4; do
     cargo run --release -p checkin-cli --bin checkin -- \
         compare --csv --jobs "$jobs" --queries 4000 --record-count 800 \

@@ -7,7 +7,7 @@ use checkin_core::{align_log, LogClass, Strategy};
 use checkin_ftl::{Location, Lpn, MappingTable, Pun};
 use checkin_ssd::SECTOR_BYTES;
 use checkin_testkit::{check, check_seeded, soup, TestRng, BASE_SEED};
-use shadow::{any_op, any_put, rounds, run, Op, Tally, RECORDS};
+use shadow::{any_op, any_put, paced_op, rounds, run, Op, Tally, RECORDS};
 
 // ---------------------------------------------------------------------
 // Algorithm 2 (sector alignment) invariants
@@ -222,9 +222,66 @@ fn the_engine_matches_one_shadow_over_long_soups() {
     );
 }
 
+/// Checkpoints begun, pumped a few steps at a time and finished, with
+/// puts, deletes, reads and host crashes between the steps: every read
+/// inside a paced copy sees the shadow, a key of the retiring zone from
+/// its log, and a crash mid-pacing loses nothing.
+#[test]
+fn paced_checkpoints_match_one_shadow() {
+    let mut total = Tally::default();
+    check_seeded(
+        "paced_checkpoints_match_one_shadow",
+        BASE_SEED ^ 0xBACE,
+        8,
+        &mut |rng: &mut TestRng| {
+            let len = rng.range_usize(40, 399);
+            let ops = soup(rng, len, paced_op);
+            for strategy in Strategy::all() {
+                let tally = run(strategy, &ops);
+                total.pump_steps += tally.pump_steps;
+                total.paced_crashes += tally.paced_crashes;
+                total.replaying_recoveries += tally.replaying_recoveries;
+            }
+        },
+    );
+    assert!(
+        total.pump_steps > 0 && total.paced_crashes > 0 && total.replaying_recoveries > 0,
+        "impotent: {total:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Named recovery scenarios: fixed histories through the same harness.
 // ---------------------------------------------------------------------
+
+#[test]
+fn recovery_from_a_crash_in_mid_pacing() {
+    // After a round of updates, every key is rewritten sub-sector; a
+    // checkpoint of that is begun and pumped once, half the keys are
+    // updated again and one is deleted, then the host crashes. ISC-B
+    // copies every entry and Check-In its merged small logs, so both are
+    // still pumping; the others ended their checkpoint in its begin.
+    let small = (0..RECORDS).map(|key| Op::Put {
+        key,
+        bytes: 100 + key as u32 * 5,
+    });
+    let again = (0..RECORDS / 2).map(|key| Op::Put { key, bytes: 700 });
+    let ops = [
+        rounds(1, 3),
+        small.collect(),
+        vec![Op::Begin, Op::Pump(1)],
+        again.collect(),
+        vec![Op::Delete { key: RECORDS - 1 }, Op::Crash],
+        rounds(1, 1),
+    ]
+    .concat();
+    for strategy in Strategy::all() {
+        let tally = run(strategy, &ops);
+        let paced = matches!(strategy, Strategy::IscB | Strategy::CheckIn);
+        assert_eq!(tally.paced_crashes, u64::from(paced), "{strategy}");
+        assert_eq!(tally.replaying_recoveries, 1, "{strategy}");
+    }
+}
 
 #[test]
 fn recovery_with_clean_checkpoint_only() {

@@ -1,12 +1,14 @@
 //! The engine against one shadow model: puts that grow, shrink, delete and
-//! revive records, reads, checkpoints, background GC and host crashes,
-//! under every strategy. Shared by `prop_end_to_end.rs` and
-//! `integration_consistency.rs`; each test is an op list through [`run`].
+//! revive records, reads, checkpoints — whole, or begun, pumped a few
+//! steps at a time and finished with other ops in between — background GC
+//! and host crashes, under every strategy. Shared by `prop_end_to_end.rs`
+//! and `integration_consistency.rs`; each test is an op list through
+//! [`run`].
 
 // Each test target uses only part of the module.
 #![allow(dead_code)]
 
-use checkin_core::{EngineError, KvEngine, Layout, Strategy};
+use checkin_core::{CheckpointOutcome, CheckpointStep, EngineError, KvEngine, Layout, Strategy};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
 use checkin_ftl::{Ftl, FtlConfig};
 use checkin_sim::SimTime;
@@ -29,7 +31,15 @@ pub enum Op {
     Read {
         key: u64,
     },
+    /// A whole checkpoint (a running one is finished first).
     Checkpoint,
+    /// Begins a checkpoint (a running one is finished first).
+    Begin,
+    /// Up to this many pump steps of the running checkpoint, each at the
+    /// instant the one before asked for.
+    Pump(u32),
+    /// Finishes the running checkpoint at once.
+    Finish,
     /// Background GC in an idle window.
     Gc,
     /// Host crash: the engine is rebuilt from the surviving device.
@@ -64,6 +74,25 @@ pub fn any_op(rng: &mut TestRng) -> Op {
     }
 }
 
+/// [`any_op`]'s mix with checkpoints that are begun, pumped and finished
+/// as separate ops: the other ops land inside a paced copy, host crashes
+/// included.
+pub fn paced_op(rng: &mut TestRng) -> Op {
+    match rng.weighted(&[8, 1, 6, 1, 3, 1, 1]) {
+        0 => any_put(rng),
+        1 => Op::Delete {
+            key: rng.below(RECORDS),
+        },
+        2 => Op::Read {
+            key: rng.below(RECORDS + 4),
+        },
+        3 => Op::Begin,
+        4 => Op::Pump(rng.range_u32(1, 4)),
+        5 => Op::Finish,
+        _ => Op::Crash,
+    }
+}
+
 /// `rounds` rounds that update every key, with a checkpoint after every
 /// `every`-th: the history of the named recovery scenarios.
 pub fn rounds(rounds: u64, every: u64) -> Vec<Op> {
@@ -88,6 +117,10 @@ pub struct Tally {
     pub recoveries: u64,
     /// Recoveries that replayed at least one journal entry.
     pub replaying_recoveries: u64,
+    /// Pump steps of begun checkpoints.
+    pub pump_steps: u64,
+    /// Host crashes that found a checkpoint still being pumped.
+    pub paced_crashes: u64,
 }
 
 /// The one shadow of a key: its newest version, and whether that version
@@ -103,9 +136,15 @@ struct Harness {
     ssd: Ssd,
     engine: KvEngine,
     shadow: Vec<Expect>,
-    /// Keys written since the last checkpoint or recovery: the only ones
-    /// that may read from the journal.
+    /// Keys written since the last checkpoint began, or since the last
+    /// recovery: their logs are in the active journal zone.
     dirty: Vec<bool>,
+    /// Keys written before the running checkpoint began: until it ends,
+    /// their logs are read in the zone it retired. Together with `dirty`
+    /// the only keys that may read from the journal.
+    retiring: Vec<bool>,
+    /// When the running checkpoint asks to be pumped next.
+    pump_due: Option<SimTime>,
     t: SimTime,
     tally: Tally,
 }
@@ -151,6 +190,8 @@ impl Harness {
                 RECORDS as usize
             ],
             dirty: vec![false; RECORDS as usize],
+            retiring: vec![false; RECORDS as usize],
+            pump_due: None,
             t,
             tally: Tally::default(),
         };
@@ -192,6 +233,16 @@ impl Harness {
             }
             Op::Read { key } => self.read(key),
             Op::Checkpoint => self.checkpoint(),
+            Op::Begin => self.begin(),
+            Op::Pump(steps) => {
+                for _ in 0..steps {
+                    let Some(due) = self.pump_due else { break };
+                    let step = self.engine.pump_checkpoint(&mut self.ssd, due);
+                    self.tally.pump_steps += 1;
+                    self.stepped(step);
+                }
+            }
+            Op::Finish => self.finish(),
             Op::Gc => {
                 let idle = self.t.max(self.ssd.idle_at());
                 let (rounds, done) = self.ssd.background_gc(idle, 4).unwrap();
@@ -229,8 +280,10 @@ impl Harness {
                 let r = got.unwrap_or_else(|err| panic!("{strategy} key {key}: {err}"));
                 self.t = r.finish;
                 assert_eq!(r.version, e.version, "{strategy} key {key}");
+                let k = key as usize;
                 assert_eq!(
-                    r.from_journal, self.dirty[key as usize],
+                    r.from_journal,
+                    self.dirty[k] || self.retiring[k],
                     "{strategy} key {key}: read from the journal"
                 );
             }
@@ -239,18 +292,61 @@ impl Harness {
     }
 
     fn checkpoint(&mut self) {
-        self.t = self
+        self.finish();
+        let out = self
             .engine
             .checkpoint(&mut self.ssd, self.t)
-            .unwrap_or_else(|e| panic!("{} checkpoint: {e}", self.strategy))
-            .finish;
-        self.tally.checkpoints += 1;
+            .unwrap_or_else(|e| panic!("{} checkpoint: {e}", self.strategy));
         self.dirty.fill(false);
+        self.ended(out);
+    }
+
+    /// Begins a checkpoint at the present; its zone's keys keep reading
+    /// from the journal until it ends.
+    fn begin(&mut self) {
+        self.finish();
+        let step = self.engine.begin_checkpoint(&mut self.ssd, self.t);
+        std::mem::swap(&mut self.dirty, &mut self.retiring);
+        self.dirty.fill(false);
+        self.stepped(step);
+    }
+
+    /// Finishes a running checkpoint at once.
+    fn finish(&mut self) {
+        let drained = self
+            .engine
+            .drain_checkpoint(&mut self.ssd)
+            .unwrap_or_else(|e| panic!("{} drain: {e}", self.strategy));
+        if let Some(out) = drained {
+            self.ended(out);
+        }
+    }
+
+    fn stepped(&mut self, step: Result<CheckpointStep, EngineError>) {
+        match step.unwrap_or_else(|e| panic!("{} checkpoint step: {e}", self.strategy)) {
+            CheckpointStep::PumpAt(due) => {
+                assert_eq!(self.engine.checkpoint_pump_due(), Some(due));
+                self.pump_due = Some(due);
+            }
+            CheckpointStep::Done(out) => self.ended(out),
+        }
+    }
+
+    /// A checkpoint ended: every key of its zone is home, and the shadow
+    /// holds against the engine and the device.
+    fn ended(&mut self, out: CheckpointOutcome) {
+        assert_eq!(self.engine.checkpoint_pump_due(), None);
+        self.pump_due = None;
+        self.t = self.t.max(out.finish);
+        self.tally.checkpoints += 1;
+        self.retiring.fill(false);
         self.check_every_key();
     }
 
-    /// Host memory is lost; the device, its buffer included, survives.
+    /// Host memory is lost; the device, its buffer included, survives —
+    /// and finishes a checkpoint command it was still executing.
     fn crash(&mut self) {
+        self.tally.paced_crashes += u64::from(self.pump_due.take().is_some());
         let layout = *self.engine.layout();
         let (engine, report) = KvEngine::recover_with_report(
             self.strategy,
@@ -267,13 +363,16 @@ impl Harness {
         self.tally.replaying_recoveries += u64::from(report.journal_entries_replayed > 0);
         // The recovered engine learns versions from the device alone, and
         // a checkpointed delete left nothing there: re-inserting the key
-        // starts again at version 1.
-        for (e, &dirty) in self.shadow.iter_mut().zip(&self.dirty) {
-            if e.deleted && !dirty {
+        // starts again at version 1. A delete whose checkpoint had not
+        // ended is still in a journal zone, with its version.
+        for ((e, &dirty), &retiring) in self.shadow.iter_mut().zip(&self.dirty).zip(&self.retiring)
+        {
+            if e.deleted && !dirty && !retiring {
                 e.version = 0;
             }
         }
         self.dirty.fill(false);
+        self.retiring.fill(false);
         self.check_every_key();
     }
 
@@ -284,15 +383,13 @@ impl Harness {
         self.sized_reads_see_the_whole_record();
     }
 
-    /// For every live key the JMT does not hold — so `get` goes to the
+    /// For every live key no journal log holds — so `get` goes to the
     /// home slot — the sized read and a read of the whole slot agree on
     /// the newest version and on every byte stored at it.
     fn sized_reads_see_the_whole_record(&mut self) {
         let layout = *self.engine.layout();
         for key in 0..RECORDS {
-            if self.engine.size_of(key).is_none()
-                || self.engine.journal().jmt().lookup(key).is_some()
-            {
+            if self.engine.size_of(key).is_none() || self.engine.journal_entry(key).is_some() {
                 continue;
             }
             let sized = self.engine.get(&mut self.ssd, key, self.t).unwrap();
@@ -324,6 +421,7 @@ pub fn run(strategy: Strategy, ops: &[Op]) -> Tally {
     for &op in ops {
         h.apply(op);
     }
+    h.finish();
     h.ssd.ftl().check_invariants().unwrap();
     h.tally
 }
