@@ -29,7 +29,7 @@ mod sweep;
 
 pub use sweep::{sweep, Sweep};
 
-use checkin_core::{CheckpointStep, EngineError, KvEngine, Layout, Strategy};
+use checkin_core::{CheckpointStep, EngineError, KvEngine, Layout, ReadResult, Strategy};
 use checkin_flash::{
     FaultConfig, FaultOp, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OpPhase, Ppn,
 };
@@ -457,12 +457,7 @@ impl Verdict {
     }
 }
 
-/// Reads every key and judges it against the shadow. A read must return
-/// the acked version, or a version an in-flight op would have written
-/// (the engine issues a batch sequentially, so any prefix of the
-/// in-flight ops may have reached the journal), or — with `typed_ok` —
-/// fail with a typed integrity error. An unknown key is acceptable only
-/// after an acked or in-flight delete.
+/// Reads every key and judges it against the shadow ([`judge_read`]).
 ///
 /// # Panics
 ///
@@ -477,47 +472,69 @@ fn verify(
     announce: bool,
 ) -> Verdict {
     let mut v = Verdict::default();
-    for (key, exp) in shadow.acked.iter().enumerate() {
-        let key = key as u64;
-        // Did an in-flight op write `served`, or (None) delete the key?
-        let in_flight = |served: Option<u64>| {
-            let landed =
-                |op: &ShadowKey| served.map_or(op.deleted, |v| !op.deleted && op.version == v);
-            shadow.unacked.iter().any(|(k, op)| *k == key && landed(op))
-        };
-        v.checked += 1;
-        let complaint = match engine.get(ssd, key, t) {
-            Ok(r) if !exp.deleted && r.version == exp.version => None,
-            Ok(r) if in_flight(Some(r.version)) => None,
-            Ok(r) if exp.deleted => {
-                v.resurrections += 1;
-                Some(format!("RESURRECTED: readable v{}", r.version))
-            }
-            Ok(r) => {
-                v.silent_wrong += 1;
-                Some(format!("SILENT: served v{} with no error", r.version))
-            }
-            Err(EngineError::UnknownKey(_)) if exp.deleted || in_flight(None) => None,
-            Err(EngineError::UnknownKey(_)) => {
-                v.losses += 1;
-                Some("LOSS: unknown to the engine".to_string())
-            }
-            Err(e) if is_integrity(&e) && typed_ok => {
-                v.detected_reads += 1;
-                None
-            }
-            Err(e) if is_integrity(&e) => {
-                v.losses += 1;
-                Some(format!("LOSS: typed failure in a tier with no damage: {e}"))
-            }
-            Err(e) => panic!("verify read of key {key} failed untyped: {e}"),
-        };
-        if let (Some(what), true) = (complaint, announce) {
-            let acked = if exp.deleted { "delete" } else { "write" };
-            eprintln!("  key {key} (acked {acked} v{}) {what}", exp.version);
-        }
+    for key in 0..shadow.acked.len() as u64 {
+        let read = engine.get(ssd, key, t);
+        judge_read(&mut v, shadow, key, &read, typed_ok, announce);
     }
     v
+}
+
+/// Judges one read of `key` against the shadow and counts it into `v`.
+/// A read must return the acked version, or a version an in-flight op
+/// would have written (the engine issues a batch sequentially, so any
+/// prefix of the in-flight ops may have reached the journal), or — with
+/// `typed_ok` — fail with a typed integrity error. An unknown key is
+/// acceptable only after an acked or in-flight delete.
+///
+/// # Panics
+///
+/// When the read failed with anything but `UnknownKey` or a typed
+/// integrity error.
+fn judge_read(
+    v: &mut Verdict,
+    shadow: &Shadow,
+    key: u64,
+    read: &Result<ReadResult, EngineError>,
+    typed_ok: bool,
+    announce: bool,
+) {
+    let exp = shadow.acked[key as usize];
+    // Did an in-flight op write `served`, or (None) delete the key?
+    let in_flight = |served: Option<u64>| {
+        let landed = |op: &ShadowKey| served.map_or(op.deleted, |v| !op.deleted && op.version == v);
+        shadow.unacked.iter().any(|(k, op)| *k == key && landed(op))
+    };
+    v.checked += 1;
+    let complaint = match read {
+        Ok(r) if !exp.deleted && r.version == exp.version => None,
+        Ok(r) if in_flight(Some(r.version)) => None,
+        Ok(r) if exp.deleted => {
+            v.resurrections += 1;
+            Some(format!("RESURRECTED: readable v{}", r.version))
+        }
+        Ok(r) => {
+            v.silent_wrong += 1;
+            Some(format!("SILENT: served v{} with no error", r.version))
+        }
+        Err(EngineError::UnknownKey(_)) if exp.deleted || in_flight(None) => None,
+        Err(EngineError::UnknownKey(_)) => {
+            v.losses += 1;
+            Some("LOSS: unknown to the engine".to_string())
+        }
+        Err(e) if is_integrity(e) && typed_ok => {
+            v.detected_reads += 1;
+            None
+        }
+        Err(e) if is_integrity(e) => {
+            v.losses += 1;
+            Some(format!("LOSS: typed failure in a tier with no damage: {e}"))
+        }
+        Err(e) => panic!("verify read of key {key} failed untyped: {e}"),
+    };
+    if let (Some(what), true) = (complaint, announce) {
+        let acked = if exp.deleted { "delete" } else { "write" };
+        eprintln!("  key {key} (acked {acked} v{}) {what}", exp.version);
+    }
 }
 
 /// Profiling pass: the row as given but with its power cut removed and

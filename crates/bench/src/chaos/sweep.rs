@@ -10,8 +10,8 @@ use checkin_testkit::TestRng;
 
 use super::{
     checkpoint_then_idle_work, drive_clean, flash_home_of, inject_rot, is_integrity,
-    joined_program_ticks, profile, run, scrub_fully, serving_range, ticks_where, verify, Driven,
-    Outcome, Scenario, Stop, Verdict, OPS, RECORDS, TWO_PLANE_TIER,
+    joined_program_ticks, judge_read, profile, run, scrub_fully, serving_range, ticks_where,
+    verify, Driven, Outcome, Scenario, Stop, Verdict, OPS, RECORDS, TWO_PLANE_TIER,
 };
 use crate::section;
 
@@ -518,7 +518,20 @@ fn posthoc_data_tier(s: &mut Sweep) {
 
             for key in 0..RECORDS {
                 let exp = d.shadow.get(key);
-                match d.engine.get(&mut d.ssd, key, t) {
+                // Every read is judged, a clean one too: an earlier heal
+                // may have broken this key. Its typed failures are the
+                // ones `judge_in_place` counted above.
+                let read = d.engine.get(&mut d.ssd, key, t);
+                let mut v = Verdict::default();
+                judge_read(&mut v, &d.shadow, key, &read, true, true);
+                if !v.clean() {
+                    eprintln!("  ^ combo: {sc:?}");
+                }
+                s.total.absorb(Verdict {
+                    detected_reads: 0,
+                    ..v
+                });
+                match read {
                     Err(e) if !exp.deleted && is_integrity(&e) => {}
                     _ => continue,
                 }

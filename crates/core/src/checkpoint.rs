@@ -17,11 +17,22 @@
 //! * **Check-In** — remapping plus sector-aligned journaling: full logs
 //!   remap, sub-sector values merge into shared units (checkpointed by
 //!   buffered copies), large values compress.
+//!
+//! A checkpoint is begun, pumped and finished ([`RunningCheckpoint`]):
+//! queries go on while its data moves, and every step books only what
+//! can start at its own instant. The Baseline's read-backs and rewrites
+//! and ISC-A's commands are host-issued I/O through a window of the
+//! checkpoint's own, as deep as the device's queue ([`HostJob`]); a
+//! batched command's copy class is the device's job
+//! (`Ssd::pump_checkpoint`). The deletion trims, a batched command's
+//! decode, remap walk and gather, the superblock and the zone's trim
+//! are single bookings.
 
-use checkin_flash::{OobKind, OpPhase};
-use checkin_sim::{Counter, CounterSet, SimDuration, SimTime, Total};
+use checkin_flash::{Fragment, OobKind, OpPhase};
+use checkin_sim::{Counter, CounterSet, InFlight, SimDuration, SimTime, Total};
 use checkin_ssd::{
-    CowEntry, CpProgress, ReadRequest, Ssd, SsdError, WriteContent, WriteRequest, SECTOR_BYTES,
+    CheckpointMode, CowEntry, CpProgress, ReadRequest, Ssd, SsdError, WriteContent, WriteRequest,
+    SECTOR_BYTES,
 };
 
 use crate::config::Strategy;
@@ -95,10 +106,10 @@ fn device_counters(ssd: &Ssd) -> CounterSet {
 }
 
 /// A checkpoint between its begin and its end. Queries keep running
-/// while its copy class is scattered, so the device counters move for
-/// them too: everything the checkpoint reports is counted over its own
-/// device calls alone (the begin, every pump step, the metadata write
-/// and the trim), which [`RunningCheckpoint::own`] brackets.
+/// while its data moves, so the device counters move for them too:
+/// everything the checkpoint reports is counted over its own device
+/// calls alone (the begin, every pump step, the metadata write and the
+/// trim), which [`own_call`] brackets.
 #[derive(Debug)]
 pub(crate) struct RunningCheckpoint {
     seq: u64,
@@ -106,13 +117,16 @@ pub(crate) struct RunningCheckpoint {
     /// When the deletion tombstones were trimmed.
     drain_done: SimTime,
     tombstoned: u64,
-    /// The baseline's host-driven copy: entries rewritten home, entries
-    /// that read back empty, and the time it took.
-    host_copied: u64,
-    host_skipped: u64,
+    /// The zone's live entries as device CoW entries, and — for the
+    /// Baseline and ISC-A — the host-issued I/O that moves them home.
+    host: HostJob,
+    /// Whether `host` is what the pump advances; a batched strategy's
+    /// pump advances the device's copy job instead.
+    host_paced: bool,
+    /// The Baseline's host copy: from the begin to its last rewrite.
     host_copy_time: SimDuration,
-    /// When the device's copy job asks to be pumped next; `None` once the
-    /// data movement is over, at `movement_done`.
+    /// When the data movement asks to be pumped next; `None` once it is
+    /// over, at `movement_done`.
     next_pump: Option<SimTime>,
     movement_done: SimTime,
     /// Counter deltas summed over the checkpoint's own device calls.
@@ -121,10 +135,11 @@ pub(crate) struct RunningCheckpoint {
 
 impl RunningCheckpoint {
     /// Begins checkpoint `seq` of `zone` with `strategy` at `at`: applies
-    /// the deletion tombstones, then moves every live entry home — the
-    /// baseline's host copy and ISC-A's per-entry commands in full, a
-    /// batched command up to its scatter, which the device's pump does
-    /// (see [`RunningCheckpoint::pump`]).
+    /// the deletion tombstones, then starts moving every live entry home
+    /// — a batched command up to its scatter, the host-issued I/O of the
+    /// Baseline and ISC-A up to its first full window — and leaves the
+    /// rest to [`RunningCheckpoint::pump`]. `spare` is the job a finished
+    /// checkpoint handed back, whose buffers are reused.
     pub(crate) fn begin(
         ssd: &mut Ssd,
         strategy: Strategy,
@@ -132,17 +147,23 @@ impl RunningCheckpoint {
         zone: &RetiringZone,
         seq: u64,
         at: SimTime,
+        spare: Option<HostJob>,
     ) -> Result<Self, SsdError> {
         // Reset the device's accumulated remap/copy stopwatches so this
         // checkpoint's take at the end reflects only its own work.
         let _ = ssd.take_cp_phase_times();
+        let depth = ssd.timing().queue_depth;
+        let mut host = spare
+            .filter(|job| job.depth == depth)
+            .unwrap_or_else(|| HostJob::new(depth));
+        host.load(layout, zone, strategy.checkpoint_mode(), at);
         let mut cp = RunningCheckpoint {
             seq,
             start: at,
             drain_done: at,
             tombstoned: 0,
-            host_copied: 0,
-            host_skipped: 0,
+            host,
+            host_paced: strategy.checkpoint_mode().is_none() || strategy.per_entry_commands(),
             host_copy_time: SimDuration::ZERO,
             next_pump: None,
             movement_done: at,
@@ -155,7 +176,9 @@ impl RunningCheckpoint {
         for (key, e) in &zone.entries {
             if e.tombstone {
                 let (lba, sectors) = (layout.home_lba(*key), layout.slot_sectors() as u32);
-                done = done.max(cp.own(ssd, |ssd| Ok(ssd.deallocate(lba, sectors, at)))?);
+                done = done.max(own_call(&mut cp.own, ssd, |ssd| {
+                    Ok(ssd.deallocate(lba, sectors, at))
+                })?);
                 cp.tombstoned += 1;
             }
         }
@@ -163,45 +186,45 @@ impl RunningCheckpoint {
         cp.movement_done = done;
 
         match strategy.checkpoint_mode() {
-            None => {
-                // The baseline's read-back-and-rewrite loop is its copy
-                // fallback; attribute its flash ops accordingly.
-                let (finish, copied, skipped) = cp.own(ssd, |ssd| {
-                    ssd.in_phase(OpPhase::CheckpointCopy, |ssd| {
-                        host_checkpoint(ssd, layout, zone, at)
-                    })
-                })?;
-                cp.host_copied = copied;
-                cp.host_skipped = skipped;
-                cp.host_copy_time = finish.saturating_duration_since(at);
-                cp.movement_done = cp.movement_done.max(finish);
-            }
-            Some(mode) if strategy.per_entry_commands() => {
-                for e in &build_entries(layout, zone) {
-                    let t = cp.own(ssd, |ssd| ssd.cow_single(e, mode, at))?;
-                    cp.movement_done = cp.movement_done.max(t);
-                }
-            }
-            Some(mode) => {
-                let entries = build_entries(layout, zone);
-                if !entries.is_empty() {
-                    let progress = cp.own(ssd, |ssd| ssd.begin_checkpoint(&entries, mode, at))?;
+            Some(mode) if !cp.host_paced => {
+                if !cp.host.entries.is_empty() {
+                    let entries = &cp.host.entries;
+                    let progress = own_call(&mut cp.own, ssd, |ssd| {
+                        ssd.begin_checkpoint(entries, mode, at)
+                    })?;
                     cp.advance(progress);
                 }
             }
+            _ => cp.pump(ssd, at)?,
         }
         Ok(cp)
     }
 
-    /// When the device's copy job asks to be pumped next, or `None` when
-    /// the checkpoint is ready to [`finish`](RunningCheckpoint::finish).
+    /// When the data movement asks to be pumped next, or `None` when the
+    /// checkpoint is ready to [`finish`](RunningCheckpoint::finish).
     pub(crate) fn next_pump(&self) -> Option<SimTime> {
         self.next_pump
     }
 
-    /// One pump step of the device's copy job at `now`.
+    /// One pump step of the data movement at `now`: of the host-issued
+    /// I/O for the Baseline and ISC-A, else of the device's copy job.
     pub(crate) fn pump(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<(), SsdError> {
-        let progress = self.own(ssd, |ssd| ssd.pump_checkpoint(now))?;
+        if !self.host_paced {
+            let progress = own_call(&mut self.own, ssd, |ssd| ssd.pump_checkpoint(now))?;
+            self.advance(progress);
+            return Ok(());
+        }
+        let host = &mut self.host;
+        // The Baseline's read-back-and-rewrite is its copy fallback;
+        // attribute its flash ops accordingly. ISC-A's commands attribute
+        // their own.
+        let progress = own_call(&mut self.own, ssd, |ssd| match host.cow {
+            None => ssd.in_phase(OpPhase::CheckpointCopy, |ssd| host.step(ssd, now)),
+            Some(_) => host.step(ssd, now),
+        })?;
+        if let (CpProgress::Done(done), None) = (progress, self.host.cow) {
+            self.host_copy_time = done.saturating_duration_since(self.start);
+        }
         self.advance(progress);
         Ok(())
     }
@@ -216,28 +239,16 @@ impl RunningCheckpoint {
         }
     }
 
-    /// Runs `call` on the device as one of this checkpoint's own calls,
-    /// adding the counters it moved to the checkpoint's.
-    fn own<R>(
-        &mut self,
-        ssd: &mut Ssd,
-        call: impl FnOnce(&mut Ssd) -> Result<R, SsdError>,
-    ) -> Result<R, SsdError> {
-        let before = device_counters(ssd);
-        let out = call(ssd);
-        self.own.merge(&device_counters(ssd).delta_since(&before));
-        out
-    }
-
     /// Ends the checkpoint once its data movement is over: persists the
-    /// engine superblock and trims the retired zone.
+    /// engine superblock and trims the retired zone. Hands back the job
+    /// for the next checkpoint's [`begin`](RunningCheckpoint::begin).
     pub(crate) fn finish(
         mut self,
         ssd: &mut Ssd,
         layout: &Layout,
         zone: &RetiringZone,
-    ) -> Result<CheckpointOutcome, SsdError> {
-        debug_assert!(self.next_pump.is_none(), "finish before the copy job");
+    ) -> Result<(CheckpointOutcome, HostJob), SsdError> {
+        debug_assert!(self.next_pump.is_none(), "finish before the data movement");
         let movement_done = self.movement_done;
         let cp_times = ssd.take_cp_phase_times();
         // Data movement is complete; everything after this line (metadata,
@@ -256,8 +267,9 @@ impl RunningCheckpoint {
                 bytes: layout.unit_sectors() as u32 * SECTOR_BYTES,
             },
         };
-        let meta_done =
-            movement_done.max(self.own(ssd, |ssd| ssd.write(&meta, OobKind::Meta, movement_done))?);
+        let meta_done = movement_done.max(own_call(&mut self.own, ssd, |ssd| {
+            ssd.write(&meta, OobKind::Meta, movement_done)
+        })?);
 
         // Deallocate the retired journal logs ("used journal data are
         // flushed because they are no longer needed").
@@ -265,7 +277,7 @@ impl RunningCheckpoint {
         if zone.used_sectors > 0 {
             let us = layout.unit_sectors();
             let trim_sectors = zone.used_sectors.div_ceil(us) * us;
-            let trim = self.own(ssd, |ssd| {
+            let trim = own_call(&mut self.own, ssd, |ssd| {
                 Ok(ssd.deallocate(zone.base_lba, trim_sectors as u32, meta_done))
             })?;
             done = done.max(trim);
@@ -308,15 +320,15 @@ impl RunningCheckpoint {
         );
 
         let remapped = own.get(Counter::SsdRemapEntries);
-        let copied = own.get(Counter::SsdCopyEntries) + self.host_copied;
-        let skipped = own.get(Counter::SsdCowSkippedEntries) + self.host_skipped;
+        let copied = own.get(Counter::SsdCopyEntries) + self.host.copied;
+        let skipped = own.get(Counter::SsdCowSkippedEntries) + self.host.skipped;
         debug_assert_eq!(
             remapped + copied + skipped + self.tombstoned,
             zone.entries.len() as u64,
             "every zone entry must be remapped, copied, skipped, or tombstoned"
         );
 
-        Ok(CheckpointOutcome {
+        let outcome = CheckpointOutcome {
             start: self.start,
             finish: done,
             entries: zone.entries.len() as u64,
@@ -330,13 +342,206 @@ impl RunningCheckpoint {
             host_bytes: own.get(Counter::SsdHostReadBytes) + own.get(Counter::SsdHostWriteBytes),
             skipped,
             phases,
-        })
+        };
+        Ok((outcome, self.host))
+    }
+}
+
+/// Runs `call` on the device as one of a checkpoint's own calls, adding
+/// the counters it moved to `own`.
+fn own_call<R>(
+    own: &mut CounterSet,
+    ssd: &mut Ssd,
+    call: impl FnOnce(&mut Ssd) -> Result<R, SsdError>,
+) -> Result<R, SsdError> {
+    let before = device_counters(ssd);
+    let out = call(ssd);
+    own.merge(&device_counters(ssd).delta_since(&before));
+    out
+}
+
+/// A Baseline read-back whose rewrite is not issued yet.
+#[derive(Debug, Clone, Copy)]
+struct Staged {
+    key: u64,
+    home_lba: u64,
+    version: u64,
+    bytes: u32,
+    /// When the read-back completes: the rewrite is issued no earlier.
+    read_done: SimTime,
+}
+
+/// A checkpoint's host-issued I/O, paced: the Baseline reads every live
+/// log back over the host interface and rewrites it home, ISC-A sends
+/// one CoW command per entry. The checkpoint thread has a submission
+/// queue of its own, as deep as the device's (`SsdTiming::queue_depth`),
+/// and a [`step`](HostJob::step) issues commands at its instant only
+/// while that window has room — so foreground commands submitted between
+/// two steps go ahead of the rest. Every command still goes through the
+/// device's shared queue. A rewrite follows its own read-back, not a
+/// barrier after all of them. The buffers are recycled from checkpoint
+/// to checkpoint; a batched strategy's checkpoint uses only the entry
+/// list, which it hands to the device's command.
+#[derive(Debug)]
+pub(crate) struct HostJob {
+    /// The job's own commands in flight, `depth` deep.
+    window: InFlight,
+    depth: usize,
+    /// ISC-A's command mode; `None` for the Baseline's read-back and
+    /// rewrite.
+    cow: Option<CheckpointMode>,
+    /// The zone's live entries, in key order, and the next to issue.
+    entries: Vec<CowEntry>,
+    next: usize,
+    /// Read-backs issued and not yet rewritten, in issue order.
+    staged: Vec<Staged>,
+    /// One read-back's fragments.
+    frags: Vec<Fragment>,
+    /// The Baseline's entries rewritten home, and those that read back
+    /// empty (fully superseded); ISC-A's are counted by the device.
+    copied: u64,
+    skipped: u64,
+    /// The latest completion of the job's commands.
+    acked: SimTime,
+}
+
+impl HostJob {
+    fn new(depth: usize) -> Self {
+        HostJob {
+            window: InFlight::new(depth),
+            depth,
+            cow: None,
+            entries: Vec::new(),
+            next: 0,
+            staged: Vec::with_capacity(depth),
+            frags: Vec::new(),
+            copied: 0,
+            skipped: 0,
+            acked: SimTime::ZERO,
+        }
+    }
+
+    /// Takes `zone`'s live entries as the job's, to be moved home with
+    /// `cow` commands or (`None`) read back and rewritten, nothing issued
+    /// at `at`.
+    fn load(
+        &mut self,
+        layout: &Layout,
+        zone: &RetiringZone,
+        cow: Option<CheckpointMode>,
+        at: SimTime,
+    ) {
+        self.entries.clear();
+        self.entries.extend(
+            zone.entries
+                .iter()
+                .filter(|(_, e)| !e.tombstone)
+                .map(|(key, e)| CowEntry {
+                    src_lba: e.journal_lba,
+                    dst_lba: layout.home_lba(*key),
+                    sectors: e.sectors,
+                    // The home holds the record itself (or its compressed
+                    // form), never the journal header padding.
+                    dst_sectors: e
+                        .raw_bytes
+                        .min(e.stored_bytes)
+                        .div_ceil(SECTOR_BYTES)
+                        .max(1),
+                    key: *key,
+                    merged: e.merged,
+                }),
+        );
+        self.cow = cow;
+        self.next = 0;
+        self.staged.clear();
+        self.window.clear();
+        self.copied = 0;
+        self.skipped = 0;
+        self.acked = at;
+    }
+
+    /// One pump step at `now`: while the window has room, issues the
+    /// rewrite of the first read-back that has completed by `now`, else
+    /// the next entry's read-back (the Baseline) or CoW command (ISC-A).
+    /// Then asks to be pumped again when the window frees a slot, or
+    /// when the next read-back completes; the step that finds every
+    /// command issued and acknowledged ends the data movement.
+    fn step(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<CpProgress, SsdError> {
+        while self.window.next_free(now) == now {
+            let done = if let Some(i) = self.staged.iter().position(|s| s.read_done <= now) {
+                let s = self.staged.remove(i);
+                self.copied += 1;
+                let rewrite = WriteRequest {
+                    lba: s.home_lba,
+                    sectors: s.bytes.div_ceil(SECTOR_BYTES).max(1),
+                    content: WriteContent::Record {
+                        key: s.key,
+                        version: s.version,
+                        bytes: s.bytes,
+                    },
+                };
+                ssd.write(&rewrite, OobKind::Data, now)?
+            } else if let Some(&e) = self.entries.get(self.next) {
+                self.next += 1;
+                match self.cow {
+                    Some(mode) => ssd.cow_single(&e, mode, now)?,
+                    None => self.read_back(ssd, &e, now)?,
+                }
+            } else {
+                break;
+            };
+            // The window had room at `now`: the command started then.
+            self.window.complete(done);
+            self.acked = self.acked.max(done);
+        }
+        if self.next == self.entries.len() && self.staged.is_empty() {
+            return Ok(if self.acked > now {
+                CpProgress::PumpAt(self.acked)
+            } else {
+                CpProgress::Done(now.max(self.acked))
+            });
+        }
+        let free = self.window.next_free(now);
+        let read = self.staged.iter().map(|s| s.read_done).min();
+        Ok(CpProgress::PumpAt(match read {
+            Some(read) if free == now => read,
+            _ => free,
+        }))
+    }
+
+    /// Reads entry `e`'s log back at `now`; stages its rewrite unless the
+    /// log read back empty. Returns when the read completes.
+    fn read_back(
+        &mut self,
+        ssd: &mut Ssd,
+        e: &CowEntry,
+        now: SimTime,
+    ) -> Result<SimTime, SsdError> {
+        self.frags.clear();
+        let request = ReadRequest {
+            lba: e.src_lba,
+            sectors: e.sectors,
+            key: Some(e.key),
+        };
+        let read_done = ssd.read_into(&request, now, &mut self.frags)?;
+        let bytes: u32 = self.frags.iter().map(|f| f.bytes).sum();
+        match self.frags.iter().map(|f| f.version).max() {
+            Some(version) if bytes > 0 => self.staged.push(Staged {
+                key: e.key,
+                home_lba: e.dst_lba,
+                version,
+                bytes,
+                read_done,
+            }),
+            _ => self.skipped += 1,
+        }
+        Ok(read_done)
     }
 }
 
 /// Executes one checkpoint of `zone` with `strategy`, starting at `at`,
-/// to its end: its begin, every pump step of the device's copy job at
-/// the instant the one before asked for, and its finish.
+/// to its end: its begin, every pump step at the instant the one before
+/// asked for, and its finish.
 ///
 /// # Errors
 ///
@@ -350,91 +555,11 @@ pub fn run_checkpoint(
     checkpoint_seq: u64,
     at: SimTime,
 ) -> Result<CheckpointOutcome, SsdError> {
-    let mut cp = RunningCheckpoint::begin(ssd, strategy, layout, zone, checkpoint_seq, at)?;
+    let mut cp = RunningCheckpoint::begin(ssd, strategy, layout, zone, checkpoint_seq, at, None)?;
     while let Some(t) = cp.next_pump() {
         cp.pump(ssd, t)?;
     }
-    cp.finish(ssd, layout, zone)
-}
-
-/// Builds device CoW entries from the retiring zone's JMT snapshot.
-fn build_entries(layout: &Layout, zone: &RetiringZone) -> Vec<CowEntry> {
-    zone.entries
-        .iter()
-        .filter(|(_, e)| !e.tombstone)
-        .map(|(key, e)| CowEntry {
-            src_lba: e.journal_lba,
-            dst_lba: layout.home_lba(*key),
-            sectors: e.sectors,
-            // The home holds the record itself (or its compressed form),
-            // never the journal header padding.
-            dst_sectors: e
-                .raw_bytes
-                .min(e.stored_bytes)
-                .div_ceil(SECTOR_BYTES)
-                .max(1),
-            key: *key,
-            merged: e.merged,
-        })
-        .collect()
-}
-
-/// Baseline: host reads every journal log back and rewrites it home.
-/// Reads are issued as a batch (bounded by queue depth), then writes, then
-/// metadata — matching Figure 4(a)'s ordering.
-///
-/// Returns `(finish, copied, skipped)`: entries rewritten home vs entries
-/// whose journal payload read back empty (fully superseded).
-fn host_checkpoint(
-    ssd: &mut Ssd,
-    layout: &Layout,
-    zone: &RetiringZone,
-    at: SimTime,
-) -> Result<(SimTime, u64, u64), SsdError> {
-    let mut reads_done = at;
-    let mut skipped = 0u64;
-    let mut staged = Vec::with_capacity(zone.entries.len());
-    for (key, e) in &zone.entries {
-        if e.tombstone {
-            continue;
-        }
-        let (frags, t) = ssd.read(
-            &ReadRequest {
-                lba: e.journal_lba,
-                sectors: e.sectors,
-                key: Some(*key),
-            },
-            at,
-        )?;
-        reads_done = reads_done.max(t);
-        let bytes: u32 = frags.iter().map(|f| f.bytes).sum();
-        let version = frags.iter().map(|f| f.version).max().unwrap_or(e.version);
-        if bytes > 0 {
-            staged.push((*key, version, bytes));
-        } else {
-            skipped += 1;
-        }
-    }
-    let copied = staged.len() as u64;
-    let mut writes_done = reads_done;
-    for (key, version, bytes) in staged {
-        let sectors = bytes.div_ceil(SECTOR_BYTES).max(1);
-        let t = ssd.write(
-            &WriteRequest {
-                lba: layout.home_lba(key),
-                sectors,
-                content: WriteContent::Record {
-                    key,
-                    version,
-                    bytes,
-                },
-            },
-            OobKind::Data,
-            reads_done,
-        )?;
-        writes_done = writes_done.max(t);
-    }
-    Ok((writes_done, copied, skipped))
+    cp.finish(ssd, layout, zone).map(|(outcome, _)| outcome)
 }
 
 #[cfg(test)]
@@ -610,6 +735,99 @@ mod tests {
                 "{strategy}: {}",
                 out.host_bytes
             );
+        }
+    }
+
+    /// The Baseline's read-backs and rewrites and ISC-A's commands are
+    /// paced through the checkpoint's own window. With no foreground
+    /// traffic the device queue sees the job alone, and the job never
+    /// makes a command of its own wait there: at most `queue_depth` are
+    /// in flight, where a burst would queue all 64 entries at once. No
+    /// rewrite is issued before its own read-back completes, and every
+    /// entry is copied, skipped or tombstoned exactly once.
+    #[test]
+    fn host_checkpoints_keep_a_queue_deep_window() {
+        for strategy in [Strategy::Baseline, Strategy::IscA] {
+            let (mut ssd, layout, mut jm) = setup(strategy);
+            let keys = layout.record_count();
+            let t = journal_some(&mut ssd, &mut jm, keys);
+            let zone = jm.begin_checkpoint();
+            let tracer = checkin_sim::Tracer::ring_buffered(1 << 12);
+            ssd.set_tracer(tracer.clone());
+            let reads = ssd.counters().get(Counter::SsdCmdRead);
+            let mut cp =
+                RunningCheckpoint::begin(&mut ssd, strategy, &layout, &zone, 1, t, None).unwrap();
+            let mut steps = 1;
+            while let Some(due) = cp.next_pump() {
+                let staged: Vec<(u64, SimTime)> = cp
+                    .host
+                    .staged
+                    .iter()
+                    .map(|s| (s.key, s.read_done))
+                    .collect();
+                let copied = cp.host.copied;
+                cp.pump(&mut ssd, due).unwrap();
+                steps += 1;
+                let rewritten: Vec<&(u64, SimTime)> = staged
+                    .iter()
+                    .filter(|(key, _)| !cp.host.staged.iter().any(|s| s.key == *key))
+                    .collect();
+                assert_eq!(
+                    cp.host.copied - copied,
+                    rewritten.len() as u64,
+                    "{strategy}"
+                );
+                for (key, read_done) in rewritten {
+                    assert!(*read_done <= due, "{strategy}: key {key} rewritten early");
+                }
+            }
+            let admits: Vec<_> = tracer
+                .drain()
+                .into_iter()
+                .filter(|e| e.op == "admit")
+                .collect();
+            assert!(admits.len() as u64 >= keys, "{strategy}: {}", admits.len());
+            for e in &admits {
+                assert!(
+                    e.fields().contains(&("wait_ns", 0)),
+                    "{strategy}: a command of the job queued at the device: {e:?}"
+                );
+            }
+            assert!(steps > 2, "{strategy}: {steps} steps");
+            let (out, _) = cp.finish(&mut ssd, &layout, &zone).unwrap();
+            assert_eq!(out.entries, keys);
+            assert_eq!(out.copied + out.skipped, keys, "{strategy}");
+            let read_backs = ssd.counters().get(Counter::SsdCmdRead) - reads;
+            match strategy {
+                Strategy::Baseline => assert_eq!(read_backs, keys),
+                _ => assert_eq!(ssd.counters().get(Counter::SsdCmdCow), keys),
+            }
+            verify_homes(&mut ssd, &layout, keys, 2, out.finish);
+        }
+    }
+
+    /// Tombstones are trimmed once at the begin and are not read back;
+    /// the live entries around them are moved exactly once.
+    #[test]
+    fn host_checkpoints_move_each_live_entry_once() {
+        for strategy in [Strategy::Baseline, Strategy::IscA] {
+            let (mut ssd, layout, mut jm) = setup(strategy);
+            let keys = layout.record_count();
+            let mut t = journal_some(&mut ssd, &mut jm, keys);
+            for key in (0..keys).step_by(8) {
+                let req = jm.append_delete(key, 3).unwrap();
+                t = ssd.write(&req, OobKind::Journal, t).unwrap();
+            }
+            let zone = jm.begin_checkpoint();
+            let cmds = |ssd: &Ssd| {
+                let c = ssd.counters();
+                c.get(Counter::SsdCmdRead) + c.get(Counter::SsdCmdCow)
+            };
+            let before = cmds(&ssd);
+            let out = run_checkpoint(&mut ssd, strategy, &layout, &zone, 1, t).unwrap();
+            assert_eq!(out.deleted, keys / 8, "{strategy}");
+            assert_eq!(out.copied + out.skipped + out.deleted, keys, "{strategy}");
+            assert_eq!(cmds(&ssd) - before, keys - keys / 8, "{strategy}");
         }
     }
 

@@ -6,7 +6,7 @@ use checkin_flash::{Fragment, OobKind};
 use checkin_sim::{Counter, CounterSet, SimTime, TraceEvent, TraceLayer, Tracer};
 use checkin_ssd::{ReadRequest, Ssd, SsdError, WriteContent, WriteRequest, SECTOR_BYTES};
 
-use crate::checkpoint::{CheckpointOutcome, RunningCheckpoint};
+use crate::checkpoint::{CheckpointOutcome, HostJob, RunningCheckpoint};
 use crate::config::Strategy;
 use crate::journal::{JmtEntry, JournalFull, JournalManager, RetiringZone};
 use crate::layout::{Layout, JOURNAL_ZONES};
@@ -90,8 +90,8 @@ pub struct ReadResult {
     reason = "one value per pump step, matched at once; boxing the outcome would allocate per checkpoint"
 )]
 pub enum CheckpointStep {
-    /// The device's copy job asks for [`KvEngine::pump_checkpoint`] at
-    /// this instant.
+    /// The checkpoint's data movement asks for
+    /// [`KvEngine::pump_checkpoint`] at this instant.
     PumpAt(SimTime),
     /// The checkpoint ended.
     Done(CheckpointOutcome),
@@ -137,6 +137,9 @@ pub struct KvEngine {
     /// log there (the zone is trimmed only at the end, so the log is
     /// still mapped).
     running: Option<(RetiringZone, RunningCheckpoint)>,
+    /// The last finished checkpoint's job, whose buffers the next one
+    /// reuses.
+    spare_job: Option<HostJob>,
     counters: CounterSet,
     tracer: Tracer,
     /// Reused fragment buffer so steady-state reads never allocate.
@@ -188,6 +191,7 @@ impl KvEngine {
             loaded: 0,
             checkpoint_seq: 0,
             running: None,
+            spare_job: None,
             counters: CounterSet::new(),
             tracer: Tracer::disabled(),
             read_scratch: Vec::new(),
@@ -506,9 +510,11 @@ impl KvEngine {
 
     /// Begins a checkpoint at `at`: retires the active journal zone —
     /// updates go to the other one from here on — and starts moving its
-    /// live entries home with the configured strategy. A batched
-    /// strategy's copy class is left to the device's pump
-    /// ([`KvEngine::pump_checkpoint`]); every other checkpoint ends here.
+    /// live entries home with the configured strategy. What cannot start
+    /// at `at` — the Baseline's and ISC-A's host-issued I/O beyond one
+    /// queue-deep window, a batched command's copy class — is left to
+    /// [`KvEngine::pump_checkpoint`]; a checkpoint with nothing left ends
+    /// here.
     ///
     /// # Errors
     ///
@@ -543,15 +549,16 @@ impl KvEngine {
             &zone,
             self.checkpoint_seq,
             at,
+            self.spare_job.take(),
         )?;
         self.running = Some((zone, checkpoint));
         self.step(ssd)
     }
 
-    /// One pump step of the running checkpoint's copy job at `now`, the
-    /// instant the previous step asked for; the step that finds the copy
-    /// class written ends the checkpoint (superblock, then the retired
-    /// zone's trim).
+    /// One pump step of the running checkpoint's data movement at `now`,
+    /// the instant the previous step asked for; the step that finds it
+    /// over ends the checkpoint (superblock, then the retired zone's
+    /// trim).
     ///
     /// # Errors
     ///
@@ -621,7 +628,8 @@ impl KvEngine {
             self.running = Some((zone, checkpoint));
             return Ok(CheckpointStep::PumpAt(t));
         }
-        let outcome = checkpoint.finish(ssd, &self.layout, &zone)?;
+        let (outcome, job) = checkpoint.finish(ssd, &self.layout, &zone)?;
+        self.spare_job = Some(job);
         self.journal.recycle_zone(zone);
         self.counters.incr(Counter::EngineCheckpoints);
         self.tracer.emit(|| {

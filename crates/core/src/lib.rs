@@ -14,9 +14,9 @@
 //!   Algorithm 2, [`align_log`]) and the double-buffered journal area;
 //! * [`Strategy`] — the five evaluated configurations (Baseline, ISC-A,
 //!   ISC-B, ISC-C, Check-In) and [`run_checkpoint`], which executes a
-//!   checkpoint with any of them; a batched one is begun, pumped and
+//!   checkpoint with any of them; a checkpoint is begun, pumped and
 //!   ended ([`KvEngine::begin_checkpoint`], [`CheckpointStep`]), so that
-//!   queries run between the steps of its copy;
+//!   queries run between the steps of its data movement;
 //! * [`KvSystem`] — a deterministic closed-loop simulation of N client
 //!   threads over the engine and a fully modelled SSD
 //!   ([`checkin_ssd::Ssd`] over [`checkin_ftl::Ftl`] over

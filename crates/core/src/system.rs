@@ -4,14 +4,16 @@
 //! The event loop processes client completions in simulated-time order;
 //! device contention (dies, channels, link, firmware CPU) is carried by
 //! the resource timelines inside [`checkin_ssd::Ssd`]. A checkpoint books
-//! its tombstone trims, its command's decode, remap walk and gather as a
-//! burst at trigger time; a batched command's copy class is then written
-//! home by a pump event that books only what it can admit at its own
-//! instant, so queries submitted in between go ahead of the rest of it.
-//! Its end — superblock, journal trim, then the idle-window GC and scrub
-//! — is the pump event that finds the copy class written. What a
-//! checkpoint still books in one go delays the queries behind it: the
-//! interference the paper measures in Figures 3(c) and 9.
+//! its tombstone trims — and a batched command its decode, remap walk and
+//! gather — as a burst at trigger time; the rest of its data movement (a
+//! batched command's copy class, the Baseline's read-backs and rewrites,
+//! ISC-A's per-entry commands) is advanced by a pump event that books
+//! only what it can admit at its own instant, so queries submitted in
+//! between go ahead of the rest of it. Its end — superblock, journal
+//! trim, then the idle-window GC and scrub — is the pump event that finds
+//! the data moved. What a checkpoint still books in one go delays the
+//! queries behind it: the interference the paper measures in Figures
+//! 3(c) and 9.
 
 use checkin_sim::{
     Counter, CounterSet, EventQueue, LatencyRecorder, Resource, ResourcePool, SimDuration, SimRng,
@@ -830,6 +832,31 @@ mod tests {
         assert!(counters.get(Counter::SsdCpPumpSteps) > checkpoints);
         assert_eq!(system.engine().checkpoint_pump_due(), None);
         assert_eq!(system.ssd().checkpoint_pump_due(), None);
+        system.ssd().ftl().check_invariants().unwrap();
+    }
+
+    /// The Baseline's read-backs and rewrites are paced too: a tick every
+    /// 2 ms — far sooner than the journal fills, so no full journal ends
+    /// one — finds some of its checkpoints still pumped and ends them at
+    /// once before it begins its own, while others end at their pace.
+    /// Every checkpoint still ends before the run does, and each one
+    /// reads back and rewrites its live entries once.
+    #[test]
+    fn a_tick_drains_a_paced_baseline_checkpoint() {
+        let mut c = quick_config(Strategy::Baseline);
+        c.checkpoint_interval = SimDuration::from_millis(2);
+        let mut system = KvSystem::new(c).unwrap();
+        let report = system.run().unwrap();
+        let counters = &report.counters;
+        let checkpoints = counters.get(Counter::EngineCheckpoints);
+        let drained = counters.get(Counter::EngineCheckpointsDrained);
+        assert!(
+            0 < drained && drained < checkpoints,
+            "{drained} of {checkpoints}"
+        );
+        assert_eq!(report.checkpoints, checkpoints);
+        assert_eq!(report.copied_entries, report.checkpoint_entries);
+        assert_eq!(system.engine().checkpoint_pump_due(), None);
         system.ssd().ftl().check_invariants().unwrap();
     }
 

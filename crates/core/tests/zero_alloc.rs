@@ -12,7 +12,9 @@
 //! Everything the window exercises — journal append, block write, page
 //! drain, JMT update, flash program, point read — must then run
 //! allocation-free. A second window, after the first, holds a warm
-//! copy-class checkpoint command to the same standard.
+//! copy-class checkpoint command to the same standard, and a third a
+//! warm Baseline checkpoint, whose read-backs and rewrites are paced
+//! through the checkpoint's own queue-deep window.
 //!
 //! This file holds exactly one test so the process-global allocation
 //! counter cannot pick up a concurrently running test's traffic.
@@ -24,7 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use checkin_core::{EngineError, KvEngine, Layout, Strategy, SystemConfig};
+use checkin_core::{CheckpointStep, EngineError, KvEngine, Layout, Strategy, SystemConfig};
 use checkin_flash::{BlockId, FlashArray};
 use checkin_ftl::Ftl;
 use checkin_sim::{Counter, SimTime};
@@ -65,6 +67,9 @@ const VALUE_BYTES: u32 = 700; // > 512 B mapping unit => Full-class log
 const WINDOW_KEYS: u64 = 256;
 /// Entries of the copy checkpoint command the second window measures.
 const COPY_KEYS: u64 = 32;
+/// Entries of the Baseline checkpoint the third window measures: more
+/// than the device queue is deep, so the window fills.
+const BASELINE_KEYS: u64 = 96;
 
 #[test]
 fn steady_state_query_loop_is_allocation_free() {
@@ -187,4 +192,40 @@ fn steady_state_query_loop_is_allocation_free() {
         ssd.counters().get(Counter::SsdCopyEntries) - copied,
         COPY_KEYS
     );
+
+    // Third window: a Baseline engine over the same warm device. Its
+    // checkpoint reads every log back and rewrites it home, more entries
+    // than the window is deep, in pump steps; the job's entries, staged
+    // read-backs and fragment buffer are the ones the first checkpoint
+    // grew, handed back at its end.
+    let mut baseline = KvEngine::new(Strategy::Baseline, layout, 0.7);
+    let keys: Vec<(u64, u32)> = (0..BASELINE_KEYS).map(|k| (k, 800)).collect();
+    t = baseline.load(&mut ssd, &keys, t).unwrap();
+    for _ in 0..2 {
+        for k in 0..BASELINE_KEYS {
+            t = baseline.update(&mut ssd, k, VALUE_BYTES, t).unwrap();
+        }
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let mut step = baseline.begin_checkpoint(&mut ssd, t).unwrap();
+        let mut steps = 0;
+        let out = loop {
+            match step {
+                CheckpointStep::PumpAt(due) => {
+                    steps += 1;
+                    step = baseline.pump_checkpoint(&mut ssd, due).unwrap();
+                }
+                CheckpointStep::Done(out) => break out,
+            }
+        };
+        let delta = ALLOCS.load(Ordering::SeqCst) - before;
+        t = out.finish;
+        assert_eq!(out.copied, BASELINE_KEYS);
+        assert!(steps > 1, "{steps} pump steps");
+        if baseline.counters().get(Counter::EngineCheckpoints) == 2 {
+            assert_eq!(
+                delta, 0,
+                "a warm Baseline checkpoint of {BASELINE_KEYS} entries allocated {delta} times"
+            );
+        }
+    }
 }

@@ -413,6 +413,13 @@ impl Ftl {
         } else {
             // Read-modify-write merge with the old unit content.
             match self.table.lookup(w.lpn) {
+                // GC or SPOR destroyed the unit's last copy: a partial
+                // write has nothing to merge with, and clearing the loss
+                // record would hide the sectors that are gone. Only a
+                // write of the whole unit supersedes the loss.
+                None if self.ledger.is_poisoned(w.lpn) => {
+                    return Err(FtlError::Integrity(IntegrityError::Poisoned(w.lpn)));
+                }
                 None => w.payload,
                 Some(Location::Buffer(slot)) => {
                     let old = self
@@ -839,12 +846,18 @@ impl Ftl {
 
     /// Makes sure the write points of `group` can take their pages: when
     /// one of them has no block open and the free pool is down to its
-    /// hard threshold, foreground GC collects until there is headroom or
+    /// reserve, foreground GC collects until there is headroom or
     /// nothing reclaimable is left (not fatal yet: free blocks may
     /// remain). It runs before the group takes any page: GC pages its
     /// migrated units out through the same rotation and may fill or open
     /// blocks on these very write points, so a page taken before it
     /// could be overtaken by GC's and programmed out of order.
+    ///
+    /// The reserve is the hard threshold, but never fewer blocks than
+    /// there are write points: every write point may roll over to a new
+    /// block inside one round — GC's own page-outs included, which do
+    /// not come back here — so a smaller reserve lets a round empty the
+    /// pool.
     fn make_room(&mut self, group: usize, at: SimTime) -> Result<(), FtlError> {
         if self.in_gc
             || !self
@@ -855,8 +868,11 @@ impl Ftl {
         {
             return Ok(());
         }
-        let threshold = self.config.gc_threshold_blocks as usize;
-        while self.pool.free_count() <= threshold
+        let reserve = self
+            .config
+            .gc_threshold_blocks
+            .max(self.config.write_points) as usize;
+        while self.pool.free_count() <= reserve
             && self.run_gc_round(at, GcTrigger::Foreground)?.is_some()
         {}
         Ok(())

@@ -1,7 +1,7 @@
 //! `#[cfg(test)] mod integrity_tests` of `ftl.rs`: checksum verification,
 //! quarantine, scrub, and what GC and SPOR do with rot.
 
-use super::tests::{one_shared_page, put, read_span, single_die_ftl};
+use super::tests::{one_shared_page, put, read_span, single_die_ftl, w};
 use super::*;
 use crate::config::MediaRetryPolicy;
 use checkin_flash::{FaultConfig, FaultPlan};
@@ -227,6 +227,47 @@ fn gc_poisons_destroyed_corrupt_units_and_write_heals() {
         f.read(Lpn(0), SimTime::ZERO).unwrap().0.fragments[0].version,
         9
     );
+    f.check_invariants().unwrap();
+}
+
+/// A write of part of a poisoned unit has nothing to merge with: were it
+/// to store its sectors and clear the loss record, the rest of the unit
+/// would vanish without an error. It fails typed and leaves the lpn
+/// poisoned; a whole-unit write still supersedes the loss.
+#[test]
+fn a_partial_write_over_a_poisoned_unit_fails_typed() {
+    let mut f = integrity_ftl();
+    for lpn in 0..8 {
+        put(&mut f, lpn, 1).unwrap();
+    }
+    f.flush(SimTime::ZERO).unwrap();
+    let victim_pun = flash_pun(&f, 0);
+    for lpn in 1..8 {
+        put(&mut f, lpn, 2).unwrap();
+    }
+    f.flush(SimTime::ZERO).unwrap();
+    assert!(f
+        .flash_mut()
+        .sabotage_corrupt_unit(victim_pun.page(1), 0, 1 << 5));
+    f.run_gc_round(SimTime::ZERO, GcTrigger::Background)
+        .unwrap();
+    let poisoned = FtlError::Integrity(IntegrityError::Poisoned(Lpn(0)));
+    assert_eq!(f.read(Lpn(0), SimTime::ZERO).unwrap_err(), poisoned);
+
+    let partial = UnitWrite {
+        whole_unit: false,
+        ..w(0, 0, 9, 512)
+    };
+    assert_eq!(
+        f.write(partial, OobKind::Journal, SimTime::ZERO),
+        Err(poisoned.clone())
+    );
+    assert_eq!(f.read(Lpn(0), SimTime::ZERO).unwrap_err(), poisoned);
+    f.check_invariants().unwrap();
+
+    put(&mut f, 0, 9).unwrap();
+    let (unit, _) = f.read(Lpn(0), SimTime::ZERO).unwrap();
+    assert_eq!(unit.fragments[0].version, 9);
     f.check_invariants().unwrap();
 }
 

@@ -104,6 +104,46 @@ fn write_points_keep_their_planes_under_gc() {
     }
 }
 
+/// Sixteen write points — one per plane of eight two-plane dies, as on
+/// the paper device — over a hard threshold of two blocks. A foreground
+/// GC round may roll every write point over to a new block, its own
+/// page-outs included, so foreground GC keeps a reserve of one block per
+/// write point: an overwrite soup at 80 % of capacity never finds the
+/// free pool empty.
+#[test]
+fn foreground_gc_keeps_a_block_per_write_point() {
+    check("foreground_gc_keeps_a_block_per_write_point", 3, |rng| {
+        let geometry = FlashGeometry {
+            channels: 4,
+            dies_per_channel: 2,
+            planes_per_die: 2,
+            blocks_per_plane: 6,
+            pages_per_block: 8,
+            page_bytes: 4096,
+        };
+        let config = FtlConfig {
+            unit_bytes: 512,
+            write_points: geometry.total_planes() as u32,
+            gc_threshold_blocks: 2,
+            gc_soft_threshold_blocks: 4,
+            write_buffer_units: 16,
+            ..FtlConfig::default()
+        };
+        let mut f = Ftl::new(FlashArray::new(geometry, FlashTiming::mlc()), config).unwrap();
+        assert!(config.write_points > config.gc_threshold_blocks);
+        let lpns = geometry.total_pages() * u64::from(f.upp) * 8 / 10;
+        let mut now = SimTime::ZERO;
+        for i in 0..20_000u64 {
+            let lpn = rng.below(lpns);
+            now = f
+                .write(w(lpn, lpn, i, 512), OobKind::Data, now)
+                .unwrap_or_else(|e| panic!("write {i}: {e} with {} free", f.free_block_count()));
+        }
+        assert!(f.counters.get(Counter::FtlGcInvocations) > 0);
+        f.check_invariants().unwrap();
+    });
+}
+
 /// Groups whose write points are not all at one page index (nor all
 /// without a block).
 fn groups_out_of_step(f: &Ftl) -> usize {

@@ -86,6 +86,16 @@ impl InFlight {
         }
     }
 
+    /// The instant [`InFlight::admit`] would answer for an operation
+    /// arriving at `at`, without admitting one: `at` while a slot is
+    /// free, else when the oldest completion frees one.
+    pub fn next_free(&self, at: SimTime) -> SimTime {
+        match self.latest.first() {
+            Some(oldest) if self.latest.len() == self.depth => at.max(oldest.at),
+            _ => at,
+        }
+    }
+
     /// Registers the completion instant of an admitted operation.
     pub fn complete(&mut self, done: SimTime) {
         let idx = self.latest.partition_point(|c| c.at <= done);
@@ -171,9 +181,13 @@ mod tests {
         let mut w = InFlight::new(4);
         let done = SimTime::from_nanos(1_000);
         for _ in 0..4 {
+            assert_eq!(w.next_free(SimTime::ZERO), SimTime::ZERO);
             assert_eq!(run(&mut w, SimTime::ZERO, done), SimTime::ZERO);
         }
-        // Fifth operation waits for a completion slot.
+        // Fifth operation waits for a completion slot; asking when one
+        // frees admits nothing.
+        assert_eq!(w.next_free(SimTime::ZERO), done);
+        assert_eq!(w.in_flight_at(SimTime::ZERO), 4);
         assert_eq!(w.admit(SimTime::ZERO), done);
         assert_eq!(w.in_flight_at(SimTime::ZERO), 4);
         assert_eq!(w.wait_all(), Some(done));

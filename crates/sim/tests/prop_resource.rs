@@ -170,9 +170,9 @@ fn a_driver_that_never_retires_never_starts_early() {
         let mut reference = Reference::default();
         let mut busy = 0u64;
         let mut now = 0u64;
-        // Enough bookings into the future, each leaving a gap behind it,
-        // for the list to reach its guard and forget.
-        for _ in 0..Resource::GAP_GUARD + 4_000 {
+        // Enough bookings into the future, six in seven leaving a gap
+        // behind them, for the list to reach its guard and forget.
+        for _ in 0..Resource::GAP_GUARD * 5 / 4 {
             now += rng.range_u64(0, 60);
             let at = match rng.weighted(&[6, 1]) {
                 0 => resource.available_at().as_nanos() + rng.range_u64(1, 200),

@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "Check-In turns checkpoint copies into FTL mapping updates: the\n\
          journal log already on flash *becomes* the data-area copy, so the\n\
-         redundant write count collapses and checkpoint-time tail latency\n\
-         disappears (paper, Figs. 8-9)."
+         redundant write count and the checkpoint time collapse (paper,\n\
+         Figs. 8 and 10)."
     );
     Ok(())
 }
