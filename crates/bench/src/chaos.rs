@@ -29,7 +29,9 @@ mod sweep;
 
 pub use sweep::{sweep, Sweep};
 
-use checkin_core::{CheckpointStep, EngineError, KvEngine, Layout, ReadResult, Strategy};
+use checkin_core::{
+    CheckpointPhase, CheckpointStep, EngineError, KvEngine, Layout, ReadResult, Strategy,
+};
 use checkin_flash::{
     FaultConfig, FaultOp, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OpPhase, Ppn,
 };
@@ -244,10 +246,12 @@ fn is_integrity(e: &EngineError) -> bool {
     matches!(e, EngineError::Ssd(s) if s.is_integrity())
 }
 
-/// Begins a checkpoint at `t` — ending a running one at once first — the
-/// trigger order of the system loop (`KvSystem::run`). Returns when the
-/// workload goes on: after the idle work of a checkpoint that ended in
-/// its begin, else at once, its copy left to [`pump_due`].
+/// Begins a checkpoint at `t`, ending a running one at once first, like
+/// the system loop's trigger (`KvSystem::run`) except that the new one
+/// begins after the drained one's [`idle_work`] (4 GC rounds, not
+/// `background_gc_rounds`), not at its finish. Returns when the workload
+/// goes on: after the idle work of a checkpoint that ended in its begin,
+/// else at once, its job left to [`pump_due`].
 fn begin_checkpoint(
     engine: &mut KvEngine,
     ssd: &mut Ssd,
@@ -272,7 +276,10 @@ fn pump_due(
     scrub_pages: u32,
     t: SimTime,
 ) -> Result<(), EngineError> {
-    while let Some(due) = engine.checkpoint_pump_due().filter(|&due| due <= t) {
+    while let CheckpointPhase::Pumped(due) = engine.checkpoint_phase(t) {
+        if due > t {
+            break;
+        }
         if let CheckpointStep::Done(out) = engine.pump_checkpoint(ssd, due)? {
             idle_work(ssd, scrub_pages, out.finish)?;
         }
@@ -405,7 +412,7 @@ fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
         shadow.ack_batch();
     };
     Driven {
-        paced: engine.checkpoint_pump_due().is_some(),
+        paced: matches!(engine.checkpoint_phase(t), CheckpointPhase::Pumped(_)),
         ssd,
         engine,
         shadow,

@@ -20,16 +20,18 @@
 //!
 //! A checkpoint is begun, pumped and finished ([`RunningCheckpoint`]):
 //! queries go on while its data moves, and every step books only what
-//! can start at its own instant. The Baseline's read-backs and rewrites
-//! and ISC-A's commands are host-issued I/O through a window of the
-//! checkpoint's own, as deep as the device's queue ([`HostJob`]); a
-//! batched command's copy class is the device's job
+//! can start at its own instant. One job ([`HostJob`]) moves the live
+//! entries for every strategy by one of the paper's three mechanisms
+//! ([`Mechanism`]): host-issued read-backs and rewrites (the Baseline)
+//! or CoW commands (ISC-A) through a window of the checkpoint's own, as
+//! deep as the device's queue, or one batched command, which the job's
+//! first step sends (`Ssd::begin_checkpoint`) and its later steps pump
 //! (`Ssd::pump_checkpoint`). The deletion trims, a batched command's
 //! decode, remap walk and gather, the superblock and the zone's trim
 //! are single bookings.
 
 use checkin_flash::{Fragment, OobKind, OpPhase};
-use checkin_sim::{Counter, CounterSet, InFlight, SimDuration, SimTime, Total};
+use checkin_sim::{Counter, CounterSet, InFlight, SimTime, Total};
 use checkin_ssd::{
     CheckpointMode, CowEntry, CpProgress, ReadRequest, Ssd, SsdError, WriteContent, WriteRequest,
     SECTOR_BYTES,
@@ -117,26 +119,19 @@ pub(crate) struct RunningCheckpoint {
     /// When the deletion tombstones were trimmed.
     drain_done: SimTime,
     tombstoned: u64,
-    /// The zone's live entries as device CoW entries, and — for the
-    /// Baseline and ISC-A — the host-issued I/O that moves them home.
-    host: HostJob,
-    /// Whether `host` is what the pump advances; a batched strategy's
-    /// pump advances the device's copy job instead.
-    host_paced: bool,
-    /// The Baseline's host copy: from the begin to its last rewrite.
-    host_copy_time: SimDuration,
-    /// When the data movement asks to be pumped next; `None` once it is
-    /// over, at `movement_done`.
-    next_pump: Option<SimTime>,
-    movement_done: SimTime,
+    /// The job that moves the zone's live entries home.
+    job: HostJob,
+    /// What the job's last step returned: when to pump it next, or when
+    /// its data movement ended.
+    progress: CpProgress,
     /// Counter deltas summed over the checkpoint's own device calls.
     own: CounterSet,
 }
 
 impl RunningCheckpoint {
     /// Begins checkpoint `seq` of `zone` with `strategy` at `at`: applies
-    /// the deletion tombstones, then starts moving every live entry home
-    /// — a batched command up to its scatter, the host-issued I/O of the
+    /// the deletion tombstones, then takes the job's first step — a
+    /// batched command up to its scatter, the host-issued I/O of the
     /// Baseline and ISC-A up to its first full window — and leaves the
     /// rest to [`RunningCheckpoint::pump`]. `spare` is the job a finished
     /// checkpoint handed back, whose buffers are reused.
@@ -153,20 +148,17 @@ impl RunningCheckpoint {
         // checkpoint's take at the end reflects only its own work.
         let _ = ssd.take_cp_phase_times();
         let depth = ssd.timing().queue_depth;
-        let mut host = spare
+        let mut job = spare
             .filter(|job| job.depth == depth)
             .unwrap_or_else(|| HostJob::new(depth));
-        host.load(layout, zone, strategy.checkpoint_mode(), at);
+        job.load(layout, zone, Mechanism::of(strategy), at);
         let mut cp = RunningCheckpoint {
             seq,
             start: at,
             drain_done: at,
             tombstoned: 0,
-            host,
-            host_paced: strategy.checkpoint_mode().is_none() || strategy.per_entry_commands(),
-            host_copy_time: SimDuration::ZERO,
-            next_pump: None,
-            movement_done: at,
+            job,
+            progress: CpProgress::PumpAt(at),
             own: CounterSet::new(),
         };
         // Deletion tombstones: the checkpoint applies them by trimming
@@ -183,60 +175,24 @@ impl RunningCheckpoint {
             }
         }
         cp.drain_done = done;
-        cp.movement_done = done;
-
-        match strategy.checkpoint_mode() {
-            Some(mode) if !cp.host_paced => {
-                if !cp.host.entries.is_empty() {
-                    let entries = &cp.host.entries;
-                    let progress = own_call(&mut cp.own, ssd, |ssd| {
-                        ssd.begin_checkpoint(entries, mode, at)
-                    })?;
-                    cp.advance(progress);
-                }
-            }
-            _ => cp.pump(ssd, at)?,
-        }
+        cp.pump(ssd, at)?;
         Ok(cp)
     }
 
     /// When the data movement asks to be pumped next, or `None` when the
     /// checkpoint is ready to [`finish`](RunningCheckpoint::finish).
     pub(crate) fn next_pump(&self) -> Option<SimTime> {
-        self.next_pump
+        match self.progress {
+            CpProgress::PumpAt(t) => Some(t),
+            CpProgress::Done(_) => None,
+        }
     }
 
-    /// One pump step of the data movement at `now`: of the host-issued
-    /// I/O for the Baseline and ISC-A, else of the device's copy job.
+    /// One step of the job at `now`.
     pub(crate) fn pump(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<(), SsdError> {
-        if !self.host_paced {
-            let progress = own_call(&mut self.own, ssd, |ssd| ssd.pump_checkpoint(now))?;
-            self.advance(progress);
-            return Ok(());
-        }
-        let host = &mut self.host;
-        // The Baseline's read-back-and-rewrite is its copy fallback;
-        // attribute its flash ops accordingly. ISC-A's commands attribute
-        // their own.
-        let progress = own_call(&mut self.own, ssd, |ssd| match host.cow {
-            None => ssd.in_phase(OpPhase::CheckpointCopy, |ssd| host.step(ssd, now)),
-            Some(_) => host.step(ssd, now),
-        })?;
-        if let (CpProgress::Done(done), None) = (progress, self.host.cow) {
-            self.host_copy_time = done.saturating_duration_since(self.start);
-        }
-        self.advance(progress);
+        let job = &mut self.job;
+        self.progress = own_call(&mut self.own, ssd, |ssd| job.step(ssd, now))?;
         Ok(())
-    }
-
-    fn advance(&mut self, progress: CpProgress) {
-        match progress {
-            CpProgress::PumpAt(t) => self.next_pump = Some(t),
-            CpProgress::Done(t) => {
-                self.next_pump = None;
-                self.movement_done = self.movement_done.max(t);
-            }
-        }
     }
 
     /// Ends the checkpoint once its data movement is over: persists the
@@ -248,8 +204,9 @@ impl RunningCheckpoint {
         layout: &Layout,
         zone: &RetiringZone,
     ) -> Result<(CheckpointOutcome, HostJob), SsdError> {
-        debug_assert!(self.next_pump.is_none(), "finish before the data movement");
-        let movement_done = self.movement_done;
+        debug_assert_eq!(self.next_pump(), None, "finish before the data movement");
+        let (CpProgress::Done(moved) | CpProgress::PumpAt(moved)) = self.progress;
+        let movement_done = self.drain_done.max(moved);
         let cp_times = ssd.take_cp_phase_times();
         // Data movement is complete; everything after this line (metadata,
         // trim) is bookkeeping, not redundant data writes.
@@ -289,7 +246,13 @@ impl RunningCheckpoint {
             remap: phase_ops(own, OpPhase::CheckpointRemap),
             remap_time: cp_times.remap,
             copy: phase_ops(own, OpPhase::CheckpointCopy),
-            copy_time: cp_times.copy + self.host_copy_time,
+            // A batched command's copy time is the device's; a
+            // host-issued job's is its own span, however many of its
+            // commands overlapped.
+            copy_time: match self.job.mechanism {
+                Mechanism::Batched(_) => cp_times.copy,
+                _ => moved.saturating_duration_since(self.start),
+            },
             meta: phase_ops(own, OpPhase::Meta),
             meta_time: meta_done.saturating_duration_since(movement_done),
             trim: phase_ops(own, OpPhase::Dealloc),
@@ -320,8 +283,8 @@ impl RunningCheckpoint {
         );
 
         let remapped = own.get(Counter::SsdRemapEntries);
-        let copied = own.get(Counter::SsdCopyEntries) + self.host.copied;
-        let skipped = own.get(Counter::SsdCowSkippedEntries) + self.host.skipped;
+        let copied = own.get(Counter::SsdCopyEntries) + self.job.copied;
+        let skipped = own.get(Counter::SsdCowSkippedEntries) + self.job.skipped;
         debug_assert_eq!(
             remapped + copied + skipped + self.tombstoned,
             zone.entries.len() as u64,
@@ -343,7 +306,7 @@ impl RunningCheckpoint {
             skipped,
             phases,
         };
-        Ok((outcome, self.host))
+        Ok((outcome, self.job))
     }
 }
 
@@ -371,26 +334,47 @@ struct Staged {
     read_done: SimTime,
 }
 
-/// A checkpoint's host-issued I/O, paced: the Baseline reads every live
-/// log back over the host interface and rewrites it home, ISC-A sends
-/// one CoW command per entry. The checkpoint thread has a submission
-/// queue of its own, as deep as the device's (`SsdTiming::queue_depth`),
-/// and a [`step`](HostJob::step) issues commands at its instant only
-/// while that window has room — so foreground commands submitted between
-/// two steps go ahead of the rest. Every command still goes through the
-/// device's shared queue. A rewrite follows its own read-back, not a
-/// barrier after all of them. The buffers are recycled from checkpoint
-/// to checkpoint; a batched strategy's checkpoint uses only the entry
-/// list, which it hands to the device's command.
+/// How a checkpoint moves its live entries home: the paper's three
+/// mechanisms (§IV-A).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mechanism {
+    /// The Baseline: every live log read back and rewritten home.
+    ReadBack,
+    /// ISC-A: one CoW command per entry.
+    PerEntry(CheckpointMode),
+    /// ISC-B, ISC-C and Check-In: one batched command per checkpoint.
+    Batched(CheckpointMode),
+}
+
+impl Mechanism {
+    fn of(strategy: Strategy) -> Self {
+        match strategy.checkpoint_mode() {
+            None => Mechanism::ReadBack,
+            Some(mode) if strategy.per_entry_commands() => Mechanism::PerEntry(mode),
+            Some(mode) => Mechanism::Batched(mode),
+        }
+    }
+}
+
+/// A checkpoint's data movement, paced. A batched command is one device
+/// command, sent by the first [`step`](HostJob::step) and scattered by
+/// the device at the later ones. The Baseline's read-backs and rewrites
+/// and ISC-A's commands are host-issued I/O: the checkpoint thread has a
+/// submission queue of its own, as deep as the device's
+/// (`SsdTiming::queue_depth`), and a step issues commands at its instant
+/// only while that window has room — so foreground commands submitted
+/// between two steps go ahead of the rest. Every command still goes
+/// through the device's shared queue. A rewrite follows its own
+/// read-back, not a barrier after all of them. The buffers are recycled
+/// from checkpoint to checkpoint.
 #[derive(Debug)]
 pub(crate) struct HostJob {
-    /// The job's own commands in flight, `depth` deep.
+    /// The job's own host-issued commands in flight, `depth` deep.
     window: InFlight,
     depth: usize,
-    /// ISC-A's command mode; `None` for the Baseline's read-back and
-    /// rewrite.
-    cow: Option<CheckpointMode>,
-    /// The zone's live entries, in key order, and the next to issue.
+    mechanism: Mechanism,
+    /// The zone's live entries, in key order, and the next to issue (all
+    /// of them once a batched command is sent).
     entries: Vec<CowEntry>,
     next: usize,
     /// Read-backs issued and not yet rewritten, in issue order.
@@ -398,10 +382,10 @@ pub(crate) struct HostJob {
     /// One read-back's fragments.
     frags: Vec<Fragment>,
     /// The Baseline's entries rewritten home, and those that read back
-    /// empty (fully superseded); ISC-A's are counted by the device.
+    /// empty (fully superseded); the device counts the others'.
     copied: u64,
     skipped: u64,
-    /// The latest completion of the job's commands.
+    /// The latest completion of the job's host-issued commands.
     acked: SimTime,
 }
 
@@ -410,7 +394,7 @@ impl HostJob {
         HostJob {
             window: InFlight::new(depth),
             depth,
-            cow: None,
+            mechanism: Mechanism::ReadBack,
             entries: Vec::new(),
             next: 0,
             staged: Vec::with_capacity(depth),
@@ -422,15 +406,8 @@ impl HostJob {
     }
 
     /// Takes `zone`'s live entries as the job's, to be moved home with
-    /// `cow` commands or (`None`) read back and rewritten, nothing issued
-    /// at `at`.
-    fn load(
-        &mut self,
-        layout: &Layout,
-        zone: &RetiringZone,
-        cow: Option<CheckpointMode>,
-        at: SimTime,
-    ) {
+    /// `mechanism`, nothing issued at `at`.
+    fn load(&mut self, layout: &Layout, zone: &RetiringZone, mechanism: Mechanism, at: SimTime) {
         self.entries.clear();
         self.entries.extend(
             zone.entries
@@ -451,7 +428,7 @@ impl HostJob {
                     merged: e.merged,
                 }),
         );
-        self.cow = cow;
+        self.mechanism = mechanism;
         self.next = 0;
         self.staged.clear();
         self.window.clear();
@@ -460,13 +437,33 @@ impl HostJob {
         self.acked = at;
     }
 
-    /// One pump step at `now`: while the window has room, issues the
+    /// One step of the data movement at `now`. A batched command is sent
+    /// by the first step (an empty batch sends none) and pumped by the
+    /// later ones; the host-issued mechanisms go through
+    /// [`issue`](HostJob::issue).
+    fn step(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<CpProgress, SsdError> {
+        match self.mechanism {
+            Mechanism::Batched(_) if self.entries.is_empty() => Ok(CpProgress::Done(now)),
+            Mechanism::Batched(mode) if self.next == 0 => {
+                self.next = self.entries.len();
+                ssd.begin_checkpoint(&self.entries, mode, now)
+            }
+            Mechanism::Batched(_) => ssd.pump_checkpoint(now),
+            // The Baseline's read-back-and-rewrite is its copy fallback;
+            // attribute its flash ops accordingly. ISC-A's commands
+            // attribute their own.
+            Mechanism::ReadBack => ssd.in_phase(OpPhase::CheckpointCopy, |s| self.issue(s, now)),
+            Mechanism::PerEntry(_) => self.issue(ssd, now),
+        }
+    }
+
+    /// Host-issued I/O at `now`: while the window has room, issues the
     /// rewrite of the first read-back that has completed by `now`, else
     /// the next entry's read-back (the Baseline) or CoW command (ISC-A).
     /// Then asks to be pumped again when the window frees a slot, or
     /// when the next read-back completes; the step that finds every
     /// command issued and acknowledged ends the data movement.
-    fn step(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<CpProgress, SsdError> {
+    fn issue(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<CpProgress, SsdError> {
         while self.window.next_free(now) == now {
             let done = if let Some(i) = self.staged.iter().position(|s| s.read_done <= now) {
                 let s = self.staged.remove(i);
@@ -483,9 +480,9 @@ impl HostJob {
                 ssd.write(&rewrite, OobKind::Data, now)?
             } else if let Some(&e) = self.entries.get(self.next) {
                 self.next += 1;
-                match self.cow {
-                    Some(mode) => ssd.cow_single(&e, mode, now)?,
-                    None => self.read_back(ssd, &e, now)?,
+                match self.mechanism {
+                    Mechanism::PerEntry(mode) => ssd.cow_single(&e, mode, now)?,
+                    _ => self.read_back(ssd, &e, now)?,
                 }
             } else {
                 break;
@@ -539,33 +536,11 @@ impl HostJob {
     }
 }
 
-/// Executes one checkpoint of `zone` with `strategy`, starting at `at`,
-/// to its end: its begin, every pump step at the instant the one before
-/// asked for, and its finish.
-///
-/// # Errors
-///
-/// Propagates device failures; the checkpoint is not atomic against
-/// device errors (they indicate simulator bugs or genuine out-of-space).
-pub fn run_checkpoint(
-    ssd: &mut Ssd,
-    strategy: Strategy,
-    layout: &Layout,
-    zone: &RetiringZone,
-    checkpoint_seq: u64,
-    at: SimTime,
-) -> Result<CheckpointOutcome, SsdError> {
-    let mut cp = RunningCheckpoint::begin(ssd, strategy, layout, zone, checkpoint_seq, at, None)?;
-    while let Some(t) = cp.next_pump() {
-        cp.pump(ssd, t)?;
-    }
-    cp.finish(ssd, layout, zone).map(|(outcome, _)| outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::journal::JournalManager;
+    use crate::KvEngine;
     use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
     use checkin_ftl::{Ftl, FtlConfig};
     use checkin_ssd::SsdTiming;
@@ -601,6 +576,20 @@ mod tests {
         t
     }
 
+    /// `setup`'s device under an engine: every key loaded (version 1,
+    /// 480 B), then keys `0..n` journaled once more (version 2, 480 B).
+    /// Returns when the last write was acknowledged.
+    fn journaled(strategy: Strategy, n: u64) -> (Ssd, KvEngine, SimTime) {
+        let (mut ssd, layout, _) = setup(strategy);
+        let mut engine = KvEngine::new(strategy, layout, 0.7);
+        let records: Vec<(u64, u32)> = (0..layout.record_count()).map(|k| (k, 480)).collect();
+        let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
+        for key in 0..n {
+            t = engine.update(&mut ssd, key, 480, t).unwrap();
+        }
+        (ssd, engine, t)
+    }
+
     fn verify_homes(ssd: &mut Ssd, layout: &Layout, n: u64, version: u64, t: SimTime) {
         for key in 0..n {
             let (frags, _) = ssd
@@ -625,12 +614,10 @@ mod tests {
     #[test]
     fn every_strategy_lands_data_at_home() {
         for strategy in Strategy::all() {
-            let (mut ssd, layout, mut jm) = setup(strategy);
-            let t = journal_some(&mut ssd, &mut jm, 16);
-            let zone = jm.begin_checkpoint();
-            let out = run_checkpoint(&mut ssd, strategy, &layout, &zone, 1, t).unwrap();
+            let (mut ssd, mut engine, t) = journaled(strategy, 16);
+            let out = engine.checkpoint(&mut ssd, t).unwrap();
             assert_eq!(out.entries, 16, "{strategy}");
-            verify_homes(&mut ssd, &layout, 16, 2, out.finish);
+            verify_homes(&mut ssd, engine.layout(), 16, 2, out.finish);
             ssd.ftl().check_invariants().unwrap();
         }
     }
@@ -645,20 +632,14 @@ mod tests {
         let mut journal_sectors = Vec::new();
         let mut stored_bytes = Vec::new();
         for strategy in [Strategy::IscC, Strategy::CheckIn] {
-            let (mut ssd, layout, mut jm) = setup(strategy);
-            let mut t = SimTime::ZERO;
+            let (mut ssd, mut engine, mut t) = journaled(strategy, 0);
             for (i, &bytes) in sizes.iter().cycle().take(64).enumerate() {
-                {
-                    let req = jm.append(i as u64 % 32, 2, bytes).unwrap();
-                    t = ssd.write(&req, OobKind::Journal, t).unwrap();
-                }
+                t = engine.update(&mut ssd, i as u64 % 32, bytes, t).unwrap();
             }
-            journal_sectors.push(jm.zone_used_sectors());
-            stored_bytes.push(jm.jmt().stored_bytes());
-            let zone = jm.begin_checkpoint();
-            let out = run_checkpoint(&mut ssd, strategy, &layout, &zone, 1, t).unwrap();
+            journal_sectors.push(engine.journal().zone_used_sectors());
+            stored_bytes.push(engine.journal().jmt().stored_bytes());
+            let out = engine.checkpoint(&mut ssd, t).unwrap();
             assert!(out.remapped > 0, "{strategy} should remap");
-            let _ = layout;
         }
         assert!(
             journal_sectors[1] < journal_sectors[0],
@@ -673,31 +654,20 @@ mod tests {
     fn checkin_merged_partials_copy_but_iscc_small_logs_remap() {
         // Sub-sector values: ISC-C pads them to whole sectors (remappable);
         // Check-In merges them (space-efficient, checkpoint copies).
-        let (mut ssd_c, layout_c, mut jm_c) = setup(Strategy::IscC);
-        let mut t = SimTime::ZERO;
+        let (mut ssd_c, mut engine_c, mut t) = journaled(Strategy::IscC, 0);
         for key in 0..10u64 {
-            {
-                let req = jm_c.append(key, 2, 150).unwrap();
-                t = ssd_c.write(&req, OobKind::Journal, t).unwrap();
-            }
+            t = engine_c.update(&mut ssd_c, key, 150, t).unwrap();
         }
-        let used_iscc = jm_c.zone_used_sectors();
-        let zone = jm_c.begin_checkpoint();
-        let out_c = run_checkpoint(&mut ssd_c, Strategy::IscC, &layout_c, &zone, 1, t).unwrap();
+        let used_iscc = engine_c.journal().zone_used_sectors();
+        let out_c = engine_c.checkpoint(&mut ssd_c, t).unwrap();
         assert_eq!(out_c.remapped, 10);
 
-        let (mut ssd_ci, layout_ci, mut jm_ci) = setup(Strategy::CheckIn);
-        let mut t = SimTime::ZERO;
+        let (mut ssd_ci, mut engine_ci, mut t) = journaled(Strategy::CheckIn, 0);
         for key in 0..10u64 {
-            {
-                let req = jm_ci.append(key, 2, 150).unwrap();
-                t = ssd_ci.write(&req, OobKind::Journal, t).unwrap();
-            }
+            t = engine_ci.update(&mut ssd_ci, key, 150, t).unwrap();
         }
-        let used_ci = jm_ci.zone_used_sectors();
-        let zone = jm_ci.begin_checkpoint();
-        let out_ci =
-            run_checkpoint(&mut ssd_ci, Strategy::CheckIn, &layout_ci, &zone, 1, t).unwrap();
+        let used_ci = engine_ci.journal().zone_used_sectors();
+        let out_ci = engine_ci.checkpoint(&mut ssd_ci, t).unwrap();
         assert_eq!(out_ci.copied, 10, "merged partials take the copy path");
         // 256-byte classes merge two per sector: half the journal space.
         assert!(used_ci <= used_iscc / 2 + 1, "{used_ci} vs {used_iscc}");
@@ -705,10 +675,8 @@ mod tests {
 
     #[test]
     fn baseline_moves_bytes_over_host_interface() {
-        let (mut ssd, layout, mut jm) = setup(Strategy::Baseline);
-        let t = journal_some(&mut ssd, &mut jm, 8);
-        let zone = jm.begin_checkpoint();
-        let out = run_checkpoint(&mut ssd, Strategy::Baseline, &layout, &zone, 1, t).unwrap();
+        let (mut ssd, mut engine, t) = journaled(Strategy::Baseline, 8);
+        let out = engine.checkpoint(&mut ssd, t).unwrap();
         assert!(
             out.host_bytes > 8 * 480,
             "host transfer: {}",
@@ -725,10 +693,8 @@ mod tests {
             Strategy::IscC,
             Strategy::CheckIn,
         ] {
-            let (mut ssd, layout, mut jm) = setup(strategy);
-            let t = journal_some(&mut ssd, &mut jm, 8);
-            let zone = jm.begin_checkpoint();
-            let out = run_checkpoint(&mut ssd, strategy, &layout, &zone, 1, t).unwrap();
+            let (mut ssd, mut engine, t) = journaled(strategy, 8);
+            let out = engine.checkpoint(&mut ssd, t).unwrap();
             // Only the metadata write moves host bytes.
             assert!(
                 out.host_bytes <= 8 * SECTOR_BYTES as u64,
@@ -759,24 +725,16 @@ mod tests {
                 RunningCheckpoint::begin(&mut ssd, strategy, &layout, &zone, 1, t, None).unwrap();
             let mut steps = 1;
             while let Some(due) = cp.next_pump() {
-                let staged: Vec<(u64, SimTime)> = cp
-                    .host
-                    .staged
-                    .iter()
-                    .map(|s| (s.key, s.read_done))
-                    .collect();
-                let copied = cp.host.copied;
+                let staged: Vec<(u64, SimTime)> =
+                    cp.job.staged.iter().map(|s| (s.key, s.read_done)).collect();
+                let copied = cp.job.copied;
                 cp.pump(&mut ssd, due).unwrap();
                 steps += 1;
                 let rewritten: Vec<&(u64, SimTime)> = staged
                     .iter()
-                    .filter(|(key, _)| !cp.host.staged.iter().any(|s| s.key == *key))
+                    .filter(|(key, _)| !cp.job.staged.iter().any(|s| s.key == *key))
                     .collect();
-                assert_eq!(
-                    cp.host.copied - copied,
-                    rewritten.len() as u64,
-                    "{strategy}"
-                );
+                assert_eq!(cp.job.copied - copied, rewritten.len() as u64, "{strategy}");
                 for (key, read_done) in rewritten {
                     assert!(*read_done <= due, "{strategy}: key {key} rewritten early");
                 }
@@ -811,20 +769,17 @@ mod tests {
     #[test]
     fn host_checkpoints_move_each_live_entry_once() {
         for strategy in [Strategy::Baseline, Strategy::IscA] {
-            let (mut ssd, layout, mut jm) = setup(strategy);
-            let keys = layout.record_count();
-            let mut t = journal_some(&mut ssd, &mut jm, keys);
+            let (mut ssd, mut engine, mut t) = journaled(strategy, 64);
+            let keys = engine.layout().record_count();
             for key in (0..keys).step_by(8) {
-                let req = jm.append_delete(key, 3).unwrap();
-                t = ssd.write(&req, OobKind::Journal, t).unwrap();
+                t = engine.delete(&mut ssd, key, t).unwrap();
             }
-            let zone = jm.begin_checkpoint();
             let cmds = |ssd: &Ssd| {
                 let c = ssd.counters();
                 c.get(Counter::SsdCmdRead) + c.get(Counter::SsdCmdCow)
             };
             let before = cmds(&ssd);
-            let out = run_checkpoint(&mut ssd, strategy, &layout, &zone, 1, t).unwrap();
+            let out = engine.checkpoint(&mut ssd, t).unwrap();
             assert_eq!(out.deleted, keys / 8, "{strategy}");
             assert_eq!(out.copied + out.skipped + out.deleted, keys, "{strategy}");
             assert_eq!(cmds(&ssd) - before, keys - keys / 8, "{strategy}");
@@ -833,20 +788,16 @@ mod tests {
 
     #[test]
     fn isca_issues_one_command_per_entry() {
-        let (mut ssd, layout, mut jm) = setup(Strategy::IscA);
-        let t = journal_some(&mut ssd, &mut jm, 12);
-        let zone = jm.begin_checkpoint();
-        run_checkpoint(&mut ssd, Strategy::IscA, &layout, &zone, 1, t).unwrap();
+        let (mut ssd, mut engine, t) = journaled(Strategy::IscA, 12);
+        engine.checkpoint(&mut ssd, t).unwrap();
         assert_eq!(ssd.counters().get(Counter::SsdCmdCow), 12);
         assert_eq!(ssd.counters().get(Counter::SsdCmdCheckpoint), 0);
     }
 
     #[test]
     fn iscb_issues_one_batched_command() {
-        let (mut ssd, layout, mut jm) = setup(Strategy::IscB);
-        let t = journal_some(&mut ssd, &mut jm, 12);
-        let zone = jm.begin_checkpoint();
-        run_checkpoint(&mut ssd, Strategy::IscB, &layout, &zone, 1, t).unwrap();
+        let (mut ssd, mut engine, t) = journaled(Strategy::IscB, 12);
+        engine.checkpoint(&mut ssd, t).unwrap();
         assert_eq!(ssd.counters().get(Counter::SsdCmdCow), 0);
         assert_eq!(ssd.counters().get(Counter::SsdCmdCheckpoint), 1);
     }
@@ -854,9 +805,8 @@ mod tests {
     #[test]
     fn empty_zone_checkpoint_is_cheap() {
         for strategy in Strategy::all() {
-            let (mut ssd, layout, mut jm) = setup(strategy);
-            let zone = jm.begin_checkpoint();
-            let out = run_checkpoint(&mut ssd, strategy, &layout, &zone, 1, SimTime::ZERO).unwrap();
+            let (mut ssd, mut engine, t) = journaled(strategy, 0);
+            let out = engine.checkpoint(&mut ssd, t).unwrap();
             assert_eq!(out.entries, 0);
             assert_eq!(out.remapped + out.copied, 0);
         }
@@ -864,11 +814,9 @@ mod tests {
 
     #[test]
     fn journal_trimmed_after_checkpoint() {
-        let (mut ssd, layout, mut jm) = setup(Strategy::CheckIn);
-        let t = journal_some(&mut ssd, &mut jm, 8);
-        let first_journal_lba = layout.journal_base(0);
-        let zone = jm.begin_checkpoint();
-        let out = run_checkpoint(&mut ssd, Strategy::CheckIn, &layout, &zone, 1, t).unwrap();
+        let (mut ssd, mut engine, t) = journaled(Strategy::CheckIn, 8);
+        let first_journal_lba = engine.layout().journal_base(0);
+        let out = engine.checkpoint(&mut ssd, t).unwrap();
         // Journal LBA no longer readable; home still is.
         let (frags, _) = ssd
             .read(
@@ -881,25 +829,20 @@ mod tests {
             )
             .unwrap();
         assert!(frags.is_empty(), "journal should be trimmed");
-        verify_homes(&mut ssd, &layout, 8, 2, out.finish);
+        verify_homes(&mut ssd, engine.layout(), 8, 2, out.finish);
     }
 
     #[test]
     fn merged_partials_checkpoint_correctly() {
-        let (mut ssd, layout, mut jm) = setup(Strategy::CheckIn);
-        let mut t = SimTime::ZERO;
+        let (mut ssd, mut engine, mut t) = journaled(Strategy::CheckIn, 10);
         // Small values -> PARTIAL -> merged sectors.
         for key in 0..10u64 {
-            {
-                let req = jm.append(key, 3, 100).unwrap();
-                t = ssd.write(&req, OobKind::Journal, t).unwrap();
-            }
+            t = engine.update(&mut ssd, key, 100, t).unwrap();
         }
-        let zone = jm.begin_checkpoint();
-        let out = run_checkpoint(&mut ssd, Strategy::CheckIn, &layout, &zone, 1, t).unwrap();
+        let out = engine.checkpoint(&mut ssd, t).unwrap();
         // Merged entries cannot remap.
         assert_eq!(out.remapped, 0);
         assert_eq!(out.copied, 10);
-        verify_homes(&mut ssd, &layout, 10, 3, out.finish);
+        verify_homes(&mut ssd, engine.layout(), 10, 3, out.finish);
     }
 }

@@ -97,6 +97,19 @@ pub enum CheckpointStep {
     Done(CheckpointOutcome),
 }
 
+/// Whether a checkpoint is in progress at some instant: see
+/// [`KvEngine::checkpoint_phase`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckpointPhase {
+    /// No checkpoint is in progress.
+    Idle,
+    /// A checkpoint is being pumped; its next step is due at this instant.
+    Pumped(SimTime),
+    /// The last checkpoint ended, but at this later instant: what its
+    /// last step booked is still under way.
+    Ending(SimTime),
+}
+
 /// The key-value storage engine.
 ///
 /// # Examples
@@ -137,6 +150,8 @@ pub struct KvEngine {
     /// log there (the zone is trimmed only at the end, so the log is
     /// still mapped).
     running: Option<(RetiringZone, RunningCheckpoint)>,
+    /// When the last checkpoint ended.
+    checkpoint_end: SimTime,
     /// The last finished checkpoint's job, whose buffers the next one
     /// reuses.
     spare_job: Option<HostJob>,
@@ -191,6 +206,7 @@ impl KvEngine {
             loaded: 0,
             checkpoint_seq: 0,
             running: None,
+            checkpoint_end: SimTime::ZERO,
             spare_job: None,
             counters: CounterSet::new(),
             tracer: Tracer::disabled(),
@@ -576,11 +592,15 @@ impl KvEngine {
         self.step(ssd)
     }
 
-    /// When the running checkpoint asks to be pumped next, or `None` when
-    /// no checkpoint is running.
-    pub fn checkpoint_pump_due(&self) -> Option<SimTime> {
-        let (_, checkpoint) = self.running.as_ref()?;
-        checkpoint.next_pump()
+    /// Whether a checkpoint is in progress at `now`: one being pumped,
+    /// whatever `now` is, else the last one while `now` is before its
+    /// end — a checkpoint's last step books up to that end at once.
+    pub fn checkpoint_phase(&self, now: SimTime) -> CheckpointPhase {
+        match self.running.as_ref().and_then(|(_, cp)| cp.next_pump()) {
+            Some(due) => CheckpointPhase::Pumped(due),
+            None if now < self.checkpoint_end => CheckpointPhase::Ending(self.checkpoint_end),
+            None => CheckpointPhase::Idle,
+        }
     }
 
     /// Ends the running checkpoint at once — every remaining pump step,
@@ -596,7 +616,7 @@ impl KvEngine {
         &mut self,
         ssd: &mut Ssd,
     ) -> Result<Option<CheckpointOutcome>, EngineError> {
-        let Some(due) = self.checkpoint_pump_due() else {
+        let Some(due) = self.running.as_ref().and_then(|(_, cp)| cp.next_pump()) else {
             return Ok(None);
         };
         self.counters.incr(Counter::EngineCheckpointsDrained);
@@ -629,6 +649,7 @@ impl KvEngine {
             return Ok(CheckpointStep::PumpAt(t));
         }
         let (outcome, job) = checkpoint.finish(ssd, &self.layout, &zone)?;
+        self.checkpoint_end = outcome.finish;
         self.spare_job = Some(job);
         self.journal.recycle_zone(zone);
         self.counters.incr(Counter::EngineCheckpoints);
@@ -887,7 +908,7 @@ mod tests {
         let CheckpointStep::PumpAt(due) = engine.begin_checkpoint(&mut ssd, t).unwrap() else {
             panic!("a copy class is pumped");
         };
-        assert_eq!(engine.checkpoint_pump_due(), Some(due));
+        assert_eq!(engine.checkpoint_phase(t), CheckpointPhase::Pumped(due));
         assert_eq!(
             engine.begin_checkpoint(&mut ssd, t),
             Err(EngineError::CheckpointRunning)
@@ -911,6 +932,46 @@ mod tests {
         assert_eq!((r.version, r.from_journal), (2, false));
         let r = engine.get(&mut ssd, 0, r.finish).unwrap();
         assert_eq!((r.version, r.from_journal), (3, true));
+    }
+
+    /// One state says whether a checkpoint is in progress. A paced one
+    /// (ISC-B copies) is pumped from its begin to its last step, whatever
+    /// the instant, and ending until its finish; one that ends in its
+    /// begin (ISC-C remaps every log) is ending from there.
+    #[test]
+    fn a_checkpoint_goes_from_idle_through_pumped_and_ending_to_idle() {
+        for strategy in [Strategy::IscB, Strategy::IscC] {
+            let (mut ssd, mut engine) = setup(strategy);
+            let records: Vec<(u64, u32)> = (0..32).map(|k| (k, 2048)).collect();
+            let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
+            for k in 0..32 {
+                t = engine.update(&mut ssd, k, 2048, t).unwrap();
+            }
+            assert_eq!(engine.checkpoint_phase(t), CheckpointPhase::Idle);
+            let mut step = engine.begin_checkpoint(&mut ssd, t).unwrap();
+            let mut last = t;
+            let out = loop {
+                match step {
+                    CheckpointStep::PumpAt(due) => {
+                        assert_eq!(strategy, Strategy::IscB);
+                        for now in [t, due] {
+                            let phase = engine.checkpoint_phase(now);
+                            assert_eq!(phase, CheckpointPhase::Pumped(due), "{strategy}");
+                        }
+                        last = due;
+                        step = engine.pump_checkpoint(&mut ssd, due).unwrap();
+                    }
+                    CheckpointStep::Done(out) => break out,
+                }
+            };
+            assert_eq!(last > t, strategy == Strategy::IscB, "{strategy} is pumped");
+            assert!(last < out.finish, "{strategy}: {last:?} {:?}", out.finish);
+            let ending = CheckpointPhase::Ending(out.finish);
+            assert_eq!(engine.checkpoint_phase(t), ending, "{strategy}");
+            assert_eq!(engine.checkpoint_phase(last), ending, "{strategy}");
+            let idle = engine.checkpoint_phase(out.finish);
+            assert_eq!(idle, CheckpointPhase::Idle, "{strategy}");
+        }
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!   layer, including **sector-aligned journaling** (the paper's
 //!   Algorithm 2, [`align_log`]) and the double-buffered journal area;
 //! * [`Strategy`] — the five evaluated configurations (Baseline, ISC-A,
-//!   ISC-B, ISC-C, Check-In) and [`run_checkpoint`], which executes a
-//!   checkpoint with any of them; a checkpoint is begun, pumped and
-//!   ended ([`KvEngine::begin_checkpoint`], [`CheckpointStep`]), so that
-//!   queries run between the steps of its data movement;
+//!   ISC-B, ISC-C, Check-In); a checkpoint is begun, pumped and ended
+//!   ([`KvEngine::begin_checkpoint`], [`CheckpointStep`]), so that
+//!   queries run between the steps of its data movement, and the engine
+//!   alone says whether one is in progress ([`CheckpointPhase`]);
 //! * [`KvSystem`] — a deterministic closed-loop simulation of N client
 //!   threads over the engine and a fully modelled SSD
 //!   ([`checkin_ssd::Ssd`] over [`checkin_ftl::Ftl`] over
@@ -88,9 +88,11 @@ mod metrics;
 mod parallel;
 mod system;
 
-pub use checkpoint::{run_checkpoint, CheckpointOutcome, SUPERBLOCK_KEY};
+pub use checkpoint::{CheckpointOutcome, SUPERBLOCK_KEY};
 pub use config::{Strategy, SystemConfig};
-pub use engine::{CheckpointStep, EngineError, KvEngine, ReadResult, RecoveryReport};
+pub use engine::{
+    CheckpointPhase, CheckpointStep, EngineError, KvEngine, ReadResult, RecoveryReport,
+};
 pub use journal::{
     align_log, align_log_to, raw_log_bytes, AlignedLog, Jmt, JmtEntry, JournalFull, JournalManager,
     JournalOptions, LogClass, RetiringZone, CLASS_STEP, LOG_HEADER_BYTES,

@@ -24,7 +24,7 @@ use checkin_workload::{OpGenerator, Operation};
 
 use crate::checkpoint::CheckpointOutcome;
 use crate::config::SystemConfig;
-use crate::engine::{CheckpointStep, EngineError, KvEngine};
+use crate::engine::{CheckpointPhase, CheckpointStep, EngineError, KvEngine};
 use crate::layout::Layout;
 use crate::metrics::{
     CheckpointPhases, DeviceUtilization, LatencyStats, RunReport, UtilizationSpread,
@@ -34,7 +34,7 @@ use crate::metrics::{
 enum Event {
     Client(u32),
     CheckpointTick,
-    /// A pump step of the running checkpoint's copy job is due.
+    /// A step of the running checkpoint's job is due.
     CheckpointPump,
 }
 
@@ -95,9 +95,6 @@ struct RunLoop {
     /// Lock mode: clients parked until the running checkpoint ends.
     parked: Vec<u32>,
     cp: CpAccum,
-    /// When the last checkpoint ended — later than the present while one
-    /// that ended in its begin is still booked.
-    cp_active_until: SimTime,
     /// When the idle work behind the last checkpoint ended.
     idle_done: SimTime,
 }
@@ -111,7 +108,6 @@ impl RunLoop {
             pump_queued: None,
             parked: Vec::with_capacity(threads as usize),
             cp: CpAccum::new(),
-            cp_active_until: SimTime::ZERO,
             idle_done: SimTime::ZERO,
         }
     }
@@ -358,19 +354,23 @@ impl KvSystem {
         let mut lat_write_cp = LatencyRecorder::new();
         let mut pops = 0u64;
 
-        // The last query's completion does not end the run while a
-        // checkpoint is still being pumped: it ends with that checkpoint.
-        while completed < self.config.total_queries || self.engine.checkpoint_pump_due().is_some() {
+        while let Some((now, event)) = run.events.pop() {
             // Each pop schedules at most one successor of its own kind —
             // the next tick, the client's next batch or, in lock mode,
             // the client it just popped, the next pump — and a checkpoint
             // end re-queues at most the parked clients, whose events it
             // had taken out: the population the queue was sized for
             // still holds.
-            debug_assert!(run.events.len() <= population);
-            let Some((now, event)) = run.events.pop() else {
+            debug_assert!(run.events.len() < population);
+            // The last query's completion does not end the run while a
+            // checkpoint is still being pumped: it ends with that
+            // checkpoint.
+            let phase = self.engine.checkpoint_phase(now);
+            if completed == self.config.total_queries
+                && !matches!(phase, CheckpointPhase::Pumped(_))
+            {
                 break;
-            };
+            }
             // Events pop in time order and book nothing before their own
             // instant, so the timelines may forget what is over by `now`.
             // Retiring is garbage collection: how often it runs changes
@@ -380,7 +380,6 @@ impl KvSystem {
                 self.ssd.retire_before(now);
                 host.retire_before(now);
             }
-            let running = self.engine.checkpoint_pump_due().is_some();
             match event {
                 Event::CheckpointTick if completed == self.config.total_queries => {
                     // The queries are done: the running checkpoint ends
@@ -390,7 +389,9 @@ impl KvSystem {
                     }
                 }
                 Event::CheckpointTick => {
-                    if (running || now >= run.cp_active_until)
+                    // A pumped checkpoint is drained, one still ending
+                    // is not begun over.
+                    if !matches!(phase, CheckpointPhase::Ending(_))
                         && !self.engine.journal().jmt().is_empty()
                     {
                         self.checkpoint_then_idle(now, &mut run)?;
@@ -400,8 +401,8 @@ impl KvSystem {
                 }
                 Event::CheckpointPump => {
                     run.pump_queued = None;
-                    match self.engine.checkpoint_pump_due() {
-                        Some(due) if due == now => {
+                    match phase {
+                        CheckpointPhase::Pumped(due) if due == now => {
                             match self.engine.pump_checkpoint(&mut self.ssd, now)? {
                                 CheckpointStep::PumpAt(t) => run.queue_pump(t),
                                 CheckpointStep::Done(out) => {
@@ -411,24 +412,25 @@ impl KvSystem {
                         }
                         // Queued for a checkpoint a trigger drained; the
                         // one it began is due later.
-                        Some(due) => run.queue_pump(due),
-                        None => {}
+                        CheckpointPhase::Pumped(due) => run.queue_pump(due),
+                        CheckpointPhase::Ending(_) | CheckpointPhase::Idle => {}
                     }
                 }
                 Event::Client(thread) => {
                     if quota[thread as usize] == 0 {
                         continue;
                     }
-                    if self.config.lock_queries_during_checkpoint {
-                        if running {
+                    // Lock mode: a client waits parked for a pumped
+                    // checkpoint's end, or re-queued for the end of one
+                    // still ending.
+                    if self.config.lock_queries_during_checkpoint && phase != CheckpointPhase::Idle
+                    {
+                        if let CheckpointPhase::Ending(until) = phase {
+                            run.events.schedule(until, Event::Client(thread));
+                        } else {
                             run.parked.push(thread);
-                            continue;
                         }
-                        if now < run.cp_active_until {
-                            run.events
-                                .schedule(run.cp_active_until, Event::Client(thread));
-                            continue;
-                        }
+                        continue;
                     }
                     // Admit up to `admission_batch` operations from this
                     // client under a single queue event. The whole burst is
@@ -445,8 +447,7 @@ impl KvSystem {
                     debug_assert!(now < next_tick || self.config.admission_batch == 1);
                     let mut batch_end = now;
                     for _ in 0..self.config.admission_batch {
-                        let during_cp = now < run.cp_active_until
-                            || self.engine.checkpoint_pump_due().is_some();
+                        let during_cp = self.engine.checkpoint_phase(now) != CheckpointPhase::Idle;
                         let op = self.generators[thread as usize].next_op();
                         let cpu = host.schedule(now, self.config.host_cpu_per_op).1;
                         let finish = self.execute_op(op, cpu.finish, &mut run)?;
@@ -481,8 +482,7 @@ impl KvSystem {
                         if op.is_write()
                             && self.engine.journal().zone_used_sectors()
                                 >= self.config.journal_trigger_sectors
-                            && self.engine.checkpoint_pump_due().is_none()
-                            && finish >= run.cp_active_until
+                            && self.engine.checkpoint_phase(finish) == CheckpointPhase::Idle
                         {
                             self.checkpoint_then_idle(finish, &mut run)?;
                             break;
@@ -648,7 +648,6 @@ impl KvSystem {
             .background_scrub(gc_done, self.config.scrub_pages_per_idle)
             .map_err(EngineError::Ssd)?;
         run.idle_done = run.idle_done.max(gc_done).max(scrub_done);
-        run.cp_active_until = out.finish;
         for thread in run.parked.drain(..) {
             run.events.schedule(out.finish, Event::Client(thread));
         }
@@ -830,8 +829,9 @@ mod tests {
         );
         assert_eq!(report.checkpoints, checkpoints);
         assert!(counters.get(Counter::SsdCpPumpSteps) > checkpoints);
-        assert_eq!(system.engine().checkpoint_pump_due(), None);
-        assert_eq!(system.ssd().checkpoint_pump_due(), None);
+        let (engine, ssd) = system.verify_parts();
+        assert_eq!(engine.checkpoint_phase(SimTime::MAX), CheckpointPhase::Idle);
+        assert_eq!(ssd.drain_checkpoint().unwrap(), None);
         system.ssd().ftl().check_invariants().unwrap();
     }
 
@@ -856,7 +856,8 @@ mod tests {
         );
         assert_eq!(report.checkpoints, checkpoints);
         assert_eq!(report.copied_entries, report.checkpoint_entries);
-        assert_eq!(system.engine().checkpoint_pump_due(), None);
+        let phase = system.engine().checkpoint_phase(SimTime::MAX);
+        assert_eq!(phase, CheckpointPhase::Idle);
         system.ssd().ftl().check_invariants().unwrap();
     }
 
@@ -881,21 +882,73 @@ mod tests {
             }
             let mut run = RunLoop::new(1);
             let done = system.update_with_retry(0, 4096, t, &mut run).unwrap();
-            let due = system.engine().checkpoint_pump_due();
-            assert_eq!(due.is_some(), paced, "{strategy}");
-            assert_eq!(run.pump_queued, due, "{strategy}");
             assert_eq!(run.cp.count, u64::from(!paced), "{strategy}");
-            if !paced {
-                assert!(run.cp_active_until > t, "{strategy}");
-                assert!(run.idle_done >= run.cp_active_until, "{strategy}");
-                let scrubs = system
-                    .ssd()
-                    .counters()
-                    .get(Counter::SsdBackgroundScrubRounds);
-                assert_eq!(scrubs, 1, "{strategy}");
+            match system.engine().checkpoint_phase(t) {
+                CheckpointPhase::Pumped(due) => {
+                    assert!(paced, "{strategy}");
+                    assert_eq!(run.pump_queued, Some(due), "{strategy}");
+                }
+                CheckpointPhase::Ending(until) => {
+                    assert!(!paced, "{strategy}");
+                    assert_eq!(run.pump_queued, None, "{strategy}");
+                    assert!(until > t, "{strategy}");
+                    assert!(run.idle_done >= until, "{strategy}");
+                    let scrubs = system
+                        .ssd()
+                        .counters()
+                        .get(Counter::SsdBackgroundScrubRounds);
+                    assert_eq!(scrubs, 1, "{strategy}");
+                }
+                CheckpointPhase::Idle => panic!("{strategy}: the checkpoint is over at {t:?}"),
             }
             assert!(done > t, "{strategy}");
             assert_eq!(system.engine().version_of(0).map(|v| v > 1), Some(true));
+        }
+    }
+
+    /// A checkpoint's phase times are spans inside it: none sums to more
+    /// than every checkpoint at the longest one's length, however many
+    /// of its commands overlapped (ISC-A keeps a queue-deep window of
+    /// CoW commands in flight).
+    #[test]
+    fn phase_times_fit_inside_the_checkpoints() {
+        for strategy in Strategy::all() {
+            let report = KvSystem::new(quick_config(strategy))
+                .unwrap()
+                .run()
+                .unwrap();
+            assert!(report.checkpoints > 0, "{strategy}");
+            let bound = report.checkpoint_max * report.checkpoints;
+            let p = report.checkpoint_phases;
+            for (name, time) in [
+                ("drain", p.drain_time),
+                ("remap", p.remap_time),
+                ("copy", p.copy_time),
+                ("meta", p.meta_time),
+                ("trim", p.trim_time),
+            ] {
+                assert!(time <= bound, "{strategy}: {name} {time:?} > {bound:?}");
+            }
+        }
+    }
+
+    /// Lock mode admits no query while a checkpoint is in progress, so
+    /// none is recorded inside one — the phase that parks clients is the
+    /// one that classifies latencies.
+    #[test]
+    fn lock_mode_records_no_query_inside_a_checkpoint() {
+        for strategy in Strategy::all() {
+            let mut c = quick_config(strategy);
+            c.lock_queries_during_checkpoint = true;
+            c.checkpoint_interval = SimDuration::from_millis(5);
+            let report = KvSystem::new(c).unwrap().run().unwrap();
+            assert!(
+                report.checkpoints >= 10,
+                "{strategy}: {}",
+                report.checkpoints
+            );
+            assert_eq!(report.latency_read_during_cp.count, 0, "{strategy}");
+            assert_eq!(report.latency_write_during_cp.count, 0, "{strategy}");
         }
     }
 

@@ -668,12 +668,6 @@ impl Ssd {
         }
     }
 
-    /// When the running checkpoint command's next pump step is due, or
-    /// `None` when no command is running.
-    pub fn checkpoint_pump_due(&self) -> Option<SimTime> {
-        self.copy_job.running.then_some(self.copy_job.next_at)
-    }
-
     /// Finishes the running checkpoint command at once: every remaining
     /// pump step, each at the instant the one before asked for. Returns
     /// when the command completed, or `None` when none was running.
@@ -1348,7 +1342,7 @@ mod tests {
         assert_eq!(waits, 15);
         assert_eq!(s.counters().get(Counter::SsdCpPumpSteps), waits + 1);
         assert_eq!(s.counters().get(Counter::SsdCopyEntries), 256);
-        assert_eq!(s.checkpoint_pump_due(), None);
+        assert_eq!(s.drain_checkpoint().unwrap(), None, "the command completed");
     }
 
     /// A begun copy checkpoint asks for its first step at the gather's
@@ -1363,7 +1357,6 @@ mod tests {
         else {
             panic!("a copy class is scattered by the pump");
         };
-        assert_eq!(s.checkpoint_pump_due(), Some(first));
         assert!(!s.ftl().is_mapped(Lpn(0)), "nothing written before a step");
         let again = s
             .begin_checkpoint(&entries, CheckpointMode::Copy, first)
@@ -1386,6 +1379,22 @@ mod tests {
             };
             assert_eq!(s.read(&req, done).unwrap().0.len(), 1, "key {i} home");
         }
+    }
+
+    /// The instant a step returns is the one the device holds the next
+    /// step to: not a nanosecond earlier.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a pump step before it is due")]
+    fn a_pump_step_before_its_instant_is_refused() {
+        let (mut s, entries, idle) = paced_copy_fixture();
+        let CpProgress::PumpAt(first) = s
+            .begin_checkpoint(&entries, CheckpointMode::Copy, idle)
+            .unwrap()
+        else {
+            panic!("a copy class is scattered by the pump");
+        };
+        let _ = s.pump_checkpoint(first - SimDuration::from_nanos(1));
     }
 
     #[test]

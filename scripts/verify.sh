@@ -15,10 +15,10 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== cargo test --release (checkin-core and checkin-sim libs)"
+echo "== cargo test --release (checkin-core, checkin-sim and checkin-ssd libs)"
 # Release builds compile `debug_assert!` out: a test that expects one to
 # fire must be gated on `debug_assertions`, or this profile goes red.
-cargo test --release -p checkin-core -p checkin-sim --lib -q
+cargo test --release -p checkin-core -p checkin-sim -p checkin-ssd --lib -q
 
 echo "== kvbench builds against the workspace, and its unit tests pass"
 # `benchmark/kvbench` is a package of its own (path deps on the
@@ -33,8 +33,8 @@ echo "== lab"
 # The one measurement run (DESIGN.md §8): three GC-pressured workloads,
 # exact simulated cost of a remap vs a copy checkpoint, and every figure
 # and table of the paper as rows beside the paper's numbers. No options
-# but the output path; about half a minute on two cores, of which the
-# figures are 27 s. Exits non-zero only on its seven gates (a remap
+# but the output path; 67-86 s on two cores for its 857 rows, most of
+# it the figures. Exits non-zero only on its seven gates (a remap
 # checkpoint does no flash I/O; a read costs what the record occupies;
 # a write waits for a programming slot, not a program; a die programs
 # its two planes in one tPROG; a mapping walk misses once per segment;

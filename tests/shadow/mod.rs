@@ -8,7 +8,9 @@
 // Each test target uses only part of the module.
 #![allow(dead_code)]
 
-use checkin_core::{CheckpointOutcome, CheckpointStep, EngineError, KvEngine, Layout, Strategy};
+use checkin_core::{
+    CheckpointOutcome, CheckpointPhase, CheckpointStep, EngineError, KvEngine, Layout, Strategy,
+};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
 use checkin_ftl::{Ftl, FtlConfig};
 use checkin_sim::SimTime;
@@ -325,7 +327,10 @@ impl Harness {
     fn stepped(&mut self, step: Result<CheckpointStep, EngineError>) {
         match step.unwrap_or_else(|e| panic!("{} checkpoint step: {e}", self.strategy)) {
             CheckpointStep::PumpAt(due) => {
-                assert_eq!(self.engine.checkpoint_pump_due(), Some(due));
+                assert_eq!(
+                    self.engine.checkpoint_phase(self.t),
+                    CheckpointPhase::Pumped(due)
+                );
                 self.pump_due = Some(due);
             }
             CheckpointStep::Done(out) => self.ended(out),
@@ -335,9 +340,9 @@ impl Harness {
     /// A checkpoint ended: every key of its zone is home, and the shadow
     /// holds against the engine and the device.
     fn ended(&mut self, out: CheckpointOutcome) {
-        assert_eq!(self.engine.checkpoint_pump_due(), None);
         self.pump_due = None;
         self.t = self.t.max(out.finish);
+        assert_eq!(self.engine.checkpoint_phase(self.t), CheckpointPhase::Idle);
         self.tally.checkpoints += 1;
         self.retiring.fill(false);
         self.check_every_key();
