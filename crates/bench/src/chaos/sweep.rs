@@ -60,14 +60,19 @@ impl Sweep {
         }
     }
 
-    /// Runs one row and adds it to the totals — unless it is pinned as a
-    /// [`known_defect`]: an expected failure stays out of the totals, and
-    /// must still fail for the recorded reason or the pin is stale.
+    /// Runs one row and adds it to the totals.
     fn judge(&mut self, sc: &Scenario, typed_ok: bool) -> Outcome {
+        self.judge_pinned(sc, typed_ok, None)
+    }
+
+    /// [`Sweep::judge`], unless the row is pinned as the [`known_defect`]
+    /// `pin`: an expected failure stays out of the totals, and must still
+    /// fail for the recorded reason or the pin is stale.
+    fn judge_pinned(&mut self, sc: &Scenario, typed_ok: bool, pin: Option<&str>) -> Outcome {
         let o = run(sc, typed_ok, false);
         self.combos += 1;
         let v = o.verdict;
-        match known_defect(sc) {
+        match pin {
             None => self.total.absorb(v),
             Some(name) => {
                 println!("  expected failure {name}: {} acked keys lost", v.losses);
@@ -614,7 +619,10 @@ fn composed_seed(tag: u64, n: u64, strategy: Strategy) -> u64 {
 }
 
 /// Rows pinned as expected failures, by the name of the product defect
-/// they trip (EXPERIMENTS.md "Chaos sweep"; ROADMAP item 5).
+/// they trip (EXPERIMENTS.md "Chaos sweep"; ROADMAP item 9(c)). A row is
+/// named by its tier, strategy and seed and, for a tier that cuts power
+/// at ticks spread over a traced profile, by the cut's index in that
+/// spread: a timing change moves the ticks, not the row.
 ///
 /// `misdirect-scrambles-its-own-record`: a misdirected program scrambles
 /// a page's OOB records along with its data, so after a power cut nothing
@@ -626,12 +634,11 @@ fn composed_seed(tag: u64, n: u64, strategy: Strategy) -> u64 {
 /// the page; closing this takes redundancy the device does not have (a
 /// second copy of a page's OOB records, or the mapping delta since the
 /// last persist dumped on capacitor power).
-fn known_defect(sc: &Scenario) -> Option<&'static str> {
-    let f = sc.faults?;
+fn known_defect(sc: &Scenario, cut: usize) -> Option<&'static str> {
     let pinned = sc.tier == "composed-misdirect"
         && sc.strategy == Strategy::IscC
         && sc.seed == composed_seed(MISDIRECTS, 0, Strategy::IscC)
-        && f.power_cut_after == Some(1345);
+        && cut == 0;
     pinned.then_some("misdirect-scrambles-its-own-record")
 }
 
@@ -668,12 +675,13 @@ fn composed_tier(s: &mut Sweep) {
             // noise and misdirects replay identically up to the tick.
             let programs = ticks_where(&profile(&base), |op, _| op == FaultOp::Program);
             let cuts = spread(&programs, 3);
-            for &tick in &cuts {
+            for (i, &tick) in cuts.iter().enumerate() {
                 let faults = base.faults.map(|f| FaultConfig {
                     power_cut_after: Some(tick),
                     ..f
                 });
-                outs.push(s.judge(&Scenario { faults, ..base }, true));
+                let pin = known_defect(&base, i);
+                outs.push(s.judge_pinned(&Scenario { faults, ..base }, true, pin));
             }
             println!("  {:<9} {}: cuts at {cuts:?}", strategy.label(), base.tier);
         }

@@ -27,20 +27,23 @@
 //!   and waits as any read does once the finish was handed out. And what
 //!   such a read waits for when it is issued during a copy checkpoint's
 //!   scatter: one program when the scatter is paced, all but one when it
-//!   is booked as a burst.
+//!   is booked as a burst. And what one waits for when it is issued at
+//!   a step of a checkpoint command's walk or gather, or of a trim: that
+//!   one step's booking.
 //! * **`paper`** — every figure and table of the paper's evaluation
 //!   ([`crate::figures`]), the paper's own number beside the measured
 //!   one where it states one.
 //!
-//! Seven conditions fail a run, all exact: a remap checkpoint must do no
+//! Eight conditions fail a run, all exact: a remap checkpoint must do no
 //! flash I/O where a copy checkpoint reads and rewrites every log, a
 //! home read must cost what the record occupies, a write must wait for a
 //! programming slot, not for a program, a die must program a page on
 //! each of its planes in one tPROG — the pages of one call, and an
 //! FTL's page-outs one such call each — a mapping walk must miss once per
 //! segment, a foreground read must not wait for a program whose finish
-//! nobody has seen, and one issued during a paced scatter must wait out
-//! at most one of its programs. `cargo test` checks them as well (this
+//! nobody has seen, one issued during a paced scatter must wait out at
+//! most one of its programs, and one issued at a walk, gather or trim
+//! step at most that step. `cargo test` checks them as well (this
 //! module's tests).
 
 use std::collections::BTreeSet;
@@ -71,18 +74,20 @@ pub struct Lab {
     /// busy two-plane die finish and how many tPROGs page-filling writes
     /// book on an idle one, what three mapping walks cost the
     /// firmware, what four foreground reads wait for on a
-    /// programming die, and what one waits for during a copy
-    /// checkpoint's scatter, paced and as a burst.
+    /// programming die, what one waits for during a copy
+    /// checkpoint's scatter, paced and as a burst, and what one waits
+    /// for at a walk, gather or trim step.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// All seven gates held: a remap checkpoint did no flash I/O, a read
+    /// All eight gates held: a remap checkpoint did no flash I/O, a read
     /// cost what the record occupies, a write waited for a programming
     /// slot, not for a program, a die programmed a plane pair — and only
     /// the pages of one call — in one tPROG, a mapping walk missed once
     /// per segment, a foreground read did not wait for a program whose
-    /// finish nobody had seen, and one issued during a paced scatter
-    /// waited out at most one of its programs.
+    /// finish nobody had seen, one issued during a paced scatter
+    /// waited out at most one of its programs, and one issued at a walk,
+    /// gather or trim step at most that step.
     pub passed: bool,
 }
 
@@ -97,10 +102,11 @@ impl Lab {
     }
 }
 
-/// Measures all three sections and judges the seven gates.
+/// Measures all three sections and judges the eight gates.
 pub fn run() -> Lab {
     let gc = gc_section();
-    let (counts, (checkpoints, reads, writes, programs, walks, ahead, scatter)) = counts_section();
+    let (counts, (checkpoints, reads, writes, programs, walks, ahead, scatter, steps)) =
+        counts_section();
     let paper = figures::paper_section();
 
     println!();
@@ -132,6 +138,10 @@ pub fn run() -> Lab {
         (
             a_read_waits_out_one_scatter_program_at_most(&scatter),
             format!("a read waits out one scatter program at most: {scatter:?}"),
+        ),
+        (
+            a_read_waits_out_one_step_at_most(&steps, &walks),
+            format!("a read waits out one walk, gather or trim step at most: {steps:?}"),
         ),
     ];
     for (held, what) in &gates {
@@ -243,6 +253,21 @@ fn record(lba: u64, sectors: u32) -> WriteRequest {
 /// unit-aligned and so eligible for remapping. The journal is flushed to
 /// flash first: a copy then has to read every log back.
 fn checkpoint_cost(mode: CheckpointMode, timing: FlashTiming) -> CheckpointCost {
+    let (mut ssd, entries, t) = checkpoint_fixture(timing);
+    let unit_writes = |ssd: &Ssd| ssd.ftl().counters().get(Counter::FtlHostUnitWrites);
+    let (reads0, writes0) = (flash_reads(&ssd), unit_writes(&ssd));
+    let done = ssd.checkpoint(&entries, mode, t).expect("checkpoint runs");
+    CheckpointCost {
+        sim_ns: done.duration_since(t).as_nanos(),
+        flash_reads: flash_reads(&ssd) - reads0,
+        unit_writes: unit_writes(&ssd) - writes0,
+        remapped: ssd.counters().get(Counter::SsdRemapEntries),
+        copied: ssd.counters().get(Counter::SsdCopyEntries),
+    }
+}
+
+/// The device, entries and start instant of [`checkpoint_cost`].
+fn checkpoint_fixture(timing: FlashTiming) -> (Ssd, Vec<CowEntry>, SimTime) {
     let mut ssd = device(timing);
     let layout = Layout::new(1_024, 4096, SECTOR_BYTES, 1 << 14);
     let mut journal = JournalManager::new(layout, true, 0.7);
@@ -269,17 +294,7 @@ fn checkpoint_cost(mode: CheckpointMode, timing: FlashTiming) -> CheckpointCost 
             merged: e.merged,
         })
         .collect();
-
-    let unit_writes = |ssd: &Ssd| ssd.ftl().counters().get(Counter::FtlHostUnitWrites);
-    let (reads0, writes0) = (flash_reads(&ssd), unit_writes(&ssd));
-    let done = ssd.checkpoint(&entries, mode, t).expect("checkpoint runs");
-    CheckpointCost {
-        sim_ns: done.duration_since(t).as_nanos(),
-        flash_reads: flash_reads(&ssd) - reads0,
-        unit_writes: unit_writes(&ssd) - writes0,
-        remapped: ssd.counters().get(Counter::SsdRemapEntries),
-        copied: ssd.counters().get(Counter::SsdCopyEntries),
-    }
+    (ssd, entries, t)
 }
 
 /// The checkpoint fixture in both modes on MLC — the `counts` rows — and
@@ -599,21 +614,7 @@ const TRIM_UNITS: u64 = 8 * SEGMENT;
 /// device reads one unit, remaps the logs onto one segment of homes and
 /// trims the units, measuring each command's firmware time.
 fn map_walks() -> MapWalks {
-    let mut ssd = device_caching(FlashTiming::mlc(), Some(TRIM_UNITS / 4));
-    let log = |i: u64| TRIM_UNITS + i * SEGMENT;
-    let mut t = SimTime::ZERO;
-    for lba in (0..TRIM_UNITS).step_by(64) {
-        t = ssd
-            .write(&record(lba, 64), OobKind::Data, t)
-            .expect("write succeeds");
-    }
-    for i in 0..ENTRIES {
-        t = ssd
-            .write(&record(log(i), 1), OobKind::Data, t)
-            .expect("write succeeds");
-    }
-    t = ssd.flush(t).expect("flush succeeds") + SimDuration::from_millis(50);
-
+    let (mut ssd, entries, t) = map_walk_fixture();
     let timing = *ssd.timing();
     let one_unit = walk_cost(
         &mut ssd,
@@ -628,16 +629,6 @@ fn map_walks() -> MapWalks {
                 .expect("read succeeds");
         },
     );
-    let entries: Vec<CowEntry> = (0..ENTRIES)
-        .map(|i| CowEntry {
-            src_lba: log(i),
-            dst_lba: 1 << 20 | i,
-            sectors: 1,
-            dst_sectors: 1,
-            key: log(i),
-            merged: false,
-        })
-        .collect();
     let cow_entries = timing.cpu_cow_entry_cost * ENTRIES;
     let remap = walk_cost(&mut ssd, timing.cpu_cmd_cost + cow_entries, |ssd| {
         let at = t + SimDuration::from_millis(50);
@@ -653,6 +644,36 @@ fn map_walks() -> MapWalks {
         trim,
         remap,
     }
+}
+
+/// The mapping-walk fixture of [`map_walks`]: the device, the remap
+/// entries of its logs, and an instant it is idle at.
+fn map_walk_fixture() -> (Ssd, Vec<CowEntry>, SimTime) {
+    let mut ssd = device_caching(FlashTiming::mlc(), Some(TRIM_UNITS / 4));
+    let log = |i: u64| TRIM_UNITS + i * SEGMENT;
+    let mut t = SimTime::ZERO;
+    for lba in (0..TRIM_UNITS).step_by(64) {
+        t = ssd
+            .write(&record(lba, 64), OobKind::Data, t)
+            .expect("write succeeds");
+    }
+    for i in 0..ENTRIES {
+        t = ssd
+            .write(&record(log(i), 1), OobKind::Data, t)
+            .expect("write succeeds");
+    }
+    t = ssd.flush(t).expect("flush succeeds") + SimDuration::from_millis(50);
+    let entries = (0..ENTRIES)
+        .map(|i| CowEntry {
+            src_lba: log(i),
+            dst_lba: 1 << 20 | i,
+            sectors: 1,
+            dst_sectors: 1,
+            key: log(i),
+            merged: false,
+        })
+        .collect();
+    (ssd, entries, t)
 }
 
 /// Runs one command on `ssd` and returns its mapping walk: the firmware
@@ -827,13 +848,13 @@ fn a_read_does_not_wait_for_an_unseen_program(r: &ReadsAhead) -> bool {
 const SCATTER_ENTRIES: u64 = 128;
 
 /// What a foreground read of a page on a one-die device waits for when
-/// it is issued at a copy checkpoint's first pump step, beside a read
+/// it is issued at a copy checkpoint's first scatter step, beside a read
 /// issued at the same instant once the whole scatter was booked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ScatterReads {
     /// The read's latency on the idle device.
     idle_ns: u64,
-    /// What the read waits beyond that at the first pump step, after
+    /// What the read waits beyond that at the first scatter step, after
     /// the step booked what it could admit.
     paced_wait_ns: u64,
     /// What it waits beyond that once the pump was drained: the
@@ -892,10 +913,10 @@ fn scatter_fixture() -> (Ssd, Vec<CowEntry>, SimTime) {
     (ssd, entries, idle)
 }
 
-/// The latency of a one-sector read of LBA 0 issued at `at`.
-fn read_lba0(ssd: &mut Ssd, at: SimTime) -> u64 {
+/// A one-sector read of `lba` issued at `at`: its latency.
+fn read_latency(ssd: &mut Ssd, lba: u64, at: SimTime) -> u64 {
     let req = ReadRequest {
-        lba: 0,
+        lba,
         sectors: 1,
         key: None,
     };
@@ -905,26 +926,39 @@ fn read_lba0(ssd: &mut Ssd, at: SimTime) -> u64 {
     done.duration_since(at).as_nanos()
 }
 
+/// Begins a copy checkpoint of `entries` at `at` and pumps it past its
+/// walk and its gather through its first scatter step. Returns that
+/// step's instant and the flash programs before it.
+fn first_scatter_step(ssd: &mut Ssd, entries: &[CowEntry], at: SimTime) -> (SimTime, u64) {
+    let unit_writes = |ssd: &Ssd| ssd.ftl().counters().get(Counter::FtlHostUnitWrites);
+    let programs = |ssd: &Ssd| ssd.ftl().flash().counters().total(Total::FlashProgram);
+    let mut progress = ssd.begin_checkpoint(entries, CheckpointMode::Copy, at);
+    loop {
+        let Ok(CpProgress::PumpAt(due)) = progress else {
+            panic!("a copy class is scattered by the pump: {progress:?}");
+        };
+        let (writes, before) = (unit_writes(ssd), programs(ssd));
+        progress = ssd.pump_checkpoint(due);
+        if unit_writes(ssd) > writes {
+            return (due, before);
+        }
+    }
+}
+
 /// The read of [`ScatterReads`] on three copies of [`scatter_fixture`]:
-/// idle, at the first pump step of a begun copy checkpoint, and at that
-/// instant once the checkpoint was drained.
+/// idle, at the first scatter step of a begun copy checkpoint, and at
+/// that instant once the checkpoint was drained.
 fn scatter_reads() -> ScatterReads {
     let (mut ssd, _, idle) = scatter_fixture();
-    let idle_ns = read_lba0(&mut ssd, idle);
+    let idle_ns = read_latency(&mut ssd, 0, idle);
     let wait = |drain: bool| {
         let (mut ssd, entries, idle) = scatter_fixture();
-        let begun = ssd.begin_checkpoint(&entries, CheckpointMode::Copy, idle);
-        let Ok(CpProgress::PumpAt(first)) = begun else {
-            panic!("a copy class is scattered by the pump: {begun:?}");
-        };
+        let (first, before) = first_scatter_step(&mut ssd, &entries, idle);
         let programs = |ssd: &Ssd| ssd.ftl().flash().counters().total(Total::FlashProgram);
-        let before = programs(&ssd);
         if drain {
             ssd.drain_checkpoint().expect("the scatter runs");
-        } else {
-            ssd.pump_checkpoint(first).expect("the step runs");
         }
-        let latency = read_lba0(&mut ssd, first);
+        let latency = read_latency(&mut ssd, 0, first);
         ssd.drain_checkpoint().expect("the scatter runs");
         (latency - idle_ns, programs(&ssd) - before)
     };
@@ -953,6 +987,84 @@ fn a_read_waits_out_one_scatter_program_at_most(r: &ScatterReads) -> bool {
         && r.burst_wait_ns.checked_sub(r.paced_wait_ns) == Some(burst_extra)
 }
 
+/// What a one-sector read waits for beyond its idle latency when it is
+/// issued at a step of a checkpoint command's walk or gather, or of a
+/// trim, once the step booked its unit of work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StepReads {
+    /// At the walk step of [`map_walk_fixture`]'s 64-entry remap batch.
+    walk_wait_ns: u64,
+    /// At the first gather step of [`checkpoint_fixture`]'s 64-entry copy
+    /// batch, of the log of its first entry.
+    gather_wait_ns: u64,
+    /// At the first step of [`map_walk_fixture`]'s 4 096-unit trim, of a
+    /// log past the trimmed range.
+    trim_wait_ns: u64,
+}
+
+/// The reads of [`StepReads`], each beside the same read on the idle
+/// device before the command began.
+fn step_reads() -> StepReads {
+    let gap = SimDuration::from_millis(50);
+    let (mut ssd, entries, t) = map_walk_fixture();
+    let idle = read_latency(&mut ssd, 0, t);
+    let begun = ssd.begin_checkpoint(&entries, CheckpointMode::Remap, t + gap);
+    let Ok(CpProgress::PumpAt(walk)) = begun else {
+        panic!("a remap batch is walked by the pump: {begun:?}");
+    };
+    ssd.pump_checkpoint(walk).expect("the walk step runs");
+    let walk_wait_ns = read_latency(&mut ssd, 0, walk) - idle;
+
+    let (mut ssd, entries, t) = checkpoint_fixture(FlashTiming::mlc());
+    let log = entries.first().expect("the fixture has entries").src_lba;
+    let idle = read_latency(&mut ssd, log, t);
+    let reads = flash_reads(&ssd);
+    let mut progress = ssd.begin_checkpoint(&entries, CheckpointMode::Copy, t + gap);
+    let gather = loop {
+        let Ok(CpProgress::PumpAt(due)) = progress else {
+            panic!("a copy batch is gathered by the pump: {progress:?}");
+        };
+        progress = ssd.pump_checkpoint(due);
+        if flash_reads(&ssd) > reads {
+            break due;
+        }
+    };
+    let gather_wait_ns = read_latency(&mut ssd, log, gather) - idle;
+
+    let (mut ssd, _, t) = map_walk_fixture();
+    let log = TRIM_UNITS;
+    let idle = read_latency(&mut ssd, log, t);
+    let begun = ssd.begin_deallocate(0, TRIM_UNITS as u32, t + gap);
+    let Ok(CpProgress::PumpAt(first)) = begun else {
+        panic!("a trim is walked by the pump: {begun:?}");
+    };
+    ssd.pump_deallocate(first).expect("the trim step runs");
+    let trim_wait_ns = read_latency(&mut ssd, log, first) - idle;
+    StepReads {
+        walk_wait_ns,
+        gather_wait_ns,
+        trim_wait_ns,
+    }
+}
+
+/// Pacing of the walk, the gather and the trim, exact to the model: a
+/// read issued at a step waits at most that one step's booking — the
+/// walk step's decode of its entries and their mapping walk (the whole
+/// 64-entry batch is one step), one page read on the gather read's
+/// die, one map segment's walk of the trim (one miss, a hit for every
+/// other unit) — and does wait for it.
+fn a_read_waits_out_one_step_at_most(r: &StepReads, w: &MapWalks) -> bool {
+    let t = FlashTiming::mlc();
+    let timing = SsdTiming::paper_default();
+    let walk_step = timing.cpu_cow_entry_cost.as_nanos() * ENTRIES + w.remap.sim_ns;
+    let page_read = (t.t_read + t.transfer_time(4096)).as_nanos();
+    let segment = w.trim.access_ns + (SEGMENT - 1) * w.hit_ns;
+    let within = |wait: u64, step: u64| 0 < wait && wait <= step;
+    within(r.walk_wait_ns, walk_step)
+        && within(r.gather_wait_ns, page_read)
+        && within(r.trim_wait_ns, segment)
+}
+
 type Measured = (
     CheckpointCosts,
     Vec<ReadCost>,
@@ -961,13 +1073,15 @@ type Measured = (
     MapWalks,
     ReadsAhead,
     ScatterReads,
+    StepReads,
 );
 
 fn counts_section() -> (Vec<Row>, Measured) {
     section(
         "counts: 64-entry checkpoint command, remap walk vs copy fallback; one home read; \
          page-filling writes; programs on a two-plane die; mapping walks; reads on a \
-         programming die; a read during a copy checkpoint's scatter",
+         programming die; a read during a copy checkpoint's scatter; reads at walk, gather \
+         and trim steps",
     );
     let checkpoints = CheckpointCosts::measure();
     let mut rows = Vec::new();
@@ -1063,9 +1177,26 @@ fn counts_section() -> (Vec<Row>, Measured) {
     ] {
         push(&mut rows, "scatter", leaf, ns as f64, "ns");
     }
+    let steps = step_reads();
+    for (leaf, ns) in [
+        ("walk_read_wait_ns", steps.walk_wait_ns),
+        ("gather_read_wait_ns", steps.gather_wait_ns),
+        ("trim_read_wait_ns", steps.trim_wait_ns),
+    ] {
+        push(&mut rows, "step", leaf, ns as f64, "ns");
+    }
     (
         rows,
-        (checkpoints, reads, writes, programs, walks, ahead, scatter),
+        (
+            checkpoints,
+            reads,
+            writes,
+            programs,
+            walks,
+            ahead,
+            scatter,
+            steps,
+        ),
     )
 }
 
@@ -1140,6 +1271,15 @@ mod tests {
         assert!(
             super::a_read_waits_out_one_scatter_program_at_most(&reads),
             "{reads:?}"
+        );
+    }
+
+    #[test]
+    fn a_read_waits_out_one_step_at_most() {
+        let (steps, walks) = (step_reads(), map_walks());
+        assert!(
+            super::a_read_waits_out_one_step_at_most(&steps, &walks),
+            "{steps:?} {walks:?}"
         );
     }
 

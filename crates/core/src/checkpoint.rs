@@ -26,15 +26,17 @@
 //! or CoW commands (ISC-A) through a window of the checkpoint's own, as
 //! deep as the device's queue, or one batched command, which the job's
 //! first step sends (`Ssd::begin_checkpoint`) and its later steps pump
-//! (`Ssd::pump_checkpoint`). The deletion trims, a batched command's
-//! decode, remap walk and gather, the superblock and the zone's trim
-//! are single bookings.
+//! (`Ssd::pump_checkpoint`) through its walk, gather and scatter. The
+//! step that ends the data movement writes the superblock and begins
+//! the retired zone's trim (`Ssd::begin_deallocate`), whose steps
+//! (`Ssd::pump_deallocate`) walk one map segment each; only the
+//! deletion trims and the superblock are single bookings.
 
 use checkin_flash::{Fragment, OobKind, OpPhase};
 use checkin_sim::{Counter, CounterSet, InFlight, SimTime, Total};
 use checkin_ssd::{
-    CheckpointMode, CowEntry, CpProgress, ReadRequest, Ssd, SsdError, WriteContent, WriteRequest,
-    SECTOR_BYTES,
+    CheckpointMode, CowEntry, CpPhaseTimes, CpProgress, ReadRequest, Ssd, SsdError, WriteContent,
+    WriteRequest, SECTOR_BYTES,
 };
 
 use crate::config::Strategy;
@@ -108,10 +110,11 @@ fn device_counters(ssd: &Ssd) -> CounterSet {
 }
 
 /// A checkpoint between its begin and its end. Queries keep running
-/// while its data moves, so the device counters move for them too:
-/// everything the checkpoint reports is counted over its own device
-/// calls alone (the begin, every pump step, the metadata write and the
-/// trim), which [`own_call`] brackets.
+/// while its data moves and while the retired zone is trimmed, so the
+/// device counters move for them too: everything the checkpoint reports
+/// is counted over its own device calls alone (the begin, every pump
+/// step, the superblock write and the trim's), which [`own_call`]
+/// brackets.
 #[derive(Debug)]
 pub(crate) struct RunningCheckpoint {
     seq: u64,
@@ -121,19 +124,38 @@ pub(crate) struct RunningCheckpoint {
     tombstoned: u64,
     /// The job that moves the zone's live entries home.
     job: HostJob,
-    /// What the job's last step returned: when to pump it next, or when
-    /// its data movement ended.
+    /// What the last step returned: when to pump next, or when the data
+    /// movement — once `ending` is set, the zone's trim — ended.
     progress: CpProgress,
+    /// Set when the data movement is over and the superblock written.
+    ending: Option<Ending>,
     /// Counter deltas summed over the checkpoint's own device calls.
     own: CounterSet,
+}
+
+/// What a checkpoint recorded when its data movement ended.
+#[derive(Debug, Clone, Copy)]
+struct Ending {
+    /// When the job said the data movement ended, and that with the
+    /// tombstone trims.
+    moved: SimTime,
+    movement_done: SimTime,
+    /// When the superblock write was acknowledged: the zone's trim
+    /// begins then.
+    meta_done: SimTime,
+    /// The device's remap and copy time of the data movement.
+    cp_times: CpPhaseTimes,
+    /// The units and bytes the data movement (re)wrote.
+    redundant_units: u64,
+    redundant_bytes: u64,
 }
 
 impl RunningCheckpoint {
     /// Begins checkpoint `seq` of `zone` with `strategy` at `at`: applies
     /// the deletion tombstones, then takes the job's first step — a
-    /// batched command up to its scatter, the host-issued I/O of the
-    /// Baseline and ISC-A up to its first full window — and leaves the
-    /// rest to [`RunningCheckpoint::pump`]. `spare` is the job a finished
+    /// batched command's admission, the host-issued I/O of the Baseline
+    /// and ISC-A up to its first full window — and leaves the rest to
+    /// [`RunningCheckpoint::pump`]. `spare` is the job a finished
     /// checkpoint handed back, whose buffers are reused.
     pub(crate) fn begin(
         ssd: &mut Ssd,
@@ -159,6 +181,7 @@ impl RunningCheckpoint {
             tombstoned: 0,
             job,
             progress: CpProgress::PumpAt(at),
+            ending: None,
             own: CounterSet::new(),
         };
         // Deletion tombstones: the checkpoint applies them by trimming
@@ -175,12 +198,12 @@ impl RunningCheckpoint {
             }
         }
         cp.drain_done = done;
-        cp.pump(ssd, at)?;
+        cp.pump(ssd, layout, zone, at)?;
         Ok(cp)
     }
 
-    /// When the data movement asks to be pumped next, or `None` when the
-    /// checkpoint is ready to [`finish`](RunningCheckpoint::finish).
+    /// When the checkpoint asks to be pumped next, or `None` when it is
+    /// ready to [`finish`](RunningCheckpoint::finish).
     pub(crate) fn next_pump(&self) -> Option<SimTime> {
         match self.progress {
             CpProgress::PumpAt(t) => Some(t),
@@ -188,24 +211,46 @@ impl RunningCheckpoint {
         }
     }
 
-    /// One step of the job at `now`.
-    pub(crate) fn pump(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<(), SsdError> {
-        let job = &mut self.job;
-        self.progress = own_call(&mut self.own, ssd, |ssd| job.step(ssd, now))?;
-        Ok(())
+    /// Whether the zone's live entries are still on their way home. Until
+    /// they are, a key of the zone is read from its log; from the
+    /// superblock on, from its home (the zone's trim unmaps the logs).
+    pub(crate) fn moving(&self) -> bool {
+        self.ending.is_none()
     }
 
-    /// Ends the checkpoint once its data movement is over: persists the
-    /// engine superblock and trims the retired zone. Hands back the job
-    /// for the next checkpoint's [`begin`](RunningCheckpoint::begin).
-    pub(crate) fn finish(
-        mut self,
+    /// One step at `now`: of the job while the data moves, else of the
+    /// zone's trim. The step that finds the data movement over writes
+    /// the superblock and begins the trim.
+    pub(crate) fn pump(
+        &mut self,
         ssd: &mut Ssd,
         layout: &Layout,
         zone: &RetiringZone,
-    ) -> Result<(CheckpointOutcome, HostJob), SsdError> {
-        debug_assert_eq!(self.next_pump(), None, "finish before the data movement");
-        let (CpProgress::Done(moved) | CpProgress::PumpAt(moved)) = self.progress;
+        now: SimTime,
+    ) -> Result<(), SsdError> {
+        if self.ending.is_some() {
+            self.progress = own_call(&mut self.own, ssd, |ssd| ssd.pump_deallocate(now))?;
+            return Ok(());
+        }
+        let job = &mut self.job;
+        self.progress = own_call(&mut self.own, ssd, |ssd| job.step(ssd, now))?;
+        if let CpProgress::Done(moved) = self.progress {
+            self.end_movement(ssd, layout, zone, moved)?;
+        }
+        Ok(())
+    }
+
+    /// The data movement ended at `moved`: persists the engine
+    /// superblock, then begins deallocating the retired journal logs
+    /// ("used journal data are flushed because they are no longer
+    /// needed"), whose steps [`RunningCheckpoint::pump`] takes.
+    fn end_movement(
+        &mut self,
+        ssd: &mut Ssd,
+        layout: &Layout,
+        zone: &RetiringZone,
+        moved: SimTime,
+    ) -> Result<(), SsdError> {
         let movement_done = self.drain_done.max(moved);
         let cp_times = ssd.take_cp_phase_times();
         // Data movement is complete; everything after this line (metadata,
@@ -227,36 +272,59 @@ impl RunningCheckpoint {
         let meta_done = movement_done.max(own_call(&mut self.own, ssd, |ssd| {
             ssd.write(&meta, OobKind::Meta, movement_done)
         })?);
-
-        // Deallocate the retired journal logs ("used journal data are
-        // flushed because they are no longer needed").
-        let mut done = meta_done;
-        if zone.used_sectors > 0 {
+        self.ending = Some(Ending {
+            moved,
+            movement_done,
+            meta_done,
+            cp_times,
+            redundant_units,
+            redundant_bytes,
+        });
+        self.progress = if zone.used_sectors > 0 {
             let us = layout.unit_sectors();
             let trim_sectors = zone.used_sectors.div_ceil(us) * us;
-            let trim = own_call(&mut self.own, ssd, |ssd| {
-                Ok(ssd.deallocate(zone.base_lba, trim_sectors as u32, meta_done))
-            })?;
-            done = done.max(trim);
-        }
+            own_call(&mut self.own, ssd, |ssd| {
+                ssd.begin_deallocate(zone.base_lba, trim_sectors as u32, meta_done)
+            })?
+        } else {
+            CpProgress::Done(meta_done)
+        };
+        Ok(())
+    }
 
+    /// Ends the checkpoint once the zone's trim is over. Hands back the
+    /// job for the next checkpoint's [`begin`](RunningCheckpoint::begin).
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::InvalidRequest`] when the data movement is not over.
+    pub(crate) fn finish(
+        self,
+        zone: &RetiringZone,
+    ) -> Result<(CheckpointOutcome, HostJob), SsdError> {
+        debug_assert_eq!(self.next_pump(), None, "finish before the trim");
+        let (CpProgress::Done(trimmed) | CpProgress::PumpAt(trimmed)) = self.progress;
+        let end = self.ending.ok_or_else(|| {
+            SsdError::InvalidRequest("a checkpoint finished before its data moved".into())
+        })?;
+        let done = end.meta_done.max(trimmed);
         let own = &self.own;
         let phases = CheckpointPhases {
             drain_time: self.drain_done.saturating_duration_since(self.start),
             remap: phase_ops(own, OpPhase::CheckpointRemap),
-            remap_time: cp_times.remap,
+            remap_time: end.cp_times.remap,
             copy: phase_ops(own, OpPhase::CheckpointCopy),
             // A batched command's copy time is the device's; a
             // host-issued job's is its own span, however many of its
             // commands overlapped.
             copy_time: match self.job.mechanism {
-                Mechanism::Batched(_) => cp_times.copy,
-                _ => moved.saturating_duration_since(self.start),
+                Mechanism::Batched(_) => end.cp_times.copy,
+                _ => end.moved.saturating_duration_since(self.start),
             },
             meta: phase_ops(own, OpPhase::Meta),
-            meta_time: meta_done.saturating_duration_since(movement_done),
+            meta_time: end.meta_done.saturating_duration_since(end.movement_done),
             trim: phase_ops(own, OpPhase::Dealloc),
-            trim_time: done.saturating_duration_since(meta_done),
+            trim_time: done.saturating_duration_since(end.meta_done),
             gc: phase_ops(own, OpPhase::Gc),
             other: phase_ops(own, OpPhase::Run),
         };
@@ -300,8 +368,8 @@ impl RunningCheckpoint {
             deleted: self.tombstoned,
             flash_programs: phases.flash_programs(),
             flash_reads: phases.flash_reads(),
-            redundant_units,
-            redundant_bytes,
+            redundant_units: end.redundant_units,
+            redundant_bytes: end.redundant_bytes,
             host_bytes: own.get(Counter::SsdHostReadBytes) + own.get(Counter::SsdHostWriteBytes),
             skipped,
             phases,
@@ -728,7 +796,7 @@ mod tests {
                 let staged: Vec<(u64, SimTime)> =
                     cp.job.staged.iter().map(|s| (s.key, s.read_done)).collect();
                 let copied = cp.job.copied;
-                cp.pump(&mut ssd, due).unwrap();
+                cp.pump(&mut ssd, &layout, &zone, due).unwrap();
                 steps += 1;
                 let rewritten: Vec<&(u64, SimTime)> = staged
                     .iter()
@@ -752,7 +820,7 @@ mod tests {
                 );
             }
             assert!(steps > 2, "{strategy}: {steps} steps");
-            let (out, _) = cp.finish(&mut ssd, &layout, &zone).unwrap();
+            let (out, _) = cp.finish(&zone).unwrap();
             assert_eq!(out.entries, keys);
             assert_eq!(out.copied + out.skipped, keys, "{strategy}");
             let read_backs = ssd.counters().get(Counter::SsdCmdRead) - reads;

@@ -146,9 +146,9 @@ pub struct KvEngine {
     loaded: usize,
     checkpoint_seq: u64,
     /// The checkpoint between its begin and its end, with the zone it
-    /// retired: until the copy lands, a key of that zone is read from its
-    /// log there (the zone is trimmed only at the end, so the log is
-    /// still mapped).
+    /// retired: while its data moves, a key of that zone is read from
+    /// its log there (the zone is trimmed only after the superblock, so
+    /// the log is still mapped).
     running: Option<(RetiringZone, RunningCheckpoint)>,
     /// When the last checkpoint ended.
     checkpoint_end: SimTime,
@@ -269,10 +269,12 @@ impl KvEngine {
 
     /// The journal log that holds `key`'s newest version, if one does:
     /// its entry in the active zone, else in the zone a running
-    /// checkpoint retired.
+    /// checkpoint retired while that checkpoint's data still moves —
+    /// from its superblock on, the key's home is current and the zone's
+    /// trim unmaps the log.
     pub fn journal_entry(&self, key: u64) -> Option<&JmtEntry> {
         self.journal.jmt().lookup(key).or_else(|| {
-            let (zone, _) = self.running.as_ref()?;
+            let (zone, _) = self.running.as_ref().filter(|(_, cp)| cp.moving())?;
             zone.lookup(key).filter(|e| !e.tombstone)
         })
     }
@@ -528,9 +530,10 @@ impl KvEngine {
     /// updates go to the other one from here on — and starts moving its
     /// live entries home with the configured strategy. What cannot start
     /// at `at` — the Baseline's and ISC-A's host-issued I/O beyond one
-    /// queue-deep window, a batched command's copy class — is left to
-    /// [`KvEngine::pump_checkpoint`]; a checkpoint with nothing left ends
-    /// here.
+    /// queue-deep window, a batched command's walk, gather and scatter,
+    /// the retired zone's trim — is left to
+    /// [`KvEngine::pump_checkpoint`]; a checkpoint with nothing to move
+    /// or trim ends here.
     ///
     /// # Errors
     ///
@@ -568,13 +571,14 @@ impl KvEngine {
             self.spare_job.take(),
         )?;
         self.running = Some((zone, checkpoint));
-        self.step(ssd)
+        self.step()
     }
 
-    /// One pump step of the running checkpoint's data movement at `now`,
-    /// the instant the previous step asked for; the step that finds it
-    /// over ends the checkpoint (superblock, then the retired zone's
-    /// trim).
+    /// One pump step of the running checkpoint at `now`, the instant the
+    /// previous step asked for: of its data movement — the step that
+    /// finds that over writes the superblock and begins the retired
+    /// zone's trim — or of the trim, whose last step ends the
+    /// checkpoint.
     ///
     /// # Errors
     ///
@@ -585,22 +589,30 @@ impl KvEngine {
         ssd: &mut Ssd,
         now: SimTime,
     ) -> Result<CheckpointStep, EngineError> {
-        let Some((_, checkpoint)) = self.running.as_mut() else {
+        let Some((zone, checkpoint)) = self.running.as_mut() else {
             return Err(EngineError::NoCheckpointRunning);
         };
-        checkpoint.pump(ssd, now)?;
-        self.step(ssd)
+        checkpoint.pump(ssd, &self.layout, zone, now)?;
+        self.step()
     }
 
-    /// Whether a checkpoint is in progress at `now`: one being pumped,
-    /// whatever `now` is, else the last one while `now` is before its
-    /// end — a checkpoint's last step books up to that end at once.
+    /// Whether a checkpoint is in progress at `now`: one being pumped —
+    /// data movement or trim — whatever `now` is, else the last one
+    /// while `now` is before its end, which its last step booked.
     pub fn checkpoint_phase(&self, now: SimTime) -> CheckpointPhase {
         match self.running.as_ref().and_then(|(_, cp)| cp.next_pump()) {
             Some(due) => CheckpointPhase::Pumped(due),
             None if now < self.checkpoint_end => CheckpointPhase::Ending(self.checkpoint_end),
             None => CheckpointPhase::Idle,
         }
+    }
+
+    /// Whether a running checkpoint's data is still on its way home:
+    /// until it is, a key of the zone the checkpoint retired is read from
+    /// its log there; from the checkpoint's superblock on — while the
+    /// zone is trimmed — from its home. `false` when none is running.
+    pub fn checkpoint_moving(&self) -> bool {
+        self.running.as_ref().is_some_and(|(_, cp)| cp.moving())
     }
 
     /// Ends the running checkpoint at once — every remaining pump step,
@@ -638,9 +650,9 @@ impl KvEngine {
         }
     }
 
-    /// The running checkpoint's next step, ending it when its data
-    /// movement is over.
-    fn step(&mut self, ssd: &mut Ssd) -> Result<CheckpointStep, EngineError> {
+    /// The running checkpoint's next step, ending it when the retired
+    /// zone's trim is over.
+    fn step(&mut self) -> Result<CheckpointStep, EngineError> {
         let Some((zone, checkpoint)) = self.running.take() else {
             return Err(EngineError::NoCheckpointRunning);
         };
@@ -648,7 +660,7 @@ impl KvEngine {
             self.running = Some((zone, checkpoint));
             return Ok(CheckpointStep::PumpAt(t));
         }
-        let (outcome, job) = checkpoint.finish(ssd, &self.layout, &zone)?;
+        let (outcome, job) = checkpoint.finish(&zone)?;
         self.checkpoint_end = outcome.finish;
         self.spare_job = Some(job);
         self.journal.recycle_zone(zone);
@@ -702,9 +714,11 @@ impl KvEngine {
         record_count: u64,
         at: SimTime,
     ) -> Result<(Self, RecoveryReport), EngineError> {
-        // A checkpoint command the crashed host left running was accepted
-        // by the device, which finishes it without the host.
+        // A checkpoint command or a zone trim the crashed host left
+        // running was accepted by the device, which finishes it without
+        // the host.
         let at = ssd.drain_checkpoint()?.map_or(at, |done| at.max(done));
+        let at = ssd.drain_deallocate().map_or(at, |done| at.max(done));
         let reads_before = ssd.counters().get(Counter::SsdCmdRead);
         let mut engine = KvEngine::new(strategy, layout, compression_ratio);
         let mut t = at;
@@ -934,17 +948,22 @@ mod tests {
         assert_eq!((r.version, r.from_journal), (3, true));
     }
 
-    /// One state says whether a checkpoint is in progress. A paced one
-    /// (ISC-B copies) is pumped from its begin to its last step, whatever
-    /// the instant, and ending until its finish; one that ends in its
-    /// begin (ISC-C remaps every log) is ending from there.
+    /// One state says whether a checkpoint is in progress. A paced one is
+    /// pumped from its begin to its last step, whatever the instant, and
+    /// ending until its finish: ISC-B copies every log, ISC-C remaps
+    /// them, and both trim the retired zone one map segment a step. One
+    /// that ends in its begin — an empty zone — is ending from there.
     #[test]
     fn a_checkpoint_goes_from_idle_through_pumped_and_ending_to_idle() {
-        for strategy in [Strategy::IscB, Strategy::IscC] {
+        for (strategy, updates) in [
+            (Strategy::IscB, 32),
+            (Strategy::IscC, 32),
+            (Strategy::IscC, 0),
+        ] {
             let (mut ssd, mut engine) = setup(strategy);
             let records: Vec<(u64, u32)> = (0..32).map(|k| (k, 2048)).collect();
             let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
-            for k in 0..32 {
+            for k in 0..updates {
                 t = engine.update(&mut ssd, k, 2048, t).unwrap();
             }
             assert_eq!(engine.checkpoint_phase(t), CheckpointPhase::Idle);
@@ -953,7 +972,6 @@ mod tests {
             let out = loop {
                 match step {
                     CheckpointStep::PumpAt(due) => {
-                        assert_eq!(strategy, Strategy::IscB);
                         for now in [t, due] {
                             let phase = engine.checkpoint_phase(now);
                             assert_eq!(phase, CheckpointPhase::Pumped(due), "{strategy}");
@@ -964,7 +982,7 @@ mod tests {
                     CheckpointStep::Done(out) => break out,
                 }
             };
-            assert_eq!(last > t, strategy == Strategy::IscB, "{strategy} is pumped");
+            assert_eq!(last > t, updates > 0, "{strategy} is pumped");
             assert!(last < out.finish, "{strategy}: {last:?} {:?}", out.finish);
             let ending = CheckpointPhase::Ending(out.finish);
             assert_eq!(engine.checkpoint_phase(t), ending, "{strategy}");
@@ -972,6 +990,45 @@ mod tests {
             let idle = engine.checkpoint_phase(out.finish);
             assert_eq!(idle, CheckpointPhase::Idle, "{strategy}");
         }
+    }
+
+    /// From the superblock on, a retiring key is read from its home: the
+    /// zone's trim unmaps its log one map segment a step, and a `get`
+    /// between two of those steps returns the checkpointed version.
+    #[test]
+    fn a_retiring_key_reads_from_home_while_the_zone_is_trimmed() {
+        let (mut ssd, mut engine) = setup(Strategy::IscC);
+        let records: Vec<(u64, u32)> = (0..64).map(|k| (k, 2048)).collect();
+        let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
+        for _ in 0..3 {
+            for k in 0..64 {
+                t = engine.update(&mut ssd, k, 2048, t).unwrap();
+            }
+        }
+        let used = engine.journal().zone_used_units();
+        assert!(
+            used > checkin_ftl::MapCacheModel::SEGMENT_ENTRIES,
+            "{used} units"
+        );
+        let zone = engine.layout().journal_base(0);
+        let unit = engine.layout().unit_sectors();
+        let mapped = |ssd: &Ssd, lba: u64| ssd.ftl().is_mapped(checkin_ftl::Lpn(lba / unit));
+        let mut step = engine.begin_checkpoint(&mut ssd, t).unwrap();
+        let mut between = 0;
+        while let CheckpointStep::PumpAt(due) = step {
+            let trimming = !mapped(&ssd, zone) && mapped(&ssd, zone + (used - 1) * unit);
+            if trimming {
+                assert!(
+                    engine.journal_entry(5).is_none(),
+                    "the superblock is written"
+                );
+                let r = engine.get(&mut ssd, 5, due).unwrap();
+                assert_eq!((r.version, r.from_journal), (4, false));
+                between += 1;
+            }
+            step = engine.pump_checkpoint(&mut ssd, due).unwrap();
+        }
+        assert!(between > 0, "no get between two trim steps");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`Strategy`] — the five evaluated configurations (Baseline, ISC-A,
 //!   ISC-B, ISC-C, Check-In); a checkpoint is begun, pumped and ended
 //!   ([`KvEngine::begin_checkpoint`], [`CheckpointStep`]), so that
-//!   queries run between the steps of its data movement, and the engine
-//!   alone says whether one is in progress ([`CheckpointPhase`]);
+//!   queries run between its steps — data movement and zone trim — and
+//!   the engine alone says whether one is in progress
+//!   ([`CheckpointPhase`]);
 //! * [`KvSystem`] — a deterministic closed-loop simulation of N client
 //!   threads over the engine and a fully modelled SSD
 //!   ([`checkin_ssd::Ssd`] over [`checkin_ftl::Ftl`] over

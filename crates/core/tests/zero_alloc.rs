@@ -161,11 +161,13 @@ fn steady_state_query_loop_is_allocation_free() {
     assert!(engine.counters().get(Counter::EngineUpdates) >= 2 * WINDOW_KEYS);
     assert!(engine.counters().get(Counter::EngineReads) >= 2 * WINDOW_KEYS);
 
-    // Second window: a copy-class checkpoint command — classification,
-    // gather reads (one sense per journal page), scatter writes — over
-    // journal logs of the working set. The device keeps the sensed-page
-    // set, the gathered fragments and the staged sizes in scratch it
-    // recycles, so the second such command allocates nothing either.
+    // Second window: a copy-class checkpoint command — walk steps that
+    // decode and classify the batch, gather steps that read one entry
+    // in flight per die (one sense per journal page), scatter steps —
+    // over journal logs of the working set. The device keeps the batch,
+    // the die lanes, the sensed-page set, the gathered fragments and the
+    // staged sizes in buffers it recycles, so the second such command
+    // allocates nothing either.
     let entries: Vec<CowEntry> = (0..COPY_KEYS)
         .map(|k| {
             let e = engine.journal().jmt().lookup(k).expect("journaled above");
@@ -195,7 +197,8 @@ fn steady_state_query_loop_is_allocation_free() {
 
     // Third window: a Baseline engine over the same warm device. Its
     // checkpoint reads every log back and rewrites it home, more entries
-    // than the window is deep, in pump steps; the job's entries, staged
+    // than the window is deep, in pump steps, and then trims the retired
+    // zone one map segment a step; the job's entries, staged
     // read-backs and fragment buffer are the ones the first checkpoint
     // grew, handed back at its end.
     let mut baseline = KvEngine::new(Strategy::Baseline, layout, 0.7);

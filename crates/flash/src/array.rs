@@ -616,7 +616,10 @@ impl FlashArray {
     /// had not finished at `sensed`: the page was not there to sense.
     ///
     /// The caller vouches that `partner` was sensed from `sensed` and
-    /// that no other page of `ppn`'s plane rode that tR.
+    /// that no other page of `ppn`'s plane rode that tR; a debug build
+    /// asserts that the tR does not start before the read is issued
+    /// (`sensed >= at`): an array operation already under way takes no
+    /// more pages.
     ///
     /// # Errors
     ///
@@ -630,6 +633,10 @@ impl FlashArray {
         sensed: SimTime,
         at: SimTime,
     ) -> Result<Option<Window>, FlashError> {
+        debug_assert!(
+            sensed >= at,
+            "a read at {at} rides a tR that started at {sensed}, before it was issued"
+        );
         let Some((die, channel)) = self.plane_group([partner, ppn].into_iter())? else {
             return Err(FlashError::NotAPlaneGroup(ppn));
         };
@@ -1830,6 +1837,17 @@ mod tests {
             .read_beside(Ppn(8 * 256), Ppn(0), late.finish, late.finish)
             .unwrap()
             .is_some());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before it was issued")]
+    fn a_read_does_not_ride_a_tr_that_started_before_it() {
+        let mut f = two_planes();
+        program_group(&mut f, &[0, 8], 0, SimTime::ZERO).unwrap();
+        let idle = us(10_000);
+        let first = f.schedule_read(Ppn(0), idle).unwrap();
+        let _ = f.read_beside(Ppn(8 * 256), Ppn(0), first.start, first.finish);
     }
 
     #[test]

@@ -63,16 +63,33 @@ pub struct UnitWrite {
 ///
 /// The caller of [`Ftl::read_span_into`] owns it and decides how far "one
 /// command" reaches: a host read clears it per request, a checkpoint's
-/// gather phase keeps it across the whole batch. Every read sharing one
-/// set is issued at the same instant and nothing is programmed or erased
-/// in between, so a page found here is still what the controller holds —
-/// and a page on another plane of a die this command sensed, at the same
-/// page index, can ride that sense's tR ([`FlashArray::read_beside`]).
+/// gather keeps it across the whole batch, whose steps issue their reads
+/// at instants of their own. A page found here is still in the
+/// controller's read buffer and is not sensed again — unless its block
+/// was erased since, when it is. Only reads issued at one instant sense
+/// together: a page on another plane of a die that the same instant's
+/// reads sensed, at the same page index, can ride that sense's tR
+/// ([`FlashArray::read_beside`]); a tR an earlier instant started takes
+/// no more pages.
 #[derive(Debug, Default)]
 pub struct SensedPages {
-    /// `(page, start of the tR that sensed it, finish of its transfer)`,
-    /// sorted by page. No tR for a page the write buffer served.
-    pages: Vec<(Ppn, Option<SimTime>, SimTime)>,
+    /// Every page sensed, sorted by page.
+    pages: Vec<Sensed>,
+}
+
+/// One page of a [`SensedPages`] set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sensed {
+    page: Ppn,
+    /// When the read that sensed it was issued.
+    issued: SimTime,
+    /// The start of the tR that sensed it; `None` when the write buffer
+    /// served it.
+    tr: Option<SimTime>,
+    /// When its transfer finished.
+    finish: SimTime,
+    /// Its block's erase count then.
+    erases: u64,
 }
 
 impl SensedPages {
@@ -82,43 +99,57 @@ impl SensedPages {
         self.pages.clear();
     }
 
-    /// When `ppn`'s data is in the controller: the recorded finish if
-    /// this command sensed the page already, else that of `sense`, run
-    /// now — handed a page whose tR `ppn` may ride, if any — and
-    /// remembered with the tR it came from. A failed sense records
-    /// nothing.
+    /// When `ppn`'s data is in the controller for a read issued at `at`,
+    /// with `ppn`'s block erased `erases` times so far: the recorded
+    /// finish if this command sensed the page since that block's last
+    /// erase, else that of `sense`, run now — handed a page whose tR
+    /// `ppn` may ride, if any — and remembered with the tR it came from.
+    /// A failed sense records nothing.
     fn finish_of(
         &mut self,
         ppn: Ppn,
         g: &FlashGeometry,
+        at: SimTime,
+        erases: u64,
         sense: impl FnOnce(Option<(Ppn, SimTime)>) -> Result<(Option<SimTime>, SimTime), FlashError>,
     ) -> Result<SimTime, FlashError> {
-        let at = self.pages.partition_point(|&(page, ..)| page < ppn);
-        match self.pages.get(at) {
-            Some(&(page, _, finish)) if page == ppn => Ok(finish),
-            _ => {
-                let (tr, finish) = sense(self.partner_of(ppn, g))?;
-                self.pages.insert(at, (ppn, tr, finish));
-                Ok(finish)
-            }
+        let i = self.pages.partition_point(|s| s.page < ppn);
+        let found = self.pages.get(i).filter(|s| s.page == ppn);
+        if let Some(s) = found.filter(|s| s.erases == erases) {
+            return Ok(s.finish);
         }
+        let stale = found.is_some();
+        let (tr, finish) = sense(self.partner_of(ppn, g, at))?;
+        let sensed = Sensed {
+            page: ppn,
+            issued: at,
+            tr,
+            finish,
+            erases,
+        };
+        match self.pages.get_mut(i) {
+            Some(s) if stale => *s = sensed,
+            _ => self.pages.insert(i, sensed),
+        }
+        Ok(finish)
     }
 
-    /// A page this command sensed whose tR `ppn` can ride, with that
-    /// tR's start: a plane partner of `ppn`
+    /// A page sensed by a read issued at `at` whose tR `ppn` can ride,
+    /// with that tR's start: a plane partner of `ppn`
     /// ([`FlashGeometry::plane_partners`]), as is every page already
     /// riding that tR.
-    fn partner_of(&self, ppn: Ppn, g: &FlashGeometry) -> Option<(Ppn, SimTime)> {
+    fn partner_of(&self, ppn: Ppn, g: &FlashGeometry, at: SimTime) -> Option<(Ppn, SimTime)> {
         let riders = |page: Ppn, tr: SimTime| {
-            self.pages.iter().filter(move |&&(other, t, _)| {
-                t == Some(tr) && (other == page || g.plane_partners(other, page))
+            self.pages.iter().filter(move |s| {
+                s.tr == Some(tr) && (s.page == page || g.plane_partners(s.page, page))
             })
         };
-        self.pages.iter().find_map(|&(page, tr, _)| {
-            let tr = tr.filter(|_| g.plane_partners(page, ppn))?;
-            riders(page, tr)
-                .all(|&(other, ..)| g.plane_partners(other, ppn))
-                .then_some((page, tr))
+        self.pages.iter().find_map(|s| {
+            let tr =
+                s.tr.filter(|_| s.issued == at && g.plane_partners(s.page, ppn))?;
+            riders(s.page, tr)
+                .all(|other| g.plane_partners(other.page, ppn))
+                .then_some((s.page, tr))
         })
     }
 }
@@ -628,7 +659,10 @@ impl Ftl {
         let ppn = pun.page(self.upp);
         let g = *self.flash.geometry();
         let finish = match sensed {
-            Some(sensed) => sensed.finish_of(ppn, &g, |partner| self.sense(ppn, at, partner))?,
+            Some(sensed) => {
+                let erases = self.flash.erase_count(g.block_of(ppn));
+                sensed.finish_of(ppn, &g, at, erases, |partner| self.sense(ppn, at, partner))?
+            }
             None => self.sense(ppn, at, None)?.1,
         };
         let offset = pun.offset(self.upp) as usize;

@@ -360,15 +360,51 @@ fn a_tr_carries_one_page_per_plane() {
     // Die 0 of channel 0: blocks 0 and 16 on plane 0, 8 and 24 on plane 1.
     let ppn = |block, page| g.ppn_in_block(BlockId(block), page);
     let t = |us| SimTime::ZERO + SimDuration::from_micros(us);
-    let mut sensed = SensedPages {
-        pages: vec![(ppn(0, 3), Some(t(10)), t(60))],
+    let sensed_at = |page, tr: Option<SimTime>, finish| Sensed {
+        page,
+        issued: t(0),
+        tr,
+        finish,
+        erases: 0,
     };
-    assert_eq!(sensed.partner_of(ppn(8, 3), &g), Some((ppn(0, 3), t(10))));
-    assert_eq!(sensed.partner_of(ppn(16, 3), &g), None, "plane 0 is taken");
-    assert_eq!(sensed.partner_of(ppn(8, 4), &g), None, "another page index");
-    sensed.pages.push((ppn(8, 3), Some(t(10)), t(65)));
-    assert_eq!(sensed.partner_of(ppn(24, 3), &g), None, "both planes taken");
+    let mut sensed = SensedPages {
+        pages: vec![sensed_at(ppn(0, 3), Some(t(10)), t(60))],
+    };
+    let partner = |sensed: &SensedPages, page| sensed.partner_of(page, &g, t(0));
+    assert_eq!(partner(&sensed, ppn(8, 3)), Some((ppn(0, 3), t(10))));
+    assert_eq!(partner(&sensed, ppn(16, 3)), None, "plane 0 is taken");
+    assert_eq!(partner(&sensed, ppn(8, 4)), None, "another page index");
+    // A read issued later does not join a tR an earlier one started.
+    assert_eq!(sensed.partner_of(ppn(8, 3), &g, t(1)), None);
+    sensed.pages.push(sensed_at(ppn(8, 3), Some(t(10)), t(65)));
+    assert_eq!(partner(&sensed, ppn(24, 3)), None, "both planes taken");
     // A page the write buffer served was never sensed: no tR to ride.
-    sensed.pages = vec![(ppn(0, 3), None, t(0))];
-    assert_eq!(sensed.partner_of(ppn(8, 3), &g), None);
+    sensed.pages = vec![sensed_at(ppn(0, 3), None, t(0))];
+    assert_eq!(partner(&sensed, ppn(8, 3)), None);
+}
+
+/// A page a command sensed stays in its read buffer across the instants
+/// its reads are issued at — until its block is erased: a later read of
+/// the page is then sensed again.
+#[test]
+fn a_page_erased_between_two_gather_steps_is_sensed_again() {
+    let g = FlashGeometry::paper_default();
+    let page = g.ppn_in_block(BlockId(0), 3);
+    let t = |us| SimTime::ZERO + SimDuration::from_micros(us);
+    let mut sensed = SensedPages::default();
+    let mut senses = 0;
+    let mut read = |sensed: &mut SensedPages, at, erases| {
+        sensed
+            .finish_of(page, &g, at, erases, |_| {
+                senses += 1;
+                Ok((Some(at), at + SimDuration::from_micros(60)))
+            })
+            .unwrap()
+    };
+    assert_eq!(read(&mut sensed, t(0), 4), t(60));
+    assert_eq!(read(&mut sensed, t(100), 4), t(60), "a read-buffer hit");
+    assert_eq!(read(&mut sensed, t(200), 5), t(260), "erased: sensed again");
+    assert_eq!(read(&mut sensed, t(300), 5), t(260));
+    assert_eq!(senses, 2);
+    assert_eq!(sensed.pages.len(), 1);
 }

@@ -1,5 +1,8 @@
 //! The SSD device: host interface, firmware timing, ISCE execution.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use checkin_flash::{Fragment, OobKind, OpPhase, UnitPayload};
 use checkin_ftl::{
     Ftl, FtlError, GcTrigger, Lpn, MapCacheModel, RebuildStats, ScrubReport, SensedPages, UnitWrite,
@@ -23,6 +26,12 @@ const META_LPN_BASE: u64 = u64::MAX / 2;
 /// Journal units acknowledged between two metadata (recovery-log) writes
 /// by the ISCE log manager.
 const META_INTERVAL_UNITS: u64 = 64;
+
+/// Entries one pump step of a checkpoint command's walk decodes at most,
+/// and mapping accesses it makes at most (an entry whose accesses cross
+/// the bound finishes in the step that began it): one map segment's
+/// worth.
+const WALK_STEP_ENTRIES: u64 = MapCacheModel::SEGMENT_ENTRIES;
 
 /// The simulated SSD.
 ///
@@ -68,48 +77,73 @@ pub struct Ssd {
     /// ISCE phase time accumulated since the last
     /// [`Ssd::take_cp_phase_times`] (remap walk vs copy fallback).
     cp_phase_times: CpPhaseTimes,
-    /// Reusable remap classification buffer for checkpoint batches (the
-    /// copy class goes to `copy_job`): once warm, classifying a batch
-    /// performs no heap allocation.
-    scratch_remaps: Vec<CowEntry>,
-    /// The mapping segments a remap batch walks, recycled the same way.
-    scratch_segments: Vec<u64>,
-    /// The flash pages the command in execution has sensed: cleared per
-    /// host read, kept across a whole copy batch's gather phase.
+    /// The flash pages a host read has sensed, cleared per read.
     scratch_sensed: SensedPages,
-    /// One copy entry's gathered fragments, recycled the same way.
+    /// One copy entry's gathered fragments, recycled from entry to entry.
     scratch_frags: Vec<Fragment>,
-    /// The checkpoint command in execution, if any: its copy class waits
-    /// here between the gather burst and the pump steps that scatter it.
+    /// The checkpoint command in execution, if any, between the pump
+    /// steps that walk, gather and scatter it.
     copy_job: CopyJob,
+    /// The deallocation in execution, if any, between the pump steps
+    /// that walk its map segments ([`Ssd::begin_deallocate`]).
+    trim: Option<TrimJob>,
 }
 
-/// What a checkpoint command needs next: see [`Ssd::begin_checkpoint`].
+/// What a checkpoint command — or a deallocation — needs next: see
+/// [`Ssd::begin_checkpoint`] and [`Ssd::begin_deallocate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpProgress {
-    /// The copy class is still being scattered: call
-    /// [`Ssd::pump_checkpoint`] at this instant.
+    /// The command is still in execution: call its pump at this instant.
     PumpAt(SimTime),
     /// The command completed at this instant.
     Done(SimTime),
 }
 
-/// The copy class of the checkpoint command in execution. The command's
-/// decode, remap walk and gather are booked in one burst when it begins;
-/// the scatter is written home by [`Ssd::pump_checkpoint`] steps, so
-/// foreground commands booked between two steps go first. Its buffers
-/// are recycled from command to command.
+/// The checkpoint command in execution. Its admission, descriptor
+/// transfer and command cost are booked when it begins; every later
+/// stage is booked by [`Ssd::pump_checkpoint`] steps, a small unit of
+/// work each at its own instant, so foreground commands booked between
+/// two steps go first. Its buffers are recycled from command to command.
 #[derive(Debug, Default)]
 struct CopyJob {
-    /// Whether a command is in execution.
+    /// Whether a command is in execution, and its stage.
     running: bool,
+    stage: Stage,
     /// Whether the command closes with a recovery metadata unit: a
     /// batched checkpoint does, a single CoW does not.
     closes_with_meta: bool,
+    /// Firmware time per entry the walk decodes: zero for a single CoW,
+    /// whose command cost covers its one entry.
+    entry_cost: SimDuration,
+    /// Live mapping entries when the command began: every walk step is
+    /// priced at that table size.
+    live: u64,
+    /// The batch as sent, and how many of its entries the walk decoded.
+    batch: Vec<CowEntry>,
+    walked: usize,
+    /// The mapping segments the remap class touched so far, sorted: a
+    /// segment is a miss for the step that touches it first only.
+    segments: Vec<u64>,
+    /// Remap entries and the units they moved, for the trace.
+    remapped: u64,
+    remapped_units: u64,
     /// The copy class, and per entry the `(bytes, version)` its gather
     /// found.
     entries: Vec<CowEntry>,
     gathered: Vec<(u32, u64)>,
+    /// The copy class by the die its source lies on — `(die, entry)`,
+    /// sorted, `u64::MAX` for a source on no flash page — and per die
+    /// the range of it not issued yet.
+    by_die: Vec<(u64, usize)>,
+    lanes: Vec<(usize, usize)>,
+    /// The dies with entries left to gather, each with the instant its
+    /// gather read in flight finishes: a die reads the next entry then.
+    lanes_due: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// The latest gather read's finish.
+    last_read: SimTime,
+    /// The flash pages the gather has sensed, kept across its steps:
+    /// host reads between two of them have a set of their own.
+    sensed: SensedPages,
     /// The entry being scattered, and of it the next destination sector
     /// and the gathered bytes not yet written (`None` before its first
     /// unit).
@@ -120,12 +154,39 @@ struct CopyJob {
     /// Entries written home, counted as `ssd.copy_entries` as they
     /// complete.
     copied: u64,
-    /// When the command was decoded, when everything but the scatter was
-    /// done, and the latest scatter acknowledgement so far.
+    /// When the command was decoded, when its gather began, when its
+    /// walk ended, and the latest scatter acknowledgement so far.
     decoded: SimTime,
+    gathering: SimTime,
     booked: SimTime,
     written: SimTime,
     /// The instant the next pump step is due.
+    next_at: SimTime,
+}
+
+/// Where a checkpoint command's pump steps are.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Stage {
+    /// Decoding the batch and remapping its remap class in `mode`, at
+    /// most [`WALK_STEP_ENTRIES`] entries a step.
+    Walk(CheckpointMode),
+    /// Reading the copy class's sources, one read in flight per die.
+    Gather,
+    /// Writing the copy class home, up to a programming-slot wait a step.
+    #[default]
+    Scatter,
+}
+
+/// A deallocation in execution: see [`Ssd::begin_deallocate`].
+#[derive(Debug, Clone, Copy)]
+struct TrimJob {
+    /// The next sector to trim, and the end of the range.
+    cursor: u64,
+    end: u64,
+    /// Live mapping entries when the command began: every step's walk is
+    /// priced at that table size.
+    live: u64,
+    /// The instant the next step is due.
     next_at: SimTime,
 }
 
@@ -191,11 +252,10 @@ impl Ssd {
             meta_seq: 0,
             tracer: Tracer::disabled(),
             cp_phase_times: CpPhaseTimes::default(),
-            scratch_remaps: Vec::new(),
-            scratch_segments: Vec::new(),
             scratch_sensed: SensedPages::default(),
             scratch_frags: Vec::new(),
             copy_job: CopyJob::default(),
+            trim: None,
         }
     }
 
@@ -305,18 +365,22 @@ impl Ssd {
     }
 
     /// Firmware cost of one command's walk over `units` mapping entries
-    /// that lie in `segments` distinct segments, counted under
-    /// `ssd.map_units` / `ssd.map_segments`.
-    fn map_walk(&mut self, units: u64, segments: u64) -> SimDuration {
+    /// that lie in `segments` distinct segments, on a table of `live`
+    /// entries (a command that walks in steps prices each at the size it
+    /// saw when it began), counted under `ssd.map_units` /
+    /// `ssd.map_segments`.
+    fn map_walk(&mut self, units: u64, segments: u64, live: u64) -> SimDuration {
         self.counters.add(Counter::SsdMapUnits, units);
         self.counters.add(Counter::SsdMapSegments, segments);
-        self.ftl.map_walk_cost(units, segments)
+        self.ftl.map_cache().walk_cost(live, units, segments)
     }
 
-    /// [`Ssd::map_walk`] over the `units` consecutive entries from `first`.
+    /// [`Ssd::map_walk`] over the `units` consecutive entries from `first`,
+    /// at the table's present size.
     fn map_span(&mut self, first: Lpn, units: u64) -> SimDuration {
         let segments = MapCacheModel::segments(first, units);
-        self.map_walk(units, segments.end - segments.start)
+        let live = self.ftl.live_entries();
+        self.map_walk(units, segments.end - segments.start, live)
     }
 
     /// Handles a block-interface read. Returns the fragments found in the
@@ -530,18 +594,122 @@ impl Ssd {
         Ok(done)
     }
 
-    /// Deallocates (trims) a sector range, unit by unit.
+    /// Deallocates (trims) a sector range, unit by unit, executed to
+    /// completion in this call: the steps of [`Ssd::begin_deallocate`],
+    /// each at the instant the one before ended. Returns when the
+    /// command completed.
     pub fn deallocate(&mut self, lba: u64, sectors: u32, at: SimTime) -> SimTime {
+        let job = self.start_trim(lba, sectors, at);
+        self.run_trim(job)
+    }
+
+    /// Begins deallocating a sector range at `at`: one command, whose
+    /// admission, transfer and command cost are booked here. Its mapping
+    /// walk is left to [`Ssd::pump_deallocate`] steps, one map segment
+    /// each ([`MapCacheModel::SEGMENT_ENTRIES`] units), which unmap that
+    /// segment's whole units; the command holds its queue slot until the
+    /// last. Partial-unit trims are ignored, as in [`Ssd::deallocate`].
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::InvalidRequest`] while another deallocation begun
+    /// this way is still running.
+    pub fn begin_deallocate(
+        &mut self,
+        lba: u64,
+        sectors: u32,
+        at: SimTime,
+    ) -> Result<CpProgress, SsdError> {
+        if self.trim.is_some() {
+            return Err(SsdError::InvalidRequest(
+                "a deallocation is still running".into(),
+            ));
+        }
+        let job = self.start_trim(lba, sectors, at);
+        self.trim = Some(job);
+        Ok(CpProgress::PumpAt(job.next_at))
+    }
+
+    /// One step of the running deallocation at `now`, the instant the
+    /// previous one asked for: walks and unmaps the units of its next
+    /// map segment. The step that walks the last completes the command.
+    /// Counted in `ssd.cp_pump_steps`.
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::InvalidRequest`] when no deallocation is running.
+    pub fn pump_deallocate(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
+        let Some(mut job) = self.trim.take() else {
+            return Err(SsdError::InvalidRequest(
+                "no deallocation is running".into(),
+            ));
+        };
+        debug_assert!(now >= job.next_at, "a pump step before it is due");
+        self.counters.incr(Counter::SsdCpPumpSteps);
+        Ok(match self.trim_step(&mut job, now) {
+            Some(done) => CpProgress::Done(done),
+            None => {
+                self.trim = Some(job);
+                CpProgress::PumpAt(job.next_at)
+            }
+        })
+    }
+
+    /// Finishes the running deallocation at once: every remaining step,
+    /// each at the instant the one before asked for. Returns when the
+    /// command completed, or `None` when none was running.
+    pub fn drain_deallocate(&mut self) -> Option<SimTime> {
+        let job = self.trim.take()?;
+        Some(self.run_trim(job))
+    }
+
+    /// Takes `job`'s remaining steps, each at the instant the one before
+    /// ended. Returns when the command completed.
+    fn run_trim(&mut self, mut job: TrimJob) -> SimTime {
+        loop {
+            let now = job.next_at;
+            if let Some(done) = self.trim_step(&mut job, now) {
+                return done;
+            }
+        }
+    }
+
+    /// Admits a deallocation of `[lba, lba + sectors)` at `at` and books
+    /// its transfer and command cost.
+    fn start_trim(&mut self, lba: u64, sectors: u32, at: SimTime) -> TrimJob {
         self.counters.incr(Counter::SsdCmdDealloc);
         let t0 = self.queue.admit(at);
         let cmd = self.link.schedule(t0, self.timing.cmd_overhead);
-        let units = self.unit_span(lba, sectors);
-        let map_cost = self.map_span(Lpn(lba / u64::from(self.unit_sectors())), units);
-        let cpu = self
-            .cpu
-            .schedule(cmd.finish, self.timing.cpu_cmd_cost + map_cost);
+        let cpu = self.cpu.schedule(cmd.finish, self.timing.cpu_cmd_cost);
+        TrimJob {
+            cursor: lba,
+            end: lba + u64::from(sectors),
+            live: self.ftl.live_entries(),
+            next_at: cpu.finish,
+        }
+    }
+
+    /// Walks and unmaps the units of `job`'s next map segment at `now`.
+    /// Returns the command's completion once its last segment is walked.
+    fn trim_step(&mut self, job: &mut TrimJob, now: SimTime) -> Option<SimTime> {
+        if job.cursor >= job.end {
+            self.queue.complete(now);
+            return Some(now);
+        }
+        let us = u64::from(self.unit_sectors());
+        let first = job.cursor / us;
+        let segment_end =
+            (first / MapCacheModel::SEGMENT_ENTRIES + 1) * MapCacheModel::SEGMENT_ENTRIES;
+        let stop = job.end.min(segment_end * us);
+        let map_cost = self.map_walk((stop - 1) / us - first + 1, 1, job.live);
+        let cpu = self.cpu.schedule(now, map_cost);
+        let units = SegmentIter {
+            unit_sectors: self.unit_sectors(),
+            cursor: job.cursor,
+            end: stop,
+        };
         self.in_phase(OpPhase::Dealloc, |ssd| {
-            for (lpn, _seg, whole) in ssd.unit_segments(lba, sectors) {
+            for (lpn, _seg, whole) in units {
                 // Partial-unit trims are ignored (conservative, like real
                 // devices which round trims inward).
                 if whole {
@@ -549,8 +717,13 @@ impl Ssd {
                 }
             }
         });
+        job.cursor = stop;
+        job.next_at = cpu.finish;
+        if stop < job.end {
+            return None;
+        }
         self.queue.complete(cpu.finish);
-        cpu.finish
+        Some(cpu.finish)
     }
 
     /// Vendor command: one copy-on-write entry (ISC-A's unit of work),
@@ -577,8 +750,10 @@ impl Ssd {
             cmd.finish,
             self.timing.cpu_cmd_cost + self.timing.cpu_cow_entry_cost,
         );
-        let started = self.start_command(std::slice::from_ref(entry), mode, cpu.finish, false)?;
-        self.run_to_completion(started)
+        // The command's cost above decoded its one entry already.
+        let entry = std::slice::from_ref(entry);
+        self.start_command(entry, mode, cpu.finish, SimDuration::ZERO, false);
+        self.run_to_completion(CpProgress::PumpAt(cpu.finish))
     }
 
     /// Vendor command: a batched checkpoint request carrying many CoW
@@ -599,13 +774,17 @@ impl Ssd {
         self.run_to_completion(begun)
     }
 
-    /// Begins a batched checkpoint command at `at`. The device decodes
-    /// the batch once, performs the remap class as mapping updates on the
-    /// firmware CPU and gathers the copy class in one burst of reads, a
-    /// flash page sensed once for the whole batch — all booked here. The
-    /// copy class is then written home by [`Ssd::pump_checkpoint`] steps;
-    /// a batch with nothing to write completes here, with the recovery
-    /// metadata unit every checkpoint command closes with.
+    /// Begins a batched checkpoint command at `at`: books its admission,
+    /// the descriptor transfer and the command cost, and leaves the rest
+    /// to [`Ssd::pump_checkpoint`] steps, each a small unit of work at
+    /// its own instant. The walk decodes the batch and performs the
+    /// remap class as mapping updates on the firmware CPU, at most
+    /// [`MapCacheModel::SEGMENT_ENTRIES`] entries and mapping accesses a
+    /// step; the gather reads the copy class's sources, one read in
+    /// flight per die, a flash page sensed once for the whole batch; the
+    /// scatter writes them home once the last read is in. An empty batch
+    /// completes here, with the recovery metadata unit every checkpoint
+    /// command closes with.
     ///
     /// # Errors
     ///
@@ -625,28 +804,35 @@ impl Ssd {
             t0,
             self.timing.cmd_overhead + self.timing.link_transfer(descriptor_bytes),
         );
-        let cpu = self.cpu.schedule(
-            cmd.finish,
-            self.timing.cpu_cmd_cost + self.timing.cpu_cow_entry_cost * entries.len() as u64,
-        );
-        self.start_command(entries, mode, cpu.finish, true)
+        let cpu = self.cpu.schedule(cmd.finish, self.timing.cpu_cmd_cost);
+        let entry_cost = self.timing.cpu_cow_entry_cost;
+        self.start_command(entries, mode, cpu.finish, entry_cost, true);
+        if entries.is_empty() {
+            return self.complete_command().map(CpProgress::Done);
+        }
+        Ok(CpProgress::PumpAt(cpu.finish))
     }
 
-    /// One pump step of the running checkpoint command at `now`: admits
-    /// copy writes at `now` until one waits for a programming slot, and
-    /// asks to be pumped again when that slot frees. Foreground commands
-    /// booked before then go ahead of the rest of the scatter, and the
-    /// finishes of the programs already started stay private (a
-    /// foreground read may still suspend them) until a later step's
-    /// admission waits for one. The step that finds every copy
-    /// acknowledged completes the command. Counted in
+    /// One pump step of the running checkpoint command at `now`, the
+    /// instant the previous step asked for. A walk step decodes and
+    /// remaps the next entries and asks again when the firmware CPU is
+    /// done with them. A gather step issues, on every die whose last
+    /// gather read is in, the next entries' reads until one is in flight
+    /// there, and asks again when the earliest read in flight is in; the
+    /// scatter starts once the last is. A scatter step admits copy
+    /// writes until one waits for a programming slot, and asks again
+    /// when that slot frees: the finishes of the programs already
+    /// started stay private (a foreground read may still suspend them)
+    /// until a later step's admission waits for one. The step that finds
+    /// every copy acknowledged completes the command. Foreground
+    /// commands booked between two steps go first. Counted in
     /// `ssd.cp_pump_steps`.
     ///
     /// # Errors
     ///
     /// [`SsdError::InvalidRequest`] when no checkpoint command is
-    /// running; propagates FTL failures of the copy writes, after which
-    /// the command is abandoned.
+    /// running; propagates FTL failures, after which the command is
+    /// abandoned.
     pub fn pump_checkpoint(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
         if !self.copy_job.running {
             return Err(SsdError::InvalidRequest(
@@ -655,10 +841,10 @@ impl Ssd {
         }
         debug_assert!(now >= self.copy_job.next_at, "a pump step before it is due");
         self.counters.incr(Counter::SsdCpPumpSteps);
-        match self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.scatter(now)) {
-            Ok(Some(ack)) => {
-                self.copy_job.next_at = ack;
-                Ok(CpProgress::PumpAt(ack))
+        match self.step(now) {
+            Ok(Some(due)) => {
+                self.copy_job.next_at = due;
+                Ok(CpProgress::PumpAt(due))
             }
             Ok(None) => self.complete_command().map(CpProgress::Done),
             Err(e) => {
@@ -703,146 +889,273 @@ impl Ssd {
         Ok(())
     }
 
-    /// Executes a decoded entry batch up to its scatter: the remap class
-    /// as one walk on the firmware CPU, the copy class's gather as one
-    /// burst of reads from `at`. The copy class is left in `copy_job`
-    /// for the pump; a batch without one completes here.
+    /// Takes an entry batch into `copy_job`, its walk due at `at`, each
+    /// entry costing the walk `entry_cost` to decode.
     fn start_command(
         &mut self,
         entries: &[CowEntry],
         mode: CheckpointMode,
         at: SimTime,
+        entry_cost: SimDuration,
         closes_with_meta: bool,
-    ) -> Result<CpProgress, SsdError> {
-        let us = self.unit_sectors();
-        // Classify into the reusable buffers; the remap class is taken out
-        // of `self` so the walk below can still borrow `self` mutably.
-        // Warm checkpoints allocate nothing here.
-        let mut remaps = std::mem::take(&mut self.scratch_remaps);
-        remaps.clear();
-        self.copy_job.entries.clear();
-        for e in entries {
-            match plan_entry(e, mode, us) {
-                EntryPlan::Remap => remaps.push(*e),
-                EntryPlan::Copy => self.copy_job.entries.push(*e),
-            }
-        }
-        let remapped = self.remap_batch(&remaps, us, at);
-        self.scratch_remaps = remaps;
-        let remapped = remapped?;
-        let gathered = self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.gather(at))?;
+    ) {
         let job = &mut self.copy_job;
+        job.batch.clear();
+        job.batch.extend_from_slice(entries);
+        job.entries.clear();
+        job.segments.clear();
         job.running = true;
+        job.stage = Stage::Walk(mode);
         job.closes_with_meta = closes_with_meta;
+        job.entry_cost = entry_cost;
+        job.live = self.ftl.live_entries();
+        job.walked = 0;
+        job.remapped = 0;
+        job.remapped_units = 0;
         job.next = 0;
         job.cursor = None;
         job.skipped = 0;
         job.copied = 0;
         job.decoded = at;
-        job.booked = remapped;
-        job.written = gathered;
-        job.next_at = gathered;
-        if job.entries.is_empty() {
-            return self.complete_command().map(CpProgress::Done);
-        }
-        Ok(CpProgress::PumpAt(gathered))
+        job.gathering = at;
+        job.booked = at;
+        job.written = at;
+        job.next_at = at;
     }
 
-    /// The remap class of a batch: two table accesses per unit, source
-    /// lookup and target update, in as many segments as the source and
-    /// destination ranges of the whole batch touch, booked as one walk on
-    /// the firmware CPU from `at`. Returns when the walk ends (`at` for an
-    /// empty class).
-    fn remap_batch(
-        &mut self,
-        remaps: &[CowEntry],
-        us: u32,
-        at: SimTime,
-    ) -> Result<SimTime, SsdError> {
-        if remaps.is_empty() {
-            return Ok(at);
-        }
-        let mut segments = std::mem::take(&mut self.scratch_segments);
-        segments.clear();
-        let mut unit_count = 0;
-        for e in remaps {
-            let units = u64::from((e.sectors / us).max(1));
-            unit_count += units;
-            for lba in [e.src_lba, e.dst_lba] {
-                segments.extend(MapCacheModel::segments(Lpn(lba / u64::from(us)), units));
-            }
-        }
-        segments.sort_unstable();
-        segments.dedup();
-        let map_cost = self.map_walk(unit_count * 2, segments.len() as u64);
-        self.scratch_segments = segments;
-        let cpu = self.cpu.schedule(at, map_cost);
-        self.in_phase(OpPhase::CheckpointRemap, |ssd| {
-            for e in remaps {
-                let units = (e.sectors / us).max(1) as u64;
-                for k in 0..units {
-                    let src = Lpn(e.src_lba / us as u64 + k);
-                    let dst = Lpn(e.dst_lba / us as u64 + k);
-                    match ssd.ftl.remap(dst, src) {
-                        Ok(()) => {}
-                        // A padded log's tail unit may hold no payload
-                        // and so was never written; skip it.
-                        Err(FtlError::Unmapped(_)) => {
-                            ssd.counters.incr(Counter::SsdCowMissingSrc);
-                        }
-                        Err(err) => return Err(err),
+    /// The running command's next step at `now`, passing to the next
+    /// stage when one has nothing left: when to step again, or `None`
+    /// once every copy is acknowledged.
+    fn step(&mut self, now: SimTime) -> Result<Option<SimTime>, SsdError> {
+        loop {
+            match self.copy_job.stage {
+                Stage::Walk(mode) if self.copy_job.walked < self.copy_job.batch.len() => {
+                    let walked =
+                        self.in_phase(OpPhase::CheckpointRemap, |ssd| ssd.walk(mode, now))?;
+                    // A step that booked nothing (a single CoW's copy
+                    // entry) hands on at once.
+                    if walked > now {
+                        return Ok(Some(walked));
                     }
                 }
-                ssd.counters.incr(Counter::SsdRemapEntries);
+                Stage::Walk(_) => {
+                    self.trace_remaps();
+                    self.start_gather(now);
+                    self.copy_job.stage = Stage::Gather;
+                }
+                Stage::Gather => {
+                    let gathered = self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.gather(now))?;
+                    if gathered.is_some() {
+                        return Ok(gathered);
+                    }
+                    self.copy_job.stage = Stage::Scatter;
+                }
+                Stage::Scatter => {
+                    return self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.scatter(now));
+                }
             }
-            Ok(())
-        })?;
-        self.cp_phase_times.remap += cpu.finish.saturating_duration_since(at);
-        let entries = remaps.len() as u64;
-        self.tracer.emit(|| {
-            TraceEvent::new(at, TraceLayer::Isce, "remap_batch")
-                .with("entries", entries)
-                .with("units", unit_count)
-        });
+        }
+    }
+
+    /// One walk step at `now`: decodes the batch's next entries, at most
+    /// [`WALK_STEP_ENTRIES`] of them and of mapping accesses, remaps the
+    /// remap class among them — two table accesses per unit, source
+    /// lookup and target update — and queues the copy class for the
+    /// gather. Books their decode and the walk on the firmware CPU from
+    /// `now`: a miss for every segment no earlier step touched, a hit for
+    /// every other access. Returns when the booking ends.
+    fn walk(&mut self, mode: CheckpointMode, now: SimTime) -> Result<SimTime, SsdError> {
+        let us = self.unit_sectors();
+        let from = self.copy_job.walked;
+        let (mut decoded, mut accesses, mut misses) = (0u64, 0u64, 0u64);
+        while decoded < WALK_STEP_ENTRIES && accesses < WALK_STEP_ENTRIES {
+            let job = &mut self.copy_job;
+            let Some(&e) = job.batch.get(job.walked) else {
+                break;
+            };
+            job.walked += 1;
+            decoded += 1;
+            if matches!(plan_entry(&e, mode, us), EntryPlan::Copy) {
+                job.entries.push(e);
+                continue;
+            }
+            let units = u64::from((e.sectors / us).max(1));
+            accesses += 2 * units;
+            for lba in [e.src_lba, e.dst_lba] {
+                for segment in MapCacheModel::segments(Lpn(lba / u64::from(us)), units) {
+                    if let Err(at) = job.segments.binary_search(&segment) {
+                        job.segments.insert(at, segment);
+                        misses += 1;
+                    }
+                }
+            }
+        }
+        let decode = self.copy_job.entry_cost * decoded;
+        let map_cost = self.map_walk(accesses, misses, self.copy_job.live);
+        let batch = std::mem::take(&mut self.copy_job.batch);
+        let walked = batch.get(from..self.copy_job.walked).unwrap_or_default();
+        let remapped = self.remap_entries(walked, mode, us);
+        self.copy_job.batch = batch;
+        remapped?;
+        if decode + map_cost == SimDuration::ZERO {
+            return Ok(now);
+        }
+        let cpu = self.cpu.schedule(now, decode + map_cost);
+        if accesses > 0 {
+            self.cp_phase_times.remap += cpu.finish.saturating_duration_since(now) - decode;
+        }
+        self.copy_job.booked = cpu.finish;
         Ok(cpu.finish)
     }
 
-    /// The copy class's gather: consecutive reads collect each record's
-    /// fragments from its journal units. The batch is one command: a
-    /// flash page is sensed once for all of it, so the merged units many
-    /// entries share — and the logs that were paged out side by side —
-    /// are served from the device read buffer after the first sense.
-    /// Records every entry's `(bytes, version)` in `copy_job` and returns
-    /// when the last read is done (`at` for an empty class).
-    fn gather(&mut self, at: SimTime) -> Result<SimTime, SsdError> {
+    /// Moves the mapping of every remap-class entry among `entries`.
+    fn remap_entries(
+        &mut self,
+        entries: &[CowEntry],
+        mode: CheckpointMode,
+        us: u32,
+    ) -> Result<(), SsdError> {
+        for e in entries {
+            if matches!(plan_entry(e, mode, us), EntryPlan::Copy) {
+                continue;
+            }
+            let units = u64::from((e.sectors / us).max(1));
+            for k in 0..units {
+                let src = Lpn(e.src_lba / u64::from(us) + k);
+                let dst = Lpn(e.dst_lba / u64::from(us) + k);
+                match self.ftl.remap(dst, src) {
+                    Ok(()) => {}
+                    // A padded log's tail unit may hold no payload and so
+                    // was never written; skip it.
+                    Err(FtlError::Unmapped(_)) => {
+                        self.counters.incr(Counter::SsdCowMissingSrc);
+                    }
+                    Err(err) => return Err(err.into()),
+                }
+            }
+            self.counters.incr(Counter::SsdRemapEntries);
+            self.copy_job.remapped += 1;
+            self.copy_job.remapped_units += units;
+        }
+        Ok(())
+    }
+
+    /// Traces the walk's remap class once the walk is over.
+    fn trace_remaps(&self) {
+        let job = &self.copy_job;
+        if job.remapped == 0 {
+            return;
+        }
+        let (at, entries, units) = (job.decoded, job.remapped, job.remapped_units * 2);
+        self.tracer.emit(|| {
+            TraceEvent::new(at, TraceLayer::Isce, "remap_batch")
+                .with("entries", entries)
+                .with("units", units)
+        });
+    }
+
+    /// Sets the copy class up for its gather from `now`: each entry in
+    /// the lane of the die its source's first flash page lies on (its
+    /// die when the gather began; a source on no flash page reads from
+    /// the write buffer or from nothing), every lane due at once.
+    fn start_gather(&mut self, now: SimTime) {
         let us = u64::from(self.unit_sectors());
-        self.scratch_sensed.clear();
-        self.copy_job.gathered.clear();
-        let mut reads_done = at;
-        for e in &self.copy_job.entries {
+        let g = *self.ftl.flash().geometry();
+        let job = &mut self.copy_job;
+        job.gathering = now;
+        job.last_read = now;
+        job.gathered.clear();
+        job.gathered.resize(job.entries.len(), (0, 0));
+        job.by_die.clear();
+        for (i, e) in job.entries.iter().enumerate() {
             let first = e.src_lba / us;
-            let units = self.unit_span(e.src_lba, e.sectors.max(1));
-            let missing = (first..first + units)
-                .filter(|&unit| !self.ftl.is_mapped(Lpn(unit)))
-                .count();
-            self.counters.add(Counter::SsdCowMissingSrc, missing as u64);
-            self.scratch_frags.clear();
-            let done = self.ftl.read_span_into(
-                Lpn(first),
-                units,
-                at,
-                Some(e.key),
-                &mut self.scratch_sensed,
-                &mut self.scratch_frags,
-            )?;
-            reads_done = reads_done.max(done);
-            let frags = &self.scratch_frags;
-            self.copy_job.gathered.push((
+            let last = (e.src_lba + u64::from(e.sectors.max(1)) - 1) / us;
+            let die = (first..=last)
+                .find_map(|unit| self.ftl.flash_page_of(Lpn(unit)))
+                .map_or(u64::MAX, |page| g.die_of_block(g.block_of(page)));
+            job.by_die.push((die, i));
+        }
+        job.by_die.sort_unstable();
+        job.lanes.clear();
+        job.lanes_due.clear();
+        let mut start = 0;
+        for die in job.by_die.chunk_by(|a, b| a.0 == b.0) {
+            job.lanes.push((start, start + die.len()));
+            start += die.len();
+        }
+        for lane in 0..job.lanes.len() {
+            job.lanes_due.push(Reverse((now, lane)));
+        }
+        job.sensed.clear();
+    }
+
+    /// One gather step at `now`: on every die whose gather read is in by
+    /// `now`, issues the next entries' reads at `now` until one is still
+    /// in flight after it. Returns when the earliest read in flight is
+    /// in, else when the last is (if after `now`), else `None`: the
+    /// gather is over.
+    fn gather(&mut self, now: SimTime) -> Result<Option<SimTime>, SsdError> {
+        while let Some(&Reverse((due, lane))) = self.copy_job.lanes_due.peek() {
+            if due > now {
+                return Ok(Some(due));
+            }
+            self.copy_job.lanes_due.pop();
+            while let Some(entry) = self.next_in_lane(lane) {
+                let done = self.gather_entry(entry, now)?;
+                self.copy_job.last_read = self.copy_job.last_read.max(done);
+                if done > now {
+                    self.copy_job.lanes_due.push(Reverse((done, lane)));
+                    break;
+                }
+            }
+        }
+        let last = self.copy_job.last_read;
+        Ok((last > now).then_some(last))
+    }
+
+    /// The copy entry `lane` gathers next, taken off the lane; `None` once
+    /// the lane is empty.
+    fn next_in_lane(&mut self, lane: usize) -> Option<usize> {
+        let job = &mut self.copy_job;
+        let (next, end) = job.lanes.get_mut(lane)?;
+        if next == end {
+            return None;
+        }
+        *next += 1;
+        job.by_die.get(*next - 1).map(|&(_, entry)| entry)
+    }
+
+    /// Reads copy entry `i`'s record from its journal units at `now` —
+    /// a page this command sensed already is a read-buffer hit — and
+    /// records its `(bytes, version)`. Returns when the read is in.
+    fn gather_entry(&mut self, i: usize, now: SimTime) -> Result<SimTime, SsdError> {
+        let us = u64::from(self.unit_sectors());
+        let Some(&e) = self.copy_job.entries.get(i) else {
+            return Ok(now);
+        };
+        let first = e.src_lba / us;
+        let units = self.unit_span(e.src_lba, e.sectors.max(1));
+        let missing = (first..first + units)
+            .filter(|&unit| !self.ftl.is_mapped(Lpn(unit)))
+            .count();
+        self.counters.add(Counter::SsdCowMissingSrc, missing as u64);
+        self.scratch_frags.clear();
+        let done = self.ftl.read_span_into(
+            Lpn(first),
+            units,
+            now,
+            Some(e.key),
+            &mut self.copy_job.sensed,
+            &mut self.scratch_frags,
+        )?;
+        let frags = &self.scratch_frags;
+        if let Some(slot) = self.copy_job.gathered.get_mut(i) {
+            *slot = (
                 frags.iter().map(|f| f.bytes).sum(),
                 frags.iter().map(|f| f.version).max().unwrap_or(0),
-            ));
+            );
         }
-        Ok(reads_done)
+        Ok(done)
     }
 
     /// Writes the copy class home from its cursor on, every write issued
@@ -915,9 +1228,9 @@ impl Ssd {
         job.running = false;
         let mut done = job.booked.max(job.written);
         if !job.entries.is_empty() {
-            self.cp_phase_times.copy += job.written.saturating_duration_since(job.decoded);
+            self.cp_phase_times.copy += job.written.saturating_duration_since(job.gathering);
             let (at, entries, copied, skipped) = (
-                job.decoded,
+                job.gathering,
                 job.entries.len() as u64,
                 job.copied,
                 job.skipped,
@@ -1018,9 +1331,11 @@ impl Ssd {
         self.ftl.flash_mut().power_on();
         let stats = self.ftl.rebuild_after_power_loss()?;
         self.journal_units_since_meta = 0;
-        // A checkpoint command in execution died with the power: what it
-        // acknowledged is in the rebuilt FTL, the rest never happened.
+        // A checkpoint command or a deallocation in execution died with
+        // the power: what it acknowledged is in the rebuilt FTL, the rest
+        // never happened.
         self.copy_job.running = false;
+        self.trim = None;
         self.counters.incr(Counter::SsdSporRecoveries);
         Ok(stats)
     }
@@ -1297,9 +1612,14 @@ mod tests {
     /// scatter booked when it was one burst of writes at the gather's
     /// finish: the instants, die time and media operations below were
     /// read off that burst, and the command ends on the acknowledgement
-    /// that waited longest. Every step but the last ends on a write that
-    /// waited for a programming slot; the step after it starts on the
-    /// slot that freed, so half as many writes wait as in the burst (30).
+    /// that waited longest. The gather is no burst: its one die senses
+    /// the 33 journal pages one read in flight at a time, so each sense
+    /// waits for the transfer before it and everything after the first
+    /// lands 32 page transfers later than behind the burst. Every scatter
+    /// step but the last ends on a write that waited for a programming
+    /// slot; the step after it starts on the slot that freed, so half as
+    /// many writes wait as in the burst (30). One walk step decodes the
+    /// 256 entries, and a gather step issues the read of each page.
     #[test]
     fn a_drained_paced_checkpoint_books_the_burst_instants() {
         let (mut s, entries, idle) = paced_copy_fixture();
@@ -1318,7 +1638,8 @@ mod tests {
         let (programs0, reads0, busy0) = flash(&s);
         let waits0 = s.ftl().counters().get(Counter::FtlBufferSlotWaits);
         let done = s.checkpoint(&entries, CheckpointMode::Copy, idle).unwrap();
-        assert_eq!(done.duration_since(idle).as_nanos(), 11_479_820);
+        let lag = FlashTiming::mlc().transfer_time(4096).as_nanos() * 32;
+        assert_eq!(done.duration_since(idle).as_nanos(), 11_479_820 + lag);
         let (programs, reads, busy) = flash(&s);
         assert_eq!((programs - programs0, reads - reads0), (17, 33));
         let busy: Vec<u64> = busy
@@ -1336,22 +1657,28 @@ mod tests {
             .collect();
         finishes.sort_unstable();
         let tprog = 660_000;
-        let want: Vec<u64> = (0..17).map(|i| 2_239_820 + i * tprog).collect();
+        let want: Vec<u64> = (0..17).map(|i| 2_239_820 + lag + i * tprog).collect();
         assert_eq!(finishes, want);
         let waits = s.ftl().counters().get(Counter::FtlBufferSlotWaits) - waits0;
         assert_eq!(waits, 15);
-        assert_eq!(s.counters().get(Counter::SsdCpPumpSteps), waits + 1);
+        let (walk, gather) = (1, 33);
+        assert_eq!(
+            s.counters().get(Counter::SsdCpPumpSteps),
+            walk + gather + waits + 1
+        );
         assert_eq!(s.counters().get(Counter::SsdCopyEntries), 256);
         assert_eq!(s.drain_checkpoint().unwrap(), None, "the command completed");
     }
 
-    /// A begun copy checkpoint asks for its first step at the gather's
-    /// finish and writes nothing home before it; a host read booked
-    /// between two steps finds the dies the scatter has not taken yet.
+    /// A begun copy checkpoint asks for its first step when its command
+    /// is decoded and writes nothing home before the scatter: the walk
+    /// and the gather steps come first, each due later than the one
+    /// before. A host read booked between two steps finds the dies the
+    /// scatter has not taken yet.
     #[test]
     fn a_paced_checkpoint_writes_home_only_when_pumped() {
         let (mut s, entries, idle) = paced_copy_fixture();
-        let CpProgress::PumpAt(first) = s
+        let CpProgress::PumpAt(mut due) = s
             .begin_checkpoint(&entries, CheckpointMode::Copy, idle)
             .unwrap()
         else {
@@ -1359,14 +1686,22 @@ mod tests {
         };
         assert!(!s.ftl().is_mapped(Lpn(0)), "nothing written before a step");
         let again = s
-            .begin_checkpoint(&entries, CheckpointMode::Copy, first)
+            .begin_checkpoint(&entries, CheckpointMode::Copy, due)
             .unwrap_err();
         assert!(matches!(again, SsdError::InvalidRequest(_)), "{again}");
-        let CpProgress::PumpAt(second) = s.pump_checkpoint(first).unwrap() else {
-            panic!("one step cannot write 256 units through two slots");
-        };
-        assert!(second > first);
-        assert!(s.ftl().is_mapped(Lpn(0)), "the first step wrote home");
+        let mut steps = 0;
+        while !s.ftl().is_mapped(Lpn(0)) {
+            let CpProgress::PumpAt(next) = s.pump_checkpoint(due).unwrap() else {
+                panic!("one step cannot write 256 units through two slots");
+            };
+            assert!(next > due, "step {steps} asked for {next} at {due}");
+            (due, steps) = (next, steps + 1);
+        }
+        assert!(
+            steps > 2,
+            "walk and gather steps before the scatter: {steps}"
+        );
+        let second = due;
         let done = s.drain_checkpoint().unwrap().unwrap();
         assert!(done >= second);
         assert_eq!(s.drain_checkpoint().unwrap(), None);
@@ -1475,6 +1810,45 @@ mod tests {
             )
             .unwrap();
         assert!(frags.is_empty());
+    }
+
+    /// A deallocation begun as steps walks and unmaps one map segment a
+    /// step, holds its queue slot until the last, and books in all what
+    /// the one-call deallocation books.
+    #[test]
+    fn a_paced_trim_walks_one_map_segment_a_step() {
+        const SEG: u64 = MapCacheModel::SEGMENT_ENTRIES;
+        let fixture = || {
+            let mut s = ssd_caching(512, Some(SEG));
+            let mut t = SimTime::ZERO;
+            for lba in (0..2 * SEG).step_by(8) {
+                t = s.write(&record(lba, 8, lba, 1), OobKind::Data, t).unwrap();
+            }
+            let idle = s.flush(t).unwrap() + SimDuration::from_millis(50);
+            (s, idle)
+        };
+        let (mut once, idle) = fixture();
+        let busy = once.cpu_busy_time();
+        let done = once.deallocate(0, 2 * SEG as u32, idle);
+        let booked = once.cpu_busy_time() - busy;
+
+        let (mut s, idle) = fixture();
+        let busy = s.cpu_busy_time();
+        let CpProgress::PumpAt(first) = s.begin_deallocate(0, 2 * SEG as u32, idle).unwrap() else {
+            panic!("a trim is stepped");
+        };
+        assert!(s.begin_deallocate(0, 8, first).is_err(), "one at a time");
+        assert!(s.ftl().is_mapped(Lpn(0)), "nothing unmapped before a step");
+        let CpProgress::PumpAt(second) = s.pump_deallocate(first).unwrap() else {
+            panic!("two segments take two steps");
+        };
+        assert!(second > first);
+        assert!(!s.ftl().is_mapped(Lpn(SEG - 1)) && s.ftl().is_mapped(Lpn(SEG)));
+        assert_eq!(s.pump_deallocate(second).unwrap(), CpProgress::Done(done));
+        assert!(!s.ftl().is_mapped(Lpn(2 * SEG - 1)));
+        assert_eq!(s.cpu_busy_time() - busy, booked);
+        assert_eq!(s.drain_deallocate(), None);
+        assert!(s.pump_deallocate(done).is_err(), "nothing left to pump");
     }
 
     #[test]

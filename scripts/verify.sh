@@ -15,10 +15,11 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== cargo test --release (checkin-core, checkin-sim and checkin-ssd libs)"
+echo "== cargo test --release (checkin-core, checkin-sim, checkin-ssd, checkin-ftl and checkin-flash libs)"
 # Release builds compile `debug_assert!` out: a test that expects one to
 # fire must be gated on `debug_assertions`, or this profile goes red.
-cargo test --release -p checkin-core -p checkin-sim -p checkin-ssd --lib -q
+cargo test --release -p checkin-core -p checkin-sim -p checkin-ssd -p checkin-ftl \
+    -p checkin-flash --lib -q
 
 echo "== kvbench builds against the workspace, and its unit tests pass"
 # `benchmark/kvbench` is a package of its own (path deps on the
@@ -33,13 +34,14 @@ echo "== lab"
 # The one measurement run (DESIGN.md §8): three GC-pressured workloads,
 # exact simulated cost of a remap vs a copy checkpoint, and every figure
 # and table of the paper as rows beside the paper's numbers. No options
-# but the output path; 67-86 s on two cores for its 857 rows, most of
-# it the figures. Exits non-zero only on its seven gates (a remap
+# but the output path; 67-86 s on two cores for its 860 rows, most of
+# it the figures. Exits non-zero only on its eight gates (a remap
 # checkpoint does no flash I/O; a read costs what the record occupies;
 # a write waits for a programming slot, not a program; a die programs
 # its two planes in one tPROG; a mapping walk misses once per segment;
 # a foreground read does not wait for a program whose finish nobody has
-# seen, nor for more than one program of a paced checkpoint scatter) —
+# seen, nor for more than one program of a paced checkpoint scatter, nor
+# for more than one step of a checkpoint's walk or gather or a trim) —
 # `cargo test` above already checked them.
 cargo run --release -p checkin-bench --bin lab -- --out target/BENCH_perf.json
 # Every row is a simulated quantity: a change that moves one must commit

@@ -141,9 +141,11 @@ struct Harness {
     /// Keys written since the last checkpoint began, or since the last
     /// recovery: their logs are in the active journal zone.
     dirty: Vec<bool>,
-    /// Keys written before the running checkpoint began: until it ends,
-    /// their logs are read in the zone it retired. Together with `dirty`
-    /// the only keys that may read from the journal.
+    /// Keys written before the running checkpoint began: until its data
+    /// moved, their logs are read in the zone it retired (from its
+    /// superblock on, the zone is trimmed and they read from home).
+    /// Together with `dirty` the only keys that may read from the
+    /// journal.
     retiring: Vec<bool>,
     /// When the running checkpoint asks to be pumped next.
     pump_due: Option<SimTime>,
@@ -332,6 +334,12 @@ impl Harness {
                     CheckpointPhase::Pumped(due)
                 );
                 self.pump_due = Some(due);
+                if !self.engine.checkpoint_moving() {
+                    // The data moved: the retired zone is being trimmed,
+                    // and the shadow holds with every key of it at home.
+                    self.retiring.fill(false);
+                    self.check_every_key();
+                }
             }
             CheckpointStep::Done(out) => self.ended(out),
         }
