@@ -29,12 +29,13 @@
 //!   scatter: one program when the scatter is paced, all but one when it
 //!   is booked as a burst. And what one waits for when it is issued at
 //!   a step of a checkpoint command's walk or gather, or of a trim: that
-//!   one step's booking.
+//!   one step's booking. And when page-outs issued while a die erases
+//!   start their programs: on the other, idle die, at once.
 //! * **`paper`** — every figure and table of the paper's evaluation
 //!   ([`crate::figures`]), the paper's own number beside the measured
 //!   one where it states one.
 //!
-//! Eight conditions fail a run, all exact: a remap checkpoint must do no
+//! Nine conditions fail a run, all exact: a remap checkpoint must do no
 //! flash I/O where a copy checkpoint reads and rewrites every log, a
 //! home read must cost what the record occupies, a write must wait for a
 //! programming slot, not for a program, a die must program a page on
@@ -42,8 +43,9 @@
 //! FTL's page-outs one such call each — a mapping walk must miss once per
 //! segment, a foreground read must not wait for a program whose finish
 //! nobody has seen, one issued during a paced scatter must wait out at
-//! most one of its programs, and one issued at a walk, gather or trim
-//! step at most that step. `cargo test` checks them as well (this
+//! most one of its programs, one issued at a walk, gather or trim
+//! step at most that step, and a page-out must not queue behind a busy
+//! die while another is free. `cargo test` checks them as well (this
 //! module's tests).
 
 use std::collections::BTreeSet;
@@ -75,19 +77,21 @@ pub struct Lab {
     /// book on an idle one, what three mapping walks cost the
     /// firmware, what four foreground reads wait for on a
     /// programming die, what one waits for during a copy
-    /// checkpoint's scatter, paced and as a burst, and what one waits
-    /// for at a walk, gather or trim step.
+    /// checkpoint's scatter, paced and as a burst, what one waits
+    /// for at a walk, gather or trim step, and where and when two
+    /// page-outs beside an erasing die program.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// All eight gates held: a remap checkpoint did no flash I/O, a read
+    /// All nine gates held: a remap checkpoint did no flash I/O, a read
     /// cost what the record occupies, a write waited for a programming
     /// slot, not for a program, a die programmed a plane pair — and only
     /// the pages of one call — in one tPROG, a mapping walk missed once
     /// per segment, a foreground read did not wait for a program whose
     /// finish nobody had seen, one issued during a paced scatter
-    /// waited out at most one of its programs, and one issued at a walk,
-    /// gather or trim step at most that step.
+    /// waited out at most one of its programs, one issued at a walk,
+    /// gather or trim step at most that step, and a page-out did not
+    /// queue behind a busy die while another was free.
     pub passed: bool,
 }
 
@@ -102,10 +106,10 @@ impl Lab {
     }
 }
 
-/// Measures all three sections and judges the eight gates.
+/// Measures all three sections and judges the nine gates.
 pub fn run() -> Lab {
     let gc = gc_section();
-    let (counts, (checkpoints, reads, writes, programs, walks, ahead, scatter, steps)) =
+    let (counts, (checkpoints, reads, writes, programs, walks, ahead, scatter, steps, places)) =
         counts_section();
     let paper = figures::paper_section();
 
@@ -142,6 +146,12 @@ pub fn run() -> Lab {
         (
             a_read_waits_out_one_step_at_most(&steps, &walks),
             format!("a read waits out one walk, gather or trim step at most: {steps:?}"),
+        ),
+        (
+            a_page_out_goes_to_a_free_die(&places),
+            format!(
+                "a page-out does not queue behind a busy die while another is free: {places:?}"
+            ),
         ),
     ];
     for (held, what) in &gates {
@@ -1065,6 +1075,93 @@ fn a_read_waits_out_one_step_at_most(r: &StepReads, w: &MapWalks) -> bool {
         && within(r.trim_wait_ns, segment)
 }
 
+/// Where two page-outs issued while one die erases go, on a device of
+/// two one-plane dies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Placements {
+    /// The die the erase was booked on.
+    erasing_die: u64,
+    /// The die the first page-out programmed on.
+    first_die: u64,
+    /// When the first page-out's tPROG started, from the issue.
+    first_tprog_start_ns: u64,
+    /// When the second one's started, from the issue.
+    second_tprog_start_ns: u64,
+}
+
+/// Two channels of one one-plane die each, a 4 KiB unit, one write
+/// point per die and a one-unit watermark, so that every write pages
+/// out at once: books an erase on die 0 — the die the first page-out
+/// would visit in rotation — and at the same instant writes two units.
+fn placements() -> Placements {
+    let geometry = FlashGeometry {
+        channels: 2,
+        dies_per_channel: 1,
+        planes_per_die: 1,
+        blocks_per_plane: 8,
+        pages_per_block: 32,
+        page_bytes: 4096,
+    };
+    let config = FtlConfig {
+        unit_bytes: 4096,
+        write_points: 2,
+        write_buffer_units: 1,
+        gc_threshold_blocks: 2,
+        gc_soft_threshold_blocks: 4,
+        ..FtlConfig::default()
+    };
+    let flash = FlashArray::new(geometry, FlashTiming::mlc());
+    let mut ftl = Ftl::new(flash, config).expect("the fixture's FTL config is valid");
+    let tracer = Tracer::ring_buffered(64);
+    ftl.set_tracer(tracer.clone());
+    let erasing_die = 0;
+    let idle_block = (0..geometry.total_blocks())
+        .rev()
+        .map(BlockId)
+        .find(|&b| geometry.die_of_block(b) == erasing_die)
+        .expect("die 0 has blocks");
+    ftl.flash_mut()
+        .erase(idle_block, SimTime::ZERO)
+        .expect("a fresh block erases");
+    for lpn in 0..2 {
+        let unit = UnitWrite {
+            lpn: Lpn(lpn),
+            payload: UnitPayload::single(lpn, 1, 4096),
+            whole_unit: true,
+        };
+        ftl.write(unit, OobKind::Data, SimTime::ZERO)
+            .expect("write succeeds");
+    }
+    let t_prog = FlashTiming::mlc().t_program.as_nanos();
+    let starts: Vec<u64> = tracer
+        .drain()
+        .iter()
+        .filter(|e| e.op == "page_out")
+        .filter_map(|e| e.fields().iter().find(|f| f.0 == "finish_ns"))
+        .map(|f| f.1 - t_prog)
+        .collect();
+    let first_page = ftl.flash_page_of(Lpn(0)).expect("lpn 0 is on flash");
+    Placements {
+        erasing_die,
+        first_die: geometry.die_of_block(geometry.block_of(first_page)),
+        first_tprog_start_ns: starts.first().copied().unwrap_or(u64::MAX),
+        second_tprog_start_ns: starts.get(1).copied().unwrap_or(u64::MAX),
+    }
+}
+
+/// A page-out does not queue behind a busy die while another is free:
+/// the first goes to the idle die and starts its tPROG one page
+/// transfer after its issue, once its page is across the channel; the
+/// second, with both dies busy, waits for the first's program, which
+/// ends before the erase does.
+fn a_page_out_goes_to_a_free_die(p: &Placements) -> bool {
+    let t = FlashTiming::mlc();
+    p.first_die != p.erasing_die
+        && p.first_tprog_start_ns == t.transfer_time(4096).as_nanos()
+        && p.second_tprog_start_ns == p.first_tprog_start_ns + t.t_program.as_nanos()
+        && p.second_tprog_start_ns < t.t_erase.as_nanos()
+}
+
 type Measured = (
     CheckpointCosts,
     Vec<ReadCost>,
@@ -1074,6 +1171,7 @@ type Measured = (
     ReadsAhead,
     ScatterReads,
     StepReads,
+    Placements,
 );
 
 fn counts_section() -> (Vec<Row>, Measured) {
@@ -1081,7 +1179,7 @@ fn counts_section() -> (Vec<Row>, Measured) {
         "counts: 64-entry checkpoint command, remap walk vs copy fallback; one home read; \
          page-filling writes; programs on a two-plane die; mapping walks; reads on a \
          programming die; a read during a copy checkpoint's scatter; reads at walk, gather \
-         and trim steps",
+         and trim steps; page-outs beside an erasing die",
     );
     let checkpoints = CheckpointCosts::measure();
     let mut rows = Vec::new();
@@ -1185,6 +1283,23 @@ fn counts_section() -> (Vec<Row>, Measured) {
     ] {
         push(&mut rows, "step", leaf, ns as f64, "ns");
     }
+    let places = placements();
+    push(
+        &mut rows,
+        "place",
+        "busy_die_first_page_out_die",
+        places.first_die as f64,
+        "index",
+    );
+    for (leaf, ns) in [
+        ("busy_die_first_tprog_start_ns", places.first_tprog_start_ns),
+        (
+            "busy_die_second_tprog_start_ns",
+            places.second_tprog_start_ns,
+        ),
+    ] {
+        push(&mut rows, "place", leaf, ns as f64, "ns");
+    }
     (
         rows,
         (
@@ -1196,6 +1311,7 @@ fn counts_section() -> (Vec<Row>, Measured) {
             ahead,
             scatter,
             steps,
+            places,
         ),
     )
 }
@@ -1281,6 +1397,13 @@ mod tests {
             super::a_read_waits_out_one_step_at_most(&steps, &walks),
             "{steps:?} {walks:?}"
         );
+    }
+
+    #[test]
+    fn a_page_out_goes_to_a_free_die() {
+        let places = placements();
+        assert!(super::a_page_out_goes_to_a_free_die(&places), "{places:?}");
+        assert_eq!(places.first_die, 1);
     }
 
     #[test]

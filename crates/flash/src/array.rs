@@ -1142,6 +1142,12 @@ impl FlashArray {
         self.dies.iter().map(|d| &d.timeline)
     }
 
+    /// The timeline of die `die`, by dense die index
+    /// ([`FlashGeometry::die_of_block`]); `None` past the last die.
+    pub fn die(&self, die: usize) -> Option<&Resource> {
+        self.dies.get(die).map(|d| &d.timeline)
+    }
+
     /// The per-channel timelines, indexed by channel.
     pub fn channels(&self) -> &[Resource] {
         &self.channels

@@ -10,14 +10,16 @@
 //! Write point `wp` fills blocks of plane `wp % total_planes`, so that
 //! write points on distinct planes keep programming side by side however
 //! GC recycles blocks (DESIGN.md §4, "Multi-plane programs"). Page-outs
-//! visit dies, not write points: one takes a page on every write point
+//! go to dies, not write points: one takes a page on every write point
 //! of its die's group at once, so a die's write points advance in
-//! lockstep and each page-out is one multi-plane program.
+//! lockstep and each page-out is one multi-plane program. Each goes to
+//! the group whose die can start a program first
+//! ([`BlockPool::choose_group`]).
 
 use std::collections::VecDeque;
 
 use checkin_flash::{BlockId, FlashArray, FlashGeometry};
-use checkin_sim::{Counter, CounterSet};
+use checkin_sim::{Counter, CounterSet, SimTime};
 
 use crate::error::RecoveryError;
 use crate::location::Location;
@@ -59,8 +61,24 @@ pub(crate) struct BlockPool {
     /// The write points grouped by die, one per plane at most
     /// ([`BlockPool::group`]), groups in order of their lowest write
     /// point.
-    groups: Vec<Vec<usize>>,
+    groups: Vec<Group>,
+    /// Where [`BlockPool::choose_group`]'s tie-break order starts: the
+    /// group after the last one chosen.
     next_group: usize,
+}
+
+/// One die's write points, at most one per plane.
+#[derive(Debug)]
+struct Group {
+    /// The dense index of the die ([`FlashGeometry::die_of_block`]) of
+    /// the group's home planes. A write point that found no free block
+    /// on its own plane programs another plane's (`ftl.off_plane_opens`),
+    /// possibly on another die, until that block closes; placement still
+    /// asks the home die meanwhile. Such opens are rare (none on a
+    /// device with free blocks on every plane), so the approximation is
+    /// kept rather than a die looked up per page-out.
+    die: usize,
+    write_points: Vec<usize>,
 }
 
 impl BlockPool {
@@ -74,20 +92,27 @@ impl BlockPool {
         // A write point's group: its die, and which lap of the planes it
         // is on (a device with more write points than planes has two
         // write points per plane, and one group cannot hold both).
-        // Groups form in write-point order, so the rotation visits dies
-        // in the order write points 0, 1, … first reach them.
+        // Groups form in write-point order, so ties between dies go to
+        // the order write points 0, 1, … first reach them.
         let planes = g.total_planes();
         let die_lap = |wp: usize| {
             let wp = wp as u64;
-            (wp / planes, g.die_of_block(BlockId(wp % planes)))
+            let die = g.die_of_block(BlockId(wp % planes));
+            // A die index is below `total_dies`, a table length.
+            (wp / planes, usize::try_from(die).unwrap_or(usize::MAX))
         };
-        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut groups: Vec<Group> = Vec::new();
         for wp in 0..write_points as usize {
-            let same =
-                |group: &&mut Vec<usize>| group.first().map(|&w| die_lap(w)) == Some(die_lap(wp));
+            let (lap, die) = die_lap(wp);
+            let same = |group: &&mut Group| {
+                group.write_points.first().map(|&w| die_lap(w)) == Some((lap, die))
+            };
             match groups.iter_mut().find(same) {
-                Some(group) => group.push(wp),
-                None => groups.push(vec![wp]),
+                Some(group) => group.write_points.push(wp),
+                None => groups.push(Group {
+                    die,
+                    write_points: vec![wp],
+                }),
             }
         }
         BlockPool {
@@ -149,18 +174,44 @@ impl BlockPool {
         }
     }
 
-    /// The group of write points the next page-out goes to (round-robin
-    /// over the dies). `None` for a pool built with no write points.
-    pub(crate) fn next_group(&mut self) -> Option<usize> {
-        let group = self.next_group;
-        self.next_group = group.checked_add(1)?.checked_rem(self.groups.len())?;
+    /// The group of write points a page-out issued at `at` goes to: the
+    /// one whose die can start a program earliest, `start(die)` being
+    /// when die `die` could. Ties go to rotation order, from the group
+    /// after the last one chosen, so on an idle device the page-outs
+    /// visit the groups in turn. The scan asks each group once, in that
+    /// order, and stops at the first die that can start at `at`: no
+    /// later one can start earlier. `None` for a pool built with no
+    /// write points.
+    pub(crate) fn choose_group(
+        &mut self,
+        at: SimTime,
+        start: impl Fn(usize) -> SimTime,
+    ) -> Option<usize> {
+        let groups = || self.groups.iter().enumerate();
+        let rotation = groups()
+            .skip(self.next_group)
+            .chain(groups().take(self.next_group));
+        let mut best: Option<(SimTime, usize)> = None;
+        for (group, Group { die, .. }) in rotation {
+            let first = start(*die);
+            if best.is_none_or(|(earliest, _)| first < earliest) {
+                best = Some((first, group));
+            }
+            if first <= at {
+                break;
+            }
+        }
+        let (_, group) = best?;
+        self.next_group = (group + 1) % self.groups.len();
         Some(group)
     }
 
     /// The write points of `group`, in order: one die's, at most one per
     /// plane. Empty for a group the pool does not have.
     pub(crate) fn group(&self, group: usize) -> &[usize] {
-        self.groups.get(group).map_or(&[], Vec::as_slice)
+        self.groups
+            .get(group)
+            .map_or(&[], |g| g.write_points.as_slice())
     }
 
     /// True when `wp` has no block open: its next page needs a free one.
@@ -233,7 +284,7 @@ impl BlockPool {
         self.take_page(wp)
     }
 
-    /// How many groups the page-out rotation visits.
+    /// How many groups page-outs choose from.
     #[cfg(test)]
     pub(crate) fn groups(&self) -> usize {
         self.groups.len()
@@ -277,17 +328,34 @@ impl BlockPool {
     /// units, then the least worn, then the lowest block id — a total
     /// order over integers, so the choice is deterministic.
     pub(crate) fn select_victim(&self, capacity: u32, flash: &FlashArray) -> Option<BlockId> {
-        // Few candidates (the closed blocks of one device): a sort is fine.
-        let mut oldest: Vec<(BlockId, &BlockSlot)> = self
+        // GC runs inside the query loop, so the window is a fixed array
+        // kept sorted by age, not a collected and sorted vector.
+        let mut oldest = [((0, BlockId(0)), 0); Self::GC_VICTIM_WINDOW];
+        let mut len = 0;
+        let candidates = self
             .closed_blocks()
-            .filter(|(_, s)| s.valid_units < capacity)
-            .collect();
-        oldest.sort_unstable_by_key(|(block, s)| (s.close_seq, block.0));
-        oldest.truncate(Self::GC_VICTIM_WINDOW);
-        oldest
-            .into_iter()
-            .min_by_key(|(block, s)| (s.valid_units, flash.erase_count(*block), block.0))
-            .map(|(block, _)| block)
+            .filter(|(_, s)| s.valid_units < capacity);
+        for (block, s) in candidates {
+            let age = (s.close_seq, block);
+            let seat = oldest
+                .get(..len)
+                .unwrap_or_default()
+                .partition_point(|&(older, _)| older < age);
+            if seat == Self::GC_VICTIM_WINDOW {
+                continue;
+            }
+            oldest.copy_within(seat..Self::GC_VICTIM_WINDOW - 1, seat + 1);
+            if let Some(taken) = oldest.get_mut(seat) {
+                *taken = (age, s.valid_units);
+            }
+            len = (len + 1).min(Self::GC_VICTIM_WINDOW);
+        }
+        let window = oldest.get(..len).unwrap_or_default();
+        window
+            .iter()
+            .map(|&((_, block), valid)| (valid, flash.erase_count(block), block.0))
+            .min()
+            .map(|(.., block)| BlockId(block))
     }
 
     /// The least-erased closed block (the static wear-leveling victim).
@@ -635,7 +703,7 @@ mod tests {
     #[test]
     fn a_pool_without_write_points_has_no_next_write_point() {
         let mut pool = BlockPool::new(&geometry(), 0);
-        assert_eq!(pool.next_group(), None);
+        assert_eq!(pool.choose_group(SimTime::ZERO, |_| SimTime::ZERO), None);
         assert!(pool.group(0).is_empty());
     }
 
@@ -646,10 +714,10 @@ mod tests {
         let mut pool = BlockPool::new(&g, 2);
         assert_eq!(pool.take_page(0), None);
         assert_eq!(pool.open(0), Some((BlockId(0), 0)));
-        // One plane: each write point is a group of its own.
-        assert_eq!(pool.next_group(), Some(0));
-        assert_eq!(pool.next_group(), Some(1));
-        assert_eq!(pool.next_group(), Some(0));
+        // One plane: each write point is a group of its own, both on the
+        // one die, so every choice is a tie and they take turns.
+        let mut choose = || pool.choose_group(SimTime::ZERO, |_| SimTime::ZERO);
+        assert_eq!([choose(), choose(), choose()], [Some(0), Some(1), Some(0)]);
         assert_eq!((pool.group(0), pool.group(1)), (&[0][..], &[1][..]));
         for page in 1..4 {
             assert!(!pool.is_closed(BlockId(0)));

@@ -66,11 +66,11 @@ pub struct FtlConfig {
     pub gc_soft_threshold_blocks: u32,
     /// Number of parallel write points (active blocks being filled).
     /// Write point `wp` fills blocks of plane `wp % total_planes`, and
-    /// page-outs visit dies round-robin: one page-out takes a page on
-    /// every write point of the next die, all at one page index, and the
-    /// die programs them in one tPROG. With one write point per plane a
-    /// page-out is a page on each plane of its die; with one per die, a
-    /// single page.
+    /// page-outs go to dies: one page-out takes a page on every write
+    /// point of the die that can start a program first, all at one page
+    /// index, and the die programs them in one tPROG. With one write
+    /// point per plane a page-out is a page on each plane of its die;
+    /// with one per die, a single page.
     pub write_points: u32,
     /// Mapping-table cache capacity in entries; `None` models an
     /// all-in-DRAM table.

@@ -760,11 +760,15 @@ impl Ftl {
     }
 
     /// Pages out the oldest buffered units as one multi-plane page at
-    /// `at`: a page on every write point of the next die's group
+    /// `at`: a page on every write point of one die's group
     /// ([`BlockPool::group`]), all at one page index, programmed in one
-    /// [`FlashArray::program_planes`] call. Units fill the pages in
-    /// write-point order; a page-out that finds fewer than the group
-    /// holds pads the rest, so the die's write points stay in lockstep.
+    /// [`FlashArray::program_planes`] call. The group is the one whose
+    /// die can start a tPROG earliest from `at` on
+    /// ([`BlockPool::choose_group`]), so a page-out does not queue
+    /// behind an erase or a burst of programs while another die is free.
+    /// Units fill the pages in write-point order; a page-out that finds
+    /// fewer than the group holds pads the rest, so the die's write
+    /// points stay in lockstep.
     /// Pages that cannot share one tPROG — a write point moved off its
     /// plane or out of step by an off-plane open or a retirement — are
     /// programmed in as many calls as they need.
@@ -777,7 +781,17 @@ impl Ftl {
         if self.buffer.queued() == 0 {
             return Ok(at);
         }
-        let group = self.pool.next_group().ok_or(FtlError::OutOfSpace)?;
+        let flash = &self.flash;
+        let t_program = flash.timing().t_program;
+        let start = |die: usize| {
+            let timeline = flash.die(die);
+            debug_assert!(timeline.is_some(), "die {die} is not a die of this device");
+            timeline.map_or(SimTime::MAX, |t| t.first_fit(at, t_program))
+        };
+        let group = self
+            .pool
+            .choose_group(at, start)
+            .ok_or(FtlError::OutOfSpace)?;
         let upp = self.upp as usize;
         // Take the batch BEFORE allocating: block allocation may trigger
         // GC, which enqueues freshly migrated units. Those stay buffered
@@ -883,7 +897,7 @@ impl Ftl {
     /// reserve, foreground GC collects until there is headroom or
     /// nothing reclaimable is left (not fatal yet: free blocks may
     /// remain). It runs before the group takes any page: GC pages its
-    /// migrated units out through the same rotation and may fill or open
+    /// migrated units out through the same placement and may fill or open
     /// blocks on these very write points, so a page taken before it
     /// could be overtaken by GC's and programmed out of order.
     ///

@@ -1,7 +1,8 @@
 //! `#[cfg(test)] mod placement_tests` of `ftl.rs`: write points keep
 //! their planes while GC recycles blocks in whatever order it frees them,
-//! and a die's write points advance in lockstep, a multi-plane page per
-//! page-out.
+//! a die's write points advance in lockstep, a multi-plane page per
+//! page-out, and each page-out goes to the die that can start its
+//! program first.
 
 use super::tests::w;
 use super::*;
@@ -216,12 +217,14 @@ fn a_dies_write_points_stay_at_one_page_index() {
     );
 }
 
-/// One die with two planes, one write point each, one 4 KiB unit to the
-/// page and a watermark of `watermark` units.
-fn two_plane_die(watermark: u32) -> Ftl {
+/// `dies` dies (one, or four on two channels) of two planes, one write
+/// point per plane, one 4 KiB unit to the page and a two-unit watermark:
+/// every second write pages a plane pair out.
+fn two_plane_dies(dies: u32) -> Ftl {
+    let channels = dies.min(2);
     let geometry = FlashGeometry {
-        channels: 1,
-        dies_per_channel: 1,
+        channels,
+        dies_per_channel: dies / channels,
         planes_per_die: 2,
         blocks_per_plane: 8,
         pages_per_block: 8,
@@ -229,8 +232,8 @@ fn two_plane_die(watermark: u32) -> Ftl {
     };
     let config = FtlConfig {
         unit_bytes: 4096,
-        write_points: 2,
-        write_buffer_units: watermark,
+        write_points: 2 * dies,
+        write_buffer_units: 2,
         gc_threshold_blocks: 2,
         gc_soft_threshold_blocks: 4,
         ..FtlConfig::default()
@@ -252,7 +255,7 @@ fn write_pages(f: &mut Ftl, lpns: std::ops::Range<u64>, at: SimTime) {
 fn page_filling_writes_book_one_tprog_per_plane_pair() {
     let t = FlashTiming::mlc();
     for n in [1u64, 5, 12] {
-        let mut f = two_plane_die(2);
+        let mut f = two_plane_dies(1);
         let tracer = Tracer::ring_buffered(256);
         f.set_tracer(tracer.clone());
         // Each pair lands long after the previous one is done.
@@ -283,11 +286,118 @@ fn page_filling_writes_book_one_tprog_per_plane_pair() {
     }
 }
 
+/// The die each group of write points programs on, by group.
+fn group_dies(f: &Ftl) -> Vec<u64> {
+    let g = f.flash.geometry();
+    let plane = |group| f.pool.group(group)[0] as u64 % g.total_planes();
+    (0..f.pool.groups())
+        .map(|group| g.die_of_block(BlockId(plane(group))))
+        .collect()
+}
+
+/// The die of each page-out `tracer` saw since it was last drained (a
+/// pair's two `page_out` events name one die).
+fn page_out_dies(f: &Ftl, tracer: &Tracer) -> Vec<u64> {
+    let g = f.flash.geometry();
+    let dies: Vec<u64> = tracer
+        .drain()
+        .iter()
+        .filter(|e| e.op == "page_out")
+        .map(|e| e.fields().iter().find(|f| f.0 == "block").unwrap().1)
+        .map(|block| g.die_of_block(BlockId(block)))
+        .collect();
+    assert!(dies.chunks(2).all(|pair| pair[0] == pair[1]), "{dies:?}");
+    dies.into_iter().step_by(2).collect()
+}
+
+/// Erases, at `at`, the last block of `die`: one no write point has
+/// opened.
+fn erase_on(f: &mut Ftl, die: u64, at: SimTime) {
+    let g = *f.flash.geometry();
+    let block = (0..g.total_blocks())
+        .rev()
+        .map(BlockId)
+        .find(|&b| g.die_of_block(b) == die)
+        .unwrap();
+    f.flash_mut().erase(block, at).unwrap();
+}
+
+/// On a device idle at every page-out, the page-outs visit the groups
+/// in turn, from group 0: every die is a tie, and ties go to rotation
+/// order.
+#[test]
+fn an_idle_device_pages_out_in_rotation_order() {
+    let mut f = two_plane_dies(4);
+    let tracer = Tracer::ring_buffered(256);
+    f.set_tracer(tracer.clone());
+    let dies = group_dies(&f);
+    assert_eq!(dies, [0, 2, 1, 3], "groups in write-point order");
+    for i in 0..10 {
+        let at = SimTime::ZERO + SimDuration::from_millis(10 * i);
+        write_pages(&mut f, 2 * i..2 * i + 2, at);
+    }
+    let expected: Vec<u64> = dies.iter().copied().cycle().take(10).collect();
+    assert_eq!(page_out_dies(&f, &tracer), expected);
+    f.check_invariants().unwrap();
+}
+
+/// The rotation's next die is erasing: the page-out goes to the next
+/// die in rotation order, which is idle, and starts its tPROG as soon as
+/// its pages are across the channel.
+#[test]
+fn a_page_out_skips_a_die_busy_with_an_erase() {
+    let t = FlashTiming::mlc();
+    let mut f = two_plane_dies(4);
+    let tracer = Tracer::ring_buffered(256);
+    f.set_tracer(tracer.clone());
+    let dies = group_dies(&f);
+    erase_on(&mut f, dies[0], SimTime::ZERO);
+    write_pages(&mut f, 0..2, SimTime::ZERO);
+    let events = tracer.drain();
+    let finish = events
+        .iter()
+        .find(|e| e.op == "page_out")
+        .map(|e| e.fields().iter().find(|f| f.0 == "finish_ns").unwrap().1)
+        .unwrap();
+    assert_eq!(
+        SimTime::from_nanos(finish),
+        SimTime::ZERO + t.transfer_time(4096) * 2 + t.t_program,
+        "no wait for the erase"
+    );
+    let g = *f.flash.geometry();
+    let page = f.flash_page_of(Lpn(0)).unwrap();
+    assert_eq!(g.die_of_block(g.block_of(page)), dies[1]);
+    write_pages(&mut f, 2..6, SimTime::ZERO);
+    assert_eq!(page_out_dies(&f, &tracer), [dies[2], dies[3]]);
+    f.check_invariants().unwrap();
+}
+
+/// Every die erasing until one instant: each is a tie, and the tie goes
+/// to the group after the last one chosen.
+#[test]
+fn ties_go_to_rotation_order() {
+    let mut f = two_plane_dies(4);
+    let tracer = Tracer::ring_buffered(256);
+    f.set_tracer(tracer.clone());
+    let dies = group_dies(&f);
+    write_pages(&mut f, 0..2, SimTime::ZERO);
+    let at = SimTime::ZERO + SimDuration::from_millis(10);
+    for &die in &dies {
+        erase_on(&mut f, die, at);
+    }
+    write_pages(&mut f, 2..10, at);
+    assert_eq!(
+        page_out_dies(&f, &tracer),
+        [dies[0], dies[1], dies[2], dies[3], dies[0]]
+    );
+    f.check_invariants().unwrap();
+}
+
 /// A page-out with less than a pair buffered — a flush — pads the second
 /// page, so the die's write points stay at one page index.
 #[test]
 fn a_short_page_out_pads_its_pair() {
-    let mut f = two_plane_die(2);
+    let mut f = two_plane_dies(1);
     write_pages(&mut f, 0..1, SimTime::ZERO);
     f.flush(SimTime::ZERO).unwrap();
     let c = f.flash().counters();
@@ -312,7 +422,7 @@ fn a_grown_bad_block_in_a_pair_gives_its_partner_its_page_back() {
     // page of the second pair.
     let (mut f, first, bad) = (0..200)
         .find_map(|seed| {
-            let mut f = two_plane_die(2);
+            let mut f = two_plane_dies(1);
             write_pages(&mut f, 0..2, SimTime::ZERO);
             let first = f.flash_page_of(Lpn(0)).unwrap();
             let open: Vec<(usize, BlockId)> = f.pool.open_blocks().collect();

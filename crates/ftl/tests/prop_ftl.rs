@@ -451,14 +451,16 @@ enum AckRule {
     ProgramFinish,
 }
 
-/// 4 dies, 64 blocks of 16 pages: GC starts within a device's worth of
-/// writes over 60 % of the units.
-fn pressured_ftl(unit_bytes: u32) -> (Ftl, u64) {
+/// `dies` dies (one or four) of one plane, 64 blocks of 16 pages in all,
+/// four write points: GC starts within a device's worth of writes over
+/// 60 % of the units.
+fn pressured_ftl(unit_bytes: u32, dies: u32) -> (Ftl, u64) {
+    let channels = dies.min(2);
     let geometry = FlashGeometry {
-        channels: 2,
-        dies_per_channel: 2,
+        channels,
+        dies_per_channel: dies / channels,
         planes_per_die: 1,
-        blocks_per_plane: 16,
+        blocks_per_plane: 64 / dies,
         pages_per_block: 16,
         page_bytes: 4096,
     };
@@ -490,8 +492,9 @@ fn slot_free(finishes: &[SimTime], depth: usize, at: SimTime) -> SimTime {
     later[depth - 1]
 }
 
-/// What one run leaves behind that must not depend on when writes were
-/// acknowledged.
+/// What one run leaves behind. What every lpn reads back must not depend
+/// on when writes were acknowledged; where they went may, once there
+/// is more than one die to choose from.
 #[derive(Debug, PartialEq)]
 struct Placement {
     /// `(block, page, units)` of every page-out, in program order.
@@ -499,13 +502,15 @@ struct Placement {
     mapping: Vec<(Lpn, checkin_ftl::Location)>,
     programs: u64,
     erases: u64,
+    /// Every mapped lpn and what it reads back.
+    contents: Vec<(Lpn, UnitPayload)>,
 }
 
-/// Drives `writes` through a fresh [`pressured_ftl`], each issuer's clock
-/// advancing by the acks `rule` gives it, and checks every ack the FTL
-/// returns against [`slot_free`].
-fn drive_timed(unit_bytes: u32, writes: &[TimedWrite], rule: AckRule) -> Placement {
-    let (mut ftl, _) = pressured_ftl(unit_bytes);
+/// Drives `writes` through a fresh [`pressured_ftl`] of `dies` dies, each
+/// issuer's clock advancing by the acks `rule` gives it, and checks
+/// every ack the FTL returns against [`slot_free`].
+fn drive_timed(unit_bytes: u32, dies: u32, writes: &[TimedWrite], rule: AckRule) -> Placement {
+    let (mut ftl, lpns) = pressured_ftl(unit_bytes, dies);
     let tracer = Tracer::ring_buffered(4_096);
     ftl.set_tracer(tracer.clone());
     let depth = ftl.config().write_points as usize;
@@ -558,12 +563,22 @@ fn drive_timed(unit_bytes: u32, writes: &[TimedWrite], rule: AckRule) -> Placeme
         "the stream never pressured GC"
     );
     assert!(ftl.counters().get(Counter::FtlBufferSlotWaits) > 0);
+    let end = client.max(chain);
+    let contents = (0..lpns)
+        .map(Lpn)
+        .filter_map(|lpn| match ftl.read(lpn, end) {
+            Ok((payload, _)) => Some((lpn, payload)),
+            Err(FtlError::Unmapped(_)) => None,
+            Err(e) => panic!("{lpn}: {e}"),
+        })
+        .collect();
     let flash = ftl.flash().counters();
     Placement {
         page_outs,
         mapping: ftl.mapping_iter().collect(),
         programs: flash.total(Total::FlashProgram),
         erases: flash.total(Total::FlashErase),
+        contents,
     }
 }
 
@@ -572,30 +587,38 @@ fn drive_timed(unit_bytes: u32, writes: &[TimedWrite], rule: AckRule) -> Placeme
 /// of them (so admissions are not monotone), at 512 B and 4 KiB units, on
 /// a device under GC pressure. The rule decides only *when* a writer
 /// goes on: replayed with the issuers' clocks advanced by the old
-/// program-finish acks instead, every page-out, the mapping table and the
-/// flash counts are the same.
+/// program-finish acks instead, every lpn reads back the same payload.
+/// On one die, where a page-out has no die to choose, every page-out,
+/// the mapping table and the flash counts are the same too; on four,
+/// page-outs follow the die timelines, which the acks move.
 #[test]
 fn a_write_waits_for_a_programming_slot_not_for_a_program() {
-    for (unit_bytes, writes) in [(512u32, 12_000usize), (4096, 2_000)] {
-        let lpns = pressured_ftl(unit_bytes).1;
-        check(
-            "a_write_waits_for_a_programming_slot_not_for_a_program",
-            3,
-            |rng| {
-                let stream = soup(rng, writes, |rng| TimedWrite {
-                    lpn: rng.below(lpns),
-                    issuer: match rng.weighted(&[6, 2, 2]) {
-                        0 => Issuer::Client,
-                        1 => Issuer::LateClient,
-                        _ => Issuer::Chain,
-                    },
-                    jitter: rng.range_u64(0, 400_000),
-                });
-                let slot = drive_timed(unit_bytes, &stream, AckRule::Slot);
-                let old = drive_timed(unit_bytes, &stream, AckRule::ProgramFinish);
-                assert_eq!(slot, old, "{unit_bytes} B units");
-            },
-        );
+    for dies in [1, 4] {
+        for (unit_bytes, writes) in [(512u32, 12_000usize), (4096, 2_000)] {
+            let lpns = pressured_ftl(unit_bytes, dies).1;
+            check(
+                "a_write_waits_for_a_programming_slot_not_for_a_program",
+                3,
+                |rng| {
+                    let stream = soup(rng, writes, |rng| TimedWrite {
+                        lpn: rng.below(lpns),
+                        issuer: match rng.weighted(&[6, 2, 2]) {
+                            0 => Issuer::Client,
+                            1 => Issuer::LateClient,
+                            _ => Issuer::Chain,
+                        },
+                        jitter: rng.range_u64(0, 400_000),
+                    });
+                    let slot = drive_timed(unit_bytes, dies, &stream, AckRule::Slot);
+                    let old = drive_timed(unit_bytes, dies, &stream, AckRule::ProgramFinish);
+                    if dies == 1 {
+                        assert_eq!(slot, old, "{unit_bytes} B units");
+                    } else {
+                        assert_eq!(slot.contents, old.contents, "{unit_bytes} B units");
+                    }
+                },
+            );
+        }
     }
 }
 

@@ -15,11 +15,16 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== cargo test --release (checkin-core, checkin-sim, checkin-ssd, checkin-ftl and checkin-flash libs)"
+echo "== cargo test --release (checkin-core, checkin-sim, checkin-ssd, checkin-ftl and checkin-flash libs; zero_alloc, prop_ftl)"
 # Release builds compile `debug_assert!` out: a test that expects one to
 # fire must be gated on `debug_assertions`, or this profile goes red.
 cargo test --release -p checkin-core -p checkin-sim -p checkin-ssd -p checkin-ftl \
     -p checkin-flash --lib -q
+# The benchmark measures release builds, so the hot loop's freedom from
+# allocation and the write buffer's ack rule are checked in that
+# profile too (about 3 s together).
+cargo test --release -p checkin-core --test zero_alloc -q
+cargo test --release -p checkin-ftl --test prop_ftl -q
 
 echo "== kvbench builds against the workspace, and its unit tests pass"
 # `benchmark/kvbench` is a package of its own (path deps on the
@@ -35,13 +40,14 @@ echo "== lab"
 # exact simulated cost of a remap vs a copy checkpoint, and every figure
 # and table of the paper as rows beside the paper's numbers. No options
 # but the output path; 67-86 s on two cores for its 860 rows, most of
-# it the figures. Exits non-zero only on its eight gates (a remap
+# it the figures. Exits non-zero only on its nine gates (a remap
 # checkpoint does no flash I/O; a read costs what the record occupies;
 # a write waits for a programming slot, not a program; a die programs
 # its two planes in one tPROG; a mapping walk misses once per segment;
 # a foreground read does not wait for a program whose finish nobody has
 # seen, nor for more than one program of a paced checkpoint scatter, nor
-# for more than one step of a checkpoint's walk or gather or a trim) —
+# for more than one step of a checkpoint's walk or gather or a trim; a
+# page-out does not queue behind a busy die while another is free) —
 # `cargo test` above already checked them.
 cargo run --release -p checkin-bench --bin lab -- --out target/BENCH_perf.json
 # Every row is a simulated quantity: a change that moves one must commit
