@@ -948,7 +948,7 @@ fn first_scatter_step(ssd: &mut Ssd, entries: &[CowEntry], at: SimTime) -> (SimT
             panic!("a copy class is scattered by the pump: {progress:?}");
         };
         let (writes, before) = (unit_writes(ssd), programs(ssd));
-        progress = ssd.pump_checkpoint(due);
+        progress = ssd.pump(due);
         if unit_writes(ssd) > writes {
             return (due, before);
         }
@@ -966,10 +966,10 @@ fn scatter_reads() -> ScatterReads {
         let (first, before) = first_scatter_step(&mut ssd, &entries, idle);
         let programs = |ssd: &Ssd| ssd.ftl().flash().counters().total(Total::FlashProgram);
         if drain {
-            ssd.drain_checkpoint().expect("the scatter runs");
+            ssd.drain().expect("the scatter runs");
         }
         let latency = read_latency(&mut ssd, 0, first);
-        ssd.drain_checkpoint().expect("the scatter runs");
+        ssd.drain().expect("the scatter runs");
         (latency - idle_ns, programs(&ssd) - before)
     };
     let (paced_wait_ns, scatter_pages) = wait(false);
@@ -1022,7 +1022,7 @@ fn step_reads() -> StepReads {
     let Ok(CpProgress::PumpAt(walk)) = begun else {
         panic!("a remap batch is walked by the pump: {begun:?}");
     };
-    ssd.pump_checkpoint(walk).expect("the walk step runs");
+    ssd.pump(walk).expect("the walk step runs");
     let walk_wait_ns = read_latency(&mut ssd, 0, walk) - idle;
 
     let (mut ssd, entries, t) = checkpoint_fixture(FlashTiming::mlc());
@@ -1034,7 +1034,7 @@ fn step_reads() -> StepReads {
         let Ok(CpProgress::PumpAt(due)) = progress else {
             panic!("a copy batch is gathered by the pump: {progress:?}");
         };
-        progress = ssd.pump_checkpoint(due);
+        progress = ssd.pump(due);
         if flash_reads(&ssd) > reads {
             break due;
         }
@@ -1048,7 +1048,7 @@ fn step_reads() -> StepReads {
     let Ok(CpProgress::PumpAt(first)) = begun else {
         panic!("a trim is walked by the pump: {begun:?}");
     };
-    ssd.pump_deallocate(first).expect("the trim step runs");
+    ssd.pump(first).expect("the trim step runs");
     let trim_wait_ns = read_latency(&mut ssd, log, first) - idle;
     StepReads {
         walk_wait_ns,

@@ -26,10 +26,10 @@
 //! or CoW commands (ISC-A) through a window of the checkpoint's own, as
 //! deep as the device's queue, or one batched command, which the job's
 //! first step sends (`Ssd::begin_checkpoint`) and its later steps pump
-//! (`Ssd::pump_checkpoint`) through its walk, gather and scatter. The
-//! step that ends the data movement writes the superblock and begins
-//! the retired zone's trim (`Ssd::begin_deallocate`), whose steps
-//! (`Ssd::pump_deallocate`) walk one map segment each; only the
+//! (`Ssd::pump`) through its walk, gather and scatter. The step that
+//! ends the data movement writes the superblock and begins the retired
+//! zone's trim (`Ssd::begin_deallocate`), the device's next job, whose
+//! steps (`Ssd::pump` again) walk one map segment each; only the
 //! deletion trims and the superblock are single bookings.
 
 use checkin_flash::{Fragment, OobKind, OpPhase};
@@ -229,7 +229,7 @@ impl RunningCheckpoint {
         now: SimTime,
     ) -> Result<(), SsdError> {
         if self.ending.is_some() {
-            self.progress = own_call(&mut self.own, ssd, |ssd| ssd.pump_deallocate(now))?;
+            self.progress = own_call(&mut self.own, ssd, |ssd| ssd.pump(now))?;
             return Ok(());
         }
         let job = &mut self.job;
@@ -516,7 +516,7 @@ impl HostJob {
                 self.next = self.entries.len();
                 ssd.begin_checkpoint(&self.entries, mode, now)
             }
-            Mechanism::Batched(_) => ssd.pump_checkpoint(now),
+            Mechanism::Batched(_) => ssd.pump(now),
             // The Baseline's read-back-and-rewrite is its copy fallback;
             // attribute its flash ops accordingly. ISC-A's commands
             // attribute their own.

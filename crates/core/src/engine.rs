@@ -714,11 +714,10 @@ impl KvEngine {
         record_count: u64,
         at: SimTime,
     ) -> Result<(Self, RecoveryReport), EngineError> {
-        // A checkpoint command or a zone trim the crashed host left
-        // running was accepted by the device, which finishes it without
-        // the host.
-        let at = ssd.drain_checkpoint()?.map_or(at, |done| at.max(done));
-        let at = ssd.drain_deallocate().map_or(at, |done| at.max(done));
+        // The device's job in execution — a checkpoint command or a zone
+        // trim the crashed host left running — was accepted by the
+        // device, which finishes it without the host (`Ssd::drain`).
+        let at = ssd.drain()?.map_or(at, |done| at.max(done));
         let reads_before = ssd.counters().get(Counter::SsdCmdRead);
         let mut engine = KvEngine::new(strategy, layout, compression_ratio);
         let mut t = at;

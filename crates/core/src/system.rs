@@ -832,7 +832,7 @@ mod tests {
         assert!(counters.get(Counter::SsdCpPumpSteps) > checkpoints);
         let (engine, ssd) = system.verify_parts();
         assert_eq!(engine.checkpoint_phase(SimTime::MAX), CheckpointPhase::Idle);
-        assert_eq!(ssd.drain_checkpoint().unwrap(), None);
+        assert_eq!(ssd.drain().unwrap(), None);
         system.ssd().ftl().check_invariants().unwrap();
     }
 

@@ -81,43 +81,43 @@ pub struct Ssd {
     scratch_sensed: SensedPages,
     /// One copy entry's gathered fragments, recycled from entry to entry.
     scratch_frags: Vec<Fragment>,
-    /// The checkpoint command in execution, if any, between the pump
-    /// steps that walk, gather and scatter it.
-    copy_job: CopyJob,
-    /// The deallocation in execution, if any, between the pump steps
-    /// that walk its map segments ([`Ssd::begin_deallocate`]).
-    trim: Option<TrimJob>,
+    /// The job in execution, if any — a checkpoint command or a
+    /// deallocation — between the pump steps that advance it.
+    job: Job,
 }
 
-/// What a checkpoint command — or a deallocation — needs next: see
-/// [`Ssd::begin_checkpoint`] and [`Ssd::begin_deallocate`].
+/// What the job in execution needs next: see [`Ssd::begin_checkpoint`],
+/// [`Ssd::begin_deallocate`] and [`Ssd::pump`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpProgress {
-    /// The command is still in execution: call its pump at this instant.
+    /// The command is still in execution: call [`Ssd::pump`] at this
+    /// instant.
     PumpAt(SimTime),
     /// The command completed at this instant.
     Done(SimTime),
 }
 
-/// The checkpoint command in execution. Its admission, descriptor
-/// transfer and command cost are booked when it begins; every later
-/// stage is booked by [`Ssd::pump_checkpoint`] steps, a small unit of
-/// work each at its own instant, so foreground commands booked between
-/// two steps go first. Its buffers are recycled from command to command.
+/// The job in execution on the device: one checkpoint command or one
+/// deallocation at a time. Its admission, transfer and command cost are
+/// booked when it begins; every later stage is booked by [`Ssd::pump`]
+/// steps, a small unit of work each at its own instant, so foreground
+/// commands booked between two steps go first. Its buffers are recycled
+/// from command to command.
 #[derive(Debug, Default)]
-struct CopyJob {
-    /// Whether a command is in execution, and its stage.
-    running: bool,
+struct Job {
+    /// Where the job is: [`Stage::Idle`] when none runs.
     stage: Stage,
+    /// Live mapping entries when the job began: every walk step is
+    /// priced at that table size.
+    live: u64,
+    /// The instant the next pump step is due.
+    next_at: SimTime,
     /// Whether the command closes with a recovery metadata unit: a
     /// batched checkpoint does, a single CoW does not.
     closes_with_meta: bool,
     /// Firmware time per entry the walk decodes: zero for a single CoW,
     /// whose command cost covers its one entry.
     entry_cost: SimDuration,
-    /// Live mapping entries when the command began: every walk step is
-    /// priced at that table size.
-    live: u64,
     /// The batch as sent, and how many of its entries the walk decoded.
     batch: Vec<CowEntry>,
     walked: usize,
@@ -160,34 +160,24 @@ struct CopyJob {
     gathering: SimTime,
     booked: SimTime,
     written: SimTime,
-    /// The instant the next pump step is due.
-    next_at: SimTime,
 }
 
-/// Where a checkpoint command's pump steps are.
+/// Where the job's pump steps are.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Stage {
+    /// No job is running.
+    #[default]
+    Idle,
     /// Decoding the batch and remapping its remap class in `mode`, at
     /// most [`WALK_STEP_ENTRIES`] entries a step.
     Walk(CheckpointMode),
     /// Reading the copy class's sources, one read in flight per die.
     Gather,
     /// Writing the copy class home, up to a programming-slot wait a step.
-    #[default]
     Scatter,
-}
-
-/// A deallocation in execution: see [`Ssd::begin_deallocate`].
-#[derive(Debug, Clone, Copy)]
-struct TrimJob {
-    /// The next sector to trim, and the end of the range.
-    cursor: u64,
-    end: u64,
-    /// Live mapping entries when the command began: every step's walk is
-    /// priced at that table size.
-    live: u64,
-    /// The instant the next step is due.
-    next_at: SimTime,
+    /// Unmapping the sectors from `cursor` to `end`, one map segment a
+    /// step.
+    Trim { cursor: u64, end: u64 },
 }
 
 // The shard fleet will move this across threads: a field that is not
@@ -254,8 +244,7 @@ impl Ssd {
             cp_phase_times: CpPhaseTimes::default(),
             scratch_sensed: SensedPages::default(),
             scratch_frags: Vec::new(),
-            copy_job: CopyJob::default(),
-            trim: None,
+            job: Job::default(),
         }
     }
 
@@ -596,116 +585,72 @@ impl Ssd {
 
     /// Deallocates (trims) a sector range, unit by unit, executed to
     /// completion in this call: the steps of [`Ssd::begin_deallocate`],
-    /// each at the instant the one before ended. Returns when the
-    /// command completed.
+    /// each at the instant the one before ended. Holds no job slot, so a
+    /// job in execution goes on untouched. Returns when the command
+    /// completed.
     pub fn deallocate(&mut self, lba: u64, sectors: u32, at: SimTime) -> SimTime {
-        let job = self.start_trim(lba, sectors, at);
-        self.run_trim(job)
+        let (mut cursor, end) = (lba, lba + u64::from(sectors));
+        let mut now = self.admit_trim(at);
+        let live = self.ftl.live_entries();
+        while cursor < end {
+            (cursor, now) = self.trim_segment(cursor, end, live, now);
+        }
+        self.queue.complete(now);
+        now
     }
 
     /// Begins deallocating a sector range at `at`: one command, whose
     /// admission, transfer and command cost are booked here. Its mapping
-    /// walk is left to [`Ssd::pump_deallocate`] steps, one map segment
-    /// each ([`MapCacheModel::SEGMENT_ENTRIES`] units), which unmap that
+    /// walk is left to [`Ssd::pump`] steps, one map segment each
+    /// ([`MapCacheModel::SEGMENT_ENTRIES`] units), which unmap that
     /// segment's whole units; the command holds its queue slot until the
     /// last. Partial-unit trims are ignored, as in [`Ssd::deallocate`].
     ///
     /// # Errors
     ///
-    /// [`SsdError::InvalidRequest`] while another deallocation begun
-    /// this way is still running.
+    /// [`SsdError::InvalidRequest`] while a job is running.
     pub fn begin_deallocate(
         &mut self,
         lba: u64,
         sectors: u32,
         at: SimTime,
     ) -> Result<CpProgress, SsdError> {
-        if self.trim.is_some() {
-            return Err(SsdError::InvalidRequest(
-                "a deallocation is still running".into(),
-            ));
-        }
-        let job = self.start_trim(lba, sectors, at);
-        self.trim = Some(job);
-        Ok(CpProgress::PumpAt(job.next_at))
+        self.refuse_while_running()?;
+        let end = lba + u64::from(sectors);
+        self.job.stage = Stage::Trim { cursor: lba, end };
+        self.job.live = self.ftl.live_entries();
+        self.job.next_at = self.admit_trim(at);
+        Ok(CpProgress::PumpAt(self.job.next_at))
     }
 
-    /// One step of the running deallocation at `now`, the instant the
-    /// previous one asked for: walks and unmaps the units of its next
-    /// map segment. The step that walks the last completes the command.
-    /// Counted in `ssd.cp_pump_steps`.
-    ///
-    /// # Errors
-    ///
-    /// [`SsdError::InvalidRequest`] when no deallocation is running.
-    pub fn pump_deallocate(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
-        let Some(mut job) = self.trim.take() else {
-            return Err(SsdError::InvalidRequest(
-                "no deallocation is running".into(),
-            ));
-        };
-        debug_assert!(now >= job.next_at, "a pump step before it is due");
-        self.counters.incr(Counter::SsdCpPumpSteps);
-        Ok(match self.trim_step(&mut job, now) {
-            Some(done) => CpProgress::Done(done),
-            None => {
-                self.trim = Some(job);
-                CpProgress::PumpAt(job.next_at)
-            }
-        })
-    }
-
-    /// Finishes the running deallocation at once: every remaining step,
-    /// each at the instant the one before asked for. Returns when the
-    /// command completed, or `None` when none was running.
-    pub fn drain_deallocate(&mut self) -> Option<SimTime> {
-        let job = self.trim.take()?;
-        Some(self.run_trim(job))
-    }
-
-    /// Takes `job`'s remaining steps, each at the instant the one before
-    /// ended. Returns when the command completed.
-    fn run_trim(&mut self, mut job: TrimJob) -> SimTime {
-        loop {
-            let now = job.next_at;
-            if let Some(done) = self.trim_step(&mut job, now) {
-                return done;
-            }
-        }
-    }
-
-    /// Admits a deallocation of `[lba, lba + sectors)` at `at` and books
-    /// its transfer and command cost.
-    fn start_trim(&mut self, lba: u64, sectors: u32, at: SimTime) -> TrimJob {
+    /// Admits a deallocation at `at` and books its transfer and command
+    /// cost. Returns when its walk may begin.
+    fn admit_trim(&mut self, at: SimTime) -> SimTime {
         self.counters.incr(Counter::SsdCmdDealloc);
         let t0 = self.queue.admit(at);
         let cmd = self.link.schedule(t0, self.timing.cmd_overhead);
         let cpu = self.cpu.schedule(cmd.finish, self.timing.cpu_cmd_cost);
-        TrimJob {
-            cursor: lba,
-            end: lba + u64::from(sectors),
-            live: self.ftl.live_entries(),
-            next_at: cpu.finish,
-        }
+        cpu.finish
     }
 
-    /// Walks and unmaps the units of `job`'s next map segment at `now`.
-    /// Returns the command's completion once its last segment is walked.
-    fn trim_step(&mut self, job: &mut TrimJob, now: SimTime) -> Option<SimTime> {
-        if job.cursor >= job.end {
-            self.queue.complete(now);
-            return Some(now);
+    /// Walks and unmaps at `now` the units of `[cursor, end)` that lie
+    /// in `cursor`'s map segment, on a table of `live` entries. Returns
+    /// where the next segment begins and when the walk ends (`now` for
+    /// an empty range).
+    fn trim_segment(&mut self, cursor: u64, end: u64, live: u64, now: SimTime) -> (u64, SimTime) {
+        if cursor >= end {
+            return (cursor, now);
         }
         let us = u64::from(self.unit_sectors());
-        let first = job.cursor / us;
+        let first = cursor / us;
         let segment_end =
             (first / MapCacheModel::SEGMENT_ENTRIES + 1) * MapCacheModel::SEGMENT_ENTRIES;
-        let stop = job.end.min(segment_end * us);
-        let map_cost = self.map_walk((stop - 1) / us - first + 1, 1, job.live);
+        let stop = end.min(segment_end * us);
+        let map_cost = self.map_walk((stop - 1) / us - first + 1, 1, live);
         let cpu = self.cpu.schedule(now, map_cost);
         let units = SegmentIter {
             unit_sectors: self.unit_sectors(),
-            cursor: job.cursor,
+            cursor,
             end: stop,
         };
         self.in_phase(OpPhase::Dealloc, |ssd| {
@@ -717,13 +662,7 @@ impl Ssd {
                 }
             }
         });
-        job.cursor = stop;
-        job.next_at = cpu.finish;
-        if stop < job.end {
-            return None;
-        }
-        self.queue.complete(cpu.finish);
-        Some(cpu.finish)
+        (stop, cpu.finish)
     }
 
     /// Vendor command: one copy-on-write entry (ISC-A's unit of work),
@@ -731,8 +670,8 @@ impl Ssd {
     ///
     /// # Errors
     ///
-    /// [`SsdError::InvalidRequest`] while a checkpoint command is still
-    /// running; propagates FTL failures from the copy path.
+    /// [`SsdError::InvalidRequest`] while a job is running; propagates
+    /// FTL failures from the copy path.
     pub fn cow_single(
         &mut self,
         entry: &CowEntry,
@@ -763,7 +702,7 @@ impl Ssd {
     ///
     /// # Errors
     ///
-    /// As [`Ssd::begin_checkpoint`] and [`Ssd::pump_checkpoint`].
+    /// As [`Ssd::begin_checkpoint`] and [`Ssd::pump`].
     pub fn checkpoint(
         &mut self,
         entries: &[CowEntry],
@@ -776,7 +715,7 @@ impl Ssd {
 
     /// Begins a batched checkpoint command at `at`: books its admission,
     /// the descriptor transfer and the command cost, and leaves the rest
-    /// to [`Ssd::pump_checkpoint`] steps, each a small unit of work at
+    /// to [`Ssd::pump`] steps, each a small unit of work at
     /// its own instant. The walk decodes the batch and performs the
     /// remap class as mapping updates on the firmware CPU, at most
     /// [`MapCacheModel::SEGMENT_ENTRIES`] entries and mapping accesses a
@@ -788,8 +727,8 @@ impl Ssd {
     ///
     /// # Errors
     ///
-    /// [`SsdError::InvalidRequest`] while another checkpoint command is
-    /// still running; propagates FTL failures.
+    /// [`SsdError::InvalidRequest`] while a job is running; propagates
+    /// FTL failures.
     pub fn begin_checkpoint(
         &mut self,
         entries: &[CowEntry],
@@ -813,83 +752,75 @@ impl Ssd {
         Ok(CpProgress::PumpAt(cpu.finish))
     }
 
-    /// One pump step of the running checkpoint command at `now`, the
-    /// instant the previous step asked for. A walk step decodes and
-    /// remaps the next entries and asks again when the firmware CPU is
-    /// done with them. A gather step issues, on every die whose last
-    /// gather read is in, the next entries' reads until one is in flight
-    /// there, and asks again when the earliest read in flight is in; the
-    /// scatter starts once the last is. A scatter step admits copy
-    /// writes until one waits for a programming slot, and asks again
-    /// when that slot frees: the finishes of the programs already
-    /// started stay private (a foreground read may still suspend them)
-    /// until a later step's admission waits for one. The step that finds
-    /// every copy acknowledged completes the command. Foreground
+    /// One pump step of the job in execution at `now`, the instant the
+    /// previous step asked for. A walk step decodes and remaps the next
+    /// entries and asks again when the firmware CPU is done with them. A
+    /// gather step issues, on every die whose last gather read is in, the
+    /// next entries' reads until one is in flight there, and asks again
+    /// when the earliest read in flight is in; the scatter starts once
+    /// the last is. A scatter step admits copy writes until one waits for
+    /// a programming slot, and asks again when that slot frees: the
+    /// finishes of the programs already started stay private (a
+    /// foreground read may still suspend them) until a later step's
+    /// admission waits for one. The step that finds every copy
+    /// acknowledged completes the command. A trim step walks and unmaps
+    /// one map segment and asks again when the firmware CPU is done with
+    /// it; the step that walks the last completes the command. Foreground
     /// commands booked between two steps go first. Counted in
     /// `ssd.cp_pump_steps`.
     ///
     /// # Errors
     ///
-    /// [`SsdError::InvalidRequest`] when no checkpoint command is
-    /// running; propagates FTL failures, after which the command is
-    /// abandoned.
-    pub fn pump_checkpoint(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
-        if !self.copy_job.running {
-            return Err(SsdError::InvalidRequest(
-                "no checkpoint command is running".into(),
-            ));
+    /// [`SsdError::InvalidRequest`] when no job is running; propagates
+    /// FTL failures, after which the job is abandoned.
+    pub fn pump(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
+        if self.job.stage != Stage::Idle {
+            debug_assert!(now >= self.job.next_at, "a pump step before it is due");
+            self.counters.incr(Counter::SsdCpPumpSteps);
         }
-        debug_assert!(now >= self.copy_job.next_at, "a pump step before it is due");
-        self.counters.incr(Counter::SsdCpPumpSteps);
-        match self.step(now) {
-            Ok(Some(due)) => {
-                self.copy_job.next_at = due;
-                Ok(CpProgress::PumpAt(due))
-            }
-            Ok(None) => self.complete_command().map(CpProgress::Done),
-            Err(e) => {
-                self.copy_job.running = false;
-                Err(e)
-            }
+        let progress = self.step(now);
+        match progress {
+            Ok(CpProgress::PumpAt(due)) => self.job.next_at = due,
+            // Completed, or abandoned on a failure.
+            Ok(CpProgress::Done(_)) | Err(_) => self.job.stage = Stage::Idle,
         }
+        progress
     }
 
-    /// Finishes the running checkpoint command at once: every remaining
-    /// pump step, each at the instant the one before asked for. Returns
-    /// when the command completed, or `None` when none was running.
+    /// Finishes the job in execution at once: every remaining pump step,
+    /// each at the instant the one before asked for. Returns when the
+    /// command completed, or `None` when no job was running.
     ///
     /// # Errors
     ///
-    /// As [`Ssd::pump_checkpoint`].
-    pub fn drain_checkpoint(&mut self) -> Result<Option<SimTime>, SsdError> {
-        if !self.copy_job.running {
+    /// As [`Ssd::pump`].
+    pub fn drain(&mut self) -> Result<Option<SimTime>, SsdError> {
+        if self.job.stage == Stage::Idle {
             return Ok(None);
         }
-        self.run_to_completion(CpProgress::PumpAt(self.copy_job.next_at))
+        self.run_to_completion(CpProgress::PumpAt(self.job.next_at))
             .map(Some)
     }
 
-    /// Pumps the command at the instants it asks for, from `progress`
-    /// on, until it completes.
+    /// Pumps the job at the instants it asks for, from `progress` on,
+    /// until it completes.
     fn run_to_completion(&mut self, mut progress: CpProgress) -> Result<SimTime, SsdError> {
         loop {
             match progress {
                 CpProgress::Done(done) => return Ok(done),
-                CpProgress::PumpAt(due) => progress = self.pump_checkpoint(due)?,
+                CpProgress::PumpAt(due) => progress = self.pump(due)?,
             }
         }
     }
 
     fn refuse_while_running(&self) -> Result<(), SsdError> {
-        if self.copy_job.running {
-            return Err(SsdError::InvalidRequest(
-                "a checkpoint command is still running".into(),
-            ));
+        if self.job.stage != Stage::Idle {
+            return Err(SsdError::InvalidRequest("a job is still running".into()));
         }
         Ok(())
     }
 
-    /// Takes an entry batch into `copy_job`, its walk due at `at`, each
+    /// Takes an entry batch into the job, its walk due at `at`, each
     /// entry costing the walk `entry_cost` to decode.
     fn start_command(
         &mut self,
@@ -899,12 +830,11 @@ impl Ssd {
         entry_cost: SimDuration,
         closes_with_meta: bool,
     ) {
-        let job = &mut self.copy_job;
+        let job = &mut self.job;
         job.batch.clear();
         job.batch.extend_from_slice(entries);
         job.entries.clear();
         job.segments.clear();
-        job.running = true;
         job.stage = Stage::Walk(mode);
         job.closes_with_meta = closes_with_meta;
         job.entry_cost = entry_cost;
@@ -923,35 +853,49 @@ impl Ssd {
         job.next_at = at;
     }
 
-    /// The running command's next step at `now`, passing to the next
-    /// stage when one has nothing left: when to step again, or `None`
-    /// once every copy is acknowledged.
-    fn step(&mut self, now: SimTime) -> Result<Option<SimTime>, SsdError> {
+    /// The job's next step at `now`, passing to the next stage when one
+    /// has nothing left.
+    fn step(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
         loop {
-            match self.copy_job.stage {
-                Stage::Walk(mode) if self.copy_job.walked < self.copy_job.batch.len() => {
+            match self.job.stage {
+                Stage::Idle => {
+                    return Err(SsdError::InvalidRequest("no job is running".into()));
+                }
+                Stage::Walk(mode) if self.job.walked < self.job.batch.len() => {
                     let walked =
                         self.in_phase(OpPhase::CheckpointRemap, |ssd| ssd.walk(mode, now))?;
                     // A step that booked nothing (a single CoW's copy
                     // entry) hands on at once.
                     if walked > now {
-                        return Ok(Some(walked));
+                        return Ok(CpProgress::PumpAt(walked));
                     }
                 }
                 Stage::Walk(_) => {
                     self.trace_remaps();
                     self.start_gather(now);
-                    self.copy_job.stage = Stage::Gather;
+                    self.job.stage = Stage::Gather;
                 }
                 Stage::Gather => {
                     let gathered = self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.gather(now))?;
-                    if gathered.is_some() {
-                        return Ok(gathered);
+                    if let Some(due) = gathered {
+                        return Ok(CpProgress::PumpAt(due));
                     }
-                    self.copy_job.stage = Stage::Scatter;
+                    self.job.stage = Stage::Scatter;
                 }
                 Stage::Scatter => {
-                    return self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.scatter(now));
+                    return match self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.scatter(now))? {
+                        Some(due) => Ok(CpProgress::PumpAt(due)),
+                        None => self.complete_command().map(CpProgress::Done),
+                    };
+                }
+                Stage::Trim { cursor, end } => {
+                    let (stop, walked) = self.trim_segment(cursor, end, self.job.live, now);
+                    if stop < end {
+                        self.job.stage = Stage::Trim { cursor: stop, end };
+                        return Ok(CpProgress::PumpAt(walked));
+                    }
+                    self.queue.complete(walked);
+                    return Ok(CpProgress::Done(walked));
                 }
             }
         }
@@ -966,10 +910,10 @@ impl Ssd {
     /// every other access. Returns when the booking ends.
     fn walk(&mut self, mode: CheckpointMode, now: SimTime) -> Result<SimTime, SsdError> {
         let us = self.unit_sectors();
-        let from = self.copy_job.walked;
+        let from = self.job.walked;
         let (mut decoded, mut accesses, mut misses) = (0u64, 0u64, 0u64);
         while decoded < WALK_STEP_ENTRIES && accesses < WALK_STEP_ENTRIES {
-            let job = &mut self.copy_job;
+            let job = &mut self.job;
             let Some(&e) = job.batch.get(job.walked) else {
                 break;
             };
@@ -990,12 +934,12 @@ impl Ssd {
                 }
             }
         }
-        let decode = self.copy_job.entry_cost * decoded;
-        let map_cost = self.map_walk(accesses, misses, self.copy_job.live);
-        let batch = std::mem::take(&mut self.copy_job.batch);
-        let walked = batch.get(from..self.copy_job.walked).unwrap_or_default();
+        let decode = self.job.entry_cost * decoded;
+        let map_cost = self.map_walk(accesses, misses, self.job.live);
+        let batch = std::mem::take(&mut self.job.batch);
+        let walked = batch.get(from..self.job.walked).unwrap_or_default();
         let remapped = self.remap_entries(walked, mode, us);
-        self.copy_job.batch = batch;
+        self.job.batch = batch;
         remapped?;
         if decode + map_cost == SimDuration::ZERO {
             return Ok(now);
@@ -1004,7 +948,7 @@ impl Ssd {
         if accesses > 0 {
             self.cp_phase_times.remap += cpu.finish.saturating_duration_since(now) - decode;
         }
-        self.copy_job.booked = cpu.finish;
+        self.job.booked = cpu.finish;
         Ok(cpu.finish)
     }
 
@@ -1034,15 +978,15 @@ impl Ssd {
                 }
             }
             self.counters.incr(Counter::SsdRemapEntries);
-            self.copy_job.remapped += 1;
-            self.copy_job.remapped_units += units;
+            self.job.remapped += 1;
+            self.job.remapped_units += units;
         }
         Ok(())
     }
 
     /// Traces the walk's remap class once the walk is over.
     fn trace_remaps(&self) {
-        let job = &self.copy_job;
+        let job = &self.job;
         if job.remapped == 0 {
             return;
         }
@@ -1061,7 +1005,7 @@ impl Ssd {
     fn start_gather(&mut self, now: SimTime) {
         let us = u64::from(self.unit_sectors());
         let g = *self.ftl.flash().geometry();
-        let job = &mut self.copy_job;
+        let job = &mut self.job;
         job.gathering = now;
         job.last_read = now;
         job.gathered.clear();
@@ -1095,28 +1039,28 @@ impl Ssd {
     /// in, else when the last is (if after `now`), else `None`: the
     /// gather is over.
     fn gather(&mut self, now: SimTime) -> Result<Option<SimTime>, SsdError> {
-        while let Some(&Reverse((due, lane))) = self.copy_job.lanes_due.peek() {
+        while let Some(&Reverse((due, lane))) = self.job.lanes_due.peek() {
             if due > now {
                 return Ok(Some(due));
             }
-            self.copy_job.lanes_due.pop();
+            self.job.lanes_due.pop();
             while let Some(entry) = self.next_in_lane(lane) {
                 let done = self.gather_entry(entry, now)?;
-                self.copy_job.last_read = self.copy_job.last_read.max(done);
+                self.job.last_read = self.job.last_read.max(done);
                 if done > now {
-                    self.copy_job.lanes_due.push(Reverse((done, lane)));
+                    self.job.lanes_due.push(Reverse((done, lane)));
                     break;
                 }
             }
         }
-        let last = self.copy_job.last_read;
+        let last = self.job.last_read;
         Ok((last > now).then_some(last))
     }
 
     /// The copy entry `lane` gathers next, taken off the lane; `None` once
     /// the lane is empty.
     fn next_in_lane(&mut self, lane: usize) -> Option<usize> {
-        let job = &mut self.copy_job;
+        let job = &mut self.job;
         let (next, end) = job.lanes.get_mut(lane)?;
         if next == end {
             return None;
@@ -1130,7 +1074,7 @@ impl Ssd {
     /// records its `(bytes, version)`. Returns when the read is in.
     fn gather_entry(&mut self, i: usize, now: SimTime) -> Result<SimTime, SsdError> {
         let us = u64::from(self.unit_sectors());
-        let Some(&e) = self.copy_job.entries.get(i) else {
+        let Some(&e) = self.job.entries.get(i) else {
             return Ok(now);
         };
         let first = e.src_lba / us;
@@ -1145,11 +1089,11 @@ impl Ssd {
             units,
             now,
             Some(e.key),
-            &mut self.copy_job.sensed,
+            &mut self.job.sensed,
             &mut self.scratch_frags,
         )?;
         let frags = &self.scratch_frags;
-        if let Some(slot) = self.copy_job.gathered.get_mut(i) {
+        if let Some(slot) = self.job.gathered.get_mut(i) {
             *slot = (
                 frags.iter().map(|f| f.bytes).sum(),
                 frags.iter().map(|f| f.version).max().unwrap_or(0),
@@ -1167,12 +1111,12 @@ impl Ssd {
         while let Some(write) = self.next_copy_write() {
             // Same ownership rule as host writes (see write()).
             let (ack, slot) = self.ftl.write_slotted(write, OobKind::Data, now)?;
-            self.copy_job.written = self.copy_job.written.max(ack);
+            self.job.written = self.job.written.max(ack);
             if slot > now {
                 return Ok(Some(slot));
             }
         }
-        Ok((self.copy_job.written > now).then_some(self.copy_job.written))
+        Ok((self.job.written > now).then_some(self.job.written))
     }
 
     /// The copy class's next unit write, advancing the cursor: the
@@ -1180,7 +1124,7 @@ impl Ssd {
     /// Entries whose gather found nothing are skipped and counted.
     fn next_copy_write(&mut self) -> Option<UnitWrite> {
         let us = self.unit_sectors();
-        let job = &mut self.copy_job;
+        let job = &mut self.job;
         loop {
             let e = *job.entries.get(job.next)?;
             let &(bytes, version) = job.gathered.get(job.next)?;
@@ -1224,8 +1168,8 @@ impl Ssd {
     /// closes a batched checkpoint with its recovery metadata unit and
     /// frees its queue slot. Returns the completion instant.
     fn complete_command(&mut self) -> Result<SimTime, SsdError> {
-        let job = &mut self.copy_job;
-        job.running = false;
+        let job = &mut self.job;
+        job.stage = Stage::Idle;
         let mut done = job.booked.max(job.written);
         if !job.entries.is_empty() {
             self.cp_phase_times.copy += job.written.saturating_duration_since(job.gathering);
@@ -1242,7 +1186,7 @@ impl Ssd {
                     .with("skipped", skipped)
             });
         }
-        if self.copy_job.closes_with_meta {
+        if self.job.closes_with_meta {
             // Checkpoint completion persists a metadata unit (recovery
             // point).
             done = done.max(self.write_meta_unit(done)?);
@@ -1331,11 +1275,9 @@ impl Ssd {
         self.ftl.flash_mut().power_on();
         let stats = self.ftl.rebuild_after_power_loss()?;
         self.journal_units_since_meta = 0;
-        // A checkpoint command or a deallocation in execution died with
-        // the power: what it acknowledged is in the rebuilt FTL, the rest
-        // never happened.
-        self.copy_job.running = false;
-        self.trim = None;
+        // The job in execution died with the power: what it
+        // acknowledged is in the rebuilt FTL, the rest never happened.
+        self.job.stage = Stage::Idle;
         self.counters.incr(Counter::SsdSporRecoveries);
         Ok(stats)
     }
@@ -1667,16 +1609,21 @@ mod tests {
             walk + gather + waits + 1
         );
         assert_eq!(s.counters().get(Counter::SsdCopyEntries), 256);
-        assert_eq!(s.drain_checkpoint().unwrap(), None, "the command completed");
+        assert_eq!(s.drain().unwrap(), None, "the command completed");
     }
 
     /// A begun copy checkpoint asks for its first step when its command
     /// is decoded and writes nothing home before the scatter: the walk
     /// and the gather steps come first, each due later than the one
-    /// before. A host read booked between two steps finds the dies the
-    /// scatter has not taken yet.
+    /// before. While it runs, the device refuses another job, and the
+    /// refusals book nothing: the command completes when an undisturbed
+    /// twin's does.
     #[test]
     fn a_paced_checkpoint_writes_home_only_when_pumped() {
+        let (mut twin, entries, idle) = paced_copy_fixture();
+        let undisturbed = twin
+            .checkpoint(&entries, CheckpointMode::Copy, idle)
+            .unwrap();
         let (mut s, entries, idle) = paced_copy_fixture();
         let CpProgress::PumpAt(mut due) = s
             .begin_checkpoint(&entries, CheckpointMode::Copy, idle)
@@ -1691,21 +1638,24 @@ mod tests {
         assert!(matches!(again, SsdError::InvalidRequest(_)), "{again}");
         let mut steps = 0;
         while !s.ftl().is_mapped(Lpn(0)) {
-            let CpProgress::PumpAt(next) = s.pump_checkpoint(due).unwrap() else {
+            let CpProgress::PumpAt(next) = s.pump(due).unwrap() else {
                 panic!("one step cannot write 256 units through two slots");
             };
             assert!(next > due, "step {steps} asked for {next} at {due}");
             (due, steps) = (next, steps + 1);
+            let trim = s.begin_deallocate(0, 8, due).unwrap_err();
+            assert!(matches!(trim, SsdError::InvalidRequest(_)), "{trim}");
         }
         assert!(
             steps > 2,
             "walk and gather steps before the scatter: {steps}"
         );
         let second = due;
-        let done = s.drain_checkpoint().unwrap().unwrap();
+        let done = s.drain().unwrap().unwrap();
         assert!(done >= second);
-        assert_eq!(s.drain_checkpoint().unwrap(), None);
-        assert!(s.pump_checkpoint(done).is_err(), "nothing left to pump");
+        assert_eq!(done, undisturbed);
+        assert_eq!(s.drain().unwrap(), None);
+        assert!(s.pump(done).is_err(), "nothing left to pump");
         for i in 0..256u64 {
             let req = ReadRequest {
                 lba: 8 * i,
@@ -1729,7 +1679,7 @@ mod tests {
         else {
             panic!("a copy class is scattered by the pump");
         };
-        let _ = s.pump_checkpoint(first - SimDuration::from_nanos(1));
+        let _ = s.pump(first - SimDuration::from_nanos(1));
     }
 
     #[test]
@@ -1814,7 +1764,8 @@ mod tests {
 
     /// A deallocation begun as steps walks and unmaps one map segment a
     /// step, holds its queue slot until the last, and books in all what
-    /// the one-call deallocation books.
+    /// the one-call deallocation books. While it runs, the device refuses
+    /// another job, and the refusals book nothing.
     #[test]
     fn a_paced_trim_walks_one_map_segment_a_step() {
         const SEG: u64 = MapCacheModel::SEGMENT_ENTRIES;
@@ -1837,18 +1788,63 @@ mod tests {
         let CpProgress::PumpAt(first) = s.begin_deallocate(0, 2 * SEG as u32, idle).unwrap() else {
             panic!("a trim is stepped");
         };
-        assert!(s.begin_deallocate(0, 8, first).is_err(), "one at a time");
+        let entry = CowEntry {
+            src_lba: 0,
+            dst_lba: 2 * SEG,
+            sectors: 8,
+            dst_sectors: 8,
+            key: 0,
+            merged: false,
+        };
+        let refused =
+            |e: Result<CpProgress, SsdError>| matches!(e, Err(SsdError::InvalidRequest(_)));
+        let batch = s.begin_checkpoint(&[entry], CheckpointMode::Remap, first);
+        let cow = s.cow_single(&entry, CheckpointMode::Copy, first);
+        assert!(refused(s.begin_deallocate(0, 8, first)), "one at a time");
+        assert!(
+            refused(batch) && refused(cow.map(CpProgress::Done)),
+            "of any kind"
+        );
         assert!(s.ftl().is_mapped(Lpn(0)), "nothing unmapped before a step");
-        let CpProgress::PumpAt(second) = s.pump_deallocate(first).unwrap() else {
+        let CpProgress::PumpAt(second) = s.pump(first).unwrap() else {
             panic!("two segments take two steps");
         };
         assert!(second > first);
         assert!(!s.ftl().is_mapped(Lpn(SEG - 1)) && s.ftl().is_mapped(Lpn(SEG)));
-        assert_eq!(s.pump_deallocate(second).unwrap(), CpProgress::Done(done));
+        assert_eq!(s.pump(second).unwrap(), CpProgress::Done(done));
         assert!(!s.ftl().is_mapped(Lpn(2 * SEG - 1)));
         assert_eq!(s.cpu_busy_time() - busy, booked);
-        assert_eq!(s.drain_deallocate(), None);
-        assert!(s.pump_deallocate(done).is_err(), "nothing left to pump");
+        assert_eq!(s.drain().unwrap(), None);
+        assert!(s.pump(done).is_err(), "nothing left to pump");
+    }
+
+    /// A power cut ends the job in execution, a trim or a copy command
+    /// alike: once the device recovered, nothing is left to drain or to
+    /// pump, and it takes a new command.
+    #[test]
+    fn a_power_cut_ends_the_job_in_execution() {
+        for trim in [true, false] {
+            let (mut s, entries, idle) = paced_copy_fixture();
+            let begun = if trim {
+                // 1 024 units of 512 B: two map segments, two steps.
+                s.begin_deallocate(0, 1024, idle)
+            } else {
+                s.begin_checkpoint(&entries, CheckpointMode::Copy, idle)
+            };
+            let Ok(CpProgress::PumpAt(first)) = begun else {
+                panic!("the job is stepped: {begun:?}");
+            };
+            let Ok(CpProgress::PumpAt(due)) = s.pump(first) else {
+                panic!("one step does not end the job");
+            };
+            s.ftl_mut().flash_mut().cut_power();
+            s.recover_power_loss().unwrap();
+            assert_eq!(s.drain().unwrap(), None, "trim {trim}");
+            let pumped = s.pump(due).unwrap_err();
+            assert!(matches!(pumped, SsdError::InvalidRequest(_)), "{pumped}");
+            let again = s.begin_checkpoint(&entries, CheckpointMode::Copy, due);
+            assert!(again.is_ok(), "trim {trim}: {again:?}");
+        }
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!   copy-on-write entry per command, ISC-A), [`Ssd::checkpoint`] (one
 //!   batched multi-CoW command, ISC-B and up), and journal deallocation;
 //! * the ISCE itself ([`isce` planning + execution inside `Ssd`]):
-//!   checkpoint entries are classified remap-vs-copy per Algorithm 1, the
-//!   copy class is gathered as consecutive reads when the command begins
-//!   ([`Ssd::begin_checkpoint`]) and written home by pump steps
-//!   ([`Ssd::pump_checkpoint`]) that host commands can go ahead of, and
-//!   the deallocator schedules background GC in idle windows.
+//!   checkpoint entries are classified remap-vs-copy per Algorithm 1; a
+//!   batched checkpoint or a journal trim is the device's one job, begun
+//!   by [`Ssd::begin_checkpoint`] / [`Ssd::begin_deallocate`], advanced
+//!   by [`Ssd::pump`] steps that host commands can go ahead of, and
+//!   ended by [`Ssd::drain`]; the deallocator runs GC in idle windows.
 //!
 //! [`isce` planning + execution inside `Ssd`]: plan_entry
 //!
