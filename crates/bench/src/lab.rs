@@ -28,14 +28,15 @@
 //!   such a read waits for when it is issued during a copy checkpoint's
 //!   scatter: one program when the scatter is paced, all but one when it
 //!   is booked as a burst. And what one waits for when it is issued at
-//!   a step of a checkpoint command's walk or gather, or of a trim: that
-//!   one step's booking. And when page-outs issued while a die erases
-//!   start their programs: on the other, idle die, at once.
+//!   a step of a checkpoint command's walk or gather, or of a trim, or of
+//!   a paced GC round: that one step's booking. And when page-outs
+//!   issued while a die erases start their programs: on the other, idle
+//!   die, at once.
 //! * **`paper`** — every figure and table of the paper's evaluation
 //!   ([`crate::figures`]), the paper's own number beside the measured
 //!   one where it states one.
 //!
-//! Nine conditions fail a run, all exact: a remap checkpoint must do no
+//! Ten conditions fail a run, all exact: a remap checkpoint must do no
 //! flash I/O where a copy checkpoint reads and rewrites every log, a
 //! home read must cost what the record occupies, a write must wait for a
 //! programming slot, not for a program, a die must program a page on
@@ -44,9 +45,10 @@
 //! segment, a foreground read must not wait for a program whose finish
 //! nobody has seen, one issued during a paced scatter must wait out at
 //! most one of its programs, one issued at a walk, gather or trim
-//! step at most that step, and a page-out must not queue behind a busy
-//! die while another is free. `cargo test` checks them as well (this
-//! module's tests).
+//! step at most that step, one issued between two steps of a GC round
+//! at most the step before it, and a page-out must not queue behind a
+//! busy die while another is free. `cargo test` checks them as well
+//! (this module's tests).
 
 use std::collections::BTreeSet;
 
@@ -54,7 +56,7 @@ use checkin_core::{JournalManager, KvEngine, Layout, Strategy};
 use checkin_flash::{
     BlockId, FlashArray, FlashGeometry, FlashTiming, OobKind, PageContent, UnitPayload,
 };
-use checkin_ftl::{Ftl, FtlConfig, Lpn, MapCacheModel, UnitWrite};
+use checkin_ftl::{Ftl, FtlConfig, GcProgress, GcTrigger, Lpn, MapCacheModel, UnitWrite};
 use checkin_sim::{Counter, Row, SimDuration, SimTime, Total, Tracer};
 use checkin_ssd::{
     CheckpointMode, CowEntry, CpProgress, ReadRequest, Ssd, SsdTiming, WriteContent, WriteRequest,
@@ -78,20 +80,21 @@ pub struct Lab {
     /// firmware, what four foreground reads wait for on a
     /// programming die, what one waits for during a copy
     /// checkpoint's scatter, paced and as a burst, what one waits
-    /// for at a walk, gather or trim step, and where and when two
+    /// for at a walk, gather, trim or GC step, and where and when two
     /// page-outs beside an erasing die program.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// All nine gates held: a remap checkpoint did no flash I/O, a read
+    /// All ten gates held: a remap checkpoint did no flash I/O, a read
     /// cost what the record occupies, a write waited for a programming
     /// slot, not for a program, a die programmed a plane pair — and only
     /// the pages of one call — in one tPROG, a mapping walk missed once
     /// per segment, a foreground read did not wait for a program whose
     /// finish nobody had seen, one issued during a paced scatter
     /// waited out at most one of its programs, one issued at a walk,
-    /// gather or trim step at most that step, and a page-out did not
-    /// queue behind a busy die while another was free.
+    /// gather or trim step at most that step, one issued between two
+    /// steps of a GC round at most the step before it, and a page-out
+    /// did not queue behind a busy die while another was free.
     pub passed: bool,
 }
 
@@ -106,11 +109,13 @@ impl Lab {
     }
 }
 
-/// Measures all three sections and judges the nine gates.
+/// Measures all three sections and judges the ten gates.
 pub fn run() -> Lab {
     let gc = gc_section();
-    let (counts, (checkpoints, reads, writes, programs, walks, ahead, scatter, steps, places)) =
-        counts_section();
+    let (
+        counts,
+        (checkpoints, reads, writes, programs, walks, ahead, scatter, steps, gc_step, places),
+    ) = counts_section();
     let paper = figures::paper_section();
 
     println!();
@@ -146,6 +151,10 @@ pub fn run() -> Lab {
         (
             a_read_waits_out_one_step_at_most(&steps, &walks),
             format!("a read waits out one walk, gather or trim step at most: {steps:?}"),
+        ),
+        (
+            a_read_waits_out_one_gc_step_at_most(&gc_step),
+            format!("a read waits out one GC step at most: {gc_step:?}"),
         ),
         (
             a_page_out_goes_to_a_free_die(&places),
@@ -1075,6 +1084,92 @@ fn a_read_waits_out_one_step_at_most(r: &StepReads, w: &MapWalks) -> bool {
         && within(r.trim_wait_ns, segment)
 }
 
+/// What a one-sector read of a record on the victim's die waits for
+/// beyond its idle latency when it is issued at the first step of a GC
+/// round — the read of the victim's first valid page in flight — and at
+/// that instant once the round was run to its end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GcStepRead {
+    /// Between the round's first and second steps.
+    paced_wait_ns: u64,
+    /// With the whole round booked in one go.
+    burst_wait_ns: u64,
+}
+
+/// One die of one plane, 32 blocks of 8 pages, a 512 B unit, one write
+/// point and a one-page watermark: 512 one-sector records written in
+/// order and the even ones rewritten, so that blocks 0–7 each keep half
+/// their units and block 0 is GC's next victim. Returns the device and
+/// an instant it is idle at.
+fn gc_fixture() -> (Ssd, SimTime) {
+    let geometry = FlashGeometry {
+        channels: 1,
+        dies_per_channel: 1,
+        planes_per_die: 1,
+        blocks_per_plane: 32,
+        pages_per_block: 8,
+        page_bytes: 4096,
+    };
+    let config = FtlConfig {
+        unit_bytes: SECTOR_BYTES,
+        write_points: 1,
+        write_buffer_units: 8,
+        ..FtlConfig::default()
+    };
+    let ftl = Ftl::new(FlashArray::new(geometry, FlashTiming::mlc()), config)
+        .expect("the fixture's FTL config is valid");
+    let mut ssd = Ssd::new(ftl, SsdTiming::paper_default());
+    let mut t = SimTime::ZERO;
+    for lba in (0..GC_RECORDS).chain((0..GC_RECORDS).step_by(2)) {
+        t = ssd
+            .write(&record(lba, 1), OobKind::Data, t)
+            .expect("write succeeds");
+    }
+    let idle = ssd.flush(t).expect("flush succeeds") + SimDuration::from_millis(50);
+    (ssd, idle)
+}
+
+/// Records of [`gc_fixture`].
+const GC_RECORDS: u64 = 512;
+
+/// The reads of [`GcStepRead`], of the last record, each beside the
+/// same read on the idle device before the round began.
+fn gc_step_read() -> GcStepRead {
+    let gap = SimDuration::from_millis(50);
+    let lba = GC_RECORDS - 1;
+    let wait = |burst: bool| {
+        let (mut ssd, t) = gc_fixture();
+        let idle = read_latency(&mut ssd, lba, t);
+        let ftl = ssd.ftl_mut();
+        let first = ftl
+            .begin_gc_round(t + gap, GcTrigger::Background)
+            .expect("no round is running")
+            .expect("the fixture has a victim");
+        let step = ftl.pump_gc(first).expect("the first step runs");
+        assert!(matches!(step, GcProgress::PumpAt(_)), "{step:?}");
+        if burst {
+            ftl.finish_gc_round().expect("the round runs");
+        }
+        let wait = read_latency(&mut ssd, lba, first) - idle;
+        ssd.ftl_mut().finish_gc_round().expect("the round runs");
+        wait
+    };
+    GcStepRead {
+        paced_wait_ns: wait(false),
+        burst_wait_ns: wait(true),
+    }
+}
+
+/// Pacing of a GC round: a read issued between its first two steps
+/// waits out at most the first step's booking — one page read on its
+/// die — and does wait for it; behind the round booked in one go it
+/// waits longer.
+fn a_read_waits_out_one_gc_step_at_most(r: &GcStepRead) -> bool {
+    let t = FlashTiming::mlc();
+    let page_read = (t.t_read + t.transfer_time(4096)).as_nanos();
+    0 < r.paced_wait_ns && r.paced_wait_ns <= page_read && r.burst_wait_ns > r.paced_wait_ns
+}
+
 /// Where two page-outs issued while one die erases go, on a device of
 /// two one-plane dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1171,6 +1266,7 @@ type Measured = (
     ReadsAhead,
     ScatterReads,
     StepReads,
+    GcStepRead,
     Placements,
 );
 
@@ -1178,8 +1274,8 @@ fn counts_section() -> (Vec<Row>, Measured) {
     section(
         "counts: 64-entry checkpoint command, remap walk vs copy fallback; one home read; \
          page-filling writes; programs on a two-plane die; mapping walks; reads on a \
-         programming die; a read during a copy checkpoint's scatter; reads at walk, gather \
-         and trim steps; page-outs beside an erasing die",
+         programming die; a read during a copy checkpoint's scatter; reads at walk, gather, \
+         trim and GC steps; page-outs beside an erasing die",
     );
     let checkpoints = CheckpointCosts::measure();
     let mut rows = Vec::new();
@@ -1283,6 +1379,14 @@ fn counts_section() -> (Vec<Row>, Measured) {
     ] {
         push(&mut rows, "step", leaf, ns as f64, "ns");
     }
+    let gc_step = gc_step_read();
+    push(
+        &mut rows,
+        "step",
+        "gc_read_wait_ns",
+        gc_step.paced_wait_ns as f64,
+        "ns",
+    );
     let places = placements();
     push(
         &mut rows,
@@ -1311,6 +1415,7 @@ fn counts_section() -> (Vec<Row>, Measured) {
             ahead,
             scatter,
             steps,
+            gc_step,
             places,
         ),
     )
@@ -1396,6 +1501,15 @@ mod tests {
         assert!(
             super::a_read_waits_out_one_step_at_most(&steps, &walks),
             "{steps:?} {walks:?}"
+        );
+    }
+
+    #[test]
+    fn a_read_waits_out_one_gc_step_at_most() {
+        let read = gc_step_read();
+        assert!(
+            super::a_read_waits_out_one_gc_step_at_most(&read),
+            "{read:?}"
         );
     }
 

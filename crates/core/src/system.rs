@@ -10,17 +10,18 @@
 //! retired zone's trim — is advanced by a pump event that books one
 //! small unit of work at its own instant, so queries submitted in
 //! between go ahead of the rest of it. The pump event that finds the
-//! trim over ends it, and the idle-window GC and scrub run behind it. A
-//! tick or a full journal that finds a checkpoint still pumped drains
-//! it, booking its remaining steps back to back: what a query meets of
-//! a checkpoint is the interference the paper measures in Figures 3(c)
-//! and 9.
+//! trim over ends it and begins the idle-window GC behind it, whose
+//! rounds a second pump event advances the same way; the scrub runs
+//! when the GC ends. A tick or a full journal that finds a checkpoint
+//! still pumped drains it, booking its remaining steps back to back:
+//! what a query meets of a checkpoint is the interference the paper
+//! measures in Figures 3(c) and 9.
 
 use checkin_sim::{
     Counter, CounterSet, EventQueue, LatencyRecorder, Resource, ResourcePool, SimDuration, SimRng,
     SimTime, Total, Tracer,
 };
-use checkin_ssd::Ssd;
+use checkin_ssd::{CpProgress, Ssd};
 use checkin_workload::{OpGenerator, Operation};
 
 use crate::checkpoint::CheckpointOutcome;
@@ -37,6 +38,8 @@ enum Event {
     CheckpointTick,
     /// A step of the running checkpoint's job is due.
     CheckpointPump,
+    /// A step of the background GC behind the last checkpoint is due.
+    GcPump,
 }
 
 /// Accumulates checkpoint outcomes across every trigger path (periodic
@@ -102,10 +105,10 @@ struct RunLoop {
 
 impl RunLoop {
     /// An empty loop for `threads` clients: the queue holds one event per
-    /// client, the tick and one pump.
+    /// client, the tick, the checkpoint's pump and the GC's.
     fn new(threads: u32) -> Self {
         RunLoop {
-            events: EventQueue::with_capacity(threads as usize + 2),
+            events: EventQueue::with_capacity(event_population(threads)),
             pump_queued: None,
             parked: Vec::with_capacity(threads as usize),
             cp: CpAccum::new(),
@@ -124,6 +127,12 @@ impl RunLoop {
             }
         }
     }
+}
+
+/// The events [`KvSystem::run`]'s queue holds at most: one per client,
+/// the checkpoint tick, the checkpoint's pump and the background GC's.
+fn event_population(threads: u32) -> usize {
+    threads as usize + 3
 }
 
 /// `num / den`, or NaN when `den` is zero — a run with no writes has no
@@ -321,8 +330,8 @@ impl KvSystem {
 
         // ---- Run phase ------------------------------------------------
         // Closed loop: at most one in-flight event per client, the
-        // checkpoint tick and one pump, so the queue never regrows.
-        let population = self.config.threads as usize + 2;
+        // checkpoint tick and two pumps, so the queue never regrows.
+        let population = event_population(self.config.threads);
         let mut run = RunLoop::new(self.config.threads);
         let mut host = ResourcePool::new("host-core", self.config.host_cores as usize);
         let start = load_done + SimDuration::from_micros(10);
@@ -360,7 +369,8 @@ impl KvSystem {
             // the next tick, the client's next batch or, in lock mode,
             // the client it just popped, the next pump — and a checkpoint
             // end re-queues at most the parked clients, whose events it
-            // had taken out: the population the queue was sized for
+            // had taken out, and the GC's pump, which it queues only
+            // while none is: the population the queue was sized for
             // still holds.
             debug_assert!(run.events.len() < population);
             // The last query's completion does not end the run while a
@@ -416,6 +426,11 @@ impl KvSystem {
                         CheckpointPhase::Pumped(due) => run.queue_pump(due),
                         CheckpointPhase::Ending(_) | CheckpointPhase::Idle => {}
                     }
+                }
+                Event::GcPump => {
+                    debug_assert_eq!(self.ssd.gc_due(), Some(now), "one GC pump, when due");
+                    let progress = self.ssd.pump_gc(now).map_err(EngineError::Ssd)?;
+                    self.idle_gc(progress, &mut run)?;
                 }
                 Event::Client(thread) => {
                     if quota[thread as usize] == 0 {
@@ -497,6 +512,11 @@ impl KvSystem {
                     }
                 }
             }
+        }
+        // Background GC still running at the last query ends at once, as
+        // the tick ends a checkpoint, so the run covers it.
+        if let Some(done) = self.ssd.drain_gc().map_err(EngineError::Ssd)? {
+            self.idle_gc(CpProgress::Done(done), &mut run)?;
         }
         let cp = run.cp;
         let last_finish = last_finish.max(run.idle_done);
@@ -631,28 +651,43 @@ impl KvSystem {
     }
 
     /// A checkpoint's end and the idle work behind it: background GC has
-    /// priority for the idle window, the scrubber patrols whatever slack
-    /// remains after it. Releases the clients lock mode parked, and
-    /// returns the instant the checkpoint ended.
+    /// priority for the idle window — it begins here unless the GC
+    /// behind an earlier checkpoint still runs — and the scrubber
+    /// patrols whatever slack remains after it. Releases the clients
+    /// lock mode parked, and returns the instant the checkpoint ended.
     fn end_checkpoint(
         &mut self,
         out: &CheckpointOutcome,
         run: &mut RunLoop,
     ) -> Result<SimTime, EngineError> {
         run.cp.absorb(out);
-        let (_, gc_done) = self
-            .ssd
-            .background_gc(out.finish, self.config.background_gc_rounds)
-            .map_err(EngineError::Ssd)?;
-        let (_, scrub_done) = self
-            .ssd
-            .background_scrub(gc_done, self.config.scrub_pages_per_idle)
-            .map_err(EngineError::Ssd)?;
-        run.idle_done = run.idle_done.max(gc_done).max(scrub_done);
+        if self.ssd.gc_due().is_none() {
+            let progress = self
+                .ssd
+                .begin_background_gc(out.finish, self.config.background_gc_rounds)
+                .map_err(EngineError::Ssd)?;
+            self.idle_gc(progress, run)?;
+        }
         for thread in run.parked.drain(..) {
             run.events.schedule(out.finish, Event::Client(thread));
         }
         Ok(out.finish)
+    }
+
+    /// Where the background GC is: its pump is queued when a step is
+    /// due, and once it ended, the scrub round runs at its end.
+    fn idle_gc(&mut self, progress: CpProgress, run: &mut RunLoop) -> Result<(), EngineError> {
+        match progress {
+            CpProgress::PumpAt(due) => run.events.schedule(due, Event::GcPump),
+            CpProgress::Done(gc_done) => {
+                let (_, scrub_done) = self
+                    .ssd
+                    .background_scrub(gc_done, self.config.scrub_pages_per_idle)
+                    .map_err(EngineError::Ssd)?;
+                run.idle_done = run.idle_done.max(gc_done).max(scrub_done);
+            }
+        }
+        Ok(())
     }
 
     fn execute_op(
@@ -697,6 +732,7 @@ mod tests {
     use super::*;
     use crate::config::Strategy;
     use checkin_flash::FlashGeometry;
+    use checkin_sim::TraceEvent;
 
     fn quick_config(strategy: Strategy) -> SystemConfig {
         let mut c = SystemConfig::for_strategy(strategy);
@@ -1039,6 +1075,94 @@ mod tests {
         let mut c = quick_config(Strategy::Baseline);
         c.workload.record_count = 10_000_000;
         assert!(KvSystem::new(c).is_err());
+    }
+
+    /// A write-only run of `queries` on the GC-pressured device, traced
+    /// into a ring that keeps its last events. Returns the system, its
+    /// report, those events and the instant the run's queries began: its
+    /// load's end plus the loop's 10 µs, from a twin.
+    fn traced_gc_run(queries: u64) -> (KvSystem, RunReport, Vec<TraceEvent>, SimTime) {
+        let mut c = SystemConfig::gc_pressured(Strategy::CheckIn);
+        c.workload.mix = checkin_workload::OpMix::WRITE_ONLY;
+        c.workload.pattern = checkin_workload::AccessPattern::Uniform;
+        c.workload.record_count = 3_000;
+        c.total_queries = queries;
+        let mut twin = KvSystem::new(c.clone()).unwrap();
+        let records: Vec<(u64, u32)> = (0..c.workload.record_count)
+            .map(|k| (k, twin.generators[0].load_size(k)))
+            .collect();
+        let (engine, ssd) = twin.verify_parts();
+        let loaded = engine.load(ssd, &records, SimTime::ZERO).unwrap();
+        let mut system = KvSystem::new(c).unwrap();
+        let tracer = Tracer::ring_buffered(1 << 16);
+        system.set_tracer(tracer.clone());
+        let report = system.run().unwrap();
+        let start = loaded + SimDuration::from_micros(10);
+        (system, report, tracer.drain(), start)
+    }
+
+    /// The `[start, end]` of every background GC round in `events`.
+    fn background_rounds(events: &[TraceEvent]) -> Vec<(u64, u64)> {
+        let end = |e: &TraceEvent| e.fields().iter().find(|f| f.0 == "end_ns").map(|f| f.1);
+        events
+            .iter()
+            .filter(|e| e.op == "gc" && e.note == "background")
+            .filter_map(|e| Some((e.at.as_nanos(), end(e)?)))
+            .collect()
+    }
+
+    /// Background GC still running when the last query completes is run
+    /// to its end, as the tick ends a checkpoint: the run's span covers
+    /// its last round, and nothing is left running.
+    #[test]
+    fn a_run_ends_after_the_idle_gc_behind_its_last_checkpoint() {
+        let (system, report, events, start) = traced_gc_run(60_000);
+        let last_update = events
+            .iter()
+            .filter(|e| e.op == "update")
+            .map(|e| e.at.as_nanos())
+            .max()
+            .expect("the ring holds the last updates");
+        let (_, gc_end) = *background_rounds(&events)
+            .last()
+            .expect("background GC ran");
+        assert!(gc_end > last_update, "GC was running at the last query");
+        assert!(gc_end <= (start + report.elapsed).as_nanos());
+        assert_eq!(system.ssd().gc_due(), None);
+        assert_eq!(system.ssd().ftl().gc_due(), None);
+        system.ssd().ftl().check_invariants().unwrap();
+    }
+
+    /// The run loop's queue never holds more than one event per client,
+    /// the tick and the two pumps (a debug build asserts it at every
+    /// pop): in this run background GC rounds run while checkpoints are
+    /// pumped, so both pumps are queued at once.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn both_pumps_fit_the_event_population() {
+        let (_, report, events, _) = traced_gc_run(60_000);
+        let checkpoints: Vec<(u64, u64)> = events
+            .iter()
+            .filter(|e| e.op == "checkpoint")
+            .filter_map(|e| {
+                let duration = e.fields().iter().find(|f| f.0 == "duration_ns")?.1;
+                Some((e.at.as_nanos() - duration, e.at.as_nanos()))
+            })
+            .collect();
+        let overlaps = background_rounds(&events)
+            .iter()
+            .filter(|&&(gc_start, gc_end)| {
+                checkpoints
+                    .iter()
+                    .any(|&(cp_start, cp_end)| gc_start < cp_end && cp_start < gc_end)
+            })
+            .count();
+        assert!(overlaps > 0, "no GC round ran inside a checkpoint");
+        assert!(report.checkpoints > 1);
+        assert_eq!(
+            event_population(report.threads),
+            report.threads as usize + 3
+        );
     }
 
     #[test]

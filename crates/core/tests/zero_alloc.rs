@@ -12,9 +12,10 @@
 //! Everything the window exercises — journal append, block write, page
 //! drain, JMT update, flash program, point read — must then run
 //! allocation-free. A second window, after the first, holds a warm
-//! copy-class checkpoint command to the same standard, and a third a
+//! copy-class checkpoint command to the same standard, a third a
 //! warm Baseline checkpoint, whose read-backs and rewrites are paced
-//! through the checkpoint's own queue-deep window.
+//! through the checkpoint's own queue-deep window, and a fourth a warm
+//! paced GC round, begun and pumped step by step.
 //!
 //! This file holds exactly one test so the process-global allocation
 //! counter cannot pick up a concurrently running test's traffic.
@@ -28,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use checkin_core::{CheckpointStep, EngineError, KvEngine, Layout, Strategy, SystemConfig};
 use checkin_flash::{BlockId, FlashArray};
-use checkin_ftl::Ftl;
+use checkin_ftl::{Ftl, GcProgress, GcTrigger};
 use checkin_sim::{Counter, SimTime};
 use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
 
@@ -74,6 +75,9 @@ const BASELINE_KEYS: u64 = 96;
 /// then measures, each of which must allocate nothing.
 const BASELINE_WARM: u64 = 4;
 const BASELINE_MEASURED: u64 = 4;
+/// Paced GC rounds the fourth window runs: the first unmeasured, every
+/// later one measured.
+const GC_ROUNDS: u32 = 3;
 
 #[test]
 fn steady_state_query_loop_is_allocation_free() {
@@ -254,4 +258,38 @@ fn steady_state_query_loop_is_allocation_free() {
         baseline.counters().get(Counter::EngineCheckpoints),
         BASELINE_WARM + BASELINE_MEASURED
     );
+
+    // Fourth window: GC rounds on the warm device, begun and pumped step
+    // by step as `KvSystem::run`'s GC pump does — each step reads the
+    // victim's next page, moves a landed page's units into the write
+    // buffer until a page-out waits for a slot, or erases. A round keeps
+    // only its cursors, so once the page-out path is warm a whole round
+    // allocates nothing.
+    for round in 0..GC_ROUNDS {
+        let moved = ssd.ftl().counters().get(Counter::FtlGcUnitsMoved);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let begun = ssd
+            .ftl_mut()
+            .begin_gc_round(t, GcTrigger::Background)
+            .unwrap();
+        let mut due = begun.expect("the churned device has a victim");
+        let mut steps = 0;
+        t = loop {
+            ssd.retire_before(due);
+            steps += 1;
+            match ssd.ftl_mut().pump_gc(due).unwrap() {
+                GcProgress::PumpAt(next) => due = next,
+                GcProgress::Done(end) => break end,
+            }
+        };
+        let delta = ALLOCS.load(Ordering::SeqCst) - before;
+        assert!(steps > 2, "{steps} steps");
+        assert!(ssd.ftl().counters().get(Counter::FtlGcUnitsMoved) > moved);
+        if round > 0 {
+            assert_eq!(
+                delta, 0,
+                "warm paced GC round {round} allocated {delta} times"
+            );
+        }
+    }
 }

@@ -44,7 +44,9 @@ use crate::persist::MapPersistence;
 use crate::write_buffer::{SlotData, WriteBuffer};
 
 pub use rebuild::{OobScan, RebuildStats};
-pub use reclaim::{GcTrigger, ScrubReport};
+pub use reclaim::{GcProgress, GcTrigger, ScrubReport};
+
+use reclaim::GcRound;
 
 /// One logical-unit write request.
 #[derive(Debug, Clone)]
@@ -181,20 +183,18 @@ pub struct Ftl {
     counters: CounterSet,
     /// Global write sequence: stamps every buffered unit's OOB record.
     seq: u64,
-    in_gc: bool,
     /// Structured trace sink (no-op unless enabled).
     tracer: Tracer,
-    /// Reusable buffers for the page-out and GC loops (no per-page
-    /// allocation in steady state). A stack rather than a single buffer:
-    /// GC triggered inside `drain_one_page` re-enters `drain_one_page`
-    /// for the migrated units, so up to two invocations are live at
-    /// once and each needs its own scratch vector.
-    scratch_batches: Vec<Vec<BufSlot>>,
-    scratch_valid: Vec<(u32, UnitPayload, Lpn)>,
-    /// The pages of the one page-out being staged: `(write point, block,
-    /// page)`, and each page's address and content. `drain_one_page`
-    /// fills both only after block allocation — where GC re-enters — is
-    /// over, and hands them back on every path, so one of each suffices.
+    /// The garbage-collection round in execution, if any, between the
+    /// pump steps that advance it ([`Ftl::pump_gc`]).
+    gc: Option<GcRound>,
+    /// The one page-out being staged: its buffered units, `(write point,
+    /// block, page)` of its pages, and each page's address and content.
+    /// `drain_one_page` fills them only after block allocation — where
+    /// foreground GC pages out its own units — is over, and hands them
+    /// back on every path, so one of each suffices (no per-page
+    /// allocation in steady state).
+    batch: Vec<BufSlot>,
     scratch_pages: Vec<(usize, BlockId, u32)>,
     staging: Vec<(Ppn, PageContent)>,
     buffer: WriteBuffer,
@@ -235,10 +235,9 @@ impl Ftl {
             table: MappingTable::with_capacity(g.total_pages() * upp as u64),
             counters: CounterSet::new(),
             seq: 0,
-            in_gc: false,
             tracer: Tracer::disabled(),
-            scratch_batches: Vec::new(),
-            scratch_valid: Vec::new(),
+            gc: None,
+            batch: Vec::new(),
             scratch_pages: Vec::new(),
             staging: Vec::new(),
             buffer: WriteBuffer::default(),
@@ -481,7 +480,7 @@ impl Ftl {
         self.note_unlink(prev);
         self.ledger.clear_poison(w.lpn);
 
-        let slot = self.drain_to_watermark(at)?;
+        let slot = self.drain_to_watermark(at, PageOut::MayCollect)?;
         if slot > done {
             self.counters.incr(Counter::FtlBufferSlotWaits);
             self.counters.add(
@@ -743,7 +742,7 @@ impl Ftl {
     /// Propagates allocation failures.
     pub fn flush(&mut self, at: SimTime) -> Result<SimTime, FtlError> {
         while self.buffer.queued() > 0 {
-            self.drain_one_page(at)?;
+            self.drain_one_page(at, PageOut::MayCollect)?;
         }
         Ok(self.programs.wait_all().map_or(at, |last| last.max(at)))
     }
@@ -751,10 +750,10 @@ impl Ftl {
     /// Pages out buffered units while the buffer holds at least its
     /// watermark, oldest first, and returns when the writer may go on:
     /// when the last page-out got its programming slot.
-    fn drain_to_watermark(&mut self, at: SimTime) -> Result<SimTime, FtlError> {
+    fn drain_to_watermark(&mut self, at: SimTime, page_out: PageOut) -> Result<SimTime, FtlError> {
         let mut slot = at;
         while self.buffer.queued() >= self.config.write_buffer_units as usize {
-            slot = slot.max(self.drain_one_page(at)?);
+            slot = slot.max(self.drain_one_page(at, page_out)?);
         }
         Ok(slot)
     }
@@ -777,7 +776,7 @@ impl Ftl {
     /// while enough are then, else the finishes that free them. Each page
     /// holds one slot until its program finishes. A page that programmed
     /// nothing (empty buffer, grown bad block) holds none.
-    fn drain_one_page(&mut self, at: SimTime) -> Result<SimTime, FtlError> {
+    fn drain_one_page(&mut self, at: SimTime, page_out: PageOut) -> Result<SimTime, FtlError> {
         if self.buffer.queued() == 0 {
             return Ok(at);
         }
@@ -792,21 +791,18 @@ impl Ftl {
             .pool
             .choose_group(at, start)
             .ok_or(FtlError::OutOfSpace)?;
+        // Collect first: the round pages its migrated units out behind the
+        // oldest ones, through these very write points, and may leave
+        // nothing for this page-out.
+        self.make_room(group, at, page_out)?;
+        if self.buffer.queued() == 0 {
+            return Ok(at);
+        }
         let upp = self.upp as usize;
-        // Take the batch BEFORE allocating: block allocation may trigger
-        // GC, which enqueues freshly migrated units. Those stay buffered
-        // for later pages.
-        let mut taken = self.scratch_batches.pop().unwrap_or_default();
+        let mut taken = std::mem::take(&mut self.batch);
         taken.clear();
         self.buffer
             .take_batch(upp * self.pool.group(group).len(), &mut taken);
-        if let Err(e) = self.make_room(group, at) {
-            self.buffer.requeue_front(&taken);
-            self.scratch_batches.push(taken);
-            return Err(e);
-        }
-        // Only now, with GC over, take the pages — and the scratch GC's
-        // own page-outs would have used.
         let mut pages = std::mem::take(&mut self.scratch_pages);
         pages.clear();
         while let Some(&wp) = self.pool.group(group).get(pages.len()) {
@@ -827,7 +823,7 @@ impl Ftl {
             taken.truncate(fits);
         }
         if pages.is_empty() {
-            self.scratch_batches.push(taken);
+            self.batch = taken;
             self.scratch_pages = pages;
             return Err(FtlError::OutOfSpace);
         }
@@ -865,7 +861,7 @@ impl Ftl {
                 Err(e) => {
                     let unprogrammed = programmed..pages.len();
                     self.give_back(&pages, &mut staging, &taken, unprogrammed, &e);
-                    self.scratch_batches.push(taken);
+                    self.batch = taken;
                     self.scratch_pages = pages;
                     self.staging = staging;
                     if let FlashError::GrownBadBlock(bad) = e {
@@ -886,7 +882,7 @@ impl Ftl {
             }
             programmed += calls.len();
         }
-        self.scratch_batches.push(taken);
+        self.batch = taken;
         self.scratch_pages = pages;
         self.staging = staging;
         Ok(slot)
@@ -896,18 +892,20 @@ impl Ftl {
     /// one of them has no block open and the free pool is down to its
     /// reserve, foreground GC collects until there is headroom or
     /// nothing reclaimable is left (not fatal yet: free blocks may
-    /// remain). It runs before the group takes any page: GC pages its
-    /// migrated units out through the same placement and may fill or open
-    /// blocks on these very write points, so a page taken before it
-    /// could be overtaken by GC's and programmed out of order.
+    /// remain). A round in flight is finished first, before any second
+    /// victim is opened ([`Ftl::run_gc_round`]). It runs before the
+    /// page-out takes its units or pages: GC pages its migrated units
+    /// out through the same placement and may fill or open blocks on
+    /// these very write points, so a page taken before it could be
+    /// overtaken by GC's and programmed out of order.
     ///
     /// The reserve is the hard threshold, but never fewer blocks than
     /// there are write points: every write point may roll over to a new
     /// block inside one round — GC's own page-outs included, which do
-    /// not come back here — so a smaller reserve lets a round empty the
-    /// pool.
-    fn make_room(&mut self, group: usize, at: SimTime) -> Result<(), FtlError> {
-        if self.in_gc
+    /// not come back here ([`PageOut::InGc`]) — so a smaller reserve
+    /// lets a round empty the pool.
+    fn make_room(&mut self, group: usize, at: SimTime, page_out: PageOut) -> Result<(), FtlError> {
+        if page_out == PageOut::InGc
             || !self
                 .pool
                 .group(group)
@@ -1098,6 +1096,15 @@ impl Ftl {
         self.ledger.check_invariants(&self.counters)?;
         self.persist.check_invariants(self.seq)
     }
+}
+
+/// Whether a page-out may collect garbage for its blocks first
+/// ([`Ftl::make_room`]): every writer's may, a GC round's own never
+/// does — a round does not begin inside a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PageOut {
+    MayCollect,
+    InGc,
 }
 
 /// Merges a partial write into existing unit content: fragments of keys

@@ -228,7 +228,7 @@ impl Ftl {
         self.pool.rebuild(&self.flash, &self.table, upp)?;
         self.buffer.requeue_all_in_write_order();
         self.programs.clear();
-        self.in_gc = false;
+        self.gc = None;
         self.seq = self.seq.max(max_seq);
         self.counters.incr(Counter::FtlPowerLossRebuilds);
         // Re-persist immediately: the recovered table is the new floor.

@@ -3,10 +3,10 @@
 //! same way), and the background scrubber that finds rot before a
 //! foreground read does.
 
-use checkin_flash::{BlockId, FlashError, OobKind, OpPhase, Ppn, UnitPayload};
+use checkin_flash::{BlockId, FlashError, OobKind, OpPhase, Ppn};
 use checkin_sim::{Counter, SimTime, TraceEvent, TraceLayer};
 
-use super::Ftl;
+use super::{Ftl, PageOut};
 use crate::error::{FtlError, IntegrityError};
 use crate::location::{Location, Lpn, Pun};
 
@@ -45,6 +45,40 @@ impl GcTrigger {
     }
 }
 
+/// What the running garbage-collection round needs next: see
+/// [`Ftl::begin_gc_round`] and [`Ftl::pump_gc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GcProgress {
+    /// The round is still running: call [`Ftl::pump_gc`] at this
+    /// instant.
+    PumpAt(SimTime),
+    /// The round ended: its victim's erase finishes at this instant.
+    Done(SimTime),
+}
+
+/// The garbage-collection round in execution, between the pump steps
+/// that advance it: where its migration is, never a copy of what it
+/// moves. A unit's payload is taken from the array when the unit moves,
+/// so a round holds no buffer and allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct GcRound {
+    /// The block being collected.
+    pub(super) victim: BlockId,
+    trigger: GcTrigger,
+    /// When the round began (the trace's instant).
+    begun: SimTime,
+    /// The instant the next step is due.
+    next_at: SimTime,
+    /// `ftl.gc_units_moved` when the round began.
+    moved_before: u64,
+    /// The victim's next page to look at for a referenced unit.
+    next_page: u32,
+    /// The page read in flight, and when it lands.
+    reading: Option<(Ppn, SimTime)>,
+    /// The landed page being moved, and its next unit.
+    landed: Option<(Ppn, u32)>,
+}
+
 /// Outcome counts of one background scrub round ([`Ftl::scrub_round`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubReport {
@@ -78,12 +112,28 @@ impl Ftl {
     /// is migrated and erased, so its barely-worn cells rejoin the free
     /// pool while its long-lived data moves to hotter blocks. Returns
     /// `Ok(None)` when levelling is disabled, not needed, or no candidate
-    /// exists.
+    /// exists. A round in flight is finished first.
     ///
     /// # Errors
     ///
     /// Propagates flash errors from the migration.
     pub fn run_wear_leveling_round(&mut self, at: SimTime) -> Result<Option<SimTime>, FtlError> {
+        self.finish_gc_round()?;
+        match self.begin_wear_leveling_round(at)? {
+            Some(_) => self.finish_gc_round(),
+            None => Ok(None),
+        }
+    }
+
+    /// Begins a static wear-leveling round at `at` when
+    /// [`Ftl::run_wear_leveling_round`] would run one: a GC round whose
+    /// victim is the coldest closed block. Returns when its first step
+    /// is due, or `None` when no round was begun.
+    ///
+    /// # Errors
+    ///
+    /// [`FtlError::Inconsistent`] while a round is running.
+    pub fn begin_wear_leveling_round(&mut self, at: SimTime) -> Result<Option<SimTime>, FtlError> {
         let Some(threshold) = self.config.wear_leveling_threshold else {
             return Ok(None);
         };
@@ -93,14 +143,18 @@ impl Ftl {
         let Some(victim) = self.pool.coldest_closed(&self.flash) else {
             return Ok(None);
         };
+        let due = self.begin_round(victim, at, GcTrigger::WearLevel)?;
         self.counters.incr(Counter::FtlWearLevelRounds);
-        self.migrate_and_erase(victim, at, GcTrigger::WearLevel)
-            .map(Some)
+        Ok(Some(due))
     }
 
-    /// Runs one garbage-collection round: migrate the victim's valid units
-    /// (preserving shared references), erase it, and return the finish
-    /// time. Returns `Ok(None)` when no victim is reclaimable.
+    /// Runs one garbage-collection round to its end: migrate the
+    /// victim's valid units (preserving shared references), erase it,
+    /// and return the erase's finish — [`Ftl::begin_gc_round`], then
+    /// every [`Ftl::pump_gc`] step at the instant the one before asked
+    /// for. A round already in flight is finished instead, and its end
+    /// returned: no second victim is opened beside it. Returns
+    /// `Ok(None)` when no victim is reclaimable.
     ///
     /// # Errors
     ///
@@ -111,65 +165,225 @@ impl Ftl {
         at: SimTime,
         trigger: GcTrigger,
     ) -> Result<Option<SimTime>, FtlError> {
-        let capacity = self.upp * self.flash.geometry().pages_per_block;
-        let Some(victim) = self.pool.select_victim(capacity, &self.flash) else {
-            return Ok(None);
-        };
-        self.migrate_and_erase(victim, at, trigger).map(Some)
+        if self.gc.is_none() {
+            self.begin_gc_round(at, trigger)?;
+        }
+        self.finish_gc_round()
     }
 
-    fn migrate_and_erase(
+    /// Begins a garbage-collection round at `at`: selects the victim and
+    /// counts the invocation under `trigger`. Its migration and erase
+    /// are left to [`Ftl::pump_gc`] steps. Returns when the first step
+    /// is due (`at`), or `None` when no victim is reclaimable.
+    ///
+    /// # Errors
+    ///
+    /// [`FtlError::Inconsistent`] while a round is running.
+    pub fn begin_gc_round(
+        &mut self,
+        at: SimTime,
+        trigger: GcTrigger,
+    ) -> Result<Option<SimTime>, FtlError> {
+        let capacity = self.upp * self.flash.geometry().pages_per_block;
+        match self.pool.select_victim(capacity, &self.flash) {
+            Some(victim) => self.begin_round(victim, at, trigger).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Takes `victim` into a new round at `at`, counted under `trigger`.
+    fn begin_round(
         &mut self,
         victim: BlockId,
         at: SimTime,
         trigger: GcTrigger,
     ) -> Result<SimTime, FtlError> {
+        if self.gc.is_some() {
+            return Err(FtlError::Inconsistent("a GC round is already running"));
+        }
         self.counters.incr(Counter::FtlGcInvocations);
         self.counters.incr(trigger.counter());
-        let moved_before = self.counters.get(Counter::FtlGcUnitsMoved);
-        // All flash traffic below (migration reads, page-out programs,
-        // the victim erase) is attributed to the GC phase, and page-outs
-        // it causes must not start a nested round; the previous state is
-        // restored on every exit path.
-        self.in_gc = true;
-        let result = self.in_phase(OpPhase::Gc, |ftl| ftl.migrate_and_erase_inner(victim, at));
-        self.in_gc = false;
-        let moved = self.counters.get(Counter::FtlGcUnitsMoved) - moved_before;
-        self.tracer.emit(|| {
-            TraceEvent::new(at, TraceLayer::Ftl, "gc")
-                .tag(trigger.label())
-                .with("victim", victim.0)
-                .with("units_moved", moved)
-                .with("ok", u64::from(result.is_ok()))
+        self.gc = Some(GcRound {
+            victim,
+            trigger,
+            begun: at,
+            next_at: at,
+            moved_before: self.counters.get(Counter::FtlGcUnitsMoved),
+            next_page: 0,
+            reading: None,
+            landed: None,
         });
-        result
+        Ok(at)
     }
 
-    fn migrate_and_erase_inner(
+    /// When the running GC round's next step is due; `None` when no
+    /// round runs.
+    pub fn gc_due(&self) -> Option<SimTime> {
+        self.gc.map(|round| round.next_at)
+    }
+
+    /// One step of the running GC round at `now`, the instant the
+    /// previous step asked for. It books only what can start at `now`:
+    /// the read of the victim's next page holding a referenced unit,
+    /// one read in flight; the move of a landed page's units that are
+    /// still referenced into the write buffer, until a page-out waits
+    /// for a programming slot, as a checkpoint's copy scatter does
+    /// ([`Ftl::write_slotted`]); and, once every unit is moved, the
+    /// mapping-log persist and the victim's erase. It asks again when
+    /// the read in flight lands or the slot frees; the erase step ends
+    /// the round, at the erase's finish. Foreground commands booked
+    /// between two steps go first, and a unit overwritten or trimmed
+    /// before its move is not moved. All its flash traffic is in
+    /// [`OpPhase::Gc`]. The step that ends the round, or fails it,
+    /// records one `gc` trace event at the round's begin, with its end
+    /// as `end_ns`.
+    ///
+    /// # Errors
+    ///
+    /// [`FtlError::Inconsistent`] when no round is running; propagates
+    /// flash errors and out-of-space conditions, after which the round
+    /// is abandoned (its victim stays closed, with the units not yet
+    /// moved).
+    pub fn pump_gc(&mut self, now: SimTime) -> Result<GcProgress, FtlError> {
+        let Some(mut round) = self.gc else {
+            return Err(FtlError::Inconsistent("no GC round is running"));
+        };
+        debug_assert!(now >= round.next_at, "a GC step before it is due");
+        let progress = self.in_phase(OpPhase::Gc, |ftl| ftl.gc_step(&mut round, now));
+        let end = match progress {
+            Ok(GcProgress::PumpAt(due)) => {
+                self.gc = Some(GcRound {
+                    next_at: due,
+                    ..round
+                });
+                return progress;
+            }
+            Ok(GcProgress::Done(end)) => end,
+            Err(_) => now,
+        };
+        self.gc = None;
+        let moved = self.counters.get(Counter::FtlGcUnitsMoved) - round.moved_before;
+        let ok = progress.is_ok();
+        self.tracer.emit(|| {
+            TraceEvent::new(round.begun, TraceLayer::Ftl, "gc")
+                .tag(round.trigger.label())
+                .with("victim", round.victim.0)
+                .with("units_moved", moved)
+                .with("ok", u64::from(ok))
+                .with("end_ns", end.as_nanos())
+        });
+        progress
+    }
+
+    /// Runs the GC round in flight to its end, every step at the
+    /// instant the one before asked for. Returns its end, or `None`
+    /// when no round was running.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ftl::pump_gc`].
+    pub fn finish_gc_round(&mut self) -> Result<Option<SimTime>, FtlError> {
+        while let Some(due) = self.gc_due() {
+            if let GcProgress::Done(end) = self.pump_gc(due)? {
+                return Ok(Some(end));
+            }
+        }
+        Ok(None)
+    }
+
+    /// `round`'s step at `now` ([`Ftl::pump_gc`]): a read that landed
+    /// becomes the page to move, a read is kept in flight while a valid
+    /// page is left, and the landed page's units move; with none left,
+    /// the victim is erased.
+    fn gc_step(&mut self, round: &mut GcRound, now: SimTime) -> Result<GcProgress, FtlError> {
+        loop {
+            if round.landed.is_none() {
+                if let Some((ppn, _)) = round.reading.filter(|&(_, lands)| lands <= now) {
+                    round.landed = Some((ppn, 0));
+                    round.reading = None;
+                }
+            }
+            if round.reading.is_none() {
+                if let Some(ppn) = self.next_valid_page(round) {
+                    round.reading = Some((ppn, self.read_with_retry(ppn, now)?.finish));
+                }
+            }
+            match (round.landed, round.reading) {
+                (Some((ppn, offset)), _) => {
+                    match self.move_units(round.victim, ppn, offset, now)? {
+                        Some((next, slot)) => {
+                            round.landed = Some((ppn, next));
+                            return Ok(GcProgress::PumpAt(slot));
+                        }
+                        None => round.landed = None,
+                    }
+                }
+                (None, Some((_, lands))) => return Ok(GcProgress::PumpAt(lands)),
+                (None, None) => return self.erase_victim(round.victim, now).map(GcProgress::Done),
+            }
+        }
+    }
+
+    /// The victim's next page from the round's cursor on that holds a
+    /// referenced unit, advancing the cursor past it. A page passed over
+    /// never gains one: the victim is closed, and a remap aliases only
+    /// what the table maps.
+    fn next_valid_page(&self, round: &mut GcRound) -> Option<Ppn> {
+        let g = self.flash.geometry();
+        while round.next_page < g.pages_per_block {
+            let ppn = g.ppn_in_block(round.victim, round.next_page);
+            round.next_page += 1;
+            let referenced = (0..self.upp).any(|offset| {
+                let pun = Pun::compose(ppn, offset, self.upp);
+                !self.table.referrers(Location::Flash(pun)).is_empty()
+            });
+            if referenced {
+                return Some(ppn);
+            }
+        }
+        None
+    }
+
+    /// Moves the units of the landed page `ppn` of `victim`, from
+    /// `offset` on, that are still referenced into the write buffer at
+    /// `now`, paging out whenever it reaches its watermark. Stops after
+    /// the first page-out that waited for a programming slot, returning
+    /// the next offset and when the slot frees; `None` once the page is
+    /// done.
+    fn move_units(
         &mut self,
         victim: BlockId,
-        at: SimTime,
-    ) -> Result<SimTime, FtlError> {
-        let g = *self.flash.geometry();
-        let mut done = at;
-        for page in 0..g.pages_per_block {
-            let ppn = g.ppn_in_block(victim, page);
-            let mut valid = self.salvage_page(ppn, at);
-            let migrated = self.migrate_units(victim, ppn, &mut valid, at);
-            self.scratch_valid = valid;
-            done = done.max(migrated?);
+        ppn: Ppn,
+        offset: u32,
+        now: SimTime,
+    ) -> Result<Option<(u32, SimTime)>, FtlError> {
+        for offset in offset..self.upp {
+            if !self.salvage_unit(victim, Pun::compose(ppn, offset, self.upp), now) {
+                continue;
+            }
+            self.counters.incr(Counter::FtlGcUnitsMoved);
+            let slot = self.drain_to_watermark(now, PageOut::InGc)?;
+            if slot > now {
+                return Ok(Some((offset + 1, slot)));
+            }
         }
+        Ok(None)
+    }
+
+    /// The last step of a round: every unit of `victim` is read and in
+    /// the capacitor-protected buffer by `now`, so its erase may start,
+    /// without waiting for the pages they were drained to. Persists the
+    /// mapping log before it so a later power cut never finds the
+    /// persisted snapshot pointing into an erased block. Returns the
+    /// erase's finish.
+    fn erase_victim(&mut self, victim: BlockId, now: SimTime) -> Result<SimTime, FtlError> {
         debug_assert_eq!(self.pool.valid_units(victim), 0);
-        // The erase may start once every valid unit is read and in the
-        // capacitor-protected buffer (`done`), not when the pages they
-        // were drained to finish programming. Persist the mapping log
-        // before it so a later power cut never finds the persisted
-        // snapshot pointing into an erased block.
         self.persist_mapping_log();
-        match self.erase_with_retry(victim, done) {
+        match self.erase_with_retry(victim, now) {
             Ok(win) => {
                 self.pool.recycle(victim);
-                self.ledger.clear_block(victim, &g, self.upp);
+                self.ledger
+                    .clear_block(victim, self.flash.geometry(), self.upp);
                 Ok(win.finish)
             }
             Err(FlashError::PowerLoss) => Err(FlashError::PowerLoss.into()),
@@ -178,36 +392,9 @@ impl Ftl {
                 // cannot be recycled. It holds no valid units any more, so
                 // retiring it is pure capacity loss, not data loss.
                 self.take_out_of_service(victim);
-                Ok(done)
+                Ok(now)
             }
         }
-    }
-
-    /// Pays the timed read of page `ppn` and moves its salvaged `units`
-    /// into the write buffer, paging out whenever that fills. Returns when
-    /// the last unit is read and buffered, a writer like any other.
-    fn migrate_units(
-        &mut self,
-        victim: BlockId,
-        ppn: Ppn,
-        units: &mut Vec<(u32, UnitPayload, Lpn)>,
-        at: SimTime,
-    ) -> Result<SimTime, FtlError> {
-        if units.is_empty() {
-            return Ok(at);
-        }
-        let mut done = self.read_with_retry(ppn, at)?.finish;
-        for (offset, payload, primary) in units.drain(..) {
-            self.rebuffer_unit(
-                victim,
-                Pun::compose(ppn, offset, self.upp),
-                payload,
-                primary,
-            );
-            self.counters.incr(Counter::FtlGcUnitsMoved);
-            done = done.max(self.drain_to_watermark(at)?);
-        }
-        Ok(done)
     }
 
     /// Takes a block with a grown defect out of service: every unit still
@@ -218,11 +405,9 @@ impl Ftl {
         let g = *self.flash.geometry();
         for page in 0..self.flash.write_cursor(block) {
             let ppn = g.ppn_in_block(block, page);
-            let mut valid = self.salvage_page(ppn, SimTime::ZERO);
-            for (offset, payload, primary) in valid.drain(..) {
-                self.rebuffer_unit(block, Pun::compose(ppn, offset, self.upp), payload, primary);
+            for offset in 0..self.upp {
+                self.salvage_unit(block, Pun::compose(ppn, offset, self.upp), SimTime::ZERO);
             }
-            self.scratch_valid = valid;
         }
         debug_assert_eq!(self.pool.valid_units(block), 0);
         self.take_out_of_service(block);
@@ -235,50 +420,35 @@ impl Ftl {
             .clear_block(block, self.flash.geometry(), self.upp);
     }
 
-    /// The salvage scan shared by GC migration and block retirement:
-    /// collects page `ppn`'s still-referenced units that verify — as
-    /// `(offset, payload, primary referrer)` in the reused scratch vector
-    /// the caller hands back — and poisons the ones that do not.
-    /// Relocating a unit re-seals its checksum, which would launder rot
-    /// into a copy that verifies; a corrupt referenced unit is about to
-    /// lose its only copy, so its loss is recorded instead.
-    fn salvage_page(&mut self, ppn: Ppn, at: SimTime) -> Vec<(u32, UnitPayload, Lpn)> {
-        let mut valid = std::mem::take(&mut self.scratch_valid);
-        valid.clear();
-        let mut corrupt: Vec<Pun> = Vec::new();
-        let page = self.flash.read(ppn);
-        for offset in 0..self.upp {
-            let pun = Pun::compose(ppn, offset, self.upp);
-            let Some(&primary) = self.table.referrers(Location::Flash(pun)).first() else {
-                continue;
-            };
-            if self.config.verify_checksums
-                && page.is_some_and(|pc| !pc.unit_intact(offset as usize))
-            {
-                corrupt.push(pun);
-                continue;
-            }
-            let payload = page
-                .and_then(|pc| pc.unit(offset as usize))
-                .unwrap_or_default()
-                .to_payload();
-            valid.push((offset, payload, primary));
-        }
-        for pun in corrupt {
+    /// The salvage shared by GC migration and block retirement: moves
+    /// unit `pun` of `block` back into the write buffer, keeping every
+    /// referrer pointed at it, when it is still referenced and verifies,
+    /// and poisons it when it is referenced and does not. Relocating a
+    /// unit re-seals its checksum, which would launder rot into a copy
+    /// that verifies; a corrupt referenced unit is about to lose its
+    /// only copy, so its loss is recorded instead. Returns whether the
+    /// unit moved.
+    fn salvage_unit(&mut self, block: BlockId, pun: Pun, at: SimTime) -> bool {
+        let Some(&primary) = self.table.referrers(Location::Flash(pun)).first() else {
+            return false;
+        };
+        let offset = pun.offset(self.upp) as usize;
+        let page = self.flash.read(pun.page(self.upp));
+        if self.config.verify_checksums && page.is_some_and(|pc| !pc.unit_intact(offset)) {
             self.poison_destroyed_unit(pun, at);
+            return false;
         }
-        valid
-    }
-
-    /// Moves a salvaged unit of `block` back into the write buffer,
-    /// keeping every referrer pointed at it.
-    fn rebuffer_unit(&mut self, block: BlockId, pun: Pun, payload: UnitPayload, primary: Lpn) {
+        let payload = page
+            .and_then(|pc| pc.unit(offset))
+            .unwrap_or_default()
+            .to_payload();
         let slot = self.new_slot(payload, primary, OobKind::GcCopy);
         let moved = self
             .table
             .relocate(Location::Flash(pun), Location::Buffer(slot));
         debug_assert!(moved > 0);
         self.pool.sub_valid(block);
+        true
     }
 
     /// A referenced-but-corrupt unit is about to be destroyed (its block
@@ -311,9 +481,11 @@ impl Ftl {
         let marks = self
             .ledger
             .marks_in_block(block, self.flash.geometry(), self.upp);
-        if self.pool.is_closed(block) && !self.in_gc && marks >= self.upp as usize {
+        let collecting = self.gc.is_some_and(|round| round.victim == block);
+        if self.pool.is_closed(block) && !collecting && marks >= self.upp as usize {
             // The block is decaying wholesale: salvage what still
-            // verifies and take it out of service.
+            // verifies and take it out of service. A GC round's victim
+            // is left to its round, which salvages it the same way.
             self.retire_block(block);
         }
         FtlError::Integrity(IntegrityError::CorruptUnit(lpn))

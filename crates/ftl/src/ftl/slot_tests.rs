@@ -165,7 +165,8 @@ fn a_page_out_onto_a_grown_bad_block_holds_no_slot() {
         grown_bad_block: 1.0,
         ..FaultConfig::default()
     }));
-    assert_eq!(f.drain_one_page(SimTime::ZERO).unwrap(), SimTime::ZERO);
+    let drained = f.drain_one_page(SimTime::ZERO, PageOut::MayCollect);
+    assert_eq!(drained.unwrap(), SimTime::ZERO);
     assert_eq!(f.counters().get(Counter::FtlBlocksRetired), 1);
     assert_eq!(f.buffer.queued() as u64, UPP, "the batch is queued again");
     f.flash_mut()

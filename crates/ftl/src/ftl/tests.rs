@@ -406,3 +406,96 @@ fn merge_payload_replaces_matching_keys() {
         5
     );
 }
+
+/// A [`single_die_ftl`] whose blocks 0–7 hold lpns 0..64 in order, the
+/// even ones overwritten since: each of those blocks keeps four valid
+/// units, the free pool stays above its reserve, and block 0 is the
+/// next victim. Returns the FTL and an instant it is idle at.
+fn half_stale_ftl() -> (Ftl, SimTime) {
+    let mut f = single_die_ftl(FtlConfig {
+        write_buffer_units: 1,
+        ..FtlConfig::default()
+    });
+    for lpn in 0..64 {
+        put(&mut f, lpn, 1).unwrap();
+    }
+    for lpn in (0..64).step_by(2) {
+        put(&mut f, lpn, 2).unwrap();
+    }
+    let idle = f.flush(SimTime::ZERO).unwrap() + SimDuration::from_millis(10);
+    (f, idle)
+}
+
+/// The lpns mapped into `block`.
+fn lpns_in(f: &Ftl, block: BlockId) -> Vec<u64> {
+    f.mapping_iter()
+        .filter_map(|(lpn, loc)| match loc {
+            Location::Flash(pun) if f.block_of(pun) == block => Some(lpn.0),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_paced_round_moves_only_what_is_still_referenced() {
+    let (mut f, idle) = half_stale_ftl();
+    let reads = |f: &Ftl| f.flash().counters().total(Total::FlashRead);
+    let moved = |f: &Ftl| f.counters().get(Counter::FtlGcUnitsMoved);
+    let first = f.begin_gc_round(idle, GcTrigger::Background).unwrap();
+    assert_eq!(first, Some(idle));
+    let victim = f.gc.map(|round| round.victim).unwrap();
+    let stale = lpns_in(&f, victim);
+    assert_eq!(stale, [1, 3, 5, 7]);
+    let (before, erased) = (reads(&f), f.flash().erase_count(victim));
+    let GcProgress::PumpAt(lands) = f.pump_gc(idle).unwrap() else {
+        panic!("the victim holds valid units");
+    };
+    assert_eq!(reads(&f) - before, 1, "one read in flight");
+    assert_eq!(moved(&f), 0, "nothing moves before its page lands");
+    // Every unit the victim holds is overwritten before the read lands:
+    // the round moves none of them and reads no other page.
+    for &lpn in &stale {
+        f.write(w(lpn, lpn, 3, 4096), OobKind::Data, idle).unwrap();
+    }
+    assert_eq!(f.gc_due(), Some(lands));
+    let end = f.finish_gc_round().unwrap().expect("the round was running");
+    assert_eq!(moved(&f), 0);
+    assert_eq!(reads(&f) - before, 1);
+    assert_eq!(f.flash().erase_count(victim), erased + 1);
+    assert_eq!(f.gc_due(), None);
+    f.check_invariants().unwrap();
+    for lpn in 0..64 {
+        let version = if stale.contains(&lpn) { 3 } else { 2 - lpn % 2 };
+        let (p, _) = f.read(Lpn(lpn), end).unwrap();
+        assert_eq!(p.fragments[0].version, version, "lpn {lpn}");
+    }
+}
+
+#[test]
+fn a_round_in_flight_is_finished_before_another_begins() {
+    let (mut f, idle) = half_stale_ftl();
+    let invocations = |f: &Ftl| f.counters().get(Counter::FtlGcInvocations);
+    f.begin_gc_round(idle, GcTrigger::Background).unwrap();
+    let GcProgress::PumpAt(due) = f.pump_gc(idle).unwrap() else {
+        panic!("the victim holds valid units");
+    };
+    let refused = f.begin_gc_round(due, GcTrigger::Background);
+    assert!(
+        matches!(refused, Err(FtlError::Inconsistent(_))),
+        "{refused:?}"
+    );
+    // A one-call round finishes the round in flight instead of opening
+    // a second victim.
+    let end = f.run_gc_round(due, GcTrigger::Foreground).unwrap();
+    assert!(end.is_some_and(|end| end > due));
+    assert_eq!(invocations(&f), 1);
+    assert_eq!(f.counters().get(Counter::FtlGcForeground), 0);
+    assert_eq!(f.counters().get(Counter::FtlGcUnitsMoved), 4);
+    assert_eq!(f.gc_due(), None);
+    let pumped = f.pump_gc(due);
+    assert!(
+        matches!(pumped, Err(FtlError::Inconsistent(_))),
+        "{pumped:?}"
+    );
+    f.check_invariants().unwrap();
+}

@@ -5,7 +5,8 @@ use std::collections::BinaryHeap;
 
 use checkin_flash::{Fragment, OobKind, OpPhase, UnitPayload};
 use checkin_ftl::{
-    Ftl, FtlError, GcTrigger, Lpn, MapCacheModel, RebuildStats, ScrubReport, SensedPages, UnitWrite,
+    Ftl, FtlError, GcProgress, GcTrigger, Lpn, MapCacheModel, RebuildStats, ScrubReport,
+    SensedPages, UnitWrite,
 };
 use checkin_sim::{
     Counter, CounterSet, Resource, SimDuration, SimTime, TraceEvent, TraceLayer, Tracer,
@@ -84,6 +85,8 @@ pub struct Ssd {
     /// The job in execution, if any — a checkpoint command or a
     /// deallocation — between the pump steps that advance it.
     job: Job,
+    /// The background GC behind the last checkpoint, if it still runs.
+    gc: IdleGc,
 }
 
 /// What the job in execution needs next: see [`Ssd::begin_checkpoint`],
@@ -160,6 +163,21 @@ struct Job {
     gathering: SimTime,
     booked: SimTime,
     written: SimTime,
+}
+
+/// Background GC in an idle window ([`Ssd::begin_background_gc`]):
+/// rounds begun one at a time, each the FTL's paced GC round
+/// ([`Ftl::pump_gc`]), and then one static wear-leveling round at most.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdleGc {
+    /// When the next pump step is due; `None` when none runs.
+    next_at: Option<SimTime>,
+    /// Background rounds it may still begin.
+    rounds_left: u32,
+    /// Background rounds it began.
+    rounds: u32,
+    /// Whether it considered its wear-leveling round already.
+    levelled: bool,
 }
 
 /// Where the job's pump steps are.
@@ -245,6 +263,7 @@ impl Ssd {
             scratch_sensed: SensedPages::default(),
             scratch_frags: Vec::new(),
             job: Job::default(),
+            gc: IdleGc::default(),
         }
     }
 
@@ -1195,9 +1214,11 @@ impl Ssd {
         Ok(done)
     }
 
-    /// Deallocator: run background GC rounds at `at` if the FTL is under
-    /// soft pressure and the device is idle. Returns the number of rounds
-    /// run and the completion instant.
+    /// Deallocator: background GC at `at`, run to its end in this call —
+    /// [`Ssd::begin_background_gc`], then every [`Ssd::pump_gc`] step at
+    /// the instant the one before asked for. Background GC still running
+    /// is finished first. Returns the number of background rounds run
+    /// and the completion instant.
     ///
     /// # Errors
     ///
@@ -1207,30 +1228,134 @@ impl Ssd {
         at: SimTime,
         max_rounds: u32,
     ) -> Result<(u32, SimTime), SsdError> {
-        let mut done = at;
-        let mut rounds = 0;
-        while rounds < max_rounds {
-            let idle = self.idle_at() <= done;
-            if !should_background_gc(self.ftl.wants_background_gc(), idle) {
-                break;
-            }
-            match self.ftl.run_gc_round(done, GcTrigger::Background)? {
-                Some(t) => {
-                    done = t;
-                    rounds += 1;
-                    self.counters.incr(Counter::SsdBackgroundGcRounds);
-                }
-                None => break,
+        self.drain_gc()?;
+        let mut progress = self.begin_background_gc(at, max_rounds)?;
+        loop {
+            match progress {
+                CpProgress::Done(done) => return Ok((self.gc.rounds, done)),
+                CpProgress::PumpAt(due) => progress = self.pump_gc(due)?,
             }
         }
-        // Idle windows also host static wear leveling (one round at most).
-        if self.idle_at() <= done {
-            if let Some(t) = self.ftl.run_wear_leveling_round(done)? {
-                done = t;
+    }
+
+    /// Deallocator: begins background GC in the idle window from `at`.
+    /// A round begins at its own instant — `at` for the first, the end
+    /// of the round before for the next — while the FTL is under soft
+    /// pressure and the device is idle then (`should_background_gc`),
+    /// `max_rounds` at most; once one does not, one static
+    /// wear-leveling round runs if the device is idle then and the wear
+    /// skew asks for one. Each round is the FTL's paced round, advanced
+    /// by [`Ssd::pump_gc`] steps, so foreground commands booked between
+    /// two steps go ahead of its reads, page-outs and erase. Returns
+    /// when the first step is due, or `Done(at)` when nothing began.
+    /// Counted in `ssd.background_gc_rounds` and
+    /// `ssd.wear_level_rounds` as each round begins.
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::InvalidRequest`] while background GC still runs.
+    pub fn begin_background_gc(
+        &mut self,
+        at: SimTime,
+        max_rounds: u32,
+    ) -> Result<CpProgress, SsdError> {
+        if self.gc.next_at.is_some() {
+            return Err(SsdError::InvalidRequest(
+                "background GC is still running".into(),
+            ));
+        }
+        self.gc = IdleGc {
+            rounds_left: max_rounds,
+            ..IdleGc::default()
+        };
+        let progress = self.next_background_round(at);
+        self.note_gc(&progress);
+        progress
+    }
+
+    /// One step of the background GC at `now`, the instant the previous
+    /// step asked for: a step of the round in flight, or — at the end of
+    /// a round, or when a foreground round finished it — the decision
+    /// whether the next round begins.
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::InvalidRequest`] when no background GC runs;
+    /// propagates FTL failures, after which it is abandoned.
+    pub fn pump_gc(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
+        let Some(due) = self.gc.next_at else {
+            return Err(SsdError::InvalidRequest(
+                "no background GC is running".into(),
+            ));
+        };
+        debug_assert!(now >= due, "a GC step before it is due");
+        let progress = if self.ftl.gc_due().is_some() {
+            // A round's end is a step of its own: the next round is
+            // decided at that instant.
+            self.ftl
+                .pump_gc(now)
+                .map_err(SsdError::from)
+                .map(|p| match p {
+                    GcProgress::PumpAt(t) | GcProgress::Done(t) => CpProgress::PumpAt(t),
+                })
+        } else {
+            self.next_background_round(now)
+        };
+        self.note_gc(&progress);
+        progress
+    }
+
+    /// Runs the background GC still running to its end. Returns when it
+    /// ended, or `None` when none was running.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ssd::pump_gc`].
+    pub fn drain_gc(&mut self) -> Result<Option<SimTime>, SsdError> {
+        while let Some(due) = self.gc.next_at {
+            if let CpProgress::Done(done) = self.pump_gc(due)? {
+                return Ok(Some(done));
+            }
+        }
+        Ok(None)
+    }
+
+    /// When the background GC's next step is due; `None` when none runs.
+    pub fn gc_due(&self) -> Option<SimTime> {
+        self.gc.next_at
+    }
+
+    /// Between two rounds at `at`: begins the next background round,
+    /// else the wear-leveling round, else ends.
+    fn next_background_round(&mut self, at: SimTime) -> Result<CpProgress, SsdError> {
+        let idle = self.idle_at() <= at;
+        if self.gc.rounds_left > 0 && should_background_gc(self.ftl.wants_background_gc(), idle) {
+            if let Some(due) = self.ftl.begin_gc_round(at, GcTrigger::Background)? {
+                self.gc.rounds_left -= 1;
+                self.gc.rounds += 1;
+                self.counters.incr(Counter::SsdBackgroundGcRounds);
+                return Ok(CpProgress::PumpAt(due));
+            }
+        }
+        // Once a round does not begin, none does.
+        self.gc.rounds_left = 0;
+        if !self.gc.levelled && idle {
+            self.gc.levelled = true;
+            if let Some(due) = self.ftl.begin_wear_leveling_round(at)? {
                 self.counters.incr(Counter::SsdWearLevelRounds);
+                return Ok(CpProgress::PumpAt(due));
             }
         }
-        Ok((rounds, done))
+        Ok(CpProgress::Done(at))
+    }
+
+    /// Keeps the background GC's due instant, clearing it when it ended
+    /// or failed.
+    fn note_gc(&mut self, progress: &Result<CpProgress, SsdError>) {
+        self.gc.next_at = match progress {
+            Ok(CpProgress::PumpAt(due)) => Some(*due),
+            Ok(CpProgress::Done(_)) | Err(_) => None,
+        };
     }
 
     /// Deallocator: run one background integrity-scrub round at `at` if
@@ -1275,9 +1400,11 @@ impl Ssd {
         self.ftl.flash_mut().power_on();
         let stats = self.ftl.rebuild_after_power_loss()?;
         self.journal_units_since_meta = 0;
-        // The job in execution died with the power: what it
-        // acknowledged is in the rebuilt FTL, the rest never happened.
+        // The job in execution and the background GC died with the
+        // power: what they acknowledged is in the rebuilt FTL, the rest
+        // never happened.
         self.job.stage = Stage::Idle;
+        self.gc.next_at = None;
         self.counters.incr(Counter::SsdSporRecoveries);
         Ok(stats)
     }
@@ -1286,7 +1413,7 @@ impl Ssd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use checkin_flash::{FlashArray, FlashGeometry, FlashTiming, Ppn};
+    use checkin_flash::{FaultConfig, FaultPlan, FlashArray, FlashGeometry, FlashTiming, Ppn};
     use checkin_ftl::FtlConfig;
     use checkin_sim::Total;
 
@@ -2169,6 +2296,101 @@ mod tests {
         let mut s = ssd(512);
         let (rounds, _) = s.background_gc(SimTime::ZERO, 4).unwrap();
         assert_eq!(rounds, 0, "fresh device: no GC");
+    }
+
+    /// Records on the [`gc_fixture`] device.
+    const GC_KEYS: u64 = 768;
+
+    /// One die of 16 blocks of 8 pages, a 512 B unit, one write point,
+    /// a one-page watermark and fault injection armed (nothing
+    /// injected), so that the mapping log is kept: [`GC_KEYS`]
+    /// one-sector records overwritten in a pseudo-random order until the
+    /// free pool is at its soft GC threshold. Returns the device, each
+    /// key's latest version and an instant it is idle at.
+    fn gc_fixture() -> (Ssd, Vec<u64>, SimTime) {
+        let geometry = FlashGeometry {
+            channels: 1,
+            dies_per_channel: 1,
+            planes_per_die: 1,
+            blocks_per_plane: 16,
+            pages_per_block: 8,
+            page_bytes: 4096,
+        };
+        let config = FtlConfig {
+            unit_bytes: 512,
+            write_points: 1,
+            gc_threshold_blocks: 2,
+            gc_soft_threshold_blocks: 3,
+            write_buffer_units: 8,
+            ..FtlConfig::default()
+        };
+        let ftl = Ftl::new(FlashArray::new(geometry, FlashTiming::mlc()), config).unwrap();
+        let mut s = Ssd::new(ftl, SsdTiming::paper_default());
+        s.ftl_mut()
+            .flash_mut()
+            .arm_faults(FaultPlan::new(FaultConfig::default()));
+        let mut versions = vec![0; GC_KEYS as usize];
+        let (mut t, mut x) = (SimTime::ZERO, 1u64);
+        while !s.ftl().wants_background_gc() {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let key = (x >> 33) % GC_KEYS;
+            versions[key as usize] += 1;
+            let req = record(key, 1, key, versions[key as usize]);
+            t = s.write(&req, OobKind::Data, t).unwrap();
+        }
+        let idle = s.flush(t).unwrap() + SimDuration::from_millis(50);
+        (s, versions, idle)
+    }
+
+    /// Every key of [`gc_fixture`] reads back at its latest version, and
+    /// a key never written reads nothing. Returns when the device is idle
+    /// again.
+    fn assert_acked_versions(s: &mut Ssd, versions: &[u64], at: SimTime) -> SimTime {
+        for (key, &version) in (0..).zip(versions) {
+            let req = ReadRequest {
+                lba: key,
+                sectors: 1,
+                key: Some(key),
+            };
+            let (frags, _) = s.read(&req, at).unwrap();
+            let written = (version > 0).then_some(version);
+            assert_eq!(frags.first().map(|f| f.version), written, "key {key}");
+        }
+        s.idle_at()
+    }
+
+    /// A power cut between two steps of a background round ends it: SPOR
+    /// keeps every acknowledged unit, and the device refuses to pump
+    /// the dead round but begins a new one.
+    #[test]
+    fn a_power_cut_ends_a_background_round() {
+        let (mut s, versions, idle) = gc_fixture();
+        let mut progress = s.begin_background_gc(idle, 4);
+        // Step until a round in flight has moved a unit, then cut.
+        let due = loop {
+            let Ok(CpProgress::PumpAt(due)) = progress else {
+                panic!("the round is stepped: {progress:?}");
+            };
+            let moved = s.ftl().counters().get(Counter::FtlGcUnitsMoved);
+            if moved > 0 && s.ftl().gc_due().is_some() {
+                break due;
+            }
+            progress = s.pump_gc(due);
+        };
+        s.ftl_mut().flash_mut().cut_power();
+        s.recover_power_loss().unwrap();
+        assert_eq!(s.ftl().gc_due(), None, "no GC round runs");
+        assert_eq!(s.gc_due(), None, "no background GC runs");
+        let pumped = s.pump_gc(due).unwrap_err();
+        assert!(matches!(pumped, SsdError::InvalidRequest(_)), "{pumped}");
+        s.ftl().check_invariants().unwrap();
+        let idle = assert_acked_versions(&mut s, &versions, due);
+        assert!(s.ftl().wants_background_gc());
+        let again = s.begin_background_gc(idle, 4);
+        assert!(matches!(again, Ok(CpProgress::PumpAt(_))), "{again:?}");
+        let done = s.drain_gc().unwrap().expect("the new round runs");
+        s.ftl().check_invariants().unwrap();
+        assert_acked_versions(&mut s, &versions, done);
     }
 
     #[test]

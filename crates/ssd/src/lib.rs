@@ -14,7 +14,9 @@
 //!   batched checkpoint or a journal trim is the device's one job, begun
 //!   by [`Ssd::begin_checkpoint`] / [`Ssd::begin_deallocate`], advanced
 //!   by [`Ssd::pump`] steps that host commands can go ahead of, and
-//!   ended by [`Ssd::drain`]; the deallocator runs GC in idle windows.
+//!   ended by [`Ssd::drain`]; the deallocator begins GC in the idle
+//!   window behind a checkpoint ([`Ssd::begin_background_gc`]), whose
+//!   rounds [`Ssd::pump_gc`] steps advance beside that job.
 //!
 //! [`isce` planning + execution inside `Ssd`]: plan_entry
 //!

@@ -39,16 +39,17 @@ echo "== lab"
 # The one measurement run (DESIGN.md §8): three GC-pressured workloads,
 # exact simulated cost of a remap vs a copy checkpoint, and every figure
 # and table of the paper as rows beside the paper's numbers. No options
-# but the output path; 67-86 s on two cores for its 863 rows, most of
-# it the figures. Exits non-zero only on its nine gates (a remap
+# but the output path; 67-86 s on two cores for its 864 rows, most of
+# it the figures. Exits non-zero only on its ten gates (a remap
 # checkpoint does no flash I/O; a read costs what the record occupies;
 # a write waits for a programming slot, not a program; a die programs
 # its two planes in one tPROG; a mapping walk misses once per segment;
 # a foreground read does not wait for a program whose finish nobody has
 # seen, nor for more than one program of a paced checkpoint scatter, nor
-# for more than one step of a checkpoint's walk or gather or a trim; a
-# page-out does not queue behind a busy die while another is free) —
-# `cargo test` above already checked them.
+# for more than one step of a checkpoint's walk or gather or a trim, nor
+# for more than one step of a GC round; a page-out does not queue
+# behind a busy die while another is free) — `cargo test` above already
+# checked them.
 cargo run --release -p checkin-bench --bin lab -- --out target/BENCH_perf.json
 # Every row is a simulated quantity: a change that moves one must commit
 # the artifact it produces, not leave a stale one — and the diff of the
