@@ -30,7 +30,7 @@ mod sweep;
 pub use sweep::{sweep, Sweep};
 
 use checkin_core::{
-    CheckpointPhase, CheckpointStep, EngineError, KvEngine, Layout, ReadResult, Strategy,
+    CheckpointPhase, EngineError, KvEngine, Layout, ReadResult, Strategy, SystemConfig, TriggerRule,
 };
 use checkin_flash::{
     FaultConfig, FaultOp, FaultPlan, FlashArray, FlashGeometry, FlashTiming, OpPhase, Ppn,
@@ -101,6 +101,15 @@ impl Scenario {
         Scenario {
             faults: Some(faults),
             ..self
+        }
+    }
+
+    /// The product's checkpoint-trigger rule: its background GC rounds,
+    /// and the row's scrub budget.
+    fn rule(&self) -> TriggerRule {
+        TriggerRule {
+            gc_rounds: SystemConfig::for_strategy(self.strategy).background_gc_rounds,
+            scrub_pages: self.scrub_pages,
         }
     }
 
@@ -238,6 +247,8 @@ struct Driven {
     stop: Stop,
     /// Whether a checkpoint was still being pumped when it ended.
     paced: bool,
+    /// Whether a background GC round was in flight when it ended.
+    gc_pumped: bool,
     /// Completion time of the last successful step.
     t: SimTime,
 }
@@ -246,66 +257,28 @@ fn is_integrity(e: &EngineError) -> bool {
     matches!(e, EngineError::Ssd(s) if s.is_integrity())
 }
 
-/// Begins a checkpoint at `t`, ending a running one at once first, like
-/// the system loop's trigger (`KvSystem::run`) except that the new one
-/// begins after the drained one's [`idle_work`] (4 GC rounds, not
-/// `background_gc_rounds`), not at its finish. Returns when the workload
-/// goes on: after the idle work of a checkpoint that ended in its begin,
-/// else at once, its job left to [`pump_due`].
-fn begin_checkpoint(
+/// Runs the checkpoint and background GC steps due by `t`, the earliest
+/// first (the checkpoint's on a tie), each at its own instant.
+fn pump_until(
+    rule: TriggerRule,
     engine: &mut KvEngine,
     ssd: &mut Ssd,
-    scrub_pages: u32,
-    t: SimTime,
-) -> Result<SimTime, EngineError> {
-    let mut t = t;
-    if let Some(out) = engine.drain_checkpoint(ssd)? {
-        t = t.max(idle_work(ssd, scrub_pages, out.finish)?);
-    }
-    match engine.begin_checkpoint(ssd, t)? {
-        CheckpointStep::Done(out) => idle_work(ssd, scrub_pages, out.finish),
-        CheckpointStep::PumpAt(_) => Ok(t),
-    }
-}
-
-/// Runs the running checkpoint's pump steps that are due by `t`, and the
-/// idle work behind it if one of them ends it.
-fn pump_due(
-    engine: &mut KvEngine,
-    ssd: &mut Ssd,
-    scrub_pages: u32,
     t: SimTime,
 ) -> Result<(), EngineError> {
-    while let CheckpointPhase::Pumped(due) = engine.checkpoint_phase(t) {
-        if due > t {
-            break;
-        }
-        if let CheckpointStep::Done(out) = engine.pump_checkpoint(ssd, due)? {
-            idle_work(ssd, scrub_pages, out.finish)?;
+    loop {
+        let checkpoint = match engine.checkpoint_phase(t) {
+            CheckpointPhase::Pumped(due) => due,
+            _ => SimTime::MAX,
+        };
+        let gc = ssd.gc_due().unwrap_or(SimTime::MAX);
+        if checkpoint.min(gc) > t {
+            return Ok(());
+        } else if checkpoint <= gc {
+            rule.pump_checkpoint(engine, ssd, checkpoint, &mut |_| {})?;
+        } else {
+            rule.pump_gc(ssd, gc, &mut |_| {})?;
         }
     }
-    Ok(())
-}
-
-/// A whole checkpoint at `t`, then the idle work behind it.
-fn checkpoint_then_idle_work(
-    engine: &mut KvEngine,
-    ssd: &mut Ssd,
-    scrub_pages: u32,
-    t: SimTime,
-) -> Result<SimTime, EngineError> {
-    let out = engine.checkpoint(ssd, t)?;
-    idle_work(ssd, scrub_pages, out.finish)
-}
-
-/// Lets GC and then the scrubber use the idle window after a checkpoint
-/// that ended at `end`, and returns when they are done.
-fn idle_work(ssd: &mut Ssd, scrub_pages: u32, end: SimTime) -> Result<SimTime, EngineError> {
-    let (_, gc_done) = ssd.background_gc(end, 4)?;
-    let (_, scrub_done) = ssd
-        .background_scrub(gc_done, scrub_pages)
-        .map_err(EngineError::Ssd)?;
-    Ok(gc_done.max(scrub_done))
 }
 
 /// Runs the row's seeded workload and stops at the first power loss or
@@ -314,11 +287,13 @@ fn idle_work(ssd: &mut Ssd, scrub_pages: u32, end: SimTime) -> Result<SimTime, E
 /// `flash_tracer` from when the faults are armed.
 ///
 /// Ops are admitted in groups of `sc.batch` and acked only when the whole
-/// group completes, with checkpoints begun only at batch boundaries (the
-/// admission gate's no-straddling rule). A begun checkpoint's copy is
-/// pumped between the ops, so a cut can land inside it; the run ends with
-/// the running checkpoint. The op stream is identical for every batch
-/// size; only ack timing differs.
+/// group completes, with checkpoints triggered only at batch boundaries
+/// (the admission gate's no-straddling rule) through the product's
+/// [`TriggerRule`]. A begun checkpoint's copy and the background GC
+/// behind a checkpoint are pumped between the ops, so a cut can land
+/// inside either; the run ends with the running checkpoint and its GC.
+/// The op stream is identical for every batch size; only ack timing
+/// differs.
 fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
     let mut ssd = sc.build_ssd();
     let layout = sc.layout();
@@ -347,19 +322,20 @@ fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
             Stop::OpIntegrity
         }
     };
+    let rule = sc.rule();
     let mut remaining = OPS;
 
     let stop = 'ops: loop {
         if remaining == 0 {
-            match engine.drain_checkpoint(&mut ssd) {
-                Ok(_) => break Stop::Completed,
+            match rule.finish(&mut engine, &mut ssd, &mut |_| {}) {
+                Ok(()) => break Stop::Completed,
                 Err(e) => break stop_for(e, true),
             }
         }
         // Batch boundary: the only place a checkpoint is *planned*, and
         // nothing is unacked here.
         if engine.journal_used_units() >= cp_units {
-            match begin_checkpoint(&mut engine, &mut ssd, sc.scrub_pages, t) {
+            match rule.trigger(&mut engine, &mut ssd, t, &mut |_| {}) {
                 Ok(done) => t = done,
                 Err(e) => break stop_for(e, true),
             }
@@ -367,7 +343,7 @@ fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
         let group = u64::from(sc.batch.max(1)).min(remaining);
         remaining -= group;
         for _ in 0..group {
-            if let Err(e) = pump_due(&mut engine, &mut ssd, sc.scrub_pages, t) {
+            if let Err(e) = pump_until(rule, &mut engine, &mut ssd, t) {
                 break 'ops stop_for(e, true);
             }
             let key = rng.below(RECORDS);
@@ -392,7 +368,7 @@ fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
                 // failure inside it leaves `next` un-issued (it never
                 // touched the journal), so only the already-issued part
                 // of the batch is in flight.
-                match begin_checkpoint(&mut engine, &mut ssd, sc.scrub_pages, t) {
+                match rule.trigger(&mut engine, &mut ssd, t, &mut |_| {}) {
                     Ok(done) => t = done,
                     Err(e) => break 'ops stop_for(e, true),
                 }
@@ -413,6 +389,7 @@ fn drive(sc: &Scenario, flash_tracer: Tracer) -> Driven {
     };
     Driven {
         paced: matches!(engine.checkpoint_phase(t), CheckpointPhase::Pumped(_)),
+        gc_pumped: ssd.ftl().gc_due().is_some(),
         ssd,
         engine,
         shadow,
@@ -620,6 +597,9 @@ pub struct Outcome {
     /// Whether it ended while a checkpoint's copy was still being
     /// pumped: a cut inside a paced copy.
     pub paced: bool,
+    /// Whether it ended while a background GC round was in flight: a
+    /// cut between two of its steps.
+    pub gc_pumped: bool,
     /// False when engine recovery refused, typed, to open the store.
     pub opened: bool,
     /// The device afterwards, for its counters.
@@ -709,6 +689,7 @@ pub fn run(sc: &Scenario, typed_ok: bool, sabotage: bool) -> Outcome {
         stop: d.stop,
         unacked: d.shadow.unacked(),
         paced: d.paced,
+        gc_pumped: d.gc_pumped,
         opened,
         ssd: d.ssd,
     }

@@ -9,9 +9,9 @@ use checkin_ssd::ReadRequest;
 use checkin_testkit::TestRng;
 
 use super::{
-    checkpoint_then_idle_work, drive_clean, flash_home_of, inject_rot, is_integrity,
-    joined_program_ticks, judge_read, profile, run, scrub_fully, serving_range, ticks_where,
-    verify, Driven, Outcome, Scenario, Stop, Verdict, OPS, RECORDS, TWO_PLANE_TIER,
+    drive_clean, flash_home_of, inject_rot, is_integrity, joined_program_ticks, judge_read,
+    profile, run, scrub_fully, serving_range, ticks_where, verify, Driven, Outcome, Scenario, Stop,
+    Verdict, OPS, RECORDS, TWO_PLANE_TIER,
 };
 use crate::section;
 
@@ -45,6 +45,8 @@ pub struct Sweep {
     /// Aimed power cuts that found a checkpoint's copy still being
     /// pumped.
     paced_cuts: usize,
+    /// Aimed power cuts that found a background GC round in flight.
+    gc_cuts: usize,
 }
 
 impl Sweep {
@@ -113,6 +115,7 @@ impl Sweep {
                 self.cut_phases.push(phase_at(trace, tick));
                 let o = self.judge(&cut(tick), false);
                 self.paced_cuts += usize::from(o.paced);
+                self.gc_cuts += usize::from(o.gc_pumped);
                 o
             })
             .collect()
@@ -545,8 +548,11 @@ fn posthoc_data_tier(s: &mut Sweep) {
                 // is then blocked, but nothing was served wrong.
                 let mut w = d.engine.update(&mut d.ssd, key, 512, t);
                 if matches!(w, Err(EngineError::JournalFull)) {
-                    w = checkpoint_then_idle_work(&mut d.engine, &mut d.ssd, SCRUB_PAGES, t)
-                        .and_then(|_| d.engine.update(&mut d.ssd, key, 512, t));
+                    let (engine, ssd, rule) = (&mut d.engine, &mut d.ssd, sc.rule());
+                    w = rule
+                        .trigger(engine, ssd, t, &mut |_| {})
+                        .and_then(|_| rule.finish(engine, ssd, &mut |_| {}))
+                        .and_then(|()| engine.update(ssd, key, 512, t));
                 }
                 match w {
                     Ok(_) => {
@@ -835,6 +841,14 @@ pub fn sweep() -> Sweep {
     s.gate(
         s.paced_cuts > 0,
         "no aimed cut landed while a checkpoint's copy was being pumped",
+    );
+    println!(
+        "  cuts while a background GC round was pumped {}",
+        s.gc_cuts
+    );
+    s.gate(
+        s.gc_cuts > 0,
+        "no aimed cut landed while a background GC round was being pumped",
     );
     println!("  keys checked      {}", t.checked);
     println!("  silently wrong    {}", t.silent_wrong);

@@ -88,6 +88,7 @@ mod layout;
 mod metrics;
 mod parallel;
 mod system;
+mod trigger;
 
 pub use checkpoint::{CheckpointOutcome, SUPERBLOCK_KEY};
 pub use config::{Strategy, SystemConfig};
@@ -104,3 +105,4 @@ pub use metrics::{
 };
 pub use parallel::{default_jobs, run_configs};
 pub use system::KvSystem;
+pub use trigger::{Note, TriggerRule};

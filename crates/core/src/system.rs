@@ -9,28 +9,30 @@
 //! rewrites, ISC-A's per-entry commands, then the superblock and the
 //! retired zone's trim — is advanced by a pump event that books one
 //! small unit of work at its own instant, so queries submitted in
-//! between go ahead of the rest of it. The pump event that finds the
-//! trim over ends it and begins the idle-window GC behind it, whose
-//! rounds a second pump event advances the same way; the scrub runs
-//! when the GC ends. A tick or a full journal that finds a checkpoint
-//! still pumped drains it, booking its remaining steps back to back:
-//! what a query meets of a checkpoint is the interference the paper
-//! measures in Figures 3(c) and 9.
+//! between go ahead of the rest of it. What a trigger and a
+//! checkpoint's end start is the one [`TriggerRule`]: the pump event
+//! that finds the trim over ends the checkpoint and begins the
+//! idle-window GC behind it, whose rounds a second pump event advances
+//! the same way and whose last step is the scrub round. A tick or a
+//! full journal that finds a checkpoint still pumped drains it, booking
+//! its remaining steps back to back: what a query meets of a checkpoint
+//! is the interference the paper measures in Figures 3(c) and 9.
 
 use checkin_sim::{
     Counter, CounterSet, EventQueue, LatencyRecorder, Resource, ResourcePool, SimDuration, SimRng,
     SimTime, Total, Tracer,
 };
-use checkin_ssd::{CpProgress, Ssd};
+use checkin_ssd::Ssd;
 use checkin_workload::{OpGenerator, Operation};
 
 use crate::checkpoint::CheckpointOutcome;
 use crate::config::SystemConfig;
-use crate::engine::{CheckpointPhase, CheckpointStep, EngineError, KvEngine};
+use crate::engine::{CheckpointPhase, EngineError, KvEngine};
 use crate::layout::Layout;
 use crate::metrics::{
     CheckpointPhases, DeviceUtilization, LatencyStats, RunReport, UtilizationSpread,
 };
+use crate::trigger::{Note, TriggerRule};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -124,6 +126,23 @@ impl RunLoop {
             None => {
                 self.events.schedule(due, Event::CheckpointPump);
                 self.pump_queued = Some(due);
+            }
+        }
+    }
+
+    /// Acts on what the trigger rule noted: queues the pump it asks
+    /// for, and counts an ended checkpoint and releases the clients lock
+    /// mode parked for it.
+    fn note(&mut self, note: Note<'_>) {
+        match note {
+            Note::CheckpointDue(due) => self.queue_pump(due),
+            Note::GcDue(due) => self.events.schedule(due, Event::GcPump),
+            Note::GcDone(done) => self.idle_done = self.idle_done.max(done),
+            Note::Ended(out) => {
+                self.cp.absorb(out);
+                for thread in self.parked.drain(..) {
+                    self.events.schedule(out.finish, Event::Client(thread));
+                }
             }
         }
     }
@@ -393,11 +412,10 @@ impl KvSystem {
             }
             match event {
                 Event::CheckpointTick if completed == self.config.total_queries => {
-                    // The queries are done: the running checkpoint ends
-                    // at once instead of at the pace of its pump.
-                    if let Some(out) = self.engine.drain_checkpoint(&mut self.ssd)? {
-                        self.end_checkpoint(&out, &mut run)?;
-                    }
+                    // The queries are done: the running checkpoint and
+                    // its GC end at once instead of at their pumps' pace.
+                    self.rule()
+                        .finish(&mut self.engine, &mut self.ssd, &mut |n| run.note(n))?;
                 }
                 Event::CheckpointTick => {
                     // A pumped checkpoint is drained, one still ending
@@ -405,7 +423,7 @@ impl KvSystem {
                     if !matches!(phase, CheckpointPhase::Ending(_))
                         && !self.engine.journal().jmt().is_empty()
                     {
-                        self.checkpoint_then_idle(now, &mut run)?;
+                        self.trigger(now, &mut run)?;
                     }
                     next_tick = now + self.config.checkpoint_interval;
                     run.events.schedule(next_tick, Event::CheckpointTick);
@@ -413,14 +431,12 @@ impl KvSystem {
                 Event::CheckpointPump => {
                     run.pump_queued = None;
                     match phase {
-                        CheckpointPhase::Pumped(due) if due == now => {
-                            match self.engine.pump_checkpoint(&mut self.ssd, now)? {
-                                CheckpointStep::PumpAt(t) => run.queue_pump(t),
-                                CheckpointStep::Done(out) => {
-                                    self.end_checkpoint(&out, &mut run)?;
-                                }
-                            }
-                        }
+                        CheckpointPhase::Pumped(due) if due == now => self.rule().pump_checkpoint(
+                            &mut self.engine,
+                            &mut self.ssd,
+                            now,
+                            &mut |n| run.note(n),
+                        )?,
                         // Queued for a checkpoint a trigger drained; the
                         // one it began is due later.
                         CheckpointPhase::Pumped(due) => run.queue_pump(due),
@@ -429,8 +445,8 @@ impl KvSystem {
                 }
                 Event::GcPump => {
                     debug_assert_eq!(self.ssd.gc_due(), Some(now), "one GC pump, when due");
-                    let progress = self.ssd.pump_gc(now).map_err(EngineError::Ssd)?;
-                    self.idle_gc(progress, &mut run)?;
+                    self.rule()
+                        .pump_gc(&mut self.ssd, now, &mut |n| run.note(n))?;
                 }
                 Event::Client(thread) => {
                     if quota[thread as usize] == 0 {
@@ -500,7 +516,7 @@ impl KvSystem {
                                 >= self.config.journal_trigger_sectors
                             && self.engine.checkpoint_phase(finish) == CheckpointPhase::Idle
                         {
-                            self.checkpoint_then_idle(finish, &mut run)?;
+                            self.trigger(finish, &mut run)?;
                             break;
                         }
                         if quota[thread as usize] == 0 {
@@ -515,9 +531,8 @@ impl KvSystem {
         }
         // Background GC still running at the last query ends at once, as
         // the tick ends a checkpoint, so the run covers it.
-        if let Some(done) = self.ssd.drain_gc().map_err(EngineError::Ssd)? {
-            self.idle_gc(CpProgress::Done(done), &mut run)?;
-        }
+        self.rule()
+            .finish(&mut self.engine, &mut self.ssd, &mut |n| run.note(n))?;
         let cp = run.cp;
         let last_finish = last_finish.max(run.idle_done);
 
@@ -625,69 +640,20 @@ impl KvSystem {
         all
     }
 
-    /// A triggered checkpoint at `at`: the one entry point of the
-    /// periodic tick, the size trigger and a full journal. A checkpoint
-    /// still being pumped is never skipped over: it ends at once first
-    /// (idle work included) and the new one begins when it has. Returns
-    /// when the trigger's caller may go on: the checkpoint's end when it
-    /// ended in its begin, else its begin — the zone it retired is no
-    /// longer the one updates go to.
-    fn checkpoint_then_idle(
-        &mut self,
-        at: SimTime,
-        run: &mut RunLoop,
-    ) -> Result<SimTime, EngineError> {
-        let mut at = at;
-        if let Some(out) = self.engine.drain_checkpoint(&mut self.ssd)? {
-            at = at.max(self.end_checkpoint(&out, run)?);
-        }
-        match self.engine.begin_checkpoint(&mut self.ssd, at)? {
-            CheckpointStep::Done(out) => self.end_checkpoint(&out, run),
-            CheckpointStep::PumpAt(due) => {
-                run.queue_pump(due);
-                Ok(at)
-            }
+    /// The trigger rule under this configuration.
+    fn rule(&self) -> TriggerRule {
+        TriggerRule {
+            gc_rounds: self.config.background_gc_rounds,
+            scrub_pages: self.config.scrub_pages_per_idle,
         }
     }
 
-    /// A checkpoint's end and the idle work behind it: background GC has
-    /// priority for the idle window — it begins here unless the GC
-    /// behind an earlier checkpoint still runs — and the scrubber
-    /// patrols whatever slack remains after it. Releases the clients
-    /// lock mode parked, and returns the instant the checkpoint ended.
-    fn end_checkpoint(
-        &mut self,
-        out: &CheckpointOutcome,
-        run: &mut RunLoop,
-    ) -> Result<SimTime, EngineError> {
-        run.cp.absorb(out);
-        if self.ssd.gc_due().is_none() {
-            let progress = self
-                .ssd
-                .begin_background_gc(out.finish, self.config.background_gc_rounds)
-                .map_err(EngineError::Ssd)?;
-            self.idle_gc(progress, run)?;
-        }
-        for thread in run.parked.drain(..) {
-            run.events.schedule(out.finish, Event::Client(thread));
-        }
-        Ok(out.finish)
-    }
-
-    /// Where the background GC is: its pump is queued when a step is
-    /// due, and once it ended, the scrub round runs at its end.
-    fn idle_gc(&mut self, progress: CpProgress, run: &mut RunLoop) -> Result<(), EngineError> {
-        match progress {
-            CpProgress::PumpAt(due) => run.events.schedule(due, Event::GcPump),
-            CpProgress::Done(gc_done) => {
-                let (_, scrub_done) = self
-                    .ssd
-                    .background_scrub(gc_done, self.config.scrub_pages_per_idle)
-                    .map_err(EngineError::Ssd)?;
-                run.idle_done = run.idle_done.max(gc_done).max(scrub_done);
-            }
-        }
-        Ok(())
+    /// A triggered checkpoint at `at` ([`TriggerRule::trigger`]): the
+    /// one entry point of the periodic tick, the size trigger and a full
+    /// journal.
+    fn trigger(&mut self, at: SimTime, run: &mut RunLoop) -> Result<SimTime, EngineError> {
+        self.rule()
+            .trigger(&mut self.engine, &mut self.ssd, at, &mut |n| run.note(n))
     }
 
     fn execute_op(
@@ -707,8 +673,8 @@ impl KvSystem {
     }
 
     /// Update, forcing a checkpoint when the journal zone fills — through
-    /// [`KvSystem::checkpoint_then_idle`], like every other trigger — and
-    /// retrying when it lets the update go on.
+    /// [`KvSystem::trigger`], like every other trigger — and retrying
+    /// when it lets the update go on.
     fn update_with_retry(
         &mut self,
         key: u64,
@@ -719,7 +685,7 @@ impl KvSystem {
         match self.engine.update(&mut self.ssd, key, bytes, at) {
             Ok(t) => Ok(t),
             Err(EngineError::JournalFull) => {
-                let resume = self.checkpoint_then_idle(at, run)?;
+                let resume = self.trigger(at, run)?;
                 self.engine.update(&mut self.ssd, key, bytes, resume)
             }
             Err(e) => Err(e),
@@ -898,54 +864,118 @@ mod tests {
         system.ssd().ftl().check_invariants().unwrap();
     }
 
+    /// Loads eight keys and updates them with 4 KiB values until the
+    /// journal is full. Returns when the update that found it full
+    /// was issued.
+    fn fill_journal(system: &mut KvSystem) -> SimTime {
+        let (engine, ssd) = system.verify_parts();
+        let records: Vec<(u64, u32)> = (0..8).map(|k| (k, 4096)).collect();
+        let mut t = engine.load(ssd, &records, SimTime::ZERO).unwrap();
+        loop {
+            match engine.update(ssd, t.as_nanos() % 8, 4096, t) {
+                Ok(done) => t = done,
+                Err(EngineError::JournalFull) => return t,
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+
+    /// The system's [`TriggerRule::trigger`] at `at`: when its caller may
+    /// go on, and what the rule noted, in order — an ended checkpoint
+    /// by its finish.
+    fn trigger(system: &mut KvSystem, at: SimTime) -> (SimTime, Vec<(&'static str, SimTime)>) {
+        let rule = system.rule();
+        let mut notes = Vec::new();
+        let (engine, ssd) = system.verify_parts();
+        let resume = rule
+            .trigger(engine, ssd, at, &mut |note| {
+                notes.push(match note {
+                    Note::Ended(out) => ("ended", out.finish),
+                    Note::CheckpointDue(due) => ("checkpoint", due),
+                    Note::GcDue(due) => ("gc", due),
+                    Note::GcDone(done) => ("gc done", done),
+                });
+            })
+            .unwrap();
+        (resume, notes)
+    }
+
     /// An update that finds the journal full checkpoints through the one
-    /// entry point the tick and the size trigger use: the checkpoint gets
-    /// its pump — a zone with logs in it is walked and trimmed in steps,
-    /// so ISC-C, which remaps every log, is paced as ISC-B, which copies
-    /// — and the update goes on. A checkpoint that ends in its begin (an
-    /// empty zone: nothing to move, nothing to trim) gets its idle window
-    /// and its end instant instead.
+    /// rule the tick and the size trigger use: the checkpoint gets its
+    /// pump — a zone with logs in it is walked and trimmed in steps, so
+    /// ISC-C, which remaps every log, is paced as ISC-B, which copies —
+    /// and the update goes on. A checkpoint that ends in its begin (an
+    /// empty zone: nothing to move, nothing to trim) gets its idle
+    /// window and its end instant instead. A trigger that finds a
+    /// checkpoint still pumped drains it, begins background GC behind
+    /// it and begins its own at the drained one's finish, while that GC
+    /// is still pumped.
     #[test]
     fn a_full_journal_checkpoints_through_the_one_entry_point() {
         for strategy in [Strategy::IscC, Strategy::IscB] {
             let mut system = KvSystem::new(quick_config(strategy)).unwrap();
-            let (engine, ssd) = system.verify_parts();
-            let records: Vec<(u64, u32)> = (0..8).map(|k| (k, 4096)).collect();
-            let mut t = engine.load(ssd, &records, SimTime::ZERO).unwrap();
-            loop {
-                match engine.update(ssd, t.as_nanos() % 8, 4096, t) {
-                    Ok(done) => t = done,
-                    Err(EngineError::JournalFull) => break,
-                    Err(e) => panic!("{strategy}: {e}"),
-                }
-            }
-            let mut run = RunLoop::new(1);
-            let done = system.update_with_retry(0, 4096, t, &mut run).unwrap();
-            assert_eq!(run.cp.count, 0, "{strategy}");
+            let t = fill_journal(&mut system);
+            let (resume, notes) = trigger(&mut system, t);
             let CheckpointPhase::Pumped(due) = system.engine().checkpoint_phase(t) else {
                 panic!("{strategy}: the checkpoint is not pumped at {t:?}");
             };
-            assert_eq!(run.pump_queued, Some(due), "{strategy}");
-            assert!(done > t, "{strategy}");
+            assert_eq!(
+                (resume, notes),
+                (t, vec![("checkpoint", due)]),
+                "{strategy}"
+            );
+            let (engine, ssd) = system.verify_parts();
+            assert!(
+                engine.update(ssd, 0, 4096, resume).unwrap() > t,
+                "{strategy}"
+            );
             assert_eq!(system.engine().version_of(0).map(|v| v > 1), Some(true));
         }
+
         let mut system = KvSystem::new(quick_config(Strategy::IscC)).unwrap();
         let (engine, ssd) = system.verify_parts();
         let t = engine.load(ssd, &[(0, 4096)], SimTime::ZERO).unwrap();
-        let mut run = RunLoop::new(1);
-        let done = system.checkpoint_then_idle(t, &mut run).unwrap();
-        assert_eq!(run.cp.count, 1);
-        assert_eq!(run.pump_queued, None);
+        let (resume, notes) = trigger(&mut system, t);
         let CheckpointPhase::Ending(until) = system.engine().checkpoint_phase(t) else {
             panic!("an empty checkpoint ends in its begin");
         };
-        assert_eq!(done, until);
-        assert!(until > t && run.idle_done >= until);
+        assert!(until > t && resume == until);
+        // No GC pressure: the GC job is its closing scrub round.
+        let [("gc done", idle_done), ("ended", ended)] = notes[..] else {
+            panic!("{notes:?}");
+        };
+        assert!(ended == until && idle_done > until);
         let scrubs = system
             .ssd()
             .counters()
             .get(Counter::SsdBackgroundScrubRounds);
         assert_eq!(scrubs, 1);
+
+        // Every free pool under the soft threshold, and blocks small
+        // enough that the zone's trim leaves victims: a checkpoint's end
+        // begins a GC round.
+        let mut c = quick_config(Strategy::IscB);
+        c.geometry.pages_per_block = 16;
+        c.gc_soft_threshold_blocks = c.geometry.total_blocks() as u32;
+        let mut system = KvSystem::new(c).unwrap();
+        let t = fill_journal(&mut system);
+        let (resume, _) = trigger(&mut system, t);
+        let (engine, ssd) = system.verify_parts();
+        let t = engine.update(ssd, 0, 4096, resume).unwrap();
+        let (resume, notes) = trigger(&mut system, t);
+        let [("gc", gc_due), ("ended", drained), ("checkpoint", due)] = notes[..] else {
+            panic!("{notes:?}");
+        };
+        assert!(drained > t && resume == drained);
+        assert_eq!(system.ssd().gc_due(), Some(gc_due));
+        assert!(
+            system.ssd().ftl().gc_due().is_some(),
+            "a round is in flight"
+        );
+        let phase = system.engine().checkpoint_phase(resume);
+        assert_eq!(phase, CheckpointPhase::Pumped(due));
+        let counters = system.engine().counters();
+        assert_eq!(counters.get(Counter::EngineCheckpointsDrained), 1);
     }
 
     /// A checkpoint's phase times are spans inside it: none sums to more

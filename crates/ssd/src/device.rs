@@ -167,13 +167,15 @@ struct Job {
 
 /// Background GC in an idle window ([`Ssd::begin_background_gc`]):
 /// rounds begun one at a time, each the FTL's paced GC round
-/// ([`Ftl::pump_gc`]), and then one static wear-leveling round at most.
+/// ([`Ftl::pump_gc`]), one static wear-leveling round at most, a scrub.
 #[derive(Debug, Clone, Copy, Default)]
 struct IdleGc {
     /// When the next pump step is due; `None` when none runs.
     next_at: Option<SimTime>,
     /// Background rounds it may still begin.
     rounds_left: u32,
+    /// Pages its closing scrub round may verify.
+    scrub_pages: u32,
     /// Background rounds it began.
     rounds: u32,
     /// Whether it considered its wear-leveling round already.
@@ -1215,10 +1217,10 @@ impl Ssd {
     }
 
     /// Deallocator: background GC at `at`, run to its end in this call —
-    /// [`Ssd::begin_background_gc`], then every [`Ssd::pump_gc`] step at
-    /// the instant the one before asked for. Background GC still running
-    /// is finished first. Returns the number of background rounds run
-    /// and the completion instant.
+    /// [`Ssd::begin_background_gc`] with no scrub round, then every
+    /// [`Ssd::pump_gc`] step at the instant the one before asked for.
+    /// Background GC still running is finished first. Returns the number
+    /// of background rounds run and the completion instant.
     ///
     /// # Errors
     ///
@@ -1229,7 +1231,7 @@ impl Ssd {
         max_rounds: u32,
     ) -> Result<(u32, SimTime), SsdError> {
         self.drain_gc()?;
-        let mut progress = self.begin_background_gc(at, max_rounds)?;
+        let mut progress = self.begin_background_gc(at, max_rounds, 0)?;
         loop {
             match progress {
                 CpProgress::Done(done) => return Ok((self.gc.rounds, done)),
@@ -1246,18 +1248,22 @@ impl Ssd {
     /// wear-leveling round runs if the device is idle then and the wear
     /// skew asks for one. Each round is the FTL's paced round, advanced
     /// by [`Ssd::pump_gc`] steps, so foreground commands booked between
-    /// two steps go ahead of its reads, page-outs and erase. Returns
-    /// when the first step is due, or `Done(at)` when nothing began.
-    /// Counted in `ssd.background_gc_rounds` and
-    /// `ssd.wear_level_rounds` as each round begins.
+    /// two steps go ahead of its reads, page-outs and erase. Its last
+    /// step is one [`Ssd::background_scrub`] round of `scrub_pages` at
+    /// the instant the last round ended. Returns when the first step is
+    /// due, or `Done` at the scrub's end when no round began. Counted in
+    /// `ssd.background_gc_rounds` and `ssd.wear_level_rounds` as each
+    /// round begins.
     ///
     /// # Errors
     ///
-    /// [`SsdError::InvalidRequest`] while background GC still runs.
+    /// [`SsdError::InvalidRequest`] while background GC still runs;
+    /// propagates media failures of the scrub reads.
     pub fn begin_background_gc(
         &mut self,
         at: SimTime,
         max_rounds: u32,
+        scrub_pages: u32,
     ) -> Result<CpProgress, SsdError> {
         if self.gc.next_at.is_some() {
             return Err(SsdError::InvalidRequest(
@@ -1266,6 +1272,7 @@ impl Ssd {
         }
         self.gc = IdleGc {
             rounds_left: max_rounds,
+            scrub_pages,
             ..IdleGc::default()
         };
         let progress = self.next_background_round(at);
@@ -1276,7 +1283,7 @@ impl Ssd {
     /// One step of the background GC at `now`, the instant the previous
     /// step asked for: a step of the round in flight, or — at the end of
     /// a round, or when a foreground round finished it — the decision
-    /// whether the next round begins.
+    /// whether the next round begins, else the closing scrub.
     ///
     /// # Errors
     ///
@@ -1326,7 +1333,7 @@ impl Ssd {
     }
 
     /// Between two rounds at `at`: begins the next background round,
-    /// else the wear-leveling round, else ends.
+    /// else the wear-leveling round, else scrubs and ends.
     fn next_background_round(&mut self, at: SimTime) -> Result<CpProgress, SsdError> {
         let idle = self.idle_at() <= at;
         if self.gc.rounds_left > 0 && should_background_gc(self.ftl.wants_background_gc(), idle) {
@@ -1346,7 +1353,8 @@ impl Ssd {
                 return Ok(CpProgress::PumpAt(due));
             }
         }
-        Ok(CpProgress::Done(at))
+        let (_, scrubbed) = self.background_scrub(at, self.gc.scrub_pages)?;
+        Ok(CpProgress::Done(scrubbed))
     }
 
     /// Keeps the background GC's due instant, clearing it when it ended
@@ -1360,9 +1368,8 @@ impl Ssd {
 
     /// Deallocator: run one background integrity-scrub round at `at` if
     /// the device is idle, verifying up to `max_pages` pages'
-    /// checksums. Scheduled from the same idle windows as background GC
-    /// but *after* it — space reclamation has priority over latent-rot
-    /// patrol. Returns the scrub outcome and the completion instant.
+    /// checksums. Background GC runs one as its last step. Returns the
+    /// scrub outcome and the completion instant.
     ///
     /// # Errors
     ///
@@ -2291,11 +2298,30 @@ mod tests {
         assert_eq!((units - units0, segments - segments0), (128, 65));
     }
 
+    /// With no GC pressure no round begins, and the job is its closing
+    /// scrub round alone; the one-call form scrubs nothing.
     #[test]
     fn background_gc_runs_only_under_pressure() {
         let mut s = ssd(512);
         let (rounds, _) = s.background_gc(SimTime::ZERO, 4).unwrap();
         assert_eq!(rounds, 0, "fresh device: no GC");
+        let mut t = SimTime::ZERO;
+        for i in 0..32u64 {
+            t = s.write(&record(i, 1, i, 1), OobKind::Data, t).unwrap();
+        }
+        let idle = s.flush(t).unwrap() + SimDuration::from_millis(50);
+        assert!(!s.ftl().wants_background_gc());
+        let scrubs = |s: &Ssd| s.counters().get(Counter::SsdBackgroundScrubRounds);
+        let (rounds, done) = s.background_gc(idle, 4).unwrap();
+        assert_eq!((rounds, done, scrubs(&s)), (0, idle, 0));
+        let progress = s.begin_background_gc(idle, 4, 16).unwrap();
+        assert!(
+            matches!(progress, CpProgress::Done(done) if done > idle),
+            "{progress:?}"
+        );
+        assert_eq!(s.counters().get(Counter::SsdBackgroundGcRounds), 0);
+        assert_eq!(scrubs(&s), 1);
+        assert_eq!(s.gc_due(), None);
     }
 
     /// Records on the [`gc_fixture`] device.
@@ -2365,7 +2391,7 @@ mod tests {
     #[test]
     fn a_power_cut_ends_a_background_round() {
         let (mut s, versions, idle) = gc_fixture();
-        let mut progress = s.begin_background_gc(idle, 4);
+        let mut progress = s.begin_background_gc(idle, 4, 0);
         // Step until a round in flight has moved a unit, then cut.
         let due = loop {
             let Ok(CpProgress::PumpAt(due)) = progress else {
@@ -2386,7 +2412,7 @@ mod tests {
         s.ftl().check_invariants().unwrap();
         let idle = assert_acked_versions(&mut s, &versions, due);
         assert!(s.ftl().wants_background_gc());
-        let again = s.begin_background_gc(idle, 4);
+        let again = s.begin_background_gc(idle, 4, 0);
         assert!(matches!(again, Ok(CpProgress::PumpAt(_))), "{again:?}");
         let done = s.drain_gc().unwrap().expect("the new round runs");
         s.ftl().check_invariants().unwrap();

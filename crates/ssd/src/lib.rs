@@ -16,7 +16,8 @@
 //!   by [`Ssd::pump`] steps that host commands can go ahead of, and
 //!   ended by [`Ssd::drain`]; the deallocator begins GC in the idle
 //!   window behind a checkpoint ([`Ssd::begin_background_gc`]), whose
-//!   rounds [`Ssd::pump_gc`] steps advance beside that job.
+//!   rounds [`Ssd::pump_gc`] steps advance beside that job and whose
+//!   last step is one background scrub round.
 //!
 //! [`isce` planning + execution inside `Ssd`]: plan_entry
 //!

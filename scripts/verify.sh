@@ -39,7 +39,7 @@ echo "== lab"
 # The one measurement run (DESIGN.md §8): three GC-pressured workloads,
 # exact simulated cost of a remap vs a copy checkpoint, and every figure
 # and table of the paper as rows beside the paper's numbers. No options
-# but the output path; 67-86 s on two cores for its 864 rows, most of
+# but the output path; 67-86 s on one core for its 864 rows, most of
 # it the figures. Exits non-zero only on its ten gates (a remap
 # checkpoint does no flash I/O; a read costs what the record occupies;
 # a write waits for a programming slot, not a program; a die programs
