@@ -583,6 +583,11 @@ mod tests {
         });
         let names: BTreeSet<&str> = rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names.len(), rows.len(), "a row name repeats");
+        // The artifact holds simulated quantities only: a report's
+        // `host/…` rows (host memory) stay in `checkin run`.
+        assert!(names
+            .iter()
+            .all(|n| !n.split('/').any(|part| part == "host")));
         assert_eq!(cells, 188);
         assert_eq!(rows.iter().filter(|r| r.paper.is_some()).count(), 22);
     }

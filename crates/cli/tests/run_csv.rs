@@ -19,4 +19,12 @@ fn run_csv_prints_a_header_and_a_row_of_equal_arity() {
     assert_eq!(arity(lines[0]), arity(lines[1]), "{stdout}");
     assert!(lines[0].starts_with("strategy,run/threads,"), "{stdout}");
     assert!(lines[1].starts_with("Check-In,4,"), "{stdout}");
+    let column = lines[0]
+        .split(',')
+        .position(|name| name == "host/mapping_bytes");
+    let value = column.and_then(|c| lines[1].split(',').nth(c));
+    assert!(
+        value.is_some_and(|v| v.parse::<f64>().is_ok_and(|b| b > 0.0)),
+        "{stdout}"
+    );
 }

@@ -259,7 +259,7 @@ impl SystemConfig {
             return Err("compression_ratio must be in (0, 1]".into());
         }
         self.ftl_config()
-            .validate(self.geometry.page_bytes, self.geometry.total_blocks())
+            .validate(&self.geometry)
             .map_err(|e| e.to_string())
     }
 }

@@ -258,6 +258,10 @@ pub struct RunReport {
     /// ([`checkin_flash::FlashArray::store_bytes`]): memory as a
     /// deterministic count, not a host measurement.
     pub flash_store_bytes: u64,
+    /// Host bytes the FTL's mapping table holds at the end of the run
+    /// ([`checkin_ftl::Ftl::mapping_bytes`]), its reserved device-sized
+    /// arrays included.
+    pub mapping_bytes: u64,
     /// Raw bytes carried by write queries (`engine.update_bytes`).
     pub write_query_bytes: u64,
     /// Host I/O amplification: host-interface bytes moved
@@ -379,8 +383,11 @@ impl RunReport {
             ("channel_max", u.channels.max, "fraction"),
         ];
         rows.extend(group("util", busy));
-        let store = ("flash_store_bytes", n(self.flash_store_bytes), "B");
-        rows.extend(group("host", [store]));
+        let host = [
+            ("flash_store_bytes", n(self.flash_store_bytes), "B"),
+            ("mapping_bytes", n(self.mapping_bytes), "B"),
+        ];
+        rows.extend(group("host", host));
         let amplification = [
             ("io", self.io_amplification, "x"),
             ("flash", self.flash_amplification, "x"),
@@ -524,6 +531,17 @@ mod tests {
         }
         let counters = unique.iter().filter(|n| n.starts_with("counter/")).count();
         assert_eq!(counters, Counter::ALL.len() + Total::ALL.len());
+        let host = first.iter().filter(|n| n.starts_with("host/"));
+        assert!(host.eq(["host/flash_store_bytes", "host/mapping_bytes"].iter()));
+        for r in &reports {
+            // The device-sized forward and reverse arrays: 4 + 8 B a unit.
+            let c = crate::SystemConfig::for_strategy(r.strategy);
+            let upp = c.ftl_config().units_per_page(c.geometry.page_bytes);
+            let units = c.geometry.total_pages() * u64::from(upp);
+            assert!(r.mapping_bytes >= 12 * units, "{} B", r.mapping_bytes);
+            let field = csv_field(r, "host/mapping_bytes");
+            assert_eq!(field.parse::<f64>(), Ok(r.mapping_bytes as f64));
+        }
 
         let read_only = &reports[reports.len() - 1];
         assert!(read_only.io_amplification.is_nan());

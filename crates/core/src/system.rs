@@ -603,6 +603,7 @@ impl KvSystem {
             checkpoint_phases: cp.phases,
             utilization,
             flash_store_bytes: self.ssd.ftl().flash().store_bytes(),
+            mapping_bytes: self.ssd.ftl().mapping_bytes(),
             write_query_bytes,
             io_amplification: ratio_or_nan(host_bytes as f64, write_query_bytes as f64),
             flash_amplification: ratio_or_nan(

@@ -1,6 +1,9 @@
 //! FTL configuration.
 
+use checkin_flash::FlashGeometry;
+
 use crate::error::FtlConfigError;
+use crate::mapping::MappingTable;
 
 /// Retry policy for one class of flash operation (read, program, or
 /// erase). Transient media failures are retried with exponential backoff
@@ -122,12 +125,13 @@ impl FtlConfig {
         page_bytes / self.unit_bytes
     }
 
-    /// Validates thresholds and sizes.
+    /// Validates thresholds and sizes against the array's geometry.
     ///
     /// # Errors
     ///
     /// Names the offending field.
-    pub fn validate(&self, page_bytes: u32, total_blocks: u64) -> Result<(), FtlConfigError> {
+    pub fn validate(&self, geometry: &FlashGeometry) -> Result<(), FtlConfigError> {
+        let (page_bytes, total_blocks) = (geometry.page_bytes, geometry.total_blocks());
         if self.unit_bytes == 0 || !page_bytes.is_multiple_of(self.unit_bytes) {
             return Err(FtlConfigError::UnitBytes(self.unit_bytes, page_bytes));
         }
@@ -159,6 +163,10 @@ impl FtlConfig {
                 self.gc_threshold_blocks,
                 total_blocks,
             ));
+        }
+        let units = geometry.total_pages().saturating_mul(u64::from(upp));
+        if units > MappingTable::MAX_UNITS {
+            return Err(FtlConfigError::TooManyUnits(units, MappingTable::MAX_UNITS));
         }
         Ok(())
     }
@@ -208,15 +216,27 @@ mod tests {
         cfg.units_per_page(4096);
     }
 
+    /// One plane of `blocks` blocks of `pages` pages of 4 KiB.
+    fn geometry(blocks: u32, pages: u32) -> FlashGeometry {
+        FlashGeometry {
+            channels: 1,
+            dies_per_channel: 1,
+            planes_per_die: 1,
+            blocks_per_plane: blocks,
+            pages_per_block: pages,
+            page_bytes: 4096,
+        }
+    }
+
     #[test]
     fn validate_flags_bad_fields() {
         let good = FtlConfig::default();
-        assert_eq!(good.validate(4096, 1024), Ok(()));
+        assert_eq!(good.validate(&geometry(1024, 64)), Ok(()));
         use FtlConfigError as E;
         let refuses = |edit: fn(&mut FtlConfig), why: E| {
             let mut bad = good;
             edit(&mut bad);
-            assert_eq!(bad.validate(4096, 1024), Err(why));
+            assert_eq!(bad.validate(&geometry(1024, 64)), Err(why));
         };
         refuses(|c| c.gc_threshold_blocks = 1, E::GcThreshold);
         refuses(|c| c.write_points = 0, E::NoWritePoints);
@@ -230,5 +250,32 @@ mod tests {
             "write_points + gc_threshold (2000 + 8) must be far below total blocks (1024)"
         );
         assert!(good.verify_checksums, "verification is on by default");
+    }
+
+    #[test]
+    fn a_geometry_past_the_forward_word_is_refused() {
+        // 2^31 units fit the mapping table's packed forward word exactly;
+        // one more page of 512 B units does not.
+        let limit = MappingTable::MAX_UNITS;
+        let cfg = FtlConfig {
+            unit_bytes: 512,
+            ..FtlConfig::default()
+        };
+        let pages = u32::try_from(limit / 8 / 1024).unwrap();
+        assert_eq!(cfg.validate(&geometry(1024, pages)), Ok(()));
+        let over = geometry(1024, pages + 1);
+        let units = over.total_pages() * 8;
+        assert_eq!(
+            cfg.validate(&over),
+            Err(FtlConfigError::TooManyUnits(units, limit))
+        );
+        assert_eq!(
+            FtlConfigError::TooManyUnits(units, limit).to_string(),
+            "2147491840 mapping units exceed the mapping table's limit of 2147483648"
+        );
+        // The paper device at 512 B units: 6.29 M units, far below.
+        let paper = FlashGeometry::paper_default();
+        assert_eq!(paper.total_pages() * 8, 6_291_456);
+        assert_eq!(cfg.validate(&paper), Ok(()));
     }
 }

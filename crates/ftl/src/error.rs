@@ -135,6 +135,9 @@ pub enum FtlConfigError {
     /// `write_points` plus `gc_threshold_blocks` leave none of the
     /// array's blocks (last) for data.
     TooFewBlocks(u32, u32, u64),
+    /// The array holds more mapping units (first) than the mapping
+    /// table's packed forward word can address (second).
+    TooManyUnits(u64, u64),
 }
 
 impl fmt::Display for FtlConfigError {
@@ -159,6 +162,10 @@ impl fmt::Display for FtlConfigError {
             Self::TooFewBlocks(wp, gc, total) => write!(
                 f,
                 "write_points + gc_threshold ({wp} + {gc}) must be far below total blocks ({total})"
+            ),
+            Self::TooManyUnits(units, limit) => write!(
+                f,
+                "{units} mapping units exceed the mapping table's limit of {limit}"
             ),
         }
     }

@@ -225,7 +225,7 @@ impl Ftl {
     /// geometry.
     pub fn new(flash: FlashArray, config: FtlConfig) -> Result<Self, FtlConfigError> {
         let g = *flash.geometry();
-        config.validate(g.page_bytes, g.total_blocks())?;
+        config.validate(&g)?;
         let upp = config.units_per_page(g.page_bytes);
         Ok(Ftl {
             upp,
@@ -302,6 +302,13 @@ impl Ftl {
     /// FTL counters (`ftl.*`), separate from the flash array's.
     pub fn counters(&self) -> &CounterSet {
         &self.counters
+    }
+
+    /// Heap bytes the mapping table holds
+    /// ([`MappingTable::heap_bytes`]): its device-sized arrays are
+    /// reserved at construction, so this is mostly fixed by the geometry.
+    pub fn mapping_bytes(&self) -> u64 {
+        self.table.heap_bytes()
     }
 
     /// Live mapping entries (drives the map-cache cost model).

@@ -129,6 +129,32 @@ fn overwrite_invalidates_old_copy() {
 }
 
 #[test]
+fn a_device_past_the_forward_word_is_refused() {
+    // 1 024 blocks of 2^18 + 1 pages, eight 512 B units to the page:
+    // 2^31 + 8 192 units, past the mapping table's limit. An erased
+    // block owns no memory, so the array is cheap to build.
+    let geometry = FlashGeometry {
+        channels: 1,
+        dies_per_channel: 1,
+        planes_per_die: 1,
+        blocks_per_plane: 1024,
+        pages_per_block: (1 << 18) + 1,
+        page_bytes: 4096,
+    };
+    let flash = FlashArray::new(geometry, FlashTiming::mlc());
+    let config = FtlConfig {
+        unit_bytes: 512,
+        ..FtlConfig::default()
+    };
+    let units = geometry.total_pages() * 8;
+    assert!(units > MappingTable::MAX_UNITS);
+    assert_eq!(
+        Ftl::new(flash, config).err(),
+        Some(FtlConfigError::TooManyUnits(units, MappingTable::MAX_UNITS))
+    );
+}
+
+#[test]
 fn read_unmapped_errors() {
     let mut f = small_ftl(512);
     assert!(matches!(

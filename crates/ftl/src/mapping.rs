@@ -12,96 +12,80 @@
 //! address spaces are dense and bounded, so an array lookup replaces
 //! hashing on the hottest path in the simulator. Tables grow lazily as
 //! high addresses are touched, so small configurations stay small.
+//!
+//! Both arrays are sized by the device, so each entry is one word: a
+//! forward entry is a 4-byte packed location and a reverse slot is one
+//! 8-byte [`Lpn`] word — no referrer, the single referrer itself, or the
+//! tag of a list in a side arena (only checkpoint aliases have two).
 
 use crate::location::{BufSlot, Location, Lpn, Pun};
 
+/// A forward-array entry: a location packed by [`pack`].
+type ForwardWord = u32;
+
 /// Sentinel in the forward array for "not mapped".
-const UNMAPPED: u64 = u64::MAX;
+const UNMAPPED: ForwardWord = ForwardWord::MAX;
 
 /// LPNs below this bound live in the dense forward array; anything higher
 /// (the SSD's device-metadata LPN region sits near `u64::MAX / 2`) goes to
 /// a small sorted overflow vector.
 const DENSE_LPN_LIMIT: u64 = 1 << 26;
 
-/// Packs a location into a forward-array word: flash PUNs get even codes,
-/// buffer slots odd ones. `UNMAPPED` is never produced because address
-/// spaces stay far below 2^63.
-fn pack(loc: Location) -> u64 {
-    match loc {
-        Location::Flash(pun) => {
-            debug_assert!(pun.0 < (1 << 62), "pun out of packable range");
-            pun.0 << 1
-        }
-        Location::Buffer(slot) => {
-            debug_assert!(slot.0 < (1 << 62), "buffer slot out of packable range");
-            (slot.0 << 1) | 1
-        }
-    }
+/// Reverse slot word for "no referrer".
+const NO_REFERRER: Lpn = Lpn(u64::MAX);
+
+/// Reverse slot words from here up to [`NO_REFERRER`] (excluded) name a
+/// referrer list: `LIST_TAG + list id`. The tags take the top 2^32 values
+/// of the `u64` range, far above the device-metadata LPNs at
+/// `u64::MAX / 2 + k` (a bit-63 tag would read those as lists); an LPN in
+/// the tag range is refused by [`MappingTable::map`].
+const LIST_TAG: u64 = u64::MAX - (1 << 32);
+
+/// Packs a location into a forward word: `pun << 1` for flash, `slot << 1
+/// | 1` for the buffer. `None` for an id at or past
+/// [`MappingTable::MAX_UNITS`] (and the one buffer slot whose code would
+/// be [`UNMAPPED`]): the table refuses such a location.
+fn pack(loc: Location) -> Option<ForwardWord> {
+    let code = match loc {
+        Location::Flash(pun) => pun.0.checked_mul(2)?,
+        Location::Buffer(slot) => slot.0.checked_mul(2)?.checked_add(1)?,
+    };
+    ForwardWord::try_from(code).ok().filter(|&w| w != UNMAPPED)
 }
 
-fn unpack(word: u64) -> Location {
+fn unpack(word: ForwardWord) -> Location {
+    let id = u64::from(word >> 1);
     if word & 1 == 0 {
-        Location::Flash(Pun(word >> 1))
+        Location::Flash(Pun(id))
     } else {
-        Location::Buffer(BufSlot(word >> 1))
+        Location::Buffer(BufSlot(id))
     }
 }
 
-/// Referrer set of one physical location. Almost every occupied location
-/// has exactly one referrer (aliases only appear around checkpoints), so
-/// the single-referrer case is stored inline without heap allocation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-enum RefSlot {
-    #[default]
+/// What a reverse slot word holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refs {
     Empty,
     One(Lpn),
-    // Boxed so the enum stays two words: Many is rare (checkpoint
-    // aliases only) and the whole reverse array is sized by it.
-    #[allow(clippy::box_collection)]
-    Many(Box<Vec<Lpn>>),
+    List(u32),
 }
 
-impl RefSlot {
-    fn as_slice(&self) -> &[Lpn] {
-        match self {
-            RefSlot::Empty => &[],
-            RefSlot::One(lpn) => std::slice::from_ref(lpn),
-            RefSlot::Many(lpns) => lpns,
-        }
+fn decode(word: Lpn) -> Refs {
+    if word == NO_REFERRER {
+        return Refs::Empty;
     }
+    match word.0.checked_sub(LIST_TAG).map(u32::try_from) {
+        Some(Ok(id)) => Refs::List(id),
+        _ => Refs::One(word),
+    }
+}
 
-    fn is_empty(&self) -> bool {
-        matches!(self, RefSlot::Empty)
-    }
+fn list_word(id: u32) -> Lpn {
+    Lpn(LIST_TAG + u64::from(id))
+}
 
-    fn push(&mut self, lpn: Lpn) {
-        match self {
-            RefSlot::Empty => *self = RefSlot::One(lpn),
-            RefSlot::One(first) => *self = RefSlot::Many(Box::new(vec![*first, lpn])),
-            RefSlot::Many(lpns) => lpns.push(lpn),
-        }
-    }
-
-    /// Removes one occurrence of `lpn`; collapses back to the inline
-    /// representations where possible.
-    fn remove(&mut self, lpn: Lpn) {
-        match self {
-            RefSlot::Empty => {}
-            RefSlot::One(only) => {
-                if *only == lpn {
-                    *self = RefSlot::Empty;
-                }
-            }
-            RefSlot::Many(lpns) => {
-                lpns.retain(|&l| l != lpn);
-                match lpns.as_slice() {
-                    [] => *self = RefSlot::Empty,
-                    &[only] => *self = RefSlot::One(only),
-                    _ => {}
-                }
-            }
-        }
-    }
+fn list_index(id: u32) -> usize {
+    usize::try_from(id).unwrap_or(usize::MAX)
 }
 
 /// Result of removing a referrer from a location.
@@ -113,6 +97,62 @@ pub enum Unlink {
     Orphaned(Location),
     /// The logical unit was not mapped.
     NotMapped,
+}
+
+/// The forward direction: LPN-indexed packed locations.
+#[derive(Debug, Clone, Default)]
+struct Forward {
+    /// Words for LPNs below [`DENSE_LPN_LIMIT`]; `UNMAPPED` marks holes.
+    /// Grows lazily to the highest LPN touched.
+    dense: Vec<ForwardWord>,
+    /// Sparse LPNs at or above [`DENSE_LPN_LIMIT`], sorted by LPN.
+    overflow: Vec<(u64, ForwardWord)>,
+}
+
+impl Forward {
+    fn get(&self, lpn: Lpn) -> ForwardWord {
+        if lpn.0 < DENSE_LPN_LIMIT {
+            self.dense.get(lpn.index()).copied().unwrap_or(UNMAPPED)
+        } else {
+            self.overflow
+                .binary_search_by_key(&lpn.0, |&(l, _)| l)
+                .ok()
+                .and_then(|pos| self.overflow.get(pos))
+                .map_or(UNMAPPED, |&(_, word)| word)
+        }
+    }
+
+    fn set(&mut self, lpn: Lpn, word: ForwardWord) {
+        debug_assert_ne!(word, UNMAPPED);
+        if lpn.0 < DENSE_LPN_LIMIT {
+            let idx = lpn.index();
+            if let Some(len) = idx.checked_add(1).filter(|&len| len > self.dense.len()) {
+                self.dense.resize(len, UNMAPPED);
+            }
+            if let Some(slot) = self.dense.get_mut(idx) {
+                *slot = word;
+            }
+        } else {
+            match self.overflow.binary_search_by_key(&lpn.0, |&(l, _)| l) {
+                Ok(pos) => {
+                    if let Some(entry) = self.overflow.get_mut(pos) {
+                        entry.1 = word;
+                    }
+                }
+                Err(pos) => self.overflow.insert(pos, (lpn.0, word)),
+            }
+        }
+    }
+
+    fn clear(&mut self, lpn: Lpn) {
+        if lpn.0 < DENSE_LPN_LIMIT {
+            if let Some(word) = self.dense.get_mut(lpn.index()) {
+                *word = UNMAPPED;
+            }
+        } else if let Ok(pos) = self.overflow.binary_search_by_key(&lpn.0, |&(l, _)| l) {
+            self.overflow.remove(pos);
+        }
+    }
 }
 
 /// Forward (LPN → location) and reverse (location → LPNs) mapping,
@@ -131,15 +171,16 @@ pub enum Unlink {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MappingTable {
-    /// LPN-indexed packed locations for LPNs below [`DENSE_LPN_LIMIT`];
-    /// `UNMAPPED` marks holes. Grows lazily to the highest LPN touched.
-    forward: Vec<u64>,
-    /// Sparse LPNs at or above [`DENSE_LPN_LIMIT`], sorted by LPN.
-    forward_overflow: Vec<(u64, u64)>,
-    /// PUN-indexed referrer sets.
-    flash_refs: Vec<RefSlot>,
-    /// Buffer-slot-indexed referrer sets.
-    buf_refs: Vec<RefSlot>,
+    forward: Forward,
+    /// PUN-indexed reverse slot words.
+    flash_refs: Vec<Lpn>,
+    /// Buffer-slot-indexed reverse slot words.
+    buf_refs: Vec<Lpn>,
+    /// Referrer lists of the locations with two or more referrers, named
+    /// by a slot's list tag; a freed list keeps its capacity for the next.
+    lists: Vec<Vec<Lpn>>,
+    /// Ids of the lists no slot names, reused before the arena grows.
+    free_lists: Vec<u32>,
     /// Count of mapped LPNs.
     live: usize,
     /// Count of non-empty referrer slots across both reverse arrays.
@@ -147,6 +188,11 @@ pub struct MappingTable {
 }
 
 impl MappingTable {
+    /// The unit count a forward word can address: flash units and buffer
+    /// slots must have ids below it. A device with more mapping units is
+    /// refused by [`crate::FtlConfig::validate`].
+    pub const MAX_UNITS: u64 = 1 << 31;
+
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
@@ -162,85 +208,176 @@ impl MappingTable {
     pub fn with_capacity(unit_hint: u64) -> Self {
         let unit_hint = Pun(unit_hint).index();
         let mut t = Self::default();
-        t.forward.reserve(unit_hint);
+        t.forward.dense.reserve(unit_hint);
         t.flash_refs.reserve(unit_hint);
         t
     }
 
-    fn forward_word(&self, lpn: Lpn) -> u64 {
-        if lpn.0 < DENSE_LPN_LIMIT {
-            self.forward.get(lpn.index()).copied().unwrap_or(UNMAPPED)
-        } else {
-            self.forward_overflow
-                .binary_search_by_key(&lpn.0, |&(l, _)| l)
-                .ok()
-                .and_then(|pos| self.forward_overflow.get(pos))
-                .map_or(UNMAPPED, |&(_, word)| word)
-        }
+    /// Heap bytes the table holds: the capacity of its arrays and of
+    /// every referrer list, reserved address space included.
+    pub fn heap_bytes(&self) -> u64 {
+        let bytes = self.forward.dense.capacity() * size_of::<ForwardWord>()
+            + self.forward.overflow.capacity() * size_of::<(u64, ForwardWord)>()
+            + (self.flash_refs.capacity() + self.buf_refs.capacity()) * size_of::<Lpn>()
+            + self.lists.capacity() * size_of::<Vec<Lpn>>()
+            + self
+                .lists
+                .iter()
+                .map(|l| l.capacity() * size_of::<Lpn>())
+                .sum::<usize>()
+            + self.free_lists.capacity() * size_of::<u32>();
+        u64::try_from(bytes).unwrap_or(u64::MAX)
     }
 
-    fn forward_set(&mut self, lpn: Lpn, word: u64) {
-        debug_assert_ne!(word, UNMAPPED);
-        if lpn.0 < DENSE_LPN_LIMIT {
-            let idx = lpn.index();
-            if let Some(len) = idx.checked_add(1).filter(|&len| len > self.forward.len()) {
-                self.forward.resize(len, UNMAPPED);
-            }
-            if let Some(slot) = self.forward.get_mut(idx) {
-                *slot = word;
-            }
-        } else {
-            match self
-                .forward_overflow
-                .binary_search_by_key(&lpn.0, |&(l, _)| l)
-            {
-                Ok(pos) => {
-                    if let Some(entry) = self.forward_overflow.get_mut(pos) {
-                        entry.1 = word;
-                    }
-                }
-                Err(pos) => self.forward_overflow.insert(pos, (lpn.0, word)),
-            }
-        }
-    }
-
-    fn forward_clear(&mut self, lpn: Lpn) {
-        if lpn.0 < DENSE_LPN_LIMIT {
-            if let Some(word) = self.forward.get_mut(lpn.index()) {
-                *word = UNMAPPED;
-            }
-        } else if let Ok(pos) = self
-            .forward_overflow
-            .binary_search_by_key(&lpn.0, |&(l, _)| l)
-        {
-            self.forward_overflow.remove(pos);
-        }
-    }
-
-    fn ref_slot(&self, loc: Location) -> Option<&RefSlot> {
+    fn ref_slot(&self, loc: Location) -> Option<&Lpn> {
         match loc {
             Location::Flash(pun) => self.flash_refs.get(pun.index()),
             Location::Buffer(slot) => self.buf_refs.get(slot.index()),
         }
     }
 
-    /// The referrer set of `loc`, growing the reverse array to hold it.
-    /// `None` for an address `usize` cannot index (`index()` reports it
-    /// as `usize::MAX`): no array is that long, so the table refuses it.
-    fn ref_slot_mut(&mut self, loc: Location) -> Option<&mut RefSlot> {
+    /// The reverse slot word of `loc`; [`NO_REFERRER`] past the array.
+    fn ref_word(&self, loc: Location) -> Lpn {
+        self.ref_slot(loc).copied().unwrap_or(NO_REFERRER)
+    }
+
+    /// The reverse slot word of `loc`, growing the reverse array to hold
+    /// it. `None` for an address `usize` cannot index (`index()` reports
+    /// it as `usize::MAX`): no array is that long, so the table refuses it.
+    fn ref_word_mut(&mut self, loc: Location) -> Option<&mut Lpn> {
         let (vec, idx) = match loc {
             Location::Flash(pun) => (&mut self.flash_refs, pun.index()),
             Location::Buffer(slot) => (&mut self.buf_refs, slot.index()),
         };
         if idx >= vec.len() {
-            vec.resize(idx.checked_add(1)?, RefSlot::Empty);
+            vec.resize(idx.checked_add(1)?, NO_REFERRER);
         }
         vec.get_mut(idx)
     }
 
+    /// Stores `word` as `loc`'s reverse slot and keeps `occupied` in step
+    /// with the slot's change from or to [`NO_REFERRER`].
+    fn set_ref_word(&mut self, loc: Location, word: Lpn) {
+        let Some(slot) = self.ref_word_mut(loc) else {
+            return;
+        };
+        let was = std::mem::replace(slot, word);
+        match (was == NO_REFERRER, word == NO_REFERRER) {
+            (true, false) => self.occupied += 1,
+            (false, true) => self.occupied -= 1,
+            _ => {}
+        }
+    }
+
+    fn list(&self, id: u32) -> &[Lpn] {
+        self.lists.get(list_index(id)).map_or(&[], Vec::as_slice)
+    }
+
+    /// A list holding `lpns`, from the free list if one is there; the
+    /// returned word names it.
+    fn new_list(&mut self, lpns: &[Lpn]) -> Lpn {
+        let id = match self.free_lists.pop() {
+            Some(id) => id,
+            None => {
+                self.lists.push(Vec::new());
+                // A list in use is named by one reverse slot, and a forward
+                // word reaches fewer than 2^32 slots (flash and buffer ids
+                // below `MAX_UNITS`).
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "fewer than 2^32 lists: one per reachable reverse slot at most"
+                )]
+                let id = (self.lists.len() - 1) as u32;
+                id
+            }
+        };
+        if let Some(list) = self.lists.get_mut(list_index(id)) {
+            list.extend_from_slice(lpns);
+        }
+        list_word(id)
+    }
+
+    /// Empties list `id` (keeping its capacity) and returns it to the
+    /// free list.
+    fn free_list(&mut self, id: u32) {
+        if let Some(list) = self.lists.get_mut(list_index(id)) {
+            list.clear();
+            self.free_lists.push(id);
+        }
+    }
+
+    /// The slot word `word` with `lpn` appended to its referrers.
+    fn push_ref(&mut self, word: Lpn, lpn: Lpn) -> Lpn {
+        match decode(word) {
+            Refs::Empty => lpn,
+            Refs::One(first) => self.new_list(&[first, lpn]),
+            Refs::List(id) => {
+                if let Some(list) = self.lists.get_mut(list_index(id)) {
+                    list.push(lpn);
+                }
+                word
+            }
+        }
+    }
+
+    /// The slot word `word` without `lpn`; a list left with one referrer
+    /// collapses back to the inline word.
+    fn remove_ref(&mut self, word: Lpn, lpn: Lpn) -> Lpn {
+        match decode(word) {
+            Refs::Empty => word,
+            Refs::One(only) if only == lpn => NO_REFERRER,
+            Refs::One(_) => word,
+            Refs::List(id) => {
+                let Some(list) = self.lists.get_mut(list_index(id)) else {
+                    return word;
+                };
+                list.retain(|&l| l != lpn);
+                let left = match *list.as_slice() {
+                    [] => NO_REFERRER,
+                    [only] => only,
+                    _ => return word,
+                };
+                self.free_list(id);
+                left
+            }
+        }
+    }
+
+    /// The slot word holding `into`'s referrers followed by `moved`'s.
+    fn merge(&mut self, into: Lpn, moved: Lpn) -> Lpn {
+        match (decode(into), decode(moved)) {
+            (Refs::Empty, _) => moved,
+            (_, Refs::Empty) => into,
+            (Refs::One(first), Refs::One(second)) => self.new_list(&[first, second]),
+            (Refs::One(first), Refs::List(id)) => {
+                if let Some(list) = self.lists.get_mut(list_index(id)) {
+                    list.insert(0, first);
+                }
+                moved
+            }
+            (Refs::List(_), Refs::One(last)) => self.push_ref(into, last),
+            (Refs::List(into_id), Refs::List(moved_id)) => {
+                let taken = self
+                    .lists
+                    .get_mut(list_index(moved_id))
+                    .map(std::mem::take)
+                    .unwrap_or_default();
+                if let Some(list) = self.lists.get_mut(list_index(into_id)) {
+                    list.extend_from_slice(&taken);
+                }
+                // Put the allocation back so the freed list keeps it.
+                if let Some(list) = self.lists.get_mut(list_index(moved_id)) {
+                    *list = taken;
+                }
+                self.free_list(moved_id);
+                into
+            }
+        }
+    }
+
     /// Current location of a logical unit.
     pub fn lookup(&self, lpn: Lpn) -> Option<Location> {
-        let word = self.forward_word(lpn);
+        let word = self.forward.get(lpn);
         if word == UNMAPPED {
             None
         } else {
@@ -250,7 +387,14 @@ impl MappingTable {
 
     /// Logical units referencing `loc` (empty slice when unoccupied).
     pub fn referrers(&self, loc: Location) -> &[Lpn] {
-        self.ref_slot(loc).map(RefSlot::as_slice).unwrap_or(&[])
+        let Some(word) = self.ref_slot(loc) else {
+            return &[];
+        };
+        match decode(*word) {
+            Refs::Empty => &[],
+            Refs::One(_) => std::slice::from_ref(word),
+            Refs::List(id) => self.list(id),
+        }
     }
 
     /// Number of live forward entries (drives the map-cache model).
@@ -265,19 +409,20 @@ impl MappingTable {
 
     /// Points `lpn` at `loc`, unlinking any previous mapping. Returns the
     /// outcome for the *previous* location so the caller can update block
-    /// validity counters. A `loc` the table cannot index is refused and
-    /// leaves `lpn` unmapped.
+    /// validity counters. A `loc` the table cannot index or pack is
+    /// refused and leaves `lpn` unmapped; an `lpn` at or above
+    /// `u64::MAX - 2^32` (the list tags) is refused outright.
     pub fn map(&mut self, lpn: Lpn, loc: Location) -> Unlink {
         let prev = self.unmap(lpn);
-        let Some(slot) = self.ref_slot_mut(loc) else {
+        let Some(packed) = pack(loc).filter(|_| lpn.0 < LIST_TAG) else {
             return prev;
         };
-        let was_empty = slot.is_empty();
-        slot.push(lpn);
-        if was_empty {
-            self.occupied += 1;
-        }
-        self.forward_set(lpn, pack(loc));
+        let Some(&mut word) = self.ref_word_mut(loc) else {
+            return prev;
+        };
+        let word = self.push_ref(word, lpn);
+        self.set_ref_word(loc, word);
+        self.forward.set(lpn, packed);
         self.live += 1;
         prev
     }
@@ -285,19 +430,16 @@ impl MappingTable {
     /// Removes `lpn`'s mapping entirely (trim). Returns what happened to
     /// the location it referenced.
     pub fn unmap(&mut self, lpn: Lpn) -> Unlink {
-        let word = self.forward_word(lpn);
+        let word = self.forward.get(lpn);
         if word == UNMAPPED {
             return Unlink::NotMapped;
         }
-        self.forward_clear(lpn);
+        self.forward.clear(lpn);
         self.live -= 1;
         let loc = unpack(word);
-        let Some(slot) = self.ref_slot_mut(loc) else {
-            return Unlink::Orphaned(loc);
-        };
-        slot.remove(lpn);
-        if slot.is_empty() {
-            self.occupied -= 1;
+        let slot = self.remove_ref(self.ref_word(loc), lpn);
+        self.set_ref_word(loc, slot);
+        if slot == NO_REFERRER {
             Unlink::Orphaned(loc)
         } else {
             Unlink::StillReferenced(loc)
@@ -326,34 +468,27 @@ impl MappingTable {
     /// cannot index.
     pub fn relocate(&mut self, from: Location, to: Location) -> usize {
         // `to` is grown before `from` is emptied, so a refusal moves nothing.
-        if self.referrers(from).is_empty() || self.ref_slot_mut(to).is_none() {
+        let Some(packed_to) = pack(to) else {
+            return 0;
+        };
+        if self.referrers(from).is_empty() || self.ref_word_mut(to).is_none() {
             return 0;
         }
-        let moved = self
-            .ref_slot_mut(from)
-            .map(std::mem::take)
-            .unwrap_or_default();
-        self.occupied -= 1;
-        let packed_to = pack(to);
-        for &lpn in moved.as_slice() {
-            self.forward_set(lpn, packed_to);
-        }
-        let n = moved.as_slice().len();
-        let Some(to_slot) = self.ref_slot_mut(to) else {
-            return n;
+        let moved = self.ref_word(from);
+        self.set_ref_word(from, NO_REFERRER);
+        let lpns = match decode(moved) {
+            Refs::List(id) => self
+                .lists
+                .get(list_index(id))
+                .map_or(&[][..], Vec::as_slice),
+            _ => std::slice::from_ref(&moved),
         };
-        let was_empty = to_slot.is_empty();
-        match (to_slot, moved) {
-            (slot @ RefSlot::Empty, moved) => *slot = moved,
-            (slot, moved) => {
-                for &lpn in moved.as_slice() {
-                    slot.push(lpn);
-                }
-            }
+        for &lpn in lpns {
+            self.forward.set(lpn, packed_to);
         }
-        if was_empty {
-            self.occupied += 1;
-        }
+        let n = lpns.len();
+        let word = self.merge(self.ref_word(to), moved);
+        self.set_ref_word(to, word);
         n
     }
 
@@ -362,6 +497,7 @@ impl MappingTable {
     /// report output reproducible).
     pub fn iter(&self) -> impl Iterator<Item = (Lpn, Location)> + '_ {
         self.forward
+            .dense
             .iter()
             .enumerate()
             .filter_map(|(idx, &word)| {
@@ -372,15 +508,18 @@ impl MappingTable {
                 }
             })
             .chain(
-                self.forward_overflow
+                self.forward
+                    .overflow
                     .iter()
                     .map(|&(lpn, word)| (Lpn(lpn), unpack(word))),
             )
     }
 
-    /// Verifies forward/reverse symmetry and counter accounting; returns a
-    /// description of the first inconsistency found. Used by tests and
-    /// debug assertions.
+    /// Verifies forward/reverse symmetry, counter accounting and the list
+    /// arena (every list slot names a list of two or more that no other
+    /// slot names and that is not on the free list; every other list is
+    /// free and empty); returns a description of the first inconsistency
+    /// found. Used by tests and debug assertions.
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut live = 0usize;
         for (lpn, loc) in self.iter() {
@@ -395,25 +534,61 @@ impl MappingTable {
                 self.live
             ));
         }
+        #[derive(Clone, Copy, PartialEq)]
+        enum Seen {
+            No,
+            InUse,
+            Free,
+        }
+        let mut seen = vec![Seen::No; self.lists.len()];
+        for &id in &self.free_lists {
+            match seen.get_mut(list_index(id)) {
+                Some(s @ Seen::No) => *s = Seen::Free,
+                Some(_) => return Err(format!("list {id} is on the free list twice")),
+                None => return Err(format!("free list names list {id} past the arena")),
+            }
+            if !self.list(id).is_empty() {
+                return Err(format!("free list {id} still holds referrers"));
+            }
+        }
         let mut occupied = 0usize;
         let sides = [(&self.flash_refs, true), (&self.buf_refs, false)];
         for (vec, is_flash) in sides {
-            for (idx, slot) in vec.iter().enumerate() {
-                if slot.is_empty() {
-                    continue;
-                }
-                occupied += 1;
+            for (idx, &word) in vec.iter().enumerate() {
                 let loc = if is_flash {
                     Location::Flash(Pun(idx as u64))
                 } else {
                     Location::Buffer(BufSlot(idx as u64))
                 };
-                for &lpn in slot.as_slice() {
+                match decode(word) {
+                    Refs::Empty => continue,
+                    Refs::One(_) => {}
+                    Refs::List(id) => {
+                        match seen.get_mut(list_index(id)) {
+                            Some(s @ Seen::No) => *s = Seen::InUse,
+                            Some(Seen::InUse) => {
+                                return Err(format!("{loc} names list {id}, already in use"))
+                            }
+                            Some(Seen::Free) => {
+                                return Err(format!("{loc} names list {id}, which is free"))
+                            }
+                            None => return Err(format!("{loc} names list {id} past the arena")),
+                        }
+                        if self.list(id).len() < 2 {
+                            return Err(format!("{loc} names list {id} of fewer than two"));
+                        }
+                    }
+                }
+                occupied += 1;
+                for &lpn in self.referrers(loc) {
                     if self.lookup(lpn) != Some(loc) {
                         return Err(format!("{loc} lists {lpn} but forward disagrees"));
                     }
                 }
             }
+        }
+        if let Some(id) = seen.iter().position(|&s| s == Seen::No) {
+            return Err(format!("list {id} is neither named nor free"));
         }
         if occupied != self.occupied {
             return Err(format!(
@@ -580,5 +755,91 @@ mod tests {
         assert_eq!(t.referrers(Location::Flash(Pun(7))), &[Lpn(1)]);
         assert_eq!(t.referrers(Location::Buffer(BufSlot(7))), &[Lpn(2)]);
         t.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn words_are_four_bytes_forward_and_eight_reverse() {
+        assert_eq!(std::mem::size_of::<ForwardWord>(), 4);
+        assert_eq!(std::mem::size_of::<Lpn>(), 8);
+    }
+
+    #[test]
+    fn the_forward_word_packs_ids_below_the_limit() {
+        let last = MappingTable::MAX_UNITS - 1;
+        for loc in [
+            Location::Flash(Pun(0)),
+            Location::Flash(Pun(last)),
+            Location::Buffer(BufSlot(0)),
+            Location::Buffer(BufSlot(last - 1)),
+        ] {
+            assert_eq!(pack(loc).map(unpack), Some(loc));
+        }
+        // The last buffer slot would pack to `UNMAPPED`.
+        assert_eq!(pack(Location::Buffer(BufSlot(last))), None);
+        assert_eq!(pack(Location::Flash(Pun(last + 1))), None);
+        let mut t = MappingTable::new();
+        t.map(Lpn(1), Location::Flash(Pun(last + 1)));
+        assert_eq!(t.lookup(Lpn(1)), None);
+        t.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn an_lpn_among_the_list_tags_is_refused() {
+        let mut t = MappingTable::new();
+        for lpn in [Lpn(LIST_TAG), Lpn(u64::MAX - 1), NO_REFERRER] {
+            assert_eq!(t.map(lpn, Location::Flash(Pun(5))), Unlink::NotMapped);
+            assert_eq!(t.lookup(lpn), None);
+        }
+        assert_eq!(t.live_entries(), 0);
+        let below = Lpn(LIST_TAG - 1);
+        t.map(below, Location::Flash(Pun(5)));
+        assert_eq!(t.referrers(Location::Flash(Pun(5))), &[below]);
+        t.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_freed_list_is_reused() {
+        let mut t = MappingTable::new();
+        t.map(Lpn(1), Location::Flash(Pun(5)));
+        t.map(Lpn(2), Location::Flash(Pun(6)));
+        t.alias(Lpn(3), Lpn(1)).unwrap();
+        t.unmap(Lpn(3));
+        assert_eq!(t.free_lists, [0]);
+        t.alias(Lpn(4), Lpn(2)).unwrap();
+        assert_eq!((t.lists.len(), t.free_lists.len()), (1, 0));
+        assert_eq!(t.referrers(Location::Flash(Pun(6))), &[Lpn(2), Lpn(4)]);
+        t.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn check_consistency_sees_a_broken_arena() {
+        let shared = || {
+            let mut t = MappingTable::new();
+            t.map(Lpn(1), Location::Flash(Pun(5)));
+            t.alias(Lpn(2), Lpn(1)).unwrap();
+            t.check_consistency().unwrap();
+            t
+        };
+        let mut t = shared();
+        t.free_lists.push(0);
+        assert!(
+            t.check_consistency().is_err(),
+            "a named list on the free list"
+        );
+        let mut t = shared();
+        t.lists.push(Vec::new());
+        assert!(
+            t.check_consistency().is_err(),
+            "a list neither named nor free"
+        );
+        let mut t = shared();
+        t.flash_refs.push(list_word(0));
+        assert!(t.check_consistency().is_err(), "a list named twice");
+        let mut t = shared();
+        t.unmap(Lpn(2));
+        t.flash_refs[5] = list_word(0);
+        t.lists[0].push(Lpn(1));
+        t.free_lists.clear();
+        assert!(t.check_consistency().is_err(), "a list of one");
     }
 }

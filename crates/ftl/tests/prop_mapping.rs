@@ -158,29 +158,34 @@ fn assert_equivalent(table: &MappingTable, shadow: &Shadow) {
     table.check_consistency().unwrap();
 }
 
+/// Applies `op` to both and requires the same outcome.
+fn step(table: &mut MappingTable, shadow: &mut Shadow, op: Op) {
+    match op {
+        Op::Map { lpn, loc } => {
+            assert_eq!(table.map(lpn, loc), shadow.map(lpn, loc), "map {lpn}");
+        }
+        Op::Unmap { lpn } => {
+            assert_eq!(table.unmap(lpn), shadow.unmap(lpn), "unmap {lpn}");
+        }
+        Op::Alias { dst, src } => {
+            assert_eq!(
+                table.alias(dst, src),
+                shadow.alias(dst, src),
+                "alias {dst} -> {src}"
+            );
+        }
+        Op::Relocate { from, to } => {
+            let moved = table.relocate(from, to);
+            assert_eq!(moved, shadow.relocate(from, to), "relocate {from}");
+        }
+    }
+}
+
 fn run_ops(ops: &[Op]) {
     let mut table = MappingTable::new();
     let mut shadow = Shadow::default();
-    for op in ops {
-        match *op {
-            Op::Map { lpn, loc } => {
-                assert_eq!(table.map(lpn, loc), shadow.map(lpn, loc), "map {lpn}");
-            }
-            Op::Unmap { lpn } => {
-                assert_eq!(table.unmap(lpn), shadow.unmap(lpn), "unmap {lpn}");
-            }
-            Op::Alias { dst, src } => {
-                assert_eq!(
-                    table.alias(dst, src),
-                    shadow.alias(dst, src),
-                    "alias {dst} -> {src}"
-                );
-            }
-            Op::Relocate { from, to } => {
-                let moved = table.relocate(from, to);
-                assert_eq!(moved, shadow.relocate(from, to), "relocate {from}");
-            }
-        }
+    for &op in ops {
+        step(&mut table, &mut shadow, op);
     }
     assert_equivalent(&table, &shadow);
 }
@@ -212,28 +217,104 @@ fn mapping_table_stays_equivalent_at_every_step() {
     check("mapping_table_stepwise_equivalence", 16, |rng| {
         let len = rng.range_usize(1, 79);
         let ops = soup(rng, len, any_op);
-        let mut table = MappingTable::new();
-        let mut shadow = Shadow::default();
-        for op in &ops {
-            match *op {
-                Op::Map { lpn, loc } => {
-                    table.map(lpn, loc);
-                    shadow.map(lpn, loc);
-                }
-                Op::Unmap { lpn } => {
-                    table.unmap(lpn);
-                    shadow.unmap(lpn);
-                }
-                Op::Alias { dst, src } => {
-                    let _ = table.alias(dst, src);
-                    let _ = shadow.alias(dst, src);
-                }
-                Op::Relocate { from, to } => {
-                    table.relocate(from, to);
-                    shadow.relocate(from, to);
-                }
-            }
-            assert_equivalent(&table, &shadow);
-        }
+        run_stepwise(&ops);
     });
+}
+
+/// [`step`] and [`assert_equivalent`] after every op.
+fn run_stepwise(ops: &[Op]) -> MappingTable {
+    let mut table = MappingTable::new();
+    let mut shadow = Shadow::default();
+    for &op in ops {
+        step(&mut table, &mut shadow, op);
+        assert_equivalent(&table, &shadow);
+    }
+    table
+}
+
+/// A device-metadata LPN: the SSD's band starts at `u64::MAX / 2`, so
+/// these sit at or above 2^63.
+const META: Lpn = Lpn(u64::MAX / 2 + 1);
+
+/// One location's reverse slot through every representation: empty, one
+/// referrer, a list, one again, empty — with a metadata LPN alone and
+/// inside the list, and the referrers in the order they arrived.
+#[test]
+fn a_slot_goes_empty_one_many_one_empty() {
+    const { assert!(META.0 >= 1 << 63) };
+    let home = Location::Flash(Pun(3));
+    let map = |lpn, loc| Op::Map { lpn, loc };
+    let alias = |dst, src| Op::Alias { dst, src };
+    let unmap = |lpn| Op::Unmap { lpn };
+    let t = run_stepwise(&[map(META, home)]);
+    assert_eq!(t.referrers(home), [META]);
+    let t = run_stepwise(&[map(META, home), alias(Lpn(7), META), alias(Lpn(2), META)]);
+    assert_eq!(t.referrers(home), [META, Lpn(7), Lpn(2)]);
+    let t = run_stepwise(&[
+        map(Lpn(7), home),
+        alias(META, Lpn(7)),
+        alias(Lpn(2), Lpn(7)),
+        unmap(Lpn(7)),
+    ]);
+    assert_eq!(t.referrers(home), [META, Lpn(2)]);
+    let t = run_stepwise(&[
+        map(Lpn(7), home),
+        alias(META, Lpn(7)),
+        unmap(Lpn(7)),
+        alias(Lpn(9), META),
+        unmap(META),
+    ]);
+    assert_eq!(t.referrers(home), [Lpn(9)]);
+    let t = run_stepwise(&[
+        map(Lpn(7), home),
+        alias(META, Lpn(7)),
+        unmap(META),
+        unmap(Lpn(7)),
+        map(META, home),
+        unmap(META),
+    ]);
+    assert!(t.referrers(home).is_empty());
+    assert_eq!(t.occupied_locations(), 0);
+}
+
+/// `relocate` onto a slot that already has referrers, for each pair of
+/// representations: the target's referrers stay first, the moved ones
+/// follow in their order.
+#[test]
+fn relocate_onto_an_occupied_slot_merges_in_order() {
+    let (from, to) = (Location::Buffer(BufSlot(1)), Location::Flash(Pun(5)));
+    let map = |lpn, loc| Op::Map { lpn, loc };
+    let alias = |dst, src| Op::Alias { dst, src };
+    let relocate = Op::Relocate { from, to };
+    let cases: [(&[Op], &[Lpn]); 4] = [
+        (&[map(Lpn(1), to), map(META, from)], &[Lpn(1), META]),
+        (
+            &[map(Lpn(1), to), map(Lpn(2), from), alias(META, Lpn(2))],
+            &[Lpn(1), Lpn(2), META],
+        ),
+        (
+            &[map(META, to), alias(Lpn(1), META), map(Lpn(2), from)],
+            &[META, Lpn(1), Lpn(2)],
+        ),
+        (
+            &[
+                map(Lpn(1), to),
+                alias(Lpn(3), Lpn(1)),
+                map(Lpn(2), from),
+                alias(META, Lpn(2)),
+            ],
+            &[Lpn(1), Lpn(3), Lpn(2), META],
+        ),
+    ];
+    for (setup, merged) in cases {
+        let ops: Vec<Op> = setup.iter().copied().chain([relocate]).collect();
+        let t = run_stepwise(&ops);
+        assert_eq!(t.referrers(to), merged, "{setup:?}");
+        assert!(t.referrers(from).is_empty());
+        // And back out again: the merged list leaves whole.
+        let back = Op::Relocate { from: to, to: from };
+        let ops: Vec<Op> = ops.into_iter().chain([back]).collect();
+        let t = run_stepwise(&ops);
+        assert_eq!(t.referrers(from), merged);
+    }
 }
