@@ -11,7 +11,7 @@ use crate::error::FlashError;
 use crate::fault::{FaultOp, FaultPlan, TickOutcome};
 use crate::geometry::{table_index, BlockId, FlashGeometry, Ppn};
 use crate::phase::OpPhase;
-use crate::store::{BlockStore, PageView, StoredField};
+use crate::store::{BlockStore, Injector, PageView, SealLog, StoredField};
 use crate::timing::FlashTiming;
 
 /// How many times one program may be suspended for foreground reads
@@ -209,6 +209,9 @@ pub struct FlashArray {
     powered_off: bool,
     /// Blocks with grown permanent defects.
     bad_blocks: Vec<bool>,
+    /// The seals of every stored slot an injector changed, one log for
+    /// the device (empty on a device no injector touched).
+    seals: SealLog,
 }
 
 // The shard fleet will move this across threads: a field that is not
@@ -254,17 +257,49 @@ impl FlashArray {
             tracer: Tracer::disabled(),
             powered_off: false,
             bad_blocks: vec![false; total_blocks],
+            seals: SealLog::default(),
         }
     }
 
     /// Heap bytes held by the page store: every block's arena capacity
-    /// times its record size. Deterministic — it follows what was
-    /// programmed, never the host.
+    /// times its record size, and the seal log's. Deterministic — it
+    /// follows what was programmed and injected, never the host.
     pub fn store_bytes(&self) -> u64 {
-        self.blocks
+        let blocks: u64 = self
+            .blocks
             .iter()
             .map(|b| b.store.capacity_bytes() as u64)
-            .sum()
+            .sum();
+        blocks + self.seals.capacity_bytes() as u64
+    }
+
+    /// Stored slots whose seals the fault injectors keep: the slots they
+    /// changed since their block's last erase. Zero on a device no
+    /// injector touched.
+    pub fn sealed_slots(&self) -> usize {
+        self.seals.len()
+    }
+
+    /// The seal log is sorted by block and record, names each slot once,
+    /// and names only records of pages programmed since their block's
+    /// last erase.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first entry that breaks this.
+    pub fn check_seals(&self) -> Result<(), String> {
+        self.seals
+            .check(|block| self.blocks.get(block).map(|b| b.store.records()))
+    }
+
+    /// The injectors' hold on block `block`: a change to a stored bit
+    /// keeps its slot's seal first.
+    fn injector(&mut self, block: usize) -> Option<Injector<'_>> {
+        Some(Injector {
+            block: u32::try_from(block).ok()?,
+            store: &mut self.blocks.get_mut(block)?.store,
+            seals: &mut self.seals,
+        })
     }
 
     /// Arms a fault-injection schedule. Subsequent operations consume
@@ -421,8 +456,8 @@ impl FlashArray {
     }
 
     /// Flips one seeded bit in a stored data unit (`data == true`) or OOB
-    /// record of some programmed page, *without* resealing its checksums:
-    /// the damage stays latent until a verified read or scrub visits it.
+    /// record of some programmed page, keeping the slot's seal: the
+    /// damage stays latent until a verified read or scrub visits it.
     /// The victim is the first programmed page at or after a drawn start
     /// page, wrapping.
     fn apply_bit_rot(&mut self, data: bool) {
@@ -441,12 +476,12 @@ impl FlashArray {
                 return;
             }
             let start_u = table_index(self.fault_draw(units_len as u64));
-            let Some(store) = self.blocks.get_mut(block).map(|b| &mut b.store) else {
+            let Some(mut injector) = self.injector(block) else {
                 return;
             };
             let flipped = (0..units_len)
                 .map(|off| (start_u + off) % units_len)
-                .any(|i| store.flip_unit_bits(page, i, mask));
+                .any(|i| injector.flip_unit_bits(page, i, mask));
             if flipped {
                 self.counters.incr(Counter::FlashBitRotData);
             }
@@ -456,9 +491,8 @@ impl FlashArray {
             }
             let i = table_index(self.fault_draw(oob_len as u64));
             if self
-                .blocks
-                .get_mut(block)
-                .is_some_and(|b| b.store.flip_oob_bits(page, i, mask))
+                .injector(block)
+                .is_some_and(|mut b| b.flip_oob_bits(page, i, mask))
             {
                 self.counters.incr(Counter::FlashBitRotOob);
             }
@@ -704,7 +738,8 @@ impl FlashArray {
     #[inline]
     pub fn read(&self, ppn: Ppn) -> Option<PageView<'_>> {
         let (block, page) = self.locate(ppn);
-        self.blocks.get(block)?.store.page(page)
+        let seals = self.seals.of_block(block);
+        self.blocks.get(block)?.store.page(page, seals)
     }
 
     /// Every programmed page with its content, in ascending PPN order —
@@ -716,7 +751,7 @@ impl FlashArray {
             let first = b as u64 * pages_per_block;
             state
                 .store
-                .pages()
+                .pages(self.seals.of_block(b))
                 .enumerate()
                 .map(move |(p, view)| (Ppn(first + p as u64), view))
         })
@@ -740,8 +775,8 @@ impl FlashArray {
 
     /// Programs one page: bus transfer then array program (tPROG) — the
     /// one-page [`FlashArray::program_planes`]. The staged `content` is
-    /// copied into the block's arenas and sealed on the way; pass it by
-    /// reference to keep it for the next page.
+    /// copied into the block's arenas; pass it by reference to keep it
+    /// for the next page.
     ///
     /// # Errors
     ///
@@ -888,7 +923,7 @@ impl FlashArray {
         Ok(())
     }
 
-    /// Lands one page of a program whose ticks all passed — sealed, then
+    /// Lands one page of a program whose ticks all passed — stored, then
     /// maybe misdirected — and counts and traces it; `rides` for a page
     /// after its group's first.
     fn land_program(
@@ -899,12 +934,12 @@ impl FlashArray {
         at: SimTime,
     ) -> Result<(), FlashError> {
         let block = self.geometry.block_of(ppn);
-        // Landing seals per-unit and per-OOB checksums; injectors mutate
-        // the stored bits after this point without resealing.
+        // What lands is its own seal; injectors that change it after this
+        // point keep the programmed checksums first.
         self.land_page(block, content)?;
         if self.faults.as_mut().is_some_and(FaultPlan::misdirect_draw) {
             // Misdirected write: the program "succeeds", but what landed
-            // no longer matches the checksums sealed for it.
+            // no longer matches the checksums of what was staged.
             let mask = 1u64 << self.fault_draw(48);
             self.damage_landed_page(block, 0, mask);
             self.counters.incr(Counter::FlashMisdirectedPrograms);
@@ -947,7 +982,7 @@ impl FlashArray {
     }
 
     /// A power cut landed mid-program with torn writes enabled: commit a
-    /// *torn page* — checksums sealed for the intended content, then a
+    /// *torn page* — seals kept for the intended content, then a
     /// seeded boundary drawn and everything past it bit-flipped (plus all
     /// OOB records, which real NAND writes last). The page is marked
     /// programmed and the cursor advances, exactly what a post-crash OOB
@@ -987,23 +1022,11 @@ impl FlashArray {
     }
 
     /// Flips `mask` into every occupied unit from `first_unit` on and
-    /// every OOB record of the page `block` programmed last, without
-    /// resealing: what a misdirected or torn program leaves behind.
+    /// every OOB record of the page `block` programmed last: what a
+    /// misdirected or torn program leaves behind.
     fn damage_landed_page(&mut self, block: BlockId, first_unit: usize, mask: u64) {
-        let Some(store) = self.blocks.get_mut(block.index()).map(|b| &mut b.store) else {
-            return;
-        };
-        let Some(page) = store.cursor().checked_sub(1) else {
-            return;
-        };
-        let (units, oobs) = store
-            .page(page)
-            .map_or((0, 0), |v| (v.unit_slots(), v.oob_len()));
-        for i in first_unit..units {
-            store.flip_unit_bits(page, i, mask);
-        }
-        for i in 0..oobs {
-            store.flip_oob_bits(page, i, mask);
+        if let Some(mut injector) = self.injector(block.index()) {
+            injector.damage_last_page(first_unit, mask);
         }
     }
 
@@ -1031,6 +1054,7 @@ impl FlashArray {
         state.erase_count += 1;
         let erase_count = state.erase_count;
         state.store.clear();
+        self.seals.forget_block(block.index());
         let window = die_queue.timeline.schedule(at, self.timing.t_erase);
         self.counters.incr(self.op_phase.erase_counter());
         let phase = self.op_phase;
@@ -1046,31 +1070,29 @@ impl FlashArray {
     }
 
     /// Test-only sabotage: flips bits in the stored unit at
-    /// (`ppn`, `offset`) *without* resealing its checksum — a targeted,
+    /// (`ppn`, `offset`), keeping its seal — a targeted,
     /// deterministic stand-in for the seeded bit-rot injector. Returns
     /// true when a stored unit was hit. Harnesses use this to place
     /// corruption exactly where a scenario needs it; never call it
     /// anywhere else.
     pub fn sabotage_corrupt_unit(&mut self, ppn: Ppn, offset: u32, mask: u64) -> bool {
         let (block, page) = self.locate(ppn);
-        self.blocks
-            .get_mut(block)
-            .is_some_and(|b| b.store.flip_unit_bits(page, offset as usize, mask))
+        self.injector(block)
+            .is_some_and(|mut b| b.flip_unit_bits(page, offset as usize, mask))
     }
 
     /// Test-only sabotage: flips bits of the stored OOB record at
-    /// (`ppn`, `index`) without resealing (see
+    /// (`ppn`, `index`), keeping its seal (see
     /// [`FlashArray::sabotage_corrupt_unit`]).
     pub fn sabotage_corrupt_oob(&mut self, ppn: Ppn, index: u32, mask: u64) -> bool {
         let (block, page) = self.locate(ppn);
-        self.blocks
-            .get_mut(block)
-            .is_some_and(|b| b.store.flip_oob_bits(page, index as usize, mask))
+        self.injector(block)
+            .is_some_and(|mut b| b.flip_oob_bits(page, index as usize, mask))
     }
 
     /// Test-only sabotage: flips one bit (`bit` modulo the field's
-    /// width) of one stored field of slot `slot` of page `ppn` without
-    /// resealing — any bit the page store keeps can be reached this way.
+    /// width) of one stored field of slot `slot` of page `ppn`, keeping
+    /// its seal — any bit the page store keeps can be reached this way.
     /// Returns false when the slot stores no such field.
     pub fn sabotage_flip_stored_bit(
         &mut self,
@@ -1080,9 +1102,8 @@ impl FlashArray {
         bit: u32,
     ) -> bool {
         let (block, page) = self.locate(ppn);
-        self.blocks
-            .get_mut(block)
-            .is_some_and(|b| b.store.flip_stored_bit(page, slot as usize, field, bit))
+        self.injector(block)
+            .is_some_and(|mut b| b.flip_stored_bit(page, slot as usize, field, bit))
     }
 
     /// True when `ppn` holds programmed data.
@@ -1174,7 +1195,8 @@ impl FlashArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::content::UnitPayload;
+    use crate::content::{Fragment, OobEntry, OobKind, UnitPayload};
+    use crate::store::{PageHeader, UnitRecord};
     use checkin_sim::{SimDuration, Total};
 
     fn array() -> FlashArray {
@@ -2214,7 +2236,10 @@ mod tests {
         assert_eq!(f.store_bytes(), 0);
         f.program(Ppn(0), page_with(1, 1), SimTime::ZERO).unwrap();
         let reserved = f.store_bytes();
-        assert!(reserved >= ppb as u64 * 8 * 56);
+        // A header and eight records per page; a single-fragment unit
+        // has no extra fragments, so that arena stays unallocated.
+        let per_page = size_of::<PageHeader>() + 8 * size_of::<UnitRecord>();
+        assert_eq!(reserved, (ppb as usize * per_page) as u64);
         for p in 1..ppb as u64 {
             f.program(Ppn(p), page_with(p, 1), SimTime::ZERO).unwrap();
         }
@@ -2225,6 +2250,131 @@ mod tests {
         f.program(Ppn(0), page_with(1, 2), SimTime::ZERO).unwrap();
         assert_eq!(f.store_bytes(), reserved);
         assert!(f.blocks[1..].iter().all(|b| b.store.capacity_bytes() == 0));
+    }
+
+    /// A page with one single-fragment unit and its OOB record.
+    fn page_with_oob(key: u64, version: u64) -> PageContent {
+        let mut c = page_with(key, version);
+        c.oob.push(OobEntry {
+            lpn: key,
+            sequence: version,
+            kind: OobKind::Data,
+        });
+        c
+    }
+
+    /// Verification is never cached: a flip after a read that verified
+    /// fails the next read, and so does every later one.
+    #[test]
+    fn a_flip_after_a_verified_read_fails_the_next_one() {
+        let mut f = array();
+        f.program(Ppn(0), page_with_oob(4, 1), SimTime::ZERO)
+            .unwrap();
+        assert!(f.read(Ppn(0)).unwrap().intact());
+        assert!(f.sabotage_corrupt_unit(Ppn(0), 0, 1 << 5));
+        assert!(!f.read(Ppn(0)).unwrap().unit_intact(0));
+        assert!(f.read(Ppn(0)).unwrap().oob_intact(0));
+        assert!(f.sabotage_corrupt_oob(Ppn(0), 0, 1 << 9));
+        let view = f.read(Ppn(0)).unwrap();
+        assert!(!view.unit_intact(0) && !view.oob_intact(0));
+        // The seals stay those of what was programmed.
+        assert_eq!(
+            view.unit_crc(0),
+            Some(crate::unit_checksum(&UnitPayload::single(4, 1, 512)))
+        );
+        assert_eq!(f.sealed_slots(), 1, "one slot, sealed once");
+        f.check_seals().unwrap();
+    }
+
+    /// The same mask flipped twice restores the stored bits, and the
+    /// slot verifies again against the seal its first flip kept.
+    #[test]
+    fn a_flip_undone_verifies_again() {
+        let mut f = array();
+        f.program(Ppn(0), page_with_oob(4, 1), SimTime::ZERO)
+            .unwrap();
+        for _ in 0..2 {
+            assert!(f.sabotage_corrupt_unit(Ppn(0), 0, 1 << 5));
+            assert!(f.sabotage_corrupt_oob(Ppn(0), 0, 1 << 3));
+        }
+        assert!(f.read(Ppn(0)).unwrap().intact());
+        assert_eq!(f.sealed_slots(), 1);
+        f.check_seals().unwrap();
+    }
+
+    /// Erase forgets the block's seals and only its own: a page
+    /// programmed again verifies, and another block's damage stays.
+    #[test]
+    fn erase_forgets_the_blocks_seals() {
+        let mut f = array();
+        let other = f.geometry().first_ppn(BlockId(1));
+        f.program(Ppn(0), page_with_oob(1, 1), SimTime::ZERO)
+            .unwrap();
+        f.program(Ppn(1), page_with_oob(2, 1), SimTime::ZERO)
+            .unwrap();
+        f.program(other, page_with_oob(3, 1), SimTime::ZERO)
+            .unwrap();
+        assert!(f.sabotage_corrupt_unit(Ppn(1), 0, 1 << 2));
+        assert!(f.sabotage_corrupt_oob(Ppn(0), 0, 1 << 2));
+        assert!(f.sabotage_corrupt_unit(other, 0, 1 << 2));
+        assert_eq!(f.sealed_slots(), 3);
+        let bytes = f.store_bytes();
+        f.erase(BlockId(0), SimTime::ZERO).unwrap();
+        assert_eq!(f.sealed_slots(), 1);
+        assert_eq!(f.store_bytes(), bytes, "the log keeps its capacity");
+        f.check_seals().unwrap();
+        f.program(Ppn(0), page_with_oob(1, 2), SimTime::ZERO)
+            .unwrap();
+        f.program(Ppn(1), page_with_oob(2, 2), SimTime::ZERO)
+            .unwrap();
+        assert!(f.read(Ppn(0)).unwrap().intact());
+        assert!(f.read(Ppn(1)).unwrap().intact());
+        assert!(!f.read(other).unwrap().intact());
+    }
+
+    /// A page the store cannot index — a unit of 65 536 fragments, a page
+    /// of 65 536 slots — is refused before anything is stored: on an
+    /// erased block and on one with pages, the page stays erased, the
+    /// arenas keep their size, and the block then fills as one that never
+    /// saw the page.
+    #[test]
+    fn a_refused_page_leaves_nothing_behind() {
+        let mut wide = PageContent::empty(1 << 16);
+        wide.units[0] = Some(UnitPayload::single(1, 1, 512));
+        let mut long = page_with(1, 1);
+        long.units[1] = Some(UnitPayload::merged(vec![
+            Fragment {
+                key: 2,
+                version: 1,
+                bytes: 1
+            };
+            1 << 16
+        ]));
+        for page in [wide, long] {
+            let mut f = array();
+            for first in [0, 1] {
+                let before = f.store_bytes();
+                assert_eq!(
+                    f.program(Ppn(first), &page, SimTime::ZERO),
+                    Err(FlashError::BlockStoreFull(BlockId(0)))
+                );
+                assert!(!f.is_programmed(Ppn(first)));
+                assert_eq!(f.write_cursor(BlockId(0)), first as u32);
+                assert_eq!(f.store_bytes(), before);
+                f.program(Ppn(first), page_with(1, 1), SimTime::ZERO)
+                    .unwrap();
+            }
+            let mut clean = array();
+            for p in 0..f.geometry().pages_per_block as u64 {
+                if p >= 2 {
+                    f.program(Ppn(p), page_with(1, 1), SimTime::ZERO).unwrap();
+                }
+                clean
+                    .program(Ppn(p), page_with(1, 1), SimTime::ZERO)
+                    .unwrap();
+            }
+            assert_eq!(f.store_bytes(), clean.store_bytes(), "no orphaned record");
+        }
     }
 
     #[test]

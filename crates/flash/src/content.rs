@@ -316,8 +316,8 @@ impl<'a> From<&'a UnitPayload> for UnitRef<'a> {
 }
 
 /// A page as the firmware *stages* it for [`FlashArray::program`]: the
-/// array copies it into the block's arenas, sealing checksums on the way
-/// (see `store`), and hands stored pages back as [`PageView`]s.
+/// array copies it into the block's arenas (see `store`), and hands
+/// stored pages back as [`PageView`]s.
 ///
 /// [`FlashArray::program`]: crate::FlashArray::program
 /// [`PageView`]: crate::PageView
@@ -360,7 +360,7 @@ impl PageContent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::BlockStore;
+    use crate::store::{BlockStore, Injector, SealLog};
 
     #[test]
     fn single_unit_payload() {
@@ -403,8 +403,9 @@ mod tests {
         assert_eq!(UnitPayload::default().bytes(), 0);
     }
 
-    /// A block with one programmed (hence sealed) page.
-    fn sealed_page() -> BlockStore {
+    /// A block with one programmed page, and the seal log its injectors
+    /// keep.
+    fn sealed_page() -> (BlockStore, SealLog) {
         let mut p = PageContent::empty(4);
         p.units[0] = Some(UnitPayload::single(1, 7, 512));
         p.units[2] = Some(UnitPayload::single(2, 3, 128));
@@ -419,14 +420,22 @@ mod tests {
             kind: OobKind::Journal,
         });
         let mut block = BlockStore::default();
-        block.land(&p, 1);
-        block
+        block.land(&p, 1).unwrap();
+        (block, SealLog::default())
+    }
+
+    fn injector<'a>(block: &'a mut BlockStore, seals: &'a mut SealLog) -> Injector<'a> {
+        Injector {
+            block: 0,
+            store: block,
+            seals,
+        }
     }
 
     #[test]
     fn sealed_page_verifies() {
-        let block = sealed_page();
-        let p = block.page(0).unwrap();
+        let (block, seals) = sealed_page();
+        let p = block.page(0, seals.of_block(0)).unwrap();
         assert!(p.intact());
         for i in 0..4 {
             assert!(p.unit_intact(i), "unit {i}");
@@ -436,10 +445,12 @@ mod tests {
 
     #[test]
     fn flipped_unit_bits_break_verification() {
-        let mut block = sealed_page();
-        assert!(block.flip_unit_bits(0, 0, 1 << 13));
-        assert!(!block.flip_unit_bits(0, 1, 1 << 13), "padded slot");
-        let p = block.page(0).unwrap();
+        let (mut block, mut seals) = sealed_page();
+        let mut inj = injector(&mut block, &mut seals);
+        assert!(inj.flip_unit_bits(0, 0, 1 << 13));
+        assert!(!inj.flip_unit_bits(0, 1, 1 << 13), "padded slot");
+        assert_eq!(seals.len(), 1, "only the changed slot is sealed");
+        let p = block.page(0, seals.of_block(0)).unwrap();
         assert!(!p.unit_intact(0));
         assert!(p.unit_intact(2), "other unit untouched");
         assert!(p.oob_intact(0), "oob untouched");
@@ -448,10 +459,11 @@ mod tests {
 
     #[test]
     fn flipped_oob_bits_break_verification() {
-        let mut block = sealed_page();
-        assert!(block.flip_oob_bits(0, 1, 1));
-        assert!(!block.flip_oob_bits(0, 2, 1), "no third record");
-        let p = block.page(0).unwrap();
+        let (mut block, mut seals) = sealed_page();
+        let mut inj = injector(&mut block, &mut seals);
+        assert!(inj.flip_oob_bits(0, 1, 1));
+        assert!(!inj.flip_oob_bits(0, 2, 1), "no third record");
+        let p = block.page(0, seals.of_block(0)).unwrap();
         assert!(p.unit_intact(0));
         assert!(p.oob_intact(0));
         assert!(!p.oob_intact(1));

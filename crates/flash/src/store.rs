@@ -1,28 +1,37 @@
 //! The stored form of programmed pages.
 //!
 //! Each block owns three arenas and nothing per page: fixed-size **unit
-//! records** (one per mapping-unit slot: the unit's first fragment, its
-//! OOB record and both checksums, 56 bytes), the **extra fragments** of
-//! merged units, and a 12-byte **page header** naming a page's slice of
-//! the record arena. A block that was never programmed owns no memory;
-//! its first program reserves the header and record arenas for the whole
-//! block, programming a page copies a staged [`PageContent`] into that
-//! space — sealing the checksums as it goes — and erase empties the
-//! arenas but keeps their capacity. Stored records are immutable except
-//! to the fault injectors, which flip stored bits without resealing.
+//! records** (one per mapping-unit slot: the unit's first fragment and
+//! its OOB record, 40 bytes), the **extra fragments** of merged units,
+//! and a 12-byte **page header** naming where a page's records and extra
+//! fragments start. A unit's extra fragments follow those of its page's
+//! earlier slots, so no record says where they are. A block that was
+//! never programmed owns no memory; its first program reserves the header
+//! and record arenas for the whole block, programming a page copies a
+//! staged [`PageContent`] into that space, and erase empties the arenas
+//! but keeps their capacity.
+//!
+//! No record keeps a checksum. Nothing but the fault injectors ever
+//! changes a stored bit, so a record nobody changed is its own seal: it
+//! still holds what was programmed. The injectors change a slot only
+//! through [`Injector`], which first keeps the slot's checksums — those
+//! of the programmed content — in the device's one [`SealLog`], and
+//! verification recomputes a checksum only for a slot that log names.
 //!
 //! The `#[inline]` hints here, on [`UnitRef`] and on `FlashArray::read`
 //! mark the unit-read path the FTL crate calls per host read: without
 //! them (no LTO) each accessor stays an out-of-line call and a verified
 //! unit read costs half as much again.
 
+use std::ops::Range;
+
 use crate::content::{Fragment, OobEntry, PageContent, UnitRef};
 use crate::integrity;
 
 /// One mapping-unit slot of a programmed page. Field order packs the
-/// record into 56 bytes: one record serves and verifies a unit read.
+/// record into 40 bytes: one record serves a unit read.
 #[derive(Debug, Clone, Copy, Default)]
-struct UnitRecord {
+pub(crate) struct UnitRecord {
     /// The unit's first fragment (`fragments > 0`).
     key: u64,
     version: u64,
@@ -30,14 +39,9 @@ struct UnitRecord {
     lpn: u64,
     sequence: u64,
     bytes: u32,
-    /// Checksums sealed at program time over the canonical encodings of
-    /// the unit and of the OOB record; zero where there is neither.
-    unit_crc: u32,
-    oob_crc: u32,
     /// Fragments in the unit; all but the first sit in the block's
-    /// fragment arena from `extra_start` on.
-    fragments: u32,
-    extra_start: u32,
+    /// fragment arena, after those of the page's earlier slots.
+    fragments: u16,
     /// The OOB kind as its canonical code byte.
     kind: u8,
     /// False marks a padded slot (staged as `None`).
@@ -45,8 +49,15 @@ struct UnitRecord {
 }
 
 impl UnitRecord {
+    /// Fragments of this unit in the block's fragment arena.
     #[inline]
-    fn unit<'a>(&self, extra: &'a [Fragment]) -> UnitRef<'a> {
+    fn extras(&self) -> usize {
+        usize::from(self.fragments).saturating_sub(1)
+    }
+
+    /// The unit, its fragments after the first being `rest`.
+    #[inline]
+    fn unit<'a>(&self, rest: &'a [Fragment]) -> UnitRef<'a> {
         if self.fragments == 0 {
             return UnitRef::default();
         }
@@ -55,13 +66,12 @@ impl UnitRecord {
             version: self.version,
             bytes: self.bytes,
         };
-        let start = self.extra_start as usize;
-        // A rotted count reaches past the arena: read what is there and
-        // let the checksum, which covers the count, report it.
-        let rest = extra
-            .get(start..start + (self.fragments as usize - 1))
-            .unwrap_or(&[]);
         UnitRef::new(first, rest)
+    }
+
+    /// The checksum of the unit as stored, over the count it stores.
+    fn unit_checksum(&self, rest: &[Fragment]) -> u32 {
+        integrity::fragments_checksum(u32::from(self.fragments), self.unit(rest).iter())
     }
 
     fn oob(&self) -> OobEntry {
@@ -71,20 +81,45 @@ impl UnitRecord {
             kind: integrity::oob_kind_from_code(self.kind),
         }
     }
+
+    /// The checksum of the OOB record as stored.
+    fn oob_checksum(&self) -> u32 {
+        integrity::oob_record_checksum(self.lpn, self.sequence, self.kind)
+    }
 }
 
-/// Where a programmed page's records are and how many the firmware
-/// staged: `units` mapping-unit slots and `oobs` OOB records share the
-/// `max(units, oobs)` records from `first` on.
+/// Where unit `slot` of a page keeps its extra fragments, counted from
+/// the page's first: after the extras of slots `0..slot`, at most seven
+/// records to sum on an eight-slot page. `records` are the page's.
+#[inline]
+fn extras_range(records: &[UnitRecord], slot: usize) -> Range<usize> {
+    let len = records.get(slot).map_or(0, UnitRecord::extras);
+    if len == 0 {
+        return 0..0;
+    }
+    let start = records.iter().take(slot).map(UnitRecord::extras).sum();
+    start..start + len
+}
+
+/// Where a programmed page's records and extra fragments start, and how
+/// many slots the firmware staged: `units` mapping-unit slots and `oobs`
+/// OOB records share the `max(units, oobs)` records from `first` on.
 #[derive(Debug, Clone, Copy)]
-struct PageHeader {
+pub(crate) struct PageHeader {
     first: u32,
-    units: u32,
-    oobs: u32,
+    extra: u32,
+    units: u16,
+    oobs: u16,
 }
 
-/// A block arena index. The records are 56 bytes because these are
-/// `u32`; a block holds `pages_per_block` pages of a few units each.
+impl PageHeader {
+    fn slots(&self) -> usize {
+        usize::from(self.units.max(self.oobs))
+    }
+}
+
+/// A block arena index; a block holds `pages_per_block` pages of a few
+/// units each.
 fn index32(n: usize) -> Option<u32> {
     u32::try_from(n).ok()
 }
@@ -124,6 +159,11 @@ impl BlockStore {
         self.pages.len()
     }
 
+    /// Records of the pages programmed since the last erase.
+    pub(crate) fn records(&self) -> usize {
+        self.records.len()
+    }
+
     /// Heap bytes the arenas hold (capacity, not length).
     pub(crate) fn capacity_bytes(&self) -> usize {
         self.pages.capacity() * size_of::<PageHeader>()
@@ -131,56 +171,70 @@ impl BlockStore {
             + self.extra.capacity() * size_of::<Fragment>()
     }
 
+    /// Page `page`, with `seals` — the block's entries of the seal log.
     #[inline]
-    pub(crate) fn page(&self, page: usize) -> Option<PageView<'_>> {
+    pub(crate) fn page<'a>(&'a self, page: usize, seals: &'a [Seal]) -> Option<PageView<'a>> {
         let header = self.pages.get(page)?;
         let first = header.first as usize;
-        let slots = header.units.max(header.oobs) as usize;
+        let slots = header.slots();
         Some(PageView {
             records: self.records.get(first..first + slots)?,
-            units: header.units as usize,
-            oobs: header.oobs as usize,
-            extra: &self.extra,
+            units: usize::from(header.units),
+            oobs: usize::from(header.oobs),
+            extra: self.extra.get(header.extra as usize..).unwrap_or(&[]),
+            seals: Seal::of_records(seals, header.first, slots),
+            first: header.first,
         })
     }
 
-    /// The programmed pages in page order.
-    pub(crate) fn pages(&self) -> impl Iterator<Item = PageView<'_>> + '_ {
-        (0..self.pages.len()).filter_map(|p| self.page(p))
+    /// The programmed pages in page order, with the block's `seals`.
+    pub(crate) fn pages<'a>(
+        &'a self,
+        seals: &'a [Seal],
+    ) -> impl Iterator<Item = PageView<'a>> + 'a {
+        (0..self.pages.len()).filter_map(move |p| self.page(p, seals))
     }
 
-    /// Copies `content` in as the block's next page and seals it: the
-    /// controller's ECC engine stamping each unit and OOB record on its
-    /// way to the die. An erased block reserves its header and record
-    /// arenas for `pages_per_block` pages of this shape first — its only
-    /// allocations unless later pages are wider or carry merged units,
-    /// and none at all once the block has been filled and erased.
+    /// Copies `content` in as the block's next page. An erased block
+    /// reserves its header and record arenas for `pages_per_block` pages
+    /// of this shape first — its only allocations unless later pages are
+    /// wider or carry merged units, and none at all once the block has
+    /// been filled and erased.
     ///
-    /// `None` when an arena has outgrown its `u32` indices — far more
-    /// records than a block holds. The header goes in last, so the page
-    /// then stays erased.
+    /// `None` when the page does not fit the store's indices: more than
+    /// `u16::MAX` slots or OOB records, a unit of more than `u16::MAX`
+    /// fragments, or arenas past `u32` indices. Every limit is checked
+    /// before anything is stored, so the page then stays erased and the
+    /// arenas as they were.
     pub(crate) fn land(&mut self, content: &PageContent, pages_per_block: usize) -> Option<()> {
         let slots = content.units.len().max(content.oob.len());
+        let mut extras = 0usize;
+        for unit in content.units.iter().flatten() {
+            u16::try_from(unit.fragments.len()).ok()?;
+            extras += unit.fragments.len().saturating_sub(1);
+        }
+        let header = PageHeader {
+            first: index32(self.records.len())?,
+            extra: index32(self.extra.len())?,
+            units: u16::try_from(content.units.len()).ok()?,
+            oobs: u16::try_from(content.oob.len()).ok()?,
+        };
+        index32(self.records.len() + slots)?;
+        index32(self.extra.len() + extras)?;
         if self.pages.is_empty() {
             self.pages.reserve_exact(pages_per_block);
             self.records.reserve_exact(pages_per_block * slots);
         }
-        let header = PageHeader {
-            first: index32(self.records.len())?,
-            units: index32(content.units.len())?,
-            oobs: index32(content.oob.len())?,
-        };
         for i in 0..slots {
             let mut record = UnitRecord::default();
             if let Some(Some(unit)) = content.units.get(i) {
                 record.occupied = true;
-                record.fragments = index32(unit.fragments.len())?;
-                record.unit_crc = integrity::unit_checksum(unit);
+                // Checked above: the saturation never stores.
+                record.fragments = u16::try_from(unit.fragments.len()).unwrap_or(u16::MAX);
                 if let Some((first, rest)) = unit.fragments.split_first() {
                     record.key = first.key;
                     record.version = first.version;
                     record.bytes = first.bytes;
-                    record.extra_start = index32(self.extra.len())?;
                     self.extra.extend_from_slice(rest);
                 }
             }
@@ -188,7 +242,6 @@ impl BlockStore {
                 record.lpn = oob.lpn;
                 record.sequence = oob.sequence;
                 record.kind = integrity::oob_kind_code(oob.kind);
-                record.oob_crc = integrity::oob_checksum(oob);
             }
             self.records.push(record);
         }
@@ -202,66 +255,218 @@ impl BlockStore {
         self.records.clear();
         self.extra.clear();
     }
+}
 
-    /// Slot `slot` of page `page` for the injectors — the page's header,
-    /// the slot's record and the block's fragment arena — if the page is
-    /// programmed and that wide.
-    fn slot_mut(
+/// The checksums of what was programmed into one unit slot, kept by an
+/// [`Injector`] before the slot's first change. `record` indexes the
+/// block's record arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Seal {
+    block: u32,
+    record: u32,
+    /// Over the unit; zero for a slot that holds none.
+    unit_seal: u32,
+    /// Over the OOB record; zero for a slot that holds none.
+    oob_seal: u32,
+}
+
+impl Seal {
+    fn at(&self) -> (u32, u32) {
+        (self.block, self.record)
+    }
+
+    /// The entries of `seals` (one block's) for the `slots` records from
+    /// `first` on.
+    #[inline]
+    fn of_records(seals: &[Seal], first: u32, slots: usize) -> &[Seal] {
+        if seals.is_empty() {
+            return seals;
+        }
+        let end = u64::from(first) + slots as u64;
+        let from = seals.partition_point(|s| s.record < first);
+        let to = seals.partition_point(|s| u64::from(s.record) < end);
+        seals.get(from..to).unwrap_or(&[])
+    }
+}
+
+/// The device's seals, sorted by `(block, record)`, one entry per slot an
+/// injector changed since its block's last erase. Empty on a device no
+/// injector touched.
+#[derive(Debug, Default)]
+pub(crate) struct SealLog {
+    seals: Vec<Seal>,
+}
+
+impl SealLog {
+    /// Slots the log names.
+    pub(crate) fn len(&self) -> usize {
+        self.seals.len()
+    }
+
+    /// Heap bytes the log holds (capacity, not length).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.seals.capacity() * size_of::<Seal>()
+    }
+
+    /// Where block `block`'s entries sit in the log.
+    #[inline]
+    fn block_range(&self, block: usize) -> Range<usize> {
+        let Ok(block) = u32::try_from(block) else {
+            return 0..0;
+        };
+        if self.seals.is_empty() {
+            return 0..0;
+        }
+        let from = self.seals.partition_point(|s| s.block < block);
+        from..self.seals.partition_point(|s| s.block <= block)
+    }
+
+    /// Block `block`'s entries.
+    #[inline]
+    pub(crate) fn of_block(&self, block: usize) -> &[Seal] {
+        self.seals.get(self.block_range(block)).unwrap_or(&[])
+    }
+
+    /// Keeps `seal` unless its slot already has one: the first change's
+    /// seal is the programmed content's.
+    fn keep(&mut self, seal: Seal) {
+        if let Err(at) = self.seals.binary_search_by_key(&seal.at(), Seal::at) {
+            self.seals.insert(at, seal);
+        }
+    }
+
+    /// Drops block `block`'s entries: its erase.
+    pub(crate) fn forget_block(&mut self, block: usize) {
+        let range = self.block_range(block);
+        self.seals.drain(range);
+    }
+
+    /// The log is sorted, names each slot once, and names only records
+    /// that `records(block)` — a block's programmed records, `None` past
+    /// the last block — says are programmed.
+    pub(crate) fn check(&self, records: impl Fn(usize) -> Option<usize>) -> Result<(), String> {
+        if let Some(pair) = self.seals.windows(2).find(|w| match w {
+            [a, b] => a.at() >= b.at(),
+            _ => false,
+        }) {
+            return Err(format!("seal log out of order or repeated: {pair:?}"));
+        }
+        match self.seals.iter().find(|s| {
+            records(s.block as usize).is_none_or(|programmed| s.record as usize >= programmed)
+        }) {
+            Some(s) => Err(format!("seal for an unprogrammed record: {s:?}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// One unit slot as an injector's change sees it.
+struct SlotMut<'a> {
+    /// The slot is a mapping-unit slot of its page (`< units`).
+    unit: bool,
+    /// The slot holds an OOB record (`< oobs`).
+    oob: bool,
+    record: &'a mut UnitRecord,
+    /// The unit's extra fragments.
+    extras: &'a mut [Fragment],
+}
+
+/// The fault injectors' hold on one block: every change to a stored bit
+/// goes through here, and keeps the changed slot's seal first.
+pub(crate) struct Injector<'a> {
+    pub(crate) block: u32,
+    pub(crate) store: &'a mut BlockStore,
+    pub(crate) seals: &'a mut SealLog,
+}
+
+impl Injector<'_> {
+    /// Applies `change` to slot `slot` of page `page`; `change` returns
+    /// false when the slot stores nothing it would change, and must then
+    /// change nothing. Before the slot's first change its checksums —
+    /// still those of what was programmed — go into the seal log. False
+    /// when the page is not programmed or not that wide.
+    fn change_slot(
         &mut self,
         page: usize,
         slot: usize,
-    ) -> Option<(PageHeader, &mut UnitRecord, &mut [Fragment])> {
-        let header = *self.pages.get(page)?;
-        if slot >= header.units.max(header.oobs) as usize {
-            return None;
+        change: impl FnOnce(SlotMut<'_>) -> bool,
+    ) -> bool {
+        let Some(&header) = self.store.pages.get(page) else {
+            return false;
+        };
+        let first = header.first as usize;
+        let Some(records) = self.store.records.get_mut(first..first + header.slots()) else {
+            return false;
+        };
+        let extras = extras_range(records, slot);
+        let (Some(record), Some(index)) = (records.get_mut(slot), index32(first + slot)) else {
+            return false;
+        };
+        let base = header.extra as usize;
+        let extras = (self.store.extra)
+            .get_mut(base + extras.start..base + extras.end)
+            .unwrap_or_default();
+        let (unit, oob) = (
+            slot < usize::from(header.units),
+            slot < usize::from(header.oobs),
+        );
+        let seal = Seal {
+            block: self.block,
+            record: index,
+            unit_seal: if unit && record.occupied {
+                record.unit_checksum(extras)
+            } else {
+                0
+            },
+            oob_seal: if oob { record.oob_checksum() } else { 0 },
+        };
+        let changed = change(SlotMut {
+            unit,
+            oob,
+            record,
+            extras,
+        });
+        if changed {
+            self.seals.keep(seal);
         }
-        let record = self.records.get_mut(header.first as usize + slot)?;
-        Some((header, record, &mut self.extra))
+        changed
     }
 
     /// The corruption injectors' data primitive: XORs the key and version
-    /// of every fragment of unit `i` with the nonzero `mask` *without*
-    /// resealing, so the stale checksum no longer matches. Returns false
-    /// when there is no such occupied unit.
+    /// of every fragment of unit `i` with the nonzero `mask`, so it no
+    /// longer matches its seal. Returns false when there is no such
+    /// occupied unit.
     pub(crate) fn flip_unit_bits(&mut self, page: usize, i: usize, mask: u64) -> bool {
-        let Some((header, record, extra)) = self.slot_mut(page, i) else {
-            return false;
-        };
-        if i >= header.units as usize || !record.occupied {
-            return false;
-        }
-        record.key ^= mask;
-        record.version ^= mask;
-        let extras = (record.fragments as usize).saturating_sub(1);
-        for f in extra
-            .iter_mut()
-            .skip(record.extra_start as usize)
-            .take(extras)
-        {
-            f.key ^= mask;
-            f.version ^= mask;
-        }
-        true
+        self.change_slot(page, i, |slot| {
+            if !slot.unit || !slot.record.occupied {
+                return false;
+            }
+            slot.record.key ^= mask;
+            slot.record.version ^= mask;
+            for f in slot.extras {
+                f.key ^= mask;
+                f.version ^= mask;
+            }
+            true
+        })
     }
 
     /// The injectors' metadata primitive: corrupts the recovery-critical
-    /// `lpn`/`sequence` stamps of OOB record `i` without resealing.
-    /// Returns false when the page has no such record.
+    /// `lpn`/`sequence` stamps of OOB record `i`. Returns false when the
+    /// page has no such record.
     pub(crate) fn flip_oob_bits(&mut self, page: usize, i: usize, mask: u64) -> bool {
-        let Some((header, record, _)) = self.slot_mut(page, i) else {
-            return false;
-        };
-        if i >= header.oobs as usize {
-            return false;
-        }
-        record.lpn ^= mask;
-        record.sequence ^= mask.rotate_left(17);
-        true
+        self.change_slot(page, i, |slot| {
+            if !slot.oob {
+                return false;
+            }
+            slot.record.lpn ^= mask;
+            slot.record.sequence ^= mask.rotate_left(17);
+            true
+        })
     }
 
     /// Flips bit `bit` (modulo the field's width) of one stored field of
-    /// slot `slot` without resealing. Returns false when the slot stores
-    /// no such field.
+    /// slot `slot`. Returns false when the slot stores no such field.
     pub(crate) fn flip_stored_bit(
         &mut self,
         page: usize,
@@ -269,57 +474,77 @@ impl BlockStore {
         field: StoredField,
         bit: u32,
     ) -> bool {
-        let Some((header, record, extra)) = self.slot_mut(page, slot) else {
-            return false;
-        };
         let (wide, narrow) = (1u64 << (bit % 64), 1u32 << (bit % 32));
-        let fragment = match field {
-            StoredField::Key(f) | StoredField::Version(f) | StoredField::Bytes(f) => f,
-            _ if slot >= header.oobs as usize => return false,
-            StoredField::Lpn => {
-                record.lpn ^= wide;
-                return true;
+        self.change_slot(page, slot, |slot| {
+            let record = slot.record;
+            let fragment = match field {
+                StoredField::Key(f) | StoredField::Version(f) | StoredField::Bytes(f) => f,
+                _ if !slot.oob => return false,
+                StoredField::Lpn => {
+                    record.lpn ^= wide;
+                    return true;
+                }
+                StoredField::Sequence => {
+                    record.sequence ^= wide;
+                    return true;
+                }
+                StoredField::Kind => {
+                    record.kind ^= 1 << (bit % 8);
+                    return true;
+                }
+            };
+            if !slot.unit || !record.occupied || fragment >= usize::from(record.fragments) {
+                return false;
             }
-            StoredField::Sequence => {
-                record.sequence ^= wide;
-                return true;
+            let (key, version, bytes) = match fragment.checked_sub(1) {
+                None => (&mut record.key, &mut record.version, &mut record.bytes),
+                Some(i) => match slot.extras.get_mut(i) {
+                    Some(f) => (&mut f.key, &mut f.version, &mut f.bytes),
+                    None => return false,
+                },
+            };
+            match field {
+                StoredField::Key(_) => *key ^= wide,
+                StoredField::Version(_) => *version ^= wide,
+                _ => *bytes ^= narrow,
             }
-            StoredField::Kind => {
-                record.kind ^= 1 << (bit % 8);
-                return true;
-            }
+            true
+        })
+    }
+
+    /// Flips `mask` into every occupied unit from `first_unit` on and
+    /// every OOB record of the page the block programmed last: what a
+    /// misdirected or torn program leaves behind.
+    pub(crate) fn damage_last_page(&mut self, first_unit: usize, mask: u64) {
+        let Some(page) = self.store.cursor().checked_sub(1) else {
+            return;
         };
-        if slot >= header.units as usize
-            || !record.occupied
-            || fragment >= record.fragments as usize
-        {
-            return false;
-        }
-        let (key, version, bytes) = match fragment.checked_sub(1) {
-            None => (&mut record.key, &mut record.version, &mut record.bytes),
-            Some(i) => match extra.get_mut(record.extra_start as usize + i) {
-                Some(f) => (&mut f.key, &mut f.version, &mut f.bytes),
-                None => return false,
-            },
+        let Some(&header) = self.store.pages.get(page) else {
+            return;
         };
-        match field {
-            StoredField::Key(_) => *key ^= wide,
-            StoredField::Version(_) => *version ^= wide,
-            _ => *bytes ^= narrow,
+        for i in first_unit..usize::from(header.units) {
+            self.flip_unit_bits(page, i, mask);
         }
-        true
+        for i in 0..usize::from(header.oobs) {
+            self.flip_oob_bits(page, i, mask);
+        }
     }
 }
 
-/// A programmed page, borrowed from its block's arenas. Indices follow
-/// the staged [`PageContent`]: unit `i` is `units[i]`, OOB record `i` is
-/// `oob[i]`.
+/// A programmed page, borrowed from its block's arenas and the seal log.
+/// Indices follow the staged [`PageContent`]: unit `i` is `units[i]`,
+/// OOB record `i` is `oob[i]`.
 #[derive(Debug, Clone, Copy)]
 pub struct PageView<'a> {
     records: &'a [UnitRecord],
     units: usize,
     oobs: usize,
+    /// The block's fragment arena from the page's first extra on.
     extra: &'a [Fragment],
+    /// The log's entries for the page's records.
+    seals: &'a [Seal],
+    /// The block's record index of slot 0.
+    first: u32,
 }
 
 impl<'a> PageView<'a> {
@@ -345,11 +570,31 @@ impl<'a> PageView<'a> {
         self.records.get(..self.oobs)?.get(i)
     }
 
+    /// The extra fragments of unit `i`.
+    #[inline]
+    fn extras(&self, i: usize) -> &'a [Fragment] {
+        let range = extras_range(self.records, i);
+        if range.is_empty() {
+            return &[];
+        }
+        self.extra.get(range).unwrap_or(&[])
+    }
+
+    /// The seal kept for slot `i`, if an injector changed it.
+    #[inline]
+    fn seal(&self, i: usize) -> Option<&'a Seal> {
+        if self.seals.is_empty() {
+            return None;
+        }
+        let record = u64::from(self.first) + i as u64;
+        self.seals.iter().find(|s| u64::from(s.record) == record)
+    }
+
     /// The fragments of unit `i`; `None` for a padded slot or one past
     /// the page.
     #[inline]
     pub fn unit(&self, i: usize) -> Option<UnitRef<'a>> {
-        self.unit_record(i).map(|r| r.unit(self.extra))
+        self.unit_record(i).map(|r| r.unit(self.extras(i)))
     }
 
     /// Number of occupied units.
@@ -370,29 +615,40 @@ impl<'a> PageView<'a> {
         records.iter().map(UnitRecord::oob)
     }
 
-    /// The checksum sealed over unit `i` at program time.
+    /// The checksum of unit `i` as programmed: the seal an injector kept,
+    /// or that of the stored unit, which nothing else changes.
     pub fn unit_crc(&self, i: usize) -> Option<u32> {
-        self.unit_record(i).map(|r| r.unit_crc)
-    }
-
-    /// The checksum sealed over OOB record `i` at program time.
-    pub fn oob_crc(&self, i: usize) -> Option<u32> {
-        self.oob_record(i).map(|r| r.oob_crc)
-    }
-
-    /// Verifies the sealed checksum of unit `i`. Padded slots verify
-    /// trivially (there is nothing to protect).
-    pub fn unit_intact(&self, i: usize) -> bool {
-        self.unit_record(i).is_none_or(|r| {
-            integrity::fragments_checksum(r.fragments, r.unit(self.extra).iter()) == r.unit_crc
+        self.unit_record(i).map(|r| {
+            self.seal(i)
+                .map_or_else(|| r.unit_checksum(self.extras(i)), |s| s.unit_seal)
         })
     }
 
-    /// Verifies the sealed checksum of OOB record `i` (trivially true
-    /// when absent).
+    /// The checksum of OOB record `i` as programmed (see
+    /// [`PageView::unit_crc`]).
+    pub fn oob_crc(&self, i: usize) -> Option<u32> {
+        self.oob_record(i).map(|r| {
+            self.seal(i)
+                .map_or_else(|| r.oob_checksum(), |s| s.oob_seal)
+        })
+    }
+
+    /// Verifies unit `i` against its seal: a slot no injector changed
+    /// holds what was programmed, and one it changed must checksum as
+    /// before. Padded slots verify trivially (there is nothing to
+    /// protect).
+    pub fn unit_intact(&self, i: usize) -> bool {
+        self.unit_record(i).is_none_or(|r| {
+            self.seal(i)
+                .is_none_or(|s| r.unit_checksum(self.extras(i)) == s.unit_seal)
+        })
+    }
+
+    /// Verifies OOB record `i` against its seal (trivially true when
+    /// absent).
     pub fn oob_intact(&self, i: usize) -> bool {
         self.oob_record(i)
-            .is_none_or(|r| integrity::oob_record_checksum(r.lpn, r.sequence, r.kind) == r.oob_crc)
+            .is_none_or(|r| self.seal(i).is_none_or(|s| r.oob_checksum() == s.oob_seal))
     }
 
     /// True when every occupied unit and OOB record verifies.
@@ -417,8 +673,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_unit_record_is_at_most_56_bytes() {
-        assert!(size_of::<UnitRecord>() <= 56);
+    fn a_unit_record_is_40_bytes() {
+        assert_eq!(size_of::<UnitRecord>(), 40);
         assert_eq!(size_of::<PageHeader>(), 12);
     }
 }

@@ -1091,12 +1091,14 @@ impl Ftl {
     }
 
     /// Exhaustive internal-consistency check for tests: mapping symmetry
-    /// plus every component's own invariants.
+    /// plus every component's own invariants, the flash array's seal log
+    /// included.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.flash.check_seals()?;
         self.table.check_consistency()?;
         self.buffer.check_invariants(&self.table)?;
         self.pool.check_invariants(&self.table, self.upp)?;
