@@ -1,19 +1,27 @@
 //! The paper's evaluation as data: every figure and table is a function
-//! that runs its cells and appends one [`Row`] per number, the paper's
-//! own number beside it where the paper states one for that very cell.
+//! that runs its cells and appends one [`Row`] per number.
 //!
 //! Row names read `figure/cell…/quantity` — `fig09/zipfian/check-in/p999_us`,
 //! `fig11/A/128thr/checkin_vs_baseline_throughput_pct` — and every
 //! value is a simulated quantity, so [`paper_section`] writes the same
-//! rows on any host. Nothing here judges a row: a measured value beside
-//! the paper's, in a file `scripts/verify.sh` diffs whole, is what shows
-//! a number move. EXPERIMENTS.md reads the rows.
+//! rows on any host.
+//!
+//! Every number the paper states is in one place, [`CLAIMS`]: the row it
+//! is about, the paper's value and the [`Verdict`] the row is declared
+//! to earn against it. `lab` fails when a row earns another verdict
+//! than its claim declares, in either direction ([`misjudged`]), so a
+//! change that moves a claimed row across [`TOLERANCE`] or across the
+//! paper's sign has to change its claim too, and the `BENCH_perf.json`
+//! diff shows it. EXPERIMENTS.md shows the rows in tables `lab`
+//! generates ([`crate::harness::fill`]).
 //!
 //! A cell that reports a checkpoint quantity runs until it holds
 //! [`MIN_CHECKPOINTS`] of them and records how many it took. The
 //! GC-pressured cells (Fig. 8, the ablation) are sized in queries,
 //! because write volume is what creates the pressure, and assert the
 //! same floor.
+
+use std::fmt;
 
 use checkin_core::{RunReport, Strategy, SystemConfig};
 use checkin_flash::FlashTiming;
@@ -22,10 +30,159 @@ use checkin_workload::{AccessPattern, OpMix, RecordSizes};
 
 use crate::harness::row;
 use crate::{gc_pressured_config, paper_config, reduction_pct, section};
+use Deviation::{AnalyticMapCache, PaddedJournal};
+use Verdict::{Deviates, Direction, Reproduced};
 
 /// Checkpoints a cell must hold before it says anything about
 /// checkpointing.
 pub const MIN_CHECKPOINTS: u64 = 8;
+
+/// How far from the paper's value a row with the paper's sign may be,
+/// relative to that value, and still count as [`Verdict::Reproduced`].
+/// One bound for every claim: the substrate is a scaled simulator, so
+/// what a claim can ask for is the paper's sign and rough size.
+pub const TOLERANCE: f64 = 0.25;
+
+/// What a claimed row earns against the paper's value. Sign is taken
+/// about the neutral point of the row's unit — 0 for `%` and for the
+/// `bool` rows of shape claims, 1 for `x` — and a value at the neutral
+/// point has the wrong sign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The paper's sign, and `|value / paper − 1| ≤ TOLERANCE`.
+    Reproduced,
+    /// The paper's sign, outside [`TOLERANCE`].
+    Direction,
+    /// The wrong sign, for the reason EXPERIMENTS.md's deviation names.
+    Deviates(Deviation),
+}
+
+/// EXPERIMENTS.md's "Summary of model deviations", one variant per
+/// entry, numbered as there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Deviation {
+    /// #1: a tick drains a running checkpoint; every other booking of
+    /// a checkpoint is a pump step.
+    TickDrain = 1,
+    /// #2: a narrow device of 8 dies, so a copy's die work is what
+    /// separates the copy schemes from the remap schemes.
+    NarrowDevice = 2,
+    /// #3: sector-padded conventional journaling, so ISC-C remaps
+    /// nearly every log.
+    PaddedJournal = 3,
+    /// #4: a scaled device whose mapping cache is analytic, so a
+    /// smaller mapping unit costs no flash traffic.
+    AnalyticMapCache = 4,
+}
+
+impl Verdict {
+    /// Whether `value` earns this verdict against the paper's `paper`,
+    /// both in `unit`. No verdict is earned in a unit without a neutral
+    /// point.
+    pub fn earned_by(self, value: f64, paper: f64, unit: &str) -> bool {
+        let neutral = match unit {
+            "%" | "bool" => 0.0,
+            "x" => 1.0,
+            _ => return false,
+        };
+        let same_sign = (value - neutral) * (paper - neutral) > 0.0;
+        let close = (value / paper - 1.0).abs() <= TOLERANCE;
+        match self {
+            Verdict::Reproduced => same_sign && close,
+            Verdict::Direction => same_sign && !close,
+            Verdict::Deviates(_) => !same_sign,
+        }
+    }
+}
+
+/// `reproduced`, `direction` or `deviates #n`: the `"verdict"` of a
+/// `BENCH_perf.json` row.
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Verdict::Reproduced => f.write_str("reproduced"),
+            Verdict::Direction => f.write_str("direction"),
+            Verdict::Deviates(d) => write!(f, "deviates #{}", *d as u8),
+        }
+    }
+}
+
+/// One number the paper states: the row it is about, the paper's value
+/// and the verdict the row is declared to earn.
+#[derive(Debug, Clone, Copy)]
+pub struct Claim {
+    /// The row's full name.
+    pub row: &'static str,
+    /// What the paper states, in the row's unit.
+    pub paper: f64,
+    /// What the row is declared to earn against it.
+    pub verdict: Verdict,
+}
+
+impl Claim {
+    /// The claim on the row `name`, where the paper makes one.
+    pub fn on(name: &str) -> Option<&'static Claim> {
+        CLAIMS.iter().find(|c| c.row == name)
+    }
+}
+
+const fn claim(row: &'static str, paper: f64, verdict: Verdict) -> Claim {
+    Claim {
+        row,
+        paper,
+        verdict,
+    }
+}
+
+/// Every number the paper states for a cell `lab` runs, with the verdict
+/// its row earns today. The two `bool` rows are shapes the paper draws
+/// rather than states: 1 where the shape holds. The `eq1` rows are read
+/// where GC has barely begun and swing widely across seeds, so they
+/// claim a direction only.
+#[rustfmt::skip]
+pub const CLAIMS: [Claim; 24] = [
+    claim("fig03a/uniform/io_amplification", 2.98, Reproduced),
+    claim("fig03a/uniform/flash_amplification", 7.9, Reproduced),
+    claim("fig03a/zipfian/io_amplification", 1.91, Reproduced),
+    claim("fig03a/zipfian/flash_amplification", 4.7, Reproduced),
+    claim("fig03c/read/during_checkpoint_vs_mean", 4.0, Direction),
+    claim("fig03c/write/during_checkpoint_vs_mean", 21.0, Direction),
+    claim("fig08a/check-in/250ms/redundant_reduction_vs_baseline_pct", 94.3, Reproduced),
+    claim("fig08a/check-in/250ms/redundant_reduction_vs_iscc_pct", 45.6, Deviates(PaddedJournal)),
+    claim("fig08b/check-in/300000q/gc_reduction_vs_baseline_pct", 74.1, Reproduced),
+    claim("fig08b/check-in/300000q/gc_reduction_vs_iscc_pct", 44.8, Direction),
+    claim("eq1/check-in/lifetime_vs_baseline", 3.86, Direction),
+    claim("eq1/check-in/lifetime_vs_iscc", 1.81, Direction),
+    claim("fig09/uniform/checkin_vs_baseline_p999_reduction_pct", 92.1, Reproduced),
+    claim("fig09/uniform/checkin_vs_iscc_p9999_reduction_pct", 51.3, Deviates(PaddedJournal)),
+    claim("fig09/zipfian/checkin_vs_baseline_p999_reduction_pct", 92.4, Direction),
+    claim("fig09/zipfian/checkin_vs_iscc_p9999_reduction_pct", 50.8, Deviates(PaddedJournal)),
+    claim("fig11/A/128thr/checkin_vs_baseline_throughput_pct", 8.1, Direction),
+    claim("fig11/A/128thr/checkin_vs_baseline_mean_latency_pct", -10.2, Direction),
+    claim("fig12/check-in_steadier_than_baseline", 1.0, Reproduced),
+    claim("fig13a/check-in/rises_with_unit", 1.0, Deviates(AnalyticMapCache)),
+    claim("fig13b/P1-small/checkin_vs_iscc_space_pct", 3.0, Direction),
+    claim("fig13b/P2-mixed/checkin_vs_iscc_space_pct", 3.0, Direction),
+    claim("fig13b/P3-medium/checkin_vs_iscc_space_pct", 3.0, Direction),
+    claim("fig13b/P4-uniform/checkin_vs_iscc_space_pct", 3.0, Direction),
+];
+
+/// The claims whose rows do not earn their declared verdict, or that
+/// name no row of `rows`, each as one line: empty when every claim holds.
+pub fn misjudged(rows: &[Row]) -> Vec<String> {
+    let mut wrong = Vec::new();
+    for c in &CLAIMS {
+        match rows.iter().find(|r| r.name == c.row) {
+            None => wrong.push(format!("{}: no such row", c.row)),
+            Some(r) if !c.verdict.earned_by(r.value, c.paper, r.unit) => wrong.push(format!(
+                "{}: {:.3} {} against the paper's {} does not earn \"{}\"",
+                c.row, r.value, r.unit, c.paper, c.verdict
+            )),
+            Some(_) => {}
+        }
+    }
+    wrong
+}
 
 /// The rows written so far and the function that runs a configuration:
 /// [`crate::run`] for `lab`, a stand-in that runs nothing for the tests.
@@ -37,7 +194,7 @@ struct Paper<'a> {
 impl Paper<'_> {
     /// Appends the row `cell/leaf`.
     fn put(&mut self, cell: &str, leaf: &str, value: f64, unit: &'static str) {
-        self.put_vs(cell, leaf, value, unit, None);
+        self.rows.push(row(&format!("{cell}/{leaf}"), value, unit));
     }
 
     /// [`Paper::put`] for a counter.
@@ -45,17 +202,9 @@ impl Paper<'_> {
         self.put(cell, leaf, value as f64, unit);
     }
 
-    /// Appends the row `cell/leaf` beside the paper's number for it.
-    fn put_vs(
-        &mut self,
-        cell: &str,
-        leaf: &str,
-        value: f64,
-        unit: &'static str,
-        paper: impl Into<Option<f64>>,
-    ) {
-        let name = format!("{cell}/{leaf}");
-        self.rows.push(row(&name, value, unit, paper.into()));
+    /// Appends the shape row `cell/leaf`: 1 where the shape holds.
+    fn shape(&mut self, cell: &str, leaf: &str, holds: bool) {
+        self.put(cell, leaf, f64::from(u8::from(holds)), "bool");
     }
 
     /// Runs `config` for the queries it names.
@@ -126,9 +275,17 @@ fn rows_from(run: &mut dyn FnMut(SystemConfig) -> RunReport) -> Vec<Row> {
     paper.rows
 }
 
-/// Runs every figure and table: `lab`'s `paper` section.
+/// Runs every figure and table — `lab`'s `paper` section — and lists
+/// each claimed row beside the paper's value.
 pub fn paper_section() -> Vec<Row> {
-    rows_from(&mut crate::run)
+    let rows = rows_from(&mut crate::run);
+    section("paper: the paper's claims");
+    for r in &rows {
+        if let Some(c) = Claim::on(&r.name) {
+            println!("{r}   (paper {}, {})", c.paper, c.verdict);
+        }
+    }
+    rows
 }
 
 const THREADS: [u32; 5] = [4, 16, 32, 64, 128];
@@ -169,18 +326,14 @@ fn locked_write_only(strategy: Strategy, pattern: AccessPattern, threads: u32) -
 /// flash-operation amplification, (b) checkpoint time against threads,
 /// (c) query latency during a checkpoint against the average.
 fn fig03(p: &mut Paper<'_>) {
-    for (pattern, io, flash) in [
-        (AccessPattern::Uniform, 2.98, 7.9),
-        (AccessPattern::Zipfian, 1.91, 4.7),
-    ] {
+    for pattern in [AccessPattern::Uniform, AccessPattern::Zipfian] {
         let cell = format!("fig03a/{}", pattern.label());
         let mut c = paper_config(Strategy::Baseline);
         c.workload.mix = OpMix::WRITE_ONLY;
         c.workload.pattern = pattern;
         let r = p.until_checkpoints(&cell, c);
-        p.put_vs(&cell, "io_amplification", r.io_amplification, "x", io);
-        let flash_ops = r.flash_amplification;
-        p.put_vs(&cell, "flash_amplification", flash_ops, "x", flash);
+        p.put(&cell, "io_amplification", r.io_amplification, "x");
+        p.put(&cell, "flash_amplification", r.flash_amplification, "x");
 
         let mut at_4 = None;
         for threads in THREADS {
@@ -197,15 +350,15 @@ fn fig03(p: &mut Paper<'_>) {
     }
     // Workload A under the default (zipfian) pattern.
     let r = p.until_checkpoints("fig03c", paper_config(Strategy::Baseline));
-    for (query, all, during, paper) in [
-        ("read", &r.latency_read, &r.latency_read_during_cp, 4.0),
-        ("write", &r.latency_write, &r.latency_write_during_cp, 21.0),
+    for (query, all, during) in [
+        ("read", &r.latency_read, &r.latency_read_during_cp),
+        ("write", &r.latency_write, &r.latency_write_during_cp),
     ] {
         let cell = format!("fig03c/{query}");
         let (mean, in_cp) = (us(all.mean), us(during.mean));
         p.put(&cell, "mean_us", mean, "us");
         p.put(&cell, "during_checkpoint_mean_us", in_cp, "us");
-        p.put_vs(&cell, "during_checkpoint_vs_mean", in_cp / mean, "x", paper);
+        p.put(&cell, "during_checkpoint_vs_mean", in_cp / mean, "x");
     }
 }
 
@@ -233,10 +386,8 @@ fn erases(r: &RunReport) -> u64 {
 
 /// Fig. 8 and Equation (1) on the GC-pressured device: (a) redundant
 /// writes against the checkpoint interval, (b) GC invocations against
-/// write volume, and the lifetime ratios of (a)'s 250 ms cells. Only
-/// Check-In's comparisons have a number in the paper.
+/// write volume, and the lifetime ratios of (a)'s 250 ms cells.
 fn fig08(p: &mut Paper<'_>) {
-    let only_checkin = |s, paper: f64| (s == Strategy::CheckIn).then_some(paper);
     let mut at_250 = Vec::new();
     for strategy in Strategy::all() {
         for interval_ms in [125u64, 250, 500] {
@@ -259,11 +410,11 @@ fn fig08(p: &mut Paper<'_>) {
         let cell = format!("fig08a/{}/250ms", tag(strategy));
         let leaf = "redundant_reduction_vs_baseline_pct";
         let cut = reduction_pct(redundant(Strategy::Baseline), redundant(strategy));
-        p.put_vs(&cell, leaf, cut, "%", only_checkin(strategy, 94.3));
+        p.put(&cell, leaf, cut, "%");
     }
     let leaf = "redundant_reduction_vs_iscc_pct";
     let cut = reduction_pct(redundant(Strategy::IscC), redundant(Strategy::CheckIn));
-    p.put_vs("fig08a/check-in/250ms", leaf, cut, "%", 45.6);
+    p.put("fig08a/check-in/250ms", leaf, cut, "%");
 
     const MOST_QUERIES: u64 = 300_000;
     let mut at_most = Vec::new();
@@ -296,24 +447,24 @@ fn fig08(p: &mut Paper<'_>) {
     }
     let gc = |s| gc_invocations(of(&at_most, s)) as f64;
     let cell = format!("fig08b/check-in/{MOST_QUERIES}q");
-    for (leaf, against, paper) in [
-        ("gc_reduction_vs_baseline_pct", Strategy::Baseline, 74.1),
-        ("gc_reduction_vs_iscc_pct", Strategy::IscC, 44.8),
+    for (leaf, against) in [
+        ("gc_reduction_vs_baseline_pct", Strategy::Baseline),
+        ("gc_reduction_vs_iscc_pct", Strategy::IscC),
     ] {
         let cut = reduction_pct(gc(against), gc(Strategy::CheckIn));
-        p.put_vs(&cell, leaf, cut, "%", paper);
+        p.put(&cell, leaf, cut, "%");
     }
 
     // Equation (1): lifetime = PEC_max * T_op / BEC, as ratios at equal work.
     for (strategy, r) in &at_250 {
         let cell = format!("eq1/{}", tag(*strategy));
         p.count(&cell, "erases", erases(r), "blocks");
-        for (leaf, against, paper) in [
-            ("lifetime_vs_baseline", Strategy::Baseline, 3.86),
-            ("lifetime_vs_iscc", Strategy::IscC, 1.81),
+        for (leaf, against) in [
+            ("lifetime_vs_baseline", Strategy::Baseline),
+            ("lifetime_vs_iscc", Strategy::IscC),
         ] {
             let ratio = r.lifetime_vs(of(&at_250, against));
-            p.put_vs(&cell, leaf, ratio, "x", only_checkin(*strategy, paper));
+            p.put(&cell, leaf, ratio, "x");
         }
     }
 }
@@ -321,10 +472,7 @@ fn fig08(p: &mut Paper<'_>) {
 /// Fig. 9: tail latency of workload A per configuration, and Check-In's
 /// two headline reductions (signed: a negative one is an increase).
 fn fig09(p: &mut Paper<'_>) {
-    for (pattern, vs_baseline, vs_iscc) in [
-        (AccessPattern::Uniform, 92.1, 51.3),
-        (AccessPattern::Zipfian, 92.4, 50.8),
-    ] {
+    for pattern in [AccessPattern::Uniform, AccessPattern::Zipfian] {
         let mut reports = Vec::new();
         for strategy in Strategy::all() {
             let cell = format!("fig09/{}/{}", pattern.label(), tag(strategy));
@@ -343,10 +491,10 @@ fn fig09(p: &mut Paper<'_>) {
         let ci = lat(Strategy::CheckIn);
         let leaf = "checkin_vs_baseline_p999_reduction_pct";
         let cut = reduction_pct(us(lat(Strategy::Baseline).p999), us(ci.p999));
-        p.put_vs(&cell, leaf, cut, "%", vs_baseline);
+        p.put(&cell, leaf, cut, "%");
         let leaf = "checkin_vs_iscc_p9999_reduction_pct";
         let cut = reduction_pct(us(lat(Strategy::IscC).p9999), us(ci.p9999));
-        p.put_vs(&cell, leaf, cut, "%", vs_iscc);
+        p.put(&cell, leaf, cut, "%");
     }
 }
 
@@ -364,7 +512,7 @@ fn fig10(p: &mut Paper<'_>) {
 
 /// Fig. 11: throughput and mean latency of workloads A, F and
 /// write-only against threads, and Check-In against the baseline at 128
-/// (the paper's +8.1 % / -10.2 % are stated for workload A).
+/// (the paper states its two numbers for workload A).
 fn fig11(p: &mut Paper<'_>) {
     for mix in [OpMix::A, OpMix::F, OpMix::WRITE_ONLY] {
         let mut at_128 = Vec::new();
@@ -386,19 +534,21 @@ fn fig11(p: &mut Paper<'_>) {
         let cell = format!("fig11/{}/128thr", mix.label());
         let base = of(&at_128, Strategy::Baseline);
         let ci = of(&at_128, Strategy::CheckIn);
-        let only_a = |paper: f64| (mix == OpMix::A).then_some(paper);
         let leaf = "checkin_vs_baseline_throughput_pct";
         let gain = change_pct(base.throughput, ci.throughput);
-        p.put_vs(&cell, leaf, gain, "%", only_a(8.1));
+        p.put(&cell, leaf, gain, "%");
         let leaf = "checkin_vs_baseline_mean_latency_pct";
         let change = change_pct(us(base.latency.mean), us(ci.latency.mean));
-        p.put_vs(&cell, leaf, change, "%", only_a(-10.2));
+        p.put(&cell, leaf, change, "%");
     }
 }
 
-/// Fig. 12: the baseline and Check-In against the checkpoint interval.
+/// Fig. 12: the baseline and Check-In against the checkpoint interval,
+/// and the paper's shape: Check-In's throughput steadier across the
+/// intervals (a smaller max / min) than the baseline's.
 fn fig12(p: &mut Paper<'_>) {
-    for strategy in [Strategy::Baseline, Strategy::CheckIn] {
+    let spread = [Strategy::Baseline, Strategy::CheckIn].map(|strategy| {
+        let (mut min, mut max) = (f64::INFINITY, 0.0f64);
         for interval_ms in [62u64, 125, 250, 500, 1000] {
             let cell = format!("fig12/{}/{interval_ms}ms", tag(strategy));
             let mut c = paper_config(strategy);
@@ -407,14 +557,24 @@ fn fig12(p: &mut Paper<'_>) {
             p.put(&cell, "throughput", r.throughput, "queries/s");
             p.put(&cell, "mean_latency_us", us(r.latency.mean), "us");
             p.put(&cell, "p999_us", us(r.latency.p999), "us");
+            (min, max) = (min.min(r.throughput), max.max(r.throughput));
         }
-    }
+        max / min
+    });
+    let [baseline, checkin] = spread;
+    p.shape(
+        "fig12",
+        "check-in_steadier_than_baseline",
+        checkin < baseline,
+    );
 }
 
 /// Fig. 13: (a) throughput against the mapping unit for the two remap
-/// schemes, (b) journal space of Check-In against ISC-C at the 4 KiB
-/// unit over four record-size patterns.
+/// schemes, and the paper's shape, Check-In's throughput higher at
+/// 4 096 B than at 512 B; (b) journal space of Check-In against ISC-C
+/// at the 4 KiB unit over four record-size patterns.
 fn fig13(p: &mut Paper<'_>) {
+    let mut checkin = Vec::new();
     for strategy in [Strategy::IscC, Strategy::CheckIn] {
         for unit in [512u32, 1024, 2048, 4096] {
             let cell = format!("fig13a/{}/{unit}B", tag(strategy));
@@ -429,8 +589,13 @@ fn fig13(p: &mut Paper<'_>) {
             p.put(&cell, "mean_latency_us", us(r.latency.mean), "us");
             p.count(&cell, "remapped_entries", r.remapped_entries, "entries");
             p.count(&cell, "copied_entries", r.copied_entries, "entries");
+            if strategy == Strategy::CheckIn {
+                checkin.push(r.throughput);
+            }
         }
     }
+    let rises = checkin.last() > checkin.first();
+    p.shape("fig13a/check-in", "rises_with_unit", rises);
     for (pattern, sizes) in [
         ("P1-small", RecordSizes::pattern1()),
         ("P2-mixed", RecordSizes::pattern2()),
@@ -450,7 +615,7 @@ fn fig13(p: &mut Paper<'_>) {
             space
         });
         let delta = change_pct(iscc, ci);
-        p.put_vs(&cell, "checkin_vs_iscc_space_pct", delta, "%", 3.0);
+        p.put(&cell, "checkin_vs_iscc_space_pct", delta, "%");
     }
 }
 
@@ -551,7 +716,7 @@ fn beyond(p: &mut Paper<'_>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
@@ -570,10 +735,10 @@ mod tests {
         r
     }
 
-    #[test]
-    fn every_cell_validates_and_every_row_name_is_unique() {
-        // No cell runs: each configuration is validated and answered
-        // with the same canned report.
+    /// Every row, with no cell run: each configuration is validated and
+    /// answered with the same canned report. Also returns the number of
+    /// cells.
+    pub(crate) fn canned_rows() -> (Vec<Row>, u32) {
         let canned = small_report();
         let mut cells = 0;
         let rows = rows_from(&mut |config| {
@@ -581,6 +746,23 @@ mod tests {
             cells += 1;
             canned.clone()
         });
+        (rows, cells)
+    }
+
+    /// The claims with the unit of their rows.
+    fn claims_in_units(rows: &[Row]) -> Vec<(Claim, &'static str)> {
+        let unit = |c: &Claim| {
+            rows.iter()
+                .find(|r| r.name == c.row)
+                .expect("claimed row")
+                .unit
+        };
+        CLAIMS.iter().map(|c| (*c, unit(c))).collect()
+    }
+
+    #[test]
+    fn every_cell_validates_and_every_row_name_is_unique() {
+        let (rows, cells) = canned_rows();
         let names: BTreeSet<&str> = rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names.len(), rows.len(), "a row name repeats");
         // The artifact holds simulated quantities only: a report's
@@ -589,7 +771,91 @@ mod tests {
             .iter()
             .all(|n| !n.split('/').any(|part| part == "host")));
         assert_eq!(cells, 188);
-        assert_eq!(rows.iter().filter(|r| r.paper.is_some()).count(), 22);
+
+        // Every claim names exactly one row, in a unit with a neutral
+        // point, and no row has two claims.
+        let claimed: BTreeSet<&str> = CLAIMS.iter().map(|c| c.row).collect();
+        assert_eq!(claimed.len(), 24, "a claim repeats");
+        for c in &CLAIMS {
+            let of = rows.iter().filter(|r| r.name == c.row).collect::<Vec<_>>();
+            assert_eq!(of.len(), 1, "{}: {} rows", c.row, of.len());
+            assert!(["%", "x", "bool"].contains(&of[0].unit), "{}", c.row);
+        }
+        assert_eq!(
+            rows.iter().filter(|r| Claim::on(&r.name).is_some()).count(),
+            24
+        );
+
+        // Each claimed row at exactly the paper's value earns
+        // `Reproduced`, so the gate names every claim declared
+        // otherwise, and only those.
+        let at_paper: Vec<Row> = rows
+            .iter()
+            .map(|r| match Claim::on(&r.name) {
+                Some(c) => Row::new(r.name.clone(), c.paper, r.unit),
+                None => r.clone(),
+            })
+            .collect();
+        let declared_otherwise = CLAIMS.iter().filter(|c| c.verdict != Reproduced).count();
+        assert_eq!(misjudged(&at_paper).len(), declared_otherwise);
+        assert_eq!(misjudged(&[]).len(), 24, "a claim on no row fails");
+    }
+
+    #[test]
+    fn a_verdict_is_judged_about_the_units_neutral_point() {
+        // The neutral value itself has the wrong sign, in every unit.
+        for (neutral, paper, unit) in [(0.0, 50.0, "%"), (1.0, 2.0, "x"), (0.0, 1.0, "bool")] {
+            assert!(Deviates(PaddedJournal).earned_by(neutral, paper, unit));
+            assert!(!Direction.earned_by(neutral, paper, unit));
+            assert!(!Reproduced.earned_by(neutral, paper, unit));
+        }
+        // A ratio below 1 is the wrong side of a ratio above it, though
+        // both are positive.
+        assert!(Deviates(PaddedJournal).earned_by(0.9, 2.0, "x"));
+        assert!(Reproduced.earned_by(2.4, 2.0, "x"));
+        assert!(Direction.earned_by(2.6, 2.0, "x"));
+        assert!(Reproduced.earned_by(1.0, 1.0, "bool"));
+        // Negative claims: a larger cut of the same sign is a direction.
+        assert!(Reproduced.earned_by(-11.0, -10.0, "%"));
+        assert!(Direction.earned_by(-26.0, -10.0, "%"));
+        assert!(Deviates(Deviation::TickDrain).earned_by(3.0, -10.0, "%"));
+        // How the artifact spells each.
+        assert_eq!(Reproduced.to_string(), "reproduced");
+        assert_eq!(Direction.to_string(), "direction");
+        assert_eq!(Deviates(PaddedJournal).to_string(), "deviates #3");
+        // No verdict at all in a unit without a neutral point.
+        for v in [Reproduced, Direction, Deviates(PaddedJournal)] {
+            assert!(!v.earned_by(10.0, 10.0, "us"));
+        }
+    }
+
+    #[test]
+    fn a_claim_fails_on_a_flipped_sign_or_inside_the_tolerance() {
+        let (rows, _) = canned_rows();
+        for (c, unit) in claims_in_units(&rows) {
+            let neutral = if unit == "x" { 1.0 } else { 0.0 };
+            let flipped = 2.0 * neutral - c.paper;
+            let inside = c.paper * (1.0 + TOLERANCE / 2.0);
+            match c.verdict {
+                // A `Reproduced` claim whose row flips sign fails.
+                Reproduced => {
+                    assert!(c.verdict.earned_by(c.paper, c.paper, unit), "{}", c.row);
+                    assert!(!c.verdict.earned_by(flipped, c.paper, unit), "{}", c.row);
+                }
+                // A `Direction` claim whose row lands inside the
+                // tolerance fails as surely as one that loses the sign.
+                Direction => {
+                    assert!(!c.verdict.earned_by(inside, c.paper, unit), "{}", c.row);
+                    assert!(!c.verdict.earned_by(flipped, c.paper, unit), "{}", c.row);
+                }
+                // A pinned deviation fails once its row has the
+                // paper's sign.
+                Deviates(_) => {
+                    assert!(c.verdict.earned_by(flipped, c.paper, unit), "{}", c.row);
+                    assert!(!c.verdict.earned_by(c.paper, c.paper, unit), "{}", c.row);
+                }
+            }
+        }
     }
 
     #[test]

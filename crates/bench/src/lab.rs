@@ -33,11 +33,11 @@
 //!   issued while a die erases start their programs: on the other, idle
 //!   die, at once.
 //! * **`paper`** — every figure and table of the paper's evaluation
-//!   ([`crate::figures`]), the paper's own number beside the measured
-//!   one where it states one.
+//!   ([`crate::figures`]), the paper's own number and a verdict beside
+//!   each row the paper makes a claim on.
 //!
-//! Ten conditions fail a run, all exact: a remap checkpoint must do no
-//! flash I/O where a copy checkpoint reads and rewrites every log, a
+//! Eleven conditions fail a run. Ten are exact: a remap checkpoint must
+//! do no flash I/O where a copy checkpoint reads and rewrites every log, a
 //! home read must cost what the record occupies, a write must wait for a
 //! programming slot, not for a program, a die must program a page on
 //! each of its planes in one tPROG — the pages of one call, and an
@@ -48,7 +48,9 @@
 //! step at most that step, one issued between two steps of a GC round
 //! at most the step before it, and a page-out must not queue behind a
 //! busy die while another is free. `cargo test` checks them as well
-//! (this module's tests).
+//! (this module's tests). The eleventh: every claim of
+//! [`figures::CLAIMS`] must earn the verdict it declares
+//! ([`figures::misjudged`]), in either direction.
 
 use std::collections::BTreeSet;
 
@@ -64,7 +66,7 @@ use checkin_ssd::{
 };
 use checkin_workload::{AccessPattern, OpMix};
 
-use crate::harness::{render, row, speedup};
+use crate::harness::{fill, render, row, speedup};
 use crate::{figures, gc_pressured_config, section};
 
 /// Everything one [`run`] measured, and whether its gate held.
@@ -85,7 +87,7 @@ pub struct Lab {
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
     pub paper: Vec<Row>,
-    /// All ten gates held: a remap checkpoint did no flash I/O, a read
+    /// All eleven gates held: a remap checkpoint did no flash I/O, a read
     /// cost what the record occupies, a write waited for a programming
     /// slot, not for a program, a die programmed a plane pair — and only
     /// the pages of one call — in one tPROG, a mapping walk missed once
@@ -93,8 +95,9 @@ pub struct Lab {
     /// finish nobody had seen, one issued during a paced scatter
     /// waited out at most one of its programs, one issued at a walk,
     /// gather or trim step at most that step, one issued between two
-    /// steps of a GC round at most the step before it, and a page-out
-    /// did not queue behind a busy die while another was free.
+    /// steps of a GC round at most the step before it, a page-out
+    /// did not queue behind a busy die while another was free, and
+    /// every claim of the paper earned its declared verdict.
     pub passed: bool,
 }
 
@@ -107,9 +110,20 @@ impl Lab {
             ("paper", &self.paper),
         ])
     }
+
+    /// `template` (EXPERIMENTS.md) with its generated blocks filled from
+    /// the rows of all three sections ([`crate::harness::fill`]).
+    ///
+    /// # Errors
+    ///
+    /// A block of `template` that is malformed or matches no row.
+    pub fn experiments(&self, template: &str) -> Result<String, String> {
+        let rows = [&self.gc[..], &self.counts, &self.paper].concat();
+        fill(template, &rows)
+    }
 }
 
-/// Measures all three sections and judges the ten gates.
+/// Measures all three sections and judges the eleven gates.
 pub fn run() -> Lab {
     let gc = gc_section();
     let (
@@ -117,6 +131,7 @@ pub fn run() -> Lab {
         (checkpoints, reads, writes, programs, walks, ahead, scatter, steps, gc_step, places),
     ) = counts_section();
     let paper = figures::paper_section();
+    let misjudged = figures::misjudged(&paper);
 
     println!();
     let gates = [
@@ -162,6 +177,10 @@ pub fn run() -> Lab {
                 "a page-out does not queue behind a busy die while another is free: {places:?}"
             ),
         ),
+        (
+            misjudged.is_empty(),
+            format!("every claim of the paper earns its declared verdict: {misjudged:?}"),
+        ),
     ];
     for (held, what) in &gates {
         if *held {
@@ -180,7 +199,7 @@ pub fn run() -> Lab {
 
 /// Appends the row `group/leaf`.
 fn push(rows: &mut Vec<Row>, group: &str, leaf: &str, value: f64, unit: &'static str) {
-    rows.push(row(&format!("{group}/{leaf}"), value, unit, None));
+    rows.push(row(&format!("{group}/{leaf}"), value, unit));
 }
 
 // ---- gc ---------------------------------------------------------------
@@ -192,10 +211,8 @@ const WORKLOADS: [(&str, OpMix, AccessPattern); 3] = [
     ("write-only", OpMix::WRITE_ONLY, AccessPattern::Uniform),
 ];
 
-/// One Check-In run per workload on the GC-pressured device. The
-/// `windowed-greedy` in the row names is the FTL's victim selector; the
-/// names are as first committed, so `git log -p BENCH_perf.json` reads
-/// as one history.
+/// One Check-In run per workload on the GC-pressured device, its rows
+/// `gclab/<workload>/…`.
 fn gc_section() -> Vec<Row> {
     section("gc: three workloads on the GC-pressured device");
     let mut rows = Vec::new();
@@ -204,7 +221,7 @@ fn gc_section() -> Vec<Row> {
         config.workload.mix = mix;
         config.workload.pattern = pattern;
         let report = crate::run(config);
-        let name = format!("gclab/{workload}/windowed-greedy");
+        let name = format!("gclab/{workload}");
         let p999_us = report.latency.p999.as_micros_f64();
         let erases = report.counters.total(Total::FlashErase) as f64;
         push(&mut rows, &name, "waf", report.waf, "x");
@@ -1518,6 +1535,32 @@ mod tests {
         let places = placements();
         assert!(super::a_page_out_goes_to_a_free_die(&places), "{places:?}");
         assert_eq!(places.first_die, 1);
+    }
+
+    #[test]
+    fn the_committed_experiments_md_fills_from_the_rows_and_shows_every_claim() {
+        let (paper, _) = crate::figures::tests::canned_rows();
+        let lab = Lab {
+            gc: gc_section(),
+            counts: counts_section().0,
+            paper,
+            passed: true,
+        };
+        let template = include_str!("../../../EXPERIMENTS.md");
+        let filled = lab.experiments(template).expect("every block matches rows");
+        for c in &figures::CLAIMS {
+            let (cell, _) = c.row.rsplit_once('/').expect("a claimed row has a cell");
+            let (line, shown) = (
+                format!("| {cell} |"),
+                format!("(paper {}; {})", c.paper, c.verdict),
+            );
+            let shows = |l: &str| l.starts_with(&line) && l.contains(&shown);
+            assert!(
+                filled.lines().any(shows),
+                "EXPERIMENTS.md shows no {}",
+                c.row
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! [`lab`] is the one measurement run behind `BENCH_perf.json`: three
 //! GC-pressured workloads, the exact cost of a checkpoint command, and
 //! every figure and table of the paper's evaluation ([`figures`]) as
-//! rows ([`harness`]) beside the paper's own numbers. [`chaos`] is the
+//! rows ([`harness`]), each row the paper states a number for judged
+//! against it ([`figures::CLAIMS`]). [`chaos`] is the
 //! fault sweep. Both are simulations: neither reads a clock, and the
 //! determinism bans of `clippy.toml` hold here as in the simulator
 //! crates.

@@ -6,7 +6,7 @@ use std::fmt;
 /// report, under a name that does not change from run to run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
-    /// Stable key (e.g. `gclab/zipfian/windowed-greedy/waf`,
+    /// Stable key (e.g. `gclab/zipfian/waf`,
     /// `latency/read_cp/p999_us`).
     pub name: String,
     /// The value; not finite where no value exists (a ratio with a zero
@@ -14,19 +14,15 @@ pub struct Row {
     pub value: f64,
     /// Unit label (`"x"`, `"us"`, `"%"`, ...).
     pub unit: &'static str,
-    /// What the paper states for this very cell, where it states a
-    /// number.
-    pub paper: Option<f64>,
 }
 
 impl Row {
-    /// A row the paper states no number for.
+    /// The row `name` = `value` in `unit`.
     pub fn new(name: impl Into<String>, value: f64, unit: &'static str) -> Self {
         Row {
             name: name.into(),
             value,
             unit,
-            paper: None,
         }
     }
 
@@ -43,19 +39,14 @@ impl Row {
 }
 
 /// The one line a row prints as: indented name, the value to three
-/// decimals (`n/a` when not finite) and the unit, then the paper's
-/// number where there is one.
+/// decimals (`n/a` when not finite) and the unit.
 impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (name, unit) = (&self.name, self.unit);
         if self.value.is_finite() {
-            write!(f, "  {name:<60} {:>14.3} {unit}", self.value)?;
+            write!(f, "  {name:<60} {:>14.3} {unit}", self.value)
         } else {
-            write!(f, "  {name:<60} {:>14} {unit}", "n/a")?;
-        }
-        match self.paper {
-            Some(paper) => write!(f, "   (paper {paper})"),
-            None => Ok(()),
+            write!(f, "  {name:<60} {:>14} {unit}", "n/a")
         }
     }
 }

@@ -38,9 +38,11 @@ cargo test --release --offline -q --manifest-path benchmark/kvbench/Cargo.toml
 echo "== lab"
 # The one measurement run (DESIGN.md §8): three GC-pressured workloads,
 # exact simulated cost of a remap vs a copy checkpoint, and every figure
-# and table of the paper as rows beside the paper's numbers. No options
-# but the output path; 67-86 s on one core for its 864 rows, most of
-# it the figures. Exits non-zero only on its ten gates (a remap
+# and table of the paper as rows, each claimed row beside the paper's
+# number and its verdict. No options but the output path; about 66 s on
+# one core for its 866 rows, most of it the figures. Beside the artifact
+# it writes EXPERIMENTS.md with its generated tables refilled. Exits
+# non-zero only on its eleven gates (a remap
 # checkpoint does no flash I/O; a read costs what the record occupies;
 # a write waits for a programming slot, not a program; a die programs
 # its two planes in one tPROG; a mapping walk misses once per segment;
@@ -49,13 +51,20 @@ echo "== lab"
 # for more than one step of a checkpoint's walk or gather or a trim, nor
 # for more than one step of a GC round; a page-out does not queue
 # behind a busy die while another is free) — `cargo test` above already
-# checked them.
+# checked them — and every claim of the paper earning the verdict
+# `figures::CLAIMS` declares for it.
 cargo run --release -p checkin-bench --bin lab -- --out target/BENCH_perf.json
 # Every row is a simulated quantity: a change that moves one must commit
 # the artifact it produces, not leave a stale one — and the diff of the
 # committed file is then the list of numbers the change moved.
 diff BENCH_perf.json target/BENCH_perf.json || {
     echo "verify: FAIL — lab's rows differ from the committed artifact: regenerate BENCH_perf.json (cargo run --release -p checkin-bench --bin lab)" >&2
+    exit 1
+}
+# EXPERIMENTS.md's tables are lab's rows too: a stale table, or one
+# edited by hand, shows here.
+diff EXPERIMENTS.md target/EXPERIMENTS.md || {
+    echo "verify: FAIL — EXPERIMENTS.md's generated tables differ from lab's rows: regenerate EXPERIMENTS.md (cargo run --release -p checkin-bench --bin lab)" >&2
     exit 1
 }
 
