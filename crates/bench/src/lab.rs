@@ -58,11 +58,10 @@ use checkin_core::{JournalManager, KvEngine, Layout, Strategy};
 use checkin_flash::{
     BlockId, FlashArray, FlashGeometry, FlashTiming, OobKind, PageContent, UnitPayload,
 };
-use checkin_ftl::{Ftl, FtlConfig, GcProgress, GcTrigger, Lpn, MapCacheModel, UnitWrite};
-use checkin_sim::{Counter, Row, SimDuration, SimTime, Total, Tracer};
+use checkin_ftl::{Ftl, FtlConfig, GcTrigger, Lpn, MapCacheModel, UnitWrite};
+use checkin_sim::{Counter, Progress, Row, SimDuration, SimTime, Total, Tracer};
 use checkin_ssd::{
-    CheckpointMode, CowEntry, CpProgress, ReadRequest, Ssd, SsdTiming, WriteContent, WriteRequest,
-    SECTOR_BYTES,
+    CheckpointMode, CowEntry, ReadRequest, Ssd, SsdTiming, WriteContent, WriteRequest, SECTOR_BYTES,
 };
 use checkin_workload::{AccessPattern, OpMix};
 
@@ -970,7 +969,7 @@ fn first_scatter_step(ssd: &mut Ssd, entries: &[CowEntry], at: SimTime) -> (SimT
     let programs = |ssd: &Ssd| ssd.ftl().flash().counters().total(Total::FlashProgram);
     let mut progress = ssd.begin_checkpoint(entries, CheckpointMode::Copy, at);
     loop {
-        let Ok(CpProgress::PumpAt(due)) = progress else {
+        let Ok(Progress::PumpAt(due)) = progress else {
             panic!("a copy class is scattered by the pump: {progress:?}");
         };
         let (writes, before) = (unit_writes(ssd), programs(ssd));
@@ -1045,7 +1044,7 @@ fn step_reads() -> StepReads {
     let (mut ssd, entries, t) = map_walk_fixture();
     let idle = read_latency(&mut ssd, 0, t);
     let begun = ssd.begin_checkpoint(&entries, CheckpointMode::Remap, t + gap);
-    let Ok(CpProgress::PumpAt(walk)) = begun else {
+    let Ok(Progress::PumpAt(walk)) = begun else {
         panic!("a remap batch is walked by the pump: {begun:?}");
     };
     ssd.pump(walk).expect("the walk step runs");
@@ -1057,7 +1056,7 @@ fn step_reads() -> StepReads {
     let reads = flash_reads(&ssd);
     let mut progress = ssd.begin_checkpoint(&entries, CheckpointMode::Copy, t + gap);
     let gather = loop {
-        let Ok(CpProgress::PumpAt(due)) = progress else {
+        let Ok(Progress::PumpAt(due)) = progress else {
             panic!("a copy batch is gathered by the pump: {progress:?}");
         };
         progress = ssd.pump(due);
@@ -1071,7 +1070,7 @@ fn step_reads() -> StepReads {
     let log = TRIM_UNITS;
     let idle = read_latency(&mut ssd, log, t);
     let begun = ssd.begin_deallocate(0, TRIM_UNITS as u32, t + gap);
-    let Ok(CpProgress::PumpAt(first)) = begun else {
+    let Ok(Progress::PumpAt(first)) = begun else {
         panic!("a trim is walked by the pump: {begun:?}");
     };
     ssd.pump(first).expect("the trim step runs");
@@ -1163,7 +1162,7 @@ fn gc_step_read() -> GcStepRead {
             .expect("no round is running")
             .expect("the fixture has a victim");
         let step = ftl.pump_gc(first).expect("the first step runs");
-        assert!(matches!(step, GcProgress::PumpAt(_)), "{step:?}");
+        assert!(matches!(step, Progress::PumpAt(_)), "{step:?}");
         if burst {
             ftl.finish_gc_round().expect("the round runs");
         }

@@ -33,10 +33,10 @@
 //! deletion trims and the superblock are single bookings.
 
 use checkin_flash::{Fragment, OobKind, OpPhase};
-use checkin_sim::{Counter, CounterSet, InFlight, SimTime, Total};
+use checkin_sim::{Counter, CounterSet, InFlight, Progress, SimTime, Total};
 use checkin_ssd::{
-    CheckpointMode, CowEntry, CpPhaseTimes, CpProgress, ReadRequest, Ssd, SsdError, WriteContent,
-    WriteRequest, SECTOR_BYTES,
+    CheckpointMode, CowEntry, CpPhaseTimes, ReadRequest, Ssd, SsdError, WriteContent, WriteRequest,
+    SECTOR_BYTES,
 };
 
 use crate::config::Strategy;
@@ -126,7 +126,7 @@ pub(crate) struct RunningCheckpoint {
     job: HostJob,
     /// What the last step returned: when to pump next, or when the data
     /// movement — once `ending` is set, the zone's trim — ended.
-    progress: CpProgress,
+    progress: Progress<SimTime>,
     /// Set when the data movement is over and the superblock written.
     ending: Option<Ending>,
     /// Counter deltas summed over the checkpoint's own device calls.
@@ -180,7 +180,7 @@ impl RunningCheckpoint {
             drain_done: at,
             tombstoned: 0,
             job,
-            progress: CpProgress::PumpAt(at),
+            progress: Progress::PumpAt(at),
             ending: None,
             own: CounterSet::new(),
         };
@@ -205,10 +205,7 @@ impl RunningCheckpoint {
     /// When the checkpoint asks to be pumped next, or `None` when it is
     /// ready to [`finish`](RunningCheckpoint::finish).
     pub(crate) fn next_pump(&self) -> Option<SimTime> {
-        match self.progress {
-            CpProgress::PumpAt(t) => Some(t),
-            CpProgress::Done(_) => None,
-        }
+        self.progress.due()
     }
 
     /// Whether the zone's live entries are still on their way home. Until
@@ -234,7 +231,7 @@ impl RunningCheckpoint {
         }
         let job = &mut self.job;
         self.progress = own_call(&mut self.own, ssd, |ssd| job.step(ssd, now))?;
-        if let CpProgress::Done(moved) = self.progress {
+        if let Progress::Done(moved) = self.progress {
             self.end_movement(ssd, layout, zone, moved)?;
         }
         Ok(())
@@ -287,7 +284,7 @@ impl RunningCheckpoint {
                 ssd.begin_deallocate(zone.base_lba, trim_sectors as u32, meta_done)
             })?
         } else {
-            CpProgress::Done(meta_done)
+            Progress::Done(meta_done)
         };
         Ok(())
     }
@@ -303,7 +300,7 @@ impl RunningCheckpoint {
         zone: &RetiringZone,
     ) -> Result<(CheckpointOutcome, HostJob), SsdError> {
         debug_assert_eq!(self.next_pump(), None, "finish before the trim");
-        let (CpProgress::Done(trimmed) | CpProgress::PumpAt(trimmed)) = self.progress;
+        let (Progress::Done(trimmed) | Progress::PumpAt(trimmed)) = self.progress;
         let end = self.ending.ok_or_else(|| {
             SsdError::InvalidRequest("a checkpoint finished before its data moved".into())
         })?;
@@ -509,9 +506,9 @@ impl HostJob {
     /// by the first step (an empty batch sends none) and pumped by the
     /// later ones; the host-issued mechanisms go through
     /// [`issue`](HostJob::issue).
-    fn step(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<CpProgress, SsdError> {
+    fn step(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<Progress<SimTime>, SsdError> {
         match self.mechanism {
-            Mechanism::Batched(_) if self.entries.is_empty() => Ok(CpProgress::Done(now)),
+            Mechanism::Batched(_) if self.entries.is_empty() => Ok(Progress::Done(now)),
             Mechanism::Batched(mode) if self.next == 0 => {
                 self.next = self.entries.len();
                 ssd.begin_checkpoint(&self.entries, mode, now)
@@ -531,7 +528,7 @@ impl HostJob {
     /// Then asks to be pumped again when the window frees a slot, or
     /// when the next read-back completes; the step that finds every
     /// command issued and acknowledged ends the data movement.
-    fn issue(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<CpProgress, SsdError> {
+    fn issue(&mut self, ssd: &mut Ssd, now: SimTime) -> Result<Progress<SimTime>, SsdError> {
         while self.window.next_free(now) == now {
             let done = if let Some(i) = self.staged.iter().position(|s| s.read_done <= now) {
                 let s = self.staged.remove(i);
@@ -561,14 +558,14 @@ impl HostJob {
         }
         if self.next == self.entries.len() && self.staged.is_empty() {
             return Ok(if self.acked > now {
-                CpProgress::PumpAt(self.acked)
+                Progress::PumpAt(self.acked)
             } else {
-                CpProgress::Done(now.max(self.acked))
+                Progress::Done(now.max(self.acked))
             });
         }
         let free = self.window.next_free(now);
         let read = self.staged.iter().map(|s| s.read_done).min();
-        Ok(CpProgress::PumpAt(match read {
+        Ok(Progress::PumpAt(match read {
             Some(read) if free == now => read,
             _ => free,
         }))
@@ -792,21 +789,25 @@ mod tests {
             let mut cp =
                 RunningCheckpoint::begin(&mut ssd, strategy, &layout, &zone, 1, t, None).unwrap();
             let mut steps = 1;
-            while let Some(due) = cp.next_pump() {
-                let staged: Vec<(u64, SimTime)> =
-                    cp.job.staged.iter().map(|s| (s.key, s.read_done)).collect();
-                let copied = cp.job.copied;
-                cp.pump(&mut ssd, &layout, &zone, due).unwrap();
-                steps += 1;
-                let rewritten: Vec<&(u64, SimTime)> = staged
-                    .iter()
-                    .filter(|(key, _)| !cp.job.staged.iter().any(|s| s.key == *key))
-                    .collect();
-                assert_eq!(cp.job.copied - copied, rewritten.len() as u64, "{strategy}");
-                for (key, read_done) in rewritten {
-                    assert!(*read_done <= due, "{strategy}: key {key} rewritten early");
-                }
-            }
+            let begun = cp.progress;
+            begun
+                .finish(|due| {
+                    let staged: Vec<(u64, SimTime)> =
+                        cp.job.staged.iter().map(|s| (s.key, s.read_done)).collect();
+                    let copied = cp.job.copied;
+                    cp.pump(&mut ssd, &layout, &zone, due)?;
+                    steps += 1;
+                    let rewritten: Vec<&(u64, SimTime)> = staged
+                        .iter()
+                        .filter(|(key, _)| !cp.job.staged.iter().any(|s| s.key == *key))
+                        .collect();
+                    assert_eq!(cp.job.copied - copied, rewritten.len() as u64, "{strategy}");
+                    for (key, read_done) in rewritten {
+                        assert!(*read_done <= due, "{strategy}: key {key} rewritten early");
+                    }
+                    Ok::<_, SsdError>(cp.progress)
+                })
+                .unwrap();
             let admits: Vec<_> = tracer
                 .drain()
                 .into_iter()

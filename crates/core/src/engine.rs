@@ -3,7 +3,7 @@
 //! engine also behaves as the conventional baseline).
 
 use checkin_flash::{Fragment, OobKind};
-use checkin_sim::{Counter, CounterSet, SimTime, TraceEvent, TraceLayer, Tracer};
+use checkin_sim::{Counter, CounterSet, Progress, SimTime, TraceEvent, TraceLayer, Tracer};
 use checkin_ssd::{ReadRequest, Ssd, SsdError, WriteContent, WriteRequest, SECTOR_BYTES};
 
 use crate::checkpoint::{CheckpointOutcome, HostJob, RunningCheckpoint};
@@ -81,20 +81,6 @@ pub struct ReadResult {
     pub from_journal: bool,
     /// Completion instant.
     pub finish: SimTime,
-}
-
-/// Where a begun checkpoint stands: see [`KvEngine::begin_checkpoint`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[expect(
-    clippy::large_enum_variant,
-    reason = "one value per pump step, matched at once; boxing the outcome would allocate per checkpoint"
-)]
-pub enum CheckpointStep {
-    /// The checkpoint's data movement asks for
-    /// [`KvEngine::pump_checkpoint`] at this instant.
-    PumpAt(SimTime),
-    /// The checkpoint ended.
-    Done(CheckpointOutcome),
 }
 
 /// Whether a checkpoint is in progress at some instant: see
@@ -522,8 +508,8 @@ impl KvEngine {
         ssd: &mut Ssd,
         at: SimTime,
     ) -> Result<CheckpointOutcome, EngineError> {
-        let begun = self.begin_checkpoint(ssd, at)?;
-        self.run_to_end(ssd, begun)
+        self.begin_checkpoint(ssd, at)?
+            .finish(|now| self.pump_checkpoint(ssd, now))
     }
 
     /// Begins a checkpoint at `at`: retires the active journal zone —
@@ -543,7 +529,7 @@ impl KvEngine {
         &mut self,
         ssd: &mut Ssd,
         at: SimTime,
-    ) -> Result<CheckpointStep, EngineError> {
+    ) -> Result<Progress<CheckpointOutcome>, EngineError> {
         if self.running.is_some() {
             return Err(EngineError::CheckpointRunning);
         }
@@ -588,10 +574,14 @@ impl KvEngine {
         &mut self,
         ssd: &mut Ssd,
         now: SimTime,
-    ) -> Result<CheckpointStep, EngineError> {
+    ) -> Result<Progress<CheckpointOutcome>, EngineError> {
         let Some((zone, checkpoint)) = self.running.as_mut() else {
             return Err(EngineError::NoCheckpointRunning);
         };
+        debug_assert!(
+            checkpoint.next_pump().is_none_or(|due| now >= due),
+            "a checkpoint step before it is due"
+        );
         checkpoint.pump(ssd, &self.layout, zone, now)?;
         self.step()
     }
@@ -632,33 +622,20 @@ impl KvEngine {
             return Ok(None);
         };
         self.counters.incr(Counter::EngineCheckpointsDrained);
-        self.run_to_end(ssd, CheckpointStep::PumpAt(due)).map(Some)
-    }
-
-    /// Pumps the running checkpoint at the instants it asks for, from
-    /// `step` on, until it ends.
-    fn run_to_end(
-        &mut self,
-        ssd: &mut Ssd,
-        mut step: CheckpointStep,
-    ) -> Result<CheckpointOutcome, EngineError> {
-        loop {
-            match step {
-                CheckpointStep::Done(outcome) => return Ok(outcome),
-                CheckpointStep::PumpAt(due) => step = self.pump_checkpoint(ssd, due)?,
-            }
-        }
+        Progress::PumpAt(due)
+            .finish(|now| self.pump_checkpoint(ssd, now))
+            .map(Some)
     }
 
     /// The running checkpoint's next step, ending it when the retired
     /// zone's trim is over.
-    fn step(&mut self) -> Result<CheckpointStep, EngineError> {
+    fn step(&mut self) -> Result<Progress<CheckpointOutcome>, EngineError> {
         let Some((zone, checkpoint)) = self.running.take() else {
             return Err(EngineError::NoCheckpointRunning);
         };
         if let Some(t) = checkpoint.next_pump() {
             self.running = Some((zone, checkpoint));
-            return Ok(CheckpointStep::PumpAt(t));
+            return Ok(Progress::PumpAt(t));
         }
         let (outcome, job) = checkpoint.finish(&zone)?;
         self.checkpoint_end = outcome.finish;
@@ -675,7 +652,7 @@ impl KvEngine {
                     outcome.finish.duration_since(outcome.start).as_nanos(),
                 )
         });
-        Ok(CheckpointStep::Done(outcome))
+        Ok(Progress::Done(outcome))
     }
 
     /// Crash recovery: rebuilds engine state from the device alone —
@@ -918,7 +895,7 @@ mod tests {
         for k in 0..32 {
             t = engine.update(&mut ssd, k, 2048, t).unwrap();
         }
-        let CheckpointStep::PumpAt(due) = engine.begin_checkpoint(&mut ssd, t).unwrap() else {
+        let Progress::PumpAt(due) = engine.begin_checkpoint(&mut ssd, t).unwrap() else {
             panic!("a copy class is pumped");
         };
         assert_eq!(engine.checkpoint_phase(t), CheckpointPhase::Pumped(due));
@@ -932,7 +909,7 @@ mod tests {
             assert_eq!((r.version, r.from_journal), (version, true), "key {key}");
         }
         let step = engine.pump_checkpoint(&mut ssd, due).unwrap();
-        assert!(matches!(step, CheckpointStep::PumpAt(next) if next > due));
+        assert!(matches!(step, Progress::PumpAt(next) if next > due));
         let out = engine.drain_checkpoint(&mut ssd).unwrap().unwrap();
         assert_eq!((out.entries, out.copied), (32, 32));
         assert_eq!(engine.counters().get(Counter::EngineCheckpointsDrained), 1);
@@ -947,40 +924,64 @@ mod tests {
         assert_eq!((r.version, r.from_journal), (3, true));
     }
 
+    /// The device's flash, FTL and SSD counters in one set.
+    fn device_counters(ssd: &Ssd) -> CounterSet {
+        let mut all = ssd.ftl().flash().counters().clone();
+        all.merge(ssd.ftl().counters());
+        all.merge(ssd.counters());
+        all
+    }
+
+    /// `setup(strategy)` with 32 records loaded and the first `updates`
+    /// of them updated. Returns when the last update completed.
+    fn updated(strategy: Strategy, updates: u64) -> (Ssd, KvEngine, SimTime) {
+        let (mut ssd, mut engine) = setup(strategy);
+        let records: Vec<(u64, u32)> = (0..32).map(|k| (k, 2048)).collect();
+        let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
+        for k in 0..updates {
+            t = engine.update(&mut ssd, k, 2048, t).unwrap();
+        }
+        (ssd, engine, t)
+    }
+
     /// One state says whether a checkpoint is in progress. A paced one is
     /// pumped from its begin to its last step, whatever the instant, and
     /// ending until its finish: ISC-B copies every log, ISC-C remaps
     /// them, and both trim the retired zone one map segment a step. One
     /// that ends in its begin — an empty zone — is ending from there.
+    /// Pumped at each instant it asks for, a checkpoint ends as the
+    /// one-call checkpoint does, with the same counters.
     #[test]
     fn a_checkpoint_goes_from_idle_through_pumped_and_ending_to_idle() {
         for (strategy, updates) in [
             (Strategy::IscB, 32),
             (Strategy::IscC, 32),
             (Strategy::IscC, 0),
+            (Strategy::Baseline, 32),
+            (Strategy::CheckIn, 32),
         ] {
-            let (mut ssd, mut engine) = setup(strategy);
-            let records: Vec<(u64, u32)> = (0..32).map(|k| (k, 2048)).collect();
-            let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
-            for k in 0..updates {
-                t = engine.update(&mut ssd, k, 2048, t).unwrap();
-            }
+            let (mut ssd, mut engine, t) = updated(strategy, updates);
             assert_eq!(engine.checkpoint_phase(t), CheckpointPhase::Idle);
-            let mut step = engine.begin_checkpoint(&mut ssd, t).unwrap();
+            let begun = engine.begin_checkpoint(&mut ssd, t).unwrap();
             let mut last = t;
-            let out = loop {
-                match step {
-                    CheckpointStep::PumpAt(due) => {
-                        for now in [t, due] {
-                            let phase = engine.checkpoint_phase(now);
-                            assert_eq!(phase, CheckpointPhase::Pumped(due), "{strategy}");
-                        }
-                        last = due;
-                        step = engine.pump_checkpoint(&mut ssd, due).unwrap();
+            let out = begun
+                .finish(|due| {
+                    for now in [t, due] {
+                        let phase = engine.checkpoint_phase(now);
+                        assert_eq!(phase, CheckpointPhase::Pumped(due), "{strategy}");
                     }
-                    CheckpointStep::Done(out) => break out,
-                }
-            };
+                    last = due;
+                    engine.pump_checkpoint(&mut ssd, due)
+                })
+                .unwrap();
+            let (mut once_ssd, mut once, t) = updated(strategy, updates);
+            assert_eq!(
+                once.checkpoint(&mut once_ssd, t).unwrap(),
+                out,
+                "{strategy}"
+            );
+            assert_eq!(once.counters(), engine.counters(), "{strategy}");
+            assert_eq!(device_counters(&once_ssd), device_counters(&ssd));
             assert_eq!(last > t, updates > 0, "{strategy} is pumped");
             assert!(last < out.finish, "{strategy}: {last:?} {:?}", out.finish);
             let ending = CheckpointPhase::Ending(out.finish);
@@ -988,6 +989,84 @@ mod tests {
             assert_eq!(engine.checkpoint_phase(last), ending, "{strategy}");
             let idle = engine.checkpoint_phase(out.finish);
             assert_eq!(idle, CheckpointPhase::Idle, "{strategy}");
+        }
+    }
+
+    /// The instant a step returns is the one the engine holds the next
+    /// step to: a Baseline checkpoint pumped a nanosecond early would
+    /// issue its read-backs and rewrites then.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a checkpoint step before it is due")]
+    fn a_checkpoint_step_before_its_instant_is_refused() {
+        let (mut ssd, mut engine, t) = updated(Strategy::Baseline, 32);
+        let Progress::PumpAt(due) = engine.begin_checkpoint(&mut ssd, t).unwrap() else {
+            panic!("more logs than the queue is deep are pumped");
+        };
+        let _ = engine.pump_checkpoint(&mut ssd, due - checkin_sim::SimDuration::from_nanos(1));
+    }
+
+    /// A power cut fails the next step of every paced job, and each
+    /// layer keeps its own rule for what the failure leaves: the device
+    /// abandons its job, its background GC and the FTL's round, while
+    /// the engine keeps its checkpoint pumped at the step that failed —
+    /// the state chaos counts a cut in — and begins none other until it
+    /// is recovered.
+    #[test]
+    fn a_failed_step_leaves_each_layer_as_its_rule_says() {
+        for strategy in [Strategy::Baseline, Strategy::CheckIn] {
+            let (mut ssd, mut engine) = setup(strategy);
+            // Armed (the cut itself is manual), so the mapping log a
+            // power-loss rebuild starts from is maintained.
+            ssd.ftl_mut()
+                .flash_mut()
+                .arm_faults(FaultPlan::new(FaultConfig::default()));
+            let records: Vec<(u64, u32)> = (0..64).map(|k| (k, 2048)).collect();
+            let mut t = engine.load(&mut ssd, &records, SimTime::ZERO).unwrap();
+            while !ssd.ftl().wants_background_gc() {
+                for k in 0..64 {
+                    t = engine.update(&mut ssd, k, 2048, t).unwrap();
+                }
+                t = engine.checkpoint(&mut ssd, t).unwrap().finish;
+            }
+            for k in 0..64 {
+                t = engine.update(&mut ssd, k, 2048, t).unwrap();
+            }
+            let Progress::PumpAt(gc) = ssd.begin_background_gc(t, 4, 0).unwrap() else {
+                panic!("{strategy}: a round begins under pressure");
+            };
+            let Progress::PumpAt(due) = engine.begin_checkpoint(&mut ssd, t).unwrap() else {
+                panic!("{strategy}: the checkpoint is pumped");
+            };
+            ssd.ftl_mut().flash_mut().cut_power();
+            assert!(engine.pump_checkpoint(&mut ssd, due).is_err(), "{strategy}");
+            assert!(ssd.pump_gc(gc).is_err(), "{strategy}");
+
+            let refused = |e| matches!(e, Err(SsdError::InvalidRequest(_)));
+            assert!(refused(ssd.pump(due)), "{strategy}: no device job runs");
+            assert!(refused(ssd.pump_gc(gc)), "{strategy}: no background GC");
+            assert_eq!(ssd.gc_due(), None, "{strategy}");
+            assert_eq!(ssd.ftl().gc_due(), None, "{strategy}: no FTL round");
+            let phase = engine.checkpoint_phase(t);
+            assert_eq!(phase, CheckpointPhase::Pumped(due), "{strategy}");
+            let begun = engine.begin_checkpoint(&mut ssd, due);
+            assert_eq!(begun, Err(EngineError::CheckpointRunning), "{strategy}");
+
+            ssd.recover_power_loss().unwrap();
+            let begun = engine.begin_checkpoint(&mut ssd, due);
+            assert_eq!(begun, Err(EngineError::CheckpointRunning), "{strategy}");
+            let layout = *engine.layout();
+            let (mut engine, mut t) =
+                KvEngine::recover(strategy, layout, 0.7, &mut ssd, 64, due).unwrap();
+            assert_eq!(
+                engine.checkpoint_phase(t),
+                CheckpointPhase::Idle,
+                "{strategy}"
+            );
+            for k in 0..64 {
+                t = engine.update(&mut ssd, k, 2048, t).unwrap();
+            }
+            engine.checkpoint(&mut ssd, t).unwrap();
         }
     }
 
@@ -1012,21 +1091,23 @@ mod tests {
         let zone = engine.layout().journal_base(0);
         let unit = engine.layout().unit_sectors();
         let mapped = |ssd: &Ssd, lba: u64| ssd.ftl().is_mapped(checkin_ftl::Lpn(lba / unit));
-        let mut step = engine.begin_checkpoint(&mut ssd, t).unwrap();
+        let begun = engine.begin_checkpoint(&mut ssd, t).unwrap();
         let mut between = 0;
-        while let CheckpointStep::PumpAt(due) = step {
-            let trimming = !mapped(&ssd, zone) && mapped(&ssd, zone + (used - 1) * unit);
-            if trimming {
-                assert!(
-                    engine.journal_entry(5).is_none(),
-                    "the superblock is written"
-                );
-                let r = engine.get(&mut ssd, 5, due).unwrap();
-                assert_eq!((r.version, r.from_journal), (4, false));
-                between += 1;
-            }
-            step = engine.pump_checkpoint(&mut ssd, due).unwrap();
-        }
+        begun
+            .finish(|due| {
+                let trimming = !mapped(&ssd, zone) && mapped(&ssd, zone + (used - 1) * unit);
+                if trimming {
+                    assert!(
+                        engine.journal_entry(5).is_none(),
+                        "the superblock is written"
+                    );
+                    let r = engine.get(&mut ssd, 5, due).unwrap();
+                    assert_eq!((r.version, r.from_journal), (4, false));
+                    between += 1;
+                }
+                engine.pump_checkpoint(&mut ssd, due)
+            })
+            .unwrap();
         assert!(between > 0, "no get between two trim steps");
     }
 

@@ -14,7 +14,7 @@
 //!   Algorithm 2, [`align_log`]) and the double-buffered journal area;
 //! * [`Strategy`] — the five evaluated configurations (Baseline, ISC-A,
 //!   ISC-B, ISC-C, Check-In); a checkpoint is begun, pumped and ended
-//!   ([`KvEngine::begin_checkpoint`], [`CheckpointStep`]), so that
+//!   ([`KvEngine::begin_checkpoint`], [`checkin_sim::Progress`]), so that
 //!   queries run between its steps — data movement and zone trim — and
 //!   the engine alone says whether one is in progress
 //!   ([`CheckpointPhase`]);
@@ -92,9 +92,7 @@ mod trigger;
 
 pub use checkpoint::{CheckpointOutcome, SUPERBLOCK_KEY};
 pub use config::{Strategy, SystemConfig};
-pub use engine::{
-    CheckpointPhase, CheckpointStep, EngineError, KvEngine, ReadResult, RecoveryReport,
-};
+pub use engine::{CheckpointPhase, EngineError, KvEngine, ReadResult, RecoveryReport};
 pub use journal::{
     align_log, align_log_to, raw_log_bytes, AlignedLog, Jmt, JmtEntry, JournalFull, JournalManager,
     JournalOptions, LogClass, RetiringZone, CLASS_STEP, LOG_HEADER_BYTES,

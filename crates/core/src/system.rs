@@ -19,8 +19,8 @@
 //! is the interference the paper measures in Figures 3(c) and 9.
 
 use checkin_sim::{
-    Counter, CounterSet, EventQueue, LatencyRecorder, Resource, ResourcePool, SimDuration, SimRng,
-    SimTime, Total, Tracer,
+    Counter, CounterSet, EventQueue, LatencyRecorder, Progress, Resource, ResourcePool,
+    SimDuration, SimRng, SimTime, Total, Tracer,
 };
 use checkin_ssd::Ssd;
 use checkin_workload::{OpGenerator, Operation};
@@ -135,10 +135,10 @@ impl RunLoop {
     /// mode parked for it.
     fn note(&mut self, note: Note<'_>) {
         match note {
-            Note::CheckpointDue(due) => self.queue_pump(due),
-            Note::GcDue(due) => self.events.schedule(due, Event::GcPump),
-            Note::GcDone(done) => self.idle_done = self.idle_done.max(done),
-            Note::Ended(out) => {
+            Note::Checkpoint(&Progress::PumpAt(due)) => self.queue_pump(due),
+            Note::Gc(Progress::PumpAt(due)) => self.events.schedule(due, Event::GcPump),
+            Note::Gc(Progress::Done(done)) => self.idle_done = self.idle_done.max(done),
+            Note::Checkpoint(Progress::Done(out)) => {
                 self.cp.absorb(out);
                 for thread in self.parked.drain(..) {
                     self.events.schedule(out.finish, Event::Client(thread));
@@ -893,10 +893,10 @@ mod tests {
         let resume = rule
             .trigger(engine, ssd, at, &mut |note| {
                 notes.push(match note {
-                    Note::Ended(out) => ("ended", out.finish),
-                    Note::CheckpointDue(due) => ("checkpoint", due),
-                    Note::GcDue(due) => ("gc", due),
-                    Note::GcDone(done) => ("gc done", done),
+                    Note::Checkpoint(Progress::Done(out)) => ("ended", out.finish),
+                    Note::Checkpoint(&Progress::PumpAt(due)) => ("checkpoint", due),
+                    Note::Gc(Progress::PumpAt(due)) => ("gc", due),
+                    Note::Gc(Progress::Done(done)) => ("gc done", done),
                 });
             })
             .unwrap();

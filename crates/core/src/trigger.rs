@@ -1,22 +1,21 @@
 //! The one checkpoint-trigger rule, [`TriggerRule`].
 
-use checkin_sim::SimTime;
-use checkin_ssd::{CpProgress, Ssd};
+use checkin_sim::{Progress, SimTime};
+use checkin_ssd::Ssd;
 
 use crate::checkpoint::CheckpointOutcome;
-use crate::engine::{CheckpointStep, EngineError, KvEngine};
+use crate::engine::{EngineError, KvEngine};
 
-/// What [`TriggerRule`] tells its driver, as it happens.
+/// What [`TriggerRule`] tells its driver, as it happens: a step of one of
+/// the two paced jobs it runs.
 #[derive(Debug, Clone, Copy)]
 pub enum Note<'a> {
-    /// A checkpoint ended (noted after the background GC it began).
-    Ended(&'a CheckpointOutcome),
-    /// The running checkpoint's next step is due then.
-    CheckpointDue(SimTime),
-    /// The background GC's next step is due then.
-    GcDue(SimTime),
-    /// The background GC, its scrub round included, ended then.
-    GcDone(SimTime),
+    /// The running checkpoint's next step is due then, or it ended (noted
+    /// after the background GC its end began).
+    Checkpoint(&'a Progress<CheckpointOutcome>),
+    /// The background GC's next step is due then, or it ended then, its
+    /// scrub round included.
+    Gc(Progress<SimTime>),
 }
 
 /// The one checkpoint-trigger rule, shared by every driver of an engine
@@ -50,14 +49,15 @@ impl TriggerRule {
     ) -> Result<SimTime, EngineError> {
         let mut at = at;
         if let Some(out) = engine.drain_checkpoint(ssd)? {
-            at = at.max(self.end(ssd, &out, note)?);
+            at = at.max(out.finish);
+            self.checkpoint(ssd, Progress::Done(out), note)?;
         }
         let step = engine.begin_checkpoint(ssd, at)?;
-        Ok(self.step(ssd, step, note)?.unwrap_or(at))
+        Ok(self.checkpoint(ssd, step, note)?.unwrap_or(at))
     }
 
     /// The running checkpoint's step at `now`, the instant
-    /// [`Note::CheckpointDue`] named.
+    /// [`Note::Checkpoint`] named.
     pub fn pump_checkpoint(
         self,
         engine: &mut KvEngine,
@@ -66,18 +66,17 @@ impl TriggerRule {
         note: &mut impl FnMut(Note<'_>),
     ) -> Result<(), EngineError> {
         let step = engine.pump_checkpoint(ssd, now)?;
-        self.step(ssd, step, note).map(drop)
+        self.checkpoint(ssd, step, note).map(drop)
     }
 
-    /// The background GC's step at `now`, the instant [`Note::GcDue`]
-    /// named.
+    /// The background GC's step at `now`, the instant [`Note::Gc`] named.
     pub fn pump_gc(
         self,
         ssd: &mut Ssd,
         now: SimTime,
         note: &mut impl FnMut(Note<'_>),
     ) -> Result<(), EngineError> {
-        gc(ssd.pump_gc(now)?, note);
+        note(Note::Gc(ssd.pump_gc(now)?));
         Ok(())
     }
 
@@ -90,52 +89,34 @@ impl TriggerRule {
         note: &mut impl FnMut(Note<'_>),
     ) -> Result<(), EngineError> {
         if let Some(out) = engine.drain_checkpoint(ssd)? {
-            self.end(ssd, &out, note)?;
+            self.checkpoint(ssd, Progress::Done(out), note)?;
         }
         if let Some(done) = ssd.drain_gc()? {
-            note(Note::GcDone(done));
+            note(Note::Gc(Progress::Done(done)));
         }
         Ok(())
     }
 
-    /// A checkpoint's step: its end, if it ended.
-    fn step(
+    /// Notes a checkpoint's step. At its end, background GC begins
+    /// behind it first, unless GC is already running, and the end is
+    /// returned.
+    fn checkpoint(
         self,
         ssd: &mut Ssd,
-        step: CheckpointStep,
+        step: Progress<CheckpointOutcome>,
         note: &mut impl FnMut(Note<'_>),
     ) -> Result<Option<SimTime>, EngineError> {
-        match step {
-            CheckpointStep::PumpAt(due) => {
-                note(Note::CheckpointDue(due));
-                Ok(None)
+        let end = match &step {
+            Progress::Done(out) => {
+                if ssd.gc_due().is_none() {
+                    let (at, rounds, pages) = (out.finish, self.gc_rounds, self.scrub_pages);
+                    note(Note::Gc(ssd.begin_background_gc(at, rounds, pages)?));
+                }
+                Some(out.finish)
             }
-            CheckpointStep::Done(out) => self.end(ssd, &out, note).map(Some),
-        }
+            Progress::PumpAt(_) => None,
+        };
+        note(Note::Checkpoint(&step));
+        Ok(end)
     }
-
-    /// A checkpoint's end, returned: background GC begins behind it
-    /// unless GC is already running.
-    fn end(
-        self,
-        ssd: &mut Ssd,
-        out: &CheckpointOutcome,
-        note: &mut impl FnMut(Note<'_>),
-    ) -> Result<SimTime, EngineError> {
-        if ssd.gc_due().is_none() {
-            gc(
-                ssd.begin_background_gc(out.finish, self.gc_rounds, self.scrub_pages)?,
-                note,
-            );
-        }
-        note(Note::Ended(out));
-        Ok(out.finish)
-    }
-}
-
-fn gc(progress: CpProgress, note: &mut impl FnMut(Note<'_>)) {
-    note(match progress {
-        CpProgress::PumpAt(due) => Note::GcDue(due),
-        CpProgress::Done(done) => Note::GcDone(done),
-    });
 }

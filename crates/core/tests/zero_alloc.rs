@@ -15,7 +15,8 @@
 //! copy-class checkpoint command to the same standard, a third a
 //! warm Baseline checkpoint, whose read-backs and rewrites are paced
 //! through the checkpoint's own queue-deep window, and a fourth a warm
-//! paced GC round, begun and pumped step by step.
+//! paced GC round, begun and pumped step by step, and then a one-call
+//! round.
 //!
 //! This file holds exactly one test so the process-global allocation
 //! counter cannot pick up a concurrently running test's traffic.
@@ -27,10 +28,10 @@
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use checkin_core::{CheckpointStep, EngineError, KvEngine, Layout, Strategy, SystemConfig};
+use checkin_core::{EngineError, KvEngine, Layout, Strategy, SystemConfig};
 use checkin_flash::{BlockId, FlashArray};
-use checkin_ftl::{Ftl, GcProgress, GcTrigger};
-use checkin_sim::{Counter, SimTime};
+use checkin_ftl::{Ftl, GcTrigger};
+use checkin_sim::{Counter, Progress, SimTime};
 use checkin_ssd::{CheckpointMode, CowEntry, Ssd, SsdTiming};
 
 /// Counts every allocation and reallocation; frees are not counted
@@ -231,18 +232,15 @@ fn steady_state_query_loop_is_allocation_free() {
             t = baseline.update(&mut ssd, k, VALUE_BYTES, t).unwrap();
         }
         let before = ALLOCS.load(Ordering::SeqCst);
-        let mut step = baseline.begin_checkpoint(&mut ssd, t).unwrap();
+        let begun = baseline.begin_checkpoint(&mut ssd, t).unwrap();
         let mut steps = 0;
-        let out = loop {
-            match step {
-                CheckpointStep::PumpAt(due) => {
-                    steps += 1;
-                    ssd.retire_before(due);
-                    step = baseline.pump_checkpoint(&mut ssd, due).unwrap();
-                }
-                CheckpointStep::Done(out) => break out,
-            }
-        };
+        let out = begun
+            .finish(|due| {
+                steps += 1;
+                ssd.retire_before(due);
+                baseline.pump_checkpoint(&mut ssd, due)
+            })
+            .unwrap();
         let delta = ALLOCS.load(Ordering::SeqCst) - before;
         t = out.finish;
         assert_eq!(out.copied, BASELINE_KEYS);
@@ -272,16 +270,15 @@ fn steady_state_query_loop_is_allocation_free() {
             .ftl_mut()
             .begin_gc_round(t, GcTrigger::Background)
             .unwrap();
-        let mut due = begun.expect("the churned device has a victim");
+        let first = begun.expect("the churned device has a victim");
         let mut steps = 0;
-        t = loop {
-            ssd.retire_before(due);
-            steps += 1;
-            match ssd.ftl_mut().pump_gc(due).unwrap() {
-                GcProgress::PumpAt(next) => due = next,
-                GcProgress::Done(end) => break end,
-            }
-        };
+        t = Progress::PumpAt(first)
+            .finish(|due| {
+                ssd.retire_before(due);
+                steps += 1;
+                ssd.ftl_mut().pump_gc(due)
+            })
+            .unwrap();
         let delta = ALLOCS.load(Ordering::SeqCst) - before;
         assert!(steps > 2, "{steps} steps");
         assert!(ssd.ftl().counters().get(Counter::FtlGcUnitsMoved) > moved);
@@ -292,4 +289,13 @@ fn steady_state_query_loop_is_allocation_free() {
             );
         }
     }
+    // The one-call round runs the same steps through the same loop: warm,
+    // it allocates nothing either.
+    let moved = ssd.ftl().counters().get(Counter::FtlGcUnitsMoved);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let end = ssd.ftl_mut().run_gc_round(t, GcTrigger::Background);
+    let delta = ALLOCS.load(Ordering::SeqCst) - before;
+    assert!(end.unwrap().is_some_and(|end| end > t));
+    assert!(ssd.ftl().counters().get(Counter::FtlGcUnitsMoved) > moved);
+    assert_eq!(delta, 0, "a warm one-call GC round allocated {delta} times");
 }

@@ -44,7 +44,7 @@ use crate::persist::MapPersistence;
 use crate::write_buffer::{SlotData, WriteBuffer};
 
 pub use rebuild::{OobScan, RebuildStats};
-pub use reclaim::{GcProgress, GcTrigger, ScrubReport};
+pub use reclaim::{GcTrigger, ScrubReport};
 
 use reclaim::GcRound;
 

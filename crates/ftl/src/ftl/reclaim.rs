@@ -4,7 +4,7 @@
 //! foreground read does.
 
 use checkin_flash::{BlockId, FlashError, OobKind, OpPhase, Ppn};
-use checkin_sim::{Counter, SimTime, TraceEvent, TraceLayer};
+use checkin_sim::{Counter, Progress, SimTime, TraceEvent, TraceLayer};
 
 use super::{Ftl, PageOut};
 use crate::error::{FtlError, IntegrityError};
@@ -43,17 +43,6 @@ impl GcTrigger {
             GcTrigger::WearLevel => Counter::FtlGcWearLevel,
         }
     }
-}
-
-/// What the running garbage-collection round needs next: see
-/// [`Ftl::begin_gc_round`] and [`Ftl::pump_gc`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcProgress {
-    /// The round is still running: call [`Ftl::pump_gc`] at this
-    /// instant.
-    PumpAt(SimTime),
-    /// The round ended: its victim's erase finishes at this instant.
-    Done(SimTime),
 }
 
 /// The garbage-collection round in execution, between the pump steps
@@ -119,10 +108,8 @@ impl Ftl {
     /// Propagates flash errors from the migration.
     pub fn run_wear_leveling_round(&mut self, at: SimTime) -> Result<Option<SimTime>, FtlError> {
         self.finish_gc_round()?;
-        match self.begin_wear_leveling_round(at)? {
-            Some(_) => self.finish_gc_round(),
-            None => Ok(None),
-        }
+        self.begin_wear_leveling_round(at)?;
+        self.finish_gc_round()
     }
 
     /// Begins a static wear-leveling round at `at` when
@@ -244,21 +231,21 @@ impl Ftl {
     /// flash errors and out-of-space conditions, after which the round
     /// is abandoned (its victim stays closed, with the units not yet
     /// moved).
-    pub fn pump_gc(&mut self, now: SimTime) -> Result<GcProgress, FtlError> {
+    pub fn pump_gc(&mut self, now: SimTime) -> Result<Progress<SimTime>, FtlError> {
         let Some(mut round) = self.gc else {
             return Err(FtlError::Inconsistent("no GC round is running"));
         };
         debug_assert!(now >= round.next_at, "a GC step before it is due");
         let progress = self.in_phase(OpPhase::Gc, |ftl| ftl.gc_step(&mut round, now));
         let end = match progress {
-            Ok(GcProgress::PumpAt(due)) => {
+            Ok(Progress::PumpAt(due)) => {
                 self.gc = Some(GcRound {
                     next_at: due,
                     ..round
                 });
                 return progress;
             }
-            Ok(GcProgress::Done(end)) => end,
+            Ok(Progress::Done(end)) => end,
             Err(_) => now,
         };
         self.gc = None;
@@ -283,19 +270,20 @@ impl Ftl {
     ///
     /// As [`Ftl::pump_gc`].
     pub fn finish_gc_round(&mut self) -> Result<Option<SimTime>, FtlError> {
-        while let Some(due) = self.gc_due() {
-            if let GcProgress::Done(end) = self.pump_gc(due)? {
-                return Ok(Some(end));
-            }
-        }
-        Ok(None)
+        self.gc_due()
+            .map(|due| Progress::PumpAt(due).finish(|now| self.pump_gc(now)))
+            .transpose()
     }
 
     /// `round`'s step at `now` ([`Ftl::pump_gc`]): a read that landed
     /// becomes the page to move, a read is kept in flight while a valid
     /// page is left, and the landed page's units move; with none left,
     /// the victim is erased.
-    fn gc_step(&mut self, round: &mut GcRound, now: SimTime) -> Result<GcProgress, FtlError> {
+    fn gc_step(
+        &mut self,
+        round: &mut GcRound,
+        now: SimTime,
+    ) -> Result<Progress<SimTime>, FtlError> {
         loop {
             if round.landed.is_none() {
                 if let Some((ppn, _)) = round.reading.filter(|&(_, lands)| lands <= now) {
@@ -313,13 +301,13 @@ impl Ftl {
                     match self.move_units(round.victim, ppn, offset, now)? {
                         Some((next, slot)) => {
                             round.landed = Some((ppn, next));
-                            return Ok(GcProgress::PumpAt(slot));
+                            return Ok(Progress::PumpAt(slot));
                         }
                         None => round.landed = None,
                     }
                 }
-                (None, Some((_, lands))) => return Ok(GcProgress::PumpAt(lands)),
-                (None, None) => return self.erase_victim(round.victim, now).map(GcProgress::Done),
+                (None, Some((_, lands))) => return Ok(Progress::PumpAt(lands)),
+                (None, None) => return self.erase_victim(round.victim, now).map(Progress::Done),
             }
         }
     }

@@ -3,6 +3,7 @@
 
 use super::*;
 use checkin_flash::{FlashGeometry, FlashTiming};
+use checkin_sim::Progress;
 
 /// Two dies, 512 B–4 KiB units (eight 512 B units to the page), two
 /// write points.
@@ -473,7 +474,7 @@ fn a_paced_round_moves_only_what_is_still_referenced() {
     let stale = lpns_in(&f, victim);
     assert_eq!(stale, [1, 3, 5, 7]);
     let (before, erased) = (reads(&f), f.flash().erase_count(victim));
-    let GcProgress::PumpAt(lands) = f.pump_gc(idle).unwrap() else {
+    let Progress::PumpAt(lands) = f.pump_gc(idle).unwrap() else {
         panic!("the victim holds valid units");
     };
     assert_eq!(reads(&f) - before, 1, "one read in flight");
@@ -502,7 +503,7 @@ fn a_round_in_flight_is_finished_before_another_begins() {
     let (mut f, idle) = half_stale_ftl();
     let invocations = |f: &Ftl| f.counters().get(Counter::FtlGcInvocations);
     f.begin_gc_round(idle, GcTrigger::Background).unwrap();
-    let GcProgress::PumpAt(due) = f.pump_gc(idle).unwrap() else {
+    let Progress::PumpAt(due) = f.pump_gc(idle).unwrap() else {
         panic!("the victim holds valid units");
     };
     let refused = f.begin_gc_round(due, GcTrigger::Background);
@@ -524,4 +525,17 @@ fn a_round_in_flight_is_finished_before_another_begins() {
         "{pumped:?}"
     );
     f.check_invariants().unwrap();
+    // Begun, then pumped at each instant it asks for, a round ends where
+    // the one-call round ends, with the same counters.
+    let (mut once, idle) = half_stale_ftl();
+    let end = once.run_gc_round(idle, GcTrigger::Background).unwrap();
+    let (mut f, idle) = half_stale_ftl();
+    let first = f.begin_gc_round(idle, GcTrigger::Background).unwrap();
+    let stepped = Progress::PumpAt(first.expect("a victim")).finish(|now| {
+        assert_eq!(f.gc_due(), Some(now));
+        f.pump_gc(now)
+    });
+    assert_eq!(stepped.ok(), end);
+    assert_eq!(f.counters(), once.counters());
+    assert_eq!(f.flash().counters(), once.flash().counters());
 }

@@ -87,9 +87,7 @@ mod write_buffer;
 
 pub use config::{FtlConfig, MediaRetryPolicy};
 pub use error::{FtlConfigError, FtlError, IntegrityError, RecoveryError};
-pub use ftl::{
-    Ftl, GcProgress, GcTrigger, OobScan, RebuildStats, ScrubReport, SensedPages, UnitWrite,
-};
+pub use ftl::{Ftl, GcTrigger, OobScan, RebuildStats, ScrubReport, SensedPages, UnitWrite};
 pub use location::{BufSlot, Location, Lpn, Pun};
 pub use map_cache::MapCacheModel;
 pub use mapping::{MappingTable, Unlink};

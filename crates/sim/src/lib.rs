@@ -17,6 +17,10 @@
 //!   slots;
 //! * [`LatencyRecorder`], [`CounterSet`] — measurement, and [`Row`], one
 //!   reported number under a stable name;
+//! * [`Progress`] — the step protocol of every paced job (a GC round, a
+//!   device command, background GC, a checkpoint): pump again at an
+//!   instant, or done, and [`Progress::finish`], the one loop that runs
+//!   a job to its end;
 //! * [`SimRng`] — a self-contained, seedable xoshiro256** generator;
 //! * [`Tracer`] / [`TraceRing`] — ring-buffered structured trace events
 //!   on the logical clock, zero-overhead when disabled.
@@ -62,6 +66,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_macros))]
 
 mod event;
+mod progress;
 // Recovery in flash, ftl and ssd runs through these three modules, so
 // they carry the panic and discard parts of those crates' wall
 // (DESIGN.md §11).
@@ -118,6 +123,7 @@ mod time;
 mod trace;
 
 pub use event::EventQueue;
+pub use progress::Progress;
 pub use queue::InFlight;
 pub use resource::{Resource, ResourcePool, Window};
 pub use rng::{splitmix64, SimRng};

@@ -5,11 +5,10 @@ use std::collections::BinaryHeap;
 
 use checkin_flash::{Fragment, OobKind, OpPhase, UnitPayload};
 use checkin_ftl::{
-    Ftl, FtlError, GcProgress, GcTrigger, Lpn, MapCacheModel, RebuildStats, ScrubReport,
-    SensedPages, UnitWrite,
+    Ftl, FtlError, GcTrigger, Lpn, MapCacheModel, RebuildStats, ScrubReport, SensedPages, UnitWrite,
 };
 use checkin_sim::{
-    Counter, CounterSet, Resource, SimDuration, SimTime, TraceEvent, TraceLayer, Tracer,
+    Counter, CounterSet, Progress, Resource, SimDuration, SimTime, TraceEvent, TraceLayer, Tracer,
 };
 
 use crate::command::{
@@ -87,17 +86,6 @@ pub struct Ssd {
     job: Job,
     /// The background GC behind the last checkpoint, if it still runs.
     gc: IdleGc,
-}
-
-/// What the job in execution needs next: see [`Ssd::begin_checkpoint`],
-/// [`Ssd::begin_deallocate`] and [`Ssd::pump`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpProgress {
-    /// The command is still in execution: call [`Ssd::pump`] at this
-    /// instant.
-    PumpAt(SimTime),
-    /// The command completed at this instant.
-    Done(SimTime),
 }
 
 /// The job in execution on the device: one checkpoint command or one
@@ -635,13 +623,13 @@ impl Ssd {
         lba: u64,
         sectors: u32,
         at: SimTime,
-    ) -> Result<CpProgress, SsdError> {
+    ) -> Result<Progress<SimTime>, SsdError> {
         self.refuse_while_running()?;
         let end = lba + u64::from(sectors);
         self.job.stage = Stage::Trim { cursor: lba, end };
         self.job.live = self.ftl.live_entries();
         self.job.next_at = self.admit_trim(at);
-        Ok(CpProgress::PumpAt(self.job.next_at))
+        Ok(Progress::PumpAt(self.job.next_at))
     }
 
     /// Admits a deallocation at `at` and books its transfer and command
@@ -713,7 +701,7 @@ impl Ssd {
         // The command's cost above decoded its one entry already.
         let entry = std::slice::from_ref(entry);
         self.start_command(entry, mode, cpu.finish, SimDuration::ZERO, false);
-        self.run_to_completion(CpProgress::PumpAt(cpu.finish))
+        Progress::PumpAt(cpu.finish).finish(|now| self.pump(now))
     }
 
     /// Vendor command: a batched checkpoint request carrying many CoW
@@ -730,8 +718,8 @@ impl Ssd {
         mode: CheckpointMode,
         at: SimTime,
     ) -> Result<SimTime, SsdError> {
-        let begun = self.begin_checkpoint(entries, mode, at)?;
-        self.run_to_completion(begun)
+        self.begin_checkpoint(entries, mode, at)?
+            .finish(|now| self.pump(now))
     }
 
     /// Begins a batched checkpoint command at `at`: books its admission,
@@ -755,7 +743,7 @@ impl Ssd {
         entries: &[CowEntry],
         mode: CheckpointMode,
         at: SimTime,
-    ) -> Result<CpProgress, SsdError> {
+    ) -> Result<Progress<SimTime>, SsdError> {
         self.refuse_while_running()?;
         self.counters.incr(Counter::SsdCmdCheckpoint);
         let t0 = self.queue.admit(at);
@@ -768,9 +756,9 @@ impl Ssd {
         let entry_cost = self.timing.cpu_cow_entry_cost;
         self.start_command(entries, mode, cpu.finish, entry_cost, true);
         if entries.is_empty() {
-            return self.complete_command().map(CpProgress::Done);
+            return self.complete_command().map(Progress::Done);
         }
-        Ok(CpProgress::PumpAt(cpu.finish))
+        Ok(Progress::PumpAt(cpu.finish))
     }
 
     /// One pump step of the job in execution at `now`, the instant the
@@ -794,16 +782,16 @@ impl Ssd {
     ///
     /// [`SsdError::InvalidRequest`] when no job is running; propagates
     /// FTL failures, after which the job is abandoned.
-    pub fn pump(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
+    pub fn pump(&mut self, now: SimTime) -> Result<Progress<SimTime>, SsdError> {
         if self.job.stage != Stage::Idle {
             debug_assert!(now >= self.job.next_at, "a pump step before it is due");
             self.counters.incr(Counter::SsdCpPumpSteps);
         }
         let progress = self.step(now);
-        match progress {
-            Ok(CpProgress::PumpAt(due)) => self.job.next_at = due,
+        match progress.as_ref().ok().and_then(Progress::due) {
+            Some(due) => self.job.next_at = due,
             // Completed, or abandoned on a failure.
-            Ok(CpProgress::Done(_)) | Err(_) => self.job.stage = Stage::Idle,
+            None => self.job.stage = Stage::Idle,
         }
         progress
     }
@@ -819,19 +807,9 @@ impl Ssd {
         if self.job.stage == Stage::Idle {
             return Ok(None);
         }
-        self.run_to_completion(CpProgress::PumpAt(self.job.next_at))
+        Progress::PumpAt(self.job.next_at)
+            .finish(|now| self.pump(now))
             .map(Some)
-    }
-
-    /// Pumps the job at the instants it asks for, from `progress` on,
-    /// until it completes.
-    fn run_to_completion(&mut self, mut progress: CpProgress) -> Result<SimTime, SsdError> {
-        loop {
-            match progress {
-                CpProgress::Done(done) => return Ok(done),
-                CpProgress::PumpAt(due) => progress = self.pump(due)?,
-            }
-        }
     }
 
     fn refuse_while_running(&self) -> Result<(), SsdError> {
@@ -876,7 +854,7 @@ impl Ssd {
 
     /// The job's next step at `now`, passing to the next stage when one
     /// has nothing left.
-    fn step(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
+    fn step(&mut self, now: SimTime) -> Result<Progress<SimTime>, SsdError> {
         loop {
             match self.job.stage {
                 Stage::Idle => {
@@ -888,7 +866,7 @@ impl Ssd {
                     // A step that booked nothing (a single CoW's copy
                     // entry) hands on at once.
                     if walked > now {
-                        return Ok(CpProgress::PumpAt(walked));
+                        return Ok(Progress::PumpAt(walked));
                     }
                 }
                 Stage::Walk(_) => {
@@ -899,24 +877,24 @@ impl Ssd {
                 Stage::Gather => {
                     let gathered = self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.gather(now))?;
                     if let Some(due) = gathered {
-                        return Ok(CpProgress::PumpAt(due));
+                        return Ok(Progress::PumpAt(due));
                     }
                     self.job.stage = Stage::Scatter;
                 }
                 Stage::Scatter => {
                     return match self.in_phase(OpPhase::CheckpointCopy, |ssd| ssd.scatter(now))? {
-                        Some(due) => Ok(CpProgress::PumpAt(due)),
-                        None => self.complete_command().map(CpProgress::Done),
+                        Some(due) => Ok(Progress::PumpAt(due)),
+                        None => self.complete_command().map(Progress::Done),
                     };
                 }
                 Stage::Trim { cursor, end } => {
                     let (stop, walked) = self.trim_segment(cursor, end, self.job.live, now);
                     if stop < end {
                         self.job.stage = Stage::Trim { cursor: stop, end };
-                        return Ok(CpProgress::PumpAt(walked));
+                        return Ok(Progress::PumpAt(walked));
                     }
                     self.queue.complete(walked);
-                    return Ok(CpProgress::Done(walked));
+                    return Ok(Progress::Done(walked));
                 }
             }
         }
@@ -1231,13 +1209,10 @@ impl Ssd {
         max_rounds: u32,
     ) -> Result<(u32, SimTime), SsdError> {
         self.drain_gc()?;
-        let mut progress = self.begin_background_gc(at, max_rounds, 0)?;
-        loop {
-            match progress {
-                CpProgress::Done(done) => return Ok((self.gc.rounds, done)),
-                CpProgress::PumpAt(due) => progress = self.pump_gc(due)?,
-            }
-        }
+        let done = self
+            .begin_background_gc(at, max_rounds, 0)?
+            .finish(|now| self.pump_gc(now))?;
+        Ok((self.gc.rounds, done))
     }
 
     /// Deallocator: begins background GC in the idle window from `at`.
@@ -1264,7 +1239,7 @@ impl Ssd {
         at: SimTime,
         max_rounds: u32,
         scrub_pages: u32,
-    ) -> Result<CpProgress, SsdError> {
+    ) -> Result<Progress<SimTime>, SsdError> {
         if self.gc.next_at.is_some() {
             return Err(SsdError::InvalidRequest(
                 "background GC is still running".into(),
@@ -1289,7 +1264,7 @@ impl Ssd {
     ///
     /// [`SsdError::InvalidRequest`] when no background GC runs;
     /// propagates FTL failures, after which it is abandoned.
-    pub fn pump_gc(&mut self, now: SimTime) -> Result<CpProgress, SsdError> {
+    pub fn pump_gc(&mut self, now: SimTime) -> Result<Progress<SimTime>, SsdError> {
         let Some(due) = self.gc.next_at else {
             return Err(SsdError::InvalidRequest(
                 "no background GC is running".into(),
@@ -1301,10 +1276,8 @@ impl Ssd {
             // decided at that instant.
             self.ftl
                 .pump_gc(now)
+                .map(|(Progress::PumpAt(t) | Progress::Done(t))| Progress::PumpAt(t))
                 .map_err(SsdError::from)
-                .map(|p| match p {
-                    GcProgress::PumpAt(t) | GcProgress::Done(t) => CpProgress::PumpAt(t),
-                })
         } else {
             self.next_background_round(now)
         };
@@ -1319,12 +1292,10 @@ impl Ssd {
     ///
     /// As [`Ssd::pump_gc`].
     pub fn drain_gc(&mut self) -> Result<Option<SimTime>, SsdError> {
-        while let Some(due) = self.gc.next_at {
-            if let CpProgress::Done(done) = self.pump_gc(due)? {
-                return Ok(Some(done));
-            }
-        }
-        Ok(None)
+        self.gc
+            .next_at
+            .map(|due| Progress::PumpAt(due).finish(|now| self.pump_gc(now)))
+            .transpose()
     }
 
     /// When the background GC's next step is due; `None` when none runs.
@@ -1334,14 +1305,14 @@ impl Ssd {
 
     /// Between two rounds at `at`: begins the next background round,
     /// else the wear-leveling round, else scrubs and ends.
-    fn next_background_round(&mut self, at: SimTime) -> Result<CpProgress, SsdError> {
+    fn next_background_round(&mut self, at: SimTime) -> Result<Progress<SimTime>, SsdError> {
         let idle = self.idle_at() <= at;
         if self.gc.rounds_left > 0 && should_background_gc(self.ftl.wants_background_gc(), idle) {
             if let Some(due) = self.ftl.begin_gc_round(at, GcTrigger::Background)? {
                 self.gc.rounds_left -= 1;
                 self.gc.rounds += 1;
                 self.counters.incr(Counter::SsdBackgroundGcRounds);
-                return Ok(CpProgress::PumpAt(due));
+                return Ok(Progress::PumpAt(due));
             }
         }
         // Once a round does not begin, none does.
@@ -1350,20 +1321,17 @@ impl Ssd {
             self.gc.levelled = true;
             if let Some(due) = self.ftl.begin_wear_leveling_round(at)? {
                 self.counters.incr(Counter::SsdWearLevelRounds);
-                return Ok(CpProgress::PumpAt(due));
+                return Ok(Progress::PumpAt(due));
             }
         }
         let (_, scrubbed) = self.background_scrub(at, self.gc.scrub_pages)?;
-        Ok(CpProgress::Done(scrubbed))
+        Ok(Progress::Done(scrubbed))
     }
 
     /// Keeps the background GC's due instant, clearing it when it ended
     /// or failed.
-    fn note_gc(&mut self, progress: &Result<CpProgress, SsdError>) {
-        self.gc.next_at = match progress {
-            Ok(CpProgress::PumpAt(due)) => Some(*due),
-            Ok(CpProgress::Done(_)) | Err(_) => None,
-        };
+    fn note_gc(&mut self, progress: &Result<Progress<SimTime>, SsdError>) {
+        self.gc.next_at = progress.as_ref().ok().and_then(Progress::due);
     }
 
     /// Deallocator: run one background integrity-scrub round at `at` if
@@ -1746,12 +1714,20 @@ mod tests {
         assert_eq!(s.drain().unwrap(), None, "the command completed");
     }
 
+    /// The device's flash, FTL and SSD counters in one set.
+    fn all_counters(s: &Ssd) -> CounterSet {
+        let mut all = s.ftl().flash().counters().clone();
+        all.merge(s.ftl().counters());
+        all.merge(s.counters());
+        all
+    }
+
     /// A begun copy checkpoint asks for its first step when its command
     /// is decoded and writes nothing home before the scatter: the walk
     /// and the gather steps come first, each due later than the one
     /// before. While it runs, the device refuses another job, and the
     /// refusals book nothing: the command completes when an undisturbed
-    /// twin's does.
+    /// twin's one-call command does, with the same counters.
     #[test]
     fn a_paced_checkpoint_writes_home_only_when_pumped() {
         let (mut twin, entries, idle) = paced_copy_fixture();
@@ -1759,7 +1735,7 @@ mod tests {
             .checkpoint(&entries, CheckpointMode::Copy, idle)
             .unwrap();
         let (mut s, entries, idle) = paced_copy_fixture();
-        let CpProgress::PumpAt(mut due) = s
+        let Progress::PumpAt(mut due) = s
             .begin_checkpoint(&entries, CheckpointMode::Copy, idle)
             .unwrap()
         else {
@@ -1772,7 +1748,7 @@ mod tests {
         assert!(matches!(again, SsdError::InvalidRequest(_)), "{again}");
         let mut steps = 0;
         while !s.ftl().is_mapped(Lpn(0)) {
-            let CpProgress::PumpAt(next) = s.pump(due).unwrap() else {
+            let Progress::PumpAt(next) = s.pump(due).unwrap() else {
                 panic!("one step cannot write 256 units through two slots");
             };
             assert!(next > due, "step {steps} asked for {next} at {due}");
@@ -1788,6 +1764,7 @@ mod tests {
         let done = s.drain().unwrap().unwrap();
         assert!(done >= second);
         assert_eq!(done, undisturbed);
+        assert_eq!(all_counters(&s), all_counters(&twin));
         assert_eq!(s.drain().unwrap(), None);
         assert!(s.pump(done).is_err(), "nothing left to pump");
         for i in 0..256u64 {
@@ -1798,6 +1775,19 @@ mod tests {
             };
             assert_eq!(s.read(&req, done).unwrap().0.len(), 1, "key {i} home");
         }
+        // Driven by hand from its begin, each step at the instant asked
+        // for, the job ends where the wrapper's does, counter for counter.
+        let (mut hand, entries, idle) = paced_copy_fixture();
+        let done = hand
+            .begin_checkpoint(&entries, CheckpointMode::Copy, idle)
+            .unwrap()
+            .finish(|now| {
+                assert_eq!(hand.job.next_at, now);
+                hand.pump(now)
+            })
+            .unwrap();
+        assert_eq!(done, undisturbed);
+        assert_eq!(all_counters(&hand), all_counters(&twin));
     }
 
     /// The instant a step returns is the one the device holds the next
@@ -1807,7 +1797,7 @@ mod tests {
     #[should_panic(expected = "a pump step before it is due")]
     fn a_pump_step_before_its_instant_is_refused() {
         let (mut s, entries, idle) = paced_copy_fixture();
-        let CpProgress::PumpAt(first) = s
+        let Progress::PumpAt(first) = s
             .begin_checkpoint(&entries, CheckpointMode::Copy, idle)
             .unwrap()
         else {
@@ -1919,7 +1909,7 @@ mod tests {
 
         let (mut s, idle) = fixture();
         let busy = s.cpu_busy_time();
-        let CpProgress::PumpAt(first) = s.begin_deallocate(0, 2 * SEG as u32, idle).unwrap() else {
+        let Progress::PumpAt(first) = s.begin_deallocate(0, 2 * SEG as u32, idle).unwrap() else {
             panic!("a trim is stepped");
         };
         let entry = CowEntry {
@@ -1931,21 +1921,21 @@ mod tests {
             merged: false,
         };
         let refused =
-            |e: Result<CpProgress, SsdError>| matches!(e, Err(SsdError::InvalidRequest(_)));
+            |e: Result<Progress<SimTime>, SsdError>| matches!(e, Err(SsdError::InvalidRequest(_)));
         let batch = s.begin_checkpoint(&[entry], CheckpointMode::Remap, first);
         let cow = s.cow_single(&entry, CheckpointMode::Copy, first);
         assert!(refused(s.begin_deallocate(0, 8, first)), "one at a time");
         assert!(
-            refused(batch) && refused(cow.map(CpProgress::Done)),
+            refused(batch) && refused(cow.map(Progress::Done)),
             "of any kind"
         );
         assert!(s.ftl().is_mapped(Lpn(0)), "nothing unmapped before a step");
-        let CpProgress::PumpAt(second) = s.pump(first).unwrap() else {
+        let Progress::PumpAt(second) = s.pump(first).unwrap() else {
             panic!("two segments take two steps");
         };
         assert!(second > first);
         assert!(!s.ftl().is_mapped(Lpn(SEG - 1)) && s.ftl().is_mapped(Lpn(SEG)));
-        assert_eq!(s.pump(second).unwrap(), CpProgress::Done(done));
+        assert_eq!(s.pump(second).unwrap(), Progress::Done(done));
         assert!(!s.ftl().is_mapped(Lpn(2 * SEG - 1)));
         assert_eq!(s.cpu_busy_time() - busy, booked);
         assert_eq!(s.drain().unwrap(), None);
@@ -1965,10 +1955,10 @@ mod tests {
             } else {
                 s.begin_checkpoint(&entries, CheckpointMode::Copy, idle)
             };
-            let Ok(CpProgress::PumpAt(first)) = begun else {
+            let Ok(Progress::PumpAt(first)) = begun else {
                 panic!("the job is stepped: {begun:?}");
             };
-            let Ok(CpProgress::PumpAt(due)) = s.pump(first) else {
+            let Ok(Progress::PumpAt(due)) = s.pump(first) else {
                 panic!("one step does not end the job");
             };
             s.ftl_mut().flash_mut().cut_power();
@@ -2316,7 +2306,7 @@ mod tests {
         assert_eq!((rounds, done, scrubs(&s)), (0, idle, 0));
         let progress = s.begin_background_gc(idle, 4, 16).unwrap();
         assert!(
-            matches!(progress, CpProgress::Done(done) if done > idle),
+            matches!(progress, Progress::Done(done) if done > idle),
             "{progress:?}"
         );
         assert_eq!(s.counters().get(Counter::SsdBackgroundGcRounds), 0);
@@ -2387,14 +2377,15 @@ mod tests {
 
     /// A power cut between two steps of a background round ends it: SPOR
     /// keeps every acknowledged unit, and the device refuses to pump
-    /// the dead round but begins a new one.
+    /// the dead round but begins a new one. Uncut, the stepped job is
+    /// the one-call job.
     #[test]
     fn a_power_cut_ends_a_background_round() {
         let (mut s, versions, idle) = gc_fixture();
         let mut progress = s.begin_background_gc(idle, 4, 0);
         // Step until a round in flight has moved a unit, then cut.
         let due = loop {
-            let Ok(CpProgress::PumpAt(due)) = progress else {
+            let Ok(Progress::PumpAt(due)) = progress else {
                 panic!("the round is stepped: {progress:?}");
             };
             let moved = s.ftl().counters().get(Counter::FtlGcUnitsMoved);
@@ -2413,10 +2404,25 @@ mod tests {
         let idle = assert_acked_versions(&mut s, &versions, due);
         assert!(s.ftl().wants_background_gc());
         let again = s.begin_background_gc(idle, 4, 0);
-        assert!(matches!(again, Ok(CpProgress::PumpAt(_))), "{again:?}");
+        assert!(matches!(again, Ok(Progress::PumpAt(_))), "{again:?}");
         let done = s.drain_gc().unwrap().expect("the new round runs");
         s.ftl().check_invariants().unwrap();
         assert_acked_versions(&mut s, &versions, done);
+
+        // Uncut, begun and then pumped at each instant it asks for, the
+        // job ends where the one-call background GC ends, after as many
+        // rounds and with the same counters.
+        let (mut once, _, idle) = gc_fixture();
+        let (rounds, end) = once.background_gc(idle, 4).unwrap();
+        assert!(rounds > 0, "the fixture is under pressure");
+        let (mut s, _, idle) = gc_fixture();
+        let begun = s.begin_background_gc(idle, 4, 0).unwrap();
+        let stepped = begun.finish(|now| {
+            assert_eq!(s.gc_due(), Some(now));
+            s.pump_gc(now)
+        });
+        assert_eq!((s.gc.rounds, stepped.unwrap()), (rounds, end));
+        assert_eq!(all_counters(&s), all_counters(&once));
     }
 
     #[test]

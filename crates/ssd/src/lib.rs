@@ -92,7 +92,7 @@ mod timing;
 pub use command::{
     CheckpointMode, CowEntry, ReadRequest, WriteContent, WriteRequest, SECTOR_BYTES,
 };
-pub use device::{CpPhaseTimes, CpProgress, Ssd};
+pub use device::{CpPhaseTimes, Ssd};
 pub use error::SsdError;
 pub use isce::{plan_entry, should_background_gc, EntryPlan};
 pub use queue::CommandQueue;

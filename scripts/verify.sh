@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# One-shot verification: build, test, lab, chaos, docs, formatting, lints.
+# One-shot verification: build, test, examples, lab, chaos, docs, formatting, lints.
 # Everything runs offline (no network, empty registry cache).
 set -eu
 
@@ -25,6 +25,15 @@ cargo test --release -p checkin-core -p checkin-sim -p checkin-ssd -p checkin-ft
 # profile too (about 3 s together).
 cargo test --release -p checkin-core --test zero_alloc -q
 cargo test --release -p checkin-ftl --test prop_ftl -q
+
+echo "== examples run"
+# `cargo test` and clippy only compile the examples. Each runs in well
+# under a second; `durability_demo` asserts that a host crash after
+# checkpoints loses no committed update, the others that their calls
+# succeed. `set -e` fails the script on a non-zero exit.
+for example in durability_demo quickstart shopping_cart social_feed; do
+    cargo run --release -q -p checkin-core --example "$example" > /dev/null
+done
 
 echo "== kvbench builds against the workspace, and its unit tests pass"
 # `benchmark/kvbench` is a package of its own (path deps on the

@@ -8,12 +8,10 @@
 // Each test target uses only part of the module.
 #![allow(dead_code)]
 
-use checkin_core::{
-    CheckpointOutcome, CheckpointPhase, CheckpointStep, EngineError, KvEngine, Layout, Strategy,
-};
+use checkin_core::{CheckpointOutcome, CheckpointPhase, EngineError, KvEngine, Layout, Strategy};
 use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
 use checkin_ftl::{Ftl, FtlConfig};
-use checkin_sim::SimTime;
+use checkin_sim::{Progress, SimTime};
 use checkin_ssd::{ReadRequest, Ssd, SsdTiming};
 use checkin_testkit::TestRng;
 
@@ -326,9 +324,9 @@ impl Harness {
         }
     }
 
-    fn stepped(&mut self, step: Result<CheckpointStep, EngineError>) {
+    fn stepped(&mut self, step: Result<Progress<CheckpointOutcome>, EngineError>) {
         match step.unwrap_or_else(|e| panic!("{} checkpoint step: {e}", self.strategy)) {
-            CheckpointStep::PumpAt(due) => {
+            Progress::PumpAt(due) => {
                 assert_eq!(
                     self.engine.checkpoint_phase(self.t),
                     CheckpointPhase::Pumped(due)
@@ -341,7 +339,7 @@ impl Harness {
                     self.check_every_key();
                 }
             }
-            CheckpointStep::Done(out) => self.ended(out),
+            Progress::Done(out) => self.ended(out),
         }
     }
 
