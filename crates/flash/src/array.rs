@@ -742,6 +742,19 @@ impl FlashArray {
         self.blocks.get(block)?.store.page(page, seals)
     }
 
+    /// The lpn OOB record `index` of page `ppn` was programmed with —
+    /// not what an injector's rot left stored there — or `None` for an
+    /// erased page or a record past its last. A lookup in the array's
+    /// own bookkeeping, like [`FlashArray::read`]: no counter, no tR, no
+    /// fault-clock tick.
+    #[inline]
+    pub fn programmed_lpn(&self, ppn: Ppn, index: u32) -> Option<u64> {
+        let (block, page) = self.locate(ppn);
+        let seals = self.seals.of_block(block);
+        let store = &self.blocks.get(block)?.store;
+        store.programmed_lpn(page, index as usize, seals)
+    }
+
     /// Every programmed page with its content, in ascending PPN order —
     /// the one whole-device walk (OOB scans, recovery). Costs what was
     /// written, not what the device could hold.

@@ -15,8 +15,9 @@
 //! changes a stored bit, so a record nobody changed is its own seal: it
 //! still holds what was programmed. The injectors change a slot only
 //! through [`Injector`], which first keeps the slot's checksums — those
-//! of the programmed content — in the device's one [`SealLog`], and
-//! verification recomputes a checksum only for a slot that log names.
+//! of the programmed content — and its programmed OOB lpn in the device's
+//! one [`SealLog`], and verification recomputes a checksum only for a
+//! slot that log names.
 //!
 //! The `#[inline]` hints here, on [`UnitRef`] and on `FlashArray::read`
 //! mark the unit-read path the FTL crate calls per host read: without
@@ -195,6 +196,21 @@ impl BlockStore {
         (0..self.pages.len()).filter_map(move |p| self.page(p, seals))
     }
 
+    /// The lpn OOB record `i` of page `page` was programmed with, given
+    /// the block's `seals`: the seal's when an injector changed the
+    /// record since, so stored rot does not show.
+    #[inline]
+    pub(crate) fn programmed_lpn(&self, page: usize, i: usize, seals: &[Seal]) -> Option<u64> {
+        let header = self.pages.get(page)?;
+        let record = header.first as usize + i;
+        let stored = self
+            .records
+            .get(record)
+            .filter(|_| i < usize::from(header.oobs))?;
+        let seal = seals.iter().find(|s| s.record as usize == record);
+        Some(seal.map_or(stored.lpn, |s| s.lpn))
+    }
+
     /// Copies `content` in as the block's next page. An erased block
     /// reserves its header and record arenas for `pages_per_block` pages
     /// of this shape first — its only allocations unless later pages are
@@ -257,9 +273,9 @@ impl BlockStore {
     }
 }
 
-/// The checksums of what was programmed into one unit slot, kept by an
-/// [`Injector`] before the slot's first change. `record` indexes the
-/// block's record arena.
+/// The checksums of what was programmed into one unit slot, and its
+/// programmed OOB lpn, kept by an [`Injector`] before the slot's first
+/// change. `record` indexes the block's record arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Seal {
     block: u32,
@@ -268,6 +284,9 @@ pub(crate) struct Seal {
     unit_seal: u32,
     /// Over the OOB record; zero for a slot that holds none.
     oob_seal: u32,
+    /// The OOB record's lpn as programmed: what the firmware's mapping
+    /// table knows the slot by, whatever rot the injector adds.
+    lpn: u64,
 }
 
 impl Seal {
@@ -419,6 +438,7 @@ impl Injector<'_> {
                 0
             },
             oob_seal: if oob { record.oob_checksum() } else { 0 },
+            lpn: record.lpn,
         };
         let changed = change(SlotMut {
             unit,
@@ -676,5 +696,6 @@ mod tests {
     fn a_unit_record_is_40_bytes() {
         assert_eq!(size_of::<UnitRecord>(), 40);
         assert_eq!(size_of::<PageHeader>(), 12);
+        assert_eq!(size_of::<Seal>(), 24);
     }
 }

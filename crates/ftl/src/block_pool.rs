@@ -22,7 +22,6 @@ use checkin_flash::{BlockId, FlashArray, FlashGeometry};
 use checkin_sim::{Counter, CounterSet, SimTime};
 
 use crate::error::RecoveryError;
-use crate::location::Location;
 use crate::mapping::MappingTable;
 
 /// Lifecycle of a physical block from the FTL's perspective.
@@ -480,17 +479,14 @@ impl BlockPool {
         Ok(())
     }
 
-    /// Per-block count of flash units the table references. A unit
-    /// aliased by several lpns counts once (at its first referrer). `None`
-    /// when a mapping points past the last block.
+    /// Per-block count of flash units the table references: its
+    /// referenced bits in each block's range, so a unit aliased by
+    /// several lpns counts once. `None` when a referenced unit lies past
+    /// the last block.
     fn count_valid_units(&self, table: &MappingTable, upp: u32) -> Option<Vec<u32>> {
         let mut valid = vec![0u32; self.blocks.len()];
-        for (lpn, loc) in table.iter() {
-            if let Location::Flash(pun) = loc {
-                if table.referrers(loc).first() == Some(&lpn) {
-                    *valid.get_mut(self.geometry.block_of(pun.page(upp)).index())? += 1;
-                }
-            }
+        for pun in table.referenced_units() {
+            *valid.get_mut(self.geometry.block_of(pun.page(upp)).index())? += 1;
         }
         Some(valid)
     }
@@ -499,6 +495,7 @@ impl BlockPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::location::Location;
     use crate::location::{Lpn, Pun};
     use checkin_flash::{FlashTiming, PageContent, Ppn};
     use checkin_sim::SimTime;
@@ -756,8 +753,8 @@ mod tests {
         let mut pool = BlockPool::new(&g, 1);
         // Two lpns alias one unit of block 0: it counts once.
         let pun = Pun::compose(Ppn(0), 0, 1);
-        let _ = table.map(Lpn(0), Location::Flash(pun));
-        let _ = table.map(Lpn(1), Location::Flash(pun));
+        let _ = table.map(Lpn(0), Location::Flash(pun), |_| None);
+        let _ = table.map(Lpn(1), Location::Flash(pun), |_| None);
         let err = pool.check_invariants(&table, 1).unwrap_err();
         assert!(err.ends_with("valid_units=0, table references 1"), "{err}");
         pool.add_valid(BlockId(0));
@@ -793,6 +790,7 @@ mod tests {
         let _ = table.map(
             Lpn(0),
             Location::Flash(Pun::compose(g.ppn_in_block(BlockId(3), 0), 0, 1)),
+            |_| None,
         );
         let mut pool = BlockPool::new(&g, 1);
         pool.open(0).unwrap();
@@ -808,7 +806,7 @@ mod tests {
         pool.check_invariants(&table, 1).unwrap();
 
         // The first unit past the last block.
-        let _ = table.map(Lpn(1), Location::Flash(Pun(g.total_pages())));
+        let _ = table.map(Lpn(1), Location::Flash(Pun(g.total_pages())), |_| None);
         assert!(pool.rebuild(&flash, &table, 1).is_err());
     }
 
@@ -826,7 +824,11 @@ mod tests {
                 .program(ppn, PageContent::empty(1), SimTime::ZERO)
                 .unwrap();
             if block.index() < WINDOW {
-                let _ = table.map(Lpn(block.0), Location::Flash(Pun::compose(ppn, 0, 1)));
+                let _ = table.map(
+                    Lpn(block.0),
+                    Location::Flash(Pun::compose(ppn, 0, 1)),
+                    |_| None,
+                );
             }
         }
         let mut pool = BlockPool::new(&g, 1);

@@ -305,8 +305,10 @@ impl Ftl {
     }
 
     /// Heap bytes the mapping table holds
-    /// ([`MappingTable::heap_bytes`]): its device-sized arrays are
-    /// reserved at construction, so this is mostly fixed by the geometry.
+    /// ([`MappingTable::heap_bytes`]): its device-sized forward array and
+    /// flash state bits are reserved at construction, so this is mostly
+    /// fixed by the geometry; the exception map adds 26–32 B for each
+    /// location whose referrers are not its own lpn, at their peak.
     pub fn mapping_bytes(&self) -> u64 {
         self.table.heap_bytes()
     }
@@ -374,6 +376,22 @@ impl Ftl {
     /// Iterates `(lpn, location)` over the whole table (recovery scans).
     pub fn mapping_iter(&self) -> impl Iterator<Item = (Lpn, Location)> + '_ {
         self.table.iter()
+    }
+
+    /// The mapping table, beside the own-LPN function its operations
+    /// take ([`owners`]).
+    fn table_mut(
+        &mut self,
+    ) -> (
+        &mut MappingTable,
+        impl Fn(Location) -> Option<Lpn> + Copy + '_,
+    ) {
+        (&mut self.table, owners(&self.flash, &self.buffer, self.upp))
+    }
+
+    /// The own LPN of `loc` ([`owners`]).
+    fn own_lpn(&self, loc: Location) -> Option<Lpn> {
+        owners(&self.flash, &self.buffer, self.upp)(loc)
     }
 
     fn block_of(&self, pun: Pun) -> BlockId {
@@ -483,7 +501,8 @@ impl Ftl {
         };
 
         let slot = self.new_slot(payload, w.lpn, kind);
-        let prev = self.table.map(w.lpn, Location::Buffer(slot));
+        let (table, own) = self.table_mut();
+        let prev = table.map(w.lpn, Location::Buffer(slot), own);
         self.note_unlink(prev);
         self.ledger.clear_poison(w.lpn);
 
@@ -693,7 +712,8 @@ impl Ftl {
     /// [`FtlError::Unmapped`] when `src` has no mapping.
     pub fn remap(&mut self, dst: Lpn, src: Lpn) -> Result<(), FtlError> {
         self.flash.logical_tick()?;
-        let prev = self.table.alias(dst, src).map_err(FtlError::Unmapped)?;
+        let (table, own) = self.table_mut();
+        let prev = table.alias(dst, src, own).map_err(FtlError::Unmapped)?;
         if matches!(prev, Unlink::Orphaned(Location::Buffer(_))) {
             // Metadata before data discard, as in `deallocate`: the slot
             // is the only copy of `dst`'s acknowledged data, and a cut
@@ -715,7 +735,8 @@ impl Ftl {
         if self.flash.logical_tick().is_err() {
             return false;
         }
-        let u = self.table.unmap(lpn);
+        let (table, own) = self.table_mut();
+        let u = table.unmap(lpn, own);
         let existed = u != Unlink::NotMapped;
         if matches!(u, Unlink::Orphaned(Location::Buffer(_))) {
             // Metadata-before-data-discard: a buffered unit never reached
@@ -958,11 +979,12 @@ impl Ftl {
                 .with("finish_ns", finish.as_nanos())
         });
         for (offset, &slot) in (0u32..).zip(batch) {
-            let _ = self.buffer.release(slot);
             let pun = Pun::compose(ppn, offset, self.upp);
-            let moved = self
-                .table
-                .relocate(Location::Buffer(slot), Location::Flash(pun));
+            // The unit was just programmed with its slot's OOB record, so
+            // the lpn there is the own lpn of both ends of the move.
+            let own = self.buffer.release(slot).map(|data| Lpn(data.oob.lpn));
+            let (from, to) = (Location::Buffer(slot), Location::Flash(pun));
+            let moved = self.table.relocate(from, to, |_| own);
             if moved > 0 {
                 self.pool.add_valid(block);
             }
@@ -1099,11 +1121,30 @@ impl Ftl {
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.flash.check_seals()?;
-        self.table.check_consistency()?;
+        self.table
+            .check_consistency(owners(&self.flash, &self.buffer, self.upp))?;
         self.buffer.check_invariants(&self.table)?;
         self.pool.check_invariants(&self.table, self.upp)?;
         self.ledger.check_invariants(&self.counters)?;
         self.persist.check_invariants(self.seq)
+    }
+}
+
+/// The own-LPN function of the mapping table ([`MappingTable`]'s module
+/// doc): a buffer slot's is the lpn of the OOB record it was written
+/// with, a flash unit's the one it was programmed with
+/// ([`FlashArray::programmed_lpn`]: no simulated cost, and blind to
+/// injected OOB rot, which never reaches the firmware's DRAM map).
+fn owners<'a>(
+    flash: &'a FlashArray,
+    buffer: &'a WriteBuffer,
+    upp: u32,
+) -> impl Fn(Location) -> Option<Lpn> + Copy + 'a {
+    move |loc| match loc {
+        Location::Buffer(slot) => buffer.data(slot).map(|d| Lpn(d.oob.lpn)),
+        Location::Flash(pun) => flash
+            .programmed_lpn(pun.page(upp), pun.offset(upp))
+            .map(Lpn),
     }
 }
 

@@ -4,7 +4,7 @@
 use super::tests::{one_shared_page, put, read_span, single_die_ftl, w};
 use super::*;
 use crate::config::MediaRetryPolicy;
-use checkin_flash::{FaultConfig, FaultPlan};
+use checkin_flash::{FaultConfig, FaultPlan, StoredField};
 
 /// One 4 KiB unit per page, no fault injection: corruption is placed
 /// deterministically with the sabotage hooks.
@@ -514,4 +514,83 @@ fn read_entry_points_react_identically_to_corruption() {
     assert_eq!(counters.get(Counter::FtlBlocksRetired), 1);
     assert_eq!(counters.total(Total::FtlIntegrityDetected), 2);
     assert_eq!(counters.get(Counter::FtlIntegrityUnrecoverable), 1);
+}
+
+/// OOB rot never reaches the DRAM map: the table knows a flash unit by
+/// the lpn it was *programmed* with ([`FlashArray::programmed_lpn`]).
+/// Flipping the stored `lpn` of a live plain unit and of a live
+/// exceptional one changes nothing a GC round or a block retirement does
+/// with them: the forward map, every referrer list, the `Unlink`
+/// outcomes and the OOB lpns their copies are programmed with all equal
+/// those of an unflipped twin.
+#[test]
+fn oob_lpn_rot_stays_out_of_the_mapping_table() {
+    // Lpn 0's unit stays plain; lpn 1's is aliased by lpn 100 and then
+    // trimmed, so it is exceptional; the rest of their block is
+    // overwritten, so it is the block with the fewest valid units.
+    let twin = |flip: bool| {
+        let mut f = integrity_ftl();
+        for lpn in 0..8 {
+            put(&mut f, lpn, 1).unwrap();
+        }
+        f.flush(SimTime::ZERO).unwrap();
+        f.remap(Lpn(100), Lpn(1)).unwrap();
+        assert!(f.deallocate(Lpn(1)));
+        for lpn in 2..8 {
+            put(&mut f, lpn, 2).unwrap();
+        }
+        f.flush(SimTime::ZERO).unwrap();
+        let (plain, exceptional) = (flash_pun(&f, 0), flash_pun(&f, 100));
+        let block = f.block_of(plain);
+        assert_eq!(block, f.block_of(exceptional));
+        assert_eq!(f.table.exceptional_locations(), 1);
+        for pun in [plain, exceptional].into_iter().filter(|_| flip) {
+            // Lpns 4 and 5, both mapped elsewhere, once flipped.
+            let flash = f.flash_mut();
+            assert!(flash.sabotage_flip_stored_bit(pun.page(1), 0, StoredField::Lpn, 2));
+        }
+        (f, block)
+    };
+    // What the map says after `act`, once the copies are on flash.
+    let outcome = |act: &dyn Fn(&mut Ftl, BlockId), flip: bool| {
+        let (mut f, block) = twin(flip);
+        act(&mut f, block);
+        f.flush(SimTime::ZERO).unwrap();
+        f.check_invariants().unwrap();
+        let forward: Vec<(Lpn, Location)> = f.mapping_iter().collect();
+        let referrers: Vec<Vec<Lpn>> = forward
+            .iter()
+            .map(|&(_, loc)| {
+                let own = f.own_lpn(loc);
+                f.table.referrers(loc, own.as_ref()).to_vec()
+            })
+            .collect();
+        let copies = [0, 100].map(|lpn| {
+            let page = f.flash().read(flash_pun(&f, lpn).page(1));
+            assert_ne!(f.block_of(flash_pun(&f, lpn)), block, "lpn {lpn} moved");
+            page.and_then(|p| p.oob(0)).map(|oob| oob.lpn)
+        });
+        assert_eq!(
+            copies,
+            [Some(0), Some(100)],
+            "a copy is written under its referrer"
+        );
+        let unlinks = [0, 100, 1].map(|lpn| {
+            let (table, own) = f.table_mut();
+            table.unmap(Lpn(lpn), own)
+        });
+        (forward, referrers, copies, unlinks)
+    };
+    let gc = |f: &mut Ftl, block: BlockId| {
+        let round = f.run_gc_round(SimTime::ZERO, GcTrigger::Background);
+        assert!(round.unwrap().is_some());
+        assert!(
+            f.flash().erase_count(block) > 0,
+            "the twins' block was the victim"
+        );
+    };
+    let retire = |f: &mut Ftl, block: BlockId| f.retire_block(block);
+    for act in [&gc as &dyn Fn(&mut Ftl, BlockId), &retire] {
+        assert_eq!(outcome(act, true), outcome(act, false));
+    }
 }

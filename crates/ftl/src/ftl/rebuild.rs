@@ -177,6 +177,7 @@ impl Ftl {
         // replacement is built, so recovery never holds two.
         self.table = MappingTable::new();
         let mut table = MappingTable::with_capacity(g.total_pages() * upp as u64);
+        let own = super::owners(&self.flash, &self.buffer, upp);
         // `None`: nothing is programmed there.
         let unit_verifies = |pun: Pun| {
             let page = self.flash.read(pun.page(upp))?;
@@ -193,21 +194,22 @@ impl Ftl {
             &slot_by_seq,
             &pre_snap,
             &mut lost,
+            own,
         );
         for &(_, lpn, pun, unit_intact) in &replay {
             if unit_intact {
-                let _ = table.map(lpn, Location::Flash(pun));
+                let _ = table.map(lpn, Location::Flash(pun), own);
                 lost.remove(&lpn);
                 stats.oob_records_replayed += 1;
             } else {
-                let _ = table.unmap(lpn);
+                let _ = table.unmap(lpn, own);
                 lost.insert(lpn, pun);
             }
         }
         for (slot, d) in self.buffer.live() {
             max_seq = max_seq.max(d.oob.sequence);
             if d.oob.sequence > snap_seq {
-                let _ = table.map(Lpn(d.oob.lpn), Location::Buffer(slot));
+                let _ = table.map(Lpn(d.oob.lpn), Location::Buffer(slot), own);
                 lost.remove(&Lpn(d.oob.lpn));
                 stats.buffered_units_recovered += 1;
             }
@@ -248,7 +250,8 @@ impl Ftl {
             .filter_map(|(lpn, loc)| matches!(loc, Location::Buffer(_)).then_some(lpn))
             .collect();
         for lpn in buffered {
-            let _ = self.table.unmap(lpn);
+            let (table, own) = self.table_mut();
+            let _ = table.unmap(lpn, own);
         }
         self.buffer.clear();
     }

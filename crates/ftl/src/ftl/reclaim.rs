@@ -323,7 +323,7 @@ impl Ftl {
             round.next_page += 1;
             let referenced = (0..self.upp).any(|offset| {
                 let pun = Pun::compose(ppn, offset, self.upp);
-                !self.table.referrers(Location::Flash(pun)).is_empty()
+                self.table.is_referenced(Location::Flash(pun))
             });
             if referenced {
                 return Some(ppn);
@@ -417,7 +417,12 @@ impl Ftl {
     /// only copy, so its loss is recorded instead. Returns whether the
     /// unit moved.
     fn salvage_unit(&mut self, block: BlockId, pun: Pun, at: SimTime) -> bool {
-        let Some(&primary) = self.table.referrers(Location::Flash(pun)).first() else {
+        let unit = Location::Flash(pun);
+        if !self.table.is_referenced(unit) {
+            return false;
+        }
+        let own = self.own_lpn(unit);
+        let Some(&primary) = self.table.referrers(unit, own.as_ref()).first() else {
             return false;
         };
         let offset = pun.offset(self.upp) as usize;
@@ -431,9 +436,9 @@ impl Ftl {
             .unwrap_or_default()
             .to_payload();
         let slot = self.new_slot(payload, primary, OobKind::GcCopy);
-        let moved = self
-            .table
-            .relocate(Location::Flash(pun), Location::Buffer(slot));
+        // The copy is written under its first referrer.
+        let owns = |loc| if loc == unit { own } else { Some(primary) };
+        let moved = self.table.relocate(unit, Location::Buffer(slot), owns);
         debug_assert!(moved > 0);
         self.pool.sub_valid(block);
         true
@@ -445,9 +450,14 @@ impl Ftl {
     /// with a typed error instead of "never written".
     fn poison_destroyed_unit(&mut self, pun: Pun, at: SimTime) {
         self.ledger.record_destroyed(pun, &mut self.counters);
-        let referrers: Vec<Lpn> = self.table.referrers(Location::Flash(pun)).to_vec();
+        let own = self.own_lpn(Location::Flash(pun));
+        let referrers: Vec<Lpn> = self
+            .table
+            .referrers(Location::Flash(pun), own.as_ref())
+            .to_vec();
         for lpn in referrers {
-            let u = self.table.unmap(lpn);
+            let (table, own) = self.table_mut();
+            let u = table.unmap(lpn, own);
             self.note_unlink(u);
             self.ledger.poison(lpn);
         }

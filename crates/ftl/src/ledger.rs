@@ -54,7 +54,7 @@ impl IntegrityLedger {
         if !self.quarantined.insert(pun) {
             return None;
         }
-        let referenced = !table.referrers(Location::Flash(pun)).is_empty();
+        let referenced = table.is_referenced(Location::Flash(pun));
         counters.incr(if referenced {
             Counter::FtlIntegrityQuarantined
         } else {
@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn marks_count_once_and_partition_by_reference() {
         let mut table = MappingTable::new();
-        let _ = table.map(Lpn(0), Location::Flash(Pun(3)));
+        let _ = table.map(Lpn(0), Location::Flash(Pun(3)), |_| None);
         let mut ledger = IntegrityLedger::default();
         let mut c = CounterSet::new();
         assert_eq!(ledger.note_corrupt(Pun(3), &table, &mut c), Some(true));

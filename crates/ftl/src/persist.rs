@@ -77,6 +77,7 @@ impl MapPersistence {
     /// never re-linked onto missing or corrupt data — and an entry whose
     /// unit is there but does not verify (`Some(false)`) goes into
     /// `damaged`: the log is sound, so it names an lpn whose data is lost.
+    /// `own` is the table's own-LPN function.
     pub(crate) fn resolve_into(
         &mut self,
         table: &mut MappingTable,
@@ -84,6 +85,7 @@ impl MapPersistence {
         live_slots: &BTreeMap<u64, BufSlot>,
         drained: &BTreeMap<u64, Pun>,
         damaged: &mut BTreeMap<Lpn, Pun>,
+        own: impl Fn(Location) -> Option<Lpn>,
     ) -> (u64, u64) {
         let (mut resolved, mut dropped) = (0, 0);
         for (lpn, loc) in self.persisted.take().map(|s| s.entries).unwrap_or_default() {
@@ -106,7 +108,7 @@ impl MapPersistence {
             });
             match target {
                 Some(l) => {
-                    let _ = table.map(lpn, l);
+                    let _ = table.map(lpn, l, &own);
                     resolved += 1;
                 }
                 None => dropped += 1,
@@ -158,11 +160,11 @@ mod tests {
     fn entries_resolve_by_sequence_or_drop() {
         let mut buffer = WriteBuffer::default();
         let mut table = MappingTable::new();
-        let _ = table.map(Lpn(0), Location::Flash(Pun(10)));
-        let _ = table.map(Lpn(1), Location::Flash(Pun(11)));
+        let _ = table.map(Lpn(0), Location::Flash(Pun(10)), |_| None);
+        let _ = table.map(Lpn(1), Location::Flash(Pun(11)), |_| None);
         for (lpn, seq) in [(2, 5), (3, 6), (4, 7)] {
             let slot = buffered(&mut buffer, lpn, seq);
-            let _ = table.map(Lpn(lpn), Location::Buffer(slot));
+            let _ = table.map(Lpn(lpn), Location::Buffer(slot), |_| None);
         }
         let mut log = MapPersistence::default();
         log.persist(&table, &buffer, 6);
@@ -180,7 +182,14 @@ mod tests {
         let mut recovered = MappingTable::new();
         let mut damaged = BTreeMap::new();
         let verifies = |pun| Some(pun != Pun(11));
-        let counts = log.resolve_into(&mut recovered, verifies, &live, &drained, &mut damaged);
+        let counts = log.resolve_into(
+            &mut recovered,
+            verifies,
+            &live,
+            &drained,
+            &mut damaged,
+            |_| None,
+        );
         assert_eq!(counts, (3, 2));
         assert_eq!(damaged, BTreeMap::from([(Lpn(1), Pun(11))]));
         assert_eq!(recovered.lookup(Lpn(0)), Some(Location::Flash(Pun(10))));

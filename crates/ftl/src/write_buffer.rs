@@ -2,7 +2,7 @@
 //! that have not been programmed yet, and the order they page out in.
 //!
 //! Slot ids are recycled, so the slot array (and the mapping table's
-//! buffer-side reverse array) stays bounded by the buffer depth instead
+//! buffer-side state bits) stays bounded by the buffer depth instead
 //! of growing with total writes. The queue holds units in arrival order;
 //! an updated unit is a fresh slot at the tail, so the head naturally
 //! holds units that stopped receiving writes — those page out first.
@@ -130,7 +130,7 @@ impl WriteBuffer {
             let slot = BufSlot(id as u64);
             let queued = self.pending.iter().filter(|&&s| s == slot).count();
             let free = self.free_slot_ids.iter().filter(|&&f| f == slot.0).count();
-            let referenced = !table.referrers(Location::Buffer(slot)).is_empty();
+            let referenced = table.is_referenced(Location::Buffer(slot));
             let ok = match data {
                 Some(_) => free == 0 && (queued == 1 || (queued == 0 && referenced)),
                 None => (free, queued) == (1, 0),
@@ -173,7 +173,7 @@ mod tests {
         let mut table = MappingTable::new();
         let slots: Vec<BufSlot> = (0..4).map(|i| buf.enqueue(unit(i, i + 1))).collect();
         for (i, &s) in slots.iter().enumerate() {
-            let _ = table.map(Lpn(i as u64), Location::Buffer(s));
+            let _ = table.map(Lpn(i as u64), Location::Buffer(s), |_| None);
         }
         buf.check_invariants(&table).unwrap();
 
@@ -183,7 +183,7 @@ mod tests {
         buf.requeue_front(&batch);
         assert_eq!(buf.queued(), 4);
 
-        let _ = table.unmap(Lpn(1));
+        let _ = table.unmap(Lpn(1), |_| None);
         buf.discard(slots[1]);
         buf.check_invariants(&table).unwrap();
         assert_eq!(

@@ -77,13 +77,14 @@ fn an_out_of_range_id_is_absent_from_every_table() {
     check("out-of-range ids", 256, |rng| {
         let small = rng.below(1 << 10);
         let mut table = MappingTable::new();
-        let _ = table.map(Lpn(small), Location::Flash(Pun(small)));
-        let _ = table.map(Lpn(small + 1), Location::Buffer(BufSlot(small)));
+        let _ = table.map(Lpn(small), Location::Flash(Pun(small)), |_| None);
+        let _ = table.map(Lpn(small + 1), Location::Buffer(BufSlot(small)), |_| None);
 
         for far in [small + U32_LINE, small + (U32_LINE << 8), u64::MAX] {
             assert_eq!(table.lookup(Lpn(far)), None);
-            assert!(table.referrers(Location::Flash(Pun(far))).is_empty());
-            assert!(table.referrers(Location::Buffer(BufSlot(far))).is_empty());
+            assert!(!table.is_referenced(Location::Flash(Pun(far))));
+            assert!(!table.is_referenced(Location::Buffer(BufSlot(far))));
+            assert!(table.referrers(Location::Flash(Pun(far)), None).is_empty());
             // The index is the id itself, or — on a host whose usize
             // cannot hold it — one no table contains.
             let exact = usize::try_from(far).unwrap_or(usize::MAX);
@@ -93,6 +94,9 @@ fn an_out_of_range_id_is_absent_from_every_table() {
             assert_eq!(Ppn(far).index(), exact);
             assert_eq!(BlockId(far).index(), exact);
         }
-        assert_eq!(table.referrers(Location::Flash(Pun(small))), [Lpn(small)]);
+        assert_eq!(
+            table.referrers(Location::Flash(Pun(small)), None),
+            [Lpn(small)]
+        );
     });
 }

@@ -3,6 +3,14 @@
 //! soups of map/unmap/alias/relocate must produce identical forward
 //! mappings, identical `Unlink` outcomes, consistent reverse referrer
 //! sets, and the same ascending-LPN iteration order.
+//!
+//! The shadow also plays the own-LPN oracle the table asks: a location
+//! that an op is about to occupy gets an own LPN — the one placed there,
+//! another, or none — and keeps it while it stays occupied, as a buffer
+//! slot keeps its OOB record until it is discarded. Whatever the oracle
+//! says, the outcomes must be the same; what changes is only which
+//! locations are plain, and the table's canonical form is checked
+//! against it.
 
 use std::collections::BTreeMap;
 
@@ -22,10 +30,47 @@ const SLOTS: u64 = 12;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Map { lpn: Lpn, loc: Location },
-    Unmap { lpn: Lpn },
-    Alias { dst: Lpn, src: Lpn },
-    Relocate { from: Location, to: Location },
+    Map {
+        lpn: Lpn,
+        loc: Location,
+        own: Own,
+    },
+    Unmap {
+        lpn: Lpn,
+    },
+    Alias {
+        dst: Lpn,
+        src: Lpn,
+    },
+    Relocate {
+        from: Location,
+        to: Location,
+        own: Own,
+    },
+}
+
+/// The own LPN an op gives the location it is about to occupy.
+#[derive(Debug, Clone, Copy)]
+enum Own {
+    /// The LPN it places there: a written buffer slot, or a page-out's
+    /// flash unit (for a relocate, the first referrer it moves, as a GC
+    /// copy is written).
+    Placed,
+    /// The own LPN of the location a relocate moves from: a page-out.
+    Source,
+    /// Some other LPN.
+    Other(Lpn),
+    /// None at all.
+    Nothing,
+}
+
+fn any_own(rng: &mut TestRng) -> Own {
+    match rng.weighted(&[6, 2, 1, 1]) {
+        0 => Own::Placed,
+        1 => Own::Source,
+        2 => Own::Other(any_lpn(rng)),
+        _ => Own::Nothing,
+    }
 }
 
 fn any_lpn(rng: &mut TestRng) -> Lpn {
@@ -49,6 +94,7 @@ fn any_op(rng: &mut TestRng) -> Op {
         0 => Op::Map {
             lpn: any_lpn(rng),
             loc: any_loc(rng),
+            own: any_own(rng),
         },
         1 => Op::Unmap { lpn: any_lpn(rng) },
         2 => Op::Alias {
@@ -58,6 +104,7 @@ fn any_op(rng: &mut TestRng) -> Op {
         _ => Op::Relocate {
             from: any_loc(rng),
             to: any_loc(rng),
+            own: any_own(rng),
         },
     }
 }
@@ -68,9 +115,47 @@ fn any_op(rng: &mut TestRng) -> Op {
 #[derive(Default)]
 struct Shadow {
     forward: BTreeMap<u64, Location>,
+    /// The own-LPN oracle: locations by `key`.
+    own: BTreeMap<(u8, u64), Lpn>,
+}
+
+fn key(loc: Location) -> (u8, u64) {
+    match loc {
+        Location::Flash(p) => (0, p.0),
+        Location::Buffer(s) => (1, s.0),
+    }
 }
 
 impl Shadow {
+    fn own(&self, loc: Location) -> Option<Lpn> {
+        self.own.get(&key(loc)).copied()
+    }
+
+    /// Gives `loc` the own LPN `pick` says, unless it is occupied: an
+    /// occupied location keeps its own. `placed` is the LPN the op puts
+    /// there first, `source` the location it moves from.
+    fn give_own(
+        &mut self,
+        loc: Location,
+        pick: Own,
+        placed: Option<Lpn>,
+        source: Option<Location>,
+    ) {
+        if !self.referrers(loc).is_empty() {
+            return;
+        }
+        let own = match pick {
+            Own::Placed => placed,
+            Own::Source => source.and_then(|s| self.own(s)),
+            Own::Other(lpn) => Some(lpn),
+            Own::Nothing => None,
+        };
+        match own {
+            Some(lpn) => self.own.insert(key(loc), lpn),
+            None => self.own.remove(&key(loc)),
+        };
+    }
+
     fn referrers(&self, loc: Location) -> Vec<Lpn> {
         self.forward
             .iter()
@@ -121,12 +206,19 @@ impl Shadow {
 
     fn occupied(&self) -> usize {
         let mut locs: Vec<Location> = self.forward.values().copied().collect();
-        locs.sort_by_key(|l| match l {
-            Location::Flash(p) => (0u8, p.0),
-            Location::Buffer(s) => (1u8, s.0),
-        });
+        locs.sort_by_key(|&l| key(l));
         locs.dedup();
         locs.len()
+    }
+
+    /// Occupied locations whose referrers are not their own LPN alone.
+    fn exceptional(&self) -> usize {
+        let mut locs: Vec<Location> = self.forward.values().copied().collect();
+        locs.sort_by_key(|&l| key(l));
+        locs.dedup();
+        locs.into_iter()
+            .filter(|&l| self.own(l).is_none_or(|own| self.referrers(l) != [own]))
+            .count()
     }
 }
 
@@ -143,6 +235,11 @@ fn assert_equivalent(table: &MappingTable, shadow: &Shadow) {
         shadow.occupied(),
         "occupied counter"
     );
+    assert_eq!(
+        table.exceptional_locations(),
+        shadow.exceptional(),
+        "exceptional counter"
+    );
 
     // Reverse direction over the whole location universe: same referrer
     // sets (the table keeps insertion order, so compare as sorted sets).
@@ -150,35 +247,56 @@ fn assert_equivalent(table: &MappingTable, shadow: &Shadow) {
         .map(|p| Location::Flash(Pun(p)))
         .chain((0..SLOTS).map(|s| Location::Buffer(BufSlot(s))));
     for loc in locs {
-        let mut got: Vec<Lpn> = table.referrers(loc).to_vec();
+        let own = shadow.own(loc);
+        let mut got: Vec<Lpn> = table.referrers(loc, own.as_ref()).to_vec();
         got.sort_by_key(|l| l.0);
         assert_eq!(got, shadow.referrers(loc), "referrers of {loc}");
+        assert_eq!(
+            table.is_referenced(loc),
+            !got.is_empty(),
+            "{loc} referenced"
+        );
     }
 
-    table.check_consistency().unwrap();
+    // Forward/reverse symmetry and the canonical form under this oracle.
+    table.check_consistency(|loc| shadow.own(loc)).unwrap();
 }
 
 /// Applies `op` to both and requires the same outcome.
 fn step(table: &mut MappingTable, shadow: &mut Shadow, op: Op) {
     match op {
-        Op::Map { lpn, loc } => {
-            assert_eq!(table.map(lpn, loc), shadow.map(lpn, loc), "map {lpn}");
+        Op::Map {
+            loc,
+            own: pick,
+            lpn,
+        } => shadow.give_own(loc, pick, Some(lpn), None),
+        Op::Relocate {
+            from,
+            to,
+            own: pick,
+        } => {
+            let first = table
+                .referrers(from, shadow.own(from).as_ref())
+                .first()
+                .copied();
+            shadow.give_own(to, pick, first, Some(from));
         }
-        Op::Unmap { lpn } => {
-            assert_eq!(table.unmap(lpn), shadow.unmap(lpn), "unmap {lpn}");
-        }
-        Op::Alias { dst, src } => {
-            assert_eq!(
-                table.alias(dst, src),
-                shadow.alias(dst, src),
-                "alias {dst} -> {src}"
-            );
-        }
-        Op::Relocate { from, to } => {
-            let moved = table.relocate(from, to);
-            assert_eq!(moved, shadow.relocate(from, to), "relocate {from}");
-        }
+        Op::Unmap { .. } | Op::Alias { .. } => {}
     }
+    let oracle = |loc| shadow.own(loc);
+    let got = match op {
+        Op::Map { lpn, loc, .. } => Ok(table.map(lpn, loc, oracle)),
+        Op::Unmap { lpn } => Ok(table.unmap(lpn, oracle)),
+        Op::Alias { dst, src } => table.alias(dst, src, oracle).map_err(Some),
+        Op::Relocate { from, to, .. } => Err(Some(Lpn(table.relocate(from, to, oracle) as u64))),
+    };
+    let want = match op {
+        Op::Map { lpn, loc, .. } => Ok(shadow.map(lpn, loc)),
+        Op::Unmap { lpn } => Ok(shadow.unmap(lpn)),
+        Op::Alias { dst, src } => shadow.alias(dst, src).map_err(Some),
+        Op::Relocate { from, to, .. } => Err(Some(Lpn(shadow.relocate(from, to) as u64))),
+    };
+    assert_eq!(got, want, "{op:?}");
 }
 
 fn run_ops(ops: &[Op]) {
@@ -190,6 +308,15 @@ fn run_ops(ops: &[Op]) {
     assert_equivalent(&table, &shadow);
 }
 
+/// Each location's referrers, in the table's order, after `ops`.
+fn referrers_after(ops: &[Op], loc: Location) -> Vec<Lpn> {
+    let (table, shadow) = run_stepwise(ops);
+    table.referrers(loc, shadow.own(loc).as_ref()).to_vec()
+}
+
+/// Every own-LPN pick a fixed op sequence runs under.
+const PICKS: [Own; 4] = [Own::Placed, Own::Source, Own::Other(Lpn(199)), Own::Nothing];
+
 #[test]
 fn mapping_table_matches_map_shadow_under_random_ops() {
     check("mapping_table_matches_map_shadow", 96, |rng| {
@@ -199,8 +326,8 @@ fn mapping_table_matches_map_shadow_under_random_ops() {
     });
 }
 
-/// Long soups: the reverse slots cycle through Empty/One/Many many times
-/// and the overflow vector sees repeated insert/remove churn.
+/// Long soups: locations cycle through free, plain and exceptional many
+/// times, and the overflow vector sees repeated insert/remove churn.
 #[test]
 fn mapping_table_matches_map_shadow_under_long_churn() {
     check("mapping_table_long_churn", 12, |rng| {
@@ -222,59 +349,68 @@ fn mapping_table_stays_equivalent_at_every_step() {
 }
 
 /// [`step`] and [`assert_equivalent`] after every op.
-fn run_stepwise(ops: &[Op]) -> MappingTable {
+fn run_stepwise(ops: &[Op]) -> (MappingTable, Shadow) {
     let mut table = MappingTable::new();
     let mut shadow = Shadow::default();
     for &op in ops {
         step(&mut table, &mut shadow, op);
         assert_equivalent(&table, &shadow);
     }
-    table
+    (table, shadow)
 }
 
 /// A device-metadata LPN: the SSD's band starts at `u64::MAX / 2`, so
 /// these sit at or above 2^63.
 const META: Lpn = Lpn(u64::MAX / 2 + 1);
 
-/// One location's reverse slot through every representation: empty, one
+/// One location's referrers through every representation: empty, one
 /// referrer, a list, one again, empty — with a metadata LPN alone and
-/// inside the list, and the referrers in the order they arrived.
+/// inside the list, and the referrers in the order they arrived — under
+/// every own-LPN pick, so each shape is met both plain and exceptional.
 #[test]
 fn a_slot_goes_empty_one_many_one_empty() {
     const { assert!(META.0 >= 1 << 63) };
     let home = Location::Flash(Pun(3));
-    let map = |lpn, loc| Op::Map { lpn, loc };
-    let alias = |dst, src| Op::Alias { dst, src };
-    let unmap = |lpn| Op::Unmap { lpn };
-    let t = run_stepwise(&[map(META, home)]);
-    assert_eq!(t.referrers(home), [META]);
-    let t = run_stepwise(&[map(META, home), alias(Lpn(7), META), alias(Lpn(2), META)]);
-    assert_eq!(t.referrers(home), [META, Lpn(7), Lpn(2)]);
-    let t = run_stepwise(&[
-        map(Lpn(7), home),
-        alias(META, Lpn(7)),
-        alias(Lpn(2), Lpn(7)),
-        unmap(Lpn(7)),
-    ]);
-    assert_eq!(t.referrers(home), [META, Lpn(2)]);
-    let t = run_stepwise(&[
-        map(Lpn(7), home),
-        alias(META, Lpn(7)),
-        unmap(Lpn(7)),
-        alias(Lpn(9), META),
-        unmap(META),
-    ]);
-    assert_eq!(t.referrers(home), [Lpn(9)]);
-    let t = run_stepwise(&[
-        map(Lpn(7), home),
-        alias(META, Lpn(7)),
-        unmap(META),
-        unmap(Lpn(7)),
-        map(META, home),
-        unmap(META),
-    ]);
-    assert!(t.referrers(home).is_empty());
-    assert_eq!(t.occupied_locations(), 0);
+    for own in PICKS {
+        let map = |lpn, loc| Op::Map { lpn, loc, own };
+        let alias = |dst, src| Op::Alias { dst, src };
+        let unmap = |lpn| Op::Unmap { lpn };
+        let after = |ops: &[Op]| referrers_after(ops, home);
+        assert_eq!(after(&[map(META, home)]), [META]);
+        assert_eq!(
+            after(&[map(META, home), alias(Lpn(7), META), alias(Lpn(2), META)]),
+            [META, Lpn(7), Lpn(2)]
+        );
+        assert_eq!(
+            after(&[
+                map(Lpn(7), home),
+                alias(META, Lpn(7)),
+                alias(Lpn(2), Lpn(7)),
+                unmap(Lpn(7)),
+            ]),
+            [META, Lpn(2)]
+        );
+        assert_eq!(
+            after(&[
+                map(Lpn(7), home),
+                alias(META, Lpn(7)),
+                unmap(Lpn(7)),
+                alias(Lpn(9), META),
+                unmap(META),
+            ]),
+            [Lpn(9)]
+        );
+        let ops = [
+            map(Lpn(7), home),
+            alias(META, Lpn(7)),
+            unmap(META),
+            unmap(Lpn(7)),
+            map(META, home),
+            unmap(META),
+        ];
+        assert!(after(&ops).is_empty());
+        assert_eq!(run_stepwise(&ops).0.occupied_locations(), 0);
+    }
 }
 
 /// `relocate` onto a slot that already has referrers, for each pair of
@@ -283,38 +419,42 @@ fn a_slot_goes_empty_one_many_one_empty() {
 #[test]
 fn relocate_onto_an_occupied_slot_merges_in_order() {
     let (from, to) = (Location::Buffer(BufSlot(1)), Location::Flash(Pun(5)));
-    let map = |lpn, loc| Op::Map { lpn, loc };
-    let alias = |dst, src| Op::Alias { dst, src };
-    let relocate = Op::Relocate { from, to };
-    let cases: [(&[Op], &[Lpn]); 4] = [
-        (&[map(Lpn(1), to), map(META, from)], &[Lpn(1), META]),
-        (
-            &[map(Lpn(1), to), map(Lpn(2), from), alias(META, Lpn(2))],
-            &[Lpn(1), Lpn(2), META],
-        ),
-        (
-            &[map(META, to), alias(Lpn(1), META), map(Lpn(2), from)],
-            &[META, Lpn(1), Lpn(2)],
-        ),
-        (
-            &[
-                map(Lpn(1), to),
-                alias(Lpn(3), Lpn(1)),
-                map(Lpn(2), from),
-                alias(META, Lpn(2)),
-            ],
-            &[Lpn(1), Lpn(3), Lpn(2), META],
-        ),
-    ];
-    for (setup, merged) in cases {
-        let ops: Vec<Op> = setup.iter().copied().chain([relocate]).collect();
-        let t = run_stepwise(&ops);
-        assert_eq!(t.referrers(to), merged, "{setup:?}");
-        assert!(t.referrers(from).is_empty());
-        // And back out again: the merged list leaves whole.
-        let back = Op::Relocate { from: to, to: from };
-        let ops: Vec<Op> = ops.into_iter().chain([back]).collect();
-        let t = run_stepwise(&ops);
-        assert_eq!(t.referrers(from), merged);
+    for own in PICKS {
+        let map = |lpn, loc| Op::Map { lpn, loc, own };
+        let alias = |dst, src| Op::Alias { dst, src };
+        let relocate = Op::Relocate { from, to, own };
+        let cases: [(&[Op], &[Lpn]); 4] = [
+            (&[map(Lpn(1), to), map(META, from)], &[Lpn(1), META]),
+            (
+                &[map(Lpn(1), to), map(Lpn(2), from), alias(META, Lpn(2))],
+                &[Lpn(1), Lpn(2), META],
+            ),
+            (
+                &[map(META, to), alias(Lpn(1), META), map(Lpn(2), from)],
+                &[META, Lpn(1), Lpn(2)],
+            ),
+            (
+                &[
+                    map(Lpn(1), to),
+                    alias(Lpn(3), Lpn(1)),
+                    map(Lpn(2), from),
+                    alias(META, Lpn(2)),
+                ],
+                &[Lpn(1), Lpn(3), Lpn(2), META],
+            ),
+        ];
+        for (setup, merged) in cases {
+            let ops: Vec<Op> = setup.iter().copied().chain([relocate]).collect();
+            assert_eq!(referrers_after(&ops, to), merged, "{setup:?}");
+            assert!(referrers_after(&ops, from).is_empty());
+            // And back out again: the merged list leaves whole.
+            let back = Op::Relocate {
+                from: to,
+                to: from,
+                own,
+            };
+            let ops: Vec<Op> = ops.into_iter().chain([back]).collect();
+            assert_eq!(referrers_after(&ops, from), merged);
+        }
     }
 }

@@ -15,16 +15,18 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== cargo test --release (checkin-core, checkin-sim, checkin-ssd, checkin-ftl and checkin-flash libs; zero_alloc, prop_ftl)"
+echo "== cargo test --release (checkin-core, checkin-sim, checkin-ssd, checkin-ftl and checkin-flash libs; zero_alloc, prop_ftl, prop_mapping, mapping_alloc)"
 # Release builds compile `debug_assert!` out: a test that expects one to
 # fire must be gated on `debug_assertions`, or this profile goes red.
 cargo test --release -p checkin-core -p checkin-sim -p checkin-ssd -p checkin-ftl \
     -p checkin-flash --lib -q
 # The benchmark measures release builds, so the hot loop's freedom from
 # allocation and the write buffer's ack rule are checked in that
-# profile too (about 3 s together).
+# profile too (about 3 s together), and so is the mapping table's
+# bit-index and run arithmetic, whose overflow checks release turns off.
 cargo test --release -p checkin-core --test zero_alloc -q
 cargo test --release -p checkin-ftl --test prop_ftl -q
+cargo test --release -p checkin-ftl --test prop_mapping --test mapping_alloc -q
 
 echo "== examples run"
 # `cargo test` and clippy only compile the examples. Each runs in well

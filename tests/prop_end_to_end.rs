@@ -88,25 +88,32 @@ fn mapping_table_stays_consistent() {
         let len = rng.range_usize(1, 199);
         let ops = soup(rng, len, map_op);
         let mut table = MappingTable::new();
+        // Flash unit `p` was programmed with lpn `p`: the two u8 ranges
+        // meet, so plain and exceptional units both arise.
+        let own = |loc| match loc {
+            Location::Flash(pun) => Some(Lpn(pun.0)),
+            Location::Buffer(_) => None,
+        };
         for op in ops {
             match op {
                 MapOp::Map(l, p) => {
-                    table.map(Lpn(l as u64), Location::Flash(Pun(p as u64)));
+                    table.map(Lpn(l as u64), Location::Flash(Pun(p as u64)), own);
                 }
                 MapOp::Alias(d, s) => {
-                    let _ = table.alias(Lpn(d as u64), Lpn(s as u64));
+                    let _ = table.alias(Lpn(d as u64), Lpn(s as u64), own);
                 }
                 MapOp::Unmap(l) => {
-                    table.unmap(Lpn(l as u64));
+                    table.unmap(Lpn(l as u64), own);
                 }
                 MapOp::Relocate(f, t) => {
                     table.relocate(
                         Location::Flash(Pun(f as u64)),
                         Location::Flash(Pun(t as u64)),
+                        own,
                     );
                 }
             }
-            assert!(table.check_consistency().is_ok());
+            assert!(table.check_consistency(own).is_ok());
         }
     });
 }
