@@ -166,6 +166,16 @@ impl Bits {
         }
     }
 
+    /// How many locations have state bit `bit` (0: referenced, 1:
+    /// exceptional) set.
+    fn count(&self, bit: u32) -> usize {
+        let ones = self
+            .0
+            .iter()
+            .map(|w| (w >> bit & REFERENCED_BITS).count_ones());
+        ones.map(|n| n as usize).sum()
+    }
+
     /// The referenced locations, ascending.
     fn referenced(&self) -> impl Iterator<Item = u64> + '_ {
         (0u64..).zip(&self.0).flat_map(|(w, &word)| {
@@ -211,10 +221,6 @@ pub struct MappingTable {
     moving: Vec<Lpn>,
     /// Count of mapped LPNs.
     live: usize,
-    /// Count of referenced locations across both sides.
-    occupied: usize,
-    /// Count of exceptional locations across both sides.
-    exceptional: usize,
 }
 
 impl MappingTable {
@@ -261,16 +267,12 @@ impl MappingTable {
         }
     }
 
-    /// Sets a packable `loc`'s state bits from `was` to `state`, keeping
-    /// the counters in step.
-    fn set_state(&mut self, loc: Location, was: u64, state: u64) {
+    /// Sets a packable `loc`'s state bits.
+    fn set_state(&mut self, loc: Location, state: u64) {
         match loc {
             Location::Flash(pun) => self.flash_bits.set(pun.index(), state),
             Location::Buffer(slot) => self.buf_bits.set(slot.index(), state),
         }
-        let count = |s: u64, bit: u64| usize::from(s & bit != 0);
-        self.occupied = self.occupied + count(state, REFERENCED) - count(was, REFERENCED);
-        self.exceptional = self.exceptional + count(state, EXCEPTIONAL) - count(was, EXCEPTIONAL);
     }
 
     /// Current location of a logical unit.
@@ -312,15 +314,16 @@ impl MappingTable {
         self.live
     }
 
-    /// Number of occupied physical/buffer locations.
+    /// Number of occupied physical/buffer locations (a count of their
+    /// referenced bits).
     pub fn occupied_locations(&self) -> usize {
-        self.occupied
+        self.flash_bits.count(0) + self.buf_bits.count(0)
     }
 
     /// Number of occupied locations whose referrers are not their own LPN
     /// alone: the entries of the exception map.
     pub fn exceptional_locations(&self) -> usize {
-        self.exceptional
+        self.exceptions.len()
     }
 
     /// Appends `lpns` to the referrers of `loc` (forward word `key`) in
@@ -337,13 +340,13 @@ impl MappingTable {
         let state = self.state(loc);
         let head = match state {
             0 if own(loc).is_some_and(|own| lpns == [own]) => {
-                return self.set_state(loc, state, REFERENCED);
+                return self.set_state(loc, REFERENCED);
             }
             REFERENCED => own(loc),
             _ => None,
         };
         self.exceptions.append(key, head, lpns);
-        self.set_state(loc, state, REFERENCED | EXCEPTIONAL);
+        self.set_state(loc, REFERENCED | EXCEPTIONAL);
     }
 
     /// Removes `lpn` from the referrers of `loc`; an exceptional location
@@ -359,7 +362,7 @@ impl MappingTable {
             Left::Own => REFERENCED,
             Left::List => state,
         };
-        self.set_state(loc, state, now);
+        self.set_state(loc, now);
         if now == 0 {
             Unlink::Orphaned(loc)
         } else {
@@ -452,7 +455,7 @@ impl MappingTable {
             let Some(lpn) = own(from) else {
                 return 0;
             };
-            self.set_state(from, state, 0);
+            self.set_state(from, 0);
             self.forward.set(lpn, to_key);
             self.link(to, to_key, slice::from_ref(&lpn), own);
             return 1;
@@ -460,7 +463,7 @@ impl MappingTable {
         let mut moving = std::mem::take(&mut self.moving);
         moving.clear();
         self.exceptions.take(from_key, &mut moving);
-        self.set_state(from, state, 0);
+        self.set_state(from, 0);
         for &lpn in &moving {
             self.forward.set(lpn, to_key);
         }
@@ -514,7 +517,7 @@ impl MappingTable {
             .buf_bits
             .referenced()
             .map(|s| Location::Buffer(BufSlot(s)));
-        let (mut occupied, mut exceptional, mut referrers, mut pairs) = (0, 0, 0, 0);
+        let (mut exceptional, mut referrers, mut pairs) = (0, 0, 0);
         for loc in flash.chain(buffer) {
             let own = own(loc);
             let list = self.referrers(loc, own.as_ref());
@@ -528,22 +531,22 @@ impl MappingTable {
             if let Some(lpn) = list.iter().find(|&&lpn| self.lookup(lpn) != Some(loc)) {
                 return Err(format!("{loc} lists {lpn} but forward disagrees"));
             }
-            occupied += 1;
             exceptional += usize::from(listed);
             referrers += list.len();
             pairs += if listed { list.len() } else { 0 };
         }
+        let exceptional_bits = self.flash_bits.count(1) + self.buf_bits.count(1);
         let found = (
             self.iter().count(),
-            occupied,
-            exceptional,
+            exceptional_bits,
             self.exceptions.check()?,
         );
-        let want = (self.live, self.occupied, self.exceptional, pairs);
-        if found != want || referrers != self.live {
+        let want = (self.live, exceptional, pairs);
+        if found != want || referrers != self.live || exceptional != self.exceptional_locations() {
             return Err(format!(
-                "forward entries, occupied and exceptional locations and listed pairs are \
-                 {found:?}; counters and lists say {want:?}, and {referrers} referrers"
+                "forward entries, exceptional bits and listed pairs are {found:?}, the \
+                 referenced locations {want:?}; {referrers} referrers, {} lists",
+                self.exceptional_locations()
             ));
         }
         Ok(())
@@ -900,7 +903,7 @@ mod tests {
             "a list of the own lpn alone"
         );
         let mut t = shared();
-        t.set_state(Location::Flash(Pun(6)), 0, EXCEPTIONAL);
+        t.set_state(Location::Flash(Pun(6)), EXCEPTIONAL);
         assert!(
             t.check_consistency(ids).is_err(),
             "exceptional, not referenced"

@@ -276,6 +276,11 @@ impl Exceptions {
         }
     }
 
+    /// Locations the map holds a list for.
+    pub(super) fn len(&self) -> usize {
+        self.len
+    }
+
     pub(super) fn bytes(&self) -> usize {
         self.slots.capacity() * size_of::<Slot>()
             + self.lists.capacity() * size_of::<Vec<Lpn>>()
