@@ -894,6 +894,21 @@ mod tests {
             t.check_consistency(ids).unwrap();
             t
         };
+        let mut whole = shared();
+        whole.map(Lpn(7), Location::Buffer(BufSlot(3)), ids);
+        whole.alias(Lpn(8), Lpn(7), ids).unwrap();
+        whole.check_consistency(ids).unwrap();
+        for (how, broken) in exceptions::tests::broken(&whole.exceptions) {
+            let seen = broken.check().unwrap_err();
+            let mut t = whole.clone();
+            t.exceptions = broken;
+            match t.check_consistency(ids) {
+                // The referrers it shows are whole: only the map's own check
+                // can see the break, and its error is passed on.
+                Err(e) if how.contains("free") => assert_eq!(e, seen, "{how}"),
+                e => assert!(e.is_err(), "{how}"),
+            }
+        }
         let mut t = shared();
         t.exceptions.remove(key, Lpn(2), || None);
         t.live -= 1;

@@ -9,9 +9,6 @@ use crate::location::Lpn;
 
 /// A slot's `list` when it holds one referrer, in its `lpn`.
 const ONE: u32 = u32::MAX;
-/// Set in a slot's `list` when the list's first referrer is its location's
-/// own LPN, which `remove` then need not ask for.
-const HEADED: u32 = 1 << 31;
 
 /// One slot of [`Exceptions`].
 #[derive(Debug, Clone, Copy)]
@@ -19,8 +16,7 @@ struct Slot {
     /// The location's forward word; [`UNMAPPED`], which packs no
     /// location, when the slot is vacant.
     key: ForwardWord,
-    /// [`ONE`], or the id of the location's list in `Exceptions::lists`
-    /// (with [`HEADED`]).
+    /// [`ONE`], or the id of the location's list in `Exceptions::lists`.
     list: u32,
     lpn: Lpn,
 }
@@ -91,7 +87,7 @@ impl Exceptions {
 
     fn list(&self, slot: &Slot) -> Option<&Vec<Lpn>> {
         self.lists
-            .get((slot.list & !HEADED) as usize)
+            .get(slot.list as usize)
             .filter(|_| slot.list != ONE)
     }
 
@@ -143,7 +139,7 @@ impl Exceptions {
             }
             ONE => Some(slot.lpn),
             list => {
-                if let Some(list) = self.lists.get_mut((list & !HEADED) as usize) {
+                if let Some(list) = self.lists.get_mut(list as usize) {
                     list.push(first);
                     list.extend(rest);
                 }
@@ -157,17 +153,11 @@ impl Exceptions {
         if let Some(list) = self.lists.get_mut(id as usize) {
             list.extend(held.into_iter().chain([first]).chain(rest));
         }
-        let headed = if held.is_none() && head.is_some() {
-            HEADED
-        } else {
-            0
-        };
-        let list = id | headed;
         self.put(
             i,
             Slot {
                 key,
-                list,
+                list: id,
                 lpn: Lpn(0),
             },
         );
@@ -184,23 +174,19 @@ impl Exceptions {
         let Some((i, slot)) = self.slot_of(key) else {
             return Left::Nothing;
         };
-        let mut known = None;
-        let id = slot.list & !HEADED;
-        let only = match self.lists.get_mut(id as usize).filter(|_| slot.list != ONE) {
+        let only = match self
+            .lists
+            .get_mut(slot.list as usize)
+            .filter(|_| slot.list != ONE)
+        {
             Some(list) => {
-                known = list.first().copied().filter(|_| slot.list & HEADED != 0);
-                let at = list.iter().position(|&l| l == lpn);
-                if let Some(at) = at {
+                if let Some(at) = list.iter().position(|&l| l == lpn) {
                     list.remove(at);
                 }
                 let [only] = *list.as_slice() else {
-                    if at == Some(0) {
-                        // The own LPN left the head of a longer list.
-                        self.put(i, Slot { list: id, ..slot });
-                    }
                     return Left::List;
                 };
-                self.free_list(id);
+                self.free_list(slot.list);
                 only
             }
             None if slot.lpn == lpn => {
@@ -209,7 +195,7 @@ impl Exceptions {
             }
             None => slot.lpn,
         };
-        if known.or_else(own) == Some(only) {
+        if own() == Some(only) {
             self.vacate(i);
             return Left::Own;
         }
@@ -232,7 +218,7 @@ impl Exceptions {
         match self.list(&slot) {
             Some(list) => {
                 out.extend_from_slice(list);
-                self.free_list(slot.list & !HEADED);
+                self.free_list(slot.list);
             }
             None => out.push(slot.lpn),
         }
@@ -306,7 +292,7 @@ impl Exceptions {
         {
             len += 1;
             let list = self.list(s);
-            let id = (s.list & !HEADED) as usize;
+            let id = s.list as usize;
             let shared = list.is_some()
                 && named
                     .get_mut(id)
@@ -333,12 +319,61 @@ impl Exceptions {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use std::collections::BTreeMap;
 
     use checkin_testkit::check;
 
     use super::*;
+
+    /// Copies of `map`, which must hold a list and one more location, each
+    /// broken one way that [`Exceptions::check`] must see.
+    pub(in crate::mapping) fn broken(map: &Exceptions) -> Vec<(&'static str, Exceptions)> {
+        let used = |i: &usize| map.slots[*i].key != UNMAPPED;
+        let listed = (0..map.slots.len())
+            .filter(used)
+            .find(|&i| map.slots[i].list != ONE);
+        let a = listed.expect("a location with a list");
+        let b = (0..map.slots.len()).filter(used).find(|&i| i != a);
+        let b = b.expect("a second location");
+        let id = map.slots[a].list;
+        let mut shared = map.clone();
+        shared.slots[b].list = id;
+        let mut freed = map.clone();
+        freed.free.push(id);
+        let mut lost = map.clone();
+        lost.lists.push(Vec::new());
+        let mut short = map.clone();
+        short.lists[id as usize].truncate(1);
+        let vacant = (0..map.slots.len()).filter(|i| !used(i));
+        let moved = vacant.map(|j| {
+            let mut m = map.clone();
+            m.slots.swap(b, j);
+            (j, m)
+        });
+        let (_, moved) = moved
+            .into_iter()
+            .find(|(j, m)| m.find(m.slots[*j].key) != Some(*j))
+            .expect("a vacant slot off the probe path");
+        vec![
+            ("a list named by two slots", shared),
+            ("a list in use on the free list", freed),
+            ("a list neither named nor free", lost),
+            ("a list of one", short),
+            ("a slot off its probe path", moved),
+        ]
+    }
+
+    #[test]
+    fn check_sees_a_broken_arena() {
+        let mut map = Exceptions::default();
+        map.append(1, None, &[Lpn(1), Lpn(2)]);
+        map.append(2, None, &[Lpn(3)]);
+        map.check().unwrap();
+        for (how, map) in broken(&map) {
+            assert!(map.check().is_err(), "{how}");
+        }
+    }
 
     /// Random appends, removals and takes over a few hundred keys —
     /// enough for the table to grow and for removals to shift probe runs
