@@ -100,15 +100,6 @@ fn phase_ops(counters: &CounterSet, phase: OpPhase) -> PhaseOps {
     }
 }
 
-/// The device's flash, FTL and SSD counters in one set (disjoint key
-/// prefixes).
-fn device_counters(ssd: &Ssd) -> CounterSet {
-    let mut all = ssd.ftl().flash().counters().clone();
-    all.merge(ssd.ftl().counters());
-    all.merge(ssd.counters());
-    all
-}
-
 /// A checkpoint between its begin and its end. Queries keep running
 /// while its data moves and while the retired zone is trimmed, so the
 /// device counters move for them too: everything the checkpoint reports
@@ -382,9 +373,9 @@ fn own_call<R>(
     ssd: &mut Ssd,
     call: impl FnOnce(&mut Ssd) -> Result<R, SsdError>,
 ) -> Result<R, SsdError> {
-    let before = device_counters(ssd);
+    let before = ssd.all_counters();
     let out = call(ssd);
-    own.merge(&device_counters(ssd).delta_since(&before));
+    own.merge(&ssd.all_counters().delta_since(&before));
     out
 }
 

@@ -2,7 +2,7 @@
 //! machine model.
 
 use checkin_flash::{FlashGeometry, FlashTiming};
-use checkin_ftl::{FtlConfig, MediaRetryPolicy};
+use checkin_ftl::FtlConfig;
 use checkin_sim::SimDuration;
 use checkin_ssd::{CheckpointMode, SsdTiming};
 use checkin_workload::WorkloadSpec;
@@ -228,11 +228,7 @@ impl SystemConfig {
             write_points: self.geometry.total_planes() as u32,
             map_cache_entries: self.map_cache_entries,
             write_buffer_units: self.write_buffer_units,
-            wear_leveling_threshold: Some(64),
-            retry_read: MediaRetryPolicy::default(),
-            retry_program: MediaRetryPolicy::default(),
-            retry_erase: MediaRetryPolicy::default(),
-            verify_checksums: true,
+            ..FtlConfig::default()
         }
     }
 

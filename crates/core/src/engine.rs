@@ -924,14 +924,6 @@ mod tests {
         assert_eq!((r.version, r.from_journal), (3, true));
     }
 
-    /// The device's flash, FTL and SSD counters in one set.
-    fn device_counters(ssd: &Ssd) -> CounterSet {
-        let mut all = ssd.ftl().flash().counters().clone();
-        all.merge(ssd.ftl().counters());
-        all.merge(ssd.counters());
-        all
-    }
-
     /// `setup(strategy)` with 32 records loaded and the first `updates`
     /// of them updated. Returns when the last update completed.
     fn updated(strategy: Strategy, updates: u64) -> (Ssd, KvEngine, SimTime) {
@@ -981,7 +973,7 @@ mod tests {
                 "{strategy}"
             );
             assert_eq!(once.counters(), engine.counters(), "{strategy}");
-            assert_eq!(device_counters(&once_ssd), device_counters(&ssd));
+            assert_eq!(once_ssd.all_counters(), ssd.all_counters());
             assert_eq!(last > t, updates > 0, "{strategy} is pumped");
             assert!(last < out.finish, "{strategy}: {last:?} {:?}", out.finish);
             let ending = CheckpointPhase::Ending(out.finish);

@@ -634,9 +634,7 @@ impl KvSystem {
     /// engine sets count under disjoint key prefixes, so merging them
     /// loses nothing.
     fn counters(&self) -> CounterSet {
-        let mut all = self.ssd.ftl().flash().counters().clone();
-        all.merge(self.ssd.ftl().counters());
-        all.merge(self.ssd.counters());
+        let mut all = self.ssd.all_counters();
         all.merge(self.engine.counters());
         all
     }

@@ -24,27 +24,18 @@ pub struct MediaRetryPolicy {
     /// escapes. Fatal errors (rule violations, grown bad blocks, power
     /// loss) are never retried.
     pub limit: u32,
-    /// Cap on the exponential-backoff shift: attempt `n` waits
-    /// `op_time << min(n, cap)` before retrying.
-    pub backoff_shift_cap: u32,
 }
 
 impl Default for MediaRetryPolicy {
     fn default() -> Self {
-        MediaRetryPolicy {
-            limit: 4,
-            backoff_shift_cap: 16,
-        }
+        MediaRetryPolicy { limit: 4 }
     }
 }
 
 impl MediaRetryPolicy {
-    /// A policy with the default backoff and the given attempt budget.
+    /// A policy with the given attempt budget.
     pub fn with_limit(limit: u32) -> Self {
-        MediaRetryPolicy {
-            limit,
-            ..MediaRetryPolicy::default()
-        }
+        MediaRetryPolicy { limit }
     }
 }
 

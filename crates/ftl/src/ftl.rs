@@ -1063,10 +1063,15 @@ impl Ftl {
         )
     }
 
+    /// Cap on the exponential-backoff shift of [`Ftl::retry_transient`]:
+    /// retry `n` waits `step << min(n, cap)` before it runs.
+    const BACKOFF_SHIFT_CAP: u32 = 16;
+
     /// Runs `op` on `flash` until it stops failing transiently or
     /// `policy`'s attempt budget runs out (counted under `exhausted`),
-    /// waiting `step << attempt` (capped) before each retry. An associated
-    /// function, so that `op` may borrow the rest of the FTL.
+    /// waiting `step << attempt` (capped at [`Ftl::BACKOFF_SHIFT_CAP`])
+    /// before each retry. An associated function, so that `op` may borrow
+    /// the rest of the FTL.
     fn retry_transient<T>(
         flash: &mut FlashArray,
         counters: &mut CounterSet,
@@ -1086,7 +1091,7 @@ impl Ftl {
                     }
                     attempt += 1;
                     counters.incr(Counter::FtlMediaRetries);
-                    t += step * (1u64 << attempt.min(policy.backoff_shift_cap));
+                    t += step * (1u64 << attempt.min(Self::BACKOFF_SHIFT_CAP));
                 }
                 other => return other,
             }

@@ -15,7 +15,7 @@ use crate::command::{
     CheckpointMode, CowEntry, ReadRequest, WriteContent, WriteRequest, SECTOR_BYTES,
 };
 use crate::error::SsdError;
-use crate::isce::{plan_entry, should_background_gc, EntryPlan};
+use crate::isce::{plan_entry, EntryPlan};
 use crate::queue::CommandQueue;
 use crate::timing::SsdTiming;
 
@@ -300,6 +300,15 @@ impl Ssd {
     /// Device-level counters (`ssd.*`).
     pub fn counters(&self) -> &CounterSet {
         &self.counters
+    }
+
+    /// The flash, FTL and device counters in one set: the three count
+    /// under disjoint key prefixes, so merging them loses nothing.
+    pub fn all_counters(&self) -> CounterSet {
+        let mut all = self.ftl.flash().counters().clone();
+        all.merge(self.ftl.counters());
+        all.merge(&self.counters);
+        all
     }
 
     /// Timing parameters in effect.
@@ -1218,7 +1227,7 @@ impl Ssd {
     /// Deallocator: begins background GC in the idle window from `at`.
     /// A round begins at its own instant — `at` for the first, the end
     /// of the round before for the next — while the FTL is under soft
-    /// pressure and the device is idle then (`should_background_gc`),
+    /// pressure and the device is idle then (link and firmware CPU free),
     /// `max_rounds` at most; once one does not, one static
     /// wear-leveling round runs if the device is idle then and the wear
     /// skew asks for one. Each round is the FTL's paced round, advanced
@@ -1307,7 +1316,7 @@ impl Ssd {
     /// else the wear-leveling round, else scrubs and ends.
     fn next_background_round(&mut self, at: SimTime) -> Result<Progress<SimTime>, SsdError> {
         let idle = self.idle_at() <= at;
-        if self.gc.rounds_left > 0 && should_background_gc(self.ftl.wants_background_gc(), idle) {
+        if self.gc.rounds_left > 0 && self.ftl.wants_background_gc() && idle {
             if let Some(due) = self.ftl.begin_gc_round(at, GcTrigger::Background)? {
                 self.gc.rounds_left -= 1;
                 self.gc.rounds += 1;
@@ -1714,14 +1723,6 @@ mod tests {
         assert_eq!(s.drain().unwrap(), None, "the command completed");
     }
 
-    /// The device's flash, FTL and SSD counters in one set.
-    fn all_counters(s: &Ssd) -> CounterSet {
-        let mut all = s.ftl().flash().counters().clone();
-        all.merge(s.ftl().counters());
-        all.merge(s.counters());
-        all
-    }
-
     /// A begun copy checkpoint asks for its first step when its command
     /// is decoded and writes nothing home before the scatter: the walk
     /// and the gather steps come first, each due later than the one
@@ -1764,7 +1765,7 @@ mod tests {
         let done = s.drain().unwrap().unwrap();
         assert!(done >= second);
         assert_eq!(done, undisturbed);
-        assert_eq!(all_counters(&s), all_counters(&twin));
+        assert_eq!(s.all_counters(), twin.all_counters());
         assert_eq!(s.drain().unwrap(), None);
         assert!(s.pump(done).is_err(), "nothing left to pump");
         for i in 0..256u64 {
@@ -1787,7 +1788,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(done, undisturbed);
-        assert_eq!(all_counters(&hand), all_counters(&twin));
+        assert_eq!(hand.all_counters(), twin.all_counters());
     }
 
     /// The instant a step returns is the one the device holds the next
@@ -2375,6 +2376,33 @@ mod tests {
         s.idle_at()
     }
 
+    /// Under soft pressure a background round begins only where the
+    /// device is idle: with the link and firmware CPU booked past `at`,
+    /// the job begun at `at` begins no round, and begun at `idle_at()`
+    /// the same device begins one.
+    #[test]
+    fn a_background_round_waits_for_an_idle_device() {
+        let (mut s, _, idle) = gc_fixture();
+        assert!(s.ftl().wants_background_gc());
+        let req = ReadRequest {
+            lba: 0,
+            sectors: 1,
+            key: None,
+        };
+        s.read(&req, idle).unwrap();
+        assert!(s.idle_at() > idle, "the read books the device past `idle`");
+        let rounds = |s: &Ssd| s.counters().get(Counter::SsdBackgroundGcRounds);
+        let before = rounds(&s);
+        let busy = s.begin_background_gc(idle, 4, 0).unwrap();
+        assert!(matches!(busy, Progress::Done(_)), "{busy:?}");
+        assert_eq!(rounds(&s), before, "no round begins on a busy device");
+        let at = s.idle_at();
+        let begun = s.begin_background_gc(at, 4, 0).unwrap();
+        assert!(matches!(begun, Progress::PumpAt(_)), "{begun:?}");
+        assert_eq!(rounds(&s), before + 1);
+        s.drain_gc().unwrap();
+    }
+
     /// A power cut between two steps of a background round ends it: SPOR
     /// keeps every acknowledged unit, and the device refuses to pump
     /// the dead round but begins a new one. Uncut, the stepped job is
@@ -2422,7 +2450,7 @@ mod tests {
             s.pump_gc(now)
         });
         assert_eq!((s.gc.rounds, stepped.unwrap()), (rounds, end));
-        assert_eq!(all_counters(&s), all_counters(&once));
+        assert_eq!(s.all_counters(), once.all_counters());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! checkpointed journal logs and decides when background GC may run.
 //!
 //! This module holds the device-independent planning: classifying an
-//! entry as remap-eligible vs copy, and the deallocator's GC policy.
-//! Batching (remaps first, then the copy class as consecutive reads and
+//! entry as remap-eligible vs copy. The deallocator's GC policy (a
+//! background round begins under soft pressure while the device is
+//! idle) is [`crate::Ssd::begin_background_gc`]'s. Batching (remaps first, then the copy class as consecutive reads and
 //! consecutive writes) and execution (timing, flash traffic) live in
 //! [`crate::Ssd`].
 
@@ -55,15 +56,6 @@ pub fn plan_entry(entry: &CowEntry, mode: CheckpointMode, unit_sectors: u32) -> 
             }
         }
     }
-}
-
-/// Deallocator policy: should the device run a background GC round now?
-///
-/// The paper defers checkpoint-generated invalid pages to idle-time GC
-/// (§III-F); foreground GC still triggers under real space pressure
-/// inside the FTL itself.
-pub fn should_background_gc(free_below_soft_threshold: bool, device_idle: bool) -> bool {
-    free_below_soft_threshold && device_idle
 }
 
 #[cfg(test)]
@@ -139,12 +131,5 @@ mod tests {
             plan_entry(&entry(0, 8, 0, false), CheckpointMode::Remap, 1),
             EntryPlan::Copy
         );
-    }
-
-    #[test]
-    fn background_gc_needs_idle_and_pressure() {
-        assert!(should_background_gc(true, true));
-        assert!(!should_background_gc(true, false));
-        assert!(!should_background_gc(false, true));
     }
 }

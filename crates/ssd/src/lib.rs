@@ -94,6 +94,6 @@ pub use command::{
 };
 pub use device::{CpPhaseTimes, Ssd};
 pub use error::SsdError;
-pub use isce::{plan_entry, should_background_gc, EntryPlan};
+pub use isce::{plan_entry, EntryPlan};
 pub use queue::CommandQueue;
 pub use timing::SsdTiming;

@@ -53,17 +53,10 @@ echo "== lab"
 # number and its verdict. No options but the output path; about 66 s on
 # one core for its 866 rows, most of it the figures. Beside the artifact
 # it writes EXPERIMENTS.md with its generated tables refilled. Exits
-# non-zero only on its eleven gates (a remap
-# checkpoint does no flash I/O; a read costs what the record occupies;
-# a write waits for a programming slot, not a program; a die programs
-# its two planes in one tPROG; a mapping walk misses once per segment;
-# a foreground read does not wait for a program whose finish nobody has
-# seen, nor for more than one program of a paced checkpoint scatter, nor
-# for more than one step of a checkpoint's walk or gather or a trim, nor
-# for more than one step of a GC round; a page-out does not queue
-# behind a busy die while another is free) — `cargo test` above already
-# checked them — and every claim of the paper earning the verdict
-# `figures::CLAIMS` declares for it.
+# non-zero only on its eleven gates: the ten exact ones of
+# `checkin_bench::lab::GATES`, which `cargo test` above already ran as
+# the tests of their names, and every claim of the paper earning the
+# verdict `figures::CLAIMS` declares for it.
 cargo run --release -p checkin-bench --bin lab -- --out target/BENCH_perf.json
 # Every row is a simulated quantity: a change that moves one must commit
 # the artifact it produces, not leave a stale one — and the diff of the
