@@ -543,32 +543,19 @@ struct WalkCost {
     access_ns: u64,
 }
 
-/// Three mapping walks on a cache smaller than the table, which
-/// [`a_mapping_walk_misses_once_per_segment`] judges and
-/// [`a_read_waits_out_one_step_at_most`] bounds its steps by.
-#[derive(Debug, Clone, Copy)]
-struct MapWalks {
-    /// The cache's hit cost.
-    hit_ns: u64,
-    /// A one-sector read.
-    one_unit: WalkCost,
-    /// A trim of [`TRIM_UNITS`] contiguous units.
-    trim: WalkCost,
-    /// A remap checkpoint of [`ENTRIES`] logs, one per segment, onto
-    /// homes that share one segment.
-    remap: WalkCost,
-}
-
 /// Entries per mapping segment.
 const SEGMENT: u64 = MapCacheModel::SEGMENT_ENTRIES;
 
 /// Units the trim walks: eight whole segments.
 const TRIM_UNITS: u64 = 8 * SEGMENT;
 
-/// On [`map_walk_fixture`], reads one unit, remaps the logs onto one
-/// segment of homes and trims the units, measuring each command's
-/// firmware time.
-fn map_walks() -> MapWalks {
+/// The mapping cache's segment rule on [`map_walk_fixture`], exact, with
+/// every walk on a cache that misses: a one-unit lookup costs one access;
+/// the trim misses once in each of its eight segments and hits for the
+/// rest; the remap batch misses once per log segment and once for all
+/// the homes, and hits for the other 63 home updates. The read, the
+/// remap and the trim run in turn on one fixture.
+fn a_mapping_walk_misses_once_per_segment(rows: &mut Vec<Row>) -> Verdict {
     let (mut ssd, entries, t) = map_walk_fixture();
     let timing = *ssd.timing();
     let one_unit = walk_cost(
@@ -593,12 +580,26 @@ fn map_walks() -> MapWalks {
     let trim = walk_cost(&mut ssd, timing.cpu_cmd_cost, |ssd| {
         ssd.deallocate(0, TRIM_UNITS as u32, t + SimDuration::from_millis(100));
     });
-    MapWalks {
-        hit_ns: ssd.ftl().map_cache().hit_cost.as_nanos(),
-        one_unit,
-        trim,
-        remap,
-    }
+    let hit_ns = ssd.ftl().map_cache().hit_cost.as_nanos();
+    push_ns(
+        rows,
+        "map",
+        &[
+            ("one_unit_ns", one_unit.sim_ns),
+            (&format!("trim_{TRIM_UNITS}_units_ns"), trim.sim_ns),
+            (&format!("remap_{ENTRIES}_entries_ns"), remap.sim_ns),
+        ],
+    );
+    let misses_and_hits = |c: &WalkCost, misses: u64, hits: u64| {
+        c.access_ns > hit_ns && c.sim_ns == misses * c.access_ns + hits * hit_ns
+    };
+    let trim_misses = TRIM_UNITS / SEGMENT;
+    verdict(
+        misses_and_hits(&one_unit, 1, 0)
+            && misses_and_hits(&trim, trim_misses, TRIM_UNITS - trim_misses)
+            && misses_and_hits(&remap, ENTRIES + 1, ENTRIES - 1),
+        (hit_ns, one_unit, trim, remap),
+    )
 }
 
 /// The paper-default array whose mapping cache holds a quarter of what
@@ -636,45 +637,13 @@ fn map_walk_fixture() -> (Ssd, Vec<CowEntry>, SimTime) {
 /// Runs one command on `ssd` and returns its mapping walk: the firmware
 /// time it booked less the command's `fixed` share.
 fn walk_cost(ssd: &mut Ssd, fixed: SimDuration, command: impl FnOnce(&mut Ssd)) -> WalkCost {
-    let access_ns = ssd
-        .ftl()
-        .map_cache()
-        .access_cost(ssd.ftl().live_entries())
-        .as_nanos();
+    let access_ns = walk_ns(ssd, 1, 0);
     let busy = ssd.cpu_busy_time();
     command(ssd);
     WalkCost {
         sim_ns: (ssd.cpu_busy_time() - busy - fixed).as_nanos(),
         access_ns,
     }
-}
-
-/// The mapping cache's segment rule on [`map_walks`], exact, with every
-/// walk on a cache that misses: a one-unit lookup costs one access; the
-/// trim misses once in each of its eight segments and hits for the rest;
-/// the remap batch misses once per log segment and once for all the
-/// homes, and hits for the other 63 home updates.
-fn a_mapping_walk_misses_once_per_segment(rows: &mut Vec<Row>) -> Verdict {
-    let w = map_walks();
-    push_ns(
-        rows,
-        "map",
-        &[
-            ("one_unit_ns", w.one_unit.sim_ns),
-            (&format!("trim_{TRIM_UNITS}_units_ns"), w.trim.sim_ns),
-            (&format!("remap_{ENTRIES}_entries_ns"), w.remap.sim_ns),
-        ],
-    );
-    let misses_and_hits = |c: &WalkCost, misses: u64, hits: u64| {
-        c.access_ns > w.hit_ns && c.sim_ns == misses * c.access_ns + hits * w.hit_ns
-    };
-    let trim_misses = TRIM_UNITS / SEGMENT;
-    verdict(
-        misses_and_hits(&w.one_unit, 1, 0)
-            && misses_and_hits(&w.trim, trim_misses, TRIM_UNITS - trim_misses)
-            && misses_and_hits(&w.remap, ENTRIES + 1, ENTRIES - 1),
-        w,
-    )
 }
 
 /// The one die's write buffer programs lpn 1 (and, queued behind it, lpn
@@ -935,12 +904,16 @@ fn a_read_waits_out_one_scatter_program_at_most(rows: &mut Vec<Row>) -> Verdict 
 /// trim (a read of a log past the trimmed range) — waits beyond its idle
 /// latency at most that one step's booking, and does wait for it: the
 /// walk step's decode of its entries and their mapping walk (the whole
-/// batch is one step, [`map_walks`]' remap), one page read on the gather
-/// read's die, one map segment's walk of the trim (one miss, a hit for
-/// every other unit).
+/// batch is one step: the misses and hits
+/// [`a_mapping_walk_misses_once_per_segment`] counts for it), one page
+/// read on the gather read's die, one map segment's walk of the trim (one
+/// miss, a hit for every other unit). Each walk is priced on the cache of
+/// the fixture it runs on.
 fn a_read_waits_out_one_step_at_most(rows: &mut Vec<Row>) -> Verdict {
     let gap = SimDuration::from_millis(50);
     let (mut ssd, entries, t) = map_walk_fixture();
+    let decode = SsdTiming::paper_default().cpu_cow_entry_cost.as_nanos() * ENTRIES;
+    let walk_step = decode + walk_ns(&ssd, ENTRIES + 1, ENTRIES - 1);
     let idle = read_latency(&mut ssd, 0, t);
     let begun = ssd.begin_checkpoint(&entries, CheckpointMode::Remap, t + gap);
     let Ok(Progress::PumpAt(walk)) = begun else {
@@ -966,6 +939,7 @@ fn a_read_waits_out_one_step_at_most(rows: &mut Vec<Row>) -> Verdict {
     let gather_wait = read_latency(&mut ssd, log, gather) - idle;
 
     let (mut ssd, _, t) = map_walk_fixture();
+    let segment = walk_ns(&ssd, 1, SEGMENT - 1);
     let log = TRIM_UNITS;
     let idle = read_latency(&mut ssd, log, t);
     let begun = ssd.begin_deallocate(0, TRIM_UNITS as u32, t + gap);
@@ -984,19 +958,28 @@ fn a_read_waits_out_one_step_at_most(rows: &mut Vec<Row>) -> Verdict {
         ],
     );
 
-    let w = map_walks();
     let t = FlashTiming::mlc();
-    let timing = SsdTiming::paper_default();
-    let walk_step = timing.cpu_cow_entry_cost.as_nanos() * ENTRIES + w.remap.sim_ns;
     let page_read = (t.t_read + t.transfer_time(4096)).as_nanos();
-    let segment = w.trim.access_ns + (SEGMENT - 1) * w.hit_ns;
     let within = |wait: u64, step: u64| 0 < wait && wait <= step;
     verdict(
         within(walk_wait, walk_step)
             && within(gather_wait, page_read)
             && within(trim_wait, segment),
-        (walk_wait, gather_wait, trim_wait, w),
+        (
+            (walk_wait, walk_step),
+            (gather_wait, page_read),
+            (trim_wait, segment),
+        ),
     )
+}
+
+/// What a walk of `misses` first accesses to a segment and `hits`
+/// accesses to a loaded one costs on `ssd`'s mapping cache at its table
+/// size.
+fn walk_ns(ssd: &Ssd, misses: u64, hits: u64) -> u64 {
+    let cache = ssd.ftl().map_cache();
+    let access_ns = cache.access_cost(ssd.ftl().live_entries()).as_nanos();
+    misses * access_ns + hits * cache.hit_cost.as_nanos()
 }
 
 /// One die of one plane, 32 blocks of 8 pages, a 512 B unit, one write
@@ -1249,6 +1232,12 @@ mod tests {
                 filled.lines().any(shows),
                 "EXPERIMENTS.md shows no {}",
                 c.row
+            );
+        }
+        for (name, _) in &GATES {
+            assert!(
+                template.contains(&format!("`{name}`")),
+                "EXPERIMENTS.md names no gate {name}"
             );
         }
     }

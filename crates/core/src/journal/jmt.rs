@@ -58,7 +58,6 @@ pub struct Jmt {
     /// Sparse keys at or above [`DENSE_LIMIT`], sorted by key.
     overflow: Vec<(u64, JmtEntry)>,
     live: usize,
-    appended: u64,
     superseded: u64,
     raw_bytes: u64,
     stored_bytes: u64,
@@ -80,7 +79,6 @@ impl Jmt {
 
     /// Records a new journal log for `key`, superseding any previous one.
     pub fn record(&mut self, key: u64, entry: JmtEntry) {
-        self.appended += 1;
         self.raw_bytes += entry.raw_bytes as u64;
         self.stored_bytes += entry.stored_bytes as u64;
         let replaced = if key < DENSE_LIMIT {
@@ -126,11 +124,6 @@ impl Jmt {
         self.live
     }
 
-    /// Total logs appended to this zone (live + superseded).
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
     /// Logs that went stale because the key was updated again (the `OLD`
     /// flag population).
     pub fn superseded(&self) -> u64 {
@@ -145,15 +138,6 @@ impl Jmt {
     /// Stored (post-alignment) bytes journaled into this zone.
     pub fn stored_bytes(&self) -> u64 {
         self.stored_bytes
-    }
-
-    /// Journal space overhead factor: stored / raw (1.0 = no padding).
-    pub fn space_overhead(&self) -> f64 {
-        if self.raw_bytes == 0 {
-            1.0
-        } else {
-            self.stored_bytes as f64 / self.raw_bytes as f64
-        }
     }
 
     /// Iterates live entries in key order (deterministic checkpoints).
@@ -181,19 +165,9 @@ impl Jmt {
         }
         out.append(&mut self.overflow);
         self.live = 0;
-        self.appended = 0;
         self.superseded = 0;
         self.raw_bytes = 0;
         self.stored_bytes = 0;
-    }
-
-    /// Drains the table for a checkpoint, returning the live entries in
-    /// key order and resetting all statistics. Prefer [`Jmt::drain_into`]
-    /// on hot paths; this convenience form allocates the returned vector.
-    pub fn take_for_checkpoint(&mut self) -> Vec<(u64, JmtEntry)> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
     }
 
     /// True when nothing has been journaled since the last checkpoint.
@@ -225,7 +199,6 @@ mod tests {
         j.record(1, entry(20, 2));
         assert_eq!(j.lookup(1).unwrap().journal_lba, 20);
         assert_eq!(j.live_keys(), 1);
-        assert_eq!(j.appended(), 2);
         assert_eq!(j.superseded(), 1);
     }
 
@@ -233,8 +206,9 @@ mod tests {
     fn space_overhead_reflects_padding() {
         let mut j = Jmt::new();
         j.record(1, entry(0, 1)); // 400 raw -> 512 stored
-        assert!((j.space_overhead() - 1.28).abs() < 1e-9);
-        assert_eq!(Jmt::new().space_overhead(), 1.0);
+        assert_eq!((j.raw_bytes(), j.stored_bytes()), (400, 512));
+        let empty = Jmt::new();
+        assert_eq!((empty.raw_bytes(), empty.stored_bytes()), (0, 0));
     }
 
     #[test]
@@ -243,11 +217,13 @@ mod tests {
         j.record(5, entry(1, 1));
         j.record(2, entry(2, 1));
         j.record(9, entry(3, 1));
-        let drained = j.take_for_checkpoint();
+        j.record(9, entry(4, 2));
+        let mut drained = Vec::new();
+        j.drain_into(&mut drained);
         let keys: Vec<u64> = drained.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![2, 5, 9]);
         assert!(j.is_empty());
-        assert_eq!(j.appended(), 0);
+        assert_eq!((j.superseded(), j.raw_bytes(), j.stored_bytes()), (0, 0, 0));
     }
 
     #[test]
@@ -274,7 +250,8 @@ mod tests {
         // Superseding an overflow key counts like a dense one.
         j.record(superblock, entry(100, 2));
         assert_eq!(j.superseded(), 1);
-        let drained = j.take_for_checkpoint();
+        let mut drained = Vec::new();
+        j.drain_into(&mut drained);
         assert_eq!(drained.len(), 3);
         assert_eq!(drained.last().unwrap().1.journal_lba, 100);
     }

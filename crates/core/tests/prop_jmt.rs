@@ -51,7 +51,6 @@ fn any_entry(rng: &mut TestRng, version: u64) -> JmtEntry {
 #[derive(Default)]
 struct Shadow {
     entries: BTreeMap<u64, JmtEntry>,
-    appended: u64,
     superseded: u64,
     raw_bytes: u64,
     stored_bytes: u64,
@@ -59,7 +58,6 @@ struct Shadow {
 
 impl Shadow {
     fn record(&mut self, key: u64, entry: JmtEntry) {
-        self.appended += 1;
         self.raw_bytes += entry.raw_bytes as u64;
         self.stored_bytes += entry.stored_bytes as u64;
         if self.entries.insert(key, entry).is_some() {
@@ -69,7 +67,6 @@ impl Shadow {
 
     fn drain(&mut self) -> Vec<(u64, JmtEntry)> {
         let drained = std::mem::take(&mut self.entries).into_iter().collect();
-        self.appended = 0;
         self.superseded = 0;
         self.raw_bytes = 0;
         self.stored_bytes = 0;
@@ -83,10 +80,16 @@ fn assert_equivalent(jmt: &Jmt, shadow: &Shadow) {
     assert_eq!(from_jmt, from_shadow, "entries / iteration order");
     assert_eq!(jmt.live_keys(), shadow.entries.len(), "live keys");
     assert_eq!(jmt.is_empty(), shadow.entries.is_empty(), "emptiness");
-    assert_eq!(jmt.appended(), shadow.appended, "appended");
     assert_eq!(jmt.superseded(), shadow.superseded, "superseded");
     assert_eq!(jmt.raw_bytes(), shadow.raw_bytes, "raw bytes");
     assert_eq!(jmt.stored_bytes(), shadow.stored_bytes, "stored bytes");
+}
+
+/// A checkpoint drain into a fresh buffer.
+fn drain(jmt: &mut Jmt) -> Vec<(u64, JmtEntry)> {
+    let mut out = Vec::new();
+    jmt.drain_into(&mut out);
+    out
 }
 
 fn run_ops(ops: &[Op], rng: &mut TestRng) {
@@ -105,24 +108,28 @@ fn run_ops(ops: &[Op], rng: &mut TestRng) {
                 assert_eq!(jmt.lookup(key), Some(&entry), "lookup after record");
             }
             Op::Drain => {
-                // Alternate between the buffer-reusing drain and the
-                // allocating convenience form; they must agree.
+                // Alternate between a reused buffer and a fresh one; the
+                // drain clears what the buffer held, so they must agree.
                 let drained = if i % 2 == 0 {
                     jmt.drain_into(&mut drain_buf);
                     drain_buf.clone()
                 } else {
-                    jmt.take_for_checkpoint()
+                    drain(&mut jmt)
                 };
                 assert_eq!(drained, shadow.drain(), "drained checkpoint set");
                 assert!(jmt.is_empty(), "empty after drain");
-                assert_eq!(jmt.appended(), 0, "stats reset by drain");
+                assert_eq!(
+                    (jmt.superseded(), jmt.raw_bytes(), jmt.stored_bytes()),
+                    (0, 0, 0),
+                    "stats reset by drain"
+                );
             }
         }
     }
     assert_equivalent(&jmt, &shadow);
 
     // One final drain: whatever is left comes out in ascending key order.
-    let last = jmt.take_for_checkpoint();
+    let last = drain(&mut jmt);
     assert!(last.windows(2).all(|w| w[0].0 < w[1].0), "ascending keys");
     assert_eq!(last, shadow.drain(), "final drain");
 }
@@ -165,7 +172,7 @@ fn jmt_stays_equivalent_at_every_step() {
                     shadow.record(key, entry);
                 }
                 Op::Drain => {
-                    assert_eq!(jmt.take_for_checkpoint(), shadow.drain());
+                    assert_eq!(drain(&mut jmt), shadow.drain());
                 }
             }
             assert_equivalent(&jmt, &shadow);
