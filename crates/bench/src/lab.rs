@@ -1,12 +1,15 @@
 //! `lab` — the one measurement run behind `BENCH_perf.json`.
 //!
-//! [`run`] fills three sections of [`Row`]s and takes no options. Every
+//! [`run`] fills four sections of [`Row`]s and takes no options. Every
 //! row is a simulated quantity, so two runs on any two hosts write the
 //! same file and `scripts/verify.sh` diffs it whole:
 //!
 //! * **`gc`** — garbage collection under pressure: uniform / zipfian /
 //!   write-only on the 48 MiB GC-pressured device, each cell's WAF,
 //!   Equation (1) lifetime score, p99.9 latency and erase count.
+//! * **`host`** — the host bytes the simulated device holds at the end
+//!   of a run: its page store and its mapping table, for a Check-In and
+//!   a Baseline run on the paper device and the `gc` section's runs.
 //! * **`counts`** — the rows of [`GATES`], gate after gate: each builds
 //!   a small fixture around one mechanism of the model — a checkpoint
 //!   command in remap and in copy mode (Algorithm 1), a home read,
@@ -25,7 +28,7 @@
 
 use std::collections::BTreeSet;
 
-use checkin_core::{JournalManager, KvEngine, Layout, Strategy};
+use checkin_core::{JournalManager, KvEngine, Layout, RunReport, Strategy};
 use checkin_flash::{
     BlockId, FlashArray, FlashGeometry, FlashTiming, OobKind, PageContent, UnitPayload,
 };
@@ -37,13 +40,15 @@ use checkin_ssd::{
 use checkin_workload::{AccessPattern, OpMix};
 
 use crate::harness::{fill, render, row, speedup};
-use crate::{figures, gc_pressured_config, section};
+use crate::{figures, gc_pressured_config, paper_config, section};
 
 /// Everything one [`run`] measured, and whether its gate held.
 #[derive(Debug)]
 pub struct Lab {
     /// WAF, lifetime, p99.9 and erases of three GC-pressured workloads.
     pub gc: Vec<Row>,
+    /// Page-store and mapping-table bytes at the end of five runs.
+    pub host: Vec<Row>,
     /// The rows of [`GATES`], in the table's order.
     pub counts: Vec<Row>,
     /// The paper's figures and tables, cell by cell.
@@ -58,19 +63,20 @@ impl Lab {
     pub fn render(&self) -> String {
         render(&[
             ("gc", &self.gc),
+            ("host", &self.host),
             ("counts", &self.counts),
             ("paper", &self.paper),
         ])
     }
 
     /// `template` (EXPERIMENTS.md) with its generated blocks filled from
-    /// the rows of all three sections ([`crate::harness::fill`]).
+    /// the rows of all four sections ([`crate::harness::fill`]).
     ///
     /// # Errors
     ///
     /// A block of `template` that is malformed or matches no row.
     pub fn experiments(&self, template: &str) -> Result<String, String> {
-        let rows = [&self.gc[..], &self.counts, &self.paper].concat();
+        let rows = [&self.gc[..], &self.host, &self.counts, &self.paper].concat();
         fill(template, &rows)
     }
 }
@@ -105,9 +111,10 @@ pub const GATES: [(&str, Gate); 10] = [
     gate!(a_page_out_goes_to_a_free_die),
 ];
 
-/// Measures all three sections and judges the eleven gates.
+/// Measures all four sections and judges the eleven gates.
 pub fn run() -> Lab {
-    let gc = gc_section();
+    let (gc, gc_reports) = gc_section();
+    let host = host_section(&gc_reports);
     let (counts, mut verdicts) = counts_section();
     let paper = figures::paper_section();
     let misjudged = figures::misjudged(&paper);
@@ -124,6 +131,7 @@ pub fn run() -> Lab {
     }
     Lab {
         gc,
+        host,
         counts,
         paper,
         passed: verdicts.iter().all(|(_, verdict)| verdict.is_ok()),
@@ -161,10 +169,12 @@ const WORKLOADS: [(&str, OpMix, AccessPattern); 3] = [
 ];
 
 /// One Check-In run per workload on the GC-pressured device, its rows
-/// `gclab/<workload>/…`.
-fn gc_section() -> Vec<Row> {
+/// `gclab/<workload>/…`, and each run's report named `gclab-<workload>`
+/// for [`host_section`].
+fn gc_section() -> (Vec<Row>, Vec<(String, RunReport)>) {
     section("gc: three workloads on the GC-pressured device");
     let mut rows = Vec::new();
+    let mut reports = Vec::new();
     for (workload, mix, pattern) in WORKLOADS {
         let mut config = gc_pressured_config(Strategy::CheckIn);
         config.workload.mix = mix;
@@ -179,6 +189,30 @@ fn gc_section() -> Vec<Row> {
         push(&mut rows, &name, "erases", erases, "blocks");
         let die_util = report.utilization.dies.mean;
         push(&mut rows, &name, "die_util", die_util, "fraction");
+        reports.push((format!("gclab-{workload}"), report));
+    }
+    (rows, reports)
+}
+
+// ---- host -------------------------------------------------------------
+
+/// The `host/…` rows of five run reports — the page store's and the
+/// mapping table's host bytes at the end of the run — each under
+/// `host/<cell>/…`: one [`paper_config`] run of Check-In (`check-in`)
+/// and of the Baseline (`baseline`), then the `gc` section's runs.
+/// Simulated like every other row: a capacity times an element size,
+/// and the capacities follow what the run programmed and mapped.
+fn host_section(gc: &[(String, RunReport)]) -> Vec<Row> {
+    section("host: page-store and mapping-table bytes at the end of a run");
+    let paper = [Strategy::CheckIn, Strategy::Baseline]
+        .map(|s| (s.label().to_lowercase(), crate::run(paper_config(s))));
+    let mut rows = Vec::new();
+    for (cell, report) in paper.iter().chain(gc) {
+        for r in report.rows() {
+            if let Some(leaf) = r.name.strip_prefix("host/") {
+                rows.push(row(&format!("host/{cell}/{leaf}"), r.value, r.unit));
+            }
+        }
     }
     rows
 }
@@ -1192,13 +1226,15 @@ mod tests {
         super::a_page_out_goes_to_a_free_die(&mut Vec::new()).unwrap();
     }
 
-    /// Every row of the `gc`, `counts` and (canned) `paper` sections has
-    /// a name of its own, and every gate writes at least one row. A
-    /// gate's verdict is its own test's.
+    /// Every row of the `gc`, `host`, `counts` and (canned) `paper`
+    /// sections has a name of its own, and every gate writes at least one
+    /// row. A gate's verdict is its own test's.
     #[test]
     fn row_names_are_unique_and_every_gate_writes_a_row() {
         let (mut rows, _) = figures::tests::canned_rows();
-        rows.extend(gc_section());
+        let (gc, gc_reports) = gc_section();
+        rows.extend(gc);
+        rows.extend(host_section(&gc_reports));
         for (name, gate) in GATES {
             let before = rows.len();
             let _ = gate(&mut rows);
@@ -1213,8 +1249,10 @@ mod tests {
     #[test]
     fn the_committed_experiments_md_fills_from_the_rows_and_shows_every_claim() {
         let (paper, _) = crate::figures::tests::canned_rows();
+        let (gc, gc_reports) = gc_section();
         let lab = Lab {
-            gc: gc_section(),
+            gc,
+            host: host_section(&gc_reports),
             counts: counts_section().0,
             paper,
             passed: true,
@@ -1245,9 +1283,10 @@ mod tests {
     #[test]
     fn deterministic_sections_render_identically_twice() {
         let text = || {
-            let gc = gc_section();
+            let (gc, gc_reports) = gc_section();
+            let host = host_section(&gc_reports);
             let (counts, _) = counts_section();
-            render(&[("gc", &gc), ("counts", &counts)])
+            render(&[("gc", &gc), ("host", &host), ("counts", &counts)])
         };
         assert_eq!(text(), text());
     }

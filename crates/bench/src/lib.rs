@@ -1,7 +1,8 @@
 //! The repo's two measuring programs.
 //!
 //! [`lab`] is the one measurement run behind `BENCH_perf.json`: three
-//! GC-pressured workloads, the exact cost of a checkpoint command, and
+//! GC-pressured workloads, the host bytes of five runs' simulated
+//! devices, the exact cost of a checkpoint command, and
 //! every figure and table of the paper's evaluation ([`figures`]) as
 //! rows ([`harness`]), each row the paper states a number for judged
 //! against it ([`figures::CLAIMS`]). [`chaos`] is the

@@ -48,10 +48,10 @@ cargo test --release --offline -q --manifest-path benchmark/kvbench/Cargo.toml
 
 echo "== lab"
 # The one measurement run (DESIGN.md §8): three GC-pressured workloads,
-# exact simulated cost of a remap vs a copy checkpoint, and every figure
-# and table of the paper as rows, each claimed row beside the paper's
-# number and its verdict. No options but the output path; about 66 s on
-# one core for its 866 rows, most of it the figures. Beside the artifact
+# the host bytes of five runs' simulated devices, exact simulated cost of
+# a remap vs a copy checkpoint, and every figure and table of the paper
+# as rows, each claimed row beside the paper's number and its verdict. No
+# options but the output path; about 66 s on one core for its 876 rows, most of it the figures. Beside the artifact
 # it writes EXPERIMENTS.md with its generated tables refilled. Exits
 # non-zero only on its eleven gates: the ten exact ones of
 # `checkin_bench::lab::GATES`, which `cargo test` above already ran as
