@@ -727,7 +727,8 @@ mod tests {
             assert!(report.throughput > 0.0);
             assert!(report.checkpoints > 0, "{strategy} should checkpoint");
             system.ssd().ftl().check_invariants().unwrap();
-            // No injector ran, so no stored slot needed a seal kept.
+            // No injector ran and every value fits a unit record, so
+            // no stored slot is logged.
             assert_eq!(system.ssd().ftl().flash().sealed_slots(), 0, "{strategy}");
         }
     }

@@ -209,8 +209,9 @@ pub struct FlashArray {
     powered_off: bool,
     /// Blocks with grown permanent defects.
     bad_blocks: Vec<bool>,
-    /// The seals of every stored slot an injector changed, one log for
-    /// the device (empty on a device no injector touched).
+    /// Every logged slot — changed by an injector, or too wide for its
+    /// record — whole, one log for the device (empty on a device no
+    /// injector touched whose values all fit).
     seals: SealLog,
 }
 
@@ -273,9 +274,10 @@ impl FlashArray {
         blocks + self.seals.capacity_bytes() as u64
     }
 
-    /// Stored slots whose seals the fault injectors keep: the slots they
-    /// changed since their block's last erase. Zero on a device no
-    /// injector touched.
+    /// Stored slots the seal log keeps whole: the slots the fault
+    /// injectors changed since their block's last erase, and those whose
+    /// programmed values did not fit a unit record. Zero on a device no
+    /// injector touched whose values all fit.
     pub fn sealed_slots(&self) -> usize {
         self.seals.len()
     }
@@ -297,7 +299,7 @@ impl FlashArray {
     fn injector(&mut self, block: usize) -> Option<Injector<'_>> {
         Some(Injector {
             block: u32::try_from(block).ok()?,
-            store: &mut self.blocks.get_mut(block)?.store,
+            store: &self.blocks.get(block)?.store,
             seals: &mut self.seals,
         })
     }
@@ -1024,13 +1026,14 @@ impl FlashArray {
     /// checked it is the cursor page).
     fn land_page(&mut self, block: BlockId, content: &PageContent) -> Result<(), FlashError> {
         let pages_per_block = self.geometry.pages_per_block as usize;
-        let state = self
-            .blocks
-            .get_mut(block.index())
-            .ok_or(FlashError::BlockOutOfRange(block))?;
-        state
-            .store
-            .land(content, pages_per_block)
+        let (Some(state), Ok(index)) = (
+            self.blocks.get_mut(block.index()),
+            u32::try_from(block.index()),
+        ) else {
+            return Err(FlashError::BlockOutOfRange(block));
+        };
+        (state.store)
+            .land(index, content, pages_per_block, &mut self.seals)
             .ok_or(FlashError::BlockStoreFull(block))
     }
 

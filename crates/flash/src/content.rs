@@ -6,6 +6,8 @@
 //! FTL mapping unit. The out-of-band (OOB) area carries the recovery
 //! metadata the paper describes in §III-G (target address + version).
 
+use crate::store::StoredFragment;
+
 /// One record fragment stored inside a mapping unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fragment {
@@ -82,6 +84,14 @@ impl FragVec {
             // As in `as_mut_slice`: a corrupt length reads as empty.
             FragRepr::Inline { len, frags } => frags.get(..*len as usize).unwrap_or(&[]),
             FragRepr::Spilled(v) => v,
+        }
+    }
+
+    /// Heap bytes the list holds: none while its fragments are inline.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            FragRepr::Inline { .. } => 0,
+            FragRepr::Spilled(v) => v.capacity() * size_of::<Fragment>(),
         }
     }
 
@@ -272,28 +282,51 @@ pub struct OobEntry {
 }
 
 /// The fragments of one unit, borrowed — from a staged [`UnitPayload`]
-/// or from the page store, which keeps a unit's first fragment in its
-/// unit record and any further ones in the block's fragment arena (so the
+/// or a slot the page store's seal log keeps whole, or from the page
+/// store's arenas, which keep a unit's first fragment in its unit record
+/// and any further ones, narrowed, in the block's fragment arena (so the
 /// two halves are not one slice).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnitRef<'a> {
     first: Option<Fragment>,
+    /// The fragments after the first at full width, or ...
     rest: &'a [Fragment],
+    /// ... as the fragment arena stores them: one of the two is empty.
+    stored: &'a [StoredFragment],
 }
 
 impl<'a> UnitRef<'a> {
+    /// The unit whose fragments are `fragments`.
     #[inline]
-    pub(crate) fn new(first: Fragment, rest: &'a [Fragment]) -> Self {
+    pub(crate) fn wide(fragments: &'a [Fragment]) -> Self {
+        match fragments.split_first() {
+            Some((&first, rest)) => UnitRef {
+                first: Some(first),
+                rest,
+                stored: &[],
+            },
+            None => UnitRef::default(),
+        }
+    }
+
+    /// The unit of `first` and the arena's fragments `stored`.
+    #[inline]
+    pub(crate) fn stored(first: Fragment, stored: &'a [StoredFragment]) -> Self {
         UnitRef {
             first: Some(first),
-            rest,
+            rest: &[],
+            stored,
         }
     }
 
     /// The fragments, in placement order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = Fragment> + 'a {
-        self.first.into_iter().chain(self.rest.iter().copied())
+        let stored = self.stored.iter().copied().map(StoredFragment::widen);
+        self.first
+            .into_iter()
+            .chain(self.rest.iter().copied())
+            .chain(stored)
     }
 
     /// An owned copy (allocates only past [`FragVec::INLINE`] fragments).
@@ -308,10 +341,7 @@ impl<'a> UnitRef<'a> {
 impl<'a> From<&'a UnitPayload> for UnitRef<'a> {
     #[inline]
     fn from(unit: &'a UnitPayload) -> Self {
-        match unit.fragments.as_slice().split_first() {
-            Some((&first, rest)) => UnitRef::new(first, rest),
-            None => UnitRef::default(),
-        }
+        UnitRef::wide(&unit.fragments)
     }
 }
 
@@ -419,12 +449,12 @@ mod tests {
             sequence: 6,
             kind: OobKind::Journal,
         });
-        let mut block = BlockStore::default();
-        block.land(&p, 1).unwrap();
-        (block, SealLog::default())
+        let (mut block, mut seals) = (BlockStore::default(), SealLog::default());
+        block.land(0, &p, 1, &mut seals).unwrap();
+        (block, seals)
     }
 
-    fn injector<'a>(block: &'a mut BlockStore, seals: &'a mut SealLog) -> Injector<'a> {
+    fn injector<'a>(block: &'a BlockStore, seals: &'a mut SealLog) -> Injector<'a> {
         Injector {
             block: 0,
             store: block,
@@ -445,8 +475,8 @@ mod tests {
 
     #[test]
     fn flipped_unit_bits_break_verification() {
-        let (mut block, mut seals) = sealed_page();
-        let mut inj = injector(&mut block, &mut seals);
+        let (block, mut seals) = sealed_page();
+        let mut inj = injector(&block, &mut seals);
         assert!(inj.flip_unit_bits(0, 0, 1 << 13));
         assert!(!inj.flip_unit_bits(0, 1, 1 << 13), "padded slot");
         assert_eq!(seals.len(), 1, "only the changed slot is sealed");
@@ -459,8 +489,8 @@ mod tests {
 
     #[test]
     fn flipped_oob_bits_break_verification() {
-        let (mut block, mut seals) = sealed_page();
-        let mut inj = injector(&mut block, &mut seals);
+        let (block, mut seals) = sealed_page();
+        let mut inj = injector(&block, &mut seals);
         assert!(inj.flip_oob_bits(0, 1, 1));
         assert!(!inj.flip_oob_bits(0, 2, 1), "no third record");
         let p = block.page(0, seals.of_block(0)).unwrap();

@@ -14,8 +14,9 @@
 //! The CRC is the reflected CRC-32 (polynomial `0xEDB8_8320`), stepped
 //! bit by bit from the polynomial: eight branch-free shift-xor steps per
 //! byte, no table and no indexing, so nothing here can panic. A checksum
-//! is computed only when an injector seals a slot it changes and when a
-//! read, scrub or rebuild meets such a slot — thousands in a whole
+//! is computed only when the page store logs a slot (one an injector
+//! changes, or one too wide for its record) and when a read, scrub or
+//! rebuild meets such a slot — thousands in a whole
 //! `chaos` sweep, none in a run without injected corruption — so the
 //! CRC's speed decides no measured time. Each canonical encoding is
 //! written once, as a function that hands its little-endian fields to a

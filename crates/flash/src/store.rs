@@ -2,22 +2,30 @@
 //!
 //! Each block owns three arenas and nothing per page: fixed-size **unit
 //! records** (one per mapping-unit slot: the unit's first fragment and
-//! its OOB record, 40 bytes), the **extra fragments** of merged units,
-//! and a 12-byte **page header** naming where a page's records and extra
-//! fragments start. A unit's extra fragments follow those of its page's
-//! earlier slots, so no record says where they are. A block that was
-//! never programmed owns no memory; its first program reserves the header
-//! and record arenas for the whole block, programming a page copies a
-//! staged [`PageContent`] into that space, and erase empties the arenas
-//! but keeps their capacity.
+//! its OOB record, 24 bytes), the **extra fragments** of merged units
+//! (12 bytes each), and a 12-byte **page header** naming where a page's
+//! records and extra fragments start. A unit's extra fragments follow
+//! those of its page's earlier slots, so no record says where they are.
+//! A block that was never programmed owns no memory; its first program
+//! reserves the header and record arenas for the whole block, programming
+//! a page copies a staged [`PageContent`] into that space, and erase
+//! empties the arenas but keeps their capacity.
+//!
+//! The arenas hold 32-bit words: a key is kept as a word that
+//! sign-extends to it (so the metadata unit's `u64::MAX` fits), versions,
+//! OOB sequences and extra fragments' byte counts as words, a first
+//! fragment's byte count in 16 bits and a unit's fragment count in 8;
+//! only the OOB lpn keeps 64 bits. The narrowing is lossless: a slot
+//! whose programmed values do not fit is **logged** — kept whole in the
+//! device's one [`SealLog`] — when it lands, and its record says so.
 //!
 //! No record keeps a checksum. Nothing but the fault injectors ever
-//! changes a stored bit, so a record nobody changed is its own seal: it
-//! still holds what was programmed. The injectors change a slot only
-//! through [`Injector`], which first keeps the slot's checksums — those
-//! of the programmed content — and its programmed OOB lpn in the device's
-//! one [`SealLog`], and verification recomputes a checksum only for a
-//! slot that log names.
+//! changes a stored bit, and they never change a record: before a slot's
+//! first change, [`Injector`] logs it — its checksums and lpn as
+//! programmed, and its content at full width — and every later change,
+//! like every read, goes to that log entry. So a record nobody logged is
+//! its own seal, and verification recomputes a checksum only for a slot
+//! the log names.
 //!
 //! The `#[inline]` hints here, on [`UnitRef`] and on `FlashArray::read`
 //! mark the unit-read path the FTL crate calls per host read: without
@@ -26,66 +34,175 @@
 
 use std::ops::Range;
 
-use crate::content::{Fragment, OobEntry, PageContent, UnitRef};
+use crate::content::{FragVec, Fragment, OobEntry, PageContent, UnitPayload, UnitRef};
 use crate::integrity;
 
-/// One mapping-unit slot of a programmed page. Field order packs the
-/// record into 40 bytes: one record serves a unit read.
+/// `key` as the 32-bit word that sign-extends to it, if there is one.
+fn narrow_key(key: u64) -> Option<u32> {
+    i32::try_from(key.cast_signed())
+        .ok()
+        .map(i32::cast_unsigned)
+}
+
+/// The key a stored 32-bit word sign-extends to.
+#[inline]
+fn widen_key(key: u32) -> u64 {
+    i64::from(key.cast_signed()).cast_unsigned()
+}
+
+/// An extra fragment as the block's fragment arena keeps it: 12 bytes.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StoredFragment {
+    /// Sign-extends to the fragment's key.
+    key: u32,
+    version: u32,
+    bytes: u32,
+}
+
+impl StoredFragment {
+    /// `fragment` in 12 bytes, if its key and version fit.
+    fn narrow(fragment: &Fragment) -> Option<Self> {
+        Some(StoredFragment {
+            key: narrow_key(fragment.key)?,
+            version: u32::try_from(fragment.version).ok()?,
+            bytes: fragment.bytes,
+        })
+    }
+
+    /// The fragment as it was staged.
+    #[inline]
+    pub(crate) fn widen(self) -> Fragment {
+        Fragment {
+            key: widen_key(self.key),
+            version: u64::from(self.version),
+            bytes: self.bytes,
+        }
+    }
+}
+
+/// The OOB kind's canonical code in a record's code byte.
+const KIND: u8 = 0b11;
+/// A mapping unit is staged in the slot (unset for a padded one).
+const OCCUPIED: u8 = 1 << 2;
+/// The slot's programmed values did not fit the record: its content
+/// and its extra fragments are in the seal log, and the record holds
+/// only its lpn and this byte.
+const LOGGED: u8 = 1 << 3;
+
+/// One mapping-unit slot of a programmed page, in 24 bytes: one record
+/// serves a unit read. Never changed after [`BlockStore::land`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct UnitRecord {
-    /// The unit's first fragment (`fragments > 0`).
-    key: u64,
-    version: u64,
     /// The OOB record stored at this index (`index < header.oobs`).
     lpn: u64,
-    sequence: u64,
-    bytes: u32,
+    /// The unit's first fragment (`fragments > 0`); the key
+    /// sign-extends.
+    key: u32,
+    version: u32,
+    sequence: u32,
+    bytes: u16,
     /// Fragments in the unit; all but the first sit in the block's
     /// fragment arena, after those of the page's earlier slots.
-    fragments: u16,
-    /// The OOB kind as its canonical code byte.
-    kind: u8,
-    /// False marks a padded slot (staged as `None`).
-    occupied: bool,
+    fragments: u8,
+    /// The OOB kind's code, [`OCCUPIED`] and [`LOGGED`].
+    code: u8,
 }
 
 impl UnitRecord {
+    /// The record of a slot holding `unit` and `oob`, if every value
+    /// fits; `None` when the slot must be logged.
+    fn narrow(unit: Option<&UnitPayload>, oob: Option<&OobEntry>) -> Option<Self> {
+        let mut record = UnitRecord::bare(unit.is_some(), oob);
+        if let Some(oob) = oob {
+            record.sequence = u32::try_from(oob.sequence).ok()?;
+        }
+        let Some(unit) = unit else {
+            return Some(record);
+        };
+        record.fragments = u8::try_from(unit.fragments.len()).ok()?;
+        if let Some((first, rest)) = unit.fragments.split_first() {
+            record.key = narrow_key(first.key)?;
+            record.version = u32::try_from(first.version).ok()?;
+            record.bytes = u16::try_from(first.bytes).ok()?;
+            if !rest.iter().all(|f| StoredFragment::narrow(f).is_some()) {
+                return None;
+            }
+        }
+        Some(record)
+    }
+
+    /// The record of a logged slot: its lpn and code byte.
+    fn logged(occupied: bool, oob: Option<&OobEntry>) -> Self {
+        let mut record = UnitRecord::bare(occupied, oob);
+        record.code |= LOGGED;
+        record
+    }
+
+    /// A record holding only the slot's lpn, OOB kind and occupied flag.
+    fn bare(occupied: bool, oob: Option<&OobEntry>) -> Self {
+        let kind = oob.map_or(0, |o| integrity::oob_kind_code(o.kind));
+        UnitRecord {
+            lpn: oob.map_or(0, |o| o.lpn),
+            code: kind | if occupied { OCCUPIED } else { 0 },
+            ..UnitRecord::default()
+        }
+    }
+
+    #[inline]
+    fn occupied(&self) -> bool {
+        self.code & OCCUPIED != 0
+    }
+
     /// Fragments of this unit in the block's fragment arena.
     #[inline]
     fn extras(&self) -> usize {
+        if self.code & LOGGED != 0 {
+            return 0;
+        }
         usize::from(self.fragments).saturating_sub(1)
     }
 
     /// The unit, its fragments after the first being `rest`.
     #[inline]
-    fn unit<'a>(&self, rest: &'a [Fragment]) -> UnitRef<'a> {
+    fn unit<'a>(&self, rest: &'a [StoredFragment]) -> UnitRef<'a> {
         if self.fragments == 0 {
             return UnitRef::default();
         }
         let first = Fragment {
-            key: self.key,
-            version: self.version,
-            bytes: self.bytes,
+            key: widen_key(self.key),
+            version: u64::from(self.version),
+            bytes: u32::from(self.bytes),
         };
-        UnitRef::new(first, rest)
+        UnitRef::stored(first, rest)
     }
 
     /// The checksum of the unit as stored, over the count it stores.
-    fn unit_checksum(&self, rest: &[Fragment]) -> u32 {
+    fn unit_checksum(&self, rest: &[StoredFragment]) -> u32 {
         integrity::fragments_checksum(u32::from(self.fragments), self.unit(rest).iter())
+    }
+
+    /// The slot at full width, its extra fragments being `rest`: what
+    /// the log keeps of it.
+    fn widen(&self, rest: &[StoredFragment]) -> WideSlot {
+        WideSlot {
+            fragments: self.unit(rest).iter().collect(),
+            lpn: self.lpn,
+            sequence: u64::from(self.sequence),
+            kind: self.code & KIND,
+        }
     }
 
     fn oob(&self) -> OobEntry {
         OobEntry {
             lpn: self.lpn,
-            sequence: self.sequence,
-            kind: integrity::oob_kind_from_code(self.kind),
+            sequence: u64::from(self.sequence),
+            kind: integrity::oob_kind_from_code(self.code),
         }
     }
 
     /// The checksum of the OOB record as stored.
     fn oob_checksum(&self) -> u32 {
-        integrity::oob_record_checksum(self.lpn, self.sequence, self.kind)
+        integrity::oob_record_checksum(self.lpn, u64::from(self.sequence), self.code & KIND)
     }
 }
 
@@ -151,7 +268,7 @@ pub enum StoredField {
 pub(crate) struct BlockStore {
     pages: Vec<PageHeader>,
     records: Vec<UnitRecord>,
-    extra: Vec<Fragment>,
+    extra: Vec<StoredFragment>,
 }
 
 impl BlockStore {
@@ -169,7 +286,7 @@ impl BlockStore {
     pub(crate) fn capacity_bytes(&self) -> usize {
         self.pages.capacity() * size_of::<PageHeader>()
             + self.records.capacity() * size_of::<UnitRecord>()
-            + self.extra.capacity() * size_of::<Fragment>()
+            + self.extra.capacity() * size_of::<StoredFragment>()
     }
 
     /// Page `page`, with `seals` — the block's entries of the seal log.
@@ -197,8 +314,8 @@ impl BlockStore {
     }
 
     /// The lpn OOB record `i` of page `page` was programmed with, given
-    /// the block's `seals`: the seal's when an injector changed the
-    /// record since, so stored rot does not show.
+    /// the block's `seals`: the log's when the slot is logged, so
+    /// injected rot does not show.
     #[inline]
     pub(crate) fn programmed_lpn(&self, page: usize, i: usize, seals: &[Seal]) -> Option<u64> {
         let header = self.pages.get(page)?;
@@ -211,18 +328,25 @@ impl BlockStore {
         Some(seal.map_or(stored.lpn, |s| s.lpn))
     }
 
-    /// Copies `content` in as the block's next page. An erased block
-    /// reserves its header and record arenas for `pages_per_block` pages
-    /// of this shape first — its only allocations unless later pages are
-    /// wider or carry merged units, and none at all once the block has
-    /// been filled and erased.
+    /// Copies `content` in as the next page of block `block`. An erased
+    /// block reserves its header and record arenas for `pages_per_block`
+    /// pages of this shape first — its only allocations unless later
+    /// pages are wider or carry merged units, and none at all once the
+    /// block has been filled and erased. A slot whose values do not fit
+    /// its record goes into `seals` whole (see [`UnitRecord`]).
     ///
     /// `None` when the page does not fit the store's indices: more than
     /// `u16::MAX` slots or OOB records, a unit of more than `u16::MAX`
     /// fragments, or arenas past `u32` indices. Every limit is checked
     /// before anything is stored, so the page then stays erased and the
-    /// arenas as they were.
-    pub(crate) fn land(&mut self, content: &PageContent, pages_per_block: usize) -> Option<()> {
+    /// arenas and the log as they were.
+    pub(crate) fn land(
+        &mut self,
+        block: u32,
+        content: &PageContent,
+        pages_per_block: usize,
+        seals: &mut SealLog,
+    ) -> Option<()> {
         let slots = content.units.len().max(content.oob.len());
         let mut extras = 0usize;
         for unit in content.units.iter().flatten() {
@@ -242,24 +366,21 @@ impl BlockStore {
             self.records.reserve_exact(pages_per_block * slots);
         }
         for i in 0..slots {
-            let mut record = UnitRecord::default();
-            if let Some(Some(unit)) = content.units.get(i) {
-                record.occupied = true;
-                // Checked above: the saturation never stores.
-                record.fragments = u16::try_from(unit.fragments.len()).unwrap_or(u16::MAX);
-                if let Some((first, rest)) = unit.fragments.split_first() {
-                    record.key = first.key;
-                    record.version = first.version;
-                    record.bytes = first.bytes;
-                    self.extra.extend_from_slice(rest);
-                }
+            let unit = content.units.get(i).and_then(Option::as_ref);
+            let oob = content.oob.get(i);
+            if let Some(record) = UnitRecord::narrow(unit, oob) {
+                let rest = unit.and_then(|u| u.fragments.get(1..)).unwrap_or(&[]);
+                // One reservation per unit, as a slice copy makes, not
+                // one growth step per fragment.
+                self.extra.reserve(rest.len());
+                (self.extra).extend(rest.iter().filter_map(StoredFragment::narrow));
+                self.records.push(record);
+                continue;
             }
-            if let Some(oob) = content.oob.get(i) {
-                record.lpn = oob.lpn;
-                record.sequence = oob.sequence;
-                record.kind = integrity::oob_kind_code(oob.kind);
-            }
-            self.records.push(record);
+            // Below `u32` indices: checked above.
+            let record = index32(self.records.len()).unwrap_or(u32::MAX);
+            seals.keep(Seal::programmed(block, record, unit, oob));
+            self.records.push(UnitRecord::logged(unit.is_some(), oob));
         }
         self.pages.push(header);
         Some(())
@@ -273,10 +394,40 @@ impl BlockStore {
     }
 }
 
-/// The checksums of what was programmed into one unit slot, and its
-/// programmed OOB lpn, kept by an [`Injector`] before the slot's first
-/// change. `record` indexes the block's record arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A logged slot's content at full width: its fragments, and its OOB
+/// record with the kind as its whole code byte.
+#[derive(Debug, Clone)]
+struct WideSlot {
+    fragments: FragVec,
+    lpn: u64,
+    sequence: u64,
+    kind: u8,
+}
+
+impl WideSlot {
+    /// The checksum of the unit, over its fragment count.
+    fn unit_checksum(&self) -> u32 {
+        let count = u32::try_from(self.fragments.len()).unwrap_or(u32::MAX);
+        integrity::fragments_checksum(count, self.fragments.iter().copied())
+    }
+
+    fn oob(&self) -> OobEntry {
+        OobEntry {
+            lpn: self.lpn,
+            sequence: self.sequence,
+            kind: integrity::oob_kind_from_code(self.kind),
+        }
+    }
+
+    fn oob_checksum(&self) -> u32 {
+        integrity::oob_record_checksum(self.lpn, self.sequence, self.kind)
+    }
+}
+
+/// One logged slot: the checksums of what was programmed into it, its
+/// programmed OOB lpn, and its content now, at full width. `record`
+/// indexes the block's record arena.
+#[derive(Debug, Clone)]
 pub(crate) struct Seal {
     block: u32,
     record: u32,
@@ -287,9 +438,33 @@ pub(crate) struct Seal {
     /// The OOB record's lpn as programmed: what the firmware's mapping
     /// table knows the slot by, whatever rot the injector adds.
     lpn: u64,
+    /// What every reader takes, and every injector changes.
+    now: WideSlot,
 }
 
 impl Seal {
+    /// The entry of a slot that lands logged, holding `unit` and `oob`.
+    fn programmed(
+        block: u32,
+        record: u32,
+        unit: Option<&UnitPayload>,
+        oob: Option<&OobEntry>,
+    ) -> Self {
+        Seal {
+            block,
+            record,
+            unit_seal: unit.map_or(0, integrity::unit_checksum),
+            oob_seal: oob.map_or(0, integrity::oob_checksum),
+            lpn: oob.map_or(0, |o| o.lpn),
+            now: WideSlot {
+                fragments: unit.map(|u| u.fragments.clone()).unwrap_or_default(),
+                lpn: oob.map_or(0, |o| o.lpn),
+                sequence: oob.map_or(0, |o| o.sequence),
+                kind: oob.map_or(0, |o| integrity::oob_kind_code(o.kind)),
+            },
+        }
+    }
+
     fn at(&self) -> (u32, u32) {
         (self.block, self.record)
     }
@@ -308,9 +483,10 @@ impl Seal {
     }
 }
 
-/// The device's seals, sorted by `(block, record)`, one entry per slot an
-/// injector changed since its block's last erase. Empty on a device no
-/// injector touched.
+/// The device's logged slots, sorted by `(block, record)`, one entry per
+/// slot that landed too wide for its record or that an injector changed
+/// since its block's last erase. Empty on a device no injector touched
+/// whose values all fit.
 #[derive(Debug, Default)]
 pub(crate) struct SealLog {
     seals: Vec<Seal>,
@@ -322,9 +498,15 @@ impl SealLog {
         self.seals.len()
     }
 
-    /// Heap bytes the log holds (capacity, not length).
+    /// Heap bytes the log holds (capacity, not length), the fragment
+    /// lists its entries spilled to the heap included.
     pub(crate) fn capacity_bytes(&self) -> usize {
-        self.seals.capacity() * size_of::<Seal>()
+        let spilled: usize = self
+            .seals
+            .iter()
+            .map(|s| s.now.fragments.heap_bytes())
+            .sum();
+        self.seals.capacity() * size_of::<Seal>() + spilled
     }
 
     /// Where block `block`'s entries sit in the log.
@@ -346,8 +528,7 @@ impl SealLog {
         self.seals.get(self.block_range(block)).unwrap_or(&[])
     }
 
-    /// Keeps `seal` unless its slot already has one: the first change's
-    /// seal is the programmed content's.
+    /// Keeps `seal` unless its slot already has one.
     fn keep(&mut self, seal: Seal) {
         if let Err(at) = self.seals.binary_search_by_key(&seal.at(), Seal::at) {
             self.seals.insert(at, seal);
@@ -379,31 +560,32 @@ impl SealLog {
     }
 }
 
-/// One unit slot as an injector's change sees it.
+/// One logged slot as an injector's change sees it.
 struct SlotMut<'a> {
     /// The slot is a mapping-unit slot of its page (`< units`).
     unit: bool,
     /// The slot holds an OOB record (`< oobs`).
     oob: bool,
-    record: &'a mut UnitRecord,
-    /// The unit's extra fragments.
-    extras: &'a mut [Fragment],
+    /// A mapping unit is staged in the slot.
+    occupied: bool,
+    now: &'a mut WideSlot,
 }
 
 /// The fault injectors' hold on one block: every change to a stored bit
-/// goes through here, and keeps the changed slot's seal first.
+/// goes through here, and goes to the changed slot's log entry.
 pub(crate) struct Injector<'a> {
     pub(crate) block: u32,
-    pub(crate) store: &'a mut BlockStore,
+    pub(crate) store: &'a BlockStore,
     pub(crate) seals: &'a mut SealLog,
 }
 
 impl Injector<'_> {
     /// Applies `change` to slot `slot` of page `page`; `change` returns
     /// false when the slot stores nothing it would change, and must then
-    /// change nothing. Before the slot's first change its checksums —
-    /// still those of what was programmed — go into the seal log. False
-    /// when the page is not programmed or not that wide.
+    /// change nothing. A slot not yet logged is logged first — its
+    /// checksums, still those of what was programmed, and its content
+    /// widened from its record — and kept only when `change` changed it.
+    /// False when the page is not programmed or not that wide.
     fn change_slot(
         &mut self,
         page: usize,
@@ -414,42 +596,60 @@ impl Injector<'_> {
             return false;
         };
         let first = header.first as usize;
-        let Some(records) = self.store.records.get_mut(first..first + header.slots()) else {
+        let Some(records) = self.store.records.get(first..first + header.slots()) else {
             return false;
         };
-        let extras = extras_range(records, slot);
-        let (Some(record), Some(index)) = (records.get_mut(slot), index32(first + slot)) else {
+        let (Some(record), Some(index)) = (records.get(slot), index32(first + slot)) else {
             return false;
         };
-        let base = header.extra as usize;
-        let extras = (self.store.extra)
-            .get_mut(base + extras.start..base + extras.end)
-            .unwrap_or_default();
-        let (unit, oob) = (
+        let (unit, oob, occupied) = (
             slot < usize::from(header.units),
             slot < usize::from(header.oobs),
+            record.occupied(),
         );
-        let seal = Seal {
-            block: self.block,
-            record: index,
-            unit_seal: if unit && record.occupied {
-                record.unit_checksum(extras)
-            } else {
-                0
-            },
-            oob_seal: if oob { record.oob_checksum() } else { 0 },
-            lpn: record.lpn,
-        };
-        let changed = change(SlotMut {
-            unit,
-            oob,
-            record,
-            extras,
-        });
-        if changed {
-            self.seals.keep(seal);
+        let at = (self.block, index);
+        let log = &mut self.seals.seals;
+        match log.binary_search_by_key(&at, Seal::at) {
+            Ok(i) => log.get_mut(i).is_some_and(|seal| {
+                let now = &mut seal.now;
+                change(SlotMut {
+                    unit,
+                    oob,
+                    occupied,
+                    now,
+                })
+            }),
+            Err(i) => {
+                let range = extras_range(records, slot);
+                let base = header.extra as usize;
+                let extras = (self.store.extra)
+                    .get(base + range.start..base + range.end)
+                    .unwrap_or_default();
+                let mut seal = Seal {
+                    block: self.block,
+                    record: index,
+                    unit_seal: if unit && occupied {
+                        record.unit_checksum(extras)
+                    } else {
+                        0
+                    },
+                    oob_seal: if oob { record.oob_checksum() } else { 0 },
+                    lpn: record.lpn,
+                    now: record.widen(extras),
+                };
+                let now = &mut seal.now;
+                let changed = change(SlotMut {
+                    unit,
+                    oob,
+                    occupied,
+                    now,
+                });
+                if changed {
+                    log.insert(i, seal);
+                }
+                changed
+            }
         }
-        changed
     }
 
     /// The corruption injectors' data primitive: XORs the key and version
@@ -458,12 +658,10 @@ impl Injector<'_> {
     /// occupied unit.
     pub(crate) fn flip_unit_bits(&mut self, page: usize, i: usize, mask: u64) -> bool {
         self.change_slot(page, i, |slot| {
-            if !slot.unit || !slot.record.occupied {
+            if !slot.unit || !slot.occupied {
                 return false;
             }
-            slot.record.key ^= mask;
-            slot.record.version ^= mask;
-            for f in slot.extras {
+            for f in slot.now.fragments.iter_mut() {
                 f.key ^= mask;
                 f.version ^= mask;
             }
@@ -479,14 +677,15 @@ impl Injector<'_> {
             if !slot.oob {
                 return false;
             }
-            slot.record.lpn ^= mask;
-            slot.record.sequence ^= mask.rotate_left(17);
+            slot.now.lpn ^= mask;
+            slot.now.sequence ^= mask.rotate_left(17);
             true
         })
     }
 
-    /// Flips bit `bit` (modulo the field's width) of one stored field of
-    /// slot `slot`. Returns false when the slot stores no such field.
+    /// Flips bit `bit` (modulo the field's width) of one field of slot
+    /// `slot`, at its full width. Returns false when the slot holds no
+    /// such field.
     pub(crate) fn flip_stored_bit(
         &mut self,
         page: usize,
@@ -496,37 +695,33 @@ impl Injector<'_> {
     ) -> bool {
         let (wide, narrow) = (1u64 << (bit % 64), 1u32 << (bit % 32));
         self.change_slot(page, slot, |slot| {
-            let record = slot.record;
+            let now = slot.now;
             let fragment = match field {
                 StoredField::Key(f) | StoredField::Version(f) | StoredField::Bytes(f) => f,
                 _ if !slot.oob => return false,
                 StoredField::Lpn => {
-                    record.lpn ^= wide;
+                    now.lpn ^= wide;
                     return true;
                 }
                 StoredField::Sequence => {
-                    record.sequence ^= wide;
+                    now.sequence ^= wide;
                     return true;
                 }
                 StoredField::Kind => {
-                    record.kind ^= 1 << (bit % 8);
+                    now.kind ^= 1 << (bit % 8);
                     return true;
                 }
             };
-            if !slot.unit || !record.occupied || fragment >= usize::from(record.fragments) {
+            if !slot.unit || !slot.occupied {
                 return false;
             }
-            let (key, version, bytes) = match fragment.checked_sub(1) {
-                None => (&mut record.key, &mut record.version, &mut record.bytes),
-                Some(i) => match slot.extras.get_mut(i) {
-                    Some(f) => (&mut f.key, &mut f.version, &mut f.bytes),
-                    None => return false,
-                },
+            let Some(f) = now.fragments.get_mut(fragment) else {
+                return false;
             };
             match field {
-                StoredField::Key(_) => *key ^= wide,
-                StoredField::Version(_) => *version ^= wide,
-                _ => *bytes ^= narrow,
+                StoredField::Key(_) => f.key ^= wide,
+                StoredField::Version(_) => f.version ^= wide,
+                _ => f.bytes ^= narrow,
             }
             true
         })
@@ -560,7 +755,7 @@ pub struct PageView<'a> {
     units: usize,
     oobs: usize,
     /// The block's fragment arena from the page's first extra on.
-    extra: &'a [Fragment],
+    extra: &'a [StoredFragment],
     /// The log's entries for the page's records.
     seals: &'a [Seal],
     /// The block's record index of slot 0.
@@ -583,16 +778,16 @@ impl<'a> PageView<'a> {
         self.records
             .get(..self.units)?
             .get(i)
-            .filter(|r| r.occupied)
+            .filter(|r| r.occupied())
     }
 
     fn oob_record(&self, i: usize) -> Option<&'a UnitRecord> {
         self.records.get(..self.oobs)?.get(i)
     }
 
-    /// The extra fragments of unit `i`.
+    /// The extra fragments of unit `i` in the block's arena.
     #[inline]
-    fn extras(&self, i: usize) -> &'a [Fragment] {
+    fn extras(&self, i: usize) -> &'a [StoredFragment] {
         let range = extras_range(self.records, i);
         if range.is_empty() {
             return &[];
@@ -600,7 +795,7 @@ impl<'a> PageView<'a> {
         self.extra.get(range).unwrap_or(&[])
     }
 
-    /// The seal kept for slot `i`, if an injector changed it.
+    /// The log's entry for slot `i`, if the slot is logged.
     #[inline]
     fn seal(&self, i: usize) -> Option<&'a Seal> {
         if self.seals.is_empty() {
@@ -614,7 +809,11 @@ impl<'a> PageView<'a> {
     /// the page.
     #[inline]
     pub fn unit(&self, i: usize) -> Option<UnitRef<'a>> {
-        self.unit_record(i).map(|r| r.unit(self.extras(i)))
+        let record = self.unit_record(i)?;
+        Some(match self.seal(i) {
+            Some(s) => UnitRef::wide(&s.now.fragments),
+            None => record.unit(self.extras(i)),
+        })
     }
 
     /// Number of occupied units.
@@ -626,17 +825,18 @@ impl<'a> PageView<'a> {
 
     /// OOB record `i`.
     pub fn oob(&self, i: usize) -> Option<OobEntry> {
-        self.oob_record(i).map(UnitRecord::oob)
+        let record = self.oob_record(i)?;
+        Some(self.seal(i).map_or_else(|| record.oob(), |s| s.now.oob()))
     }
 
     /// The OOB records in index order.
     pub fn oobs(&self) -> impl Iterator<Item = OobEntry> + 'a {
-        let records = self.records.get(..self.oobs).unwrap_or(&[]);
-        records.iter().map(UnitRecord::oob)
+        let view = *self;
+        (0..self.oobs).filter_map(move |i| view.oob(i))
     }
 
-    /// The checksum of unit `i` as programmed: the seal an injector kept,
-    /// or that of the stored unit, which nothing else changes.
+    /// The checksum of unit `i` as programmed: the log's for a logged
+    /// slot, else that of the stored unit, which nothing changes.
     pub fn unit_crc(&self, i: usize) -> Option<u32> {
         self.unit_record(i).map(|r| {
             self.seal(i)
@@ -653,22 +853,24 @@ impl<'a> PageView<'a> {
         })
     }
 
-    /// Verifies unit `i` against its seal: a slot no injector changed
-    /// holds what was programmed, and one it changed must checksum as
-    /// before. Padded slots verify trivially (there is nothing to
+    /// Verifies unit `i` against its seal: a slot the log does not name
+    /// holds what was programmed, and a logged one must checksum as
+    /// programmed. Padded slots verify trivially (there is nothing to
     /// protect).
     pub fn unit_intact(&self, i: usize) -> bool {
-        self.unit_record(i).is_none_or(|r| {
+        self.unit_record(i).is_none_or(|_| {
             self.seal(i)
-                .is_none_or(|s| r.unit_checksum(self.extras(i)) == s.unit_seal)
+                .is_none_or(|s| s.now.unit_checksum() == s.unit_seal)
         })
     }
 
     /// Verifies OOB record `i` against its seal (trivially true when
     /// absent).
     pub fn oob_intact(&self, i: usize) -> bool {
-        self.oob_record(i)
-            .is_none_or(|r| self.seal(i).is_none_or(|s| r.oob_checksum() == s.oob_seal))
+        self.oob_record(i).is_none_or(|_| {
+            self.seal(i)
+                .is_none_or(|s| s.now.oob_checksum() == s.oob_seal)
+        })
     }
 
     /// True when every occupied unit and OOB record verifies.
@@ -693,9 +895,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_unit_record_is_40_bytes() {
-        assert_eq!(size_of::<UnitRecord>(), 40);
+    fn a_unit_record_is_24_bytes() {
+        assert_eq!(size_of::<UnitRecord>(), 24);
+        assert_eq!(size_of::<StoredFragment>(), 12);
         assert_eq!(size_of::<PageHeader>(), 12);
-        assert_eq!(size_of::<Seal>(), 24);
+        assert_eq!(size_of::<Seal>(), 104);
     }
 }

@@ -1,9 +1,11 @@
 //! Gates what a *written* device costs the host: a programmed page is
-//! a copy into arenas its block reserved on first touch — at most 48
+//! a copy into arenas its block reserved on first touch — at most 26
 //! bytes per mapping-unit slot all-in, no allocation per page, none at
 //! all for a block that has been filled and erased before. A record
-//! keeps no checksum: seals exist only for slots a fault injector
-//! changed, and nothing here injects.
+//! keeps no checksum: the seal log names only slots a fault injector
+//! changed, and nothing here injects, or slots whose values do not fit
+//! a record's 32-bit words, which cost one log entry each and leave
+//! their neighbours' records as they are.
 //!
 //! Byte and call counts are exact and repeat on any host, so this gates
 //! where peak RSS could only be watched. `FlashArray::store_bytes` is
@@ -121,7 +123,7 @@ fn a_programmed_page_costs_its_records_and_nothing_per_page() {
         "{calls} allocation calls for {blocks} blocks"
     );
     assert!(
-        grown as u64 <= 48 * 8 * PAGES,
+        grown as u64 <= 26 * 8 * PAGES,
         "{} B per unit slot",
         grown as u64 / (8 * PAGES)
     );
@@ -140,7 +142,7 @@ fn a_programmed_page_costs_its_records_and_nothing_per_page() {
     merged.oob.push(oob(0));
     let (_, grown_merged) = counted(|| fill(&mut flash, blocks, &merged));
     assert!(
-        grown_merged as u64 <= 112 * PAGES,
+        grown_merged as u64 <= 64 * PAGES,
         "{} B per one-unit page",
         grown_merged as u64 / PAGES
     );
@@ -156,4 +158,40 @@ fn a_programmed_page_costs_its_records_and_nothing_per_page() {
     });
     assert_eq!((calls, grown_again), (0, 0));
     assert_eq!(flash.store_bytes(), (grown + grown_merged) as u64);
+    assert_eq!(flash.sealed_slots(), 0);
+
+    // (d) A unit and OOB record too wide for a record's 32-bit words
+    // program and read back as staged. They cost one log entry; the
+    // page's other records and the block's arenas are as for (a).
+    let mut wide = full.clone();
+    wide.units[3] = Some(UnitPayload::single(1 << 40, 1 << 33, 512));
+    wide.oob[3].sequence = 1 << 35;
+    let mut clean = FlashArray::new(g, FlashTiming::mlc());
+    let mut logged = FlashArray::new(g, FlashTiming::mlc());
+    let first = g.first_ppn(BlockId(0));
+    clean.program(first, &full, SimTime::ZERO).unwrap();
+    let (_, grown_wide) = counted(|| {
+        logged.program(first, &wide, SimTime::ZERO).unwrap();
+    });
+    assert_eq!(logged.read(first).unwrap().to_content(), wide);
+    assert!(logged.read(first).unwrap().intact());
+    assert_eq!(logged.programmed_lpn(first, 3), Some(3));
+    assert_eq!(logged.sealed_slots(), 1);
+    logged.check_seals().unwrap();
+    assert_eq!(logged.store_bytes(), grown_wide as u64);
+    let entry = logged.store_bytes() - clean.store_bytes();
+    assert!(
+        entry > 0 && entry <= 4 * 128,
+        "the log's first reservation: {entry} B"
+    );
+    for p in 1..g.pages_per_block as u64 {
+        clean
+            .program(Ppn(first.0 + p), &full, SimTime::ZERO)
+            .unwrap();
+        logged
+            .program(Ppn(first.0 + p), &full, SimTime::ZERO)
+            .unwrap();
+    }
+    assert_eq!(logged.store_bytes() - clean.store_bytes(), entry);
+    assert_eq!(logged.sealed_slots(), 1);
 }

@@ -4,7 +4,8 @@
 
 use checkin_flash::{
     oob_checksum, unit_checksum, BlockId, FaultConfig, FaultPlan, FlashArray, FlashError,
-    FlashGeometry, FlashTiming, Fragment, OobEntry, OobKind, PageContent, Ppn, UnitPayload,
+    FlashGeometry, FlashTiming, Fragment, OobEntry, OobKind, PageContent, Ppn, StoredField,
+    UnitPayload,
 };
 use checkin_sim::{Counter, SimTime, Total};
 use checkin_testkit::{check, soup, TestRng};
@@ -337,6 +338,177 @@ fn the_stored_form_is_the_staged_form() {
             assert_eq!(flash.next_programmed_from(from), naive, "from {from}");
         }
     });
+}
+
+/// A 64-bit field value at an edge of the page store's 32-bit words: each
+/// side of the signed and unsigned 32-bit limits, of the sign-extended
+/// top, and a device-metadata lpn.
+fn edge_u64(rng: &mut TestRng) -> u64 {
+    const EDGES: [u64; 7] = [
+        0,
+        (1 << 31) - 1,
+        1 << 31,
+        (1 << 32) - 1,
+        1 << 32,
+        u64::MAX - (1 << 31),
+        u64::MAX,
+    ];
+    match EDGES.get(rng.below(8) as usize) {
+        Some(&edge) => edge,
+        None => u64::MAX / 2 + rng.below(1 << 20),
+    }
+}
+
+/// A key that sign-extends from 32 bits.
+fn key_fits(key: u64) -> bool {
+    i32::try_from(key as i64).is_ok()
+}
+
+/// A version or sequence below 2^32.
+fn word_fits(value: u64) -> bool {
+    value <= u64::from(u32::MAX)
+}
+
+/// An [`edge_u64`] for which `fits` holds, or any when `narrow` is false.
+fn edge_where(rng: &mut TestRng, narrow: bool, fits: fn(u64) -> bool) -> u64 {
+    loop {
+        let value = edge_u64(rng);
+        if !narrow || fits(value) {
+            return value;
+        }
+    }
+}
+
+/// A staged page of 1–8 unit slots whose every key, version, lpn and
+/// sequence is an [`edge_u64`], first fragments of 65 535 or 65 536
+/// bytes, and now and then a unit of 255 or 256 fragments. About half
+/// the slots draw only values that fit a unit record.
+fn edge_page(rng: &mut TestRng) -> PageContent {
+    let slots = rng.range_usize(1, 8);
+    let mut page = PageContent::empty(slots);
+    let narrow: Vec<bool> = (0..slots).map(|_| rng.chance(0.5)).collect();
+    for (unit, &narrow) in page.units.iter_mut().zip(&narrow) {
+        if rng.chance(0.8) {
+            let count = match rng.below(8) {
+                0 => 255,
+                1 if !narrow => 256,
+                n => n as usize,
+            };
+            let fragments: Vec<Fragment> = (0..count)
+                .map(|i| Fragment {
+                    key: edge_where(rng, narrow, key_fits),
+                    version: edge_where(rng, narrow, word_fits),
+                    bytes: match i {
+                        0 if narrow => 65_535,
+                        0 => 65_535 + rng.range_u32(0, 1),
+                        _ => rng.range_u32(0, 4096),
+                    },
+                })
+                .collect();
+            *unit = Some(UnitPayload::merged(fragments));
+        }
+    }
+    for &narrow in narrow.iter().take(rng.range_usize(0, slots)) {
+        page.oob.push(OobEntry {
+            lpn: edge_u64(rng),
+            sequence: edge_where(rng, narrow, word_fits),
+            kind: OobKind::Data,
+        });
+    }
+    page
+}
+
+/// True when slot `i` of `page` fits a unit record's words: keys that
+/// sign-extend from 32 bits, versions and the sequence below 2^32, a first
+/// fragment of at most 65 535 bytes and at most 255 fragments.
+fn fits_a_record(page: &PageContent, i: usize) -> bool {
+    let unit = page.units.get(i).and_then(Option::as_ref).is_none_or(|u| {
+        u.fragments.len() <= 255
+            && u.fragments.first().is_none_or(|f| f.bytes <= 65_535)
+            && u.fragments
+                .iter()
+                .all(|f| key_fits(f.key) && word_fits(f.version))
+    });
+    unit && page.oob.get(i).is_none_or(|o| word_fits(o.sequence))
+}
+
+/// Values at the edges of the page store's 32-bit words read back as
+/// staged: every programmed page's content, checksums and programmed
+/// lpns are the staged page's, and exactly the slots whose values do not
+/// fit a record are logged. A flip of bit 63 or bit 31 of a key, version
+/// or sequence of a slot that fits fails verification, and flipping it
+/// back makes the slot verify again.
+#[test]
+fn edge_values_round_trip_and_their_flips_are_caught() {
+    let (mut wide, mut flipped) = (0, 0);
+    check(
+        "edge_values_round_trip_and_their_flips_are_caught",
+        64,
+        |rng| {
+            let mut flash = array();
+            let g = *flash.geometry();
+            let mut pages = Vec::new();
+            let mut logged = 0;
+            for p in 0..rng.range_u64(1, 16) {
+                let ppn = g.ppn_in_block(BlockId(p % g.total_blocks()), 0);
+                let page = edge_page(rng);
+                flash.program(ppn, &page, SimTime::ZERO).unwrap();
+                let slots = page.units.len().max(page.oob.len());
+                logged += (0..slots).filter(|&i| !fits_a_record(&page, i)).count();
+                pages.push((ppn, page));
+            }
+            assert_eq!(flash.sealed_slots(), logged);
+            wide += logged;
+            for (ppn, page) in &pages {
+                let view = flash.read(*ppn).unwrap();
+                assert_eq!(&view.to_content(), page);
+                assert!(view.intact());
+                for (i, unit) in page.units.iter().enumerate() {
+                    assert_eq!(view.unit_crc(i), unit.as_ref().map(unit_checksum));
+                }
+                for (i, oob) in page.oob.iter().enumerate() {
+                    assert_eq!(view.oob_crc(i), Some(oob_checksum(oob)));
+                    assert_eq!(flash.programmed_lpn(*ppn, i as u32), Some(oob.lpn));
+                }
+            }
+            flash.check_seals().unwrap();
+
+            for (ppn, page) in &pages {
+                let Some(slot) = (0..page.units.len()).find(|&i| {
+                    fits_a_record(page, i) && page.units[i].as_ref().is_some_and(|u| !u.is_empty())
+                }) else {
+                    continue;
+                };
+                flipped += 1;
+                let mut fields = vec![StoredField::Key(0), StoredField::Version(0)];
+                if slot < page.oob.len() {
+                    fields.push(StoredField::Sequence);
+                }
+                for field in fields {
+                    for bit in [63, 31] {
+                        let intact = |flash: &FlashArray| {
+                            let view = flash.read(*ppn).unwrap();
+                            view.unit_intact(slot) && view.oob_intact(slot)
+                        };
+                        assert!(flash.sabotage_flip_stored_bit(*ppn, slot as u32, field, bit));
+                        assert!(!intact(&flash), "{field:?} bit {bit} of slot {slot}");
+                        assert!(flash.sabotage_flip_stored_bit(*ppn, slot as u32, field, bit));
+                        assert!(intact(&flash), "{field:?} bit {bit} of slot {slot} undone");
+                        assert_eq!(&flash.read(*ppn).unwrap().to_content(), page);
+                    }
+                }
+            }
+            flash.check_seals().unwrap();
+        },
+    );
+    assert!(
+        wide > 100,
+        "the pages must hold slots too wide to fit: {wide}"
+    );
+    assert!(
+        flipped > 100,
+        "the pages must hold slots that fit: {flipped}"
+    );
 }
 
 /// Operation windows never run backwards on a die, and every program's

@@ -15,18 +15,20 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== cargo test --release (checkin-core, checkin-sim, checkin-ssd, checkin-ftl and checkin-flash libs; zero_alloc, prop_ftl, prop_mapping, mapping_alloc)"
+echo "== cargo test --release (checkin-core, checkin-sim, checkin-ssd, checkin-ftl and checkin-flash libs; zero_alloc, prop_ftl, prop_mapping, mapping_alloc, page_store_alloc, prop_flash)"
 # Release builds compile `debug_assert!` out: a test that expects one to
 # fire must be gated on `debug_assertions`, or this profile goes red.
 cargo test --release -p checkin-core -p checkin-sim -p checkin-ssd -p checkin-ftl \
     -p checkin-flash --lib -q
 # The benchmark measures release builds, so the hot loop's freedom from
 # allocation and the write buffer's ack rule are checked in that
-# profile too (about 3 s together), and so is the mapping table's
-# bit-index and run arithmetic, whose overflow checks release turns off.
+# profile too (about 3 s together), and so are the mapping table's
+# bit-index and run arithmetic and the page store's narrowing and
+# sign-extending casts, whose overflow checks release turns off.
 cargo test --release -p checkin-core --test zero_alloc -q
 cargo test --release -p checkin-ftl --test prop_ftl -q
 cargo test --release -p checkin-ftl --test prop_mapping --test mapping_alloc -q
+cargo test --release -p checkin-flash --test page_store_alloc --test prop_flash -q
 
 echo "== examples run"
 # `cargo test` and clippy only compile the examples. Each runs in well
