@@ -379,7 +379,8 @@ impl BlockStore {
             }
             // Below `u32` indices: checked above.
             let record = index32(self.records.len()).unwrap_or(u32::MAX);
-            seals.keep(Seal::programmed(block, record, unit, oob));
+            let now = WideSlot::staged(unit, oob);
+            seals.keep(Seal::new(block, record, unit.is_some(), oob.is_some(), now));
             self.records.push(UnitRecord::logged(unit.is_some(), oob));
         }
         self.pages.push(header);
@@ -405,6 +406,16 @@ struct WideSlot {
 }
 
 impl WideSlot {
+    /// The slot staged with `unit` and `oob`.
+    fn staged(unit: Option<&UnitPayload>, oob: Option<&OobEntry>) -> Self {
+        WideSlot {
+            fragments: unit.map(|u| u.fragments.clone()).unwrap_or_default(),
+            lpn: oob.map_or(0, |o| o.lpn),
+            sequence: oob.map_or(0, |o| o.sequence),
+            kind: oob.map_or(0, |o| integrity::oob_kind_code(o.kind)),
+        }
+    }
+
     /// The checksum of the unit, over its fragment count.
     fn unit_checksum(&self) -> u32 {
         let count = u32::try_from(self.fragments.len()).unwrap_or(u32::MAX);
@@ -443,25 +454,18 @@ pub(crate) struct Seal {
 }
 
 impl Seal {
-    /// The entry of a slot that lands logged, holding `unit` and `oob`.
-    fn programmed(
-        block: u32,
-        record: u32,
-        unit: Option<&UnitPayload>,
-        oob: Option<&OobEntry>,
-    ) -> Self {
+    /// The entry of slot `record` of block `block` while it still holds
+    /// what was programmed, `now`: its seals are `now`'s checksums, over
+    /// the unit when the slot holds one (`unit`) and over the OOB record
+    /// when it holds one (`oob`).
+    fn new(block: u32, record: u32, unit: bool, oob: bool, now: WideSlot) -> Self {
         Seal {
             block,
             record,
-            unit_seal: unit.map_or(0, integrity::unit_checksum),
-            oob_seal: oob.map_or(0, integrity::oob_checksum),
-            lpn: oob.map_or(0, |o| o.lpn),
-            now: WideSlot {
-                fragments: unit.map(|u| u.fragments.clone()).unwrap_or_default(),
-                lpn: oob.map_or(0, |o| o.lpn),
-                sequence: oob.map_or(0, |o| o.sequence),
-                kind: oob.map_or(0, |o| integrity::oob_kind_code(o.kind)),
-            },
+            unit_seal: if unit { now.unit_checksum() } else { 0 },
+            oob_seal: if oob { now.oob_checksum() } else { 0 },
+            lpn: now.lpn,
+            now,
         }
     }
 
@@ -607,43 +611,26 @@ impl Injector<'_> {
             slot < usize::from(header.oobs),
             record.occupied(),
         );
-        let at = (self.block, index);
+        let change = |now: &mut WideSlot| {
+            change(SlotMut {
+                unit,
+                oob,
+                occupied,
+                now,
+            })
+        };
         let log = &mut self.seals.seals;
-        match log.binary_search_by_key(&at, Seal::at) {
-            Ok(i) => log.get_mut(i).is_some_and(|seal| {
-                let now = &mut seal.now;
-                change(SlotMut {
-                    unit,
-                    oob,
-                    occupied,
-                    now,
-                })
-            }),
+        match log.binary_search_by_key(&(self.block, index), Seal::at) {
+            Ok(i) => log.get_mut(i).is_some_and(|seal| change(&mut seal.now)),
             Err(i) => {
                 let range = extras_range(records, slot);
                 let base = header.extra as usize;
                 let extras = (self.store.extra)
                     .get(base + range.start..base + range.end)
                     .unwrap_or_default();
-                let mut seal = Seal {
-                    block: self.block,
-                    record: index,
-                    unit_seal: if unit && occupied {
-                        record.unit_checksum(extras)
-                    } else {
-                        0
-                    },
-                    oob_seal: if oob { record.oob_checksum() } else { 0 },
-                    lpn: record.lpn,
-                    now: record.widen(extras),
-                };
-                let now = &mut seal.now;
-                let changed = change(SlotMut {
-                    unit,
-                    oob,
-                    occupied,
-                    now,
-                });
+                let now = record.widen(extras);
+                let mut seal = Seal::new(self.block, index, unit && occupied, oob, now);
+                let changed = change(&mut seal.now);
                 if changed {
                     log.insert(i, seal);
                 }
