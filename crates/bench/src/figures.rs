@@ -26,6 +26,7 @@ use std::fmt;
 use checkin_core::{RunReport, Strategy, SystemConfig};
 use checkin_flash::FlashTiming;
 use checkin_sim::{Counter, Row, SimDuration, Total};
+use checkin_ssd::SsdTiming;
 use checkin_workload::{AccessPattern, OpMix, RecordSizes};
 
 use crate::harness::row;
@@ -622,10 +623,12 @@ fn fig13(p: &mut Paper<'_>) {
 /// Table I: the machine the defaults instantiate. Runs nothing.
 fn table1(p: &mut Paper<'_>) {
     let c = SystemConfig::for_strategy(Strategy::CheckIn);
-    let (g, f, s) = (c.geometry, c.flash_timing, c.ssd_timing);
+    let (g, f, s) = (c.geometry, c.flash_timing, SsdTiming::paper_default());
     let link_gb = s.link_bytes_per_sec as f64 / 1e9;
     let bus_mb = f.bus_bytes_per_sec as f64 / 1e6;
     let capacity_mib = g.capacity_bytes() / (1 << 20);
+    let host_cpu_us = us(SystemConfig::HOST_CPU_PER_OP);
+    let buffer_units = c.ftl_config().write_buffer_units;
     for (leaf, value, unit) in [
         (
             "checkpoint_interval_ms",
@@ -639,8 +642,8 @@ fn table1(p: &mut Paper<'_>) {
         ),
         ("total_queries", c.total_queries as f64, "queries"),
         ("threads", f64::from(c.threads), "count"),
-        ("host_cores", f64::from(c.host_cores), "count"),
-        ("host_cpu_per_query_us", us(c.host_cpu_per_op), "us"),
+        ("host_cores", f64::from(SystemConfig::HOST_CORES), "count"),
+        ("host_cpu_per_query_us", host_cpu_us, "us"),
         ("link_gb_per_s", link_gb, "GB/s"),
         ("command_overhead_us", us(s.cmd_overhead), "us"),
         ("queue_depth", s.queue_depth as f64, "count"),
@@ -654,7 +657,7 @@ fn table1(p: &mut Paper<'_>) {
         ("t_prog_us", us(f.t_program), "us"),
         ("t_erase_us", us(f.t_erase), "us"),
         ("channel_bus_mb_per_s", bus_mb, "MB/s"),
-        ("write_buffer_units", c.write_buffer_units as f64, "units"),
+        ("write_buffer_units", f64::from(buffer_units), "units"),
     ] {
         p.put("table1", leaf, value, unit);
     }

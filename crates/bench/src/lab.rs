@@ -614,7 +614,7 @@ fn a_mapping_walk_misses_once_per_segment(rows: &mut Vec<Row>) -> Verdict {
     let trim = walk_cost(&mut ssd, timing.cpu_cmd_cost, |ssd| {
         ssd.deallocate(0, TRIM_UNITS as u32, t + SimDuration::from_millis(100));
     });
-    let hit_ns = ssd.ftl().map_cache().hit_cost.as_nanos();
+    let hit_ns = MapCacheModel::HIT_COST.as_nanos();
     push_ns(
         rows,
         "map",
@@ -834,7 +834,7 @@ fn scatter_fixture() -> (Ssd, Vec<CowEntry>, SimTime) {
     let ftl = Ftl::new(FlashArray::new(geometry, FlashTiming::mlc()), config)
         .expect("the fixture's FTL config is valid");
     let mut ssd = Ssd::new(ftl, SsdTiming::paper_default());
-    let journal = 1 << 16;
+    let journal = 1 << 13;
     let mut t = ssd
         .write(&record(0, 1), OobKind::Data, SimTime::ZERO)
         .expect("write succeeds");
@@ -1011,9 +1011,9 @@ fn a_read_waits_out_one_step_at_most(rows: &mut Vec<Row>) -> Verdict {
 /// accesses to a loaded one costs on `ssd`'s mapping cache at its table
 /// size.
 fn walk_ns(ssd: &Ssd, misses: u64, hits: u64) -> u64 {
-    let cache = ssd.ftl().map_cache();
-    let access_ns = cache.access_cost(ssd.ftl().live_entries()).as_nanos();
-    misses * access_ns + hits * cache.hit_cost.as_nanos()
+    let ftl = ssd.ftl();
+    let access_ns = ftl.map_cache().access_cost(ftl.live_entries()).as_nanos();
+    misses * access_ns + hits * MapCacheModel::HIT_COST.as_nanos()
 }
 
 /// One die of one plane, 32 blocks of 8 pages, a 512 B unit, one write

@@ -4,7 +4,7 @@
 use checkin_flash::{FlashGeometry, FlashTiming};
 use checkin_ftl::FtlConfig;
 use checkin_sim::SimDuration;
-use checkin_ssd::{CheckpointMode, SsdTiming};
+use checkin_ssd::CheckpointMode;
 use checkin_workload::WorkloadSpec;
 
 /// The five configurations the paper evaluates (§IV-A).
@@ -108,17 +108,14 @@ pub struct SystemConfig {
     /// to measure checkpoint time in Fig. 10).
     pub lock_queries_during_checkpoint: bool,
     /// Queries admitted per client event-queue hop. At 1 (the default)
-    /// every operation is its own event and runs are byte-identical to
-    /// the historical one-op-per-event loop; larger values amortize
-    /// event-queue churn by executing up to this many back-to-back
-    /// operations from the popped client. Batches never straddle a
-    /// checkpoint boundary (periodic tick, size trigger, or lock
-    /// window), so checkpoint timing is unaffected.
+    /// every operation is its own event; a larger value executes up to
+    /// this many back-to-back operations from the popped client. Batches
+    /// never straddle a checkpoint boundary (periodic tick, size
+    /// trigger, or lock window). Batching was measured to buy nothing:
+    /// `ab/admission_batch_16_vs_1` read 0.987 (EXPERIMENTS.md, "Rows
+    /// retired"). The field stays only because the frozen benchmark
+    /// sets it (ROADMAP item 3(b) deletes it).
     pub admission_batch: u32,
-    /// Host CPU cores processing queries.
-    pub host_cores: u32,
-    /// Host CPU time per query (engine work excluding I/O).
-    pub host_cpu_per_op: SimDuration,
     /// Compression ratio applied to >512 B values under sector-aligned
     /// journaling (Algorithm 2 line 4). 0.7 models text-like payloads.
     pub compression_ratio: f64,
@@ -132,20 +129,12 @@ pub struct SystemConfig {
     pub geometry: FlashGeometry,
     /// NAND timing.
     pub flash_timing: FlashTiming,
-    /// Device front-end timing.
-    pub ssd_timing: SsdTiming,
     /// GC thresholds (unit size is filled in from the strategy).
     pub gc_threshold_blocks: u32,
     /// Soft (background) GC threshold.
     pub gc_soft_threshold_blocks: u32,
     /// Max background-GC rounds after each checkpoint.
     pub background_gc_rounds: u32,
-    /// Device write-buffer page-out watermark in mapping units
-    /// (power-protected DRAM; units page out oldest-first from this
-    /// many on). The capacity is larger by the pages in flight: one per
-    /// write point, which is one per plane
-    /// (`FtlConfig::write_buffer_units` has the rule).
-    pub write_buffer_units: u32,
     /// Ablation: disable Algorithm 2's partial-log merging (partials pad
     /// to full units instead). Only meaningful for Check-In.
     pub ablate_partial_merging: bool,
@@ -158,6 +147,12 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// Host CPU cores processing queries (Table I).
+    pub const HOST_CORES: u32 = 32;
+
+    /// Host CPU time per query, engine work excluding I/O (Table I).
+    pub const HOST_CPU_PER_OP: SimDuration = SimDuration::from_micros(250);
+
     /// Paper-like defaults for one strategy. Query counts are scaled for
     /// simulation speed; benches override what they sweep.
     pub fn for_strategy(strategy: Strategy) -> Self {
@@ -170,18 +165,14 @@ impl SystemConfig {
             journal_trigger_sectors: 32_768,
             lock_queries_during_checkpoint: false,
             admission_batch: 1,
-            host_cores: 32,
-            host_cpu_per_op: SimDuration::from_micros(250),
             compression_ratio: 0.7,
             unit_bytes: None,
             map_cache_entries: Some(32_768),
             geometry: FlashGeometry::paper_default(),
             flash_timing: FlashTiming::mlc(),
-            ssd_timing: SsdTiming::paper_default(),
             gc_threshold_blocks: 8,
             gc_soft_threshold_blocks: 48,
             background_gc_rounds: 16,
-            write_buffer_units: 128,
             ablate_partial_merging: false,
             ablate_compression: false,
             scrub_pages_per_idle: 16,
@@ -227,7 +218,6 @@ impl SystemConfig {
             gc_soft_threshold_blocks: self.gc_soft_threshold_blocks,
             write_points: self.geometry.total_planes() as u32,
             map_cache_entries: self.map_cache_entries,
-            write_buffer_units: self.write_buffer_units,
             ..FtlConfig::default()
         }
     }
@@ -244,9 +234,6 @@ impl SystemConfig {
             .map_err(|s| format!("operation mix sums to {s}%, expected 100"))?;
         if self.threads == 0 {
             return Err("threads must be positive".into());
-        }
-        if self.host_cores == 0 {
-            return Err("host_cores must be positive".into());
         }
         if self.admission_batch == 0 {
             return Err("admission_batch must be positive".into());

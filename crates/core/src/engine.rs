@@ -292,13 +292,19 @@ impl KvEngine {
     ///
     /// # Errors
     ///
-    /// Propagates device failures.
+    /// [`EngineError::UnknownKey`], before anything is written, when a
+    /// key lies outside the keyspace (`layout.record_count`); otherwise
+    /// propagates device failures.
     pub fn load(
         &mut self,
         ssd: &mut Ssd,
         records: &[(u64, u32)],
         at: SimTime,
     ) -> Result<SimTime, EngineError> {
+        let count = self.layout.record_count();
+        if let Some(&(key, _)) = records.iter().find(|&&(key, _)| key >= count) {
+            return Err(EngineError::UnknownKey(key));
+        }
         let mut t = at;
         for (n, &(key, bytes)) in records.iter().enumerate() {
             // Each write is issued when the previous one is acked, so the
@@ -743,7 +749,7 @@ impl KvEngine {
                 } else {
                     empty_run = 0;
                     for f in frags {
-                        if f.key == u64::MAX || f.key >= record_count {
+                        if f.key >= record_count {
                             continue; // device/engine metadata
                         }
                         let Some(e) = newest.get_mut(f.key as usize) else {
@@ -1360,6 +1366,17 @@ mod tests {
         // Fresh key inside the keyspace is fine.
         let t = engine.insert(&mut ssd, 5, 100, t).unwrap();
         assert_eq!(engine.get(&mut ssd, 5, t).unwrap().version, 1);
+    }
+
+    #[test]
+    fn load_refuses_a_key_past_the_layout_before_writing() {
+        let (mut ssd, mut engine) = setup(Strategy::CheckIn);
+        assert_eq!(
+            engine.load(&mut ssd, &[(0, 400), (64, 400)], SimTime::ZERO),
+            Err(EngineError::UnknownKey(64))
+        );
+        assert_eq!(engine.loaded_keys(), 0);
+        assert_eq!(ssd.counters().get(Counter::SsdCmdWrite), 0);
     }
 
     #[test]

@@ -130,16 +130,6 @@ impl CheckpointPhases {
             + self.other.programs
     }
 
-    /// Per-phase flash erases, summed.
-    pub fn flash_erases(&self) -> u64 {
-        self.remap.erases
-            + self.copy.erases
-            + self.meta.erases
-            + self.trim.erases
-            + self.gc.erases
-            + self.other.erases
-    }
-
     /// Adds another breakdown (one more checkpoint) into this one.
     pub fn accumulate(&mut self, other: &CheckpointPhases) {
         self.drain_time += other.drain_time;

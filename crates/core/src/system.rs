@@ -22,7 +22,7 @@ use checkin_sim::{
     Counter, CounterSet, EventQueue, LatencyRecorder, Progress, Resource, ResourcePool,
     SimDuration, SimRng, SimTime, Total, Tracer,
 };
-use checkin_ssd::Ssd;
+use checkin_ssd::{Ssd, SsdTiming};
 use checkin_workload::{OpGenerator, Operation};
 
 use crate::checkpoint::CheckpointOutcome;
@@ -270,7 +270,7 @@ impl KvSystem {
         }
         let flash = checkin_flash::FlashArray::new(config.geometry, config.flash_timing);
         let ftl = checkin_ftl::Ftl::new(flash, config.ftl_config()).map_err(|e| e.to_string())?;
-        let ssd = Ssd::new(ftl, config.ssd_timing);
+        let ssd = Ssd::new(ftl, SsdTiming::paper_default());
         let mut options = if config.strategy.sector_aligned_journaling() {
             crate::journal::JournalOptions::check_in(config.compression_ratio)
         } else {
@@ -352,7 +352,7 @@ impl KvSystem {
         // checkpoint tick and two pumps, so the queue never regrows.
         let population = event_population(self.config.threads);
         let mut run = RunLoop::new(self.config.threads);
-        let mut host = ResourcePool::new("host-core", self.config.host_cores as usize);
+        let mut host = ResourcePool::new("host-core", SystemConfig::HOST_CORES as usize);
         let start = load_done + SimDuration::from_micros(10);
         // Fixed per-thread quotas: each thread executes the same operation
         // stream regardless of how strategies interleave in time, so runs
@@ -481,7 +481,7 @@ impl KvSystem {
                     for _ in 0..self.config.admission_batch {
                         let during_cp = self.engine.checkpoint_phase(now) != CheckpointPhase::Idle;
                         let op = self.generators[thread as usize].next_op();
-                        let cpu = host.schedule(now, self.config.host_cpu_per_op).1;
+                        let cpu = host.schedule(now, SystemConfig::HOST_CPU_PER_OP).1;
                         let finish = self.execute_op(op, cpu.finish, &mut run)?;
                         let latency = finish.duration_since(now);
                         lat_all.record(latency);

@@ -349,6 +349,11 @@ impl FlashArray {
 
     /// Cuts power immediately (tests and harnesses; scheduled cuts use
     /// [`FaultConfig::power_cut_after`](crate::FaultConfig::power_cut_after)).
+    ///
+    /// The FTL persists its mapping log only while faults are armed
+    /// ([`FlashArray::faults_armed`]), so after a cut on an unarmed
+    /// array the trims and remap aliases made since the array was loaded
+    /// are not durable: recovery sees only what the OOB records say.
     pub fn cut_power(&mut self) {
         if !self.powered_off {
             self.powered_off = true;

@@ -15,9 +15,8 @@
 //!   `checkin-ftl`), and a power loss with sudden-power-off recovery.
 //! * **Transient** ([`ErrorClass::Transient`]) — injected one-shot media
 //!   failures (read/program/erase). The *device firmware* (the FTL layer)
-//!   retries these with exponential backoff, bounded by the per-op-class
-//!   budgets in `FtlConfig` (`retry_read` / `retry_program` /
-//!   `retry_erase`); each attempt draws independently, so
+//!   retries these with exponential backoff, bounded by one attempt
+//!   budget (`Ftl::RETRY_LIMIT`); each attempt draws independently, so
 //!   bounded retries almost surely succeed. State is never mutated by a
 //!   failed attempt.
 

@@ -5,40 +5,6 @@ use checkin_flash::FlashGeometry;
 use crate::error::FtlConfigError;
 use crate::mapping::MappingTable;
 
-/// Retry policy for one class of flash operation (read, program, or
-/// erase). Transient media failures are retried with exponential backoff
-/// until the attempt budget runs out; the exhaustion is counted per class
-/// (`ftl.retry_exhausted_read` / `_program` / `_erase`).
-///
-/// # Examples
-///
-/// ```
-/// use checkin_ftl::MediaRetryPolicy;
-///
-/// let p = MediaRetryPolicy::default();
-/// assert_eq!(p.limit, 4);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MediaRetryPolicy {
-    /// Total attempts (first try + retries) before the transient error
-    /// escapes. Fatal errors (rule violations, grown bad blocks, power
-    /// loss) are never retried.
-    pub limit: u32,
-}
-
-impl Default for MediaRetryPolicy {
-    fn default() -> Self {
-        MediaRetryPolicy { limit: 4 }
-    }
-}
-
-impl MediaRetryPolicy {
-    /// A policy with the given attempt budget.
-    pub fn with_limit(limit: u32) -> Self {
-        MediaRetryPolicy { limit }
-    }
-}
-
 /// Tunables of the flash translation layer.
 ///
 /// # Examples
@@ -85,12 +51,6 @@ pub struct FtlConfig {
     /// coldest block so its low-wear cells rejoin the pool. `None`
     /// disables static wear leveling.
     pub wear_leveling_threshold: Option<u64>,
-    /// Retry policy for page reads that fail with a transient error.
-    pub retry_read: MediaRetryPolicy,
-    /// Retry policy for page programs that fail with a transient error.
-    pub retry_program: MediaRetryPolicy,
-    /// Retry policy for block erases that fail with a transient error.
-    pub retry_erase: MediaRetryPolicy,
     /// Verify per-unit checksums on every flash read path (foreground
     /// reads, GC relocation, scrub, SPOR scan). Failed verification
     /// quarantines the unit and surfaces a typed
@@ -139,15 +99,6 @@ impl FtlConfig {
         if self.write_buffer_units < upp {
             return Err(FtlConfigError::WriteBuffer(self.write_buffer_units, upp));
         }
-        for (class, policy) in [
-            ("read", self.retry_read),
-            ("program", self.retry_program),
-            ("erase", self.retry_erase),
-        ] {
-            if policy.limit == 0 {
-                return Err(FtlConfigError::RetryLimit(class));
-            }
-        }
         if self.write_points as u64 + self.gc_threshold_blocks as u64 >= total_blocks {
             return Err(FtlConfigError::TooFewBlocks(
                 self.write_points,
@@ -176,9 +127,6 @@ impl Default for FtlConfig {
             map_cache_entries: None,
             write_buffer_units: 128,
             wear_leveling_threshold: Some(64),
-            retry_read: MediaRetryPolicy::default(),
-            retry_program: MediaRetryPolicy::default(),
-            retry_erase: MediaRetryPolicy::default(),
             verify_checksums: true,
         }
     }
@@ -234,8 +182,6 @@ mod tests {
         refuses(|c| c.gc_soft_threshold_blocks = 2, E::GcSoftThreshold);
         let too_few = E::TooFewBlocks(2000, 8, 1024);
         refuses(|c| c.write_points = 2000, too_few);
-        refuses(|c| c.retry_read.limit = 0, E::RetryLimit("read"));
-        refuses(|c| c.retry_erase.limit = 0, E::RetryLimit("erase"));
         assert_eq!(
             too_few.to_string(),
             "write_points + gc_threshold (2000 + 8) must be far below total blocks (1024)"

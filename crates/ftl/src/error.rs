@@ -8,9 +8,8 @@
 //! normally invisible above this crate:
 //!
 //! * **Transient read/program/erase** — retried internally with
-//!   exponential backoff, up to the per-class attempt budget in
-//!   [`crate::FtlConfig::retry_read`] / `retry_program` / `retry_erase`
-//!   (counted in `ftl.media_retries`). Only when the budget is exhausted
+//!   exponential backoff, up to [`crate::Ftl::RETRY_LIMIT`] attempts
+//!   per operation (counted in `ftl.media_retries`). Only when the budget is exhausted
 //!   does the error escape as [`FtlError::Flash`] (counted per class in
 //!   `ftl.retry_exhausted_read` / `_program` / `_erase`).
 //! * **Grown bad block on program** — the block is retired: still-valid
@@ -129,9 +128,6 @@ pub enum FtlConfigError {
     NoWritePoints,
     /// `write_buffer_units` (first) is less than the units of one page.
     WriteBuffer(u32, u32),
-    /// The retry policy of this class (`read`, `program`, `erase`)
-    /// allows no attempt at all.
-    RetryLimit(&'static str),
     /// `write_points` plus `gc_threshold_blocks` leave none of the
     /// array's blocks (last) for data.
     TooFewBlocks(u32, u32, u64),
@@ -154,10 +150,6 @@ impl fmt::Display for FtlConfigError {
             Self::WriteBuffer(units, upp) => write!(
                 f,
                 "write_buffer_units {units} must hold at least one page ({upp} units)"
-            ),
-            Self::RetryLimit(class) => write!(
-                f,
-                "retry_{class} limit must be at least 1 (the first attempt)"
             ),
             Self::TooFewBlocks(wp, gc, total) => write!(
                 f,

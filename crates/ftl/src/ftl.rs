@@ -34,7 +34,7 @@ use checkin_sim::{
 };
 
 use crate::block_pool::BlockPool;
-use crate::config::{FtlConfig, MediaRetryPolicy};
+use crate::config::FtlConfig;
 use crate::error::{FtlConfigError, FtlError, IntegrityError};
 use crate::ledger::IntegrityLedger;
 use crate::location::{BufSlot, Location, Lpn, Pun};
@@ -622,12 +622,12 @@ impl Ftl {
         mut partner: Option<(Ppn, SimTime)>,
     ) -> Result<(Option<SimTime>, SimTime), FlashError> {
         let foreground = self.flash.op_phase() == OpPhase::Run;
-        let retry = (self.config.retry_read, self.flash.timing().t_read);
+        let step = self.flash.timing().t_read;
         let programs = &self.programs;
         let read = Self::retry_transient(
             &mut self.flash,
             &mut self.counters,
-            retry,
+            step,
             Counter::FtlRetryExhaustedRead,
             at,
             |flash, t| {
@@ -1035,47 +1035,51 @@ impl Ftl {
     }
 
     /// Schedules a read, retrying transient media failures with
-    /// exponential backoff up to the read-class attempt budget
-    /// ([`FtlConfig::retry_read`]).
+    /// exponential backoff up to [`Ftl::RETRY_LIMIT`] attempts.
     fn read_with_retry(&mut self, ppn: Ppn, at: SimTime) -> Result<Window, FlashError> {
-        let retry = (self.config.retry_read, self.flash.timing().t_read);
+        let step = self.flash.timing().t_read;
         Self::retry_transient(
             &mut self.flash,
             &mut self.counters,
-            retry,
+            step,
             Counter::FtlRetryExhaustedRead,
             at,
             |flash, t| flash.schedule_read(ppn, t),
         )
     }
 
-    /// Erases a block with the erase-class bounded-backoff policy
-    /// ([`FtlConfig::retry_erase`]).
+    /// Erases a block, retrying transient failures like
+    /// [`Ftl::read_with_retry`].
     fn erase_with_retry(&mut self, block: BlockId, at: SimTime) -> Result<Window, FlashError> {
-        let retry = (self.config.retry_erase, self.flash.timing().t_erase);
+        let step = self.flash.timing().t_erase;
         Self::retry_transient(
             &mut self.flash,
             &mut self.counters,
-            retry,
+            step,
             Counter::FtlRetryExhaustedErase,
             at,
             |flash, t| flash.erase(block, t),
         )
     }
 
+    /// Attempts (first try and retries) a read, program or erase gets
+    /// before its transient error escapes. Fatal errors (rule
+    /// violations, grown bad blocks, power loss) are never retried.
+    pub const RETRY_LIMIT: u32 = 4;
+
     /// Cap on the exponential-backoff shift of [`Ftl::retry_transient`]:
     /// retry `n` waits `step << min(n, cap)` before it runs.
     const BACKOFF_SHIFT_CAP: u32 = 16;
 
     /// Runs `op` on `flash` until it stops failing transiently or
-    /// `policy`'s attempt budget runs out (counted under `exhausted`),
+    /// [`Ftl::RETRY_LIMIT`] attempts are spent (counted under `exhausted`),
     /// waiting `step << attempt` (capped at [`Ftl::BACKOFF_SHIFT_CAP`])
     /// before each retry. An associated function, so that `op` may borrow
     /// the rest of the FTL.
     fn retry_transient<T>(
         flash: &mut FlashArray,
         counters: &mut CounterSet,
-        (policy, step): (MediaRetryPolicy, SimDuration),
+        step: SimDuration,
         exhausted: Counter,
         at: SimTime,
         mut op: impl FnMut(&mut FlashArray, SimTime) -> Result<T, FlashError>,
@@ -1085,7 +1089,7 @@ impl Ftl {
         loop {
             match op(flash, t) {
                 Err(e) if e.classification() == ErrorClass::Transient => {
-                    if attempt + 1 >= policy.limit {
+                    if attempt + 1 >= Self::RETRY_LIMIT {
                         counters.incr(exhausted);
                         return Err(e);
                     }
@@ -1098,19 +1102,19 @@ impl Ftl {
         }
     }
 
-    /// Programs a plane group with the program-class bounded-backoff
-    /// policy ([`FtlConfig::retry_program`]). The array copies from the
+    /// Programs a plane group, retrying transient failures like
+    /// [`Ftl::read_with_retry`]. The array copies from the
     /// staged pages, so every attempt borrows the same ones.
     fn program_with_retry(
         &mut self,
         group: &[(Ppn, PageContent)],
         at: SimTime,
     ) -> Result<Window, FlashError> {
-        let retry = (self.config.retry_program, self.flash.timing().t_program);
+        let step = self.flash.timing().t_program;
         Self::retry_transient(
             &mut self.flash,
             &mut self.counters,
-            retry,
+            step,
             Counter::FtlRetryExhaustedProgram,
             at,
             |flash, t| flash.program_planes(group, t),

@@ -3,24 +3,20 @@
 
 use super::tests::{one_shared_page, put, read_span, single_die_ftl, w};
 use super::*;
-use crate::config::MediaRetryPolicy;
 use checkin_flash::{FaultConfig, FaultPlan};
 use std::collections::BTreeMap as Shadow;
 
-fn fault_ftl(retry_limit: u32) -> Ftl {
+fn fault_ftl() -> Ftl {
     single_die_ftl(FtlConfig {
         write_buffer_units: 4,
         wear_leveling_threshold: None,
-        retry_read: MediaRetryPolicy::with_limit(retry_limit),
-        retry_program: MediaRetryPolicy::with_limit(retry_limit),
-        retry_erase: MediaRetryPolicy::with_limit(retry_limit),
         ..FtlConfig::default()
     })
 }
 
 #[test]
 fn transient_media_failures_are_absorbed_by_retries() {
-    let mut f = fault_ftl(8);
+    let mut f = fault_ftl();
     f.flash_mut().arm_faults(FaultPlan::new(FaultConfig {
         seed: 7,
         transient_read: 0.2,
@@ -120,7 +116,7 @@ fn a_power_cut_on_a_sense_leaves_the_fragments_read_so_far() {
 
 #[test]
 fn grown_bad_blocks_are_retired_without_data_loss() {
-    let mut f = fault_ftl(4);
+    let mut f = fault_ftl();
     f.flash_mut().arm_faults(FaultPlan::new(FaultConfig {
         seed: 11,
         grown_bad_block: 0.004,
@@ -146,7 +142,7 @@ fn grown_bad_blocks_are_retired_without_data_loss() {
 #[test]
 fn power_cut_then_rebuild_preserves_every_acked_write() {
     for cut_tick in [5u64, 17, 33, 71, 120, 250, 400, 900] {
-        let mut f = fault_ftl(4);
+        let mut f = fault_ftl();
         f.flash_mut()
             .arm_faults(FaultPlan::new(FaultConfig::power_cut(3, cut_tick)));
         let mut shadow: Shadow<u64, u64> = Shadow::new();
@@ -201,7 +197,7 @@ fn power_cut_then_rebuild_preserves_every_acked_write() {
 
 #[test]
 fn sabotaged_buffer_loses_acked_writes_visibly() {
-    let mut f = fault_ftl(4);
+    let mut f = fault_ftl();
     f.flash_mut()
         .arm_faults(FaultPlan::new(FaultConfig::power_cut(5, 1_000_000)));
     // Three acked writes that stay buffered (watermark is 4).
@@ -221,7 +217,7 @@ fn sabotaged_buffer_loses_acked_writes_visibly() {
 
 #[test]
 fn rebuild_restores_mapping_log_unmappings() {
-    let mut f = fault_ftl(4);
+    let mut f = fault_ftl();
     f.flash_mut()
         .arm_faults(FaultPlan::new(FaultConfig::power_cut(9, 1_000_000)));
     put(&mut f, 0, 1).unwrap();

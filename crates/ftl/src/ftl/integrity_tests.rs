@@ -3,7 +3,6 @@
 
 use super::tests::{one_shared_page, put, read_span, single_die_ftl, w};
 use super::*;
-use crate::config::MediaRetryPolicy;
 use checkin_flash::{FaultConfig, FaultPlan, StoredField};
 
 /// One 4 KiB unit per page, no fault injection: corruption is placed
@@ -274,7 +273,6 @@ fn a_partial_write_over_a_poisoned_unit_fails_typed() {
 #[test]
 fn retry_exhaustion_is_counted_per_class() {
     let mut f = integrity_ftl();
-    f.config.retry_read = MediaRetryPolicy::with_limit(3);
     put(&mut f, 0, 1).unwrap();
     // Read once programmed: a page still programming is not sensed.
     let programmed = f.flush(SimTime::ZERO).unwrap();
@@ -286,11 +284,11 @@ fn retry_exhaustion_is_counted_per_class() {
     let err = f.read(Lpn(0), programmed).unwrap_err();
     assert!(!err.is_integrity(), "media failure, not corruption: {err}");
     assert_eq!(f.counters().get(Counter::FtlRetryExhaustedRead), 1);
-    assert_eq!(f.counters().get(Counter::FtlMediaRetries), 2);
+    let retries = u64::from(Ftl::RETRY_LIMIT - 1);
+    assert_eq!(f.counters().get(Counter::FtlMediaRetries), retries);
     assert_eq!(f.counters().get(Counter::FtlRetryExhaustedProgram), 0);
 
     let mut f = integrity_ftl();
-    f.config.retry_program = MediaRetryPolicy::with_limit(2);
     f.flash_mut().arm_faults(FaultPlan::new(FaultConfig {
         seed: 11,
         transient_program: 1.0,

@@ -388,7 +388,7 @@ fn map_access_cost_reflects_live_entries() {
     )
     .unwrap();
     let cheap = f.map_walk_cost(1, 1);
-    assert_eq!(cheap, f.map_cache().hit_cost);
+    assert_eq!(cheap, MapCacheModel::HIT_COST);
     for i in 0..64 {
         f.write(w(i, i, 1, 512), OobKind::Data, SimTime::ZERO)
             .unwrap();

@@ -85,7 +85,7 @@ mod mapping;
 mod persist;
 mod write_buffer;
 
-pub use config::{FtlConfig, MediaRetryPolicy};
+pub use config::FtlConfig;
 pub use error::{FtlConfigError, FtlError, IntegrityError, RecoveryError};
 pub use ftl::{Ftl, GcTrigger, OobScan, RebuildStats, ScrubReport, SensedPages, UnitWrite};
 pub use location::{BufSlot, Location, Lpn, Pun};

@@ -33,18 +33,13 @@ use crate::location::Lpn;
 /// assert_eq!(segments, 0..2);
 /// assert_eq!(
 ///     m.walk_cost(4000, 1_024, 2),
-///     m.access_cost(4000) * 2 + m.hit_cost * 1_022
+///     m.access_cost(4000) * 2 + MapCacheModel::HIT_COST * 1_022
 /// );
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapCacheModel {
     /// Cached entries; `None` = entire table in DRAM (all hits).
     pub capacity_entries: Option<u64>,
-    /// Service time on a cache hit (SRAM/DRAM lookup + firmware).
-    pub hit_cost: SimDuration,
-    /// Service time on a miss (fetch a mapping segment from DRAM/flash
-    /// metadata region).
-    pub miss_cost: SimDuration,
 }
 
 impl MapCacheModel {
@@ -52,13 +47,16 @@ impl MapCacheModel {
     /// translation page of 8 B entries.
     pub const SEGMENT_ENTRIES: u64 = 512;
 
-    /// Default costs with the given capacity.
+    /// Service time on a cache hit (SRAM/DRAM lookup + firmware).
+    pub const HIT_COST: SimDuration = SimDuration::from_nanos(200);
+
+    /// Service time on a miss (fetch a mapping segment from DRAM/flash
+    /// metadata region).
+    pub const MISS_COST: SimDuration = SimDuration::from_nanos(2_500);
+
+    /// A model caching `capacity_entries` entries.
     pub fn with_capacity(capacity_entries: Option<u64>) -> Self {
-        MapCacheModel {
-            capacity_entries,
-            hit_cost: SimDuration::from_nanos(200),
-            miss_cost: SimDuration::from_nanos(2_500),
-        }
+        MapCacheModel { capacity_entries }
     }
 
     /// Fraction of accesses served from cache given the live table size.
@@ -79,7 +77,7 @@ impl MapCacheModel {
     pub fn access_cost(&self, live_entries: u64) -> SimDuration {
         let h = self.hit_rate(live_entries);
         let nanos =
-            h * self.hit_cost.as_nanos() as f64 + (1.0 - h) * self.miss_cost.as_nanos() as f64;
+            h * Self::HIT_COST.as_nanos() as f64 + (1.0 - h) * Self::MISS_COST.as_nanos() as f64;
         #[expect(
             clippy::cast_possible_truncation,
             reason = "h is in [0, 1], so nanos lies between the two u64 costs it interpolates"
@@ -104,13 +102,7 @@ impl MapCacheModel {
     /// the segment loaded. One unit costs exactly `access_cost`.
     pub fn walk_cost(&self, live_entries: u64, units: u64, segments: u64) -> SimDuration {
         debug_assert!(segments <= units, "{segments} segments for {units} units");
-        self.access_cost(live_entries) * segments + self.hit_cost * units.saturating_sub(segments)
-    }
-}
-
-impl Default for MapCacheModel {
-    fn default() -> Self {
-        MapCacheModel::with_capacity(None)
+        self.access_cost(live_entries) * segments + Self::HIT_COST * units.saturating_sub(segments)
     }
 }
 
@@ -130,7 +122,7 @@ mod tests {
     fn unlimited_cache_always_hits() {
         let m = MapCacheModel::with_capacity(None);
         assert_eq!(m.hit_rate(1_000_000), 1.0);
-        assert_eq!(m.access_cost(1_000_000), m.hit_cost);
+        assert_eq!(m.access_cost(1_000_000), MapCacheModel::HIT_COST);
     }
 
     #[test]
@@ -148,7 +140,7 @@ mod tests {
         let half = m.access_cost(200);
         let mostly_miss = m.access_cost(10_000);
         assert!(all_hit < half && half < mostly_miss);
-        assert_eq!(all_hit, m.hit_cost);
+        assert_eq!(all_hit, MapCacheModel::HIT_COST);
     }
 
     #[test]
@@ -166,7 +158,7 @@ mod tests {
     fn a_walk_misses_once_per_segment() {
         let m = MapCacheModel::with_capacity(Some(100));
         let live = 400;
-        let (miss, hit) = (m.access_cost(live), m.hit_cost);
+        let (miss, hit) = (m.access_cost(live), MapCacheModel::HIT_COST);
         assert!(miss > hit);
         // Inside one segment: one miss.
         assert_eq!(span_cost(&m, live, 0, SEG), miss + hit * (SEG - 1));
@@ -191,7 +183,10 @@ mod tests {
     fn an_unlimited_cache_walk_costs_a_hit_per_unit() {
         let m = MapCacheModel::with_capacity(None);
         for (first, units) in [(0, 1), (SEG - 3, 9), (5, 4 * SEG)] {
-            assert_eq!(span_cost(&m, 1 << 30, first, units), m.hit_cost * units);
+            assert_eq!(
+                span_cost(&m, 1 << 30, first, units),
+                MapCacheModel::HIT_COST * units
+            );
         }
     }
 }

@@ -326,7 +326,7 @@ fn a_mapping_walk_misses_once_per_segment() {
         let cache = rng.range_u64(1, 2 * LPNS);
         let ftl = run_ops_on(build_caching(512, Some(cache)), &soup(rng, len, op));
         let map = *ftl.map_cache();
-        let (miss, hit) = (map.access_cost(ftl.live_entries()), map.hit_cost);
+        let (miss, hit) = (map.access_cost(ftl.live_entries()), MapCacheModel::HIT_COST);
         for _ in 0..32 {
             let first = rng.below(64 * SEG);
             let units = rng.range_u64(1, 8 * SEG);

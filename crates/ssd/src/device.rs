@@ -8,7 +8,8 @@ use checkin_ftl::{
     Ftl, FtlError, GcTrigger, Lpn, MapCacheModel, RebuildStats, ScrubReport, SensedPages, UnitWrite,
 };
 use checkin_sim::{
-    Counter, CounterSet, Progress, Resource, SimDuration, SimTime, TraceEvent, TraceLayer, Tracer,
+    Counter, CounterSet, InFlight, Progress, Resource, SimDuration, SimTime, TraceEvent,
+    TraceLayer, Tracer,
 };
 
 use crate::command::{
@@ -16,7 +17,6 @@ use crate::command::{
 };
 use crate::error::SsdError;
 use crate::isce::{plan_entry, EntryPlan};
-use crate::queue::CommandQueue;
 use crate::timing::SsdTiming;
 
 /// Base of the device-internal metadata LPN region (never visible to the
@@ -68,7 +68,9 @@ pub struct Ssd {
     timing: SsdTiming,
     link: Resource,
     cpu: Resource,
-    queue: CommandQueue,
+    /// The NVMe submission queue: at most `queue_depth` commands in
+    /// flight, admitted by [`Ssd::admit`].
+    queue: InFlight,
     counters: CounterSet,
     journal_units_since_meta: u64,
     meta_seq: u64,
@@ -240,7 +242,7 @@ impl Ssd {
     /// Wraps an FTL with the device front end.
     pub fn new(ftl: Ftl, timing: SsdTiming) -> Self {
         Ssd {
-            queue: CommandQueue::new(timing.queue_depth),
+            queue: InFlight::new(timing.queue_depth),
             ftl,
             timing,
             link: Resource::new("pcie"),
@@ -258,9 +260,8 @@ impl Ssd {
     }
 
     /// Installs a trace sink on the device and every layer below it
-    /// (command queue, FTL, flash array).
+    /// (FTL, flash array).
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.queue.set_tracer(tracer.clone());
         self.ftl.set_tracer(tracer.clone());
         self.tracer = tracer;
     }
@@ -395,9 +396,10 @@ impl Ssd {
     ///
     /// # Errors
     ///
-    /// Rejects zero-length requests; propagates FTL failures other than
-    /// reads of never-written space (which return no fragments, modelling
-    /// a zero-fill read).
+    /// Rejects zero-length requests and requests past the device's
+    /// capacity; propagates FTL failures other than reads of
+    /// never-written space (which return no fragments, modelling a
+    /// zero-fill read).
     pub fn read(
         &mut self,
         req: &ReadRequest,
@@ -426,8 +428,9 @@ impl Ssd {
         if req.sectors == 0 {
             return Err(SsdError::InvalidRequest("read of zero sectors".into()));
         }
+        self.check_range(req.lba, req.sectors)?;
         self.counters.incr(Counter::SsdCmdRead);
-        let t0 = self.queue.admit(at);
+        let t0 = self.admit(at);
         let cmd = self.link.schedule(t0, self.timing.cmd_overhead);
         let first_unit = Lpn(req.lba / u64::from(self.unit_sectors()));
         let units = self.unit_span(req.lba, req.sectors);
@@ -460,8 +463,8 @@ impl Ssd {
     ///
     /// # Errors
     ///
-    /// Rejects zero-length and malformed merged requests; propagates FTL
-    /// allocation failures.
+    /// Rejects zero-length, malformed merged and past-capacity requests;
+    /// propagates FTL allocation failures.
     pub fn write(
         &mut self,
         req: &WriteRequest,
@@ -471,6 +474,7 @@ impl Ssd {
         if req.sectors == 0 {
             return Err(SsdError::InvalidRequest("write of zero sectors".into()));
         }
+        self.check_range(req.lba, req.sectors)?;
         if let WriteContent::Merged(_) = &req.content {
             if req.sectors != self.unit_sectors() {
                 return Err(SsdError::InvalidRequest(
@@ -481,7 +485,7 @@ impl Ssd {
         self.counters.incr(Counter::SsdCmdWrite);
         let wire = req.wire_bytes();
         self.counters.add(Counter::SsdHostWriteBytes, wire);
-        let t0 = self.queue.admit(at);
+        let t0 = self.admit(at);
         let xfer = self.link.schedule(
             t0,
             self.timing.cmd_overhead + self.timing.link_transfer(wire),
@@ -594,7 +598,7 @@ impl Ssd {
     /// Propagates FTL allocation failures.
     pub fn flush(&mut self, at: SimTime) -> Result<SimTime, SsdError> {
         self.counters.incr(Counter::SsdCmdFlush);
-        let t0 = self.queue.admit(at);
+        let t0 = self.admit(at);
         let cmd = self.link.schedule(t0, self.timing.cmd_overhead);
         let done = self.ftl.flush(cmd.finish)?;
         self.queue.complete(done);
@@ -604,10 +608,10 @@ impl Ssd {
     /// Deallocates (trims) a sector range, unit by unit, executed to
     /// completion in this call: the steps of [`Ssd::begin_deallocate`],
     /// each at the instant the one before ended. Holds no job slot, so a
-    /// job in execution goes on untouched. Returns when the command
-    /// completed.
+    /// job in execution goes on untouched. Only the part of the range
+    /// inside the device is trimmed. Returns when the command completed.
     pub fn deallocate(&mut self, lba: u64, sectors: u32, at: SimTime) -> SimTime {
-        let (mut cursor, end) = (lba, lba + u64::from(sectors));
+        let (mut cursor, end) = (lba, self.clamp_end(lba, sectors));
         let mut now = self.admit_trim(at);
         let live = self.ftl.live_entries();
         while cursor < end {
@@ -622,7 +626,8 @@ impl Ssd {
     /// walk is left to [`Ssd::pump`] steps, one map segment each
     /// ([`MapCacheModel::SEGMENT_ENTRIES`] units), which unmap that
     /// segment's whole units; the command holds its queue slot until the
-    /// last. Partial-unit trims are ignored, as in [`Ssd::deallocate`].
+    /// last. Partial-unit trims and sectors past the device are ignored,
+    /// as in [`Ssd::deallocate`].
     ///
     /// # Errors
     ///
@@ -634,18 +639,53 @@ impl Ssd {
         at: SimTime,
     ) -> Result<Progress<SimTime>, SsdError> {
         self.refuse_while_running()?;
-        let end = lba + u64::from(sectors);
+        let end = self.clamp_end(lba, sectors);
         self.job.stage = Stage::Trim { cursor: lba, end };
         self.job.live = self.ftl.live_entries();
         self.job.next_at = self.admit_trim(at);
         Ok(Progress::PumpAt(self.job.next_at))
     }
 
+    /// Sectors the device holds: its flash capacity.
+    fn capacity_sectors(&self) -> u64 {
+        self.ftl.flash().geometry().capacity_bytes() / u64::from(SECTOR_BYTES)
+    }
+
+    /// Refuses `sectors` from `lba` when they reach past the device.
+    fn check_range(&self, lba: u64, sectors: u32) -> Result<(), SsdError> {
+        let capacity = self.capacity_sectors();
+        match lba.checked_add(u64::from(sectors)) {
+            Some(end) if end <= capacity => Ok(()),
+            _ => Err(SsdError::InvalidRequest(format!(
+                "{sectors} sectors at LBA {lba} reach past the device's {capacity}"
+            ))),
+        }
+    }
+
+    /// The end of `sectors` from `lba`, cut at the device's capacity.
+    fn clamp_end(&self, lba: u64, sectors: u32) -> u64 {
+        lba.saturating_add(u64::from(sectors))
+            .min(self.capacity_sectors())
+    }
+
+    /// Earliest instant a command arriving at `at` may start in the
+    /// submission queue; traces its queue wait and the in-flight depth at
+    /// start. The command's completion goes to `self.queue.complete`.
+    fn admit(&mut self, at: SimTime) -> SimTime {
+        let start = self.queue.admit(at);
+        self.tracer.emit(|| {
+            TraceEvent::new(start, TraceLayer::Queue, "admit")
+                .with("wait_ns", start.duration_since(at).as_nanos())
+                .with("inflight", self.queue.in_flight_at(start) as u64)
+        });
+        start
+    }
+
     /// Admits a deallocation at `at` and books its transfer and command
     /// cost. Returns when its walk may begin.
     fn admit_trim(&mut self, at: SimTime) -> SimTime {
         self.counters.incr(Counter::SsdCmdDealloc);
-        let t0 = self.queue.admit(at);
+        let t0 = self.admit(at);
         let cmd = self.link.schedule(t0, self.timing.cmd_overhead);
         let cpu = self.cpu.schedule(cmd.finish, self.timing.cpu_cmd_cost);
         cpu.finish
@@ -688,7 +728,8 @@ impl Ssd {
     ///
     /// # Errors
     ///
-    /// [`SsdError::InvalidRequest`] while a job is running; propagates
+    /// [`SsdError::InvalidRequest`] while a job is running or when the
+    /// entry's source or destination reaches past the device; propagates
     /// FTL failures from the copy path.
     pub fn cow_single(
         &mut self,
@@ -697,8 +738,9 @@ impl Ssd {
         at: SimTime,
     ) -> Result<SimTime, SsdError> {
         self.refuse_while_running()?;
+        self.check_entries(std::slice::from_ref(entry))?;
         self.counters.incr(Counter::SsdCmdCow);
-        let t0 = self.queue.admit(at);
+        let t0 = self.admit(at);
         // Descriptor-only transfer: no payload on the link.
         let cmd = self
             .link
@@ -745,7 +787,8 @@ impl Ssd {
     ///
     /// # Errors
     ///
-    /// [`SsdError::InvalidRequest`] while a job is running; propagates
+    /// [`SsdError::InvalidRequest`] while a job is running or when an
+    /// entry's source or destination reaches past the device; propagates
     /// FTL failures.
     pub fn begin_checkpoint(
         &mut self,
@@ -754,8 +797,9 @@ impl Ssd {
         at: SimTime,
     ) -> Result<Progress<SimTime>, SsdError> {
         self.refuse_while_running()?;
+        self.check_entries(entries)?;
         self.counters.incr(Counter::SsdCmdCheckpoint);
-        let t0 = self.queue.admit(at);
+        let t0 = self.admit(at);
         let descriptor_bytes = 16 * entries.len() as u64;
         let cmd = self.link.schedule(
             t0,
@@ -826,6 +870,16 @@ impl Ssd {
             return Err(SsdError::InvalidRequest("a job is still running".into()));
         }
         Ok(())
+    }
+
+    /// Refuses a batch in which an entry's source or destination reaches
+    /// past the device. A remap aliases `sectors` at the destination, a
+    /// copy writes `dst_sectors`.
+    fn check_entries(&self, entries: &[CowEntry]) -> Result<(), SsdError> {
+        entries.iter().try_for_each(|e| {
+            self.check_range(e.src_lba, e.sectors)?;
+            self.check_range(e.dst_lba, e.sectors.max(e.dst_sectors))
+        })
     }
 
     /// Takes an entry batch into the job, its walk due at `at`, each
@@ -1402,12 +1456,12 @@ mod tests {
     use checkin_sim::Total;
 
     fn ssd(unit_bytes: u32) -> Ssd {
-        ssd_caching(unit_bytes, None)
+        ssd_caching(FlashGeometry::small(), unit_bytes, None)
     }
 
-    /// [`ssd`] whose mapping cache holds `map_cache_entries`.
-    fn ssd_caching(unit_bytes: u32, map_cache_entries: Option<u64>) -> Ssd {
-        let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
+    /// [`ssd`] on `geometry`, whose mapping cache holds `cache` entries.
+    fn ssd_caching(geometry: FlashGeometry, unit_bytes: u32, cache: Option<u64>) -> Ssd {
+        let flash = FlashArray::new(geometry, FlashTiming::mlc());
         let ftl = Ftl::new(
             flash,
             FtlConfig {
@@ -1415,7 +1469,7 @@ mod tests {
                 write_points: 2,
                 gc_threshold_blocks: 4,
                 gc_soft_threshold_blocks: 8,
-                map_cache_entries,
+                map_cache_entries: cache,
                 ..FtlConfig::default()
             },
         )
@@ -1508,6 +1562,59 @@ mod tests {
             s.write(&bad, OobKind::Journal, SimTime::ZERO),
             Err(SsdError::InvalidRequest(_))
         ));
+    }
+
+    /// On 512 B units an LBA is an LPN, and the ISCE's first
+    /// recovery-log unit lives at `META_LPN_BASE + 1`: neither a write
+    /// nor a CoW entry reaches it, or anything else past the device.
+    #[test]
+    fn a_request_past_the_device_cannot_reach_the_recovery_log() {
+        let (mut s, meta, z) = (ssd(512), META_LPN_BASE + 1, SimTime::ZERO);
+        let last = s.capacity_sectors() - 1;
+        let refused = |r: Result<_, SsdError>| matches!(r, Err(SsdError::InvalidRequest(_)));
+        assert!(refused(s.write(&record(meta, 1, 7, 1), OobKind::Data, z)));
+        assert!(refused(s.write(&record(last, 2, 7, 1), OobKind::Data, z)));
+        let t = s
+            .write(&record(last, 1, 7, 1), OobKind::Journal, z)
+            .unwrap();
+        let entry = |src_lba, dst_lba| CowEntry {
+            src_lba,
+            dst_lba,
+            sectors: 1,
+            dst_sectors: 1,
+            key: 7,
+            merged: false,
+        };
+        let remap = CheckpointMode::Remap;
+        assert!(refused(s.cow_single(&entry(last, meta), remap, t)));
+        let batch = [entry(last, 0), entry(meta, 1)];
+        assert!(refused(s.checkpoint(&batch, remap, t)));
+        let commands = [
+            Counter::SsdCmdWrite,
+            Counter::SsdCmdCow,
+            Counter::SsdCmdCheckpoint,
+        ];
+        assert_eq!(commands.map(|c| s.counters().get(c)), [1, 0, 0]);
+        assert!(!s.ftl().is_mapped(Lpn(meta)) && !s.ftl().is_mapped(Lpn(0)));
+    }
+
+    /// A write past the device does not grow the mapping table to its
+    /// address, and a trim reaching past the device trims what lies
+    /// inside it.
+    #[test]
+    fn a_request_past_the_device_does_not_grow_the_mapping_table() {
+        let (mut s, z) = (ssd(512), SimTime::ZERO);
+        let before = s.ftl().mapping_bytes();
+        let far = s.write(&record(1 << 25, 1, 7, 1), OobKind::Data, z);
+        assert!(matches!(far, Err(SsdError::InvalidRequest(_))));
+        assert_eq!(s.ftl().mapping_bytes(), before);
+        let last = s.capacity_sectors() - 1;
+        let t = s.write(&record(last, 1, 7, 1), OobKind::Data, z).unwrap();
+        let held = s.ftl().mapping_bytes();
+        s.deallocate(last, u32::MAX, t);
+        assert!(!s.ftl().is_mapped(Lpn(last)));
+        s.deallocate(u64::MAX - 1, 8, t);
+        assert_eq!(s.ftl().mapping_bytes(), held);
     }
 
     #[test]
@@ -1895,7 +2002,7 @@ mod tests {
     fn a_paced_trim_walks_one_map_segment_a_step() {
         const SEG: u64 = MapCacheModel::SEGMENT_ENTRIES;
         let fixture = || {
-            let mut s = ssd_caching(512, Some(SEG));
+            let mut s = ssd_caching(FlashGeometry::small(), 512, Some(SEG));
             let mut t = SimTime::ZERO;
             for lba in (0..2 * SEG).step_by(8) {
                 t = s.write(&record(lba, 8, lba, 1), OobKind::Data, t).unwrap();
@@ -2120,7 +2227,7 @@ mod tests {
     /// cache that holds half the table.
     #[test]
     fn a_read_senses_a_shared_page_once() {
-        let mut s = ssd_caching(512, Some(4));
+        let mut s = ssd_caching(FlashGeometry::small(), 512, Some(4));
         let t = s
             .write(&record(0, 8, 1, 1), OobKind::Data, SimTime::ZERO)
             .unwrap();
@@ -2154,8 +2261,8 @@ mod tests {
         assert_eq!((reads, lookups), (1, 8));
         let timing = *s.timing();
         let map = *s.ftl().map_cache();
-        assert!(map.access_cost(s.ftl().live_entries()) > map.hit_cost);
-        let per_unit = map.hit_cost + timing.dram_unit_cost;
+        assert!(map.access_cost(s.ftl().live_entries()) > MapCacheModel::HIT_COST);
+        let per_unit = MapCacheModel::HIT_COST + timing.dram_unit_cost;
         let sector = u64::from(SECTOR_BYTES);
         assert_eq!(
             eight,
@@ -2239,8 +2346,7 @@ mod tests {
             "one tR, two pages"
         );
         let front = *s.timing();
-        let map = *s.ftl().map_cache();
-        let per_unit = map.hit_cost + front.dram_unit_cost;
+        let per_unit = MapCacheModel::HIT_COST + front.dram_unit_cost;
         let sector = u64::from(SECTOR_BYTES);
         let unit = u64::from(unit_sectors) * sector;
         assert_eq!(
@@ -2252,11 +2358,16 @@ mod tests {
 
     /// A remap batch pays one miss per mapping segment its source and
     /// destination ranges touch, not one per access: 64 sources in 64
-    /// segments and 64 destinations in one are 65 misses and 63 hits.
+    /// segments and 64 destinations in one are 65 misses and 63 hits,
+    /// on a device of 128 segments.
     #[test]
     fn a_remap_batch_misses_once_per_segment_it_touches() {
         const SEG: u64 = MapCacheModel::SEGMENT_ENTRIES;
-        let mut s = ssd_caching(512, Some(16));
+        let geometry = FlashGeometry {
+            blocks_per_plane: 128,
+            ..FlashGeometry::small()
+        };
+        let mut s = ssd_caching(geometry, 512, Some(16));
         let mut t = SimTime::ZERO;
         let src = |i: u64| 64 * SEG + i * SEG;
         for i in 0..64 {
@@ -2275,7 +2386,7 @@ mod tests {
             .collect();
         let map = *s.ftl().map_cache();
         let miss = map.access_cost(s.ftl().live_entries());
-        assert!(miss > map.hit_cost);
+        assert!(miss > MapCacheModel::HIT_COST);
         let counted = |s: &Ssd| {
             let c = s.counters();
             (c.get(Counter::SsdMapUnits), c.get(Counter::SsdMapSegments))
@@ -2284,7 +2395,10 @@ mod tests {
         s.take_cp_phase_times();
         s.checkpoint(&entries, CheckpointMode::Remap, t).unwrap();
         assert_eq!(s.counters().get(Counter::SsdRemapEntries), 64);
-        assert_eq!(s.take_cp_phase_times().remap, miss * 65 + map.hit_cost * 63);
+        assert_eq!(
+            s.take_cp_phase_times().remap,
+            miss * 65 + MapCacheModel::HIT_COST * 63
+        );
         let (units, segments) = counted(&s);
         assert_eq!((units - units0, segments - segments0), (128, 65));
     }

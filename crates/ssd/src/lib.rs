@@ -86,7 +86,6 @@ mod command;
 mod device;
 mod error;
 mod isce;
-mod queue;
 mod timing;
 
 pub use command::{
@@ -95,5 +94,4 @@ pub use command::{
 pub use device::{CpPhaseTimes, Ssd};
 pub use error::SsdError;
 pub use isce::{plan_entry, EntryPlan};
-pub use queue::CommandQueue;
 pub use timing::SsdTiming;
