@@ -28,7 +28,7 @@
 
 use std::collections::BTreeSet;
 
-use checkin_core::{JournalManager, KvEngine, Layout, RunReport, Strategy};
+use checkin_core::{JournalManager, JournalOptions, KvEngine, Layout, RunReport, Strategy};
 use checkin_flash::{
     BlockId, FlashArray, FlashGeometry, FlashTiming, OobKind, PageContent, UnitPayload,
 };
@@ -302,7 +302,7 @@ fn checkpoint_cost(mode: CheckpointMode, timing: FlashTiming) -> CheckpointCost 
 fn checkpoint_fixture(timing: FlashTiming) -> (Ssd, Vec<CowEntry>, SimTime) {
     let mut ssd = device(timing);
     let layout = Layout::new(1_024, 4096, SECTOR_BYTES, 1 << 14);
-    let mut journal = JournalManager::new(layout, true, 0.7);
+    let mut journal = JournalManager::with_options(layout, JournalOptions::check_in(0.7));
     let mut t = SimTime::ZERO;
     for key in 0..ENTRIES {
         let req = journal

@@ -62,16 +62,10 @@ pub struct CheckpointOutcome {
     pub copied: u64,
     /// Deletion tombstones applied (home extents trimmed).
     pub deleted: u64,
-    /// Flash page programs of this checkpoint's own device calls (the
-    /// paper's "redundant writes"): the sum of its phases' programs.
-    pub flash_programs: u64,
-    /// Flash page reads of this checkpoint's own device calls: the sum of
-    /// its phases' reads.
-    pub flash_reads: u64,
     /// Logical units (re)written by this checkpoint's data movement — the
     /// paper's "redundant writes" in mapping units: the copies and the
     /// recovery metadata unit that closes a checkpoint command. Unlike
-    /// `flash_programs`, this counts copies even when the device write
+    /// `phases.flash_programs()`, this counts copies even when the device write
     /// buffer defers their page programs beyond the checkpoint window.
     /// Remapped entries cost zero.
     pub redundant_units: u64,
@@ -354,8 +348,6 @@ impl RunningCheckpoint {
             remapped,
             copied,
             deleted: self.tombstoned,
-            flash_programs: phases.flash_programs(),
-            flash_reads: phases.flash_reads(),
             redundant_units: end.redundant_units,
             redundant_bytes: end.redundant_bytes,
             host_bytes: own.get(Counter::SsdHostReadBytes) + own.get(Counter::SsdHostWriteBytes),
@@ -595,7 +587,7 @@ impl HostJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::JournalManager;
+    use crate::journal::{JournalManager, JournalOptions};
     use crate::KvEngine;
     use checkin_flash::{FlashArray, FlashGeometry, FlashTiming};
     use checkin_ftl::{Ftl, FtlConfig};
@@ -617,7 +609,7 @@ mod tests {
         .unwrap();
         let ssd = Ssd::new(ftl, SsdTiming::paper_default());
         let layout = Layout::new(64, 4096, unit, 1 << 12);
-        let jm = JournalManager::new(layout, strategy.sector_aligned_journaling(), 0.7);
+        let jm = JournalManager::with_options(layout, JournalOptions::for_strategy(strategy, 0.7));
         (ssd, layout, jm)
     }
 

@@ -8,7 +8,7 @@ use checkin_ssd::{ReadRequest, Ssd, SsdError, WriteContent, WriteRequest, SECTOR
 
 use crate::checkpoint::{CheckpointOutcome, HostJob, RunningCheckpoint};
 use crate::config::Strategy;
-use crate::journal::{JmtEntry, JournalFull, JournalManager, RetiringZone};
+use crate::journal::{JmtEntry, JournalFull, JournalManager, JournalOptions, RetiringZone};
 use crate::layout::{Layout, JOURNAL_ZONES};
 
 /// Records [`KvEngine::load`] writes between two calls of
@@ -169,11 +169,7 @@ struct KeyState {
 impl KvEngine {
     /// Creates an engine for `strategy` over `layout`.
     pub fn new(strategy: Strategy, layout: Layout, compression_ratio: f64) -> Self {
-        let options = if strategy.sector_aligned_journaling() {
-            crate::journal::JournalOptions::check_in(compression_ratio)
-        } else {
-            crate::journal::JournalOptions::conventional()
-        };
+        let options = JournalOptions::for_strategy(strategy, compression_ratio);
         Self::with_journal_options(strategy, layout, options)
     }
 
@@ -182,7 +178,7 @@ impl KvEngine {
     pub fn with_journal_options(
         strategy: Strategy,
         layout: Layout,
-        options: crate::journal::JournalOptions,
+        options: JournalOptions,
     ) -> Self {
         KvEngine {
             strategy,
@@ -410,7 +406,8 @@ impl KvEngine {
     ///
     /// [`EngineError::JournalFull`] when the active zone cannot hold the
     /// log — checkpoint and retry. [`EngineError::UnknownKey`] for keys
-    /// never loaded.
+    /// never loaded; [`EngineError::InvalidValue`] for empty/oversized
+    /// values.
     pub fn update(
         &mut self,
         ssd: &mut Ssd,
@@ -418,30 +415,13 @@ impl KvEngine {
         value_bytes: u32,
         at: SimTime,
     ) -> Result<SimTime, EngineError> {
-        let current = match self.state(key) {
-            Some(s) if !s.deleted => s.version,
-            _ => return Err(EngineError::UnknownKey(key)),
-        };
-        let max_bytes = (self.layout.slot_sectors() * SECTOR_BYTES as u64) as u32;
-        if value_bytes == 0 || value_bytes > max_bytes {
-            return Err(EngineError::InvalidValue(value_bytes));
+        if self.state(key).is_none_or(|s| s.deleted) {
+            return Err(EngineError::UnknownKey(key));
         }
-        let version = current + 1;
-        let req = self.journal.append(key, version, value_bytes)?;
-        let sectors = req.sectors;
-        let t = ssd.write(&req, OobKind::Journal, at)?;
-        self.commit(key, version, value_bytes, false);
+        let t = self.journaled_write(ssd, key, Some(value_bytes), at)?;
         self.counters.incr(Counter::EngineUpdates);
         self.counters
             .add(Counter::EngineUpdateBytes, value_bytes as u64);
-        // The journal manager has no clock, so the engine emits the
-        // journal-layer event on its behalf at the commit instant.
-        self.tracer.emit(|| {
-            TraceEvent::new(t, TraceLayer::Journal, "append")
-                .with("key", key)
-                .with("version", version)
-                .with("sectors", u64::from(sectors))
-        });
         self.tracer.emit(|| {
             TraceEvent::new(t, TraceLayer::Engine, "update")
                 .with("key", key)
@@ -460,14 +440,10 @@ impl KvEngine {
     /// [`EngineError::UnknownKey`] for unknown or already-deleted keys;
     /// [`EngineError::JournalFull`] when a checkpoint is required first.
     pub fn delete(&mut self, ssd: &mut Ssd, key: u64, at: SimTime) -> Result<SimTime, EngineError> {
-        let current = match self.state(key) {
-            Some(s) if !s.deleted => s.version,
-            _ => return Err(EngineError::UnknownKey(key)),
-        };
-        let version = current + 1;
-        let req = self.journal.append_delete(key, version)?;
-        let t = ssd.write(&req, OobKind::Journal, at)?;
-        self.commit(key, version, 0, true);
+        if self.state(key).is_none_or(|s| s.deleted) {
+            return Err(EngineError::UnknownKey(key));
+        }
+        let t = self.journaled_write(ssd, key, None, at)?;
         self.counters.incr(Counter::EngineDeletes);
         Ok(t)
     }
@@ -490,15 +466,47 @@ impl KvEngine {
         if key >= self.layout.record_count() {
             return Err(EngineError::UnknownKey(key));
         }
+        let t = self.journaled_write(ssd, key, Some(value_bytes), at)?;
+        self.counters.incr(Counter::EngineInserts);
+        Ok(t)
+    }
+
+    /// The journaled write of every update, insert and delete: journals
+    /// the next version of `key` — a value of `value` bytes, or with
+    /// `None` a deletion tombstone — ahead of the acknowledgement, then
+    /// commits the key. Returns when the device acknowledged the log.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::InvalidValue`] for an empty value or one larger
+    /// than a home slot, [`EngineError::JournalFull`] and device
+    /// failures.
+    fn journaled_write(
+        &mut self,
+        ssd: &mut Ssd,
+        key: u64,
+        value: Option<u32>,
+        at: SimTime,
+    ) -> Result<SimTime, EngineError> {
         let max_bytes = (self.layout.slot_sectors() * SECTOR_BYTES as u64) as u32;
-        if value_bytes == 0 || value_bytes > max_bytes {
-            return Err(EngineError::InvalidValue(value_bytes));
+        if let Some(bytes) = value.filter(|&b| b == 0 || b > max_bytes) {
+            return Err(EngineError::InvalidValue(bytes));
         }
         let version = self.state(key).map_or(0, |s| s.version) + 1;
-        let req = self.journal.append(key, version, value_bytes)?;
+        let req = match value {
+            Some(bytes) => self.journal.append(key, version, bytes)?,
+            None => self.journal.append_delete(key, version)?,
+        };
         let t = ssd.write(&req, OobKind::Journal, at)?;
-        self.commit(key, version, value_bytes, false);
-        self.counters.incr(Counter::EngineInserts);
+        self.commit(key, version, value.unwrap_or(0), value.is_none());
+        // The journal manager has no clock, so the engine emits the
+        // journal-layer event on its behalf at the commit instant.
+        self.tracer.emit(|| {
+            TraceEvent::new(t, TraceLayer::Journal, "append")
+                .with("key", key)
+                .with("version", version)
+                .with("sectors", u64::from(req.sectors))
+        });
         Ok(t)
     }
 
@@ -862,6 +870,41 @@ mod tests {
         let ssd = Ssd::new(ftl, SsdTiming::paper_default());
         let layout = Layout::new(64, 4096, unit, 1 << 11);
         (ssd, KvEngine::new(strategy, layout, 0.7))
+    }
+
+    /// Every journaled write is one `journal`/`append` event naming its
+    /// log — an insert's and a delete's as much as an update's.
+    #[test]
+    fn inserts_and_deletes_each_trace_one_journal_append() {
+        for strategy in [Strategy::CheckIn, Strategy::Baseline] {
+            let (mut ssd, mut engine) = setup(strategy);
+            let tracer = Tracer::ring_buffered(256);
+            engine.set_tracer(tracer.clone());
+            let mut t = SimTime::ZERO;
+            let mut logged = Vec::new();
+            for insert in [true, false] {
+                t = if insert {
+                    engine.insert(&mut ssd, 3, 900, t).unwrap()
+                } else {
+                    engine.delete(&mut ssd, 3, t).unwrap()
+                };
+                let log = engine.journal().jmt().lookup(3).unwrap();
+                assert_eq!(log.tombstone, !insert, "{strategy}");
+                logged.push(vec![
+                    ("key", 3),
+                    ("version", log.version),
+                    ("sectors", u64::from(log.sectors)),
+                ]);
+            }
+            let appends: Vec<Vec<(&str, u64)>> = tracer
+                .drain()
+                .iter()
+                .filter(|e| (e.layer, e.op) == (TraceLayer::Journal, "append"))
+                .map(|e| e.fields().to_vec())
+                .collect();
+            assert_eq!(appends, logged, "{strategy}");
+            assert_eq!(logged[1][1], ("version", 2), "{strategy}");
+        }
     }
 
     #[test]

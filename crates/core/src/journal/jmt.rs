@@ -5,17 +5,13 @@
 //! only non-`OLD` entries are checkpointed (Algorithm 1 skips the rest);
 //! superseded versions are still accounted as duplicates for statistics.
 //!
-//! KV keys are dense integers below the layout's record count, so the
-//! table is a flat `Vec` indexed by key (like the FTL's page-mapped L2P
-//! array, paper §II) with a small sorted overflow vector for sparse keys
-//! above the dense limit (e.g. the superblock pseudo-key). The dense
-//! region grows lazily to the highest key touched, and the overflow is
-//! kept sorted, so iteration and checkpoint drains remain in ascending
+//! Every journaled key is a dense integer below the layout's record
+//! count — the engine refuses any other, and the superblock is a host
+//! write to the layout's metadata sector that never enters the journal —
+//! so the table is one flat `Vec` indexed by key (like the FTL's
+//! page-mapped L2P array, paper §II). It grows lazily to the highest key
+//! recorded, and iteration and checkpoint drains walk it in ascending
 //! key order — the determinism the checkpoint processor relies on.
-
-/// Keys below this bound live in the dense array; anything higher goes to
-/// the sorted overflow (workloads use dense keys well below this).
-const DENSE_LIMIT: u64 = 1 << 22;
 
 /// One JMT entry: where the latest journal copy of a key lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,12 +47,10 @@ pub struct JmtEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Jmt {
-    /// Key-indexed entries for keys below [`DENSE_LIMIT`]; grows lazily to
-    /// the highest key recorded. The allocation is kept across checkpoint
-    /// drains so steady-state operation stops allocating.
+    /// Key-indexed entries; grows lazily to the highest key recorded.
+    /// The allocation is kept across checkpoint drains so steady-state
+    /// operation stops allocating.
     dense: Vec<Option<JmtEntry>>,
-    /// Sparse keys at or above [`DENSE_LIMIT`], sorted by key.
-    overflow: Vec<(u64, JmtEntry)>,
     live: usize,
     superseded: u64,
     raw_bytes: u64,
@@ -69,11 +63,11 @@ impl Jmt {
         Self::default()
     }
 
-    /// An empty table with the dense region pre-reserved for keys below
-    /// `key_hint` (avoids regrowth during the load phase).
+    /// An empty table with room reserved for keys below `key_hint`
+    /// (avoids regrowth during the load phase).
     pub fn with_key_capacity(key_hint: u64) -> Self {
         let mut jmt = Self::default();
-        jmt.dense.reserve(key_hint.min(DENSE_LIMIT) as usize);
+        jmt.dense.reserve(key_hint as usize);
         jmt
     }
 
@@ -81,25 +75,11 @@ impl Jmt {
     pub fn record(&mut self, key: u64, entry: JmtEntry) {
         self.raw_bytes += entry.raw_bytes as u64;
         self.stored_bytes += entry.stored_bytes as u64;
-        let replaced = if key < DENSE_LIMIT {
-            let idx = key as usize;
-            if idx >= self.dense.len() {
-                self.dense.resize(idx + 1, None);
-            }
-            self.dense[idx].replace(entry).is_some()
-        } else {
-            match self.overflow.binary_search_by_key(&key, |&(k, _)| k) {
-                Ok(pos) => {
-                    self.overflow[pos].1 = entry;
-                    true
-                }
-                Err(pos) => {
-                    self.overflow.insert(pos, (key, entry));
-                    false
-                }
-            }
-        };
-        if replaced {
+        let idx = key as usize;
+        if idx >= self.dense.len() {
+            self.dense.resize(idx + 1, None);
+        }
+        if self.dense[idx].replace(entry).is_some() {
             self.superseded += 1;
         } else {
             self.live += 1;
@@ -108,15 +88,7 @@ impl Jmt {
 
     /// Latest journal location of `key`.
     pub fn lookup(&self, key: u64) -> Option<&JmtEntry> {
-        if key < DENSE_LIMIT {
-            self.dense.get(key as usize)?.as_ref()
-        } else {
-            self.overflow
-                .binary_search_by_key(&key, |&(k, _)| k)
-                .ok()
-                .and_then(|pos| self.overflow.get(pos))
-                .map(|(_, entry)| entry)
-        }
+        self.dense.get(key as usize)?.as_ref()
     }
 
     /// Distinct keys with live journal logs.
@@ -141,14 +113,11 @@ impl Jmt {
     }
 
     /// Iterates live entries in key order (deterministic checkpoints).
-    /// Dense keys all sort below overflow keys, so chaining preserves
-    /// the global order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &JmtEntry)> + '_ {
         self.dense
             .iter()
             .enumerate()
             .filter_map(|(k, slot)| slot.as_ref().map(|e| (k as u64, e)))
-            .chain(self.overflow.iter().map(|(k, e)| (*k, e)))
     }
 
     /// Drains the table for a checkpoint into `out` (cleared first), in
@@ -163,7 +132,6 @@ impl Jmt {
                 out.push((k as u64, e));
             }
         }
-        out.append(&mut self.overflow);
         self.live = 0;
         self.superseded = 0;
         self.raw_bytes = 0;
@@ -234,26 +202,6 @@ mod tests {
         assert_eq!(collected.len(), 1);
         assert_eq!(collected[0].0, 3);
         assert_eq!(collected[0].1.version, 7);
-    }
-
-    #[test]
-    fn sparse_keys_use_overflow_and_stay_ordered() {
-        let mut j = Jmt::new();
-        let superblock = u64::MAX - 1;
-        j.record(superblock, entry(99, 1));
-        j.record(3, entry(1, 1));
-        j.record(DENSE_LIMIT + 5, entry(50, 1));
-        assert_eq!(j.lookup(superblock).unwrap().journal_lba, 99);
-        assert_eq!(j.live_keys(), 3);
-        let keys: Vec<u64> = j.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![3, DENSE_LIMIT + 5, superblock]);
-        // Superseding an overflow key counts like a dense one.
-        j.record(superblock, entry(100, 2));
-        assert_eq!(j.superseded(), 1);
-        let mut drained = Vec::new();
-        j.drain_into(&mut drained);
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained.last().unwrap().1.journal_lba, 100);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use checkin_flash::Fragment;
 use checkin_ssd::{WriteContent, WriteRequest, SECTOR_BYTES};
 
+use crate::config::Strategy;
 use crate::journal::aligner::{align_log_to, raw_log_bytes, AlignedLog, LogClass};
 use crate::journal::jmt::{Jmt, JmtEntry};
 use crate::layout::{Layout, JOURNAL_ZONES};
@@ -49,11 +50,26 @@ impl RetiringZone {
     }
 }
 
+/// The open merge unit: where it lies and the fragments it holds.
 #[derive(Debug, Clone, Default)]
 struct MergeBuffer {
-    sector_offset: u64,
+    lba: u64,
     fragments: Vec<Fragment>,
     filled: u32,
+}
+
+/// A journal log's shape (Algorithm 2), which says where the append step
+/// puts it.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Whole sectors of its own at the zone head (`FULL`, or any
+    /// conventional log).
+    Full,
+    /// A fragment of a shared unit (`MERGED`): the open merge unit at
+    /// this LBA, or with `None` a new one at the zone head.
+    Merged(Option<u64>),
+    /// A deletion tombstone: whole sectors of its own at the zone head.
+    Tombstone,
 }
 
 /// Knobs of the journaling layer, mainly for ablation studies: Check-In's
@@ -91,6 +107,16 @@ impl JournalOptions {
             merge_partials: true,
         }
     }
+
+    /// The journaling `strategy` uses: Check-In's at `compression_ratio`
+    /// when it aligns its logs, conventional journaling otherwise.
+    pub fn for_strategy(strategy: Strategy, compression_ratio: f64) -> Self {
+        if strategy.sector_aligned_journaling() {
+            Self::check_in(compression_ratio)
+        } else {
+            Self::conventional()
+        }
+    }
 }
 
 /// Journal state machine over the double-buffered journal area.
@@ -98,10 +124,10 @@ impl JournalOptions {
 /// # Examples
 ///
 /// ```
-/// use checkin_core::{JournalManager, Layout};
+/// use checkin_core::{JournalManager, JournalOptions, Layout};
 ///
 /// let layout = Layout::new(100, 4096, 512, 1 << 12);
-/// let mut jm = JournalManager::new(layout, true, 0.7);
+/// let mut jm = JournalManager::with_options(layout, JournalOptions::check_in(0.7));
 /// let req = jm.append(7, 1, 300).unwrap();   // partial log -> merged sector
 /// assert_eq!(req.sectors, 1);
 /// assert!(jm.jmt().lookup(7).unwrap().merged);
@@ -119,19 +145,8 @@ pub struct JournalManager {
 }
 
 impl JournalManager {
-    /// Creates a manager starting in zone 0. `sector_aligned` selects
-    /// between conventional journaling and Check-In's Algorithm 2 (with
-    /// partial merging on).
-    pub fn new(layout: Layout, sector_aligned: bool, compression_ratio: f64) -> Self {
-        let options = if sector_aligned {
-            JournalOptions::check_in(compression_ratio)
-        } else {
-            JournalOptions::conventional()
-        };
-        Self::with_options(layout, options)
-    }
-
-    /// Creates a manager with explicit [`JournalOptions`] (ablations).
+    /// Creates a manager starting in zone 0 under `options`
+    /// ([`JournalOptions::for_strategy`], or an ablation of it).
     pub fn with_options(layout: Layout, options: JournalOptions) -> Self {
         JournalManager {
             layout,
@@ -170,6 +185,14 @@ impl JournalManager {
     /// payload. Returns the block-interface write to issue (a plain log,
     /// or a re-write of the shared sector for merged partials).
     ///
+    /// Algorithm 2 makes the log `FULL` (whole sectors of its own) or
+    /// `PARTIAL` (merged into a shared unit). Conventional journaling
+    /// appends `header + value` and pads each synchronous commit to the
+    /// sector boundary: a committed sector can never be partially
+    /// rewritten by a later log, so every log starts on a fresh sector
+    /// (this is how WAL-style engines behave on block devices). No
+    /// compression, no size classes, no merging.
+    ///
     /// # Errors
     ///
     /// [`JournalFull`] when the zone cannot hold the log; the caller must
@@ -180,57 +203,76 @@ impl JournalManager {
         version: u64,
         value_bytes: u32,
     ) -> Result<WriteRequest, JournalFull> {
-        if self.options.sector_aligned {
-            self.append_aligned(key, version, value_bytes)
+        // A full log's sectors, the bytes they store and the bytes its
+        // record holds.
+        let (sectors, stored_bytes, bytes) = if self.options.sector_aligned {
+            let log = self.aligned(value_bytes);
+            if log.class == LogClass::Partial {
+                return self.append_partial(key, version, value_bytes, log.stored_bytes);
+            }
+            (log.sectors, log.stored_bytes, log.stored_bytes)
         } else {
-            self.append_raw(key, version, value_bytes)
-        }
-    }
-
-    fn zone_base(&self) -> u64 {
-        self.layout.journal_base(self.zone)
-    }
-
-    /// Conventional journaling appends `header + value` and pads each
-    /// synchronous commit to the sector boundary: a committed sector can
-    /// never be partially rewritten by a later log, so every log starts
-    /// on a fresh sector (this is how WAL-style engines behave on block
-    /// devices). No compression, no size classes, no merging.
-    fn append_raw(
-        &mut self,
-        key: u64,
-        version: u64,
-        value_bytes: u32,
-    ) -> Result<WriteRequest, JournalFull> {
-        let len = raw_log_bytes(value_bytes);
-        let sectors = len.div_ceil(SECTOR_BYTES);
-        let start = self.head_sectors;
-        if start + sectors as u64 > self.layout.zone_sectors() {
-            return Err(JournalFull);
-        }
-        self.head_sectors += sectors as u64;
-        let lba = self.zone_base() + start;
-        self.jmt.record(
-            key,
-            JmtEntry {
-                journal_lba: lba,
-                sectors,
-                version,
-                raw_bytes: value_bytes,
-                stored_bytes: sectors * SECTOR_BYTES,
-                merged: false,
-                tombstone: false,
-            },
-        );
+            let sectors = raw_log_bytes(value_bytes).div_ceil(SECTOR_BYTES);
+            (sectors, sectors * SECTOR_BYTES, value_bytes)
+        };
+        let sizes = (value_bytes, stored_bytes);
+        let lba = self.append_log(key, version, Shape::Full, sectors, sizes)?;
         Ok(WriteRequest {
             lba,
             sectors,
             content: WriteContent::Record {
                 key,
                 version,
-                bytes: value_bytes,
+                bytes,
             },
         })
+    }
+
+    /// The append step every log shape shares: puts a log of `sectors`
+    /// in the open merge unit it joins, or else at the zone head,
+    /// reserving them there, and records it in the JMT with its `(raw,
+    /// stored)` bytes. Returns the log's first sector.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalFull`] when the zone head has no room for the log; then
+    /// nothing changed.
+    fn append_log(
+        &mut self,
+        key: u64,
+        version: u64,
+        shape: Shape,
+        sectors: u32,
+        (raw_bytes, stored_bytes): (u32, u32),
+    ) -> Result<u64, JournalFull> {
+        let journal_lba = match shape {
+            Shape::Merged(Some(lba)) => lba,
+            _ => {
+                let start = self.head_sectors;
+                if start + u64::from(sectors) > self.layout.zone_sectors() {
+                    return Err(JournalFull);
+                }
+                self.head_sectors += u64::from(sectors);
+                self.zone_base() + start
+            }
+        };
+        self.jmt.record(
+            key,
+            JmtEntry {
+                journal_lba,
+                sectors,
+                version,
+                raw_bytes,
+                stored_bytes,
+                merged: matches!(shape, Shape::Merged(_)),
+                tombstone: matches!(shape, Shape::Tombstone),
+            },
+        );
+        Ok(journal_lba)
+    }
+
+    fn zone_base(&self) -> u64 {
+        self.layout.journal_base(self.zone)
     }
 
     fn mapping_bytes(&self) -> u32 {
@@ -265,47 +307,6 @@ impl JournalManager {
         }
     }
 
-    fn append_aligned(
-        &mut self,
-        key: u64,
-        version: u64,
-        value_bytes: u32,
-    ) -> Result<WriteRequest, JournalFull> {
-        let log = self.aligned(value_bytes);
-        match log.class {
-            LogClass::Full => {
-                let start = self.head_sectors;
-                if start + log.sectors as u64 > self.layout.zone_sectors() {
-                    return Err(JournalFull);
-                }
-                self.head_sectors += log.sectors as u64;
-                let lba = self.zone_base() + start;
-                self.jmt.record(
-                    key,
-                    JmtEntry {
-                        journal_lba: lba,
-                        sectors: log.sectors,
-                        version,
-                        raw_bytes: value_bytes,
-                        stored_bytes: log.stored_bytes,
-                        merged: false,
-                        tombstone: false,
-                    },
-                );
-                Ok(WriteRequest {
-                    lba,
-                    sectors: log.sectors,
-                    content: WriteContent::Record {
-                        key,
-                        version,
-                        bytes: log.stored_bytes,
-                    },
-                })
-            }
-            LogClass::Partial => self.append_partial(key, version, value_bytes, log.stored_bytes),
-        }
-    }
-
     fn append_partial(
         &mut self,
         key: u64,
@@ -317,33 +318,26 @@ impl JournalManager {
         // repeated key replaces its fragment in place (the unit still
         // sits in the device's power-protected buffer), so hot keys do
         // not burn a fresh unit per update.
-        let unit_sectors = self.layout.unit_sectors();
+        let unit_sectors = self.layout.unit_sectors() as u32;
         let mapping_bytes = self.mapping_bytes();
-        let needs_new = match &self.merge {
-            None => true,
-            Some(m) => {
-                let existing = m
-                    .fragments
-                    .iter()
-                    .find(|f| f.key == key)
-                    .map(|f| f.bytes)
-                    .unwrap_or(0);
-                m.filled - existing + class_bytes > mapping_bytes
-            }
+        let open = self.merge.as_ref().filter(|m| {
+            let existing = m
+                .fragments
+                .iter()
+                .find(|f| f.key == key)
+                .map_or(0, |f| f.bytes);
+            m.filled - existing + class_bytes <= mapping_bytes
+        });
+        let shape = Shape::Merged(open.map(|m| m.lba));
+        let lba = self.append_log(key, version, shape, unit_sectors, (raw_bytes, class_bytes))?;
+        let merge = match self.merge.take() {
+            Some(open) if open.lba == lba => open,
+            _ => MergeBuffer {
+                lba,
+                ..MergeBuffer::default()
+            },
         };
-        if needs_new {
-            if self.head_sectors + unit_sectors > self.layout.zone_sectors() {
-                return Err(JournalFull);
-            }
-            self.merge = Some(MergeBuffer {
-                sector_offset: self.head_sectors,
-                fragments: Vec::new(),
-                filled: 0,
-            });
-            self.head_sectors += unit_sectors;
-        }
-        let zone_base = self.zone_base();
-        let merge = self.merge.as_mut().expect("merge buffer exists");
+        let merge = self.merge.insert(merge);
         if let Some(f) = merge.fragments.iter_mut().find(|f| f.key == key) {
             merge.filled = merge.filled - f.bytes + class_bytes;
             f.version = version;
@@ -356,25 +350,11 @@ impl JournalManager {
             });
             merge.filled += class_bytes;
         }
-        let lba = zone_base + merge.sector_offset;
-        let request = WriteRequest {
+        Ok(WriteRequest {
             lba,
-            sectors: unit_sectors as u32,
+            sectors: unit_sectors,
             content: WriteContent::Merged(merge.fragments.clone()),
-        };
-        self.jmt.record(
-            key,
-            JmtEntry {
-                journal_lba: lba,
-                sectors: unit_sectors as u32,
-                version,
-                raw_bytes,
-                stored_bytes: class_bytes,
-                merged: true,
-                tombstone: false,
-            },
-        );
-        Ok(request)
+        })
     }
 
     /// Appends a deletion tombstone for `(key, version)`. Tombstones get
@@ -390,23 +370,8 @@ impl JournalManager {
         } else {
             1
         };
-        if self.head_sectors + sectors as u64 > self.layout.zone_sectors() {
-            return Err(JournalFull);
-        }
-        let lba = self.zone_base() + self.head_sectors;
-        self.head_sectors += sectors as u64;
-        self.jmt.record(
-            key,
-            JmtEntry {
-                journal_lba: lba,
-                sectors,
-                version,
-                raw_bytes: 0,
-                stored_bytes: sectors * SECTOR_BYTES,
-                merged: false,
-                tombstone: true,
-            },
-        );
+        let sizes = (0, sectors * SECTOR_BYTES);
+        let lba = self.append_log(key, version, Shape::Tombstone, sectors, sizes)?;
         Ok(WriteRequest {
             lba,
             sectors,
@@ -453,7 +418,15 @@ mod tests {
 
     fn manager(aligned: bool) -> JournalManager {
         let layout = Layout::new(100, 4096, 512, 1 << 12);
-        JournalManager::new(layout, aligned, 0.7)
+        JournalManager::with_options(layout, options(aligned, 0.7))
+    }
+
+    fn options(aligned: bool, compression_ratio: f64) -> JournalOptions {
+        if aligned {
+            JournalOptions::check_in(compression_ratio)
+        } else {
+            JournalOptions::conventional()
+        }
     }
 
     #[test]
@@ -572,7 +545,7 @@ mod tests {
     #[test]
     fn journal_full_raw_mode() {
         let layout = Layout::new(10, 512, 512, 4); // 4-sector zones
-        let mut jm = JournalManager::new(layout, false, 1.0);
+        let mut jm = JournalManager::with_options(layout, options(false, 1.0));
         jm.append(1, 1, 900).unwrap(); // 916 bytes -> 2 sectors
         jm.append(2, 1, 900).unwrap(); // 4 sectors total
         assert_eq!(jm.append(3, 1, 900), Err(JournalFull));
@@ -581,7 +554,7 @@ mod tests {
     #[test]
     fn journal_full_aligned_mode() {
         let layout = Layout::new(10, 512, 512, 2);
-        let mut jm = JournalManager::new(layout, true, 1.0);
+        let mut jm = JournalManager::with_options(layout, options(true, 1.0));
         jm.append(1, 1, 512).unwrap();
         jm.append(2, 1, 512).unwrap();
         assert_eq!(jm.append(3, 1, 512), Err(JournalFull));

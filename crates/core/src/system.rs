@@ -28,6 +28,7 @@ use checkin_workload::{OpGenerator, Operation};
 use crate::checkpoint::CheckpointOutcome;
 use crate::config::SystemConfig;
 use crate::engine::{CheckpointPhase, EngineError, KvEngine};
+use crate::journal::JournalOptions;
 use crate::layout::Layout;
 use crate::metrics::{
     CheckpointPhases, DeviceUtilization, LatencyStats, RunReport, UtilizationSpread,
@@ -53,8 +54,6 @@ struct CpAccum {
     entries: u64,
     remapped: u64,
     copied: u64,
-    programs: u64,
-    reads: u64,
     redundant_units: u64,
     redundant_bytes: u64,
     durations: LatencyRecorder,
@@ -68,8 +67,6 @@ impl CpAccum {
             entries: 0,
             remapped: 0,
             copied: 0,
-            programs: 0,
-            reads: 0,
             redundant_units: 0,
             redundant_bytes: 0,
             durations: LatencyRecorder::new(),
@@ -82,8 +79,6 @@ impl CpAccum {
         self.entries += out.entries;
         self.remapped += out.remapped;
         self.copied += out.copied;
-        self.programs += out.flash_programs;
-        self.reads += out.flash_reads;
         self.redundant_units += out.redundant_units;
         self.redundant_bytes += out.redundant_bytes;
         self.durations.record(out.finish.duration_since(out.start));
@@ -271,11 +266,7 @@ impl KvSystem {
         let flash = checkin_flash::FlashArray::new(config.geometry, config.flash_timing);
         let ftl = checkin_ftl::Ftl::new(flash, config.ftl_config()).map_err(|e| e.to_string())?;
         let ssd = Ssd::new(ftl, SsdTiming::paper_default());
-        let mut options = if config.strategy.sector_aligned_journaling() {
-            crate::journal::JournalOptions::check_in(config.compression_ratio)
-        } else {
-            crate::journal::JournalOptions::conventional()
-        };
+        let mut options = JournalOptions::for_strategy(config.strategy, config.compression_ratio);
         if config.ablate_partial_merging {
             options.merge_partials = false;
         }
@@ -596,8 +587,8 @@ impl KvSystem {
             checkpoint_max: cp.durations.max(),
             remapped_entries: cp.remapped,
             copied_entries: cp.copied,
-            checkpoint_flash_programs: cp.programs,
-            checkpoint_flash_reads: cp.reads,
+            checkpoint_flash_programs: cp.phases.flash_programs(),
+            checkpoint_flash_reads: cp.phases.flash_reads(),
             redundant_write_units: cp.redundant_units,
             redundant_write_bytes: cp.redundant_bytes,
             checkpoint_phases: cp.phases,

@@ -10,9 +10,6 @@ use checkin_testkit::{check, soup, TestRng};
 
 /// Hot dense keys.
 const DENSE_KEYS: u64 = 128;
-/// Sparse keys above the JMT's dense limit (`1 << 22`), including the
-/// superblock pseudo-key band near `u64::MAX`.
-const SPARSE_KEYS: u64 = 5;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -23,11 +20,7 @@ enum Op {
 fn any_op(rng: &mut TestRng) -> Op {
     match rng.weighted(&[24, 1]) {
         0 => Op::Record {
-            key: match rng.weighted(&[10, 1, 1]) {
-                0 => rng.below(DENSE_KEYS),
-                1 => (1 << 22) + rng.below(SPARSE_KEYS),
-                _ => u64::MAX - 1 - rng.below(SPARSE_KEYS),
-            },
+            key: rng.below(DENSE_KEYS),
         },
         _ => Op::Drain,
     }

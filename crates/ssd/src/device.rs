@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use checkin_flash::{Fragment, OobKind, OpPhase, UnitPayload};
+use checkin_flash::{FragVec, Fragment, OobKind, OpPhase, UnitPayload};
 use checkin_ftl::{
     Ftl, FtlError, GcTrigger, Lpn, MapCacheModel, RebuildStats, ScrubReport, SensedPages, UnitWrite,
 };
@@ -137,11 +137,10 @@ struct Job {
     /// The flash pages the gather has sensed, kept across its steps:
     /// host reads between two of them have a set of their own.
     sensed: SensedPages,
-    /// The entry being scattered, and of it the next destination sector
-    /// and the gathered bytes not yet written (`None` before its first
-    /// unit).
+    /// The entry being scattered, and of it the units not yet written
+    /// (`None` before its first unit).
     next: usize,
-    cursor: Option<(u64, u32)>,
+    units: Option<RecordUnits>,
     /// Entries whose gather found no payload.
     skipped: u64,
     /// Entries written home, counted as `ssd.copy_entries` as they
@@ -209,8 +208,9 @@ pub struct CpPhaseTimes {
     pub copy: SimDuration,
 }
 
-/// Iterator over `(unit LPN, sectors in unit, covers whole unit)` segments
-/// of a block-interface request; see [`Ssd::unit_segments`].
+/// Iterator over the `(unit LPN, sectors in unit, covers whole unit)`
+/// segments of the sectors from `cursor` to `end`.
+#[derive(Debug)]
 struct SegmentIter {
     unit_sectors: u32,
     cursor: u64,
@@ -235,6 +235,47 @@ impl Iterator for SegmentIter {
         let seg = (seg_end - self.cursor) as u32;
         self.cursor = seg_end;
         Some((Lpn(unit), seg, seg == self.unit_sectors))
+    }
+}
+
+/// Iterator over the `(unit LPN, bytes, covers whole unit)` unit writes
+/// that lay `remaining` bytes over an extent, the one layout of a host
+/// write and of a checkpoint copy: each unit takes as many bytes as its
+/// sectors hold, until none are left. Sectors past the payload carry no
+/// record bytes, so nothing is stored in them.
+#[derive(Debug)]
+struct RecordUnits {
+    segments: SegmentIter,
+    remaining: u64,
+}
+
+impl RecordUnits {
+    /// The units of `remaining` bytes laid over `[lba, lba + sectors)`.
+    fn new(unit_sectors: u32, lba: u64, sectors: u32, remaining: u64) -> Self {
+        let end = lba + u64::from(sectors);
+        RecordUnits {
+            segments: SegmentIter {
+                unit_sectors,
+                cursor: lba,
+                end,
+            },
+            remaining,
+        }
+    }
+}
+
+impl Iterator for RecordUnits {
+    type Item = (Lpn, u32, bool);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let (lpn, seg, whole) = self.segments.next()?;
+        let room = seg * SECTOR_BYTES;
+        let take = u32::try_from(self.remaining).map_or(room, |left| left.min(room));
+        self.remaining -= u64::from(take);
+        Some((lpn, take, whole))
     }
 }
 
@@ -351,16 +392,6 @@ impl Ssd {
     /// Earliest instant at which both link and firmware CPU are idle.
     pub fn idle_at(&self) -> SimTime {
         self.link.available_at().max(self.cpu.available_at())
-    }
-
-    /// Iterates the `(lpn, covered_sectors, whole_unit)` segments of
-    /// `[lba, lba + sectors)` without allocating.
-    fn unit_segments(&self, lba: u64, sectors: u32) -> SegmentIter {
-        SegmentIter {
-            unit_sectors: self.unit_sectors(),
-            cursor: lba,
-            end: lba + sectors as u64,
-        }
     }
 
     /// Number of mapping units `[lba, lba + sectors)` touches.
@@ -496,12 +527,7 @@ impl Ssd {
             xfer.finish,
             self.timing.cpu_cmd_cost + map_cost + self.timing.dram_unit_cost * units,
         );
-        let segments = self.unit_segments(req.lba, req.sectors);
 
-        let mut remaining = match &req.content {
-            WriteContent::Record { bytes, .. } => *bytes,
-            WriteContent::Merged(_) | WriteContent::Tombstone { .. } => 0,
-        };
         // Host metadata writes (the engine superblock) are attributed to
         // the meta phase so checkpoint-window flash ops never land in the
         // run bucket; anything else stays in the caller's phase.
@@ -510,23 +536,23 @@ impl Ssd {
         } else {
             self.ftl.flash().op_phase()
         };
+        // A record lays its bytes over the extent; a merged unit and a
+        // tombstone cover every sector they name.
+        let bytes = match &req.content {
+            WriteContent::Record { bytes, .. } => u64::from(*bytes),
+            WriteContent::Merged(_) | WriteContent::Tombstone { .. } => wire,
+        };
+        let writes = RecordUnits::new(self.unit_sectors(), req.lba, req.sectors, bytes);
         let mut done = self.in_phase(phase, |ssd| -> Result<SimTime, FtlError> {
             let mut done = cpu.finish;
-            for (lpn, seg, whole) in segments {
+            for (lpn, take, whole) in writes {
                 let payload = match &req.content {
                     WriteContent::Record { key, version, .. } => {
-                        let take = remaining.min(seg * SECTOR_BYTES);
-                        remaining -= take;
-                        if take == 0 {
-                            // Trailing sectors beyond the payload carry no
-                            // record bytes; nothing to store.
-                            continue;
-                        }
                         UnitPayload::single(*key, *version, take)
                     }
-                    WriteContent::Merged(frags) => UnitPayload::merged(
-                        frags.iter().copied().collect::<checkin_flash::FragVec>(),
-                    ),
+                    WriteContent::Merged(frags) => {
+                        UnitPayload::merged(frags.iter().copied().collect::<FragVec>())
+                    }
                     // A tombstone stores a zero-byte fragment: readers
                     // filter it out, recovery scans see the deletion's
                     // version.
@@ -905,7 +931,7 @@ impl Ssd {
         job.remapped = 0;
         job.remapped_units = 0;
         job.next = 0;
-        job.cursor = None;
+        job.units = None;
         job.skipped = 0;
         job.copied = 0;
         job.decoded = at;
@@ -1181,7 +1207,7 @@ impl Ssd {
         Ok((self.job.written > now).then_some(self.job.written))
     }
 
-    /// The copy class's next unit write, advancing the cursor: the
+    /// The copy class's next unit write, advancing its units: the
     /// gathered record laid over its destination extent unit by unit.
     /// Entries whose gather found nothing are skipped and counted.
     fn next_copy_write(&mut self) -> Option<UnitWrite> {
@@ -1196,28 +1222,18 @@ impl Ssd {
                 job.next += 1;
                 continue;
             }
-            let end = e.dst_lba + u64::from(e.dst_sectors.max(1));
-            let (sector, remaining) = job.cursor.unwrap_or((e.dst_lba, bytes));
-            let mut segments = SegmentIter {
-                unit_sectors: us,
-                cursor: sector,
-                end,
-            };
-            let take = match segments.next() {
-                Some((lpn, seg, whole)) if remaining > 0 => {
-                    Some((lpn, remaining.min(seg * SECTOR_BYTES), whole))
-                }
-                _ => None,
-            };
-            let Some((lpn, take, whole)) = take else {
+            let sectors = e.dst_sectors.max(1);
+            let units = job
+                .units
+                .get_or_insert_with(|| RecordUnits::new(us, e.dst_lba, sectors, bytes.into()));
+            let Some((lpn, take, whole)) = units.next() else {
                 // The record is home.
                 self.counters.incr(Counter::SsdCopyEntries);
                 job.copied += 1;
                 job.next += 1;
-                job.cursor = None;
+                job.units = None;
                 continue;
             };
-            job.cursor = Some((segments.cursor, remaining - take));
             return Some(UnitWrite {
                 lpn,
                 payload: UnitPayload::single(e.key, version, take),

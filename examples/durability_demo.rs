@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "  checkpoint: {} entries, {} remapped, {} flash programs, took {}",
                 out.entries,
                 out.remapped,
-                out.flash_programs,
+                out.phases.flash_programs(),
                 out.finish.duration_since(started)
             );
         }

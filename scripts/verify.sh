@@ -15,7 +15,7 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== cargo test --release (checkin-core, checkin-sim, checkin-ssd, checkin-ftl and checkin-flash libs; zero_alloc, prop_ftl, prop_mapping, mapping_alloc, page_store_alloc, prop_flash)"
+echo "== cargo test --release (checkin-core, checkin-sim, checkin-ssd, checkin-ftl and checkin-flash libs; zero_alloc, prop_jmt, integration_consistency, prop_ftl, prop_mapping, mapping_alloc, page_store_alloc, prop_flash)"
 # Release builds compile `debug_assert!` out: a test that expects one to
 # fire must be gated on `debug_assertions`, or this profile goes red.
 cargo test --release -p checkin-core -p checkin-sim -p checkin-ssd -p checkin-ftl \
@@ -26,6 +26,10 @@ cargo test --release -p checkin-core -p checkin-sim -p checkin-ssd -p checkin-ft
 # bit-index and run arithmetic and the page store's narrowing and
 # sign-extending casts, whose overflow checks release turns off.
 cargo test --release -p checkin-core --test zero_alloc -q
+# Release also compiles out the engine's read-version and byte-coverage
+# `debug_assert!`s: the JMT's key indexing, and inserts, deletes and
+# revives against the shadow model, are checked in that profile too.
+cargo test --release -p checkin-core --test prop_jmt --test integration_consistency -q
 cargo test --release -p checkin-ftl --test prop_ftl -q
 cargo test --release -p checkin-ftl --test prop_mapping --test mapping_alloc -q
 cargo test --release -p checkin-flash --test page_store_alloc --test prop_flash -q
