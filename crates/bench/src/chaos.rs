@@ -705,11 +705,12 @@ fn ticks_where(trace: &[(FaultOp, OpPhase)], keep: impl Fn(FaultOp, OpPhase) -> 
         .collect()
 }
 
-/// The `(lba, sectors)` range currently serving `key`: its journal entry
-/// if live, its home slot otherwise.
+/// The `(lba, sectors)` range currently serving `key`: the journal log
+/// holding its newest version ([`KvEngine::journal_entry`]), its home
+/// slot otherwise.
 fn serving_range(engine: &KvEngine, key: u64) -> (u64, u32) {
     let layout = engine.layout();
-    match engine.journal().jmt().lookup(key) {
+    match engine.journal_entry(key) {
         Some(e) => (e.journal_lba, e.sectors),
         None => (layout.home_lba(key), layout.slot_sectors() as u32),
     }

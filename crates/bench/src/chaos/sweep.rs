@@ -784,8 +784,9 @@ fn sabotage_checksum_self_test(s: &mut Sweep) {
                 sectors,
                 key: Some(key),
             };
-            match d.ssd.read(&req, t) {
-                Ok((frags, _)) => {
+            let mut frags = Vec::new();
+            match d.ssd.read_into(&req, t, &mut frags) {
+                Ok(_) => {
                     silent_seen |= frags.iter().map(|f| f.version).max() != Some(exp.version);
                 }
                 Err(e) if e.is_integrity() => typed_seen = true,

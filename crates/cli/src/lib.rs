@@ -76,9 +76,6 @@ pub struct RunArgs {
     pub unit_bytes: Option<u32>,
     /// Workload seed.
     pub seed: u64,
-    /// Queries admitted per client event-queue hop (1 = historical
-    /// one-op-per-event loop).
-    pub admission_batch: u32,
     /// Use the small GC-pressured device instead of the default 3 GiB.
     pub gc_pressure: bool,
     /// Emit machine-readable CSV instead of the report or tables
@@ -101,7 +98,6 @@ impl Default for RunArgs {
             interval_ms: 250,
             unit_bytes: None,
             seed: 0x5EED,
-            admission_batch: 1,
             gc_pressure: false,
             csv: false,
             jobs: None,
@@ -126,7 +122,6 @@ impl RunArgs {
         c.workload.seed = self.seed;
         c.checkpoint_interval = SimDuration::from_millis(self.interval_ms);
         c.unit_bytes = self.unit_bytes;
-        c.admission_batch = self.admission_batch;
         c
     }
 }
@@ -195,12 +190,6 @@ fn fill_args(args: &mut RunArgs, flag: &str, value: &str) -> Result<(), ParseErr
         "--interval-ms" => args.interval_ms = parse_num(flag, value)?,
         "--unit" => args.unit_bytes = Some(parse_num(flag, value)?),
         "--seed" => args.seed = parse_num(flag, value)?,
-        "--admission-batch" => {
-            args.admission_batch = parse_num(flag, value)?;
-            if args.admission_batch == 0 {
-                return Err(ParseError("--admission-batch must be at least 1".into()));
-            }
-        }
         "--jobs" => args.jobs = Some(parse_num(flag, value)?),
         other => return Err(ParseError(format!("unknown flag '{other}'"))),
     }
@@ -343,9 +332,6 @@ FLAGS (all optional):
   --interval-ms N        checkpoint interval        (default 250)
   --unit      512|1024|2048|4096  mapping-unit override
   --seed      N          workload seed              (default 0x5EED)
-  --admission-batch N    queries per client event-queue hop (default 1;
-                         16 against 1 measured 0.987x throughput; kept
-                         only while the frozen benchmark sets it)
   --jobs      N          worker threads for compare/sweep batches
                          (default: one per core; results are identical
                          for any value, including --jobs 1)
@@ -414,6 +400,7 @@ mod tests {
     fn rejects_unknown_bits() {
         assert!(parse(&["frobnicate"]).is_err());
         assert!(parse(&["run", "--bogus", "1"]).is_err());
+        assert!(parse(&["run", "--admission-batch", "16"]).is_err());
         assert!(parse(&["run", "--queries"]).is_err());
         assert!(parse(&["run", "--queries", "abc"]).is_err());
         assert!(parse(&["sweep", "sideways", "--values", "1"]).is_err());
@@ -428,18 +415,6 @@ mod tests {
         assert_eq!(a.jobs, Some(3));
         assert_eq!(RunArgs::default().jobs, None);
         assert!(parse(&["compare", "--jobs", "x"]).is_err());
-    }
-
-    #[test]
-    fn parses_admission_batch() {
-        let Command::Run(a) = parse(&["run", "--admission-batch", "16"]).unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.admission_batch, 16);
-        assert_eq!(a.to_config().admission_batch, 16);
-        assert_eq!(RunArgs::default().admission_batch, 1);
-        assert!(parse(&["run", "--admission-batch", "0"]).is_err());
-        assert!(parse(&["run", "--admission-batch", "x"]).is_err());
     }
 
     #[test]

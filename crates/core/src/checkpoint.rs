@@ -640,16 +640,17 @@ mod tests {
 
     fn verify_homes(ssd: &mut Ssd, layout: &Layout, n: u64, version: u64, t: SimTime) {
         for key in 0..n {
-            let (frags, _) = ssd
-                .read(
-                    &ReadRequest {
-                        lba: layout.home_lba(key),
-                        sectors: layout.slot_sectors() as u32,
-                        key: Some(key),
-                    },
-                    t,
-                )
-                .unwrap();
+            let mut frags = Vec::new();
+            ssd.read_into(
+                &ReadRequest {
+                    lba: layout.home_lba(key),
+                    sectors: layout.slot_sectors() as u32,
+                    key: Some(key),
+                },
+                t,
+                &mut frags,
+            )
+            .unwrap();
             assert!(!frags.is_empty(), "key {key} missing at home");
             assert_eq!(
                 frags.iter().map(|f| f.version).max().unwrap(),
@@ -870,16 +871,17 @@ mod tests {
         let first_journal_lba = engine.layout().journal_base(0);
         let out = engine.checkpoint(&mut ssd, t).unwrap();
         // Journal LBA no longer readable; home still is.
-        let (frags, _) = ssd
-            .read(
-                &ReadRequest {
-                    lba: first_journal_lba,
-                    sectors: 1,
-                    key: None,
-                },
-                out.finish,
-            )
-            .unwrap();
+        let mut frags = Vec::new();
+        ssd.read_into(
+            &ReadRequest {
+                lba: first_journal_lba,
+                sectors: 1,
+                key: None,
+            },
+            out.finish,
+            &mut frags,
+        )
+        .unwrap();
         assert!(frags.is_empty(), "journal should be trimmed");
         verify_homes(&mut ssd, engine.layout(), 8, 2, out.finish);
     }

@@ -107,14 +107,11 @@ pub struct SystemConfig {
     /// Lock query processing while a checkpoint runs (the paper does this
     /// to measure checkpoint time in Fig. 10).
     pub lock_queries_during_checkpoint: bool,
-    /// Queries admitted per client event-queue hop. At 1 (the default)
-    /// every operation is its own event; a larger value executes up to
-    /// this many back-to-back operations from the popped client. Batches
-    /// never straddle a checkpoint boundary (periodic tick, size
-    /// trigger, or lock window). Batching was measured to buy nothing:
-    /// `ab/admission_batch_16_vs_1` read 0.987 (EXPERIMENTS.md, "Rows
-    /// retired"). The field stays only because the frozen benchmark
-    /// sets it (ROADMAP item 3(b) deletes it).
+    /// Must be 1: a client event runs one query (YCSB's closed loop).
+    /// Batched admission was measured to buy nothing
+    /// (`ab/admission_batch_16_vs_1` read 0.987, EXPERIMENTS.md, "Rows
+    /// retired") and is deleted; the field stays only because the frozen
+    /// benchmark sets it, and ROADMAP item 3(b) deletes it.
     pub admission_batch: u32,
     /// Compression ratio applied to >512 B values under sector-aligned
     /// journaling (Algorithm 2 line 4). 0.7 models text-like payloads.
@@ -235,8 +232,8 @@ impl SystemConfig {
         if self.threads == 0 {
             return Err("threads must be positive".into());
         }
-        if self.admission_batch == 0 {
-            return Err("admission_batch must be positive".into());
+        if self.admission_batch != 1 {
+            return Err("admission_batch must be 1".into());
         }
         if !(0.0 < self.compression_ratio && self.compression_ratio <= 1.0) {
             return Err("compression_ratio must be in (0, 1]".into());

@@ -712,18 +712,21 @@ impl KvEngine {
         let reads_before = ssd.counters().get(Counter::SsdCmdRead);
         let mut engine = KvEngine::new(strategy, layout, compression_ratio);
         let mut t = at;
+        // Every read below lands in this one buffer, cleared before each.
+        let mut frags = Vec::new();
 
         // 1. Restore the last checkpoint: read every home slot.
         for key in 0..record_count {
-            let (frags, finish) = ssd.read(
+            frags.clear();
+            t = ssd.read_into(
                 &ReadRequest {
                     lba: layout.home_lba(key),
                     sectors: layout.slot_sectors() as u32,
                     key: Some(key),
                 },
                 t,
+                &mut frags,
             )?;
-            t = finish;
             // The slot may still hold the tail of an older, longer version
             // (a remap moves only the units the new log owns): the size
             // is that of the newest version's fragments alone.
@@ -743,20 +746,21 @@ impl KvEngine {
             let mut empty_run = 0u32;
             let mut cursor = 0u64;
             while cursor < layout.zone_sectors() && empty_run < 16 {
-                let (frags, finish) = ssd.read(
+                frags.clear();
+                t = ssd.read_into(
                     &ReadRequest {
                         lba: base + cursor,
                         sectors: us as u32,
                         key: None,
                     },
                     t,
+                    &mut frags,
                 )?;
-                t = finish;
                 if frags.is_empty() {
                     empty_run += 1;
                 } else {
                     empty_run = 0;
-                    for f in frags {
+                    for f in &frags {
                         if f.key >= record_count {
                             continue; // device/engine metadata
                         }
@@ -1349,14 +1353,16 @@ mod tests {
             assert_eq!(out.deleted, 1, "{strategy}");
             // Device-level: home units of key 0 are unmapped.
             let home = engine.layout().home_lba(0);
-            let (frags, t) = ssd
-                .read(
+            let mut frags = Vec::new();
+            let t = ssd
+                .read_into(
                     &checkin_ssd::ReadRequest {
                         lba: home,
                         sectors: engine.layout().slot_sectors() as u32,
                         key: None,
                     },
                     out.finish,
+                    &mut frags,
                 )
                 .unwrap();
             assert!(frags.is_empty(), "{strategy}: home must be trimmed");

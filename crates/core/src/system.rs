@@ -359,11 +359,10 @@ impl KvSystem {
                 run.events.schedule(start, Event::Client(i));
             }
         }
-        // Time of the pending periodic tick: admission batches must not
-        // execute operations past it, or the tick would fire later than
-        // it would under one-op-per-event admission.
-        let mut next_tick = start + self.config.checkpoint_interval;
-        run.events.schedule(next_tick, Event::CheckpointTick);
+        run.events.schedule(
+            start + self.config.checkpoint_interval,
+            Event::CheckpointTick,
+        );
 
         let mut completed = 0u64;
         let mut last_finish = start;
@@ -376,7 +375,7 @@ impl KvSystem {
 
         while let Some((now, event)) = run.events.pop() {
             // Each pop schedules at most one successor of its own kind —
-            // the next tick, the client's next batch or, in lock mode,
+            // the next tick, the client's next query or, in lock mode,
             // the client it just popped, the next pump — and a checkpoint
             // end re-queues at most the parked clients, whose events it
             // had taken out, and the GC's pump, which it queues only
@@ -416,8 +415,8 @@ impl KvSystem {
                     {
                         self.trigger(now, &mut run)?;
                     }
-                    next_tick = now + self.config.checkpoint_interval;
-                    run.events.schedule(next_tick, Event::CheckpointTick);
+                    run.events
+                        .schedule(now + self.config.checkpoint_interval, Event::CheckpointTick);
                 }
                 Event::CheckpointPump => {
                     run.pump_queued = None;
@@ -455,67 +454,45 @@ impl KvSystem {
                         }
                         continue;
                     }
-                    // Admit up to `admission_batch` operations from this
-                    // client under a single queue event. The whole burst is
-                    // *submitted* at `now` — the client model changes from
-                    // queue-depth-1 to queue-depth-k — and the next event
-                    // fires when the slowest op of the burst completes.
-                    // Every op therefore starts strictly before the pending
-                    // periodic tick (the tick would have popped first), and
-                    // a size-triggered checkpoint closes the batch below,
-                    // so no batch straddles a checkpoint boundary. All
-                    // resource reservations happen at `now`, in pop order,
-                    // keeping device contention causally ordered exactly
-                    // like one-op-per-event admission.
-                    debug_assert!(now < next_tick || self.config.admission_batch == 1);
-                    let mut batch_end = now;
-                    for _ in 0..self.config.admission_batch {
-                        let during_cp = self.engine.checkpoint_phase(now) != CheckpointPhase::Idle;
-                        let op = self.generators[thread as usize].next_op();
-                        let cpu = host.schedule(now, SystemConfig::HOST_CPU_PER_OP).1;
-                        let finish = self.execute_op(op, cpu.finish, &mut run)?;
-                        let latency = finish.duration_since(now);
-                        lat_all.record(latency);
-                        match op {
-                            Operation::Read { .. } => {
-                                lat_read.record(latency);
-                                if during_cp {
-                                    lat_read_cp.record(latency);
-                                }
-                            }
-                            _ => {
-                                lat_write.record(latency);
-                                if during_cp {
-                                    lat_write_cp.record(latency);
-                                }
+                    // One query per client event: the client submits it at
+                    // `now` and its next event fires at the query's finish.
+                    let during_cp = phase != CheckpointPhase::Idle;
+                    let op = self.generators[thread as usize].next_op();
+                    let cpu = host.schedule(now, SystemConfig::HOST_CPU_PER_OP).1;
+                    let finish = self.execute_op(op, cpu.finish, &mut run)?;
+                    let latency = finish.duration_since(now);
+                    lat_all.record(latency);
+                    match op {
+                        Operation::Read { .. } => {
+                            lat_read.record(latency);
+                            if during_cp {
+                                lat_read_cp.record(latency);
                             }
                         }
-                        completed += 1;
-                        quota[thread as usize] -= 1;
-                        last_finish = last_finish.max(finish);
-                        batch_end = batch_end.max(finish);
-
-                        // Size-based checkpoint trigger. A fired trigger
-                        // closes the batch so no operation in this batch
-                        // straddles the checkpoint (and, in lock mode, so
-                        // no further op is admitted inside the window).
-                        // It waits for a checkpoint in progress, booked or
-                        // pumped: the zone holds twice the trigger, and a
-                        // full one ends a pumped checkpoint at once.
-                        if op.is_write()
-                            && self.engine.journal().zone_used_sectors()
-                                >= self.config.journal_trigger_sectors
-                            && self.engine.checkpoint_phase(finish) == CheckpointPhase::Idle
-                        {
-                            self.trigger(finish, &mut run)?;
-                            break;
-                        }
-                        if quota[thread as usize] == 0 {
-                            break;
+                        _ => {
+                            lat_write.record(latency);
+                            if during_cp {
+                                lat_write_cp.record(latency);
+                            }
                         }
                     }
+                    completed += 1;
+                    quota[thread as usize] -= 1;
+                    last_finish = last_finish.max(finish);
+
+                    // Size-based checkpoint trigger. It waits for a
+                    // checkpoint in progress, booked or pumped: the zone
+                    // holds twice the trigger, and a full one ends a
+                    // pumped checkpoint at once.
+                    if op.is_write()
+                        && self.engine.journal().zone_used_sectors()
+                            >= self.config.journal_trigger_sectors
+                        && self.engine.checkpoint_phase(finish) == CheckpointPhase::Idle
+                    {
+                        self.trigger(finish, &mut run)?;
+                    }
                     if quota[thread as usize] > 0 {
-                        run.events.schedule(batch_end, Event::Client(thread));
+                        run.events.schedule(finish, Event::Client(thread));
                     }
                 }
             }
@@ -1026,71 +1003,15 @@ mod tests {
         assert!(report.checkpoint_mean > SimDuration::ZERO);
     }
 
-    #[test]
-    fn batched_admission_conserves_ops_and_is_deterministic() {
-        let mut c = quick_config(Strategy::CheckIn);
-        c.admission_batch = 8;
-        let r1 = KvSystem::new(c.clone()).unwrap().run().unwrap();
-        let r2 = KvSystem::new(c).unwrap().run().unwrap();
-        assert_eq!(r1.ops, 3_000);
-        assert!(r1.checkpoints > 0);
-        assert_eq!(r1.elapsed, r2.elapsed);
-        assert_eq!(r1.latency.p999, r2.latency.p999);
-        assert_eq!(r1.checkpoints, r2.checkpoints);
-        assert_eq!(r1.counters, r2.counters);
-    }
-
-    /// Quotas are fixed per thread and generators are seeded per thread,
-    /// so every admission batch size executes the same per-thread op
-    /// streams — only their interleaving in time changes. The final
-    /// logical state (per-key version = number of updates applied) must
-    /// therefore be identical, and no operation may be dropped or run
-    /// twice.
-    #[test]
-    fn final_state_independent_of_admission_batch() {
-        let mut reports = Vec::new();
-        let mut versions: Vec<Vec<u64>> = Vec::new();
-        for batch in [1u32, 7, 64] {
-            let mut c = quick_config(Strategy::CheckIn);
-            c.admission_batch = batch;
-            let mut system = KvSystem::new(c).unwrap();
-            let report = system.run().unwrap();
-            system.ssd().ftl().check_invariants().unwrap();
-            let keys = system.engine().loaded_keys() as u64;
-            let mut t = SimTime::MAX - SimDuration::from_secs(1_000_000);
-            versions.push(
-                (0..keys)
-                    .map(|key| {
-                        let r = system.engine.get(&mut system.ssd, key, t).unwrap();
-                        t = r.finish;
-                        r.version
-                    })
-                    .collect(),
-            );
-            reports.push(report);
-        }
-        for r in &reports {
-            assert_eq!(r.ops, 3_000);
-        }
-        assert_eq!(versions[0], versions[1]);
-        assert_eq!(versions[0], versions[2]);
-    }
-
-    #[test]
-    fn lock_mode_completes_with_batching() {
-        let mut c = quick_config(Strategy::IscB);
-        c.lock_queries_during_checkpoint = true;
-        c.admission_batch = 16;
-        let report = KvSystem::new(c).unwrap().run().unwrap();
-        assert_eq!(report.ops, 3_000);
-        assert!(report.checkpoints > 0);
-    }
-
+    /// A client event runs one query: any other admission batch is
+    /// refused.
     #[test]
     fn zero_admission_batch_rejected() {
-        let mut c = quick_config(Strategy::CheckIn);
-        c.admission_batch = 0;
-        assert!(KvSystem::new(c).is_err());
+        for batch in [0, 16] {
+            let mut c = quick_config(Strategy::CheckIn);
+            c.admission_batch = batch;
+            assert!(KvSystem::new(c).is_err(), "{batch}");
+        }
     }
 
     #[test]

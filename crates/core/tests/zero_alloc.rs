@@ -18,6 +18,11 @@
 //! paced GC round, begun and pumped step by step, and then a one-call
 //! round.
 //!
+//! The write path is allocation-free for whole-unit (`FULL`) logs only.
+//! A fifth window bounds what a `MERGED` append of sub-512 B values
+//! allocates — its fragments are cloned into the request and spill the
+//! device's `FragVec` past two — by the count it was measured at.
+//!
 //! This file holds exactly one test so the process-global allocation
 //! counter cannot pick up a concurrently running test's traffic.
 
@@ -67,6 +72,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const RECORDS: u64 = 500;
 const VALUE_BYTES: u32 = 700; // > 512 B mapping unit => Full-class log
 const WINDOW_KEYS: u64 = 256;
+/// Value size of the fifth window's updates: a 128 B PARTIAL class, four
+/// to a 512 B unit.
+const SMALL_VALUE_BYTES: u32 = 100;
+/// Allocations measured over the fifth window's `WINDOW_KEYS` merged
+/// appends, about 1.8 each: an upper bound, not a target.
+const MERGED_WINDOW_ALLOCS: u64 = 455;
 /// Entries of the copy checkpoint command the second window measures.
 const COPY_KEYS: u64 = 32;
 /// Entries of the Baseline checkpoint the third window measures: more
@@ -298,4 +309,29 @@ fn steady_state_query_loop_is_allocation_free() {
     assert!(end.unwrap().is_some_and(|end| end > t));
     assert!(ssd.ftl().counters().get(Counter::FtlGcUnitsMoved) > moved);
     assert_eq!(delta, 0, "a warm one-call GC round allocated {delta} times");
+
+    // Fifth window: sub-512 B updates, which Algorithm 2 makes PARTIAL
+    // and the journal merges four to a shared unit. A MERGED append
+    // allocates: a unit's first log opens a fresh fragment list, every
+    // append clones that list into its request, and the device collects
+    // it into a `FragVec`, which spills to the heap past two fragments.
+    // A warm pass first, then the measured one, whose every update must
+    // be merged, and which together stay within `MERGED_WINDOW_ALLOCS`.
+    for k in 0..WINDOW_KEYS {
+        ssd.retire_before(t);
+        t = engine.update(&mut ssd, k, SMALL_VALUE_BYTES, t).unwrap();
+    }
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for k in 0..WINDOW_KEYS {
+        ssd.retire_before(t);
+        t = engine.update(&mut ssd, k, SMALL_VALUE_BYTES, t).unwrap();
+    }
+    let delta = ALLOCS.load(Ordering::SeqCst) - before;
+    for k in 0..WINDOW_KEYS {
+        assert!(engine.journal().jmt().lookup(k).is_some_and(|e| e.merged));
+    }
+    assert!(
+        delta <= MERGED_WINDOW_ALLOCS,
+        "{WINDOW_KEYS} warm merged appends allocated {delta} times"
+    );
 }

@@ -46,11 +46,6 @@ pub struct FtlConfig {
     /// each write point of its die, and pads the pages a smaller
     /// watermark leaves it short of.
     pub write_buffer_units: u32,
-    /// Static wear-leveling threshold: when the spread between the most-
-    /// and least-erased blocks exceeds this, an idle round migrates the
-    /// coldest block so its low-wear cells rejoin the pool. `None`
-    /// disables static wear leveling.
-    pub wear_leveling_threshold: Option<u64>,
     /// Verify per-unit checksums on every flash read path (foreground
     /// reads, GC relocation, scrub, SPOR scan). Failed verification
     /// quarantines the unit and surfaces a typed
@@ -126,7 +121,6 @@ impl Default for FtlConfig {
             write_points: 8,
             map_cache_entries: None,
             write_buffer_units: 128,
-            wear_leveling_threshold: Some(64),
             verify_checksums: true,
         }
     }

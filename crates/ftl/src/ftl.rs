@@ -1067,6 +1067,12 @@ impl Ftl {
     /// violations, grown bad blocks, power loss) are never retried.
     pub const RETRY_LIMIT: u32 = 4;
 
+    /// Static wear-leveling threshold: when the spread between the most-
+    /// and least-erased blocks exceeds this many erases, a wear-leveling
+    /// round migrates the coldest closed block so its low-wear cells
+    /// rejoin the pool.
+    pub const WEAR_LEVELING_THRESHOLD: u64 = 64;
+
     /// Cap on the exponential-backoff shift of [`Ftl::retry_transient`]:
     /// retry `n` waits `step << min(n, cap)` before it runs.
     const BACKOFF_SHIFT_CAP: u32 = 16;

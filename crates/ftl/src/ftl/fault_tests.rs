@@ -9,7 +9,6 @@ use std::collections::BTreeMap as Shadow;
 fn fault_ftl() -> Ftl {
     single_die_ftl(FtlConfig {
         write_buffer_units: 4,
-        wear_leveling_threshold: None,
         ..FtlConfig::default()
     })
 }

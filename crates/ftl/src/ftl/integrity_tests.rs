@@ -10,7 +10,6 @@ use checkin_flash::{FaultConfig, FaultPlan, StoredField};
 fn integrity_ftl() -> Ftl {
     single_die_ftl(FtlConfig {
         write_buffer_units: 4,
-        wear_leveling_threshold: None,
         ..FtlConfig::default()
     })
 }

@@ -96,12 +96,12 @@ impl Ftl {
         self.pool.wear_delta(&self.flash)
     }
 
-    /// Runs one static wear-leveling round if the wear skew exceeds the
-    /// configured threshold: the *coldest* closed block (fewest erases)
-    /// is migrated and erased, so its barely-worn cells rejoin the free
-    /// pool while its long-lived data moves to hotter blocks. Returns
-    /// `Ok(None)` when levelling is disabled, not needed, or no candidate
-    /// exists. A round in flight is finished first.
+    /// Runs one static wear-leveling round if the wear skew exceeds
+    /// [`Ftl::WEAR_LEVELING_THRESHOLD`]: the *coldest* closed block
+    /// (fewest erases) is migrated and erased, so its barely-worn cells
+    /// rejoin the free pool while its long-lived data moves to hotter
+    /// blocks. Returns `Ok(None)` when levelling is not needed or no
+    /// candidate exists. A round in flight is finished first.
     ///
     /// # Errors
     ///
@@ -121,10 +121,7 @@ impl Ftl {
     ///
     /// [`FtlError::Inconsistent`] while a round is running.
     pub fn begin_wear_leveling_round(&mut self, at: SimTime) -> Result<Option<SimTime>, FtlError> {
-        let Some(threshold) = self.config.wear_leveling_threshold else {
-            return Ok(None);
-        };
-        if self.wear_delta() <= threshold {
+        if self.wear_delta() <= Self::WEAR_LEVELING_THRESHOLD {
             return Ok(None);
         }
         let Some(victim) = self.pool.coldest_closed(&self.flash) else {

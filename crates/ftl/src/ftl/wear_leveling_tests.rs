@@ -3,10 +3,9 @@
 use super::tests::{put, single_die_ftl};
 use super::*;
 
-fn wl_ftl(threshold: Option<u64>) -> Ftl {
+fn wl_ftl() -> Ftl {
     single_die_ftl(FtlConfig {
         write_buffer_units: 1,
-        wear_leveling_threshold: threshold,
         ..FtlConfig::default()
     })
 }
@@ -20,7 +19,7 @@ fn write_unit(f: &mut Ftl, lpn: u64, version: u64) {
 /// spread stays bounded and the cold data survives the migration.
 #[test]
 fn levels_cold_block_and_preserves_data() {
-    let mut f = wl_ftl(Some(4));
+    let mut f = wl_ftl();
     // Cold records fill the first block (8 units).
     for lpn in 0..8u64 {
         write_unit(&mut f, lpn, 1);
@@ -31,7 +30,10 @@ fn levels_cold_block_and_preserves_data() {
             write_unit(&mut f, lpn, round + 1);
         }
     }
-    assert!(f.wear_delta() > 4, "churn must skew wear");
+    assert!(
+        f.wear_delta() > Ftl::WEAR_LEVELING_THRESHOLD,
+        "churn must skew wear"
+    );
     let mut rounds = 0;
     while f.run_wear_leveling_round(SimTime::ZERO).unwrap().is_some() {
         rounds += 1;
@@ -55,7 +57,7 @@ fn levels_cold_block_and_preserves_data() {
 /// not count toward levelable skew.
 #[test]
 fn retired_hot_block_does_not_pin_wear_delta() {
-    let mut f = wl_ftl(Some(4));
+    let mut f = wl_ftl();
     // A little cold data so closed blocks exist.
     for lpn in 0..8u64 {
         write_unit(&mut f, lpn, 1);
@@ -67,13 +69,13 @@ fn retired_hot_block_does_not_pin_wear_delta() {
         .pool
         .open_block(0, &mut f.counters)
         .expect("free pool non-empty");
-    for _ in 0..50 {
+    for _ in 0..100 {
         f.flash_mut().erase(hot, SimTime::ZERO).unwrap();
     }
     f.pool.retire(hot);
 
     // In-service skew is zero-ish: nothing else was erased. The old
-    // implementation reported 50 here and levelled on every call.
+    // implementation reported 100 here and levelled on every call.
     assert!(
         f.wear_delta() <= 4,
         "retired block inflates wear_delta to {}",
@@ -89,20 +91,8 @@ fn retired_hot_block_does_not_pin_wear_delta() {
 }
 
 #[test]
-fn disabled_threshold_never_levels() {
-    let mut f = wl_ftl(None);
-    for round in 0..200u64 {
-        for lpn in 0..24u64 {
-            write_unit(&mut f, lpn, round + 1);
-        }
-    }
-    assert_eq!(f.run_wear_leveling_round(SimTime::ZERO).unwrap(), None);
-    assert_eq!(f.counters().get(Counter::FtlWearLevelRounds), 0);
-}
-
-#[test]
 fn below_threshold_is_a_noop() {
-    let mut f = wl_ftl(Some(1_000_000));
+    let mut f = wl_ftl();
     for round in 0..100u64 {
         for lpn in 0..24u64 {
             write_unit(&mut f, lpn, round + 1);

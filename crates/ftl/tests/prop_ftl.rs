@@ -53,8 +53,16 @@ fn build_with_unit(unit_bytes: u32) -> Ftl {
     build_caching(unit_bytes, None)
 }
 
+/// A device whose last block was erased `Ftl::WEAR_LEVELING_THRESHOLD +
+/// 8` times before the soup, so that its `Op::WearLevel` rounds migrate
+/// the coldest closed block while that block has fewer than 8 erases.
 fn build_caching(unit_bytes: u32, map_cache_entries: Option<u64>) -> Ftl {
-    let flash = FlashArray::new(FlashGeometry::small(), FlashTiming::mlc());
+    let geometry = FlashGeometry::small();
+    let mut flash = FlashArray::new(geometry, FlashTiming::mlc());
+    let hot = BlockId(geometry.total_blocks() - 1);
+    for _ in 0..Ftl::WEAR_LEVELING_THRESHOLD + 8 {
+        flash.erase(hot, SimTime::ZERO).unwrap();
+    }
     Ftl::new(
         flash,
         FtlConfig {
@@ -64,7 +72,6 @@ fn build_caching(unit_bytes: u32, map_cache_entries: Option<u64>) -> Ftl {
             gc_threshold_blocks: 4,
             gc_soft_threshold_blocks: 8,
             write_buffer_units: 16,
-            wear_leveling_threshold: Some(8),
             ..FtlConfig::default()
         },
     )
@@ -368,7 +375,8 @@ fn ftl_matches_shadow_under_long_churn() {
     check("ftl_matches_shadow_under_long_churn", 8, |rng| {
         let len = rng.range_usize(2_000, 2_999);
         let ops = soup(rng, len, op);
-        run_ops(&ops);
+        let ftl = run_ops_on(build(), &ops);
+        assert!(ftl.counters().get(Counter::FtlWearLevelRounds) > 0);
     });
 }
 
@@ -471,7 +479,6 @@ fn pressured_ftl(unit_bytes: u32, dies: u32) -> (Ftl, u64) {
         gc_threshold_blocks: 4,
         gc_soft_threshold_blocks: 8,
         write_buffer_units: 2 * upp,
-        wear_leveling_threshold: None,
         ..FtlConfig::default()
     };
     let lpns = geometry.total_pages() * u64::from(upp) * 6 / 10;
@@ -694,7 +701,6 @@ fn reads_go_ahead_only_of_programs_nobody_has_seen_finish() {
                 gc_threshold_blocks: 4,
                 gc_soft_threshold_blocks: 8,
                 write_buffer_units: 16,
-                wear_leveling_threshold: None,
                 ..FtlConfig::default()
             };
             let mut ftl = Ftl::new(FlashArray::new(geometry, t), config).unwrap();

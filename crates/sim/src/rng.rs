@@ -89,21 +89,6 @@ impl SimRng {
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Bernoulli draw with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        self.gen_f64() < p
-    }
-
-    /// Derives an independent child generator (for per-component streams).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -155,20 +140,6 @@ mod tests {
         }
         let mean = sum / 10_000.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} far from 0.5");
-    }
-
-    #[test]
-    fn bool_probability_roughly_holds() {
-        let mut r = SimRng::seed_from(11);
-        let hits = (0..10_000).filter(|_| r.gen_bool(0.25)).count();
-        assert!((2_200..2_800).contains(&hits), "got {hits}");
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut a = SimRng::seed_from(1);
-        let mut c = a.fork();
-        assert_ne!(a.next_u64(), c.next_u64());
     }
 
     #[test]

@@ -58,7 +58,8 @@ const WALK_STEP_ENTRIES: u64 = MapCacheModel::SEGMENT_ENTRIES;
 ///     checkin_flash::OobKind::Data,
 ///     SimTime::ZERO,
 /// )?;
-/// let (frags, _t) = ssd.read(&ReadRequest { lba: 0, sectors: 2, key: Some(1) }, done)?;
+/// let mut frags = Vec::new();
+/// ssd.read_into(&ReadRequest { lba: 0, sectors: 2, key: Some(1) }, done, &mut frags)?;
 /// assert_eq!(frags[0].version, 1);
 /// # Ok::<(), checkin_ssd::SsdError>(())
 /// ```
@@ -422,8 +423,10 @@ impl Ssd {
         self.map_walk(units, segments.end - segments.start, live)
     }
 
-    /// Handles a block-interface read. Returns the fragments found in the
-    /// range (filtered by `req.key` when set) and the completion instant.
+    /// Handles a block-interface read: appends the fragments found in
+    /// the range (filtered by `req.key` when set) to `fragments` and
+    /// returns the completion instant. With a reused buffer the
+    /// steady-state read loop performs no heap allocation.
     ///
     /// # Errors
     ///
@@ -431,25 +434,6 @@ impl Ssd {
     /// capacity; propagates FTL failures other than reads of
     /// never-written space (which return no fragments, modelling a
     /// zero-fill read).
-    pub fn read(
-        &mut self,
-        req: &ReadRequest,
-        at: SimTime,
-    ) -> Result<(Vec<Fragment>, SimTime), SsdError> {
-        let mut fragments = Vec::new();
-        let finish = self.read_into(req, at, &mut fragments)?;
-        Ok((fragments, finish))
-    }
-
-    /// [`Ssd::read`] into a caller-provided buffer: appends the fragments
-    /// found in the range (filtered by `req.key` when set) to `fragments`
-    /// and returns the completion instant. The hot-path variant — with a
-    /// reused buffer the steady-state read loop performs no heap
-    /// allocation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Ssd::read`].
     pub fn read_into(
         &mut self,
         req: &ReadRequest,
@@ -1511,16 +1495,17 @@ mod tests {
         let t = s
             .write(&record(10, 2, 7, 3), OobKind::Data, SimTime::ZERO)
             .unwrap();
-        let (frags, _) = s
-            .read(
-                &ReadRequest {
-                    lba: 10,
-                    sectors: 2,
-                    key: Some(7),
-                },
-                t,
-            )
-            .unwrap();
+        let mut frags = Vec::new();
+        s.read_into(
+            &ReadRequest {
+                lba: 10,
+                sectors: 2,
+                key: Some(7),
+            },
+            t,
+            &mut frags,
+        )
+        .unwrap();
         assert_eq!(frags.len(), 2, "one fragment per 512B unit");
         assert!(frags.iter().all(|f| f.version == 3));
     }
@@ -1528,14 +1513,16 @@ mod tests {
     #[test]
     fn read_of_unwritten_space_returns_nothing() {
         let mut s = ssd(512);
-        let (frags, t) = s
-            .read(
+        let mut frags = Vec::new();
+        let t = s
+            .read_into(
                 &ReadRequest {
                     lba: 100,
                     sectors: 4,
                     key: None,
                 },
                 SimTime::ZERO,
+                &mut frags,
             )
             .unwrap();
         assert!(frags.is_empty());
@@ -1546,13 +1533,14 @@ mod tests {
     fn zero_sector_requests_rejected() {
         let mut s = ssd(512);
         assert!(matches!(
-            s.read(
+            s.read_into(
                 &ReadRequest {
                     lba: 0,
                     sectors: 0,
                     key: None
                 },
-                SimTime::ZERO
+                SimTime::ZERO,
+                &mut Vec::new()
             ),
             Err(SsdError::InvalidRequest(_))
         ));
@@ -1651,16 +1639,17 @@ mod tests {
             merged: false,
         };
         let t = s.checkpoint(&[entry], CheckpointMode::Remap, t).unwrap();
-        let (frags, _) = s
-            .read(
-                &ReadRequest {
-                    lba: 8,
-                    sectors: 2,
-                    key: Some(5),
-                },
-                t,
-            )
-            .unwrap();
+        let mut frags = Vec::new();
+        s.read_into(
+            &ReadRequest {
+                lba: 8,
+                sectors: 2,
+                key: Some(5),
+            },
+            t,
+            &mut frags,
+        )
+        .unwrap();
         assert_eq!(frags.len(), 2);
         assert_eq!(s.counters().get(Counter::SsdRemapEntries), 1);
         // Only the checkpoint metadata unit may have been buffered; no
@@ -1686,16 +1675,17 @@ mod tests {
         };
         let t = s.checkpoint(&[entry], CheckpointMode::Copy, t).unwrap();
         assert_eq!(s.counters().get(Counter::SsdCopyEntries), 1);
-        let (frags, _) = s
-            .read(
-                &ReadRequest {
-                    lba: 8,
-                    sectors: 2,
-                    key: Some(5),
-                },
-                t,
-            )
-            .unwrap();
+        let mut frags = Vec::new();
+        s.read_into(
+            &ReadRequest {
+                lba: 8,
+                sectors: 2,
+                key: Some(5),
+            },
+            t,
+            &mut frags,
+        )
+        .unwrap();
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0].version, 9);
     }
@@ -1737,7 +1727,8 @@ mod tests {
                 sectors: 1,
                 key: Some(i),
             };
-            let (frags, _) = s.read(&req, t).unwrap();
+            let mut frags = Vec::new();
+            s.read_into(&req, t, &mut frags).unwrap();
             assert_eq!(frags.len(), 1, "key {i} copied home");
         }
     }
@@ -1897,7 +1888,9 @@ mod tests {
                 sectors: 1,
                 key: Some(i),
             };
-            assert_eq!(s.read(&req, done).unwrap().0.len(), 1, "key {i} home");
+            let mut frags = Vec::new();
+            s.read_into(&req, done, &mut frags).unwrap();
+            assert_eq!(frags.len(), 1, "key {i} home");
         }
         // Driven by hand from its begin, each step at the instant asked
         // for, the job ends where the wrapper's does, counter for counter.
@@ -1984,29 +1977,32 @@ mod tests {
         let t = s.flush(t).unwrap();
         // Partial trim (2 of 8 sectors) is ignored.
         let t = s.deallocate(0, 2, t);
-        let (frags, t) = s
-            .read(
+        let mut frags = Vec::new();
+        let t = s
+            .read_into(
                 &ReadRequest {
                     lba: 0,
                     sectors: 8,
                     key: Some(1),
                 },
                 t,
+                &mut frags,
             )
             .unwrap();
         assert!(!frags.is_empty());
         // Whole-unit trim removes it.
         let t = s.deallocate(0, 8, t);
-        let (frags, _) = s
-            .read(
-                &ReadRequest {
-                    lba: 0,
-                    sectors: 8,
-                    key: Some(1),
-                },
-                t,
-            )
-            .unwrap();
+        let mut frags = Vec::new();
+        s.read_into(
+            &ReadRequest {
+                lba: 0,
+                sectors: 8,
+                key: Some(1),
+            },
+            t,
+            &mut frags,
+        )
+        .unwrap();
         assert!(frags.is_empty());
     }
 
@@ -2134,24 +2130,26 @@ mod tests {
         let t = s.flush(t).unwrap();
         // Two reads submitted at the same instant: with depth 1 the second
         // starts after the first completes.
-        let (_, t1) = s
-            .read(
+        let t1 = s
+            .read_into(
                 &ReadRequest {
                     lba: 0,
                     sectors: 1,
                     key: None,
                 },
                 t,
+                &mut Vec::new(),
             )
             .unwrap();
-        let (_, t2) = s
-            .read(
+        let t2 = s
+            .read_into(
                 &ReadRequest {
                     lba: 0,
                     sectors: 1,
                     key: None,
                 },
                 t,
+                &mut Vec::new(),
             )
             .unwrap();
         assert!(t2 > t1);
@@ -2499,7 +2497,8 @@ mod tests {
                 sectors: 1,
                 key: Some(key),
             };
-            let (frags, _) = s.read(&req, at).unwrap();
+            let mut frags = Vec::new();
+            s.read_into(&req, at, &mut frags).unwrap();
             let written = (version > 0).then_some(version);
             assert_eq!(frags.first().map(|f| f.version), written, "key {key}");
         }
@@ -2519,7 +2518,7 @@ mod tests {
             sectors: 1,
             key: None,
         };
-        s.read(&req, idle).unwrap();
+        s.read_into(&req, idle, &mut Vec::new()).unwrap();
         assert!(s.idle_at() > idle, "the read books the device past `idle`");
         let rounds = |s: &Ssd| s.counters().get(Counter::SsdBackgroundGcRounds);
         let before = rounds(&s);
@@ -2617,13 +2616,14 @@ mod tests {
 
         // The quarantined unit now fails the host read path typed.
         let err = s
-            .read(
+            .read_into(
                 &ReadRequest {
                     lba: 3,
                     sectors: 1,
                     key: None,
                 },
                 done,
+                &mut Vec::new(),
             )
             .unwrap_err();
         assert!(err.is_integrity(), "quarantined read: {err}");
@@ -2683,16 +2683,17 @@ mod tests {
             ]),
         };
         let t = s.write(&good, OobKind::Journal, SimTime::ZERO).unwrap();
-        let (frags, _) = s
-            .read(
-                &ReadRequest {
-                    lba: 0,
-                    sectors: 8,
-                    key: None,
-                },
-                t,
-            )
-            .unwrap();
+        let mut frags = Vec::new();
+        s.read_into(
+            &ReadRequest {
+                lba: 0,
+                sectors: 8,
+                key: None,
+            },
+            t,
+            &mut frags,
+        )
+        .unwrap();
         assert_eq!(frags.len(), 2);
         // A sector-sized merged write is malformed on this device.
         let bad = WriteRequest {
@@ -2736,16 +2737,17 @@ mod tests {
         s.cow_single(&e, CheckpointMode::Copy, SimTime::ZERO)
             .unwrap();
         assert!(s.counters().get(Counter::SsdCowMissingSrc) >= 1);
-        let (frags, _) = s
-            .read(
-                &ReadRequest {
-                    lba: 0,
-                    sectors: 1,
-                    key: None,
-                },
-                SimTime::ZERO,
-            )
-            .unwrap();
+        let mut frags = Vec::new();
+        s.read_into(
+            &ReadRequest {
+                lba: 0,
+                sectors: 1,
+                key: None,
+            },
+            SimTime::ZERO,
+            &mut frags,
+        )
+        .unwrap();
         assert!(frags.is_empty(), "nothing should land at the destination");
     }
 
@@ -2776,16 +2778,17 @@ mod tests {
         }
         s.ftl().check_invariants().unwrap();
         for i in 0..32u64 {
-            let (frags, _) = s
-                .read(
-                    &ReadRequest {
-                        lba: 2 * i,
-                        sectors: 2,
-                        key: Some(i),
-                    },
-                    t,
-                )
-                .unwrap();
+            let mut frags = Vec::new();
+            s.read_into(
+                &ReadRequest {
+                    lba: 2 * i,
+                    sectors: 2,
+                    key: Some(i),
+                },
+                t,
+                &mut frags,
+            )
+            .unwrap();
             assert!(!frags.is_empty(), "key {i} readable at home after trim");
         }
     }

@@ -45,7 +45,8 @@
 //! // Checkpoint: remap it to its data-area home at LBA 8 — zero copies.
 //! let entry = CowEntry { src_lba: 1000, dst_lba: 8, sectors: 2, dst_sectors: 2, key: 5, merged: false };
 //! let t = ssd.checkpoint(&[entry], CheckpointMode::Remap, t)?;
-//! let (frags, _) = ssd.read(&ReadRequest { lba: 8, sectors: 2, key: Some(5) }, t)?;
+//! let mut frags = Vec::new();
+//! ssd.read_into(&ReadRequest { lba: 8, sectors: 2, key: Some(5) }, t, &mut frags)?;
 //! assert_eq!(frags[0].version, 2);
 //! # Ok::<(), checkin_ssd::SsdError>(())
 //! ```

@@ -155,16 +155,17 @@ fn random_cut_point_recovery_matches_acked_writes() {
             cut_after_gc += u64::from(s.ftl().counters().get(Counter::FtlGcInvocations) > 0);
             s.recover_power_loss().unwrap();
             for (&lba, &version) in &shadow {
-                let (frags, _) = s
-                    .read(
-                        &ReadRequest {
-                            lba,
-                            sectors: 1,
-                            key: Some(lba),
-                        },
-                        SimTime::ZERO,
-                    )
-                    .expect("post-recovery read");
+                let mut frags = Vec::new();
+                s.read_into(
+                    &ReadRequest {
+                        lba,
+                        sectors: 1,
+                        key: Some(lba),
+                    },
+                    SimTime::ZERO,
+                    &mut frags,
+                )
+                .expect("post-recovery read");
                 let got = frags
                     .iter()
                     .map(|f| f.version)

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# One-shot verification: build, test, examples, lab, chaos, docs, formatting, lints.
+# One-shot verification: build, test, examples, lab, chaos, docs, formatting, lints,
+# then a report of the non-test source lines.
 # Everything runs offline (no network, empty registry cache).
 set -eu
 
@@ -147,5 +148,8 @@ echo "== cargo clippy"
 # Exceptions are `#[expect(clippy::.., reason = "..")]` at the site; one
 # that is no longer needed fails this step too (DESIGN.md §11).
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== non-test source lines (a report, not a gate)"
+scripts/nontest_lines.sh
 
 echo "verify: OK"

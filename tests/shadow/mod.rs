@@ -410,8 +410,11 @@ impl Harness {
                 sectors: layout.slot_sectors() as u32,
                 key: Some(key),
             };
-            let (frags, done) = self.ssd.read(&whole_slot, sized.finish).unwrap();
-            self.t = done;
+            let mut frags = Vec::new();
+            self.t = self
+                .ssd
+                .read_into(&whole_slot, sized.finish, &mut frags)
+                .unwrap();
             let version = frags.iter().map(|f| f.version).max().unwrap_or(0);
             let at_version = frags.iter().filter(|f| f.version == version);
             assert_eq!(
